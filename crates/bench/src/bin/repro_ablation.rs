@@ -14,7 +14,7 @@ use neuromap_apps::synthetic::Synthetic;
 use neuromap_apps::App;
 use neuromap_bench::{config_for, print_table, Scale, SEED};
 use neuromap_core::partition::{FitnessKind, PartitionProblem, Partitioner};
-use neuromap_core::pipeline::{evaluate_mapping, TrafficMode};
+use neuromap_core::pipeline::{MappingPipeline, TrafficMode};
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_core::SpikeGraph;
 
@@ -112,6 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cfg.arch.num_crossbars(),
                 cfg.arch.neurons_per_crossbar(),
             )?;
+            let pipeline = MappingPipeline::new(cfg);
             let mut row = vec![name.clone(), format!("{traffic:?}")];
             for fitness in [FitnessKind::CutSpikes, FitnessKind::CutPackets] {
                 let pso = PsoPartitioner::new(PsoConfig {
@@ -119,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ..scale.pso(0xAB1A)
                 });
                 let m = pso.partition(&problem)?;
-                let report = evaluate_mapping(graph, m, "pso", &cfg)?;
+                let report = pipeline.evaluate(graph, m, "pso", "identity")?.report;
                 row.push(format!("{:.0}", report.global_energy_pj));
             }
             rows.push(row);

@@ -14,7 +14,7 @@
 use neuromap_bench::{
     config_for, fig5_partitioners, print_table, realistic_graphs, synthetic_graphs, Scale,
 };
-use neuromap_core::pipeline::run_pipeline;
+use neuromap_core::MappingPipeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::from_args();
@@ -30,10 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut realistic_gain_pacman = Vec::new();
 
     for (name, graph) in &workloads {
-        let cfg = config_for(graph.num_neurons());
+        let pipeline = MappingPipeline::new(config_for(graph.num_neurons()));
         let mut energies = Vec::new();
         for part in fig5_partitioners(scale) {
-            let report = run_pipeline(graph, part.as_ref(), &cfg)?;
+            let report = pipeline.run(graph, part.as_ref())?;
             energies.push(report.global_energy_pj);
         }
         let base = energies[0].max(1e-12); // NEUTRAMS

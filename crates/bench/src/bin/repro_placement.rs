@@ -15,7 +15,7 @@
 //!
 //! * `staged`  — CutHops PSO partition, then one placement pass
 //!   (exactly the fallback baseline `core::coopt` computes internally);
-//! * `joint`   — [`MappingPipeline::co_optimize`], where the placement
+//! * `joint`   — [`neuromap_core::coopt::co_optimize`], where the placement
 //!   optimizer periodically re-prices the distances the swarm searches
 //!   under (never worse than `staged` by construction);
 //! * `joint+trees` — the same joint mapping re-simulated with
@@ -26,7 +26,7 @@
 
 use neuromap_apps::synthetic::LargeArch;
 use neuromap_bench::{print_table, Scale, SEED};
-use neuromap_core::coopt::CooptConfig;
+use neuromap_core::coopt::{co_optimize, CooptConfig};
 use neuromap_core::partition::FitnessKind;
 use neuromap_core::pipeline::{MappingPipeline, PipelineConfig, PlacementStrategy};
 use neuromap_core::place::PlaceConfig;
@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut identity_hops = 0u64;
             for pipe in [&pipeline, &optimized] {
                 let (placed, _, label) = pipe.place(&graph, &mapping)?;
-                let report = pipe.evaluate_as(&graph, placed, "pso", &label)?;
+                let report = pipe.evaluate(&graph, placed, "pso", &label)?.report;
                 if report.placement == "identity" {
                     identity_hops = report.hop_weighted_packets;
                 }
@@ -148,7 +148,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             let staged_map = pipeline.partition(&graph, &PsoPartitioner::new(coopt_cfg.pso))?;
             let (staged_placed, _, _) = optimized.place(&graph, &staged_map)?;
-            let joint = pipeline.co_optimize(&graph, &coopt_cfg)?;
+            let joint = co_optimize(
+                &pipeline.problem(&graph)?,
+                pipeline.distances(),
+                pipeline.config().traffic,
+                &coopt_cfg,
+            )?;
             let mut tree_noc = pipeline.config().noc;
             tree_noc.multicast_trees = true;
             let trees = pipeline.with_noc(tree_noc);
@@ -158,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 (&pipeline, joint.mapping.clone(), "joint"),
                 (&trees, joint.mapping, "joint+trees"),
             ] {
-                let report = pipe.evaluate_as(&graph, mapping, "pso", label)?;
+                let report = pipe.evaluate(&graph, mapping, "pso", label)?.report;
                 if label == "staged" {
                     staged_hops = report.hop_weighted_packets;
                 }

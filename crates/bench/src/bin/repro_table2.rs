@@ -18,7 +18,7 @@ use neuromap_apps::heartbeat::HeartbeatEstimation;
 use neuromap_bench::{config_for, print_table, realistic_graphs, Scale, SEED};
 use neuromap_core::baselines::PacmanPartitioner;
 use neuromap_core::partition::{PartitionProblem, Partitioner};
-use neuromap_core::pipeline::{evaluate_mapping_detailed, PipelineConfig, Report};
+use neuromap_core::pipeline::{MappingPipeline, PipelineConfig, Report};
 use neuromap_core::pso::PsoPartitioner;
 use neuromap_core::SpikeGraph;
 use neuromap_noc::stats::Delivery;
@@ -122,9 +122,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for cycles_per_step in [64u64, 128, 256, 1024] {
             let mut cfg = config_for(graph.num_neurons());
             cfg.noc.cycles_per_step = cycles_per_step;
+            let pipeline = MappingPipeline::new(cfg);
             let mut line = vec![format!("{cycles_per_step}")];
             for (label, mapping) in [("PACMAN", &pacman.mapping), ("PSO", &pso.mapping)] {
-                let (r, log) = evaluate_mapping_detailed(graph, mapping.clone(), label, &cfg)?;
+                let evaluation = pipeline.evaluate(graph, mapping.clone(), label, "identity")?;
+                let (r, log) = (evaluation.report, evaluation.deliveries);
                 let acc = temporal_fidelity(&log, cycles_per_step);
                 line.push(format!("{:.1}", r.noc.avg_isi_distortion_cycles));
                 line.push(format!("{:.1}%", acc * 100.0));
@@ -160,7 +162,9 @@ fn run(
         cfg.arch.neurons_per_crossbar(),
     )?;
     let mapping = part.partition(&problem)?;
-    Ok(evaluate_mapping_detailed(graph, mapping, part.name(), cfg)?)
+    let evaluation =
+        MappingPipeline::new(cfg.clone()).evaluate(graph, mapping, part.name(), "identity")?;
+    Ok((evaluation.report, evaluation.deliveries))
 }
 
 /// Temporal-code fidelity of the interconnect: per (source neuron,

@@ -122,6 +122,7 @@ impl Partitioner for GaPartitioner {
 
     fn partition(&self, problem: &PartitionProblem<'_>) -> Result<Mapping, CoreError> {
         self.validate()?;
+        problem.check_objective(self.config.fitness)?;
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let n = problem.graph().num_neurons() as usize;

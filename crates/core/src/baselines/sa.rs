@@ -187,6 +187,7 @@ impl Partitioner for SaPartitioner {
 
     fn partition(&self, problem: &PartitionProblem<'_>) -> Result<Mapping, CoreError> {
         self.validate()?;
+        problem.check_objective(self.config.fitness)?;
         let cfg = &self.config;
 
         // chain k's stream: the base seed for chain 0 (compatibility),

@@ -29,7 +29,7 @@
 //!   [`EvalEngine::sync`] calls, `state.cost()` equals the full
 //!   recomputation on the current assignment (property-tested in
 //!   `tests/eval_properties.rs` across random move sequences, churn
-//!   fractions, and both fitness kinds).
+//!   fractions, and every fitness kind).
 //! * [`EvalEngine::move_delta`] is pure: it never mutates state and is
 //!   exact for the *current* assignment (deltas of stacked hypothetical
 //!   moves must be applied one at a time).
@@ -48,23 +48,30 @@
 //! ## Batched envelope (large architectures)
 //!
 //! The whole-swarm evaluator ([`SwarmEval`]) tiles candidates into
-//! neuron-major blocks and picks its kernel by crossbar count — a pure
-//! function of the problem, exposed as [`SwarmEval::kernel`] /
+//! neuron-major blocks. One driver, generic over the tile entry type,
+//! runs one of two tile kernels per block — byte counters for
+//! `CutSpikes`, per-lane crossbar bitmasks at a compile-time stride for
+//! `CutPackets` (popcount reduce) and `CutHops` (hop-weighted bit walk).
+//! The entry type and stride follow from the crossbar count alone — a
+//! pure function of the problem, exposed as [`SwarmEval::kernel`] /
 //! [`SwarmKernel`]:
 //!
 //! * **Byte tiles** up to [`TILE_MAX_CROSSBARS`] (256) crossbars: one
-//!   byte per assignment, `CutPackets`/`CutHops` remote sets as strided
-//!   multi-word bitmasks (`⌈C/64⌉` `u64`s per lane). On the
-//!   256-crossbar `synth_16x16grid` scenario (1740 neurons, 41.8 k
-//!   synapses; `BENCH_eval.json`) this scores a 64-lane swarm ~5.5×
-//!   faster than the per-candidate scalar scan.
+//!   byte per assignment; masks of one `u64` per lane up to 64
+//!   crossbars, four beyond. On the 256-crossbar `synth_16x16grid`
+//!   scenario (1740 neurons, 41.8 k synapses; `BENCH_eval.json`) this
+//!   scores a 64-lane swarm ~5.5× faster than the per-candidate scalar
+//!   scan.
 //! * **u16 word tiles** up to [`TILE16_MAX_CROSSBARS`] (1024) crossbars
 //!   — the multi-chip regime of `noc::topology::HierTopology`: two
-//!   bytes per assignment, a fixed 16-word mask stride, identical
-//!   integer arithmetic. CI gates the `hier/*` batched-over-scalar
-//!   ratio ≥ 2× on the 1024-crossbar `synth_4chip16x16` scenario.
-//! * **Scalar** beyond 1024 crossbars: the exact per-candidate
-//!   reference every tiled kernel is verified against.
+//!   bytes per assignment, masks of 16 `u64`s per lane, the same
+//!   kernels and integer arithmetic. CI gates the `hier/*`
+//!   batched-over-scalar ratio ≥ 2× on the 1024-crossbar
+//!   `synth_4chip16x16` scenario.
+//! * **Scalar** beyond 1024 crossbars: [`PartitionProblem::cost`] per
+//!   candidate — the exact reference every tiled instantiation is
+//!   verified against (per block in debug builds, and by the unit and
+//!   property tests).
 //!
 //! The active kernel is surfaced in `perf_probe` output and the
 //! pipeline `Report`, and the benches assert which kernel actually ran,
@@ -325,22 +332,6 @@ impl<'g> EvalEngine<'g> {
         if changed == 0 {
             return state.cost;
         }
-        #[cfg(feature = "eval-stats")]
-        {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            pub static SYNCS: AtomicU64 = AtomicU64::new(0);
-            pub static CHANGED: AtomicU64 = AtomicU64::new(0);
-            SYNCS.fetch_add(1, Ordering::Relaxed);
-            CHANGED.fetch_add(changed as u64, Ordering::Relaxed);
-            let syncs = SYNCS.load(Ordering::Relaxed);
-            if syncs % 500 == 0 {
-                eprintln!(
-                    "eval-stats: {} syncs, avg churn {:.1}%",
-                    syncs,
-                    100.0 * CHANGED.load(Ordering::Relaxed) as f64 / (syncs * n as u64) as f64
-                );
-            }
-        }
         if (changed as f32) > self.churn_threshold * n as f32 {
             current.copy_from_slice(target);
             self.rebuild(state, current);
@@ -512,7 +503,7 @@ impl<'g> EvalEngine<'g> {
 }
 
 /// Number of candidates evaluated together per tile by [`SwarmEval`]:
-/// small enough that a tile (`N × LANES` bytes) stays cache-resident,
+/// small enough that a tile (`N × LANES` ids) stays cache-resident,
 /// wide enough to fill SIMD lanes.
 const LANES: usize = 64;
 
@@ -526,12 +517,12 @@ pub const TILE_MAX_CROSSBARS: usize = 256;
 /// this the evaluator runs the exact scalar reference per candidate.
 pub const TILE16_MAX_CROSSBARS: usize = 1024;
 
-/// Mask words per lane at the byte-tile ceiling (the fixed stride of the
-/// wide `CutPackets` kernel).
+/// Mask words per lane at the byte-tile ceiling: the stride of the byte
+/// tile's mask kernels past 64 crossbars.
 const MASK_WORDS_MAX: usize = TILE_MAX_CROSSBARS / 64;
 
-/// Mask words per lane at the word-tile ceiling (the fixed stride of the
-/// u16 kernels).
+/// Mask words per lane at the word-tile ceiling: the stride of the word
+/// tile's mask kernels.
 const MASK16_WORDS_MAX: usize = TILE16_MAX_CROSSBARS / 64;
 
 /// Which evaluation kernel [`SwarmEval::eval_swarm`] runs for a given
@@ -581,6 +572,35 @@ impl std::fmt::Display for SwarmKernel {
     }
 }
 
+/// One tile entry — the crossbar of one neuron in one candidate — stored
+/// as narrowly as the envelope allows: `u8` in the byte tile, `u16` in
+/// the word tile. The tiled driver and both tile kernels are generic
+/// over it.
+trait LaneId: Copy + PartialEq + Default + Into<usize> {
+    /// Narrows a crossbar id (exact inside the type's envelope).
+    fn narrow(crossbar: u32) -> Self;
+    /// This type's tile among the scratch's two.
+    fn buffer<'a>(bytes: &'a mut Vec<u8>, words: &'a mut Vec<u16>) -> &'a mut Vec<Self>;
+}
+
+impl LaneId for u8 {
+    fn narrow(crossbar: u32) -> Self {
+        crossbar as u8
+    }
+    fn buffer<'a>(bytes: &'a mut Vec<u8>, _: &'a mut Vec<u16>) -> &'a mut Vec<u8> {
+        bytes
+    }
+}
+
+impl LaneId for u16 {
+    fn narrow(crossbar: u32) -> Self {
+        crossbar as u16
+    }
+    fn buffer<'a>(_: &'a mut Vec<u8>, words: &'a mut Vec<u16>) -> &'a mut Vec<u16> {
+        words
+    }
+}
+
 /// Batched whole-swarm evaluation: the complement of the per-candidate
 /// incremental path for optimizers whose candidates churn too much to
 /// diff (binary PSO re-samples every neuron's crossbar each iteration —
@@ -589,23 +609,24 @@ impl std::fmt::Display for SwarmKernel {
 /// Instead of evaluating candidates one by one (a random `assignment[j]`
 /// gather per edge), the swarm is transposed into **neuron-major tiles**
 /// of [`LANES`] candidates (`tile[i * LANES + lane]` = crossbar of neuron
-/// `i` in candidate `lane`, one byte each): one pass over the CSR then
-/// compares contiguous 64-byte rows, which the compiler vectorizes, and
+/// `i` in candidate `lane`): one pass over the CSR then compares
+/// contiguous `LANES`-wide rows, which the compiler vectorizes, and
 /// every row is reused `deg(i)` times from cache. Costs are exact — the
-/// same integer arithmetic as [`PartitionProblem::cut_spikes`] /
-/// [`PartitionProblem::cut_packets`] — just evaluated lane-parallel
-/// (verified per batch by a debug assertion and by unit tests).
+/// same integer arithmetic as [`PartitionProblem::cost`] — just
+/// evaluated lane-parallel (verified per block by a debug assertion and
+/// by unit tests).
 ///
-/// Requirements: `num_crossbars ≤ 256` ([`TILE_MAX_CROSSBARS`], one byte
-/// per assignment) for the byte-tile path. `CutPackets` keeps each
-/// lane's remote-crossbar set as a **multi-word bitmask** — a strided
-/// run of `mask_words = ⌈num_crossbars / 64⌉` `u64`s per lane (one word
-/// when `num_crossbars ≤ 64`, the historical fast path; up to four words
-/// at the 256-crossbar ceiling). Past the byte tile, **u16 word tiles**
-/// (two bytes per assignment, fixed 16-word mask stride) carry the
-/// batched path to [`TILE16_MAX_CROSSBARS`] (1024) crossbars — the
-/// multi-chip regime — so SpiNeMap-scale architectures stay tiled
-/// instead of silently degrading to a per-candidate scan. Beyond the
+/// One driver and two tile kernels cover the whole tiled envelope. The
+/// driver is generic over the tile entry type: one byte per assignment
+/// up to [`TILE_MAX_CROSSBARS`] (256) crossbars, two bytes up to
+/// [`TILE16_MAX_CROSSBARS`] (1024) — the multi-chip regime, so
+/// SpiNeMap-scale architectures stay tiled instead of silently degrading
+/// to a per-candidate scan. `CutSpikes` accumulates byte counters;
+/// `CutPackets` and `CutHops` share a kernel that keeps each lane's
+/// target-crossbar set as a bitmask of `W` `u64`s at a compile-time
+/// stride (1 up to 64 crossbars, 4 in the rest of the byte tile, 16 in
+/// the word tile) and differ only in how they reduce it: a popcount, or
+/// a walk over the set bits priced by the hop table. Beyond the
 /// word-tile envelope [`SwarmEval::eval_swarm`] evaluates per candidate;
 /// [`SwarmEval::kernel`] reports which path runs.
 #[derive(Debug, Clone)]
@@ -613,10 +634,10 @@ pub struct SwarmEval<'g> {
     problem: PartitionProblem<'g>,
     kind: FitnessKind,
     /// Narrow (u16) shadow of the hop table for the tiled `CutHops`
-    /// kernels — same values, half the gather footprint of the u32
+    /// reduction — same values, half the gather footprint of the u32
     /// `DistanceLut` the reduction walks per set mask bit. Empty when
     /// the objective is not `CutHops`, the problem is past the tiled
-    /// envelope, or any distance overflows u16 (the kernels then read
+    /// envelope, or any distance overflows u16 (the reduction then reads
     /// the u32 table directly).
     hops16: Vec<u16>,
 }
@@ -624,21 +645,16 @@ pub struct SwarmEval<'g> {
 /// Reusable buffers for [`SwarmEval::eval_swarm`].
 #[derive(Debug, Clone, Default)]
 pub struct SwarmScratch {
-    /// Neuron-major tile: `n × LANES` bytes.
+    /// Neuron-major byte tile (`n × LANES` entries); the one in use up
+    /// to [`TILE_MAX_CROSSBARS`] crossbars.
     tile: Vec<u8>,
-    /// Neuron-major u16 tile for the word-tile kernels (crossbar ids
-    /// past 255): `n × LANES` entries.
+    /// Neuron-major u16 tile (`n × LANES` entries); the one in use past
+    /// the byte tile (crossbar ids above 255).
     tile16: Vec<u16>,
-    /// Per-lane remote-edge counters for the current neuron.
-    remote: Vec<u32>,
-    /// Per-lane byte-wide partial counters (flushed every ≤255 edges so
-    /// the inner loop stays pure byte SIMD).
-    remote8: Vec<u8>,
-    /// Per-lane remote-crossbar bitmasks (`CutPackets`): one `u64` per
-    /// lane on the ≤ 64-crossbar fast path, otherwise [`MASK_WORDS_MAX`]
-    /// (byte tile) or [`MASK16_WORDS_MAX`] (word tile) consecutive
-    /// `u64`s per lane (lane-major, fixed stride regardless of the
-    /// actual word count so every tile entry indexes in bounds).
+    /// Per-lane target-crossbar bitmasks of the mask kernel, lane-major:
+    /// `LANES × W` words at the instantiation's stride `W` — the stride
+    /// is fixed per instantiation, not `⌈C/64⌉`, so every tile entry
+    /// indexes in bounds.
     masks: Vec<u64>,
 }
 
@@ -648,7 +664,9 @@ impl<'g> SwarmEval<'g> {
     /// # Panics
     ///
     /// Panics for [`FitnessKind::CutHops`] when the problem carries no
-    /// hop table ([`PartitionProblem::with_hops`]).
+    /// hop table ([`PartitionProblem::with_hops`]);
+    /// [`PartitionProblem::check_objective`] is the `Result`-returning
+    /// form of this precondition.
     pub fn new(problem: PartitionProblem<'g>, kind: FitnessKind) -> Self {
         assert!(
             kind != FitnessKind::CutHops || problem.hops().is_some(),
@@ -678,8 +696,8 @@ impl<'g> SwarmEval<'g> {
         }
     }
 
-    /// Whether a vectorizable tile path applies to this problem: both
-    /// objectives are tiled up to [`TILE16_MAX_CROSSBARS`] crossbars
+    /// Whether a vectorizable tile path applies to this problem: every
+    /// objective is tiled up to [`TILE16_MAX_CROSSBARS`] crossbars
     /// (byte tiles to 256, u16 word tiles beyond).
     pub fn batched(&self) -> bool {
         self.kernel() != SwarmKernel::Scalar
@@ -691,8 +709,9 @@ impl<'g> SwarmEval<'g> {
         SwarmKernel::for_crossbars(self.problem.num_crossbars())
     }
 
-    /// `u64` words per lane in the `CutPackets` remote-crossbar bitmask
-    /// (1 up to 64 crossbars, 4 at the 256-crossbar tile ceiling).
+    /// `u64` words a lane's target-crossbar bitmask needs
+    /// (`⌈num_crossbars / 64⌉`: 1 up to 64 crossbars, 4 at the byte-tile
+    /// ceiling, 16 at the word-tile ceiling).
     pub fn mask_words(&self) -> usize {
         self.problem.num_crossbars().div_ceil(64)
     }
@@ -723,14 +742,26 @@ impl<'g> SwarmEval<'g> {
                         .cost(self.kind, &positions[lane * n..(lane + 1) * n]);
                 }
             }
-            SwarmKernel::ByteTile => self.eval_swarm_bytes(positions, lanes, scratch, out),
-            SwarmKernel::WordTile => self.eval_swarm_words(positions, lanes, scratch, out),
+            // the mask stride is a compile-time constant per tile type,
+            // except that a byte tile whose whole crossbar set fits one
+            // word keeps the single-word stride
+            SwarmKernel::ByteTile if self.mask_words() == 1 => {
+                self.eval_tiled::<u8, 1>(positions, lanes, scratch, out);
+            }
+            SwarmKernel::ByteTile => {
+                self.eval_tiled::<u8, MASK_WORDS_MAX>(positions, lanes, scratch, out);
+            }
+            SwarmKernel::WordTile => {
+                self.eval_tiled::<u16, MASK16_WORDS_MAX>(positions, lanes, scratch, out);
+            }
         }
     }
 
-    /// The byte-tile driver: transposes 64-candidate blocks into the u8
-    /// tile and dispatches the byte kernels.
-    fn eval_swarm_bytes(
+    /// The tiled driver: transposes [`LANES`]-candidate blocks into the
+    /// neuron-major tile of entry type `T`, runs the objective's tile
+    /// kernel on each block, and (debug builds) checks each block's
+    /// first lane against the scalar reference.
+    fn eval_tiled<T: LaneId, const W: usize>(
         &self,
         positions: &[u32],
         lanes: usize,
@@ -738,17 +769,9 @@ impl<'g> SwarmEval<'g> {
         out: &mut [u64],
     ) {
         let n = self.problem.graph().num_neurons() as usize;
-        scratch.tile.resize(n * LANES, 0);
-        scratch.remote.resize(LANES, 0);
-        scratch.remote8.resize(LANES, 0);
-        // single-word fast path uses one u64 per lane; the wide kernel
-        // always uses the fixed MASK_WORDS_MAX stride
-        let mask_stride = if self.mask_words() == 1 {
-            1
-        } else {
-            MASK_WORDS_MAX
-        };
-        scratch.masks.resize(LANES * mask_stride, 0);
+        let tile = T::buffer(&mut scratch.tile, &mut scratch.tile16);
+        tile.resize(n * LANES, T::default());
+        scratch.masks.resize(LANES * W, 0);
         let mut lane0 = 0;
         while lane0 < lanes {
             let width = LANES.min(lanes - lane0);
@@ -760,81 +783,19 @@ impl<'g> SwarmEval<'g> {
                 for lane in 0..width {
                     let row = &positions[(lane0 + lane) * n..(lane0 + lane + 1) * n];
                     for (i, &k) in row[iblock..iend].iter().enumerate() {
-                        scratch.tile[(iblock + i) * LANES + lane] = k as u8;
-                    }
-                }
-            }
-            match self.kind {
-                FitnessKind::CutSpikes => {
-                    self.tile_cut_spikes(width, scratch, &mut out[lane0..lane0 + width]);
-                }
-                FitnessKind::CutPackets => {
-                    let out = &mut out[lane0..lane0 + width];
-                    // the single-word kernel is the historical ≤64-crossbar
-                    // fast path; the strided kernel lifts the envelope to
-                    // the byte-tile ceiling of 256 crossbars
-                    if self.mask_words() == 1 {
-                        self.tile_cut_packets(width, scratch, out);
-                    } else {
-                        self.tile_cut_packets_wide(width, scratch, out);
-                    }
-                }
-                FitnessKind::CutHops => {
-                    // same mask accumulation as the packet kernels — the
-                    // per-edge inner loop cannot carry weights, so the
-                    // hop pricing happens in the per-lane reduction over
-                    // the surviving mask bits
-                    let out = &mut out[lane0..lane0 + width];
-                    if self.mask_words() == 1 {
-                        self.tile_cut_hops(width, scratch, out);
-                    } else {
-                        self.tile_cut_hops_wide(width, scratch, out);
-                    }
-                }
-            }
-            debug_assert_eq!(
-                out[lane0],
-                self.problem
-                    .cost(self.kind, &positions[lane0 * n..(lane0 + 1) * n]),
-                "batched cost must equal the scalar evaluation"
-            );
-            lane0 += width;
-        }
-    }
-
-    /// The word-tile driver for 256 < crossbars ≤ 1024: the byte driver
-    /// with a u16 tile (crossbar ids past 255 no longer fit a byte) and
-    /// the fixed [`MASK16_WORDS_MAX`] mask stride. Same transpose
-    /// blocking, same per-block scalar verification.
-    fn eval_swarm_words(
-        &self,
-        positions: &[u32],
-        lanes: usize,
-        scratch: &mut SwarmScratch,
-        out: &mut [u64],
-    ) {
-        let n = self.problem.graph().num_neurons() as usize;
-        scratch.tile16.resize(n * LANES, 0);
-        scratch.remote.resize(LANES, 0);
-        scratch.remote8.resize(LANES, 0);
-        scratch.masks.resize(LANES * MASK16_WORDS_MAX, 0);
-        let mut lane0 = 0;
-        while lane0 < lanes {
-            let width = LANES.min(lanes - lane0);
-            for iblock in (0..n).step_by(LANES) {
-                let iend = (iblock + LANES).min(n);
-                for lane in 0..width {
-                    let row = &positions[(lane0 + lane) * n..(lane0 + lane + 1) * n];
-                    for (i, &k) in row[iblock..iend].iter().enumerate() {
-                        scratch.tile16[(iblock + i) * LANES + lane] = k as u16;
+                        tile[(iblock + i) * LANES + lane] = T::narrow(k);
                     }
                 }
             }
             let block = &mut out[lane0..lane0 + width];
             match self.kind {
-                FitnessKind::CutSpikes => self.tile16_cut_spikes(width, scratch, block),
-                FitnessKind::CutPackets => self.tile16_cut_packets(width, scratch, block),
-                FitnessKind::CutHops => self.tile16_cut_hops(width, scratch, block),
+                FitnessKind::CutSpikes => self.tile_cut_spikes(width, tile, block),
+                FitnessKind::CutPackets => {
+                    self.tile_masks::<T, W, false>(width, tile, &mut scratch.masks, block);
+                }
+                FitnessKind::CutHops => {
+                    self.tile_masks::<T, W, true>(width, tile, &mut scratch.masks, block);
+                }
             }
             debug_assert_eq!(
                 out[lane0],
@@ -848,12 +809,15 @@ impl<'g> SwarmEval<'g> {
 
     /// Eq. 8 over one tile: per neuron, count cut out-edges per lane and
     /// weight by the neuron's spike count.
-    fn tile_cut_spikes(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
+    // never inlined (here and on `tile_masks`): inlined, all eight
+    // instantiations land in `eval_swarm` and share one register
+    // allocation, and an unrelated edit to one shifted another's timing
+    // by 15 % (u8 × 4-word `CutPackets`); as functions of their own each
+    // compiles the same whatever its neighbours do
+    #[inline(never)]
+    fn tile_cut_spikes<T: LaneId>(&self, width: usize, tile: &[T], out: &mut [u64]) {
         let g = self.problem.graph();
         let n = g.num_neurons() as usize;
-        let tile = &scratch.tile;
-        let remote = &mut scratch.remote;
-        let remote8 = &mut scratch.remote8;
         out.fill(0);
         for i in 0..n {
             let ci = g.count(i as u32) as u64;
@@ -864,28 +828,25 @@ impl<'g> SwarmEval<'g> {
             if targets.is_empty() {
                 continue;
             }
-            remote[..width].fill(0);
-            let home: &[u8; LANES] = tile[i * LANES..i * LANES + LANES]
+            let mut remote = [0u32; LANES];
+            let home: &[T; LANES] = tile[i * LANES..i * LANES + LANES]
                 .try_into()
                 .expect("tile row is LANES wide");
             // accumulate in byte counters, flushed every ≤255 edges (so a
-            // counter cannot overflow): the inner loop is a pure byte
-            // compare + add over the full fixed LANES width — lanes past
-            // `width` hold stale bytes but are never read back
+            // counter cannot overflow): the inner loop is a pure compare
+            // + byte add over the full fixed LANES width — lanes past
+            // `width` hold stale ids but are never read back
             for tchunk in targets.chunks(255) {
-                remote8.fill(0);
-                let racc: &mut [u8; LANES] = (&mut remote8[..LANES])
-                    .try_into()
-                    .expect("scratch is LANES wide");
+                let mut racc = [0u8; LANES];
                 for &j in tchunk {
-                    let tgt: &[u8; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
+                    let tgt: &[T; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
                         .try_into()
                         .expect("tile row is LANES wide");
                     for lane in 0..LANES {
                         racc[lane] += u8::from(home[lane] != tgt[lane]);
                     }
                 }
-                for lane in 0..width {
+                for lane in 0..LANES {
                     remote[lane] += u32::from(racc[lane]);
                 }
             }
@@ -895,103 +856,35 @@ impl<'g> SwarmEval<'g> {
         }
     }
 
-    /// Multicast packets over one tile: per neuron and lane, the set of
-    /// remote target crossbars as a bitmask, then `count × popcount`.
-    fn tile_cut_packets(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
+    /// `CutPackets` (`HOPS = false`) and `CutHops` (`HOPS = true`) over
+    /// one tile. Per neuron, every lane ORs its targets' crossbars into
+    /// its own `W`-word bitmask (word `k >> 6`, bit `k & 63`); the
+    /// per-edge loop cannot carry weights, so the objectives differ only
+    /// in the per-lane reduction: the popcount of the mask without the
+    /// home bit, or a walk over its set bits pricing each crossbar by
+    /// its hop distance from the lane's home (`w(home, home) = 0`, so
+    /// the home bit needs no masking there).
+    ///
+    /// The word index is masked to the stride (`(k >> 6) & (W - 1)` —
+    /// exact for every id inside the envelope), which keeps the per-edge
+    /// update provably in bounds on stale lanes past `width` and so lets
+    /// it run branch-free over the constant [`LANES`] trip count; stale
+    /// lanes accumulate garbage that is never read back, like the spike
+    /// kernel's counters. At `W = 1` the word index and the home-word
+    /// test fold away and only the `width` live lanes are visited.
+    #[inline(never)]
+    fn tile_masks<T: LaneId, const W: usize, const HOPS: bool>(
+        &self,
+        width: usize,
+        tile: &[T],
+        masks: &mut [u64],
+        out: &mut [u64],
+    ) {
         let g = self.problem.graph();
         let n = g.num_neurons() as usize;
-        let tile = &scratch.tile;
-        let masks = &mut scratch.masks;
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            masks[..width].fill(0);
-            let home = &tile[i * LANES..i * LANES + LANES];
-            for &j in targets {
-                let tgt = &tile[j as usize * LANES..j as usize * LANES + LANES];
-                for lane in 0..width {
-                    masks[lane] |= 1u64 << tgt[lane];
-                }
-            }
-            for lane in 0..width {
-                let distinct = (masks[lane] & !(1u64 << home[lane])).count_ones();
-                out[lane] += ci * u64::from(distinct);
-            }
-        }
-    }
-
-    /// Multi-word `CutPackets` kernel for 64 < crossbars ≤ 256: each
-    /// lane's remote-crossbar set is [`MASK_WORDS`] consecutive `u64`s in
-    /// the strided scratch (`masks[lane * MASK_WORDS + (k >> 6)]`, bit
-    /// `k & 63`). The stride is fixed at the byte-tile ceiling rather
-    /// than `mask_words()` so every index is provably in range (a `u8`
-    /// shifted right by 6 is `< 4`): the per-edge update compiles
-    /// branch- and bounds-check-free with a constant [`LANES`]-wide trip
-    /// count (stale lanes past `width` accumulate garbage that is never
-    /// read back, exactly like the spike kernel's byte counters). Same
-    /// integer arithmetic as the single-word kernel.
-    fn tile_cut_packets_wide(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        const MASK_WORDS: usize = MASK_WORDS_MAX;
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let tile = &scratch.tile;
-        let masks: &mut [u64; LANES * MASK_WORDS] = (&mut scratch.masks[..LANES * MASK_WORDS])
-            .try_into()
-            .expect("eval_swarm sizes the mask scratch to the fixed wide stride");
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            masks.fill(0);
-            let home = &tile[i * LANES..i * LANES + LANES];
-            for &j in targets {
-                let tgt: &[u8; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
-                    .try_into()
-                    .expect("tile row is LANES wide");
-                for lane in 0..LANES {
-                    let k = tgt[lane] as usize;
-                    masks[lane * MASK_WORDS + (k >> 6)] |= 1u64 << (k & 63);
-                }
-            }
-            for lane in 0..width {
-                let h = home[lane] as usize;
-                let words = &masks[lane * MASK_WORDS..lane * MASK_WORDS + MASK_WORDS];
-                let mut distinct = 0u32;
-                for (w, &word) in words.iter().enumerate() {
-                    let drop_home = if w == h >> 6 { 1u64 << (h & 63) } else { 0 };
-                    distinct += (word & !drop_home).count_ones();
-                }
-                out[lane] += ci * u64::from(distinct);
-            }
-        }
-    }
-
-    /// Hop-weighted packets over one tile (≤ 64 crossbars): the per-edge
-    /// loop is the packet kernel's mask OR — the byte-SIMD inner loop
-    /// cannot carry per-destination weights — and the per-lane reduction
-    /// walks the surviving mask bits, pricing each distinct crossbar by
-    /// its hop distance from the lane's home (`w(home, home) = 0`, so the
-    /// home bit needs no masking).
-    fn tile_cut_hops(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let hops = self.problem.hops().expect("checked in SwarmEval::new");
         let c = self.problem.num_crossbars();
-        let tile = &scratch.tile;
-        let masks = &mut scratch.masks;
+        let trip = if W == 1 { width } else { LANES };
+        let (masks, _) = masks[..trip * W].as_chunks_mut::<W>();
         out.fill(0);
         for i in 0..n {
             let ci = g.count(i as u32) as u64;
@@ -1002,258 +895,67 @@ impl<'g> SwarmEval<'g> {
             if targets.is_empty() {
                 continue;
             }
-            masks[..width].fill(0);
+            masks.fill([0; W]);
             let home = &tile[i * LANES..i * LANES + LANES];
             for &j in targets {
                 let tgt = &tile[j as usize * LANES..j as usize * LANES + LANES];
-                for lane in 0..width {
-                    masks[lane] |= 1u64 << tgt[lane];
+                for (words, &t) in masks.iter_mut().zip(tgt) {
+                    let k: usize = t.into();
+                    words[(k >> 6) & (W - 1)] |= 1u64 << (k & 63);
                 }
             }
-            for lane in 0..width {
-                let h = u32::from(home[lane]);
-                let mut m = masks[lane];
-                let mut weighted = 0u64;
-                if let Some(row) = self.hops16_row(h, c) {
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        weighted += u64::from(row[k]);
-                        m &= m - 1;
+            for (lane, words) in masks[..width].iter().enumerate() {
+                let h: usize = home[lane].into();
+                let per_spike = if !HOPS {
+                    let mut distinct = 0u32;
+                    for (w, &word) in words.iter().enumerate() {
+                        let drop_home = if w == (h >> 6) & (W - 1) {
+                            1u64 << (h & 63)
+                        } else {
+                            0
+                        };
+                        distinct += (word & !drop_home).count_ones();
                     }
+                    u64::from(distinct)
                 } else {
-                    while m != 0 {
-                        let k = m.trailing_zeros();
-                        weighted += u64::from(hops.hops(h, k));
-                        m &= m - 1;
-                    }
-                }
-                out[lane] += ci * weighted;
-            }
-        }
-    }
-
-    /// Multi-word hop-weighted kernel for 64 < crossbars ≤ 256: the
-    /// strided mask accumulation of [`SwarmEval::tile_cut_packets_wide`]
-    /// with the weighted bit-walk reduction of
-    /// [`SwarmEval::tile_cut_hops`].
-    fn tile_cut_hops_wide(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        const MASK_WORDS: usize = MASK_WORDS_MAX;
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let hops = self.problem.hops().expect("checked in SwarmEval::new");
-        let c = self.problem.num_crossbars();
-        let tile = &scratch.tile;
-        let masks: &mut [u64; LANES * MASK_WORDS] = (&mut scratch.masks[..LANES * MASK_WORDS])
-            .try_into()
-            .expect("eval_swarm sizes the mask scratch to the fixed wide stride");
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            masks.fill(0);
-            let home = &tile[i * LANES..i * LANES + LANES];
-            for &j in targets {
-                let tgt: &[u8; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
-                    .try_into()
-                    .expect("tile row is LANES wide");
-                for lane in 0..LANES {
-                    let k = tgt[lane] as usize;
-                    masks[lane * MASK_WORDS + (k >> 6)] |= 1u64 << (k & 63);
-                }
-            }
-            for lane in 0..width {
-                let h = u32::from(home[lane]);
-                let words = &masks[lane * MASK_WORDS..lane * MASK_WORDS + MASK_WORDS];
-                let mut weighted = 0u64;
-                let row = self.hops16_row(h, c);
-                for (w, &word) in words.iter().enumerate() {
-                    let base = w << 6;
-                    let mut m = word;
-                    if let Some(row) = row {
-                        while m != 0 {
-                            let k = base + m.trailing_zeros() as usize;
-                            weighted += u64::from(row[k]);
-                            m &= m - 1;
-                        }
-                    } else {
-                        while m != 0 {
-                            let k = (base + m.trailing_zeros() as usize) as u32;
-                            weighted += u64::from(hops.hops(h, k));
-                            m &= m - 1;
+                    // the two bit walks are spelled out: routed through a
+                    // shared closure-taking helper the 16-word instantiation
+                    // measured ~10 % slower
+                    let row = self.hops16_row(h, c);
+                    let mut weighted = 0u64;
+                    for (w, &word) in words.iter().enumerate() {
+                        let base = w << 6;
+                        let mut m = word;
+                        if let Some(row) = row {
+                            while m != 0 {
+                                weighted += u64::from(row[base + m.trailing_zeros() as usize]);
+                                m &= m - 1;
+                            }
+                        } else {
+                            let hops = self.problem.hops().expect("checked in SwarmEval::new");
+                            while m != 0 {
+                                let k = (base + m.trailing_zeros() as usize) as u32;
+                                weighted += u64::from(hops.hops(h as u32, k));
+                                m &= m - 1;
+                            }
                         }
                     }
-                }
-                out[lane] += ci * weighted;
-            }
-        }
-    }
-
-    /// Eq. 8 over one u16 tile — [`SwarmEval::tile_cut_spikes`] with
-    /// 16-bit lane compares; the byte partial counters and their
-    /// ≤255-edge flush cadence are unchanged.
-    fn tile16_cut_spikes(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let tile = &scratch.tile16;
-        let remote = &mut scratch.remote;
-        let remote8 = &mut scratch.remote8;
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            remote[..width].fill(0);
-            let home: &[u16; LANES] = tile[i * LANES..i * LANES + LANES]
-                .try_into()
-                .expect("tile row is LANES wide");
-            for tchunk in targets.chunks(255) {
-                remote8.fill(0);
-                let racc: &mut [u8; LANES] = (&mut remote8[..LANES])
-                    .try_into()
-                    .expect("scratch is LANES wide");
-                for &j in tchunk {
-                    let tgt: &[u16; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
-                        .try_into()
-                        .expect("tile row is LANES wide");
-                    for lane in 0..LANES {
-                        racc[lane] += u8::from(home[lane] != tgt[lane]);
-                    }
-                }
-                for lane in 0..width {
-                    remote[lane] += u32::from(racc[lane]);
-                }
-            }
-            for lane in 0..width {
-                out[lane] += ci * u64::from(remote[lane]);
-            }
-        }
-    }
-
-    /// `CutPackets` over one u16 tile: the strided mask accumulation of
-    /// [`SwarmEval::tile_cut_packets_wide`] at the fixed
-    /// [`MASK16_WORDS_MAX`] stride. The word index is masked to the
-    /// stride (`(k >> 6) & 15` — exact for every id < 1024, and keeps
-    /// the per-edge loop provably in bounds for the full
-    /// [`LANES`]-wide trip count even on stale lanes).
-    fn tile16_cut_packets(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        const MASK_WORDS: usize = MASK16_WORDS_MAX;
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let tile = &scratch.tile16;
-        let masks: &mut [u64] = &mut scratch.masks[..LANES * MASK_WORDS];
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            masks.fill(0);
-            let home = &tile[i * LANES..i * LANES + LANES];
-            for &j in targets {
-                let tgt: &[u16; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
-                    .try_into()
-                    .expect("tile row is LANES wide");
-                for lane in 0..LANES {
-                    let k = tgt[lane] as usize;
-                    masks[lane * MASK_WORDS + ((k >> 6) & (MASK_WORDS - 1))] |= 1u64 << (k & 63);
-                }
-            }
-            for lane in 0..width {
-                let h = home[lane] as usize;
-                let words = &masks[lane * MASK_WORDS..lane * MASK_WORDS + MASK_WORDS];
-                let mut distinct = 0u32;
-                for (w, &word) in words.iter().enumerate() {
-                    let drop_home = if w == h >> 6 { 1u64 << (h & 63) } else { 0 };
-                    distinct += (word & !drop_home).count_ones();
-                }
-                out[lane] += ci * u64::from(distinct);
-            }
-        }
-    }
-
-    /// Hop-weighted packets over one u16 tile:
-    /// [`SwarmEval::tile16_cut_packets`]'s mask accumulation with the
-    /// weighted bit-walk reduction of [`SwarmEval::tile_cut_hops`].
-    fn tile16_cut_hops(&self, width: usize, scratch: &mut SwarmScratch, out: &mut [u64]) {
-        const MASK_WORDS: usize = MASK16_WORDS_MAX;
-        let g = self.problem.graph();
-        let n = g.num_neurons() as usize;
-        let hops = self.problem.hops().expect("checked in SwarmEval::new");
-        let c = self.problem.num_crossbars();
-        let tile = &scratch.tile16;
-        let masks: &mut [u64] = &mut scratch.masks[..LANES * MASK_WORDS];
-        out.fill(0);
-        for i in 0..n {
-            let ci = g.count(i as u32) as u64;
-            if ci == 0 {
-                continue;
-            }
-            let targets = g.targets(i as u32);
-            if targets.is_empty() {
-                continue;
-            }
-            masks.fill(0);
-            let home = &tile[i * LANES..i * LANES + LANES];
-            for &j in targets {
-                let tgt: &[u16; LANES] = tile[j as usize * LANES..j as usize * LANES + LANES]
-                    .try_into()
-                    .expect("tile row is LANES wide");
-                for lane in 0..LANES {
-                    let k = tgt[lane] as usize;
-                    masks[lane * MASK_WORDS + ((k >> 6) & (MASK_WORDS - 1))] |= 1u64 << (k & 63);
-                }
-            }
-            for lane in 0..width {
-                let h = u32::from(home[lane]);
-                let words = &masks[lane * MASK_WORDS..lane * MASK_WORDS + MASK_WORDS];
-                let mut weighted = 0u64;
-                let row = self.hops16_row(h, c);
-                for (w, &word) in words.iter().enumerate() {
-                    let base = w << 6;
-                    let mut m = word;
-                    if let Some(row) = row {
-                        while m != 0 {
-                            let k = base + m.trailing_zeros() as usize;
-                            weighted += u64::from(row[k]);
-                            m &= m - 1;
-                        }
-                    } else {
-                        while m != 0 {
-                            let k = (base + m.trailing_zeros() as usize) as u32;
-                            weighted += u64::from(hops.hops(h, k));
-                            m &= m - 1;
-                        }
-                    }
-                }
-                out[lane] += ci * weighted;
+                    weighted
+                };
+                out[lane] += ci * per_spike;
             }
         }
     }
 
     /// The `h`-th row of the narrow hop shadow, when it exists — the
-    /// tiled `CutHops` reductions gather from this 2-byte row instead of
-    /// the 4-byte `DistanceLut` whenever every distance fits u16.
+    /// `CutHops` reduction gathers from this 2-byte row instead of the
+    /// 4-byte `DistanceLut` whenever every distance fits u16.
     #[inline]
-    fn hops16_row(&self, h: u32, c: usize) -> Option<&[u16]> {
+    fn hops16_row(&self, h: usize, c: usize) -> Option<&[u16]> {
         if self.hops16.is_empty() {
             None
         } else {
-            Some(&self.hops16[h as usize * c..(h as usize + 1) * c])
+            Some(&self.hops16[h * c..(h + 1) * c])
         }
     }
 }
@@ -1494,78 +1196,58 @@ mod tests {
     }
 
     #[test]
-    fn swarm_eval_hops_matches_scalar_across_mask_strides() {
-        let g = random_graph(60, 350, 23);
-        let mut rng = StdRng::seed_from_u64(9);
-        for c in [4usize, 63, 64, 65, 129, 255, 256] {
+    fn swarm_eval_matches_scalar_across_the_envelope() {
+        // both sides of every kernel boundary (single-word mask | 4-word
+        // stride | u16 word tile | scalar fallback), plus the 3- and
+        // 4-word interiors of the byte stride; every objective; a lane
+        // count that leaves a partial final tile. The graph carries
+        // self-loops, duplicate edges and silent neurons.
+        let n = 60usize;
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut synapses: Vec<(u32, u32)> = (0..350)
+            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+            .collect();
+        synapses.extend([(0, 0), (0, 0), (0, 1), (0, 1), (7, 7), (59, 59)]);
+        let mut counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..15)).collect();
+        counts[3] = 0;
+        counts[59] = 9;
+        let g = SpikeGraph::from_parts(n as u32, synapses, counts).expect("valid graph");
+        let lanes = 2 * LANES + 22;
+        for (c, kernel) in [
+            (1usize, SwarmKernel::ByteTile),
+            (64, SwarmKernel::ByteTile),
+            (65, SwarmKernel::ByteTile),
+            (129, SwarmKernel::ByteTile),
+            (193, SwarmKernel::ByteTile),
+            (256, SwarmKernel::ByteTile),
+            (257, SwarmKernel::WordTile),
+            (1024, SwarmKernel::WordTile),
+            (1025, SwarmKernel::Scalar),
+        ] {
             let lut = mesh_lut(c);
-            let p = PartitionProblem::new(&g, c, 60)
+            let p = PartitionProblem::new(&g, c, n as u32)
                 .unwrap()
                 .with_hops(&lut)
                 .unwrap();
-            let evaluator = SwarmEval::new(p, FitnessKind::CutHops);
-            assert!(evaluator.batched(), "{c} crossbars must stay tiled");
-            let lanes = 70; // full tile + remainder
-            let positions: Vec<u32> = (0..lanes * 60)
-                .map(|_| rng.gen_range(0..c as u32))
-                .collect();
-            let mut out = vec![0u64; lanes];
-            evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);
-            for lane in 0..lanes {
-                assert_eq!(
-                    out[lane],
-                    p.cut_hops(&positions[lane * 60..(lane + 1) * 60]),
-                    "c={c} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn swarm_eval_hops_falls_back_beyond_word_tile_envelope() {
-        let g = random_graph(40, 100, 4);
-        let lut = mesh_lut(1100);
-        let p = PartitionProblem::new(&g, 1100, 4)
-            .unwrap()
-            .with_hops(&lut)
-            .unwrap();
-        let evaluator = SwarmEval::new(p, FitnessKind::CutHops);
-        assert!(!evaluator.batched());
-        assert_eq!(evaluator.kernel(), SwarmKernel::Scalar);
-        let mut rng = StdRng::seed_from_u64(6);
-        let positions: Vec<u32> = (0..2 * 40).map(|_| rng.gen_range(0..1100u32)).collect();
-        let mut out = vec![0u64; 2];
-        evaluator.eval_swarm(&positions, 2, &mut SwarmScratch::default(), &mut out);
-        assert_eq!(out[0], p.cut_hops(&positions[0..40]));
-        assert_eq!(out[1], p.cut_hops(&positions[40..80]));
-    }
-
-    #[test]
-    fn swarm_eval_word_tile_hops_matches_scalar() {
-        // the u16 kernels own 256 < c ≤ 1024 — both sides of the byte
-        // ceiling's first word boundary and the word-tile ceiling itself
-        let g = random_graph(60, 350, 23);
-        let mut rng = StdRng::seed_from_u64(19);
-        for c in [257usize, 320, 512, 1024] {
-            let lut = mesh_lut(c);
-            let p = PartitionProblem::new(&g, c, 60)
-                .unwrap()
-                .with_hops(&lut)
-                .unwrap();
-            let evaluator = SwarmEval::new(p, FitnessKind::CutHops);
-            assert_eq!(evaluator.kernel(), SwarmKernel::WordTile, "c={c}");
-            let lanes = 70; // full tile + remainder
-            let positions: Vec<u32> = (0..lanes * 60)
-                .map(|_| rng.gen_range(0..c as u32))
-                .collect();
-            let mut out = vec![0u64; lanes];
-            evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);
-            for lane in 0..lanes {
-                assert_eq!(
-                    out[lane],
-                    p.cut_hops(&positions[lane * 60..(lane + 1) * 60]),
-                    "c={c} lane={lane}"
-                );
+            let positions: Vec<u32> = (0..lanes * n).map(|_| rng.gen_range(0..c as u32)).collect();
+            for kind in [
+                FitnessKind::CutSpikes,
+                FitnessKind::CutPackets,
+                FitnessKind::CutHops,
+            ] {
+                let evaluator = SwarmEval::new(p, kind);
+                assert_eq!(evaluator.kernel(), kernel, "c={c}");
+                assert_eq!(evaluator.batched(), kernel != SwarmKernel::Scalar);
+                assert_eq!(evaluator.mask_words(), c.div_ceil(64));
+                let mut out = vec![0u64; lanes];
+                evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);
+                for lane in 0..lanes {
+                    assert_eq!(
+                        out[lane],
+                        p.cost(kind, &positions[lane * n..(lane + 1) * n]),
+                        "{kind:?} c={c} lane={lane}"
+                    );
+                }
             }
         }
     }
@@ -1576,128 +1258,6 @@ mod tests {
         let g = random_graph(10, 20, 1);
         let p = PartitionProblem::new(&g, 4, 10).unwrap();
         let _ = SwarmEval::new(p, FitnessKind::CutHops);
-    }
-
-    #[test]
-    fn swarm_eval_matches_scalar_costs() {
-        // more candidates than one tile, both kinds, random positions
-        let g = random_graph(40, 300, 21);
-        let p = PartitionProblem::new(&g, 6, 40).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let lanes = 150; // 2 full tiles + remainder
-        let n = 40usize;
-        let positions: Vec<u32> = (0..lanes * n).map(|_| rng.gen_range(0..6u32)).collect();
-        for kind in kinds() {
-            let evaluator = SwarmEval::new(p, kind);
-            assert!(evaluator.batched());
-            let mut out = vec![0u64; lanes];
-            let mut scratch = SwarmScratch::default();
-            evaluator.eval_swarm(&positions, lanes, &mut scratch, &mut out);
-            for lane in 0..lanes {
-                assert_eq!(
-                    out[lane],
-                    p.cost(kind, &positions[lane * n..(lane + 1) * n]),
-                    "{kind:?} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn swarm_eval_self_loops_and_silent_neurons() {
-        let g = SpikeGraph::from_parts(
-            4,
-            vec![(0, 0), (0, 1), (1, 2), (3, 3), (2, 1)],
-            vec![5, 0, 2, 9],
-        )
-        .unwrap();
-        let p = PartitionProblem::new(&g, 2, 4).unwrap();
-        let positions: Vec<u32> = vec![0, 1, 0, 1, /* lane 2 */ 1, 1, 0, 0];
-        for kind in kinds() {
-            let evaluator = SwarmEval::new(p, kind);
-            let mut out = vec![0u64; 2];
-            let mut scratch = SwarmScratch::default();
-            evaluator.eval_swarm(&positions, 2, &mut scratch, &mut out);
-            assert_eq!(out[0], p.cost(kind, &positions[0..4]), "{kind:?}");
-            assert_eq!(out[1], p.cost(kind, &positions[4..8]), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn swarm_eval_multi_word_masks_are_exact() {
-        // every mask stride (1–4 words) plus both sides of each word
-        // boundary must match the scalar evaluation exactly
-        let g = random_graph(90, 400, 8);
-        let mut rng = StdRng::seed_from_u64(6);
-        for c in [63usize, 64, 65, 127, 128, 129, 192, 193, 255, 256] {
-            let p = PartitionProblem::new(&g, c, 90).unwrap();
-            for kind in kinds() {
-                let evaluator = SwarmEval::new(p, kind);
-                assert!(evaluator.batched(), "{c} crossbars must stay tiled");
-                assert_eq!(evaluator.mask_words(), c.div_ceil(64));
-                let lanes = 3;
-                let positions: Vec<u32> = (0..lanes * 90)
-                    .map(|_| rng.gen_range(0..c as u32))
-                    .collect();
-                let mut out = vec![0u64; lanes];
-                evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);
-                for lane in 0..lanes {
-                    assert_eq!(
-                        out[lane],
-                        p.cost(kind, &positions[lane * 90..(lane + 1) * 90]),
-                        "{kind:?} c={c} lane={lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swarm_eval_word_tile_matches_scalar() {
-        // 256 < c ≤ 1024 rides the u16 word tile; results must match the
-        // scalar reference exactly across lanes and word boundaries
-        let g = random_graph(90, 400, 8);
-        let mut rng = StdRng::seed_from_u64(14);
-        for c in [257usize, 300, 512, 1023, 1024] {
-            let p = PartitionProblem::new(&g, c, 4).unwrap();
-            for kind in kinds() {
-                let evaluator = SwarmEval::new(p, kind);
-                assert!(evaluator.batched(), "{c} crossbars must stay tiled");
-                assert_eq!(evaluator.kernel(), SwarmKernel::WordTile, "c={c}");
-                let lanes = 67; // full tile + remainder
-                let positions: Vec<u32> = (0..lanes * 90)
-                    .map(|_| rng.gen_range(0..c as u32))
-                    .collect();
-                let mut out = vec![0u64; lanes];
-                evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);
-                for lane in 0..lanes {
-                    assert_eq!(
-                        out[lane],
-                        p.cost(kind, &positions[lane * 90..(lane + 1) * 90]),
-                        "{kind:?} c={c} lane={lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swarm_eval_falls_back_beyond_word_tile_envelope() {
-        // 1100 crossbars: past even the u16 word tile; results must
-        // still be exact through the per-candidate fallback
-        let g = random_graph(80, 200, 8);
-        let p = PartitionProblem::new(&g, 1100, 4).unwrap();
-        for kind in kinds() {
-            let evaluator = SwarmEval::new(p, kind);
-            assert!(!evaluator.batched());
-            assert_eq!(evaluator.kernel(), SwarmKernel::Scalar);
-            let mut rng = StdRng::seed_from_u64(6);
-            let positions: Vec<u32> = (0..2 * 80).map(|_| rng.gen_range(0..1100u32)).collect();
-            let mut out = vec![0u64; 2];
-            evaluator.eval_swarm(&positions, 2, &mut SwarmScratch::default(), &mut out);
-            assert_eq!(out[0], p.cost(kind, &positions[0..80]), "{kind:?}");
-            assert_eq!(out[1], p.cost(kind, &positions[80..160]), "{kind:?}");
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::error::CoreError;
 use crate::graph::SpikeGraph;
 use crate::partition::Partitioner;
-use crate::pipeline::{MappingPipeline, PipelineConfig, Report};
+use crate::pipeline::{MappingPipeline, PipelineConfig};
 use crate::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::pj_to_uj;
 use serde::{Deserialize, Serialize};
@@ -49,7 +49,6 @@ pub fn architecture_sweep(
             traffic: base.traffic,
             engine: base.engine,
             placement: base.placement.clone(),
-            partition: base.partition.clone(),
         };
         // each sweep point is a different chip, so each gets its own
         // staged pipeline (topology + distance table derived once per
@@ -107,7 +106,7 @@ pub fn swarm_sweep(
         });
         let (mapping, trace) = pso.partition_traced(&problem)?;
         let cut = problem.cut_spikes(mapping.assignment());
-        let report: Report = pipeline.evaluate(graph, mapping, "pso")?;
+        let report = pipeline.evaluate(graph, mapping, "pso", "identity")?.report;
         points.push(SwarmPoint {
             swarm_size: n,
             cut_spikes: cut,

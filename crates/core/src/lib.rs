@@ -80,4 +80,4 @@ pub mod remap;
 pub use error::CoreError;
 pub use graph::SpikeGraph;
 pub use partition::{PartitionProblem, Partitioner};
-pub use pipeline::{run_pipeline, PipelineConfig, Report};
+pub use pipeline::{MappingPipeline, PipelineConfig, Report};

@@ -597,12 +597,7 @@ pub fn vcycle(
 ) -> Result<MultilevelOutcome, CoreError> {
     cfg.validate()?;
     let kind = cfg.pso.fitness;
-    if kind == FitnessKind::CutHops && problem.hops().is_none() {
-        return Err(CoreError::InvalidParameter {
-            name: "fitness",
-            value: "CutHops requires a problem with hops attached".to_owned(),
-        });
-    }
+    problem.check_objective(kind)?;
 
     let stack = build_levels(problem, cfg);
     let num_coarse_levels = stack.num_levels();

@@ -62,14 +62,16 @@ fn sweep_points_with<T>(
         .map(|setting| {
             let mut noc = pipeline.config().noc;
             apply(&setting, &mut noc);
-            let (report, trace) =
+            let evaluation =
                 pipeline
                     .with_noc(noc)
-                    .evaluate_traced(graph, mapping.clone(), "sweep")?;
+                    .evaluate(graph, mapping.clone(), "sweep", "identity")?;
             Ok(NocSweepPoint {
                 setting: label(&setting),
-                stats: report.noc,
-                hotspots: trace.map(|t| t.spot_congestion(SPOTTER_TOP_LANES, SPOTTER_TOP_FLOWS)),
+                stats: evaluation.report.noc,
+                hotspots: evaluation
+                    .trace
+                    .map(|t| t.spot_congestion(SPOTTER_TOP_LANES, SPOTTER_TOP_FLOWS)),
             })
         })
         .collect()

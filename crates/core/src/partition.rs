@@ -122,6 +122,26 @@ impl<'g> PartitionProblem<'g> {
         self.hops
     }
 
+    /// Checks that this problem can evaluate `kind` — the one place the
+    /// "[`FitnessKind::CutHops`] needs a hop table" precondition is
+    /// turned into an error. Every `Result`-returning optimizer entry
+    /// point calls it before building an evaluator (whose constructors
+    /// and cost functions panic on the same condition).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] (`name: "fitness"`) for
+    /// [`FitnessKind::CutHops`] without [`PartitionProblem::with_hops`].
+    pub fn check_objective(&self, kind: FitnessKind) -> Result<(), CoreError> {
+        if kind == FitnessKind::CutHops && self.hops.is_none() {
+            return Err(CoreError::InvalidParameter {
+                name: "fitness",
+                value: "CutHops requires a problem with hops attached".to_owned(),
+            });
+        }
+        Ok(())
+    }
+
     /// The underlying spike graph.
     pub fn graph(&self) -> &'g SpikeGraph {
         self.graph

@@ -23,20 +23,22 @@
 //! inserts the SpiNeMap-style placement stage that moves chatty clusters
 //! onto adjacent routers.
 //!
-//! [`run_pipeline`] remains the one-call convenience wrapper: it builds a
-//! [`MappingPipeline`] for the config and runs every stage. Sweeps that
-//! evaluate many points on the *same* architecture
-//! ([`crate::noc_sweep`], [`crate::explore`]) hold one pipeline and reuse
-//! its topology and distance table across points instead of rebuilding
-//! them per call.
+//! One pipeline is built per configuration ([`MappingPipeline::new`])
+//! and offers one call per job: [`MappingPipeline::run`] chains every
+//! stage for a partitioner, each stage is callable on its own, and
+//! [`MappingPipeline::evaluate`] is the single measurement step — it
+//! takes any mapping (partitioned here, placed here, or produced by
+//! [`crate::coopt::co_optimize`] / [`crate::multilevel::vcycle`]) and
+//! returns the [`Report`] with the delivery log and the optional event
+//! trace beside it ([`Evaluation`]). Sweeps that evaluate many points on
+//! the *same* architecture ([`crate::noc_sweep`], [`crate::explore`])
+//! hold one pipeline and reuse its topology and distance table across
+//! points instead of rebuilding them per call.
 
 use crate::error::CoreError;
 use crate::graph::SpikeGraph;
-use crate::multilevel::{self, MultilevelConfig};
 use crate::partition::{PartitionProblem, Partitioner};
-use crate::place::{
-    optimize_placement, optimize_placement_trees, MulticastTraffic, PlaceConfig, TrafficMatrix,
-};
+use crate::place::{optimize_placement, PlaceConfig, TrafficMatrix};
 use neuromap_hw::arch::{Architecture, InterconnectKind};
 use neuromap_hw::mapping::{Mapping, Placement};
 use neuromap_noc::config::NocConfig;
@@ -78,21 +80,6 @@ pub enum PlacementStrategy {
     HopOptimized(PlaceConfig),
 }
 
-/// How the partition stage solves the clustering problem.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum PartitionStrategy {
-    /// Run the [`Partitioner`] handed to [`MappingPipeline::partition`]
-    /// directly on the full problem — the paper's single-level flow.
-    #[default]
-    Direct,
-    /// Solve through the multilevel V-cycle
-    /// ([`crate::multilevel::vcycle`]): coarsen, swarm-optimize only the
-    /// coarsest level, project + refine back up. The partitioner argument
-    /// is ignored (the V-cycle embeds its own PSO); reports label the
-    /// stage `"multilevel"`.
-    Multilevel(MultilevelConfig),
-}
-
 /// Pipeline parameters: the target chip and the interconnect configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -108,8 +95,6 @@ pub struct PipelineConfig {
     pub engine: EngineKind,
     /// How the place stage assigns clusters to physical crossbars.
     pub placement: PlacementStrategy,
-    /// How the partition stage solves the clustering problem.
-    pub partition: PartitionStrategy,
 }
 
 impl PipelineConfig {
@@ -126,7 +111,6 @@ impl PipelineConfig {
             traffic: TrafficMode::default(),
             engine: EngineKind::default(),
             placement: PlacementStrategy::default(),
-            partition: PartitionStrategy::default(),
         }
     }
 
@@ -153,12 +137,6 @@ impl PipelineConfig {
     /// Selects the placement strategy (builder style).
     pub fn with_placement(mut self, placement: PlacementStrategy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Selects the partition strategy (builder style).
-    pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
-        self.partition = partition;
         self
     }
 }
@@ -191,8 +169,11 @@ pub struct Report {
     /// between its source and destination crossbars — the placement
     /// stage's objective, measured on the flows actually injected.
     pub hop_weighted_packets: u64,
-    /// Which placement stage produced the evaluated mapping
-    /// (`"identity"` or `"hop-optimized"`).
+    /// How the evaluated mapping was placed: the label
+    /// [`MappingPipeline::place`] returned (`"identity"` or
+    /// `"hop-optimized"`) under [`MappingPipeline::run`], otherwise
+    /// whatever the caller handed [`MappingPipeline::evaluate`] (the
+    /// joint optimizer's callers label their rows `"joint"`, say).
     pub placement: String,
     /// Which swarm-evaluator kernel batch-scores candidate partitions at
     /// this crossbar count ([`crate::eval::SwarmKernel::name`]:
@@ -206,6 +187,25 @@ pub struct Report {
     /// The neuron → (physical) crossbar mapping that produced these
     /// numbers, placement already composed in.
     pub mapping: Mapping,
+}
+
+/// Everything [`MappingPipeline::evaluate`] measures for one mapping;
+/// callers keep the parts they need.
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// Every metric the paper's evaluation uses.
+    pub report: Report,
+    /// The raw interconnect delivery log (end-to-end application-accuracy
+    /// studies such as the paper's §V-B heartbeat analysis replay it).
+    pub deliveries: Vec<Delivery>,
+    /// The simulation stage's structured event trace when
+    /// [`NocConfig::trace`] is on in the pipeline's NoC configuration
+    /// (`None` when tracing is off) — feeds
+    /// [`neuromap_noc::trace::TraceBuf::spot_congestion`] and the
+    /// Perfetto exporter.
+    ///
+    /// [`NocConfig::trace`]: neuromap_noc::config::NocConfig::trace
+    pub trace: Option<TraceBuf>,
 }
 
 /// Builds the concrete router graph for an architecture's interconnect
@@ -354,8 +354,9 @@ pub(crate) fn tree_forwards(paths: &[Vec<(usize, usize)>]) -> u64 {
 /// across sweep points).
 ///
 /// Each stage is callable on its own — exploration code can re-partition
-/// without re-simulating, re-place without re-partitioning, or evaluate a
-/// pre-existing mapping — and [`MappingPipeline::run`] chains them all.
+/// without re-simulating, re-place without re-partitioning, or
+/// [`MappingPipeline::evaluate`] a pre-existing mapping — and
+/// [`MappingPipeline::run`] chains them all.
 #[derive(Clone)]
 pub struct MappingPipeline {
     config: PipelineConfig,
@@ -456,10 +457,10 @@ impl MappingPipeline {
         .with_hops(&self.dist)
     }
 
-    /// **Stage 1 — partition**: neurons → logical clusters, per the
-    /// configured [`PartitionStrategy`]. With
-    /// [`PartitionStrategy::Multilevel`] the `partitioner` argument is
-    /// ignored — the V-cycle embeds its own coarsest-level PSO.
+    /// **Stage 1 — partition**: neurons → logical clusters, by running
+    /// `partitioner` on [`MappingPipeline::problem`]. (The multilevel
+    /// V-cycle is a [`Partitioner`] too:
+    /// [`crate::multilevel::MultilevelPartitioner`].)
     ///
     /// # Errors
     ///
@@ -469,21 +470,7 @@ impl MappingPipeline {
         graph: &SpikeGraph,
         partitioner: &dyn Partitioner,
     ) -> Result<Mapping, CoreError> {
-        let problem = self.problem(graph)?;
-        match &self.config.partition {
-            PartitionStrategy::Direct => partitioner.partition(&problem),
-            PartitionStrategy::Multilevel(cfg) => Ok(multilevel::vcycle(&problem, cfg)?.mapping),
-        }
-    }
-
-    /// The label the report's `partitioner` field gets for a run with
-    /// `partitioner`: the partitioner's own name under
-    /// [`PartitionStrategy::Direct`], `"multilevel"` otherwise.
-    fn partition_label(&self, partitioner: &dyn Partitioner) -> &'static str {
-        match &self.config.partition {
-            PartitionStrategy::Direct => partitioner.name(),
-            PartitionStrategy::Multilevel(_) => "multilevel",
-        }
+        partitioner.partition(&self.problem(graph)?)
     }
 
     /// **Stage 2 — place**: logical clusters → physical crossbars, per
@@ -507,33 +494,9 @@ impl MappingPipeline {
             )),
             PlacementStrategy::HopOptimized(cfg) => {
                 let traffic = TrafficMatrix::from_mapping(graph, mapping, self.config.traffic);
-                // tree pricing only when the NoC actually routes trees
-                // (and the accounting is per-crossbar, matching the
-                // multicast groups); otherwise the pairwise path is
-                // byte-identical to a config without the flag
-                let trees = cfg.tree_aware
-                    && self.config.noc.multicast
-                    && self.config.noc.multicast_trees
-                    && self.config.traffic == TrafficMode::PerCrossbar;
-                let (outcome, label) = if trees {
-                    let multicast = MulticastTraffic::from_mapping(graph, mapping);
-                    let outcome = optimize_placement_trees(
-                        &traffic,
-                        &multicast,
-                        &*self.topo,
-                        self.config.noc.vc_count,
-                        &self.dist,
-                        cfg,
-                    )?;
-                    (outcome, "tree-optimized")
-                } else {
-                    (
-                        optimize_placement(&traffic, &self.dist, cfg)?,
-                        "hop-optimized",
-                    )
-                };
+                let outcome = optimize_placement(&traffic, &self.dist, cfg)?;
                 let placed = mapping.place(&outcome.placement)?;
-                Ok((placed, outcome.placement, label.to_owned()))
+                Ok((placed, outcome.placement, "hop-optimized".to_owned()))
             }
         }
     }
@@ -636,27 +599,9 @@ impl MappingPipeline {
         (weighted, unicast)
     }
 
-    /// **Joint partition ⇄ placement co-optimization**
-    /// ([`crate::coopt::co_optimize`]) over this pipeline's shared
-    /// topology, distance table, and traffic mode: the swarm runs on
-    /// hop-priced fitness and the placement optimizer periodically
-    /// re-prices the distances it searches under, with the staged
-    /// partition-then-place result as the never-worse fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Infeasible`] when the chip cannot hold the graph;
-    /// propagates configuration and optimizer errors.
-    pub fn co_optimize(
-        &self,
-        graph: &SpikeGraph,
-        cfg: &crate::coopt::CooptConfig,
-    ) -> Result<crate::coopt::CooptOutcome, CoreError> {
-        let problem = self.problem(graph)?;
-        crate::coopt::co_optimize(&problem, &self.dist, self.config.traffic, cfg)
-    }
-
-    /// All stages: partition, place, packetize, simulate, report.
+    /// All stages: partition, place, packetize, simulate, report. The
+    /// report is labelled with the partitioner's name and the place
+    /// stage's id.
     ///
     /// # Errors
     ///
@@ -669,22 +614,17 @@ impl MappingPipeline {
         partitioner: &dyn Partitioner,
     ) -> Result<Report, CoreError> {
         let mapping = self.partition(graph, partitioner)?;
-        let (placed, _, placement_id) = self.place(graph, &mapping)?;
-        self.measure(
-            graph,
-            placed,
-            self.partition_label(partitioner),
-            &placement_id,
-        )
-        .map(|(report, _)| report)
+        let (placed, _, placement_label) = self.place(graph, &mapping)?;
+        self.evaluate(graph, placed, partitioner.name(), &placement_label)
+            .map(|evaluation| evaluation.report)
     }
 
-    /// **Stage 5 — report**: evaluates an existing mapping — the
-    /// measurement half of the pipeline. The report's `placement` field
-    /// records `"identity"`: the mapping is measured as given, wired
-    /// cluster `k` → router `k`. For a mapping produced by an explicit
-    /// [`MappingPipeline::place`] call, use [`MappingPipeline::evaluate_as`]
-    /// with the id that call returned so the report attributes the
+    /// **Stage 5 — report**: measures a mapping **as given** (cluster
+    /// `k` on router `k`; no placement strategy is applied) — packetize,
+    /// hop metrics, simulate, energy — and labels the report with
+    /// `partitioner_label` and `placement_label`. Pass the id
+    /// [`MappingPipeline::place`] returned for a mapping it placed, and
+    /// `"identity"` for an unplaced one, so the report attributes the
     /// numbers to the right stage.
     ///
     /// # Errors
@@ -695,86 +635,9 @@ impl MappingPipeline {
         &self,
         graph: &SpikeGraph,
         mapping: Mapping,
-        partitioner_name: &str,
-    ) -> Result<Report, CoreError> {
-        self.evaluate_as(graph, mapping, partitioner_name, "identity")
-    }
-
-    /// [`MappingPipeline::evaluate`] with an explicit placement id for
-    /// the report (the label [`MappingPipeline::place`] returned).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MappingPipeline::evaluate`].
-    pub fn evaluate_as(
-        &self,
-        graph: &SpikeGraph,
-        mapping: Mapping,
-        partitioner_name: &str,
-        placement_id: &str,
-    ) -> Result<Report, CoreError> {
-        self.measure(graph, mapping, partitioner_name, placement_id)
-            .map(|(report, _)| report)
-    }
-
-    /// [`MappingPipeline::evaluate`], additionally returning the raw
-    /// delivery log (needed for end-to-end application-accuracy studies
-    /// such as the paper's §V-B heartbeat analysis).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MappingPipeline::evaluate`].
-    pub fn evaluate_detailed(
-        &self,
-        graph: &SpikeGraph,
-        mapping: Mapping,
-        partitioner_name: &str,
-    ) -> Result<(Report, Vec<Delivery>), CoreError> {
-        self.measure(graph, mapping, partitioner_name, "identity")
-    }
-
-    /// [`MappingPipeline::evaluate`], additionally returning the
-    /// structured event trace of the simulation stage when
-    /// [`NocConfig::trace`] is on in the pipeline's NoC configuration
-    /// (`None` when tracing is off). The trace feeds the congestion
-    /// spotter ([`neuromap_noc::trace::TraceBuf::spot_congestion`]) and
-    /// the Perfetto exporter.
-    ///
-    /// [`NocConfig::trace`]: neuromap_noc::config::NocConfig::trace
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MappingPipeline::evaluate`].
-    pub fn evaluate_traced(
-        &self,
-        graph: &SpikeGraph,
-        mapping: Mapping,
-        partitioner_name: &str,
-    ) -> Result<(Report, Option<TraceBuf>), CoreError> {
-        self.measure_traced(graph, mapping, partitioner_name, "identity")
-            .map(|(report, _, trace)| (report, trace))
-    }
-
-    /// Shared measurement path behind `run`/`evaluate*`.
-    fn measure(
-        &self,
-        graph: &SpikeGraph,
-        mapping: Mapping,
-        partitioner_name: &str,
-        placement_id: &str,
-    ) -> Result<(Report, Vec<Delivery>), CoreError> {
-        self.measure_traced(graph, mapping, partitioner_name, placement_id)
-            .map(|(report, deliveries, _)| (report, deliveries))
-    }
-
-    /// Measurement path that also surfaces the optional event trace.
-    fn measure_traced(
-        &self,
-        graph: &SpikeGraph,
-        mapping: Mapping,
-        partitioner_name: &str,
-        placement_id: &str,
-    ) -> Result<(Report, Vec<Delivery>, Option<TraceBuf>), CoreError> {
+        partitioner_label: &str,
+        placement_label: &str,
+    ) -> Result<Evaluation, CoreError> {
         mapping.validate(&self.config.arch)?;
         let problem = self.problem(graph)?;
         let cut_spikes = problem.cut_spikes(mapping.assignment());
@@ -789,9 +652,9 @@ impl MappingPipeline {
         let local_energy_pj = self.config.arch.energy().local_pj_scaled(local, dim);
         let global_energy_pj = noc_stats.global_energy_pj;
 
-        Ok((
-            Report {
-                partitioner: partitioner_name.to_owned(),
+        Ok(Evaluation {
+            report: Report {
+                partitioner: partitioner_label.to_owned(),
                 num_neurons: graph.num_neurons(),
                 num_synapses: graph.num_synapses(),
                 cut_spikes,
@@ -805,7 +668,7 @@ impl MappingPipeline {
                     hop_weighted_packets as f64 / unicast as f64
                 },
                 hop_weighted_packets,
-                placement: placement_id.to_owned(),
+                placement: placement_label.to_owned(),
                 eval_kernel: crate::eval::SwarmKernel::for_crossbars(
                     self.config.arch.num_crossbars(),
                 )
@@ -816,58 +679,8 @@ impl MappingPipeline {
             },
             deliveries,
             trace,
-        ))
+        })
     }
-}
-
-/// Runs the full staged pipeline for one spike graph — the one-call
-/// convenience wrapper over [`MappingPipeline::run`].
-///
-/// # Errors
-///
-/// Propagates partitioner errors, infeasibility
-/// ([`CoreError::Infeasible`]) and interconnect errors
-/// ([`CoreError::Noc`]).
-pub fn run_pipeline(
-    graph: &SpikeGraph,
-    partitioner: &dyn Partitioner,
-    config: &PipelineConfig,
-) -> Result<Report, CoreError> {
-    MappingPipeline::new(config.clone()).run(graph, partitioner)
-}
-
-/// Evaluates an existing mapping (the measurement half of the pipeline) —
-/// used by the exploration sweeps to avoid re-partitioning. The
-/// configured placement strategy is **not** applied: the mapping is
-/// measured as given.
-///
-/// # Errors
-///
-/// [`CoreError::Hw`] if the mapping is invalid for the architecture;
-/// [`CoreError::Noc`] for interconnect failures.
-pub fn evaluate_mapping(
-    graph: &SpikeGraph,
-    mapping: Mapping,
-    partitioner_name: &str,
-    config: &PipelineConfig,
-) -> Result<Report, CoreError> {
-    MappingPipeline::new(config.clone()).evaluate(graph, mapping, partitioner_name)
-}
-
-/// [`evaluate_mapping`], additionally returning the raw interconnect
-/// delivery log (needed for end-to-end application-accuracy studies such
-/// as the paper's §V-B heartbeat analysis).
-///
-/// # Errors
-///
-/// Same as [`evaluate_mapping`].
-pub fn evaluate_mapping_detailed(
-    graph: &SpikeGraph,
-    mapping: Mapping,
-    partitioner_name: &str,
-    config: &PipelineConfig,
-) -> Result<(Report, Vec<Delivery>), CoreError> {
-    MappingPipeline::new(config.clone()).evaluate_detailed(graph, mapping, partitioner_name)
 }
 
 #[cfg(test)]
@@ -905,7 +718,9 @@ mod tests {
     fn pipeline_produces_consistent_report() {
         let g = layered_graph();
         let cfg = PipelineConfig::for_arch(small_arch());
-        let r = run_pipeline(&g, &PacmanPartitioner::new(), &cfg).unwrap();
+        let r = MappingPipeline::new(cfg)
+            .run(&g, &PacmanPartitioner::new())
+            .unwrap();
         assert_eq!(r.num_neurons, 16);
         assert_eq!(r.num_synapses, 64);
         // every synaptic event is either local or cut
@@ -923,8 +738,8 @@ mod tests {
             let cfg = PipelineConfig::for_arch(small_arch()).with_traffic(traffic);
             let oracle_cfg = cfg.clone().with_engine(EngineKind::CycleOracle);
             let part = PacmanPartitioner::new();
-            let r_event = run_pipeline(&g, &part, &cfg).unwrap();
-            let r_oracle = run_pipeline(&g, &part, &oracle_cfg).unwrap();
+            let r_event = MappingPipeline::new(cfg).run(&g, &part).unwrap();
+            let r_oracle = MappingPipeline::new(oracle_cfg).run(&g, &part).unwrap();
             assert_eq!(r_event, r_oracle, "{traffic:?}");
             assert_eq!(
                 r_event.noc.digest().unwrap(),
@@ -943,8 +758,9 @@ mod tests {
             iterations: 40,
             ..PsoConfig::default()
         });
-        let r_pso = run_pipeline(&g, &pso, &cfg).unwrap();
-        let r_rr = run_pipeline(&g, &NeutramsPartitioner::new(), &cfg).unwrap();
+        let pipeline = MappingPipeline::new(cfg);
+        let r_pso = pipeline.run(&g, &pso).unwrap();
+        let r_rr = pipeline.run(&g, &NeutramsPartitioner::new()).unwrap();
         assert!(
             r_pso.global_energy_pj <= r_rr.global_energy_pj,
             "pso {} !<= neutrams {}",
@@ -1038,7 +854,10 @@ mod tests {
         assert_eq!(pipeline.distances().hops(0, 4), 2 - 1 + 4 * 2); // seam priced 4×2
         let assign: Vec<u32> = (0..16).map(|i| if i < 8 { 0 } else { 4 }).collect();
         let m = Mapping::from_assignment(assign, 8).unwrap();
-        let r = pipeline.evaluate(&g, m, "manual").unwrap();
+        let r = pipeline
+            .evaluate(&g, m, "manual", "identity")
+            .unwrap()
+            .report;
         assert_eq!(r.hop_weighted_packets, 9 * r.cut_spikes);
         assert!((r.avg_hops - 9.0).abs() < 1e-12);
         // the report names the swarm-eval kernel for this crossbar count
@@ -1047,21 +866,24 @@ mod tests {
 
     #[test]
     fn staged_identity_run_equals_the_wrapper() {
+        // `run` is exactly partition → place → evaluate, labelled with
+        // the partitioner's name and the place stage's id
         let g = layered_graph();
-        let cfg = PipelineConfig::for_arch(small_arch());
-        let pipeline = MappingPipeline::new(cfg.clone());
+        let pipeline = MappingPipeline::new(PipelineConfig::for_arch(small_arch()));
         let part = PacmanPartitioner::new();
-        let staged = pipeline.run(&g, &part).unwrap();
-        let wrapped = run_pipeline(&g, &part, &cfg).unwrap();
-        assert_eq!(staged, wrapped);
-        assert_eq!(staged.placement, "identity");
-        // the stages compose to the same mapping the wrapper reports
+        let whole = pipeline.run(&g, &part).unwrap();
+        assert_eq!(whole.placement, "identity");
         let mapping = pipeline.partition(&g, &part).unwrap();
         let (placed, placement, id) = pipeline.place(&g, &mapping).unwrap();
         assert!(placement.is_identity());
         assert_eq!(id, "identity");
         assert_eq!(placed, mapping);
-        assert_eq!(&placed, &staged.mapping);
+        assert_eq!(&placed, &whole.mapping);
+        let staged = pipeline.evaluate(&g, placed, part.name(), &id).unwrap();
+        assert_eq!(staged.report, whole);
+        // the untraced default: a delivery per cut spike, no event trace
+        assert_eq!(staged.deliveries.len() as u64, whole.noc.delivered);
+        assert!(staged.trace.is_none());
     }
 
     #[test]
@@ -1073,14 +895,20 @@ mod tests {
         // crossbars 0 and 3 are 2 hops apart
         let assign: Vec<u32> = (0..16).map(|i| if i < 8 { 0 } else { 3 }).collect();
         let m = Mapping::from_assignment(assign, 4).unwrap();
-        let r = pipeline.evaluate(&g, m, "manual").unwrap();
+        let r = pipeline
+            .evaluate(&g, m, "manual", "identity")
+            .unwrap()
+            .report;
         assert_eq!(pipeline.distances().hops(0, 3), 2);
         assert_eq!(r.hop_weighted_packets, 2 * r.cut_spikes);
         assert!((r.avg_hops - 2.0).abs() < 1e-12);
         // adjacent crossbars: every packet travels exactly 1 hop
         let assign: Vec<u32> = (0..16).map(|i| if i < 8 { 0 } else { 1 }).collect();
         let m = Mapping::from_assignment(assign, 4).unwrap();
-        let r = pipeline.evaluate(&g, m, "manual").unwrap();
+        let r = pipeline
+            .evaluate(&g, m, "manual", "identity")
+            .unwrap()
+            .report;
         assert_eq!(r.hop_weighted_packets, r.cut_spikes);
         assert!((r.avg_hops - 1.0).abs() < 1e-12);
     }
@@ -1112,8 +940,14 @@ mod tests {
         let (opt_m, opt_p, opt_id) = optimized.place(&g, &m).unwrap();
         assert_eq!(opt_id, "hop-optimized");
         assert_eq!(opt_m, m.place(&opt_p).unwrap());
-        let r_id = identity.evaluate_as(&g, id_m, "manual", &id_label).unwrap();
-        let r_opt = optimized.evaluate_as(&g, opt_m, "manual", &opt_id).unwrap();
+        let r_id = identity
+            .evaluate(&g, id_m, "manual", &id_label)
+            .unwrap()
+            .report;
+        let r_opt = optimized
+            .evaluate(&g, opt_m, "manual", &opt_id)
+            .unwrap()
+            .report;
         assert_eq!(r_id.placement, "identity");
         assert_eq!(r_opt.placement, "hop-optimized");
         // packet totals are placement-invariant; hop-weighted cost drops
@@ -1155,11 +989,13 @@ mod tests {
         let assign: Vec<u32> = (0..16).collect();
         let m = Mapping::from_assignment(assign, 16).unwrap();
         let r_ev = MappingPipeline::new(cfg)
-            .evaluate(&g, m.clone(), "manual")
-            .unwrap();
+            .evaluate(&g, m.clone(), "manual", "identity")
+            .unwrap()
+            .report;
         let r_or = MappingPipeline::new(oracle_cfg)
-            .evaluate(&g, m, "manual")
-            .unwrap();
+            .evaluate(&g, m, "manual", "identity")
+            .unwrap()
+            .report;
         assert_eq!(r_ev, r_or);
         assert_eq!(r_ev.noc.digest().unwrap(), r_or.noc.digest().unwrap());
         assert_eq!(r_ev.noc.per_vc.len(), 2);
@@ -1180,7 +1016,7 @@ mod tests {
         // and the swept pipeline still evaluates correctly
         let assign: Vec<u32> = (0..16).map(|i| (i / 8) as u32).collect();
         let m = Mapping::from_assignment(assign, 4).unwrap();
-        let r = swept.evaluate(&g, m, "manual").unwrap();
+        let r = swept.evaluate(&g, m, "manual", "identity").unwrap().report;
         assert_eq!(r.noc.delivered, r.cut_spikes);
     }
 
@@ -1190,7 +1026,7 @@ mod tests {
         let arch = Architecture::custom(2, 4, InterconnectKind::Mesh).unwrap(); // 8 < 16
         let cfg = PipelineConfig::for_arch(arch);
         assert!(matches!(
-            run_pipeline(&g, &PacmanPartitioner::new(), &cfg),
+            MappingPipeline::new(cfg).run(&g, &PacmanPartitioner::new()),
             Err(CoreError::Infeasible { .. })
         ));
     }

@@ -142,9 +142,13 @@ impl TrafficMatrix {
 /// ([`NocConfig::multicast_trees`]) forwards one packet per link of the
 /// multicast tree — shared path prefixes are paid once, not once per
 /// destination. This type keeps each source cluster's distinct
-/// destination *sets* (with spike-count weights) so placement can price
-/// exactly those tree forwards.
+/// destination *sets* (with spike-count weights) — the hyperedge nets of
+/// the mapping — and [`MulticastTraffic::tree_cost`] prices exactly
+/// those tree forwards for any placement: the cluster-level oracle of
+/// what [`MappingPipeline::hop_metrics`] measures on the flows. No
+/// optimizer searches under it; [`optimize_placement`] prices pairwise.
 ///
+/// [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
 /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulticastTraffic {
@@ -199,17 +203,6 @@ impl MulticastTraffic {
         Self { c, groups }
     }
 
-    /// Number of clusters covered.
-    pub fn num_crossbars(&self) -> usize {
-        self.c
-    }
-
-    /// The multicast groups: `(src cluster, sorted destination clusters,
-    /// weight)`.
-    pub fn groups(&self) -> &[(u32, Vec<u32>, u64)] {
-        &self.groups
-    }
-
     /// Tree-aware placement cost: the weighted link-traversal count of
     /// every group's multicast tree under the permutation `physical_of`
     /// (`physical_of[cluster] = physical crossbar`). Shared prefix hops
@@ -231,27 +224,13 @@ impl MulticastTraffic {
         let mut dest_routers: Vec<usize> = Vec::new();
         let mut cost = 0u64;
         for (src, dsts, w) in &self.groups {
-            cost +=
-                w * self.group_forwards(topo, vc_count, physical_of, *src, dsts, &mut dest_routers);
+            let src_router = topo.endpoint(physical_of[*src as usize]);
+            dest_routers.clear();
+            dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(physical_of[d as usize])));
+            let paths = topo.multicast_route(src_router, &dest_routers, vc_count);
+            cost += w * crate::pipeline::tree_forwards(&paths);
         }
         cost
-    }
-
-    /// Tree forwards of one group under `physical_of` (unweighted).
-    fn group_forwards(
-        &self,
-        topo: &dyn Topology,
-        vc_count: usize,
-        physical_of: &[u32],
-        src: u32,
-        dsts: &[u32],
-        dest_routers: &mut Vec<usize>,
-    ) -> u64 {
-        let src_router = topo.endpoint(physical_of[src as usize]);
-        dest_routers.clear();
-        dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(physical_of[d as usize])));
-        let paths = topo.multicast_route(src_router, dest_routers, vc_count);
-        crate::pipeline::tree_forwards(&paths)
     }
 }
 
@@ -336,18 +315,6 @@ pub struct PlaceConfig {
     /// Worker threads the restarts are spread across. Purely an execution
     /// knob: results depend on `restarts`, never on `threads`.
     pub threads: usize,
-    /// Price placements by multicast-tree forwards
-    /// ([`MulticastTraffic::tree_cost`]) instead of the pairwise hop sum.
-    /// Only honored by the pipeline when the NoC actually routes trees
-    /// ([`NocConfig::multicast`] + [`NocConfig::multicast_trees`] under
-    /// [`TrafficMode::PerCrossbar`]); [`optimize_placement`] itself
-    /// ignores the flag, so pairwise callers are byte-identical either
-    /// way.
-    ///
-    /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
-    /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
-    #[serde(default)]
-    pub tree_aware: bool,
 }
 
 impl Default for PlaceConfig {
@@ -360,7 +327,6 @@ impl Default for PlaceConfig {
             greedy_passes: 8,
             seed: 0x9A5E,
             threads: crate::pso::default_threads(),
-            tree_aware: false,
         }
     }
 }
@@ -582,129 +548,6 @@ pub fn optimize_placement(
     })
 }
 
-/// Tree-aware placement search: the pairwise QAP restarts of
-/// [`optimize_placement`] generate candidate permutations (the pairwise
-/// hop sum is a cheap, well-correlated surrogate), but candidates are
-/// *judged* — and greedily polished — under the true multicast-tree
-/// forward count ([`MulticastTraffic::tree_cost`]). The identity
-/// permutation competes as a candidate too, so `optimized_cost` never
-/// exceeds `identity_cost` (both in tree units).
-///
-/// The polish reprices swaps incrementally: only groups whose source or
-/// destination set touches a swapped cluster re-route their tree.
-/// Deterministic for every thread count (restarts by the pairwise
-/// contract; judging and polish are single-threaded in fixed order).
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] for an invalid configuration or a hop
-/// table covering fewer crossbars than the traffic matrix.
-pub fn optimize_placement_trees(
-    traffic: &TrafficMatrix,
-    multicast: &MulticastTraffic,
-    topo: &dyn Topology,
-    vc_count: usize,
-    dist: &DistanceLut,
-    cfg: &PlaceConfig,
-) -> Result<PlaceOutcome, CoreError> {
-    let pairwise = optimize_placement(traffic, dist, cfg)?;
-    let c = traffic.c;
-    assert_eq!(
-        multicast.num_crossbars(),
-        c,
-        "pairwise and multicast traffic must cover the same clusters"
-    );
-    let identity: Vec<u32> = (0..c as u32).collect();
-    let identity_cost = multicast.tree_cost(topo, vc_count, &identity);
-
-    // judge the pairwise winner and identity under tree pricing
-    let candidate_cost = multicast.tree_cost(topo, vc_count, pairwise.placement.as_slice());
-    let (mut perm, mut cost, winning_restart) = if candidate_cost < identity_cost {
-        (
-            pairwise.placement.as_slice().to_vec(),
-            candidate_cost,
-            pairwise.winning_restart,
-        )
-    } else {
-        (identity, identity_cost, 0)
-    };
-
-    // greedy polish under tree pricing with incremental group repricing:
-    // a swap of clusters (a, b) only re-routes groups touching a or b
-    let groups = multicast.groups();
-    let mut group_cost: Vec<u64> = Vec::with_capacity(groups.len());
-    let mut by_cluster: Vec<Vec<u32>> = vec![Vec::new(); c];
-    let mut scratch: Vec<usize> = Vec::new();
-    for (g, (src, dsts, _)) in groups.iter().enumerate() {
-        by_cluster[*src as usize].push(g as u32);
-        for &d in dsts {
-            by_cluster[d as usize].push(g as u32);
-        }
-        group_cost.push(
-            groups[g].2 * multicast.group_forwards(topo, vc_count, &perm, *src, dsts, &mut scratch),
-        );
-    }
-    let mut stamp: Vec<u32> = vec![0; groups.len()];
-    let mut epoch: u32 = 0;
-    let mut affected: Vec<u32> = Vec::new();
-    let mut new_costs: Vec<u64> = Vec::new();
-    for _ in 0..cfg.greedy_passes {
-        let mut improved = false;
-        for a in 0..c {
-            for b in a + 1..c {
-                epoch += 1;
-                affected.clear();
-                for &g in by_cluster[a].iter().chain(by_cluster[b].iter()) {
-                    if stamp[g as usize] != epoch {
-                        stamp[g as usize] = epoch;
-                        affected.push(g);
-                    }
-                }
-                if affected.is_empty() {
-                    continue;
-                }
-                perm.swap(a, b);
-                let mut delta = 0i64;
-                new_costs.clear();
-                for &g in &affected {
-                    let (src, dsts, w) = &groups[g as usize];
-                    let new = w * multicast.group_forwards(
-                        topo,
-                        vc_count,
-                        &perm,
-                        *src,
-                        dsts,
-                        &mut scratch,
-                    );
-                    new_costs.push(new);
-                    delta += new as i64 - group_cost[g as usize] as i64;
-                }
-                if delta < 0 {
-                    for (i, &g) in affected.iter().enumerate() {
-                        group_cost[g as usize] = new_costs[i];
-                    }
-                    cost = (cost as i64 + delta) as u64;
-                    improved = true;
-                } else {
-                    perm.swap(a, b);
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    debug_assert_eq!(cost, multicast.tree_cost(topo, vc_count, &perm));
-
-    let placement = Placement::new(perm).map_err(CoreError::from)?;
-    Ok(PlaceOutcome {
-        placement,
-        identity_cost,
-        optimized_cost: cost,
-        winning_restart,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,25 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_mode_ignores_tree_aware_flag() {
-        // regression pin: adding tree pricing must leave the pairwise
-        // optimizer byte-identical — the flag is not consulted there
-        let traffic = ring_traffic(16, 10);
-        let dist = mesh_lut(16);
-        let off = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap();
-        let on = optimize_placement(
-            &traffic,
-            &dist,
-            &PlaceConfig {
-                tree_aware: true,
-                ..PlaceConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(off, on);
-    }
-
-    #[test]
     fn tree_cost_matches_pipeline_hop_metrics() {
         use crate::pipeline::{build_flows, MappingPipeline, PipelineConfig, TrafficMode};
         use neuromap_hw::arch::Architecture;
@@ -957,39 +781,6 @@ mod tests {
             multicast.tree_cost(pipeline.topology(), vc, &identity),
             weighted
         );
-    }
-
-    #[test]
-    fn tree_optimizer_never_loses_to_identity_and_is_deterministic() {
-        use neuromap_noc::topology::Mesh2D;
-        let (g, m) = fanout_graph_and_mapping(16);
-        let traffic = TrafficMatrix::from_mapping(&g, &m, TrafficMode::PerCrossbar);
-        let multicast = MulticastTraffic::from_mapping(&g, &m);
-        let topo = Mesh2D::for_crossbars(16);
-        let dist = DistanceLut::new(&topo);
-        let run = |threads: usize| {
-            optimize_placement_trees(
-                &traffic,
-                &multicast,
-                &topo,
-                1,
-                &dist,
-                &PlaceConfig {
-                    threads,
-                    ..PlaceConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let one = run(1);
-        assert!(one.optimized_cost <= one.identity_cost);
-        assert_eq!(
-            multicast.tree_cost(&topo, 1, one.placement.as_slice()),
-            one.optimized_cost
-        );
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), one, "threads={threads}");
-        }
     }
 
     #[test]

@@ -629,14 +629,17 @@ impl PsoPartitioner {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for invalid configuration,
-    /// [`CoreError::Infeasible`] if the problem cannot be satisfied.
+    /// [`CoreError::InvalidParameter`] for invalid configuration or a
+    /// [`FitnessKind::CutHops`] objective on a problem without a hop
+    /// table, [`CoreError::Infeasible`] if the problem cannot be
+    /// satisfied.
     pub fn partition_traced(
         &self,
         problem: &PartitionProblem<'_>,
     ) -> Result<(Mapping, PsoTrace), CoreError> {
         self.config.validate()?;
         let cfg = self.config;
+        problem.check_objective(cfg.fitness)?;
 
         // round 0 = initial evaluation; rounds 1..=iterations = PSO steps
         let mut state = SwarmState::new(problem, &cfg);

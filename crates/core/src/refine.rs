@@ -23,7 +23,10 @@ use crate::partition::{FitnessKind, PartitionProblem};
 ///
 /// # Panics
 ///
-/// Panics if `assignment` has the wrong length or is infeasible.
+/// Panics if `assignment` has the wrong length or is infeasible, or if
+/// `kind` is [`FitnessKind::CutHops`] and `problem` carries no hop table
+/// (callers that return `Result` check
+/// [`PartitionProblem::check_objective`] first).
 pub fn refine(
     problem: &PartitionProblem<'_>,
     kind: FitnessKind,

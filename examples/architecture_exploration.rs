@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pipeline.with_placement(PlacementStrategy::HopOptimized(PlaceConfig::default()));
         for pipe in [&pipeline, &optimized] {
             let (placed, _, label) = pipe.place(&graph, &mapping)?;
-            let report = pipe.evaluate_as(&graph, placed, "pso", &label)?;
+            let report = pipe.evaluate(&graph, placed, "pso", &label)?.report;
             println!(
                 "{:<16} {:<13} {:>12.1} {:>9.2} {:>10} {:>10.1} {:>12.1}",
                 name,

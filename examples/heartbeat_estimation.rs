@@ -9,9 +9,8 @@ use neuromap::apps::heartbeat::HeartbeatEstimation;
 use neuromap::apps::App;
 use neuromap::core::baselines::PacmanPartitioner;
 use neuromap::core::partition::{PartitionProblem, Partitioner};
-use neuromap::core::pipeline::evaluate_mapping_detailed;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-use neuromap::core::PipelineConfig;
+use neuromap::core::{MappingPipeline, PipelineConfig};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,8 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for cycles in [64u64, 256, 1024] {
         let mut cfg = PipelineConfig::for_arch(arch.clone());
         cfg.noc.cycles_per_step = cycles;
-        let (r_pacman, _) = evaluate_mapping_detailed(&graph, m_pacman.clone(), "pacman", &cfg)?;
-        let (r_pso, _) = evaluate_mapping_detailed(&graph, m_pso.clone(), "pso", &cfg)?;
+        let pipeline = MappingPipeline::new(cfg);
+        let r_pacman = pipeline
+            .evaluate(&graph, m_pacman.clone(), "pacman", "identity")?
+            .report;
+        let r_pso = pipeline
+            .evaluate(&graph, m_pso.clone(), "pso", "identity")?
+            .report;
         println!(
             "{:>10} {:>22.1} {:>22.1}",
             cycles, r_pacman.noc.avg_isi_distortion_cycles, r_pso.noc.avg_isi_distortion_cycles

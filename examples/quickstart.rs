@@ -8,7 +8,7 @@ use neuromap::apps::{synthetic::Synthetic, App};
 use neuromap::core::baselines::{NeutramsPartitioner, PacmanPartitioner};
 use neuromap::core::partition::Partitioner;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-use neuromap::core::{run_pipeline, PipelineConfig};
+use neuromap::core::{MappingPipeline, PipelineConfig};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,9 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. A target chip: 4 crossbars of 24 neurons joined by a NoC-tree
-    //    (a quarter-scale CxQuad).
+    //    (a quarter-scale CxQuad). The pipeline derives the router graph
+    //    and its hop-distance table once; every run below shares them.
     let arch = Architecture::custom(4, 24, InterconnectKind::Tree { arity: 4 })?;
-    let config = PipelineConfig::for_arch(arch);
+    let pipeline = MappingPipeline::new(PipelineConfig::for_arch(arch));
 
     // 4. Partition with PSO and with the two baselines; simulate the
     //    resulting global-synapse traffic on the interconnect.
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "mapping", "cut spikes", "global pJ", "local pJ", "max lat"
     );
     for p in &partitioners {
-        let report = run_pipeline(&graph, p.as_ref(), &config)?;
+        let report = pipeline.run(&graph, p.as_ref())?;
         println!(
             "{:<10} {:>12} {:>14.1} {:>14.1} {:>12}",
             report.partitioner,

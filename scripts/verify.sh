@@ -10,6 +10,15 @@ cargo build --release
 echo "==> tests (workspace)"
 cargo test --workspace -q
 
+echo "==> mapbench tests (pinned API surface + five-workload smoke)"
+# benchmark/ is a workspace of its own that drives the mapper through
+# its public stage functions only; its 18 tests compile that pinned
+# surface and run every workload once (--iters 1), checking that the
+# harness-composed chain equals one MappingPipeline::run call — a PR
+# that deletes or reshapes public API fails here, before the driver's
+# benchmark run does
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> rustfmt"
 cargo fmt --all -- --check
 

@@ -25,7 +25,7 @@
 //! use neuromap::apps::{synthetic::Synthetic, App};
 //! use neuromap::core::baselines::PacmanPartitioner;
 //! use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-//! use neuromap::core::{run_pipeline, PipelineConfig};
+//! use neuromap::core::{MappingPipeline, PipelineConfig};
 //! use neuromap::hw::arch::{Architecture, InterconnectKind};
 //!
 //! # fn main() -> Result<(), neuromap::core::CoreError> {
@@ -33,14 +33,15 @@
 //! let app = Synthetic { steps: 200, ..Synthetic::new(2, 24) };
 //! let graph = app.spike_graph(7)?;
 //!
-//! // 2. map it on a 4-crossbar chip with a NoC-tree (CxQuad-style)
+//! // 2. one pipeline per target: a 4-crossbar chip with a NoC-tree
+//! //    (CxQuad-style); topology and hop table are built once here
 //! let arch = Architecture::custom(4, 16, InterconnectKind::Tree { arity: 4 })?;
-//! let cfg = PipelineConfig::for_arch(arch);
+//! let pipeline = MappingPipeline::new(PipelineConfig::for_arch(arch));
 //!
 //! // 3. PSO against the PACMAN baseline
 //! let pso = PsoPartitioner::new(PsoConfig { swarm_size: 20, iterations: 20, ..PsoConfig::default() });
-//! let r_pso = run_pipeline(&graph, &pso, &cfg)?;
-//! let r_pacman = run_pipeline(&graph, &PacmanPartitioner::new(), &cfg)?;
+//! let r_pso = pipeline.run(&graph, &pso)?;
+//! let r_pacman = pipeline.run(&graph, &PacmanPartitioner::new())?;
 //! assert!(r_pso.cut_spikes <= r_pacman.cut_spikes);
 //! # Ok(())
 //! # }

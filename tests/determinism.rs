@@ -9,7 +9,7 @@ use neuromap::apps::{heartbeat::HeartbeatEstimation, synthetic::Synthetic, App};
 use neuromap::core::decode::{DecodeScratch, Decoder, StepWeights};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-use neuromap::core::{run_pipeline, PipelineConfig, Report};
+use neuromap::core::{MappingPipeline, PipelineConfig, Report};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,7 +32,9 @@ fn full_run(seed: u64, threads: usize) -> Report {
         threads,
         ..PsoConfig::default()
     });
-    run_pipeline(&graph, &pso, &cfg).expect("pipeline runs")
+    MappingPipeline::new(cfg)
+        .run(&graph, &pso)
+        .expect("pipeline runs")
 }
 
 #[test]

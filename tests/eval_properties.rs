@@ -1,12 +1,13 @@
 //! Property tests for the incremental fitness engine: on arbitrary
 //! graphs, for every `FitnessKind`, the incrementally maintained cost
-//! must equal a full `cut_spikes`/`cut_packets` recomputation across
-//! random move sequences, random churn fractions, and the batched swarm
-//! evaluator.
+//! must equal a full `cut_spikes`/`cut_packets`/`cut_hops` recomputation
+//! across random move sequences, random churn fractions, and the batched
+//! swarm evaluator.
 
 use neuromap::core::eval::{EvalEngine, SwarmEval, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};
 use neuromap::core::SpikeGraph;
+use neuromap::noc::topology::{DistanceLut, Mesh2D};
 use proptest::prelude::*;
 
 mod common;
@@ -23,7 +24,17 @@ fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
     })
 }
 
-const KINDS: [FitnessKind; 2] = [FitnessKind::CutSpikes, FitnessKind::CutPackets];
+const KINDS: [FitnessKind; 3] = [
+    FitnessKind::CutSpikes,
+    FitnessKind::CutPackets,
+    FitnessKind::CutHops,
+];
+
+/// The hop table every problem here carries so `CutHops` runs beside the
+/// other objectives (they ignore it): a 2-D mesh over the crossbars.
+fn mesh_lut(crossbars: usize) -> DistanceLut {
+    DistanceLut::new(&Mesh2D::for_crossbars(crossbars))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(40)))]
@@ -34,7 +45,11 @@ proptest! {
         moves in proptest::collection::vec((0u32..20, 0u32..4), 1..60),
     ) {
         let n = graph.num_neurons();
-        let problem = PartitionProblem::new(&graph, 4, n).expect("feasible");
+        let lut = mesh_lut(4);
+        let problem = PartitionProblem::new(&graph, 4, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
@@ -62,7 +77,11 @@ proptest! {
         threshold in 0.0f32..=1.0,
     ) {
         let n = graph.num_neurons();
-        let problem = PartitionProblem::new(&graph, 5, n).expect("feasible");
+        let lut = mesh_lut(5);
+        let problem = PartitionProblem::new(&graph, 5, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind).with_churn_threshold(threshold);
             let mut current: Vec<u32> = (0..n).map(|i| i % 5).collect();
@@ -88,7 +107,11 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let n = graph.num_neurons();
-        let problem = PartitionProblem::new(&graph, 6, n).expect("feasible");
+        let lut = mesh_lut(6);
+        let problem = PartitionProblem::new(&graph, 6, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         let mut rng = StdRng::seed_from_u64(seed);
         let positions: Vec<u32> =
             (0..lanes * n as usize).map(|_| rng.gen_range(0..6u32)).collect();
@@ -109,8 +132,8 @@ proptest! {
     // 65–300 crossbars straddles every byte-tile mask stride (2–4 words)
     // plus the word-tile kernel past the 256-crossbar byte-tile ceiling;
     // the batched evaluator must equal the scalar `full_cost` everywhere,
-    // for both objectives, including lane counts that leave a partial
-    // final tile.
+    // for all three objectives, including lane counts that leave a
+    // partial final tile.
 
     #[test]
     fn large_arch_batched_eval_matches_scalar(
@@ -122,7 +145,11 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let n = graph.num_neurons();
-        let problem = PartitionProblem::new(&graph, crossbars, n).expect("feasible");
+        let lut = mesh_lut(crossbars);
+        let problem = PartitionProblem::new(&graph, crossbars, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         let mut rng = StdRng::seed_from_u64(seed);
         let positions: Vec<u32> = (0..lanes * n as usize)
             .map(|_| rng.gen_range(0..crossbars as u32))
@@ -161,7 +188,11 @@ proptest! {
         moves in proptest::collection::vec((0u32..30, 0u32..300), 1..40),
     ) {
         let n = graph.num_neurons();
-        let problem = PartitionProblem::new(&graph, crossbars, n).expect("feasible");
+        let lut = mesh_lut(crossbars);
+        let problem = PartitionProblem::new(&graph, crossbars, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| i % crossbars as u32).collect();
@@ -183,7 +214,11 @@ proptest! {
     ) {
         let n = graph.num_neurons();
         let i = (i % n) as usize;
-        let problem = PartitionProblem::new(&graph, 4, n).expect("feasible");
+        let lut = mesh_lut(4);
+        let problem = PartitionProblem::new(&graph, 4, n)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();

@@ -7,8 +7,8 @@ use neuromap::apps::heartbeat::HeartbeatEstimation;
 use neuromap::apps::App;
 use neuromap::core::baselines::PacmanPartitioner;
 use neuromap::core::partition::{PartitionProblem, Partitioner};
-use neuromap::core::pipeline::evaluate_mapping_detailed;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
+use neuromap::core::MappingPipeline;
 use neuromap::core::PipelineConfig;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::noc::stats::Delivery;
@@ -78,11 +78,12 @@ fn congestion_degrades_temporal_fidelity_and_pso_resists() {
     let fidelity = |mapping: &neuromap::hw::Mapping, cycles: u64| {
         let mut cfg = PipelineConfig::for_arch(arch.clone());
         cfg.noc.cycles_per_step = cycles;
-        let (report, log) =
-            evaluate_mapping_detailed(&graph, mapping.clone(), "x", &cfg).expect("evaluates");
+        let evaluation = MappingPipeline::new(cfg)
+            .evaluate(&graph, mapping.clone(), "x", "identity")
+            .expect("evaluates");
         (
-            report.noc.avg_isi_distortion_cycles,
-            temporal_fidelity(&log, cycles),
+            evaluation.report.noc.avg_isi_distortion_cycles,
+            temporal_fidelity(&evaluation.deliveries, cycles),
         )
     };
 

@@ -335,11 +335,13 @@ fn one_chip_hier_pipeline_matches_flat_mesh() {
     let assign: Vec<u32> = (0..16).collect();
     let m = Mapping::from_assignment(assign, 16).expect("valid mapping");
     let r_hier = MappingPipeline::new(PipelineConfig::for_arch(hier))
-        .evaluate(&graph, m.clone(), "manual")
-        .expect("pipeline runs");
+        .evaluate(&graph, m.clone(), "manual", "identity")
+        .expect("pipeline runs")
+        .report;
     let r_flat = MappingPipeline::new(PipelineConfig::for_arch(flat))
-        .evaluate(&graph, m, "manual")
-        .expect("pipeline runs");
+        .evaluate(&graph, m, "manual", "identity")
+        .expect("pipeline runs")
+        .report;
     // identical numbers and identical serialized bytes
     assert_eq!(r_hier.hop_weighted_packets, r_flat.hop_weighted_packets);
     assert_eq!(r_hier.noc.digest().unwrap(), r_flat.noc.digest().unwrap());

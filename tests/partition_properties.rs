@@ -7,10 +7,11 @@ use neuromap::core::baselines::{
     GaConfig, GaPartitioner, NeutramsPartitioner, PacmanPartitioner, RandomPartitioner, SaConfig,
     SaPartitioner,
 };
+use neuromap::core::multilevel::{vcycle, MultilevelConfig};
 use neuromap::core::partition::{FitnessKind, PartitionProblem, Partitioner};
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
 use neuromap::core::refine::refine;
-use neuromap::core::SpikeGraph;
+use neuromap::core::{CoreError, SpikeGraph};
 use proptest::prelude::*;
 
 mod common;
@@ -136,5 +137,69 @@ proptest! {
         let pso = PsoPartitioner::new(PsoConfig { swarm_size: 5, iterations: 4, ..PsoConfig::default() });
         let m = pso.partition(&problem).expect("feasible instance solves");
         prop_assert!(m.occupancy().iter().all(|&o| o <= cap as usize));
+    }
+}
+
+/// `CutHops` on a problem without a hop table is a configuration error
+/// at every `Result`-returning optimizer entry point — the evaluators
+/// underneath panic on it, so each entry point must check first.
+#[test]
+fn cut_hops_without_a_hop_table_is_an_error_at_every_entry_point() {
+    let edges = (0..40u32).map(|i| (i, (i * 7 + 3) % 40)).collect();
+    let graph = SpikeGraph::from_parts(40, edges, vec![5; 40]).expect("valid graph");
+    let problem = PartitionProblem::new(&graph, 4, 12).expect("feasible instance");
+    let fitness = FitnessKind::CutHops;
+    let pso = PsoConfig {
+        swarm_size: 6,
+        iterations: 3,
+        fitness,
+        ..PsoConfig::default()
+    };
+    let outcomes = [
+        ("pso", PsoPartitioner::new(pso).partition(&problem).err()),
+        (
+            "sa",
+            SaPartitioner::new(SaConfig {
+                moves: 50,
+                fitness,
+                ..SaConfig::default()
+            })
+            .partition(&problem)
+            .err(),
+        ),
+        (
+            "ga",
+            GaPartitioner::new(GaConfig {
+                generations: 2,
+                population: 8,
+                fitness,
+                ..GaConfig::default()
+            })
+            .partition(&problem)
+            .err(),
+        ),
+        (
+            "vcycle",
+            vcycle(
+                &problem,
+                &MultilevelConfig {
+                    pso,
+                    ..MultilevelConfig::default()
+                },
+            )
+            .err(),
+        ),
+    ];
+    for (name, err) in outcomes {
+        assert!(
+            matches!(
+                err,
+                Some(CoreError::InvalidParameter {
+                    name: "fitness",
+                    ..
+                })
+            ),
+            "{name}: {err:?}"
+        );
     }
 }

@@ -9,7 +9,7 @@ use neuromap::core::baselines::{
 };
 use neuromap::core::partition::Partitioner;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-use neuromap::core::{run_pipeline, PipelineConfig};
+use neuromap::core::{MappingPipeline, PipelineConfig};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 
 fn quick_pso() -> PsoPartitioner {
@@ -28,7 +28,7 @@ fn every_partitioner_completes_the_full_flow() {
     };
     let graph = app.spike_graph(1).expect("app simulates");
     let arch = Architecture::custom(4, 18, InterconnectKind::Tree { arity: 4 }).unwrap();
-    let cfg = PipelineConfig::for_arch(arch);
+    let pipeline = MappingPipeline::new(PipelineConfig::for_arch(arch));
 
     let partitioners: Vec<Box<dyn Partitioner>> = vec![
         Box::new(NeutramsPartitioner::new()),
@@ -45,8 +45,9 @@ fn every_partitioner_completes_the_full_flow() {
         Box::new(quick_pso()),
     ];
     for p in &partitioners {
-        let report =
-            run_pipeline(&graph, p.as_ref(), &cfg).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        let report = pipeline
+            .run(&graph, p.as_ref())
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         // conservation: every synaptic event is local or cut
         assert_eq!(
             report.local_events + report.cut_spikes,
@@ -75,9 +76,10 @@ fn pso_never_loses_to_the_baselines() {
         let arch = Architecture::custom(5, cap, InterconnectKind::Mesh).unwrap();
         let cfg = PipelineConfig::for_arch(arch);
 
-        let pso = run_pipeline(&graph, &quick_pso(), &cfg).unwrap();
-        let pacman = run_pipeline(&graph, &PacmanPartitioner::new(), &cfg).unwrap();
-        let neutrams = run_pipeline(&graph, &NeutramsPartitioner::new(), &cfg).unwrap();
+        let pipeline = MappingPipeline::new(cfg);
+        let pso = pipeline.run(&graph, &quick_pso()).unwrap();
+        let pacman = pipeline.run(&graph, &PacmanPartitioner::new()).unwrap();
+        let neutrams = pipeline.run(&graph, &NeutramsPartitioner::new()).unwrap();
         assert!(
             pso.cut_spikes <= pacman.cut_spikes && pso.cut_spikes <= neutrams.cut_spikes,
             "{layers}x{width}: pso {} vs pacman {} vs neutrams {}",
@@ -104,7 +106,8 @@ fn all_interconnects_complete_and_account_energy() {
     ] {
         let arch = Architecture::custom(4, 36, kind).unwrap();
         let cfg = PipelineConfig::for_arch(arch);
-        let r = run_pipeline(&graph, &PacmanPartitioner::new(), &cfg)
+        let r = MappingPipeline::new(cfg)
+            .run(&graph, &PacmanPartitioner::new())
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(r.noc.delivered, r.cut_spikes, "{kind:?}");
         if r.cut_spikes > 0 {
@@ -139,8 +142,8 @@ fn shallow_fifo_torus_flow_completes_with_vcs_on_both_engines() {
     };
     let oracle_cfg = cfg.clone().with_engine(EngineKind::CycleOracle);
     let part = PacmanPartitioner::new();
-    let r_event = run_pipeline(&graph, &part, &cfg).unwrap();
-    let r_oracle = run_pipeline(&graph, &part, &oracle_cfg).unwrap();
+    let r_event = MappingPipeline::new(cfg).run(&graph, &part).unwrap();
+    let r_oracle = MappingPipeline::new(oracle_cfg).run(&graph, &part).unwrap();
     assert_eq!(r_event, r_oracle);
     assert_eq!(
         r_event.noc.digest().unwrap(),
@@ -159,7 +162,9 @@ fn single_crossbar_chip_has_zero_global_traffic() {
     let graph = app.spike_graph(2).expect("app simulates");
     let arch = Architecture::custom(1, 64, InterconnectKind::Star).unwrap();
     let cfg = PipelineConfig::for_arch(arch);
-    let r = run_pipeline(&graph, &PacmanPartitioner::new(), &cfg).unwrap();
+    let r = MappingPipeline::new(cfg)
+        .run(&graph, &PacmanPartitioner::new())
+        .unwrap();
     assert_eq!(r.cut_spikes, 0);
     assert_eq!(r.noc.delivered, 0);
     assert_eq!(r.global_energy_pj, 0.0);
@@ -175,7 +180,9 @@ fn infeasible_architectures_are_rejected_cleanly() {
     let graph = app.spike_graph(0).expect("app simulates");
     let arch = Architecture::custom(2, 10, InterconnectKind::Mesh).unwrap(); // 20 < 40
     let cfg = PipelineConfig::for_arch(arch);
-    let err = run_pipeline(&graph, &PacmanPartitioner::new(), &cfg).unwrap_err();
+    let err = MappingPipeline::new(cfg)
+        .run(&graph, &PacmanPartitioner::new())
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("cannot fit"), "unexpected error: {msg}");
 }

@@ -344,10 +344,14 @@ fn assert_placement_improves(scenario: &LargeArch, kind: InterconnectKind, fabri
     assert_eq!(label, "hop-optimized");
     assert_eq!(opt_m, mapping.place(&opt_p).unwrap());
 
-    let r_id = identity.evaluate(&graph, id_m, "packed").unwrap();
+    let r_id = identity
+        .evaluate(&graph, id_m, "packed", "identity")
+        .unwrap()
+        .report;
     let r_opt = optimized
-        .evaluate_as(&graph, opt_m, "packed", &label)
-        .unwrap();
+        .evaluate(&graph, opt_m, "packed", &label)
+        .unwrap()
+        .report;
     assert_eq!(r_id.placement, "identity", "{fabric}");
     assert_eq!(r_opt.placement, "hop-optimized", "{fabric}");
 
@@ -429,8 +433,14 @@ fn pso_partition_also_benefits_from_placement() {
         ..PlaceConfig::default()
     }));
     let (opt_m, _, label) = optimized.place(&graph, &mapping).unwrap();
-    let r_id = pipeline.evaluate(&graph, mapping, "pso").unwrap();
-    let r_opt = optimized.evaluate_as(&graph, opt_m, "pso", &label).unwrap();
+    let r_id = pipeline
+        .evaluate(&graph, mapping, "pso", "identity")
+        .unwrap()
+        .report;
+    let r_opt = optimized
+        .evaluate(&graph, opt_m, "pso", &label)
+        .unwrap()
+        .report;
     assert!(r_opt.hop_weighted_packets <= r_id.hop_weighted_packets);
     assert_eq!(r_id.cut_spikes, r_opt.cut_spikes);
     let json = serde_json::to_string(&r_opt).unwrap();
