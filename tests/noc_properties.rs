@@ -40,7 +40,7 @@ use neuromap::noc::sim::oracle::CycleSim;
 use neuromap::noc::sim::NocSim;
 use neuromap::noc::stats::{Delivery, NocStats};
 use neuromap::noc::topology::{
-    check_vc_tree_dependencies, Mesh2D, NocTree, PointToPoint, Star, Topology, Torus,
+    check_vc_tree_dependencies, HierTopology, Mesh2D, NocTree, PointToPoint, Star, Topology, Torus,
 };
 use neuromap::noc::traffic::SpikeFlow;
 use neuromap::noc::NocError;
@@ -442,6 +442,110 @@ fn pre_vc_digests_are_stable() {
         assert!(
             es.per_vc.is_empty(),
             "{name}: single-VC stats must not carry per-VC counters"
+        );
+    }
+}
+
+#[test]
+fn multi_vc_tree_and_hier_digests_are_frozen() {
+    // golden stats digests and trace-byte hashes recorded at PR 12 HEAD,
+    // the last commit where the event engine and the cycle oracle were two
+    // independent implementations of the router model that agreed on them.
+    // Since the engines share one `simulate` loop, router mechanics
+    // (credit arithmetic, cursors, VC pick, multicast split, per-VC
+    // counters, trace order) are no longer cross-checked by the
+    // differential suite; these constants pin them on the multi-VC, tree
+    // and hierarchical paths the single-VC goldens above do not reach.
+    let storm = |crossbars: u32, steps: u32| -> Vec<SpikeFlow> {
+        (0..steps)
+            .flat_map(|step| {
+                (0..crossbars).map(move |src| {
+                    let dests = [1, 3, 5].map(|k| (src + k) % crossbars).to_vec();
+                    SpikeFlow::multicast(src * 31 + step, src, dests, step)
+                })
+            })
+            .collect()
+    };
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    let traced = |cfg: NocConfig| NocConfig { trace: true, ..cfg };
+    type FrozenCase = (
+        &'static str,
+        Box<dyn Topology>,
+        NocConfig,
+        Vec<SpikeFlow>,
+        u32,
+        (u64, u64),
+    );
+    let cases: Vec<FrozenCase> = vec![
+        (
+            "torus16_vc2_depth1",
+            Box::new(Torus::for_crossbars(16)),
+            traced(NocConfig {
+                buffer_depth: 1,
+                vc_count: 2,
+                ..NocConfig::default()
+            }),
+            storm(16, 6),
+            6,
+            (0x2943_eb66_b9f2_c085, 0xd6a8_fd19_062c_7025),
+        ),
+        (
+            "torus16_vc4_depth2",
+            Box::new(Torus::for_crossbars(16)),
+            traced(NocConfig {
+                buffer_depth: 2,
+                vc_count: 4,
+                ..NocConfig::default()
+            }),
+            storm(16, 6),
+            6,
+            (0x93db_cc57_c7d2_9107, 0xe348_6db1_c2b5_b7d5),
+        ),
+        (
+            "mesh64_trees",
+            Box::new(Mesh2D::for_crossbars(64)),
+            traced(NocConfig {
+                multicast_trees: true,
+                ..NocConfig::default()
+            }),
+            storm(64, 4),
+            4,
+            (0x9e92_6326_a064_5996, 0xfafb_3055_cac3_16be),
+        ),
+        (
+            "hier2x2_vc2",
+            Box::new(HierTopology::mesh(2, 2, 4, 4, 64, 3, 2).expect("valid fabric")),
+            traced(NocConfig {
+                vc_count: 2,
+                ..NocConfig::default()
+            }),
+            storm(64, 4),
+            4,
+            (0xc513_014e_137e_663b, 0xd59b_a919_2f42_dc2e),
+        ),
+    ];
+    for (name, topo, cfg, flows, duration, (golden_stats, golden_trace)) in cases {
+        let topo: std::sync::Arc<dyn Topology> = std::sync::Arc::from(topo);
+        let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
+        let mut oracle = CycleSim::shared(topo, cfg, EnergyModel::default());
+        let (es, _) = event.run_with_duration(&flows, duration).expect(name);
+        let (os, _) = oracle.run_with_duration(&flows, duration).expect(name);
+        let et = fnv(&event.take_trace().expect("traced").to_bytes());
+        let ot = fnv(&oracle.take_trace().expect("traced").to_bytes());
+        let got = (es.digest().unwrap(), et);
+        assert_eq!(
+            got,
+            (os.digest().unwrap(), ot),
+            "{name}: engines disagree (stats digest, trace hash)"
+        );
+        assert_eq!(
+            got,
+            (golden_stats, golden_trace),
+            "{name}: drifted from the frozen (stats digest, trace hash): got {got:#018x?}"
         );
     }
 }
