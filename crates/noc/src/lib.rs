@@ -18,11 +18,13 @@
 //! in flits, and backpressure — the congestion mechanisms that produce the
 //! latency, disorder and distortion effects the paper measures.
 //!
-//! Two engines implement this model: the event-driven [`sim::NocSim`]
-//! (production — runtime scales with traffic events, not simulated
-//! cycles) and the cycle-driven [`sim::oracle::CycleSim`] reference it is
-//! differentially verified against, byte-for-byte. See the [`sim`] module
-//! docs for the event model and the equivalence argument.
+//! The model is written once and run under two schedulers: the
+//! event-driven [`sim::NocSim`] (production — it examines only the ports
+//! something could have enabled, so runtime scales with traffic events,
+//! not simulated cycles) and the cycle-driven [`sim::oracle::CycleSim`]
+//! reference (every port, every cycle, every route asked of the topology
+//! afresh) it is differentially verified against, byte-for-byte. See the
+//! [`sim`] module docs for the event model and the equivalence argument.
 //!
 //! ## Quickstart
 //!

@@ -26,28 +26,9 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Splits off the destinations in `take` into a new packet, leaving the
-    /// remainder in `self`. Used at multicast branch points.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `take` is not a subset of `self.dests`.
-    pub fn split(&mut self, take: &[u32]) -> Packet {
-        debug_assert!(take.iter().all(|d| self.dests.contains(d)));
-        self.dests.retain(|d| !take.contains(d));
-        Packet {
-            spike_id: self.spike_id,
-            source_neuron: self.source_neuron,
-            src_crossbar: self.src_crossbar,
-            dests: take.to_vec(),
-            send_step: self.send_step,
-            inject_cycle: self.inject_cycle,
-        }
-    }
-
     /// Splits off every destination matching `pred` into a new packet,
-    /// preserving relative order on both sides — a single-pass equivalent
-    /// of collecting the matches and calling [`Packet::split`].
+    /// preserving relative order on both sides. Used at multicast branch
+    /// points.
     ///
     /// The dominant case in the simulators is "every destination matches"
     /// (unicast, or a multicast with no branch here): that path moves the
@@ -94,36 +75,12 @@ mod tests {
     }
 
     #[test]
-    fn split_partitions_destinations() {
-        let mut p = packet(vec![1, 2, 3]);
-        let q = p.split(&[2]);
-        assert_eq!(p.dests, vec![1, 3]);
-        assert_eq!(q.dests, vec![2]);
-        assert_eq!(q.spike_id, p.spike_id);
-        assert_eq!(q.inject_cycle, p.inject_cycle);
-    }
-
-    #[test]
-    fn split_all_empties_original() {
-        let mut p = packet(vec![1, 2]);
-        let q = p.split(&[1, 2]);
-        assert!(p.dests.is_empty());
-        assert_eq!(q.dests, vec![1, 2]);
-    }
-
-    #[test]
-    fn take_where_matches_filter_plus_split() {
-        // the predicate path must agree with the collect-then-split path
-        // (the oracle engine uses the latter, the event engine the former)
-        let dests = vec![4, 1, 7, 2, 9];
-        let pred = |d: u32| d % 2 == 1;
-        let mut a = packet(dests.clone());
-        let taken = a.take_dests_where(pred);
-        let mut b = packet(dests.clone());
-        let via: Vec<u32> = dests.iter().copied().filter(|&d| pred(d)).collect();
-        let split = b.split(&via);
-        assert_eq!(taken, split);
-        assert_eq!(a, b);
+    fn take_where_partitions_destinations_in_order() {
+        let mut p = packet(vec![4, 1, 7, 2, 9]);
+        let q = p.take_dests_where(|d| d % 2 == 1);
+        assert_eq!(p.dests, vec![4, 2]);
+        assert_eq!(q.dests, vec![1, 7, 9]);
+        assert_eq!((q.spike_id, q.inject_cycle), (p.spike_id, p.inject_cycle));
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Per-(router, output-port) wake scheduling for the event engine.
+//! The scheduler seam of the router model, and the event engine's side of it.
 //!
-//! [`PortSched`] is the indexed ready-set that replaced [`crate::sim::NocSim`]'s
-//! original global wake heap. Every output port of every router gets a
-//! dense *pair id* (`port_base[r] + o`), ordered exactly like the
-//! oracle's sweep (routers ascending, ports in neighbor order), and three
-//! structures drive the clock:
+//! [`Sched`] is every decision `sim::simulate` leaves open: which
+//! `(router, output-port)` pairs an attended cycle examines, what a lane
+//! head wants, and which cycle is attended next. Two policies implement
+//! it — [`crate::sim::oracle::Sweep`] (every pair, every cycle, everything
+//! asked of the topology afresh) and [`PortSched`], the per-pair wake
+//! scheduler behind [`crate::sim::NocSim`]. Every output port of every
+//! router gets a dense *pair id* (`port_base[r] + o`), ordered exactly
+//! like the sweep (routers ascending, ports in neighbor order), and three
+//! structures drive [`PortSched`]'s clock:
 //!
 //! * a **ready bitset** of pair ids due this cycle, walked by a scan
 //!   cursor — membership is the bit itself, so waking an already-queued
@@ -24,8 +28,8 @@
 //!   `now + flits` for a constant flit count.
 //!
 //! On top of the wake queues the scheduler keeps the persistent head
-//! state the sweep used to recompute from scratch: per FIFO lane, the
-//! bitmask of `(output port, VC)` slots its head packet wants (bit
+//! state [`crate::sim::oracle::Sweep`] recomputes from scratch: per FIFO
+//! lane, the bitmask of `(output port, VC)` slots its head wants (bit
 //! `o * vcs + w`, variable-width so arbitrary-degree topologies fit), a
 //! per-(pair, VC) count of heads wanting that slot (O(1) eligibility),
 //! and a **blocked** bit per (pair, VC) — the wanted-port reverse index:
@@ -34,11 +38,14 @@
 //! on it.
 //!
 //! See the [`crate::sim`] module docs for why this wake set covers every
-//! cycle at which the cycle-driven oracle can make progress.
+//! pair and cycle at which the sweep can make progress.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
+use crate::sim::Net;
 use crate::stats::SchedCounters;
+use crate::topology::{RouteLut, Topology};
 
 /// Sentinel pair id for "no upstream pair" (local-injection lanes).
 const NO_PAIR: u32 = u32::MAX;
@@ -103,6 +110,103 @@ impl TreeTable {
 /// still ahead, so all wakes go to the ready heap.
 pub(crate) const PRE_SWEEP: u32 = 0;
 
+/// The scheduling policy `sim::simulate` is generic over (statically
+/// dispatched: one monomorphised loop per policy, hooks inlined).
+///
+/// The **queries** decide who moves; each policy must answer them
+/// independently of the other, because the differential suite compares
+/// exactly these answers. The **notifications** tell the policy what the
+/// loop just changed; their defaults ignore it, which is right for a
+/// policy that re-derives every answer when asked.
+pub(crate) trait Sched: Sized {
+    /// Whether the policy skips pairs and cycles. Only then is there an
+    /// attended-cycle log and a set of [`SchedCounters`] worth reporting
+    /// ([`crate::stats::SimTrace`], [`crate::config::NocConfig::sched_stats`]).
+    const SELECTIVE: bool;
+
+    /// Builds the policy for one run. `ports[r]` lists router `r`'s
+    /// egress ports as `(neighbor, our position on the neighbor)`; `tree`
+    /// overrides the per-destination routes per spike under multicast
+    /// tree routing.
+    fn build(
+        topo: &Arc<dyn Topology>,
+        ports: &[Vec<(usize, usize)>],
+        vcs: usize,
+        tree: Option<TreeTable>,
+    ) -> Self;
+
+    /// Starts the attended cycle `now`.
+    fn begin_cycle(&mut self, now: u64);
+
+    /// The next `(pair, router, port)` to examine this cycle, in strictly
+    /// ascending pair order; `None` ends the cycle's sweep.
+    fn next_pair(&mut self) -> Option<(u32, usize, usize)>;
+
+    /// How many lane heads at the router of `pair` (the pair being
+    /// examined) want its `(port, VC w)` slot.
+    fn wanted(&self, net: &Net, pair: u32, w: usize) -> u32;
+
+    /// Whether lane `fi`'s head at router `r` wants `(port, VC)` bit `bit`.
+    fn head_wants(&self, net: &Net, r: usize, fi: usize, bit: usize) -> bool;
+
+    /// Inject cycle of lane `fi`'s head (the lane must have one).
+    fn head_inject(&self, net: &Net, r: usize, fi: usize) -> u64;
+
+    /// The `(output port, VC)` bit a head of spike `spike` at router `r`
+    /// wants for the remote destination crossbar `d` — from the spike's
+    /// tree when tree routing is on, from the unicast route otherwise.
+    fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize;
+
+    /// The next cycle to attend after `now` while packets are queued,
+    /// given the earliest pending injection or arrival (`u64::MAX` if
+    /// none). `u64::MAX` means nothing can ever move again.
+    fn next_cycle(&self, now: u64, next_event: u64) -> u64;
+
+    /// `active_lanes` = Σ degree × VCs over routers with queued work, once
+    /// per attended cycle (the retired whole-router sweep's cost unit).
+    fn note_sweep(&mut self, _active_lanes: u64) {}
+
+    /// The pair from [`Sched::next_pair`] sits on a router with queued
+    /// packets, so examining it is real work.
+    fn count_visit(&mut self, _pair: u32) {}
+
+    /// `pair` wanted VC `w` but found the downstream lane credit-full.
+    fn set_blocked(&mut self, _pair: u32, _w: usize) {}
+
+    /// A credit on router `r`'s ingress lane `fi` went from full to free
+    /// while the sweep stood at wake position `pos`.
+    fn credit_freed(&mut self, _r: usize, _fi: usize, _pos: u32) {}
+
+    /// Lane `fi` of router `r` has a new head (a push onto an empty lane,
+    /// or a pop exposing the next packet).
+    fn set_head(
+        &mut self,
+        _r: usize,
+        _fi: usize,
+        _spike: u64,
+        _dests: &[u32],
+        _inject: u64,
+        _pos: u32,
+    ) {
+    }
+
+    /// Lane `fi`'s head was popped.
+    fn clear_head(&mut self, _r: usize, _fi: usize) {}
+
+    /// A multicast split forwarded the `bit` branch of lane `fi`'s head
+    /// (the head itself stays queued).
+    fn shrink_head(&mut self, _r: usize, _fi: usize, _bit: usize) {}
+
+    /// `pair` forwarded and serializes until `cycle` (exclusive). Calls
+    /// come in nondecreasing `cycle` order (`now + flits`, constant flits).
+    fn schedule_expiry(&mut self, _cycle: u64, _pair: u32) {}
+
+    /// The policy's work counters (all zero unless [`Sched::SELECTIVE`]).
+    fn counters(&self) -> SchedCounters {
+        SchedCounters::default()
+    }
+}
+
 fn bit_test(bits: &[u64], i: usize) -> bool {
     bits[i / 64] & (1 << (i % 64)) != 0
 }
@@ -162,14 +266,13 @@ pub(crate) struct PortSched {
     /// entries arrive cycle-sorted and a plain queue suffices.
     expiries: VecDeque<(u64, u32)>,
     last_router: u32,
-    pub(crate) counters: SchedCounters,
+    counters: SchedCounters,
 }
 
 impl PortSched {
-    /// Builds the scheduler over the router graph. `ports[r]` lists
-    /// router `r`'s egress ports as `(neighbor, our position on the
-    /// neighbor)`; `dest_bit[r * nc + k]` is the `(egress port, VC)` bit
-    /// a head at `r` wants for destination crossbar `k` (entries for
+    /// Builds the scheduler over the router graph (`ports` as in
+    /// [`Sched::build`]); `dest_bit[r * nc + k]` is the `(egress port, VC)`
+    /// bit a head at `r` wants for destination crossbar `k` (entries for
     /// locally hosted crossbars are never read); `tree` overrides the
     /// per-destination bits per spike under multicast tree routing.
     pub(crate) fn new(
@@ -253,42 +356,6 @@ impl PortSched {
         *self.port_base.last().expect("non-empty")
     }
 
-    /// The `(output port, VC)` bit a head of spike `spike` at router `r`
-    /// wants for destination crossbar `d` — from the spike's tree when
-    /// tree routing is on, from the unicast-route table otherwise.
-    pub(crate) fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize {
-        match &self.tree {
-            Some(t) => t.bit(spike, r, d),
-            None => self.dest_bit[r * self.nc + d as usize] as usize,
-        }
-    }
-
-    /// Starts an attended cycle: rewinds the ready scan, then drains the
-    /// next-cycle wake list and every busy expiry due by `now` into the
-    /// ready set.
-    pub(crate) fn begin_cycle(&mut self, now: u64) {
-        self.counters.wake_cycles += 1;
-        self.last_router = u32::MAX;
-        self.scan = 0;
-        while let Some(p) = self.next_wakes.pop() {
-            bit_clear(&mut self.in_next, p as usize);
-            self.push_ready(p);
-        }
-        while let Some(&(c, p)) = self.expiries.front() {
-            if c > now {
-                break;
-            }
-            self.expiries.pop_front();
-            self.push_ready(p);
-        }
-    }
-
-    /// Accumulates the counterfactual whole-sweep cost for this cycle
-    /// (`active_lanes` = Σ degree × VCs over routers with queued work).
-    pub(crate) fn note_sweep(&mut self, active_lanes: u64) {
-        self.counters.legacy_sweep_lanes += active_lanes;
-    }
-
     fn push_ready(&mut self, pair: u32) {
         let (wi, wb) = (pair as usize / 64, 1u64 << (pair % 64));
         // a pair behind the scan cursor was already examined this cycle;
@@ -320,15 +387,71 @@ impl PortSched {
         // (or is about to be) busy, and its expiry wake covers it
     }
 
-    /// Pops the lowest ready pair, returning `(pair, router, port)`.
-    /// Pops are strictly ascending within a cycle (in-sweep wakes only
-    /// ever target pairs ahead of the current position), which is what
-    /// makes the pop order the oracle's sweep order. Call
-    /// [`PortSched::count_visit`] once the pop turns out to be real work
-    /// (the engine skips pairs on routers that drained empty — e.g. stale
-    /// busy expiries — before counting, mirroring what the retired global
-    /// scheme's active-router set never examined).
-    pub(crate) fn pop_ready(&mut self) -> Option<(u32, usize, usize)> {
+    fn track_wake_heap(&mut self) {
+        self.counters.peak_wake_heap = self
+            .counters
+            .peak_wake_heap
+            .max((self.expiries.len() + self.next_wakes.len()) as u64);
+    }
+}
+
+impl Sched for PortSched {
+    const SELECTIVE: bool = true;
+
+    fn build(
+        topo: &Arc<dyn Topology>,
+        ports: &[Vec<(usize, usize)>],
+        vcs: usize,
+        tree: Option<TreeTable>,
+    ) -> Self {
+        // flattened (router, dest crossbar) → wanted (egress port, VC) bit
+        // table: one load replaces a route-LUT walk plus a VC-table walk
+        // everywhere the engine asks "which (o, w) does dest d leave by".
+        // Entries for locally hosted crossbars are never read: arrival
+        // stripping removes local dests before any head is installed.
+        let topo = topo.as_ref();
+        let lut = RouteLut::new(topo);
+        let nc = topo.num_crossbars();
+        let endpoint_of: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
+        let mut dest_bit: Vec<u16> = Vec::with_capacity(ports.len() * nc);
+        for r in 0..ports.len() {
+            for &er in &endpoint_of {
+                if er == r {
+                    dest_bit.push(0);
+                } else {
+                    let hv = if vcs == 1 { 0 } else { topo.hop_vc(r, er, vcs) };
+                    dest_bit.push((lut.egress_port(r, er) as usize * vcs + hv) as u16);
+                }
+            }
+        }
+        Self::new(ports, vcs, dest_bit, nc, tree)
+    }
+
+    /// Rewinds the ready scan, then drains the next-cycle wake list and
+    /// every busy expiry due by `now` into the ready set.
+    #[inline]
+    fn begin_cycle(&mut self, now: u64) {
+        self.counters.wake_cycles += 1;
+        self.last_router = u32::MAX;
+        self.scan = 0;
+        while let Some(p) = self.next_wakes.pop() {
+            bit_clear(&mut self.in_next, p as usize);
+            self.push_ready(p);
+        }
+        while let Some(&(c, p)) = self.expiries.front() {
+            if c > now {
+                break;
+            }
+            self.expiries.pop_front();
+            self.push_ready(p);
+        }
+    }
+
+    /// Pops the lowest ready pair. Pops are strictly ascending within a
+    /// cycle (in-sweep wakes only ever target pairs ahead of the current
+    /// position), which is what makes the pop order the sweep order.
+    #[inline]
+    fn next_pair(&mut self) -> Option<(u32, usize, usize)> {
         let mut wi = self.scan;
         while wi < self.ready.len() {
             let word = self.ready[wi];
@@ -350,9 +473,55 @@ impl PortSched {
         None
     }
 
-    /// Counts a popped pair as an examined port wake (see
-    /// [`PortSched::pop_ready`]).
-    pub(crate) fn count_visit(&mut self, pair: u32) {
+    #[inline]
+    fn wanted(&self, _net: &Net, pair: u32, w: usize) -> u32 {
+        self.want[pair as usize * self.vcs + w]
+    }
+
+    #[inline]
+    fn head_wants(&self, _net: &Net, r: usize, fi: usize, bit: usize) -> bool {
+        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
+        self.head_mask[base + bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    #[inline]
+    fn head_inject(&self, _net: &Net, r: usize, fi: usize) -> u64 {
+        self.head_inject[(self.lane_base[r] + fi as u32) as usize]
+    }
+
+    #[inline]
+    fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize {
+        match &self.tree {
+            Some(t) => t.bit(spike, r, d),
+            None => self.dest_bit[r * self.nc + d as usize] as usize,
+        }
+    }
+
+    /// Wakes raised for pairs the sweep had already passed are due exactly
+    /// next cycle; everything else that can enable a pair is a busy expiry
+    /// (every forward scheduled one), an arrival, or an injection.
+    #[inline]
+    fn next_cycle(&self, now: u64, next_event: u64) -> u64 {
+        let mut next = next_event;
+        if !self.next_wakes.is_empty() {
+            next = next.min(now + 1);
+        }
+        if let Some(&(expiry, _)) = self.expiries.front() {
+            next = next.min(expiry);
+        }
+        next
+    }
+
+    #[inline]
+    fn note_sweep(&mut self, active_lanes: u64) {
+        self.counters.legacy_sweep_lanes += active_lanes;
+    }
+
+    /// Counted apart from the pop: the loop first skips pairs on routers
+    /// that drained empty (e.g. stale busy expiries), mirroring what the
+    /// retired global scheme's active-router set never examined.
+    #[inline]
+    fn count_visit(&mut self, pair: u32) {
         self.counters.port_wakes += 1;
         let r = self.router_of[pair as usize];
         if r != self.last_router {
@@ -361,27 +530,15 @@ impl PortSched {
         }
     }
 
-    /// Whether any head at the pair's router currently wants `(pair, w)`.
-    pub(crate) fn wanted(&self, pair: u32, w: usize) -> bool {
-        self.want[pair as usize * self.vcs + w] > 0
-    }
-
-    /// How many lane heads at the pair's router currently want
-    /// `(pair, w)` — the candidate count, letting the arbitration scan
-    /// stop as soon as it has found them all.
-    pub(crate) fn want_count(&self, pair: u32, w: usize) -> u32 {
-        self.want[pair as usize * self.vcs + w]
-    }
-
-    /// Marks `(pair, w)` as blocked on a full downstream lane; the
-    /// credit release will wake the pair ([`PortSched::credit_freed`]).
-    pub(crate) fn set_blocked(&mut self, pair: u32, w: usize) {
+    /// The credit release will wake the pair ([`Sched::credit_freed`]).
+    #[inline]
+    fn set_blocked(&mut self, pair: u32, w: usize) {
         bit_set(&mut self.blocked, pair as usize * self.vcs + w);
     }
 
-    /// A credit on router `r`'s ingress lane `fi` went from full to free:
-    /// wakes the upstream pair if it was blocked on that lane's VC.
-    pub(crate) fn credit_freed(&mut self, r: usize, fi: usize, pos: u32) {
+    /// Wakes the upstream pair if it was blocked on that lane's VC.
+    #[inline]
+    fn credit_freed(&mut self, r: usize, fi: usize, pos: u32) {
         let up = self.ups_pair[(self.lane_base[r] + fi as u32) as usize];
         debug_assert_ne!(up, NO_PAIR, "injection lanes hold no credits");
         let w = (fi - 1) % self.vcs;
@@ -392,18 +549,10 @@ impl PortSched {
         }
     }
 
-    /// Installs the route mask of lane `fi`'s new head (a push onto an
-    /// empty lane, or a pop exposing the next packet) and wakes every
-    /// output port the head wants.
-    pub(crate) fn set_head(
-        &mut self,
-        r: usize,
-        fi: usize,
-        spike: u64,
-        dests: &[u32],
-        inject: u64,
-        pos: u32,
-    ) {
+    /// Installs the new head's route mask and wakes every output port
+    /// the head wants.
+    #[inline]
+    fn set_head(&mut self, r: usize, fi: usize, spike: u64, dests: &[u32], inject: u64, pos: u32) {
         self.counters.head_updates += 1;
         let words = self.mask_words[r] as usize;
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
@@ -424,8 +573,8 @@ impl PortSched {
         }
     }
 
-    /// Removes lane `fi`'s head mask (its head was popped).
-    pub(crate) fn clear_head(&mut self, r: usize, fi: usize) {
+    #[inline]
+    fn clear_head(&mut self, r: usize, fi: usize) {
         let words = self.mask_words[r] as usize;
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
         let want_base = self.port_base[r] as usize * self.vcs;
@@ -440,9 +589,8 @@ impl PortSched {
         }
     }
 
-    /// Clears one `(port, VC)` bit of lane `fi`'s head after a multicast
-    /// split forwarded that branch (the head itself stays queued).
-    pub(crate) fn shrink_head(&mut self, r: usize, fi: usize, bit: usize) {
+    #[inline]
+    fn shrink_head(&mut self, r: usize, fi: usize, bit: usize) {
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
         let (wi, wb) = (base + bit / 64, 1u64 << (bit % 64));
         debug_assert!(self.head_mask[wi] & wb != 0, "split bit not in mask");
@@ -450,21 +598,8 @@ impl PortSched {
         self.want[self.port_base[r] as usize * self.vcs + bit] -= 1;
     }
 
-    /// Whether lane `fi`'s head wants `(port, VC)` bit `bit`.
-    pub(crate) fn head_wants(&self, r: usize, fi: usize, bit: usize) -> bool {
-        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
-        self.head_mask[base + bit / 64] & (1 << (bit % 64)) != 0
-    }
-
-    /// Inject cycle of lane `fi`'s head (valid while the lane has one).
-    pub(crate) fn head_inject(&self, r: usize, fi: usize) -> u64 {
-        self.head_inject[(self.lane_base[r] + fi as u32) as usize]
-    }
-
-    /// Schedules the pair's busy-expiry wake. Expiry cycles must be
-    /// scheduled in nondecreasing order (they are `now + flits` for a
-    /// constant `flits`), which keeps the queue sorted.
-    pub(crate) fn schedule_expiry(&mut self, cycle: u64, pair: u32) {
+    #[inline]
+    fn schedule_expiry(&mut self, cycle: u64, pair: u32) {
         debug_assert!(
             self.expiries.back().is_none_or(|&(c, _)| c <= cycle),
             "expiries must be scheduled cycle-sorted"
@@ -473,21 +608,9 @@ impl PortSched {
         self.track_wake_heap();
     }
 
-    /// Earliest pending busy expiry, if any.
-    pub(crate) fn next_expiry(&self) -> Option<u64> {
-        self.expiries.front().map(|&(c, _)| c)
-    }
-
-    /// Whether any wake is pending for the next cycle.
-    pub(crate) fn has_next_wakes(&self) -> bool {
-        !self.next_wakes.is_empty()
-    }
-
-    fn track_wake_heap(&mut self) {
-        self.counters.peak_wake_heap = self
-            .counters
-            .peak_wake_heap
-            .max((self.expiries.len() + self.next_wakes.len()) as u64);
+    #[inline]
+    fn counters(&self) -> SchedCounters {
+        self.counters
     }
 }
 
@@ -525,9 +648,9 @@ mod tests {
         }
         assert_eq!(s.ready_len, 2, "membership bitset must dedup");
         assert_eq!(s.counters.peak_ready, 2);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(0));
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(1));
-        assert!(s.pop_ready().is_none());
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(1));
+        assert!(s.next_pair().is_none());
     }
 
     #[test]
@@ -540,12 +663,16 @@ mod tests {
         s.wake(0, 2);
         s.wake(1, 2);
         assert_eq!(s.ready_len, 1);
-        assert!(s.has_next_wakes());
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(3));
-        assert!(s.pop_ready().is_none(), "pair 1 must not self-wake");
+        assert_eq!(
+            s.next_cycle(9, u64::MAX),
+            10,
+            "a passed pair wakes next cycle"
+        );
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(3));
+        assert!(s.next_pair().is_none(), "pair 1 must not self-wake");
         s.begin_cycle(10);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(0));
-        assert!(!s.has_next_wakes());
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
+        assert_eq!(s.next_cycle(10, u64::MAX), u64::MAX);
     }
 
     #[test]
@@ -554,11 +681,11 @@ mod tests {
         s.schedule_expiry(3, 0);
         s.schedule_expiry(5, 1);
         s.begin_cycle(2);
-        assert!(s.pop_ready().is_none());
+        assert!(s.next_pair().is_none());
         s.begin_cycle(3);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(0));
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
         s.begin_cycle(7);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(1));
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(1));
     }
 
     #[test]
@@ -568,22 +695,74 @@ mod tests {
         s.set_blocked(0, 0);
         // freeing router 1's ingress lane 1 (fed by pair 0) wakes pair 0
         s.credit_freed(1, 1, PRE_SWEEP);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(0));
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
         // a second release without a blocked bit wakes nothing
         s.credit_freed(1, 1, PRE_SWEEP);
-        assert!(s.pop_ready().is_none());
+        assert!(s.next_pair().is_none());
     }
 
     #[test]
     fn head_masks_track_want_counts() {
-        let mut s = line_sched();
+        // `PortSched` answers from its own tables, never from the queues
+        let (mut s, net) = (line_sched(), Net::default());
         s.set_head(0, 0, 0, &[1], 7, PRE_SWEEP);
-        assert!(s.wanted(0, 0));
-        assert!(s.head_wants(0, 0, 0));
-        assert_eq!(s.head_inject(0, 0), 7);
-        assert_eq!(s.pop_ready().map(|(p, _, _)| p), Some(0));
+        assert_eq!(s.wanted(&net, 0, 0), 1);
+        assert!(s.head_wants(&net, 0, 0, 0));
+        assert_eq!(s.head_inject(&net, 0, 0), 7);
+        assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
         s.clear_head(0, 0);
-        assert!(!s.wanted(0, 0));
-        assert!(!s.head_wants(0, 0, 0));
+        assert_eq!(s.wanted(&net, 0, 0), 0);
+        assert!(!s.head_wants(&net, 0, 0, 0));
+    }
+
+    #[test]
+    fn sweep_and_fully_woken_port_sched_agree_on_pair_order_and_routes() {
+        use crate::sim::{egress_ports, oracle::Sweep};
+        use crate::topology::{HierTopology, Mesh2D, NocTree, Star, Torus};
+
+        // byte identity rests on "ascending pair id is the sweep order":
+        // both policies must hand out the same (pair, router, port) triples
+        let irregular: [Arc<dyn Topology>; 2] =
+            [Arc::new(NocTree::new(8, 2)), Arc::new(Star::new(5))];
+        for topo in irregular {
+            let ports = egress_ports(topo.as_ref());
+            let mut woken = PortSched::build(&topo, &ports, 1, None);
+            let mut sweep = Sweep::build(&topo, &ports, 1, None);
+            woken.begin_cycle(0);
+            sweep.begin_cycle(0);
+            for pair in 0..woken.total_pairs() {
+                woken.wake(pair, PRE_SWEEP);
+            }
+            let expected: Vec<_> = std::iter::from_fn(|| sweep.next_pair()).collect();
+            let got: Vec<_> = std::iter::from_fn(|| woken.next_pair()).collect();
+            assert_eq!(expected.len(), woken.total_pairs() as usize);
+            assert_eq!(got, expected, "{}", topo.name());
+        }
+
+        // ... and the from-scratch topology walk must name the same
+        // (port, VC) slot as the precomputed table, for every remote dest
+        let fabrics: [(Arc<dyn Topology>, usize); 3] = [
+            (Arc::new(Mesh2D::for_crossbars(16)), 1),
+            (Arc::new(Torus::for_crossbars(16)), 2),
+            (
+                Arc::new(HierTopology::mesh(2, 2, 2, 2, 16, 3, 2).expect("valid")),
+                2,
+            ),
+        ];
+        for (topo, vcs) in fabrics {
+            let ports = egress_ports(topo.as_ref());
+            let table = PortSched::build(&topo, &ports, vcs, None);
+            let walk = Sweep::build(&topo, &ports, vcs, None);
+            for r in 0..topo.num_routers() {
+                for d in (0..topo.num_crossbars() as u32).filter(|&d| topo.endpoint(d) != r) {
+                    assert_eq!(
+                        walk.route_bit(0, r, d),
+                        table.route_bit(0, r, d),
+                        "{} at {vcs} VCs: router {r} → crossbar {d}",
+                        topo.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,42 +1,53 @@
-//! The interconnect simulation engines.
+//! The interconnect simulator: one router model, two schedulers.
 //!
-//! Two engines share one timing model — input-buffered routers with
-//! per-ingress virtual-channel FIFOs, credit-based backpressure per
-//! `(ingress, VC)` lane, per-output arbitration (VC round-robin nested in
-//! the configured policy), link serialization by packet size,
-//! deterministic routing and VC assignment from the
+//! The timing model is written once, in `simulate` — input-buffered
+//! routers with per-ingress virtual-channel FIFOs, credit-based
+//! backpressure per `(ingress, VC)` lane, per-output arbitration (VC
+//! round-robin nested in the configured policy), link serialization by
+//! packet size, deterministic routing and VC assignment from the
 //! [`crate::topology::Topology`], and multicast branch splitting by
-//! `(egress port, VC)`:
+//! `(egress port, VC)`. What it leaves open — which `(router, port)`
+//! pairs a cycle examines, what a lane head wants, which cycle comes next
+//! — is a `Sched` policy (`crate::sched`), and each engine is that one
+//! loop under one policy:
 //!
-//! * [`NocSim`] — the **event-driven** production engine. Wakes are
-//!   tracked at **(router, output-port) pair** granularity by
-//!   [`crate::sched::PortSched`]: an arrival heap keyed by
-//!   `(cycle, seq)` plus the injection cursor decide *which cycles* run,
-//!   and within an attended cycle a deduplicated ready-set of pair ids
-//!   decides *which ports* are examined — a port is visited only when
-//!   something that could enable it changed. Runtime scales with the
-//!   number of events (injections, hops, head changes, credit releases),
-//!   not with simulated cycles × routers × ports — which is what keeps
-//!   dense saturated bursts fast, not just sparse spike traffic.
-//! * [`oracle::CycleSim`] — the **cycle-driven reference oracle**: the
-//!   original engine advancing one cycle at a time and sweeping every
-//!   router. Slow but simple enough to audit; the differential test suite
-//!   (`tests/noc_properties.rs`) holds the event engine to byte-identical
-//!   [`NocStats`] and delivery logs against it.
+//! * [`NocSim`] — the **event-driven** production engine, `simulate`
+//!   under `PortSched`. Wakes are tracked at **(router, output-port)
+//!   pair** granularity: the arrival queue plus the injection cursor
+//!   decide *which cycles* run, and within an attended cycle a
+//!   deduplicated ready-set of pair ids decides *which ports* are
+//!   examined — a port is visited only when something that could enable
+//!   it changed. Runtime scales with the number of events (injections,
+//!   hops, head changes, credit releases), not with simulated cycles ×
+//!   routers × ports — which is what keeps dense saturated bursts fast,
+//!   not just sparse spike traffic.
+//! * [`oracle::CycleSim`] — the **cycle-driven reference**, `simulate`
+//!   under [`oracle`]'s `Sweep`: every pair, every cycle, every want
+//!   asked of the topology afresh. Slow but simple enough to audit; the
+//!   differential test suite (`tests/noc_properties.rs`) holds the event
+//!   engine to byte-identical [`NocStats`] and delivery logs against it.
+//!
+//! So the differential suite compares the two policies: the visit set and
+//! the clock jumps, and the head wants (route tables and incrementally
+//! maintained masks against a from-scratch topology walk). The mechanics
+//! the loop spells once — credit arithmetic, cursors, VC pick, split,
+//! per-VC counters, trace order — are pinned by the golden digests and
+//! trace hashes in `tests/noc_properties.rs`, the golden trace, and the
+//! in-loop debug assertions.
 //!
 //! # The per-port wake invariant, and why the outputs are identical
 //!
-//! In the oracle, output port `o` of router `r` forwards at cycle `t`
+//! Under `Sweep`, output port `o` of router `r` forwards at cycle `t`
 //! exactly when, at `r`'s position in the cycle-`t` sweep, three
 //! conditions meet: the port is **idle** (`busy_until[o] <= t`), some
 //! FIFO head at `r` **wants** an `(o, w)` slot, and the downstream
-//! `(ingress, w)` lane has a **free credit**. The event engine gives every
+//! `(ingress, w)` lane has a **free credit**. Both policies give every
 //! pair the dense id `port_base[r] + o`, so ascending pair id *is* the
-//! oracle's sweep order, and maintains:
+//! sweep order, and `PortSched` maintains:
 //!
 //! > every transition that can switch a pair's three-way conjunction from
 //! > false to true schedules a wake for exactly that pair, at exactly the
-//! > first cycle and sweep position at which the oracle could act on it.
+//! > first cycle and sweep position at which the sweep could act on it.
 //!
 //! Case by case: **busy → idle** — every forward schedules the pair's own
 //! busy expiry at `now + flits`; **want 0 → 1** — a packet becoming a
@@ -53,18 +64,18 @@
 //! that finds a full credit re-arms its blocked bit — so the invariant is
 //! self-sustaining.
 //!
-//! In-cycle ordering matches the oracle because wakes are
-//! position-aware: a wake raised while the sweep is at pair `P` targets
-//! pair `q > P` in *this* cycle's ready heap (the oracle's later sweep
-//! positions see in-cycle changes), targets `q < P` at `now + 1` (the
-//! oracle re-sees it next cycle), and skips `q == P` (that pair just
-//! forwarded; its busy expiry re-examines it). Ready-heap pops are
-//! therefore strictly ascending within a cycle — the sweep order — and a
-//! membership bitset dedups wakes so saturated drains cannot grow the
-//! queues past the pair count. Pairs never woken are provable no-ops,
-//! skipped cycles change no state, and both engines walk the same state
-//! trajectory — bit-for-bit, including round-robin cursors, credit
-//! occupancy, and the per-VC counters.
+//! In-cycle ordering matches the sweep because wakes are position-aware:
+//! a wake raised while the loop is at pair `P` targets pair `q > P` in
+//! *this* cycle's ready set (the sweep's later positions see in-cycle
+//! changes), targets `q < P` at `now + 1` (the sweep re-sees it next
+//! cycle), and skips `q == P` (that pair just forwarded; its busy expiry
+//! re-examines it). Ready-set pops are therefore strictly ascending
+//! within a cycle — the sweep order — and a membership bitset dedups
+//! wakes so saturated drains cannot grow the queues past the pair count.
+//! Pairs never woken are provable no-ops, skipped cycles change no state,
+//! and both policies drive the loop through the same state trajectory —
+//! bit-for-bit, including round-robin cursors, credit occupancy, and the
+//! per-VC counters.
 //!
 //! Virtual channels do not weaken the argument: the added state (per-VC
 //! credits, per-port VC cursors, per-VC statistics) also only changes at
@@ -76,13 +87,14 @@ use crate::config::NocConfig;
 use crate::error::NocError;
 use crate::packet::Packet;
 use crate::router::pick_vc;
-use crate::sched::{PortSched, TreeTable, PRE_SWEEP};
+use crate::sched::{PortSched, Sched, TreeTable, PRE_SWEEP};
 use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
-use crate::topology::{RouteLut, Topology};
+use crate::topology::Topology;
 use crate::trace::{TraceBuf, TraceEvent};
 use crate::traffic::SpikeFlow;
 use neuromap_hw::energy::EnergyModel;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 pub mod oracle;
 
@@ -101,26 +113,16 @@ pub enum EngineKind {
     CycleOracle,
 }
 
-/// A packet in transit on a link, due to arrive at a router.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct Arrival {
-    pub(crate) cycle: u64,
-    pub(crate) seq: u64,
-    pub(crate) router: usize,
+/// A packet in transit on a link, due to arrive at a router. It carries a
+/// slab id instead of the packet, so the arrival queue and the FIFOs move
+/// 4-byte handles while the packets themselves stay put in the schedule
+/// slab.
+struct Arrival {
+    cycle: u64,
+    router: usize,
     /// FIFO *lane* on the receiving router ([`lane`]:
     /// `1 + ingress_port * vc_count + vc`). The lane identifies both
     /// which per-VC FIFO the packet enters and which credit it holds.
-    pub(crate) ingress: usize,
-    pub(crate) packet: Packet,
-}
-
-/// Event-engine arrival: like [`Arrival`] but carrying a slab id instead
-/// of the packet, so the arrival queue and the FIFOs move 4-byte handles
-/// while the packets themselves stay put in the schedule slab.
-struct EvArrival {
-    cycle: u64,
-    router: usize,
-    /// FIFO lane on the receiving router (see [`Arrival::ingress`]).
     ingress: usize,
     pid: u32,
 }
@@ -129,24 +131,21 @@ struct EvArrival {
 /// is the VC-less local-injection queue. With one VC this is the classic
 /// `1 + position` ingress index, so the layout (and therefore every
 /// cursor and credit index) is bit-compatible with the pre-VC engines.
-pub(crate) fn lane(position: usize, vc: usize, vc_count: usize) -> usize {
+fn lane(position: usize, vc: usize, vc_count: usize) -> usize {
     1 + position * vc_count + vc
 }
 
-impl Ord for Arrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.cycle, self.seq).cmp(&(other.cycle, other.seq))
-    }
-}
-
-impl PartialOrd for Arrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// SNN duration implied by a flow set: one step past the last send step.
+fn inferred_duration(flows: &[SpikeFlow]) -> u32 {
+    flows
+        .iter()
+        .map(|f| f.send_step.saturating_add(1))
+        .max()
+        .unwrap_or(1)
 }
 
 /// Rejects flows naming crossbars the topology does not serve.
-pub(crate) fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocError> {
+fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocError> {
     let nc = topo.num_crossbars();
     for f in flows {
         let all = f
@@ -168,11 +167,7 @@ pub(crate) fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result
 /// Expands flows into an injection schedule: canonical AER-encoder order,
 /// one packet per crossbar per cycle. Shared by both engines so the
 /// schedules they simulate are one and the same.
-pub(crate) fn build_schedule(
-    topo: &dyn Topology,
-    config: &NocConfig,
-    flows: &[SpikeFlow],
-) -> Vec<Packet> {
+fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) -> Vec<Packet> {
     // canonical order via packed key-index tuples: `(step, src)` and
     // `(neuron, flow index)` each fuse into one u64, so the sort runs on
     // plain integer pairs (no comparator closure). Flows equal in
@@ -280,7 +275,7 @@ pub(crate) fn build_schedule(
 
 /// Delivers (and removes) every destination of `packet` hosted at `router`.
 /// With tracing on, each delivery also emits a [`TraceEvent::Delivered`].
-pub(crate) fn strip_local(
+fn strip_local(
     hosted: &[u32],
     topo: &dyn Topology,
     router: usize,
@@ -338,7 +333,7 @@ pub(crate) fn strip_local(
 /// with the port found by position in [`Topology::neighbors`] — tree hops
 /// need not follow the unicast shortest path, so the route LUT cannot be
 /// used here. Shared by both engines so they consume the same trees.
-pub(crate) fn build_tree_table(
+fn build_tree_table(
     topo: &dyn Topology,
     config: &NocConfig,
     schedule: &[Packet],
@@ -381,7 +376,7 @@ pub(crate) fn build_tree_table(
 struct RouterState {
     /// Input FIFO lanes: lane 0 = local injection, then one lane per
     /// `(ingress port, VC)` pair in [`lane`] order. Lanes queue slab ids
-    /// ([`EvArrival::pid`]); the packets live in the schedule slab.
+    /// ([`Arrival::pid`]); the packets live in the schedule slab.
     fifos: Vec<VecDeque<u32>>,
     /// Arbitration cursor per `(output port, VC)`:
     /// `rr_cursor[o * vc_count + vc]`, over FIFO-lane indices.
@@ -397,13 +392,60 @@ struct RouterState {
     queued: usize,
 }
 
+/// The queue state of the fabric: every router's lanes plus the packet
+/// slab they index. [`Sched`] queries get it read-only so a policy may
+/// look at the lane heads themselves (`Sweep` does; `PortSched` answers
+/// from its own tables).
+#[derive(Default)]
+pub(crate) struct Net {
+    routers: Vec<RouterState>,
+    /// The schedule vector doubles as the packet slab: FIFOs and the
+    /// arrival queue move u32 slab ids, and a forward that takes every
+    /// remaining dest re-forwards the same entry with zero packet
+    /// traffic (only multicast branch points append a new entry).
+    slab: Vec<Packet>,
+}
+
+impl Net {
+    /// FIFO lanes of router `r` (`1 + degree × VCs`).
+    pub(crate) fn lanes(&self, r: usize) -> usize {
+        self.routers[r].fifos.len()
+    }
+
+    /// The packet at the head of router `r`'s lane `fi`, if any.
+    pub(crate) fn head(&self, r: usize, fi: usize) -> Option<&Packet> {
+        let pid = *self.routers[r].fifos[fi].front()?;
+        Some(&self.slab[pid as usize])
+    }
+}
+
+/// Per-router egress ports: `(neighbor, our port position on the
+/// neighbor)` — the downstream lane is derived per VC via [`lane`].
+pub(crate) fn egress_ports(topo: &dyn Topology) -> Vec<Vec<(usize, usize)>> {
+    (0..topo.num_routers())
+        .map(|r| {
+            topo.neighbors(r)
+                .iter()
+                .map(|&nbr| {
+                    let down_pos = topo
+                        .neighbors(nbr)
+                        .iter()
+                        .position(|&x| x == r)
+                        .expect("links are bidirectional");
+                    (nbr, down_pos)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The event-driven interconnect simulator.
 ///
 /// See the crate-level docs for a usage example, and the module docs for
 /// the event model and its equivalence argument against
 /// [`oracle::CycleSim`].
 pub struct NocSim {
-    topo: std::sync::Arc<dyn Topology>,
+    topo: Arc<dyn Topology>,
     config: NocConfig,
     energy: EnergyModel,
     /// Event trace of the last successful run, present iff
@@ -424,18 +466,14 @@ impl NocSim {
     /// Creates a simulator over a topology with the given configuration and
     /// energy model.
     pub fn new(topo: Box<dyn Topology>, config: NocConfig, energy: EnergyModel) -> Self {
-        Self::shared(std::sync::Arc::from(topo), config, energy)
+        Self::shared(Arc::from(topo), config, energy)
     }
 
     /// Like [`NocSim::new`], but over a *shared* topology: the mapping
     /// pipeline's sweep stages build each router graph once and hand the
     /// same `Arc` to every simulator instance instead of re-deriving the
     /// topology per sweep point.
-    pub fn shared(
-        topo: std::sync::Arc<dyn Topology>,
-        config: NocConfig,
-        energy: EnergyModel,
-    ) -> Self {
+    pub fn shared(topo: Arc<dyn Topology>, config: NocConfig, energy: EnergyModel) -> Self {
         Self {
             topo,
             config,
@@ -466,8 +504,7 @@ impl NocSim {
     /// * [`NocError::UnknownCrossbar`] for flows naming absent crossbars.
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
     pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
-        let duration = flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
-        self.run_with_duration(flows, duration)
+        self.run_with_duration(flows, inferred_duration(flows))
             .map(|(stats, _)| stats)
     }
 
@@ -482,27 +519,16 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
-        self.config.validate()?;
-        validate_flows(self.topo.as_ref(), flows)?;
-        let schedule = build_schedule(self.topo.as_ref(), &self.config, flows);
-        self.trace = None;
-        let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
-        let (deliveries, counters, per_vc, sched) =
-            self.simulate(schedule, None, events.as_mut())?;
-        self.trace = events;
-        let mut stats = NocStats::from_deliveries(
-            &deliveries,
-            counters,
-            &self.energy,
-            self.config.flits_per_packet,
+        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
+        run_engine::<PortSched>(
+            topo,
+            config,
+            energy,
+            flows,
             duration_steps,
-            self.config.cycles_per_step,
+            &mut self.trace,
+            None,
         )
-        .with_per_vc(per_vc);
-        if self.config.sched_stats {
-            stats = stats.with_sched(sched);
-        }
-        Ok((stats, deliveries))
     }
 
     /// Like [`NocSim::run_with_duration`], but also returning the
@@ -519,530 +545,496 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
-        self.config.validate()?;
-        validate_flows(self.topo.as_ref(), flows)?;
-        let schedule = build_schedule(self.topo.as_ref(), &self.config, flows);
-        self.trace = None;
-        let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
-        let mut trace = SimTrace::default();
-        let (deliveries, counters, per_vc, sched) =
-            self.simulate(schedule, Some(&mut trace), events.as_mut())?;
-        self.trace = events;
-        trace.sched = sched;
-        let mut stats = NocStats::from_deliveries(
-            &deliveries,
-            counters,
-            &self.energy,
-            self.config.flits_per_packet,
+        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
+        let mut log = SimTrace::default();
+        let traced = Some(&mut log);
+        run_engine::<PortSched>(
+            topo,
+            config,
+            energy,
+            flows,
             duration_steps,
-            self.config.cycles_per_step,
+            &mut self.trace,
+            traced,
         )
-        .with_per_vc(per_vc);
-        if self.config.sched_stats {
-            stats = stats.with_sched(sched);
-        }
-        Ok((stats, deliveries, trace))
+        .map(|(stats, deliveries)| (stats, deliveries, log))
+    }
+}
+
+/// One run of either engine: validate → schedule → [`simulate`] under
+/// policy `S` → statistics. `events` is the engine's retained-trace slot
+/// (cleared up front, refilled on success when [`NocConfig::trace`] is
+/// on); `sim_trace`, when given, receives the scheduler trace.
+fn run_engine<S: Sched>(
+    topo: &Arc<dyn Topology>,
+    config: &NocConfig,
+    energy: &EnergyModel,
+    flows: &[SpikeFlow],
+    duration_steps: u32,
+    events: &mut Option<TraceBuf>,
+    mut sim_trace: Option<&mut SimTrace>,
+) -> Result<(NocStats, Vec<Delivery>), NocError> {
+    *events = None;
+    config.validate()?;
+    // `TreeTable` and `PortSched` store a `(port, VC)` slot in a `u16`;
+    // a wider router would wrap there silently, so refuse it before any
+    // table is built — for both policies, since both read the tree table
+    let degrees = (0..topo.num_routers()).map(|r| topo.neighbors(r).len());
+    let slots = degrees.max().unwrap_or(0) * config.vc_count;
+    if slots > usize::from(u16::MAX) + 1 {
+        return Err(NocError::InvalidConfig {
+            name: "vc_count",
+            value: format!(
+                "{} (× widest router = {slots} (port, VC) slots, limit 65536)",
+                config.vc_count
+            ),
+        });
+    }
+    validate_flows(topo.as_ref(), flows)?;
+    let schedule = build_schedule(topo.as_ref(), config, flows);
+    let mut recorded = config.trace.then(|| TraceBuf::new(config));
+    let (deliveries, counters, per_vc, sched) = simulate::<S>(
+        topo,
+        config,
+        schedule,
+        sim_trace.as_deref_mut(),
+        recorded.as_mut(),
+    )?;
+    *events = recorded;
+    if let Some(t) = sim_trace {
+        t.sched = sched;
+    }
+    let mut stats = NocStats::from_deliveries(
+        &deliveries,
+        counters,
+        energy,
+        config.flits_per_packet,
+        duration_steps,
+        config.cycles_per_step,
+    )
+    .with_per_vc(per_vc);
+    if config.sched_stats && S::SELECTIVE {
+        stats = stats.with_sched(sched);
+    }
+    Ok((stats, deliveries))
+}
+
+/// The router model: the one main loop both engines run, scheduled by
+/// policy `S`. `trace`, when given, collects the attended cycles (for a
+/// selective policy) and the cycles at which at least one packet was
+/// forwarded; `events`, when given, records the structured trace.
+///
+/// Never inlined: folded into `run_engine`, LLVM stops inlining the FIFO
+/// and arrival-queue operations into the loop (2–5 % on `engine/*/event`).
+#[allow(clippy::type_complexity)]
+#[inline(never)]
+fn simulate<S: Sched>(
+    topo: &Arc<dyn Topology>,
+    cfg: &NocConfig,
+    schedule: Vec<Packet>,
+    mut trace: Option<&mut SimTrace>,
+    mut events: Option<&mut TraceBuf>,
+) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
+    let vcs = cfg.vc_count;
+    let ports = egress_ports(topo.as_ref());
+    // per-spike Steiner-tree table (None ⇒ per-destination unicast routes)
+    let tree = build_tree_table(topo.as_ref(), cfg, &schedule);
+    let mut sched = S::build(topo, &ports, vcs, tree);
+    let topo = topo.as_ref();
+    let nr = topo.num_routers();
+    let nc = topo.num_crossbars();
+
+    // crossbar → hosting router, and the reverse for arrival stripping
+    let endpoint_of: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
+    let mut hosted: Vec<Vec<u32>> = vec![Vec::new(); nr];
+    for (k, &r) in endpoint_of.iter().enumerate() {
+        hosted[r].push(k as u32);
     }
 
-    /// The event-driven main loop.
-    #[allow(clippy::type_complexity)]
-    fn simulate(
-        &self,
-        schedule: Vec<Packet>,
-        mut trace: Option<&mut SimTrace>,
-        mut events: Option<&mut TraceBuf>,
-    ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
-        let cfg = &self.config;
-        let topo = self.topo.as_ref();
-        let nr = topo.num_routers();
-        let lut = RouteLut::new(topo);
-        let vcs = cfg.vc_count;
-        let nc = topo.num_crossbars();
+    // (port, VC) lanes a whole-active-router sweep would examine, per
+    // router — the cost unit of the retired global scheme, accumulated
+    // per attended cycle over routers currently holding queued packets
+    let lanes_of: Vec<u64> = (0..nr).map(|r| (ports[r].len() * vcs) as u64).collect();
+    let mut active_lanes = 0u64;
 
-        // crossbar → hosting router, and the reverse for arrival stripping
-        let endpoint_of: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
-        let mut hosted: Vec<Vec<u32>> = vec![Vec::new(); nr];
-        for (k, &r) in endpoint_of.iter().enumerate() {
-            hosted[r].push(k as u32);
-        }
-
-        // per-router egress ports: (neighbor, our port position on the
-        // neighbor — the downstream lane is derived per VC via `lane`)
-        let ports: Vec<Vec<(usize, usize)>> = (0..nr)
-            .map(|r| {
-                topo.neighbors(r)
-                    .iter()
-                    .map(|&nbr| {
-                        let down_pos = topo
-                            .neighbors(nbr)
-                            .iter()
-                            .position(|&x| x == r)
-                            .expect("links are bidirectional");
-                        (nbr, down_pos)
-                    })
-                    .collect()
+    // branch appends land past this bound — only the original schedule
+    // entries are injection sources
+    let num_injections = schedule.len();
+    let mut next_inject = 0usize;
+    // every dest in the schedule becomes exactly one delivery
+    let mut deliveries: Vec<Delivery> =
+        Vec::with_capacity(schedule.iter().map(|p| p.dests.len()).sum());
+    let mut net = Net {
+        routers: ports
+            .iter()
+            .map(|p| RouterState {
+                fifos: vec![VecDeque::new(); 1 + p.len() * vcs],
+                rr_cursor: vec![0; p.len() * vcs],
+                vc_cursor: vec![0; p.len()],
+                busy_until: vec![0; p.len()],
+                credits_used: vec![0; 1 + p.len() * vcs],
+                queued: 0,
             })
-            .collect();
+            .collect(),
+        slab: schedule,
+    };
+    let mut counters = Counters::default();
+    // per-VC counters, aggregated over all routers; empty (and never
+    // updated) in the single-VC case so the serialized statistics
+    // stay byte-identical to the pre-VC engines
+    let mut per_vc: Vec<VcCounters> = if vcs > 1 {
+        vec![VcCounters::default(); vcs]
+    } else {
+        Vec::new()
+    };
+    // arrivals are pushed at `now + hop_latency` with `now`
+    // nondecreasing, so push order IS arrival order — a plain queue,
+    // no `O(log n)` sift per hop
+    let mut in_transit: VecDeque<Arrival> = VecDeque::new();
+    let mut candidates: Vec<(usize, u64)> = Vec::new();
+    let mut queued_packets = 0usize; // packets sitting in any FIFO
+    let mut now = 0u64;
+    let flits = cfg.flits_per_packet;
+    let hop_latency = cfg.hop_latency();
 
-        // flattened (router, dest crossbar) → wanted (egress port, VC) bit
-        // table: one load replaces a route-LUT walk plus a VC-table walk
-        // everywhere the engine asks "which (o, w) does dest d leave by".
-        // Entries for locally hosted crossbars are never read: arrival
-        // stripping removes local dests before any head is installed.
-        let mut dest_bit: Vec<u16> = Vec::with_capacity(nr * nc);
-        for r in 0..nr {
-            for &er in endpoint_of.iter().take(nc) {
-                if er == r {
-                    dest_bit.push(0);
-                } else {
-                    let hv = if vcs == 1 { 0 } else { topo.hop_vc(r, er, vcs) };
-                    dest_bit.push((lut.egress_port(r, er) as usize * vcs + hv) as u16);
-                }
-            }
-        }
-        // per-spike Steiner-tree table (None ⇒ unicast-route masks above)
-        let tree = build_tree_table(topo, cfg, &schedule);
-        let mut sched = PortSched::new(&ports, vcs, dest_bit, nc, tree);
+    // the earliest pending injection or arrival (`u64::MAX` if neither)
+    let next_event = |next_inject: usize, slab: &[Packet], in_transit: &VecDeque<Arrival>| {
+        let inject = slab[..num_injections]
+            .get(next_inject)
+            .map_or(u64::MAX, |p| p.inject_cycle);
+        inject.min(in_transit.front().map_or(u64::MAX, |a| a.cycle))
+    };
 
-        let mut routers: Vec<RouterState> = (0..nr)
-            .map(|r| {
-                let deg = ports[r].len();
-                RouterState {
-                    fifos: vec![VecDeque::new(); 1 + deg * vcs],
-                    rr_cursor: vec![0; deg * vcs],
-                    vc_cursor: vec![0; deg],
-                    busy_until: vec![0; deg],
-                    credits_used: vec![0; 1 + deg * vcs],
-                    queued: 0,
-                }
-            })
-            .collect();
-
-        // (port, VC) lanes a whole-active-router sweep would examine, per
-        // router — the cost unit of the retired global scheme, accumulated
-        // per attended cycle over routers currently holding queued packets
-        let lanes_of: Vec<u64> = (0..nr).map(|r| (ports[r].len() * vcs) as u64).collect();
-        let mut active_lanes = 0u64;
-
-        // the schedule vector doubles as the packet slab: FIFOs and the
-        // arrival queue move u32 slab ids, and a forward that takes every
-        // remaining dest re-forwards the same entry with zero packet
-        // traffic (only multicast branch points append a new entry)
-        let mut slab: Vec<Packet> = schedule;
-        // branch appends land past this bound — only the original schedule
-        // entries are injection sources
-        let num_injections = slab.len();
-        let mut next_inject = 0usize;
-        // every dest in the schedule becomes exactly one delivery
-        let mut deliveries: Vec<Delivery> =
-            Vec::with_capacity(slab.iter().map(|p| p.dests.len()).sum());
-        let mut counters = Counters::default();
-        // per-VC counters, aggregated over all routers; empty (and never
-        // updated) in the single-VC case so the serialized statistics
-        // stay byte-identical to the pre-VC engines
-        let mut per_vc: Vec<VcCounters> = if vcs > 1 {
-            vec![VcCounters::default(); vcs]
-        } else {
-            Vec::new()
-        };
-        // arrivals are pushed at `now + hop_latency` with `now`
-        // nondecreasing, so push order IS arrival order — a plain queue
-        // replaces the oracle's arrival heap (no `O(log n)` sift per hop)
-        let mut in_transit: VecDeque<EvArrival> = VecDeque::new();
-        let mut candidates: Vec<(usize, u64)> = Vec::new();
-        let mut queued_packets = 0usize; // packets sitting in any FIFO
-        let mut now = 0u64;
-        let flits = cfg.flits_per_packet;
-        let hop_latency = cfg.hop_latency();
-
-        // consume the slab in inject order (it is already sorted)
-        while next_inject < num_injections || queued_packets > 0 || !in_transit.is_empty() {
-            if now > cfg.max_cycles {
-                return Err(NocError::CycleBudgetExhausted {
-                    budget: cfg.max_cycles,
-                    in_flight: queued_packets + in_transit.len(),
-                });
-            }
-
-            // fast-forward across idle gaps — placed after the budget
-            // check, like the oracle's, so an event due past the budget is
-            // still processed once before the budget fires on the cycle
-            // after it
-            if queued_packets == 0 {
-                let mut jump = u64::MAX;
-                if next_inject < num_injections {
-                    jump = jump.min(slab[next_inject].inject_cycle);
-                }
-                if let Some(a) = in_transit.front() {
-                    jump = jump.min(a.cycle);
-                }
-                if jump > now && jump != u64::MAX {
-                    now = jump;
-                }
-            }
-
-            // this cycle is attended: collect pending per-port wakes —
-            // next-cycle wakes raised by the previous sweep and every
-            // busy expiry due by now — into the ready heap
-            sched.begin_cycle(now);
-            if let Some(t) = trace.as_deref_mut() {
-                t.attended_cycles.push(now);
-            }
-
-            // 1. link arrivals due now
-            while let Some(a) = in_transit.front() {
-                if a.cycle > now {
-                    break;
-                }
-                let a = in_transit.pop_front().expect("peeked");
-                counters.router_traversals += 1;
-                let packet = &mut slab[a.pid as usize];
-                strip_local(
-                    &hosted[a.router],
-                    topo,
-                    a.router,
-                    packet,
-                    now,
-                    &mut deliveries,
-                    events.as_deref_mut(),
-                );
-                if packet.dests.is_empty() {
-                    let state = &mut routers[a.router];
-                    state.credits_used[a.ingress] -= 1;
-                    if state.credits_used[a.ingress] == cfg.buffer_depth - 1 {
-                        // full → free: wake the upstream pair if blocked
-                        sched.credit_freed(a.router, a.ingress, PRE_SWEEP);
-                        if let Some(t) = events.as_deref_mut() {
-                            t.credit_freed(now, a.router as u32, a.ingress as u32);
-                        }
-                    }
-                } else {
+    // A packet enters router `$r` on lane `$fi` (0: injected here,
+    // else: arrived over a link): what is hosted here is delivered, the
+    // rest queues. A macro, so that each loop below compiles its own
+    // copy with `$fi == 0` folded — routing both kinds of entry through
+    // one shared loop body measured ~3 % slower on every workload.
+    macro_rules! enter {
+        ($r:expr, $fi:expr, $pid:expr) => {{
+            let (r, fi, pid): (usize, usize, u32) = ($r, $fi, $pid);
+            counters.router_traversals += 1;
+            let packet = &mut net.slab[pid as usize];
+            strip_local(
+                &hosted[r],
+                topo,
+                r,
+                packet,
+                now,
+                &mut deliveries,
+                events.as_deref_mut(),
+            );
+            let state = &mut net.routers[r];
+            if !packet.dests.is_empty() {
+                // an arrival's credit stays consumed until it leaves
+                state.fifos[fi].push_back(pid);
+                let occupancy = state.fifos[fi].len();
+                if fi > 0 {
+                    // ingress lanes are the credit-bounded router
+                    // buffers; lane 0 is the AER encoder's own queue
                     counters.buffer_flits += flits as u64;
-                    let state = &mut routers[a.router];
-                    state.fifos[a.ingress].push_back(a.pid);
                     debug_assert!(
-                        state.fifos[a.ingress].len() <= cfg.buffer_depth,
+                        occupancy <= cfg.buffer_depth,
                         "ingress FIFO overflows its credit-bounded depth"
                     );
                     if vcs > 1 {
-                        let vc = &mut per_vc[(a.ingress - 1) % vcs];
+                        let vc = &mut per_vc[(fi - 1) % vcs];
                         vc.enqueued += 1;
-                        vc.peak_occupancy =
-                            vc.peak_occupancy.max(state.fifos[a.ingress].len() as u64);
+                        vc.peak_occupancy = vc.peak_occupancy.max(occupancy as u64);
                     }
-                    if let Some(t) = events.as_deref_mut() {
-                        t.push(TraceEvent::Enqueued {
-                            cycle: now,
-                            spike_id: packet.spike_id,
-                            router: a.router as u32,
-                            lane: a.ingress as u32,
-                            occupancy: state.fifos[a.ingress].len() as u32,
-                        });
-                    }
-                    state.queued += 1;
-                    if state.queued == 1 {
-                        active_lanes += lanes_of[a.router];
-                    }
-                    queued_packets += 1;
-                    if state.fifos[a.ingress].len() == 1 {
-                        // the packet became a lane head: install its route
-                        // mask and wake the pairs it wants
-                        sched.set_head(
-                            a.router,
-                            a.ingress,
-                            packet.spike_id,
-                            &packet.dests,
-                            packet.inject_cycle,
-                            PRE_SWEEP,
-                        );
-                    }
-                    // credit stays consumed until the packet leaves the FIFO
                 }
-            }
-
-            // 2. injections due now
-            while next_inject < num_injections && slab[next_inject].inject_cycle <= now {
-                let pid = next_inject as u32;
-                next_inject += 1;
-                counters.packets_injected += 1;
-                counters.router_traversals += 1;
-                let p = &mut slab[pid as usize];
-                let src_router = endpoint_of[p.src_crossbar as usize];
                 if let Some(t) = events.as_deref_mut() {
-                    t.push(TraceEvent::Injected {
+                    t.push(TraceEvent::Enqueued {
                         cycle: now,
-                        spike_id: p.spike_id,
-                        source_neuron: p.source_neuron,
-                        src_crossbar: p.src_crossbar,
-                        router: src_router as u32,
-                    });
-                }
-                strip_local(
-                    &hosted[src_router],
-                    topo,
-                    src_router,
-                    p,
-                    now,
-                    &mut deliveries,
-                    events.as_deref_mut(),
-                );
-                if !p.dests.is_empty() {
-                    let state = &mut routers[src_router];
-                    state.fifos[0].push_back(pid);
-                    if let Some(t) = events.as_deref_mut() {
-                        t.push(TraceEvent::Enqueued {
-                            cycle: now,
-                            spike_id: p.spike_id,
-                            router: src_router as u32,
-                            lane: 0,
-                            occupancy: state.fifos[0].len() as u32,
-                        });
-                    }
-                    state.queued += 1;
-                    if state.queued == 1 {
-                        active_lanes += lanes_of[src_router];
-                    }
-                    queued_packets += 1;
-                    if state.fifos[0].len() == 1 {
-                        sched.set_head(
-                            src_router,
-                            0,
-                            p.spike_id,
-                            &p.dests,
-                            p.inject_cycle,
-                            PRE_SWEEP,
-                        );
-                    }
-                }
-            }
-            sched.note_sweep(active_lanes);
-
-            // 3. arbitration & forwarding over woken pairs only. Pops are
-            // strictly ascending pair ids — the oracle's sweep order — and
-            // a pair that was never woken is a provable no-op (its idle ∧
-            // wanted ∧ credit-free conjunction cannot have turned true
-            // since it was last examined; see the module docs)
-            let mut progress = false;
-            while let Some((pair, r, o)) = sched.pop_ready() {
-                if routers[r].queued == 0 {
-                    // router drained since the wake was raised (e.g. a
-                    // stale busy expiry): no heads, so no candidates —
-                    // the oracle's no-op sweep of an empty router
-                    continue;
-                }
-                sched.count_visit(pair);
-                let (nbr, down_pos) = ports[r][o];
-                if routers[r].busy_until[o] > now {
-                    // still serializing: its expiry wake re-examines it
-                    continue;
-                }
-                // wake position for anything this pop changes: pairs ahead
-                // of `pair` see it this cycle, pairs behind see it next
-                let pos = pair + 1;
-                // eligible VCs: a candidate head wants (o, w) and the
-                // downstream (ingress, w) lane has a free credit. A wanted
-                // VC found credit-full arms the blocked bit, so the
-                // full→free transition wakes this pair again.
-                let mut eligible = 0u32;
-                for w in 0..vcs {
-                    if !sched.wanted(pair, w) {
-                        continue;
-                    }
-                    if routers[nbr].credits_used[lane(down_pos, w, vcs)] >= cfg.buffer_depth {
-                        sched.set_blocked(pair, w);
-                        continue; // backpressure on this VC
-                    }
-                    eligible |= 1 << w;
-                }
-                let Some(w) = pick_vc(eligible, routers[r].vc_cursor[o]) else {
-                    continue;
-                };
-                // everything below (until the downstream credit take)
-                // touches only router `r`: borrow it once
-                let state = &mut routers[r];
-                let bit = o * vcs + w;
-                // candidates: FIFO lanes whose head routes some dest via
-                // (o, w), in lane order like the oracle's scan — cut
-                // short once the want count says every candidate is found
-                candidates.clear();
-                let nf = state.fifos.len();
-                let mut remaining = sched.want_count(pair, w);
-                for fi in 0..nf {
-                    if sched.head_wants(r, fi, bit) {
-                        candidates.push((fi, sched.head_inject(r, fi)));
-                        remaining -= 1;
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                }
-                let win_pos = cfg
-                    .arbitration
-                    .pick(&candidates, state.rr_cursor[bit])
-                    .expect("an eligible VC has a candidate");
-                let (fi, _) = candidates[win_pos];
-                state.rr_cursor[bit] = fi + 1;
-                state.vc_cursor[o] = w + 1;
-                if vcs > 1 {
-                    per_vc[w].forwarded += 1;
-                    for (w2, vc_stat) in per_vc.iter_mut().enumerate() {
-                        if w2 != w && eligible & (1 << w2) != 0 {
-                            vc_stat.arb_losses += 1;
-                        }
-                    }
-                }
-
-                // split off the dests routed via this (port, VC). When
-                // every remaining dest leaves here — unicast, and every
-                // non-branching multicast hop — the slab entry itself is
-                // forwarded: no packet is constructed or moved at all.
-                let head_pid = *state.fifos[fi].front().expect("candidate fifo has a head");
-                let head_spike = slab[head_pid as usize].spike_id;
-                let all = slab[head_pid as usize]
-                    .dests
-                    .iter()
-                    .all(|&d| sched.route_bit(head_spike, r, d) == bit);
-                // trace capture: occupancy after a pop, and whether the
-                // pop freed our own previously-full ingress lane (emitted
-                // after the branch, once the router borrow is released)
-                let mut dequeued_occ: Option<u32> = None;
-                let mut freed_own = false;
-                let branch_pid = if all {
-                    state.fifos[fi].pop_front().expect("head exists");
-                    if events.is_some() {
-                        dequeued_occ = Some(state.fifos[fi].len() as u32);
-                    }
-                    state.queued -= 1;
-                    if state.queued == 0 {
-                        active_lanes -= lanes_of[r];
-                    }
-                    queued_packets -= 1;
-                    sched.clear_head(r, fi);
-                    if fi > 0 {
-                        state.credits_used[fi] -= 1;
-                        if state.credits_used[fi] == cfg.buffer_depth - 1 {
-                            // full → free on our own ingress lane
-                            sched.credit_freed(r, fi, pos);
-                            freed_own = true;
-                        }
-                    }
-                    if let Some(&next_pid) = state.fifos[fi].front() {
-                        // the pop exposed a new head: install its mask and
-                        // wake the pairs it wants
-                        let next_head = &slab[next_pid as usize];
-                        sched.set_head(
-                            r,
-                            fi,
-                            next_head.spike_id,
-                            &next_head.dests,
-                            next_head.inject_cycle,
-                            pos,
-                        );
-                    }
-                    head_pid
-                } else {
-                    // multicast split: the head stays, minus this branch
-                    let branch = slab[head_pid as usize]
-                        .take_dests_where(|d| sched.route_bit(head_spike, r, d) == bit);
-                    sched.shrink_head(r, fi, bit);
-                    slab.push(branch);
-                    (slab.len() - 1) as u32
-                };
-                if let Some(t) = events.as_deref_mut() {
-                    let bp = &slab[branch_pid as usize];
-                    t.push(TraceEvent::Forwarded {
-                        cycle: now,
-                        spike_id: bp.spike_id,
+                        spike_id: packet.spike_id,
                         router: r as u32,
-                        port: o as u32,
-                        vc: w as u32,
-                        dests: bp.dests.len() as u32,
+                        lane: fi as u32,
+                        occupancy: occupancy as u32,
                     });
-                    if let Some(occupancy) = dequeued_occ {
-                        t.push(TraceEvent::Dequeued {
-                            cycle: now,
-                            router: r as u32,
-                            lane: fi as u32,
-                            occupancy,
-                        });
-                    }
-                    if freed_own {
+                }
+                state.queued += 1;
+                if state.queued == 1 {
+                    active_lanes += lanes_of[r];
+                }
+                queued_packets += 1;
+                if occupancy == 1 {
+                    // the packet became a lane head
+                    let (spike, inject) = (packet.spike_id, packet.inject_cycle);
+                    sched.set_head(r, fi, spike, &packet.dests, inject, PRE_SWEEP);
+                }
+            } else if fi > 0 {
+                // fully delivered here: hand the lane's credit back
+                state.credits_used[fi] -= 1;
+                if state.credits_used[fi] == cfg.buffer_depth - 1 {
+                    // full → free: a selective policy wakes the
+                    // upstream pair if it was blocked
+                    sched.credit_freed(r, fi, PRE_SWEEP);
+                    if let Some(t) = events.as_deref_mut() {
                         t.credit_freed(now, r as u32, fi as u32);
                     }
                 }
+            }
+        }};
+    }
 
-                counters.link_flits += flits as u64;
-                state.busy_until[o] = now + flits as u64;
-                sched.schedule_expiry(now + flits as u64, pair);
-                let down_lane = lane(down_pos, w, vcs);
-                routers[nbr].credits_used[down_lane] += 1;
-                debug_assert!(
-                    routers[nbr].credits_used[down_lane] <= cfg.buffer_depth,
-                    "credits must never exceed the FIFO depth"
-                );
-                if routers[nbr].credits_used[down_lane] == cfg.buffer_depth {
-                    if let Some(t) = events.as_deref_mut() {
-                        t.credit_full(now, nbr as u32, down_lane as u32);
-                    }
-                }
-                progress = true;
-                debug_assert!(
-                    in_transit
-                        .back()
-                        .is_none_or(|b| b.cycle <= now + hop_latency),
-                    "arrival pushes must stay cycle-ordered"
-                );
-                in_transit.push_back(EvArrival {
-                    cycle: now + hop_latency,
-                    router: nbr,
-                    ingress: down_lane,
-                    pid: branch_pid,
-                });
-            }
-            if progress {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.progress_cycles.push(now);
-                }
-            }
-
-            // 4. advance the clock to the next cycle that can matter
-            if queued_packets == 0 {
-                // empty network: step one cycle like the oracle does, so
-                // the budget check lands on the same cycle before the
-                // next iteration's fast-forward takes the big jump
-                now += 1;
-                continue;
-            }
-            let mut next = u64::MAX;
-            if next_inject < num_injections {
-                next = next.min(slab[next_inject].inject_cycle);
-            }
-            if let Some(a) = in_transit.front() {
-                next = next.min(a.cycle);
-            }
-            // wakes raised for pairs the sweep had already passed are due
-            // exactly next cycle; everything else that can enable a pair
-            // is a busy expiry (every forward scheduled one), an arrival,
-            // or an injection — all already in `next`
-            if sched.has_next_wakes() {
-                next = next.min(now + 1);
-            }
-            if let Some(e) = sched.next_expiry() {
-                next = next.min(e);
-            }
-            if next == u64::MAX {
-                // every queued packet is credit-starved with nothing in
-                // flight to free credits: the oracle would idle up to the
-                // budget and fail — jump straight to that outcome
-                next = cfg.max_cycles + 1;
-            }
-            debug_assert!(next > now, "the clock must advance every iteration");
-            now = next;
+    // consume the slab in inject order (it is already sorted)
+    while next_inject < num_injections || queued_packets > 0 || !in_transit.is_empty() {
+        if now > cfg.max_cycles {
+            return Err(NocError::CycleBudgetExhausted {
+                budget: cfg.max_cycles,
+                in_flight: queued_packets + in_transit.len(),
+            });
         }
 
-        counters.deliveries = deliveries.len() as u64;
-        Ok((deliveries, counters, per_vc, sched.counters))
+        // fast-forward across idle gaps — placed after the budget check,
+        // so an event due past the budget is still processed once before
+        // the budget fires on the cycle after it
+        if queued_packets == 0 {
+            let jump = next_event(next_inject, &net.slab, &in_transit);
+            if jump > now && jump != u64::MAX {
+                now = jump;
+            }
+        }
+
+        // this cycle is attended
+        sched.begin_cycle(now);
+        if S::SELECTIVE {
+            if let Some(t) = trace.as_deref_mut() {
+                t.attended_cycles.push(now);
+            }
+        }
+
+        // 1. link arrivals due now, then injections due now
+        while in_transit.front().is_some_and(|a| a.cycle <= now) {
+            let a = in_transit.pop_front().expect("peeked");
+            enter!(a.router, a.ingress, a.pid);
+        }
+        while next_inject < num_injections && net.slab[next_inject].inject_cycle <= now {
+            let p = &net.slab[next_inject];
+            let src_router = endpoint_of[p.src_crossbar as usize];
+            counters.packets_injected += 1;
+            if let Some(t) = events.as_deref_mut() {
+                t.push(TraceEvent::Injected {
+                    cycle: now,
+                    spike_id: p.spike_id,
+                    source_neuron: p.source_neuron,
+                    src_crossbar: p.src_crossbar,
+                    router: src_router as u32,
+                });
+            }
+            next_inject += 1;
+            enter!(src_router, 0, (next_inject - 1) as u32);
+        }
+        sched.note_sweep(active_lanes);
+
+        // 2. arbitration & forwarding over the pairs the policy names, in
+        // strictly ascending pair id — the sweep order. A selective policy
+        // names only woken pairs; a pair never woken is a provable no-op
+        // (its idle ∧ wanted ∧ credit-free conjunction cannot have turned
+        // true since it was last examined; see the module docs)
+        let mut progress = false;
+        while let Some((pair, r, o)) = sched.next_pair() {
+            if net.routers[r].queued == 0 {
+                // no heads, so no candidates (under a selective policy:
+                // the router drained since the wake was raised, e.g. a
+                // stale busy expiry)
+                continue;
+            }
+            sched.count_visit(pair);
+            let (nbr, down_pos) = ports[r][o];
+            if net.routers[r].busy_until[o] > now {
+                // still serializing: its expiry wake re-examines it
+                continue;
+            }
+            // wake position for anything this visit changes: pairs ahead
+            // of `pair` see it this cycle, pairs behind see it next
+            let pos = pair + 1;
+            // eligible VCs: a candidate head wants (o, w) and the
+            // downstream (ingress, w) lane has a free credit. A wanted
+            // VC found credit-full is reported blocked, so a selective
+            // policy re-examines this pair at the full→free transition.
+            let mut eligible = 0u32;
+            for w in 0..vcs {
+                if sched.wanted(&net, pair, w) == 0 {
+                    continue;
+                }
+                if net.routers[nbr].credits_used[lane(down_pos, w, vcs)] >= cfg.buffer_depth {
+                    sched.set_blocked(pair, w);
+                    continue; // backpressure on this VC
+                }
+                eligible |= 1 << w;
+            }
+            let Some(w) = pick_vc(eligible, net.routers[r].vc_cursor[o]) else {
+                continue;
+            };
+            let bit = o * vcs + w;
+            // candidates: FIFO lanes whose head routes some dest via
+            // (o, w), in lane order — cut short once the want count says
+            // every candidate is found
+            candidates.clear();
+            let mut remaining = sched.wanted(&net, pair, w);
+            for fi in 0..net.lanes(r) {
+                if sched.head_wants(&net, r, fi, bit) {
+                    candidates.push((fi, sched.head_inject(&net, r, fi)));
+                    remaining -= 1;
+                    if remaining == 0 {
+                        break;
+                    }
+                }
+            }
+            // everything below (until the downstream credit take)
+            // touches only router `r`: borrow it once
+            let state = &mut net.routers[r];
+            let win_pos = cfg
+                .arbitration
+                .pick(&candidates, state.rr_cursor[bit])
+                .expect("an eligible VC has a candidate");
+            let (fi, _) = candidates[win_pos];
+            state.rr_cursor[bit] = fi + 1;
+            state.vc_cursor[o] = w + 1;
+            if vcs > 1 {
+                per_vc[w].forwarded += 1;
+                for (w2, vc_stat) in per_vc.iter_mut().enumerate() {
+                    if w2 != w && eligible & (1 << w2) != 0 {
+                        vc_stat.arb_losses += 1;
+                    }
+                }
+            }
+
+            // split off the dests routed via this (port, VC). When
+            // every remaining dest leaves here — unicast, and every
+            // non-branching multicast hop — the slab entry itself is
+            // forwarded: no packet is constructed or moved at all.
+            let head_pid = *state.fifos[fi].front().expect("candidate fifo has a head");
+            let head_spike = net.slab[head_pid as usize].spike_id;
+            let all = net.slab[head_pid as usize]
+                .dests
+                .iter()
+                .all(|&d| sched.route_bit(head_spike, r, d) == bit);
+            // trace capture: occupancy after a pop, and whether the
+            // pop freed our own previously-full ingress lane (emitted
+            // after the branch, once the router borrow is released)
+            let mut dequeued_occ: Option<u32> = None;
+            let mut freed_own = false;
+            let branch_pid = if all {
+                state.fifos[fi].pop_front().expect("head exists");
+                if events.is_some() {
+                    dequeued_occ = Some(state.fifos[fi].len() as u32);
+                }
+                state.queued -= 1;
+                if state.queued == 0 {
+                    active_lanes -= lanes_of[r];
+                }
+                queued_packets -= 1;
+                sched.clear_head(r, fi);
+                if fi > 0 {
+                    state.credits_used[fi] -= 1;
+                    if state.credits_used[fi] == cfg.buffer_depth - 1 {
+                        // full → free on our own ingress lane
+                        sched.credit_freed(r, fi, pos);
+                        freed_own = true;
+                    }
+                }
+                if let Some(&next_pid) = state.fifos[fi].front() {
+                    // the pop exposed a new head
+                    let next_head = &net.slab[next_pid as usize];
+                    sched.set_head(
+                        r,
+                        fi,
+                        next_head.spike_id,
+                        &next_head.dests,
+                        next_head.inject_cycle,
+                        pos,
+                    );
+                }
+                head_pid
+            } else {
+                // multicast split: the head stays, minus this branch
+                let branch = net.slab[head_pid as usize]
+                    .take_dests_where(|d| sched.route_bit(head_spike, r, d) == bit);
+                sched.shrink_head(r, fi, bit);
+                net.slab.push(branch);
+                (net.slab.len() - 1) as u32
+            };
+            if let Some(t) = events.as_deref_mut() {
+                let bp = &net.slab[branch_pid as usize];
+                t.push(TraceEvent::Forwarded {
+                    cycle: now,
+                    spike_id: bp.spike_id,
+                    router: r as u32,
+                    port: o as u32,
+                    vc: w as u32,
+                    dests: bp.dests.len() as u32,
+                });
+                if let Some(occupancy) = dequeued_occ {
+                    t.push(TraceEvent::Dequeued {
+                        cycle: now,
+                        router: r as u32,
+                        lane: fi as u32,
+                        occupancy,
+                    });
+                }
+                if freed_own {
+                    t.credit_freed(now, r as u32, fi as u32);
+                }
+            }
+
+            counters.link_flits += flits as u64;
+            state.busy_until[o] = now + flits as u64;
+            sched.schedule_expiry(now + flits as u64, pair);
+            let down_lane = lane(down_pos, w, vcs);
+            let down_credits = &mut net.routers[nbr].credits_used[down_lane];
+            *down_credits += 1;
+            debug_assert!(
+                *down_credits <= cfg.buffer_depth,
+                "credits must never exceed the FIFO depth"
+            );
+            if *down_credits == cfg.buffer_depth {
+                if let Some(t) = events.as_deref_mut() {
+                    t.credit_full(now, nbr as u32, down_lane as u32);
+                }
+            }
+            progress = true;
+            debug_assert!(
+                in_transit
+                    .back()
+                    .is_none_or(|b| b.cycle <= now + hop_latency),
+                "arrival pushes must stay cycle-ordered"
+            );
+            in_transit.push_back(Arrival {
+                cycle: now + hop_latency,
+                router: nbr,
+                ingress: down_lane,
+                pid: branch_pid,
+            });
+        }
+        if progress {
+            if let Some(t) = trace.as_deref_mut() {
+                t.progress_cycles.push(now);
+            }
+        }
+
+        // 3. advance the clock to the next cycle that can matter
+        if queued_packets == 0 {
+            // empty network: step one cycle, so the budget check lands on
+            // the same cycle under every policy before the next
+            // iteration's fast-forward takes the big jump
+            now += 1;
+            continue;
+        }
+        let mut next = sched.next_cycle(now, next_event(next_inject, &net.slab, &in_transit));
+        if next == u64::MAX {
+            // every queued packet is credit-starved with nothing in
+            // flight to free credits: the sweep idles up to the budget
+            // and fails — jump straight to that outcome
+            next = cfg.max_cycles + 1;
+        }
+        debug_assert!(next > now, "the clock must advance every iteration");
+        now = next;
     }
+
+    counters.deliveries = deliveries.len() as u64;
+    Ok((deliveries, counters, per_vc, sched.counters()))
 }
 
 #[cfg(test)]
@@ -1471,6 +1463,48 @@ mod tests {
             EnergyModel::default(),
         );
         assert_eq!(ev.run(&flows).unwrap_err(), or.run(&flows).unwrap_err());
+    }
+
+    #[test]
+    fn router_too_wide_for_the_slot_tables_is_rejected_by_both_engines() {
+        // hub degree 2049 × 32 VCs = 65 568 (port, VC) slots: one past what
+        // the u16 route tables hold. Rejected before any table is built
+        // (the event engine used to wrap the slot and wedge).
+        let cfg = NocConfig {
+            vc_count: 32,
+            ..NocConfig::default()
+        };
+        let flows = [SpikeFlow::unicast(0, 0, 2048, 0)];
+        let mut ev = NocSim::new(Box::new(Star::new(2049)), cfg, EnergyModel::default());
+        let mut or = CycleSim::new(Box::new(Star::new(2049)), cfg, EnergyModel::default());
+        let e = ev.run(&flows).unwrap_err();
+        assert!(matches!(
+            e,
+            NocError::InvalidConfig {
+                name: "vc_count",
+                ..
+            }
+        ));
+        assert_eq!(e, or.run(&flows).unwrap_err());
+        // exactly 65 536 slots still fit a u16 slot index
+        let topo: Arc<dyn Topology> = Arc::new(Star::new(2048));
+        let energy = EnergyModel::default();
+        assert!(run_engine::<oracle::Sweep>(&topo, &cfg, &energy, &[], 1, &mut None, None).is_ok());
+    }
+
+    #[test]
+    fn last_step_flow_exhausts_the_budget_instead_of_overflowing() {
+        // `send_step + 1` used to overflow in `run`'s inferred duration
+        let flows = [SpikeFlow::unicast(0, 0, 3, u32::MAX)];
+        let mut ev = sim(Box::new(Mesh2D::for_crossbars(4)));
+        let mut or = CycleSim::new(
+            Box::new(Mesh2D::for_crossbars(4)),
+            NocConfig::default(),
+            EnergyModel::default(),
+        );
+        let e = ev.run(&flows).unwrap_err();
+        assert!(matches!(e, NocError::CycleBudgetExhausted { .. }));
+        assert_eq!(e, or.run(&flows).unwrap_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   architecture's capacity.
 //!
 //! `NEUROMAP_PROPTEST_CASES` overrides the per-test case count (CI runs
-//! a higher-case pass over this suite; see `.github/workflows/ci.yml`).
+//! a higher-case pass over this suite; see `scripts/verify.sh`).
 
 use neuromap::core::coopt::{co_optimize, CooptConfig};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};

@@ -15,7 +15,7 @@
 //!   counters consistent, input-permutation invariance.
 //!
 //! `NEUROMAP_PROPTEST_CASES` overrides the per-test case count (CI runs a
-//! higher-case pass over this suite; see `.github/workflows/ci.yml`).
+//! higher-case pass over this suite; see `scripts/verify.sh`).
 //!
 //! The virtual-channel campaign adds three layers on top:
 //!
@@ -23,6 +23,10 @@
 //!   stats digests are pinned to the values the pre-VC engines produced,
 //!   so the VC refactor provably changed nothing at one VC (wire shape
 //!   included: per-VC counters only serialize when `vc_count > 1`).
+//!   A second table freezes stats digests *and* trace-byte hashes on the
+//!   multi-VC, tree-routed and multi-chip paths: both engines run one
+//!   router loop, so its mechanics are pinned by constants recorded while
+//!   two independent loops still agreed on them.
 //! * **Deadlock regression** — a minimal ring torus under bursty
 //!   multicast with depth-1 FIFOs provably wedges at one VC
 //!   (`CycleBudgetExhausted` with zero forward progress between two
