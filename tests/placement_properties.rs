@@ -400,6 +400,94 @@ fn placement_improves_the_256_crossbar_grid() {
     assert_placement_improves(&scenario, InterconnectKind::Torus, "torus256");
 }
 
+/// `optimize_placement` outcomes under `PlaceConfig::default()`, frozen
+/// on the dense O(C) `swap_delta` optimizer: any change to how swaps are
+/// priced or in which order they are tried must reproduce these
+/// `(optimized_cost, winning_restart, FNV-1a of the permutation)` triples
+/// bit for bit, at every thread count.
+#[test]
+fn default_placement_outcomes_are_frozen() {
+    use neuromap::apps::synthetic::MultiChip;
+    use neuromap::noc::topology::HierTopology;
+    let fnv = |perm: &[u32]| {
+        perm.iter()
+            .flat_map(|p| p.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    };
+    let grid = LargeArch::grid16();
+    let grid_graph = grid.spike_graph(2018).expect("scenario builds");
+    let grid_traffic = TrafficMatrix::from_mapping(
+        &grid_graph,
+        &grid.scrambled_packed_mapping(0x91A),
+        TrafficMode::PerCrossbar,
+    );
+    // 2 x 2 chips of an 8 x 8 grid: 256 crossbars, weighted seams; the
+    // chip-major home tiles are scrambled the same way as the flat grid's
+    let chips = MultiChip {
+        chip: LargeArch {
+            side: 8,
+            ..LargeArch::grid16()
+        },
+        ..MultiChip::four_chip16()
+    };
+    let chips_graph = chips.spike_graph(2018).expect("scenario builds");
+    assert_eq!(chips_graph.num_neurons(), grid_graph.num_neurons());
+    let chips_traffic = TrafficMatrix::from_mapping(
+        &chips_graph,
+        &grid.scrambled_packed_mapping(0x91A),
+        TrafficMode::PerCrossbar,
+    );
+    let hier = HierTopology::for_crossbars(
+        chips.num_crossbars(),
+        chips.chip_cols as usize,
+        chips.chip_rows as usize,
+        chips.link_latency,
+        chips.link_width,
+    )
+    .expect("scenario parameters are valid")
+    .distance_lut();
+    let cases: [(&str, &TrafficMatrix, DistanceLut, (u64, u32, u64)); 3] = [
+        (
+            "mesh256",
+            &grid_traffic,
+            DistanceLut::new(&Mesh2D::for_crossbars(256)),
+            (772_787, 0, 0x1dc6_9ed3_6385_2475),
+        ),
+        (
+            "torus256",
+            &grid_traffic,
+            DistanceLut::new(&Torus::for_crossbars(256)),
+            (637_268, 0, 0x5e3f_8708_430e_0945),
+        ),
+        (
+            "hier4x64",
+            &chips_traffic,
+            hier,
+            (1_251_077, 2, 0xf5be_35cb_9c71_a245),
+        ),
+    ];
+    for (fabric, traffic, lut, frozen) in &cases {
+        for threads in [1usize, 3] {
+            let cfg = PlaceConfig {
+                threads,
+                ..PlaceConfig::default()
+            };
+            let out = optimize_placement(traffic, lut, &cfg).unwrap();
+            assert_eq!(
+                (
+                    out.optimized_cost,
+                    out.winning_restart,
+                    fnv(out.placement.as_slice())
+                ),
+                *frozen,
+                "{fabric} threads={threads}"
+            );
+        }
+    }
+}
+
 #[test]
 fn pso_partition_also_benefits_from_placement() {
     // not just the synthetic scramble: a real PSO partition on the
