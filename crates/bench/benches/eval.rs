@@ -23,9 +23,12 @@ use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
-use neuromap_core::place::{optimize_placement, PlaceConfig, TrafficMatrix};
+use neuromap_core::place::{
+    optimize_placement, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
+};
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_core::SpikeGraph;
+use neuromap_hw::mapping::Mapping;
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,7 +217,10 @@ fn bench_large_arch(c: &mut Criterion) {
     // a packed partition with scrambled cluster ids: the contents of each
     // cluster are grid-local, but identity placement scatters them across
     // the mesh — exactly the situation the placement stage must repair
-    bench_placement(c, &name, &graph, &scenario, &lut);
+    let mapping = scenario.scrambled_packed_mapping(0x91A);
+    let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
+    bench_placement(c, &name, &traffic, &lut);
+    bench_placement_sweep(c, &name, &traffic, &lut);
 
     // full PSO steps (fused decode + repair + batched evaluation)
     let mut group = c.benchmark_group(format!("pso_step/{name}"));
@@ -237,18 +243,10 @@ fn bench_large_arch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times the placement optimizer on the 256-crossbar scenario and gates
-/// its quality: the optimized permutation must price strictly below
-/// identity on the scrambled-cluster traffic.
-fn bench_placement(
-    c: &mut Criterion,
-    name: &str,
-    graph: &SpikeGraph,
-    scenario: &LargeArch,
-    lut: &DistanceLut,
-) {
-    let mapping = scenario.scrambled_packed_mapping(0x91A);
-    let traffic = TrafficMatrix::from_mapping(graph, &mapping, TrafficMode::PerCrossbar);
+/// Times the placement optimizer on `traffic` and gates its quality: the
+/// optimized permutation must price strictly below identity on the
+/// scrambled-cluster traffic.
+fn bench_placement(c: &mut Criterion, name: &str, traffic: &TrafficMatrix, lut: &DistanceLut) {
     // two restarts keep the timed call representative (identity-greedy +
     // one annealed chain) without making the smoke run minutes long
     let cfg = PlaceConfig {
@@ -256,7 +254,7 @@ fn bench_placement(
         restarts: 2,
         ..PlaceConfig::default()
     };
-    let outcome = optimize_placement(&traffic, lut, &cfg).expect("valid config");
+    let outcome = optimize_placement(traffic, lut, &cfg).expect("valid config");
     assert!(
         outcome.optimized_cost < outcome.identity_cost,
         "REGRESSION: placement must beat identity on scrambled clusters \
@@ -273,7 +271,58 @@ fn bench_placement(
     let mut group = c.benchmark_group(format!("placement/{name}"));
     group.sample_size(10);
     group.bench_function("optimize", |b| {
-        b.iter(|| optimize_placement(&traffic, lut, &cfg).expect("valid config"));
+        b.iter(|| optimize_placement(traffic, lut, &cfg).expect("valid config"));
+    });
+    group.finish();
+}
+
+/// One full first-improvement sweep over all cluster pairs from the
+/// identity wiring — the optimizer's inner loop — priced by the dense
+/// O(C) reference `swap_delta` (baseline) and by the O(deg) adjacency
+/// pricer the optimizer runs (candidate): the `placement/<name>/sweep`
+/// paired ratio. Both must accept the identical swap sequence, or the
+/// ratio would compare different work.
+fn bench_placement_sweep(
+    c: &mut Criterion,
+    name: &str,
+    traffic: &TrafficMatrix,
+    lut: &DistanceLut,
+) {
+    let clusters = traffic.num_crossbars();
+    let sweep = |price: &dyn Fn(&[u32], usize, usize) -> i64| {
+        let mut perm: Vec<u32> = (0..clusters as u32).collect();
+        let mut accepted = Vec::new();
+        for a in 0..clusters {
+            for b in a + 1..clusters {
+                if price(&perm, a, b) < 0 {
+                    perm.swap(a, b);
+                    accepted.push((a, b));
+                }
+            }
+        }
+        accepted
+    };
+    let adjacency = TrafficAdjacency::new(traffic);
+    let dense = |perm: &[u32], a, b| swap_delta(traffic, lut, perm, a, b);
+    let sparse = |perm: &[u32], a, b| adjacency.swap_delta(lut, perm, a, b);
+    let accepted = sweep(&dense);
+    assert!(
+        !accepted.is_empty(),
+        "a scrambled mapping has swaps to take"
+    );
+    assert_eq!(
+        accepted,
+        sweep(&sparse),
+        "REGRESSION: the adjacency pricer and the dense reference must \
+         accept the same swaps"
+    );
+    let mut group = c.benchmark_group(format!("placement/{name}"));
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("dense", "sweep"), |b| {
+        b.iter(|| sweep(&dense));
+    });
+    group.bench_function(BenchmarkId::new("adjacency", "sweep"), |b| {
+        b.iter(|| sweep(&sparse));
     });
     group.finish();
 }
@@ -519,6 +568,22 @@ fn bench_hier(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // ---- placement stage at 1024 crossbars under the weighted table ----
+    // chip-major home tiles behind scrambled cluster ids, the multi-chip
+    // twin of `LargeArch::scrambled_packed_mapping`
+    let clusters = scenario.num_crossbars();
+    let mut ids: Vec<u32> = (0..clusters as u32).collect();
+    let mut rng = StdRng::seed_from_u64(0x91A);
+    for a in (1..clusters).rev() {
+        ids.swap(a, rng.gen_range(0..a + 1));
+    }
+    let assign = (0..graph.num_neurons())
+        .map(|i| ids[((i / scenario.capacity()) as usize).min(clusters - 1)])
+        .collect();
+    let mapping = Mapping::from_assignment(assign, clusters).expect("permuted ids in range");
+    let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
+    bench_placement(c, &name, &traffic, &lut);
 }
 
 fn bench_pso_step(c: &mut Criterion, name: &str, graph: &SpikeGraph) {
@@ -621,17 +686,19 @@ fn main() {
 /// Builds `{id, baseline, candidate, speedup, higher_is_better}`
 /// entries for every same-run baseline/candidate pair: `scalar` vs
 /// `batched` swarm scoring, `full` vs `incremental` move pricing, `flat`
-/// vs `vcycle` multilevel partitioning, and `staged` vs `joint`
-/// co-optimization. `higher_is_better` tells readers (and the verify
-/// gate) which direction is good: the coopt pair deliberately records
+/// vs `vcycle` multilevel partitioning, `staged` vs `joint`
+/// co-optimization, and `dense` vs `adjacency` placement swap pricing.
+/// `higher_is_better` tells readers (and the verify gate) which
+/// direction is good: the coopt pair deliberately records
 /// the joint loop's *time overhead*, so its speedup sits below 1 by
 /// design and a naive "bigger is better" read would misfire.
 fn paired_ratios(c: &Criterion) -> Vec<String> {
-    const PAIRS: [(&str, &str, bool); 4] = [
+    const PAIRS: [(&str, &str, bool); 5] = [
         ("/scalar/", "/batched/", true),
         ("/full/", "/incremental/", true),
         ("/flat/", "/vcycle/", true),
         ("/staged/", "/joint/", false),
+        ("/dense/", "/adjacency/", true),
     ];
     let median = |id: &str| {
         c.summaries()

@@ -480,12 +480,24 @@ impl MappingPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates placement-optimizer configuration errors.
+    /// [`CoreError::InvalidParameter`] when `mapping` does not cover
+    /// exactly the graph's neurons; propagates placement-optimizer
+    /// configuration errors.
     pub fn place(
         &self,
         graph: &SpikeGraph,
         mapping: &Mapping,
     ) -> Result<(Mapping, Placement, String), CoreError> {
+        if mapping.num_neurons() != graph.num_neurons() as usize {
+            return Err(CoreError::InvalidParameter {
+                name: "mapping",
+                value: format!(
+                    "covers {} neurons, graph has {}",
+                    mapping.num_neurons(),
+                    graph.num_neurons()
+                ),
+            });
+        }
         match &self.config.placement {
             PlacementStrategy::Identity => Ok((
                 mapping.clone(),
@@ -959,6 +971,30 @@ mod tests {
             r_id.hop_weighted_packets
         );
         assert!(r_opt.global_energy_pj < r_id.global_energy_pj);
+    }
+
+    #[test]
+    fn place_rejects_a_mapping_that_does_not_cover_the_graph() {
+        use crate::place::PlaceConfig;
+        // a typed error under either strategy, not a panic inside
+        // `TrafficMatrix::from_mapping`
+        let g = SpikeGraph::from_parts(4, vec![(0, 1), (2, 3)], vec![3, 1, 4, 1]).unwrap();
+        let arch = Architecture::custom(2, 4, InterconnectKind::Mesh).unwrap();
+        let identity = MappingPipeline::new(PipelineConfig::for_arch(arch));
+        let optimized =
+            identity.with_placement(PlacementStrategy::HopOptimized(PlaceConfig::default()));
+        for neurons in [3, 5] {
+            let m = Mapping::from_assignment(vec![0; neurons], 2).unwrap();
+            for pipeline in [&identity, &optimized] {
+                assert!(matches!(
+                    pipeline.place(&g, &m),
+                    Err(CoreError::InvalidParameter {
+                        name: "mapping",
+                        ..
+                    })
+                ));
+            }
+        }
     }
 
     #[test]

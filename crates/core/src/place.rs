@@ -19,15 +19,34 @@
 //!    problem — with deterministic, thread-spread simulated-annealing
 //!    restarts polished by greedy swap local search.
 //!
-//! ## Incremental pricing and its reference kernel
+//! ## Incremental pricing and its reference kernels
 //!
-//! Exchanging the physical slots of two clusters touches only their rows
-//! and columns of the traffic matrix, so [`swap_delta`] prices a swap in
-//! O(C) instead of the O(C²) full recompute [`placement_cost`] performs.
-//! The two are held equal by `tests/placement_properties.rs` over random
-//! matrices, topologies, and swap sequences — the same
-//! reference-vs-optimized discipline `decode.rs` uses for the PSO
-//! kernels.
+//! Exchanging the physical slots of two clusters reprices only the
+//! traffic those two clusters take part in, and most cluster pairs
+//! exchange none: on `mapbench`'s 256-crossbar PSO partitions a cluster
+//! talks to 46–84 of the 255 others, and the share falls as fabrics
+//! grow. The optimizer therefore prices every candidate with
+//! **one** function, [`TrafficAdjacency::swap_delta`], in
+//! O(deg(x) + deg(y)): the adjacency lists each cluster's neighbours with
+//! the folded weight `packets(x, k) + packets(k, x)` and is built once
+//! per [`optimize_placement`] call, shared by every restart.
+//!
+//! Two dense functions stay as its **oracles**, never as a second path:
+//! [`placement_cost`] recomputes a placement from scratch in O(C²), and
+//! the dense [`swap_delta`] prices one swap in O(C) with out- and
+//! in-traffic kept apart (so it is exact on asymmetric tables too). Debug
+//! builds assert adjacency ≡ dense `swap_delta` on every candidate the
+//! optimizer tries and the accumulated cost ≡ `placement_cost` at the end
+//! of every restart; `tests/placement_properties.rs` holds all three
+//! equal over random fabrics, traffic densities from empty to full, and
+//! swap sequences, and freezes the optimizer's default outcomes.
+//!
+//! Folding both directions into one weight needs `hops(a, b) ==
+//! hops(b, a)`. Every table this workspace builds has it — BFS over
+//! undirected links, the hierarchical closed form — but a custom
+//! [`Topology`] with one-way links does not, so [`optimize_placement`]
+//! checks the crossbars the traffic matrix covers once per call (C²/2
+//! compares) and returns a typed error instead of mispricing.
 //!
 //! ## Determinism contract
 //!
@@ -259,9 +278,13 @@ pub fn placement_cost(traffic: &TrafficMatrix, dist: &DistanceLut, physical_of: 
     cost
 }
 
-/// Exact cost change of exchanging the physical slots of clusters `x`
-/// and `y` under `physical_of`, in O(C): only the rows and columns of
-/// the two clusters reprice. Pure — nothing is mutated.
+/// Reference kernel: the exact cost change of exchanging the physical
+/// slots of clusters `x` and `y` under `physical_of`, in O(C) — only the
+/// rows and columns of the two clusters reprice. Out- and in-traffic are
+/// priced separately, so it is exact for asymmetric hop tables too. Pure
+/// — nothing is mutated. The optimizer prices with
+/// [`TrafficAdjacency::swap_delta`] and checks it against this function
+/// on every candidate in debug builds.
 ///
 /// # Panics
 ///
@@ -292,6 +315,76 @@ pub fn swap_delta(
     // kept for exactness)
     d += t(x, y) * (w(py, px) - w(px, py)) + t(y, x) * (w(px, py) - w(py, px));
     d
+}
+
+/// The non-zero part of a [`TrafficMatrix`], folded for swap pricing:
+/// for each cluster `x`, the clusters `k != x` it exchanges any packets
+/// with and the combined weight `packets(x, k) + packets(k, x)`, in CSR
+/// form. Built once per [`optimize_placement`] call and shared read-only
+/// by every restart.
+#[derive(Debug, Clone)]
+pub struct TrafficAdjacency {
+    /// `entries[offsets[x]..offsets[x + 1]]` are cluster `x`'s
+    /// neighbours, ascending by id.
+    offsets: Vec<usize>,
+    /// `(k, packets(x, k) + packets(k, x))`, weight never zero.
+    entries: Vec<(u32, i64)>,
+}
+
+impl TrafficAdjacency {
+    /// Collects every cluster's neighbours in O(C²), once.
+    pub fn new(traffic: &TrafficMatrix) -> Self {
+        let c = traffic.c;
+        let mut offsets = Vec::with_capacity(c + 1);
+        let mut entries = Vec::new();
+        offsets.push(0);
+        for x in 0..c {
+            for k in 0..c {
+                let s = traffic.packets[x * c + k] + traffic.packets[k * c + x];
+                if k != x && s != 0 {
+                    entries.push((k as u32, s as i64));
+                }
+            }
+            offsets.push(entries.len());
+        }
+        Self { offsets, entries }
+    }
+
+    /// Exact cost change of exchanging the physical slots of clusters
+    /// `x` and `y` under `physical_of`, in O(deg(x) + deg(y)): only
+    /// traffic that exists reprices. Equals the dense [`swap_delta`]
+    /// whenever `dist` is symmetric over the slots in `physical_of`
+    /// (folding `packets(x, k)` and `packets(k, x)` into one weight
+    /// prices both directions at `hops(p_x, p_k)`); on an asymmetric
+    /// table the result is meaningless, which is why
+    /// [`optimize_placement`] rejects one up front. Pure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`/`y` are out of range or `physical_of` names a slot
+    /// outside `dist`.
+    pub fn swap_delta(&self, dist: &DistanceLut, physical_of: &[u32], x: usize, y: usize) -> i64 {
+        if x == y {
+            return 0;
+        }
+        let nc = dist.num_crossbars();
+        let row = |p: u32| &dist.crossbar_matrix()[p as usize * nc..(p as usize + 1) * nc];
+        let (row_px, row_py) = (row(physical_of[x]), row(physical_of[y]));
+        // what moving `a` from the slot of `row_from` to the slot of
+        // `row_to` costs over a's neighbours; `b` moves too, and the a-b
+        // distance itself is unchanged by the exchange
+        let one_side = |a: usize, b: usize, row_from: &[u32], row_to: &[u32]| {
+            let mut d = 0i64;
+            for &(k, s) in &self.entries[self.offsets[a]..self.offsets[a + 1]] {
+                if k as usize != b {
+                    let pk = physical_of[k as usize] as usize;
+                    d += s * (i64::from(row_to[pk]) - i64::from(row_from[pk]));
+                }
+            }
+            d
+        };
+        one_side(x, y, row_px, row_py) + one_side(y, x, row_py, row_px)
+    }
 }
 
 /// Placement-optimizer hyperparameters.
@@ -336,8 +429,9 @@ impl PlaceConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for zero restarts/passes/threads
-    /// or a cooling factor outside `(0, 1]`.
+    /// [`CoreError::InvalidParameter`] for zero restarts/passes/threads,
+    /// a cooling factor outside `(0, 1]`, or a negative or non-finite
+    /// initial temperature.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.restarts == 0 {
             return Err(CoreError::InvalidParameter {
@@ -349,6 +443,14 @@ impl PlaceConfig {
             return Err(CoreError::InvalidParameter {
                 name: "greedy_passes",
                 value: "0".into(),
+            });
+        }
+        // NaN would silently turn annealing into pure descent, infinity
+        // into `sa_moves` unconditional random swaps
+        if !self.t0.is_finite() || self.t0 < 0.0 {
+            return Err(CoreError::InvalidParameter {
+                name: "t0",
+                value: self.t0.to_string(),
             });
         }
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
@@ -395,16 +497,24 @@ impl PlaceOutcome {
 
 /// One restart: anneal (restarts ≥ 1 only), then greedy first-improvement
 /// sweeps until a sweep makes no progress or the pass budget is spent.
-/// Deterministic for a fixed `(traffic, dist, cfg, k)`.
+/// Every candidate swap is priced by `adj` in O(deg). Deterministic for
+/// a fixed `(traffic, dist, cfg, k)`.
 fn run_restart(
     traffic: &TrafficMatrix,
+    adj: &TrafficAdjacency,
     dist: &DistanceLut,
     cfg: &PlaceConfig,
     k: u32,
+    identity_cost: u64,
 ) -> (u64, Vec<u32>) {
     let c = traffic.c;
     let mut perm: Vec<u32> = (0..c as u32).collect();
-    let mut cost = placement_cost(traffic, dist, &perm) as i64;
+    let mut cost = identity_cost as i64;
+    let price = |perm: &[u32], a: usize, b: usize| {
+        let d = adj.swap_delta(dist, perm, a, b);
+        debug_assert_eq!(d, swap_delta(traffic, dist, perm, a, b));
+        d
+    };
 
     if k > 0 {
         let seed = cfg
@@ -422,7 +532,7 @@ fn run_restart(
             let a = rng.gen_range(0..c);
             let b = rng.gen_range(0..c);
             if a != b {
-                let d = swap_delta(traffic, dist, &perm, a, b);
+                let d = price(&perm, a, b);
                 let accept = d <= 0 || {
                     temp > f64::EPSILON && rng.gen_range(0.0..1.0) < (-(d as f64) / temp).exp()
                 };
@@ -435,13 +545,12 @@ fn run_restart(
         }
     }
 
-    // greedy polish: first-improvement sweeps over all cluster pairs,
-    // each swap priced incrementally in O(C)
+    // greedy polish: first-improvement sweeps over all cluster pairs
     for _ in 0..cfg.greedy_passes {
         let mut improved = false;
         for a in 0..c {
             for b in a + 1..c {
-                let d = swap_delta(traffic, dist, &perm, a, b);
+                let d = price(&perm, a, b);
                 if d < 0 {
                     perm.swap(a, b);
                     cost += d;
@@ -466,8 +575,10 @@ fn run_restart(
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidParameter`] for an invalid configuration or a hop
-/// table covering fewer crossbars than the traffic matrix.
+/// [`CoreError::InvalidParameter`] for an invalid configuration, a hop
+/// table covering fewer crossbars than the traffic matrix, or one that
+/// is not symmetric over the crossbars the matrix covers (no table this
+/// workspace builds is; see the module docs).
 pub fn optimize_placement(
     traffic: &TrafficMatrix,
     dist: &DistanceLut,
@@ -484,8 +595,24 @@ pub fn optimize_placement(
             ),
         });
     }
+    let nc = dist.num_crossbars();
+    let hops = dist.crossbar_matrix();
+    if let Some((a, b)) = (0..c)
+        .flat_map(|a| (a + 1..c).map(move |b| (a, b)))
+        .find(|&(a, b)| hops[a * nc + b] != hops[b * nc + a])
+    {
+        return Err(CoreError::InvalidParameter {
+            name: "dist",
+            value: format!(
+                "asymmetric hop table: {a} -> {b} is {} hops, {b} -> {a} is {}",
+                hops[a * nc + b],
+                hops[b * nc + a]
+            ),
+        });
+    }
     let identity: Vec<u32> = (0..c as u32).collect();
     let identity_cost = placement_cost(traffic, dist, &identity);
+    let adj = TrafficAdjacency::new(traffic);
 
     // spread restart indices over workers in contiguous chunks (same
     // discipline as the SA baseline); per-restart results depend only on
@@ -521,7 +648,7 @@ pub fn optimize_placement(
         |_, (), idxs: &mut Vec<u32>| {
             idxs.iter()
                 .map(|&k| {
-                    let (cost, perm) = run_restart(traffic, dist, cfg, k);
+                    let (cost, perm) = run_restart(traffic, &adj, dist, cfg, k, identity_cost);
                     (cost, k, perm)
                 })
                 .collect::<Vec<_>>()
@@ -555,6 +682,36 @@ mod tests {
 
     fn mesh_lut(c: usize) -> DistanceLut {
         DistanceLut::new(&Mesh2D::for_crossbars(c))
+    }
+
+    /// A router graph with one-way links: a custom [`Topology`] is the
+    /// one way to hand this crate an asymmetric [`DistanceLut`].
+    struct Directed(Vec<Vec<usize>>);
+
+    impl Topology for Directed {
+        fn num_routers(&self) -> usize {
+            self.0.len()
+        }
+        fn num_crossbars(&self) -> usize {
+            self.0.len()
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            k as usize
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            &self.0[r]
+        }
+        fn route_next(&self, _: usize, _: usize) -> usize {
+            unreachable!("DistanceLut::new walks neighbors only")
+        }
+        fn name(&self) -> String {
+            "directed".to_owned()
+        }
+    }
+
+    /// Router `r` reaches `r + 1` in one hop and `r - 1` in `c - 1`.
+    fn one_way_ring_lut(c: usize) -> DistanceLut {
+        DistanceLut::new(&Directed((0..c).map(|r| vec![(r + 1) % c]).collect()))
     }
 
     /// A ring of heavy neighbor traffic, deliberately scattered: cluster
@@ -599,26 +756,52 @@ mod tests {
                 })
                 .collect();
             let traffic = TrafficMatrix::from_raw(c, packets);
-            let dist = mesh_lut(c);
+            let adj = TrafficAdjacency::new(&traffic);
             let mut perm: Vec<u32> = (0..c as u32).collect();
             for a in (1..c).rev() {
                 let b = rng.gen_range(0..a + 1);
                 perm.swap(a, b);
             }
-            let base = placement_cost(&traffic, &dist, &perm) as i64;
-            for x in 0..c {
-                for y in 0..c {
-                    let mut swapped = perm.clone();
-                    swapped.swap(x, y);
-                    let expected = placement_cost(&traffic, &dist, &swapped) as i64 - base;
-                    assert_eq!(
-                        swap_delta(&traffic, &dist, &perm, x, y),
-                        expected,
-                        "c={c} swap {x}<->{y}"
-                    );
+            // the dense kernel is exact on asymmetric tables too; the
+            // adjacency pricer is only defined on symmetric ones
+            for (dist, symmetric) in [(mesh_lut(c), true), (one_way_ring_lut(c), false)] {
+                let base = placement_cost(&traffic, &dist, &perm) as i64;
+                for x in 0..c {
+                    for y in 0..c {
+                        let mut swapped = perm.clone();
+                        swapped.swap(x, y);
+                        let expected = placement_cost(&traffic, &dist, &swapped) as i64 - base;
+                        assert_eq!(
+                            swap_delta(&traffic, &dist, &perm, x, y),
+                            expected,
+                            "c={c} swap {x}<->{y} symmetric={symmetric}"
+                        );
+                        if symmetric {
+                            assert_eq!(adj.swap_delta(&dist, &perm, x, y), expected);
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn asymmetric_hop_table_is_rejected_not_mispriced() {
+        let traffic = ring_traffic(6, 5);
+        let dist = one_way_ring_lut(6);
+        assert_eq!((dist.hops(0, 1), dist.hops(1, 0)), (1, 5));
+        let err = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidParameter { name: "dist", .. }),
+            "{err}"
+        );
+        // only the slots the clusters can occupy are read: 0 <-> 1 is
+        // one hop both ways here, the one-way detour through 2 is not
+        // the two clusters' business
+        let wide = DistanceLut::new(&Directed(vec![vec![1], vec![0, 2], vec![0]]));
+        assert_eq!((wide.hops(0, 2), wide.hops(2, 0)), (2, 1));
+        let out = optimize_placement(&ring_traffic(2, 5), &wide, &PlaceConfig::default()).unwrap();
+        assert_eq!(out.optimized_cost, out.identity_cost);
     }
 
     #[test]
@@ -804,9 +987,27 @@ mod tests {
                 threads: 0,
                 ..PlaceConfig::default()
             },
+            PlaceConfig {
+                t0: f64::NAN,
+                ..PlaceConfig::default()
+            },
+            PlaceConfig {
+                t0: f64::INFINITY,
+                ..PlaceConfig::default()
+            },
+            PlaceConfig {
+                t0: -1.0,
+                ..PlaceConfig::default()
+            },
         ] {
             assert!(optimize_placement(&traffic, &dist, &bad).is_err());
         }
+        // a zero temperature is plain descent, which is allowed
+        let cold = PlaceConfig {
+            t0: 0.0,
+            ..PlaceConfig::default()
+        };
+        assert!(optimize_placement(&traffic, &dist, &cold).is_ok());
         // undersized hop table rejected
         let small = mesh_lut(2);
         assert!(optimize_placement(&traffic, &small, &PlaceConfig::default()).is_err());

@@ -42,6 +42,7 @@ for key in \
   "swarm_eval/synth_16x16grid/scalar/CutHops" \
   "swarm_eval/synth_16x16grid/batched/CutHops" \
   "placement/synth_16x16grid/optimize" \
+  "placement/synth_4chip16x16/optimize" \
   "pso_step/synth_16x16grid/swarm40_iters4/CutPackets" \
   "pso_step/synth_16x16grid/swarm40_iters4/CutSpikes" \
   "multilevel/synth_32x32grid/flat/CutSpikes" \
@@ -62,6 +63,7 @@ for ratio in \
   "swarm_eval/synth_16x16grid/CutHops" \
   "move/synth_2x400/CutSpikes" \
   "coopt/synth_8x8grid/CutHops" \
+  "placement/synth_16x16grid/sweep" \
   "multilevel/synth_32x32grid/CutSpikes" \
   "hier/synth_4chip16x16/CutSpikes" \
   "hier/synth_4chip16x16/CutHops"; do
@@ -106,6 +108,14 @@ echo "==> hier word-tile speedup floor (1024-crossbar batched vs scalar)"
 hr=$(sed -n 's/.*"id": "hier\/synth_4chip16x16\/CutSpikes".*"speedup": \([0-9.]*\).*/\1/p' BENCH_eval.json | head -1)
 awk -v h="$hr" 'BEGIN { exit !(h >= 2.0) }' \
   || { echo "hier word-tile speedup regressed below 2.0x (got ${hr:-missing})"; exit 1; }
+
+echo "==> placement pricer speedup floor (adjacency vs dense swap_delta, one 256-crossbar sweep)"
+# the optimizer prices swaps over the traffic that exists; the dense O(C)
+# swap_delta is only its oracle. The bench asserts both accept the same
+# swap sequence before timing, so the ratio compares identical work
+sw=$(sed -n 's/.*"id": "placement\/synth_16x16grid\/sweep".*"speedup": \([0-9.]*\).*/\1/p' BENCH_eval.json | head -1)
+awk -v s="$sw" 'BEGIN { exit !(s >= 2.0) }' \
+  || { echo "placement sweep speedup regressed below 2.0x (got ${sw:-missing})"; exit 1; }
 
 echo "==> ratio-direction gate (every paired ratio carries higher_is_better)"
 # a bare "speedup" number is ambiguous: the coopt, trace and trees
@@ -156,6 +166,8 @@ echo "==> multilevel coarsen/project/refine proptests (high case count)"
 NEUROMAP_PROPTEST_CASES=256 cargo test --release --test multilevel_properties -q
 
 echo "==> placement/identity-golden + joint-loop proptests (high case count)"
+# includes the adjacency pricer against both dense oracles on sparse
+# traffic, and the frozen default-config placement outcomes
 NEUROMAP_PROPTEST_CASES=256 cargo test --release \
   --test placement_properties --test coopt_properties -q
 

@@ -7,8 +7,10 @@
 //! * `FitnessKind::CutHops` incremental engine deltas must equal a full
 //!   recompute under random move/swap sequences, and the batched swarm
 //!   evaluator must equal the scalar path across mask strides;
-//! * `core::place` swap deltas must equal the O(C²) reference kernel,
-//!   and the optimizer must be byte-deterministic across thread counts;
+//! * `core::place` swap deltas — the dense O(C) reference and the
+//!   optimizer's O(deg) adjacency pricer — must equal the O(C²)
+//!   reference kernel, the optimizer must be byte-deterministic across
+//!   thread counts, and its default outcomes are frozen;
 //! * acceptance: on the 64-crossbar mesh and the 256-crossbar
 //!   `synth_16x16grid` scenarios (mesh *and* torus), hop-optimized
 //!   placement strictly reduces hop-weighted packets and measurably
@@ -22,13 +24,13 @@ use neuromap::core::pipeline::{
     TrafficMode,
 };
 use neuromap::core::place::{
-    optimize_placement, placement_cost, swap_delta, PlaceConfig, TrafficMatrix,
+    optimize_placement, placement_cost, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
 };
 use neuromap::core::SpikeGraph;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
 use neuromap::noc::sim::NocSim;
-use neuromap::noc::topology::{DistanceLut, Mesh2D, NocTree, Star, Topology, Torus};
+use neuromap::noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, Topology, Torus};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -238,6 +240,53 @@ proptest! {
         }
     }
 
+    /// The optimizer's O(deg) pricer against both oracles, on traffic
+    /// that is actually sparse: a drawn density from all-zero to full, so
+    /// empty rows, isolated clusters and one-directional entries
+    /// (`t(x,k) != 0 == t(k,x)`) all occur, over every flat fabric and a
+    /// multi-chip weighted table.
+    #[test]
+    fn place_adjacency_matches_both_references_on_sparse_traffic(
+        crossbars in 2usize..24,
+        fabric in 0u8..9,
+        density in 0u32..=100,
+        seed in 0u64..1000,
+        swaps in proptest::collection::vec((0u16..24, 0u16..24), 1..40),
+    ) {
+        let lut = if fabric == 8 {
+            HierTopology::for_crossbars(crossbars, 2, 2, 4, 2).unwrap().distance_lut()
+        } else {
+            DistanceLut::new(topology_for(fabric, crossbars).as_ref())
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let packets: Vec<u64> = (0..crossbars * crossbars)
+            .map(|i| {
+                let off_diagonal = i % (crossbars + 1) != 0;
+                if off_diagonal && rng.gen_range(0..100u32) < density {
+                    rng.gen_range(1..40u64)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let traffic = TrafficMatrix::from_raw(crossbars, packets);
+        let adjacency = TrafficAdjacency::new(&traffic);
+        let mut perm: Vec<u32> = (0..crossbars as u32).collect();
+        let mut cost = placement_cost(&traffic, &lut, &perm) as i64;
+        for &(x, y) in &swaps {
+            let (a, b) = ((x as usize) % crossbars, (y as usize) % crossbars);
+            let d = adjacency.swap_delta(&lut, &perm, a, b);
+            prop_assert_eq!(d, swap_delta(&traffic, &lut, &perm, a, b), "fabric {}", fabric);
+            perm.swap(a, b);
+            cost += d;
+            prop_assert_eq!(
+                cost as u64,
+                placement_cost(&traffic, &lut, &perm),
+                "fabric {} density {}", fabric, density
+            );
+        }
+    }
+
     #[test]
     fn place_optimizer_thread_invariant_and_never_worse_than_identity(
         graph in arb_graph(30),
@@ -408,7 +457,6 @@ fn placement_improves_the_256_crossbar_grid() {
 #[test]
 fn default_placement_outcomes_are_frozen() {
     use neuromap::apps::synthetic::MultiChip;
-    use neuromap::noc::topology::HierTopology;
     let fnv = |perm: &[u32]| {
         perm.iter()
             .flat_map(|p| p.to_le_bytes())
@@ -448,7 +496,7 @@ fn default_placement_outcomes_are_frozen() {
     )
     .expect("scenario parameters are valid")
     .distance_lut();
-    let cases: [(&str, &TrafficMatrix, DistanceLut, (u64, u32, u64)); 3] = [
+    let cases = [
         (
             "mesh256",
             &grid_traffic,
