@@ -22,13 +22,15 @@ use neuromap_core::coopt::{co_optimize, CooptConfig};
 use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
-use neuromap_core::pipeline::TrafficMode;
+use neuromap_core::pipeline::{MappingPipeline, PipelineConfig, TrafficMode};
 use neuromap_core::place::{
     optimize_placement, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_core::SpikeGraph;
+use neuromap_hw::arch::{Architecture, InterconnectKind};
 use neuromap_hw::mapping::Mapping;
+use neuromap_noc::config::NocConfig;
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -221,6 +223,35 @@ fn bench_large_arch(c: &mut Criterion) {
     let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
     bench_placement(c, &name, &traffic, &lut);
     bench_placement_sweep(c, &name, &traffic, &lut);
+
+    // ---- hop metrics under Steiner trees: one tree per net ----
+    // the same scattered mapping on a 2-VC torus with tree routing — the
+    // shape of mapbench's grid16_torus_joint_trees report stage, where
+    // every spike of a neuron shares one multicast tree
+    let arch = Architecture::custom(
+        scenario.num_crossbars(),
+        scenario.capacity(),
+        InterconnectKind::Torus,
+    )
+    .expect("valid arch");
+    let noc = NocConfig {
+        multicast: true,
+        multicast_trees: true,
+        vc_count: 2,
+        ..NocConfig::default()
+    };
+    let pipeline = MappingPipeline::new(
+        PipelineConfig::for_arch(arch)
+            .with_traffic(TrafficMode::PerCrossbar)
+            .with_noc(noc),
+    );
+    let flows = pipeline.packetize(&graph, &mapping);
+    let mut group = c.benchmark_group("pipeline/hop_metrics");
+    group.sample_size(10);
+    group.bench_function("synth_16x16torus_trees", |b| {
+        b.iter(|| black_box(pipeline.hop_metrics(black_box(&flows))));
+    });
+    group.finish();
 
     // full PSO steps (fused decode + repair + batched evaluation)
     let mut group = c.benchmark_group(format!("pso_step/{name}"));

@@ -20,8 +20,7 @@ use criterion::{BenchmarkId, Criterion};
 use neuromap_bench::noc_workloads::{burst_traffic, engine_workloads, NocWorkload};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
-use neuromap_noc::sim::oracle::CycleSim;
-use neuromap_noc::sim::NocSim;
+use neuromap_noc::sim::{EngineKind, NocSim};
 use neuromap_noc::topology::{HierTopology, Mesh2D, NocTree, Star, Topology};
 use neuromap_noc::traffic::SpikeFlow;
 
@@ -29,7 +28,8 @@ use neuromap_noc::traffic::SpikeFlow;
 /// timings are worth comparing. Returns the shared digest.
 fn assert_engines_agree(w: &NocWorkload) -> u64 {
     let mut event = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
-    let mut oracle = CycleSim::new((w.topo)(), w.cfg, EnergyModel::default());
+    let mut oracle =
+        NocSim::new((w.topo)(), w.cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
     let ev = event.run(&w.flows).expect("event engine drains");
     let or = oracle.run(&w.flows).expect("oracle drains");
     assert_eq!(
@@ -63,7 +63,8 @@ fn bench_engines(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::from_parameter("oracle"), &w, |b, w| {
             b.iter(|| {
-                let mut sim = CycleSim::new((w.topo)(), w.cfg, EnergyModel::default());
+                let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
+                    .with_engine(EngineKind::CycleOracle);
                 sim.run(&w.flows).expect("traffic drains")
             });
         });
@@ -102,7 +103,8 @@ fn bench_hier_engines(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::from_parameter("oracle"), &w, |b, w| {
         b.iter(|| {
-            let mut sim = CycleSim::new((w.topo)(), w.cfg, EnergyModel::default());
+            let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
+                .with_engine(EngineKind::CycleOracle);
             sim.run(&w.flows).expect("traffic drains")
         });
     });
@@ -168,7 +170,8 @@ fn bench_tree_routing(c: &mut Criterion) {
     let mesh = || -> Box<dyn Topology> { Box::new(Mesh2D::for_crossbars(64)) };
     let ev = {
         let mut event = NocSim::new(mesh(), trees, EnergyModel::default());
-        let mut oracle = CycleSim::new(mesh(), trees, EnergyModel::default());
+        let mut oracle =
+            NocSim::new(mesh(), trees, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let ev = event.run(&flows).expect("event engine drains");
         let or = oracle.run(&flows).expect("oracle drains");
         assert_eq!(

@@ -27,8 +27,7 @@ use neuromap_core::partition::PartitionProblem;
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
-use neuromap_noc::sim::oracle::CycleSim;
-use neuromap_noc::sim::NocSim;
+use neuromap_noc::sim::{EngineKind, NocSim};
 use std::time::Instant;
 
 /// One-line swarm-evaluator kernel report for a crossbar count: which
@@ -65,7 +64,8 @@ fn probe_noc() {
         let event_s = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let mut oracle = CycleSim::new((w.topo)(), w.cfg, EnergyModel::default());
+        let mut oracle = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
+            .with_engine(EngineKind::CycleOracle);
         let (or, _, _) = oracle
             .run_traced(&w.flows, duration)
             .expect("oracle drains");

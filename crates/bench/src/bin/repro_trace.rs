@@ -11,8 +11,7 @@
 use neuromap_bench::noc_workloads::engine_workloads;
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
-use neuromap_noc::sim::oracle::CycleSim;
-use neuromap_noc::sim::NocSim;
+use neuromap_noc::sim::{EngineKind, NocSim};
 
 /// Congested lanes the spotter ranks.
 const TOP_LANES: usize = 8;
@@ -34,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (stats, _) = event.run_with_duration(&w.flows, duration)?;
     let trace = event.take_trace().expect("tracing was on");
 
-    let mut oracle = CycleSim::new((w.topo)(), cfg, EnergyModel::default());
+    let mut oracle =
+        NocSim::new((w.topo)(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
     oracle.run_with_duration(&w.flows, duration)?;
     let oracle_trace = oracle.take_trace().expect("tracing was on");
     assert_eq!(

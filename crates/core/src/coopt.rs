@@ -151,8 +151,9 @@ pub struct CooptOutcome {
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidParameter`] for an invalid configuration or a
-/// problem without a hop table; propagates partitioner and placement
+/// [`CoreError::InvalidParameter`] for an invalid configuration, a
+/// problem without a hop table, or a `dist` that is not the problem's
+/// table over exactly its crossbars; propagates partitioner and placement
 /// errors.
 pub fn co_optimize(
     problem: &PartitionProblem<'_>,
@@ -161,10 +162,22 @@ pub fn co_optimize(
     cfg: &CooptConfig,
 ) -> Result<CooptOutcome, CoreError> {
     cfg.validate()?;
-    if problem.hops().is_none() {
+    let Some(hops) = problem.hops() else {
         return Err(CoreError::InvalidParameter {
             name: "problem",
             value: "no hop table attached (CutHops needs `with_hops`)".into(),
+        });
+    };
+    // `with_hops` and `optimize_placement` each accept a wider table, but
+    // the loop permutes `dist` by a placement of the problem's crossbars
+    let c = problem.num_crossbars();
+    if dist.num_crossbars() != c || hops.crossbar_matrix() != dist.crossbar_matrix() {
+        return Err(CoreError::InvalidParameter {
+            name: "dist",
+            value: format!(
+                "{} crossbars covered, must be the problem's own {c}-crossbar hop table",
+                dist.num_crossbars()
+            ),
         });
     }
     let graph = problem.graph();
@@ -404,6 +417,62 @@ mod tests {
         // first cut_hops evaluation
         let bare = PartitionProblem::new(&g, 4, 4).unwrap();
         assert!(co_optimize(&bare, &dist, TrafficMode::PerCrossbar, &small_cfg()).is_err());
+        // non-finite swarm hyperparameters are caught by the embedded
+        // PSO config's validation
+        let bad = CooptConfig {
+            pso: PsoConfig {
+                inertia: f32::NAN,
+                ..small_cfg().pso
+            },
+            ..small_cfg()
+        };
+        assert!(matches!(
+            co_optimize(&problem, &dist, TrafficMode::PerCrossbar, &bad),
+            Err(CoreError::InvalidParameter {
+                name: "inertia",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn dist_must_be_the_problems_own_table() {
+        use neuromap_noc::topology::Torus;
+        // `with_hops` and `optimize_placement` accept a table covering at
+        // least C crossbars; the joint loop permutes it by a C-cluster
+        // placement, so a wider one used to pass every check, run the
+        // staged baseline and panic in `DistanceLut::permuted`
+        let g = ring_graph(24, 20);
+        let wide = DistanceLut::new(&Mesh2D::for_crossbars(16));
+        let problem = PartitionProblem::new(&g, 12, 2)
+            .unwrap()
+            .with_hops(&wide)
+            .unwrap();
+        let is_dist_error = |r: Result<CooptOutcome, CoreError>| {
+            matches!(r, Err(CoreError::InvalidParameter { name: "dist", .. }))
+        };
+        assert!(is_dist_error(co_optimize(
+            &problem,
+            &wide,
+            TrafficMode::PerCrossbar,
+            &small_cfg()
+        )));
+        // same size, different fabric: the problem prices on a mesh, the
+        // placements would be found on a torus
+        let mesh = DistanceLut::new(&Mesh2D::for_crossbars(16));
+        let torus = DistanceLut::new(&Torus::for_crossbars(16));
+        let g = ring_graph(32, 20);
+        let problem = PartitionProblem::new(&g, 16, 2)
+            .unwrap()
+            .with_hops(&mesh)
+            .unwrap();
+        assert!(is_dist_error(co_optimize(
+            &problem,
+            &torus,
+            TrafficMode::PerCrossbar,
+            &small_cfg()
+        )));
+        assert!(co_optimize(&problem, &mesh, TrafficMode::PerCrossbar, &small_cfg()).is_ok());
     }
 
     #[test]

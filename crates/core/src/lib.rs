@@ -76,6 +76,7 @@ pub mod pool;
 pub mod pso;
 pub mod refine;
 pub mod remap;
+mod traffic;
 
 pub use error::CoreError;
 pub use graph::SpikeGraph;

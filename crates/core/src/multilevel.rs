@@ -1074,5 +1074,12 @@ mod tests {
         let mut cfg = MultilevelConfig::default();
         cfg.pso.fitness = FitnessKind::CutHops;
         assert!(vcycle(&problem, &cfg).is_err(), "CutHops without hops");
+        // the coarsest-level swarm's hyperparameters are validated too
+        let mut cfg = MultilevelConfig::default();
+        cfg.pso.phi_g = f32::NAN;
+        assert!(matches!(
+            vcycle(&problem, &cfg),
+            Err(CoreError::InvalidParameter { name: "phi_g", .. })
+        ));
     }
 }

@@ -23,6 +23,14 @@
 //! inserts the SpiNeMap-style placement stage that moves chatty clusters
 //! onto adjacent routers.
 //!
+//! What a mapping sends over the interconnect — which synapses are
+//! remote, what one spike's destination set is, how the two
+//! [`TrafficMode`]s count it — is defined once, in the crate-private
+//! `traffic` module; [`build_flows`], [`local_events`] and the placement
+//! stage's [`TrafficMatrix`] are folds over that one derivation, and
+//! [`MappingPipeline::hop_metrics`] prices Steiner trees through the
+//! function `crate::place::MulticastTraffic::tree_cost` uses.
+//!
 //! One pipeline is built per configuration ([`MappingPipeline::new`])
 //! and offers one call per job: [`MappingPipeline::run`] chains every
 //! stage for a partitioner, each stage is callable on its own, and
@@ -39,10 +47,11 @@ use crate::error::CoreError;
 use crate::graph::SpikeGraph;
 use crate::partition::{PartitionProblem, Partitioner};
 use crate::place::{optimize_placement, PlaceConfig, TrafficMatrix};
+use crate::traffic;
 use neuromap_hw::arch::{Architecture, InterconnectKind};
 use neuromap_hw::mapping::{Mapping, Placement};
 use neuromap_noc::config::NocConfig;
-use neuromap_noc::sim::{oracle::CycleSim, EngineKind, NocSim};
+use neuromap_noc::sim::{EngineKind, NocSim};
 use neuromap_noc::stats::{Delivery, NocStats};
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, Topology, Torus};
 use neuromap_noc::trace::TraceBuf;
@@ -248,103 +257,59 @@ fn build_hier(arch: &Architecture) -> HierTopology {
 }
 
 /// Expands a partitioned spike graph into the interconnect's injection
-/// schedule under the chosen [`TrafficMode`]:
+/// schedule under the chosen [`TrafficMode`] — the per-spike fold of the
+/// traffic model (`crate::traffic`): each spike of a neuron emits
 ///
-/// * [`TrafficMode::PerSynapse`] — one unicast flow per spike per cut
-///   synapse (paper Eq. 7);
-/// * [`TrafficMode::PerCrossbar`] — one flow per spike carrying the
-///   deduplicated destination-crossbar set (AER; multicast-capable).
+/// * [`TrafficMode::PerSynapse`] — one unicast flow per remote synapse,
+///   grouped by destination crossbar (paper Eq. 7);
+/// * [`TrafficMode::PerCrossbar`] — one flow carrying the neuron's
+///   distinct remote crossbars (AER; multicast-capable).
+///
+/// # Panics
+///
+/// Panics if the mapping does not cover exactly the graph's neurons.
 pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> Vec<SpikeFlow> {
     let mut flows = Vec::new();
-    for i in 0..graph.num_neurons() {
-        if graph.count(i) == 0 {
-            continue;
+    traffic::walk(graph, mapping.assignment(), |n| {
+        if n.remote.is_empty() {
+            return;
         }
-        let home = mapping.crossbar_of(i);
+        let times = graph.train(n.neuron).times();
         match mode {
             TrafficMode::PerSynapse => {
-                let remote: Vec<u32> = graph
-                    .targets(i)
-                    .iter()
-                    .map(|&j| mapping.crossbar_of(j))
-                    .filter(|&c| c != home)
-                    .collect();
-                if remote.is_empty() {
-                    continue;
-                }
-                for &t in graph.train(i).times() {
-                    for &dst in &remote {
-                        flows.push(SpikeFlow::unicast(i, home, dst, t));
+                for &t in times {
+                    for &(dst, synapses) in n.remote {
+                        for _ in 0..synapses {
+                            flows.push(SpikeFlow::unicast(n.neuron, n.home, dst, t));
+                        }
                     }
                 }
             }
             TrafficMode::PerCrossbar => {
-                let mut dsts: Vec<u32> = graph
-                    .targets(i)
-                    .iter()
-                    .map(|&j| mapping.crossbar_of(j))
-                    .filter(|&c| c != home)
-                    .collect();
-                dsts.sort_unstable();
-                dsts.dedup();
-                if dsts.is_empty() {
-                    continue;
-                }
-                for &t in graph.train(i).times() {
+                let dsts: Vec<u32> = n.remote.iter().map(|&(dst, _)| dst).collect();
+                for &t in times {
                     flows.push(SpikeFlow {
-                        source_neuron: i,
-                        src_crossbar: home,
+                        source_neuron: n.neuron,
+                        src_crossbar: n.home,
                         dst_crossbars: dsts.clone(),
                         send_step: t,
                     });
                 }
             }
         }
-    }
+    });
     flows
 }
 
 /// Counts the synaptic events served *inside* crossbars under a mapping:
 /// `Σ_{(i,j) ∈ S, cb(i) = cb(j)} |T_i|`.
+///
+/// # Panics
+///
+/// Panics if the mapping does not cover exactly the graph's neurons.
 pub fn local_events(graph: &SpikeGraph, mapping: &Mapping) -> u64 {
     let mut total = 0u64;
-    for i in 0..graph.num_neurons() {
-        let c = graph.count(i) as u64;
-        if c == 0 {
-            continue;
-        }
-        let home = mapping.crossbar_of(i);
-        let local = graph
-            .targets(i)
-            .iter()
-            .filter(|&&j| mapping.crossbar_of(j) == home)
-            .count() as u64;
-        total += c * local;
-    }
-    total
-}
-
-/// Link traversals of a multicast tree, given the per-destination paths
-/// [`Topology::multicast_route`] returns: paths are grouped by their
-/// first `(next hop, VC)` — each distinct group is one packet forward —
-/// and the recursion descends into the groups' tails. Destinations that
-/// share a path prefix pay each shared hop once, which is exactly the
-/// forward count the NoC engines perform under tree routing (a head
-/// splits per distinct route bit, never per destination).
-pub(crate) fn tree_forwards(paths: &[Vec<(usize, usize)>]) -> u64 {
-    // hop path tail, keyed by the (next hop, VC) the paths branch on
-    type Tails = Vec<Vec<(usize, usize)>>;
-    let mut groups: std::collections::BTreeMap<(usize, usize), Tails> =
-        std::collections::BTreeMap::new();
-    for p in paths {
-        if let Some((&first, rest)) = p.split_first() {
-            groups.entry(first).or_default().push(rest.to_vec());
-        }
-    }
-    let mut total = 0u64;
-    for tails in groups.values() {
-        total += 1 + tree_forwards(tails);
-    }
+    traffic::walk(graph, mapping.assignment(), |n| total += n.spikes * n.local);
     total
 }
 
@@ -556,19 +521,10 @@ impl MappingPipeline {
             noc_cfg.multicast = false;
         }
         let energy = *self.config.arch.energy();
-        let (stats, deliveries, trace) = match self.config.engine {
-            EngineKind::CycleOracle => {
-                let mut sim = CycleSim::shared(Arc::clone(&self.topo), noc_cfg, energy);
-                let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
-                (stats, deliveries, sim.take_trace())
-            }
-            _ => {
-                let mut sim = NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy);
-                let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
-                (stats, deliveries, sim.take_trace())
-            }
-        };
-        Ok((stats, deliveries, trace))
+        let mut sim =
+            NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy).with_engine(self.config.engine);
+        let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
+        Ok((stats, deliveries, sim.take_trace()))
     }
 
     /// Hop metrics of a flow set: `(hop-weighted packets, unicast packet
@@ -587,26 +543,29 @@ impl MappingPipeline {
     /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
     pub fn hop_metrics(&self, flows: &[SpikeFlow]) -> (u64, u64) {
         let trees = self.config.noc.multicast && self.config.noc.multicast_trees;
+        let topo = self.topo.as_ref();
         let mut weighted = 0u64;
         let mut unicast = 0u64;
-        for f in flows {
-            unicast += f.dst_crossbars.len() as u64;
-            if trees {
-                let src_router = self.topo.endpoint(f.src_crossbar);
-                let dest_routers: Vec<usize> = f
-                    .dst_crossbars
-                    .iter()
-                    .map(|&d| self.topo.endpoint(d))
-                    .collect();
-                let paths =
-                    self.topo
-                        .multicast_route(src_router, &dest_routers, self.config.noc.vc_count);
-                weighted += tree_forwards(&paths);
+        let mut dest_routers: Vec<usize> = Vec::new();
+        // consecutive spikes of one net (every spike of a neuron, as
+        // `build_flows` emits them) share a price: price the run once
+        let same_net = |a: &SpikeFlow, b: &SpikeFlow| {
+            a.src_crossbar == b.src_crossbar && a.dst_crossbars == b.dst_crossbars
+        };
+        for run in flows.chunk_by(same_net) {
+            let (src, dsts) = (run[0].src_crossbar, &run[0].dst_crossbars);
+            let price = if trees {
+                dest_routers.clear();
+                dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(d)));
+                let vcs = self.config.noc.vc_count;
+                traffic::net_forwards(topo, vcs, topo.endpoint(src), &dest_routers)
             } else {
-                for &dst in &f.dst_crossbars {
-                    weighted += u64::from(self.dist.hops(f.src_crossbar, dst));
-                }
-            }
+                dsts.iter()
+                    .map(|&d| u64::from(self.dist.hops(src, d)))
+                    .sum()
+            };
+            weighted += run.len() as u64 * price;
+            unicast += (run.len() * dsts.len()) as u64;
         }
         (weighted, unicast)
     }
@@ -798,6 +757,76 @@ mod tests {
         // per-synapse: × 8 synapses per neuron
         let flows = build_flows(&g, &m, TrafficMode::PerSynapse);
         assert_eq!(flows.len(), 640);
+    }
+
+    /// Delegates to a mesh and counts `multicast_route` calls.
+    struct CountingMesh(Mesh2D, std::sync::atomic::AtomicUsize);
+
+    impl Topology for CountingMesh {
+        fn num_routers(&self) -> usize {
+            self.0.num_routers()
+        }
+        fn num_crossbars(&self) -> usize {
+            self.0.num_crossbars()
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            self.0.endpoint(k)
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            self.0.neighbors(r)
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            self.0.route_next(r, dst)
+        }
+        fn multicast_route(
+            &self,
+            src: usize,
+            dests: &[usize],
+            vcs: usize,
+        ) -> Vec<Vec<(usize, usize)>> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.multicast_route(src, dests, vcs)
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn hop_metrics_routes_one_tree_per_spiking_neuron() {
+        // every spike of a neuron carries the same net, and `build_flows`
+        // emits them back to back: a tree is priced per neuron (80 flows
+        // here), and the total is what pricing each flow alone gives
+        let g = layered_graph();
+        let noc = NocConfig {
+            multicast: true,
+            multicast_trees: true,
+            ..NocConfig::default()
+        };
+        let cfg = PipelineConfig::for_arch(small_arch())
+            .with_traffic(TrafficMode::PerCrossbar)
+            .with_noc(noc);
+        let counting = Arc::new(CountingMesh(Mesh2D::for_crossbars(4), Default::default()));
+        let pipeline = MappingPipeline {
+            topo: counting.clone(),
+            ..MappingPipeline::new(cfg)
+        };
+        let calls = || counting.1.load(std::sync::atomic::Ordering::Relaxed);
+        let assign: Vec<u32> = (0..16).map(|i| i % 4).collect();
+        let m = Mapping::from_assignment(assign, 4).unwrap();
+        let flows = pipeline.packetize(&g, &m);
+        assert_eq!(flows.len(), 80);
+        let whole = pipeline.hop_metrics(&flows);
+        assert_eq!(calls(), 8, "one tree per spiking neuron");
+        let one_by_one = flows.iter().fold((0, 0), |acc, f| {
+            let (w, u) = pipeline.hop_metrics(std::slice::from_ref(f));
+            (acc.0 + w, acc.1 + u)
+        });
+        assert_eq!(calls(), 8 + 80);
+        assert_eq!(whole, one_by_one);
+        // a corner of the 2x2 mesh reaches the other three crossbars over
+        // 3 links; the pairwise hop sum would charge 1 + 1 + 2
+        assert_eq!(whole, (80 * 3, 80 * 3));
     }
 
     #[test]

@@ -62,6 +62,7 @@ use crate::error::CoreError;
 use crate::graph::SpikeGraph;
 use crate::pipeline::TrafficMode;
 use crate::pool;
+use crate::traffic;
 use neuromap_hw::mapping::{Mapping, Placement};
 use neuromap_noc::topology::{DistanceLut, Topology};
 use rand::rngs::StdRng;
@@ -80,51 +81,30 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
-    /// Collapses a partitioned spike graph into cluster-level traffic.
-    ///
-    /// Under [`TrafficMode::PerCrossbar`] a spiking neuron contributes
-    /// its spike count once per *distinct* remote target cluster
-    /// (multicast packet accounting); under [`TrafficMode::PerSynapse`]
-    /// once per cut synapse (the paper's Eq. 7 accounting). Either way
-    /// the matrix times the hop table prices exactly the flows
-    /// `crate::pipeline::build_flows` will emit.
+    /// Collapses a partitioned spike graph into cluster-level traffic —
+    /// the per-cluster-pair fold of the traffic model (`crate::traffic`):
+    /// a spiking neuron adds its spike count to `(home, k)` once per
+    /// remote synapse on cluster `k` under [`TrafficMode::PerSynapse`],
+    /// once per distinct remote cluster under
+    /// [`TrafficMode::PerCrossbar`]. Either way the matrix times the hop
+    /// table prices exactly the flows `crate::pipeline::build_flows`
+    /// will emit.
     ///
     /// # Panics
     ///
-    /// Panics if the mapping covers fewer neurons than the graph.
+    /// Panics if the mapping does not cover exactly the graph's neurons.
     pub fn from_mapping(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> Self {
-        assert_eq!(
-            mapping.num_neurons(),
-            graph.num_neurons() as usize,
-            "mapping must cover every neuron"
-        );
         let c = mapping.num_crossbars();
         let mut packets = vec![0u64; c * c];
-        let mut seen = vec![u32::MAX; c];
-        for i in 0..graph.num_neurons() {
-            let count = graph.count(i) as u64;
-            if count == 0 {
-                continue;
+        traffic::walk(graph, mapping.assignment(), |n| {
+            for &(dst, synapses) in n.remote {
+                let per_spike = match mode {
+                    TrafficMode::PerSynapse => u64::from(synapses),
+                    TrafficMode::PerCrossbar => 1,
+                };
+                packets[n.home as usize * c + dst as usize] += n.spikes * per_spike;
             }
-            let home = mapping.crossbar_of(i);
-            for &j in graph.targets(i) {
-                let dst = mapping.crossbar_of(j);
-                if dst == home {
-                    continue;
-                }
-                match mode {
-                    TrafficMode::PerSynapse => {
-                        packets[home as usize * c + dst as usize] += count;
-                    }
-                    TrafficMode::PerCrossbar => {
-                        if seen[dst as usize] != i {
-                            seen[dst as usize] = i;
-                            packets[home as usize * c + dst as usize] += count;
-                        }
-                    }
-                }
-            }
-        }
+        });
         Self { c, packets }
     }
 
@@ -163,9 +143,10 @@ impl TrafficMatrix {
 /// destination. This type keeps each source cluster's distinct
 /// destination *sets* (with spike-count weights) — the hyperedge nets of
 /// the mapping — and [`MulticastTraffic::tree_cost`] prices exactly
-/// those tree forwards for any placement: the cluster-level oracle of
-/// what [`MappingPipeline::hop_metrics`] measures on the flows. No
-/// optimizer searches under it; [`optimize_placement`] prices pairwise.
+/// those tree forwards for any placement: the cluster-level view of
+/// what [`MappingPipeline::hop_metrics`] measures on the flows, through
+/// the same per-net price (`crate::traffic`). No optimizer searches
+/// under it; [`optimize_placement`] prices pairwise.
 ///
 /// [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
 /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
@@ -179,47 +160,30 @@ pub struct MulticastTraffic {
 }
 
 impl MulticastTraffic {
-    /// Collapses a partitioned spike graph into multicast groups: every
-    /// spiking neuron contributes its spike count to the group
-    /// `(home cluster, {distinct remote target clusters})`; neurons with
-    /// identical home and destination set aggregate. This mirrors
+    /// Collapses a partitioned spike graph into multicast groups — the
+    /// per-net fold of the traffic model (`crate::traffic`): every
+    /// spiking neuron adds its spike count to the group `(home cluster,
+    /// {distinct remote target clusters})`; neurons with identical home
+    /// and destination set aggregate. This mirrors
     /// [`TrafficMode::PerCrossbar`] flow construction, which is the only
     /// accounting under which tree routing applies.
     ///
     /// # Panics
     ///
-    /// Panics if the mapping covers fewer neurons than the graph.
+    /// Panics if the mapping does not cover exactly the graph's neurons.
     pub fn from_mapping(graph: &SpikeGraph, mapping: &Mapping) -> Self {
-        assert_eq!(
-            mapping.num_neurons(),
-            graph.num_neurons() as usize,
-            "mapping must cover every neuron"
-        );
-        let c = mapping.num_crossbars();
         let mut agg: BTreeMap<(u32, Vec<u32>), u64> = BTreeMap::new();
-        let mut dsts: Vec<u32> = Vec::new();
-        for i in 0..graph.num_neurons() {
-            let count = graph.count(i) as u64;
-            if count == 0 {
-                continue;
+        traffic::walk(graph, mapping.assignment(), |n| {
+            if !n.remote.is_empty() {
+                let dsts = n.remote.iter().map(|&(dst, _)| dst).collect();
+                *agg.entry((n.home, dsts)).or_insert(0) += n.spikes;
             }
-            let home = mapping.crossbar_of(i);
-            dsts.clear();
-            for &j in graph.targets(i) {
-                let dst = mapping.crossbar_of(j);
-                if dst != home {
-                    dsts.push(dst);
-                }
-            }
-            if dsts.is_empty() {
-                continue;
-            }
-            dsts.sort_unstable();
-            dsts.dedup();
-            *agg.entry((home, dsts.clone())).or_insert(0) += count;
-        }
+        });
         let groups = agg.into_iter().map(|((s, d), w)| (s, d, w)).collect();
-        Self { c, groups }
+        Self {
+            c: mapping.num_crossbars(),
+            groups,
+        }
     }
 
     /// Tree-aware placement cost: the weighted link-traversal count of
@@ -246,8 +210,7 @@ impl MulticastTraffic {
             let src_router = topo.endpoint(physical_of[*src as usize]);
             dest_routers.clear();
             dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(physical_of[d as usize])));
-            let paths = topo.multicast_route(src_router, &dest_routers, vc_count);
-            cost += w * crate::pipeline::tree_forwards(&paths);
+            cost += w * traffic::net_forwards(topo, vc_count, src_router, &dest_routers);
         }
         cost
     }
@@ -959,11 +922,25 @@ mod tests {
         let (weighted, _) = pipeline.hop_metrics(&flows);
         let multicast = MulticastTraffic::from_mapping(&g, &m);
         let identity: Vec<u32> = (0..16).collect();
-        let vc = pipeline.config().noc.vc_count;
-        assert_eq!(
-            multicast.tree_cost(pipeline.topology(), vc, &identity),
-            weighted
-        );
+        let (topo, vc) = (pipeline.topology(), pipeline.config().noc.vc_count);
+        assert_eq!(multicast.tree_cost(topo, vc, &identity), weighted);
+        // both sides price through `traffic::net_forwards`; the
+        // independent side routes one tree per spike and counts its links
+        // as the distinct non-empty prefixes of the per-destination paths
+        let per_spike: u64 = flows
+            .iter()
+            .map(|f| {
+                let dests: Vec<usize> = f.dst_crossbars.iter().map(|&d| topo.endpoint(d)).collect();
+                let paths = topo.multicast_route(topo.endpoint(f.src_crossbar), &dests, vc);
+                let links: std::collections::BTreeSet<&[(usize, usize)]> = paths
+                    .iter()
+                    .flat_map(|p| (1..=p.len()).map(move |k| &p[..k]))
+                    .collect();
+                links.len() as u64
+            })
+            .sum();
+        assert!(weighted > 0);
+        assert_eq!(per_spike, weighted);
     }
 
     #[test]

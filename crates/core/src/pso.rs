@@ -148,7 +148,8 @@ impl PsoConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for zero swarm/iterations/threads or
+    /// [`CoreError::InvalidParameter`] for zero swarm/iterations/threads,
+    /// a non-finite `inertia`, `phi_p`, `phi_g` or `v_max`, or a
     /// non-positive `v_max`.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.swarm_size == 0 {
@@ -169,7 +170,22 @@ impl PsoConfig {
                 value: "0".into(),
             });
         }
-        if self.v_max <= 0.0 || self.v_max.is_nan() {
+        // a NaN velocity row decodes to no crossbar at all (an
+        // out-of-bounds index), an infinite one to a degenerate search
+        for (name, value) in [
+            ("inertia", self.inertia),
+            ("phi_p", self.phi_p),
+            ("phi_g", self.phi_g),
+            ("v_max", self.v_max),
+        ] {
+            if !value.is_finite() {
+                return Err(CoreError::InvalidParameter {
+                    name,
+                    value: value.to_string(),
+                });
+            }
+        }
+        if self.v_max <= 0.0 {
             return Err(CoreError::InvalidParameter {
                 name: "v_max",
                 value: self.v_max.to_string(),
@@ -857,6 +873,26 @@ mod tests {
             ..PsoConfig::default()
         });
         assert!(pso.partition(&p).is_err());
+        // non-finite hyperparameters: NaN inertia used to reach the
+        // decoder as an all-NaN velocity row and index out of bounds
+        type Spoil = fn(&mut PsoConfig);
+        let cases: [(&str, Spoil); 7] = [
+            ("inertia", |c| c.inertia = f32::NAN),
+            ("inertia", |c| c.inertia = f32::INFINITY),
+            ("phi_p", |c| c.phi_p = f32::NAN),
+            ("phi_g", |c| c.phi_g = f32::NEG_INFINITY),
+            ("v_max", |c| c.v_max = f32::INFINITY),
+            ("v_max", |c| c.v_max = f32::NAN),
+            ("v_max", |c| c.v_max = 0.0),
+        ];
+        for (name, spoil) in cases {
+            let mut bad = PsoConfig::default();
+            spoil(&mut bad);
+            match PsoPartitioner::new(bad).partition_traced(&p) {
+                Err(CoreError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("{name}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

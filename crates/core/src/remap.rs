@@ -13,6 +13,7 @@
 //! and the budget caps the reconfiguration downtime.
 
 use crate::error::CoreError;
+use crate::eval::EvalEngine;
 use crate::partition::{FitnessKind, PartitionProblem};
 use neuromap_hw::mapping::Mapping;
 use serde::{Deserialize, Serialize};
@@ -100,21 +101,13 @@ pub fn remap(
         occ[k as usize] += 1;
     }
 
-    let cost_before = problem.cost(config.fitness, &assignment);
-    let mut cost = cost_before as i64;
+    // every candidate, under every objective, is priced incrementally
+    let engine = EvalEngine::new(*problem, config.fitness);
+    let mut state = engine.init(&assignment);
+    let cost_before = state.cost();
     let mut migrations = Vec::new();
-
-    let delta_of = |assignment: &[u32], cost: i64, i: usize, t: u32| -> i64 {
-        match config.fitness {
-            FitnessKind::CutSpikes => problem.move_delta_spikes(assignment, i, t),
-            FitnessKind::CutPackets | FitnessKind::CutHops => {
-                // exact but non-incremental: acceptable at runtime scales
-                let mut trial = assignment.to_vec();
-                trial[i] = t;
-                problem.cost(config.fitness, &trial) as i64 - cost
-            }
-        }
-    };
+    let too_small =
+        |d: i64, cost: u64| cost > 0 && (-d as f64) / cost as f64 <= config.min_relative_gain;
 
     while migrations.len() < config.max_migrations {
         // globally best single migration
@@ -125,21 +118,20 @@ pub fn remap(
                 if t == from || occ[t as usize] >= cap {
                     continue;
                 }
-                let d = delta_of(&assignment, cost, i, t);
+                let d = engine.move_delta(&state, &assignment, i, t);
                 if d < 0 && best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((i, t, d));
                 }
             }
         }
         if let Some((i, t, d)) = best {
-            if cost > 0 && (-d as f64) / cost as f64 <= config.min_relative_gain {
+            if too_small(d, state.cost()) {
                 break;
             }
             let from = assignment[i];
             occ[from as usize] -= 1;
             occ[t as usize] += 1;
-            assignment[i] = t;
-            cost += d;
+            engine.apply_priced_move(&mut state, &mut assignment, i, t, d);
             migrations.push((i as u32, from, t));
             continue;
         }
@@ -157,30 +149,27 @@ pub fn remap(
                 if j == i || assignment[i] == assignment[j] {
                     continue;
                 }
+                // apply the first half, price the second, revert
                 let (ci, cj) = (assignment[i], assignment[j]);
-                let d1 = delta_of(&assignment, cost, i, cj);
-                let mut trial = assignment.clone();
-                trial[i] = cj;
-                let d2 = delta_of(&trial, cost + d1, j, ci);
-                let d = d1 + d2;
+                let d1 = engine.apply_move(&mut state, &mut assignment, i, cj);
+                let d = d1 + engine.move_delta(&state, &assignment, j, ci);
+                engine.apply_priced_move(&mut state, &mut assignment, i, ci, -d1);
                 if d < 0 && best_swap.is_none_or(|(_, _, bd)| d < bd) {
                     best_swap = Some((i, j, d));
                 }
             }
         }
         let Some((i, j, d)) = best_swap else { break };
-        if cost > 0 && (-d as f64) / cost as f64 <= config.min_relative_gain {
+        if too_small(d, state.cost()) {
             break;
         }
         let (ci, cj) = (assignment[i], assignment[j]);
-        assignment[i] = cj;
-        assignment[j] = ci;
-        cost += d;
+        engine.apply_swap(&mut state, &mut assignment, i, j);
         migrations.push((i as u32, ci, cj));
         migrations.push((j as u32, cj, ci));
     }
 
-    let cost_after = cost.max(0) as u64;
+    let cost_after = state.cost();
     debug_assert_eq!(cost_after, problem.cost(config.fitness, &assignment));
     let mapping = problem.into_mapping(assignment)?;
     Ok(RemapOutcome {
@@ -302,6 +291,110 @@ mod tests {
             outcome.cost_after,
             problem.cut_hops(outcome.mapping.assignment())
         );
+    }
+
+    /// The specification `remap` is held to: the same greedy loop with
+    /// every candidate priced by a full cost recompute of a trial copy.
+    fn brute_force(
+        problem: &PartitionProblem<'_>,
+        start: &[u32],
+        cfg: &RemapConfig,
+    ) -> Vec<Migration> {
+        let cost_of = |a: &[u32]| problem.cost(cfg.fitness, a) as i64;
+        let g = problem.graph();
+        let n = start.len();
+        let mut a = start.to_vec();
+        let mut log = Vec::new();
+        while log.len() < cfg.max_migrations {
+            let cost = cost_of(&a);
+            let mut occ = vec![0u32; problem.num_crossbars()];
+            a.iter().for_each(|&k| occ[k as usize] += 1);
+            let mut best: Option<(i64, usize, u32)> = None;
+            for i in 0..n {
+                for t in 0..problem.num_crossbars() as u32 {
+                    if t == a[i] || occ[t as usize] >= problem.capacity() {
+                        continue;
+                    }
+                    let mut trial = a.clone();
+                    trial[i] = t;
+                    let d = cost_of(&trial) - cost;
+                    if d < 0 && best.is_none_or(|(bd, ..)| d < bd) {
+                        best = Some((d, i, t));
+                    }
+                }
+            }
+            if let Some((_, i, t)) = best {
+                log.push((i as u32, a[i], t));
+                a[i] = t;
+                continue;
+            }
+            if log.len() + 2 > cfg.max_migrations {
+                break;
+            }
+            let mut best_swap: Option<(i64, usize, usize)> = None;
+            for i in 0..n {
+                for &j in g.targets(i as u32) {
+                    let j = j as usize;
+                    if a[i] == a[j] {
+                        continue;
+                    }
+                    let mut trial = a.clone();
+                    trial.swap(i, j);
+                    let d = cost_of(&trial) - cost;
+                    if d < 0 && best_swap.is_none_or(|(bd, ..)| d < bd) {
+                        best_swap = Some((d, i, j));
+                    }
+                }
+            }
+            let Some((_, i, j)) = best_swap else { break };
+            log.push((i as u32, a[i], a[j]));
+            log.push((j as u32, a[j], a[i]));
+            a.swap(i, j);
+        }
+        log
+    }
+
+    #[test]
+    fn incremental_pricing_matches_a_brute_force_reference() {
+        use neuromap_noc::topology::{DistanceLut, Mesh2D};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let lut = DistanceLut::new(&Mesh2D::for_crossbars(4));
+        let (mut moved, mut swapped) = (false, false);
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // self-loops and duplicate synapses included
+            let synapses = (0..90)
+                .map(|_| (rng.gen_range(0..24), rng.gen_range(0..24)))
+                .collect();
+            let counts = (0..24).map(|_| rng.gen_range(0..12)).collect();
+            let g = SpikeGraph::from_parts(24, synapses, counts).unwrap();
+            // capacity 6 is an exact fit (swaps only), 7 leaves slack
+            for cap in [6, 7] {
+                let problem = PartitionProblem::new(&g, 4, cap)
+                    .unwrap()
+                    .with_hops(&lut)
+                    .unwrap();
+                let stale = Mapping::from_assignment((0..24).map(|i| i % 4).collect(), 4).unwrap();
+                for fitness in [FitnessKind::CutPackets, FitnessKind::CutHops] {
+                    let cfg = RemapConfig {
+                        fitness,
+                        max_migrations: 12,
+                        ..RemapConfig::default()
+                    };
+                    let outcome = remap(&problem, &stale, &cfg).unwrap();
+                    let expected = brute_force(&problem, stale.assignment(), &cfg);
+                    assert_eq!(
+                        outcome.migrations, expected,
+                        "{fitness:?} seed {seed} cap {cap}"
+                    );
+                    let after = outcome.mapping.assignment();
+                    assert_eq!(outcome.cost_after, problem.cost(fitness, after));
+                    moved |= cap == 7 && !expected.is_empty();
+                    swapped |= cap == 6 && !expected.is_empty();
+                }
+            }
+        }
+        assert!(moved && swapped, "corpus must exercise both move kinds");
     }
 
     #[test]

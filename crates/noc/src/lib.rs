@@ -18,10 +18,10 @@
 //! in flits, and backpressure — the congestion mechanisms that produce the
 //! latency, disorder and distortion effects the paper measures.
 //!
-//! The model is written once and run under two schedulers: the
-//! event-driven [`sim::NocSim`] (production — it examines only the ports
-//! something could have enabled, so runtime scales with traffic events,
-//! not simulated cycles) and the cycle-driven [`sim::oracle::CycleSim`]
+//! The model is written once and [`sim::NocSim`] runs it under one of two
+//! schedulers ([`sim::EngineKind`]): the event-driven one (production —
+//! it examines only the ports something could have enabled, so runtime
+//! scales with traffic events, not simulated cycles) and the cycle-driven
 //! reference (every port, every cycle, every route asked of the topology
 //! afresh) it is differentially verified against, byte-for-byte. See the
 //! [`sim`] module docs for the event model and the equivalence argument.

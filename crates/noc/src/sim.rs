@@ -9,9 +9,10 @@
 //! `(egress port, VC)`. What it leaves open — which `(router, port)`
 //! pairs a cycle examines, what a lane head wants, which cycle comes next
 //! — is a `Sched` policy (`crate::sched`), and each engine is that one
-//! loop under one policy:
+//! loop under one policy; [`NocSim`] runs whichever its [`EngineKind`]
+//! names:
 //!
-//! * [`NocSim`] — the **event-driven** production engine, `simulate`
+//! * [`EngineKind::EventDriven`] — the production engine, `simulate`
 //!   under `PortSched`. Wakes are tracked at **(router, output-port)
 //!   pair** granularity: the arrival queue plus the injection cursor
 //!   decide *which cycles* run, and within an attended cycle a
@@ -21,11 +22,12 @@
 //!   hops, head changes, credit releases), not with simulated cycles ×
 //!   routers × ports — which is what keeps dense saturated bursts fast,
 //!   not just sparse spike traffic.
-//! * [`oracle::CycleSim`] — the **cycle-driven reference**, `simulate`
-//!   under [`oracle`]'s `Sweep`: every pair, every cycle, every want
-//!   asked of the topology afresh. Slow but simple enough to audit; the
-//!   differential test suite (`tests/noc_properties.rs`) holds the event
-//!   engine to byte-identical [`NocStats`] and delivery logs against it.
+//! * [`EngineKind::CycleOracle`] — the **cycle-driven reference**,
+//!   `simulate` under `oracle`'s `Sweep`: every pair, every cycle, every
+//!   want asked of the topology afresh. Slow but simple enough to audit;
+//!   the differential test suite (`tests/noc_properties.rs`) holds the
+//!   event engine to byte-identical [`NocStats`] and delivery logs
+//!   against it.
 //!
 //! So the differential suite compares the two policies: the visit set and
 //! the clock jumps, and the head wants (route tables and incrementally
@@ -96,9 +98,10 @@ use neuromap_hw::energy::EnergyModel;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-pub mod oracle;
+pub(crate) mod oracle;
 
-/// Selects which interconnect engine a caller drives.
+/// Selects which scheduling policy a [`NocSim`] runs the router model
+/// under ([`NocSim::with_engine`]).
 ///
 /// The engines are output-identical; the choice only trades speed
 /// ([`EngineKind::EventDriven`]) against auditability
@@ -106,10 +109,10 @@ pub mod oracle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EngineKind {
-    /// The event-driven production engine ([`NocSim`]).
+    /// The event-driven production engine (per-port wake scheduling).
     #[default]
     EventDriven,
-    /// The cycle-driven reference oracle ([`oracle::CycleSim`]).
+    /// The cycle-driven reference oracle (every port, every cycle).
     CycleOracle,
 }
 
@@ -439,15 +442,18 @@ pub(crate) fn egress_ports(topo: &dyn Topology) -> Vec<Vec<(usize, usize)>> {
         .collect()
 }
 
-/// The event-driven interconnect simulator.
+/// The interconnect simulator: the one router model, run under the
+/// scheduling policy its [`EngineKind`] names (event-driven unless
+/// [`NocSim::with_engine`] says otherwise).
 ///
 /// See the crate-level docs for a usage example, and the module docs for
-/// the event model and its equivalence argument against
-/// [`oracle::CycleSim`].
+/// the event model and its equivalence argument against the cycle-driven
+/// oracle.
 pub struct NocSim {
     topo: Arc<dyn Topology>,
     config: NocConfig,
     energy: EnergyModel,
+    engine: EngineKind,
     /// Event trace of the last successful run, present iff
     /// [`NocConfig::trace`] was set. See [`NocSim::take_trace`].
     trace: Option<TraceBuf>,
@@ -458,6 +464,7 @@ impl std::fmt::Debug for NocSim {
         f.debug_struct("NocSim")
             .field("topology", &self.topo.name())
             .field("config", &self.config)
+            .field("engine", &self.engine)
             .finish_non_exhaustive()
     }
 }
@@ -478,8 +485,18 @@ impl NocSim {
             topo,
             config,
             energy,
+            engine: EngineKind::default(),
             trace: None,
         }
+    }
+
+    /// Selects the engine (builder style). Statistics, delivery logs and
+    /// event traces are byte-identical under either; only
+    /// [`NocSim::run_traced`]'s scheduler trace differs (the oracle
+    /// attends every cycle and counts nothing).
+    pub fn with_engine(mut self, engine: EngineKind) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// The topology in use.
@@ -519,23 +536,15 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
-        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
-        run_engine::<PortSched>(
-            topo,
-            config,
-            energy,
-            flows,
-            duration_steps,
-            &mut self.trace,
-            None,
-        )
+        self.dispatch(flows, duration_steps, None)
     }
 
     /// Like [`NocSim::run_with_duration`], but also returning the
-    /// scheduler trace ([`SimTrace`]): the attended cycles, the
-    /// forward-progress cycles, and the [`SchedCounters`]. The liveness
-    /// and wake-bound properties in `tests/noc_properties.rs` compare
-    /// these against [`oracle::CycleSim::run_traced`].
+    /// scheduler trace ([`SimTrace`]): the forward-progress cycles under
+    /// either engine, plus the attended cycles and the [`SchedCounters`]
+    /// under the event-driven one (the oracle attends every cycle and
+    /// skips nothing, so it leaves both empty). The liveness and
+    /// wake-bound properties in `tests/noc_properties.rs` compare the two.
     ///
     /// # Errors
     ///
@@ -545,19 +554,31 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
-        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
         let mut log = SimTrace::default();
-        let traced = Some(&mut log);
-        run_engine::<PortSched>(
-            topo,
-            config,
-            energy,
+        self.dispatch(flows, duration_steps, Some(&mut log))
+            .map(|(stats, deliveries)| (stats, deliveries, log))
+    }
+
+    /// The one place an [`EngineKind`] becomes a [`Sched`] policy.
+    fn dispatch(
+        &mut self,
+        flows: &[SpikeFlow],
+        duration_steps: u32,
+        sim_trace: Option<&mut SimTrace>,
+    ) -> Result<(NocStats, Vec<Delivery>), NocError> {
+        let run = match self.engine {
+            EngineKind::EventDriven => run_engine::<PortSched>,
+            EngineKind::CycleOracle => run_engine::<oracle::Sweep>,
+        };
+        run(
+            &self.topo,
+            &self.config,
+            &self.energy,
             flows,
             duration_steps,
             &mut self.trace,
-            traced,
+            sim_trace,
         )
-        .map(|(stats, deliveries)| (stats, deliveries, log))
     }
 }
 
@@ -1039,7 +1060,6 @@ fn simulate<S: Sched>(
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::CycleSim;
     use super::*;
     use crate::router::Arbitration;
     use crate::topology::{Mesh2D, NocTree, PointToPoint, Star, Torus};
@@ -1287,11 +1307,12 @@ mod tests {
             cfg,
             EnergyModel::default(),
         );
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             Box::new(Torus::for_crossbars(16)),
             cfg,
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         let (es, ed) = ev.run_with_duration(&flows, 6).unwrap();
         let (os, od) = or.run_with_duration(&flows, 6).unwrap();
         assert_eq!(ed, od, "delivery logs must be identical");
@@ -1389,7 +1410,8 @@ mod tests {
             ..NocConfig::default()
         };
         let mut ev = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
+        let mut or = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default())
+            .with_engine(EngineKind::CycleOracle);
         let (es, ed, et) = ev.run_traced(&flows, 5).unwrap();
         let (os, od, ot) = or.run_traced(&flows, 5).unwrap();
         assert_eq!(ed, od);
@@ -1428,11 +1450,12 @@ mod tests {
             cfg,
             EnergyModel::default(),
         );
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             Box::new(Mesh2D::for_crossbars(8)),
             cfg,
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         let e = ev.run(&flows).unwrap_err();
         assert!(matches!(
             e,
@@ -1457,11 +1480,12 @@ mod tests {
             cfg,
             EnergyModel::default(),
         );
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             Box::new(Mesh2D::for_crossbars(4)),
             cfg,
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         assert_eq!(ev.run(&flows).unwrap_err(), or.run(&flows).unwrap_err());
     }
 
@@ -1476,7 +1500,8 @@ mod tests {
         };
         let flows = [SpikeFlow::unicast(0, 0, 2048, 0)];
         let mut ev = NocSim::new(Box::new(Star::new(2049)), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(Box::new(Star::new(2049)), cfg, EnergyModel::default());
+        let mut or = NocSim::new(Box::new(Star::new(2049)), cfg, EnergyModel::default())
+            .with_engine(EngineKind::CycleOracle);
         let e = ev.run(&flows).unwrap_err();
         assert!(matches!(
             e,
@@ -1497,11 +1522,12 @@ mod tests {
         // `send_step + 1` used to overflow in `run`'s inferred duration
         let flows = [SpikeFlow::unicast(0, 0, 3, u32::MAX)];
         let mut ev = sim(Box::new(Mesh2D::for_crossbars(4)));
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             Box::new(Mesh2D::for_crossbars(4)),
             NocConfig::default(),
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         let e = ev.run(&flows).unwrap_err();
         assert!(matches!(e, NocError::CycleBudgetExhausted { .. }));
         assert_eq!(e, or.run(&flows).unwrap_err());
@@ -1527,7 +1553,8 @@ mod tests {
             ..NocConfig::default()
         };
         let mut ev = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
+        let mut or = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default())
+            .with_engine(EngineKind::CycleOracle);
         let (es, ed) = ev.run_with_duration(&flows, 10).unwrap();
         let (os, od) = or.run_with_duration(&flows, 10).unwrap();
         assert_eq!(ed, od, "delivery logs must be identical");
@@ -1566,11 +1593,12 @@ mod tests {
             cfg,
             EnergyModel::default(),
         );
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             Box::new(Mesh2D::for_crossbars(8)),
             cfg,
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         let es = ev.run(&flows).unwrap();
         let os = or.run(&flows).unwrap();
         assert_eq!(

@@ -1,33 +1,32 @@
 //! The cycle-driven reference oracle.
 //!
-//! [`CycleSim`] runs the one router model (`super::simulate`) under the
-//! simplest scheduling policy there is, `Sweep`: every `(router, port)`
-//! pair is examined every cycle while anything is queued, the clock
-//! advances one cycle at a time (fast-forwarding only across globally
-//! idle gaps), and what a lane head wants is worked out on the spot from
-//! [`Topology::route_next`] and [`Topology::hop_vc`]. That makes it slow
-//! — runtime scales with simulated cycles × routers — but `Sweep` keeps
-//! no state that could go stale, which is exactly what a differential
-//! oracle needs.
+//! [`EngineKind::CycleOracle`] runs the one router model
+//! (`super::simulate`) under the simplest scheduling policy there is,
+//! `Sweep`: every `(router, port)` pair is examined every cycle while
+//! anything is queued, the clock advances one cycle at a time
+//! (fast-forwarding only across globally idle gaps), and what a lane head
+//! wants is worked out on the spot from [`Topology::route_next`] and
+//! [`Topology::hop_vc`]. That makes it slow — runtime scales with
+//! simulated cycles × routers — but `Sweep` keeps no state that could go
+//! stale, which is exactly what a differential oracle needs.
 //!
-//! The production engine ([`super::NocSim`]) must produce byte-identical
-//! [`NocStats`] and delivery logs; `tests/noc_properties.rs` enforces this
-//! over a randomized corpus of topologies, buffer depths, multicast
-//! fan-outs, and backpressured traffic, and `benches/noc.rs` measures the
-//! speedup the event model buys. `Sweep` is the simple formulation the
-//! wake scheduler is judged against: keep it free of tables, caches and
-//! notification handling — anything it remembered between questions would
-//! be one more thing the two policies could get wrong in the same way.
+//! The production engine ([`EngineKind::EventDriven`]) must produce
+//! byte-identical [`NocStats`] and delivery logs;
+//! `tests/noc_properties.rs` enforces this over a randomized corpus of
+//! topologies, buffer depths, multicast fan-outs, and backpressured
+//! traffic, and `benches/noc.rs` measures the speedup the event model
+//! buys. `Sweep` is the simple formulation the wake scheduler is judged
+//! against: keep it free of tables, caches and notification handling —
+//! anything it remembered between questions would be one more thing the
+//! two policies could get wrong in the same way.
+//!
+//! [`EngineKind::CycleOracle`]: super::EngineKind::CycleOracle
+//! [`EngineKind::EventDriven`]: super::EngineKind::EventDriven
+//! [`NocStats`]: crate::stats::NocStats
 
-use super::{inferred_duration, run_engine, Net};
-use crate::config::NocConfig;
-use crate::error::NocError;
+use super::Net;
 use crate::sched::{Sched, TreeTable};
-use crate::stats::{Delivery, NocStats, SimTrace};
 use crate::topology::Topology;
-use crate::trace::TraceBuf;
-use crate::traffic::SpikeFlow;
-use neuromap_hw::energy::EnergyModel;
 use std::sync::Arc;
 
 /// The exhaustive scheduling policy: ascending pair id over every
@@ -108,137 +107,26 @@ impl Sched for Sweep {
     }
 }
 
-/// The cycle-driven interconnect simulator (reference oracle).
-///
-/// Same public surface as [`super::NocSim`]; see the module docs for its
-/// role.
-pub struct CycleSim {
-    topo: Arc<dyn Topology>,
-    config: NocConfig,
-    energy: EnergyModel,
-    /// Event trace of the last successful run, present iff
-    /// [`NocConfig::trace`] was set (see [`CycleSim::take_trace`]).
-    trace: Option<TraceBuf>,
-}
-
-impl std::fmt::Debug for CycleSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CycleSim")
-            .field("topology", &self.topo.name())
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CycleSim {
-    /// Creates a simulator over a topology with the given configuration and
-    /// energy model.
-    pub fn new(topo: Box<dyn Topology>, config: NocConfig, energy: EnergyModel) -> Self {
-        Self::shared(Arc::from(topo), config, energy)
-    }
-
-    /// Like [`CycleSim::new`], but over a topology already shared behind
-    /// an `Arc` (see [`super::NocSim::shared`]).
-    pub fn shared(topo: Arc<dyn Topology>, config: NocConfig, energy: EnergyModel) -> Self {
-        Self {
-            topo,
-            config,
-            energy,
-            trace: None,
-        }
-    }
-
-    /// The topology in use.
-    pub fn topology(&self) -> &dyn Topology {
-        self.topo.as_ref()
-    }
-
-    /// Takes the structured event trace of the last successful run
-    /// (`Some` iff [`NocConfig::trace`] was set). The stream is
-    /// byte-identical to [`super::NocSim::take_trace`]'s for the same
-    /// workload — see [`crate::trace`].
-    pub fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.trace.take()
-    }
-
-    /// Runs the spike schedule to completion and returns aggregate
-    /// statistics. The SNN duration is inferred from the last send step.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::NocSim::run`].
-    pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
-        self.run_with_duration(flows, inferred_duration(flows))
-            .map(|(stats, _)| stats)
-    }
-
-    /// Like [`CycleSim::run`], but with an explicit SNN duration
-    /// (timesteps) and returning the raw delivery log alongside the
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::NocSim::run`].
-    pub fn run_with_duration(
-        &mut self,
-        flows: &[SpikeFlow],
-        duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>), NocError> {
-        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
-        run_engine::<Sweep>(
-            topo,
-            config,
-            energy,
-            flows,
-            duration_steps,
-            &mut self.trace,
-            None,
-        )
-    }
-
-    /// Like [`CycleSim::run_with_duration`], but also returning a
-    /// [`SimTrace`] with the forward-progress cycles filled in (the
-    /// attended-cycle log and scheduler counters stay empty — the oracle
-    /// attends every cycle and skips nothing). The liveness property in
-    /// `tests/noc_properties.rs` compares this against
-    /// [`super::NocSim::run_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::NocSim::run`].
-    pub fn run_traced(
-        &mut self,
-        flows: &[SpikeFlow],
-        duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
-        let (topo, config, energy) = (&self.topo, &self.config, &self.energy);
-        let mut log = SimTrace::default();
-        let traced = Some(&mut log);
-        run_engine::<Sweep>(
-            topo,
-            config,
-            energy,
-            flows,
-            duration_steps,
-            &mut self.trace,
-            traced,
-        )
-        .map(|(stats, deliveries)| (stats, deliveries, log))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::NocConfig;
+    use crate::sim::{EngineKind, NocSim};
     use crate::topology::Mesh2D;
+    use crate::traffic::SpikeFlow;
+    use neuromap_hw::energy::EnergyModel;
 
-    #[test]
-    fn oracle_single_packet_timing() {
-        let mut s = CycleSim::new(
+    fn oracle() -> NocSim {
+        NocSim::new(
             Box::new(Mesh2D::for_crossbars(4)),
             NocConfig::default(),
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle)
+    }
+
+    #[test]
+    fn oracle_single_packet_timing() {
+        let mut s = oracle();
         let stats = s.run(&[SpikeFlow::unicast(1, 0, 3, 0)]).unwrap();
         assert_eq!(stats.delivered, 1);
         // 2 hops × (router_delay 1 + flits 2 − 1) = 4 cycles minimum
@@ -250,11 +138,6 @@ mod tests {
         let flows: Vec<SpikeFlow> = (0..100)
             .map(|i| SpikeFlow::unicast(i, i % 4, (i + 1) % 4, i / 25))
             .collect();
-        let mut s = CycleSim::new(
-            Box::new(Mesh2D::for_crossbars(4)),
-            NocConfig::default(),
-            EnergyModel::default(),
-        );
-        assert_eq!(s.run(&flows).unwrap().delivered, 100);
+        assert_eq!(oracle().run(&flows).unwrap().delivered, 100);
     }
 }

@@ -87,9 +87,8 @@ pub struct Counters {
 ///
 /// Both engines count these at the same state-changing events (FIFO
 /// pushes and link forwards), so the vectors are part of the differential
-/// byte-identity contract between [`crate::sim::NocSim`] and
-/// [`crate::sim::oracle::CycleSim`] and are folded into
-/// [`NocStats::digest`].
+/// byte-identity contract between the two [`crate::sim::EngineKind`]s and
+/// are folded into [`NocStats::digest`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VcCounters {
     /// Packets buffered into this VC's ingress FIFOs (arrival pushes;
@@ -142,8 +141,8 @@ pub struct SchedCounters {
 }
 
 /// Scheduler trace of one engine run, returned by
-/// [`crate::sim::NocSim::run_traced`] (and, for the progress log only,
-/// [`crate::sim::oracle::CycleSim::run_traced`]). Feeds the liveness and
+/// [`crate::sim::NocSim::run_traced`] (the progress log only under
+/// [`crate::sim::EngineKind::CycleOracle`]). Feeds the liveness and
 /// wake-bound properties in `tests/noc_properties.rs`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimTrace {

@@ -1,7 +1,7 @@
 //! Structured trace events for the interconnect simulators.
 //!
-//! When [`crate::config::NocConfig::trace`] is on, both engines
-//! ([`crate::sim::NocSim`] and [`crate::sim::oracle::CycleSim`]) record a
+//! When [`crate::config::NocConfig::trace`] is on, [`crate::sim::NocSim`]
+//! records, under either [`crate::sim::EngineKind`], a
 //! [`TraceBuf`] of typed [`TraceEvent`]s: packet injected / enqueued /
 //! forwarded / delivered, per-lane occupancy changes, and
 //! blocked-on-credit spans. Two invariants are load-bearing and gated by
@@ -220,8 +220,7 @@ impl TraceEvent {
 
 /// Event sink filled by an engine run with [`crate::config::NocConfig::trace`] on.
 ///
-/// Obtained via `NocSim::take_trace` / `CycleSim::take_trace` after a
-/// successful run. Holds the raw stream plus enough configuration
+/// Obtained via `NocSim::take_trace` after a successful run. Holds the raw stream plus enough configuration
 /// (`vc_count`, serialization cycles) to decode lanes and render spans.
 #[derive(Debug, Clone)]
 pub struct TraceBuf {

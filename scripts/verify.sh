@@ -43,6 +43,7 @@ for key in \
   "swarm_eval/synth_16x16grid/batched/CutHops" \
   "placement/synth_16x16grid/optimize" \
   "placement/synth_4chip16x16/optimize" \
+  "pipeline/hop_metrics/synth_16x16torus_trees" \
   "pso_step/synth_16x16grid/swarm40_iters4/CutPackets" \
   "pso_step/synth_16x16grid/swarm40_iters4/CutSpikes" \
   "multilevel/synth_32x32grid/flat/CutSpikes" \
@@ -165,11 +166,12 @@ echo "==> multilevel coarsen/project/refine proptests (high case count)"
 # and the clustered matches-or-beats-flat-PSO corpus
 NEUROMAP_PROPTEST_CASES=256 cargo test --release --test multilevel_properties -q
 
-echo "==> placement/identity-golden + joint-loop proptests (high case count)"
+echo "==> placement/identity-golden + joint-loop + traffic-model proptests (high case count)"
 # includes the adjacency pricer against both dense oracles on sparse
-# traffic, and the frozen default-config placement outcomes
+# traffic, the frozen default-config placement outcomes, and the one
+# traffic model against the partition objectives and per-flow references
 NEUROMAP_PROPTEST_CASES=256 cargo test --release \
-  --test placement_properties --test coopt_properties -q
+  --test placement_properties --test coopt_properties --test traffic_properties -q
 
 echo "==> repro_placement smoke (staged vs joint vs joint+trees rows present)"
 # quick scale; the joint+trees rows exercise Steiner multicast routing

@@ -26,8 +26,7 @@
 
 use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
-use neuromap::noc::sim::oracle::CycleSim;
-use neuromap::noc::sim::NocSim;
+use neuromap::noc::sim::{EngineKind, NocSim};
 use neuromap::noc::topology::{
     check_routes, check_vc_channel_dependencies, check_vc_tree_dependencies, HierTopology, Mesh2D,
     Topology, Torus,
@@ -274,7 +273,7 @@ proptest! {
             ..NocConfig::default()
         };
         let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
-        let mut oracle = CycleSim::new(topo(), cfg, EnergyModel::default());
+        let mut oracle = NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let name = format!("{} vc={}", event.topology().name(), vc);
         let ev = event.run_with_duration(&flows, 8);
         let or = oracle.run_with_duration(&flows, 8);

@@ -4,8 +4,8 @@
 //!
 //! * **Differential verification** — the event-driven engine
 //!   ([`NocSim`]) must produce *byte-identical* statistics and delivery
-//!   logs to the cycle-driven oracle ([`CycleSim`]) across randomized
-//!   topologies, FIFO depths, packet sizes, arbitration policies,
+//!   logs to the cycle-driven oracle ([`EngineKind::CycleOracle`]) across
+//!   randomized topologies, FIFO depths, packet sizes, arbitration policies,
 //!   multicast fan-outs, bursty/backpressured traffic, and cycle-budget
 //!   errors. This corpus is the correctness story for the event engine:
 //!   any divergence in timing, arbitration order, credit accounting, or
@@ -40,8 +40,7 @@
 use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
 use neuromap::noc::router::Arbitration;
-use neuromap::noc::sim::oracle::CycleSim;
-use neuromap::noc::sim::NocSim;
+use neuromap::noc::sim::{EngineKind, NocSim};
 use neuromap::noc::stats::{Delivery, NocStats};
 use neuromap::noc::topology::{
     check_vc_tree_dependencies, HierTopology, Mesh2D, NocTree, PointToPoint, Star, Topology, Torus,
@@ -121,7 +120,8 @@ fn assert_engines_agree(
     duration: u32,
 ) -> Result<(), String> {
     let mut event = NocSim::new(topology(topo_idx), cfg, EnergyModel::default());
-    let mut oracle = CycleSim::new(topology(topo_idx), cfg, EnergyModel::default());
+    let mut oracle = NocSim::new(topology(topo_idx), cfg, EnergyModel::default())
+        .with_engine(EngineKind::CycleOracle);
     let name = event.topology().name();
     let ev: Result<(NocStats, Vec<Delivery>), NocError> = event.run_with_duration(flows, duration);
     let or = oracle.run_with_duration(flows, duration);
@@ -204,7 +204,8 @@ fn assert_engines_agree_on(
     duration: u32,
 ) -> Result<(), String> {
     let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
-    let mut oracle = CycleSim::new(topo(), cfg, EnergyModel::default());
+    let mut oracle =
+        NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
     let name = format!("{} vc={}", event.topology().name(), cfg.vc_count);
     let ev = event.run_with_duration(flows, duration);
     let or = oracle.run_with_duration(flows, duration);
@@ -277,11 +278,12 @@ fn torus_deadlock_wedges_without_vcs_and_completes_with_two() {
             ring_deadlock_cfg(vc, budget),
             EnergyModel::default(),
         );
-        let mut or = CycleSim::new(
+        let mut or = NocSim::new(
             ring(),
             ring_deadlock_cfg(vc, budget),
             EnergyModel::default(),
-        );
+        )
+        .with_engine(EngineKind::CycleOracle);
         (
             ev.run_with_duration(&flows, 2),
             or.run_with_duration(&flows, 2),
@@ -430,7 +432,8 @@ fn pre_vc_digests_are_stable() {
         assert_eq!(cfg.vc_count, 1, "{name}: goldens are single-VC");
         let topo: std::sync::Arc<dyn Topology> = std::sync::Arc::from(topo);
         let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
-        let mut oracle = CycleSim::shared(topo, cfg, EnergyModel::default());
+        let mut oracle =
+            NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let (es, _) = event.run_with_duration(&flows, duration).expect(name);
         let (os, _) = oracle.run_with_duration(&flows, duration).expect(name);
         assert_eq!(
@@ -535,7 +538,8 @@ fn multi_vc_tree_and_hier_digests_are_frozen() {
     for (name, topo, cfg, flows, duration, (golden_stats, golden_trace)) in cases {
         let topo: std::sync::Arc<dyn Topology> = std::sync::Arc::from(topo);
         let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
-        let mut oracle = CycleSim::shared(topo, cfg, EnergyModel::default());
+        let mut oracle =
+            NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let (es, _) = event.run_with_duration(&flows, duration).expect(name);
         let (os, _) = oracle.run_with_duration(&flows, duration).expect(name);
         let et = fnv(&event.take_trace().expect("traced").to_bytes());
@@ -639,7 +643,7 @@ proptest! {
             ..NocConfig::default()
         };
         let mut ev = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(vc_topology(mesh), cfg, EnergyModel::default());
+        let mut or = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let re = ev.run_traced(&flows, 6);
         let ro = or.run_traced(&flows, 6);
         match (re, ro) {
@@ -893,7 +897,7 @@ proptest! {
             ..NocConfig::default()
         };
         let mut ev = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(vc_topology(mesh), cfg, EnergyModel::default());
+        let mut or = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let re = ev.run_with_duration(&flows, 6);
         let ro = or.run_with_duration(&flows, 6);
         match (re, ro) {
@@ -1049,7 +1053,7 @@ proptest! {
             ..NocConfig::default()
         };
         let mut ev = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default());
-        let mut or = CycleSim::new(vc_topology(mesh), cfg, EnergyModel::default());
+        let mut or = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let re = ev.run_with_duration(&flows, 6);
         let ro = or.run_with_duration(&flows, 6);
         match (re, ro) {

@@ -11,8 +11,7 @@
 
 use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
-use neuromap::noc::sim::oracle::CycleSim;
-use neuromap::noc::sim::NocSim;
+use neuromap::noc::sim::{EngineKind, NocSim};
 use neuromap::noc::topology::Mesh2D;
 use neuromap::noc::traffic::SpikeFlow;
 
@@ -55,11 +54,12 @@ fn small_trace_matches_golden_perfetto_export() {
     event.run_with_duration(&flows, 3).expect("event drains");
     let trace = event.take_trace().expect("tracing was on");
 
-    let mut oracle = CycleSim::new(
+    let mut oracle = NocSim::new(
         Box::new(Mesh2D::for_crossbars(8)),
         cfg,
         EnergyModel::default(),
-    );
+    )
+    .with_engine(EngineKind::CycleOracle);
     oracle.run_with_duration(&flows, 3).expect("oracle drains");
     let oracle_trace = oracle.take_trace().expect("tracing was on");
     assert_eq!(

@@ -1,0 +1,213 @@
+//! The one traffic model (`core::traffic`, reached through its four
+//! folds: `build_flows`, `local_events`, `TrafficMatrix::from_mapping`,
+//! `MulticastTraffic::from_mapping`) against the independent
+//! specification it must agree with — `PartitionProblem::{cut_spikes,
+//! cut_packets, cut_hops}`, which derive remote destinations with loops
+//! of their own — and against per-flow references rebuilt here:
+//!
+//! * conservation: every synaptic event is local or cut;
+//! * the traffic matrix's totals and hop-weighted price equal the
+//!   partition objectives and what `hop_metrics` measures on the flows;
+//! * under Steiner trees, `hop_metrics` (one tree per run of equal
+//!   nets), `MulticastTraffic::tree_cost` (one per distinct net) and a
+//!   reference that routes one tree per spike agree;
+//! * flow order is invisible: `hop_metrics` under a shuffle, and the
+//!   whole `Report` for per-synapse flows in synapse (CSR) order, the
+//!   order `build_flows` emitted before it grouped them by crossbar.
+
+use neuromap::core::pipeline::{
+    build_flows, local_events, MappingPipeline, PipelineConfig, TrafficMode,
+};
+use neuromap::core::place::{placement_cost, MulticastTraffic, TrafficMatrix};
+use neuromap::core::SpikeGraph;
+use neuromap::hw::arch::{Architecture, InterconnectKind};
+use neuromap::hw::mapping::Mapping;
+use neuromap::noc::config::NocConfig;
+use neuromap::noc::topology::Topology;
+use neuromap::noc::traffic::{sort_canonical, SpikeFlow};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+mod common;
+
+const MODES: [TrafficMode; 2] = [TrafficMode::PerSynapse, TrafficMode::PerCrossbar];
+
+/// Strategy: a random spike graph with 2..=n_max neurons, including
+/// duplicate synapses, self-loops and silent neurons (mirrors
+/// `tests/eval_properties.rs`).
+fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
+    (2..=n_max).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 5));
+        let counts = proptest::collection::vec(0u32..25, n as usize);
+        (edges, counts).prop_map(move |(edges, counts)| {
+            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
+        })
+    })
+}
+
+/// Strategy: a graph, a crossbar count (a single crossbar included) and
+/// a uniformly random assignment — any is feasible at capacity `n`.
+fn arb_mapped() -> impl Strategy<Value = (SpikeGraph, Mapping)> {
+    (arb_graph(24), 0usize..6, any::<u64>()).prop_map(|(graph, size_idx, seed)| {
+        let crossbars = [1usize, 2, 4, 6, 9, 16][size_idx];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let assignment = (0..graph.num_neurons())
+            .map(|_| rng.gen_range(0..crossbars as u32))
+            .collect();
+        let mapping = Mapping::from_assignment(assignment, crossbars).expect("ids in range");
+        (graph, mapping)
+    })
+}
+
+/// A pipeline over `mapping`'s crossbars that any assignment fits.
+fn pipeline(
+    graph: &SpikeGraph,
+    mapping: &Mapping,
+    kind: InterconnectKind,
+    noc: NocConfig,
+    mode: TrafficMode,
+) -> MappingPipeline {
+    let arch = Architecture::custom(mapping.num_crossbars(), graph.num_neurons(), kind).unwrap();
+    MappingPipeline::new(
+        PipelineConfig::for_arch(arch)
+            .with_noc(noc)
+            .with_traffic(mode),
+    )
+}
+
+/// Reference tree pricing: one `multicast_route` per spike, its links
+/// counted as the distinct non-empty prefixes of the per-destination
+/// paths (two destinations share a link exactly when they share the
+/// whole path up to it).
+fn per_flow_tree_cost(topo: &dyn Topology, vcs: usize, flows: &[SpikeFlow]) -> u64 {
+    flows
+        .iter()
+        .map(|f| {
+            let dests: Vec<usize> = f.dst_crossbars.iter().map(|&d| topo.endpoint(d)).collect();
+            let paths = topo.multicast_route(topo.endpoint(f.src_crossbar), &dests, vcs);
+            let links: std::collections::BTreeSet<&[(usize, usize)]> = paths
+                .iter()
+                .flat_map(|p| (1..=p.len()).map(move |k| &p[..k]))
+                .collect();
+            links.len() as u64
+        })
+        .sum()
+}
+
+/// Per-synapse flows in synapse (CSR) order: per spike, one unicast flow
+/// per remote synapse as `graph.targets` lists them.
+fn per_synapse_flows_in_csr_order(graph: &SpikeGraph, mapping: &Mapping) -> Vec<SpikeFlow> {
+    let mut flows = Vec::new();
+    for i in 0..graph.num_neurons() {
+        let home = mapping.crossbar_of(i);
+        for &t in graph.train(i).times() {
+            for &j in graph.targets(i) {
+                if mapping.crossbar_of(j) != home {
+                    flows.push(SpikeFlow::unicast(i, home, mapping.crossbar_of(j), t));
+                }
+            }
+        }
+    }
+    flows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(48)))]
+
+    /// (a) + (b): the folds against the partition objectives, pairwise
+    /// pricing, on every fabric kind's hop table.
+    #[test]
+    fn folds_agree_with_the_partition_objectives(
+        (graph, mapping) in arb_mapped(),
+        kind_idx in 0u8..4,
+    ) {
+        let kind = match kind_idx {
+            0 => InterconnectKind::Mesh,
+            1 => InterconnectKind::Torus,
+            2 => InterconnectKind::Tree { arity: 2 },
+            _ => InterconnectKind::Star,
+        };
+        let identity: Vec<u32> = (0..mapping.num_crossbars() as u32).collect();
+        for mode in MODES {
+            let pipeline = pipeline(&graph, &mapping, kind, NocConfig::default(), mode);
+            let problem = pipeline.problem(&graph).unwrap();
+            let a = mapping.assignment();
+            prop_assert_eq!(
+                local_events(&graph, &mapping) + problem.cut_spikes(a),
+                graph.total_synaptic_events()
+            );
+            let matrix = TrafficMatrix::from_mapping(&graph, &mapping, mode);
+            let priced = placement_cost(&matrix, pipeline.distances(), &identity);
+            let flows = build_flows(&graph, &mapping, mode);
+            let (weighted, unicast) = pipeline.hop_metrics(&flows);
+            prop_assert_eq!(priced, weighted, "{:?}", mode);
+            prop_assert_eq!(matrix.total_packets(), unicast, "{:?}", mode);
+            match mode {
+                TrafficMode::PerSynapse => prop_assert_eq!(unicast, problem.cut_spikes(a)),
+                TrafficMode::PerCrossbar => {
+                    prop_assert_eq!(unicast, problem.cut_packets(a));
+                    prop_assert_eq!(priced, problem.cut_hops(a));
+                }
+            }
+        }
+    }
+
+    /// (c): the three tree pricers — per run, per net, per spike.
+    #[test]
+    fn tree_pricing_agrees_per_run_per_net_and_per_spike(
+        (graph, mapping) in arb_mapped(),
+        torus in any::<bool>(),
+    ) {
+        let (kind, vc_count) = if torus { (InterconnectKind::Torus, 2) } else { (InterconnectKind::Mesh, 1) };
+        let noc = NocConfig { multicast: true, multicast_trees: true, vc_count, ..NocConfig::default() };
+        let identity: Vec<u32> = (0..mapping.num_crossbars() as u32).collect();
+        for mode in MODES {
+            let pipeline = pipeline(&graph, &mapping, kind, noc, mode);
+            let topo = pipeline.topology();
+            let flows = build_flows(&graph, &mapping, mode);
+            let (weighted, _) = pipeline.hop_metrics(&flows);
+            prop_assert_eq!(weighted, per_flow_tree_cost(topo, vc_count, &flows), "{:?}", mode);
+            if mode == TrafficMode::PerCrossbar {
+                let nets = MulticastTraffic::from_mapping(&graph, &mapping);
+                prop_assert_eq!(weighted, nets.tree_cost(topo, vc_count, &identity));
+            }
+        }
+    }
+
+    /// (d): flow order is invisible to the hop metrics and the simulator.
+    #[test]
+    fn flow_order_is_invisible(
+        (graph, mapping) in arb_mapped(),
+        trees in any::<bool>(),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let noc = NocConfig { multicast: trees, multicast_trees: trees, ..NocConfig::default() };
+        for mode in MODES {
+            let pipeline = pipeline(&graph, &mapping, InterconnectKind::Mesh, noc, mode);
+            let flows = build_flows(&graph, &mapping, mode);
+            let mut shuffled = flows.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+            prop_assert_eq!(pipeline.hop_metrics(&shuffled), pipeline.hop_metrics(&flows), "{:?}", mode);
+        }
+
+        // per-synapse flows as the synapse list orders them: the same
+        // multiset `build_flows` groups by crossbar, and the same report
+        let pipeline = pipeline(&graph, &mapping, InterconnectKind::Mesh, noc, TrafficMode::PerSynapse);
+        let csr = per_synapse_flows_in_csr_order(&graph, &mapping);
+        let (mut a, mut b) = (csr.clone(), build_flows(&graph, &mapping, TrafficMode::PerSynapse));
+        sort_canonical(&mut a);
+        sort_canonical(&mut b);
+        prop_assert_eq!(a, b);
+        let evaluation = pipeline.evaluate(&graph, mapping.clone(), "random", "identity").unwrap();
+        let report = &evaluation.report;
+        let (weighted, unicast) = pipeline.hop_metrics(&csr);
+        prop_assert_eq!(weighted, report.hop_weighted_packets);
+        prop_assert_eq!(unicast, report.cut_spikes);
+        let (stats, deliveries) = pipeline.simulate(&csr, graph.duration_steps()).unwrap();
+        prop_assert_eq!(&stats, &report.noc);
+        prop_assert_eq!(stats.digest().unwrap(), report.noc.digest().unwrap());
+        prop_assert_eq!(deliveries, evaluation.deliveries);
+    }
+}
