@@ -1,60 +1,39 @@
-//! Evaluation-engine benchmarks: full recompute vs the incremental
-//! per-candidate path vs the batched swarm path, at paper scale, plus an
-//! end-to-end PSO timing — and the 256-crossbar `synth_16x16grid`
-//! scenario, which **gates the batched envelope**: the bench aborts if
-//! `SwarmEval` ever falls back to the per-candidate scalar path at 256
-//! crossbars, so a regression fails CI loudly instead of silently
-//! slowing down. Writes a `BENCH_eval.json` summary so the perf
-//! trajectory is tracked across PRs (`scripts/verify.sh` diffs the key
-//! set).
+//! Evaluation-engine benchmarks: the same-run pairs behind
+//! `BENCH_eval.json` — full recompute vs incremental move pricing and
+//! scalar vs batched swarm scoring on the digit app (`hd_tree_paper`'s
+//! graph), the 256-crossbar `synth_16x16grid` scenario (batched scoring,
+//! dense vs adjacency placement pricing), staged vs joint
+//! co-optimization, flat PSO vs the V-cycle at 1024 crossbars, and the
+//! u16 word-tile kernels on the 4-chip fabric.
 //!
-//! Knobs:
-//! * `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (CI gate);
-//! * `NEUROMAP_BENCH_PAPER=1` — also time `PsoConfig::paper()`
-//!   (swarm 1000 × 100 iterations) end to end on the synthetic workload.
+//! The row rule and the gate table are `neuromap_bench::ledger`'s
+//! ([`ledger::EVAL`]): every row is one side of a pair, every pair is
+//! gated after the JSON is written, and a failed gate exits non-zero.
+//! End-to-end timings are mapbench's (`benchmark/`), not this file's.
+//! What the benches *assert before timing* — the batched envelope at 256
+//! crossbars, bit-identity with the scalar reference, the two placement
+//! pricers accepting the same swaps, V-cycle cut ≤ flat cut — are
+//! correctness checks: a regression fails loudly instead of being timed.
+//!
+//! Knob: `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (the CI gate).
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use neuromap_apps::digit_recognition::DigitRecognition;
-use neuromap_apps::synthetic::{LargeArch, MultiChip, Synthetic};
+use neuromap_apps::synthetic::{LargeArch, MultiChip};
 use neuromap_apps::App;
-use neuromap_bench::{arch_for, SEED};
+use neuromap_bench::{arch_for, ledger, SEED};
 use neuromap_core::coopt::{co_optimize, CooptConfig};
 use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
-use neuromap_core::pipeline::{MappingPipeline, PipelineConfig, TrafficMode};
+use neuromap_core::pipeline::TrafficMode;
 use neuromap_core::place::{
     optimize_placement, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
-use neuromap_core::SpikeGraph;
-use neuromap_hw::arch::{Architecture, InterconnectKind};
-use neuromap_hw::mapping::Mapping;
-use neuromap_noc::config::NocConfig;
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
-
-fn workloads() -> Vec<(String, SpikeGraph)> {
-    let synth = Synthetic::new(2, 400);
-    let digit = DigitRecognition {
-        presentations: 4,
-        present_ms: 100,
-        rest_ms: 25,
-        ..DigitRecognition::default()
-    };
-    vec![
-        (
-            synth.name(),
-            synth.spike_graph(SEED).expect("synthetic simulates"),
-        ),
-        (
-            digit.name(),
-            digit.spike_graph(SEED).expect("digit app simulates"),
-        ),
-    ]
-}
 
 /// Random positions for a swarm (capacity is irrelevant to evaluation
 /// cost).
@@ -63,12 +42,9 @@ fn random_swarm(n: usize, c: usize, lanes: usize, seed: u64) -> Vec<u32> {
     (0..lanes * n).map(|_| rng.gen_range(0..c as u32)).collect()
 }
 
-fn bench_full_vs_incremental(c: &mut Criterion, name: &str, graph: &SpikeGraph) {
-    let arch = arch_for(graph.num_neurons());
-    let problem = PartitionProblem::new(graph, arch.num_crossbars(), arch.neurons_per_crossbar())
-        .expect("feasible");
-    let n = graph.num_neurons() as usize;
-    let nc = arch.num_crossbars();
+fn bench_full_vs_incremental(c: &mut Criterion, name: &str, problem: &PartitionProblem<'_>) {
+    let n = problem.graph().num_neurons() as usize;
+    let nc = problem.num_crossbars();
     let mut group = c.benchmark_group(format!("move/{name}"));
     group.sample_size(10);
     for kind in [FitnessKind::CutSpikes, FitnessKind::CutPackets] {
@@ -86,7 +62,7 @@ fn bench_full_vs_incremental(c: &mut Criterion, name: &str, graph: &SpikeGraph) 
         });
         // O(deg) incremental move through the engine
         group.bench_with_input(BenchmarkId::new("incremental", &tag), &kind, |b, &kind| {
-            let engine = EvalEngine::new(problem, kind);
+            let engine = EvalEngine::new(*problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| (i % nc) as u32).collect();
             let mut state = engine.init(&a);
             let mut i = 0;
@@ -100,20 +76,8 @@ fn bench_full_vs_incremental(c: &mut Criterion, name: &str, graph: &SpikeGraph) 
     group.finish();
 }
 
-fn bench_swarm_eval(c: &mut Criterion, name: &str, graph: &SpikeGraph) {
-    let arch = arch_for(graph.num_neurons());
-    let problem = PartitionProblem::new(graph, arch.num_crossbars(), arch.neurons_per_crossbar())
-        .expect("feasible");
-    bench_swarm_eval_on(c, name, &problem, 100);
-}
-
-/// Scalar-vs-batched swarm scoring on an explicit problem instance.
-fn bench_swarm_eval_on(
-    c: &mut Criterion,
-    name: &str,
-    problem: &PartitionProblem<'_>,
-    lanes: usize,
-) {
+/// Scalar-vs-batched swarm scoring on a problem instance.
+fn bench_swarm_eval(c: &mut Criterion, name: &str, problem: &PartitionProblem<'_>, lanes: usize) {
     let n = problem.graph().num_neurons() as usize;
     let positions = random_swarm(n, problem.num_crossbars(), lanes, 7);
     let mut group = c.benchmark_group(format!("swarm_eval/{name}"));
@@ -184,7 +148,7 @@ fn bench_large_arch(c: &mut Criterion) {
         "256 crossbars must use the 4-word mask stride"
     );
 
-    bench_swarm_eval_on(c, &name, &problem, 64);
+    bench_swarm_eval(c, &name, &problem, 64);
 
     // hop-weighted scoring: scalar per-candidate scan vs the weighted
     // byte-tile reduction, same group/key shape as the other objectives
@@ -215,96 +179,13 @@ fn bench_large_arch(c: &mut Criterion) {
         group.finish();
     }
 
-    // ---- placement stage on the 256-crossbar scenario ----
+    // ---- placement swap pricing on the 256-crossbar scenario ----
     // a packed partition with scrambled cluster ids: the contents of each
     // cluster are grid-local, but identity placement scatters them across
     // the mesh — exactly the situation the placement stage must repair
     let mapping = scenario.scrambled_packed_mapping(0x91A);
     let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
-    bench_placement(c, &name, &traffic, &lut);
     bench_placement_sweep(c, &name, &traffic, &lut);
-
-    // ---- hop metrics under Steiner trees: one tree per net ----
-    // the same scattered mapping on a 2-VC torus with tree routing — the
-    // shape of mapbench's grid16_torus_joint_trees report stage, where
-    // every spike of a neuron shares one multicast tree
-    let arch = Architecture::custom(
-        scenario.num_crossbars(),
-        scenario.capacity(),
-        InterconnectKind::Torus,
-    )
-    .expect("valid arch");
-    let noc = NocConfig {
-        multicast: true,
-        multicast_trees: true,
-        vc_count: 2,
-        ..NocConfig::default()
-    };
-    let pipeline = MappingPipeline::new(
-        PipelineConfig::for_arch(arch)
-            .with_traffic(TrafficMode::PerCrossbar)
-            .with_noc(noc),
-    );
-    let flows = pipeline.packetize(&graph, &mapping);
-    let mut group = c.benchmark_group("pipeline/hop_metrics");
-    group.sample_size(10);
-    group.bench_function("synth_16x16torus_trees", |b| {
-        b.iter(|| black_box(pipeline.hop_metrics(black_box(&flows))));
-    });
-    group.finish();
-
-    // full PSO steps (fused decode + repair + batched evaluation)
-    let mut group = c.benchmark_group(format!("pso_step/{name}"));
-    group.sample_size(10);
-    for kind in [FitnessKind::CutSpikes, FitnessKind::CutPackets] {
-        let tag = format!("swarm40_iters4/{kind:?}");
-        group.bench_with_input(BenchmarkId::from(tag), &kind, |b, &kind| {
-            let pso = PsoPartitioner::new(PsoConfig {
-                swarm_size: 40,
-                iterations: 4,
-                fitness: kind,
-                seed_baselines: false,
-                polish_passes: 0,
-                threads: 1,
-                ..PsoConfig::default()
-            });
-            b.iter(|| pso.partition_traced(&problem).expect("feasible"));
-        });
-    }
-    group.finish();
-}
-
-/// Times the placement optimizer on `traffic` and gates its quality: the
-/// optimized permutation must price strictly below identity on the
-/// scrambled-cluster traffic.
-fn bench_placement(c: &mut Criterion, name: &str, traffic: &TrafficMatrix, lut: &DistanceLut) {
-    // two restarts keep the timed call representative (identity-greedy +
-    // one annealed chain) without making the smoke run minutes long
-    let cfg = PlaceConfig {
-        threads: 1,
-        restarts: 2,
-        ..PlaceConfig::default()
-    };
-    let outcome = optimize_placement(traffic, lut, &cfg).expect("valid config");
-    assert!(
-        outcome.optimized_cost < outcome.identity_cost,
-        "REGRESSION: placement must beat identity on scrambled clusters \
-         ({} !< {})",
-        outcome.optimized_cost,
-        outcome.identity_cost
-    );
-    println!(
-        "placement/{name}: hop-weighted packets {} -> {} ({:.1}% lower)",
-        outcome.identity_cost,
-        outcome.optimized_cost,
-        100.0 * outcome.relative_gain()
-    );
-    let mut group = c.benchmark_group(format!("placement/{name}"));
-    group.sample_size(10);
-    group.bench_function("optimize", |b| {
-        b.iter(|| optimize_placement(traffic, lut, &cfg).expect("valid config"));
-    });
-    group.finish();
 }
 
 /// One full first-improvement sweep over all cluster pairs from the
@@ -435,7 +316,7 @@ fn bench_coopt(c: &mut Criterion) {
 
 /// Flat PSO vs the multilevel V-cycle on the 1024-crossbar
 /// `synth_32x32grid` scenario — the `multilevel/*` paired ratio in
-/// `BENCH_eval.json`, floor-gated by `scripts/verify.sh`.
+/// `BENCH_eval.json`, floor-gated in [`ledger::EVAL`].
 ///
 /// At 1024 crossbars the batched evaluator's byte-tile envelope is
 /// exceeded, so flat PSO pays the scalar per-candidate path *and* a
@@ -508,8 +389,8 @@ fn bench_multilevel(c: &mut Criterion) {
 
 /// The 1024-crossbar multi-chip scenario (`synth_4chip16x16`): u16
 /// word-tile envelope gate + batched-vs-scalar timings behind the
-/// `hier/*` paired ratios in `BENCH_eval.json` (floor-gated ≥ 2× by
-/// `scripts/verify.sh`).
+/// `hier/*` paired ratios in `BENCH_eval.json` (`CutSpikes` floor-gated
+/// in [`ledger::EVAL`]).
 ///
 /// Before timing anything the bench *asserts which kernel actually
 /// runs* — [`SwarmEval::kernel`] must report the u16 word-tile for all
@@ -573,7 +454,7 @@ fn bench_hier(c: &mut Criterion) {
         }
     }
 
-    // scalar vs batched timings; `paired_ratios` pairs the ids into the
+    // scalar vs batched timings, paired into the
     // `hier/synth_4chip16x16/<kind>` ratios
     let mut group = c.benchmark_group(format!("hier/{name}"));
     group.sample_size(10);
@@ -599,52 +480,24 @@ fn bench_hier(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // ---- placement stage at 1024 crossbars under the weighted table ----
-    // chip-major home tiles behind scrambled cluster ids, the multi-chip
-    // twin of `LargeArch::scrambled_packed_mapping`
-    let clusters = scenario.num_crossbars();
-    let mut ids: Vec<u32> = (0..clusters as u32).collect();
-    let mut rng = StdRng::seed_from_u64(0x91A);
-    for a in (1..clusters).rev() {
-        ids.swap(a, rng.gen_range(0..a + 1));
-    }
-    let assign = (0..graph.num_neurons())
-        .map(|i| ids[((i / scenario.capacity()) as usize).min(clusters - 1)])
-        .collect();
-    let mapping = Mapping::from_assignment(assign, clusters).expect("permuted ids in range");
-    let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
-    bench_placement(c, &name, &traffic, &lut);
-}
-
-fn bench_pso_step(c: &mut Criterion, name: &str, graph: &SpikeGraph) {
-    let arch = arch_for(graph.num_neurons());
-    let problem = PartitionProblem::new(graph, arch.num_crossbars(), arch.neurons_per_crossbar())
-        .expect("feasible");
-    let mut group = c.benchmark_group(format!("pso_step/{name}"));
-    group.sample_size(10);
-    // swarm 100 × 10 iterations ≈ 1/100th of a paper-scale run
-    group.bench_function("swarm100_iters10", |b| {
-        let pso = PsoPartitioner::new(PsoConfig {
-            swarm_size: 100,
-            iterations: 10,
-            seed_baselines: false,
-            polish_passes: 0,
-            ..PsoConfig::default()
-        });
-        b.iter(|| pso.partition_traced(&problem).expect("feasible"));
-    });
-    group.finish();
 }
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
-    let apps = workloads();
-    for (name, graph) in &apps {
-        bench_full_vs_incremental(&mut c, name, graph);
-        bench_swarm_eval(&mut c, name, graph);
-        bench_pso_step(&mut c, name, graph);
-    }
+
+    // the digit app on its CxQuad-class tree: hd_tree_paper's graph
+    let digit = DigitRecognition {
+        presentations: 4,
+        present_ms: 100,
+        rest_ms: 25,
+        ..DigitRecognition::default()
+    };
+    let graph = digit.spike_graph(SEED).expect("digit app simulates");
+    let arch = arch_for(graph.num_neurons());
+    let problem = PartitionProblem::new(&graph, arch.num_crossbars(), arch.neurons_per_crossbar())
+        .expect("feasible");
+    bench_full_vs_incremental(&mut c, &digit.name(), &problem);
+    bench_swarm_eval(&mut c, &digit.name(), &problem, 100);
 
     // 16 × 16 = 256 crossbars: the multi-word envelope, gated + timed
     bench_large_arch(&mut c);
@@ -659,106 +512,8 @@ fn main() {
     // envelope on the multi-chip scenario, gated + timed
     bench_hier(&mut c);
 
-    // end-to-end paper-scale run (slow; opt-in)
-    let mut paper_seconds: Option<f64> = None;
-    if std::env::var("NEUROMAP_BENCH_PAPER")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        let (name, graph) = &apps[0];
-        let arch = arch_for(graph.num_neurons());
-        let problem =
-            PartitionProblem::new(graph, arch.num_crossbars(), arch.neurons_per_crossbar())
-                .expect("feasible");
-        let start = Instant::now();
-        let pso = PsoPartitioner::new(PsoConfig::paper());
-        let (m, _) = pso.partition_traced(&problem).expect("feasible");
-        let secs = start.elapsed().as_secs_f64();
-        println!(
-            "paper-scale PSO ({name}, swarm 1000 x 100 iters): {secs:.2} s, cut spikes {}",
-            problem.cut_spikes(m.assignment())
-        );
-        paper_seconds = Some(secs);
+    if let Err(failed) = ledger::EVAL.publish(c.summaries()) {
+        eprintln!("BENCH_eval.json gates failed:\n{failed}");
+        std::process::exit(1);
     }
-
-    // machine-readable summary for cross-PR tracking
-    let mut entries: Vec<String> = c
-        .summaries()
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": {}}}",
-                s.id, s.median_ns, s.mean_ns, s.samples
-            )
-        })
-        .collect();
-    if let Some(secs) = paper_seconds {
-        entries.push(format!(
-            "    {{\"id\": \"pso_paper_end_to_end\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": 1}}",
-            secs * 1e9,
-            secs * 1e9
-        ));
-    }
-    // same-run paired ratios: baseline and candidate are measured back to
-    // back in one process, so the ratio is immune to the 1-core box's
-    // thermal throttling that makes cross-PR *absolute* ns unreliable
-    // (ROADMAP caveat from PR 3) — cross-PR reads should compare these
-    let ratios = paired_ratios(&c);
-    let json = format!(
-        "{{\n  \"ratios\": [\n{}\n  ],\n  \"benchmarks\": [\n{}\n  ]\n}}\n",
-        ratios.join(",\n"),
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    std::fs::write(path, &json).expect("write BENCH_eval.json");
-    println!("wrote BENCH_eval.json ({} entries)", c.summaries().len());
-}
-
-/// Builds `{id, baseline, candidate, speedup, higher_is_better}`
-/// entries for every same-run baseline/candidate pair: `scalar` vs
-/// `batched` swarm scoring, `full` vs `incremental` move pricing, `flat`
-/// vs `vcycle` multilevel partitioning, `staged` vs `joint`
-/// co-optimization, and `dense` vs `adjacency` placement swap pricing.
-/// `higher_is_better` tells readers (and the verify gate) which
-/// direction is good: the coopt pair deliberately records
-/// the joint loop's *time overhead*, so its speedup sits below 1 by
-/// design and a naive "bigger is better" read would misfire.
-fn paired_ratios(c: &Criterion) -> Vec<String> {
-    const PAIRS: [(&str, &str, bool); 5] = [
-        ("/scalar/", "/batched/", true),
-        ("/full/", "/incremental/", true),
-        ("/flat/", "/vcycle/", true),
-        ("/staged/", "/joint/", false),
-        ("/dense/", "/adjacency/", true),
-    ];
-    let median = |id: &str| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-    };
-    let mut out = Vec::new();
-    for s in c.summaries() {
-        for (base_marker, cand_marker, higher_is_better) in PAIRS {
-            if !s.id.contains(base_marker) {
-                continue;
-            }
-            let cand_id = s.id.replace(base_marker, cand_marker);
-            let Some(cand) = median(&cand_id) else {
-                continue;
-            };
-            if cand <= 0.0 {
-                continue;
-            }
-            out.push(format!(
-                "    {{\"id\": \"{}\", \"baseline\": \"{}\", \"candidate\": \"{}\", \"speedup\": {:.2}, \"higher_is_better\": {}}}",
-                s.id.replace(base_marker, "/"),
-                s.id,
-                cand_id,
-                s.median_ns / cand,
-                higher_is_better
-            ));
-        }
-    }
-    out
 }

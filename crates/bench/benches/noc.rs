@@ -1,27 +1,28 @@
-//! Interconnect benchmarks: the event-driven engine against the
-//! cycle-driven oracle, plus simulation throughput across topologies,
-//! load levels, and multicast settings.
+//! Interconnect benchmarks: the same-run pairs behind `BENCH_noc.json` —
+//! the event-driven engine against the cycle-driven oracle on the
+//! engine-comparison workloads (`neuromap_bench::noc_workloads`, shared
+//! with `perf_probe noc`) and on a multi-chip fabric, tracing on against
+//! off on the dense point, and Steiner multicast trees against
+//! per-destination routes.
 //!
-//! Writes a `BENCH_noc.json` summary (same shape as `BENCH_eval.json`:
-//! a `benchmarks` array of `{id, median_ns, mean_ns, samples}`) so the
-//! interconnect perf trajectory is tracked across PRs, plus the derived
-//! `noc_sparse_speedup` / `noc_dense_speedup` ratios the event engine is
-//! held to. Before timing anything, every engine-comparison workload is
-//! differentially checked: the two engines must produce byte-identical
-//! statistics (digest equality), so the numbers always compare equals.
+//! The row rule and the gate table are `neuromap_bench::ledger`'s
+//! ([`ledger::NOC`]): every row is one side of a pair, every pair is
+//! gated after the JSON is written, and a failed gate exits non-zero.
+//! Absolute simulator timings are mapbench's (`noc.sim.*` on all five
+//! workloads), not this file's. Before timing anything, every
+//! engine-comparison workload is differentially checked: the two engines
+//! must produce byte-identical statistics (digest equality), so the
+//! numbers always compare equals.
 //!
-//! The engine-comparison workloads (including the dense-saturation
-//! points gated by `scripts/verify.sh`) live in
-//! `neuromap_bench::noc_workloads`, shared with `perf_probe noc`.
-//!
-//! Knobs: `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (CI gate).
+//! Knob: `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (the CI gate).
 
 use criterion::{BenchmarkId, Criterion};
+use neuromap_bench::ledger;
 use neuromap_bench::noc_workloads::{burst_traffic, engine_workloads, NocWorkload};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::{EngineKind, NocSim};
-use neuromap_noc::topology::{HierTopology, Mesh2D, NocTree, Star, Topology};
+use neuromap_noc::topology::{HierTopology, Mesh2D, Topology};
 use neuromap_noc::traffic::SpikeFlow;
 
 /// Differential gate: both engines must digest-match on `w` before their
@@ -49,26 +50,31 @@ fn assert_engines_agree(w: &NocWorkload) -> u64 {
     ev.digest().unwrap()
 }
 
+/// Digest-gates `w`, then times it under both engines as
+/// `<family>/<name>/{event,oracle}`.
+fn bench_engine_pair(c: &mut Criterion, family: &str, w: &NocWorkload) {
+    let digest = assert_engines_agree(w);
+    println!("{family}/{}: differential digest {digest:#018x} OK", w.name);
+    let mut group = c.benchmark_group(format!("{family}/{}", w.name));
+    group.sample_size(10);
+    for (side, engine) in [
+        ("event", EngineKind::EventDriven),
+        ("oracle", EngineKind::CycleOracle),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(side), w, |b, w| {
+            b.iter(|| {
+                let mut sim =
+                    NocSim::new((w.topo)(), w.cfg, EnergyModel::default()).with_engine(engine);
+                sim.run(&w.flows).expect("traffic drains")
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_engines(c: &mut Criterion) {
     for w in engine_workloads() {
-        let digest = assert_engines_agree(&w);
-        println!("engine/{}: differential digest {digest:#018x} OK", w.name);
-        let mut group = c.benchmark_group(format!("engine/{}", w.name));
-        group.sample_size(10);
-        group.bench_with_input(BenchmarkId::from_parameter("event"), &w, |b, w| {
-            b.iter(|| {
-                let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
-                sim.run(&w.flows).expect("traffic drains")
-            });
-        });
-        group.bench_with_input(BenchmarkId::from_parameter("oracle"), &w, |b, w| {
-            b.iter(|| {
-                let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
-                    .with_engine(EngineKind::CycleOracle);
-                sim.run(&w.flows).expect("traffic drains")
-            });
-        });
-        group.finish();
+        bench_engine_pair(c, "engine", &w);
     }
 }
 
@@ -88,36 +94,16 @@ fn bench_hier_engines(c: &mut Criterion) {
             ..NocConfig::default()
         },
     };
-    let digest = assert_engines_agree(&w);
-    println!(
-        "hier_engine/{}: differential digest {digest:#018x} OK",
-        w.name
-    );
-    let mut group = c.benchmark_group(format!("hier_engine/{}", w.name));
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("event"), &w, |b, w| {
-        b.iter(|| {
-            let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
-            sim.run(&w.flows).expect("traffic drains")
-        });
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("oracle"), &w, |b, w| {
-        b.iter(|| {
-            let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
-                .with_engine(EngineKind::CycleOracle);
-            sim.run(&w.flows).expect("traffic drains")
-        });
-    });
-    group.finish();
+    bench_engine_pair(c, "hier_engine", &w);
 }
 
 /// Trace-overhead bench: the event engine with [`NocConfig::trace`] on
 /// vs off over the dense point. Tracing is opt-in and must be zero-cost
 /// when off (the `engine/*` groups above run untraced and their gated
 /// ratios would catch a regression); this group tracks the cost when it
-/// is *on* — `noc_trace_overhead` in `BENCH_noc.json`, ceiling-gated by
-/// `scripts/verify.sh` so the hot loops never silently pick up
-/// per-event work that makes tracing unusable on dense traffic.
+/// is *on* — the `trace/dense_burst16` ratio in `BENCH_noc.json`,
+/// ceiling-gated in [`ledger::NOC`] so the hot loops never silently pick
+/// up per-event work that makes tracing unusable on dense traffic.
 fn bench_trace_overhead(c: &mut Criterion) {
     let w = engine_workloads()
         .into_iter()
@@ -215,200 +201,15 @@ fn bench_tree_routing(c: &mut Criterion) {
     group.finish();
 }
 
-type TopoFactory = fn() -> Box<dyn Topology>;
-
-fn bench_topologies(c: &mut Criterion) {
-    let flows = burst_traffic(16, 64, 20);
-    let mut group = c.benchmark_group("noc_topology");
-    group.sample_size(20);
-    let make: Vec<(&str, TopoFactory)> = vec![
-        ("mesh16", || Box::new(Mesh2D::for_crossbars(16))),
-        ("tree16", || Box::new(NocTree::new(16, 4))),
-        ("star16", || Box::new(Star::new(16))),
-    ];
-    for (name, mk) in make {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &flows, |b, f| {
-            b.iter(|| {
-                let mut sim = NocSim::new(mk(), NocConfig::default(), EnergyModel::default());
-                sim.run(f).expect("traffic drains")
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_load(c: &mut Criterion) {
-    let mut group = c.benchmark_group("noc_load");
-    group.sample_size(20);
-    for spikes_per_step in [16u32, 64, 256] {
-        let flows = burst_traffic(16, spikes_per_step, 10);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(spikes_per_step),
-            &flows,
-            |b, f| {
-                b.iter(|| {
-                    let mut sim = NocSim::new(
-                        Box::new(Mesh2D::for_crossbars(16)),
-                        NocConfig::default(),
-                        EnergyModel::default(),
-                    );
-                    sim.run(f).expect("traffic drains")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_multicast(c: &mut Criterion) {
-    let flows: Vec<SpikeFlow> = (0..200u32)
-        .map(|i| SpikeFlow::multicast(i, i % 16, vec![1, 3, 5, 7, 9, 11], i / 40))
-        .collect();
-    let mut group = c.benchmark_group("noc_multicast");
-    group.sample_size(20);
-    for (name, mc) in [("multicast", true), ("unicast", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &flows, |b, f| {
-            let cfg = NocConfig {
-                multicast: mc,
-                ..NocConfig::default()
-            };
-            b.iter(|| {
-                let mut sim =
-                    NocSim::new(Box::new(NocTree::new(16, 4)), cfg, EnergyModel::default());
-                sim.run(f).expect("traffic drains")
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Oracle-vs-event median ratio for one engine group, if both ran.
-fn speedup(c: &Criterion, group: &str) -> Option<f64> {
-    let median = |id: String| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-    };
-    let oracle = median(format!("{group}/oracle"))?;
-    let event = median(format!("{group}/event"))?;
-    (event > 0.0).then_some(oracle / event)
-}
-
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_engines(&mut c);
     bench_hier_engines(&mut c);
     bench_trace_overhead(&mut c);
     bench_tree_routing(&mut c);
-    bench_topologies(&mut c);
-    bench_load(&mut c);
-    bench_multicast(&mut c);
 
-    let sparse = speedup(&c, "engine/sparse_paper64");
-    let moderate = speedup(&c, "engine/moderate_paper64");
-    let dense = speedup(&c, "engine/dense_burst16");
-    let engine_ratios: Vec<(String, Option<f64>)> = engine_workloads()
-        .iter()
-        .map(|w| {
-            let group = format!("engine/{}", w.name);
-            let s = speedup(&c, &group);
-            (group, s)
-        })
-        .collect();
-    for (group, s) in &engine_ratios {
-        if let Some(s) = s {
-            println!("event engine speedup over oracle, {group}: {s:.1}x");
-        }
+    if let Err(failed) = ledger::NOC.publish(c.summaries()) {
+        eprintln!("BENCH_noc.json gates failed:\n{failed}");
+        std::process::exit(1);
     }
-
-    // machine-readable summary for cross-PR tracking
-    let entries: Vec<String> = c
-        .summaries()
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": {}}}",
-                s.id, s.median_ns, s.mean_ns, s.samples
-            )
-        })
-        .collect();
-    // same-run paired ratios (baseline = oracle, candidate = event): the
-    // two engines run back to back in one process, so the ratio is
-    // immune to the 1-core box's thermal throttling that pollutes
-    // cross-PR absolute ns (ROADMAP caveat from PR 3). The top-level
-    // `noc_*_speedup` keys are kept for backwards compatibility.
-    // `higher_is_better` marks the good direction per entry: the engine
-    // ratios are genuine speedups, while the trace and tree entries
-    // record known-cost overheads that sit below 1 by design.
-    let mut ratios: Vec<String> = engine_ratios
-        .iter()
-        .filter_map(|(group, speedup)| {
-            speedup.map(|s| {
-                format!(
-                    "    {{\"id\": \"{group}\", \"baseline\": \"{group}/oracle\", \"candidate\": \"{group}/event\", \"speedup\": {s:.2}, \"higher_is_better\": true}}"
-                )
-            })
-        })
-        .collect();
-    // multi-chip hierarchical fabric: same-run oracle-vs-event pair,
-    // same shape as the flat engine ratios
-    if let Some(s) = speedup(&c, "hier_engine/multichip64") {
-        println!("event engine speedup over oracle, hier_engine/multichip64: {s:.1}x");
-        ratios.push(format!(
-            "    {{\"id\": \"hier_engine/multichip64\", \"baseline\": \"hier_engine/multichip64/oracle\", \"candidate\": \"hier_engine/multichip64/event\", \"speedup\": {s:.2}, \"higher_is_better\": true}}"
-        ));
-    }
-    // trace overhead: same-run paired on/off medians of the event
-    // engine on the dense point — on/off, so 1.00 means tracing is free
-    // and the verify gate holds the ceiling
-    let median = |id: &str| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-    };
-    let trace_overhead = match (
-        median("trace/dense_burst16/off"),
-        median("trace/dense_burst16/on"),
-    ) {
-        (Some(off), Some(on)) if off > 0.0 => on / off,
-        _ => 0.0,
-    };
-    if trace_overhead > 0.0 {
-        println!("event engine trace overhead, trace/dense_burst16: {trace_overhead:.2}x");
-        ratios.push(format!(
-            "    {{\"id\": \"trace/dense_burst16\", \"baseline\": \"trace/dense_burst16/off\", \"candidate\": \"trace/dense_burst16/on\", \"speedup\": {:.2}, \"higher_is_better\": false}}",
-            1.0 / trace_overhead
-        ));
-    }
-    // tree routing: same-run paired per-dest vs Steiner-tree medians of
-    // the event engine on the fan-out-6 multicast point — trees forward
-    // fewer flits but pay for tree construction and per-hop table
-    // lookups, so a speedup below 1 is expected; the ratio tracks that
-    // overhead across PRs (the link-flit reduction is asserted above)
-    if let (Some(pd), Some(tr)) = (
-        median("trees/mesh64_multicast/perdest"),
-        median("trees/mesh64_multicast/trees"),
-    ) {
-        if tr > 0.0 {
-            let s = pd / tr;
-            println!("tree-routing speedup over per-dest routes, trees/mesh64_multicast: {s:.2}x");
-            ratios.push(format!(
-                "    {{\"id\": \"trees/mesh64_multicast\", \"baseline\": \"trees/mesh64_multicast/perdest\", \"candidate\": \"trees/mesh64_multicast/trees\", \"speedup\": {s:.2}, \"higher_is_better\": false}}"
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"noc_sparse_speedup\": {:.2},\n  \"noc_moderate_speedup\": {:.2},\n  \"noc_dense_speedup\": {:.2},\n  \"noc_trace_overhead\": {:.2},\n  \"ratios\": [\n{}\n  ],\n  \"benchmarks\": [\n{}\n  ]\n}}\n",
-        sparse.unwrap_or(0.0),
-        moderate.unwrap_or(0.0),
-        dense.unwrap_or(0.0),
-        trace_overhead,
-        ratios.join(",\n"),
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_noc.json");
-    std::fs::write(path, &json).expect("write BENCH_noc.json");
-    println!("wrote BENCH_noc.json ({} entries)", c.summaries().len());
 }

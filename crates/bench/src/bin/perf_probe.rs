@@ -12,10 +12,11 @@
 //! `perf_probe noc` instead probes the interconnect engines on the
 //! dense-saturation workloads of [`neuromap_bench::noc_workloads`]: it
 //! times the event engine against the cycle oracle and prints the event
-//! scheduler's diagnostic counters ([`SchedCounters`]) — wake cycles,
-//! per-port wakes vs the retired global scheme's counterfactual lane
-//! scans, and the wake-queue peaks — so dense-regime scheduling
-//! regressions show up as counter shifts, not just wall-clock noise.
+//! scheduler's diagnostic counters
+//! ([`neuromap_noc::stats::SchedCounters`]) — wake cycles, per-port wakes
+//! vs the retired global scheme's counterfactual lane scans, and the
+//! wake-queue peaks — so dense-regime scheduling regressions show up as
+//! counter shifts, not just wall-clock noise.
 
 use neuromap_apps::synthetic::{LargeArch, Synthetic};
 use neuromap_apps::App;

@@ -14,7 +14,15 @@
 //!
 //! Every binary accepts `--paper` for paper-scale parameters (swarm 1000 ×
 //! 100 iterations — slow) and defaults to a quick mode that preserves the
-//! qualitative shapes. Criterion micro-benchmarks live under `benches/`.
+//! qualitative shapes.
+//!
+//! Performance is measured in two places and nowhere else. End-to-end
+//! numbers and per-layer timings are `mapbench`'s (`benchmark/`,
+//! `BENCHMARK.json`). The two benches under `benches/` write
+//! `BENCH_eval.json` and `BENCH_noc.json`, which hold only same-run
+//! baseline/candidate pairs — the kernel-level explanations of a
+//! mapbench stage — and [`ledger`] states that row rule, pairs the rows
+//! and gates every ratio against the one table of bounds.
 
 use neuromap_apps::synthetic::Synthetic;
 use neuromap_apps::App;
@@ -26,6 +34,7 @@ use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_core::{CoreError, SpikeGraph};
 use neuromap_hw::arch::{Architecture, InterconnectKind};
 
+pub mod ledger;
 pub mod noc_workloads;
 
 /// Crossbar capacity of the CxQuad-class chips the experiments map onto

@@ -88,7 +88,7 @@ pub struct NocWorkload {
 /// without virtual channels) so the VC arbitration path is part of the
 /// tracked perf trajectory; the `dense_*` points saturate the network so
 /// the per-port wake scheduler's dense-regime speedup is tracked (and
-/// floor-gated in `scripts/verify.sh`), not just the sparse win.
+/// floor-gated in [`crate::ledger::NOC`]), not just the sparse win.
 pub fn engine_workloads() -> Vec<NocWorkload> {
     vec![
         NocWorkload {

@@ -12,7 +12,7 @@
 //! placement optimizer re-runs on the current global best; the resulting
 //! permutation re-prices the hop table the swarm evaluates against
 //! ([`DistanceLut::permuted`]), the carried personal/global bests are
-//! re-valued under the new pricing ([`reseat_best`]), and the search
+//! re-valued under the new pricing (`reseat_best`), and the search
 //! continues from the same particle RNG streams. The staged result is
 //! always computed too and kept as the fallback — the joint loop can
 //! explore a worse basin, and [`CooptOutcome::used_joint`] records which

@@ -608,7 +608,7 @@ impl LaneId for u16 {
 ///
 /// Instead of evaluating candidates one by one (a random `assignment[j]`
 /// gather per edge), the swarm is transposed into **neuron-major tiles**
-/// of [`LANES`] candidates (`tile[i * LANES + lane]` = crossbar of neuron
+/// of `LANES` candidates (`tile[i * LANES + lane]` = crossbar of neuron
 /// `i` in candidate `lane`): one pass over the CSR then compares
 /// contiguous `LANES`-wide rows, which the compiler vectorizes, and
 /// every row is reused `deg(i)` times from cache. Costs are exact — the

@@ -189,11 +189,6 @@ impl SpikeGraph {
         self.pop_offsets.windows(2).map(|w| w[0]..w[1]).collect()
     }
 
-    /// Number of declared populations.
-    pub fn num_populations(&self) -> usize {
-        self.pop_offsets.len() - 1
-    }
-
     /// Number of neurons (nodes).
     pub fn num_neurons(&self) -> u32 {
         self.num_neurons

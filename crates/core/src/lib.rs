@@ -68,7 +68,6 @@ pub mod eval;
 pub mod explore;
 pub mod graph;
 pub mod multilevel;
-pub mod noc_sweep;
 pub mod partition;
 pub mod pipeline;
 pub mod place;

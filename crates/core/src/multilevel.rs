@@ -56,7 +56,7 @@
 //! by construction.
 //!
 //! [`PsoPartitioner`]: crate::pso::PsoPartitioner
-//! [`DistanceLut`]: neuromap_noc::distance::DistanceLut
+//! [`DistanceLut`]: neuromap_noc::topology::DistanceLut
 
 use crate::error::CoreError;
 use crate::eval::EvalEngine;

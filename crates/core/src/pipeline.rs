@@ -39,9 +39,10 @@
 //! [`crate::coopt::co_optimize`] / [`crate::multilevel::vcycle`]) and
 //! returns the [`Report`] with the delivery log and the optional event
 //! trace beside it ([`Evaluation`]). Sweeps that evaluate many points on
-//! the *same* architecture ([`crate::noc_sweep`], [`crate::explore`])
-//! hold one pipeline and reuse its topology and distance table across
-//! points instead of rebuilding them per call.
+//! the *same* architecture ([`crate::explore`], or a caller's own
+//! `for noc in settings { pipeline.with_noc(noc).evaluate(..) }`) hold
+//! one pipeline and reuse its topology and distance table across points
+//! instead of rebuilding them per call.
 
 use crate::error::CoreError;
 use crate::graph::SpikeGraph;
@@ -313,6 +314,23 @@ pub fn local_events(graph: &SpikeGraph, mapping: &Mapping) -> u64 {
     total
 }
 
+/// The typed error for a mapping that does not assign exactly the
+/// graph's neurons — the traffic walk and the partition objectives
+/// assert it, so the `Result`-returning stages check it first.
+fn check_covers(graph: &SpikeGraph, mapping: &Mapping) -> Result<(), CoreError> {
+    if mapping.num_neurons() == graph.num_neurons() as usize {
+        return Ok(());
+    }
+    Err(CoreError::InvalidParameter {
+        name: "mapping",
+        value: format!(
+            "covers {} neurons, graph has {}",
+            mapping.num_neurons(),
+            graph.num_neurons()
+        ),
+    })
+}
+
 /// The staged mapping pipeline: partition → place → packetize → simulate
 /// → report, over a topology and hop-distance table built **once** and
 /// shared by every stage (and, through [`MappingPipeline::with_noc`],
@@ -375,22 +393,15 @@ impl MappingPipeline {
         self.topo.as_ref()
     }
 
-    /// A clone of the shared router-graph `Arc` — lets callers (and the
-    /// sweep tests) verify that derived pipelines reuse the same
-    /// topology instance rather than rebuilding it.
-    pub fn shared_topology(&self) -> Arc<dyn Topology> {
-        Arc::clone(&self.topo)
-    }
-
     /// The shared all-pairs hop-distance table.
     pub fn distances(&self) -> &DistanceLut {
         &self.dist
     }
 
     /// A pipeline over the **same** topology and distance table with a
-    /// different interconnect configuration — how `crate::noc_sweep`
-    /// walks parameter grids without rebuilding the router graph per
-    /// point (the `Arc`s are shared, not cloned).
+    /// different interconnect configuration — how a caller walks an
+    /// interconnect-parameter grid without rebuilding the router graph
+    /// per point (the `Arc`s are shared, not cloned).
     pub fn with_noc(&self, noc: NocConfig) -> Self {
         let mut next = self.clone();
         next.config.noc = noc;
@@ -453,16 +464,7 @@ impl MappingPipeline {
         graph: &SpikeGraph,
         mapping: &Mapping,
     ) -> Result<(Mapping, Placement, String), CoreError> {
-        if mapping.num_neurons() != graph.num_neurons() as usize {
-            return Err(CoreError::InvalidParameter {
-                name: "mapping",
-                value: format!(
-                    "covers {} neurons, graph has {}",
-                    mapping.num_neurons(),
-                    graph.num_neurons()
-                ),
-            });
-        }
+        check_covers(graph, mapping)?;
         match &self.config.placement {
             PlacementStrategy::Identity => Ok((
                 mapping.clone(),
@@ -601,7 +603,8 @@ impl MappingPipeline {
     /// # Errors
     ///
     /// [`CoreError::Hw`] if the mapping is invalid for the architecture;
-    /// [`CoreError::Noc`] for interconnect failures.
+    /// [`CoreError::InvalidParameter`] when it does not cover exactly the
+    /// graph's neurons; [`CoreError::Noc`] for interconnect failures.
     pub fn evaluate(
         &self,
         graph: &SpikeGraph,
@@ -609,6 +612,7 @@ impl MappingPipeline {
         partitioner_label: &str,
         placement_label: &str,
     ) -> Result<Evaluation, CoreError> {
+        check_covers(graph, &mapping)?;
         mapping.validate(&self.config.arch)?;
         let problem = self.problem(graph)?;
         let cut_spikes = problem.cut_spikes(mapping.assignment());
@@ -1005,8 +1009,8 @@ mod tests {
     #[test]
     fn place_rejects_a_mapping_that_does_not_cover_the_graph() {
         use crate::place::PlaceConfig;
-        // a typed error under either strategy, not a panic inside
-        // `TrafficMatrix::from_mapping`
+        // a typed error under either strategy and from `evaluate`, not a
+        // panic inside `TrafficMatrix::from_mapping` or `cut_spikes`
         let g = SpikeGraph::from_parts(4, vec![(0, 1), (2, 3)], vec![3, 1, 4, 1]).unwrap();
         let arch = Architecture::custom(2, 4, InterconnectKind::Mesh).unwrap();
         let identity = MappingPipeline::new(PipelineConfig::for_arch(arch));
@@ -1014,15 +1018,21 @@ mod tests {
             identity.with_placement(PlacementStrategy::HopOptimized(PlaceConfig::default()));
         for neurons in [3, 5] {
             let m = Mapping::from_assignment(vec![0; neurons], 2).unwrap();
-            for pipeline in [&identity, &optimized] {
-                assert!(matches!(
-                    pipeline.place(&g, &m),
-                    Err(CoreError::InvalidParameter {
+            let uncovered = |e| {
+                matches!(
+                    e,
+                    CoreError::InvalidParameter {
                         name: "mapping",
                         ..
-                    })
-                ));
+                    }
+                )
+            };
+            for pipeline in [&identity, &optimized] {
+                assert!(pipeline.place(&g, &m).is_err_and(uncovered));
             }
+            assert!(identity
+                .evaluate(&g, m, "manual", "identity")
+                .is_err_and(uncovered));
         }
     }
 

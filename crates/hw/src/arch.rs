@@ -254,15 +254,6 @@ impl Architecture {
         self
     }
 
-    /// Replaces the interconnect (builder style). Unlike
-    /// [`Architecture::custom`] this performs no domain validation —
-    /// prefer `custom` for [`InterconnectKind::Hier`] descriptors so the
-    /// boundary-link parameters are checked up front.
-    pub fn with_interconnect(mut self, interconnect: InterconnectKind) -> Self {
-        self.interconnect = interconnect;
-        self
-    }
-
     /// Number of crossbars.
     pub fn num_crossbars(&self) -> usize {
         self.num_crossbars

@@ -336,43 +336,65 @@ fn strip_local(
 /// with the port found by position in [`Topology::neighbors`] — tree hops
 /// need not follow the unicast shortest path, so the route LUT cannot be
 /// used here. Shared by both engines so they consume the same trees.
+///
+/// [`Topology::multicast_route`] is implementable outside this crate, so
+/// what it returns is checked, not trusted: one path per destination,
+/// every hop a `(link, VC)` of the fabric, every path ending at its
+/// destination's router — anything else is
+/// [`NocError::InvalidConfig`] `{ name: "multicast_route" }`.
 fn build_tree_table(
     topo: &dyn Topology,
     config: &NocConfig,
     schedule: &[Packet],
-) -> Option<TreeTable> {
+) -> Result<Option<TreeTable>, NocError> {
     if !(config.multicast && config.multicast_trees) {
-        return None;
+        return Ok(None);
     }
     let vcs = config.vc_count;
     let mut per_spike: Vec<Vec<(u64, u16)>> = vec![Vec::new(); schedule.len()];
     for p in schedule {
+        let bad_route = |what: String| NocError::InvalidConfig {
+            name: "multicast_route",
+            value: format!("spike {}: {what}", p.spike_id),
+        };
         let src_router = topo.endpoint(p.src_crossbar);
         let dest_routers: Vec<usize> = p.dests.iter().map(|&d| topo.endpoint(d)).collect();
         let paths = topo.multicast_route(src_router, &dest_routers, vcs);
+        if paths.len() != dest_routers.len() {
+            return Err(bad_route(format!(
+                "{} paths for {} destinations",
+                paths.len(),
+                dest_routers.len()
+            )));
+        }
         let entries = &mut per_spike[p.spike_id as usize];
-        for (path, &d) in paths.iter().zip(p.dests.iter()) {
+        for ((path, &d), &dest_router) in paths.iter().zip(&p.dests).zip(&dest_routers) {
             let mut cur = src_router;
             for &(next, vc) in path {
                 let port = topo
                     .neighbors(cur)
                     .iter()
                     .position(|&n| n == next)
-                    .expect("tree hop must traverse a link of the topology");
+                    .filter(|_| vc < vcs)
+                    .ok_or_else(|| {
+                        bad_route(format!(
+                            "hop {cur} -> {next} on VC {vc} is not a (link, VC) of the fabric"
+                        ))
+                    })?;
                 entries.push((
                     ((cur as u64) << 32) | u64::from(d),
                     (port * vcs + vc) as u16,
                 ));
                 cur = next;
             }
-            debug_assert_eq!(
-                cur,
-                topo.endpoint(d),
-                "tree path must end at the dest router"
-            );
+            if cur != dest_router {
+                return Err(bad_route(format!(
+                    "the path to crossbar {d} ends at router {cur}, not {dest_router}"
+                )));
+            }
         }
     }
-    Some(TreeTable::from_spikes(per_spike))
+    Ok(Some(TreeTable::from_spikes(per_spike)))
 }
 
 /// Per-router runtime state.
@@ -517,7 +539,9 @@ impl NocSim {
     ///
     /// # Errors
     ///
-    /// * [`NocError::InvalidConfig`] for invalid configurations.
+    /// * [`NocError::InvalidConfig`] for invalid configurations, and for
+    ///   a [`Topology::multicast_route`] whose paths are not link walks
+    ///   to their destinations.
     /// * [`NocError::UnknownCrossbar`] for flows naming absent crossbars.
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
     pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
@@ -582,8 +606,8 @@ impl NocSim {
     }
 }
 
-/// One run of either engine: validate → schedule → [`simulate`] under
-/// policy `S` → statistics. `events` is the engine's retained-trace slot
+/// One run of either engine: validate → schedule → tree table →
+/// [`simulate`] under policy `S` → statistics. `events` is the engine's retained-trace slot
 /// (cleared up front, refilled on success when [`NocConfig::trace`] is
 /// on); `sim_trace`, when given, receives the scheduler trace.
 fn run_engine<S: Sched>(
@@ -613,11 +637,14 @@ fn run_engine<S: Sched>(
     }
     validate_flows(topo.as_ref(), flows)?;
     let schedule = build_schedule(topo.as_ref(), config, flows);
+    // per-spike Steiner-tree table (None ⇒ per-destination unicast routes)
+    let tree = build_tree_table(topo.as_ref(), config, &schedule)?;
     let mut recorded = config.trace.then(|| TraceBuf::new(config));
     let (deliveries, counters, per_vc, sched) = simulate::<S>(
         topo,
         config,
         schedule,
+        tree,
         sim_trace.as_deref_mut(),
         recorded.as_mut(),
     )?;
@@ -653,13 +680,12 @@ fn simulate<S: Sched>(
     topo: &Arc<dyn Topology>,
     cfg: &NocConfig,
     schedule: Vec<Packet>,
+    tree: Option<TreeTable>,
     mut trace: Option<&mut SimTrace>,
     mut events: Option<&mut TraceBuf>,
 ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
     let vcs = cfg.vc_count;
     let ports = egress_ports(topo.as_ref());
-    // per-spike Steiner-tree table (None ⇒ per-destination unicast routes)
-    let tree = build_tree_table(topo.as_ref(), cfg, &schedule);
     let mut sched = S::build(topo, &ports, vcs, tree);
     let topo = topo.as_ref();
     let nr = topo.num_routers();
@@ -1487,6 +1513,87 @@ mod tests {
         )
         .with_engine(EngineKind::CycleOracle);
         assert_eq!(ev.run(&flows).unwrap_err(), or.run(&flows).unwrap_err());
+    }
+
+    /// Edits the per-destination `(next router, VC)` paths of one tree.
+    type Bend = fn(&mut Vec<Vec<(usize, usize)>>);
+
+    /// A mesh whose tree routes pass through `.1` on the way out — the
+    /// shape of a user topology with a buggy `multicast_route`.
+    struct BentMesh(Mesh2D, Bend);
+
+    impl Topology for BentMesh {
+        fn num_routers(&self) -> usize {
+            self.0.num_routers()
+        }
+        fn num_crossbars(&self) -> usize {
+            self.0.num_crossbars()
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            self.0.endpoint(k)
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            self.0.neighbors(r)
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            self.0.route_next(r, dst)
+        }
+        fn multicast_route(
+            &self,
+            src: usize,
+            dests: &[usize],
+            vcs: usize,
+        ) -> Vec<Vec<(usize, usize)>> {
+            let mut paths = self.0.multicast_route(src, dests, vcs);
+            (self.1)(&mut paths);
+            paths
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn malformed_tree_routes_are_typed_errors_under_both_engines() {
+        // crossbar 0 reaches 2 in two hops and 8 in four; each bend breaks
+        // one thing `build_tree_table` relies on (the first used to panic
+        // there, the second only tripped a debug assertion)
+        let bends: [(&str, Bend); 4] = [
+            ("skips a router", |paths| paths[0] = paths[0][1..].to_vec()),
+            ("stops short", |paths| paths[0].truncate(1)),
+            ("drops a destination", |paths| paths.truncate(1)),
+            ("rides a VC the config lacks", |paths| paths[0][0].1 = 1),
+        ];
+        let cfg = NocConfig {
+            multicast: true,
+            multicast_trees: true,
+            ..NocConfig::default()
+        };
+        let flows = [SpikeFlow::multicast(0, 0, vec![8, 2], 0)];
+        for (what, bend) in bends {
+            let run = |engine| {
+                let topo = Box::new(BentMesh(Mesh2D::for_crossbars(9), bend));
+                NocSim::new(topo, cfg, EnergyModel::default())
+                    .with_engine(engine)
+                    .run(&flows)
+            };
+            let e = run(EngineKind::EventDriven).expect_err(what);
+            assert!(
+                matches!(
+                    e,
+                    NocError::InvalidConfig {
+                        name: "multicast_route",
+                        ..
+                    }
+                ),
+                "{what}: {e}"
+            );
+            assert_eq!(Err(e), run(EngineKind::CycleOracle), "{what}");
+        }
+        // unbent, the same wrapper simulates
+        let topo = Box::new(BentMesh(Mesh2D::for_crossbars(9), |_| ()));
+        let stats = NocSim::new(topo, cfg, EnergyModel::default()).run(&flows);
+        assert_eq!(stats.unwrap().delivered, 2);
     }
 
     #[test]

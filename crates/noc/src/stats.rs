@@ -325,13 +325,6 @@ impl EnergyExt for EnergyModel {
     }
 }
 
-/// Latency percentiles `(p50, p99)` of a delivery log (nearest-rank).
-pub fn latency_percentiles(deliveries: &[Delivery]) -> (u64, u64) {
-    let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
-    lat.sort_unstable();
-    percentiles_of_sorted(&lat)
-}
-
 /// Nearest-rank `(p50, p99)` of an already-sorted latency slice.
 fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
     if lat.is_empty() {
@@ -655,20 +648,10 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let ds: Vec<Delivery> = (1..=100u64).map(|k| d(0, 1, 0, k)).collect();
-        let (p50, p99) = latency_percentiles(&ds);
-        assert_eq!(p50, 50);
-        assert_eq!(p99, 99);
-        assert_eq!(latency_percentiles(&[]), (0, 0));
-        let single = vec![d(0, 1, 5, 12)];
-        assert_eq!(latency_percentiles(&single), (7, 7));
-    }
-
-    #[test]
-    fn percentiles_ordered() {
-        let ds = vec![d(0, 1, 0, 3), d(1, 1, 0, 30), d(2, 1, 0, 300)];
-        let (p50, p99) = latency_percentiles(&ds);
-        assert!(p50 <= p99);
+        let latencies: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentiles_of_sorted(&latencies), (50, 99));
+        assert_eq!(percentiles_of_sorted(&[]), (0, 0));
+        assert_eq!(percentiles_of_sorted(&[7]), (7, 7));
     }
 
     #[test]

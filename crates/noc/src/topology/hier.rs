@@ -338,7 +338,7 @@ impl HierTopology {
     }
 
     /// The nested weighted distance table: every router/crossbar pair
-    /// priced by [`HierTopology::weighted_router_distance`], so
+    /// priced by `HierTopology::weighted_router_distance`, so
     /// `CutHops`, placement, and co-optimization see inter-chip hops as
     /// [`HierTopology::seam_cost`] × dearer than on-chip hops. For a
     /// 1-chip fabric this is exactly [`DistanceLut::new`] on the flat

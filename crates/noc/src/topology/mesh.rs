@@ -216,7 +216,7 @@ impl Topology for Mesh2D {
         (x0.abs_diff(x1) + y0.abs_diff(y1)) as u32
     }
 
-    /// Dimension-ordered Steiner approximation ([`grid_steiner_routes`]).
+    /// Dimension-ordered Steiner approximation (`grid_steiner_routes`).
     /// Connect hops reuse the mesh's destination-spread VC label
     /// (`d % vc_count`), and the realized turns stay inside the west-first
     /// turn set (west hops only on dimension-order prefixes from the
@@ -397,7 +397,7 @@ impl Topology for Torus {
         }
     }
 
-    /// Dimension-ordered Steiner approximation ([`grid_steiner_routes`])
+    /// Dimension-ordered Steiner approximation (`grid_steiner_routes`)
     /// at two or more VCs; at a single VC the torus degenerates to the
     /// per-destination unicast routes (the trait default), because tree
     /// merging has no wrap-free VC half to put connect hops on — exactly

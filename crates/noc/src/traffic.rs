@@ -47,11 +47,6 @@ impl SpikeFlow {
             send_step,
         }
     }
-
-    /// Number of unicast packets this flow costs without multicast support.
-    pub fn unicast_cost(&self) -> usize {
-        self.dst_crossbars.len()
-    }
 }
 
 /// Sorts flows into canonical injection order: by step, then source
@@ -82,22 +77,6 @@ pub fn canonical_cmp(a: &SpikeFlow, b: &SpikeFlow) -> std::cmp::Ordering {
             b.source_neuron,
             &b.dst_crossbars,
         ))
-}
-
-/// Total packet count of a flow schedule under the given multicast setting.
-pub fn packet_count(flows: &[SpikeFlow], multicast: bool) -> u64 {
-    flows
-        .iter()
-        .map(|f| {
-            if f.dst_crossbars.is_empty() {
-                0
-            } else if multicast {
-                1
-            } else {
-                f.unicast_cost() as u64
-            }
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -135,21 +114,5 @@ mod tests {
         sort_canonical(&mut rev);
         assert_eq!(fwd, rev);
         assert_eq!(fwd[0].dst_crossbars, vec![1]);
-    }
-
-    #[test]
-    fn packet_count_respects_multicast() {
-        let flows = vec![
-            SpikeFlow::multicast(0, 0, vec![1, 2, 3], 0),
-            SpikeFlow::unicast(1, 1, 0, 0),
-        ];
-        assert_eq!(packet_count(&flows, true), 2);
-        assert_eq!(packet_count(&flows, false), 4);
-    }
-
-    #[test]
-    fn empty_destination_flow_costs_nothing() {
-        let f = SpikeFlow::multicast(0, 1, vec![1], 0); // only dst == src
-        assert_eq!(packet_count(&[f], false), 0);
     }
 }

@@ -69,11 +69,6 @@ impl SpikeTrain {
         &self.times
     }
 
-    /// Consumes the train, returning the raw time vector.
-    pub fn into_times(self) -> Vec<u32> {
-        self.times
-    }
-
     /// Iterates over spike times.
     pub fn iter(&self) -> std::slice::Iter<'_, u32> {
         self.times.iter()

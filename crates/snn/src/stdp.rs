@@ -54,22 +54,6 @@ impl Default for StdpConfig {
     }
 }
 
-impl StdpConfig {
-    /// Diehl & Cook-flavoured parameterization with divisive normalization.
-    pub fn diehl_cook() -> Self {
-        Self {
-            a_plus: 0.01,
-            a_minus: 0.012,
-            tau_plus: 20.0,
-            tau_minus: 20.0,
-            w_min: 0.0,
-            w_max: 1.0,
-            normalize_every: Some(100),
-            normalize_target: 78.0,
-        }
-    }
-}
-
 /// Runtime trace state for STDP (one pre/post trace per neuron).
 #[derive(Debug, Clone)]
 pub struct StdpState {

@@ -1,4 +1,13 @@
-//! Helpers shared by the property-test suites.
+//! Helpers shared by the property-test suites. Compiled once per test
+//! binary, and no suite uses all of it.
+#![allow(dead_code)]
+
+use neuromap::core::pipeline::build_topology;
+use neuromap::core::SpikeGraph;
+use neuromap::hw::arch::{Architecture, InterconnectKind};
+use neuromap::noc::topology::Topology;
+use neuromap::noc::traffic::SpikeFlow;
+use proptest::prelude::*;
 
 /// Per-test proptest case count, overridable via `NEUROMAP_PROPTEST_CASES`
 /// so CI can run a deeper pass over the same corpus without editing the
@@ -19,4 +28,62 @@ pub fn cases(default: u32) -> u32 {
         Err(std::env::VarError::NotPresent) => default,
         Err(e) => panic!("NEUROMAP_PROPTEST_CASES is not valid unicode: {e}"),
     }
+}
+
+/// Strategy: a random spike graph of `2..=n_max` neurons with self-loops,
+/// duplicate synapses and silent neurons — up to 5 synapses per neuron,
+/// spike counts below 25.
+pub fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
+    arb_graph_with(2, n_max, 5, 25)
+}
+
+/// [`arb_graph`] with every range spelled out: `n_min..=n_max` neurons,
+/// fewer than `n × edges_per_neuron` synapses, spike counts below
+/// `count_end`. The vendored `proptest` does not shrink, so a suite's
+/// ranges decide which cases it runs: keep them as they are.
+pub fn arb_graph_with(
+    n_min: u32,
+    n_max: u32,
+    edges_per_neuron: usize,
+    count_end: u32,
+) -> impl Strategy<Value = SpikeGraph> {
+    (n_min..=n_max).prop_flat_map(move |n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * edges_per_neuron));
+        let counts = proptest::collection::vec(0..count_end, n as usize);
+        (edges, counts).prop_map(move |(edges, counts)| {
+            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
+        })
+    })
+}
+
+/// Strategy: up to `max_flows` multicast flows among `crossbars`
+/// crossbars, each to fewer than `fanout_end` destinations (duplicates
+/// and the source included; `SpikeFlow::multicast` cleans them) at a
+/// send step below `step_end`.
+pub fn arb_flows(
+    crossbars: u32,
+    fanout_end: usize,
+    step_end: u32,
+    max_flows: usize,
+) -> impl Strategy<Value = Vec<SpikeFlow>> {
+    proptest::collection::vec(
+        (
+            0u32..1000,      // source neuron
+            0u32..crossbars, // src crossbar
+            proptest::collection::vec(0u32..crossbars, 1..fanout_end),
+            0u32..step_end, // send step
+        ),
+        0..max_flows,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(neuron, src, dsts, step)| SpikeFlow::multicast(neuron, src, dsts, step))
+            .collect()
+    })
+}
+
+/// The router graph the pipeline builds for `kind` over `crossbars`
+/// crossbars.
+pub fn topology_for(kind: InterconnectKind, crossbars: usize) -> Box<dyn Topology> {
+    build_topology(&Architecture::custom(crossbars, 1, kind).expect("valid architecture"))
 }

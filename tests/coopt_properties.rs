@@ -20,31 +20,21 @@ use neuromap::core::partition::{FitnessKind, PartitionProblem};
 use neuromap::core::pipeline::TrafficMode;
 use neuromap::core::place::PlaceConfig;
 use neuromap::core::pso::PsoConfig;
-use neuromap::core::SpikeGraph;
-use neuromap::noc::topology::{DistanceLut, Mesh2D, NocTree, Star, Topology, Torus};
+use neuromap::hw::arch::InterconnectKind;
+use neuromap::noc::topology::{DistanceLut, Topology};
 use proptest::prelude::*;
 
 mod common;
-
-/// Strategy: a random spike graph with 2..=n_max neurons, including
-/// duplicate edges and self-loops (mirrors `tests/eval_properties.rs`).
-fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
-    (2..=n_max).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 5));
-        let counts = proptest::collection::vec(0u32..25, n as usize);
-        (edges, counts).prop_map(move |(edges, counts)| {
-            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
-        })
-    })
-}
+use common::arb_graph;
 
 fn topology_for(idx: u8, crossbars: usize) -> Box<dyn Topology> {
-    match idx % 4 {
-        0 => Box::new(Mesh2D::for_crossbars(crossbars)),
-        1 => Box::new(Torus::for_crossbars(crossbars)),
-        2 => Box::new(NocTree::new(crossbars, 2)),
-        _ => Box::new(Star::new(crossbars)),
-    }
+    let kinds = [
+        InterconnectKind::Mesh,
+        InterconnectKind::Torus,
+        InterconnectKind::Tree { arity: 2 },
+        InterconnectKind::Star,
+    ];
+    common::topology_for(kinds[usize::from(idx % 4)], crossbars)
 }
 
 fn small_cfg(seed: u64, threads: usize) -> CooptConfig {

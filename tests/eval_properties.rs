@@ -6,23 +6,11 @@
 
 use neuromap::core::eval::{EvalEngine, SwarmEval, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};
-use neuromap::core::SpikeGraph;
 use neuromap::noc::topology::{DistanceLut, Mesh2D};
 use proptest::prelude::*;
 
 mod common;
-
-/// Strategy: a random spike graph with 2..=n_max neurons, including
-/// duplicate edges and self-loops.
-fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
-    (2..=n_max).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 5));
-        let counts = proptest::collection::vec(0u32..25, n as usize);
-        (edges, counts).prop_map(move |(edges, counts)| {
-            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
-        })
-    })
-}
+use common::arb_graph;
 
 const KINDS: [FitnessKind; 3] = [
     FitnessKind::CutSpikes,

@@ -41,20 +41,7 @@ mod common;
 const CROSSBARS: u32 = 16;
 
 fn arb_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
-    proptest::collection::vec(
-        (
-            0u32..1000,      // source neuron
-            0u32..CROSSBARS, // src crossbar
-            proptest::collection::vec(0u32..CROSSBARS, 1..5),
-            0u32..4, // send step
-        ),
-        0..max_flows,
-    )
-    .prop_map(|raw| {
-        raw.into_iter()
-            .map(|(neuron, src, dsts, step)| SpikeFlow::multicast(neuron, src, dsts, step))
-            .collect()
-    })
+    common::arb_flows(CROSSBARS, 5, 4, max_flows)
 }
 
 /// The flat topology and its 1-chip hierarchical twin (same intra grid;

@@ -14,16 +14,10 @@ use proptest::prelude::*;
 
 mod common;
 
-/// Strategy: a random spike graph with 8..=n_max neurons (enough nodes
-/// that coarsening has something to merge).
+/// This suite's graphs: at least 8 neurons (enough nodes that coarsening
+/// has something to merge), sparser and quieter than `common::arb_graph`'s.
 fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
-    (8..=n_max).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 4));
-        let counts = proptest::collection::vec(0u32..20, n as usize);
-        (edges, counts).prop_map(move |(edges, counts)| {
-            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
-        })
-    })
+    common::arb_graph_with(8, n_max, 4, 20)
 }
 
 /// A clustered graph: `clusters` dense blocks of `size` neurons (every

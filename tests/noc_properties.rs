@@ -56,20 +56,7 @@ use rand::{Rng, SeedableRng};
 const CROSSBARS: u32 = 8;
 
 fn arb_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
-    proptest::collection::vec(
-        (
-            0u32..1000,      // source neuron
-            0u32..CROSSBARS, // src crossbar
-            proptest::collection::vec(0u32..CROSSBARS, 1..4),
-            0u32..6, // send step
-        ),
-        0..max_flows,
-    )
-    .prop_map(|raw| {
-        raw.into_iter()
-            .map(|(neuron, src, dsts, step)| SpikeFlow::multicast(neuron, src, dsts, step))
-            .collect()
-    })
+    common::arb_flows(CROSSBARS, 4, 6, max_flows)
 }
 
 /// Hotspot traffic: many sources, one destination crossbar — the shape

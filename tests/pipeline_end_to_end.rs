@@ -7,10 +7,13 @@ use neuromap::core::baselines::{
     GaConfig, GaPartitioner, NeutramsPartitioner, PacmanPartitioner, RandomPartitioner, SaConfig,
     SaPartitioner,
 };
-use neuromap::core::partition::Partitioner;
+use neuromap::core::partition::{FitnessKind, Partitioner};
+use neuromap::core::pipeline::Evaluation;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
-use neuromap::core::{MappingPipeline, PipelineConfig};
+use neuromap::core::{MappingPipeline, PipelineConfig, SpikeGraph};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
+use neuromap::noc::config::NocConfig;
+use neuromap::snn::spikes::SpikeTrain;
 
 fn quick_pso() -> PsoPartitioner {
     PsoPartitioner::new(PsoConfig {
@@ -185,4 +188,198 @@ fn infeasible_architectures_are_rejected_cleanly() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("cannot fit"), "unexpected error: {msg}");
+}
+
+#[test]
+fn interconnect_parameters_move_the_report_the_way_the_router_model_says() {
+    // the Noxim configurables the paper quotes — buffer size, packet size,
+    // clock ratio, virtual channels — walked for a fixed mapping the way a
+    // caller sweeps them: one pipeline per architecture, one
+    // `with_noc(..).evaluate(..)` per point
+    let pipeline_on = |crossbars, capacity, kind| {
+        MappingPipeline::new(PipelineConfig::for_arch(
+            Architecture::custom(crossbars, capacity, kind).unwrap(),
+        ))
+    };
+    // a bursty two-layer net, packed sequentially onto four crossbars
+    let mut synapses = Vec::new();
+    for a in 0..8u32 {
+        for b in 8..16u32 {
+            synapses.push((a, b));
+        }
+    }
+    let trains = (0..16).map(|i| {
+        let times = if i < 8 {
+            (0..20).map(|k| k * 10).collect()
+        } else {
+            vec![]
+        };
+        SpikeTrain::from_times(times)
+    });
+    let bursty = SpikeGraph::from_trains(16, synapses, trains.collect()).unwrap();
+    let small_mesh = pipeline_on(4, 6, InterconnectKind::Mesh);
+    let small_torus = pipeline_on(4, 6, InterconnectKind::Torus);
+    let packed = small_mesh
+        .partition(&bursty, &PacmanPartitioner::new())
+        .unwrap();
+    // ring-of-rings (local chains plus long skips), PSO-mapped onto a full
+    // 16 × 16 mesh: the multi-word batched evaluator feeds the simulator
+    let n = 320u32;
+    let mut synapses = Vec::new();
+    for i in 0..n {
+        synapses.push((i, (i + 1) % n));
+        if i % 5 == 0 {
+            synapses.push((i, (i + 97) % n));
+        }
+    }
+    let trains =
+        (0..n).map(|i| SpikeTrain::from_times((0..3).map(|k| k * 80 + (i % 11)).collect()));
+    let rings = SpikeGraph::from_trains(n, synapses, trains.collect()).unwrap();
+    let big_mesh = pipeline_on(256, 2, InterconnectKind::Mesh);
+    let pso = PsoPartitioner::new(PsoConfig {
+        swarm_size: 6,
+        iterations: 3,
+        fitness: FitnessKind::CutPackets,
+        polish_passes: 1,
+        ..PsoConfig::default()
+    });
+    let swarmed = big_mesh.partition(&rings, &pso).unwrap();
+
+    let base = NocConfig::default();
+    let depth = |buffer_depth| NocConfig {
+        buffer_depth,
+        ..base
+    };
+    fn conserved(points: &[Evaluation]) {
+        let delivered = points[0].report.noc.delivered;
+        assert!(delivered > 0, "traffic must actually cross the fabric");
+        assert!(points.iter().all(|p| p.report.noc.delivered == delivered));
+    }
+    type Check = fn(&[Evaluation]);
+    let studies: [(
+        &str,
+        &MappingPipeline,
+        &SpikeGraph,
+        _,
+        Vec<NocConfig>,
+        Check,
+    ); 6] = [
+        (
+            "deeper buffers do not increase latency",
+            &small_mesh,
+            &bursty,
+            &packed,
+            vec![depth(1), depth(4), depth(16)],
+            |p| {
+                conserved(p);
+                // backpressure stalls at depth 1 must not beat depth 16
+                let (shallow, deep) = (&p[0].report.noc, &p[2].report.noc);
+                assert!(
+                    deep.avg_latency_cycles <= shallow.avg_latency_cycles + 1e-9,
+                    "{} vs {}",
+                    deep.avg_latency_cycles,
+                    shallow.avg_latency_cycles
+                );
+            },
+        ),
+        (
+            "deep single-VC buffers vs shallow dual-VC buffers on a torus",
+            &small_torus,
+            &bursty,
+            &packed,
+            vec![
+                NocConfig {
+                    vc_count: 1,
+                    ..depth(64)
+                },
+                NocConfig {
+                    vc_count: 2,
+                    ..depth(2)
+                },
+            ],
+            conserved,
+        ),
+        (
+            "bigger packets cost more link energy",
+            &small_mesh,
+            &bursty,
+            &packed,
+            [1, 4]
+                .map(|flits_per_packet| NocConfig {
+                    flits_per_packet,
+                    ..base
+                })
+                .to_vec(),
+            |p| {
+                let (one, four) = (&p[0].report.noc, &p[1].report.noc);
+                assert!(four.counters.link_flits > one.counters.link_flits);
+                assert!(four.global_energy_pj > one.global_energy_pj);
+            },
+        ),
+        (
+            "a congested clock distorts at least as much",
+            &small_mesh,
+            &bursty,
+            &packed,
+            [16, 4096]
+                .map(|cycles_per_step| NocConfig {
+                    cycles_per_step,
+                    ..base
+                })
+                .to_vec(),
+            |p| {
+                let (slow, fast) = (&p[0].report.noc, &p[1].report.noc);
+                assert!(
+                    slow.avg_isi_distortion_cycles >= fast.avg_isi_distortion_cycles,
+                    "{} vs {}",
+                    slow.avg_isi_distortion_cycles,
+                    fast.avg_isi_distortion_cycles
+                );
+            },
+        ),
+        (
+            "tracing spots the saturated lanes without perturbing the statistics",
+            &small_mesh,
+            &bursty,
+            &packed,
+            vec![
+                depth(1),
+                NocConfig {
+                    trace: true,
+                    ..depth(1)
+                },
+            ],
+            |p| {
+                assert!(p[0].trace.is_none());
+                let trace = p[1].trace.as_ref().expect("traced point keeps its events");
+                // the bursty net saturates depth-1 FIFOs
+                assert!(!trace.spot_congestion(8, 3).lanes.is_empty());
+                assert_eq!(
+                    p[1].report.noc.digest().unwrap(),
+                    p[0].report.noc.digest().unwrap()
+                );
+            },
+        ),
+        (
+            "a PSO mapping stays conservation-clean at 256 routers",
+            &big_mesh,
+            &rings,
+            &swarmed,
+            vec![depth(1), depth(4)],
+            conserved,
+        ),
+    ];
+    for (what, pipeline, graph, mapping, settings, check) in studies {
+        println!("{what}");
+        let points: Vec<Evaluation> = settings
+            .into_iter()
+            .map(|noc| {
+                pipeline
+                    .with_noc(noc)
+                    .evaluate(graph, mapping.clone(), "sweep", "identity")
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+            })
+            .collect();
+        check(&points);
+    }
 }

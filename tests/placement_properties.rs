@@ -26,28 +26,16 @@ use neuromap::core::pipeline::{
 use neuromap::core::place::{
     optimize_placement, placement_cost, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
 };
-use neuromap::core::SpikeGraph;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
 use neuromap::noc::sim::NocSim;
-use neuromap::noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, Topology, Torus};
+use neuromap::noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology, Torus};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-
-/// Strategy: a random spike graph with 2..=n_max neurons, including
-/// duplicate edges and self-loops (mirrors `tests/eval_properties.rs`).
-fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
-    (2..=n_max).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 5));
-        let counts = proptest::collection::vec(0u32..25, n as usize);
-        (edges, counts).prop_map(move |(edges, counts)| {
-            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
-        })
-    })
-}
+use common::arb_graph;
 
 /// The four interconnect kinds, selected by index.
 fn interconnect(idx: u8) -> InterconnectKind {
@@ -62,13 +50,7 @@ fn interconnect(idx: u8) -> InterconnectKind {
 }
 
 fn topology_for(idx: u8, crossbars: usize) -> Box<dyn Topology> {
-    match interconnect(idx) {
-        InterconnectKind::Mesh => Box::new(Mesh2D::for_crossbars(crossbars)),
-        InterconnectKind::Torus => Box::new(Torus::for_crossbars(crossbars)),
-        InterconnectKind::Tree { arity } => Box::new(NocTree::new(crossbars, arity)),
-        InterconnectKind::Star => Box::new(Star::new(crossbars)),
-        _ => Box::new(Mesh2D::for_crossbars(crossbars)),
-    }
+    common::topology_for(interconnect(idx), crossbars)
 }
 
 // ---- identity placement vs the pre-refactor monolithic flow ----------

@@ -31,21 +31,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 mod common;
+use common::arb_graph;
 
 const MODES: [TrafficMode; 2] = [TrafficMode::PerSynapse, TrafficMode::PerCrossbar];
-
-/// Strategy: a random spike graph with 2..=n_max neurons, including
-/// duplicate synapses, self-loops and silent neurons (mirrors
-/// `tests/eval_properties.rs`).
-fn arb_graph(n_max: u32) -> impl Strategy<Value = SpikeGraph> {
-    (2..=n_max).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 0..(n as usize * 5));
-        let counts = proptest::collection::vec(0u32..25, n as usize);
-        (edges, counts).prop_map(move |(edges, counts)| {
-            SpikeGraph::from_parts(n, edges, counts).expect("endpoints in range")
-        })
-    })
-}
 
 /// Strategy: a graph, a crossbar count (a single crossbar included) and
 /// a uniformly random assignment — any is feasible at capacity `n`.
