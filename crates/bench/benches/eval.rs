@@ -4,7 +4,7 @@
 //! graph), the 256-crossbar `synth_16x16grid` scenario (batched scoring,
 //! dense vs adjacency placement pricing), staged vs joint
 //! co-optimization, flat PSO vs the V-cycle at 1024 crossbars, and the
-//! u16 word-tile kernels on the 4-chip fabric.
+//! u16 word-tile kernels (`CutSpikes`, `CutPackets`) on the 4-chip fabric.
 //!
 //! The row rule and the gate table are `neuromap_bench::ledger`'s
 //! ([`ledger::EVAL`]): every row is one side of a pair, every pair is
@@ -393,46 +393,46 @@ fn bench_multilevel(c: &mut Criterion) {
 /// in [`ledger::EVAL`]).
 ///
 /// Before timing anything the bench *asserts which kernel actually
-/// runs* — [`SwarmEval::kernel`] must report the u16 word-tile for all
-/// three objectives at 1024 crossbars — and spot-checks the batched
-/// costs bit-identical against the scalar reference on the real
-/// scenario, so a silent fallback or a kernel divergence fails CI
-/// loudly instead of being timed as if nothing happened.
+/// runs* — [`SwarmEval::kernel`] must report the u16 word-tile for
+/// `CutSpikes` and `CutPackets` at 1024 crossbars, and the scalar arm for
+/// `CutHops` under the fabric's weighted distances (its word-tile bit
+/// walk never beat the scalar scan, so there is no pair left to time) —
+/// and spot-checks the batched costs bit-identical against the scalar
+/// reference on the real scenario, so a silent fallback or a kernel
+/// divergence fails CI loudly instead of being timed as if nothing
+/// happened.
 fn bench_hier(c: &mut Criterion) {
     let scenario = MultiChip::four_chip16();
     let graph = scenario.spike_graph(SEED).expect("scenario builds");
     let problem = PartitionProblem::new(&graph, scenario.num_crossbars(), scenario.capacity())
         .expect("feasible");
     let name = scenario.name();
+    let tiled = [FitnessKind::CutSpikes, FitnessKind::CutPackets];
 
-    // hop-aware objective under the fabric's *weighted* distances:
+    // ---- kernel gate (fail loudly, do not time a fallback) ----
     // chip-boundary hops priced latency × width
-    let topo = HierTopology::for_crossbars(
+    let lut = HierTopology::for_crossbars(
         scenario.num_crossbars(),
         scenario.chip_cols as usize,
         scenario.chip_rows as usize,
         scenario.link_latency,
         scenario.link_width,
     )
-    .expect("scenario parameters are valid");
-    let lut = topo.distance_lut();
+    .expect("scenario parameters are valid")
+    .distance_lut();
     let problem_hops = problem.with_hops(&lut).expect("lut covers the arch");
-    let objectives = [
-        (FitnessKind::CutSpikes, &problem),
-        (FitnessKind::CutPackets, &problem),
-        (FitnessKind::CutHops, &problem_hops),
-    ];
-
-    // ---- kernel gate (fail loudly, do not time a fallback) ----
-    for (kind, p) in objectives {
-        let evaluator = SwarmEval::new(*p, kind);
+    for (kind, p, expected) in [
+        (tiled[0], &problem, SwarmKernel::WordTile),
+        (tiled[1], &problem, SwarmKernel::WordTile),
+        (FitnessKind::CutHops, &problem_hops, SwarmKernel::Scalar),
+    ] {
+        let kernel = SwarmEval::new(*p, kind).kernel();
         assert_eq!(
-            evaluator.kernel(),
-            SwarmKernel::WordTile,
-            "REGRESSION: SwarmEval must run the u16 word-tile kernel for \
-             {kind:?} at {} crossbars, not {}",
-            scenario.num_crossbars(),
-            evaluator.kernel()
+            kernel,
+            expected,
+            "REGRESSION: SwarmEval must run the {expected} kernel for {kind:?} \
+             at {} crossbars, not {kernel}",
+            scenario.num_crossbars()
         );
     }
 
@@ -440,15 +440,15 @@ fn bench_hier(c: &mut Criterion) {
     let lanes = 64;
     let n = graph.num_neurons() as usize;
     let positions = random_swarm(n, problem.num_crossbars(), lanes, 7);
-    for (kind, p) in objectives {
-        let evaluator = SwarmEval::new(*p, kind);
+    for kind in tiled {
+        let evaluator = SwarmEval::new(problem, kind);
         let mut scratch = SwarmScratch::default();
         let mut out = vec![0u64; lanes];
         evaluator.eval_swarm(&positions, lanes, &mut scratch, &mut out);
         for lane in 0..lanes {
             assert_eq!(
                 out[lane],
-                p.cost(kind, &positions[lane * n..(lane + 1) * n]),
+                problem.cost(kind, &positions[lane * n..(lane + 1) * n]),
                 "word-tile diverges from the scalar reference for {kind:?} lane {lane}"
             );
         }
@@ -458,19 +458,19 @@ fn bench_hier(c: &mut Criterion) {
     // `hier/synth_4chip16x16/<kind>` ratios
     let mut group = c.benchmark_group(format!("hier/{name}"));
     group.sample_size(10);
-    for (kind, p) in objectives {
+    for kind in tiled {
         let tag = format!("{kind:?}");
         group.bench_with_input(BenchmarkId::new("scalar", &tag), &kind, |b, &kind| {
             b.iter(|| {
                 let mut acc = 0u64;
                 for lane in 0..lanes {
-                    acc ^= p.cost(kind, &positions[lane * n..(lane + 1) * n]);
+                    acc ^= problem.cost(kind, &positions[lane * n..(lane + 1) * n]);
                 }
                 black_box(acc)
             });
         });
         group.bench_with_input(BenchmarkId::new("batched", &tag), &kind, |b, &kind| {
-            let evaluator = SwarmEval::new(*p, kind);
+            let evaluator = SwarmEval::new(problem, kind);
             let mut scratch = SwarmScratch::default();
             let mut out = vec![0u64; lanes];
             b.iter(|| {

@@ -9,6 +9,12 @@
 //! per-level sizes, matching rates, refinement moves/accepts, and
 //! per-level wall time.
 //!
+//! `perf_probe eval [LANES…]` times the swarm evaluator against the
+//! scalar reference across the kernel map ([`SwarmEval::kernel`]): the
+//! 256-, 576- and 1024-crossbar grid scenarios × every objective × each
+//! lane count (default 8 16 40 64, the swarm widths mapbench runs) — the
+//! table a decision about a tile kernel starts from.
+//!
 //! `perf_probe noc` instead probes the interconnect engines on the
 //! dense-saturation workloads of [`neuromap_bench::noc_workloads`]: it
 //! times the event engine against the cycle oracle and prints the event
@@ -22,29 +28,99 @@ use neuromap_apps::synthetic::{LargeArch, Synthetic};
 use neuromap_apps::App;
 use neuromap_bench::noc_workloads::dense_workloads;
 use neuromap_bench::{arch_for, SEED};
-use neuromap_core::eval::SwarmKernel;
+use neuromap_core::eval::{SwarmEval, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
-use neuromap_core::partition::PartitionProblem;
+use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::{EngineKind, NocSim};
+use neuromap_noc::topology::{DistanceLut, Mesh2D};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
-/// One-line swarm-evaluator kernel report for a crossbar count: which
-/// kernel `SwarmEval` will actually run, with a loud marker on the
-/// scalar fallback — the perf cliff past the batched envelopes used to
-/// be invisible in probe output.
-fn kernel_line(num_crossbars: usize) -> String {
-    let kernel = SwarmKernel::for_crossbars(num_crossbars);
+/// One-line swarm-evaluator kernel report: which kernel `SwarmEval`
+/// runs for this problem under this objective — the scalar arm is a
+/// measured choice for some (objective, size) pairs and the only option
+/// past the tiles; either way the probe names it.
+fn kernel_line(problem: &PartitionProblem<'_>, kind: FitnessKind) -> String {
+    let kernel = SwarmEval::new(*problem, kind).kernel();
     format!(
-        "swarm-eval kernel: {kernel}{}",
-        if kernel == SwarmKernel::Scalar {
-            "  ** SCALAR FALLBACK: past the batched envelopes **"
-        } else {
-            ""
-        }
+        "swarm-eval kernel: {kernel} ({kind:?}, {} crossbars)",
+        problem.num_crossbars()
     )
+}
+
+/// Median wall time of `f` over five runs, in milliseconds.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[2]
+}
+
+/// Scalar-vs-batched swarm scoring across the kernel map: per grid side
+/// (16, 24, 32 → 256, 576, 1024 crossbars, mesh distances), objective
+/// and lane count, `PartitionProblem::cost` per candidate against one
+/// `SwarmEval::eval_swarm` call over the same random positions. A ratio
+/// above 1 means the batched path wins; where the kernel column reads
+/// `scalar` both sides run the same scan and the ratio is its noise.
+fn probe_eval(lane_counts: &[usize]) {
+    let widest = lane_counts.iter().copied().max().expect("at least one");
+    println!("side crossbars objective  kernel    lanes scalar_ms batched_ms scalar/batched");
+    for side in [16u32, 24, 32] {
+        let scenario = LargeArch {
+            side,
+            ..LargeArch::grid16()
+        };
+        let graph = scenario.spike_graph(SEED).expect("scenario generates");
+        let c = scenario.num_crossbars();
+        let lut = DistanceLut::new(&Mesh2D::for_crossbars(c));
+        let problem = PartitionProblem::new(&graph, c, scenario.capacity())
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the arch");
+        let n = graph.num_neurons() as usize;
+        let mut rng = StdRng::seed_from_u64(7);
+        let positions: Vec<u32> = (0..widest * n)
+            .map(|_| rng.gen_range(0..c as u32))
+            .collect();
+        for kind in [
+            FitnessKind::CutSpikes,
+            FitnessKind::CutPackets,
+            FitnessKind::CutHops,
+        ] {
+            let evaluator = SwarmEval::new(problem, kind);
+            let mut scratch = SwarmScratch::default();
+            for &lanes in lane_counts {
+                let swarm = &positions[..lanes * n];
+                let mut out = vec![0u64; lanes];
+                let scalar = median_ms(|| {
+                    for (lane, cost) in out.iter_mut().enumerate() {
+                        *cost = problem.cost(kind, &swarm[lane * n..(lane + 1) * n]);
+                    }
+                    black_box(&out);
+                });
+                let batched = median_ms(|| {
+                    evaluator.eval_swarm(swarm, lanes, &mut scratch, &mut out);
+                    black_box(&out);
+                });
+                println!(
+                    "{side:>4} {c:>9} {:<10} {:<9} {lanes:>5} {scalar:>9.3} {batched:>10.3} {:>14.2}",
+                    format!("{kind:?}"),
+                    evaluator.kernel().name(),
+                    scalar / batched
+                );
+            }
+        }
+    }
 }
 
 /// Congested lanes the probe's spotter prints per workload.
@@ -141,7 +217,6 @@ fn probe_multilevel() {
         scenario.num_crossbars(),
         scenario.capacity()
     );
-    println!("{}", kernel_line(scenario.num_crossbars()));
     let cfg = MultilevelConfig {
         pso: PsoConfig {
             swarm_size: 8,
@@ -150,6 +225,7 @@ fn probe_multilevel() {
         },
         ..MultilevelConfig::default()
     };
+    println!("{}", kernel_line(&problem, cfg.pso.fitness));
     let start = Instant::now();
     let out = vcycle(&problem, &cfg).expect("vcycle runs");
     let total = start.elapsed().as_secs_f64();
@@ -183,9 +259,13 @@ fn probe_multilevel() {
 /// configuration).
 fn usage(complaint: &str) -> ! {
     eprintln!("perf_probe: {complaint}");
-    eprintln!("usage: perf_probe [SWARM [ITERS]] | perf_probe noc | perf_probe multilevel");
+    eprintln!(
+        "usage: perf_probe [SWARM [ITERS]] | perf_probe eval [LANES...] | perf_probe noc | perf_probe multilevel"
+    );
     eprintln!("  SWARM       positive swarm size (default 1000 when absent)");
     eprintln!("  ITERS       positive iteration count (default 100 when absent)");
+    eprintln!("  eval        time the swarm evaluator against the scalar reference at each");
+    eprintln!("              positive lane count (default 8 16 40 64)");
     eprintln!("  noc         probe the interconnect engines instead");
     eprintln!("  multilevel  probe the multilevel V-cycle on the 32x32-grid scenario");
     std::process::exit(2);
@@ -193,6 +273,21 @@ fn usage(complaint: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("eval") {
+        let lanes: Vec<usize> = args[2..]
+            .iter()
+            .map(|s| match s.parse() {
+                Ok(v) if v > 0 => v,
+                _ => usage(&format!("invalid lane count `{s}`")),
+            })
+            .collect();
+        probe_eval(if lanes.is_empty() {
+            &[8, 16, 40, 64]
+        } else {
+            &lanes
+        });
+        return;
+    }
     if args.get(1).map(String::as_str) == Some("noc") {
         if args.len() > 2 {
             usage("`noc` takes no further arguments");
@@ -237,13 +332,13 @@ fn main() {
         arch.num_crossbars(),
         arch.neurons_per_crossbar()
     );
-    println!("{}", kernel_line(arch.num_crossbars()));
 
     let cfg = PsoConfig {
         swarm_size: swarm,
         iterations: iters,
         ..PsoConfig::paper()
     };
+    println!("{}", kernel_line(&problem, cfg.fitness));
     let start = Instant::now();
     let (mapping, trace) = PsoPartitioner::new(cfg)
         .partition_traced(&problem)

@@ -3,6 +3,7 @@
 use crate::error::CoreError;
 use crate::eval::{SwarmEval, SwarmScratch};
 use crate::partition::{FitnessKind, PartitionProblem, Partitioner};
+use crate::pool;
 use crate::pso::default_threads;
 use neuromap_hw::mapping::Mapping;
 use rand::rngs::StdRng;
@@ -207,21 +208,17 @@ fn evaluate(
     threads: usize,
     fitness: &mut [u64],
 ) {
-    let workers = threads.min(pop_size);
-    if workers <= 1 {
-        let mut scratch = SwarmScratch::default();
-        evaluator.eval_swarm(pop, pop_size, &mut scratch, fitness);
-        return;
-    }
-    let chunk = pop_size.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (lanes, out) in pop.chunks(chunk * n).zip(fitness.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let mut scratch = SwarmScratch::default();
-                evaluator.eval_swarm(lanes, out.len(), &mut scratch, out);
-            });
-        }
+    let chunks = pool::map_ranges(pop_size, threads, |lanes| {
+        let mut costs = vec![0u64; lanes.len()];
+        evaluator.eval_swarm(
+            &pop[lanes.start * n..lanes.end * n],
+            lanes.len(),
+            &mut SwarmScratch::default(),
+            &mut costs,
+        );
+        costs
     });
+    fitness.copy_from_slice(&chunks.concat());
 }
 
 /// Tournament selection: the fittest of `k` uniformly drawn individuals.

@@ -1,8 +1,9 @@
 //! Simulated annealing over the partitioning objectives.
 
 use crate::error::CoreError;
-use crate::eval::EvalEngine;
+use crate::eval::{Candidate, EvalEngine};
 use crate::partition::{FitnessKind, PartitionProblem, Partitioner};
+use crate::pool;
 use crate::pso::default_threads;
 use neuromap_hw::mapping::Mapping;
 use rand::rngs::StdRng;
@@ -109,70 +110,41 @@ impl SaPartitioner {
 }
 
 /// One annealing chain; deterministic for a fixed `(problem, cfg, seed)`.
-fn run_chain(problem: &PartitionProblem<'_>, cfg: &SaConfig, seed: u64) -> (Vec<u32>, i64) {
+fn run_chain(problem: &PartitionProblem<'_>, cfg: &SaConfig, seed: u64) -> (Vec<u32>, u64) {
     let engine = EvalEngine::new(*problem, cfg.fitness);
     let mut rng = StdRng::seed_from_u64(seed);
     let n = problem.graph().num_neurons() as usize;
     let c = problem.num_crossbars();
-    let cap = problem.capacity();
 
     // start from sequential packing
-    let mut current: Vec<u32> = (0..n as u32).map(|i| i / cap).collect();
-    let mut occ = vec![0u32; c];
-    for &k in &current {
-        occ[k as usize] += 1;
-    }
-    let mut state = engine.init(&current);
-    let mut cur_cost = state.cost() as i64;
-    let mut best = current.clone();
-    let mut best_cost = cur_cost;
+    let mut current: Vec<u32> = (0..n as u32).map(|i| i / problem.capacity()).collect();
+    let mut candidate = Candidate::new(&engine, &mut current);
+    let mut best = candidate.assignment().to_vec();
+    let mut best_cost = candidate.cost();
     let mut temp = cfg.t0;
 
     for _ in 0..cfg.moves {
-        // propose: 50% migrate one neuron, 50% swap two neurons
+        // propose: 50% migrate one neuron, 50% swap two neurons; a
+        // proposal that is no move at all (home or full target, both
+        // neurons on one crossbar) draws no acceptance sample
         if rng.gen_bool(0.5) {
             let i = rng.gen_range(0..n);
             let to = rng.gen_range(0..c) as u32;
-            let from = current[i];
-            if to == from || occ[to as usize] >= cap {
-                temp *= cfg.alpha;
-                continue;
-            }
-            let delta = engine.move_delta(&state, &current, i, to);
-            if accept(delta, temp, &mut rng) {
-                occ[from as usize] -= 1;
-                occ[to as usize] += 1;
-                engine.apply_priced_move(&mut state, &mut current, i, to, delta);
-                cur_cost += delta;
-                if cur_cost < best_cost {
-                    best_cost = cur_cost;
-                    best.copy_from_slice(&current);
+            if let Some(delta) = candidate.move_delta(i, to) {
+                if accept(delta, temp, &mut rng) {
+                    candidate.apply(i, to, delta);
                 }
             }
         } else {
             let i = rng.gen_range(0..n);
             let j = rng.gen_range(0..n);
-            if current[i] == current[j] {
-                temp *= cfg.alpha;
-                continue;
-            }
-            let (ci, cj) = (current[i], current[j]);
-            // price the swap by applying i's half, pricing j's half on the
-            // intermediate state, then keeping or reverting — O(deg),
-            // allocation-free, exact for any objective
-            let d1 = engine.apply_move(&mut state, &mut current, i, cj);
-            let d2 = engine.move_delta(&state, &current, j, ci);
-            if accept(d1 + d2, temp, &mut rng) {
-                engine.apply_priced_move(&mut state, &mut current, j, ci, d2);
-                cur_cost += d1 + d2;
-                if cur_cost < best_cost {
-                    best_cost = cur_cost;
-                    best.copy_from_slice(&current);
-                }
-            } else {
-                // revert i's half: the inverse move is priced at exactly -d1
-                engine.apply_priced_move(&mut state, &mut current, i, ci, -d1);
-            }
+            candidate.try_swap(i, j, |delta| accept(delta, temp, &mut rng));
+        }
+        // a rejected proposal leaves the cost where it was, at or above
+        // the best
+        if candidate.cost() < best_cost {
+            best_cost = candidate.cost();
+            best.copy_from_slice(candidate.assignment());
         }
         temp *= cfg.alpha;
     }
@@ -192,43 +164,22 @@ impl Partitioner for SaPartitioner {
 
         // chain k's stream: the base seed for chain 0 (compatibility),
         // golden-ratio offsets for the rest
-        let chain_seed = |k: u32| {
+        let chain_seed = |k: usize| {
             cfg.seed
-                .wrapping_add(u64::from(k).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         };
 
-        let results: Vec<(Vec<u32>, i64)> = if cfg.restarts == 1 || cfg.threads == 1 {
-            (0..cfg.restarts)
+        // chains in chain order, whatever the thread count
+        let best = pool::map_ranges(cfg.restarts as usize, cfg.threads, |chains| {
+            chains
                 .map(|k| run_chain(problem, cfg, chain_seed(k)))
-                .collect()
-        } else {
-            // spread chains over workers; results are collected in chain
-            // order so the outcome never depends on thread count
-            let workers = cfg.threads.min(cfg.restarts as usize);
-            let mut results: Vec<Option<(Vec<u32>, i64)>> = Vec::new();
-            results.resize_with(cfg.restarts as usize, || None);
-            std::thread::scope(|s| {
-                let chunks = results.chunks_mut((cfg.restarts as usize).div_ceil(workers));
-                let mut first = 0u32;
-                for chunk in chunks {
-                    let len = chunk.len() as u32;
-                    s.spawn(move || {
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            let k = first + off as u32;
-                            *slot = Some(run_chain(problem, cfg, chain_seed(k)));
-                        }
-                    });
-                    first += len;
-                }
-            });
-            results.into_iter().map(|r| r.expect("chain ran")).collect()
-        };
-
-        let best = results
-            .into_iter()
-            .min_by_key(|(_, cost)| *cost) // stable: first chain wins ties
-            .expect("restarts >= 1")
-            .0;
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .min_by_key(|(_, cost)| *cost) // stable: first chain wins ties
+        .expect("restarts >= 1")
+        .0;
         problem.into_mapping(best)
     }
 }

@@ -193,7 +193,7 @@ pub fn co_optimize(
 
     // ---- joint loop: segments of `replace_every` rounds, re-placing
     // and re-pricing between them ----
-    let mut state = SwarmState::new(problem, &cfg.pso);
+    let mut state = SwarmState::new(problem, &cfg.pso)?;
     if cfg.multilevel.is_some() {
         // warm-start the joint swarm with the V-cycle's partition (last
         // slot, so the memetic baseline injections stay untouched)

@@ -52,31 +52,39 @@
 //! runs one of two tile kernels per block — byte counters for
 //! `CutSpikes`, per-lane crossbar bitmasks at a compile-time stride for
 //! `CutPackets` (popcount reduce) and `CutHops` (hop-weighted bit walk).
-//! The entry type and stride follow from the crossbar count alone — a
-//! pure function of the problem, exposed as [`SwarmEval::kernel`] /
-//! [`SwarmKernel`]:
+//! Which kernel runs is a pure function of the problem and the objective,
+//! exposed as [`SwarmEval::kernel`]; [`SwarmKernel::for_crossbars`] is
+//! only the tile *width* a crossbar count allows:
 //!
-//! * **Byte tiles** up to [`TILE_MAX_CROSSBARS`] (256) crossbars: one
-//!   byte per assignment; masks of one `u64` per lane up to 64
-//!   crossbars, four beyond. On the 256-crossbar `synth_16x16grid`
-//!   scenario (1740 neurons, 41.8 k synapses; `BENCH_eval.json`) this
-//!   scores a 64-lane swarm ~5.5× faster than the per-candidate scalar
-//!   scan.
-//! * **u16 word tiles** up to [`TILE16_MAX_CROSSBARS`] (1024) crossbars
-//!   — the multi-chip regime of `noc::topology::HierTopology`: two
-//!   bytes per assignment, masks of 16 `u64`s per lane, the same
-//!   kernels and integer arithmetic. CI gates the `hier/*`
-//!   batched-over-scalar ratio ≥ 2× on the 1024-crossbar
-//!   `synth_4chip16x16` scenario.
-//! * **Scalar** beyond 1024 crossbars: [`PartitionProblem::cost`] per
-//!   candidate — the exact reference every tiled instantiation is
-//!   verified against (per block in debug builds, and by the unit and
-//!   property tests).
+//! | crossbars | `CutSpikes` | `CutPackets` | `CutHops` |
+//! |---|---|---|---|
+//! | ≤ [`TILE_MAX_CROSSBARS`] (256) | byte tile | byte tile | byte tile (scalar if a distance exceeds `u16`) |
+//! | ≤ [`TILE16_MAX_CROSSBARS`] (1024) | word tile | word tile | **scalar** |
+//! | beyond | scalar | scalar | scalar |
 //!
-//! The active kernel is surfaced in `perf_probe` output and the
-//! pipeline `Report`, and the benches assert which kernel actually ran,
-//! so a fallback to scalar is a visible, measured boundary rather than
-//! a silent perf cliff.
+//! * **Byte tiles**: one byte per assignment; masks of one `u64` per
+//!   lane up to 64 crossbars, four beyond. On the 256-crossbar
+//!   `synth_16x16grid` scenario (1740 neurons, 41.8 k synapses;
+//!   `BENCH_eval.json`) this scores a 64-lane swarm ~5× (`CutPackets`)
+//!   and ~2× (`CutHops`) faster than the per-candidate scalar scan.
+//! * **u16 word tiles** — the multi-chip regime of
+//!   `noc::topology::HierTopology`: two bytes per assignment, masks of
+//!   16 `u64`s per lane, the same kernels and integer arithmetic. On the
+//!   1024-crossbar `synth_4chip16x16` scenario the `hier/*`
+//!   batched-over-scalar ratio is floor-gated ≥ 2× for `CutSpikes` and
+//!   held at ≥ 1× for `CutPackets` (reads ≈ 2.6×).
+//! * **Scalar**: [`PartitionProblem::cost`] per candidate — the exact
+//!   reference every tiled instantiation is verified against (per block
+//!   in debug builds, and by the unit and property tests). `CutHops`
+//!   takes it past the byte tile because the word-tile bit walk (one
+//!   gather per set bit over 16 mask words per lane) never beat it:
+//!   0.41–1.26× at 576 crossbars and 0.43–0.92× at 1024 over 8–64 lanes
+//!   (`perf_probe eval` reprints the table; ROADMAP "One measurement
+//!   chain" (b) records the decision).
+//!
+//! The active kernel is surfaced in `perf_probe` output, and the benches
+//! assert which kernel actually ran, so the scalar arm is a visible,
+//! measured boundary rather than a silent perf cliff.
 
 use crate::partition::{FitnessKind, PartitionProblem};
 
@@ -89,7 +97,8 @@ pub const DEFAULT_CHURN_THRESHOLD: f32 = 0.35;
 
 /// Per-candidate cached fitness state. Create with [`EvalEngine::init`],
 /// keep it alongside the candidate's assignment, and let the engine
-/// update both together.
+/// update both together — [`Candidate`] is that bundle, with the
+/// per-crossbar occupancy a capacity-bound search needs beside it.
 /// The `Default` value is an *empty placeholder* (cost 0, no tallies) —
 /// cheap to allocate in bulk, but meaningless until overwritten by
 /// [`EvalEngine::init`].
@@ -502,6 +511,138 @@ impl<'g> EvalEngine<'g> {
     }
 }
 
+/// One candidate under local search: an assignment, its [`CostState`]
+/// and its per-crossbar occupancy, updated together so they cannot
+/// disagree. Every single-neuron search in the crate (`refine`, `remap`,
+/// the V-cycle's boundary refinement, the SA chains) is a policy over
+/// these five operations; none keeps the triple by hand.
+///
+/// Capacity is the problem's ([`PartitionProblem::capacity`]): a crossbar
+/// at or above it accepts no migration. Occupancy is counted from the
+/// assignment as given, not checked — an over-full crossbar simply stays
+/// closed until neurons leave it. Swaps preserve occupancy and are never
+/// capacity-limited.
+#[derive(Debug)]
+pub struct Candidate<'e, 'g, 'a> {
+    engine: &'e EvalEngine<'g>,
+    state: CostState,
+    assignment: &'a mut [u32],
+    occupancy: Vec<u32>,
+}
+
+impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
+    /// Prices `assignment` in full and counts its occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` does not cover the engine's problem (wrong
+    /// length or a crossbar id out of range).
+    pub fn new(engine: &'e EvalEngine<'g>, assignment: &'a mut [u32]) -> Self {
+        let mut occupancy = vec![0u32; engine.problem.num_crossbars()];
+        for &k in assignment.iter() {
+            occupancy[k as usize] += 1;
+        }
+        Self {
+            engine,
+            state: engine.init(assignment),
+            assignment,
+            occupancy,
+        }
+    }
+
+    /// The cached cost of the current assignment.
+    #[inline]
+    pub fn cost(&self) -> u64 {
+        self.state.cost
+    }
+
+    /// The current assignment.
+    #[inline]
+    pub fn assignment(&self) -> &[u32] {
+        self.assignment
+    }
+
+    /// Neurons currently on each crossbar.
+    pub fn occupancy(&self) -> &[u32] {
+        &self.occupancy
+    }
+
+    /// Exact cost change of migrating neuron `i` to crossbar `to`, or
+    /// `None` when the move is not available: `to` is `i`'s home, or `to`
+    /// is full.
+    #[inline]
+    pub fn move_delta(&self, i: usize, to: u32) -> Option<i64> {
+        if to == self.assignment[i] || self.occupancy[to as usize] >= self.engine.problem.capacity()
+        {
+            return None;
+        }
+        Some(self.engine.move_delta(&self.state, self.assignment, i, to))
+    }
+
+    /// The most improving available migration of neuron `i` among
+    /// `targets`, as `(crossbar, delta)` with `delta < 0`; `None` when
+    /// none lowers the cost. Ties keep the earliest target in iteration
+    /// order (strict `<`). Pure, so a frozen candidate can be shared by
+    /// parallel proposers.
+    pub fn best_move(
+        &self,
+        i: usize,
+        targets: impl IntoIterator<Item = u32>,
+    ) -> Option<(u32, i64)> {
+        let mut best: Option<(u32, i64)> = None;
+        for to in targets {
+            if let Some(d) = self.move_delta(i, to) {
+                if d < 0 && best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((to, d));
+                }
+            }
+        }
+        best
+    }
+
+    /// Migrates neuron `i` to crossbar `to` at the `delta` that
+    /// [`Candidate::move_delta`] / [`Candidate::best_move`] just returned
+    /// for it (debug builds verify the delta; a stale one corrupts the
+    /// cached cost, as with [`EvalEngine::apply_priced_move`]).
+    #[inline]
+    pub fn apply(&mut self, i: usize, to: u32, delta: i64) {
+        let from = self.assignment[i];
+        debug_assert!(
+            from == to || self.occupancy[to as usize] < self.engine.problem.capacity(),
+            "crossbar {to} is full"
+        );
+        self.occupancy[from as usize] -= 1;
+        self.occupancy[to as usize] += 1;
+        self.engine
+            .apply_priced_move(&mut self.state, self.assignment, i, to, delta);
+    }
+
+    /// Prices the exchange of neurons `i` and `j` and keeps it iff
+    /// `accept(delta)`; returns the priced delta either way. The swap is
+    /// priced by applying `i`'s half, pricing `j`'s half on the
+    /// intermediate state, then committing `j` or reverting `i` (the
+    /// inverse move costs exactly the negated delta) — O(deg),
+    /// allocation-free, exact for every objective, and an accepted swap
+    /// pays for no pricing pass twice. Returns 0 without consulting
+    /// `accept` when both neurons already share a crossbar.
+    #[inline]
+    pub fn try_swap(&mut self, i: usize, j: usize, accept: impl FnOnce(i64) -> bool) -> i64 {
+        let (ci, cj) = (self.assignment[i], self.assignment[j]);
+        if ci == cj {
+            return 0;
+        }
+        let engine = self.engine;
+        let d1 = engine.apply_move(&mut self.state, self.assignment, i, cj);
+        let d2 = engine.move_delta(&self.state, self.assignment, j, ci);
+        if accept(d1 + d2) {
+            engine.apply_priced_move(&mut self.state, self.assignment, j, ci, d2);
+        } else {
+            engine.apply_priced_move(&mut self.state, self.assignment, i, ci, -d1);
+        }
+        d1 + d2
+    }
+}
+
 /// Number of candidates evaluated together per tile by [`SwarmEval`]:
 /// small enough that a tile (`N × LANES` ids) stays cache-resident,
 /// wide enough to fill SIMD lanes.
@@ -526,10 +667,10 @@ const MASK_WORDS_MAX: usize = TILE_MAX_CROSSBARS / 64;
 const MASK16_WORDS_MAX: usize = TILE16_MAX_CROSSBARS / 64;
 
 /// Which evaluation kernel [`SwarmEval::eval_swarm`] runs for a given
-/// problem — a pure function of the crossbar count
-/// ([`SwarmKernel::for_crossbars`]), surfaced in `perf_probe` and the
-/// pipeline `Report` and asserted by the benches so the scalar fallback
-/// is never a silent perf cliff.
+/// problem and objective ([`SwarmEval::kernel`]), surfaced in
+/// `perf_probe` and asserted by the benches so the scalar arm is never a
+/// silent perf cliff. [`SwarmKernel::for_crossbars`] and the pipeline
+/// `Report` know the crossbar count only: they name the tile *width*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwarmKernel {
     /// Neuron-major byte tile (crossbar ids fit `u8`):
@@ -538,13 +679,16 @@ pub enum SwarmKernel {
     /// Neuron-major u16 tile with a fixed 16-word mask stride:
     /// ≤ [`TILE16_MAX_CROSSBARS`] crossbars.
     WordTile,
-    /// Exact per-candidate scalar scan — the reference path, and the
-    /// fallback beyond the word-tile envelope.
+    /// Exact per-candidate scalar scan — the reference path, what runs
+    /// beyond the word-tile envelope, and what `CutHops` runs beyond the
+    /// byte tile.
     Scalar,
 }
 
 impl SwarmKernel {
-    /// The kernel the batched evaluator selects for `num_crossbars`.
+    /// The tile width available at `num_crossbars` — what `CutSpikes`
+    /// and `CutPackets` run. Not the whole kernel map: `CutHops` leaves
+    /// the tiles earlier ([`SwarmEval::kernel`] is objective-aware).
     pub fn for_crossbars(num_crossbars: usize) -> Self {
         if num_crossbars <= TILE_MAX_CROSSBARS {
             SwarmKernel::ByteTile
@@ -626,19 +770,18 @@ impl LaneId for u16 {
 /// target-crossbar set as a bitmask of `W` `u64`s at a compile-time
 /// stride (1 up to 64 crossbars, 4 in the rest of the byte tile, 16 in
 /// the word tile) and differ only in how they reduce it: a popcount, or
-/// a walk over the set bits priced by the hop table. Beyond the
-/// word-tile envelope [`SwarmEval::eval_swarm`] evaluates per candidate;
+/// a walk over the set bits priced by the hop table. The walk pays off
+/// in the byte tile only, so `CutHops` past it — and every objective
+/// beyond the word-tile envelope — is evaluated per candidate;
 /// [`SwarmEval::kernel`] reports which path runs.
 #[derive(Debug, Clone)]
 pub struct SwarmEval<'g> {
     problem: PartitionProblem<'g>,
     kind: FitnessKind,
-    /// Narrow (u16) shadow of the hop table for the tiled `CutHops`
+    kernel: SwarmKernel,
+    /// Narrow (u16) shadow of the hop table for the byte tile's `CutHops`
     /// reduction — same values, half the gather footprint of the u32
-    /// `DistanceLut` the reduction walks per set mask bit. Empty when
-    /// the objective is not `CutHops`, the problem is past the tiled
-    /// envelope, or any distance overflows u16 (the reduction then reads
-    /// the u32 table directly).
+    /// `DistanceLut`. Empty unless that kernel runs.
     hops16: Vec<u16>,
 }
 
@@ -672,41 +815,45 @@ impl<'g> SwarmEval<'g> {
             kind != FitnessKind::CutHops || problem.hops().is_some(),
             "CutHops requires a hop table; attach one with `with_hops`"
         );
+        let mut kernel = SwarmKernel::for_crossbars(problem.num_crossbars());
         let mut hops16 = Vec::new();
-        if kind == FitnessKind::CutHops
-            && SwarmKernel::for_crossbars(problem.num_crossbars()) != SwarmKernel::Scalar
-        {
+        if kind == FitnessKind::CutHops {
+            // the hop-weighted bit walk earns its keep in the byte tile
+            // only, and only over the u16 shadow: anything else is scalar
             let lut = problem.hops().expect("asserted above");
             let c = problem.num_crossbars() as u32;
-            hops16.reserve(c as usize * c as usize);
-            'build: for k1 in 0..c {
-                for k2 in 0..c {
-                    let Ok(h) = u16::try_from(lut.hops(k1, k2)) else {
-                        hops16 = Vec::new();
-                        break 'build;
-                    };
-                    hops16.push(h);
-                }
+            let shadow = || {
+                (0..c)
+                    .flat_map(|a| (0..c).map(move |b| (a, b)))
+                    .map(|(a, b)| u16::try_from(lut.hops(a, b)).ok())
+                    .collect::<Option<Vec<u16>>>()
+            };
+            match (kernel == SwarmKernel::ByteTile).then(shadow).flatten() {
+                Some(shadow) => hops16 = shadow,
+                None => kernel = SwarmKernel::Scalar,
             }
         }
         Self {
             problem,
             kind,
+            kernel,
             hops16,
         }
     }
 
-    /// Whether a vectorizable tile path applies to this problem: every
-    /// objective is tiled up to [`TILE16_MAX_CROSSBARS`] crossbars
-    /// (byte tiles to 256, u16 word tiles beyond).
+    /// Whether a vectorizable tile path applies ([`SwarmEval::kernel`]
+    /// is not the scalar arm).
     pub fn batched(&self) -> bool {
-        self.kernel() != SwarmKernel::Scalar
+        self.kernel != SwarmKernel::Scalar
     }
 
-    /// The kernel [`SwarmEval::eval_swarm`] runs for this problem — a
-    /// pure function of the crossbar count.
+    /// The kernel [`SwarmEval::eval_swarm`] runs — a pure function of
+    /// the problem and the objective: [`SwarmKernel::for_crossbars`] for
+    /// `CutSpikes` and `CutPackets`; for `CutHops` the byte tile while
+    /// every distance fits its `u16` shadow, [`SwarmKernel::Scalar`]
+    /// otherwise.
     pub fn kernel(&self) -> SwarmKernel {
-        SwarmKernel::for_crossbars(self.problem.num_crossbars())
+        self.kernel
     }
 
     /// `u64` words a lane's target-crossbar bitmask needs
@@ -734,7 +881,7 @@ impl<'g> SwarmEval<'g> {
         let n = self.problem.graph().num_neurons() as usize;
         assert_eq!(positions.len(), lanes * n, "candidate buffer size");
         assert_eq!(out.len(), lanes, "output size");
-        match self.kernel() {
+        match self.kernel {
             SwarmKernel::Scalar => {
                 for lane in 0..lanes {
                     out[lane] = self
@@ -862,8 +1009,8 @@ impl<'g> SwarmEval<'g> {
     /// per-edge loop cannot carry weights, so the objectives differ only
     /// in the per-lane reduction: the popcount of the mask without the
     /// home bit, or a walk over its set bits pricing each crossbar by
-    /// its hop distance from the lane's home (`w(home, home) = 0`, so
-    /// the home bit needs no masking there).
+    /// its hop distance from the lane's home in the `u16` shadow table
+    /// (`w(home, home) = 0`, so the home bit needs no masking there).
     ///
     /// The word index is masked to the stride (`(k >> 6) & (W - 1)` —
     /// exact for every id inside the envelope), which keeps the per-edge
@@ -918,44 +1065,20 @@ impl<'g> SwarmEval<'g> {
                     }
                     u64::from(distinct)
                 } else {
-                    // the two bit walks are spelled out: routed through a
-                    // shared closure-taking helper the 16-word instantiation
-                    // measured ~10 % slower
-                    let row = self.hops16_row(h, c);
+                    let row = &self.hops16[h * c..(h + 1) * c];
                     let mut weighted = 0u64;
                     for (w, &word) in words.iter().enumerate() {
                         let base = w << 6;
                         let mut m = word;
-                        if let Some(row) = row {
-                            while m != 0 {
-                                weighted += u64::from(row[base + m.trailing_zeros() as usize]);
-                                m &= m - 1;
-                            }
-                        } else {
-                            let hops = self.problem.hops().expect("checked in SwarmEval::new");
-                            while m != 0 {
-                                let k = (base + m.trailing_zeros() as usize) as u32;
-                                weighted += u64::from(hops.hops(h as u32, k));
-                                m &= m - 1;
-                            }
+                        while m != 0 {
+                            weighted += u64::from(row[base + m.trailing_zeros() as usize]);
+                            m &= m - 1;
                         }
                     }
                     weighted
                 };
                 out[lane] += ci * per_spike;
             }
-        }
-    }
-
-    /// The `h`-th row of the narrow hop shadow, when it exists — the
-    /// `CutHops` reduction gathers from this 2-byte row instead of the
-    /// 4-byte `DistanceLut` whenever every distance fits u16.
-    #[inline]
-    fn hops16_row(&self, h: usize, c: usize) -> Option<&[u16]> {
-        if self.hops16.is_empty() {
-            None
-        } else {
-            Some(&self.hops16[h * c..(h + 1) * c])
         }
     }
 }
@@ -1213,7 +1336,7 @@ mod tests {
         counts[59] = 9;
         let g = SpikeGraph::from_parts(n as u32, synapses, counts).expect("valid graph");
         let lanes = 2 * LANES + 22;
-        for (c, kernel) in [
+        let mut cases: Vec<(usize, neuromap_noc::topology::DistanceLut, SwarmKernel)> = [
             (1usize, SwarmKernel::ByteTile),
             (64, SwarmKernel::ByteTile),
             (65, SwarmKernel::ByteTile),
@@ -1223,12 +1346,23 @@ mod tests {
             (257, SwarmKernel::WordTile),
             (1024, SwarmKernel::WordTile),
             (1025, SwarmKernel::Scalar),
-        ] {
-            let lut = mesh_lut(c);
+        ]
+        .map(|(c, kernel)| (c, mesh_lut(c), kernel))
+        .into();
+        // two chips whose one seam costs more than the u16 shadow holds
+        let seam = neuromap_noc::topology::HierTopology::for_crossbars(64, 2, 1, 70_000, 1)
+            .expect("valid fabric")
+            .distance_lut();
+        assert!(seam.hops(0, 63) > u32::from(u16::MAX));
+        cases.push((64, seam, SwarmKernel::ByteTile));
+        for (c, lut, tile) in &cases {
+            let (c, tile) = (*c, *tile);
             let p = PartitionProblem::new(&g, c, n as u32)
                 .unwrap()
-                .with_hops(&lut)
+                .with_hops(lut)
                 .unwrap();
+            let fits_u16 =
+                (0..c as u32).all(|a| (0..c as u32).all(|b| lut.hops(a, b) <= u32::from(u16::MAX)));
             let positions: Vec<u32> = (0..lanes * n).map(|_| rng.gen_range(0..c as u32)).collect();
             for kind in [
                 FitnessKind::CutSpikes,
@@ -1236,7 +1370,14 @@ mod tests {
                 FitnessKind::CutHops,
             ] {
                 let evaluator = SwarmEval::new(p, kind);
-                assert_eq!(evaluator.kernel(), kernel, "c={c}");
+                let kernel = if kind == FitnessKind::CutHops
+                    && !(tile == SwarmKernel::ByteTile && fits_u16)
+                {
+                    SwarmKernel::Scalar
+                } else {
+                    tile
+                };
+                assert_eq!(evaluator.kernel(), kernel, "{kind:?} c={c}");
                 assert_eq!(evaluator.batched(), kernel != SwarmKernel::Scalar);
                 assert_eq!(evaluator.mask_words(), c.div_ceil(64));
                 let mut out = vec![0u64; lanes];

@@ -59,11 +59,11 @@
 //! [`DistanceLut`]: neuromap_noc::topology::DistanceLut
 
 use crate::error::CoreError;
-use crate::eval::EvalEngine;
+use crate::eval::{Candidate, EvalEngine};
 use crate::graph::SpikeGraph;
 use crate::partition::{FitnessKind, PartitionProblem, Partitioner};
 use crate::pool;
-use crate::pso::{self, PsoConfig, SwarmState};
+use crate::pso::{self, PsoConfig};
 use neuromap_hw::mapping::Mapping;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -401,13 +401,19 @@ fn coarsen_once(
 
 /// Boundary-driven KL/FM-style refinement: repeatedly propose the best
 /// improving single-neuron move for every boundary neuron (in parallel
-/// against a frozen cost state), then apply the proposals sequentially in
+/// against a frozen candidate), then apply the proposals sequentially in
 /// `(delta, neuron id)` order with re-pricing and capacity checks. Stops
 /// when a round accepts nothing or after `max_rounds`.
 ///
 /// Candidate target crossbars are restricted to the crossbars of each
-/// neuron's CSR neighbors — the only destinations that can reduce any of
-/// the cut objectives through that neuron's own edges.
+/// neuron's CSR neighbors, ascending. Under `CutSpikes` those are the
+/// only destinations that can lower the cost. Under `CutPackets` and
+/// `CutHops` they are not — moving next to a *sibling* target of a shared
+/// source, on a crossbar none of the neuron's own neighbors occupies, can
+/// drop that source's packet — and the restriction trades those moves
+/// (which the full `C`-target scan of [`crate::refine::refine`] finds)
+/// for O(deg) instead of O(C) pricings per boundary neuron, which is what
+/// keeps a level's refinement cheap at 1024 crossbars.
 ///
 /// Returns `(final cost, moves proposed, moves accepted)`. Byte-identical
 /// for every `threads` value.
@@ -419,111 +425,50 @@ fn refine_boundary(
     threads: usize,
 ) -> (u64, u64, u64) {
     let engine = EvalEngine::new(*problem, kind);
-    let mut state = engine.init(assignment);
+    let mut candidate = Candidate::new(&engine, assignment);
     let graph = problem.graph();
-    let cap = problem.capacity();
-    let n = assignment.len();
-    let mut occ = vec![0u32; problem.num_crossbars()];
-    for &k in assignment.iter() {
-        occ[k as usize] += 1;
-    }
+    let neighbors = |i: u32| graph.targets(i).iter().chain(graph.sources(i));
     let mut proposed: u64 = 0;
     let mut accepted: u64 = 0;
 
     for _ in 0..max_rounds {
-        let mut boundary: Vec<u32> = Vec::new();
-        for i in 0..n as u32 {
-            let home = assignment[i as usize];
-            let cut = graph
-                .targets(i)
-                .iter()
-                .chain(graph.sources(i))
-                .any(|&j| assignment[j as usize] != home);
-            if cut {
-                boundary.push(i);
-            }
-        }
+        let frozen = &candidate;
+        let home = frozen.assignment();
+        let boundary: Vec<u32> = (0..home.len() as u32)
+            .filter(|&i| neighbors(i).any(|&j| home[j as usize] != home[i as usize]))
+            .collect();
         if boundary.is_empty() {
             break;
         }
 
-        // Parallel propose against the frozen state: contiguous shards,
-        // reduced in worker-index order, so the proposal list is
+        // Parallel propose against the frozen candidate: contiguous
+        // shards, folded in shard order, so the proposal list is
         // independent of the thread count.
-        let workers = threads.min(boundary.len()).max(1);
-        let base = boundary.len() / workers;
-        let extra = boundary.len() % workers;
-        let mut shards: Vec<(usize, usize)> = Vec::with_capacity(workers);
-        let mut lo = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            shards.push((lo, lo + len));
-            lo += len;
-        }
-        let frozen: &[u32] = assignment;
-        let frozen_occ: &[u32] = &occ;
-        let boundary_ref: &[u32] = &boundary;
-        let state_ref = &state;
-        let engine_ref = &engine;
-        let mut proposals: Vec<(i64, u32, u32)> = Vec::new();
-        pool::run_phased(
-            shards,
-            1,
-            (),
-            |_, (), &mut (lo, hi)| {
+        let mut proposals: Vec<(i64, u32, u32)> =
+            pool::map_ranges(boundary.len(), threads, |shard| {
                 let mut local: Vec<(i64, u32, u32)> = Vec::new();
-                let mut cands: Vec<u32> = Vec::new();
-                for &i in &boundary_ref[lo..hi] {
-                    let from = frozen[i as usize];
-                    cands.clear();
-                    for &j in graph.targets(i).iter().chain(graph.sources(i)) {
-                        let cb = frozen[j as usize];
-                        if cb != from {
-                            cands.push(cb);
-                        }
-                    }
-                    cands.sort_unstable();
-                    cands.dedup();
-                    let mut best: Option<(i64, u32)> = None;
-                    for &t in &cands {
-                        if frozen_occ[t as usize] >= cap {
-                            continue;
-                        }
-                        let d = engine_ref.move_delta(state_ref, frozen, i as usize, t);
-                        if d < 0 && best.is_none_or(|(bd, bt)| d < bd || (d == bd && t < bt)) {
-                            best = Some((d, t));
-                        }
-                    }
-                    if let Some((d, t)) = best {
+                let mut targets: Vec<u32> = Vec::new();
+                for &i in &boundary[shard] {
+                    targets.clear();
+                    targets.extend(neighbors(i).map(|&j| home[j as usize]));
+                    targets.sort_unstable();
+                    targets.dedup();
+                    if let Some((t, d)) = frozen.best_move(i as usize, targets.iter().copied()) {
                         local.push((d, i, t));
                     }
                 }
                 local
-            },
-            |_, results| {
-                for r in results {
-                    proposals.extend(r);
-                }
-                None
-            },
-        );
+            })
+            .concat();
 
         proposed += proposals.len() as u64;
         proposals.sort_unstable_by_key(|&(d, i, _)| (d, i));
         let mut any = false;
         for &(_, i, t) in &proposals {
-            let i = i as usize;
-            let from = assignment[i];
-            if t == from || occ[t as usize] >= cap {
-                continue;
-            }
             // Earlier accepts invalidate frozen deltas: re-price and keep
-            // only moves that still improve.
-            let d = engine.move_delta(&state, assignment, i, t);
-            if d < 0 {
-                occ[from as usize] -= 1;
-                occ[t as usize] += 1;
-                engine.apply_priced_move(&mut state, assignment, i, t, d);
+            // only moves that are still open and still improve.
+            if let Some(d) = candidate.move_delta(i as usize, t).filter(|&d| d < 0) {
+                candidate.apply(i as usize, t, d);
                 accepted += 1;
                 any = true;
             }
@@ -533,8 +478,9 @@ fn refine_boundary(
         }
     }
 
-    debug_assert_eq!(state.cost(), problem.cost(kind, assignment));
-    (state.cost(), proposed, accepted)
+    let cost = candidate.cost();
+    debug_assert_eq!(cost, problem.cost(kind, assignment));
+    (cost, proposed, accepted)
 }
 
 /// Per-level statistics from one V-cycle run, finest first (`levels[0]`
@@ -639,16 +585,7 @@ pub fn vcycle(
     let mut current = if cfg.chips > 1 {
         chip_level_assign(problem, &coarse_problem, cfg, &mut coarse_trace)?
     } else {
-        let mut state = SwarmState::new(&coarse_problem, &cfg.pso);
-        pso::run_rounds(
-            &coarse_problem,
-            &cfg.pso,
-            &mut state,
-            cfg.pso.iterations,
-            true,
-            &mut coarse_trace,
-        );
-        state.gbest_position
+        pso::search(&coarse_problem, &cfg.pso, &mut coarse_trace)?.0
     };
     let (_, p, a) = refine_boundary(
         &coarse_problem,
@@ -756,16 +693,7 @@ fn chip_level_assign(
         chip_pso.fitness = FitnessKind::CutPackets;
     }
     let chip_problem = PartitionProblem::new(coarse_problem.graph(), chips, chip_cap)?;
-    let mut state = SwarmState::new(&chip_problem, &chip_pso);
-    pso::run_rounds(
-        &chip_problem,
-        &chip_pso,
-        &mut state,
-        chip_pso.iterations,
-        true,
-        trace,
-    );
-    let chip_of: Vec<u32> = state.gbest_position;
+    let (chip_of, _) = pso::search(&chip_problem, &chip_pso, trace)?;
 
     // Deterministic expansion: per chip, nodes in ascending id fill the
     // chip's crossbars in order, `cap` nodes per crossbar.

@@ -185,11 +185,14 @@ pub struct Report {
     /// whatever the caller handed [`MappingPipeline::evaluate`] (the
     /// joint optimizer's callers label their rows `"joint"`, say).
     pub placement: String,
-    /// Which swarm-evaluator kernel batch-scores candidate partitions at
-    /// this crossbar count ([`crate::eval::SwarmKernel::name`]:
+    /// The swarm-evaluator tile width available at this crossbar count
+    /// ([`crate::eval::SwarmKernel::for_crossbars`], by name:
     /// `"byte-tile"`, `"word-tile"`, or `"scalar"`) — surfaces the
     /// scalar fallback past the batched envelopes, which used to be a
-    /// silent perf cliff. Empty when deserialized from an older report.
+    /// silent perf cliff. The evaluation stage does not know the
+    /// partitioning objective, and `CutHops` leaves the tiles earlier
+    /// ([`crate::eval::SwarmEval::kernel`]). Empty when deserialized from
+    /// an older report.
     #[serde(default)]
     pub eval_kernel: String,
     /// Full interconnect statistics (latency, throughput, disorder, ISI).
@@ -235,8 +238,9 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
 }
 
 /// The concrete multi-chip fabric for a [`InterconnectKind::Hier`]
-/// descriptor. [`Architecture::custom`] mirror-validates the descriptor,
-/// so construction cannot fail for architectures built through it.
+/// descriptor. [`Architecture::custom`] mirror-validates the descriptor
+/// and every `Architecture` passes through it — deserialized ones
+/// included — so construction cannot fail.
 fn build_hier(arch: &Architecture) -> HierTopology {
     let InterconnectKind::Hier {
         chip_cols,

@@ -577,55 +577,20 @@ pub fn optimize_placement(
     let identity_cost = placement_cost(traffic, dist, &identity);
     let adj = TrafficAdjacency::new(traffic);
 
-    // spread restart indices over workers in contiguous chunks (same
-    // discipline as the SA baseline); per-restart results depend only on
-    // (traffic, dist, cfg, k), so the chunking is invisible in the output.
-    // `workers` is clamped to `restarts` and the base/extra split hands
-    // every worker a non-empty chunk — the old ceil-division chunking
-    // produced empty `lo >= hi` tail ranges when `threads > restarts`,
-    // spawning workers with nothing to do
-    let restarts = cfg.restarts;
-    let workers = cfg.threads.min(restarts as usize).max(1);
-    let base = restarts as usize / workers;
-    let extra = restarts as usize % workers;
-    let mut next = 0u32;
-    let chunks: Vec<Vec<u32>> = (0..workers)
-        .map(|w| {
-            let count = (base + usize::from(w < extra)) as u32;
-            let lo = next;
-            next += count;
-            (lo..lo + count).collect()
-        })
-        .collect();
-    debug_assert_eq!(next, restarts, "chunks must partition 0..restarts");
-    debug_assert!(
-        chunks.iter().all(|ch| !ch.is_empty()),
-        "every spawned worker must own at least one restart"
-    );
-
-    let mut per_restart: Vec<(u64, u32, Vec<u32>)> = Vec::with_capacity(restarts as usize);
-    pool::run_phased(
-        chunks,
-        1,
-        (),
-        |_, (), idxs: &mut Vec<u32>| {
-            idxs.iter()
-                .map(|&k| {
-                    let (cost, perm) = run_restart(traffic, &adj, dist, cfg, k, identity_cost);
-                    (cost, k, perm)
-                })
-                .collect::<Vec<_>>()
-        },
-        |_, results| {
-            for chunk in results {
-                per_restart.extend(chunk);
-            }
-            None
-        },
-    );
+    // per-restart results depend only on (traffic, dist, cfg, k) and come
+    // back in restart order, so the chunking is invisible in the output
+    let per_restart = pool::map_ranges(cfg.restarts as usize, cfg.threads, |restarts| {
+        restarts
+            .map(|k| {
+                let (cost, perm) = run_restart(traffic, &adj, dist, cfg, k as u32, identity_cost);
+                (cost, k as u32, perm)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten();
 
     let (optimized_cost, winning_restart, perm) = per_restart
-        .into_iter()
         .min_by_key(|&(cost, k, _)| (cost, k))
         .expect("restarts >= 1");
     debug_assert!(optimized_cost <= identity_cost, "restart 0 covers identity");

@@ -22,8 +22,69 @@
 //! worker everything runs inline on the caller's thread through the same
 //! code path, so `threads = 1` and `threads = N` produce byte-identical
 //! outputs as long as the caller partitions state deterministically.
+//!
+//! ## One fan-out
+//!
+//! [`map_ranges`] is the crate's only way to spread independent work over
+//! threads (restarts, annealing chains, boundary shards, population
+//! chunks), and [`ranges`] its only index split — the swarm's persistent
+//! shards in `pso::run_rounds` are carved by the same [`ranges`]. Nothing
+//! else in `neuromap-core` spawns a thread or divides a length by a
+//! worker count.
 
+use std::ops::Range;
 use std::sync::mpsc;
+
+/// Splits `0..len` into `min(workers, len)` contiguous ranges, in order:
+/// none empty, sizes differing by at most one, the larger ones first. No
+/// ranges at all when `len` is zero; `workers = 0` counts as one.
+///
+/// A ceiling-division split (`len.div_ceil(workers)` per chunk) is *not*
+/// equivalent: it leaves empty tail ranges — workers spawned with nothing
+/// to do — whenever `workers` does not divide into `len` evenly enough
+/// (5 items over 4 workers: 2, 2, 1, 0).
+pub fn ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
+    let workers = workers.clamp(1, len.max(1));
+    let (base, extra) = (len / workers, len % workers);
+    let mut lo = 0;
+    (0..workers)
+        .map(|w| {
+            let hi = lo + base + usize::from(w < extra);
+            let range = lo..hi;
+            lo = hi;
+            range
+        })
+        .filter(|range| !range.is_empty())
+        .collect()
+}
+
+/// Runs `work` once per [`ranges`]`(len, threads)` range, in parallel,
+/// and returns the results **in range order** — so a caller that folds
+/// them front to back sees exactly what a sequential `work(0..len)` scan
+/// would have produced, whatever `threads` is. One range runs inline on
+/// the caller's thread.
+///
+/// # Panics
+///
+/// Propagates panics from `work`.
+pub fn map_ranges<R: Send>(
+    len: usize,
+    threads: usize,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let mut out = Vec::new();
+    run_phased(
+        ranges(len, threads),
+        1,
+        (),
+        |_, (), range| work(range.clone()),
+        |_, results| {
+            out = results;
+            None
+        },
+    );
+    out
+}
 
 /// Runs `rounds` alternating work/reduce phases over per-worker states.
 ///
@@ -199,6 +260,52 @@ mod tests {
     fn zero_rounds_is_noop() {
         let out = run_phased(vec![7u8; 2], 0, (), |_, (), w| *w, |_, _| Some(()));
         assert_eq!(out, vec![7, 7]);
+    }
+
+    #[test]
+    fn ranges_partition_in_order_without_empty_chunks() {
+        for len in [1usize, 2, 5, 8, 13] {
+            for workers in [0, 1, len.saturating_sub(1), len, len + 3] {
+                let split = ranges(len, workers);
+                assert_eq!(split.len(), workers.clamp(1, len), "{len}/{workers}");
+                let mut next = 0;
+                for r in &split {
+                    assert_eq!(r.start, next, "{len}/{workers}: contiguous, in order");
+                    assert!(!r.is_empty(), "{len}/{workers}: {r:?} is empty");
+                    next = r.end;
+                }
+                assert_eq!(next, len, "{len}/{workers}: covers 0..len");
+                let sizes: Vec<usize> = split.iter().map(Range::len).collect();
+                assert!(
+                    sizes.windows(2).all(|w| w[0] >= w[1])
+                        && sizes[0] - sizes[sizes.len() - 1] <= 1,
+                    "{len}/{workers}: {sizes:?} must be balanced, larger first"
+                );
+            }
+        }
+        assert!(ranges(0, 4).is_empty());
+    }
+
+    #[test]
+    fn map_ranges_returns_results_in_range_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        for threads in [1usize, 4] {
+            // force the ranges to finish last-first
+            let split = ranges(10, threads);
+            let finished = AtomicUsize::new(0);
+            let chunks = map_ranges(10, threads, |r| {
+                let turn = split.iter().rev().position(|x| *x == r).unwrap();
+                while finished.load(SeqCst) != turn {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, SeqCst);
+                r.collect::<Vec<usize>>()
+            });
+            assert_eq!(chunks.len(), threads);
+            assert_eq!(chunks.concat(), (0..10).collect::<Vec<_>>(), "{threads}");
+        }
+        let none: Vec<usize> = map_ranges(0, 4, |r| r.len());
+        assert!(none.is_empty(), "no items, no work");
     }
 
     #[test]

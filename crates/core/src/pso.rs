@@ -36,8 +36,17 @@
 //!
 //! The whole particle step (fused velocity/decode sweep + evaluation +
 //! personal-best tracking) runs on a persistent worker pool created once
-//! per [`PsoPartitioner::partition_traced`] call (`core::pool`), not on
-//! per-iteration spawned threads.
+//! per `run_rounds` call (`core::pool`), not on per-iteration spawned
+//! threads.
+//!
+//! ### One swarm entry point
+//!
+//! `search` is the whole search — allocate the swarm, run the init round
+//! and `iterations` steps, hand back the global best — and the only way
+//! the flat partitioner and both V-cycle swarms (coarsest level, chip
+//! level) run one. The joint loop (`crate::coopt`) is the one caller
+//! that drives `SwarmState::new` / `run_rounds` / `reseat_best` itself,
+//! because it re-prices the objective between segments.
 //!
 //! ### Determinism contract
 //!
@@ -376,11 +385,32 @@ impl SwarmState {
     /// Allocates the swarm for a problem: seeds every particle from the
     /// master stream and stages the memetic warm-start injections. No
     /// evaluation happens until the first [`run_rounds`] call.
-    pub(crate) fn new(problem: &PartitionProblem<'_>, cfg: &PsoConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] naming `swarm_size` when the
+    /// swarm's buffers — `swarm × N × C` velocities down to one seed per
+    /// particle — have no representable length or byte size. This is the
+    /// first place all three factors are known; unchecked, the product
+    /// wraps in release builds and `Vec` panics on the rest.
+    pub(crate) fn new(problem: &PartitionProblem<'_>, cfg: &PsoConfig) -> Result<Self, CoreError> {
         let n = problem.graph().num_neurons() as usize;
         let c = problem.num_crossbars();
         let dims = n * c;
         let swarm = cfg.swarm_size;
+        // widest element is 8 bytes (seeds, fitness); `isize::MAX` bytes
+        // is the allocator's hard ceiling
+        let widest_fits = |len: usize| len <= isize::MAX as usize / 8;
+        if !swarm
+            .checked_mul(n)
+            .and_then(|cells| cells.checked_mul(c))
+            .is_some_and(|cells| widest_fits(cells) && widest_fits(swarm))
+        {
+            return Err(CoreError::InvalidParameter {
+                name: "swarm_size",
+                value: format!("{swarm} particles x {n} neurons x {c} crossbars overflows"),
+            });
+        }
 
         let mut master = StdRng::seed_from_u64(cfg.seed);
         let seeds: Vec<u64> = (0..swarm).map(|_| master.gen()).collect();
@@ -408,7 +438,7 @@ impl SwarmState {
             }
         }
 
-        Self {
+        Ok(Self {
             n,
             c,
             seeds,
@@ -420,7 +450,7 @@ impl SwarmState {
             rngs: Vec::new(),
             gbest_fitness: u64::MAX,
             gbest_position: Vec::new(),
-        }
+        })
     }
 
     /// Stages one more warm-start assignment for the init round, placed
@@ -464,7 +494,7 @@ pub(crate) fn run_rounds(
 
     // carve the buffers into per-worker shards (deterministic layout;
     // the per-particle math is identical for every partitioning)
-    let workers = cfg.threads.min(swarm).max(1);
+    let particles = pool::ranges(swarm, cfg.threads);
     let SwarmState {
         seeds,
         injections,
@@ -477,7 +507,7 @@ pub(crate) fn run_rounds(
         gbest_position,
         ..
     } = state;
-    let mut shards: Vec<Shard<'_, '_>> = Vec::with_capacity(workers);
+    let mut shards: Vec<Shard<'_, '_>> = Vec::with_capacity(particles.len());
     {
         let mut seeds_rest = &seeds[..];
         let mut rngs_rest = std::mem::take(rngs);
@@ -487,11 +517,8 @@ pub(crate) fn run_rounds(
             &mut best_position[..],
             &mut best_fitness[..],
         );
-        let base = swarm / workers;
-        let extra = swarm % workers;
-        let mut first = 0usize;
-        for w in 0..workers {
-            let count = base + usize::from(w < extra);
+        for owned in particles {
+            let count = owned.len();
             let (s, rest) = seeds_rest.split_at(count);
             seeds_rest = rest;
             let shard_rngs: Vec<StdRng> = if rngs_rest.is_empty() {
@@ -509,8 +536,8 @@ pub(crate) fn run_rounds(
             bfit_rest = rest;
             let local_inj = injections
                 .iter()
-                .filter(|(g, _)| (first..first + count).contains(g))
-                .map(|(g, a)| (g - first, a.clone()))
+                .filter(|(g, _)| owned.contains(g))
+                .map(|(g, a)| (g - owned.start, a.clone()))
                 .collect();
             shards.push(Shard {
                 evaluator: &evaluator,
@@ -529,7 +556,6 @@ pub(crate) fn run_rounds(
                 scratch: SwarmScratch::default(),
                 decode_scratch: DecodeScratch::default(),
             });
-            first += count;
         }
     }
     injections.clear();
@@ -601,6 +627,26 @@ pub(crate) fn reseat_best(problem: &PartitionProblem<'_>, cfg: &PsoConfig, state
     state.gbest_position = state.best_position[best_p * state.n..(best_p + 1) * state.n].to_vec();
 }
 
+/// One whole swarm search on `problem`: the init round plus
+/// `cfg.iterations` steps, the global best after each appended to
+/// `trace`. Returns the global best `(position, fitness)`.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] when the swarm cannot be allocated
+/// ([`SwarmState::new`]). The caller has validated `cfg` and the
+/// objective.
+pub(crate) fn search(
+    problem: &PartitionProblem<'_>,
+    cfg: &PsoConfig,
+    trace: &mut Vec<u64>,
+) -> Result<(Vec<u32>, u64), CoreError> {
+    let mut state = SwarmState::new(problem, cfg)?;
+    // round 0 = initial evaluation; rounds 1..=iterations = PSO steps
+    run_rounds(problem, cfg, &mut state, cfg.iterations, true, trace);
+    Ok((state.gbest_position, state.gbest_fitness))
+}
+
 /// The paper's PSO-based partitioner.
 ///
 /// ```
@@ -657,17 +703,8 @@ impl PsoPartitioner {
         let cfg = self.config;
         problem.check_objective(cfg.fitness)?;
 
-        // round 0 = initial evaluation; rounds 1..=iterations = PSO steps
-        let mut state = SwarmState::new(problem, &cfg);
         let mut best_per_iteration = Vec::new();
-        run_rounds(
-            problem,
-            &cfg,
-            &mut state,
-            cfg.iterations,
-            true,
-            &mut best_per_iteration,
-        );
+        let (mut gbest_pos, mut gbest_fit) = search(problem, &cfg, &mut best_per_iteration)?;
 
         // converged_at = last round whose reduction improved the global
         // best (round 0, the initial evaluation, never counts)
@@ -681,8 +718,6 @@ impl PsoPartitioner {
             best_per_iteration,
             converged_at,
         };
-        let mut gbest_fit = state.gbest_fitness;
-        let mut gbest_pos = state.gbest_position;
 
         // greedy polish of the final best
         if cfg.polish_passes > 0 {

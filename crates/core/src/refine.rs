@@ -13,7 +13,7 @@
 //! (Eq. 8) and the multicast-aware packet objective — no full Eq. 8
 //! re-evaluation anywhere in the loop.
 
-use crate::eval::EvalEngine;
+use crate::eval::{Candidate, EvalEngine};
 use crate::partition::{FitnessKind, PartitionProblem};
 
 /// Refines `assignment` in place; returns the final cost.
@@ -38,33 +38,15 @@ pub fn refine(
         "refine requires a feasible starting assignment"
     );
     let engine = EvalEngine::new(*problem, kind);
-    let mut state = engine.init(assignment);
-    let n = assignment.len();
-    let c = problem.num_crossbars();
-    let cap = problem.capacity();
-    let mut occ = vec![0u32; c];
-    for &k in assignment.iter() {
-        occ[k as usize] += 1;
-    }
+    let mut candidate = Candidate::new(&engine, assignment);
+    let n = candidate.assignment().len();
+    let c = problem.num_crossbars() as u32;
 
     for _ in 0..max_passes {
         let mut improved = false;
         for i in 0..n {
-            let from = assignment[i];
-            let mut best: Option<(u32, i64)> = None;
-            for t in 0..c as u32 {
-                if t == from || occ[t as usize] >= cap {
-                    continue;
-                }
-                let d = engine.move_delta(&state, assignment, i, t);
-                if d < 0 && best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((t, d));
-                }
-            }
-            if let Some((t, d)) = best {
-                occ[from as usize] -= 1;
-                occ[t as usize] += 1;
-                engine.apply_priced_move(&mut state, assignment, i, t, d);
+            if let Some((to, delta)) = candidate.best_move(i, 0..c) {
+                candidate.apply(i, to, delta);
                 improved = true;
             }
         }
@@ -72,8 +54,9 @@ pub fn refine(
             break;
         }
     }
-    debug_assert_eq!(state.cost(), problem.cost(kind, assignment));
-    state.cost()
+    let cost = candidate.cost();
+    debug_assert_eq!(cost, problem.cost(kind, assignment));
+    cost
 }
 
 #[cfg(test)]

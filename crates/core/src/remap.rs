@@ -13,7 +13,7 @@
 //! and the budget caps the reconfiguration downtime.
 
 use crate::error::CoreError;
-use crate::eval::EvalEngine;
+use crate::eval::{Candidate, EvalEngine};
 use crate::partition::{FitnessKind, PartitionProblem};
 use neuromap_hw::mapping::Mapping;
 use serde::{Deserialize, Serialize};
@@ -93,46 +93,32 @@ pub fn remap(
         });
     }
 
-    let c = problem.num_crossbars();
-    let cap = problem.capacity();
-    let mut assignment = current.assignment().to_vec();
-    let mut occ = vec![0u32; c];
-    for &k in &assignment {
-        occ[k as usize] += 1;
-    }
-
     // every candidate, under every objective, is priced incrementally
+    let c = problem.num_crossbars() as u32;
+    let mut assignment = current.assignment().to_vec();
     let engine = EvalEngine::new(*problem, config.fitness);
-    let mut state = engine.init(&assignment);
-    let cost_before = state.cost();
+    let mut candidate = Candidate::new(&engine, &mut assignment);
+    let cost_before = candidate.cost();
     let mut migrations = Vec::new();
     let too_small =
         |d: i64, cost: u64| cost > 0 && (-d as f64) / cost as f64 <= config.min_relative_gain;
 
     while migrations.len() < config.max_migrations {
-        // globally best single migration
+        // globally best single migration (first neuron wins ties)
         let mut best: Option<(usize, u32, i64)> = None;
         for i in 0..n {
-            let from = assignment[i];
-            for t in 0..c as u32 {
-                if t == from || occ[t as usize] >= cap {
-                    continue;
-                }
-                let d = engine.move_delta(&state, &assignment, i, t);
-                if d < 0 && best.is_none_or(|(_, _, bd)| d < bd) {
-                    best = Some((i, t, d));
+            if let Some((to, d)) = candidate.best_move(i, 0..c) {
+                if best.is_none_or(|(_, _, bd)| d < bd) {
+                    best = Some((i, to, d));
                 }
             }
         }
-        if let Some((i, t, d)) = best {
-            if too_small(d, state.cost()) {
+        if let Some((i, to, d)) = best {
+            if too_small(d, candidate.cost()) {
                 break;
             }
-            let from = assignment[i];
-            occ[from as usize] -= 1;
-            occ[t as usize] += 1;
-            engine.apply_priced_move(&mut state, &mut assignment, i, t, d);
-            migrations.push((i as u32, from, t));
+            migrations.push((i as u32, candidate.assignment()[i], to));
+            candidate.apply(i, to, d);
             continue;
         }
 
@@ -142,34 +128,25 @@ pub fn remap(
             break;
         }
         let mut best_swap: Option<(usize, usize, i64)> = None;
-        let g = problem.graph();
         for i in 0..n {
-            for &j in g.targets(i as u32) {
-                let j = j as usize;
-                if j == i || assignment[i] == assignment[j] {
-                    continue;
-                }
-                // apply the first half, price the second, revert
-                let (ci, cj) = (assignment[i], assignment[j]);
-                let d1 = engine.apply_move(&mut state, &mut assignment, i, cj);
-                let d = d1 + engine.move_delta(&state, &assignment, j, ci);
-                engine.apply_priced_move(&mut state, &mut assignment, i, ci, -d1);
+            for &j in problem.graph().targets(i as u32) {
+                let d = candidate.try_swap(i, j as usize, |_| false);
                 if d < 0 && best_swap.is_none_or(|(_, _, bd)| d < bd) {
-                    best_swap = Some((i, j, d));
+                    best_swap = Some((i, j as usize, d));
                 }
             }
         }
         let Some((i, j, d)) = best_swap else { break };
-        if too_small(d, state.cost()) {
+        if too_small(d, candidate.cost()) {
             break;
         }
-        let (ci, cj) = (assignment[i], assignment[j]);
-        engine.apply_swap(&mut state, &mut assignment, i, j);
+        let (ci, cj) = (candidate.assignment()[i], candidate.assignment()[j]);
+        candidate.try_swap(i, j, |_| true);
         migrations.push((i as u32, ci, cj));
         migrations.push((j as u32, cj, ci));
     }
 
-    let cost_after = state.cost();
+    let cost_after = candidate.cost();
     debug_assert_eq!(cost_after, problem.cost(config.fitness, &assignment));
     let mapping = problem.into_mapping(assignment)?;
     Ok(RemapOutcome {

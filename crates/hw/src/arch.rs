@@ -129,12 +129,42 @@ fn validate_hier(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Architecture {
     num_crossbars: usize,
     crossbar: CrossbarSpec,
     interconnect: InterconnectKind,
     energy: EnergyModel,
+}
+
+// Deserialization routes through `Architecture::custom` and
+// `EnergyModel::validate`, so a document can describe only what the
+// constructors can build: everything downstream (the pipeline's
+// infallible topology builder first of all) relies on those checks.
+impl Deserialize for Architecture {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::DeError> {
+            let value = v
+                .get(name)
+                .ok_or_else(|| serde::DeError::new(format!("missing field `{name}`")))?;
+            T::from_value(value)
+        }
+        let crossbar: CrossbarSpec = field(v, "crossbar")?;
+        let energy: EnergyModel = field(v, "energy")?;
+        let checked = Architecture::custom(
+            field(v, "num_crossbars")?,
+            crossbar.neuron_capacity(),
+            field(v, "interconnect")?,
+        )
+        .and_then(|arch| energy.validate().map(|()| arch))
+        .map_err(|e| serde::DeError::new(e.to_string()))?;
+        // the geometry as written: `custom` vouched for its capacity
+        Ok(Self {
+            crossbar,
+            energy,
+            ..checked
+        })
+    }
 }
 
 impl Architecture {
@@ -398,5 +428,20 @@ mod tests {
         let j = serde_json::to_string(&a).unwrap();
         let b: Architecture = serde_json::from_str(&j).unwrap();
         assert_eq!(a, b);
+        // a document is held to the constructors' rules: what `custom`
+        // or the energy model rejects never becomes a value
+        let tree = serde_json::to_string(&Architecture::cxquad()).unwrap();
+        for (doc, good, bad) in [
+            (&j, "\"chip_cols\":2", "\"chip_cols\":0"),
+            (&j, "\"link_latency\":4", "\"link_latency\":0"),
+            (&j, "\"num_crossbars\":1024", "\"num_crossbars\":0"),
+            (&j, "\"inputs\":64", "\"inputs\":0"),
+            (&j, "\"router_hop_pj\":", "\"router_hop_pj\":-"),
+            (&tree, "\"arity\":4", "\"arity\":1"),
+        ] {
+            assert!(doc.contains(good), "{good} not in {doc}");
+            let parsed = serde_json::from_str::<Architecture>(&doc.replace(good, bad));
+            assert!(parsed.is_err(), "{bad}: {parsed:?}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! across random move sequences, random churn fractions, and the batched
 //! swarm evaluator.
 
-use neuromap::core::eval::{EvalEngine, SwarmEval, SwarmScratch};
+use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};
 use neuromap::noc::topology::{DistanceLut, Mesh2D};
 use proptest::prelude::*;
@@ -54,6 +54,49 @@ proptest! {
                     "{:?}: state drifted after moving {} to {}", kind, i, to
                 );
                 prop_assert_eq!(state.cost() as i64, before + applied, "{:?}", kind);
+            }
+        }
+
+        // the same sequence through `Candidate`, on a capacity tight
+        // enough that crossbars fill up: every pair of proposals is one
+        // migration, then a swap that is kept or reverted
+        let cap = n.div_ceil(4) + 1;
+        let tight = PartitionProblem::new(&graph, 4, cap)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
+        for kind in KINDS {
+            let engine = EvalEngine::new(tight, kind);
+            let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
+            let mut candidate = Candidate::new(&engine, &mut a);
+            for (step, pair) in moves.chunks(2).enumerate() {
+                let (i, to) = ((pair[0].0 % n) as usize, pair[0].1);
+                let home = candidate.assignment()[i];
+                let full = candidate.occupancy()[to as usize] >= cap;
+                let delta = candidate.move_delta(i, to);
+                prop_assert_eq!(delta.is_none(), to == home || full, "{:?}: {} to {}", kind, i, to);
+                let improving = (0..4)
+                    .filter_map(|t| candidate.move_delta(i, t).map(|d| (t, d)))
+                    .filter(|&(_, d)| d < 0)
+                    .min_by_key(|&(t, d)| (d, t));
+                prop_assert_eq!(candidate.best_move(i, 0..4), improving, "{:?}: {}", kind, i);
+                if let Some(delta) = delta {
+                    candidate.apply(i, to, delta);
+                }
+                if let Some(&(j, keep)) = pair.get(1) {
+                    let j = (j % n) as usize;
+                    let before = candidate.cost() as i64;
+                    let keep = keep % 2 == 0;
+                    let delta = candidate.try_swap(i, j, |_| keep);
+                    let moved = if keep { delta } else { 0 };
+                    prop_assert_eq!(candidate.cost() as i64, before + moved, "{:?} step {}", kind, step);
+                }
+                let now = candidate.assignment();
+                prop_assert_eq!(candidate.cost(), tight.cost(kind, now), "{:?} step {}", kind, step);
+                let mut recount = [0u32; 4];
+                now.iter().for_each(|&k| recount[k as usize] += 1);
+                prop_assert_eq!(candidate.occupancy(), &recount[..], "{:?} step {}", kind, step);
+                prop_assert!(tight.is_feasible(now), "{:?} step {}", kind, step);
             }
         }
     }
@@ -118,10 +161,10 @@ proptest! {
     // ---- large_arch: the lifted multi-word envelope -------------------
     //
     // 65–300 crossbars straddles every byte-tile mask stride (2–4 words)
-    // plus the word-tile kernel past the 256-crossbar byte-tile ceiling;
-    // the batched evaluator must equal the scalar `full_cost` everywhere,
-    // for all three objectives, including lane counts that leave a
-    // partial final tile.
+    // plus the word-tile kernel past the 256-crossbar byte-tile ceiling
+    // (where `CutHops` takes the scalar arm); the evaluator must equal
+    // the scalar `full_cost` everywhere, for all three objectives,
+    // including lane counts that leave a partial final tile.
 
     #[test]
     fn large_arch_batched_eval_matches_scalar(
@@ -148,9 +191,11 @@ proptest! {
             prop_assert_eq!(
                 evaluator.kernel(),
                 if crossbars <= 256 {
-                    neuromap::core::eval::SwarmKernel::ByteTile
+                    SwarmKernel::ByteTile
+                } else if kind == FitnessKind::CutHops {
+                    SwarmKernel::Scalar
                 } else {
-                    neuromap::core::eval::SwarmKernel::WordTile
+                    SwarmKernel::WordTile
                 },
                 "kernel map regressed ({:?}, {} crossbars)",
                 kind, crossbars

@@ -418,3 +418,69 @@ fn local_search_outcomes_are_frozen() {
         .collect();
     assert_eq!(lines, frozen, "actual outcomes:\n{}\n", lines.join("\n"));
 }
+
+/// A swarm whose `swarm × N × C` buffers cannot be allocated is a
+/// configuration error wherever a swarm is built: the size is only known
+/// once the problem is, so `PsoConfig::validate` cannot see it, and the
+/// allocation used to panic (`capacity overflow`) or wrap instead.
+#[test]
+fn unallocatable_swarm_is_an_error_at_every_entry_point() {
+    use neuromap::core::coopt::{co_optimize, CooptConfig};
+    use neuromap::core::pipeline::TrafficMode;
+    use neuromap::noc::topology::{DistanceLut, Mesh2D};
+
+    let edges = (0..40u32).map(|i| (i, (i * 7 + 3) % 40)).collect();
+    let graph = SpikeGraph::from_parts(40, edges, vec![5; 40]).expect("valid graph");
+    let lut = DistanceLut::new(&Mesh2D::for_crossbars(4));
+    let problem = PartitionProblem::new(&graph, 4, 12)
+        .expect("feasible instance")
+        .with_hops(&lut)
+        .expect("lut covers the crossbars");
+    // no representable length; a product that wraps to a small one
+    for swarm_size in [usize::MAX, usize::MAX / (40 * 4) + 1] {
+        let pso = PsoConfig {
+            swarm_size,
+            iterations: 2,
+            fitness: FitnessKind::CutHops,
+            ..PsoConfig::default()
+        };
+        assert!(
+            pso.validate().is_ok(),
+            "the size is fine until N and C are known"
+        );
+        let multilevel = |chips| MultilevelConfig {
+            pso,
+            min_coarse_neurons: 8,
+            chips,
+            ..MultilevelConfig::default()
+        };
+        let coopt = |multilevel| CooptConfig {
+            pso,
+            multilevel,
+            ..CooptConfig::default()
+        };
+        let joint = |cfg| co_optimize(&problem, &lut, TrafficMode::PerCrossbar, &cfg).err();
+        let outcomes = [
+            (
+                "pso",
+                PsoPartitioner::new(pso).partition_traced(&problem).err(),
+            ),
+            ("vcycle", vcycle(&problem, &multilevel(1)).err()),
+            ("vcycle, chip level", vcycle(&problem, &multilevel(2)).err()),
+            ("co_optimize", joint(coopt(None))),
+            ("co_optimize over vcycle", joint(coopt(Some(multilevel(1))))),
+        ];
+        for (name, err) in outcomes {
+            assert!(
+                matches!(
+                    err,
+                    Some(CoreError::InvalidParameter {
+                        name: "swarm_size",
+                        ..
+                    })
+                ),
+                "{name} at swarm_size {swarm_size}: {err:?}"
+            );
+        }
+    }
+}
