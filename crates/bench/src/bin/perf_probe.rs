@@ -10,9 +10,7 @@
 //! per-level wall time.
 //!
 //! `perf_probe eval [LANES…]` times the swarm evaluator against the
-//! scalar reference across the kernel map ([`SwarmEval::kernel`]): the
-//! 256-, 576- and 1024-crossbar grid scenarios × every objective × each
-//! lane count (default 8 16 40 64, the swarm widths mapbench runs) — the
+//! scalar reference across the kernel map ([`SwarmEval::kernel`]) — the
 //! table a decision about a tile kernel starts from.
 //!
 //! `perf_probe noc` instead probes the interconnect engines on the
@@ -42,52 +40,44 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// One-line swarm-evaluator kernel report: which kernel `SwarmEval`
-/// runs for this problem under this objective — the scalar arm is a
+/// runs for this problem under this objective. The scalar arm is a
 /// measured choice for some (objective, size) pairs and the only option
 /// past the tiles; either way the probe names it.
 fn kernel_line(problem: &PartitionProblem<'_>, kind: FitnessKind) -> String {
     let kernel = SwarmEval::new(*problem, kind).kernel();
-    format!(
-        "swarm-eval kernel: {kernel} ({kind:?}, {} crossbars)",
-        problem.num_crossbars()
-    )
-}
-
-/// Median wall time of `f` over five runs, in milliseconds.
-fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut ms: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    ms.sort_by(f64::total_cmp);
-    ms[2]
+    format!("swarm-eval kernel: {kernel} ({kind:?})")
 }
 
 /// Scalar-vs-batched swarm scoring across the kernel map: per grid side
-/// (16, 24, 32 → 256, 576, 1024 crossbars, mesh distances), objective
-/// and lane count, `PartitionProblem::cost` per candidate against one
-/// `SwarmEval::eval_swarm` call over the same random positions. A ratio
-/// above 1 means the batched path wins; where the kernel column reads
-/// `scalar` both sides run the same scan and the ratio is its noise.
+/// (256, 576, 1024 crossbars, mesh distances), objective and lane count,
+/// the median of five `PartitionProblem::cost`-per-candidate passes over
+/// the median of five `eval_swarm` calls on the same random positions.
+/// Above 1 the batched path wins; where the kernel reads `scalar` both
+/// sides run the same scan and the ratio is its noise.
 fn probe_eval(lane_counts: &[usize]) {
-    let widest = lane_counts.iter().copied().max().expect("at least one");
-    println!("side crossbars objective  kernel    lanes scalar_ms batched_ms scalar/batched");
-    for side in [16u32, 24, 32] {
+    let median_ms = |f: &mut dyn FnMut()| {
+        let time = |_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        };
+        let mut ms: Vec<f64> = (0..5).map(time).collect();
+        ms.sort_by(f64::total_cmp);
+        ms[2]
+    };
+    let widest = lane_counts.iter().copied().max().unwrap_or(0);
+    println!("crossbars objective  kernel    lanes scalar_ms batched_ms scalar/batched");
+    for side in [16, 24, 32] {
         let scenario = LargeArch {
             side,
             ..LargeArch::grid16()
         };
         let graph = scenario.spike_graph(SEED).expect("scenario generates");
-        let c = scenario.num_crossbars();
+        let (n, c) = (graph.num_neurons() as usize, scenario.num_crossbars());
         let lut = DistanceLut::new(&Mesh2D::for_crossbars(c));
         let problem = PartitionProblem::new(&graph, c, scenario.capacity())
-            .expect("feasible")
-            .with_hops(&lut)
-            .expect("lut covers the arch");
-        let n = graph.num_neurons() as usize;
+            .and_then(|p| p.with_hops(&lut))
+            .expect("feasible, and the lut covers the arch");
         let mut rng = StdRng::seed_from_u64(7);
         let positions: Vec<u32> = (0..widest * n)
             .map(|_| rng.gen_range(0..c as u32))
@@ -100,23 +90,20 @@ fn probe_eval(lane_counts: &[usize]) {
             let evaluator = SwarmEval::new(problem, kind);
             let mut scratch = SwarmScratch::default();
             for &lanes in lane_counts {
-                let swarm = &positions[..lanes * n];
                 let mut out = vec![0u64; lanes];
-                let scalar = median_ms(|| {
-                    for (lane, cost) in out.iter_mut().enumerate() {
-                        *cost = problem.cost(kind, &swarm[lane * n..(lane + 1) * n]);
+                let scalar = median_ms(&mut || {
+                    for (row, cost) in positions.chunks(n).zip(&mut out) {
+                        *cost = black_box(problem.cost(kind, row));
                     }
+                });
+                let batched = median_ms(&mut || {
+                    evaluator.eval_swarm(&positions[..lanes * n], lanes, &mut scratch, &mut out);
                     black_box(&out);
                 });
-                let batched = median_ms(|| {
-                    evaluator.eval_swarm(swarm, lanes, &mut scratch, &mut out);
-                    black_box(&out);
-                });
+                let (tag, kernel) = (format!("{kind:?}"), evaluator.kernel().name());
+                let ratio = scalar / batched;
                 println!(
-                    "{side:>4} {c:>9} {:<10} {:<9} {lanes:>5} {scalar:>9.3} {batched:>10.3} {:>14.2}",
-                    format!("{kind:?}"),
-                    evaluator.kernel().name(),
-                    scalar / batched
+                    "{c:>9} {tag:<10} {kernel:<9} {lanes:>5} {scalar:>9.3} {batched:>10.3} {ratio:>14.2}"
                 );
             }
         }
@@ -265,7 +252,7 @@ fn usage(complaint: &str) -> ! {
     eprintln!("  SWARM       positive swarm size (default 1000 when absent)");
     eprintln!("  ITERS       positive iteration count (default 100 when absent)");
     eprintln!("  eval        time the swarm evaluator against the scalar reference at each");
-    eprintln!("              positive lane count (default 8 16 40 64)");
+    eprintln!("              positive lane count (8 16 40 64 when absent)");
     eprintln!("  noc         probe the interconnect engines instead");
     eprintln!("  multilevel  probe the multilevel V-cycle on the 32x32-grid scenario");
     std::process::exit(2);
@@ -274,13 +261,11 @@ fn usage(complaint: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some("eval") {
-        let lanes: Vec<usize> = args[2..]
-            .iter()
-            .map(|s| match s.parse() {
-                Ok(v) if v > 0 => v,
-                _ => usage(&format!("invalid lane count `{s}`")),
-            })
-            .collect();
+        let positive = |s: &String| match s.parse() {
+            Ok(v) if v > 0 => v,
+            _ => usage(&format!("invalid lane count `{s}`")),
+        };
+        let lanes: Vec<usize> = args[2..].iter().map(positive).collect();
         probe_eval(if lanes.is_empty() {
             &[8, 16, 40, 64]
         } else {

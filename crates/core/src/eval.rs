@@ -52,35 +52,31 @@
 //! runs one of two tile kernels per block — byte counters for
 //! `CutSpikes`, per-lane crossbar bitmasks at a compile-time stride for
 //! `CutPackets` (popcount reduce) and `CutHops` (hop-weighted bit walk).
-//! Which kernel runs is a pure function of the problem and the objective,
-//! exposed as [`SwarmEval::kernel`]; [`SwarmKernel::for_crossbars`] is
-//! only the tile *width* a crossbar count allows:
+//! The kernel follows from the problem and the objective alone
+//! ([`SwarmEval::kernel`]; [`SwarmKernel::for_crossbars`] is only the
+//! tile width a crossbar count allows):
 //!
-//! | crossbars | `CutSpikes` | `CutPackets` | `CutHops` |
-//! |---|---|---|---|
-//! | ≤ [`TILE_MAX_CROSSBARS`] (256) | byte tile | byte tile | byte tile (scalar if a distance exceeds `u16`) |
-//! | ≤ [`TILE16_MAX_CROSSBARS`] (1024) | word tile | word tile | **scalar** |
-//! | beyond | scalar | scalar | scalar |
-//!
-//! * **Byte tiles**: one byte per assignment; masks of one `u64` per
-//!   lane up to 64 crossbars, four beyond. On the 256-crossbar
-//!   `synth_16x16grid` scenario (1740 neurons, 41.8 k synapses;
-//!   `BENCH_eval.json`) this scores a 64-lane swarm ~5× (`CutPackets`)
-//!   and ~2× (`CutHops`) faster than the per-candidate scalar scan.
-//! * **u16 word tiles** — the multi-chip regime of
+//! * **Byte tiles** up to [`TILE_MAX_CROSSBARS`] (256) crossbars, every
+//!   objective: one byte per assignment; masks of one `u64` per lane up
+//!   to 64 crossbars, four beyond. On the 256-crossbar `synth_16x16grid`
+//!   scenario (1740 neurons, 41.8 k synapses; `BENCH_eval.json`) this
+//!   scores a 64-lane swarm ~5× faster than the per-candidate scalar
+//!   scan under `CutPackets`, ~2× under `CutHops`.
+//! * **u16 word tiles** up to [`TILE16_MAX_CROSSBARS`] (1024) crossbars,
+//!   `CutSpikes` and `CutPackets` only — the multi-chip regime of
 //!   `noc::topology::HierTopology`: two bytes per assignment, masks of
 //!   16 `u64`s per lane, the same kernels and integer arithmetic. On the
-//!   1024-crossbar `synth_4chip16x16` scenario the `hier/*`
-//!   batched-over-scalar ratio is floor-gated ≥ 2× for `CutSpikes` and
-//!   held at ≥ 1× for `CutPackets` (reads ≈ 2.6×).
-//! * **Scalar**: [`PartitionProblem::cost`] per candidate — the exact
-//!   reference every tiled instantiation is verified against (per block
-//!   in debug builds, and by the unit and property tests). `CutHops`
-//!   takes it past the byte tile because the word-tile bit walk (one
-//!   gather per set bit over 16 mask words per lane) never beat it:
-//!   0.41–1.26× at 576 crossbars and 0.43–0.92× at 1024 over 8–64 lanes
-//!   (`perf_probe eval` reprints the table; ROADMAP "One measurement
-//!   chain" (b) records the decision).
+//!   1024-crossbar `synth_4chip16x16` scenario CI gates the `hier/*`
+//!   batched-over-scalar ratio ≥ 2× for `CutSpikes` and ≥ 1× for
+//!   `CutPackets` (reads ≈ 2.6×).
+//! * **Scalar** beyond 1024 crossbars — and for `CutHops` beyond 256, or
+//!   when a distance overflows the byte tile's `u16` hop shadow:
+//!   [`PartitionProblem::cost`] per candidate, the exact reference every
+//!   tiled instantiation is verified against (per block in debug builds,
+//!   and by the unit and property tests). The word-tile hop walk (one
+//!   gather per set bit over 16 mask words per lane) read 0.41–1.26× of
+//!   it at 576 crossbars and 0.43–0.92× at 1024 over 8–64 lanes, so it
+//!   is gone (`perf_probe eval`; ROADMAP "One measurement chain" (b)).
 //!
 //! The active kernel is surfaced in `perf_probe` output, and the benches
 //! assert which kernel actually ran, so the scalar arm is a visible,
@@ -513,15 +509,11 @@ impl<'g> EvalEngine<'g> {
 
 /// One candidate under local search: an assignment, its [`CostState`]
 /// and its per-crossbar occupancy, updated together so they cannot
-/// disagree. Every single-neuron search in the crate (`refine`, `remap`,
-/// the V-cycle's boundary refinement, the SA chains) is a policy over
-/// these five operations; none keeps the triple by hand.
-///
-/// Capacity is the problem's ([`PartitionProblem::capacity`]): a crossbar
-/// at or above it accepts no migration. Occupancy is counted from the
-/// assignment as given, not checked — an over-full crossbar simply stays
-/// closed until neurons leave it. Swaps preserve occupancy and are never
-/// capacity-limited.
+/// disagree — `refine`, `remap`, the V-cycle's boundary refinement and
+/// the SA chains are search policies over these operations. A crossbar at
+/// the problem's capacity accepts no migration (occupancy is counted, not
+/// checked: an over-full crossbar stays closed until neurons leave it);
+/// swaps preserve occupancy and are never capacity-limited.
 #[derive(Debug)]
 pub struct Candidate<'e, 'g, 'a> {
     engine: &'e EvalEngine<'g>,
@@ -535,8 +527,7 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `assignment` does not cover the engine's problem (wrong
-    /// length or a crossbar id out of range).
+    /// Panics if `assignment` does not cover the engine's problem.
     pub fn new(engine: &'e EvalEngine<'g>, assignment: &'a mut [u32]) -> Self {
         let mut occupancy = vec![0u32; engine.problem.num_crossbars()];
         for &k in assignment.iter() {
@@ -567,78 +558,63 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
         &self.occupancy
     }
 
-    /// Exact cost change of migrating neuron `i` to crossbar `to`, or
-    /// `None` when the move is not available: `to` is `i`'s home, or `to`
-    /// is full.
+    /// Exact cost change of migrating neuron `i` to crossbar `to`; `None`
+    /// when `to` is `i`'s home or full.
     #[inline]
     pub fn move_delta(&self, i: usize, to: u32) -> Option<i64> {
-        if to == self.assignment[i] || self.occupancy[to as usize] >= self.engine.problem.capacity()
-        {
-            return None;
-        }
-        Some(self.engine.move_delta(&self.state, self.assignment, i, to))
+        let open = self.occupancy[to as usize] < self.engine.problem.capacity();
+        (open && to != self.assignment[i])
+            .then(|| self.engine.move_delta(&self.state, self.assignment, i, to))
     }
 
-    /// The most improving available migration of neuron `i` among
-    /// `targets`, as `(crossbar, delta)` with `delta < 0`; `None` when
-    /// none lowers the cost. Ties keep the earliest target in iteration
-    /// order (strict `<`). Pure, so a frozen candidate can be shared by
-    /// parallel proposers.
+    /// The most improving open migration of neuron `i` among `targets`,
+    /// as `(crossbar, delta < 0)`; ties keep the earliest target. Pure, so
+    /// parallel proposers can share a frozen candidate.
     pub fn best_move(
         &self,
         i: usize,
         targets: impl IntoIterator<Item = u32>,
     ) -> Option<(u32, i64)> {
-        let mut best: Option<(u32, i64)> = None;
-        for to in targets {
-            if let Some(d) = self.move_delta(i, to) {
-                if d < 0 && best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((to, d));
-                }
-            }
-        }
-        best
+        targets
+            .into_iter()
+            .filter_map(|to| self.move_delta(i, to).map(|d| (to, d)))
+            .filter(|&(_, d)| d < 0)
+            .min_by_key(|&(_, d)| d) // the first of equal minima
     }
 
     /// Migrates neuron `i` to crossbar `to` at the `delta` that
     /// [`Candidate::move_delta`] / [`Candidate::best_move`] just returned
-    /// for it (debug builds verify the delta; a stale one corrupts the
-    /// cached cost, as with [`EvalEngine::apply_priced_move`]).
+    /// for it (verified in debug builds; a stale one corrupts the cached
+    /// cost, as with [`EvalEngine::apply_priced_move`]).
     #[inline]
     pub fn apply(&mut self, i: usize, to: u32, delta: i64) {
-        let from = self.assignment[i];
-        debug_assert!(
-            from == to || self.occupancy[to as usize] < self.engine.problem.capacity(),
-            "crossbar {to} is full"
-        );
-        self.occupancy[from as usize] -= 1;
+        self.occupancy[self.assignment[i] as usize] -= 1;
         self.occupancy[to as usize] += 1;
         self.engine
             .apply_priced_move(&mut self.state, self.assignment, i, to, delta);
     }
 
-    /// Prices the exchange of neurons `i` and `j` and keeps it iff
-    /// `accept(delta)`; returns the priced delta either way. The swap is
-    /// priced by applying `i`'s half, pricing `j`'s half on the
-    /// intermediate state, then committing `j` or reverting `i` (the
-    /// inverse move costs exactly the negated delta) — O(deg),
-    /// allocation-free, exact for every objective, and an accepted swap
-    /// pays for no pricing pass twice. Returns 0 without consulting
-    /// `accept` when both neurons already share a crossbar.
+    /// Prices the exchange of neurons `i` and `j`, keeps it iff
+    /// `accept(delta)`, and returns the delta either way: `i`'s half is
+    /// applied, `j`'s priced on the intermediate state, then `j` is
+    /// committed or `i` reverted (the inverse move costs exactly the
+    /// negated delta) — O(deg), allocation-free, exact for every
+    /// objective, no pricing pass paid twice. Returns 0 without
+    /// consulting `accept` when both already share a crossbar.
     #[inline]
     pub fn try_swap(&mut self, i: usize, j: usize, accept: impl FnOnce(i64) -> bool) -> i64 {
         let (ci, cj) = (self.assignment[i], self.assignment[j]);
         if ci == cj {
             return 0;
         }
-        let engine = self.engine;
-        let d1 = engine.apply_move(&mut self.state, self.assignment, i, cj);
-        let d2 = engine.move_delta(&self.state, self.assignment, j, ci);
-        if accept(d1 + d2) {
-            engine.apply_priced_move(&mut self.state, self.assignment, j, ci, d2);
-        } else {
-            engine.apply_priced_move(&mut self.state, self.assignment, i, ci, -d1);
-        }
+        let d1 = self
+            .engine
+            .apply_move(&mut self.state, self.assignment, i, cj);
+        let d2 = self.engine.move_delta(&self.state, self.assignment, j, ci);
+        // either way one neuron lands on `ci`: `j` commits, or `i` returns
+        let (k, delta) = if accept(d1 + d2) { (j, d2) } else { (i, -d1) };
+        self.engine
+            .apply_priced_move(&mut self.state, self.assignment, k, ci, delta);
         d1 + d2
     }
 }

@@ -450,7 +450,8 @@ fn refine_boundary(
                 let mut targets: Vec<u32> = Vec::new();
                 for &i in &boundary[shard] {
                     targets.clear();
-                    targets.extend(neighbors(i).map(|&j| home[j as usize]));
+                    let away = |k: &u32| *k != home[i as usize];
+                    targets.extend(neighbors(i).map(|&j| home[j as usize]).filter(away));
                     targets.sort_unstable();
                     targets.dedup();
                     if let Some((t, d)) = frozen.best_move(i as usize, targets.iter().copied()) {
@@ -580,6 +581,15 @@ pub fn vcycle(
     } else {
         stack.problem_at(num_coarse_levels - 1, problem)?
     };
+    // one place refines a level and records what that did and cost
+    let mut refine_level =
+        |l: usize, level: &PartitionProblem<'_>, current: &mut [u32], t: Instant| {
+            let (_, proposed, accepted) =
+                refine_boundary(level, kind, current, cfg.refine_rounds, cfg.threads);
+            stats[l].refine_proposed = proposed;
+            stats[l].refine_accepted = accepted;
+            stats[l].wall_s = t.elapsed().as_secs_f64();
+        };
     let t = Instant::now();
     let mut coarse_trace: Vec<u64> = Vec::new();
     let mut current = if cfg.chips > 1 {
@@ -587,16 +597,7 @@ pub fn vcycle(
     } else {
         pso::search(&coarse_problem, &cfg.pso, &mut coarse_trace)?.0
     };
-    let (_, p, a) = refine_boundary(
-        &coarse_problem,
-        kind,
-        &mut current,
-        cfg.refine_rounds,
-        cfg.threads,
-    );
-    stats[num_coarse_levels].refine_proposed = p;
-    stats[num_coarse_levels].refine_accepted = a;
-    stats[num_coarse_levels].wall_s = t.elapsed().as_secs_f64();
+    refine_level(num_coarse_levels, &coarse_problem, &mut current, t);
 
     // Pure projection of the coarsest solution down to the fine graph —
     // the yardstick for the never-worse guard.
@@ -616,16 +617,7 @@ pub fn vcycle(
             stack.problem_at(k - 1, problem)?
         };
         debug_assert!(level_problem.is_feasible(&current));
-        let (_, p, a) = refine_boundary(
-            &level_problem,
-            kind,
-            &mut current,
-            cfg.refine_rounds,
-            cfg.threads,
-        );
-        stats[k].refine_proposed = p;
-        stats[k].refine_accepted = a;
-        stats[k].wall_s = t.elapsed().as_secs_f64();
+        refine_level(k, &level_problem, &mut current, t);
     }
 
     let mut cost = problem.cost(kind, &current);

@@ -186,13 +186,11 @@ pub struct Report {
     /// joint optimizer's callers label their rows `"joint"`, say).
     pub placement: String,
     /// The swarm-evaluator tile width available at this crossbar count
-    /// ([`crate::eval::SwarmKernel::for_crossbars`], by name:
-    /// `"byte-tile"`, `"word-tile"`, or `"scalar"`) — surfaces the
-    /// scalar fallback past the batched envelopes, which used to be a
-    /// silent perf cliff. The evaluation stage does not know the
-    /// partitioning objective, and `CutHops` leaves the tiles earlier
-    /// ([`crate::eval::SwarmEval::kernel`]). Empty when deserialized from
-    /// an older report.
+    /// ([`crate::eval::SwarmKernel::for_crossbars`] by name:
+    /// `"byte-tile"`, `"word-tile"`, or `"scalar"`; the objective is not
+    /// known here, and `CutHops` leaves the tiles earlier) — surfaces the
+    /// scalar fallback past the batched envelopes. Empty when
+    /// deserialized from an older report.
     #[serde(default)]
     pub eval_kernel: String,
     /// Full interconnect statistics (latency, throughput, disorder, ISI).

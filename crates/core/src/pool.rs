@@ -23,50 +23,36 @@
 //! code path, so `threads = 1` and `threads = N` produce byte-identical
 //! outputs as long as the caller partitions state deterministically.
 //!
-//! ## One fan-out
-//!
-//! [`map_ranges`] is the crate's only way to spread independent work over
-//! threads (restarts, annealing chains, boundary shards, population
-//! chunks), and [`ranges`] its only index split — the swarm's persistent
-//! shards in `pso::run_rounds` are carved by the same [`ranges`]. Nothing
-//! else in `neuromap-core` spawns a thread or divides a length by a
-//! worker count.
+//! [`map_ranges`] is the crate's only fan-out of independent work
+//! (restarts, annealing chains, boundary shards, population chunks) and
+//! [`ranges`] its only index split — `pso::run_rounds` carves the swarm's
+//! persistent shards by it too. Nothing else in `neuromap-core` spawns a
+//! thread or divides a length by a worker count.
 
 use std::ops::Range;
 use std::sync::mpsc;
 
 /// Splits `0..len` into `min(workers, len)` contiguous ranges, in order:
-/// none empty, sizes differing by at most one, the larger ones first. No
-/// ranges at all when `len` is zero; `workers = 0` counts as one.
-///
-/// A ceiling-division split (`len.div_ceil(workers)` per chunk) is *not*
+/// none empty (so none at all for `len = 0`), sizes differing by at most
+/// one, the larger first. A `len.div_ceil(workers)` chunking is *not*
 /// equivalent: it leaves empty tail ranges — workers spawned with nothing
-/// to do — whenever `workers` does not divide into `len` evenly enough
-/// (5 items over 4 workers: 2, 2, 1, 0).
+/// to do (5 items over 4 workers: 2, 2, 1, 0).
 pub fn ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     let workers = workers.clamp(1, len.max(1));
     let (base, extra) = (len / workers, len % workers);
-    let mut lo = 0;
-    (0..workers)
+    (0..workers.min(len))
         .map(|w| {
-            let hi = lo + base + usize::from(w < extra);
-            let range = lo..hi;
-            lo = hi;
-            range
+            let lo = w * base + w.min(extra);
+            lo..lo + base + usize::from(w < extra)
         })
-        .filter(|range| !range.is_empty())
         .collect()
 }
 
 /// Runs `work` once per [`ranges`]`(len, threads)` range, in parallel,
-/// and returns the results **in range order** — so a caller that folds
-/// them front to back sees exactly what a sequential `work(0..len)` scan
-/// would have produced, whatever `threads` is. One range runs inline on
-/// the caller's thread.
-///
-/// # Panics
-///
-/// Propagates panics from `work`.
+/// and returns the results **in range order**: folded front to back they
+/// are what one sequential `work(0..len)` scan produces, whatever
+/// `threads` is. A single range runs inline on the caller's thread;
+/// panics in `work` propagate.
 pub fn map_ranges<R: Send>(
     len: usize,
     threads: usize,

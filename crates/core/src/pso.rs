@@ -37,16 +37,10 @@
 //! The whole particle step (fused velocity/decode sweep + evaluation +
 //! personal-best tracking) runs on a persistent worker pool created once
 //! per `run_rounds` call (`core::pool`), not on per-iteration spawned
-//! threads.
-//!
-//! ### One swarm entry point
-//!
-//! `search` is the whole search — allocate the swarm, run the init round
-//! and `iterations` steps, hand back the global best — and the only way
-//! the flat partitioner and both V-cycle swarms (coarsest level, chip
-//! level) run one. The joint loop (`crate::coopt`) is the one caller
-//! that drives `SwarmState::new` / `run_rounds` / `reseat_best` itself,
-//! because it re-prices the objective between segments.
+//! threads. `search` is the one whole-swarm entry point — the flat
+//! partitioner and both V-cycle swarms call it; only the joint loop
+//! (`crate::coopt`) drives `SwarmState` in segments itself, because it
+//! re-prices the objective between them.
 //!
 //! ### Determinism contract
 //!
@@ -388,24 +382,19 @@ impl SwarmState {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] naming `swarm_size` when the
-    /// swarm's buffers — `swarm × N × C` velocities down to one seed per
-    /// particle — have no representable length or byte size. This is the
-    /// first place all three factors are known; unchecked, the product
-    /// wraps in release builds and `Vec` panics on the rest.
+    /// [`CoreError::InvalidParameter`] naming `swarm_size` when a swarm
+    /// buffer (`swarm × N × C` velocities at the largest) has no
+    /// representable length or byte size — checked here, where all three
+    /// factors are first known, instead of wrapping or panicking in `Vec`.
     pub(crate) fn new(problem: &PartitionProblem<'_>, cfg: &PsoConfig) -> Result<Self, CoreError> {
         let n = problem.graph().num_neurons() as usize;
         let c = problem.num_crossbars();
         let dims = n * c;
         let swarm = cfg.swarm_size;
-        // widest element is 8 bytes (seeds, fitness); `isize::MAX` bytes
-        // is the allocator's hard ceiling
-        let widest_fits = |len: usize| len <= isize::MAX as usize / 8;
-        if !swarm
-            .checked_mul(n)
-            .and_then(|cells| cells.checked_mul(c))
-            .is_some_and(|cells| widest_fits(cells) && widest_fits(swarm))
-        {
+        // no allocation exceeds `isize::MAX` bytes; elements are ≤ 8 wide
+        let fits = |len: usize| len <= isize::MAX as usize / 8;
+        let cells = swarm.checked_mul(n).and_then(|v| v.checked_mul(c));
+        if !cells.is_some_and(|cells| fits(cells) && fits(swarm)) {
             return Err(CoreError::InvalidParameter {
                 name: "swarm_size",
                 value: format!("{swarm} particles x {n} neurons x {c} crossbars overflows"),
@@ -627,15 +616,14 @@ pub(crate) fn reseat_best(problem: &PartitionProblem<'_>, cfg: &PsoConfig, state
     state.gbest_position = state.best_position[best_p * state.n..(best_p + 1) * state.n].to_vec();
 }
 
-/// One whole swarm search on `problem`: the init round plus
-/// `cfg.iterations` steps, the global best after each appended to
-/// `trace`. Returns the global best `(position, fitness)`.
+/// One whole swarm search: the init round plus `cfg.iterations` steps,
+/// the global best after each appended to `trace`; returns the global
+/// best `(position, fitness)`. The caller has validated `cfg` and the
+/// objective.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidParameter`] when the swarm cannot be allocated
-/// ([`SwarmState::new`]). The caller has validated `cfg` and the
-/// objective.
+/// [`CoreError::InvalidParameter`] from [`SwarmState::new`].
 pub(crate) fn search(
     problem: &PartitionProblem<'_>,
     cfg: &PsoConfig,

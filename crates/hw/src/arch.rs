@@ -138,23 +138,21 @@ pub struct Architecture {
 }
 
 // Deserialization routes through `Architecture::custom` and
-// `EnergyModel::validate`, so a document can describe only what the
-// constructors can build: everything downstream (the pipeline's
-// infallible topology builder first of all) relies on those checks.
+// `EnergyModel::validate`: a document describes only what the
+// constructors build, which the pipeline's infallible topology builder
+// relies on.
 impl Deserialize for Architecture {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::DeError> {
-            let value = v
-                .get(name)
-                .ok_or_else(|| serde::DeError::new(format!("missing field `{name}`")))?;
-            T::from_value(value)
-        }
-        let crossbar: CrossbarSpec = field(v, "crossbar")?;
-        let energy: EnergyModel = field(v, "energy")?;
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::DeError::new(format!("missing field `{name}`")))
+        };
+        let crossbar = CrossbarSpec::from_value(field("crossbar")?)?;
+        let energy = EnergyModel::from_value(field("energy")?)?;
         let checked = Architecture::custom(
-            field(v, "num_crossbars")?,
+            usize::from_value(field("num_crossbars")?)?,
             crossbar.neuron_capacity(),
-            field(v, "interconnect")?,
+            InterconnectKind::from_value(field("interconnect")?)?,
         )
         .and_then(|arch| energy.validate().map(|()| arch))
         .map_err(|e| serde::DeError::new(e.to_string()))?;
