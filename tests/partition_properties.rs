@@ -419,6 +419,154 @@ fn local_search_outcomes_are_frozen() {
     assert_eq!(lines, frozen, "actual outcomes:\n{}\n", lines.join("\n"));
 }
 
+/// What the swarm itself returns today, frozen without the polish that
+/// would hide it: a changed line means a decode, a repair walk, an RNG
+/// draw or a reduction changed. The two graphs above plus a 9 × 9 grid
+/// (81 crossbars: ten 8-wide chunks of a velocity row and a 1-wide
+/// remainder, nearly full) × every objective × warm start on and off, 30
+/// iterations so the velocities decay towards 0 and late rounds reject
+/// most candidates; then the joint loop, which drives the same swarm in
+/// segments. Thread counts share one line.
+#[test]
+fn swarm_outcomes_are_frozen() {
+    use neuromap::apps::synthetic::LargeArch;
+    use neuromap::core::coopt::{co_optimize, CooptConfig};
+    use neuromap::core::pipeline::TrafficMode;
+    use neuromap::core::place::PlaceConfig;
+    use neuromap::noc::topology::{DistanceLut, Mesh2D};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const FROZEN: &str = "
+        grid4x4 CutSpikes pso warm=true: 7665 6272b0ac53aa5a65 trace 5e69ff832c151327 converged 0
+        grid4x4 CutSpikes pso warm=false: 10792 5be39442a96f417f trace 91ad9b79d670a531 converged 13
+        grid4x4 CutPackets pso warm=true: 4354 6272b0ac53aa5a65 trace 01c0e501be722d98 converged 0
+        grid4x4 CutPackets pso warm=false: 6564 afca12cc9d2c6e67 trace 5ba0d3405f1e5aee converged 25
+        grid4x4 CutHops pso warm=true: 8689 6272b0ac53aa5a65 trace 8c39c0b03b39391b converged 0
+        grid4x4 CutHops pso warm=false: 16192 75c317e4bce9d9a5 trace aafc061988da82ed converged 24
+        grid4x4 coopt: staged 14940 joint 15301 used_joint false 666571163c9b756d placement 5f0d2c2c70aca755 trace 5789d4da9dfc62f7
+        dense2x2 CutSpikes pso warm=true: 748 b7eac9aee86473e5 trace 076f205cdee5d854 converged 27
+        dense2x2 CutSpikes pso warm=false: 721 91e770c32bcee2f5 trace 6cc0d7b6b1ffcbde converged 26
+        dense2x2 CutPackets pso warm=true: 439 eb263fbce31896a5 trace 85091a07324e5700 converged 16
+        dense2x2 CutPackets pso warm=false: 452 2ec6b1b8f14f73f7 trace 1ac2c4b274197d81 converged 18
+        dense2x2 CutHops pso warm=true: 566 8c4ed41f82deaa27 trace 4b7d379153bee59f converged 17
+        dense2x2 CutHops pso warm=false: 566 8c4ed41f82deaa27 trace 4b7d379153bee59f converged 17
+        grid9x9 CutSpikes pso warm=true: 8495 f8ce912ed0116a5d trace 53ac5b85017b1f85 converged 0
+        grid9x9 CutSpikes pso warm=false: 14310 119aed151d99f70f trace d5958d4d8d4f1ace converged 26
+        grid9x9 CutPackets pso warm=true: 7614 f8ce912ed0116a5d trace 0c5a192645429668 converged 0
+        grid9x9 CutPackets pso warm=false: 12100 2d9e910ba269efe9 trace 43674c5e175af704 converged 14
+        grid9x9 CutHops pso warm=true: 21195 f8ce912ed0116a5d trace 0f0f18d9a66aa694 converged 0
+        grid9x9 CutHops pso warm=false: 68100 4e8b7ddcc28bb26f trace dd24a374b27cdcec converged 13
+    ";
+
+    let grid = |side, neurons_per_crossbar, synapses_per_neuron, fill_percent| {
+        LargeArch {
+            side,
+            neurons_per_crossbar,
+            synapses_per_neuron,
+            fill_percent,
+        }
+        .spike_graph(2018)
+        .expect("scenario builds")
+    };
+    let grid4_graph = grid(4, 8, 12, 85);
+    let grid9_graph = grid(9, 4, 6, 90);
+    let mut rng = StdRng::seed_from_u64(0xF02E);
+    let edges = (0..220)
+        .map(|_| (rng.gen_range(0..48), rng.gen_range(0..48)))
+        .collect();
+    let counts = (0..48).map(|_| rng.gen_range(0..12)).collect();
+    let dense_graph = SpikeGraph::from_parts(48, edges, counts).expect("endpoints in range");
+
+    let words = |values: &[u64]| fnv(values.iter().flat_map(|&v| [v as u32, (v >> 32) as u32]));
+    let mut lines: Vec<String> = Vec::new();
+    for (name, graph, c, cap) in [
+        ("grid4x4", &grid4_graph, 16usize, 9u32),
+        ("dense2x2", &dense_graph, 4, 13),
+        ("grid9x9", &grid9_graph, 81, 4),
+    ] {
+        let lut = DistanceLut::new(&Mesh2D::for_crossbars(c));
+        let problem = PartitionProblem::new(graph, c, cap)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
+        for fitness in [
+            FitnessKind::CutSpikes,
+            FitnessKind::CutPackets,
+            FitnessKind::CutHops,
+        ] {
+            for seed_baselines in [true, false] {
+                for threads in [1usize, 3] {
+                    let cfg = PsoConfig {
+                        swarm_size: 12,
+                        iterations: 30,
+                        threads,
+                        fitness,
+                        seed_baselines,
+                        polish_passes: 0,
+                        ..PsoConfig::default()
+                    };
+                    let (m, trace) = PsoPartitioner::new(cfg)
+                        .partition_traced(&problem)
+                        .expect("pso runs");
+                    assert!(problem.is_feasible(m.assignment()), "{name} {fitness:?}");
+                    let cost = problem.cost(fitness, m.assignment());
+                    assert_eq!(Some(&cost), trace.best_per_iteration.last());
+                    lines.push(format!(
+                        "{name} {fitness:?} pso warm={seed_baselines}: {cost} {:016x} trace {:016x} converged {}",
+                        fnv(m.assignment().iter().copied()),
+                        words(&trace.best_per_iteration),
+                        trace.converged_at
+                    ));
+                }
+            }
+        }
+        if name != "grid4x4" {
+            continue;
+        }
+        for threads in [1usize, 3] {
+            let cfg = CooptConfig {
+                pso: PsoConfig {
+                    swarm_size: 12,
+                    iterations: 30,
+                    threads,
+                    fitness: FitnessKind::CutHops,
+                    seed_baselines: false,
+                    polish_passes: 0,
+                    ..PsoConfig::default()
+                },
+                place: PlaceConfig {
+                    restarts: 2,
+                    sa_moves: 500,
+                    threads,
+                    ..PlaceConfig::default()
+                },
+                replace_every: 3,
+                multilevel: None,
+            };
+            let out = co_optimize(&problem, &lut, TrafficMode::PerCrossbar, &cfg)
+                .expect("joint loop runs");
+            lines.push(format!(
+                "{name} coopt: staged {} joint {} used_joint {} {:016x} placement {:016x} trace {:016x}",
+                out.staged_cost,
+                out.joint_cost,
+                out.used_joint,
+                fnv(out.mapping.assignment().iter().copied()),
+                fnv(out.placement.as_slice().iter().copied()),
+                words(&out.trace)
+            ));
+        }
+    }
+
+    lines.dedup();
+    let frozen: Vec<&str> = FROZEN
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(lines, frozen, "actual outcomes:\n{}\n", lines.join("\n"));
+}
+
 /// A swarm whose `swarm × N × C` buffers cannot be allocated is a
 /// configuration error wherever a swarm is built: the size is only known
 /// once the problem is, so `PsoConfig::validate` cannot see it, and the
