@@ -1,10 +1,11 @@
 //! Evaluation-engine benchmarks: the same-run pairs behind
-//! `BENCH_eval.json` — full recompute vs incremental move pricing and
-//! scalar vs batched swarm scoring on the digit app (`hd_tree_paper`'s
-//! graph), the 256-crossbar `synth_16x16grid` scenario (batched scoring,
-//! dense vs adjacency placement pricing), staged vs joint
-//! co-optimization, flat PSO vs the V-cycle at 1024 crossbars, and the
-//! u16 word-tile kernels (`CutSpikes`, `CutPackets`) on the 4-chip fabric.
+//! `BENCH_eval.json` — full recompute vs incremental move pricing, scalar
+//! vs batched swarm scoring and the scalar vs masked-row velocity sweep on
+//! the digit app (`hd_tree_paper`'s graph) and on the 256-crossbar
+//! `synth_16x16grid` scenario (also dense vs adjacency placement pricing),
+//! staged vs joint co-optimization, flat PSO vs the V-cycle at 1024
+//! crossbars, and the u16 word-tile kernels (`CutSpikes`, `CutPackets`) on
+//! the 4-chip fabric.
 //!
 //! The row rule and the gate table are `neuromap_bench::ledger`'s
 //! ([`ledger::EVAL`]): every row is one side of a pair, every pair is
@@ -21,8 +22,10 @@ use criterion::{black_box, BenchmarkId, Criterion};
 use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, MultiChip};
 use neuromap_apps::App;
+use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, ledger, SEED};
 use neuromap_core::coopt::{co_optimize, CooptConfig};
+use neuromap_core::decode::DecodeScratch;
 use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
@@ -108,12 +111,50 @@ fn bench_swarm_eval(c: &mut Criterion, name: &str, problem: &PartitionProblem<'_
     group.finish();
 }
 
+/// The PSO velocity sweep on a problem's shape: eight rounds of
+/// `step_reference` (baseline) against eight of `step` (candidate) over
+/// one 16-particle swarm, every timed run restarting from the same
+/// filled-and-decoded state (restoring it is inside both timings) with
+/// each particle's personal best its own decode and the global best
+/// particle 0's — the `sweep/<name>/step` paired ratio. Both kernels must
+/// leave identical positions and RNG streams, or the ratio would compare
+/// different work.
+fn bench_sweep(c: &mut Criterion, name: &str, problem: &PartitionProblem<'_>) {
+    const PARTICLES: usize = 16;
+    const ROUNDS: usize = 8;
+    let n = problem.graph().num_neurons() as usize;
+    let (decoder, weights) = sweep::default_decoder(n, problem.num_crossbars(), problem.capacity());
+    let mut scratch = DecodeScratch::default();
+    let mut start = Swarm::new(PARTICLES, n, problem.num_crossbars(), SEED);
+    start.fill(&decoder);
+    start.decode(&decoder, sweep::PRODUCTION, &mut scratch);
+    let mut swarm = start.clone();
+    let mut run = |kernel| {
+        swarm.copy_from(&start);
+        for _ in 0..ROUNDS {
+            swarm.step(&decoder, kernel, weights, &start.positions, &mut scratch);
+        }
+        (swarm.positions.clone(), swarm.rngs.clone())
+    };
+    assert!(
+        run(sweep::REFERENCE) == run(sweep::PRODUCTION),
+        "REGRESSION: the masked-row sweep diverges from its scalar reference on {name}"
+    );
+    let mut group = c.benchmark_group(format!("sweep/{name}"));
+    group.sample_size(10);
+    for (side, kernel) in [("scalar", sweep::REFERENCE), ("batched", sweep::PRODUCTION)] {
+        group.bench_function(BenchmarkId::new(side, "step"), |b| b.iter(|| run(kernel)));
+    }
+    group.finish();
+}
+
 /// The 256-crossbar large-architecture scenario: envelope gate + timings.
 ///
 /// The scenario's trajectory in `BENCH_eval.json` is the regression
-/// record for the multi-word batched evaluator and the fused
-/// decode/repair kernel; before timing anything the bench *asserts* that
-/// the tiled path still covers 256 crossbars for both objectives.
+/// record for the multi-word batched evaluator and the masked-row
+/// decode/repair kernel (`sweep/*`); before timing anything the bench
+/// *asserts* that the tiled path still covers 256 crossbars for both
+/// objectives.
 fn bench_large_arch(c: &mut Criterion) {
     let scenario = LargeArch::grid16();
     let graph = scenario.spike_graph(SEED).expect("scenario builds");
@@ -178,6 +219,8 @@ fn bench_large_arch(c: &mut Criterion) {
         });
         group.finish();
     }
+
+    bench_sweep(c, &name, &problem);
 
     // ---- placement swap pricing on the 256-crossbar scenario ----
     // a packed partition with scrambled cluster ids: the contents of each
@@ -498,6 +541,7 @@ fn main() {
         .expect("feasible");
     bench_full_vs_incremental(&mut c, &digit.name(), &problem);
     bench_swarm_eval(&mut c, &digit.name(), &problem, 100);
+    bench_sweep(&mut c, &digit.name(), &problem);
 
     // 16 × 16 = 256 crossbars: the multi-word envelope, gated + timed
     bench_large_arch(&mut c);

@@ -13,6 +13,11 @@
 //! scalar reference across the kernel map ([`SwarmEval::kernel`]) — the
 //! table a decision about a tile kernel starts from.
 //!
+//! `perf_probe sweep` times the PSO velocity sweep
+//! ([`neuromap_core::decode`]: `fill_velocity`, `decode`, `step`) against
+//! its scalar reference and against the streaming floor of the buffer it
+//! walks — the table a decision about that kernel starts from.
+//!
 //! `perf_probe noc` instead probes the interconnect engines on the
 //! dense-saturation workloads of [`neuromap_bench::noc_workloads`]: it
 //! times the event engine against the cycle oracle and prints the event
@@ -22,10 +27,13 @@
 //! wake-queue peaks — so dense-regime scheduling regressions show up as
 //! counter shifts, not just wall-clock noise.
 
+use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, Synthetic};
 use neuromap_apps::App;
 use neuromap_bench::noc_workloads::dense_workloads;
+use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, SEED};
+use neuromap_core::decode::DecodeScratch;
 use neuromap_core::eval::{SwarmEval, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
@@ -48,6 +56,19 @@ fn kernel_line(problem: &PartitionProblem<'_>, kind: FitnessKind) -> String {
     format!("swarm-eval kernel: {kernel} ({kind:?})")
 }
 
+/// Wall time of one call, in milliseconds.
+fn wall_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Middle sample (upper middle of an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Scalar-vs-batched swarm scoring across the kernel map: per grid side
 /// (256, 576, 1024 crossbars, mesh distances), objective and lane count,
 /// the median of five `PartitionProblem::cost`-per-candidate passes over
@@ -55,16 +76,7 @@ fn kernel_line(problem: &PartitionProblem<'_>, kind: FitnessKind) -> String {
 /// Above 1 the batched path wins; where the kernel reads `scalar` both
 /// sides run the same scan and the ratio is its noise.
 fn probe_eval(lane_counts: &[usize]) {
-    let median_ms = |f: &mut dyn FnMut()| {
-        let time = |_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        };
-        let mut ms: Vec<f64> = (0..5).map(time).collect();
-        ms.sort_by(f64::total_cmp);
-        ms[2]
-    };
+    let median_ms = |f: &mut dyn FnMut()| median((0..5).map(|_| wall_ms(&mut *f)).collect());
     let widest = lane_counts.iter().copied().max().unwrap_or(0);
     println!("crossbars objective  kernel    lanes scalar_ms batched_ms scalar/batched");
     for side in [16, 24, 32] {
@@ -106,6 +118,107 @@ fn probe_eval(lane_counts: &[usize]) {
                     "{c:>9} {tag:<10} {kernel:<9} {lanes:>5} {scalar:>9.3} {batched:>10.3} {ratio:>14.2}"
                 );
             }
+        }
+    }
+}
+
+/// The PSO velocity sweep, stage by stage, on the shapes mapbench's flat
+/// swarms run (the digit app's 12 × 128 tree; 256, 576 and 1024-crossbar
+/// grids): per shape, medians of five of `fill_velocity`, of `decode`
+/// against `decode_reference`, and of the first and the eighth `step`
+/// against `step_reference` — the walk deepens as velocities decay — each
+/// with its cost per velocity, under a header line giving the floor: one
+/// streaming read-multiply-write pass over the same buffer. `pbest` is
+/// each particle's own decode and `gbest` particle 0's, as in the
+/// `sweep/*` ledger pairs; both kernels must agree after every round.
+fn probe_sweep() {
+    const REPS: usize = 5;
+    const ROUNDS: usize = 8;
+    const STAGES: [&str; 4] = ["fill_velocity", "decode", "step round 1", "step round 8"];
+    let digits = DigitRecognition::default()
+        .build(SEED)
+        .expect("digit app builds")
+        .num_neurons();
+    let hd = arch_for(digits);
+    let grid = |side| {
+        let scenario = LargeArch {
+            side,
+            ..LargeArch::grid16()
+        };
+        let (n, c) = (scenario.num_neurons() as usize, scenario.num_crossbars());
+        (scenario.name(), n, c, scenario.capacity())
+    };
+    let shapes = [
+        (
+            "HD".to_owned(),
+            digits as usize,
+            hd.num_crossbars(),
+            hd.neurons_per_crossbar(),
+        ),
+        grid(16),
+        grid(24),
+        grid(32),
+    ];
+    for (name, n, c, cap) in shapes {
+        // ≈ 8 M velocities per side, at least two particles
+        let particles = ((1 << 23) / (n * c)).clamp(2, 64);
+        let (decoder, weights) = sweep::default_decoder(n, c, cap);
+        let mut scratch = DecodeScratch::default();
+        let mut floor = Vec::new();
+        // per stage: the production, then the reference, samples
+        let mut samples = [(); 4].map(|()| [Vec::new(), Vec::new()]);
+        let mut swarm = Swarm::new(particles, n, c, SEED);
+        swarm.fill(&decoder); // every page touched before anything is timed
+        for _ in 0..REPS {
+            let shrink = black_box(0.999f32);
+            floor.push(wall_ms(|| {
+                swarm.velocity.iter_mut().for_each(|v| *v *= shrink)
+            }));
+            samples[0][0].push(wall_ms(|| swarm.fill(&decoder)));
+
+            let mut sides = [swarm.clone(), swarm];
+            let kernels = [sweep::PRODUCTION, sweep::REFERENCE];
+            for ((swarm, kernel), samples) in sides.iter_mut().zip(kernels).zip(&mut samples[1]) {
+                samples.push(wall_ms(|| swarm.decode(&decoder, kernel, &mut scratch)));
+            }
+            assert!(sides[0] == sides[1], "{name}: decode diverged");
+            let best = sides[0].positions.clone();
+            for round in 1..=ROUNDS {
+                for (side, (swarm, kernel)) in sides.iter_mut().zip(kernels).enumerate() {
+                    let ms = wall_ms(|| swarm.step(&decoder, kernel, weights, &best, &mut scratch));
+                    match round {
+                        1 => samples[2][side].push(ms),
+                        ROUNDS => samples[3][side].push(ms),
+                        _ => {}
+                    }
+                }
+                assert!(sides[0] == sides[1], "{name}: step {round} diverged");
+            }
+            [swarm, _] = sides;
+        }
+
+        let ns_per = |ms: f64| ms * 1e6 / swarm.velocity.len() as f64;
+        println!(
+            "sweep {name}: {n} neurons x {c} crossbars (capacity {cap}), {particles} particles; \
+             streaming floor {:.2} ns/velocity (one read-multiply-write pass, median of {REPS})",
+            ns_per(median(floor))
+        );
+        println!("  stage          production_ms ns/velocity reference_ms ns/velocity reference/production");
+        for (stage, [production, reference]) in STAGES.iter().zip(samples) {
+            let production = median(production);
+            print!(
+                "  {stage:<14} {production:>13.3} {:>11.2}",
+                ns_per(production)
+            );
+            if !reference.is_empty() {
+                let reference = median(reference);
+                print!(
+                    " {reference:>12.3} {:>11.2} {:>20.2}",
+                    ns_per(reference),
+                    reference / production
+                );
+            }
+            println!();
         }
     }
 }
@@ -247,12 +360,14 @@ fn probe_multilevel() {
 fn usage(complaint: &str) -> ! {
     eprintln!("perf_probe: {complaint}");
     eprintln!(
-        "usage: perf_probe [SWARM [ITERS]] | perf_probe eval [LANES...] | perf_probe noc | perf_probe multilevel"
+        "usage: perf_probe [SWARM [ITERS]] | perf_probe eval [LANES...] | perf_probe sweep | perf_probe noc | perf_probe multilevel"
     );
     eprintln!("  SWARM       positive swarm size (default 1000 when absent)");
     eprintln!("  ITERS       positive iteration count (default 100 when absent)");
     eprintln!("  eval        time the swarm evaluator against the scalar reference at each");
     eprintln!("              positive lane count (8 16 40 64 when absent)");
+    eprintln!("  sweep       time the velocity sweep (fill, decode, step) against its scalar");
+    eprintln!("              reference and the streaming floor of its buffer");
     eprintln!("  noc         probe the interconnect engines instead");
     eprintln!("  multilevel  probe the multilevel V-cycle on the 32x32-grid scenario");
     std::process::exit(2);
@@ -273,19 +388,19 @@ fn main() {
         });
         return;
     }
-    if args.get(1).map(String::as_str) == Some("noc") {
-        if args.len() > 2 {
-            usage("`noc` takes no further arguments");
+    let probes: [(&str, fn()); 3] = [
+        ("sweep", probe_sweep),
+        ("noc", probe_noc),
+        ("multilevel", probe_multilevel),
+    ];
+    for (name, probe) in probes {
+        if args.get(1).map(String::as_str) == Some(name) {
+            if args.len() > 2 {
+                usage(&format!("`{name}` takes no further arguments"));
+            }
+            probe();
+            return;
         }
-        probe_noc();
-        return;
-    }
-    if args.get(1).map(String::as_str) == Some("multilevel") {
-        if args.len() > 2 {
-            usage("`multilevel` takes no further arguments");
-        }
-        probe_multilevel();
-        return;
     }
     if args.len() > 3 {
         usage("too many arguments");

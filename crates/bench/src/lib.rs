@@ -36,6 +36,7 @@ use neuromap_hw::arch::{Architecture, InterconnectKind};
 
 pub mod ledger;
 pub mod noc_workloads;
+pub mod sweep;
 
 /// Crossbar capacity of the CxQuad-class chips the experiments map onto
 /// (128 neurons per crossbar, Section II of the paper).

@@ -1,42 +1,75 @@
-//! The binary-PSO re-binarization + repair kernel (Eq. 2–5), as a
-//! standalone lane-parallel pass.
+//! The binary-PSO re-binarization + repair kernel (Eq. 2–5): one
+//! masked-row pass per neuron, beside the scalar walk that specifies it.
 //!
 //! Every PSO iteration turns each particle's real-valued velocity matrix
 //! (`N × C` floats) back into a feasible assignment: per neuron,
 //! candidate crossbars are tested in descending-velocity order and
 //! accepted with probability `sigmoid(v)` (Eq. 2–3); if no free crossbar
 //! is accepted, the highest-velocity free crossbar is assigned (repair,
-//! Eq. 4–5). ROADMAP measured this decode/repair loop at ~40 % of a PSO
-//! step, so the kernel matters as much as evaluation.
+//! Eq. 4–5). This sweep (`fill_velocity` + `decode` + one `step` per
+//! iteration) is the largest piece of a flat swarm search: measured at
+//! `dad3100`, 60 % of a `grid24_mesh_flathops` mapbench iteration, 51 %
+//! of `grid16_mesh_staged`, ≈ 45 % of `grid16_torus_joint_trees` and
+//! ≈ 30 % of `hd_tree_paper` — compute-bound (≈ 2.3 ns per velocity then,
+//! against ≈ 0.6 ns for a streaming read-multiply-write of the same
+//! buffer), so the kernel matters more than evaluation does.
+//! `perf_probe sweep` re-measures it.
 //!
 //! Two implementations live here:
 //!
 //! * [`Decoder::decode`] / [`Decoder::step`] — the **production
-//!   lane-parallel pass**: each velocity row is processed in fixed-width
-//!   f32 lanes (eligibility-masked maxima accumulated per lane, reduced,
-//!   then resolved to the first index attaining the maximum), and
-//!   [`Decoder::step`] *fuses* the whole per-iteration pipeline — inertia
-//!   decay, the stochastic cognitive/social pulls (Eq. 1), and the
-//!   decode/repair — into a single sweep per velocity row, so the swarm's
-//!   structure-of-arrays buffer is traversed once per iteration instead
-//!   of three times.
+//!   masked-row kernel**. [`DecodeScratch`] keeps, beside the free-slot
+//!   tallies, an *eligibility row* (`0.0` while a crossbar has room, `−∞`
+//!   from the one store that marks it full) and a *masked row*. Per
+//!   neuron a single vectorizable pass writes `velocity + eligibility`
+//!   into the masked row and folds it into fixed-width lane maxima (a
+//!   full crossbar reads `−∞`, so there is no per-element eligibility
+//!   test); a chunked scan then finds the lowest index attaining the
+//!   maximum. When that candidate is rejected, the walk asks the masked
+//!   row for the candidate's *successor in `(velocity desc, index asc)`
+//!   order* — a later index holding the same value, else the first index
+//!   of the largest value strictly below it — instead of re-scanning
+//!   against a set of tried candidates. [`Decoder::step`] runs the
+//!   velocity update of Eq. 1 (inertia decay, the stochastic
+//!   cognitive/social pulls) on each row just before decoding it, so the
+//!   swarm's structure-of-arrays buffer is traversed once per iteration.
 //! * [`Decoder::decode_reference`] / [`Decoder::step_reference`] — the
-//!   **scalar kernels**: a plain descending-velocity walk per neuron, the
-//!   executable specification.
+//!   **scalar kernels**: a plain descending-velocity walk per neuron that
+//!   marks every rejected candidate in a `tried` set, the executable
+//!   specification.
 //!
 //! ## Equivalence and determinism contract
 //!
-//! For identical inputs and RNG state, the lane-parallel and scalar
-//! kernels produce **bit-identical assignments and RNG streams**
+//! For identical inputs and RNG state, the two kernels produce
+//! **bit-identical assignments, velocities and RNG streams**
 //! (property-tested in `tests/determinism.rs` across random velocity
-//! states): the lane-parallel maximum is the same value `max` is a
-//! reduction of, non-`NaN` f32 maxima are associative, and both kernels
-//! resolve ties to the lowest eligible index. Both consume exactly one
-//! acceptance draw per neuron on the fast path, plus one draw per
-//! candidate visited by the slow acceptance walk. The kernel is
-//! allocation-free after warm-up and shared by every shard of the pooled
-//! PSO step (`neuromap_core::pool`), so thread count never changes
-//! results.
+//! states, exact-fit capacities, chained steps on one reused scratch,
+//! signed zeros, `−∞` and NaN):
+//!
+//! * *Same first candidate.* The lane maxima reduce the same set `max`
+//!   does, maxima of non-NaN `f32`s are associative, and both kernels
+//!   resolve ties to the lowest index. Adding the eligibility row changes
+//!   no free value except `−0.0`, which becomes `+0.0` — equal under every
+//!   comparison made here, and the acceptance test reads the velocity row
+//!   itself.
+//! * *Same visiting order.* The reference's `tried` walk visits free
+//!   crossbars by descending velocity, lowest index first among equals;
+//!   the successor of a candidate in that order is exactly what the
+//!   masked walk computes, so the same candidates meet the same draws.
+//! * *Same draws.* One acceptance draw per candidate visited; none for
+//!   the repair fallback.
+//! * *NaN and `−∞`.* Neither is ever a candidate (both fail every `>`),
+//!   so a NaN is never selected while a free crossbar holds an ordinary
+//!   velocity. A row with no candidate at all — every free entry NaN or
+//!   `−∞` — draws nothing and takes the **lowest-index crossbar that has
+//!   room**, read from the free-slot tallies (in the masked row a full
+//!   crossbar is `−∞` too). [`PsoConfig::validate`](crate::pso::PsoConfig::validate)
+//!   keeps non-finite values out of the optimizer; the rule is for callers
+//!   of this module.
+//!
+//! The kernel is allocation-free after warm-up and shared by every shard
+//! of the pooled PSO step (`neuromap_core::pool`), so thread count never
+//! changes results.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,8 +80,8 @@ fn sigmoid(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
 }
 
-/// f32 lanes per chunk of the masked-maximum pass: wide enough to fill
-/// a 256-bit SIMD register, small enough that remainders stay cheap.
+/// f32 lanes per chunk of the masked-row passes: wide enough to fill a
+/// 256-bit SIMD register, small enough that remainders stay cheap.
 const F_LANES: usize = 8;
 
 /// Piecewise-linear sigmoid over the clamped velocity domain
@@ -102,16 +135,26 @@ pub struct StepWeights {
     pub phi_g: f32,
 }
 
-/// Reusable per-shard buffers for the decode kernels.
+/// Reusable per-shard buffers for the decode kernels; every entry point
+/// resets what it reads, so one scratch serves any sequence of particles,
+/// iterations and decoder shapes.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
+    /// Free slots left per crossbar for the particle being decoded.
     remaining: Vec<u32>,
+    /// Reference walk: candidates the current neuron already rejected.
     tried: Vec<bool>,
+    /// Production kernel's eligibility row: `0.0` while `remaining[k] > 0`,
+    /// `−∞` once it is 0.
+    bias: Vec<f32>,
+    /// Production kernel's masked row: the current neuron's velocities
+    /// plus `bias`.
+    masked: Vec<f32>,
 }
 
 /// The re-binarization kernel (Eq. 2–3 + repair), shared by all PSO
 /// shards. See the [module docs](self) for the equivalence contract
-/// between the lane-parallel and reference entry points.
+/// between the production and reference entry points.
 #[derive(Debug, Clone)]
 pub struct Decoder {
     n: usize,
@@ -167,7 +210,7 @@ impl Decoder {
     }
 
     /// Binarizes one particle's velocities into a feasible assignment —
-    /// the lane-parallel production pass.
+    /// the production masked-row kernel.
     ///
     /// # Panics
     ///
@@ -186,10 +229,7 @@ impl Decoder {
         s.reset(c, self.capacity);
         for i in 0..n {
             let row = &velocity[i * c..(i + 1) * c];
-            let (arg, arg_v) = masked_argmax(row, &s.remaining);
-            let k = self.accept_or_walk(row, rng, s, arg, arg_v);
-            s.remaining[k] -= 1;
-            out[i] = k as u32;
+            out[i] = self.place(row, rng, s) as u32;
         }
     }
 
@@ -216,7 +256,7 @@ impl Decoder {
     /// One full fused PSO iteration for one particle: per neuron row,
     /// inertia decay (+ clamp for `inertia > 1`), the stochastic
     /// cognitive/social pulls (Eq. 1 — at most four touched dimensions
-    /// per neuron), and the lane-parallel decode/repair, in a single
+    /// per neuron), and the masked-row decode/repair, in a single
     /// sweep over the velocity buffer. `pos` holds the particle's current
     /// assignment on entry and the freshly decoded one on exit.
     ///
@@ -243,10 +283,7 @@ impl Decoder {
         for i in 0..n {
             let row = &mut velocity[i * c..(i + 1) * c];
             self.decay_and_pull(w, row, rng, pos[i], pbest[i], gbest[i]);
-            let (arg, arg_v) = masked_argmax(row, &s.remaining);
-            let k = self.accept_or_walk(row, rng, s, arg, arg_v);
-            s.remaining[k] -= 1;
-            pos[i] = k as u32;
+            pos[i] = self.place(row, rng, s) as u32;
         }
     }
 
@@ -314,10 +351,52 @@ impl Decoder {
         }
     }
 
-    /// Acceptance test for the best free crossbar, falling into the slow
-    /// descending-velocity walk when it fails. `arg`/`arg_v` come from a
-    /// masked argmax over free crossbars (non-empty by the capacity
-    /// invariant).
+    /// Production choice for one neuron: masks the row, tests the best
+    /// free crossbar, walks on through its successors while they are
+    /// rejected, and charges the chosen crossbar — the one store into the
+    /// eligibility row happens here, when a crossbar fills.
+    #[inline]
+    fn place(&self, row: &[f32], rng: &mut StdRng, s: &mut DecodeScratch) -> usize {
+        let top = mask_and_max(row, &s.bias, &mut s.masked);
+        let k = if top == f32::NEG_INFINITY {
+            // no candidate: every free entry is NaN or −∞, and so is every
+            // full one in the masked row — only the tallies tell them apart
+            first_free(&s.remaining)
+        } else {
+            let first = first_at(&s.masked, top).expect("a lane maximum is attained");
+            if rng.gen::<f32>() < self.lut.eval(row[first]) {
+                first
+            } else {
+                self.walk_on(row, rng, &s.masked, first)
+            }
+        };
+        s.remaining[k] -= 1;
+        if s.remaining[k] == 0 {
+            s.bias[k] = f32::NEG_INFINITY;
+        }
+        k
+    }
+
+    /// Continues the acceptance walk after the top candidate `first` was
+    /// rejected: tests its successors in `(velocity desc, index asc)`
+    /// order, one draw each; falls back to `first` when all are rejected.
+    #[cold]
+    fn walk_on(&self, row: &[f32], rng: &mut StdRng, masked: &[f32], first: usize) -> usize {
+        let mut k = first;
+        while let Some(next) = successor(masked, k) {
+            if rng.gen::<f32>() < self.lut.eval(row[next]) {
+                return next;
+            }
+            k = next;
+        }
+        first
+    }
+
+    /// Reference acceptance test for the best free crossbar, falling into
+    /// the slow descending-velocity walk when it fails. `arg`/`arg_v` come
+    /// from [`masked_argmax_reference`]; `usize::MAX` means the row has no
+    /// candidate, which takes the lowest-index free crossbar (one exists
+    /// by the capacity invariant) without a draw.
     #[inline]
     fn accept_or_walk(
         &self,
@@ -327,7 +406,9 @@ impl Decoder {
         arg: usize,
         arg_v: f32,
     ) -> usize {
-        debug_assert!(arg != usize::MAX, "total capacity ≥ neurons");
+        if arg == usize::MAX {
+            return first_free(&s.remaining);
+        }
         if rng.gen::<f32>() < self.lut.eval(arg_v) {
             arg
         } else {
@@ -371,51 +452,136 @@ impl Decoder {
 }
 
 impl DecodeScratch {
-    /// Resets the per-particle capacity tallies.
+    /// Resets the per-particle capacity tallies and the eligibility row,
+    /// and sizes the per-neuron rows, for `c` crossbars of `capacity`.
     fn reset(&mut self, c: usize, capacity: u32) {
         self.remaining.clear();
         self.remaining.resize(c, capacity);
         self.tried.resize(c, false);
+        // a row is only ever decoded against `capacity > 0`: all open
+        self.bias.clear();
+        self.bias.resize(c, 0.0);
+        self.masked.resize(c, 0.0);
     }
 }
 
-/// Lane-parallel masked argmax: the highest velocity over free crossbars
-/// and the first index attaining it. The maximum is accumulated in
-/// [`F_LANES`] independent lanes (eligibility applied as a select to
-/// `-∞`, so the loop is branch-free and vectorizes), reduced, and then
-/// resolved to the **lowest** eligible index with that value — the same
-/// tie-breaking as the reference scan.
+/// The lowest-index crossbar with a free slot: where a neuron goes when
+/// its row offers no candidate.
+fn first_free(remaining: &[u32]) -> usize {
+    remaining
+        .iter()
+        .position(|&left| left != 0)
+        .expect("total capacity ≥ neurons")
+}
+
+/// `x` if it is greater than `a`, else `a`: a maximum that never selects
+/// a NaN `x` and compiles to one `maxps` (`f32::max` orders NaN both ways
+/// and costs three operations).
 #[inline]
-fn masked_argmax(row: &[f32], remaining: &[u32]) -> (usize, f32) {
-    let mut acc = [f32::NEG_INFINITY; F_LANES];
-    let chunks = row.len() / F_LANES;
-    for ch in 0..chunks {
-        let base = ch * F_LANES;
+fn keep_greater(a: f32, x: f32) -> f32 {
+    if x > a {
+        x
+    } else {
+        a
+    }
+}
+
+/// Writes `row + bias` into `masked` and returns its maximum, `−∞` when
+/// no entry exceeds that (all NaN or `−∞`). One pass, [`F_LANES`]
+/// independent lane maxima per chunk, branch-free, so it vectorizes.
+#[inline]
+fn mask_and_max(row: &[f32], bias: &[f32], masked: &mut [f32]) -> f32 {
+    debug_assert!(row.len() == bias.len() && row.len() == masked.len());
+    let whole = row.len() - row.len() % F_LANES;
+    let (row, row_tail) = row.split_at(whole);
+    let (bias, bias_tail) = bias.split_at(whole);
+    let (masked, masked_tail) = masked.split_at_mut(whole);
+    let mut lanes = [f32::NEG_INFINITY; F_LANES];
+    let chunks = row
+        .chunks_exact(F_LANES)
+        .zip(bias.chunks_exact(F_LANES))
+        .zip(masked.chunks_exact_mut(F_LANES));
+    for ((row, bias), masked) in chunks {
         for lane in 0..F_LANES {
-            let eligible = remaining[base + lane] != 0;
-            let v = if eligible {
-                row[base + lane]
-            } else {
-                f32::NEG_INFINITY
-            };
-            acc[lane] = acc[lane].max(v);
+            masked[lane] = row[lane] + bias[lane];
+            lanes[lane] = keep_greater(lanes[lane], masked[lane]);
         }
     }
-    let mut best = f32::NEG_INFINITY;
-    for &v in &acc {
-        best = best.max(v);
+    let tail = row_tail.iter().zip(bias_tail).zip(masked_tail);
+    for (((&v, &b), m), lane) in tail.zip(&mut lanes) {
+        *m = v + b;
+        *lane = keep_greater(*lane, *m);
     }
-    for k in chunks * F_LANES..row.len() {
-        if remaining[k] != 0 {
-            best = best.max(row[k]);
+    reduce_lanes(lanes)
+}
+
+/// The maximum of the lane maxima (never NaN, so the order of reduction
+/// is free), halving pairwise: on a narrow row the length of this
+/// dependency chain is most of the pass.
+#[inline]
+fn reduce_lanes(mut lanes: [f32; F_LANES]) -> f32 {
+    let mut width = F_LANES;
+    while width > 1 {
+        width /= 2;
+        for lane in 0..width {
+            lanes[lane] = keep_greater(lanes[lane], lanes[lane + width]);
         }
     }
-    for (k, (&v, &rem)) in row.iter().zip(remaining).enumerate() {
-        if rem != 0 && v == best {
-            return (k, v);
+    lanes[0]
+}
+
+/// The largest entry of `masked` strictly below `v`, `−∞` when there is
+/// none (NaN and `−∞` entries never count). Same lane structure as
+/// [`mask_and_max`].
+fn max_below(masked: &[f32], v: f32) -> f32 {
+    let keep = |a: f32, x: f32| if x < v { keep_greater(a, x) } else { a };
+    let chunks = masked.chunks_exact(F_LANES);
+    let tail = chunks.remainder();
+    let mut lanes = [f32::NEG_INFINITY; F_LANES];
+    for chunk in chunks {
+        for lane in 0..F_LANES {
+            lanes[lane] = keep(lanes[lane], chunk[lane]);
         }
     }
-    (usize::MAX, f32::NEG_INFINITY)
+    for (&x, lane) in tail.iter().zip(&mut lanes) {
+        *lane = keep(*lane, x);
+    }
+    reduce_lanes(lanes)
+}
+
+/// The lowest index holding exactly `v`: a branch-free any-match test per
+/// [`F_LANES`] chunk (two vector compares and a move-mask), then a scan
+/// inside the first chunk that matched.
+#[inline]
+fn first_at(masked: &[f32], v: f32) -> Option<usize> {
+    let chunks = masked.chunks_exact(F_LANES);
+    let tail = chunks.remainder();
+    let at = |chunk: &[f32]| chunk.iter().position(|&x| x == v);
+    for (ch, chunk) in chunks.enumerate() {
+        let hits: [bool; F_LANES] = std::array::from_fn(|lane| chunk[lane] == v);
+        if hits != [false; F_LANES] {
+            return at(chunk).map(|lane| ch * F_LANES + lane);
+        }
+    }
+    at(tail).map(|lane| masked.len() - tail.len() + lane)
+}
+
+/// The candidate after `k` in `(velocity desc, index asc)` order over the
+/// masked row: a later index with the same value, else the lowest index
+/// of the largest value strictly below it; `None` when `k` is the last
+/// candidate. This is the order in which the reference walk's `tried` set
+/// fills.
+fn successor(masked: &[f32], k: usize) -> Option<usize> {
+    let v = masked[k];
+    if let Some(later) = first_at(&masked[k + 1..], v) {
+        return Some(k + 1 + later);
+    }
+    let below = max_below(masked, v);
+    if below == f32::NEG_INFINITY {
+        None
+    } else {
+        first_at(masked, below)
+    }
 }
 
 /// Scalar reference argmax: a single descending walk keeping the first
@@ -565,18 +731,167 @@ mod tests {
         }
     }
 
+    /// The eligibility row [`DecodeScratch`] would hold for `remaining`.
+    fn bias_for(remaining: &[u32]) -> Vec<f32> {
+        let bias = |&left: &u32| if left == 0 { f32::NEG_INFINITY } else { 0.0 };
+        remaining.iter().map(bias).collect()
+    }
+
     #[test]
     fn masked_argmax_respects_eligibility_and_ties() {
         let row = [1.0f32, 3.0, 3.0, 2.0, 3.0, -1.0, 0.5, 0.25, 3.0];
+        let masked_argmax = |remaining: &[u32]| {
+            let mut masked = vec![0f32; row.len()];
+            let top = mask_and_max(&row, &bias_for(remaining), &mut masked);
+            (first_at(&masked, top).unwrap(), top)
+        };
         // highest value 3.0 occurs at 1 (full), 2, 4, 8
         let mut remaining = vec![1u32; 9];
         remaining[1] = 0;
-        assert_eq!(masked_argmax(&row, &remaining), (2, 3.0));
+        assert_eq!(masked_argmax(&remaining), (2, 3.0));
         assert_eq!(masked_argmax_reference(&row, &remaining), (2, 3.0));
         remaining[2] = 0;
         remaining[4] = 0;
-        assert_eq!(masked_argmax(&row, &remaining), (8, 3.0));
+        assert_eq!(masked_argmax(&remaining), (8, 3.0));
         assert_eq!(masked_argmax_reference(&row, &remaining), (8, 3.0));
+    }
+
+    #[test]
+    fn masked_row_helpers_match_scalar_scans_and_a_sort() {
+        // coarse values so ties are everywhere, a few NaN and −∞, a third
+        // of the crossbars full, and the row maximum planted on both sides
+        // of every chunk boundary the width has
+        let mut rng = StdRng::seed_from_u64(0x5CA1);
+        for width in [1usize, 7, 8, 9, 16, 17, 67] {
+            for round in 0..40 {
+                let mut row: Vec<f32> = (0..width)
+                    .map(|_| match rng.gen_range(0..12) {
+                        0 => f32::NAN,
+                        1 => f32::NEG_INFINITY,
+                        _ => rng.gen_range(-3i32..=3) as f32 * 0.5,
+                    })
+                    .collect();
+                if round % 2 == 0 {
+                    for edge in (F_LANES..width).step_by(F_LANES) {
+                        row[edge - 1] = 2.0;
+                        row[edge] = 2.0;
+                    }
+                }
+                let remaining: Vec<u32> = (0..width).map(|_| rng.gen_range(0..3)).collect();
+                let mut masked = vec![0f32; width];
+                let top = mask_and_max(&row, &bias_for(&remaining), &mut masked);
+
+                // candidates: free, not NaN, not −∞ — in walk order
+                let mut order: Vec<usize> = (0..width)
+                    .filter(|&k| remaining[k] != 0 && row[k] > f32::NEG_INFINITY)
+                    .collect();
+                order.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
+                let what = format!("width {width} round {round}: {row:?} / {remaining:?}");
+                for k in 0..width {
+                    let expect = if remaining[k] == 0 {
+                        f32::NEG_INFINITY
+                    } else {
+                        row[k]
+                    };
+                    assert!(
+                        masked[k] == expect || (masked[k].is_nan() && row[k].is_nan()),
+                        "{what}"
+                    );
+                }
+                let Some(&first) = order.first() else {
+                    assert_eq!(top, f32::NEG_INFINITY, "{what}");
+                    continue;
+                };
+                assert_eq!(top, row[first], "{what}");
+                assert_eq!(first_at(&masked, top), Some(first), "{what}");
+                assert_eq!(
+                    masked_argmax_reference(&row, &remaining),
+                    (first, top),
+                    "{what}"
+                );
+                let mut walk = vec![first];
+                while let Some(next) = successor(&masked, *walk.last().unwrap()) {
+                    walk.push(next);
+                }
+                assert_eq!(walk, order, "{what}");
+                for &k in &order {
+                    let mut values = order.iter().map(|&j| row[j]);
+                    let below = values.find(|&v| v < row[k]);
+                    assert_eq!(
+                        max_below(&masked, row[k]),
+                        below.unwrap_or(f32::NEG_INFINITY),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_without_a_candidate_take_the_lowest_free_crossbar() {
+        // NaN rows (directly, and through a NaN inertia), −∞ rows, and NaN
+        // mixed with one ordinary value: both kernels, same assignment and
+        // same RNG stream, always feasible
+        let (n, c, cap) = (4usize, 3usize, 2u32);
+        let decoder = Decoder::new(n, c, cap, 4.0);
+        let mut mixed = vec![f32::NAN; n * c];
+        for i in 0..n {
+            mixed[i * c + 2] = 4.0; // σ(4) ≈ 0.98: crossbar 2 fills first
+        }
+        for (velocity, expect) in [
+            (vec![f32::NAN; n * c], Some([0, 0, 1, 1])),
+            (vec![f32::NEG_INFINITY; n * c], Some([0, 0, 1, 1])),
+            (mixed, None),
+        ] {
+            let mut rng_a = StdRng::seed_from_u64(9);
+            let mut rng_b = StdRng::seed_from_u64(9);
+            let (mut a, mut b) = (vec![9u32; n], vec![9u32; n]);
+            let mut scratch = DecodeScratch::default();
+            decoder.decode(&velocity, &mut rng_a, &mut a, &mut scratch);
+            decoder.decode_reference(&velocity, &mut rng_b, &mut b, &mut scratch);
+            assert_eq!(a, b);
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+            if let Some(expect) = expect {
+                assert_eq!(a, expect);
+            }
+            for k in 0..c as u32 {
+                assert!(a.iter().filter(|&&x| x == k).count() <= cap as usize);
+            }
+        }
+
+        let w = StepWeights {
+            inertia: f32::NAN,
+            phi_p: 1.49,
+            phi_g: 1.49,
+        };
+        let (mut va, mut vb) = (vec![1f32; n * c], vec![1f32; n * c]);
+        let (mut pa, mut pb) = (vec![2u32, 1, 0, 2], vec![2u32, 1, 0, 2]);
+        let (pbest, gbest) = ([0u32, 1, 2, 0], [1u32, 1, 1, 1]);
+        let mut rng_a = StdRng::seed_from_u64(10);
+        let mut rng_b = StdRng::seed_from_u64(10);
+        let mut scratch = DecodeScratch::default();
+        decoder.step(
+            w,
+            &mut va,
+            &mut rng_a,
+            &mut pa,
+            &pbest,
+            &gbest,
+            &mut scratch,
+        );
+        decoder.step_reference(
+            w,
+            &mut vb,
+            &mut rng_b,
+            &mut pb,
+            &pbest,
+            &gbest,
+            &mut scratch,
+        );
+        assert_eq!(pa, [0, 0, 1, 1]);
+        assert_eq!(pa, pb);
+        assert!(va.iter().chain(&vb).all(|v| v.is_nan()));
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]

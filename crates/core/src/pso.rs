@@ -25,14 +25,22 @@
 //! optimizers (refinement, SA, GA) instead.
 //!
 //! The velocity update, re-binarization, and capacity repair are one
-//! **fused lane-parallel sweep** per particle ([`Decoder::step`] in
+//! **fused masked-row sweep** per particle ([`Decoder::step`] in
 //! [`crate::decode`]): inertia decay, the ≤ 4 stochastically pulled
-//! dimensions per neuron (`k ∈ {own, pbest, gbest}`), and the
-//! eligibility-masked argmax of the decode all happen while the neuron's
-//! velocity row is hot, so the `swarm × N × C` buffer is traversed once
-//! per iteration instead of once for the velocity rule and again for the
-//! decode. The kernel ships with a scalar reference implementation that
-//! is bit-identical by construction and by property test.
+//! dimensions per neuron (`k ∈ {own, pbest, gbest}`), and the decode all
+//! happen while the neuron's velocity row is hot, so the `swarm × N × C`
+//! buffer is traversed once per iteration instead of once for the
+//! velocity rule and again for the decode. The decode adds an eligibility
+//! row (`0.0` for a crossbar with room, `−∞` for a full one) to the
+//! velocity row in one vectorized add-and-max pass, takes the first index
+//! attaining the maximum, and on a rejection walks to that candidate's
+//! successor in `(velocity desc, index asc)` order instead of re-scanning
+//! against a set of tried candidates. This sweep is the largest piece of
+//! a flat search (about half of `partition_traced` on 256–576 crossbars
+//! before the masked-row kernel, about a third after; `perf_probe sweep`
+//! re-measures it). The kernel ships with a scalar reference
+//! implementation that is bit-identical by construction and by property
+//! test, draw for draw.
 //!
 //! The whole particle step (fused velocity/decode sweep + evaluation +
 //! personal-best tracking) runs on a persistent worker pool created once

@@ -40,7 +40,7 @@ echo "==> bench smoke + BENCH_*.json gates (1 sample)"
 # 256 crossbars, bit-identity with scalar, engine-vs-oracle digests, ...),
 # then writes its BENCH_*.json, then holds every same-run ratio to the
 # gate table in crates/bench/src/ledger.rs: present, >= 1.0 where
-# higher_is_better, and the five numeric bounds. A failed gate prints
+# higher_is_better, and the six numeric bounds. A failed gate prints
 # "<ratio id>: ... must be ..., got <value>" and the bench exits 1
 NEUROMAP_BENCH_FAST=1 cargo bench -p neuromap-bench --bench eval
 NEUROMAP_BENCH_FAST=1 cargo bench -p neuromap-bench --bench noc

@@ -1,7 +1,7 @@
 //! Reproducibility across the whole stack: with a fixed seed, every stage
 //! — SNN simulation, graph extraction, partitioning, interconnect
 //! simulation — must produce bit-identical results run to run, and the
-//! lane-parallel PSO re-binarization/repair kernel must be bit-identical
+//! masked-row PSO re-binarization/repair kernel must be bit-identical
 //! to its scalar reference for any thread count and velocity state.
 
 use neuromap::apps::synthetic::LargeArch;
@@ -12,6 +12,7 @@ use neuromap::core::pso::{PsoConfig, PsoPartitioner};
 use neuromap::core::{MappingPipeline, PipelineConfig, Report};
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,6 +77,88 @@ fn tie_heavy_velocities(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// One particle's state under one of the two kernels: velocities, RNG
+/// stream, position. The scratch is not part of it: it outlives
+/// particles, iterations and decoder shapes when a test says so.
+struct Side {
+    velocity: Vec<f32>,
+    rng: StdRng,
+    position: Vec<u32>,
+}
+
+impl Side {
+    fn new(velocity: &[f32], rng_seed: u64, n: usize) -> Self {
+        Self {
+            velocity: velocity.to_vec(),
+            rng: StdRng::seed_from_u64(rng_seed),
+            position: vec![0; n],
+        }
+    }
+}
+
+/// Both kernels over the same state: `decode` when `step` is `None`, else
+/// one `step` towards `(pbest, gbest)`. Positions, velocity bits (so `NaN`
+/// payloads and zero signs count) and the RNG state must agree, and
+/// the assignment must respect `cap`.
+fn kernels_agree(
+    decoder: &Decoder,
+    (c, cap): (usize, u32),
+    step: Option<(StepWeights, &[u32], &[u32])>,
+    production: &mut Side,
+    reference: &mut Side,
+    scratch: &mut [DecodeScratch; 2],
+) -> TestCaseResult {
+    let [scratch_a, scratch_b] = scratch;
+    let (a, b) = (production, reference);
+    match step {
+        None => {
+            decoder.decode(&a.velocity, &mut a.rng, &mut a.position, scratch_a);
+            decoder.decode_reference(&b.velocity, &mut b.rng, &mut b.position, scratch_b);
+        }
+        Some((w, pbest, gbest)) => {
+            decoder.step(
+                w,
+                &mut a.velocity,
+                &mut a.rng,
+                &mut a.position,
+                pbest,
+                gbest,
+                scratch_a,
+            );
+            decoder.step_reference(
+                w,
+                &mut b.velocity,
+                &mut b.rng,
+                &mut b.position,
+                pbest,
+                gbest,
+                scratch_b,
+            );
+        }
+    }
+    prop_assert_eq!(&a.position, &b.position, "assignments diverged");
+    let bits = |side: &Side| {
+        side.velocity
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(bits(a), bits(b), "velocities diverged");
+    prop_assert_eq!(&a.rng, &b.rng, "RNG streams diverged");
+    let mut occ = vec![0u32; c];
+    for &k in &a.position {
+        occ[k as usize] += 1;
+    }
+    prop_assert!(occ.iter().all(|&o| o <= cap), "over capacity: {:?}", occ);
+    Ok(())
+}
+
+const WEIGHTS: StepWeights = StepWeights {
+    inertia: 0.72,
+    phi_p: 1.49,
+    phi_g: 1.49,
+};
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(48)))]
 
@@ -109,10 +192,11 @@ proptest! {
         n in 1usize..30,
         c in 1usize..200,
         inertia in 0.5f32..1.2,
+        cap_slack in 0u32..4,
         vel_seed in 0u64..10_000,
         rng_seed in 0u64..10_000,
     ) {
-        let cap = (n as u32).div_ceil(c as u32) + 3;
+        let cap = (n as u32).div_ceil(c as u32) + cap_slack;
         let decoder = Decoder::new(n, c, cap, 4.0);
         let w = StepWeights { inertia, phi_p: 1.49, phi_g: 1.49 };
         let mut pick = StdRng::seed_from_u64(vel_seed ^ 0xABC);
@@ -131,6 +215,119 @@ proptest! {
         prop_assert_eq!(pa, pb, "assignments diverged (n={}, c={})", n, c);
         prop_assert_eq!(va, vb, "velocities diverged");
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams diverged");
+    }
+
+    /// Velocities in `[−4, −2]` (σ ≤ 0.12) on an exact-fit capacity:
+    /// nearly every neuron rejects every free crossbar, so the walk runs
+    /// to its end and the repair fallback decides — through a `decode`
+    /// and then a `step` that keeps the velocities where they are.
+    #[test]
+    fn deep_walks_match_scalar_kernel(
+        n in 1usize..120,
+        c in 1usize..=40,
+        vel_seed in 0u64..10_000,
+        rng_seed in 0u64..10_000,
+    ) {
+        let cap = (n as u32).div_ceil(c as u32);
+        let decoder = Decoder::new(n, c, cap, 4.0);
+        let mut draw = StdRng::seed_from_u64(vel_seed);
+        let velocity: Vec<f32> = (0..n * c)
+            .map(|_| if draw.gen_bool(0.3) {
+                (draw.gen_range(-8i32..=-4) as f32) * 0.5 // ties
+            } else {
+                draw.gen_range(-4.0f32..=-2.0)
+            })
+            .collect();
+        let mut a = Side::new(&velocity, rng_seed, n);
+        let mut b = Side::new(&velocity, rng_seed, n);
+        let mut scratch = [DecodeScratch::default(), DecodeScratch::default()];
+        kernels_agree(&decoder, (c, cap), None, &mut a, &mut b, &mut scratch)?;
+        let best = a.position.clone();
+        let stay = StepWeights { inertia: 1.0, phi_p: 0.0, phi_g: 0.0 };
+        kernels_agree(&decoder, (c, cap), Some((stay, &best, &best)), &mut a, &mut b, &mut scratch)?;
+    }
+
+    /// What the swarm does and no other test here did: one scratch per
+    /// kernel, reused across particles, iterations and a change of decoder
+    /// shape — a stale eligibility, masked or `tried` row would show.
+    /// Twelve `step` pairs in all, checked after every one.
+    #[test]
+    fn chained_steps_on_one_scratch_match_scalar_kernel(
+        shapes in proptest::collection::vec((1usize..30, 1usize..90, 0u32..2), 2),
+        vel_seed in 0u64..10_000,
+        rng_seed in 0u64..10_000,
+    ) {
+        let mut scratch = [DecodeScratch::default(), DecodeScratch::default()];
+        for (shape, &(n, c, cap_slack)) in shapes.iter().enumerate() {
+            let cap = (n as u32).div_ceil(c as u32) + cap_slack;
+            let decoder = Decoder::new(n, c, cap, 4.0);
+            let mut particles: Vec<(Side, Side)> = (0..2u64)
+                .map(|p| {
+                    let seed = 2 * shape as u64 + p;
+                    let velocity = tie_heavy_velocities(n * c, vel_seed ^ seed);
+                    let side = || Side::new(&velocity, rng_seed ^ seed, n);
+                    (side(), side())
+                })
+                .collect();
+            for (a, b) in &mut particles {
+                kernels_agree(&decoder, (c, cap), None, a, b, &mut scratch)?;
+            }
+            let pbest: Vec<Vec<u32>> = particles.iter().map(|(a, _)| a.position.clone()).collect();
+            for _iteration in 0..3 {
+                for ((a, b), own) in particles.iter_mut().zip(&pbest) {
+                    let step = Some((WEIGHTS, &own[..], &pbest[0][..]));
+                    kernels_agree(&decoder, (c, cap), step, a, b, &mut scratch)?;
+                }
+            }
+        }
+    }
+
+    /// The values arithmetic can reach and the optimizer never feeds:
+    /// `inertia: 0.0` turns every untouched velocity into `±0.0` (the
+    /// masked row holds `+0.0` for both; neither the index chosen nor the
+    /// sigmoid may notice), and rows that are all `−∞`, all NaN, or NaN
+    /// around a few ordinary values — no candidate, or few — must still
+    /// decode alike, and feasibly, on a tight capacity.
+    #[test]
+    fn signed_zero_infinite_and_nan_velocities_match_scalar_kernel(
+        n in 1usize..40,
+        c in 1usize..80,
+        cap_slack in 0u32..2,
+        vel_seed in 0u64..10_000,
+        rng_seed in 0u64..10_000,
+    ) {
+        let cap = (n as u32).div_ceil(c as u32) + cap_slack;
+        let decoder = Decoder::new(n, c, cap, 4.0);
+        let mut pick = StdRng::seed_from_u64(vel_seed ^ 0x2E20);
+        let mut target = || (0..n).map(|_| pick.gen_range(0..c as u32)).collect::<Vec<u32>>();
+        let (pbest, gbest) = (target(), target());
+        let mut scratch = [DecodeScratch::default(), DecodeScratch::default()];
+
+        let velocity = tie_heavy_velocities(n * c, vel_seed);
+        let mut a = Side::new(&velocity, rng_seed, n);
+        let mut b = Side::new(&velocity, rng_seed, n);
+        kernels_agree(&decoder, (c, cap), None, &mut a, &mut b, &mut scratch)?;
+        let zeroing = StepWeights { inertia: 0.0, ..WEIGHTS };
+        for _ in 0..2 {
+            let step = Some((zeroing, &pbest[..], &gbest[..]));
+            kernels_agree(&decoder, (c, cap), step, &mut a, &mut b, &mut scratch)?;
+        }
+        prop_assert!(a.velocity.iter().any(|v| v.to_bits() == (-0.0f32).to_bits()) || n * c < 8);
+
+        let mut velocity = velocity;
+        for row in velocity.chunks_mut(c) {
+            match pick.gen_range(0..4) {
+                0 => row.fill(f32::NEG_INFINITY),
+                1 => row.fill(f32::NAN),
+                2 => row.iter_mut().for_each(|v| if pick.gen_bool(0.8) { *v = f32::NAN }),
+                _ => {}
+            }
+        }
+        let mut a = Side::new(&velocity, rng_seed, n);
+        let mut b = Side::new(&velocity, rng_seed, n);
+        kernels_agree(&decoder, (c, cap), None, &mut a, &mut b, &mut scratch)?;
+        let step = Some((WEIGHTS, &pbest[..], &gbest[..]));
+        kernels_agree(&decoder, (c, cap), step, &mut a, &mut b, &mut scratch)?;
     }
 
     #[test]
