@@ -87,3 +87,59 @@ pub fn arb_flows(
 pub fn topology_for(kind: InterconnectKind, crossbars: usize) -> Box<dyn Topology> {
     build_topology(&Architecture::custom(crossbars, 1, kind).expect("valid architecture"))
 }
+
+/// A line of routers with several crossbars attached to each — the shape
+/// no built-in topology has (they host one crossbar per router, or none):
+/// crossbar `k` sits on router `k / per_router`, routes step along the
+/// line, so one arrival can deliver to several crossbars at once.
+pub struct SharedRouterLine {
+    per_router: usize,
+    neighbors: Vec<Vec<usize>>,
+}
+
+impl SharedRouterLine {
+    /// `routers` routers in a line, `per_router` crossbars on each.
+    pub fn new(routers: usize, per_router: usize) -> Self {
+        let neighbors = (0..routers)
+            .map(|r| {
+                let left = r.checked_sub(1);
+                let right = (r + 1 < routers).then_some(r + 1);
+                left.into_iter().chain(right).collect()
+            })
+            .collect();
+        Self {
+            per_router,
+            neighbors,
+        }
+    }
+}
+
+impl Topology for SharedRouterLine {
+    fn num_routers(&self) -> usize {
+        self.neighbors.len()
+    }
+    fn num_crossbars(&self) -> usize {
+        self.neighbors.len() * self.per_router
+    }
+    fn endpoint(&self, k: u32) -> usize {
+        assert!((k as usize) < self.num_crossbars(), "crossbar out of range");
+        k as usize / self.per_router
+    }
+    fn neighbors(&self, r: usize) -> &[usize] {
+        &self.neighbors[r]
+    }
+    fn route_next(&self, r: usize, dst: usize) -> usize {
+        match r.cmp(&dst) {
+            std::cmp::Ordering::Less => r + 1,
+            std::cmp::Ordering::Equal => r,
+            std::cmp::Ordering::Greater => r - 1,
+        }
+    }
+    fn name(&self) -> String {
+        format!(
+            "line of {} routers x {} crossbars",
+            self.neighbors.len(),
+            self.per_router
+        )
+    }
+}

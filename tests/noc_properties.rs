@@ -545,6 +545,251 @@ fn multi_vc_tree_and_hier_digests_are_frozen() {
     }
 }
 
+/// The fixed nets of the frozen delivery logs: 24 neurons, neuron `n` on
+/// crossbar `7n mod 16` with five distinct remote destinations listed in a
+/// scrambled (not ascending) order, every neuron firing at every one of 12
+/// steps — 288 spikes of 24 distinct nets.
+fn frozen_net_flows() -> Vec<SpikeFlow> {
+    let mut flows = Vec::new();
+    for step in 0..12u32 {
+        for n in 0..24u32 {
+            let src = (n * 7) % 16;
+            let dst_crossbars = [3u32, 0, 4, 1, 2]
+                .map(|k| (src + 1 + (n + 3 * k) % 15) % 16)
+                .to_vec();
+            flows.push(SpikeFlow {
+                source_neuron: n,
+                src_crossbar: src,
+                dst_crossbars,
+                send_step: step,
+            });
+        }
+    }
+    flows
+}
+
+#[test]
+fn delivery_logs_are_frozen() {
+    // recorded on the last commit whose packets carried their own
+    // destination vectors (per-spike tree table, per-destination route
+    // lookups in the router loop): FNV of the whole delivery log, the
+    // stats digest and the trace hash, both engines, for the shapes no
+    // golden above holds — one net fired many times, unicast clones,
+    // duplicate and self destinations, several crossbars behind one
+    // router (delivery order inside one arrival), and a wide split
+    // drained one branch at a time
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    let log_bytes = |log: &[Delivery]| -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(log.len() * 32);
+        for d in log {
+            for word in [d.source_neuron, d.src_crossbar, d.dst_crossbar, d.send_step] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes.extend_from_slice(&d.inject_cycle.to_le_bytes());
+            bytes.extend_from_slice(&d.deliver_cycle.to_le_bytes());
+        }
+        bytes
+    };
+    // dense enough to contend: steps 6 cycles apart, two-packet buffers
+    let base = NocConfig {
+        trace: true,
+        cycles_per_step: 6,
+        buffer_depth: 2,
+        ..NocConfig::default()
+    };
+    let flow = |n: u32, src: u32, dsts: &[u32], step: u32| SpikeFlow {
+        source_neuron: n,
+        src_crossbar: src,
+        dst_crossbars: dsts.to_vec(),
+        send_step: step,
+    };
+    // a duplicate destination, and one equal to the source crossbar
+    let degenerate: Vec<SpikeFlow> = (0..8u32)
+        .flat_map(|step| {
+            [
+                flow(1, 5, &[9, 2, 9, 5, 14], step),
+                flow(2, 10, &[10, 3, 3, 0], step),
+                flow(3, 0, &[15, 0, 15, 12, 1, 12], step),
+            ]
+        })
+        .collect();
+    // four routers, crossbars 3r..3r+3 on router r: destinations behind
+    // one router listed out of order, some behind the source's own router
+    let shared: Vec<SpikeFlow> = (0..6u32)
+        .flat_map(|step| {
+            [
+                flow(0, 1, &[11, 3, 2, 9, 0, 5, 10, 4], step),
+                flow(1, 10, &[0, 11, 2, 9, 1, 7, 6], step),
+                flow(2, 4, &[5, 3, 8, 6, 7, 0, 2, 1, 11], step),
+                flow(3, 7, &[8, 6, 10, 9, 11], step),
+            ]
+        })
+        .collect();
+    // every leaf but the source: a nine-way split at the hub, one-packet
+    // buffers, four sources at once
+    let hub_storm: Vec<SpikeFlow> = (0..5u32)
+        .flat_map(|step| {
+            (0..4u32).map(move |src| {
+                let dsts: Vec<u32> = (0..10).rev().filter(|&d| d != src).collect();
+                flow(src, src, &dsts, step)
+            })
+        })
+        .collect();
+    type FrozenLog = (
+        &'static str,
+        Box<dyn Topology>,
+        NocConfig,
+        Vec<SpikeFlow>,
+        u32,
+        (u64, u64, u64),
+    );
+    let cases: Vec<FrozenLog> = vec![
+        (
+            "a: mesh16, one net per neuron, per-destination routes",
+            Box::new(Mesh2D::for_crossbars(16)),
+            base,
+            frozen_net_flows(),
+            12,
+            (
+                0xfaaf_223d_daa0_dd69,
+                0xd9e7_4a7c_479a_5566,
+                0x8d08_d7d5_118b_11e5,
+            ),
+        ),
+        (
+            "b: torus16 at 2 VCs, trees",
+            Box::new(Torus::for_crossbars(16)),
+            NocConfig {
+                multicast_trees: true,
+                vc_count: 2,
+                ..base
+            },
+            frozen_net_flows(),
+            12,
+            (
+                0x6507_6e3b_500d_9c90,
+                0x7fe5_e86d_de98_a1e0,
+                0x70bd_e02d_b6db_edae,
+            ),
+        ),
+        (
+            "c: mesh16, unicast clones",
+            Box::new(Mesh2D::for_crossbars(16)),
+            NocConfig {
+                multicast: false,
+                ..base
+            },
+            frozen_net_flows(),
+            12,
+            (
+                0x065e_1840_e9fb_c528,
+                0x9df5_1529_b535_d3f5,
+                0x5f2a_ebad_ad92_5c78,
+            ),
+        ),
+        (
+            "d: mesh16, duplicate and self destinations",
+            Box::new(Mesh2D::for_crossbars(16)),
+            base,
+            degenerate.clone(),
+            8,
+            (
+                0xcd71_0053_5b15_ec25,
+                0x096a_086c_39bd_6ffd,
+                0x3b3e_95e6_6efb_b5cf,
+            ),
+        ),
+        (
+            "d: the same under trees",
+            Box::new(Mesh2D::for_crossbars(16)),
+            NocConfig {
+                multicast_trees: true,
+                ..base
+            },
+            degenerate.clone(),
+            8,
+            (
+                0x9418_027d_c7b7_e465,
+                0x21d2_a903_7236_173a,
+                0xc14c_c402_9c80_3f35,
+            ),
+        ),
+        (
+            "d: the same as unicast clones",
+            Box::new(Mesh2D::for_crossbars(16)),
+            NocConfig {
+                multicast: false,
+                ..base
+            },
+            degenerate,
+            8,
+            (
+                0xffd1_c87f_fb1e_8a65,
+                0x71e9_5086_7965_109c,
+                0xee11_1577_1b60_baa3,
+            ),
+        ),
+        (
+            "e: three crossbars per router on a line of four",
+            Box::new(common::SharedRouterLine::new(4, 3)),
+            base,
+            shared,
+            6,
+            (
+                0x823a_7fe5_9505_7adc,
+                0xfd05_28bc_e72a_b579,
+                0x3edd_04d5_23d8_4d57,
+            ),
+        ),
+        (
+            "f: star hub, fan-out 9, depth 1",
+            Box::new(Star::new(10)),
+            NocConfig {
+                buffer_depth: 1,
+                cycles_per_step: 4,
+                ..base
+            },
+            hub_storm,
+            5,
+            (
+                0x1f03_d1ed_7c09_caf5,
+                0x4782_07c1_306d_9893,
+                0x581c_4749_09d6_7e01,
+            ),
+        ),
+    ];
+    for (name, topo, cfg, flows, duration, golden) in cases {
+        let topo: std::sync::Arc<dyn Topology> = std::sync::Arc::from(topo);
+        let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
+        let mut oracle =
+            NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
+        let (es, ed) = event.run_with_duration(&flows, duration).expect(name);
+        let (os, od) = oracle.run_with_duration(&flows, duration).expect(name);
+        let expected: usize = flows.iter().map(|f| f.dst_crossbars.len()).sum();
+        assert_eq!(
+            ed.len(),
+            expected,
+            "{name}: one delivery per listed destination"
+        );
+        let et = fnv(&event.take_trace().expect("traced").to_bytes());
+        let ot = fnv(&oracle.take_trace().expect("traced").to_bytes());
+        let got = (fnv(&log_bytes(&ed)), es.digest().unwrap(), et);
+        assert_eq!(
+            got,
+            (fnv(&log_bytes(&od)), os.digest().unwrap(), ot),
+            "{name}: engines disagree (log hash, stats digest, trace hash)"
+        );
+        assert_eq!(
+            got, golden,
+            "{name}: drifted from the frozen (log hash, stats digest, trace hash): got {got:#018x?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(24)))]
 
