@@ -49,7 +49,7 @@
 
 pub mod config;
 mod error;
-pub mod packet;
+mod plan;
 pub mod router;
 mod sched;
 pub mod sim;

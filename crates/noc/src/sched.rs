@@ -43,68 +43,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::sim::Net;
+use crate::sim::Queues;
 use crate::stats::SchedCounters;
-use crate::topology::{RouteLut, Topology};
+use crate::topology::Topology;
 
 /// Sentinel pair id for "no upstream pair" (local-injection lanes).
 const NO_PAIR: u32 = u32::MAX;
-
-/// Per-spike multicast-tree routing table: for every spike and every
-/// router on one of its destinations' tree paths, the `(egress port, VC)`
-/// bit that destination's path takes out of the router
-/// ([`crate::topology::Topology::multicast_route`]).
-///
-/// Built once per run by `sim::build_tree_table` (only when multicast
-/// *and* tree routing are enabled — in that mode spike ids are dense
-/// `0..schedule.len()`, each appearing exactly once) and consumed by both
-/// engines, which is what keeps them byte-identical under tree routing.
-/// Entries are keyed `(router << 32) | dest_crossbar` and sorted per
-/// spike, so a lookup is a binary search over that spike's slice.
-#[derive(Debug, Clone)]
-pub(crate) struct TreeTable {
-    /// Per-spike slice bounds into `entries` (`offsets.len()` = spikes + 1).
-    offsets: Vec<u32>,
-    /// Sorted `((router << 32) | dest, (port, VC) bit)` entries per spike.
-    entries: Vec<(u64, u16)>,
-}
-
-impl TreeTable {
-    /// Assembles the table from per-spike entry lists; each list is
-    /// sorted and deduplicated here (duplicate destinations in a packet
-    /// produce identical entries).
-    pub(crate) fn from_spikes(per_spike: Vec<Vec<(u64, u16)>>) -> Self {
-        let mut offsets = Vec::with_capacity(per_spike.len() + 1);
-        let mut entries = Vec::new();
-        offsets.push(0u32);
-        for mut spike_entries in per_spike {
-            spike_entries.sort_unstable();
-            spike_entries.dedup();
-            entries.extend_from_slice(&spike_entries);
-            offsets.push(entries.len() as u32);
-        }
-        Self { offsets, entries }
-    }
-
-    /// The `(port, VC)` bit destination `d` of spike `spike` takes out of
-    /// router `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spike's tree has no entry for `(r, d)` — a packet
-    /// only ever holds destination `d` at routers on `d`'s tree path
-    /// (splits follow the bits, which follow the paths), so a miss means
-    /// the table and the simulation disagree.
-    pub(crate) fn bit(&self, spike: u64, r: usize, d: u32) -> usize {
-        let s = spike as usize;
-        let slice = &self.entries[self.offsets[s] as usize..self.offsets[s + 1] as usize];
-        let key = (r as u64) << 32 | u64::from(d);
-        let i = slice
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .unwrap_or_else(|_| panic!("spike {spike} holds dest {d} off its tree at router {r}"));
-        slice[i].1 as usize
-    }
-}
 
 /// Wake position meaning "before the sweep started": every woken pair is
 /// still ahead, so all wakes go to the ready heap.
@@ -126,13 +70,14 @@ pub(crate) trait Sched: Sized {
 
     /// Builds the policy for one run. `ports[r]` lists router `r`'s
     /// egress ports as `(neighbor, our position on the neighbor)`; `tree`
-    /// overrides the per-destination routes per spike under multicast
-    /// tree routing.
+    /// says the plan follows multicast trees, which only their own paths
+    /// describe — a policy that re-derives wants from the unicast routes
+    /// must read the plan's slots instead.
     fn build(
         topo: &Arc<dyn Topology>,
         ports: &[Vec<(usize, usize)>],
         vcs: usize,
-        tree: Option<TreeTable>,
+        tree: bool,
     ) -> Self;
 
     /// Starts the attended cycle `now`.
@@ -144,18 +89,13 @@ pub(crate) trait Sched: Sized {
 
     /// How many lane heads at the router of `pair` (the pair being
     /// examined) want its `(port, VC w)` slot.
-    fn wanted(&self, net: &Net, pair: u32, w: usize) -> u32;
+    fn wanted(&self, q: &Queues, pair: u32, w: usize) -> u32;
 
     /// Whether lane `fi`'s head at router `r` wants `(port, VC)` bit `bit`.
-    fn head_wants(&self, net: &Net, r: usize, fi: usize, bit: usize) -> bool;
+    fn head_wants(&self, q: &Queues, r: usize, fi: usize, bit: usize) -> bool;
 
     /// Inject cycle of lane `fi`'s head (the lane must have one).
-    fn head_inject(&self, net: &Net, r: usize, fi: usize) -> u64;
-
-    /// The `(output port, VC)` bit a head of spike `spike` at router `r`
-    /// wants for the remote destination crossbar `d` — from the spike's
-    /// tree when tree routing is on, from the unicast route otherwise.
-    fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize;
+    fn head_inject(&self, q: &Queues, r: usize, fi: usize) -> u64;
 
     /// The next cycle to attend after `now` while packets are queued,
     /// given the earliest pending injection or arrival (`u64::MAX` if
@@ -178,13 +118,13 @@ pub(crate) trait Sched: Sized {
     fn credit_freed(&mut self, _r: usize, _fi: usize, _pos: u32) {}
 
     /// Lane `fi` of router `r` has a new head (a push onto an empty lane,
-    /// or a pop exposing the next packet).
+    /// or a pop exposing the next packet) whose chain leaves by the
+    /// distinct `(port, VC)` slots `bits`.
     fn set_head(
         &mut self,
         _r: usize,
         _fi: usize,
-        _spike: u64,
-        _dests: &[u32],
+        _bits: impl Iterator<Item = usize>,
         _inject: u64,
         _pos: u32,
     ) {
@@ -222,7 +162,6 @@ fn bit_clear(bits: &mut [u64], i: usize) {
 /// The per-(router, output-port) wake scheduler (see the module docs).
 pub(crate) struct PortSched {
     vcs: usize,
-    nc: usize,
     /// Pair id of router `r`'s port 0; last entry = total pair count.
     port_base: Vec<u32>,
     /// Router owning each pair id.
@@ -245,13 +184,6 @@ pub(crate) struct PortSched {
     /// Upstream pair feeding each ingress lane slot (`NO_PAIR` for the
     /// local-injection lane 0).
     ups_pair: Vec<u32>,
-    /// Flattened `(router, dest crossbar) → wanted bit` routing table:
-    /// one load replaces a route-LUT walk plus a VC-table walk per dest.
-    dest_bit: Vec<u16>,
-    /// Per-spike tree routing table overriding `dest_bit` when multicast
-    /// tree routing is enabled (`None` otherwise — the unicast-route
-    /// bit layout stays untouched).
-    tree: Option<TreeTable>,
     /// Ready-set bitset (bit = pair id is due this cycle).
     ready: Vec<u64>,
     /// Word index the ascending ready scan has reached this cycle.
@@ -271,17 +203,9 @@ pub(crate) struct PortSched {
 
 impl PortSched {
     /// Builds the scheduler over the router graph (`ports` as in
-    /// [`Sched::build`]); `dest_bit[r * nc + k]` is the `(egress port, VC)`
-    /// bit a head at `r` wants for destination crossbar `k` (entries for
-    /// locally hosted crossbars are never read); `tree` overrides the
-    /// per-destination bits per spike under multicast tree routing.
-    pub(crate) fn new(
-        ports: &[Vec<(usize, usize)>],
-        vcs: usize,
-        dest_bit: Vec<u16>,
-        nc: usize,
-        tree: Option<TreeTable>,
-    ) -> Self {
+    /// [`Sched::build`]). It holds no routes: what a head wants arrives
+    /// with [`Sched::set_head`].
+    pub(crate) fn new(ports: &[Vec<(usize, usize)>], vcs: usize) -> Self {
         let nr = ports.len();
         let mut port_base = Vec::with_capacity(nr + 1);
         let mut lane_base = Vec::with_capacity(nr + 1);
@@ -311,12 +235,8 @@ impl PortSched {
             }
             // the lane block of our ingress port `pos` is fed by that
             // neighbor's egress pair pointing back at us
-            for (pos, &(nbr, _)) in p.iter().enumerate() {
-                let up = port_base[nbr]
-                    + ports[nbr]
-                        .iter()
-                        .position(|&(x, _)| x == r)
-                        .expect("links are bidirectional") as u32;
+            for (pos, &(nbr, back)) in p.iter().enumerate() {
+                let up = port_base[nbr] + back as u32;
                 for w in 0..vcs {
                     ups_pair[(lane_base[r] + 1 + (pos * vcs + w) as u32) as usize] = up;
                 }
@@ -326,7 +246,6 @@ impl PortSched {
         let p = pairs as usize;
         Self {
             vcs,
-            nc,
             port_base,
             router_of,
             lane_base,
@@ -337,8 +256,6 @@ impl PortSched {
             want: vec![0; p * vcs],
             blocked: vec![0; (p * vcs).div_ceil(64).max(1)],
             ups_pair,
-            dest_bit,
-            tree,
             ready: vec![0; p.div_ceil(64).max(1)],
             scan: 0,
             ready_len: 0,
@@ -399,32 +316,12 @@ impl Sched for PortSched {
     const SELECTIVE: bool = true;
 
     fn build(
-        topo: &Arc<dyn Topology>,
+        _topo: &Arc<dyn Topology>,
         ports: &[Vec<(usize, usize)>],
         vcs: usize,
-        tree: Option<TreeTable>,
+        _tree: bool,
     ) -> Self {
-        // flattened (router, dest crossbar) → wanted (egress port, VC) bit
-        // table: one load replaces a route-LUT walk plus a VC-table walk
-        // everywhere the engine asks "which (o, w) does dest d leave by".
-        // Entries for locally hosted crossbars are never read: arrival
-        // stripping removes local dests before any head is installed.
-        let topo = topo.as_ref();
-        let lut = RouteLut::new(topo);
-        let nc = topo.num_crossbars();
-        let endpoint_of: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
-        let mut dest_bit: Vec<u16> = Vec::with_capacity(ports.len() * nc);
-        for r in 0..ports.len() {
-            for &er in &endpoint_of {
-                if er == r {
-                    dest_bit.push(0);
-                } else {
-                    let hv = if vcs == 1 { 0 } else { topo.hop_vc(r, er, vcs) };
-                    dest_bit.push((lut.egress_port(r, er) as usize * vcs + hv) as u16);
-                }
-            }
-        }
-        Self::new(ports, vcs, dest_bit, nc, tree)
+        Self::new(ports, vcs)
     }
 
     /// Rewinds the ready scan, then drains the next-cycle wake list and
@@ -474,27 +371,19 @@ impl Sched for PortSched {
     }
 
     #[inline]
-    fn wanted(&self, _net: &Net, pair: u32, w: usize) -> u32 {
+    fn wanted(&self, _q: &Queues, pair: u32, w: usize) -> u32 {
         self.want[pair as usize * self.vcs + w]
     }
 
     #[inline]
-    fn head_wants(&self, _net: &Net, r: usize, fi: usize, bit: usize) -> bool {
+    fn head_wants(&self, _q: &Queues, r: usize, fi: usize, bit: usize) -> bool {
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
         self.head_mask[base + bit / 64] & (1 << (bit % 64)) != 0
     }
 
     #[inline]
-    fn head_inject(&self, _net: &Net, r: usize, fi: usize) -> u64 {
+    fn head_inject(&self, _q: &Queues, r: usize, fi: usize) -> u64 {
         self.head_inject[(self.lane_base[r] + fi as u32) as usize]
-    }
-
-    #[inline]
-    fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize {
-        match &self.tree {
-            Some(t) => t.bit(spike, r, d),
-            None => self.dest_bit[r * self.nc + d as usize] as usize,
-        }
     }
 
     /// Wakes raised for pairs the sweep had already passed are due exactly
@@ -552,7 +441,14 @@ impl Sched for PortSched {
     /// Installs the new head's route mask and wakes every output port
     /// the head wants.
     #[inline]
-    fn set_head(&mut self, r: usize, fi: usize, spike: u64, dests: &[u32], inject: u64, pos: u32) {
+    fn set_head(
+        &mut self,
+        r: usize,
+        fi: usize,
+        bits: impl Iterator<Item = usize>,
+        inject: u64,
+        pos: u32,
+    ) {
         self.counters.head_updates += 1;
         let words = self.mask_words[r] as usize;
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
@@ -562,14 +458,12 @@ impl Sched for PortSched {
         );
         let want_base = self.port_base[r] as usize * self.vcs;
         self.head_inject[(self.lane_base[r] + fi as u32) as usize] = inject;
-        for &d in dests {
-            let bit = self.route_bit(spike, r, d);
+        for bit in bits {
             let (wi, wb) = (base + bit / 64, 1u64 << (bit % 64));
-            if self.head_mask[wi] & wb == 0 {
-                self.head_mask[wi] |= wb;
-                self.want[want_base + bit] += 1;
-                self.wake(self.port_base[r] + (bit / self.vcs) as u32, pos);
-            }
+            debug_assert!(self.head_mask[wi] & wb == 0, "a chain's slots are distinct");
+            self.head_mask[wi] |= wb;
+            self.want[want_base + bit] += 1;
+            self.wake(self.port_base[r] + (bit / self.vcs) as u32, pos);
         }
     }
 
@@ -621,9 +515,7 @@ mod tests {
     /// 2-router line, 1 VC: router 0 ↔ router 1, one crossbar each.
     fn line_sched() -> PortSched {
         let ports = vec![vec![(1usize, 0usize)], vec![(0usize, 0usize)]];
-        // dest_bit: at router 0, crossbar 1 exits via port 0 (bit 0);
-        // at router 1, crossbar 0 exits via port 0 (bit 0)
-        PortSched::new(&ports, 1, vec![0, 0, 0, 0], 2, None)
+        PortSched::new(&ports, 1)
     }
 
     #[test]
@@ -633,7 +525,7 @@ mod tests {
             vec![(0, 0)],         // router 1: pair 2
             vec![(0, 1)],         // router 2: pair 3
         ];
-        let s = PortSched::new(&ports, 2, vec![0; 9], 3, None);
+        let s = PortSched::new(&ports, 2);
         assert_eq!(s.total_pairs(), 4);
         assert_eq!(s.port_base, vec![0, 2, 3, 4]);
         assert_eq!(s.router_of, vec![0, 0, 1, 2]);
@@ -656,7 +548,7 @@ mod tests {
     #[test]
     fn in_sweep_wakes_split_by_position() {
         let ports = vec![vec![(1, 0), (2, 0)], vec![(0, 0)], vec![(0, 1)]];
-        let mut s = PortSched::new(&ports, 1, vec![0; 9], 3, None);
+        let mut s = PortSched::new(&ports, 1);
         // processing pair 1 (pos = 2): pair 3 is ahead → ready now;
         // pair 0 is behind → next cycle; pair 1 itself → skipped
         s.wake(3, 2);
@@ -704,8 +596,9 @@ mod tests {
     #[test]
     fn head_masks_track_want_counts() {
         // `PortSched` answers from its own tables, never from the queues
-        let (mut s, net) = (line_sched(), Net::default());
-        s.set_head(0, 0, 0, &[1], 7, PRE_SWEEP);
+        let (mut s, net) = (line_sched(), Queues::default());
+        // at router 0, crossbar 1 exits via port 0 (bit 0)
+        s.set_head(0, 0, [0usize].into_iter(), 7, PRE_SWEEP);
         assert_eq!(s.wanted(&net, 0, 0), 1);
         assert!(s.head_wants(&net, 0, 0, 0));
         assert_eq!(s.head_inject(&net, 0, 0), 7);
@@ -716,18 +609,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_fully_woken_port_sched_agree_on_pair_order_and_routes() {
+    fn sweep_and_fully_woken_port_sched_agree_on_pair_order() {
         use crate::sim::{egress_ports, oracle::Sweep};
-        use crate::topology::{HierTopology, Mesh2D, NocTree, Star, Torus};
+        use crate::topology::{NocTree, Star};
 
         // byte identity rests on "ascending pair id is the sweep order":
         // both policies must hand out the same (pair, router, port) triples
+        // (that the plan's slots equal the sweep's from-scratch route walk
+        // is `plan::tests`' half of this)
         let irregular: [Arc<dyn Topology>; 2] =
             [Arc::new(NocTree::new(8, 2)), Arc::new(Star::new(5))];
         for topo in irregular {
-            let ports = egress_ports(topo.as_ref());
-            let mut woken = PortSched::build(&topo, &ports, 1, None);
-            let mut sweep = Sweep::build(&topo, &ports, 1, None);
+            let ports = egress_ports(topo.as_ref()).expect("bidirectional");
+            let mut woken = PortSched::build(&topo, &ports, 1, false);
+            let mut sweep = Sweep::build(&topo, &ports, 1, false);
             woken.begin_cycle(0);
             sweep.begin_cycle(0);
             for pair in 0..woken.total_pairs() {
@@ -737,32 +632,6 @@ mod tests {
             let got: Vec<_> = std::iter::from_fn(|| woken.next_pair()).collect();
             assert_eq!(expected.len(), woken.total_pairs() as usize);
             assert_eq!(got, expected, "{}", topo.name());
-        }
-
-        // ... and the from-scratch topology walk must name the same
-        // (port, VC) slot as the precomputed table, for every remote dest
-        let fabrics: [(Arc<dyn Topology>, usize); 3] = [
-            (Arc::new(Mesh2D::for_crossbars(16)), 1),
-            (Arc::new(Torus::for_crossbars(16)), 2),
-            (
-                Arc::new(HierTopology::mesh(2, 2, 2, 2, 16, 3, 2).expect("valid")),
-                2,
-            ),
-        ];
-        for (topo, vcs) in fabrics {
-            let ports = egress_ports(topo.as_ref());
-            let table = PortSched::build(&topo, &ports, vcs, None);
-            let walk = Sweep::build(&topo, &ports, vcs, None);
-            for r in 0..topo.num_routers() {
-                for d in (0..topo.num_crossbars() as u32).filter(|&d| topo.endpoint(d) != r) {
-                    assert_eq!(
-                        walk.route_bit(0, r, d),
-                        table.route_bit(0, r, d),
-                        "{} at {vcs} VCs: router {r} → crossbar {d}",
-                        topo.name()
-                    );
-                }
-            }
         }
     }
 }

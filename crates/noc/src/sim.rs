@@ -87,9 +87,9 @@
 
 use crate::config::NocConfig;
 use crate::error::NocError;
-use crate::packet::Packet;
+use crate::plan::{Handle, Nets, Plan, Slab, NIL};
 use crate::router::pick_vc;
-use crate::sched::{PortSched, Sched, TreeTable, PRE_SWEEP};
+use crate::sched::{PortSched, Sched, PRE_SWEEP};
 use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
 use crate::topology::Topology;
 use crate::trace::{TraceBuf, TraceEvent};
@@ -116,10 +116,8 @@ pub enum EngineKind {
     CycleOracle,
 }
 
-/// A packet in transit on a link, due to arrive at a router. It carries a
-/// slab id instead of the packet, so the arrival queue and the FIFOs move
-/// 4-byte handles while the packets themselves stay put in the schedule
-/// slab.
+/// A packet in transit on a link, due to arrive at a router: the id of
+/// its [`Handle`] and where it lands.
 struct Arrival {
     cycle: u64,
     router: usize,
@@ -167,10 +165,31 @@ fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocErr
     Ok(())
 }
 
+/// One injection: what every copy of a spike's packet shares. The run's
+/// spike table is immutable; a [`Handle`] names its entry by position.
+pub(crate) struct Spike {
+    /// Id of the originating spike event in canonical flow order (unicast
+    /// clones of one spike share it; used for tracing).
+    spike_id: u32,
+    source_neuron: u32,
+    src_crossbar: u32,
+    /// SNN timestep of the spike.
+    send_step: u32,
+    /// The packet's net ([`Nets`]).
+    net: u32,
+    /// Cycle the packet enters the network (after AER encoding).
+    inject_cycle: u64,
+}
+
 /// Expands flows into an injection schedule: canonical AER-encoder order,
 /// one packet per crossbar per cycle. Shared by both engines so the
 /// schedules they simulate are one and the same.
-fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) -> Vec<Packet> {
+fn build_schedule(
+    topo: &dyn Topology,
+    config: &NocConfig,
+    flows: &[SpikeFlow],
+    nets: &Nets<'_>,
+) -> Vec<Spike> {
     // canonical order via packed key-index tuples: `(step, src)` and
     // `(neuron, flow index)` each fuse into one u64, so the sort runs on
     // plain integer pairs (no comparator closure). Flows equal in
@@ -209,11 +228,11 @@ fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) 
     }
 
     // canonical pass computes each packet's slot key without building the
-    // packet: `(inject cycle, src and neuron packed into one word,
+    // spike: `(inject cycle, src and neuron packed into one word,
     // generation index)` — the generation is both the stable-order
     // tiebreak and the index into a side table holding what
     // materialization needs. Sorting 24-byte integer triples and
-    // constructing every packet once, in final order, replaces the old
+    // constructing every spike once, in final order, replaces the old
     // build-then-permute shuffle.
     let n_slots: usize = if config.multicast {
         keys.len()
@@ -223,7 +242,7 @@ fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) 
             .sum()
     };
     let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(n_slots);
-    // (spike id, flow index, dest index) per generation
+    // (spike id, flow index, packet of the flow) per generation
     let mut meta: Vec<(u32, u32, u32)> = Vec::with_capacity(n_slots);
     // per-crossbar rank within the current step window
     let mut rank: Vec<u64> = vec![0; topo.num_crossbars()];
@@ -238,19 +257,19 @@ fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) 
             rank.iter_mut().for_each(|r| *r = 0);
         }
         let base = u64::from(step) * config.cycles_per_step;
-        let n_dests = if config.multicast {
+        let n_packets = if config.multicast {
             1
         } else {
             flows[fi as usize].dst_crossbars.len()
         };
-        for di in 0..n_dests as u32 {
+        for pi in 0..n_packets as u32 {
             let r = &mut rank[src as usize];
             slots.push((
                 base + *r,
                 (u64::from(src) << 32) | u64::from(neuron),
                 meta.len() as u64,
             ));
-            meta.push((spike_id as u32, fi, di));
+            meta.push((spike_id as u32, fi, pi));
             *r += 1;
         }
     }
@@ -258,151 +277,36 @@ fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &[SpikeFlow]) 
     slots
         .into_iter()
         .map(|(inject_cycle, src_neuron, gen)| {
-            let (spike_id, fi, di) = meta[gen as usize];
-            let f = &flows[fi as usize];
-            Packet {
-                spike_id: spike_id as u64,
+            let (spike_id, fi, pi) = meta[gen as usize];
+            Spike {
+                spike_id,
                 source_neuron: src_neuron as u32,
                 src_crossbar: (src_neuron >> 32) as u32,
-                dests: if config.multicast {
-                    f.dst_crossbars.clone()
-                } else {
-                    vec![f.dst_crossbars[di as usize]]
-                },
-                send_step: f.send_step,
+                send_step: flows[fi as usize].send_step,
+                net: nets.of(fi as usize, pi as usize),
                 inject_cycle,
             }
         })
         .collect()
 }
 
-/// Delivers (and removes) every destination of `packet` hosted at `router`.
-/// With tracing on, each delivery also emits a [`TraceEvent::Delivered`].
-fn strip_local(
-    hosted: &[u32],
-    topo: &dyn Topology,
-    router: usize,
-    packet: &mut Packet,
-    now: u64,
-    deliveries: &mut Vec<Delivery>,
-    mut events: Option<&mut TraceBuf>,
-) {
-    debug_assert!(hosted.iter().all(|&k| topo.endpoint(k) == router));
-    if packet.dests.iter().all(|d| !hosted.contains(d)) {
-        return;
-    }
-    let (source_neuron, src_crossbar, send_step, inject_cycle, spike_id) = (
-        packet.source_neuron,
-        packet.src_crossbar,
-        packet.send_step,
-        packet.inject_cycle,
-        packet.spike_id,
-    );
-    packet.dests.retain(|&d| {
-        if hosted.contains(&d) {
-            deliveries.push(Delivery::new(
-                source_neuron,
-                src_crossbar,
-                d,
-                send_step,
-                inject_cycle,
-                now,
-            ));
-            if let Some(t) = events.as_deref_mut() {
-                t.push(TraceEvent::Delivered {
-                    cycle: now,
-                    spike_id,
-                    router: router as u32,
-                    dst_crossbar: d,
-                });
-            }
-            false
-        } else {
-            true
-        }
-    });
-}
-
-/// Builds the per-spike Steiner-tree routing table for a schedule, or
-/// `None` when tree routing is off (unicast clones, or
-/// [`NocConfig::multicast_trees`] unset) — in which case both engines
-/// fall back to the destination-indexed unicast route masks, bit-identical
-/// to the pre-tree behavior.
-///
-/// In multicast mode the schedule carries exactly one packet per spike
-/// with dense `spike_id`s (`0..schedule.len()`), so the table is indexed
-/// directly by spike id. Each destination's tree path is walked from the
-/// source router; every hop records `(router, dest) → port * vc_count + vc`
-/// with the port found by position in [`Topology::neighbors`] — tree hops
-/// need not follow the unicast shortest path, so the route LUT cannot be
-/// used here. Shared by both engines so they consume the same trees.
-///
-/// [`Topology::multicast_route`] is implementable outside this crate, so
-/// what it returns is checked, not trusted: one path per destination,
-/// every hop a `(link, VC)` of the fabric, every path ending at its
-/// destination's router — anything else is
-/// [`NocError::InvalidConfig`] `{ name: "multicast_route" }`.
-fn build_tree_table(
-    topo: &dyn Topology,
-    config: &NocConfig,
-    schedule: &[Packet],
-) -> Result<Option<TreeTable>, NocError> {
-    if !(config.multicast && config.multicast_trees) {
-        return Ok(None);
-    }
-    let vcs = config.vc_count;
-    let mut per_spike: Vec<Vec<(u64, u16)>> = vec![Vec::new(); schedule.len()];
-    for p in schedule {
-        let bad_route = |what: String| NocError::InvalidConfig {
-            name: "multicast_route",
-            value: format!("spike {}: {what}", p.spike_id),
-        };
-        let src_router = topo.endpoint(p.src_crossbar);
-        let dest_routers: Vec<usize> = p.dests.iter().map(|&d| topo.endpoint(d)).collect();
-        let paths = topo.multicast_route(src_router, &dest_routers, vcs);
-        if paths.len() != dest_routers.len() {
-            return Err(bad_route(format!(
-                "{} paths for {} destinations",
-                paths.len(),
-                dest_routers.len()
-            )));
-        }
-        let entries = &mut per_spike[p.spike_id as usize];
-        for ((path, &d), &dest_router) in paths.iter().zip(&p.dests).zip(&dest_routers) {
-            let mut cur = src_router;
-            for &(next, vc) in path {
-                let port = topo
-                    .neighbors(cur)
-                    .iter()
-                    .position(|&n| n == next)
-                    .filter(|_| vc < vcs)
-                    .ok_or_else(|| {
-                        bad_route(format!(
-                            "hop {cur} -> {next} on VC {vc} is not a (link, VC) of the fabric"
-                        ))
-                    })?;
-                entries.push((
-                    ((cur as u64) << 32) | u64::from(d),
-                    (port * vcs + vc) as u16,
-                ));
-                cur = next;
-            }
-            if cur != dest_router {
-                return Err(bad_route(format!(
-                    "the path to crossbar {d} ends at router {cur}, not {dest_router}"
-                )));
-            }
-        }
-    }
-    Ok(Some(TreeTable::from_spikes(per_spike)))
+/// One FIFO lane: an intrusive list of queued packets (chains) through
+/// their first members' `next` links.
+#[derive(Clone, Copy)]
+struct Lane {
+    /// First member of the chain at the head ([`NIL`] when empty).
+    head: u32,
+    /// First member of the chain at the tail (stale when empty).
+    tail: u32,
+    /// Packets queued.
+    len: u32,
 }
 
 /// Per-router runtime state.
 struct RouterState {
     /// Input FIFO lanes: lane 0 = local injection, then one lane per
-    /// `(ingress port, VC)` pair in [`lane`] order. Lanes queue slab ids
-    /// ([`Arrival::pid`]); the packets live in the schedule slab.
-    fifos: Vec<VecDeque<u32>>,
+    /// `(ingress port, VC)` pair in [`lane`] order.
+    lanes: Vec<Lane>,
     /// Arbitration cursor per `(output port, VC)`:
     /// `rr_cursor[o * vc_count + vc]`, over FIFO-lane indices.
     rr_cursor: Vec<usize>,
@@ -417,47 +321,66 @@ struct RouterState {
     queued: usize,
 }
 
-/// The queue state of the fabric: every router's lanes plus the packet
-/// slab they index. [`Sched`] queries get it read-only so a policy may
-/// look at the lane heads themselves (`Sweep` does; `PortSched` answers
-/// from its own tables).
+/// The queue state of the fabric: every router's lanes, the handles they
+/// link, and the spike table and plan the handles point into. [`Sched`]
+/// queries get it read-only so a policy may look at the lane heads
+/// themselves (`Sweep` does; `PortSched` answers from its own tables).
 #[derive(Default)]
-pub(crate) struct Net {
+pub(crate) struct Queues {
     routers: Vec<RouterState>,
-    /// The schedule vector doubles as the packet slab: FIFOs and the
-    /// arrival queue move u32 slab ids, and a forward that takes every
-    /// remaining dest re-forwards the same entry with zero packet
-    /// traffic (only multicast branch points append a new entry).
-    slab: Vec<Packet>,
+    slab: Slab,
+    spikes: Vec<Spike>,
+    plan: Plan,
 }
 
-impl Net {
+impl Queues {
     /// FIFO lanes of router `r` (`1 + degree × VCs`).
     pub(crate) fn lanes(&self, r: usize) -> usize {
-        self.routers[r].fifos.len()
+        self.routers[r].lanes.len()
     }
 
-    /// The packet at the head of router `r`'s lane `fi`, if any.
-    pub(crate) fn head(&self, r: usize, fi: usize) -> Option<&Packet> {
-        let pid = *self.routers[r].fifos[fi].front()?;
-        Some(&self.slab[pid as usize])
+    /// The members of the packet at the head of router `r`'s lane `fi`:
+    /// one per branch still to leave (none when the lane is empty).
+    pub(crate) fn head(&self, r: usize, fi: usize) -> impl Iterator<Item = &Handle> + '_ {
+        let lane = &self.routers[r].lanes[fi];
+        self.slab.chain(if lane.len == 0 { NIL } else { lane.head })
+    }
+
+    /// Inject cycle of the packet at the head of router `r`'s lane `fi`.
+    pub(crate) fn head_inject(&self, r: usize, fi: usize) -> Option<u64> {
+        let first = self.head(r, fi).next()?;
+        Some(self.spikes[first.spike as usize].inject_cycle)
+    }
+
+    /// The forwarding plan the handles point into.
+    pub(crate) fn plan(&self) -> &Plan {
+        &self.plan
     }
 }
 
 /// Per-router egress ports: `(neighbor, our port position on the
 /// neighbor)` — the downstream lane is derived per VC via [`lane`].
-pub(crate) fn egress_ports(topo: &dyn Topology) -> Vec<Vec<(usize, usize)>> {
+///
+/// # Errors
+///
+/// [`NocError::InvalidConfig`] `{ name: "topology" }` for a one-way link:
+/// credits flow back over the link a packet came by, so every neighbor
+/// must list the router in return.
+pub(crate) fn egress_ports(topo: &dyn Topology) -> Result<Vec<Vec<(usize, usize)>>, NocError> {
     (0..topo.num_routers())
         .map(|r| {
             topo.neighbors(r)
                 .iter()
                 .map(|&nbr| {
-                    let down_pos = topo
-                        .neighbors(nbr)
-                        .iter()
-                        .position(|&x| x == r)
-                        .expect("links are bidirectional");
-                    (nbr, down_pos)
+                    let back = topo.neighbors(nbr).iter().position(|&x| x == r);
+                    let down_pos = back.ok_or_else(|| NocError::InvalidConfig {
+                        name: "topology",
+                        value: format!(
+                            "router {r} lists {nbr} as a neighbor, but {nbr} does not list {r}: \
+                             links must be bidirectional"
+                        ),
+                    })?;
+                    Ok((nbr, down_pos))
                 })
                 .collect()
         })
@@ -606,10 +529,11 @@ impl NocSim {
     }
 }
 
-/// One run of either engine: validate → schedule → tree table →
-/// [`simulate`] under policy `S` → statistics. `events` is the engine's retained-trace slot
-/// (cleared up front, refilled on success when [`NocConfig::trace`] is
-/// on); `sim_trace`, when given, receives the scheduler trace.
+/// One run of either engine: validate → nets → plan → schedule →
+/// [`simulate`] under policy `S` → statistics. `events` is the engine's
+/// retained-trace slot (cleared up front, refilled on success when
+/// [`NocConfig::trace`] is on); `sim_trace`, when given, receives the
+/// scheduler trace.
 fn run_engine<S: Sched>(
     topo: &Arc<dyn Topology>,
     config: &NocConfig,
@@ -621,11 +545,11 @@ fn run_engine<S: Sched>(
 ) -> Result<(NocStats, Vec<Delivery>), NocError> {
     *events = None;
     config.validate()?;
-    // `TreeTable` and `PortSched` store a `(port, VC)` slot in a `u16`;
-    // a wider router would wrap there silently, so refuse it before any
-    // table is built — for both policies, since both read the tree table
-    let degrees = (0..topo.num_routers()).map(|r| topo.neighbors(r).len());
-    let slots = degrees.max().unwrap_or(0) * config.vc_count;
+    let ports = egress_ports(topo.as_ref())?;
+    // the plan and `PortSched` store a `(port, VC)` slot in a `u16`; a
+    // wider router would wrap there silently, so refuse it before either
+    // is built — for both policies, since both run over the one plan
+    let slots = ports.iter().map(Vec::len).max().unwrap_or(0) * config.vc_count;
     if slots > usize::from(u16::MAX) + 1 {
         return Err(NocError::InvalidConfig {
             name: "vc_count",
@@ -636,15 +560,23 @@ fn run_engine<S: Sched>(
         });
     }
     validate_flows(topo.as_ref(), flows)?;
-    let schedule = build_schedule(topo.as_ref(), config, flows);
-    // per-spike Steiner-tree table (None ⇒ per-destination unicast routes)
-    let tree = build_tree_table(topo.as_ref(), config, &schedule)?;
+    // every routing question is asked here, once per net; the schedule
+    // then only names each packet's net
+    let nets = Nets::intern(flows, config.multicast);
+    let trees = config.multicast && config.multicast_trees;
+    let plan = Plan::build(topo.as_ref(), config.vc_count, trees, &nets)?;
+    let spikes = build_schedule(topo.as_ref(), config, flows, &nets);
+    if let Some(t) = sim_trace.as_deref_mut() {
+        t.nets = nets.len() as u64;
+        t.plan_nodes = plan.node_count() as u64;
+    }
     let mut recorded = config.trace.then(|| TraceBuf::new(config));
     let (deliveries, counters, per_vc, sched) = simulate::<S>(
         topo,
         config,
-        schedule,
-        tree,
+        &ports,
+        spikes,
+        plan,
         sim_trace.as_deref_mut(),
         recorded.as_mut(),
     )?;
@@ -668,35 +600,29 @@ fn run_engine<S: Sched>(
 }
 
 /// The router model: the one main loop both engines run, scheduled by
-/// policy `S`. `trace`, when given, collects the attended cycles (for a
-/// selective policy) and the cycles at which at least one packet was
-/// forwarded; `events`, when given, records the structured trace.
+/// policy `S`, moving the handles of `spikes` over `plan`. `trace`, when
+/// given, collects the attended cycles (for a selective policy) and the
+/// cycles at which at least one packet was forwarded; `events`, when
+/// given, records the structured trace.
 ///
-/// Never inlined: folded into `run_engine`, LLVM stops inlining the FIFO
+/// Never inlined: folded into `run_engine`, LLVM stops inlining the lane
 /// and arrival-queue operations into the loop (2–5 % on `engine/*/event`).
 #[allow(clippy::type_complexity)]
 #[inline(never)]
 fn simulate<S: Sched>(
     topo: &Arc<dyn Topology>,
     cfg: &NocConfig,
-    schedule: Vec<Packet>,
-    tree: Option<TreeTable>,
+    ports: &[Vec<(usize, usize)>],
+    spikes: Vec<Spike>,
+    plan: Plan,
     mut trace: Option<&mut SimTrace>,
     mut events: Option<&mut TraceBuf>,
 ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
     let vcs = cfg.vc_count;
-    let ports = egress_ports(topo.as_ref());
-    let mut sched = S::build(topo, &ports, vcs, tree);
+    let trees = cfg.multicast && cfg.multicast_trees;
+    let mut sched = S::build(topo, ports, vcs, trees);
     let topo = topo.as_ref();
     let nr = topo.num_routers();
-    let nc = topo.num_crossbars();
-
-    // crossbar → hosting router, and the reverse for arrival stripping
-    let endpoint_of: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
-    let mut hosted: Vec<Vec<u32>> = vec![Vec::new(); nr];
-    for (k, &r) in endpoint_of.iter().enumerate() {
-        hosted[r].push(k as u32);
-    }
 
     // (port, VC) lanes a whole-active-router sweep would examine, per
     // router — the cost unit of the retired global scheme, accumulated
@@ -704,18 +630,30 @@ fn simulate<S: Sched>(
     let lanes_of: Vec<u64> = (0..nr).map(|r| (ports[r].len() * vcs) as u64).collect();
     let mut active_lanes = 0u64;
 
-    // branch appends land past this bound — only the original schedule
-    // entries are injection sources
-    let num_injections = schedule.len();
+    // handles past this bound are multicast branches — only the first
+    // `num_injections`, one per spike, are injection sources
+    let num_injections = spikes.len();
     let mut next_inject = 0usize;
-    // every dest in the schedule becomes exactly one delivery
-    let mut deliveries: Vec<Delivery> =
-        Vec::with_capacity(schedule.iter().map(|p| p.dests.len()).sum());
-    let mut net = Net {
+    // every destination of every spike becomes exactly one delivery, and
+    // every branch point past the first way out one more handle
+    let (mut n_deliveries, mut n_handles) = (0usize, num_injections);
+    for s in &spikes {
+        n_deliveries += plan.dests(plan.root(s.net)).len();
+        n_handles += plan.extra_handles(s.net) as usize;
+    }
+    let mut deliveries: Vec<Delivery> = Vec::with_capacity(n_deliveries);
+    let mut q = Queues {
         routers: ports
             .iter()
             .map(|p| RouterState {
-                fifos: vec![VecDeque::new(); 1 + p.len() * vcs],
+                lanes: vec![
+                    Lane {
+                        head: NIL,
+                        tail: NIL,
+                        len: 0
+                    };
+                    1 + p.len() * vcs
+                ],
                 rr_cursor: vec![0; p.len() * vcs],
                 vc_cursor: vec![0; p.len()],
                 busy_until: vec![0; p.len()],
@@ -723,7 +661,9 @@ fn simulate<S: Sched>(
                 queued: 0,
             })
             .collect(),
-        slab: schedule,
+        slab: Slab::new(spikes.iter().map(|s| plan.root(s.net)), n_handles),
+        spikes,
+        plan,
     };
     let mut counters = Counters::default();
     // per-VC counters, aggregated over all routers; empty (and never
@@ -745,37 +685,56 @@ fn simulate<S: Sched>(
     let hop_latency = cfg.hop_latency();
 
     // the earliest pending injection or arrival (`u64::MAX` if neither)
-    let next_event = |next_inject: usize, slab: &[Packet], in_transit: &VecDeque<Arrival>| {
-        let inject = slab[..num_injections]
-            .get(next_inject)
-            .map_or(u64::MAX, |p| p.inject_cycle);
+    let next_event = |next_inject: usize, spikes: &[Spike], in_transit: &VecDeque<Arrival>| {
+        let inject = spikes.get(next_inject).map_or(u64::MAX, |s| s.inject_cycle);
         inject.min(in_transit.front().map_or(u64::MAX, |a| a.cycle))
     };
 
-    // A packet enters router `$r` on lane `$fi` (0: injected here,
-    // else: arrived over a link): what is hosted here is delivered, the
-    // rest queues. A macro, so that each loop below compiles its own
+    // The packet `$h` enters router `$r` on lane `$fi` (0: injected here,
+    // else: arrived over a link): its node's local crossbars are
+    // delivered, and if the node has ways out the packet queues as the
+    // chain of them. A macro, so that each loop below compiles its own
     // copy with `$fi == 0` folded — routing both kinds of entry through
     // one shared loop body measured ~3 % slower on every workload.
     macro_rules! enter {
-        ($r:expr, $fi:expr, $pid:expr) => {{
-            let (r, fi, pid): (usize, usize, u32) = ($r, $fi, $pid);
+        ($r:expr, $fi:expr, $h:expr) => {{
+            let (r, fi, h): (usize, usize, u32) = ($r, $fi, $h);
             counters.router_traversals += 1;
-            let packet = &mut net.slab[pid as usize];
-            strip_local(
-                &hosted[r],
-                topo,
-                r,
-                packet,
-                now,
-                &mut deliveries,
-                events.as_deref_mut(),
-            );
-            let state = &mut net.routers[r];
-            if !packet.dests.is_empty() {
+            let Handle { spike, node, .. } = *q.slab.get(h);
+            let s = &q.spikes[spike as usize];
+            debug_assert!(q.plan.local(node).iter().all(|&d| topo.endpoint(d) == r));
+            for &d in q.plan.local(node) {
+                deliveries.push(Delivery::new(
+                    s.source_neuron,
+                    s.src_crossbar,
+                    d,
+                    s.send_step,
+                    s.inject_cycle,
+                    now,
+                ));
+                if let Some(t) = events.as_deref_mut() {
+                    t.push(TraceEvent::Delivered {
+                        cycle: now,
+                        spike_id: u64::from(s.spike_id),
+                        router: r as u32,
+                        dst_crossbar: d,
+                    });
+                }
+            }
+            let branches = q.plan.branches(node);
+            let state = &mut q.routers[r];
+            if !branches.is_empty() {
                 // an arrival's credit stays consumed until it leaves
-                state.fifos[fi].push_back(pid);
-                let occupancy = state.fifos[fi].len();
+                q.slab.fan_out(h, branches);
+                let lane = &mut state.lanes[fi];
+                if lane.len == 0 {
+                    lane.head = h;
+                } else {
+                    q.slab.link_after(lane.tail, h);
+                }
+                lane.tail = h;
+                lane.len += 1;
+                let occupancy = lane.len as usize;
                 if fi > 0 {
                     // ingress lanes are the credit-bounded router
                     // buffers; lane 0 is the AER encoder's own queue
@@ -793,7 +752,7 @@ fn simulate<S: Sched>(
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Enqueued {
                         cycle: now,
-                        spike_id: packet.spike_id,
+                        spike_id: u64::from(s.spike_id),
                         router: r as u32,
                         lane: fi as u32,
                         occupancy: occupancy as u32,
@@ -806,8 +765,8 @@ fn simulate<S: Sched>(
                 queued_packets += 1;
                 if occupancy == 1 {
                     // the packet became a lane head
-                    let (spike, inject) = (packet.spike_id, packet.inject_cycle);
-                    sched.set_head(r, fi, spike, &packet.dests, inject, PRE_SWEEP);
+                    let bits = branches.iter().map(|b| usize::from(b.bit));
+                    sched.set_head(r, fi, bits, s.inject_cycle, PRE_SWEEP);
                 }
             } else if fi > 0 {
                 // fully delivered here: hand the lane's credit back
@@ -824,7 +783,7 @@ fn simulate<S: Sched>(
         }};
     }
 
-    // consume the slab in inject order (it is already sorted)
+    // consume the spike table in inject order (it is already sorted)
     while next_inject < num_injections || queued_packets > 0 || !in_transit.is_empty() {
         if now > cfg.max_cycles {
             return Err(NocError::CycleBudgetExhausted {
@@ -837,7 +796,7 @@ fn simulate<S: Sched>(
         // so an event due past the budget is still processed once before
         // the budget fires on the cycle after it
         if queued_packets == 0 {
-            let jump = next_event(next_inject, &net.slab, &in_transit);
+            let jump = next_event(next_inject, &q.spikes, &in_transit);
             if jump > now && jump != u64::MAX {
                 now = jump;
             }
@@ -856,16 +815,16 @@ fn simulate<S: Sched>(
             let a = in_transit.pop_front().expect("peeked");
             enter!(a.router, a.ingress, a.pid);
         }
-        while next_inject < num_injections && net.slab[next_inject].inject_cycle <= now {
-            let p = &net.slab[next_inject];
-            let src_router = endpoint_of[p.src_crossbar as usize];
+        while next_inject < num_injections && q.spikes[next_inject].inject_cycle <= now {
+            let s = &q.spikes[next_inject];
+            let src_router = topo.endpoint(s.src_crossbar);
             counters.packets_injected += 1;
             if let Some(t) = events.as_deref_mut() {
                 t.push(TraceEvent::Injected {
                     cycle: now,
-                    spike_id: p.spike_id,
-                    source_neuron: p.source_neuron,
-                    src_crossbar: p.src_crossbar,
+                    spike_id: u64::from(s.spike_id),
+                    source_neuron: s.source_neuron,
+                    src_crossbar: s.src_crossbar,
                     router: src_router as u32,
                 });
             }
@@ -881,7 +840,7 @@ fn simulate<S: Sched>(
         // true since it was last examined; see the module docs)
         let mut progress = false;
         while let Some((pair, r, o)) = sched.next_pair() {
-            if net.routers[r].queued == 0 {
+            if q.routers[r].queued == 0 {
                 // no heads, so no candidates (under a selective policy:
                 // the router drained since the wake was raised, e.g. a
                 // stale busy expiry)
@@ -889,7 +848,7 @@ fn simulate<S: Sched>(
             }
             sched.count_visit(pair);
             let (nbr, down_pos) = ports[r][o];
-            if net.routers[r].busy_until[o] > now {
+            if q.routers[r].busy_until[o] > now {
                 // still serializing: its expiry wake re-examines it
                 continue;
             }
@@ -902,27 +861,27 @@ fn simulate<S: Sched>(
             // policy re-examines this pair at the full→free transition.
             let mut eligible = 0u32;
             for w in 0..vcs {
-                if sched.wanted(&net, pair, w) == 0 {
+                if sched.wanted(&q, pair, w) == 0 {
                     continue;
                 }
-                if net.routers[nbr].credits_used[lane(down_pos, w, vcs)] >= cfg.buffer_depth {
+                if q.routers[nbr].credits_used[lane(down_pos, w, vcs)] >= cfg.buffer_depth {
                     sched.set_blocked(pair, w);
                     continue; // backpressure on this VC
                 }
                 eligible |= 1 << w;
             }
-            let Some(w) = pick_vc(eligible, net.routers[r].vc_cursor[o]) else {
+            let Some(w) = pick_vc(eligible, q.routers[r].vc_cursor[o]) else {
                 continue;
             };
             let bit = o * vcs + w;
-            // candidates: FIFO lanes whose head routes some dest via
+            // candidates: FIFO lanes whose head has a branch leaving by
             // (o, w), in lane order — cut short once the want count says
             // every candidate is found
             candidates.clear();
-            let mut remaining = sched.wanted(&net, pair, w);
-            for fi in 0..net.lanes(r) {
-                if sched.head_wants(&net, r, fi, bit) {
-                    candidates.push((fi, sched.head_inject(&net, r, fi)));
+            let mut remaining = sched.wanted(&q, pair, w);
+            for fi in 0..q.lanes(r) {
+                if sched.head_wants(&q, r, fi, bit) {
+                    candidates.push((fi, sched.head_inject(&q, r, fi)));
                     remaining -= 1;
                     if remaining == 0 {
                         break;
@@ -931,7 +890,7 @@ fn simulate<S: Sched>(
             }
             // everything below (until the downstream credit take)
             // touches only router `r`: borrow it once
-            let state = &mut net.routers[r];
+            let state = &mut q.routers[r];
             let win_pos = cfg
                 .arbitration
                 .pick(&candidates, state.rr_cursor[bit])
@@ -948,25 +907,31 @@ fn simulate<S: Sched>(
                 }
             }
 
-            // split off the dests routed via this (port, VC). When
-            // every remaining dest leaves here — unicast, and every
-            // non-branching multicast hop — the slab entry itself is
-            // forwarded: no packet is constructed or moved at all.
-            let head_pid = *state.fifos[fi].front().expect("candidate fifo has a head");
-            let head_spike = net.slab[head_pid as usize].spike_id;
-            let all = net.slab[head_pid as usize]
-                .dests
-                .iter()
-                .all(|&d| sched.route_bit(head_spike, r, d) == bit);
+            // the winning head's member for this (port, VC) leaves its
+            // chain and is forwarded as it is: nothing is constructed or
+            // copied. A policy that wanted a slot the plan gave the head
+            // no branch for (the oracle, were the plan ever wrong about
+            // the fabric) stops here.
+            let lane_q = &mut state.lanes[fi];
+            let first = lane_q.head;
+            let (member, rest) = q
+                .slab
+                .detach(first, bit)
+                .expect("the winning head has a branch for the slot");
             // trace capture: occupancy after a pop, and whether the
             // pop freed our own previously-full ingress lane (emitted
             // after the branch, once the router borrow is released)
             let mut dequeued_occ: Option<u32> = None;
             let mut freed_own = false;
-            let branch_pid = if all {
-                state.fifos[fi].pop_front().expect("head exists");
+            if rest == NIL {
+                // every remaining destination leaves here — unicast, and
+                // every non-branching multicast hop: the lane pops
+                let behind = q.slab.get(first).next;
+                lane_q.head = behind;
+                lane_q.len -= 1;
+                let left = lane_q.len;
                 if events.is_some() {
-                    dequeued_occ = Some(state.fifos[fi].len() as u32);
+                    dequeued_occ = Some(left);
                 }
                 state.queued -= 1;
                 if state.queued == 0 {
@@ -982,36 +947,32 @@ fn simulate<S: Sched>(
                         freed_own = true;
                     }
                 }
-                if let Some(&next_pid) = state.fifos[fi].front() {
+                if left > 0 {
                     // the pop exposed a new head
-                    let next_head = &net.slab[next_pid as usize];
-                    sched.set_head(
-                        r,
-                        fi,
-                        next_head.spike_id,
-                        &next_head.dests,
-                        next_head.inject_cycle,
-                        pos,
-                    );
+                    let inject = q.spikes[q.slab.get(behind).spike as usize].inject_cycle;
+                    let bits = q.slab.chain(behind).map(|m| usize::from(m.bit));
+                    sched.set_head(r, fi, bits, inject, pos);
                 }
-                head_pid
             } else {
-                // multicast split: the head stays, minus this branch
-                let branch = net.slab[head_pid as usize]
-                    .take_dests_where(|d| sched.route_bit(head_spike, r, d) == bit);
+                // multicast split: the head stays, minus this branch;
+                // when its first member left, the next one stands in
+                if rest != first {
+                    lane_q.head = rest;
+                    if lane_q.tail == first {
+                        lane_q.tail = rest;
+                    }
+                }
                 sched.shrink_head(r, fi, bit);
-                net.slab.push(branch);
-                (net.slab.len() - 1) as u32
-            };
+            }
             if let Some(t) = events.as_deref_mut() {
-                let bp = &net.slab[branch_pid as usize];
+                let m = q.slab.get(member);
                 t.push(TraceEvent::Forwarded {
                     cycle: now,
-                    spike_id: bp.spike_id,
+                    spike_id: u64::from(q.spikes[m.spike as usize].spike_id),
                     router: r as u32,
                     port: o as u32,
                     vc: w as u32,
-                    dests: bp.dests.len() as u32,
+                    dests: q.plan.dests(m.node).len() as u32,
                 });
                 if let Some(occupancy) = dequeued_occ {
                     t.push(TraceEvent::Dequeued {
@@ -1030,7 +991,7 @@ fn simulate<S: Sched>(
             state.busy_until[o] = now + flits as u64;
             sched.schedule_expiry(now + flits as u64, pair);
             let down_lane = lane(down_pos, w, vcs);
-            let down_credits = &mut net.routers[nbr].credits_used[down_lane];
+            let down_credits = &mut q.routers[nbr].credits_used[down_lane];
             *down_credits += 1;
             debug_assert!(
                 *down_credits <= cfg.buffer_depth,
@@ -1052,7 +1013,7 @@ fn simulate<S: Sched>(
                 cycle: now + hop_latency,
                 router: nbr,
                 ingress: down_lane,
-                pid: branch_pid,
+                pid: member,
             });
         }
         if progress {
@@ -1069,7 +1030,7 @@ fn simulate<S: Sched>(
             now += 1;
             continue;
         }
-        let mut next = sched.next_cycle(now, next_event(next_inject, &net.slab, &in_transit));
+        let mut next = sched.next_cycle(now, next_event(next_inject, &q.spikes, &in_transit));
         if next == u64::MAX {
             // every queued packet is credit-starved with nothing in
             // flight to free credits: the sweep idles up to the budget
@@ -1080,6 +1041,7 @@ fn simulate<S: Sched>(
         now = next;
     }
 
+    debug_assert_eq!(q.slab.len(), n_handles, "the handle count is a per-net sum");
     counters.deliveries = deliveries.len() as u64;
     Ok((deliveries, counters, per_vc, sched.counters()))
 }

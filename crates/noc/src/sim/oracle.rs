@@ -24,8 +24,8 @@
 //! [`EngineKind::EventDriven`]: super::EngineKind::EventDriven
 //! [`NocStats`]: crate::stats::NocStats
 
-use super::Net;
-use crate::sched::{Sched, TreeTable};
+use super::Queues;
+use crate::sched::Sched;
 use crate::topology::Topology;
 use std::sync::Arc;
 
@@ -35,7 +35,9 @@ use std::sync::Arc;
 pub(crate) struct Sweep {
     topo: Arc<dyn Topology>,
     vcs: usize,
-    tree: Option<TreeTable>,
+    /// The plan follows multicast trees: a branch's slot is the tree's to
+    /// say, not the unicast route's.
+    tree: bool,
     /// The `(pair, router, port)` the sweep examines next this cycle.
     cursor: (u32, usize, usize),
 }
@@ -47,7 +49,7 @@ impl Sched for Sweep {
         topo: &Arc<dyn Topology>,
         _ports: &[Vec<(usize, usize)>],
         vcs: usize,
-        tree: Option<TreeTable>,
+        tree: bool,
     ) -> Self {
         Self {
             topo: Arc::clone(topo),
@@ -70,40 +72,46 @@ impl Sched for Sweep {
         (r < self.topo.num_routers()).then_some((pair, r, o))
     }
 
-    fn wanted(&self, net: &Net, pair: u32, w: usize) -> u32 {
+    fn wanted(&self, q: &Queues, pair: u32, w: usize) -> u32 {
         // only ever asked about the pair `next_pair` just handed out
         let (next, r, o) = self.cursor;
         debug_assert_eq!(pair + 1, next, "not the pair being examined");
         let bit = (o - 1) * self.vcs + w;
-        (0..net.lanes(r))
-            .filter(|&fi| self.head_wants(net, r, fi, bit))
+        (0..q.lanes(r))
+            .filter(|&fi| self.head_wants(q, r, fi, bit))
             .count() as u32
     }
 
-    fn head_wants(&self, net: &Net, r: usize, fi: usize, bit: usize) -> bool {
-        net.head(r, fi).is_some_and(|head| {
-            head.dests
-                .iter()
-                .any(|&d| self.route_bit(head.spike_id, r, d) == bit)
+    /// Asks the topology where every destination the head still carries
+    /// goes from here — not the plan, whose grouping of them into
+    /// branches is what is being checked.
+    fn head_wants(&self, q: &Queues, r: usize, fi: usize, bit: usize) -> bool {
+        q.head(r, fi).any(|member| {
+            if self.tree {
+                return usize::from(member.bit) == bit;
+            }
+            let mut carried = q.plan().dests(member.node).iter();
+            carried.any(|&d| self.route_bit(r, d) == bit)
         })
     }
 
-    fn head_inject(&self, net: &Net, r: usize, fi: usize) -> u64 {
-        net.head(r, fi).expect("a candidate lane").inject_cycle
-    }
-
-    fn route_bit(&self, spike: u64, r: usize, d: u32) -> usize {
-        if let Some(t) = &self.tree {
-            return t.bit(spike, r, d);
-        }
-        let dst = self.topo.endpoint(d);
-        let next = self.topo.route_next(r, dst);
-        let port = self.topo.neighbors(r).iter().position(|&n| n == next);
-        port.expect("routes follow links") * self.vcs + self.topo.hop_vc(r, dst, self.vcs)
+    fn head_inject(&self, q: &Queues, r: usize, fi: usize) -> u64 {
+        q.head_inject(r, fi).expect("a candidate lane")
     }
 
     fn next_cycle(&self, now: u64, _next_event: u64) -> u64 {
         now + 1
+    }
+}
+
+impl Sweep {
+    /// The `(output port, VC)` slot the unicast route from router `r` to
+    /// the remote crossbar `d` leaves by, walked from the topology.
+    pub(crate) fn route_bit(&self, r: usize, d: u32) -> usize {
+        let dst = self.topo.endpoint(d);
+        let next = self.topo.route_next(r, dst);
+        let port = self.topo.neighbors(r).iter().position(|&n| n == next);
+        port.expect("routes follow links") * self.vcs + self.topo.hop_vc(r, dst, self.vcs)
     }
 }
 

@@ -153,6 +153,15 @@ pub struct SimTrace {
     pub progress_cycles: Vec<u64>,
     /// Scheduler counters ([`SchedCounters::default`] for the oracle).
     pub sched: SchedCounters,
+    /// Distinct nets — `(source crossbar, destination crossbars)`, or
+    /// `(source, destination)` pairs when multicast is off — among the
+    /// run's flows. Every routing question is asked once per net, so
+    /// packets injected ÷ nets says how often each answer was reused.
+    /// Equal under both engines; not part of any digest.
+    pub nets: u64,
+    /// Nodes of the run's forwarding plan: (net, router reached) pairs.
+    /// Equal under both engines; not part of any digest.
+    pub plan_nodes: u64,
 }
 
 /// Full statistics of one interconnect simulation.
