@@ -509,3 +509,289 @@ impl Slab {
         self.handles[tail as usize].next = h;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::Sched;
+    use crate::sim::{egress_ports, oracle::Sweep};
+    use crate::topology::{HierTopology, Mesh2D, NocTree, Star, Torus};
+    use std::sync::Arc;
+
+    /// Four routers in a line, three crossbars on each — the shape no
+    /// built-in topology has, and the only one where `local` holds more
+    /// than one crossbar.
+    struct SharedLine;
+
+    impl Topology for SharedLine {
+        fn num_routers(&self) -> usize {
+            4
+        }
+        fn num_crossbars(&self) -> usize {
+            12
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            k as usize / 3
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            [&[1][..], &[0, 2], &[1, 3], &[2]][r]
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            match r.cmp(&dst) {
+                std::cmp::Ordering::Less => r + 1,
+                std::cmp::Ordering::Equal => r,
+                std::cmp::Ordering::Greater => r - 1,
+            }
+        }
+        fn name(&self) -> String {
+            "shared line".into()
+        }
+    }
+
+    /// Random multicast flows with duplicate and self destinations, a few
+    /// of them repeated back to back and later on.
+    fn random_flows(crossbars: u32, seed: u64) -> Vec<SpikeFlow> {
+        let mut x = seed | 1;
+        let mut draw = move |below: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) as u32 % below
+        };
+        let mut flows: Vec<SpikeFlow> = (0..40)
+            .map(|n| SpikeFlow {
+                source_neuron: n,
+                src_crossbar: draw(crossbars),
+                dst_crossbars: (0..1 + draw(7)).map(|_| draw(crossbars)).collect(),
+                send_step: 0,
+            })
+            .collect();
+        flows.insert(3, flows[2].clone());
+        flows.push(flows[5].clone());
+        flows
+    }
+
+    /// Walks net `net` of `plan` from its root and checks every node
+    /// against the fabric. `carried` is what the node must carry, in the
+    /// flow's order, as `(crossbar, position in the flow's list)`.
+    #[allow(clippy::too_many_arguments)]
+    fn check_node(
+        plan: &Plan,
+        topo: &dyn Topology,
+        vcs: usize,
+        paths: Option<&[Vec<(usize, usize)>]>,
+        walk: &Sweep,
+        (node, r, depth): (u32, usize, usize),
+        carried: &[(u32, usize)],
+        extra: &mut u32,
+    ) {
+        let what = format!("{} at router {r}, depth {depth}", topo.name());
+        let here = |&&(d, _): &&(u32, usize)| topo.endpoint(d) == r;
+        let local: Vec<u32> = carried.iter().filter(here).map(|&(d, _)| d).collect();
+        assert_eq!(plan.local(node), local, "{what}: local is the flow's order");
+        let sorted = |mut v: Vec<u32>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            sorted(plan.dests(node).to_vec()),
+            sorted(carried.iter().map(|&(d, _)| d).collect()),
+            "{what}: the node carries what reaches it"
+        );
+        // range = local ++ children's ranges, slots distinct
+        let branches = plan.branches(node);
+        let mut range = local.clone();
+        for b in branches {
+            range.extend_from_slice(plan.dests(b.child));
+        }
+        assert_eq!(plan.dests(node), range, "{what}");
+        let mut bits: Vec<u16> = branches.iter().map(|b| b.bit).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        assert_eq!(bits.len(), branches.len(), "{what}: slots are distinct");
+        if branches.is_empty() {
+            assert_eq!(
+                plan.dests(node),
+                local,
+                "{what}: a leaf delivers everything"
+            );
+        }
+        *extra += (branches.len() as u32).saturating_sub(1);
+        // every remote destination leaves by the slot the fabric names
+        let slot_of = |&(d, j): &(u32, usize)| match paths {
+            Some(paths) => {
+                let (next, vc) = paths[j][depth];
+                let port = topo.neighbors(r).iter().position(|&n| n == next);
+                port.expect("a link") * vcs + vc
+            }
+            None => walk.route_bit(r, d),
+        };
+        let remote: Vec<(u32, usize)> = carried.iter().filter(|c| !here(c)).copied().collect();
+        for c in &remote {
+            let slot = slot_of(c);
+            assert!(
+                branches.iter().any(|b| usize::from(b.bit) == slot),
+                "{what}: no branch for crossbar {} by slot {slot}",
+                c.0
+            );
+        }
+        for b in branches {
+            let share: Vec<(u32, usize)> = remote
+                .iter()
+                .filter(|c| slot_of(c) == usize::from(b.bit))
+                .copied()
+                .collect();
+            assert!(!share.is_empty(), "{what}: a branch nobody takes");
+            // the child sits on the neighbor the slot names
+            let nbr = topo.neighbors(r)[usize::from(b.bit) / vcs];
+            let at = (b.child, nbr, depth + 1);
+            check_node(plan, topo, vcs, paths, walk, at, &share, extra);
+        }
+    }
+
+    #[test]
+    fn plans_follow_the_fabric_on_every_topology() {
+        let fabrics: Vec<(Arc<dyn Topology>, usize, bool)> = vec![
+            (Arc::new(Mesh2D::for_crossbars(16)), 1, false),
+            (Arc::new(Mesh2D::for_crossbars(16)), 1, true),
+            (Arc::new(Torus::for_crossbars(16)), 2, false),
+            (Arc::new(Torus::for_crossbars(16)), 2, true),
+            (Arc::new(NocTree::new(8, 2)), 1, false),
+            (Arc::new(Star::new(9)), 1, false),
+            (
+                Arc::new(HierTopology::mesh(2, 2, 2, 2, 16, 3, 2).expect("valid")),
+                2,
+                false,
+            ),
+            (Arc::new(SharedLine), 1, false),
+            (Arc::new(SharedLine), 2, true),
+        ];
+        for (topo, vcs, trees) in fabrics {
+            let ports = egress_ports(topo.as_ref()).expect("bidirectional");
+            // the oracle's from-scratch walk: what every branch slot must equal
+            let walk = Sweep::build(&topo, &ports, vcs, false);
+            let topo = topo.as_ref();
+            let flows = random_flows(topo.num_crossbars() as u32, 0x5eed + vcs as u64);
+            for multicast in [true, false] {
+                let nets = Nets::intern(&flows, multicast);
+                let plan = Plan::build(topo, vcs, trees && multicast, &nets).expect("plans");
+                assert_eq!(plan.roots.len(), nets.len());
+                let mut nodes = 0;
+                for (net, &(src, dests)) in nets.keys.iter().enumerate() {
+                    let src_router = topo.endpoint(src);
+                    let routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
+                    let paths = (trees && multicast)
+                        .then(|| topo.multicast_route(src_router, &routers, vcs));
+                    let carried: Vec<(u32, usize)> =
+                        dests.iter().copied().zip(0..dests.len()).collect();
+                    let root = plan.root(net as u32);
+                    assert_eq!(root, nodes, "a net's nodes are contiguous, root first");
+                    let mut extra = 0;
+                    let at = (root, src_router, 0);
+                    check_node(
+                        &plan,
+                        topo,
+                        vcs,
+                        paths.as_deref(),
+                        &walk,
+                        at,
+                        &carried,
+                        &mut extra,
+                    );
+                    assert_eq!(plan.extra_handles(net as u32), extra);
+                    nodes = plan
+                        .roots
+                        .get(net + 1)
+                        .map_or(plan.node_count() as u32, |r| r.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_flows_share_a_net_and_unicast_clones_get_one_per_pair() {
+        let flow = |src: u32, dsts: &[u32]| SpikeFlow {
+            source_neuron: 0,
+            src_crossbar: src,
+            dst_crossbars: dsts.to_vec(),
+            send_step: 0,
+        };
+        let flows = [
+            flow(0, &[3, 1]),
+            flow(0, &[3, 1]),
+            flow(0, &[1, 3]),
+            flow(2, &[]),
+            flow(0, &[3, 1]),
+            flow(1, &[3, 1]),
+        ];
+        let nets = Nets::intern(&flows, true);
+        assert_eq!(
+            nets.len(),
+            3,
+            "order is part of a net: it is the delivery order"
+        );
+        let ids: Vec<u32> = [0, 1, 2, 4, 5].map(|f| nets.of(f, 0)).to_vec();
+        assert_eq!(ids, [0, 0, 1, 0, 2]);
+        let nets = Nets::intern(&flows, false);
+        assert_eq!(nets.len(), 4, "(0,3) (0,1) (1,3) (1,1)");
+        assert_eq!((nets.of(0, 0), nets.of(0, 1)), (0, 1));
+        assert_eq!((nets.of(2, 0), nets.of(2, 1)), (1, 0));
+        assert_eq!((nets.of(5, 0), nets.of(5, 1)), (2, 3));
+    }
+
+    /// A slab holding one five-way chain: handle 0 fanned out over slots
+    /// 4, 1, 7, 2, 9 (children 10..15).
+    fn five_way_chain() -> Slab {
+        let branches: Vec<Branch> = [4u16, 1, 7, 2, 9]
+            .iter()
+            .zip(10..)
+            .map(|(&bit, child)| Branch { child, bit })
+            .collect();
+        let mut slab = Slab::new([0u32].into_iter(), 5);
+        slab.fan_out(0, &branches);
+        slab
+    }
+
+    fn bits(slab: &Slab, first: u32) -> Vec<u16> {
+        slab.chain(first).map(|m| m.bit).collect()
+    }
+
+    #[test]
+    fn detach_keeps_relative_order_on_both_sides() {
+        let mut slab = five_way_chain();
+        assert_eq!(bits(&slab, 0), [4, 1, 7, 2, 9]);
+        assert_eq!(slab.len(), 5, "the first member reuses the arriving handle");
+        // a middle member, the last, then the first: the rest keeps its order
+        let (member, first) = slab.detach(0, 7).expect("a member");
+        assert_eq!(
+            (slab.get(member).bit, slab.get(member).node, first),
+            (7, 12, 0)
+        );
+        assert_eq!(bits(&slab, first), [4, 1, 2, 9]);
+        let (member, first) = slab.detach(first, 9).expect("a member");
+        assert_eq!((slab.get(member).node, first), (14, 0));
+        assert_eq!(bits(&slab, first), [4, 1, 2]);
+        // the lane link moves over when the first member leaves
+        slab.link_after(0, 77);
+        let (member, first) = slab.detach(first, 4).expect("a member");
+        assert_eq!((member, slab.get(member).node), (0, 10));
+        assert_eq!(bits(&slab, first), [1, 2]);
+        assert_eq!(slab.get(first).next, 77);
+        let (_, first) = slab.detach(first, 2).expect("a member");
+        assert_eq!(bits(&slab, first), [1]);
+        // the last one out leaves nothing, and its lane link is intact
+        let (member, rest) = slab.detach(first, 1).expect("a member");
+        assert_eq!((member, rest), (first, NIL));
+        assert_eq!(slab.get(member).next, 77);
+        assert!(slab.chain(rest).next().is_none());
+    }
+
+    #[test]
+    fn detach_without_a_match_leaves_the_chain_intact() {
+        let mut slab = five_way_chain();
+        assert_eq!(slab.detach(0, 3), None);
+        assert_eq!(bits(&slab, 0), [4, 1, 7, 2, 9]);
+        let children: Vec<u32> = slab.chain(0).map(|m| m.node).collect();
+        assert_eq!(children, [10, 11, 12, 13, 14]);
+    }
+}

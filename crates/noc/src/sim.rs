@@ -1558,6 +1558,163 @@ mod tests {
         assert_eq!(stats.unwrap().delivered, 2);
     }
 
+    /// Both engines' outcome on one topology builder; they must agree.
+    fn both_engines(
+        topo: impl Fn() -> Box<dyn Topology>,
+        cfg: NocConfig,
+        flows: &[SpikeFlow],
+    ) -> Result<NocStats, NocError> {
+        let run = |engine| {
+            NocSim::new(topo(), cfg, EnergyModel::default())
+                .with_engine(engine)
+                .run(flows)
+        };
+        let event = run(EngineKind::EventDriven);
+        assert_eq!(event, run(EngineKind::CycleOracle));
+        event
+    }
+
+    /// A line of three routers whose last link only goes one way: router
+    /// 1 lists 2, router 2 lists nothing.
+    struct OneWayLine;
+
+    impl Topology for OneWayLine {
+        fn num_routers(&self) -> usize {
+            3
+        }
+        fn num_crossbars(&self) -> usize {
+            3
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            k as usize
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            [&[1][..], &[0, 2], &[]][r]
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            match r.cmp(&dst) {
+                std::cmp::Ordering::Less => r + 1,
+                std::cmp::Ordering::Equal => r,
+                std::cmp::Ordering::Greater => r - 1,
+            }
+        }
+        fn name(&self) -> String {
+            "one-way line".into()
+        }
+    }
+
+    #[test]
+    fn one_way_link_is_a_typed_error_under_both_engines() {
+        // credits return over the link a packet came by; this used to
+        // panic in `egress_ports` ("links are bidirectional")
+        let flows = [SpikeFlow::unicast(0, 0, 1, 0)];
+        let e = both_engines(|| Box::new(OneWayLine), NocConfig::default(), &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "topology",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+    }
+
+    /// A mesh whose unicast route from router 0 or 1 toward router 2
+    /// bounces between the two forever.
+    struct BouncingMesh(Mesh2D);
+
+    impl Topology for BouncingMesh {
+        fn num_routers(&self) -> usize {
+            self.0.num_routers()
+        }
+        fn num_crossbars(&self) -> usize {
+            self.0.num_crossbars()
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            self.0.endpoint(k)
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            self.0.neighbors(r)
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            match (r, dst) {
+                (0, 2) => 1,
+                (1, 2) => 0,
+                _ => self.0.route_next(r, dst),
+            }
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn routes_that_revisit_a_router_are_typed_errors_under_both_engines() {
+        // a tree path that is a link walk to its destination — so it
+        // passes every check above — but goes 0 → 1 → 0 → 1 → … first:
+        // the per-spike tree table used to hold two entries for (router 1,
+        // crossbar 2) and the packet ping-ponged until the cycle budget.
+        // A plan node knows how many hops it is from the source, and a
+        // packet under way for as many hops as there are routers has
+        // been somewhere twice.
+        let cfg = NocConfig {
+            multicast: true,
+            multicast_trees: true,
+            max_cycles: 200_000,
+            ..NocConfig::default()
+        };
+        let flows = [SpikeFlow::multicast(0, 0, vec![8, 2], 0)];
+        let bounce: Bend = |paths| {
+            let direct = std::mem::take(&mut paths[0]);
+            paths[0] = [(1, 0), (0, 0)].repeat(5);
+            paths[0].extend(direct);
+        };
+        let topo = || -> Box<dyn Topology> { Box::new(BentMesh(Mesh2D::for_crossbars(9), bounce)) };
+        let e = both_engines(topo, cfg, &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "multicast_route",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+        // the same bound for a unicast route that never arrives
+        let cfg = NocConfig {
+            max_cycles: 200_000,
+            ..NocConfig::default()
+        };
+        let topo = || -> Box<dyn Topology> { Box::new(BouncingMesh(Mesh2D::for_crossbars(9))) };
+        let e = both_engines(topo, cfg, &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "topology",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+        // and a detour that comes back within the bound is just a longer
+        // tree: every node follows its own hop of the path
+        let detour: Bend = |paths| {
+            let direct = std::mem::take(&mut paths[0]);
+            paths[0] = vec![(1, 0), (0, 0)];
+            paths[0].extend(direct);
+        };
+        let topo = || -> Box<dyn Topology> { Box::new(BentMesh(Mesh2D::for_crossbars(9), detour)) };
+        let cfg = NocConfig {
+            multicast_trees: true,
+            ..NocConfig::default()
+        };
+        assert_eq!(both_engines(topo, cfg, &flows).unwrap().delivered, 2);
+    }
+
     #[test]
     fn router_too_wide_for_the_slot_tables_is_rejected_by_both_engines() {
         // hub degree 2049 × 32 VCs = 65 568 (port, VC) slots: one past what

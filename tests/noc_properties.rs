@@ -182,6 +182,37 @@ fn arb_vc_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
     })
 }
 
+/// Few nets, each fired many times: up to five neurons with a fixed
+/// destination list apiece (raw — duplicates, the source itself and any
+/// order survive), each firing at a drawn subset of 12 steps. Every other
+/// generator here draws its destinations per spike, so no two packets of
+/// a case share a net; the mapped SNN traffic the simulator exists for is
+/// the opposite. Crossbar ids are drawn wide and folded by the caller.
+fn arb_repeated_nets() -> impl Strategy<Value = Vec<SpikeFlow>> {
+    proptest::collection::vec(
+        (
+            0u32..1000,
+            proptest::collection::vec(0u32..1000, 1..7),
+            proptest::collection::vec(any::<bool>(), 12),
+        ),
+        1..6,
+    )
+    .prop_map(|nets| {
+        let mut flows = Vec::new();
+        for (neuron, (src, dsts, fires)) in nets.into_iter().enumerate() {
+            for (step, _) in fires.iter().enumerate().filter(|(_, &f)| f) {
+                flows.push(SpikeFlow {
+                    source_neuron: neuron as u32,
+                    src_crossbar: src,
+                    dst_crossbars: dsts.clone(),
+                    send_step: step as u32,
+                });
+            }
+        }
+        flows
+    })
+}
+
 /// Like [`assert_engines_agree`], but over an explicit topology builder
 /// (the VC corpus pins mesh/torus instead of indexing the shared list).
 fn assert_engines_agree_on(
@@ -790,6 +821,74 @@ fn delivery_logs_are_frozen() {
     }
 }
 
+/// A torus that counts its `multicast_route` calls.
+struct CountingTorus(Torus, std::sync::atomic::AtomicUsize);
+
+impl Topology for CountingTorus {
+    fn num_routers(&self) -> usize {
+        self.0.num_routers()
+    }
+    fn num_crossbars(&self) -> usize {
+        self.0.num_crossbars()
+    }
+    fn endpoint(&self, k: u32) -> usize {
+        self.0.endpoint(k)
+    }
+    fn neighbors(&self, r: usize) -> &[usize] {
+        self.0.neighbors(r)
+    }
+    fn route_next(&self, r: usize, dst: usize) -> usize {
+        self.0.route_next(r, dst)
+    }
+    fn hop_vc(&self, r: usize, dst: usize, vc_count: usize) -> usize {
+        self.0.hop_vc(r, dst, vc_count)
+    }
+    fn multicast_route(
+        &self,
+        src: usize,
+        dest_routers: &[usize],
+        vc_count: usize,
+    ) -> Vec<Vec<(usize, usize)>> {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.multicast_route(src, dest_routers, vc_count)
+    }
+    fn hops(&self, from: usize, to: usize) -> u32 {
+        self.0.hops(from, to)
+    }
+    fn name(&self) -> String {
+        self.0.name()
+    }
+}
+
+#[test]
+fn tree_routes_are_asked_once_per_net() {
+    // case (b) of the frozen logs: 288 spikes of 24 nets
+    let topo = std::sync::Arc::new(CountingTorus(
+        Torus::for_crossbars(16),
+        std::sync::atomic::AtomicUsize::new(0),
+    ));
+    let cfg = NocConfig {
+        multicast_trees: true,
+        vc_count: 2,
+        cycles_per_step: 6,
+        buffer_depth: 2,
+        ..NocConfig::default()
+    };
+    let flows = frozen_net_flows();
+    for (engine, calls) in [(EngineKind::EventDriven, 24), (EngineKind::CycleOracle, 48)] {
+        let shared: std::sync::Arc<dyn Topology> = topo.clone();
+        let mut sim = NocSim::shared(shared, cfg, EnergyModel::default()).with_engine(engine);
+        let (stats, _, trace) = sim.run_traced(&flows, 12).expect("drains");
+        assert_eq!(stats.counters.packets_injected, 288);
+        assert_eq!((trace.nets, trace.plan_nodes > 24), (24, true));
+        assert_eq!(
+            topo.1.load(std::sync::atomic::Ordering::Relaxed),
+            calls,
+            "one multicast_route call per net per run"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(24)))]
 
@@ -815,6 +914,60 @@ proptest! {
             ..NocConfig::default()
         };
         assert_engines_agree_on(|| vc_topology(mesh), cfg, &flows, 6)?;
+    }
+
+    #[test]
+    fn engines_agree_on_repeated_nets(
+        flows in arb_repeated_nets(),
+        fabric in 0usize..4,
+        depth in 1usize..4,
+        cycles_per_step in 1u64..9,
+        (multicast, trees) in (any::<bool>(), any::<bool>()),
+    ) {
+        // steps a few cycles apart, so several spikes of one net are in
+        // the fabric at once; the shared-router line is the one fabric
+        // where an arrival delivers to several crossbars
+        let topo = || -> Box<dyn Topology> {
+            match fabric {
+                0 | 1 => Box::new(common::SharedRouterLine::new(4, 3)),
+                2 => Box::new(Torus::for_crossbars(16)),
+                _ => Box::new(Mesh2D::for_crossbars(16)),
+            }
+        };
+        let crossbars = topo().num_crossbars() as u32;
+        let flows: Vec<SpikeFlow> = flows
+            .into_iter()
+            .map(|f| SpikeFlow {
+                src_crossbar: f.src_crossbar % crossbars,
+                dst_crossbars: f.dst_crossbars.iter().map(|d| d % crossbars).collect(),
+                ..f
+            })
+            .collect();
+        let cfg = NocConfig {
+            buffer_depth: depth,
+            vc_count: if fabric == 0 { 1 } else { 2 },
+            cycles_per_step,
+            multicast,
+            multicast_trees: trees,
+            max_cycles: 60_000,
+            trace: true,
+            ..NocConfig::default()
+        };
+        assert_engines_agree_on(topo, cfg, &flows, 12)?;
+        // nothing is lost or doubled — one delivery per listed
+        // destination — and the event streams agree byte for byte
+        let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
+        let mut oracle =
+            NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
+        let (stats, log) = event.run_with_duration(&flows, 12).expect("drains");
+        oracle.run_with_duration(&flows, 12).expect("drains");
+        let listed: usize = flows.iter().map(|f| f.dst_crossbars.len()).sum();
+        prop_assert_eq!(log.len(), listed);
+        prop_assert_eq!(stats.delivered as usize, listed);
+        prop_assert_eq!(
+            event.take_trace().expect("traced").to_bytes(),
+            oracle.take_trace().expect("traced").to_bytes()
+        );
     }
 
     #[test]
