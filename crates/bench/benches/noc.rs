@@ -3,7 +3,8 @@
 //! engine-comparison workloads (`neuromap_bench::noc_workloads`, shared
 //! with `perf_probe noc`) and on a multi-chip fabric, tracing on against
 //! off on the dense point, and Steiner multicast trees against
-//! per-destination routes.
+//! per-destination routes (on clustered one-shot multicast and on nets
+//! that repeat).
 //!
 //! The row rule and the gate table are `neuromap_bench::ledger`'s
 //! ([`ledger::NOC`]): every row is one side of a pair, every pair is
@@ -131,20 +132,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
 }
 
 /// Per-destination DOR routes vs Steiner multicast trees
-/// ([`NocConfig::multicast_trees`]) on a 64-router mesh under fan-out-6
-/// multicast — the `trees/mesh64_multicast` paired ratio in
-/// `BENCH_noc.json`. Before timing, the tree configuration is
-/// differentially gated (both engines must digest-match with trees on,
-/// mirroring the `engine/*` groups) and trees must actually shed link
-/// traffic relative to per-destination routes.
-fn bench_tree_routing(c: &mut Criterion) {
-    // clustered destinations (two corner blocks): dimension-order routes
-    // reach each cluster through parallel columns, while the Steiner
-    // attach rule rides one path into the cluster and fans out locally —
-    // spread-out destinations would degenerate to the DOR union
-    let flows: Vec<SpikeFlow> = (0..200u32)
-        .map(|i| SpikeFlow::multicast(i, i % 64, vec![48, 54, 55, 56, 62, 63], i / 40))
-        .collect();
+/// ([`NocConfig::multicast_trees`]) on a 64-router mesh — the
+/// `trees/<name>` paired ratios in `BENCH_noc.json`. Before timing, the
+/// tree configuration is differentially gated (both engines must
+/// digest-match with trees on, mirroring the `engine/*` groups) and trees
+/// must actually shed link traffic relative to per-destination routes.
+fn bench_tree_pair(c: &mut Criterion, name: &str, flows: &[SpikeFlow]) {
     let per_dest = NocConfig {
         multicast: true,
         ..NocConfig::default()
@@ -158,18 +151,18 @@ fn bench_tree_routing(c: &mut Criterion) {
         let mut event = NocSim::new(mesh(), trees, EnergyModel::default());
         let mut oracle =
             NocSim::new(mesh(), trees, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let ev = event.run(&flows).expect("event engine drains");
-        let or = oracle.run(&flows).expect("oracle drains");
+        let ev = event.run(flows).expect("event engine drains");
+        let or = oracle.run(flows).expect("oracle drains");
         assert_eq!(
             ev.digest().unwrap(),
             or.digest().unwrap(),
-            "trees/mesh64_multicast: engines diverge under tree routing — \
+            "trees/{name}: engines diverge under tree routing — \
              benchmark numbers would be meaningless"
         );
         ev
     };
     let pd = NocSim::new(mesh(), per_dest, EnergyModel::default())
-        .run(&flows)
+        .run(flows)
         .expect("traffic drains");
     assert_eq!(
         ev.delivered, pd.delivered,
@@ -177,21 +170,20 @@ fn bench_tree_routing(c: &mut Criterion) {
     );
     assert!(
         ev.counters.link_flits < pd.counters.link_flits,
-        "REGRESSION: Steiner trees must shed link traffic on fan-out-6 \
-         multicast ({} !< {})",
+        "REGRESSION: Steiner trees must shed link traffic on trees/{name} ({} !< {})",
         ev.counters.link_flits,
         pd.counters.link_flits
     );
     println!(
-        "trees/mesh64_multicast: link flits {} -> {} ({:.1}% lower)",
+        "trees/{name}: link flits {} -> {} ({:.1}% lower)",
         pd.counters.link_flits,
         ev.counters.link_flits,
         100.0 * (1.0 - ev.counters.link_flits as f64 / pd.counters.link_flits as f64)
     );
-    let mut group = c.benchmark_group("trees/mesh64_multicast");
+    let mut group = c.benchmark_group(format!("trees/{name}"));
     group.sample_size(10);
-    for (name, cfg) in [("perdest", per_dest), ("trees", trees)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &flows, |b, f| {
+    for (side, cfg) in [("perdest", per_dest), ("trees", trees)] {
+        group.bench_with_input(BenchmarkId::from_parameter(side), flows, |b, f| {
             b.iter(|| {
                 let mut sim = NocSim::new(mesh(), cfg, EnergyModel::default());
                 sim.run(f).expect("traffic drains")
@@ -199,6 +191,25 @@ fn bench_tree_routing(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_tree_routing(c: &mut Criterion) {
+    // clustered destinations (two corner blocks), fan-out 6: dimension-order
+    // routes reach each cluster through parallel columns, while the Steiner
+    // attach rule rides one path into the cluster and fans out locally —
+    // spread-out destinations would degenerate to the DOR union. Every
+    // source crossbar is its own net here, three spikes apiece
+    let clustered: Vec<SpikeFlow> = (0..200u32)
+        .map(|i| SpikeFlow::multicast(i, i % 64, vec![48, 54, 55, 56, 62, 63], i / 40))
+        .collect();
+    bench_tree_pair(c, "mesh64_multicast", &clustered);
+    // the regime tree routing serves in the mapper: a fixed net per neuron
+    // fired many times, so each tree is asked for and walked once
+    let repeated = engine_workloads()
+        .into_iter()
+        .find(|w| w.name == "mesh64_repeat_nets")
+        .expect("mesh64_repeat_nets workload exists");
+    bench_tree_pair(c, repeated.name, &repeated.flows);
 }
 
 fn main() {

@@ -19,18 +19,23 @@
 //! walks — the table a decision about that kernel starts from.
 //!
 //! `perf_probe noc` instead probes the interconnect engines on the
-//! dense-saturation workloads of [`neuromap_bench::noc_workloads`]: it
-//! times the event engine against the cycle oracle and prints the event
-//! scheduler's diagnostic counters
-//! ([`neuromap_noc::stats::SchedCounters`]) — wake cycles, per-port wakes
-//! vs the retired global scheme's counterfactual lane scans, and the
-//! wake-queue peaks — so dense-regime scheduling regressions show up as
-//! counter shifts, not just wall-clock noise.
+//! dense-saturation workloads of [`neuromap_bench::noc_workloads`] and on
+//! repeated-net traffic at 64 and 1024 routers: it times the event engine
+//! against the cycle oracle and prints the event scheduler's diagnostic
+//! counters ([`neuromap_noc::stats::SchedCounters`]) — wake cycles,
+//! per-port wakes vs the retired global scheme's counterfactual lane
+//! scans, and the wake-queue peaks — so dense-regime scheduling
+//! regressions show up as counter shifts, not just wall-clock noise; and,
+//! per scenario, the nets and forwarding-plan nodes of the run, spikes
+//! per net and host ns per router traversal — "does this traffic repeat
+//! its nets" is that one line.
 
 use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, Synthetic};
 use neuromap_apps::App;
-use neuromap_bench::noc_workloads::dense_workloads;
+use neuromap_bench::noc_workloads::{
+    dense_workloads, engine_workloads, repeated_net_traffic, NocWorkload,
+};
 use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, SEED};
 use neuromap_core::decode::DecodeScratch;
@@ -228,9 +233,23 @@ const SPOTTER_TOP_LANES: usize = 4;
 /// Dominant flows the spotter names per lane.
 const SPOTTER_TOP_FLOWS: usize = 2;
 
-/// Event-vs-oracle probe over the dense-saturation workloads.
+/// Event-vs-oracle probe over the dense-saturation workloads (destinations
+/// move every step: about one spike per net) and repeated-net traffic (a
+/// fixed net per neuron) on a 64- and a 1024-router mesh.
 fn probe_noc() {
-    for w in dense_workloads() {
+    let mut workloads = dense_workloads();
+    workloads.extend(
+        engine_workloads()
+            .into_iter()
+            .filter(|w| w.name == "mesh64_repeat_nets"),
+    );
+    workloads.push(NocWorkload {
+        name: "mesh1024_repeat_nets",
+        flows: repeated_net_traffic(1024, 4096, 6, 48, 4),
+        topo: || Box::new(Mesh2D::for_crossbars(1024)),
+        cfg: NocConfig::default(),
+    });
+    for w in workloads {
         let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
 
         let start = Instant::now();
@@ -275,6 +294,16 @@ fn probe_noc() {
         println!(
             "  head updates {}, peak ready {}, peak wake heap {}",
             s.head_updates, s.peak_ready, s.peak_wake_heap
+        );
+        let c = ev.counters;
+        println!(
+            "  {} packets of {} nets ({:.1} spikes per net), {} plan nodes; {} router traversals at {:.0} host ns each",
+            c.packets_injected,
+            trace.nets,
+            c.packets_injected as f64 / trace.nets.max(1) as f64,
+            trace.plan_nodes,
+            c.router_traversals,
+            event_s * 1e9 / c.router_traversals.max(1) as f64
         );
 
         // congestion spotter over the structured event trace — a

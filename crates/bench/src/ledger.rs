@@ -116,7 +116,8 @@ pub const NOC: Ledger = Ledger {
     file: "BENCH_noc.json",
     pairings: &[
         ("oracle", "event", true),
-        // known costs: per-event recording; tree construction and lookups
+        // known costs: per-event recording; asking for a Steiner tree per
+        // net and walking its paths (lookups are the plan's either way)
         ("off", "on", false),
         ("perdest", "trees", false),
     ],
@@ -128,11 +129,16 @@ pub const NOC: Ledger = Ledger {
         ("engine/dense_torus64", Bound::Present),
         ("engine/dense_vc4_burst16", Bound::Present),
         ("engine/torus64_vc2_shallow", Bound::Present),
+        // the regime the forwarding plan is for: 50 spikes per net
+        ("engine/mesh64_repeat_nets", Bound::Present),
         ("engine/torus64_vc4_depth4", Bound::Present),
         ("hier_engine/multichip64", Bound::Present),
         // tracing must stay usable exactly where congestion analysis needs it
         ("trace/dense_burst16", Bound::CostAtMost(3.0)),
-        ("trees/mesh64_multicast", Bound::Present),
+        // three spikes per net: the tree is asked for once per net, not
+        // per spike (2.9-3.9 when it was)
+        ("trees/mesh64_multicast", Bound::CostAtMost(2.5)),
+        ("trees/mesh64_repeat_nets", Bound::Present),
     ],
 };
 
@@ -348,17 +354,19 @@ mod tests {
         ("hier/synth_4chip16x16/CutSpikes", 5.71, true),
         ("hier/synth_4chip16x16/CutPackets", 2.56, true),
     ];
-    const COMMITTED_NOC: [(&str, f64, bool); 10] = [
-        ("engine/sparse_paper64", 6.26, true),
-        ("engine/moderate_paper64", 3.37, true),
-        ("engine/dense_burst16", 2.14, true),
-        ("engine/dense_torus64", 6.78, true),
-        ("engine/dense_vc4_burst16", 9.57, true),
-        ("engine/torus64_vc2_shallow", 4.39, true),
-        ("engine/torus64_vc4_depth4", 9.33, true),
-        ("hier_engine/multichip64", 4.10, true),
-        ("trace/dense_burst16", 0.77, false),
-        ("trees/mesh64_multicast", 0.32, false),
+    const COMMITTED_NOC: [(&str, f64, bool); 12] = [
+        ("engine/sparse_paper64", 6.98, true),
+        ("engine/moderate_paper64", 3.29, true),
+        ("engine/dense_burst16", 2.40, true),
+        ("engine/dense_torus64", 9.62, true),
+        ("engine/dense_vc4_burst16", 11.99, true),
+        ("engine/torus64_vc2_shallow", 5.07, true),
+        ("engine/mesh64_repeat_nets", 2.57, true),
+        ("engine/torus64_vc4_depth4", 8.56, true),
+        ("hier_engine/multichip64", 4.67, true),
+        ("trace/dense_burst16", 0.86, false),
+        ("trees/mesh64_multicast", 0.66, false),
+        ("trees/mesh64_repeat_nets", 1.05, false),
     ];
 
     fn ratios(committed: &[(&str, f64, bool)]) -> Vec<Ratio> {

@@ -69,6 +69,33 @@ pub fn dense_multicast_traffic(
     flows
 }
 
+/// Repeated-net traffic — what a mapped SNN actually offers the
+/// interconnect: `neurons` neurons, each with a fixed home crossbar and a
+/// fixed `fanout`-wide destination set (its synapses do not move), firing
+/// every `period`-th step with a per-neuron phase, flows emitted neuron by
+/// neuron as `core::pipeline::build_flows` does. Every other generator
+/// here moves the destinations each step (≈ one spike per net), which is
+/// the regime where planning a net once buys nothing.
+pub fn repeated_net_traffic(
+    crossbars: u32,
+    neurons: u32,
+    fanout: u32,
+    steps: u32,
+    period: u32,
+) -> Vec<SpikeFlow> {
+    let mut flows = Vec::new();
+    for n in 0..neurons {
+        let src = (n * 13) % crossbars;
+        let dsts: Vec<u32> = (0..fanout)
+            .map(|j| (src + 1 + (n * 7 + j * 11) % (crossbars - 1)) % crossbars)
+            .collect();
+        for step in (n % period..steps).step_by(period as usize) {
+            flows.push(SpikeFlow::multicast(n, src, dsts.clone(), step));
+        }
+    }
+    flows
+}
+
 /// One engine-comparison workload: the same flows, topology, and
 /// configuration are fed to both engines.
 pub struct NocWorkload {
@@ -88,7 +115,9 @@ pub struct NocWorkload {
 /// without virtual channels) so the VC arbitration path is part of the
 /// tracked perf trajectory; the `dense_*` points saturate the network so
 /// the per-port wake scheduler's dense-regime speedup is tracked (and
-/// floor-gated in [`crate::ledger::NOC`]), not just the sparse win.
+/// floor-gated in [`crate::ledger::NOC`]), not just the sparse win;
+/// `mesh64_repeat_nets` is the one point whose nets repeat (256 nets,
+/// 50 spikes each), the regime the forwarding plan is for.
 pub fn engine_workloads() -> Vec<NocWorkload> {
     vec![
         NocWorkload {
@@ -138,6 +167,12 @@ pub fn engine_workloads() -> Vec<NocWorkload> {
                 vc_count: 2,
                 ..NocConfig::default()
             },
+        },
+        NocWorkload {
+            name: "mesh64_repeat_nets",
+            flows: repeated_net_traffic(64, 256, 4, 200, 4),
+            topo: || Box::new(Mesh2D::for_crossbars(64)),
+            cfg: NocConfig::default(),
         },
         NocWorkload {
             name: "torus64_vc4_depth4",

@@ -33,7 +33,8 @@ pub struct NocConfig {
     /// meaningful when [`NocConfig::multicast`] is on (unicast clones
     /// carry one destination each, so there is no tree to build); off by
     /// default, which is bit-identical to the pre-tree engines. Both
-    /// engines consume the same per-spike tree table, so the differential
+    /// engines move their packets over the same forwarding plan, built
+    /// from one `multicast_route` call per net, so the differential
     /// byte-identity invariants (digest, delivery log, trace) hold under
     /// tree routing too. Absent in configuration files written before
     /// tree routing, hence the serde default.

@@ -10,8 +10,11 @@
 //! 2. *SNN-related metrics* — spike **disorder count** and **inter-spike
 //!    interval (ISI) distortion** ([`stats::NocStats`]);
 //! 3. *multicast* — spike packets delivered to a selected subset of
-//!    crossbars ([`packet::Packet`] carries a destination set that is split
-//!    at routing branch points).
+//!    crossbars: a packet's destination set is split at routing branch
+//!    points, and since a neuron's destinations are fixed by the mapping,
+//!    where each *net* (source crossbar, destination set) splits is
+//!    planned once per run, not per spike (the packet model in the [`sim`]
+//!    module docs).
 //!
 //! Routers are input-buffered with configurable depth, per-output
 //! arbitration ([`router::Arbitration`]), link serialization by packet size

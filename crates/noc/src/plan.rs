@@ -19,9 +19,10 @@
 //!   and every range keeps the flow's relative order — which is the only
 //!   order a destination list ever exposed (delivery order at one router).
 //!   The route is asked once per (node, destination): the unicast route
-//!   ([`RouteLut`] + [`Topology::hop_vc`]) or, under tree routing, the
-//!   net's [`Topology::multicast_route`] paths, called once per net and
-//!   checked rather than trusted.
+//!   ([`Topology::route_next`] + [`Topology::hop_vc`], remembered per
+//!   router pair) or, under tree routing, the net's
+//!   [`Topology::multicast_route`] paths, called once per net and checked
+//!   rather than trusted.
 //! * [`Slab`] holds the packets of the run as 20-byte [`Handle`]s. A
 //!   handle names its spike and the node it arrives at next; a packet
 //!   queued at a router is the **chain** (through `sib`) of one handle per
@@ -37,13 +38,38 @@
 //! that disagrees with the fabric fails the differential suite.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::NocError;
-use crate::topology::{RouteLut, Topology};
+use crate::topology::Topology;
 use crate::traffic::SpikeFlow;
 
 /// "No handle": the end of a chain or of a lane list.
 pub(crate) const NIL: u32 = u32::MAX;
+
+/// Multiply-rotate hasher for net keys (a `u32` and a `[u32]`). Traffic
+/// that never repeats a net hashes every flow, and SipHash was then a
+/// tenth of a short run; nothing here is exposed to chosen keys.
+#[derive(Default)]
+struct NetHasher(u64);
+
+impl Hasher for NetHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(4) {
+            let mut le = [0u8; 4];
+            le[..word.len()].copy_from_slice(word);
+            self.write_u32(u32::from_le_bytes(le));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
 
 /// The distinct nets of a flow set, in first-appearance order.
 pub(crate) struct Nets<'f> {
@@ -67,7 +93,8 @@ impl<'f> Nets<'f> {
             first: Vec::with_capacity(flows.len()),
             ids: Vec::new(),
         };
-        let mut seen: HashMap<(u32, &'f [u32]), u32> = HashMap::new();
+        let mut seen: HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>> =
+            HashMap::default();
         let mut prev: Option<&SpikeFlow> = None;
         for f in flows {
             if let Some(p) = prev {
@@ -138,6 +165,60 @@ pub(crate) struct Plan {
     /// many handles one spike of it allocates beyond the injected one
     /// (every node with `b > 1` branches makes `b − 1`).
     roots: Vec<(u32, u32)>,
+    /// Built along multicast trees, not the unicast routes.
+    trees: bool,
+}
+
+/// The unicast route as slots, asked of the topology once per (router,
+/// destination router) pair a plan actually meets.
+struct UnicastSlots {
+    nr: usize,
+    /// `slot + 1` by `r × nr + dst`; 0 = not asked yet.
+    known: Vec<u32>,
+}
+
+impl UnicastSlots {
+    fn new(nr: usize) -> Self {
+        Self {
+            nr,
+            known: vec![0; nr * nr],
+        }
+    }
+
+    /// The `egress port × VCs + VC` slot the route from router `r` toward
+    /// the other router `dst` leaves by.
+    ///
+    /// # Errors
+    ///
+    /// [`NocError::InvalidConfig`] `{ name: "topology" }` when
+    /// [`Topology::route_next`] does not name a neighbor of `r`.
+    #[inline]
+    fn get(
+        &mut self,
+        topo: &dyn Topology,
+        vcs: usize,
+        r: usize,
+        dst: usize,
+    ) -> Result<u32, NocError> {
+        let known = &mut self.known[r * self.nr + dst];
+        if *known == 0 {
+            let next = topo.route_next(r, dst);
+            let port = topo.neighbors(r).iter().position(|&n| n == next);
+            let port = port.ok_or_else(|| NocError::InvalidConfig {
+                name: "topology",
+                value: format!(
+                    "the route from router {r} toward {dst} steps to {next}, not a neighbor of {r}"
+                ),
+            })?;
+            let vc = if vcs == 1 {
+                0
+            } else {
+                topo.hop_vc(r, dst, vcs)
+            };
+            *known = 1 + (port * vcs + vc) as u32;
+        }
+        Ok(*known - 1)
+    }
 }
 
 /// Per-destination hop slots of one net's multicast tree.
@@ -163,18 +244,17 @@ impl TreeHops {
         src_router: usize,
         dests: &[u32],
         endpoint_of: &[u32],
-        bad_route: &dyn Fn(String) -> NocError,
-    ) -> Result<(), NocError> {
+    ) -> Result<(), String> {
         self.dest_routers.clear();
         self.dest_routers
             .extend(dests.iter().map(|&d| endpoint_of[d as usize] as usize));
         let paths = topo.multicast_route(src_router, &self.dest_routers, vcs);
         if paths.len() != dests.len() {
-            return Err(bad_route(format!(
+            return Err(format!(
                 "{} paths for {} destinations",
                 paths.len(),
                 dests.len()
-            )));
+            ));
         }
         self.off.clear();
         self.bits.clear();
@@ -188,17 +268,15 @@ impl TreeHops {
                     .position(|&n| n == next)
                     .filter(|_| vc < vcs)
                     .ok_or_else(|| {
-                        bad_route(format!(
-                            "hop {cur} -> {next} on VC {vc} is not a (link, VC) of the fabric"
-                        ))
+                        format!("hop {cur} -> {next} on VC {vc} is not a (link, VC) of the fabric")
                     })?;
                 self.bits.push((port * vcs + vc) as u16);
                 cur = next;
             }
             if cur != dest_router {
-                return Err(bad_route(format!(
+                return Err(format!(
                     "the path to crossbar {d} ends at router {cur}, not {dest_router}"
-                )));
+                ));
             }
         }
         self.off.push(self.bits.len() as u32);
@@ -236,12 +314,13 @@ impl Plan {
         let endpoint_of: Vec<u32> = (0..topo.num_crossbars() as u32)
             .map(|k| topo.endpoint(k) as u32)
             .collect();
-        let lut = (!trees && !nets.keys.is_empty()).then(|| RouteLut::new(topo));
+        let mut unicast = UnicastSlots::new(if trees { 0 } else { nr });
         let mut plan = Plan {
             nodes: Vec::new(),
             branches: Vec::new(),
             arena: Vec::with_capacity(nets.keys.iter().map(|(_, d)| d.len()).sum()),
             roots: Vec::with_capacity(nets.len()),
+            trees,
         };
         // scratch, reused by every net: `(router, hops from the source)`
         // per node of the net; the net-list position of every arena entry
@@ -252,19 +331,14 @@ impl Plan {
         let mut tree = TreeHops::default();
         for &(src, dests) in &nets.keys {
             let src_router = endpoint_of[src as usize];
+            // what is wrong with this net's route, as the error naming it
+            let bad_route = |what: String| NocError::InvalidConfig {
+                name: if trees { "multicast_route" } else { "topology" },
+                value: format!("net of crossbar {src}: {what}"),
+            };
             if trees {
-                let bad_route = |what: String| NocError::InvalidConfig {
-                    name: "multicast_route",
-                    value: format!("net of crossbar {src}: {what}"),
-                };
-                tree.load(
-                    topo,
-                    vcs,
-                    src_router as usize,
-                    dests,
-                    &endpoint_of,
-                    &bad_route,
-                )?;
+                tree.load(topo, vcs, src_router as usize, dests, &endpoint_of)
+                    .map_err(bad_route)?;
             }
             let base = plan.arena.len();
             plan.arena.extend_from_slice(dests);
@@ -289,19 +363,21 @@ impl Plan {
                     let er = endpoint_of[d as usize];
                     let key = if er == r {
                         0
-                    } else if let Some(lut) = &lut {
-                        let (r, er) = (r as usize, er as usize);
-                        let vc = if vcs == 1 { 0 } else { topo.hop_vc(r, er, vcs) };
-                        1 + (lut.egress_port(r, er) as usize * vcs + vc) as u32
-                    } else {
+                    } else if trees {
                         1 + u32::from(tree.bit(j, depth))
+                    } else {
+                        1 + unicast.get(topo, vcs, r as usize, er as usize)?
                     };
                     keyed.push((key, d, j));
                 }
-                keyed.sort_by_key(|&(key, ..)| key);
-                for (i, &(_, d, j)) in (start..end).zip(&keyed) {
-                    plan.arena[i] = d;
-                    position[i - base] = j;
+                // (most ranges arrive grouped: one destination, or all of
+                // them leaving by one slot)
+                if !keyed.is_sorted_by_key(|&(key, ..)| key) {
+                    keyed.sort_by_key(|&(key, ..)| key);
+                    for (i, &(_, d, j)) in (start..end).zip(&keyed) {
+                        plan.arena[i] = d;
+                        position[i - base] = j;
+                    }
                 }
                 let first_branch = plan.branches.len();
                 let mut g = keyed.iter().take_while(|k| k.0 == 0).count();
@@ -311,14 +387,11 @@ impl Plan {
                     let len = keyed[g..].iter().take_while(|k| k.0 == key).count();
                     let bit = key - 1;
                     if depth as usize + 1 >= nr {
-                        let d = keyed[g].1;
-                        return Err(NocError::InvalidConfig {
-                            name: if trees { "multicast_route" } else { "topology" },
-                            value: format!(
-                                "net of crossbar {src}: the route to crossbar {d} is still \
-                                 under way after {nr} routers (it revisits one)"
-                            ),
-                        });
+                        return Err(bad_route(format!(
+                            "the route to crossbar {} is still under way after {nr} routers \
+                             (it revisits one)",
+                            keyed[g].1
+                        )));
                     }
                     let nbr = topo.neighbors(r as usize)[bit as usize / vcs];
                     plan.branches.push(Branch {
@@ -350,6 +423,12 @@ impl Plan {
     /// Handles one spike of `net` allocates beyond its injected one.
     pub(crate) fn extra_handles(&self, net: u32) -> u32 {
         self.roots[net as usize].1
+    }
+
+    /// Whether the plan follows [`Topology::multicast_route`] trees — the
+    /// one case where the unicast route does not describe its branches.
+    pub(crate) fn follows_trees(&self) -> bool {
+        self.trees
     }
 
     /// Nodes over all nets.

@@ -30,7 +30,9 @@
 //! On top of the wake queues the scheduler keeps the persistent head
 //! state [`crate::sim::oracle::Sweep`] recomputes from scratch: per FIFO
 //! lane, the bitmask of `(output port, VC)` slots its head wants (bit
-//! `o * vcs + w`, variable-width so arbitrary-degree topologies fit), a
+//! `o * vcs + w`, variable-width so arbitrary-degree topologies fit;
+//! installed from the slots of the head's chain, which the forwarding
+//! plan fixed per net — the scheduler holds no route table), a
 //! per-(pair, VC) count of heads wanting that slot (O(1) eligibility),
 //! and a **blocked** bit per (pair, VC) — the wanted-port reverse index:
 //! set when an idle sweep finds a head wanting a credit-full downstream

@@ -30,12 +30,46 @@
 //!   against it.
 //!
 //! So the differential suite compares the two policies: the visit set and
-//! the clock jumps, and the head wants (route tables and incrementally
-//! maintained masks against a from-scratch topology walk). The mechanics
-//! the loop spells once — credit arithmetic, cursors, VC pick, split,
-//! per-VC counters, trace order — are pinned by the golden digests and
-//! trace hashes in `tests/noc_properties.rs`, the golden trace, and the
-//! in-loop debug assertions.
+//! the clock jumps, and the head wants (the forwarding plan's branches and
+//! incrementally maintained masks against a from-scratch topology walk).
+//! The mechanics the loop spells once — credit arithmetic, cursors, VC
+//! pick, split, per-VC counters, trace order — are pinned by the golden
+//! digests, trace hashes and delivery-log hashes in
+//! `tests/noc_properties.rs`, the golden trace, and the in-loop debug
+//! assertions.
+//!
+//! # The packet model: nets, a plan, handles
+//!
+//! The loop never asks a routing question. Before it starts, `run_engine`
+//! interns the flow set's **nets** — `(source crossbar, destination
+//! crossbars)`, one per `(source, destination)` pair when multicast is
+//! off — and builds one forwarding **plan** for all of them
+//! (`crate::plan`): per net, a tree of *nodes*, a node being "a packet of
+//! this net arriving at this router" = the crossbars delivered there, in
+//! the flow's order, plus one *branch* per `(egress port, VC)` slot the
+//! rest leaves by. The route (unicast, or the net's multicast tree) is
+//! asked once per (node, destination), whatever the number of spikes.
+//!
+//! A packet is then a 20-byte *handle* `{ spike, node, next, sib, bit }`
+//! over an immutable per-injection spike table: `node` is the plan node
+//! it arrives at next. Arriving, it delivers the node's local crossbars
+//! and — if the node has branches — queues as the **chain** (through
+//! `sib`) of one handle per branch, the first reusing the arriving
+//! handle; a FIFO lane is an intrusive list of chains through their first
+//! members' `next`. What a lane head wants is its chain's slots;
+//! forwarding by a slot detaches that member and sends it on as it is
+//! (when the first member leaves and others remain, the lane link moves
+//! to the next); the lane pops when the chain's last member leaves. No
+//! packet is ever constructed, copied or searched inside the loop, and
+//! the slab of handles is allocated once (its final size is a per-net
+//! sum over the spikes).
+//!
+//! None of this moves a transition of the router model: heads, wants,
+//! splits, pops and credits change at the same events, in the same order,
+//! as when every packet carried its own destination vector and asked the
+//! route per destination per hop — which is why the wake invariant below
+//! needed no new case, and why every digest, trace hash and delivery log
+//! recorded under that model still holds.
 //!
 //! # The per-port wake invariant, and why the outputs are identical
 //!
@@ -57,7 +91,7 @@
 //! the next packet) installs its route mask and wakes each newly wanted
 //! pair; **credit full → free** — a pair that examines a wanted-but-full
 //! `(o, w)` sets a *blocked* bit (the wanted-port reverse index), and the
-//! full→free transition on that downstream lane (arrival fully stripped,
+//! full→free transition on that downstream lane (arrival fully delivered,
 //! or the downstream head popped) clears the bit and wakes only the
 //! blocked upstream pair. The blocked bit cannot go stale: while the
 //! credit is full the wanting head cannot leave through `(o, w)`, so the
@@ -619,8 +653,7 @@ fn simulate<S: Sched>(
     mut events: Option<&mut TraceBuf>,
 ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
     let vcs = cfg.vc_count;
-    let trees = cfg.multicast && cfg.multicast_trees;
-    let mut sched = S::build(topo, ports, vcs, trees);
+    let mut sched = S::build(topo, ports, vcs, plan.follows_trees());
     let topo = topo.as_ref();
     let nr = topo.num_routers();
 
@@ -1518,8 +1551,9 @@ mod tests {
     #[test]
     fn malformed_tree_routes_are_typed_errors_under_both_engines() {
         // crossbar 0 reaches 2 in two hops and 8 in four; each bend breaks
-        // one thing `build_tree_table` relies on (the first used to panic
-        // there, the second only tripped a debug assertion)
+        // one thing the plan's tree walk relies on (before trees were
+        // checked, the first panicked and the second only tripped a debug
+        // assertion)
         let bends: [(&str, Bend); 4] = [
             ("skips a router", |paths| paths[0] = paths[0][1..].to_vec()),
             ("stops short", |paths| paths[0].truncate(1)),
@@ -1621,11 +1655,11 @@ mod tests {
         );
     }
 
-    /// A mesh whose unicast route from router 0 or 1 toward router 2
-    /// bounces between the two forever.
-    struct BouncingMesh(Mesh2D);
+    /// A mesh with some unicast next hops replaced: `.1(r, dst)`, where it
+    /// answers, overrides the mesh's `route_next`.
+    struct ReroutedMesh(Mesh2D, fn(usize, usize) -> Option<usize>);
 
-    impl Topology for BouncingMesh {
+    impl Topology for ReroutedMesh {
         fn num_routers(&self) -> usize {
             self.0.num_routers()
         }
@@ -1639,11 +1673,7 @@ mod tests {
             self.0.neighbors(r)
         }
         fn route_next(&self, r: usize, dst: usize) -> usize {
-            match (r, dst) {
-                (0, 2) => 1,
-                (1, 2) => 0,
-                _ => self.0.route_next(r, dst),
-            }
+            (self.1)(r, dst).unwrap_or_else(|| self.0.route_next(r, dst))
         }
         fn name(&self) -> String {
             self.0.name()
@@ -1688,18 +1718,30 @@ mod tests {
             max_cycles: 200_000,
             ..NocConfig::default()
         };
-        let topo = || -> Box<dyn Topology> { Box::new(BouncingMesh(Mesh2D::for_crossbars(9))) };
-        let e = both_engines(topo, cfg, &flows).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                NocError::InvalidConfig {
-                    name: "topology",
-                    ..
-                }
-            ),
-            "{e}"
-        );
+        // (toward router 2, routers 0 and 1 send the packet to each other),
+        // and a typed error too for one that leaves the links: from router
+        // 0 straight to 2 (the event engine's route table used to panic on
+        // it, the oracle's walk at the first packet)
+        let reroutes: [fn(usize, usize) -> Option<usize>; 2] = [
+            |r, dst| (dst == 2 && r < 2).then(|| 1 - r),
+            |r, dst| (dst == 2 && r == 0).then_some(2),
+        ];
+        for reroute in reroutes {
+            let topo = || -> Box<dyn Topology> {
+                Box::new(ReroutedMesh(Mesh2D::for_crossbars(9), reroute))
+            };
+            let e = both_engines(topo, cfg, &flows).unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    NocError::InvalidConfig {
+                        name: "topology",
+                        ..
+                    }
+                ),
+                "{e}"
+            );
+        }
         // and a detour that comes back within the bound is just a longer
         // tree: every node follows its own hop of the path
         let detour: Bend = |paths| {

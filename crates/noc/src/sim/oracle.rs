@@ -20,6 +20,19 @@
 //! anything it remembered between questions would be one more thing the
 //! two policies could get wrong in the same way.
 //!
+//! That includes the forwarding plan (`crate::plan`) both engines move
+//! their packets over. `Sweep` reads from it only *which destinations* a
+//! lane head still carries; where each of them goes from here it asks the
+//! topology, per destination, every time. If the plan grouped a
+//! destination under the wrong slot, `Sweep` wants a slot the head's
+//! chain has no member for and the run stops at the loop's `expect`; the
+//! event engine, which trusts the chain, runs on — and the differential
+//! suite sees one engine fail. The exception is tree routing, where the
+//! only description of the route *is* the tree the plan was built from
+//! ([`Topology::multicast_route`], asked once per net and validated
+//! there): under trees `Sweep` reads the chain's slots, as both engines
+//! read one shared tree table before the plan existed.
+//!
 //! [`EngineKind::CycleOracle`]: super::EngineKind::CycleOracle
 //! [`EngineKind::EventDriven`]: super::EngineKind::EventDriven
 //! [`NocStats`]: crate::stats::NocStats

@@ -78,13 +78,17 @@ pub trait Topology: Send + Sync {
     /// The *tree* is the union of the returned paths: the simulators
     /// replicate a multicast packet only where two destinations' paths
     /// take different `(egress port, vc)` hops out of a router, so shared
-    /// path prefixes ride a single packet. Implementations must uphold
+    /// path prefixes ride a single packet. What is returned is checked:
+    /// a path that is not a walk over `(link, vc)`s of the fabric to its
+    /// destination's router, or one with as many hops as there are
+    /// routers (it revisits one), fails the run with
+    /// [`crate::NocError::InvalidConfig`]. Implementations must uphold
     /// two invariants:
     ///
     /// * **Determinism** — a pure function of
-    ///   `(src, dest_routers, vc_count)`; both NoC engines build their
-    ///   routing tables from the same call, which is what keeps them
-    ///   byte-identical under tree routing.
+    ///   `(src, dest_routers, vc_count)`; a run asks once per net (not
+    ///   per spike) and both NoC engines forward along that answer, which
+    ///   is what keeps them byte-identical under tree routing.
     /// * **VC-deadlock-freedom** — the `(link, vc)` channel-dependency
     ///   graph induced by all tree paths (consecutive hops of every
     ///   per-destination path) must stay acyclic for every `vc_count` the
