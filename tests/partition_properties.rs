@@ -419,6 +419,161 @@ fn local_search_outcomes_are_frozen() {
     assert_eq!(lines, frozen, "actual outcomes:\n{}\n", lines.join("\n"));
 }
 
+/// What the hop-aware local searches return today, frozen at a size where
+/// a neuron sees many open targets: a locality-biased 8 × 8 grid (64
+/// crossbars, 512 neurons) packed 8 per crossbar, so capacity 10 leaves
+/// 20 % slack on every crossbar and capacity 8 none; the same graph with
+/// self-loops and duplicate synapses added, where every fifth neuron
+/// keeps no target on its packed crossbar except itself. `refine`, the
+/// V-cycle on one and on four chips, and the joint loop, all under
+/// `CutHops`. A changed line means a move price, a tie-break or a
+/// capacity check changed.
+#[test]
+fn hop_local_search_outcomes_are_frozen() {
+    use neuromap::apps::synthetic::LargeArch;
+    use neuromap::core::coopt::{co_optimize, CooptConfig};
+    use neuromap::core::pipeline::TrafficMode;
+    use neuromap::core::place::PlaceConfig;
+    use neuromap::noc::topology::{DistanceLut, Mesh2D};
+
+    const FROZEN: &str = "
+        grid8x8 slack refine: 85725 436fae6cb72eadbe
+        grid8x8 slack vcycle chips=1: 117581 43a4bc4bc9c0f3e3 refine 259/2071
+        grid8x8 slack vcycle chips=4: 132278 17dce1fc3ec8fced refine 101/934
+        grid8x8 slack coopt: 134244 147cc51e3088de54 staged 134244 joint 136672 used_joint false placement 79cff97be6a94255
+        loops8x8 slack refine: 83198 9f376143e0ac1727
+        loops8x8 slack vcycle chips=1: 113855 936d1280e41c727b refine 225/2218
+        loops8x8 slack vcycle chips=4: 119948 dd5b793c363e8ed5 refine 135/1173
+        loops8x8 slack coopt: 127263 d6bcf4bfb3e04ee0 staged 127263 joint 129279 used_joint false placement 6bad55bfd71faed5
+        grid8x8 tight refine: 108742 ec6cce2ecd7c2b25
+        grid8x8 tight vcycle chips=1: 230328 d202c9c4af634cc5 refine 0/0
+        grid8x8 tight vcycle chips=4: 166893 5f9a6d9d14470075 refine 0/0
+        grid8x8 tight coopt: 200970 aec25e7700c4a1f5 staged 200970 joint 200970 used_joint false placement 8cffe8b68acb1275
+    ";
+
+    let grid = LargeArch {
+        side: 8,
+        neurons_per_crossbar: 10,
+        synapses_per_neuron: 12,
+        fill_percent: 80,
+    }
+    .spike_graph(2018)
+    .expect("scenario builds");
+    let n = grid.num_neurons();
+    let c = 64usize;
+    let packed: Vec<u32> = (0..n).map(|i| i / 8).collect();
+    let mut synapses: Vec<(u32, u32)> = grid
+        .synapses()
+        .iter()
+        .copied()
+        .filter(|&(i, j)| i % 5 != 0 || packed[i as usize] != packed[j as usize])
+        .collect();
+    for i in 0..n {
+        if i % 5 == 0 {
+            synapses.extend(std::iter::repeat_n((i, i), 1 + (i % 10 == 0) as usize));
+        }
+        if i % 3 == 0 {
+            if let Some(&first) = grid.synapses().iter().find(|&&(p, _)| p == i) {
+                synapses.push(first);
+            }
+        }
+    }
+    let counts = (0..n).map(|i| grid.count(i)).collect();
+    let loops = SpikeGraph::from_parts(n, synapses, counts).expect("endpoints in range");
+
+    let lut = DistanceLut::new(&Mesh2D::for_crossbars(c));
+    let fitness = FitnessKind::CutHops;
+    let mut lines: Vec<String> = Vec::new();
+    for (name, graph, cap) in [
+        ("grid8x8 slack", &grid, 10u32),
+        ("loops8x8 slack", &loops, 10),
+        ("grid8x8 tight", &grid, 8),
+    ] {
+        let problem = PartitionProblem::new(graph, c, cap)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
+        let mut freeze = |what: &str, cost: u64, assignment: &[u32], extra: String| {
+            assert_eq!(cost, problem.cost(fitness, assignment), "{name} {what}");
+            assert!(problem.is_feasible(assignment), "{name} {what}");
+            let hash = fnv(assignment.iter().copied());
+            lines.push(format!("{name} {what}: {cost} {hash:016x}{extra}"));
+        };
+
+        let mut refined = packed.clone();
+        let cost = refine(&problem, fitness, &mut refined, 4);
+        freeze("refine", cost, &refined, String::new());
+
+        let pso = |threads| PsoConfig {
+            swarm_size: 6,
+            iterations: 4,
+            threads,
+            fitness,
+            seed_baselines: false,
+            polish_passes: 2,
+            ..PsoConfig::default()
+        };
+        for chips in [1usize, 4] {
+            for threads in [1usize, 2] {
+                let cfg = MultilevelConfig {
+                    pso: pso(threads),
+                    min_coarse_neurons: 64,
+                    threads,
+                    chips,
+                    ..MultilevelConfig::default()
+                };
+                let out = vcycle(&problem, &cfg).expect("vcycle runs");
+                let moves: (u64, u64) = out.levels.iter().fold((0, 0), |(p, a), l| {
+                    (p + l.refine_proposed, a + l.refine_accepted)
+                });
+                freeze(
+                    &format!("vcycle chips={chips}"),
+                    out.cost,
+                    out.mapping.assignment(),
+                    format!(" refine {}/{}", moves.1, moves.0),
+                );
+            }
+        }
+
+        for threads in [1usize, 2] {
+            let cfg = CooptConfig {
+                pso: pso(threads),
+                place: PlaceConfig {
+                    restarts: 1,
+                    sa_moves: 300,
+                    threads,
+                    ..PlaceConfig::default()
+                },
+                replace_every: 2,
+                multilevel: None,
+            };
+            let out = co_optimize(&problem, &lut, TrafficMode::PerCrossbar, &cfg)
+                .expect("joint loop runs");
+            freeze(
+                "coopt",
+                problem.cost(fitness, out.mapping.assignment()),
+                out.mapping.assignment(),
+                format!(
+                    " staged {} joint {} used_joint {} placement {:016x}",
+                    out.staged_cost,
+                    out.joint_cost,
+                    out.used_joint,
+                    fnv(out.placement.as_slice().iter().copied())
+                ),
+            );
+        }
+    }
+
+    // thread counts must agree, so each (what, threads) group folds to one line
+    lines.dedup();
+    let frozen: Vec<&str> = FROZEN
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(lines, frozen, "actual outcomes:\n{}\n", lines.join("\n"));
+}
+
 /// What the swarm itself returns today, frozen without the polish that
 /// would hide it: a changed line means a decode, a repair walk, an RNG
 /// draw or a reduction changed. The two graphs above plus a 9 × 9 grid
