@@ -19,9 +19,15 @@
 //! * `CutHops` (hop-aware): the same tallies as `CutPackets`, with every
 //!   remote crossbar priced by the interconnect hop distance from the
 //!   source's home crossbar (the problem must carry a
-//!   [`crate::partition::PartitionProblem::with_hops`] table). Move
-//!   deltas reprice the migrating neuron's distinct-target row in
-//!   O(deg + C) and each incoming source in O(1).
+//!   [`crate::partition::PartitionProblem::with_hops`] table). A move
+//!   delta is two halves: the per-neuron half — one O(C) scan of the
+//!   migrating neuron's tally row for its distinct-target crossbars
+//!   `T_i` and their distance from its current home, plus what leaving
+//!   that home saves its sources, O(deg_in) — and the per-target half,
+//!   O(|T_i| + deg_in), which reprices `T_i` from the new home and each
+//!   source for the crossbar it joins. [`Candidate::best_move`] builds
+//!   the first half once per neuron and pays only the second per open
+//!   target.
 //!
 //! ## Invariants
 //!
@@ -101,8 +107,8 @@ pub const DEFAULT_CHURN_THRESHOLD: f32 = 0.35;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostState {
     cost: u64,
-    /// `CutPackets` only: `cnt[p * c + k]` = targets of `p` on crossbar
-    /// `k`. Empty for `CutSpikes`.
+    /// `CutPackets` and `CutHops`: `cnt[p * c + k]` = targets of `p` on
+    /// crossbar `k`. Empty for `CutSpikes`.
     target_cnt: Vec<u32>,
 }
 
@@ -121,21 +127,23 @@ pub struct EvalEngine<'g> {
     problem: PartitionProblem<'g>,
     kind: FitnessKind,
     churn_threshold: f32,
-    /// `CutPackets` only — CSR of distinct presynaptic sources with edge
-    /// multiplicities: neuron `i`'s sources are
+    /// `CutPackets` and `CutHops` — CSR of distinct presynaptic sources
+    /// with edge multiplicities: neuron `i`'s sources are
     /// `grouped_sources[grouped_offsets[i]..grouped_offsets[i + 1]]`.
     grouped_sources: Vec<(u32, u32)>,
     grouped_offsets: Vec<u32>,
-    /// `CutPackets` only — number of self-loop synapses per neuron.
+    /// `CutPackets` and `CutHops` — number of self-loop synapses per
+    /// neuron.
     self_mult: Vec<u32>,
 }
 
 impl<'g> EvalEngine<'g> {
     /// Builds an engine for `problem` under `kind`.
     ///
-    /// `CutSpikes` construction is O(1); `CutPackets` pre-groups the
-    /// reverse CSR once (O(E log deg)) so every later delta is
-    /// allocation-free.
+    /// `CutSpikes` construction is O(1); `CutPackets` and `CutHops`
+    /// pre-group the reverse CSR once (O(E log deg)) so every later delta
+    /// is allocation-free — except a `CutHops` delta of a neuron whose
+    /// targets span more than 64 crossbars, which lists them on the heap.
     pub fn new(problem: PartitionProblem<'g>, kind: FitnessKind) -> Self {
         let (grouped_sources, grouped_offsets, self_mult) = match kind {
             FitnessKind::CutSpikes => (Vec::new(), Vec::new(), Vec::new()),
@@ -209,8 +217,9 @@ impl<'g> EvalEngine<'g> {
     }
 
     /// Exact cost change of migrating neuron `i` to crossbar `to`, in
-    /// O(deg(i)) (`CutHops` additionally rescans the migrating neuron's
-    /// C-entry target row: O(deg(i) + C)), without mutating anything.
+    /// O(deg(i)) (`CutHops`: both halves of its delta, O(C + deg(i)) —
+    /// [`Candidate::best_move`] prices many targets against one
+    /// per-neuron half), without mutating anything.
     ///
     /// # Panics
     ///
@@ -220,7 +229,10 @@ impl<'g> EvalEngine<'g> {
         match self.kind {
             FitnessKind::CutSpikes => self.problem.move_delta_spikes(assignment, i, to),
             FitnessKind::CutPackets => self.packet_delta(state, assignment, i, to),
-            FitnessKind::CutHops => self.hop_delta(state, assignment, i, to),
+            FitnessKind::CutHops => {
+                let half = self.hop_half(state, assignment, i);
+                self.hop_delta(&half, state, assignment, i, to)
+            }
         }
     }
 
@@ -424,87 +436,140 @@ impl<'g> EvalEngine<'g> {
         d
     }
 
-    /// `CutHops` delta: like [`EvalEngine::packet_delta`], but every
-    /// remote-crossbar membership change is priced by the hop distance
-    /// instead of 1, and moving neuron `i` additionally *reprices its own
-    /// whole distinct-target set* (the home crossbar changes, so every
-    /// target distance changes — an O(C) row rescan).
+    /// Neuron `i`'s distinct sources other than itself that fire, with
+    /// their edge multiplicities onto `i` and spike counts.
+    fn firing_sources(&self, i: usize) -> impl Iterator<Item = (usize, u32, i64)> + '_ {
+        let g = self.problem.graph();
+        let lo = self.grouped_offsets[i] as usize;
+        let hi = self.grouped_offsets[i + 1] as usize;
+        self.grouped_sources[lo..hi]
+            .iter()
+            .map(move |&(p, m)| (p as usize, m, i64::from(g.count(p))))
+            // self-loops are priced with the outgoing side
+            .filter(move |&(p, _, cp)| p != i && cp > 0)
+    }
+
+    /// The `to`-independent half of every `CutHops` migration of neuron
+    /// `i` off its current crossbar: one O(C) scan of `i`'s target row
+    /// for the distinct-target crossbars `T_i` and their summed distance
+    /// from `from`, and one pass over `i`'s sources for what leaving
+    /// `from` saves them. [`EvalEngine::hop_delta`] prices each target
+    /// against it.
     ///
     /// # Panics
     ///
     /// Panics if the problem carries no hop table.
-    fn hop_delta(&self, state: &CostState, assignment: &[u32], i: usize, to: u32) -> i64 {
-        let g = self.problem.graph();
+    fn hop_half(&self, state: &CostState, assignment: &[u32], i: usize) -> HopHalf {
         let c = self.problem.num_crossbars();
         let hops = self
             .problem
             .hops()
             .expect("CutHops requires a hop table; attach one with `with_hops`");
         let from = assignment[i];
-        if from == to {
+        let mut half = HopHalf {
+            from,
+            ci: i64::from(self.problem.graph().count(i as u32)),
+            near: [0; HOP_NEAR],
+            len: 0,
+            far: Vec::new(),
+            from_sum: 0,
+            from_leaves: false,
+            drop_from: 0,
+        };
+        if half.ci > 0 {
+            let row = &state.target_cnt[i * c..(i + 1) * c];
+            for (k, _) in row.iter().enumerate().filter(|&(_, &v)| v > 0) {
+                half.from_sum += i64::from(hops.hops(from, k as u32));
+                if half.len < HOP_NEAR {
+                    half.near[half.len] = k as u32;
+                    half.len += 1;
+                } else {
+                    half.far.push(k as u32);
+                }
+            }
+            // self-loop targets migrate with i, so `from` leaves T_i when
+            // they are all i has there (and `to` joins it at w(to, to) = 0)
+            let self_m = self.self_mult[i];
+            half.from_leaves = self_m > 0 && row[from as usize] == self_m;
+        }
+        // `from` drops out of p's remote set if i carried its last edges
+        for (p, m, cp) in self.firing_sources(i) {
+            if state.target_cnt[p * c + from as usize] == m {
+                half.drop_from += cp * i64::from(hops.hops(assignment[p], from));
+            }
+        }
+        half
+    }
+
+    /// `CutHops` delta of migrating neuron `i` to `to` — the per-target
+    /// half over `half` (which must be [`EvalEngine::hop_half`] of `i` on
+    /// the current state), in O(|T_i| + deg_in(i)):
+    ///
+    /// ```text
+    /// c_i · (Σ_{k∈T_i} w(to,k) − Σ_{k∈T_i} w(from,k) − [from leaves T_i] · w(to,from))
+    ///  − Σ_{p: i carried p's last edges on from} c_p · w(home_p, from)
+    ///  + Σ_{p: p had no target on to}           c_p · w(home_p, to)
+    /// ```
+    ///
+    /// Like [`EvalEngine::packet_delta`] with every remote-crossbar
+    /// membership change priced by its hop distance instead of 1, and
+    /// `i`'s own distinct-target set repriced from its new home.
+    fn hop_delta(
+        &self,
+        half: &HopHalf,
+        state: &CostState,
+        assignment: &[u32],
+        i: usize,
+        to: u32,
+    ) -> i64 {
+        if half.from == to {
             return 0;
         }
-        let mut d = 0i64;
-
-        // i's own outgoing traffic: reprice the distinct-target set from
-        // w(from, ·) to w(to, ·); self-loop targets migrate with i.
-        // w(a, a) = 0, so the home crossbar needs no special-casing.
-        let ci = g.count(i as u32) as i64;
-        if ci > 0 {
-            let row = &state.target_cnt[i * c..(i + 1) * c];
-            let self_m = self.self_mult[i];
-            let mut before = 0i64;
-            let mut after = 0i64;
-            for (k, &v) in row.iter().enumerate() {
-                let k = k as u32;
-                let v_after = if self_m > 0 {
-                    if k == from {
-                        v - self_m
-                    } else if k == to {
-                        v + self_m
-                    } else {
-                        v
-                    }
-                } else {
-                    v
-                };
-                if v > 0 {
-                    before += i64::from(hops.hops(from, k));
-                }
-                if v_after > 0 {
-                    after += i64::from(hops.hops(to, k));
-                }
+        let c = self.problem.num_crossbars();
+        let hops = self.problem.hops().expect("hop_half checked the table");
+        let w = |a: u32, b: u32| i64::from(hops.hops(a, b));
+        let mut d = -half.drop_from;
+        if half.ci > 0 {
+            let near = &half.near[..half.len];
+            let mut to_sum: i64 = near.iter().chain(&half.far).map(|&k| w(to, k)).sum();
+            if half.from_leaves {
+                to_sum -= w(to, half.from);
             }
-            d += ci * (after - before);
+            d += half.ci * (to_sum - half.from_sum);
         }
-
-        // incoming: each distinct source p sees target i move from→to;
-        // membership thresholds are the same as the packet delta, weights
-        // are the hop distances from p's home (zero when p lives there)
-        let lo = self.grouped_offsets[i] as usize;
-        let hi = self.grouped_offsets[i + 1] as usize;
-        for &(p, m) in &self.grouped_sources[lo..hi] {
-            let p = p as usize;
-            if p == i {
-                continue; // self-loops handled with the outgoing side
-            }
-            let cp = g.count(p as u32) as i64;
-            if cp == 0 {
-                continue;
-            }
-            let home_p = assignment[p];
-            let row = &state.target_cnt[p * c..(p + 1) * c];
-            // `from` drops out of p's remote set if i carried its last edges
-            if row[from as usize] == m {
-                d -= cp * i64::from(hops.hops(home_p, from));
-            }
-            // `to` joins p's remote set if previously untargeted
-            if row[to as usize] == 0 {
-                d += cp * i64::from(hops.hops(home_p, to));
+        // `to` joins p's remote set if previously untargeted
+        for (p, _, cp) in self.firing_sources(i) {
+            if state.target_cnt[p * c + to as usize] == 0 {
+                d += cp * w(assignment[p], to);
             }
         }
         d
     }
+}
+
+/// Distinct-target crossbars [`HopHalf`] keeps inline, so preparing it
+/// allocates nothing unless a neuron's targets span more crossbars than
+/// this (every neuron of the mapbench graphs has at most 24 synapses).
+const HOP_NEAR: usize = 64;
+
+/// The `to`-independent half of a `CutHops` migration of one neuron off
+/// its crossbar `from` ([`EvalEngine::hop_half`]).
+#[derive(Debug)]
+struct HopHalf {
+    from: u32,
+    /// The neuron's spike count `c_i`.
+    ci: i64,
+    /// `T_i` ascending (empty when `c_i = 0`): the first `len` crossbars
+    /// inline, any past [`HOP_NEAR`] in `far`.
+    near: [u32; HOP_NEAR],
+    len: usize,
+    far: Vec<u32>,
+    /// `Σ_{k∈T_i} w(from, k)`.
+    from_sum: i64,
+    /// The neuron's self-loops are all it targets on `from`.
+    from_leaves: bool,
+    /// What leaving `from` saves the neuron's sources.
+    drop_from: i64,
 }
 
 /// One candidate under local search: an assignment, its [`CostState`]
@@ -562,9 +627,14 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
     /// when `to` is `i`'s home or full.
     #[inline]
     pub fn move_delta(&self, i: usize, to: u32) -> Option<i64> {
-        let open = self.occupancy[to as usize] < self.engine.problem.capacity();
-        (open && to != self.assignment[i])
+        self.open(i, to)
             .then(|| self.engine.move_delta(&self.state, self.assignment, i, to))
+    }
+
+    /// Whether `to` is neither `i`'s home nor full.
+    #[inline]
+    fn open(&self, i: usize, to: u32) -> bool {
+        self.occupancy[to as usize] < self.engine.problem.capacity() && to != self.assignment[i]
     }
 
     /// The most improving open migration of neuron `i` among `targets`,
@@ -575,9 +645,35 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
         i: usize,
         targets: impl IntoIterator<Item = u32>,
     ) -> Option<(u32, i64)> {
+        if self.engine.kind == FitnessKind::CutHops {
+            return self.best_hop_move(i, targets.into_iter());
+        }
         targets
             .into_iter()
             .filter_map(|to| self.move_delta(i, to).map(|d| (to, d)))
+            .filter(|&(_, d)| d < 0)
+            .min_by_key(|&(_, d)| d) // the first of equal minima
+    }
+
+    /// [`Candidate::best_move`] under `CutHops`: the `to`-independent half
+    /// of the delta is built once, at the first open target (never when
+    /// every target is closed), and each open target costs
+    /// O(|T_i| + deg_in(i)) on top of it instead of an O(C) row rescan.
+    // never inlined, so the other objectives' `best_move` compiles as if
+    // this path did not exist
+    #[inline(never)]
+    fn best_hop_move(&self, i: usize, targets: impl Iterator<Item = u32>) -> Option<(u32, i64)> {
+        let mut half = None;
+        targets
+            .filter(|&to| self.open(i, to))
+            .map(|to| {
+                let half = half
+                    .get_or_insert_with(|| self.engine.hop_half(&self.state, self.assignment, i));
+                let d = self
+                    .engine
+                    .hop_delta(half, &self.state, self.assignment, i, to);
+                (to, d)
+            })
             .filter(|&(_, d)| d < 0)
             .min_by_key(|&(_, d)| d) // the first of equal minima
     }
@@ -598,8 +694,9 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
     /// `accept(delta)`, and returns the delta either way: `i`'s half is
     /// applied, `j`'s priced on the intermediate state, then `j` is
     /// committed or `i` reverted (the inverse move costs exactly the
-    /// negated delta) — O(deg), allocation-free, exact for every
-    /// objective, no pricing pass paid twice. Returns 0 without
+    /// negated delta) — O(deg) (`CutHops`: O(C + deg)), allocation-free
+    /// as [`EvalEngine::new`] says, exact for every objective, no
+    /// pricing pass paid twice. Returns 0 without
     /// consulting `accept` when both already share a crossbar.
     #[inline]
     pub fn try_swap(&mut self, i: usize, j: usize, accept: impl FnOnce(i64) -> bool) -> i64 {
@@ -1392,6 +1489,49 @@ mod tests {
         assert_eq!(SwarmKernel::ByteTile.name(), "byte-tile");
         assert_eq!(SwarmKernel::WordTile.to_string(), "word-tile");
         assert_eq!(SwarmKernel::Scalar.name(), "scalar");
+    }
+
+    #[test]
+    fn hop_deltas_past_the_inline_target_list_are_exact() {
+        // neuron 0 fires into 90 neurons on 90 crossbars of a 100-crossbar
+        // mesh, plus itself: its 91 distinct-target crossbars overflow the
+        // per-neuron half's inline list
+        let n = 100u32;
+        let mut synapses: Vec<(u32, u32)> = (1..91).map(|j| (0, j)).collect();
+        synapses.extend([(0, 0), (0, 1), (5, 0), (7, 0), (7, 0), (93, 95)]);
+        let counts = (0..n).map(|i| 1 + i % 7).collect();
+        let g = SpikeGraph::from_parts(n, synapses, counts).unwrap();
+        let lut = mesh_lut(100);
+        let p = PartitionProblem::new(&g, 100, 2)
+            .unwrap()
+            .with_hops(&lut)
+            .unwrap();
+        let engine = EvalEngine::new(p, FitnessKind::CutHops);
+        let mut a: Vec<u32> = (0..n).map(|i| (i + 3) % n).collect();
+        let mut candidate = Candidate::new(&engine, &mut a);
+        let half = engine.hop_half(&candidate.state, candidate.assignment, 0);
+        assert_eq!((half.len, half.far.len()), (HOP_NEAR, 91 - HOP_NEAR));
+        for round in 0..3 {
+            let cost = candidate.cost() as i64;
+            let mut brute = None;
+            for to in 0..n {
+                let Some(d) = candidate.move_delta(0, to) else {
+                    continue;
+                };
+                let mut moved = candidate.assignment().to_vec();
+                moved[0] = to;
+                assert_eq!(d, p.cut_hops(&moved) as i64 - cost, "round {round} to {to}");
+                if d < 0 && brute.is_none_or(|(_, b)| d < b) {
+                    brute = Some((to, d));
+                }
+            }
+            assert_eq!(candidate.best_move(0, 0..n), brute, "round {round}");
+            // move the hub somewhere else, improving or not
+            let to = 37 * round + 11;
+            let d = candidate.move_delta(0, to).expect("crossbar is open");
+            candidate.apply(0, to, d);
+            assert_eq!(candidate.cost(), p.cut_hops(candidate.assignment()));
+        }
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! 1000-particle × 100-iteration cloud runs — and as a standalone local
 //! optimizer.
 //!
-//! Candidate moves are priced by the shared incremental engine
-//! ([`crate::eval::EvalEngine`]) in O(deg) each, for both the per-synapse
-//! (Eq. 8) and the multicast-aware packet objective — no full Eq. 8
-//! re-evaluation anywhere in the loop.
+//! Candidate moves are priced by the shared incremental engine through
+//! [`crate::eval::Candidate::best_move`]: in O(deg) each under the
+//! per-synapse (Eq. 8) and the multicast-aware packet objectives; under
+//! the hop-aware one a neuron pays its move's `to`-independent half once,
+//! O(C + deg), and each open crossbar O(distinct targets + deg_in) — no
+//! full re-evaluation anywhere in the loop.
 
 use crate::eval::{Candidate, EvalEngine};
 use crate::partition::{FitnessKind, PartitionProblem};
