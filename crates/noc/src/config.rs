@@ -108,7 +108,8 @@ impl NocConfig {
     /// # Errors
     ///
     /// [`NocError::InvalidConfig`] naming the first invalid field
-    /// (zero buffer depth, zero flits, zero cycles per step).
+    /// (zero buffer depth, zero flits, a hop latency past `u32`, zero
+    /// cycles per step).
     pub fn validate(&self) -> Result<(), NocError> {
         if self.buffer_depth == 0 {
             return Err(NocError::InvalidConfig {
@@ -120,6 +121,19 @@ impl NocConfig {
             return Err(NocError::InvalidConfig {
                 name: "flits_per_packet",
                 value: "0".into(),
+            });
+        }
+        if self
+            .router_delay
+            .checked_add(self.flits_per_packet - 1)
+            .is_none()
+        {
+            return Err(NocError::InvalidConfig {
+                name: "router_delay",
+                value: format!(
+                    "{} (+ {} flits − 1 overflows the u32 hop latency)",
+                    self.router_delay, self.flits_per_packet
+                ),
             });
         }
         if self.cycles_per_step == 0 {
@@ -148,7 +162,9 @@ impl NocConfig {
     /// flits, never less than one cycle. Shared by the event-driven engine
     /// and the cycle-driven oracle so the timing model cannot drift.
     pub fn hop_latency(&self) -> u64 {
-        (self.router_delay + self.flits_per_packet - 1).max(1) as u64
+        (u64::from(self.router_delay) + u64::from(self.flits_per_packet))
+            .saturating_sub(1)
+            .max(1)
     }
 
     /// Cycles an output port stays busy serializing one packet.

@@ -229,7 +229,9 @@ fn build_schedule(
     // plain integer pairs (no comparator closure). Flows equal in
     // `(step, src, neuron)` still need the dest-set tiebreak to keep the
     // order total — those runs are found and reordered in a second pass
-    // (they are rare: same neuron firing twice in one step).
+    // (under the mapper's per-synapse traffic they are the rule: every
+    // remote synapse of a firing neuron is a flow of its own with the
+    // same key, 887 008 flows on mapbench's `hd_tree_paper`).
     let mut keys: Vec<(u64, u64)> = flows
         .iter()
         .enumerate()
@@ -594,6 +596,7 @@ fn run_engine<S: Sched>(
         });
     }
     validate_flows(topo.as_ref(), flows)?;
+    check_clock(config, flows)?;
     // every routing question is asked here, once per net; the schedule
     // then only names each packet's net
     let nets = Nets::intern(flows, config.multicast);
@@ -631,6 +634,33 @@ fn run_engine<S: Sched>(
         stats = stats.with_sched(sched);
     }
     Ok((stats, deliveries))
+}
+
+/// Refuses a clock that cannot count to the last injection: the schedule
+/// starts step `s` at cycle `s × cycles_per_step`, adds a cycle per
+/// earlier packet of the same crossbar and step, and the loop runs one
+/// hop past it.
+///
+/// # Errors
+///
+/// [`NocError::InvalidConfig`] `{ name: "cycles_per_step" }` when that
+/// cycle overflows `u64`.
+fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> {
+    let sent = flows.iter().filter(|f| !f.dst_crossbars.is_empty());
+    let last = sent.clone().map(|f| f.send_step).max().unwrap_or(0);
+    let packets: u64 = sent.map(|f| f.dst_crossbars.len() as u64).sum();
+    u64::from(last)
+        .checked_mul(config.cycles_per_step)
+        .and_then(|c| c.checked_add(packets))
+        .and_then(|c| c.checked_add(config.hop_latency() + config.serialization_cycles()))
+        .map(drop)
+        .ok_or_else(|| NocError::InvalidConfig {
+            name: "cycles_per_step",
+            value: format!(
+                "{} (step {last} starts past cycle u64::MAX)",
+                config.cycles_per_step
+            ),
+        })
 }
 
 /// The router model: the one main loop both engines run, scheduled by
@@ -1799,6 +1829,80 @@ mod tests {
         let e = ev.run(&flows).unwrap_err();
         assert!(matches!(e, NocError::CycleBudgetExhausted { .. }));
         assert_eq!(e, or.run(&flows).unwrap_err());
+    }
+
+    #[test]
+    fn a_step_past_the_clock_is_a_typed_error_under_both_engines() {
+        // step 2 starts at cycle 2 × (2⁶³ + 1), past u64::MAX: the schedule
+        // used to overflow on it (in release it wrapped to cycle 0)
+        let cfg = NocConfig {
+            cycles_per_step: u64::MAX / 2 + 1,
+            ..NocConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        let topo = || -> Box<dyn Topology> { Box::new(Mesh2D::for_crossbars(4)) };
+        let flows = [
+            SpikeFlow::unicast(0, 0, 3, 1),
+            SpikeFlow::unicast(1, 1, 2, 2),
+        ];
+        let e = both_engines(topo, cfg, &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "cycles_per_step",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+        // step 1 still starts on the clock: past the budget, as before
+        let e = both_engines(topo, cfg, &flows[..1]).unwrap_err();
+        assert!(matches!(e, NocError::CycleBudgetExhausted { .. }), "{e}");
+        // and a duration past the clock saturates the reported cycles
+        let flows = [SpikeFlow::unicast(0, 0, 3, 0)];
+        let run = |engine| {
+            NocSim::new(topo(), cfg, EnergyModel::default())
+                .with_engine(engine)
+                .run_with_duration(&flows, u32::MAX)
+        };
+        let stats = run(EngineKind::EventDriven).unwrap();
+        assert_eq!(stats.0.total_cycles, u64::MAX);
+        assert_eq!(Ok(stats), run(EngineKind::CycleOracle));
+    }
+
+    #[test]
+    fn a_hop_latency_past_u32_is_a_typed_error_under_both_engines() {
+        // router_delay + flits − 1 used to overflow in `hop_latency` (in
+        // release it wrapped to a 1-cycle hop)
+        let cfg = NocConfig {
+            router_delay: u32::MAX,
+            ..NocConfig::default()
+        };
+        let topo = || -> Box<dyn Topology> { Box::new(Mesh2D::for_crossbars(4)) };
+        let flows = [SpikeFlow::unicast(0, 0, 3, 0)];
+        let e = both_engines(topo, cfg, &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "router_delay",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+        assert_eq!(Err(e), cfg.validate());
+        // the largest latency that fits is still a latency
+        let cfg = NocConfig {
+            router_delay: u32::MAX - 1,
+            max_cycles: u64::from(u32::MAX) * 8,
+            ..NocConfig::default()
+        };
+        assert_eq!(cfg.hop_latency(), u64::from(u32::MAX));
+        let stats = both_engines(topo, cfg, &flows).unwrap();
+        // two hops, 0 → 1 → 3
+        assert_eq!(stats.max_latency_cycles, 2 * u64::from(u32::MAX));
     }
 
     #[test]

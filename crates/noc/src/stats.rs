@@ -249,7 +249,8 @@ impl NocStats {
 
         Self {
             delivered,
-            total_cycles: total_cycles.max(duration_steps as u64 * cycles_per_step),
+            total_cycles: total_cycles
+                .max(u64::from(duration_steps).saturating_mul(cycles_per_step)),
             avg_latency_cycles: avg_latency,
             p50_latency_cycles: p50,
             p99_latency_cycles: p99,
