@@ -101,6 +101,118 @@ proptest! {
         }
     }
 
+    /// `Candidate::best_move` against the brute-force reference — the
+    /// first least `cost(after) − cost(before) < 0` over the open targets
+    /// of a list, in list order — for every neuron, every objective and
+    /// random target lists (duplicates, the home crossbar, full crossbars,
+    /// any order), on a feasible random assignment whose last crossbar
+    /// attracts half the neurons and so tends to fill. Then, under
+    /// `CutHops`, a long random sequence of applied moves and kept or
+    /// reverted swaps, re-checking every open move's delta and one
+    /// neuron's best move after each step.
+    #[test]
+    fn best_move_is_the_first_least_cost_open_target(
+        graph in arb_graph(24),
+        crossbars in 2u32..=9,
+        slack in 0u32..3,
+        prefer in proptest::collection::vec(0u32..18, 24),
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..9, 0..20), 1..6),
+        steps in proptest::collection::vec((0u32..24, 0u32..24, 0u32..9, 0u32..4), 0..120),
+    ) {
+        let n = graph.num_neurons();
+        let c = crossbars;
+        let cap = n.div_ceil(c) + slack;
+        let lut = mesh_lut(c as usize);
+        let problem = PartitionProblem::new(&graph, c as usize, cap)
+            .expect("feasible")
+            .with_hops(&lut)
+            .expect("lut covers the crossbars");
+        let mut start = vec![0u32; n as usize];
+        let mut fill = vec![0u32; c as usize];
+        for i in 0..n as usize {
+            let mut k = prefer[i].min(c - 1);
+            while fill[k as usize] == cap {
+                k = (k + 1) % c;
+            }
+            fill[k as usize] += 1;
+            start[i] = k;
+        }
+        let mut lists: Vec<Vec<u32>> = lists
+            .into_iter()
+            .map(|l| l.into_iter().map(|k| k % c).collect())
+            .collect();
+        lists.push((0..c).collect());
+        lists.push((0..c).rev().collect());
+
+        let reference = |candidate: &Candidate<'_, '_, '_>, kind, i: usize, list: &[u32]| {
+            let now = candidate.assignment();
+            let before = problem.cost(kind, now) as i64;
+            let mut best: Option<(u32, i64)> = None;
+            for &to in list {
+                if to == now[i] || candidate.occupancy()[to as usize] >= cap {
+                    continue;
+                }
+                let mut after = now.to_vec();
+                after[i] = to;
+                let d = problem.cost(kind, &after) as i64 - before;
+                if d < 0 && best.is_none_or(|(_, b)| d < b) {
+                    best = Some((to, d));
+                }
+            }
+            best
+        };
+
+        for kind in KINDS {
+            let engine = EvalEngine::new(problem, kind);
+            let mut a = start.clone();
+            let candidate = Candidate::new(&engine, &mut a);
+            for i in 0..n as usize {
+                for list in &lists {
+                    prop_assert_eq!(
+                        candidate.best_move(i, list.iter().copied()),
+                        reference(&candidate, kind, i, list),
+                        "{:?}: neuron {} over {:?}", kind, i, list
+                    );
+                }
+            }
+        }
+
+        let engine = EvalEngine::new(problem, FitnessKind::CutHops);
+        let mut a = start.clone();
+        let mut candidate = Candidate::new(&engine, &mut a);
+        for (step, &(i, j, to, op)) in steps.iter().enumerate() {
+            let (i, j, to) = ((i % n) as usize, (j % n) as usize, to % c);
+            if op < 2 {
+                if let Some(d) = candidate.move_delta(i, to) {
+                    candidate.apply(i, to, d);
+                }
+            } else {
+                candidate.try_swap(i, j, |_| op == 2);
+            }
+            let now = candidate.assignment().to_vec();
+            let cost = problem.cut_hops(&now) as i64;
+            prop_assert_eq!(candidate.cost() as i64, cost, "step {}", step);
+            for k in 0..n as usize {
+                for to in 0..c {
+                    if let Some(d) = candidate.move_delta(k, to) {
+                        let mut after = now.clone();
+                        after[k] = to;
+                        prop_assert_eq!(
+                            d, problem.cut_hops(&after) as i64 - cost,
+                            "step {}: neuron {} to {}", step, k, to
+                        );
+                    }
+                }
+            }
+            let list = &lists[step % lists.len()];
+            prop_assert_eq!(
+                candidate.best_move(j, list.iter().copied()),
+                reference(&candidate, FitnessKind::CutHops, j, list),
+                "step {}: neuron {} over {:?}", step, j, list
+            );
+        }
+    }
+
     #[test]
     fn sync_matches_full_recompute_at_any_churn(
         graph in arb_graph(24),
