@@ -2,7 +2,8 @@
 //! `BENCH_eval.json` — full recompute vs incremental move pricing, scalar
 //! vs batched swarm scoring and the scalar vs masked-row velocity sweep on
 //! the digit app (`hd_tree_paper`'s graph) and on the 256-crossbar
-//! `synth_16x16grid` scenario (also dense vs adjacency placement pricing),
+//! `synth_16x16grid` scenario (also dense vs adjacency placement pricing
+//! and per-target vs per-neuron `CutHops` polish pricing),
 //! staged vs joint co-optimization, flat PSO vs the V-cycle at 1024
 //! crossbars, and the u16 word-tile kernels (`CutSpikes`, `CutPackets`) on
 //! the 4-chip fabric.
@@ -13,7 +14,8 @@
 //! End-to-end timings are mapbench's (`benchmark/`), not this file's.
 //! What the benches *assert before timing* — the batched envelope at 256
 //! crossbars, bit-identity with the scalar reference, the two placement
-//! pricers accepting the same swaps, V-cycle cut ≤ flat cut — are
+//! pricers accepting the same swaps, the two polish pricers reaching the
+//! same assignment, V-cycle cut ≤ flat cut — are
 //! correctness checks: a regression fails loudly instead of being timed.
 //!
 //! Knob: `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (the CI gate).
@@ -26,7 +28,7 @@ use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, ledger, SEED};
 use neuromap_core::coopt::{co_optimize, CooptConfig};
 use neuromap_core::decode::DecodeScratch;
-use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
+use neuromap_core::eval::{Candidate, EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
@@ -221,6 +223,7 @@ fn bench_large_arch(c: &mut Criterion) {
     }
 
     bench_sweep(c, &name, &problem);
+    bench_hop_polish(c, &name, &problem_hops);
 
     // ---- placement swap pricing on the 256-crossbar scenario ----
     // a packed partition with scrambled cluster ids: the contents of each
@@ -229,6 +232,63 @@ fn bench_large_arch(c: &mut Criterion) {
     let mapping = scenario.scrambled_packed_mapping(0x91A);
     let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
     bench_placement_sweep(c, &name, &traffic, &lut);
+}
+
+/// One greedy polish pass under `CutHops` — `refine`'s inner loop, every
+/// neuron moved to its best open crossbar — from a fixed packing with
+/// slack on every crossbar, priced target by target through
+/// `Candidate::move_delta` (baseline: what `best_move` did before it
+/// shared one per-neuron half across a neuron's targets) and by
+/// `Candidate::best_move` (candidate): the `refine/<name>/CutHops` paired
+/// ratio. Both must reach the identical assignment, or the ratio would
+/// compare different work.
+fn bench_hop_polish(c: &mut Criterion, name: &str, problem: &PartitionProblem<'_>) {
+    let engine = EvalEngine::new(*problem, FitnessKind::CutHops);
+    let n = problem.graph().num_neurons() as usize;
+    let nc = problem.num_crossbars();
+    let packed: Vec<u32> = (0..n).map(|i| (i * nc / n) as u32).collect();
+    assert!(
+        packed
+            .chunk_by(|a, b| a == b)
+            .all(|run| run.len() < problem.capacity() as usize),
+        "every crossbar keeps slack"
+    );
+    let nc = nc as u32;
+    let pass = |per_neuron: bool| {
+        let mut assignment = packed.clone();
+        let mut candidate = Candidate::new(&engine, &mut assignment);
+        for i in 0..n {
+            let best = if per_neuron {
+                candidate.best_move(i, 0..nc)
+            } else {
+                (0..nc)
+                    .filter_map(|to| candidate.move_delta(i, to).map(|d| (to, d)))
+                    .filter(|&(_, d)| d < 0)
+                    .min_by_key(|&(_, d)| d)
+            };
+            if let Some((to, delta)) = best {
+                candidate.apply(i, to, delta);
+            }
+        }
+        assignment
+    };
+    let polished = pass(false);
+    assert_ne!(polished, packed, "the packing has moves to take");
+    assert_eq!(
+        polished,
+        pass(true),
+        "REGRESSION: best_move and the per-target reference must polish \
+         to the same assignment"
+    );
+    let mut group = c.benchmark_group(format!("refine/{name}"));
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("CutHops", "per_target"), |b| {
+        b.iter(|| pass(false));
+    });
+    group.bench_function(BenchmarkId::new("CutHops", "per_neuron"), |b| {
+        b.iter(|| pass(true));
+    });
+    group.finish();
 }
 
 /// One full first-improvement sweep over all cluster pairs from the

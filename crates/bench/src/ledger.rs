@@ -84,6 +84,7 @@ pub const EVAL: Ledger = Ledger {
         // the joint loop re-runs the placement optimizer: a time overhead
         ("staged", "joint", false),
         ("dense", "adjacency", true),
+        ("per_target", "per_neuron", true),
     ],
     gates: &[
         ("move/HD/CutSpikes", Bound::Present),
@@ -99,6 +100,8 @@ pub const EVAL: Ledger = Ledger {
         ("sweep/synth_16x16grid/step", Bound::AtLeast(1.5)),
         // the optimizer's O(deg) pricer against its dense O(C) oracle
         ("placement/synth_16x16grid/sweep", Bound::AtLeast(2.0)),
+        // a neuron's CutHops moves priced against one per-neuron half
+        ("refine/synth_16x16grid/CutHops", Bound::AtLeast(2.0)),
         ("coopt/synth_8x8grid/CutHops", Bound::Present),
         // equal-or-better cut (asserted by the bench) at 1024 crossbars
         ("multilevel/synth_32x32grid/CutSpikes", Bound::AtLeast(3.0)),
@@ -337,8 +340,9 @@ mod tests {
 
     /// The ratios committed at `055a7f0`: `(id, speedup, higher_is_better)`
     /// (less `hier/synth_4chip16x16/CutHops`, 1.24: that pair is gone; plus
-    /// the two `sweep/*` pairs at the values they were first committed with).
-    const COMMITTED_EVAL: [(&str, f64, bool); 14] = [
+    /// the two `sweep/*` pairs and `refine/*` at the values they were first
+    /// committed with).
+    const COMMITTED_EVAL: [(&str, f64, bool); 15] = [
         ("move/HD/CutSpikes", 302.92, true),
         ("move/HD/CutPackets", 189.07, true),
         ("swarm_eval/HD/CutSpikes", 19.07, true),
@@ -349,6 +353,7 @@ mod tests {
         ("swarm_eval/synth_16x16grid/CutHops", 2.14, true),
         ("sweep/synth_16x16grid/step", 2.89, true),
         ("placement/synth_16x16grid/sweep", 12.57, true),
+        ("refine/synth_16x16grid/CutHops", 3.25, true),
         ("coopt/synth_8x8grid/CutHops", 0.33, false),
         ("multilevel/synth_32x32grid/CutSpikes", 4.71, true),
         ("hier/synth_4chip16x16/CutSpikes", 5.71, true),
@@ -432,6 +437,11 @@ mod tests {
                 "sweep/synth_16x16grid/step",
                 Some(1.49),
                 ">= 1.5, got 1.490",
+            ),
+            (
+                "refine/synth_16x16grid/CutHops",
+                Some(1.99),
+                ">= 2, got 1.990",
             ),
             ("sweep/HD/step", Some(0.99), ">= 1.0, got 0.990"),
             ("coopt/synth_8x8grid/CutHops", Some(0.0), "> 0, got 0"),
