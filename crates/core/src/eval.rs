@@ -549,7 +549,8 @@ impl<'g> EvalEngine<'g> {
 
 /// Distinct-target crossbars [`HopHalf`] keeps inline, so preparing it
 /// allocates nothing unless a neuron's targets span more crossbars than
-/// this (every neuron of the mapbench graphs has at most 24 synapses).
+/// this (the mapbench graphs `CutHops` runs on give each neuron 24
+/// synapses).
 const HOP_NEAR: usize = 64;
 
 /// The `to`-independent half of a `CutHops` migration of one neuron off

@@ -498,9 +498,10 @@ impl NocSim {
     ///
     /// # Errors
     ///
-    /// * [`NocError::InvalidConfig`] for invalid configurations, and for
+    /// * [`NocError::InvalidConfig`] for invalid configurations, for
     ///   a [`Topology::multicast_route`] whose paths are not link walks
-    ///   to their destinations.
+    ///   to their destinations, and for a last send step whose start
+    ///   cycle (`step × cycles_per_step`) overflows `u64`.
     /// * [`NocError::UnknownCrossbar`] for flows naming absent crossbars.
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
     pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
