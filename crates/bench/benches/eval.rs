@@ -65,16 +65,24 @@ fn bench_full_vs_incremental(c: &mut Criterion, name: &str, problem: &PartitionP
                 black_box(problem.cost(kind, &m))
             });
         });
-        // O(deg) incremental move through the engine
+        // O(deg) incremental move through a `Candidate`, to the first
+        // open crossbar after the neuron's home
         group.bench_with_input(BenchmarkId::new("incremental", &tag), &kind, |b, &kind| {
             let engine = EvalEngine::new(*problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| (i % nc) as u32).collect();
-            let mut state = engine.init(&a);
+            let mut candidate = Candidate::new(&engine, &mut a);
+            let nc = nc as u32;
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % n;
-                let to = (a[i] + 1) % nc as u32;
-                black_box(engine.apply_move(&mut state, &mut a, i, to))
+                let home = candidate.assignment()[i];
+                let next = (1..nc)
+                    .map(|s| (home + s) % nc)
+                    .find_map(|to| candidate.move_delta(i, to).map(|d| (to, d)));
+                if let Some((to, d)) = next {
+                    candidate.apply(i, to, d);
+                }
+                black_box(next)
             });
         });
     }

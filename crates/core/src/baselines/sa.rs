@@ -50,7 +50,7 @@ impl Default for SaConfig {
 /// Simulated annealing: starts from PACMAN's sequential packing and
 /// proposes single-neuron migrations and pair swaps, accepted by the
 /// Metropolis criterion under geometric cooling. Move costs come from the
-/// shared incremental engine ([`EvalEngine`], O(deg) per proposal — no
+/// shared incremental engine ([`Candidate`], O(deg) per proposal — no
 /// full Eq. 8 evaluation anywhere in the chain, and no per-proposal
 /// allocation).
 ///

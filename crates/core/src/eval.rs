@@ -4,9 +4,8 @@
 //! iterations (§III, Fig. 5–7); evaluating Eq. 8 from scratch for every
 //! particle at every iteration costs O(E) per evaluation and dominates
 //! paper-scale runs. This module maintains **per-candidate cached state**
-//! and updates it in O(deg) per changed neuron, falling back to a full
-//! recompute when churn makes the incremental path more expensive than a
-//! fresh scan.
+//! ([`Candidate`]) and updates it in O(deg) per migrated neuron; the
+//! [`EvalEngine`] it prices against is immutable problem context.
 //!
 //! ## Cached state per candidate
 //!
@@ -15,7 +14,9 @@
 //! * `CutPackets` (multicast-aware): the running packet total plus a
 //!   per-source tally `cnt[p][k]` = number of `p`'s targets on crossbar
 //!   `k` — the same bookkeeping the greedy refiner used internally, now
-//!   shared by every optimizer.
+//!   shared by every optimizer. A move is priced in O(deg): one
+//!   comparison each on the migrating neuron's old and new crossbar
+//!   (its self-loops migrate with it), one per distinct source.
 //! * `CutHops` (hop-aware): the same tallies as `CutPackets`, with every
 //!   remote crossbar priced by the interconnect hop distance from the
 //!   source's home crossbar (the problem must carry a
@@ -31,17 +32,15 @@
 //!
 //! ## Invariants
 //!
-//! * After any sequence of [`EvalEngine::apply_move`] /
-//!   [`EvalEngine::sync`] calls, `state.cost()` equals the full
+//! * After any sequence of [`Candidate::apply`] /
+//!   [`Candidate::try_swap`] calls, [`Candidate::cost`] equals the full
 //!   recomputation on the current assignment (property-tested in
-//!   `tests/eval_properties.rs` across random move sequences, churn
-//!   fractions, and every fitness kind).
-//! * [`EvalEngine::move_delta`] is pure: it never mutates state and is
-//!   exact for the *current* assignment (deltas of stacked hypothetical
-//!   moves must be applied one at a time).
-//! * The fallback threshold ([`EvalEngine::with_churn_threshold`]) is a
-//!   pure performance knob: both paths produce identical costs, so
-//!   results never depend on it.
+//!   `tests/eval_properties.rs` across random move and swap sequences
+//!   and every fitness kind).
+//! * [`Candidate::move_delta`] and [`Candidate::best_move`] are pure:
+//!   they never mutate state and are exact for the *current* assignment
+//!   (deltas of stacked hypothetical moves must be applied one at a
+//!   time).
 //!
 //! ## Determinism contract
 //!
@@ -90,43 +89,23 @@
 
 use crate::partition::{FitnessKind, PartitionProblem};
 
-/// Default churn fraction above which [`EvalEngine::sync`] abandons the
-/// per-move path and recomputes from scratch. Move application touches
-/// the changed neuron's full in+out neighborhood (≈ `2·E/N` edges on
-/// average), so the break-even sits near 50% churn; 35% leaves margin
-/// for the scattered memory access of the incremental path.
-pub const DEFAULT_CHURN_THRESHOLD: f32 = 0.35;
-
-/// Per-candidate cached fitness state. Create with [`EvalEngine::init`],
-/// keep it alongside the candidate's assignment, and let the engine
-/// update both together — [`Candidate`] is that bundle, with the
-/// per-crossbar occupancy a capacity-bound search needs beside it.
-/// The `Default` value is an *empty placeholder* (cost 0, no tallies) —
-/// cheap to allocate in bulk, but meaningless until overwritten by
-/// [`EvalEngine::init`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CostState {
+/// A [`Candidate`]'s cached fitness state, built by `EvalEngine::init`
+/// and changed only by `Candidate::commit`.
+#[derive(Debug)]
+struct CostState {
     cost: u64,
     /// `CutPackets` and `CutHops`: `cnt[p * c + k]` = targets of `p` on
     /// crossbar `k`. Empty for `CutSpikes`.
     target_cnt: Vec<u32>,
 }
 
-impl CostState {
-    /// The cached cost of the candidate's current assignment.
-    #[inline]
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
-}
-
 /// The shared incremental evaluator: immutable problem context plus the
-/// pre-grouped edge structure the delta formulas need.
+/// pre-grouped edge structure the delta formulas need. Moves are priced
+/// and applied through a [`Candidate`].
 #[derive(Debug, Clone)]
 pub struct EvalEngine<'g> {
     problem: PartitionProblem<'g>,
     kind: FitnessKind,
-    churn_threshold: f32,
     /// `CutPackets` and `CutHops` — CSR of distinct presynaptic sources
     /// with edge multiplicities: neuron `i`'s sources are
     /// `grouped_sources[grouped_offsets[i]..grouped_offsets[i + 1]]`.
@@ -138,12 +117,9 @@ pub struct EvalEngine<'g> {
 }
 
 impl<'g> EvalEngine<'g> {
-    /// Builds an engine for `problem` under `kind`.
-    ///
-    /// `CutSpikes` construction is O(1); `CutPackets` and `CutHops`
-    /// pre-group the reverse CSR once (O(E log deg)) so every later delta
-    /// is allocation-free — except a `CutHops` delta of a neuron whose
-    /// targets span more than 64 crossbars, which lists them on the heap.
+    /// Builds an engine for `problem` under `kind`: O(1) for `CutSpikes`;
+    /// `CutPackets` and `CutHops` pre-group the reverse CSR once
+    /// (O(E log deg)).
     pub fn new(problem: PartitionProblem<'g>, kind: FitnessKind) -> Self {
         let (grouped_sources, grouped_offsets, self_mult) = match kind {
             FitnessKind::CutSpikes => (Vec::new(), Vec::new(), Vec::new()),
@@ -152,20 +128,10 @@ impl<'g> EvalEngine<'g> {
         Self {
             problem,
             kind,
-            churn_threshold: DEFAULT_CHURN_THRESHOLD,
             grouped_sources,
             grouped_offsets,
             self_mult,
         }
-    }
-
-    /// Overrides the churn fraction above which [`EvalEngine::sync`]
-    /// recomputes from scratch (performance knob only; results are
-    /// identical either way).
-    #[must_use]
-    pub fn with_churn_threshold(mut self, threshold: f32) -> Self {
-        self.churn_threshold = threshold.clamp(0.0, 1.0);
-        self
     }
 
     /// The problem this engine evaluates against.
@@ -178,54 +144,37 @@ impl<'g> EvalEngine<'g> {
         self.kind
     }
 
-    /// Full evaluation of `assignment`, bypassing all caches (the
-    /// reference the incremental path is verified against).
-    pub fn full_cost(&self, assignment: &[u32]) -> u64 {
-        self.problem.cost(self.kind, assignment)
-    }
-
-    /// Builds cached state for `assignment` by full evaluation.
-    pub fn init(&self, assignment: &[u32]) -> CostState {
-        let mut state = CostState {
-            cost: 0,
-            target_cnt: Vec::new(),
-        };
-        self.rebuild(&mut state, assignment);
-        state
-    }
-
     /// Whether this objective maintains the per-source target tallies.
     fn tracks_targets(&self) -> bool {
         matches!(self.kind, FitnessKind::CutPackets | FitnessKind::CutHops)
     }
 
-    /// Recomputes `state` from scratch for `assignment`.
-    fn rebuild(&self, state: &mut CostState, assignment: &[u32]) {
-        state.cost = self.full_cost(assignment);
+    /// Builds cached state for `assignment` by full evaluation.
+    fn init(&self, assignment: &[u32]) -> CostState {
+        let mut target_cnt = Vec::new();
         if self.tracks_targets() {
             let g = self.problem.graph();
             let n = g.num_neurons() as usize;
             let c = self.problem.num_crossbars();
-            state.target_cnt.clear();
-            state.target_cnt.resize(n * c, 0);
+            target_cnt.resize(n * c, 0);
             for p in 0..n as u32 {
                 for &j in g.targets(p) {
-                    state.target_cnt[p as usize * c + assignment[j as usize] as usize] += 1;
+                    target_cnt[p as usize * c + assignment[j as usize] as usize] += 1;
                 }
             }
+        }
+        CostState {
+            cost: self.problem.cost(self.kind, assignment),
+            target_cnt,
         }
     }
 
     /// Exact cost change of migrating neuron `i` to crossbar `to`, in
     /// O(deg(i)) (`CutHops`: both halves of its delta, O(C + deg(i)) —
     /// [`Candidate::best_move`] prices many targets against one
-    /// per-neuron half), without mutating anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `to` is out of range for the problem, or (debug
-    /// builds) if `state` was built for a different-size problem.
-    pub fn move_delta(&self, state: &CostState, assignment: &[u32], i: usize, to: u32) -> i64 {
+    /// per-neuron half), without mutating anything; 0 when `to` is `i`'s
+    /// crossbar.
+    fn move_delta(&self, state: &CostState, assignment: &[u32], i: usize, to: u32) -> i64 {
         match self.kind {
             FitnessKind::CutSpikes => self.problem.move_delta_spikes(assignment, i, to),
             FitnessKind::CutPackets => self.packet_delta(state, assignment, i, to),
@@ -234,132 +183,6 @@ impl<'g> EvalEngine<'g> {
                 self.hop_delta(&half, state, assignment, i, to)
             }
         }
-    }
-
-    /// Exchanges the crossbars of neurons `i` and `j`, updating `state`
-    /// and `assignment`; returns the exact combined cost change. A swap
-    /// preserves per-crossbar occupancy, which is what capacity-tight
-    /// placement and annealing loops need. No-op (delta 0) when both
-    /// neurons already share a crossbar.
-    pub fn apply_swap(
-        &self,
-        state: &mut CostState,
-        assignment: &mut [u32],
-        i: usize,
-        j: usize,
-    ) -> i64 {
-        let (ci, cj) = (assignment[i], assignment[j]);
-        if ci == cj {
-            return 0;
-        }
-        let d1 = self.apply_move(state, assignment, i, cj);
-        let d2 = self.apply_move(state, assignment, j, ci);
-        d1 + d2
-    }
-
-    /// Applies the migration of neuron `i` to crossbar `to`, updating
-    /// `state` and `assignment[i]`; returns the (exact) cost change.
-    ///
-    /// Capacity is the *caller's* invariant: the engine prices moves, the
-    /// optimizer decides which are feasible.
-    pub fn apply_move(
-        &self,
-        state: &mut CostState,
-        assignment: &mut [u32],
-        i: usize,
-        to: u32,
-    ) -> i64 {
-        let from = assignment[i];
-        if from == to {
-            return 0;
-        }
-        let delta = self.move_delta(state, assignment, i, to);
-        self.commit_move(state, assignment, i, to, delta);
-        delta
-    }
-
-    /// Like [`EvalEngine::apply_move`], but reuses a `delta` the caller
-    /// already obtained from [`EvalEngine::move_delta`] on the *current*
-    /// state — optimizers that price a move before accepting it skip the
-    /// second O(deg) pricing pass. Debug builds verify the delta.
-    ///
-    /// A stale or foreign `delta` silently corrupts the cached cost in
-    /// release builds; when in doubt use [`EvalEngine::apply_move`].
-    pub fn apply_priced_move(
-        &self,
-        state: &mut CostState,
-        assignment: &mut [u32],
-        i: usize,
-        to: u32,
-        delta: i64,
-    ) {
-        if assignment[i] == to {
-            debug_assert_eq!(delta, 0, "no-op move must be priced at 0");
-            return;
-        }
-        debug_assert_eq!(
-            delta,
-            self.move_delta(state, assignment, i, to),
-            "caller-supplied delta must match the current state"
-        );
-        self.commit_move(state, assignment, i, to, delta);
-    }
-
-    /// Updates tallies, assignment, and cached cost for an accepted move
-    /// whose `delta` is already known. `assignment[i] != to` required.
-    fn commit_move(
-        &self,
-        state: &mut CostState,
-        assignment: &mut [u32],
-        i: usize,
-        to: u32,
-        delta: i64,
-    ) {
-        let from = assignment[i];
-        if self.tracks_targets() {
-            let c = self.problem.num_crossbars();
-            let lo = self.grouped_offsets[i] as usize;
-            let hi = self.grouped_offsets[i + 1] as usize;
-            for &(p, m) in &self.grouped_sources[lo..hi] {
-                let base = p as usize * c;
-                state.target_cnt[base + from as usize] -= m;
-                state.target_cnt[base + to as usize] += m;
-            }
-        }
-        assignment[i] = to;
-        state.cost = state
-            .cost
-            .checked_add_signed(delta)
-            .expect("cost stays non-negative");
-    }
-
-    /// Brings (`state`, `current`) to the new position `target`: applies
-    /// per-neuron moves when few neurons changed, or recomputes from
-    /// scratch when churn exceeds the threshold. Returns the new cost.
-    ///
-    /// `current` is rewritten to equal `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current.len() != target.len()`.
-    pub fn sync(&self, state: &mut CostState, current: &mut [u32], target: &[u32]) -> u64 {
-        assert_eq!(current.len(), target.len(), "assignment lengths must match");
-        let n = current.len();
-        let changed = current.iter().zip(target).filter(|(a, b)| a != b).count();
-        if changed == 0 {
-            return state.cost;
-        }
-        if (changed as f32) > self.churn_threshold * n as f32 {
-            current.copy_from_slice(target);
-            self.rebuild(state, current);
-            return state.cost;
-        }
-        for i in 0..n {
-            if current[i] != target[i] {
-                self.apply_move(state, current, i, target[i]);
-            }
-        }
-        state.cost
     }
 
     /// `CutPackets` delta: how the multicast packet total changes when
@@ -374,40 +197,16 @@ impl<'g> EvalEngine<'g> {
         let mut d = 0i64;
 
         // i's own outgoing packets: the home crossbar stops masking
-        // targets at `from` and starts masking targets at `to`
+        // targets at `from` and starts masking targets at `to`. i's
+        // self-loops migrate with it, so `from` turns remote iff i has
+        // targets there besides them, and `to` was remote iff i targeted
+        // it; every other crossbar keeps its membership
         let ci = g.count(i as u32) as i64;
         if ci > 0 {
             let row = &state.target_cnt[i * c..(i + 1) * c];
-            let self_m = self.self_mult[i];
-            if self_m > 0 {
-                // self-loop targets move with the neuron: compare the
-                // remote-crossbar count before and after, with the row
-                // adjusted for the migrated self-loops
-                let before = row
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, &v)| v > 0 && k as u32 != from)
-                    .count() as i64;
-                let after = row
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, &v)| {
-                        let v = if k as u32 == from {
-                            v - self_m
-                        } else if k as u32 == to {
-                            v + self_m
-                        } else {
-                            v
-                        };
-                        v > 0 && k as u32 != to
-                    })
-                    .count() as i64;
-                d += ci * (after - before);
-            } else {
-                let before = (row[from as usize] > 0) as i64;
-                let after = (row[to as usize] > 0) as i64;
-                d += ci * (before - after);
-            }
+            let from_remote = (row[from as usize] > self.self_mult[i]) as i64;
+            let to_was_remote = (row[to as usize] > 0) as i64;
+            d += ci * (from_remote - to_was_remote);
         }
 
         // incoming: each distinct source p sees target i move from→to
@@ -573,13 +372,18 @@ struct HopHalf {
     drop_from: i64,
 }
 
-/// One candidate under local search: an assignment, its [`CostState`]
-/// and its per-crossbar occupancy, updated together so they cannot
+/// One candidate under local search: an assignment, its cached cost
+/// state and its per-crossbar occupancy, updated together so they cannot
 /// disagree — `refine`, `remap`, the V-cycle's boundary refinement and
 /// the SA chains are search policies over these operations. A crossbar at
 /// the problem's capacity accepts no migration (occupancy is counted, not
 /// checked: an over-full crossbar stays closed until neurons leave it);
 /// swaps preserve occupancy and are never capacity-limited.
+///
+/// [`Candidate::new`] allocates the state (`CutPackets` and `CutHops`:
+/// an `N × C` tally); every later operation is allocation-free, except
+/// pricing a `CutHops` move of a neuron whose targets span more than 64
+/// crossbars, which lists them on the heap.
 #[derive(Debug)]
 pub struct Candidate<'e, 'g, 'a> {
     engine: &'e EvalEngine<'g>,
@@ -682,22 +486,20 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
     /// Migrates neuron `i` to crossbar `to` at the `delta` that
     /// [`Candidate::move_delta`] / [`Candidate::best_move`] just returned
     /// for it (verified in debug builds; a stale one corrupts the cached
-    /// cost, as with [`EvalEngine::apply_priced_move`]).
+    /// cost in release builds).
     #[inline]
     pub fn apply(&mut self, i: usize, to: u32, delta: i64) {
         self.occupancy[self.assignment[i] as usize] -= 1;
         self.occupancy[to as usize] += 1;
-        self.engine
-            .apply_priced_move(&mut self.state, self.assignment, i, to, delta);
+        self.commit(i, to, delta);
     }
 
     /// Prices the exchange of neurons `i` and `j`, keeps it iff
     /// `accept(delta)`, and returns the delta either way: `i`'s half is
     /// applied, `j`'s priced on the intermediate state, then `j` is
     /// committed or `i` reverted (the inverse move costs exactly the
-    /// negated delta) — O(deg) (`CutHops`: O(C + deg)), allocation-free
-    /// as [`EvalEngine::new`] says, exact for every objective, no
-    /// pricing pass paid twice. Returns 0 without
+    /// negated delta) — O(deg) (`CutHops`: O(C + deg)), exact for every
+    /// objective, no pricing pass paid twice. Returns 0 without
     /// consulting `accept` when both already share a crossbar.
     #[inline]
     pub fn try_swap(&mut self, i: usize, j: usize, accept: impl FnOnce(i64) -> bool) -> i64 {
@@ -705,15 +507,42 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
         if ci == cj {
             return 0;
         }
-        let d1 = self
-            .engine
-            .apply_move(&mut self.state, self.assignment, i, cj);
+        let d1 = self.engine.move_delta(&self.state, self.assignment, i, cj);
+        self.commit(i, cj, d1);
         let d2 = self.engine.move_delta(&self.state, self.assignment, j, ci);
         // either way one neuron lands on `ci`: `j` commits, or `i` returns
         let (k, delta) = if accept(d1 + d2) { (j, d2) } else { (i, -d1) };
-        self.engine
-            .apply_priced_move(&mut self.state, self.assignment, k, ci, delta);
+        self.commit(k, ci, delta);
         d1 + d2
+    }
+
+    /// The one place tallies, assignment and cached cost change: moves
+    /// neuron `i` to `to` at its already-known `delta` (debug builds
+    /// re-price it). Occupancy is the caller's.
+    fn commit(&mut self, i: usize, to: u32, delta: i64) {
+        let engine = self.engine;
+        debug_assert_eq!(
+            delta,
+            engine.move_delta(&self.state, self.assignment, i, to),
+            "caller-supplied delta must match the current state"
+        );
+        let from = self.assignment[i];
+        if engine.tracks_targets() {
+            let c = engine.problem.num_crossbars();
+            let lo = engine.grouped_offsets[i] as usize;
+            let hi = engine.grouped_offsets[i + 1] as usize;
+            for &(p, m) in &engine.grouped_sources[lo..hi] {
+                let base = p as usize * c;
+                self.state.target_cnt[base + from as usize] -= m;
+                self.state.target_cnt[base + to as usize] += m;
+            }
+        }
+        self.assignment[i] = to;
+        self.state.cost = self
+            .state
+            .cost
+            .checked_add_signed(delta)
+            .expect("cost stays non-negative");
     }
 }
 
@@ -1213,6 +1042,46 @@ mod tests {
         neuromap_noc::topology::DistanceLut::new(&neuromap_noc::topology::Mesh2D::for_crossbars(c))
     }
 
+    /// Migrates `i` to `to` through `candidate` — a no-op when `to` is
+    /// `i`'s home, the only closed crossbar at capacity ≥ N — and checks
+    /// the cached cost against a full recompute.
+    fn move_to(candidate: &mut Candidate<'_, '_, '_>, i: usize, to: u32) {
+        let before = candidate.cost() as i64;
+        match candidate.move_delta(i, to) {
+            Some(d) => {
+                candidate.apply(i, to, d);
+                assert_eq!(candidate.cost() as i64, before + d, "move {i}->{to}");
+            }
+            None => assert_eq!(candidate.assignment()[i], to, "only home is closed"),
+        }
+        assert_recomputes(candidate);
+    }
+
+    /// Asserts the cached cost equals a full recompute.
+    fn assert_recomputes(candidate: &Candidate<'_, '_, '_>) {
+        let engine = candidate.engine;
+        let full = engine.problem.cost(engine.kind, candidate.assignment());
+        assert_eq!(candidate.cost(), full, "{:?} drifted", engine.kind);
+    }
+
+    /// Asserts every open migration's delta against a full recompute.
+    fn assert_deltas_exact(candidate: &Candidate<'_, '_, '_>) {
+        let engine = candidate.engine;
+        let now = candidate.assignment();
+        let cost = engine.problem.cost(engine.kind, now) as i64;
+        for i in 0..now.len() {
+            for to in 0..engine.problem.num_crossbars() as u32 {
+                let Some(d) = candidate.move_delta(i, to) else {
+                    continue;
+                };
+                let mut after = now.to_vec();
+                after[i] = to;
+                let expected = engine.problem.cost(engine.kind, &after) as i64 - cost;
+                assert_eq!(d, expected, "{:?} at {now:?}: {i}->{to}", engine.kind);
+            }
+        }
+    }
+
     #[test]
     fn init_matches_full_cost() {
         let g = random_graph(20, 70, 1);
@@ -1220,7 +1089,8 @@ mod tests {
         let a: Vec<u32> = (0..20).map(|i| i % 4).collect();
         for kind in kinds() {
             let engine = EvalEngine::new(p, kind);
-            assert_eq!(engine.init(&a).cost(), engine.full_cost(&a), "{kind:?}");
+            let mut b = a.clone();
+            assert_recomputes(&Candidate::new(&engine, &mut b));
         }
     }
 
@@ -1231,17 +1101,15 @@ mod tests {
         let a: Vec<u32> = (0..14).map(|i| i % 3).collect();
         for kind in kinds() {
             let engine = EvalEngine::new(p, kind);
-            let state = engine.init(&a);
+            let mut b = a.clone();
+            let candidate = Candidate::new(&engine, &mut b);
             for i in 0..14usize {
                 for to in 0..3u32 {
                     let mut b = a.clone();
                     b[i] = to;
-                    let expected = engine.full_cost(&b) as i64 - engine.full_cost(&a) as i64;
-                    assert_eq!(
-                        engine.move_delta(&state, &a, i, to),
-                        expected,
-                        "{kind:?} i={i} to={to}"
-                    );
+                    let expected = p.cost(kind, &b) as i64 - p.cost(kind, &a) as i64;
+                    let delta = (to != a[i]).then_some(expected);
+                    assert_eq!(candidate.move_delta(i, to), delta, "{kind:?} i={i} to={to}");
                 }
             }
         }
@@ -1254,48 +1122,12 @@ mod tests {
         for kind in kinds() {
             let engine = EvalEngine::new(p, kind);
             let mut a: Vec<u32> = (0..18).map(|i| i % 4).collect();
-            let mut state = engine.init(&a);
+            let mut candidate = Candidate::new(&engine, &mut a);
             let mut rng = StdRng::seed_from_u64(9);
-            for step in 0..200 {
+            for _ in 0..200 {
                 let i = rng.gen_range(0..18usize);
                 let to = rng.gen_range(0..4u32);
-                engine.apply_move(&mut state, &mut a, i, to);
-                assert_eq!(
-                    state.cost(),
-                    engine.full_cost(&a),
-                    "{kind:?} drifted at step {step}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sync_incremental_and_fallback_agree() {
-        let g = random_graph(30, 150, 4);
-        let p = PartitionProblem::new(&g, 5, 30).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        for kind in kinds() {
-            for churn_percent in [0usize, 3, 10, 20, 30] {
-                let low = EvalEngine::new(p, kind).with_churn_threshold(1.0);
-                let high = EvalEngine::new(p, kind).with_churn_threshold(0.0);
-                let start: Vec<u32> = (0..30).map(|i| i % 5).collect();
-                let mut cur_a = start.clone();
-                let mut cur_b = start.clone();
-                let mut st_a = low.init(&start);
-                let mut st_b = high.init(&start);
-                for _ in 0..20 {
-                    let mut target = cur_a.clone();
-                    for _ in 0..churn_percent {
-                        let i = rng.gen_range(0..30usize);
-                        target[i] = rng.gen_range(0..5u32);
-                    }
-                    let ca = low.sync(&mut st_a, &mut cur_a, &target);
-                    let cb = high.sync(&mut st_b, &mut cur_b, &target);
-                    assert_eq!(ca, cb, "{kind:?} churn {churn_percent}");
-                    assert_eq!(ca, low.full_cost(&target), "{kind:?}");
-                    assert_eq!(cur_a, target);
-                    assert_eq!(cur_b, target);
-                }
+                move_to(&mut candidate, i, to);
             }
         }
     }
@@ -1313,14 +1145,34 @@ mod tests {
         for kind in kinds() {
             let engine = EvalEngine::new(p, kind);
             let mut a = vec![0u32, 1, 2];
-            let mut state = engine.init(&a);
+            let mut candidate = Candidate::new(&engine, &mut a);
             for (i, to) in [(0usize, 1u32), (1, 1), (0, 2), (2, 0), (0, 0)] {
-                engine.apply_move(&mut state, &mut a, i, to);
-                assert_eq!(
-                    state.cost(),
-                    engine.full_cost(&a),
-                    "{kind:?} move {i}->{to}"
-                );
+                move_to(&mut candidate, i, to);
+            }
+        }
+
+        // 0 fires into itself three times, into 1 and into 2, and 2 feeds
+        // it: alone on its crossbar its self-loops are all 0 targets at
+        // home (`row[from] == self_m`), beside 1 or 2 they are not
+        let g = SpikeGraph::from_parts(
+            3,
+            vec![(0, 0), (0, 0), (0, 0), (0, 1), (0, 2), (2, 0), (1, 2)],
+            vec![5, 2, 4],
+        )
+        .unwrap();
+        let lut = mesh_lut(4);
+        let p = PartitionProblem::new(&g, 4, 3)
+            .unwrap()
+            .with_hops(&lut)
+            .unwrap();
+        for kind in [FitnessKind::CutPackets, FitnessKind::CutHops] {
+            let engine = EvalEngine::new(p, kind);
+            let mut a = vec![0u32, 1, 2];
+            let mut candidate = Candidate::new(&engine, &mut a);
+            assert_deltas_exact(&candidate);
+            for (i, to) in [(1, 0), (0, 3), (2, 3), (1, 3), (0, 1), (2, 1), (0, 2)] {
+                move_to(&mut candidate, i, to);
+                assert_deltas_exact(&candidate);
             }
         }
     }
@@ -1335,22 +1187,22 @@ mod tests {
             .unwrap();
         let engine = EvalEngine::new(p, FitnessKind::CutHops);
         let mut a: Vec<u32> = (0..22).map(|i| i % 5).collect();
-        let mut state = engine.init(&a);
-        assert_eq!(state.cost(), engine.full_cost(&a));
+        let mut candidate = Candidate::new(&engine, &mut a);
+        assert_recomputes(&candidate);
         let mut rng = StdRng::seed_from_u64(3);
         for step in 0..200 {
             if rng.gen_bool(0.5) {
                 let i = rng.gen_range(0..22usize);
                 let to = rng.gen_range(0..5u32);
-                let peek = engine.move_delta(&state, &a, i, to);
-                let applied = engine.apply_move(&mut state, &mut a, i, to);
-                assert_eq!(peek, applied, "step {step}");
+                move_to(&mut candidate, i, to);
             } else {
                 let i = rng.gen_range(0..22usize);
                 let j = rng.gen_range(0..22usize);
-                engine.apply_swap(&mut state, &mut a, i, j);
+                let before = candidate.cost() as i64;
+                let d = candidate.try_swap(i, j, |_| true);
+                assert_eq!(candidate.cost() as i64, before + d, "step {step}");
+                assert_recomputes(&candidate);
             }
-            assert_eq!(state.cost(), engine.full_cost(&a), "drifted at step {step}");
         }
     }
 
@@ -1369,10 +1221,9 @@ mod tests {
             .unwrap();
         let engine = EvalEngine::new(p, FitnessKind::CutHops);
         let mut a = vec![0u32, 1, 2];
-        let mut state = engine.init(&a);
+        let mut candidate = Candidate::new(&engine, &mut a);
         for (i, to) in [(0usize, 3u32), (1, 3), (0, 2), (2, 0), (0, 0), (1, 1)] {
-            engine.apply_move(&mut state, &mut a, i, to);
-            assert_eq!(state.cost(), engine.full_cost(&a), "move {i}->{to}");
+            move_to(&mut candidate, i, to);
         }
     }
 
@@ -1533,17 +1384,5 @@ mod tests {
             candidate.apply(0, to, d);
             assert_eq!(candidate.cost(), p.cut_hops(candidate.assignment()));
         }
-    }
-
-    #[test]
-    fn sync_handles_no_change() {
-        let g = random_graph(10, 30, 6);
-        let p = PartitionProblem::new(&g, 2, 10).unwrap();
-        let engine = EvalEngine::new(p, FitnessKind::CutSpikes);
-        let mut a: Vec<u32> = (0..10).map(|i| i % 2).collect();
-        let target = a.clone();
-        let mut state = engine.init(&a);
-        let before = state.cost();
-        assert_eq!(engine.sync(&mut state, &mut a, &target), before);
     }
 }

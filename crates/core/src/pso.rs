@@ -7,8 +7,8 @@
 //! (Eq. 2–3) and then **repaired** so that every particle always satisfies
 //! the constraints: exactly one crossbar per neuron (Eq. 4) and crossbar
 //! capacity (Eq. 5). The fitness is Eq. 8 — total spikes on the global
-//! synapse interconnect — maintained incrementally through the shared
-//! [`EvalEngine`](crate::eval::EvalEngine).
+//! synapse interconnect — scored for the whole swarm at once by
+//! [`SwarmEval`].
 //!
 //! ### Implementation notes (hot path)
 //!
@@ -21,8 +21,10 @@
 //! whose per-edge lane compares vectorize and reuse every row `deg`
 //! times from cache (multi-word remote-crossbar bitmasks keep the tiled
 //! path up to 256 crossbars for both objectives). The per-candidate
-//! incremental engine ([`crate::eval::EvalEngine`]) drives the low-churn
-//! optimizers (refinement, SA, GA) instead.
+//! incremental engine ([`crate::eval::Candidate`]) drives the low-churn
+//! optimizers instead: refinement (this module's polish), SA, `remap` and
+//! the V-cycle's boundary refinement. The GA scores with [`SwarmEval`]
+//! too.
 //!
 //! The velocity update, re-binarization, and capacity repair are one
 //! **fused masked-row sweep** per particle ([`Decoder::step`] in
@@ -836,8 +838,8 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_recompute_path() {
-        // forcing every sync through the full-recompute fallback must not
-        // change anything (the engine contract, end to end through PSO)
+        // the traced best must price as a full recompute of the returned
+        // mapping (the engine contract, end to end through PSO)
         let g = two_clusters(30);
         let p = PartitionProblem::new(&g, 2, 4).unwrap();
         for fitness in [FitnessKind::CutSpikes, FitnessKind::CutPackets] {

@@ -1094,12 +1094,16 @@ fn simulate<S: Sched>(
             now += 1;
             continue;
         }
-        let mut next = sched.next_cycle(now, next_event(next_inject, &q.spikes, &in_transit));
+        let next = sched.next_cycle(now, next_event(next_inject, &q.spikes, &in_transit));
         if next == u64::MAX {
             // every queued packet is credit-starved with nothing in
             // flight to free credits: the sweep idles up to the budget
-            // and fails — jump straight to that outcome
-            next = cfg.max_cycles + 1;
+            // and fails — report that outcome now (no cycle past a
+            // `u64::MAX` budget exists to jump to)
+            return Err(NocError::CycleBudgetExhausted {
+                budget: cfg.max_cycles,
+                in_flight: queued_packets + in_transit.len(),
+            });
         }
         debug_assert!(next > now, "the clock must advance every iteration");
         now = next;

@@ -1,8 +1,8 @@
 //! Property tests for the incremental fitness engine: on arbitrary
-//! graphs, for every `FitnessKind`, the incrementally maintained cost
+//! graphs, for every `FitnessKind`, the cost a `Candidate` maintains
 //! must equal a full `cut_spikes`/`cut_packets`/`cut_hops` recomputation
-//! across random move sequences, random churn fractions, and the batched
-//! swarm evaluator.
+//! across random move and swap sequences, and so must the batched swarm
+//! evaluator's.
 
 use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem};
@@ -34,69 +34,55 @@ proptest! {
     ) {
         let n = graph.num_neurons();
         let lut = mesh_lut(4);
-        let problem = PartitionProblem::new(&graph, 4, n)
-            .expect("feasible")
-            .with_hops(&lut)
-            .expect("lut covers the crossbars");
-        for kind in KINDS {
-            let engine = EvalEngine::new(problem, kind);
-            let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
-            let mut state = engine.init(&a);
-            for &(i, to) in &moves {
-                let i = (i % n) as usize;
-                let before = state.cost() as i64;
-                let peek = engine.move_delta(&state, &a, i, to);
-                let applied = engine.apply_move(&mut state, &mut a, i, to);
-                prop_assert_eq!(peek, applied, "{:?}: peek != applied", kind);
-                prop_assert_eq!(
-                    state.cost(),
-                    engine.full_cost(&a),
-                    "{:?}: state drifted after moving {} to {}", kind, i, to
-                );
-                prop_assert_eq!(state.cost() as i64, before + applied, "{:?}", kind);
-            }
-        }
-
-        // the same sequence through `Candidate`, on a capacity tight
-        // enough that crossbars fill up: every pair of proposals is one
-        // migration, then a swap that is kept or reverted
-        let cap = n.div_ceil(4) + 1;
-        let tight = PartitionProblem::new(&graph, 4, cap)
-            .expect("feasible")
-            .with_hops(&lut)
-            .expect("lut covers the crossbars");
-        for kind in KINDS {
-            let engine = EvalEngine::new(tight, kind);
-            let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
-            let mut candidate = Candidate::new(&engine, &mut a);
-            for (step, pair) in moves.chunks(2).enumerate() {
-                let (i, to) = ((pair[0].0 % n) as usize, pair[0].1);
-                let home = candidate.assignment()[i];
-                let full = candidate.occupancy()[to as usize] >= cap;
-                let delta = candidate.move_delta(i, to);
-                prop_assert_eq!(delta.is_none(), to == home || full, "{:?}: {} to {}", kind, i, to);
-                let improving = (0..4)
-                    .filter_map(|t| candidate.move_delta(i, t).map(|d| (t, d)))
-                    .filter(|&(_, d)| d < 0)
-                    .min_by_key(|&(t, d)| (d, t));
-                prop_assert_eq!(candidate.best_move(i, 0..4), improving, "{:?}: {}", kind, i);
-                if let Some(delta) = delta {
-                    candidate.apply(i, to, delta);
+        // the sequence through `Candidate`, at capacity N (only the home
+        // crossbar is ever closed) and on a capacity tight enough that
+        // crossbars fill up: every pair of proposals is one migration,
+        // then a swap that is kept or reverted
+        for cap in [n, n.div_ceil(4) + 1] {
+            let problem = PartitionProblem::new(&graph, 4, cap)
+                .expect("feasible")
+                .with_hops(&lut)
+                .expect("lut covers the crossbars");
+            for kind in KINDS {
+                let engine = EvalEngine::new(problem, kind);
+                let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
+                let mut candidate = Candidate::new(&engine, &mut a);
+                for (step, pair) in moves.chunks(2).enumerate() {
+                    let (i, to) = ((pair[0].0 % n) as usize, pair[0].1);
+                    let home = candidate.assignment()[i];
+                    let full = candidate.occupancy()[to as usize] >= cap;
+                    let delta = candidate.move_delta(i, to);
+                    prop_assert_eq!(delta.is_none(), to == home || full, "{:?}: {} to {}", kind, i, to);
+                    let improving = (0..4)
+                        .filter_map(|t| candidate.move_delta(i, t).map(|d| (t, d)))
+                        .filter(|&(_, d)| d < 0)
+                        .min_by_key(|&(t, d)| (d, t));
+                    prop_assert_eq!(candidate.best_move(i, 0..4), improving, "{:?}: {}", kind, i);
+                    if let Some(delta) = delta {
+                        let before = candidate.cost() as i64;
+                        candidate.apply(i, to, delta);
+                        prop_assert_eq!(
+                            candidate.cost(),
+                            problem.cost(kind, candidate.assignment()),
+                            "{:?}: state drifted after moving {} to {}", kind, i, to
+                        );
+                        prop_assert_eq!(candidate.cost() as i64, before + delta, "{:?}", kind);
+                    }
+                    if let Some(&(j, keep)) = pair.get(1) {
+                        let j = (j % n) as usize;
+                        let before = candidate.cost() as i64;
+                        let keep = keep % 2 == 0;
+                        let delta = candidate.try_swap(i, j, |_| keep);
+                        let moved = if keep { delta } else { 0 };
+                        prop_assert_eq!(candidate.cost() as i64, before + moved, "{:?} step {}", kind, step);
+                    }
+                    let now = candidate.assignment();
+                    prop_assert_eq!(candidate.cost(), problem.cost(kind, now), "{:?} step {}", kind, step);
+                    let mut recount = [0u32; 4];
+                    now.iter().for_each(|&k| recount[k as usize] += 1);
+                    prop_assert_eq!(candidate.occupancy(), &recount[..], "{:?} step {}", kind, step);
+                    prop_assert!(problem.is_feasible(now), "{:?} step {}", kind, step);
                 }
-                if let Some(&(j, keep)) = pair.get(1) {
-                    let j = (j % n) as usize;
-                    let before = candidate.cost() as i64;
-                    let keep = keep % 2 == 0;
-                    let delta = candidate.try_swap(i, j, |_| keep);
-                    let moved = if keep { delta } else { 0 };
-                    prop_assert_eq!(candidate.cost() as i64, before + moved, "{:?} step {}", kind, step);
-                }
-                let now = candidate.assignment();
-                prop_assert_eq!(candidate.cost(), tight.cost(kind, now), "{:?} step {}", kind, step);
-                let mut recount = [0u32; 4];
-                now.iter().for_each(|&k| recount[k as usize] += 1);
-                prop_assert_eq!(candidate.occupancy(), &recount[..], "{:?} step {}", kind, step);
-                prop_assert!(tight.is_feasible(now), "{:?} step {}", kind, step);
             }
         }
     }
@@ -214,34 +200,6 @@ proptest! {
     }
 
     #[test]
-    fn sync_matches_full_recompute_at_any_churn(
-        graph in arb_graph(24),
-        churn in proptest::collection::vec((0u32..24, 0u32..5), 0..24),
-        threshold in 0.0f32..=1.0,
-    ) {
-        let n = graph.num_neurons();
-        let lut = mesh_lut(5);
-        let problem = PartitionProblem::new(&graph, 5, n)
-            .expect("feasible")
-            .with_hops(&lut)
-            .expect("lut covers the crossbars");
-        for kind in KINDS {
-            let engine = EvalEngine::new(problem, kind).with_churn_threshold(threshold);
-            let mut current: Vec<u32> = (0..n).map(|i| i % 5).collect();
-            let mut state = engine.init(&current);
-            // target = current with a random churn fraction applied
-            let mut target = current.clone();
-            for &(i, to) in &churn {
-                target[(i % n) as usize] = to;
-            }
-            let cost = engine.sync(&mut state, &mut current, &target);
-            prop_assert_eq!(&current, &target, "{:?}: sync must land on target", kind);
-            prop_assert_eq!(cost, problem.cost(kind, &target), "{:?}", kind);
-            prop_assert_eq!(state.cost(), cost, "{:?}", kind);
-        }
-    }
-
-    #[test]
     fn batched_swarm_eval_matches_scalar(
         graph in arb_graph(16),
         lanes in 1usize..70,
@@ -275,7 +233,7 @@ proptest! {
     // 65–300 crossbars straddles every byte-tile mask stride (2–4 words)
     // plus the word-tile kernel past the 256-crossbar byte-tile ceiling
     // (where `CutHops` takes the scalar arm); the evaluator must equal
-    // the scalar `full_cost` everywhere, for all three objectives,
+    // the scalar `PartitionProblem::cost` everywhere, for all three objectives,
     // including lane counts that leave a partial final tile.
 
     #[test]
@@ -299,7 +257,6 @@ proptest! {
             .collect();
         for kind in KINDS {
             let evaluator = SwarmEval::new(problem, kind);
-            let engine = EvalEngine::new(problem, kind);
             prop_assert_eq!(
                 evaluator.kernel(),
                 if crossbars <= 256 {
@@ -319,7 +276,7 @@ proptest! {
                 let row = &positions[lane * n as usize..(lane + 1) * n as usize];
                 prop_assert_eq!(
                     out[lane],
-                    engine.full_cost(row),
+                    problem.cost(kind, row),
                     "{:?} c={} lane {}", kind, crossbars, lane
                 );
             }
@@ -341,12 +298,15 @@ proptest! {
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind);
             let mut a: Vec<u32> = (0..n).map(|i| i % crossbars as u32).collect();
-            let mut state = engine.init(&a);
+            let mut candidate = Candidate::new(&engine, &mut a);
             for &(i, to) in &moves {
                 let i = (i % n) as usize;
                 let to = to % crossbars as u32;
-                engine.apply_move(&mut state, &mut a, i, to);
-                prop_assert_eq!(state.cost(), engine.full_cost(&a), "{:?}", kind);
+                match candidate.move_delta(i, to) {
+                    Some(d) => candidate.apply(i, to, d),
+                    None => prop_assert_eq!(candidate.assignment()[i], to, "{:?}: only home is closed", kind),
+                }
+                prop_assert_eq!(candidate.cost(), problem.cost(kind, candidate.assignment()), "{:?}", kind);
             }
         }
     }
@@ -366,16 +326,22 @@ proptest! {
             .expect("lut covers the crossbars");
         for kind in KINDS {
             let engine = EvalEngine::new(problem, kind);
-            let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
-            let mut state = engine.init(&a);
-            let original = a.clone();
-            let cost0 = state.cost();
-            let from = a[i];
-            let d1 = engine.apply_move(&mut state, &mut a, i, to);
-            let d2 = engine.apply_move(&mut state, &mut a, i, from);
-            prop_assert_eq!(d1, -d2, "{:?}: deltas must be antisymmetric", kind);
-            prop_assert_eq!(state.cost(), cost0, "{:?}", kind);
-            prop_assert_eq!(&a, &original, "{:?}", kind);
+            let original: Vec<u32> = (0..n).map(|i| i % 4).collect();
+            let mut a = original.clone();
+            let mut candidate = Candidate::new(&engine, &mut a);
+            let cost0 = candidate.cost();
+            let from = original[i];
+            match candidate.move_delta(i, to) {
+                Some(d1) => {
+                    candidate.apply(i, to, d1);
+                    let d2 = candidate.move_delta(i, from).expect("the old home is open");
+                    prop_assert_eq!(d1, -d2, "{:?}: deltas must be antisymmetric", kind);
+                    candidate.apply(i, from, d2);
+                }
+                None => prop_assert_eq!(to, from, "{:?}: only home is closed", kind),
+            }
+            prop_assert_eq!(candidate.cost(), cost0, "{:?}", kind);
+            prop_assert_eq!(candidate.assignment(), &original[..], "{:?}", kind);
         }
     }
 }

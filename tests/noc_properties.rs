@@ -353,6 +353,39 @@ fn torus_deadlock_wedges_without_vcs_and_completes_with_two() {
 }
 
 #[test]
+fn wedge_under_an_unbounded_budget_is_a_typed_error() {
+    // the event engine sees the wedge (nothing in flight can free a
+    // credit) and reports it at once, holding the packets a finite
+    // budget reports; the oracle would walk every cycle up to the budget
+    // first, so it is not run here
+    let run = |budget: u64| {
+        NocSim::new(
+            Box::new(Torus::grid(4, 1, 4)),
+            ring_deadlock_cfg(1, budget),
+            EnergyModel::default(),
+        )
+        .run_with_duration(&ring_deadlock_flows(), 2)
+        .expect_err("single-VC ring must wedge")
+    };
+    let err = run(u64::MAX);
+    let NocError::CycleBudgetExhausted {
+        budget: u64::MAX,
+        in_flight,
+    } = err
+    else {
+        panic!("expected CycleBudgetExhausted, got {err:?}");
+    };
+    assert!(in_flight > 0, "a wedge holds packets");
+    assert_eq!(
+        run(20_000),
+        NocError::CycleBudgetExhausted {
+            budget: 20_000,
+            in_flight
+        }
+    );
+}
+
+#[test]
 fn pre_vc_digests_are_stable() {
     // golden digests recorded from the pre-VC engines (PR 4 HEAD): the
     // vc_count=1 configuration must reproduce them byte-for-byte, wire

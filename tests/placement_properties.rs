@@ -4,7 +4,7 @@
 //!   pre-placement monolithic flow **byte-identically** (the golden is
 //!   rebuilt inline from the same public primitives the seed pipeline
 //!   used: partition → `build_flows` → `build_topology` → `NocSim`);
-//! * `FitnessKind::CutHops` incremental engine deltas must equal a full
+//! * `FitnessKind::CutHops` incremental `Candidate` deltas must equal a full
 //!   recompute under random move/swap sequences, and the batched swarm
 //!   evaluator must equal the scalar path across mask strides;
 //! * `core::place` swap deltas — the dense O(C) reference and the
@@ -17,7 +17,7 @@
 //!   reduces simulated NoC energy and latency vs identity placement.
 
 use neuromap::apps::synthetic::LargeArch;
-use neuromap::core::eval::{EvalEngine, SwarmEval, SwarmScratch};
+use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem, Partitioner};
 use neuromap::core::pipeline::{
     build_flows, build_topology, local_events, MappingPipeline, PipelineConfig, PlacementStrategy,
@@ -137,24 +137,28 @@ proptest! {
             .unwrap();
         let engine = EvalEngine::new(problem, FitnessKind::CutHops);
         let mut a: Vec<u32> = (0..n).map(|i| i % crossbars as u32).collect();
-        let mut state = engine.init(&a);
-        prop_assert_eq!(state.cost(), engine.full_cost(&a));
+        let mut candidate = Candidate::new(&engine, &mut a);
+        prop_assert_eq!(candidate.cost(), problem.cut_hops(candidate.assignment()));
         for &(x, y, is_swap) in &ops {
             let i = (x % n) as usize;
+            let before = candidate.cost() as i64;
             if is_swap == 1 {
                 let j = (y % n) as usize;
-                let before = state.cost() as i64;
-                let d = engine.apply_swap(&mut state, &mut a, i, j);
-                prop_assert_eq!(state.cost() as i64, before + d);
+                let d = candidate.try_swap(i, j, |_| true);
+                prop_assert_eq!(candidate.cost() as i64, before + d);
             } else {
                 let to = y % crossbars as u32;
-                let peek = engine.move_delta(&state, &a, i, to);
-                let applied = engine.apply_move(&mut state, &mut a, i, to);
-                prop_assert_eq!(peek, applied, "peek != applied");
+                match candidate.move_delta(i, to) {
+                    Some(d) => {
+                        candidate.apply(i, to, d);
+                        prop_assert_eq!(candidate.cost() as i64, before + d);
+                    }
+                    None => prop_assert_eq!(candidate.assignment()[i], to, "only home is closed"),
+                }
             }
             prop_assert_eq!(
-                state.cost(),
-                engine.full_cost(&a),
+                candidate.cost(),
+                problem.cut_hops(candidate.assignment()),
                 "CutHops state drifted ({})", topo.name()
             );
         }
