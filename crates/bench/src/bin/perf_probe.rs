@@ -23,9 +23,9 @@
 //! repeated-net traffic at 64 and 1024 routers: it times the event engine
 //! against the cycle oracle and prints the event scheduler's diagnostic
 //! counters ([`neuromap_noc::stats::SchedCounters`]) — wake cycles,
-//! per-port wakes vs the retired global scheme's counterfactual lane
-//! scans, and the wake-queue peaks — so dense-regime scheduling
-//! regressions show up as counter shifts, not just wall-clock noise; and,
+//! per-port wakes and router visits, and the wake-queue peaks — so
+//! dense-regime scheduling regressions show up as counter shifts, not
+//! just wall-clock noise; and,
 //! per scenario, the nets and forwarding-plan nodes of the run, spikes
 //! per net and host ns per router traversal — "does this traffic repeat
 //! its nets" is that one line.
@@ -283,13 +283,11 @@ fn probe_noc() {
             ev.digest().unwrap()
         );
         println!(
-            "  attended {} cycles ({} with progress); wakes: {} ports / {} router visits vs {} legacy lane scans ({:.1}x fewer)",
+            "  attended {} cycles ({} with progress); wakes: {} ports / {} router visits",
             trace.attended_cycles.len(),
             trace.progress_cycles.len(),
             s.port_wakes,
             s.router_visits,
-            s.legacy_sweep_lanes,
-            s.legacy_sweep_lanes as f64 / s.port_wakes.max(1) as f64
         );
         println!(
             "  head updates {}, peak ready {}, peak wake heap {}",

@@ -23,38 +23,17 @@ use serde::{Deserialize, Serialize};
 /// A list of `(pre, post)` synapse endpoint pairs.
 pub type SynapsePairs = Vec<(u32, u32)>;
 
-/// An assignment of every neuron to one crossbar.
-///
-/// Alongside the per-neuron assignment vector, construction builds a
-/// CSR-style crossbar → neurons index once (`O(n + c)`), so
-/// [`Mapping::neurons_on`] is a slice borrow instead of the O(n) scan +
-/// allocation it used to be — the placement stage queries crossbar
-/// occupancy for every cluster and hits that path hard.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// An assignment of every neuron to one crossbar: `crossbar_of[neuron]`,
+/// over `num_crossbars` crossbars. Nothing is derived from it and kept
+/// beside it; [`Mapping::neurons_on`] and [`Mapping::occupancy`] scan it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Mapping {
     crossbar_of: Vec<u32>,
     num_crossbars: usize,
-    /// CSR offsets: crossbar `k` hosts
-    /// `by_crossbar[csr_offsets[k] .. csr_offsets[k + 1]]`.
-    csr_offsets: Vec<u32>,
-    /// Neuron ids grouped by crossbar, ascending within each crossbar.
-    by_crossbar: Vec<u32>,
 }
 
-// The CSR index is derived state: serialization keeps the original
-// two-field shape (pre-placement JSON stays loadable, reports don't
-// double in size), and deserialization routes through
-// `Mapping::from_assignment` so the index can never disagree with the
-// assignment — crafted redundant bytes have nothing to corrupt.
-impl Serialize for Mapping {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("crossbar_of".to_owned(), self.crossbar_of.to_value()),
-            ("num_crossbars".to_owned(), self.num_crossbars.to_value()),
-        ])
-    }
-}
-
+// Deserialization routes through `Mapping::from_assignment`, so an
+// out-of-range assignment cannot enter through serialized data.
 impl Deserialize for Mapping {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let field = |name: &str| {
@@ -82,26 +61,9 @@ impl Mapping {
                 available: num_crossbars,
             });
         }
-        // counting sort into the CSR index: one pass for occupancy, one
-        // pass (in ascending neuron order) to scatter ids
-        let mut csr_offsets = vec![0u32; num_crossbars + 1];
-        for &c in &crossbar_of {
-            csr_offsets[c as usize + 1] += 1;
-        }
-        for k in 0..num_crossbars {
-            csr_offsets[k + 1] += csr_offsets[k];
-        }
-        let mut cursor = csr_offsets[..num_crossbars].to_vec();
-        let mut by_crossbar = vec![0u32; crossbar_of.len()];
-        for (i, &c) in crossbar_of.iter().enumerate() {
-            by_crossbar[cursor[c as usize] as usize] = i as u32;
-            cursor[c as usize] += 1;
-        }
         Ok(Self {
             crossbar_of,
             num_crossbars,
-            csr_offsets,
-            by_crossbar,
         })
     }
 
@@ -139,24 +101,22 @@ impl Mapping {
         self.crossbar_of[pre as usize] == self.crossbar_of[post as usize]
     }
 
-    /// Neurons hosted on crossbar `k`, in id order — a borrow from the
-    /// CSR index built at construction, O(1) per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= num_crossbars`.
-    pub fn neurons_on(&self, k: u32) -> &[u32] {
-        let lo = self.csr_offsets[k as usize] as usize;
-        let hi = self.csr_offsets[k as usize + 1] as usize;
-        &self.by_crossbar[lo..hi]
+    /// Neurons hosted on crossbar `k`, in id order.
+    pub fn neurons_on(&self, k: u32) -> Vec<u32> {
+        (0..)
+            .zip(&self.crossbar_of)
+            .filter(|&(_, &c)| c == k)
+            .map(|(i, _)| i)
+            .collect()
     }
 
-    /// Occupancy (neuron count) per crossbar — read off the CSR offsets.
+    /// Occupancy (neuron count) per crossbar.
     pub fn occupancy(&self) -> Vec<usize> {
-        self.csr_offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .collect()
+        let mut occ = vec![0; self.num_crossbars];
+        for &c in &self.crossbar_of {
+            occ[c as usize] += 1;
+        }
+        occ
     }
 
     /// Validates the capacity constraint (Eq. 5) against an architecture.
@@ -395,12 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn csr_index_covers_every_crossbar_in_id_order() {
+    fn neurons_on_covers_every_crossbar_in_id_order() {
         let m = Mapping::from_assignment(vec![2, 0, 2, 1, 0, 2], 4).unwrap();
-        assert_eq!(m.neurons_on(0), &[1, 4]);
-        assert_eq!(m.neurons_on(1), &[3]);
-        assert_eq!(m.neurons_on(2), &[0, 2, 5]);
-        assert_eq!(m.neurons_on(3), &[] as &[u32]);
+        assert_eq!(m.neurons_on(0), [1, 4]);
+        assert_eq!(m.neurons_on(1), [3]);
+        assert_eq!(m.neurons_on(2), [0, 2, 5]);
+        assert!(m.neurons_on(3).is_empty());
         assert_eq!(m.occupancy(), vec![2, 1, 3, 0]);
     }
 
@@ -447,19 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_keeps_the_two_field_shape_and_rebuilds_the_index() {
+    fn serde_keeps_the_two_field_shape() {
         let m = Mapping::from_assignment(vec![2, 0, 2, 1], 3).unwrap();
         let json = serde_json::to_string(&m).unwrap();
-        // the derived CSR index never reaches the wire
-        assert!(!json.contains("csr_offsets"), "{json}");
-        assert!(!json.contains("by_crossbar"), "{json}");
+        assert_eq!(json, r#"{"crossbar_of":[2,0,2,1],"num_crossbars":3}"#);
         let back: Mapping = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.neurons_on(2), &[0, 2]);
-        // pre-placement JSON (the original two-field shape) stays loadable
-        let old: Mapping =
-            serde_json::from_str(r#"{"crossbar_of":[1,0,1],"num_crossbars":2}"#).unwrap();
-        assert_eq!(old.neurons_on(1), &[0, 2]);
+        assert_eq!(back.neurons_on(2), [0, 2]);
         // out-of-range assignments are rejected at the boundary
         assert!(
             serde_json::from_str::<Mapping>(r#"{"crossbar_of":[5],"num_crossbars":2}"#).is_err()

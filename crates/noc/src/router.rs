@@ -62,42 +62,27 @@ pub enum Arbitration {
 }
 
 impl Arbitration {
-    /// Picks the winning candidate among `(input_port, inject_cycle)`
-    /// entries. `cursor` is the round-robin state for this output port
-    /// (index of the port *after* the previous winner).
+    /// Picks the winning input port among `candidates`. `cursor` is the
+    /// round-robin state for this output port (the port *after* the
+    /// previous winner); `inject_cycle` gives a candidate's inject cycle
+    /// and is asked only under [`Arbitration::OldestFirst`].
     ///
-    /// Returns the position in `candidates` of the winner, or `None` if
-    /// empty.
-    pub fn pick(&self, candidates: &[(usize, u64)], cursor: usize) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
-        if candidates.len() == 1 {
-            // every policy picks the sole candidate — the common case on
-            // lightly shared ports
-            return Some(0);
-        }
+    /// Returns the winning port, or `None` if there are no candidates.
+    pub fn pick(
+        &self,
+        candidates: &[usize],
+        cursor: usize,
+        inject_cycle: impl Fn(usize) -> u64,
+    ) -> Option<usize> {
+        let ports = candidates.iter().copied();
         match self {
+            // first port >= cursor, else wrap to the smallest
             Arbitration::RoundRobin => {
-                // first candidate whose port >= cursor, else wrap to smallest
-                candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(port, _))| port >= cursor)
-                    .min_by_key(|(_, &(port, _))| port)
-                    .or_else(|| candidates.iter().enumerate().min_by_key(|(_, &(p, _))| p))
-                    .map(|(i, _)| i)
+                let next = ports.clone().filter(|&p| p >= cursor).min();
+                next.or_else(|| ports.min())
             }
-            Arbitration::OldestFirst => candidates
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(port, cyc))| (cyc, port))
-                .map(|(i, _)| i),
-            Arbitration::FixedPriority => candidates
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(port, _))| port)
-                .map(|(i, _)| i),
+            Arbitration::OldestFirst => ports.min_by_key(|&p| (inject_cycle(p), p)),
+            Arbitration::FixedPriority => ports.min(),
         }
     }
 }
@@ -129,6 +114,11 @@ pub fn pick_vc(eligible: u32, cursor: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
+    /// An inject-cycle lookup that must never be asked.
+    fn unasked(port: usize) -> u64 {
+        panic!("inject cycle of port {port} asked outside OldestFirst")
+    }
+
     #[test]
     fn empty_candidates_yield_none() {
         for a in [
@@ -136,41 +126,44 @@ mod tests {
             Arbitration::OldestFirst,
             Arbitration::FixedPriority,
         ] {
-            assert_eq!(a.pick(&[], 0), None);
+            assert_eq!(a.pick(&[], 0, unasked), None);
         }
     }
 
     #[test]
     fn fixed_priority_prefers_low_port() {
-        let c = vec![(3, 10), (1, 99), (2, 0)];
-        assert_eq!(Arbitration::FixedPriority.pick(&c, 0), Some(1));
+        assert_eq!(
+            Arbitration::FixedPriority.pick(&[3, 1, 2], 0, unasked),
+            Some(1)
+        );
     }
 
     #[test]
     fn oldest_first_prefers_early_injection() {
-        let c = vec![(3, 10), (1, 99), (2, 4)];
-        assert_eq!(Arbitration::OldestFirst.pick(&c, 0), Some(2));
+        let inject = |p: usize| [0, 99, 4, 10][p];
+        assert_eq!(
+            Arbitration::OldestFirst.pick(&[3, 1, 2], 0, inject),
+            Some(2)
+        );
     }
 
     #[test]
     fn oldest_first_ties_break_by_port() {
-        let c = vec![(3, 10), (1, 10)];
-        assert_eq!(Arbitration::OldestFirst.pick(&c, 0), Some(1));
+        assert_eq!(Arbitration::OldestFirst.pick(&[3, 1], 0, |_| 10), Some(1));
     }
 
     #[test]
     fn round_robin_rotates() {
-        let c = vec![(0, 0), (1, 0), (2, 0)];
+        let c = [0, 1, 2];
         // cursor 0 → port 0; cursor 1 → port 1; cursor 3 → wraps to port 0
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 0), Some(0));
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 1), Some(1));
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 3), Some(0));
+        assert_eq!(Arbitration::RoundRobin.pick(&c, 0, unasked), Some(0));
+        assert_eq!(Arbitration::RoundRobin.pick(&c, 1, unasked), Some(1));
+        assert_eq!(Arbitration::RoundRobin.pick(&c, 3, unasked), Some(0));
     }
 
     #[test]
     fn round_robin_skips_absent_ports() {
-        let c = vec![(0, 0), (4, 0)];
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 2), Some(1)); // port 4
+        assert_eq!(Arbitration::RoundRobin.pick(&[0, 4], 2, unasked), Some(4));
     }
 
     #[test]
@@ -180,15 +173,14 @@ mod tests {
         // every port must win once per full rotation — the no-starvation
         // invariant the simulator-level fairness test builds on
         let ports = 5usize;
-        let candidates: Vec<(usize, u64)> = (0..ports).map(|p| (p, 0)).collect();
+        let candidates: Vec<usize> = (0..ports).collect();
         let mut cursor = 0usize;
         let mut wins = vec![0u32; ports];
         let rounds = 7;
         for _ in 0..ports * rounds {
-            let w = Arbitration::RoundRobin
-                .pick(&candidates, cursor)
+            let port = Arbitration::RoundRobin
+                .pick(&candidates, cursor, unasked)
                 .expect("candidates present");
-            let (port, _) = candidates[w];
             wins[port] += 1;
             cursor = port + 1;
         }
@@ -232,10 +224,9 @@ mod tests {
     fn fixed_priority_starves_low_priority_candidates() {
         // the counterexample round-robin protects against: under fixed
         // priority a persistent port 0 monopolizes the output
-        let candidates = vec![(0usize, 5u64), (1, 0), (2, 3)];
         for cursor in 0..4 {
             assert_eq!(
-                Arbitration::FixedPriority.pick(&candidates, cursor),
+                Arbitration::FixedPriority.pick(&[0, 1, 2], cursor, unasked),
                 Some(0)
             );
         }

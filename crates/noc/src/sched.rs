@@ -37,7 +37,9 @@
 //! and a **blocked** bit per (pair, VC) — the wanted-port reverse index:
 //! set when an idle sweep finds a head wanting a credit-full downstream
 //! lane, so the credit release wakes exactly the pairs that were waiting
-//! on it.
+//! on it. The head state holds no inject cycles: only
+//! [`crate::router::Arbitration::OldestFirst`] reads one, and it reads it
+//! off the lane head when it arbitrates.
 //!
 //! See the [`crate::sim`] module docs for why this wake set covers every
 //! pair and cycle at which the sweep can make progress.
@@ -96,17 +98,11 @@ pub(crate) trait Sched: Sized {
     /// Whether lane `fi`'s head at router `r` wants `(port, VC)` bit `bit`.
     fn head_wants(&self, q: &Queues, r: usize, fi: usize, bit: usize) -> bool;
 
-    /// Inject cycle of lane `fi`'s head (the lane must have one).
-    fn head_inject(&self, q: &Queues, r: usize, fi: usize) -> u64;
-
     /// The next cycle to attend after `now` while packets are queued,
     /// given the earliest pending injection or arrival (`u64::MAX` if
-    /// none). `u64::MAX` means nothing can ever move again.
-    fn next_cycle(&self, now: u64, next_event: u64) -> u64;
-
-    /// `active_lanes` = Σ degree × VCs over routers with queued work, once
-    /// per attended cycle (the retired whole-router sweep's cost unit).
-    fn note_sweep(&mut self, _active_lanes: u64) {}
+    /// none) and whether cycle `now` forwarded anything. `u64::MAX` means
+    /// nothing can ever move again.
+    fn next_cycle(&self, q: &Queues, now: u64, next_event: u64, progress: bool) -> u64;
 
     /// The pair from [`Sched::next_pair`] sits on a router with queued
     /// packets, so examining it is real work.
@@ -122,15 +118,7 @@ pub(crate) trait Sched: Sized {
     /// Lane `fi` of router `r` has a new head (a push onto an empty lane,
     /// or a pop exposing the next packet) whose chain leaves by the
     /// distinct `(port, VC)` slots `bits`.
-    fn set_head(
-        &mut self,
-        _r: usize,
-        _fi: usize,
-        _bits: impl Iterator<Item = usize>,
-        _inject: u64,
-        _pos: u32,
-    ) {
-    }
+    fn set_head(&mut self, _r: usize, _fi: usize, _bits: impl Iterator<Item = usize>, _pos: u32) {}
 
     /// Lane `fi`'s head was popped.
     fn clear_head(&mut self, _r: usize, _fi: usize) {}
@@ -176,8 +164,6 @@ pub(crate) struct PortSched {
     mask_base: Vec<u32>,
     /// Wanted-(port, VC) bitmask per lane head (zero for empty lanes).
     head_mask: Vec<u64>,
-    /// Inject cycle of each lane head (arbitration tiebreak input).
-    head_inject: Vec<u64>,
     /// Heads currently wanting `(pair, w)`, indexed `pair * vcs + w`.
     want: Vec<u32>,
     /// Blocked bit per `(pair, w)`: a head wants it but the downstream
@@ -254,7 +240,6 @@ impl PortSched {
             mask_words,
             mask_base,
             head_mask: vec![0; words as usize],
-            head_inject: vec![0; lanes as usize],
             want: vec![0; p * vcs],
             blocked: vec![0; (p * vcs).div_ceil(64).max(1)],
             ups_pair,
@@ -383,16 +368,11 @@ impl Sched for PortSched {
         self.head_mask[base + bit / 64] & (1 << (bit % 64)) != 0
     }
 
-    #[inline]
-    fn head_inject(&self, _q: &Queues, r: usize, fi: usize) -> u64 {
-        self.head_inject[(self.lane_base[r] + fi as u32) as usize]
-    }
-
     /// Wakes raised for pairs the sweep had already passed are due exactly
     /// next cycle; everything else that can enable a pair is a busy expiry
     /// (every forward scheduled one), an arrival, or an injection.
     #[inline]
-    fn next_cycle(&self, now: u64, next_event: u64) -> u64 {
+    fn next_cycle(&self, _q: &Queues, now: u64, next_event: u64, _progress: bool) -> u64 {
         let mut next = next_event;
         if !self.next_wakes.is_empty() {
             next = next.min(now + 1);
@@ -403,14 +383,9 @@ impl Sched for PortSched {
         next
     }
 
-    #[inline]
-    fn note_sweep(&mut self, active_lanes: u64) {
-        self.counters.legacy_sweep_lanes += active_lanes;
-    }
-
     /// Counted apart from the pop: the loop first skips pairs on routers
-    /// that drained empty (e.g. stale busy expiries), mirroring what the
-    /// retired global scheme's active-router set never examined.
+    /// that drained empty (e.g. stale busy expiries), so only pairs with
+    /// queued work count.
     #[inline]
     fn count_visit(&mut self, pair: u32) {
         self.counters.port_wakes += 1;
@@ -443,14 +418,7 @@ impl Sched for PortSched {
     /// Installs the new head's route mask and wakes every output port
     /// the head wants.
     #[inline]
-    fn set_head(
-        &mut self,
-        r: usize,
-        fi: usize,
-        bits: impl Iterator<Item = usize>,
-        inject: u64,
-        pos: u32,
-    ) {
+    fn set_head(&mut self, r: usize, fi: usize, bits: impl Iterator<Item = usize>, pos: u32) {
         self.counters.head_updates += 1;
         let words = self.mask_words[r] as usize;
         let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
@@ -459,7 +427,6 @@ impl Sched for PortSched {
             "stale head mask"
         );
         let want_base = self.port_base[r] as usize * self.vcs;
-        self.head_inject[(self.lane_base[r] + fi as u32) as usize] = inject;
         for bit in bits {
             let (wi, wb) = (base + bit / 64, 1u64 << (bit % 64));
             debug_assert!(self.head_mask[wi] & wb == 0, "a chain's slots are distinct");
@@ -550,7 +517,7 @@ mod tests {
     #[test]
     fn in_sweep_wakes_split_by_position() {
         let ports = vec![vec![(1, 0), (2, 0)], vec![(0, 0)], vec![(0, 1)]];
-        let mut s = PortSched::new(&ports, 1);
+        let (mut s, net) = (PortSched::new(&ports, 1), Queues::default());
         // processing pair 1 (pos = 2): pair 3 is ahead → ready now;
         // pair 0 is behind → next cycle; pair 1 itself → skipped
         s.wake(3, 2);
@@ -558,7 +525,7 @@ mod tests {
         s.wake(1, 2);
         assert_eq!(s.ready_len, 1);
         assert_eq!(
-            s.next_cycle(9, u64::MAX),
+            s.next_cycle(&net, 9, u64::MAX, false),
             10,
             "a passed pair wakes next cycle"
         );
@@ -566,7 +533,7 @@ mod tests {
         assert!(s.next_pair().is_none(), "pair 1 must not self-wake");
         s.begin_cycle(10);
         assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
-        assert_eq!(s.next_cycle(10, u64::MAX), u64::MAX);
+        assert_eq!(s.next_cycle(&net, 10, u64::MAX, false), u64::MAX);
     }
 
     #[test]
@@ -600,10 +567,9 @@ mod tests {
         // `PortSched` answers from its own tables, never from the queues
         let (mut s, net) = (line_sched(), Queues::default());
         // at router 0, crossbar 1 exits via port 0 (bit 0)
-        s.set_head(0, 0, [0usize].into_iter(), 7, PRE_SWEEP);
+        s.set_head(0, 0, [0usize].into_iter(), PRE_SWEEP);
         assert_eq!(s.wanted(&net, 0, 0), 1);
         assert!(s.head_wants(&net, 0, 0, 0));
-        assert_eq!(s.head_inject(&net, 0, 0), 7);
         assert_eq!(s.next_pair().map(|(p, _, _)| p), Some(0));
         s.clear_head(0, 0);
         assert_eq!(s.wanted(&net, 0, 0), 0);

@@ -382,10 +382,15 @@ impl Queues {
         self.slab.chain(if lane.len == 0 { NIL } else { lane.head })
     }
 
-    /// Inject cycle of the packet at the head of router `r`'s lane `fi`.
-    pub(crate) fn head_inject(&self, r: usize, fi: usize) -> Option<u64> {
-        let first = self.head(r, fi).next()?;
-        Some(self.spikes[first.spike as usize].inject_cycle)
+    /// Inject cycle of the packet at the head of router `r`'s lane `fi`
+    /// (every member of its chain shares the spike).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane is empty.
+    pub(crate) fn head_inject(&self, r: usize, fi: usize) -> u64 {
+        let first = self.head(r, fi).next().expect("a queued lane");
+        self.spikes[first.spike as usize].inject_cycle
     }
 
     /// The forwarding plan the handles point into.
@@ -399,15 +404,25 @@ impl Queues {
 ///
 /// # Errors
 ///
-/// [`NocError::InvalidConfig`] `{ name: "topology" }` for a one-way link:
-/// credits flow back over the link a packet came by, so every neighbor
-/// must list the router in return.
+/// [`NocError::InvalidConfig`] `{ name: "topology" }` for a one-way link
+/// (credits flow back over the link a packet came by, so every neighbor
+/// must list the router in return) and for a router that lists a
+/// neighbor twice (the port toward a next hop must be unique).
 pub(crate) fn egress_ports(topo: &dyn Topology) -> Result<Vec<Vec<(usize, usize)>>, NocError> {
     (0..topo.num_routers())
         .map(|r| {
-            topo.neighbors(r)
-                .iter()
-                .map(|&nbr| {
+            let nbrs = topo.neighbors(r);
+            nbrs.iter()
+                .enumerate()
+                .map(|(i, &nbr)| {
+                    if nbrs[..i].contains(&nbr) {
+                        return Err(NocError::InvalidConfig {
+                            name: "topology",
+                            value: format!(
+                                "router {r} lists {nbr} twice: parallel links are unsupported"
+                            ),
+                        });
+                    }
                     let back = topo.neighbors(nbr).iter().position(|&x| x == r);
                     let down_pos = back.ok_or_else(|| NocError::InvalidConfig {
                         name: "topology",
@@ -626,7 +641,6 @@ fn run_engine<S: Sched>(
         &deliveries,
         counters,
         energy,
-        config.flits_per_packet,
         duration_steps,
         config.cycles_per_step,
     )
@@ -686,13 +700,6 @@ fn simulate<S: Sched>(
     let vcs = cfg.vc_count;
     let mut sched = S::build(topo, ports, vcs, plan.follows_trees());
     let topo = topo.as_ref();
-    let nr = topo.num_routers();
-
-    // (port, VC) lanes a whole-active-router sweep would examine, per
-    // router — the cost unit of the retired global scheme, accumulated
-    // per attended cycle over routers currently holding queued packets
-    let lanes_of: Vec<u64> = (0..nr).map(|r| (ports[r].len() * vcs) as u64).collect();
-    let mut active_lanes = 0u64;
 
     // handles past this bound are multicast branches — only the first
     // `num_injections`, one per spike, are injection sources
@@ -742,7 +749,7 @@ fn simulate<S: Sched>(
     // nondecreasing, so push order IS arrival order — a plain queue,
     // no `O(log n)` sift per hop
     let mut in_transit: VecDeque<Arrival> = VecDeque::new();
-    let mut candidates: Vec<(usize, u64)> = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
     let mut queued_packets = 0usize; // packets sitting in any FIFO
     let mut now = 0u64;
     let flits = cfg.flits_per_packet;
@@ -823,14 +830,11 @@ fn simulate<S: Sched>(
                     });
                 }
                 state.queued += 1;
-                if state.queued == 1 {
-                    active_lanes += lanes_of[r];
-                }
                 queued_packets += 1;
                 if occupancy == 1 {
                     // the packet became a lane head
                     let bits = branches.iter().map(|b| usize::from(b.bit));
-                    sched.set_head(r, fi, bits, s.inject_cycle, PRE_SWEEP);
+                    sched.set_head(r, fi, bits, PRE_SWEEP);
                 }
             } else if fi > 0 {
                 // fully delivered here: hand the lane's credit back
@@ -895,7 +899,6 @@ fn simulate<S: Sched>(
             next_inject += 1;
             enter!(src_router, 0, (next_inject - 1) as u32);
         }
-        sched.note_sweep(active_lanes);
 
         // 2. arbitration & forwarding over the pairs the policy names, in
         // strictly ascending pair id — the sweep order. A selective policy
@@ -945,21 +948,22 @@ fn simulate<S: Sched>(
             let mut remaining = sched.wanted(&q, pair, w);
             for fi in 0..q.lanes(r) {
                 if sched.head_wants(&q, r, fi, bit) {
-                    candidates.push((fi, sched.head_inject(&q, r, fi)));
+                    candidates.push(fi);
                     remaining -= 1;
                     if remaining == 0 {
                         break;
                     }
                 }
             }
+            let fi = cfg
+                .arbitration
+                .pick(&candidates, q.routers[r].rr_cursor[bit], |fi| {
+                    q.head_inject(r, fi)
+                })
+                .expect("an eligible VC has a candidate");
             // everything below (until the downstream credit take)
             // touches only router `r`: borrow it once
             let state = &mut q.routers[r];
-            let win_pos = cfg
-                .arbitration
-                .pick(&candidates, state.rr_cursor[bit])
-                .expect("an eligible VC has a candidate");
-            let (fi, _) = candidates[win_pos];
             state.rr_cursor[bit] = fi + 1;
             state.vc_cursor[o] = w + 1;
             if vcs > 1 {
@@ -998,9 +1002,6 @@ fn simulate<S: Sched>(
                     dequeued_occ = Some(left);
                 }
                 state.queued -= 1;
-                if state.queued == 0 {
-                    active_lanes -= lanes_of[r];
-                }
                 queued_packets -= 1;
                 sched.clear_head(r, fi);
                 if fi > 0 {
@@ -1013,9 +1014,8 @@ fn simulate<S: Sched>(
                 }
                 if left > 0 {
                     // the pop exposed a new head
-                    let inject = q.spikes[q.slab.get(behind).spike as usize].inject_cycle;
                     let bits = q.slab.chain(behind).map(|m| usize::from(m.bit));
-                    sched.set_head(r, fi, bits, inject, pos);
+                    sched.set_head(r, fi, bits, pos);
                 }
             } else {
                 // multicast split: the head stays, minus this branch;
@@ -1094,12 +1094,13 @@ fn simulate<S: Sched>(
             now += 1;
             continue;
         }
-        let next = sched.next_cycle(now, next_event(next_inject, &q.spikes, &in_transit));
+        let pending = next_event(next_inject, &q.spikes, &in_transit);
+        let next = sched.next_cycle(&q, now, pending, progress);
         if next == u64::MAX {
             // every queued packet is credit-starved with nothing in
-            // flight to free credits: the sweep idles up to the budget
-            // and fails — report that outcome now (no cycle past a
-            // `u64::MAX` budget exists to jump to)
+            // flight to free credits: a cycle-by-cycle walk idles up to
+            // the budget and fails — report that outcome now (no cycle
+            // past a `u64::MAX` budget exists to jump to)
             return Err(NocError::CycleBudgetExhausted {
                 budget: cfg.max_cycles,
                 in_flight: queued_packets + in_transit.len(),
@@ -1678,6 +1679,49 @@ mod tests {
         // panic in `egress_ports` ("links are bidirectional")
         let flows = [SpikeFlow::unicast(0, 0, 1, 0)];
         let e = both_engines(|| Box::new(OneWayLine), NocConfig::default(), &flows).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                NocError::InvalidConfig {
+                    name: "topology",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+    }
+
+    /// Two routers joined by two parallel links: each lists the other
+    /// twice.
+    struct TwinLink;
+
+    impl Topology for TwinLink {
+        fn num_routers(&self) -> usize {
+            2
+        }
+        fn num_crossbars(&self) -> usize {
+            2
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            k as usize
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            [&[1, 1][..], &[0, 0]][r]
+        }
+        fn route_next(&self, _r: usize, dst: usize) -> usize {
+            dst
+        }
+        fn name(&self) -> String {
+            "twin link".into()
+        }
+    }
+
+    #[test]
+    fn parallel_links_are_a_typed_error_under_both_engines() {
+        // "the port toward a next hop" is ambiguous with two links to the
+        // same neighbor; no engine may pick one silently
+        let flows = [SpikeFlow::unicast(0, 0, 1, 0)];
+        let e = both_engines(|| Box::new(TwinLink), NocConfig::default(), &flows).unwrap_err();
         assert!(
             matches!(
                 e,

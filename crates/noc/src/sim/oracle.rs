@@ -4,7 +4,8 @@
 //! (`super::simulate`) under the simplest scheduling policy there is,
 //! `Sweep`: every `(router, port)` pair is examined every cycle while
 //! anything is queued, the clock advances one cycle at a time
-//! (fast-forwarding only across globally idle gaps), and what a lane head
+//! (fast-forwarding only across globally idle gaps, and stopping at a
+//! wedge, after which no cycle can forward), and what a lane head
 //! wants is worked out on the spot from [`Topology::route_next`] and
 //! [`Topology::hop_vc`]. That makes it slow — runtime scales with
 //! simulated cycles × routers — but `Sweep` keeps no state that could go
@@ -108,12 +109,21 @@ impl Sched for Sweep {
         })
     }
 
-    fn head_inject(&self, q: &Queues, r: usize, fi: usize) -> u64 {
-        q.head_inject(r, fi).expect("a candidate lane")
-    }
-
-    fn next_cycle(&self, now: u64, _next_event: u64) -> u64 {
-        now + 1
+    /// `now + 1`, unless cycle `now` was a wedge: it forwarded nothing,
+    /// with nothing in transit, no injection pending and no output port
+    /// busy past `now`. Then every later cycle sweeps the same state and
+    /// forwards nothing either, so nothing can ever move again.
+    fn next_cycle(&self, q: &Queues, now: u64, next_event: u64, progress: bool) -> u64 {
+        let wedged = !progress
+            && next_event == u64::MAX
+            && q.routers
+                .iter()
+                .all(|s| s.busy_until.iter().all(|&b| b <= now));
+        if wedged {
+            u64::MAX
+        } else {
+            now + 1
+        }
     }
 }
 

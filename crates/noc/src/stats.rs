@@ -106,6 +106,8 @@ pub struct VcCounters {
 
 /// Counters of the event engine's per-(router, output-port) wake
 /// scheduler — diagnostic observability for the dense-traffic regime.
+/// The ready set pops a pair at most once per attended cycle, so
+/// `port_wakes <= wake_cycles × Σ_r degree(r)`.
 ///
 /// The engine always accumulates these (a handful of integer adds per
 /// wake); they are attached to [`NocStats`] only when
@@ -127,11 +129,6 @@ pub struct SchedCounters {
     /// FIFO-head route masks (re)computed — once per packet becoming a
     /// lane head, not per port sweep.
     pub head_updates: u64,
-    /// Counterfactual cost of the retired global scheme: `(port, VC)`
-    /// pairs a whole-active-router sweep would have examined, summed over
-    /// the engine's wake cycles (a lower bound — the global scheme also
-    /// attended cycles this engine skips).
-    pub legacy_sweep_lanes: u64,
     /// Peak size of the ready set (deduplicated; bounded by the total
     /// port-pair count).
     pub peak_ready: u64,
@@ -217,7 +214,6 @@ impl NocStats {
         deliveries: &[Delivery],
         counters: Counters,
         energy: &EnergyModel,
-        flits_per_packet: u32,
         duration_steps: u32,
         cycles_per_step: u64,
     ) -> Self {
@@ -245,7 +241,11 @@ impl NocStats {
         let disorder = disorder_fraction(deliveries);
         let (avg_isi, max_isi) = isi_distortion(deliveries);
 
-        let global_energy_pj = energy.packet_energy_total(&counters, flits_per_packet);
+        let global_energy_pj = counters.packets_injected as f64 * energy.encode_pj
+            + counters.deliveries as f64 * energy.decode_pj
+            + counters.router_traversals as f64 * energy.router_hop_pj
+            + counters.link_flits as f64 * energy.link_flit_pj
+            + counters.buffer_flits as f64 * energy.buffer_flit_pj;
 
         Self {
             delivered,
@@ -317,21 +317,6 @@ impl NocStats {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         Ok(h)
-    }
-}
-
-/// Energy helpers on top of the raw counters.
-trait EnergyExt {
-    fn packet_energy_total(&self, counters: &Counters, flits_per_packet: u32) -> f64;
-}
-
-impl EnergyExt for EnergyModel {
-    fn packet_energy_total(&self, c: &Counters, _flits_per_packet: u32) -> f64 {
-        c.packets_injected as f64 * self.encode_pj
-            + c.deliveries as f64 * self.decode_pj
-            + c.router_traversals as f64 * self.router_hop_pj
-            + c.link_flits as f64 * self.link_flit_pj
-            + c.buffer_flits as f64 * self.buffer_flit_pj
     }
 }
 
@@ -539,7 +524,7 @@ mod tests {
             buffer_flits: 4,
         };
         let em = EnergyModel::default();
-        let s = NocStats::from_deliveries(&ds, counters, &em, 2, 1, 1024);
+        let s = NocStats::from_deliveries(&ds, counters, &em, 1, 1024);
         assert_eq!(s.delivered, 2);
         assert_eq!(s.max_latency_cycles, 10);
         assert!(s.global_energy_pj > 0.0);
@@ -557,14 +542,14 @@ mod tests {
             buffer_flits: 4,
         };
         let em = EnergyModel::default();
-        let a = NocStats::from_deliveries(&ds, counters, &em, 2, 1, 1024);
-        let b = NocStats::from_deliveries(&ds, counters, &em, 2, 1, 1024);
+        let a = NocStats::from_deliveries(&ds, counters, &em, 1, 1024);
+        let b = NocStats::from_deliveries(&ds, counters, &em, 1, 1024);
         assert_eq!(
             a.digest().unwrap(),
             b.digest().unwrap(),
             "identical stats digest equal"
         );
-        let c = NocStats::from_deliveries(&ds[..1], counters, &em, 2, 1, 1024);
+        let c = NocStats::from_deliveries(&ds[..1], counters, &em, 1, 1024);
         assert_ne!(
             a.digest().unwrap(),
             c.digest().unwrap(),
@@ -582,7 +567,7 @@ mod tests {
         let ds = vec![d(0, 1, 0, 10)];
         let c = Counters::default();
         let em = EnergyModel::default();
-        let s = NocStats::from_deliveries(&ds, c, &em, 2, 1, 1024);
+        let s = NocStats::from_deliveries(&ds, c, &em, 1, 1024);
         let json = serde_json::to_string(&s).unwrap();
         assert!(!json.contains("per_vc"), "{json}");
         // with per-VC counters attached the field serializes and changes
@@ -604,14 +589,8 @@ mod tests {
         // all — this keeps every pre-scheduler digest (including the
         // golden pre-VC digests) byte-identical
         let ds = vec![d(0, 1, 0, 10)];
-        let s = NocStats::from_deliveries(
-            &ds,
-            Counters::default(),
-            &EnergyModel::default(),
-            2,
-            1,
-            1024,
-        );
+        let s =
+            NocStats::from_deliveries(&ds, Counters::default(), &EnergyModel::default(), 1, 1024);
         let json = serde_json::to_string(&s).unwrap();
         assert!(!json.contains("sched"), "{json}");
         // attaching the counters serializes them and changes the digest
@@ -634,7 +613,7 @@ mod tests {
     fn per_vc_counters_fold_into_the_digest() {
         let ds = vec![d(0, 1, 0, 10)];
         let em = EnergyModel::default();
-        let base = NocStats::from_deliveries(&ds, Counters::default(), &em, 2, 1, 1024);
+        let base = NocStats::from_deliveries(&ds, Counters::default(), &em, 1, 1024);
         let a = base.clone().with_per_vc(vec![
             VcCounters {
                 forwarded: 3,
@@ -682,8 +661,8 @@ mod tests {
             link_flits: 10,
             buffer_flits: 10,
         };
-        let s1 = NocStats::from_deliveries(&ds, small, &em, 1, 1, 1);
-        let s2 = NocStats::from_deliveries(&ds, large, &em, 1, 1, 1);
+        let s1 = NocStats::from_deliveries(&ds, small, &em, 1, 1);
+        let s2 = NocStats::from_deliveries(&ds, large, &em, 1, 1);
         assert!((s2.global_energy_pj - 10.0 * s1.global_energy_pj).abs() < 1e-9);
     }
 }

@@ -551,7 +551,7 @@ impl Topology for HierTopology {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{check_routes, check_vc_channel_dependencies, RouteLut};
+    use super::super::{check_routes, check_vc_channel_dependencies};
     use super::*;
 
     #[test]
@@ -634,8 +634,17 @@ mod tests {
                 check_vc_channel_dependencies(&topo, vc)
                     .unwrap_or_else(|e| panic!("{} vc={vc}: {e}", topo.name()));
             }
-            // RouteLut construction double-checks neighbor uniqueness
-            let _ = RouteLut::new(&topo);
+            // no parallel links: the port toward a next hop is unique
+            for r in 0..topo.num_routers() {
+                let nbrs = topo.neighbors(r);
+                for (i, n) in nbrs.iter().enumerate() {
+                    assert!(
+                        !nbrs[..i].contains(n),
+                        "{}: {r} lists {n} twice",
+                        topo.name()
+                    );
+                }
+            }
         }
     }
 

@@ -446,18 +446,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mesh_lut_follows_xy_order() {
-        use super::super::RouteLut;
+    fn mesh_route_follows_xy_order() {
         let m = Mesh2D::grid(3, 3, 9);
-        let lut = RouteLut::new(&m);
-        // 0 -> 8 goes X first: next hop is router 1, and the egress port
-        // indexes the +x neighbor
-        assert_eq!(lut.next_router(0, 8), 1);
-        let p = lut.egress_port(0, 8) as usize;
-        assert_eq!(m.neighbors(0)[p], 1);
+        // 0 -> 8 goes X first: next hop is router 1, the +x neighbor
+        assert_eq!(m.route_next(0, 8), 1);
+        assert!(m.neighbors(0).contains(&1));
         // same column: Y moves next
-        assert_eq!(lut.next_router(1, 7), 4);
-        assert_eq!(lut.egress_port(4, 4), RouteLut::NO_PORT);
+        assert_eq!(m.route_next(1, 7), 4);
+        // arrived: the route stays put
+        assert_eq!(m.route_next(4, 4), 4);
     }
 
     #[test]

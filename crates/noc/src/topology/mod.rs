@@ -160,78 +160,6 @@ pub trait Topology: Send + Sync {
     fn name(&self) -> String;
 }
 
-/// Flattened routing tables precomputed from a [`Topology`].
-///
-/// The event-driven simulator resolves `route_next` on every candidate
-/// scan; for table-free topologies (the tree walks ancestor chains per
-/// call) that dominates the sweep. A `RouteLut` memoizes, for every
-/// `(router, destination router)` pair, the next-hop router and the egress
-/// port index in [`Topology::neighbors`] order, so lookups become two
-/// array reads. Construction is `O(num_routers²)` — negligible next to a
-/// simulation, and reusable across runs on the same topology.
-#[derive(Debug, Clone)]
-pub struct RouteLut {
-    nr: usize,
-    /// `next[r * nr + dst]` — next-hop router from `r` toward `dst`.
-    next: Vec<u32>,
-    /// `port[r * nr + dst]` — index of the next hop in `neighbors(r)`;
-    /// [`RouteLut::NO_PORT`] when `r == dst` (no egress needed).
-    port: Vec<u32>,
-}
-
-impl RouteLut {
-    /// Sentinel port for `r == dst` entries.
-    pub const NO_PORT: u32 = u32::MAX;
-
-    /// Precomputes the routing tables of `topo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` routes through a non-neighbor (i.e. it would fail
-    /// [`check_routes`]) or lists the same neighbor twice — with parallel
-    /// links "the port toward a next hop" is ambiguous, and the simulators
-    /// rely on it being unique.
-    pub fn new(topo: &dyn Topology) -> Self {
-        let nr = topo.num_routers();
-        let mut next = vec![0u32; nr * nr];
-        let mut port = vec![Self::NO_PORT; nr * nr];
-        for r in 0..nr {
-            let neighbors = topo.neighbors(r);
-            for (i, &n) in neighbors.iter().enumerate() {
-                assert!(
-                    !neighbors[..i].contains(&n),
-                    "router {r} lists neighbor {n} twice; parallel links are unsupported"
-                );
-            }
-            for dst in 0..nr {
-                let hop = topo.route_next(r, dst);
-                next[r * nr + dst] = hop as u32;
-                if r != dst {
-                    let p = neighbors
-                        .iter()
-                        .position(|&n| n == hop)
-                        .unwrap_or_else(|| panic!("route {r}->{dst} jumps to non-neighbor {hop}"));
-                    port[r * nr + dst] = p as u32;
-                }
-            }
-        }
-        Self { nr, next, port }
-    }
-
-    /// Next-hop router from `r` toward `dst` (`r` itself when `r == dst`).
-    #[inline]
-    pub fn next_router(&self, r: usize, dst: usize) -> usize {
-        self.next[r * self.nr + dst] as usize
-    }
-
-    /// Egress port index (into `neighbors(r)`) toward `dst`, or
-    /// [`RouteLut::NO_PORT`] when `r == dst`.
-    #[inline]
-    pub fn egress_port(&self, r: usize, dst: usize) -> u32 {
-        self.port[r * self.nr + dst]
-    }
-}
-
 /// Precomputed all-pairs hop distances over a [`Topology`]'s router graph.
 ///
 /// The placement stage of the mapping pipeline prices every candidate
@@ -578,41 +506,6 @@ mod tests {
         for t in &topos {
             for k in 0..t.num_crossbars() as u32 {
                 assert!(t.endpoint(k) < t.num_routers(), "{}", t.name());
-            }
-        }
-    }
-
-    #[test]
-    fn route_lut_matches_dynamic_routing() {
-        let topos: Vec<Box<dyn Topology>> = vec![
-            Box::new(Mesh2D::for_crossbars(7)),
-            Box::new(Torus::for_crossbars(9)),
-            Box::new(NocTree::new(13, 2)),
-            Box::new(Star::new(6)),
-            Box::new(PointToPoint::new(5)),
-        ];
-        for t in &topos {
-            let lut = RouteLut::new(t.as_ref());
-            for r in 0..t.num_routers() {
-                for dst in 0..t.num_routers() {
-                    assert_eq!(
-                        lut.next_router(r, dst),
-                        t.route_next(r, dst),
-                        "{}: next {r}->{dst}",
-                        t.name()
-                    );
-                    if r == dst {
-                        assert_eq!(lut.egress_port(r, dst), RouteLut::NO_PORT, "{}", t.name());
-                    } else {
-                        let p = lut.egress_port(r, dst) as usize;
-                        assert_eq!(
-                            t.neighbors(r)[p],
-                            t.route_next(r, dst),
-                            "{}: port {r}->{dst}",
-                            t.name()
-                        );
-                    }
-                }
             }
         }
     }

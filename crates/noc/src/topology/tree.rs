@@ -166,20 +166,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_lut_climbs_then_descends() {
-        use super::super::RouteLut;
+    fn tree_route_climbs_then_descends() {
         let t = NocTree::new(8, 2);
-        let lut = RouteLut::new(&t);
         let (l0, l7) = (t.endpoint(0), t.endpoint(7));
         // leaf 0 climbs: first hop is its parent, reached through port 0
         // (the parent link is pushed before child links)
-        assert_eq!(lut.next_router(l0, l7), t.parent[l0]);
-        assert_eq!(lut.egress_port(l0, l7), 0);
-        // full path through the LUT matches the dynamic hop count
+        let up = t.route_next(l0, l7);
+        assert_eq!(up, t.parent[l0]);
+        assert_eq!(t.neighbors(l0).iter().position(|&n| n == up), Some(0));
+        // the walked path matches the hop count
         let mut cur = l0;
         let mut hops = 0;
         while cur != l7 {
-            cur = lut.next_router(cur, l7);
+            cur = t.route_next(cur, l7);
             hops += 1;
         }
         assert_eq!(hops, t.hops(l0, l7));

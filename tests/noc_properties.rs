@@ -354,20 +354,21 @@ fn torus_deadlock_wedges_without_vcs_and_completes_with_two() {
 
 #[test]
 fn wedge_under_an_unbounded_budget_is_a_typed_error() {
-    // the event engine sees the wedge (nothing in flight can free a
-    // credit) and reports it at once, holding the packets a finite
-    // budget reports; the oracle would walk every cycle up to the budget
-    // first, so it is not run here
-    let run = |budget: u64| {
+    // both engines see the wedge (a cycle that forwards nothing, with
+    // nothing in flight, no injection pending and no port busy: every
+    // later cycle is the same) and report it at once, holding the
+    // packets a finite budget reports
+    let run = |engine: EngineKind, budget: u64| {
         NocSim::new(
             Box::new(Torus::grid(4, 1, 4)),
             ring_deadlock_cfg(1, budget),
             EnergyModel::default(),
         )
+        .with_engine(engine)
         .run_with_duration(&ring_deadlock_flows(), 2)
         .expect_err("single-VC ring must wedge")
     };
-    let err = run(u64::MAX);
+    let err = run(EngineKind::EventDriven, u64::MAX);
     let NocError::CycleBudgetExhausted {
         budget: u64::MAX,
         in_flight,
@@ -376,13 +377,17 @@ fn wedge_under_an_unbounded_budget_is_a_typed_error() {
         panic!("expected CycleBudgetExhausted, got {err:?}");
     };
     assert!(in_flight > 0, "a wedge holds packets");
-    assert_eq!(
-        run(20_000),
-        NocError::CycleBudgetExhausted {
-            budget: 20_000,
-            in_flight
-        }
-    );
+    assert_eq!(run(EngineKind::CycleOracle, u64::MAX), err);
+    for engine in [EngineKind::EventDriven, EngineKind::CycleOracle] {
+        assert_eq!(
+            run(engine, 20_000),
+            NocError::CycleBudgetExhausted {
+                budget: 20_000,
+                in_flight
+            },
+            "{engine:?}"
+        );
+    }
 }
 
 #[test]
@@ -1092,19 +1097,20 @@ proptest! {
         flows in arb_flows(60),
         topo_idx in 0usize..6,
     ) {
-        // on the sparse corpus the per-port scheduler must examine no
-        // more ports than the retired global scheme's whole-active-router
-        // sweeps: legacy_sweep_lanes accumulates that scheme's per-cycle
-        // (port, VC) examination count over the cycles this engine
-        // attends — itself a lower bound on the legacy total, which also
-        // attended cycles the per-port engine now skips
+        // the ready set pops a (router, output port) pair at most once per
+        // attended cycle, so the per-port scheduler examines no more ports
+        // than a global sweep over every pair of the fabric on the cycles
+        // it attends
         let mut ev = NocSim::new(topology(topo_idx), NocConfig::default(), EnergyModel::default());
+        let topo = ev.topology();
+        let pairs: u64 = (0..topo.num_routers()).map(|r| topo.neighbors(r).len() as u64).sum();
         if let Ok((_, _, trace)) = ev.run_traced(&flows, 8) {
             prop_assert!(
-                trace.sched.port_wakes <= trace.sched.legacy_sweep_lanes,
-                "per-port wakes {} exceed the legacy sweep bound {}",
+                trace.sched.port_wakes <= trace.sched.wake_cycles * pairs,
+                "per-port wakes {} exceed {} attended cycles x {} pairs",
                 trace.sched.port_wakes,
-                trace.sched.legacy_sweep_lanes
+                trace.sched.wake_cycles,
+                pairs
             );
         }
     }

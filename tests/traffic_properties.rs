@@ -13,7 +13,11 @@
 //!   reference that routes one tree per spike agree;
 //! * flow order is invisible: `hop_metrics` under a shuffle, and the
 //!   whole `Report` for per-synapse flows in synapse (CSR) order, the
-//!   order `build_flows` emitted before it grouped them by crossbar.
+//!   order `build_flows` emitted before it grouped them by crossbar;
+//! * across layers: the link flits the simulator charges are the
+//!   report's hop-weighted packets times the flits per packet (and, per
+//!   crossbar without multicast, the `CutHops` objective) — at most that
+//!   under plain multicast, which only merges routes.
 
 use neuromap::core::pipeline::{
     build_flows, local_events, MappingPipeline, PipelineConfig, TrafficMode,
@@ -197,5 +201,45 @@ proptest! {
         prop_assert_eq!(&stats, &report.noc);
         prop_assert_eq!(stats.digest().unwrap(), report.noc.digest().unwrap());
         prop_assert_eq!(deliveries, evaluation.deliveries);
+    }
+
+    /// (e): what the objective prices, what the report measures and what
+    /// the engine charges agree, on a mesh, a tree and a 2-VC torus.
+    #[test]
+    fn link_flits_are_the_hop_weighted_packets(
+        (graph, mapping) in arb_mapped(),
+        kind_idx in 0u8..3,
+        flits in 1u32..4,
+    ) {
+        let (kind, vc_count) = match kind_idx {
+            0 => (InterconnectKind::Mesh, 1),
+            1 => (InterconnectKind::Tree { arity: 2 }, 1),
+            _ => (InterconnectKind::Torus, 2),
+        };
+        let base = NocConfig { flits_per_packet: flits, vc_count, ..NocConfig::default() };
+        let unicast = NocConfig { multicast: false, ..base };
+        let trees = NocConfig { multicast: true, multicast_trees: true, ..base };
+        let plain = NocConfig { multicast: true, multicast_trees: false, ..base };
+        let configs = [
+            (TrafficMode::PerSynapse, base),
+            (TrafficMode::PerCrossbar, unicast),
+            (TrafficMode::PerCrossbar, trees),
+            (TrafficMode::PerCrossbar, plain),
+        ];
+        for (mode, noc) in configs {
+            let pipeline = pipeline(&graph, &mapping, kind, noc, mode);
+            let report = pipeline.evaluate(&graph, mapping.clone(), "random", "identity").unwrap().report;
+            let charged = report.noc.counters.link_flits;
+            let priced = u64::from(flits) * report.hop_weighted_packets;
+            if noc.multicast && !noc.multicast_trees && mode == TrafficMode::PerCrossbar {
+                prop_assert!(charged <= priced, "plain multicast: {} > {}", charged, priced);
+            } else {
+                prop_assert_eq!(charged, priced, "{:?} {:?}", mode, noc);
+            }
+            if !noc.multicast {
+                let cut_hops = pipeline.problem(&graph).unwrap().cut_hops(mapping.assignment());
+                prop_assert_eq!(charged, u64::from(flits) * cut_hops);
+            }
+        }
     }
 }
