@@ -36,7 +36,7 @@ use neuromap_core::place::{
     optimize_placement, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
-use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D};
+use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

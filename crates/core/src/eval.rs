@@ -1275,6 +1275,7 @@ mod tests {
         .map(|(c, kernel)| (c, mesh_lut(c), kernel))
         .into();
         // two chips whose one seam costs more than the u16 shadow holds
+        use neuromap_noc::topology::Topology;
         let seam = neuromap_noc::topology::HierTopology::for_crossbars(64, 2, 1, 70_000, 1)
             .expect("valid fabric")
             .distance_lut();

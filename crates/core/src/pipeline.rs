@@ -13,8 +13,9 @@
 //! is implicitly wired to router `k`, so every cut packet is priced the
 //! same regardless of how far it travels. [`MappingPipeline`] makes each
 //! stage explicit and threads **hop awareness** through all of them — the
-//! topology's [`DistanceLut`] is built once, shared by the
-//! [`crate::partition::FitnessKind::CutHops`] objective, the placement
+//! fabric's own [`DistanceLut`] ([`Topology::distance_lut`]: hop counts,
+//! or seam-weighted ones on a multi-chip fabric) is built once, shared by
+//! the [`crate::partition::FitnessKind::CutHops`] objective, the placement
 //! optimizer, and the hop metrics in the [`Report`]
 //! (`avg_hops`, `hop_weighted_packets`). With the default
 //! [`PlacementStrategy::Identity`] the staged flow reproduces the
@@ -228,35 +229,28 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
         InterconnectKind::Tree { arity } => Box::new(NocTree::new(c, arity)),
         InterconnectKind::Torus => Box::new(Torus::for_crossbars(c)),
         InterconnectKind::Star => Box::new(Star::new(c)),
-        InterconnectKind::Hier { .. } => Box::new(build_hier(arch)),
+        // `Architecture::custom` mirror-validates the descriptor and every
+        // `Architecture` passes through it — deserialized ones included —
+        // so construction cannot fail
+        InterconnectKind::Hier {
+            chip_cols,
+            chip_rows,
+            link_latency,
+            link_width,
+        } => Box::new(
+            HierTopology::for_crossbars(
+                c,
+                chip_cols as usize,
+                chip_rows as usize,
+                link_latency,
+                link_width,
+            )
+            .expect("interconnect descriptor validated at Architecture construction"),
+        ),
         // `InterconnectKind` is non-exhaustive; route future variants to the
         // most common neuromorphic fabric
         _ => Box::new(Mesh2D::for_crossbars(c)),
     }
-}
-
-/// The concrete multi-chip fabric for a [`InterconnectKind::Hier`]
-/// descriptor. [`Architecture::custom`] mirror-validates the descriptor
-/// and every `Architecture` passes through it — deserialized ones
-/// included — so construction cannot fail.
-fn build_hier(arch: &Architecture) -> HierTopology {
-    let InterconnectKind::Hier {
-        chip_cols,
-        chip_rows,
-        link_latency,
-        link_width,
-    } = arch.interconnect()
-    else {
-        unreachable!("build_hier called on a non-Hier interconnect");
-    };
-    HierTopology::for_crossbars(
-        arch.num_crossbars(),
-        chip_cols as usize,
-        chip_rows as usize,
-        link_latency,
-        link_width,
-    )
-    .expect("interconnect descriptor validated at Architecture construction")
 }
 
 /// Expands a partitioned spike graph into the interconnect's injection
@@ -360,28 +354,19 @@ impl std::fmt::Debug for MappingPipeline {
 
 impl MappingPipeline {
     /// Builds the pipeline for a configuration: derives the router graph
-    /// from the architecture's interconnect descriptor and precomputes
-    /// its [`DistanceLut`], both shared by every subsequent stage call.
+    /// from the architecture's interconnect descriptor
+    /// ([`build_topology`]) and asks it for its distance table
+    /// ([`Topology::distance_lut`]), both shared by every subsequent
+    /// stage call.
     ///
-    /// For [`InterconnectKind::Hier`] the table is the fabric's
-    /// **weighted** one ([`HierTopology::distance_lut`]): chip-boundary
-    /// hops are priced `link_latency × link_width` so `CutHops`
-    /// partitioning, placement, and co-optimization all prefer keeping
-    /// chatty clusters on one chip — no API change upstream.
+    /// The fabric picks the table: on an [`InterconnectKind::Hier`]
+    /// fabric it is the **weighted** one, with chip-boundary hops priced
+    /// `link_latency × link_width`, so `CutHops` partitioning, placement,
+    /// and co-optimization all prefer keeping chatty clusters on one chip
+    /// — no API change upstream.
     pub fn new(config: PipelineConfig) -> Self {
-        let (topo, dist): (Arc<dyn Topology>, DistanceLut) = match config.arch.interconnect() {
-            InterconnectKind::Hier { .. } => {
-                let hier = build_hier(&config.arch);
-                let dist = hier.distance_lut();
-                (Arc::new(hier), dist)
-            }
-            _ => {
-                let topo: Arc<dyn Topology> = Arc::from(build_topology(&config.arch));
-                let dist = DistanceLut::new(topo.as_ref());
-                (topo, dist)
-            }
-        };
-        let dist = Arc::new(dist);
+        let topo: Arc<dyn Topology> = Arc::from(build_topology(&config.arch));
+        let dist = Arc::new(topo.distance_lut());
         Self { config, topo, dist }
     }
 

@@ -1119,6 +1119,7 @@ fn simulate<S: Sched>(
 mod tests {
     use super::*;
     use crate::router::Arbitration;
+    use crate::topology::tests::{Reroute, ReroutedMesh, BOUNCE, STALL};
     use crate::topology::{Mesh2D, NocTree, PointToPoint, Star, Torus};
 
     fn sim(topo: Box<dyn Topology>) -> NocSim {
@@ -1734,31 +1735,6 @@ mod tests {
         );
     }
 
-    /// A mesh with some unicast next hops replaced: `.1(r, dst)`, where it
-    /// answers, overrides the mesh's `route_next`.
-    struct ReroutedMesh(Mesh2D, fn(usize, usize) -> Option<usize>);
-
-    impl Topology for ReroutedMesh {
-        fn num_routers(&self) -> usize {
-            self.0.num_routers()
-        }
-        fn num_crossbars(&self) -> usize {
-            self.0.num_crossbars()
-        }
-        fn endpoint(&self, k: u32) -> usize {
-            self.0.endpoint(k)
-        }
-        fn neighbors(&self, r: usize) -> &[usize] {
-            self.0.neighbors(r)
-        }
-        fn route_next(&self, r: usize, dst: usize) -> usize {
-            (self.1)(r, dst).unwrap_or_else(|| self.0.route_next(r, dst))
-        }
-        fn name(&self) -> String {
-            self.0.name()
-        }
-    }
-
     #[test]
     fn routes_that_revisit_a_router_are_typed_errors_under_both_engines() {
         // a tree path that is a link walk to its destination — so it
@@ -1792,34 +1768,30 @@ mod tests {
             ),
             "{e}"
         );
-        // the same bound for a unicast route that never arrives
-        let cfg = NocConfig {
-            max_cycles: 200_000,
-            ..NocConfig::default()
-        };
-        // (toward router 2, routers 0 and 1 send the packet to each other),
-        // and a typed error too for one that leaves the links: from router
-        // 0 straight to 2 (the event engine's route table used to panic on
-        // it, the oracle's walk at the first packet)
-        let reroutes: [fn(usize, usize) -> Option<usize>; 2] = [
-            |r, dst| (dst == 2 && r < 2).then(|| 1 - r),
-            |r, dst| (dst == 2 && r == 0).then_some(2),
-        ];
+        // the same bound for a unicast route that never arrives (`BOUNCE`),
+        // and a typed error too for one that stalls and for one that
+        // leaves the links: from router 0 straight to 2 (the event
+        // engine's route table used to panic on it, the oracle's walk at
+        // the first packet). Under tree routing the default
+        // `multicast_route` walks the same routes — it used to panic on
+        // the loop and the stall — and the plan blames the tree path
+        let reroutes: [Reroute; 3] = [BOUNCE, STALL, |r, dst| (dst == 2 && r == 0).then_some(2)];
         for reroute in reroutes {
-            let topo = || -> Box<dyn Topology> {
-                Box::new(ReroutedMesh(Mesh2D::for_crossbars(9), reroute))
-            };
-            let e = both_engines(topo, cfg, &flows).unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    NocError::InvalidConfig {
-                        name: "topology",
-                        ..
-                    }
-                ),
-                "{e}"
-            );
+            for (trees, blamed) in [(false, "topology"), (true, "multicast_route")] {
+                let cfg = NocConfig {
+                    multicast_trees: trees,
+                    max_cycles: 200_000,
+                    ..NocConfig::default()
+                };
+                let topo = || -> Box<dyn Topology> {
+                    Box::new(ReroutedMesh(Mesh2D::for_crossbars(9), reroute))
+                };
+                let e = both_engines(topo, cfg, &flows).unwrap_err();
+                assert!(
+                    matches!(e, NocError::InvalidConfig { name, .. } if name == blamed),
+                    "{e}"
+                );
+            }
         }
         // and a detour that comes back within the bound is just a longer
         // tree: every node follows its own hop of the path

@@ -36,7 +36,7 @@
 //!
 //! Chip-boundary links are slower (`link_latency` cycles per hop) and
 //! narrower (`link_width_divisor` × fewer wires) than intra-chip links,
-//! so [`HierTopology::distance_lut`] builds a **nested weighted
+//! so its [`Topology::distance_lut`] is a **nested weighted
 //! [`DistanceLut`]**: intra-chip hops cost 1, each boundary crossing
 //! costs [`HierTopology::seam_cost`] (latency × width divisor). The LUT
 //! is what `CutHops`, placement, and the joint co-optimization loop
@@ -46,12 +46,15 @@
 //! ## Evaluator envelope
 //!
 //! Multi-chip scenarios routinely exceed the 256-crossbar byte-tile
-//! ceiling; the batched swarm evaluator covers them on **u16 lanes** up
-//! to `core::eval::TILE16_MAX_CROSSBARS` (1024) crossbars before
-//! falling back to the scalar reference kernel.
+//! ceiling. The batched swarm evaluator covers `CutSpikes` and
+//! `CutPackets` on **u16 lanes** up to
+//! `core::eval::TILE16_MAX_CROSSBARS` (1024) crossbars; `CutHops`
+//! leaves the tiles past 256 crossbars (or on a table with a distance
+//! past `u16::MAX`) for the scalar reference kernel — which is what a
+//! 4-chip, 1024-crossbar fabric runs under `CutHops`.
 
 use super::mesh::{Mesh2D, Torus};
-use super::{DistanceLut, Topology};
+use super::{route_hops, DistanceLut, Topology};
 use crate::error::NocError;
 
 /// The intra-chip fabric every chip instantiates.
@@ -318,15 +321,12 @@ impl HierTopology {
         (cy * self.chip_cols + cx) * self.nr_intra + ly * self.intra_cols + lx
     }
 
-    /// Weighted route distance between two routers: intra-chip hops
-    /// cost 1, chip-boundary hops cost [`HierTopology::seam_cost`].
-    /// Matches the dimension-ordered routes exactly (a straight global
-    /// walk crosses `|Δchip|` boundaries per dimension); single-chip
-    /// pairs delegate so torus wraps price like torus routes.
+    /// Weighted route distance between two routers of a multi-chip
+    /// fabric: intra-chip hops cost 1, chip-boundary hops cost
+    /// [`HierTopology::seam_cost`]. Matches the dimension-ordered routes
+    /// exactly (a straight global walk crosses `|Δchip|` boundaries per
+    /// dimension).
     fn weighted_router_distance(&self, a: usize, b: usize) -> u32 {
-        if self.single_chip() {
-            return self.intra.topo().hops(a, b);
-        }
         let (ax, ay) = self.global_coords(a);
         let (bx, by) = self.global_coords(b);
         let (ca, cb) = (self.chip_of_router(a), self.chip_of_router(b));
@@ -335,41 +335,6 @@ impl HierTopology {
         let seams = (cax.abs_diff(cbx) + cay.abs_diff(cby)) as u32;
         let hops = (ax.abs_diff(bx) + ay.abs_diff(by)) as u32;
         hops - seams + seams * self.seam_cost()
-    }
-
-    /// The nested weighted distance table: every router/crossbar pair
-    /// priced by `HierTopology::weighted_router_distance`, so
-    /// `CutHops`, placement, and co-optimization see inter-chip hops as
-    /// [`HierTopology::seam_cost`] × dearer than on-chip hops. For a
-    /// 1-chip fabric this is exactly [`DistanceLut::new`] on the flat
-    /// intra topology. Use this instead of `DistanceLut::new(&hier)`
-    /// for multi-chip fabrics: a plain BFS prices every link at 1 and
-    /// (with torus chips) would follow wrap links the multi-chip routes
-    /// never take.
-    pub fn distance_lut(&self) -> DistanceLut {
-        if self.single_chip() {
-            return DistanceLut::new(self);
-        }
-        let nr = self.num_routers();
-        let nc = self.num_crossbars;
-        let mut router_hops = vec![0u32; nr * nr];
-        for a in 0..nr {
-            for b in 0..nr {
-                router_hops[a * nr + b] = self.weighted_router_distance(a, b);
-            }
-        }
-        let mut crossbar_hops = vec![0u32; nc * nc];
-        for k1 in 0..nc {
-            for k2 in 0..nc {
-                crossbar_hops[k1 * nc + k2] = router_hops[k1 * nr + k2];
-            }
-        }
-        DistanceLut {
-            nr,
-            nc,
-            router_hops,
-            crossbar_hops,
-        }
     }
 }
 
@@ -516,17 +481,7 @@ impl Topology for HierTopology {
         // (egress port, VC) prefixes into one packet per branch
         dest_routers
             .iter()
-            .map(|&d| {
-                let mut path = Vec::new();
-                let mut cur = src;
-                while cur != d {
-                    let next = self.route_next(cur, d);
-                    let vc = self.hop_vc(cur, d, vc_count);
-                    path.push((next, vc));
-                    cur = next;
-                }
-                path
-            })
+            .map(|&d| route_hops(self, src, d, vc_count).collect())
             .collect()
     }
 
@@ -537,6 +492,23 @@ impl Topology for HierTopology {
         let (x0, y0) = self.global_coords(from);
         let (x1, y1) = self.global_coords(to);
         (x0.abs_diff(x1) + y0.abs_diff(y1)) as u32
+    }
+
+    /// The nested weighted distance table: every crossbar pair priced by
+    /// `HierTopology::weighted_router_distance` (crossbar `k` sits on
+    /// router `k`), so `CutHops`, placement, and co-optimization see
+    /// inter-chip hops as [`HierTopology::seam_cost`] × dearer than
+    /// on-chip hops. A 1-chip fabric gets the BFS table, which is the
+    /// flat intra topology's. A plain BFS on a multi-chip fabric would
+    /// price every link at 1 and (with torus chips) follow wrap links
+    /// the multi-chip routes never take.
+    fn distance_lut(&self) -> DistanceLut {
+        if self.single_chip() {
+            return DistanceLut::new(self);
+        }
+        DistanceLut::from_fn(self.num_crossbars, |a, b| {
+            self.weighted_router_distance(a, b)
+        })
     }
 
     fn name(&self) -> String {

@@ -1,17 +1,17 @@
 //! 2-D mesh and torus with dimension-order routing.
 
-use super::Topology;
+use super::{route_hops, Topology};
 
 /// Shared Steiner-style multicast-tree builder for the grid fabrics
 /// ([`Mesh2D`] and [`Torus`]): a dimension-ordered approximation that
 /// merges shared prefix hops before branching.
 ///
 /// The smallest destination router id is the *primary*; its plain
-/// dimension-order route (with the topology's unicast VC labels, supplied
-/// by `walk`) seeds the tree. Every further destination, in ascending
-/// router id order, attaches at the existing tree node `v` with
-/// `v.x <= d.x` minimizing the east-then-vertical detour
-/// `(d.x - v.x) + |d.y - v.y|` (ties to the smallest node id); the
+/// dimension-order route (with the topology's unicast VC labels) seeds
+/// the tree. Every further destination, in ascending router id order,
+/// attaches at the existing tree node `v` with `v.x <= d.x` minimizing
+/// the east-then-vertical detour `(d.x - v.x) + |d.y - v.y|` (ties to
+/// the smallest node id); the
 /// connect path runs east first, then vertically, every hop on the
 /// per-destination constant `connect_vc(d)`. A destination with no tree
 /// node at or west of it falls back to its full dimension-order route
@@ -29,11 +29,12 @@ use super::Topology;
 /// half) the dateline argument of [`Torus::hop_vc`] is preserved —
 /// verified over the differential corpus by
 /// [`super::check_vc_tree_dependencies`].
-fn grid_steiner_routes(
+fn grid_steiner_routes<T: Topology>(
+    topo: &T,
     cols: usize,
     src: usize,
     dest_routers: &[usize],
-    walk: &dyn Fn(usize) -> Vec<(usize, usize)>,
+    vc_count: usize,
     connect_vc: &dyn Fn(usize) -> usize,
 ) -> Vec<Vec<(usize, usize)>> {
     use std::collections::BTreeMap;
@@ -46,9 +47,9 @@ fn grid_steiner_routes(
     uniq.dedup();
     let seed = |tree: &mut BTreeMap<usize, Vec<(usize, usize)>>, d: usize| {
         let mut pref = Vec::new();
-        for &(next, vc) in &walk(d) {
-            pref.push((next, vc));
-            tree.entry(next).or_insert_with(|| pref.clone());
+        for hop in route_hops(topo, src, d, vc_count) {
+            pref.push(hop);
+            tree.entry(hop.0).or_insert_with(|| pref.clone());
         }
     };
     if let Some(&primary) = uniq.first() {
@@ -229,16 +230,7 @@ impl Topology for Mesh2D {
         vc_count: usize,
     ) -> Vec<Vec<(usize, usize)>> {
         let vc_of = |d: usize| if vc_count <= 1 { 0 } else { d % vc_count };
-        let walk = |d: usize| {
-            let mut path = Vec::new();
-            let mut cur = src;
-            while cur != d {
-                cur = self.route_next(cur, d);
-                path.push((cur, vc_of(d)));
-            }
-            path
-        };
-        grid_steiner_routes(self.cols, src, dest_routers, &walk, &vc_of)
+        grid_steiner_routes(self, self.cols, src, dest_routers, vc_count, &vc_of)
     }
 
     fn name(&self) -> String {
@@ -414,26 +406,15 @@ impl Topology for Torus {
         dest_routers: &[usize],
         vc_count: usize,
     ) -> Vec<Vec<(usize, usize)>> {
-        let walk = |d: usize| {
-            let mut path = Vec::new();
-            let mut cur = src;
-            while cur != d {
-                let vc = if vc_count <= 1 {
-                    0
-                } else {
-                    self.hop_vc(cur, d, vc_count)
-                };
-                cur = self.route_next(cur, d);
-                path.push((cur, vc));
-            }
-            path
-        };
         if vc_count <= 1 {
-            return dest_routers.iter().map(|&d| walk(d)).collect();
+            return dest_routers
+                .iter()
+                .map(|&d| route_hops(self, src, d, vc_count).collect())
+                .collect();
         }
         let half = vc_count / 2;
         let connect_vc = |d: usize| half + d % (vc_count - half);
-        grid_steiner_routes(self.cols, src, dest_routers, &walk, &connect_vc)
+        grid_steiner_routes(self, self.cols, src, dest_routers, vc_count, &connect_vc)
     }
 
     fn name(&self) -> String {

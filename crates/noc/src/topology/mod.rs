@@ -82,8 +82,8 @@ pub trait Topology: Send + Sync {
     /// a path that is not a walk over `(link, vc)`s of the fabric to its
     /// destination's router, or one with as many hops as there are
     /// routers (it revisits one), fails the run with
-    /// [`crate::NocError::InvalidConfig`]. Implementations must uphold
-    /// two invariants:
+    /// [`crate::NocError::InvalidConfig`] `{ name: "multicast_route" }`.
+    /// Implementations must uphold two invariants:
     ///
     /// * **Determinism** — a pure function of
     ///   `(src, dest_routers, vc_count)`; a run asks once per net (not
@@ -103,8 +103,13 @@ pub trait Topology: Send + Sync {
     /// engines' branch-splitting, so a topology without an override
     /// behaves the same whether trees are enabled or not, and a
     /// single-destination call always degenerates to the unicast route.
-    /// [`Mesh2D`] and [`Torus`] override with dimension-ordered
-    /// approximations that merge shared prefix hops before branching.
+    /// A unicast route that stalls ([`Topology::route_next`] returns the
+    /// router it was asked about) or loops yields the hops walked until
+    /// then — at most [`Topology::num_routers`] — so its path ends off
+    /// the destination and the run fails with the error above instead of
+    /// panicking or spinning. [`Mesh2D`] and [`Torus`] override with
+    /// dimension-ordered approximations that merge shared prefix hops
+    /// before branching.
     fn multicast_route(
         &self,
         src: usize,
@@ -113,26 +118,7 @@ pub trait Topology: Send + Sync {
     ) -> Vec<Vec<(usize, usize)>> {
         dest_routers
             .iter()
-            .map(|&d| {
-                let mut path = Vec::new();
-                let mut cur = src;
-                while cur != d {
-                    let next = self.route_next(cur, d);
-                    assert_ne!(next, cur, "route stalled at router {cur} toward {d}");
-                    let vc = if vc_count <= 1 {
-                        0
-                    } else {
-                        self.hop_vc(cur, d, vc_count)
-                    };
-                    path.push((next, vc));
-                    cur = next;
-                    assert!(
-                        path.len() <= self.num_routers(),
-                        "route from {src} to {d} exceeds router count"
-                    );
-                }
-                path
-            })
+            .map(|&d| route_hops(self, src, d, vc_count).collect())
             .collect()
     }
 
@@ -140,37 +126,79 @@ pub trait Topology: Send + Sync {
     ///
     /// Default implementation walks [`Topology::route_next`]; override for
     /// analytic forms.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the route stalls or loops ([`check_routes`]
+    /// says which).
     fn hops(&self, from: usize, to: usize) -> u32 {
-        let mut cur = from;
-        let mut n = 0;
-        while cur != to {
-            let next = self.route_next(cur, to);
-            assert_ne!(next, cur, "route stalled at router {cur} toward {to}");
-            cur = next;
-            n += 1;
-            assert!(
-                (n as usize) <= self.num_routers(),
-                "route from {from} to {to} exceeds router count"
-            );
+        let (mut cur, mut n) = (from, 0);
+        for (next, _) in route_hops(self, from, to, 1) {
+            (cur, n) = (next, n + 1);
         }
+        assert_eq!(cur, to, "route from {from} to {to} stops at router {cur}");
         n
+    }
+
+    /// The hop-distance table the mapping stages price this fabric by —
+    /// `CutHops`, placement and the joint loop all read it. The default
+    /// is [`DistanceLut::new`] (BFS, every link one hop);
+    /// [`HierTopology`] overrides it with its seam-weighted table.
+    fn distance_lut(&self) -> DistanceLut {
+        DistanceLut::new(self)
     }
 
     /// A short human-readable name ("mesh 4x4", "tree arity 4", ...).
     fn name(&self) -> String;
 }
 
-/// Precomputed all-pairs hop distances over a [`Topology`]'s router graph.
+/// The unicast route from router `src` toward `dst` as its
+/// `(next router, VC)` hops — VC 0 at one VC, else
+/// [`Topology::hop_vc`]. The walk stops at `dst`, at a stall
+/// (`route_next` returns the router it was asked about), or after
+/// `num_routers()` hops, whichever comes first, so it always ends;
+/// whether it arrived is the caller's to check (the last hop is `dst`,
+/// or `src == dst`).
+pub(crate) fn route_hops<T: Topology + ?Sized>(
+    topo: &T,
+    src: usize,
+    dst: usize,
+    vc_count: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut cur = src;
+    let mut left = topo.num_routers();
+    std::iter::from_fn(move || {
+        if cur == dst || left == 0 {
+            return None;
+        }
+        let next = topo.route_next(cur, dst);
+        if next == cur {
+            return None;
+        }
+        let vc = if vc_count <= 1 {
+            0
+        } else {
+            topo.hop_vc(cur, dst, vc_count)
+        };
+        (cur, left) = (next, left - 1);
+        Some((next, vc))
+    })
+}
+
+/// Precomputed hop distances between a [`Topology`]'s crossbars.
 ///
 /// The placement stage of the mapping pipeline prices every candidate
 /// cluster→crossbar permutation by hop-weighted packet counts; walking
 /// [`Topology::route_next`] per query (or even calling the virtual
 /// [`Topology::hops`]) inside those inner loops would dominate the
-/// optimizer. A `DistanceLut` runs one BFS per router over the neighbor
-/// graph (`O(R · (R + links))`, built **once** per topology and shared
-/// across sweep points) and additionally flattens the crossbar-level
-/// `endpoint(k1) → endpoint(k2)` distances into a row-major matrix for
-/// the evaluators' hot loops.
+/// optimizer. A `DistanceLut` is only the crossbar-level
+/// `endpoint(k1) → endpoint(k2)` matrix, row-major for the evaluators'
+/// hot loops, built **once** per topology and shared across sweep
+/// points. [`DistanceLut::new`] fills it with one BFS per crossbar
+/// endpoint into a reused router row (`O(C · (R + links))`). The table a
+/// mapping stage should use is the fabric's own,
+/// [`Topology::distance_lut`]: this one, except on multi-chip
+/// [`HierTopology`] fabrics, which price chip-boundary hops by seam cost.
 ///
 /// For every topology shipped here the deterministic route is a shortest
 /// path (XY/dimension-order on mesh and torus, LCA on the tree, via-hub
@@ -181,31 +209,30 @@ pub trait Topology: Send + Sync {
 /// symmetric by construction.
 #[derive(Debug, Clone)]
 pub struct DistanceLut {
-    nr: usize,
     nc: usize,
-    /// `router_hops[a * nr + b]` — BFS hop count between routers.
-    router_hops: Vec<u32>,
     /// `crossbar_hops[k1 * nc + k2]` — hops between crossbar endpoints.
     crossbar_hops: Vec<u32>,
 }
 
 impl DistanceLut {
-    /// Runs a BFS from every router and flattens the crossbar-level view.
+    /// Runs a BFS from every crossbar's router and keeps the distances to
+    /// the other crossbars' routers.
     ///
     /// # Panics
     ///
-    /// Panics if some router pair is unreachable over the neighbor links
-    /// (every shipped topology is connected; a disconnected custom one
-    /// cannot route anyway).
-    pub fn new(topo: &dyn Topology) -> Self {
+    /// Panics if some crossbar's router cannot reach every router over
+    /// the neighbor links (every shipped topology is connected; a
+    /// disconnected custom one cannot route anyway).
+    pub fn new<T: Topology + ?Sized>(topo: &T) -> Self {
         let nr = topo.num_routers();
         let nc = topo.num_crossbars();
-        let mut router_hops = vec![u32::MAX; nr * nr];
+        let endpoints: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
+        let mut crossbar_hops = Vec::with_capacity(nc * nc);
+        let mut row = vec![u32::MAX; nr];
         let mut queue = std::collections::VecDeque::with_capacity(nr);
-        for src in 0..nr {
-            let row = &mut router_hops[src * nr..(src + 1) * nr];
+        for &src in &endpoints {
+            row.fill(u32::MAX);
             row[src] = 0;
-            queue.clear();
             queue.push_back(src);
             while let Some(r) = queue.pop_front() {
                 let d = row[r];
@@ -220,36 +247,24 @@ impl DistanceLut {
                 row.iter().all(|&d| d != u32::MAX),
                 "router {src} cannot reach the whole graph; topology is disconnected"
             );
+            crossbar_hops.extend(endpoints.iter().map(|&e| row[e]));
         }
-        let endpoints: Vec<usize> = (0..nc as u32).map(|k| topo.endpoint(k)).collect();
-        let mut crossbar_hops = vec![0u32; nc * nc];
-        for (k1, &e1) in endpoints.iter().enumerate() {
-            for (k2, &e2) in endpoints.iter().enumerate() {
-                crossbar_hops[k1 * nc + k2] = router_hops[e1 * nr + e2];
-            }
-        }
-        Self {
-            nr,
-            nc,
-            router_hops,
-            crossbar_hops,
-        }
+        Self { nc, crossbar_hops }
     }
 
-    /// Number of routers covered.
-    pub fn num_routers(&self) -> usize {
-        self.nr
+    /// The table with `hops(k1, k2)` for every crossbar pair, filled row
+    /// by row.
+    fn from_fn(nc: usize, mut hops: impl FnMut(usize, usize) -> u32) -> Self {
+        let mut crossbar_hops = Vec::with_capacity(nc * nc);
+        for k1 in 0..nc {
+            crossbar_hops.extend((0..nc).map(|k2| hops(k1, k2)));
+        }
+        Self { nc, crossbar_hops }
     }
 
     /// Number of crossbars covered.
     pub fn num_crossbars(&self) -> usize {
         self.nc
-    }
-
-    /// Hop count between two routers.
-    #[inline]
-    pub fn router_hops(&self, a: usize, b: usize) -> u32 {
-        self.router_hops[a * self.nr + b]
     }
 
     /// Hop count between the routers crossbars `k1` and `k2` attach to
@@ -273,9 +288,7 @@ impl DistanceLut {
     /// evaluator holding logical cluster ids scores exactly what the
     /// placed mapping will pay. The joint co-optimization loop
     /// (`core::coopt`) feeds this to the hop-weighted PSO objective after
-    /// each placement refresh. The router-level distances are the
-    /// topology's and are copied unchanged — only the crossbar view is
-    /// re-indexed.
+    /// each placement refresh.
     ///
     /// # Panics
     ///
@@ -291,19 +304,7 @@ impl DistanceLut {
             );
             seen[p as usize] = true;
         }
-        let mut crossbar_hops = vec![0u32; nc * nc];
-        for k1 in 0..nc {
-            let p1 = perm[k1] as usize;
-            for k2 in 0..nc {
-                crossbar_hops[k1 * nc + k2] = self.crossbar_hops[p1 * nc + perm[k2] as usize];
-            }
-        }
-        DistanceLut {
-            nr: self.nr,
-            nc,
-            router_hops: self.router_hops.clone(),
-            crossbar_hops,
-        }
+        DistanceLut::from_fn(nc, |k1, k2| self.hops(perm[k1], perm[k2]))
     }
 }
 
@@ -318,27 +319,41 @@ pub fn check_routes(topo: &dyn Topology) -> Result<(), String> {
     let n = topo.num_routers();
     for from in 0..n {
         for to in 0..n {
-            let mut cur = from;
-            let mut steps = 0;
-            while cur != to {
-                let next = topo.route_next(cur, to);
-                if next == cur {
-                    return Err(format!("route {from}->{to} stalled at {cur}"));
-                }
-                if !topo.neighbors(cur).contains(&next) {
-                    return Err(format!(
-                        "route {from}->{to} jumps {cur}->{next}, not a link"
-                    ));
-                }
-                cur = next;
-                steps += 1;
-                if steps > n {
-                    return Err(format!("route {from}->{to} does not terminate"));
-                }
-            }
+            let route = route_hops(topo, from, to, 1);
+            check_path(topo, 1, from, to, route, |_, _, _| ())?;
         }
     }
     Ok(())
+}
+
+/// Checks that `path`, `(next router, VC)` hops from router `src`, steps
+/// over `(link, VC)`s of the fabric at `vc_count` VCs and ends at `dst`
+/// (a `route_hops` walk stops short at a stall or a loop), handing
+/// every channel `(from, to, vc)` it holds to `on_hop` in order.
+fn check_path(
+    topo: &dyn Topology,
+    vc_count: usize,
+    src: usize,
+    dst: usize,
+    path: impl IntoIterator<Item = (usize, usize)>,
+    mut on_hop: impl FnMut(usize, usize, usize),
+) -> Result<(), String> {
+    let mut cur = src;
+    for (next, vc) in path {
+        if vc >= vc_count || !topo.neighbors(cur).contains(&next) {
+            return Err(format!(
+                "route {src}->{dst} steps {cur}->{next} on vc {vc}, \
+                 not a (link, vc) of the fabric at {vc_count} VCs"
+            ));
+        }
+        on_hop(cur, next, vc);
+        cur = next;
+    }
+    if cur == dst {
+        Ok(())
+    } else {
+        Err(format!("route {src}->{dst} stops at {cur}"))
+    }
 }
 
 /// Builds the `(directed link, VC)` channel-dependency graph induced by
@@ -355,10 +370,12 @@ pub fn check_routes(topo: &dyn Topology) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns a description naming one channel on a dependency cycle.
+/// Returns a description naming one channel on a dependency cycle, or
+/// the first route that is not a walk over `(link, VC)`s to its
+/// destination (as [`check_routes`] names it).
 pub fn check_vc_channel_dependencies(topo: &dyn Topology, vc_count: usize) -> Result<(), String> {
     let mut deps = ChannelDeps::default();
-    deps.add_unicast_routes(topo, vc_count);
+    deps.add_unicast_routes(topo, vc_count)?;
     deps.check(vc_count)
 }
 
@@ -373,31 +390,27 @@ pub fn check_vc_channel_dependencies(topo: &dyn Topology, vc_count: usize) -> Re
 ///
 /// # Errors
 ///
-/// Returns a description naming one channel on a dependency cycle.
+/// Returns a description naming one channel on a dependency cycle, the
+/// first unicast route that is not a walk over `(link, VC)`s to its
+/// destination, or the first tree path that is not one.
 pub fn check_vc_tree_dependencies(
     topo: &dyn Topology,
     vc_count: usize,
     groups: &[(usize, Vec<usize>)],
 ) -> Result<(), String> {
     let mut deps = ChannelDeps::default();
-    deps.add_unicast_routes(topo, vc_count);
+    deps.add_unicast_routes(topo, vc_count)?;
     for (src, dests) in groups {
-        for path in topo.multicast_route(*src, dests, vc_count) {
-            let mut cur = *src;
-            let mut prev: Option<usize> = None;
-            for (next, vc) in path {
-                assert!(vc < vc_count, "tree vc out of range at {cur}->{next}");
-                assert!(
-                    topo.neighbors(cur).contains(&next),
-                    "tree hop {cur}->{next} is not a link"
-                );
-                let id = deps.channel(cur, next, vc);
-                if let Some(p) = prev {
-                    deps.edges.insert((p, id));
-                }
-                prev = Some(id);
-                cur = next;
-            }
+        let paths = topo.multicast_route(*src, dests, vc_count);
+        if paths.len() != dests.len() {
+            return Err(format!(
+                "tree from {src}: {} paths for {} destinations",
+                paths.len(),
+                dests.len()
+            ));
+        }
+        for (path, &d) in paths.into_iter().zip(dests) {
+            deps.add_path(topo, vc_count, *src, d, path)?;
         }
     }
     deps.check(vc_count)
@@ -422,25 +435,35 @@ impl ChannelDeps {
         })
     }
 
-    fn add_unicast_routes(&mut self, topo: &dyn Topology, vc_count: usize) {
+    fn add_unicast_routes(&mut self, topo: &dyn Topology, vc_count: usize) -> Result<(), String> {
         let nr = topo.num_routers();
         for src in 0..nr {
             for dst in 0..nr {
-                let mut cur = src;
-                let mut prev: Option<usize> = None;
-                while cur != dst {
-                    let next = topo.route_next(cur, dst);
-                    let vc = topo.hop_vc(cur, dst, vc_count);
-                    assert!(vc < vc_count, "hop_vc out of range at {cur}->{dst}");
-                    let id = self.channel(cur, next, vc);
-                    if let Some(p) = prev {
-                        self.edges.insert((p, id));
-                    }
-                    prev = Some(id);
-                    cur = next;
-                }
+                let route = route_hops(topo, src, dst, vc_count);
+                self.add_path(topo, vc_count, src, dst, route)?;
             }
         }
+        Ok(())
+    }
+
+    /// Adds the channels of one `check_path`-checked path from `src` to
+    /// `dst` and the hold-then-request edges between consecutive ones.
+    fn add_path(
+        &mut self,
+        topo: &dyn Topology,
+        vc_count: usize,
+        src: usize,
+        dst: usize,
+        path: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<(), String> {
+        let mut prev: Option<usize> = None;
+        check_path(topo, vc_count, src, dst, path, |from, to, vc| {
+            let id = self.channel(from, to, vc);
+            if let Some(p) = prev {
+                self.edges.insert((p, id));
+            }
+            prev = Some(id);
+        })
     }
 
     /// Kahn's algorithm: a cycle leaves nodes with nonzero indegree.
@@ -475,7 +498,7 @@ impl ChannelDeps {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -514,7 +537,7 @@ mod tests {
     fn distance_lut_matches_walked_routes_everywhere() {
         // the deterministic route of every shipped topology is a shortest
         // path, so the BFS distances must equal the route-walked hop
-        // counts for all router pairs and all crossbar pairs
+        // counts for all crossbar pairs
         let topos: Vec<Box<dyn Topology>> = vec![
             Box::new(Mesh2D::for_crossbars(7)),
             Box::new(Mesh2D::for_crossbars(16)),
@@ -526,31 +549,20 @@ mod tests {
             Box::new(PointToPoint::new(5)),
         ];
         for t in &topos {
-            let lut = DistanceLut::new(t.as_ref());
-            assert_eq!(lut.num_routers(), t.num_routers(), "{}", t.name());
+            let lut = t.distance_lut();
             assert_eq!(lut.num_crossbars(), t.num_crossbars(), "{}", t.name());
-            for a in 0..t.num_routers() {
-                for b in 0..t.num_routers() {
-                    assert_eq!(
-                        lut.router_hops(a, b),
-                        t.hops(a, b),
-                        "{}: routers {a}->{b}",
-                        t.name()
-                    );
-                    assert_eq!(
-                        lut.router_hops(a, b),
-                        lut.router_hops(b, a),
-                        "{}: BFS distances must be symmetric",
-                        t.name()
-                    );
-                }
-            }
             for k1 in 0..t.num_crossbars() as u32 {
                 for k2 in 0..t.num_crossbars() as u32 {
                     assert_eq!(
                         lut.hops(k1, k2),
                         t.hops(t.endpoint(k1), t.endpoint(k2)),
                         "{}: crossbars {k1}->{k2}",
+                        t.name()
+                    );
+                    assert_eq!(
+                        lut.hops(k1, k2),
+                        lut.hops(k2, k1),
+                        "{}: BFS distances must be symmetric",
                         t.name()
                     );
                     assert_eq!(
@@ -566,33 +578,136 @@ mod tests {
 
     #[test]
     fn distance_lut_matches_mesh_and_torus_closed_forms() {
+        // every router hosts a crossbar here, so the crossbar table covers
+        // every router pair
         // mesh: Manhattan distance |dx| + |dy|
-        let m = Mesh2D::grid(5, 4, 20);
-        let lut = DistanceLut::new(&m);
-        for a in 0..20usize {
-            for b in 0..20usize {
+        let lut = Mesh2D::grid(5, 4, 20).distance_lut();
+        for a in 0..20u32 {
+            for b in 0..20u32 {
                 let (xa, ya) = (a % 5, a / 5);
                 let (xb, yb) = (b % 5, b / 5);
                 assert_eq!(
-                    lut.router_hops(a, b),
-                    (xa.abs_diff(xb) + ya.abs_diff(yb)) as u32,
+                    lut.hops(a, b),
+                    xa.abs_diff(xb) + ya.abs_diff(yb),
                     "mesh {a}->{b}"
                 );
             }
         }
         // torus: per-dimension ring distance min(|d|, len - |d|)
-        let t = Torus::for_crossbars(16); // 4x4
-        let lut = DistanceLut::new(&t);
-        let ring = |a: usize, b: usize, len: usize| a.abs_diff(b).min(len - a.abs_diff(b));
-        for a in 0..16usize {
-            for b in 0..16usize {
+        let lut = Torus::for_crossbars(16).distance_lut(); // 4x4
+        let ring = |a: u32, b: u32, len: u32| a.abs_diff(b).min(len - a.abs_diff(b));
+        for a in 0..16u32 {
+            for b in 0..16u32 {
                 let (xa, ya) = (a % 4, a / 4);
                 let (xb, yb) = (b % 4, b / 4);
                 assert_eq!(
-                    lut.router_hops(a, b),
-                    (ring(xa, xb, 4) + ring(ya, yb, 4)) as u32,
+                    lut.hops(a, b),
+                    ring(xa, xb, 4) + ring(ya, yb, 4),
                     "torus {a}->{b}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn route_walk_arrives_in_hops_and_is_the_single_destination_tree() {
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(Mesh2D::for_crossbars(7)),
+            Box::new(Mesh2D::grid(4, 3, 12)),
+            Box::new(Torus::for_crossbars(16)),
+            Box::new(Torus::grid(5, 1, 5)), // a ring
+            Box::new(NocTree::new(9, 3)),
+            Box::new(NocTree::new(13, 2)),
+            Box::new(Star::new(6)),
+            Box::new(PointToPoint::new(5)),
+            Box::new(HierTopology::mesh(1, 1, 3, 3, 9, 3, 2).unwrap()),
+            Box::new(HierTopology::torus(1, 1, 4, 4, 16, 3, 2).unwrap()),
+            Box::new(HierTopology::mesh(2, 2, 3, 3, 36, 3, 2).unwrap()),
+            Box::new(HierTopology::torus(2, 2, 3, 3, 36, 3, 2).unwrap()),
+        ];
+        for t in &topos {
+            let nr = t.num_routers();
+            for vcs in 1..=4usize {
+                for (src, dst) in (0..nr).flat_map(|s| (0..nr).map(move |d| (s, d))) {
+                    let at = format!("{} {src}->{dst} at {vcs} VCs", t.name());
+                    let walk: Vec<(usize, usize)> = route_hops(t.as_ref(), src, dst, vcs).collect();
+                    let mut cur = src;
+                    for &(next, vc) in &walk {
+                        assert!(t.neighbors(cur).contains(&next), "{at}: {cur}->{next}");
+                        assert!(vc < vcs, "{at}: vc {vc}");
+                        cur = next;
+                    }
+                    assert_eq!(cur, dst, "{at}: walk stops short");
+                    assert_eq!(walk.len() as u32, t.hops(src, dst), "{at}");
+                    assert_eq!(t.multicast_route(src, &[dst], vcs), [walk], "{at}");
+                }
+            }
+        }
+    }
+
+    /// A mesh with some unicast next hops replaced: `.1(r, dst)`, where it
+    /// answers, overrides the mesh's `route_next`.
+    pub(crate) struct ReroutedMesh(pub(crate) Mesh2D, pub(crate) Reroute);
+
+    /// Where it answers, the next hop of a [`ReroutedMesh`].
+    pub(crate) type Reroute = fn(usize, usize) -> Option<usize>;
+
+    /// Toward router 2, routers 0 and 1 send the packet to each other.
+    pub(crate) const BOUNCE: Reroute = |r, dst| (dst == 2 && r < 2).then(|| 1 - r);
+
+    /// Every router keeps the packet.
+    pub(crate) const STALL: Reroute = |r, _| Some(r);
+
+    impl Topology for ReroutedMesh {
+        fn num_routers(&self) -> usize {
+            self.0.num_routers()
+        }
+        fn num_crossbars(&self) -> usize {
+            self.0.num_crossbars()
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            self.0.endpoint(k)
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            self.0.neighbors(r)
+        }
+        fn route_next(&self, r: usize, dst: usize) -> usize {
+            (self.1)(r, dst).unwrap_or_else(|| self.0.route_next(r, dst))
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn looping_and_stalling_routes_are_errors_from_every_check() {
+        // the dependency checks used to spin forever on both routes and
+        // the tree check to panic in the default `multicast_route`; each
+        // check runs on its own thread with a bounded wait, so a
+        // regression fails here instead of hanging
+        type Check = fn(&dyn Topology) -> Result<(), String>;
+        let checks: [(&str, Check); 3] = [
+            ("check_routes", check_routes),
+            ("check_vc_channel_dependencies", |t| {
+                check_vc_channel_dependencies(t, 2)
+            }),
+            ("check_vc_tree_dependencies", |t| {
+                check_vc_tree_dependencies(t, 2, &[(0, vec![2, 8])])
+            }),
+        ];
+        for (reroute, route) in [(BOUNCE, "route 0->2"), (STALL, "route 0->1")] {
+            for (name, check) in checks {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let worker = std::thread::spawn(move || {
+                    let _ = tx.send(check(&ReroutedMesh(Mesh2D::for_crossbars(9), reroute)));
+                });
+                // a hung worker is left behind: joining it would hang too
+                let outcome = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|e| panic!("{name} on {route}: hung or panicked ({e})"));
+                worker.join().expect("the worker returns once it has sent");
+                let e = outcome.expect_err(name);
+                assert!(e.contains(route), "{name}: {e}");
             }
         }
     }

@@ -239,11 +239,12 @@ proptest! {
         seed in 0u64..1000,
         swaps in proptest::collection::vec((0u16..24, 0u16..24), 1..40),
     ) {
-        let lut = if fabric == 8 {
-            HierTopology::for_crossbars(crossbars, 2, 2, 4, 2).unwrap().distance_lut()
+        let topo: Box<dyn Topology> = if fabric == 8 {
+            Box::new(HierTopology::for_crossbars(crossbars, 2, 2, 4, 2).unwrap())
         } else {
-            DistanceLut::new(topology_for(fabric, crossbars).as_ref())
+            topology_for(fabric, crossbars)
         };
+        let lut = topo.distance_lut();
         let mut rng = StdRng::seed_from_u64(seed);
         let packets: Vec<u64> = (0..crossbars * crossbars)
             .map(|i| {
@@ -486,13 +487,13 @@ fn default_placement_outcomes_are_frozen() {
         (
             "mesh256",
             &grid_traffic,
-            DistanceLut::new(&Mesh2D::for_crossbars(256)),
+            Mesh2D::for_crossbars(256).distance_lut(),
             (772_787, 0, 0x1dc6_9ed3_6385_2475),
         ),
         (
             "torus256",
             &grid_traffic,
-            DistanceLut::new(&Torus::for_crossbars(256)),
+            Torus::for_crossbars(256).distance_lut(),
             (637_268, 0, 0x5e3f_8708_430e_0945),
         ),
         (
