@@ -28,9 +28,11 @@
 //! remote, what one spike's destination set is, how the two
 //! [`TrafficMode`]s count it — is defined once, in the crate-private
 //! `traffic` module; [`build_flows`], [`local_events`] and the placement
-//! stage's [`TrafficMatrix`] are folds over that one derivation, and
-//! [`MappingPipeline::hop_metrics`] prices Steiner trees through the
-//! function `crate::place::MulticastTraffic::tree_cost` uses.
+//! stage's [`TrafficMatrix`] are folds over that one derivation. Under
+//! Steiner-tree routing, [`MappingPipeline::hop_metrics`] does not route
+//! trees of its own: it counts the link forwards of the forwarding plan
+//! the simulate stage runs ([`NocSim::link_forwards`]), built by the one
+//! private method that builds that stage's simulator.
 //!
 //! One pipeline is built per configuration ([`MappingPipeline::new`])
 //! and offers one call per job: [`MappingPipeline::run`] chains every
@@ -178,7 +180,9 @@ pub struct Report {
     pub avg_hops: f64,
     /// Hop-weighted packet total: every packet priced by the hop distance
     /// between its source and destination crossbars — the placement
-    /// stage's objective, measured on the flows actually injected.
+    /// stage's objective, measured on the flows actually injected. Under
+    /// Steiner-tree routing, the run's link forwards instead
+    /// ([`MappingPipeline::hop_metrics`]).
     pub hop_weighted_packets: u64,
     /// How the evaluated mapping was placed: the label
     /// [`MappingPipeline::place`] returned (`"identity"` or
@@ -503,60 +507,64 @@ impl MappingPipeline {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>, Option<TraceBuf>), CoreError> {
-        // per-synapse flows are single-destination by construction;
-        // disable multicast handling so packet counts match Eq. 7 exactly
+        let mut sim = self.noc_sim();
+        let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
+        Ok((stats, deliveries, sim.take_trace()))
+    }
+
+    /// The simulator the simulate stage runs, over the shared topology.
+    /// Per-synapse flows are single-destination by construction, so
+    /// multicast handling is off under [`TrafficMode::PerSynapse`] and
+    /// packet counts match Eq. 7 exactly.
+    fn noc_sim(&self) -> NocSim {
         let mut noc_cfg = self.config.noc;
         if self.config.traffic == TrafficMode::PerSynapse {
             noc_cfg.multicast = false;
         }
         let energy = *self.config.arch.energy();
-        let mut sim =
-            NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy).with_engine(self.config.engine);
-        let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
-        Ok((stats, deliveries, sim.take_trace()))
+        NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy).with_engine(self.config.engine)
     }
 
     /// Hop metrics of a flow set: `(hop-weighted packets, unicast packet
-    /// count)` — every `(source, destination)` pair priced by the shared
-    /// distance table.
+    /// count)`. The unicast count is Σ |destinations|, the packet count a
+    /// clone-per-destination NoC would inject (the paper's yardstick).
     ///
-    /// When the pipeline's NoC configuration routes multicast packets
-    /// along Steiner trees ([`NocConfig::multicast_trees`] with
-    /// [`NocConfig::multicast`]), the weighted component counts actual
-    /// link traversals of each flow's tree instead — shared prefix hops
-    /// are paid once per branch, exactly the forwards the engines
-    /// perform. The unicast count is unchanged (it is the packet count
-    /// a clone-per-destination NoC would inject, the paper's yardstick).
+    /// The weighted count prices every `(source, destination)` pair by
+    /// the shared distance table, unless the simulate stage routes
+    /// multicast packets along Steiner trees ([`NocConfig::multicast_trees`]
+    /// with [`NocConfig::multicast`], and not [`TrafficMode::PerSynapse`],
+    /// which turns multicast off). Then it is the link forwards of that
+    /// run, [`NocSim::link_forwards`]: shared hops are paid once per
+    /// branch, counted from the forwarding plan the engines follow. A
+    /// configuration the engines reject has no run to count, and falls
+    /// back to the pairwise price; [`MappingPipeline::simulate`] returns
+    /// the error.
     ///
     /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
     /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
     pub fn hop_metrics(&self, flows: &[SpikeFlow]) -> (u64, u64) {
-        let trees = self.config.noc.multicast && self.config.noc.multicast_trees;
-        let topo = self.topo.as_ref();
-        let mut weighted = 0u64;
-        let mut unicast = 0u64;
-        let mut dest_routers: Vec<usize> = Vec::new();
-        // consecutive spikes of one net (every spike of a neuron, as
-        // `build_flows` emits them) share a price: price the run once
+        let sim = self.noc_sim();
+        let trees = sim.config().multicast && sim.config().multicast_trees;
+        let forwards = trees.then(|| sim.link_forwards(flows).ok()).flatten();
+        // one pass (a second over ~10⁶ flows costs as much as the
+        // pricing); consecutive spikes of one net, as `build_flows` emits
+        // every spike of a neuron, share a price, so a run is priced once
         let same_net = |a: &SpikeFlow, b: &SpikeFlow| {
             a.src_crossbar == b.src_crossbar && a.dst_crossbars == b.dst_crossbars
         };
+        let (mut pairwise, mut unicast) = (0u64, 0u64);
         for run in flows.chunk_by(same_net) {
-            let (src, dsts) = (run[0].src_crossbar, &run[0].dst_crossbars);
-            let price = if trees {
-                dest_routers.clear();
-                dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(d)));
-                let vcs = self.config.noc.vc_count;
-                traffic::net_forwards(topo, vcs, topo.endpoint(src), &dest_routers)
-            } else {
-                dsts.iter()
-                    .map(|&d| u64::from(self.dist.hops(src, d)))
-                    .sum()
-            };
-            weighted += run.len() as u64 * price;
-            unicast += (run.len() * dsts.len()) as u64;
+            let (spikes, f) = (run.len() as u64, &run[0]);
+            unicast += spikes * f.dst_crossbars.len() as u64;
+            if forwards.is_none() {
+                let hops = f.dst_crossbars.iter();
+                let price: u64 = hops
+                    .map(|&d| u64::from(self.dist.hops(f.src_crossbar, d)))
+                    .sum();
+                pairwise += spikes * price;
+            }
         }
-        (weighted, unicast)
+        (forwards.unwrap_or(pairwise), unicast)
     }
 
     /// All stages: partition, place, packetize, simulate, report. The
@@ -650,6 +658,7 @@ mod tests {
     use super::*;
     use crate::baselines::{NeutramsPartitioner, PacmanPartitioner};
     use crate::pso::{PsoConfig, PsoPartitioner};
+    use neuromap_noc::NocError;
     use neuromap_snn::spikes::SpikeTrain;
 
     /// Two fully connected layers of 8, ids in order; spikes every 50 steps.
@@ -783,41 +792,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hop_metrics_routes_one_tree_per_spiking_neuron() {
-        // every spike of a neuron carries the same net, and `build_flows`
-        // emits them back to back: a tree is priced per neuron (80 flows
-        // here), and the total is what pricing each flow alone gives
-        let g = layered_graph();
+    /// Trees on the 4-crossbar mesh, neuron `i` on crossbar `i % 4`:
+    /// every spiking neuron reaches the other three crossbars.
+    fn tree_pipeline(topo: Arc<dyn Topology>, vc_count: usize) -> (MappingPipeline, Mapping) {
         let noc = NocConfig {
             multicast: true,
             multicast_trees: true,
+            vc_count,
             ..NocConfig::default()
         };
         let cfg = PipelineConfig::for_arch(small_arch())
             .with_traffic(TrafficMode::PerCrossbar)
             .with_noc(noc);
-        let counting = Arc::new(CountingMesh(Mesh2D::for_crossbars(4), Default::default()));
         let pipeline = MappingPipeline {
-            topo: counting.clone(),
+            topo,
             ..MappingPipeline::new(cfg)
         };
-        let calls = || counting.1.load(std::sync::atomic::Ordering::Relaxed);
         let assign: Vec<u32> = (0..16).map(|i| i % 4).collect();
-        let m = Mapping::from_assignment(assign, 4).unwrap();
+        (pipeline, Mapping::from_assignment(assign, 4).unwrap())
+    }
+
+    #[test]
+    fn hop_metrics_routes_one_tree_per_distinct_net() {
+        // every spike of a neuron carries the same net, and neurons `k`
+        // and `k + 4` share a home and a destination set: a tree is routed
+        // per distinct net (4 of them for 80 flows), and the total is what
+        // pricing each flow alone gives
+        let g = layered_graph();
+        let counting = Arc::new(CountingMesh(Mesh2D::for_crossbars(4), Default::default()));
+        let (pipeline, m) = tree_pipeline(counting.clone(), 1);
+        let calls = || counting.1.load(std::sync::atomic::Ordering::Relaxed);
         let flows = pipeline.packetize(&g, &m);
         assert_eq!(flows.len(), 80);
         let whole = pipeline.hop_metrics(&flows);
-        assert_eq!(calls(), 8, "one tree per spiking neuron");
+        assert_eq!(calls(), 4, "one tree per distinct net");
         let one_by_one = flows.iter().fold((0, 0), |acc, f| {
             let (w, u) = pipeline.hop_metrics(std::slice::from_ref(f));
             (acc.0 + w, acc.1 + u)
         });
-        assert_eq!(calls(), 8 + 80);
+        assert_eq!(calls(), 4 + 80);
         assert_eq!(whole, one_by_one);
         // a corner of the 2x2 mesh reaches the other three crossbars over
         // 3 links; the pairwise hop sum would charge 1 + 1 + 2
         assert_eq!(whole, (80 * 3, 80 * 3));
+    }
+
+    #[test]
+    fn hop_metrics_under_a_config_the_engines_reject_is_the_pairwise_price() {
+        // no run exists to count: the per-destination price, no panic, and
+        // the evaluation fails with the run's error
+        let g = layered_graph();
+        let (pipeline, m) = tree_pipeline(Arc::new(Mesh2D::for_crossbars(4)), 0);
+        let flows = pipeline.packetize(&g, &m);
+        assert_eq!(pipeline.hop_metrics(&flows), (80 * (1 + 1 + 2), 80 * 3));
+        assert!(matches!(
+            pipeline.evaluate(&g, m, "manual", "identity"),
+            Err(CoreError::Noc(NocError::InvalidConfig {
+                name: "vc_count",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    fn per_synapse_hop_metrics_ignore_the_tree_flag_the_run_ignores() {
+        // the simulate stage turns multicast off for per-synapse flows, so
+        // `multicast_trees` changes neither the run nor its hop metrics:
+        // every packet crosses the 4 × 2 seam once, 9 weighted hops
+        let g = layered_graph();
+        let hier = InterconnectKind::Hier {
+            chip_cols: 2,
+            chip_rows: 1,
+            link_latency: 4,
+            link_width: 2,
+        };
+        let arch = Architecture::custom(8, 8, hier).unwrap();
+        let assign: Vec<u32> = (0..16).map(|i| if i < 8 { 0 } else { 4 }).collect();
+        let m = Mapping::from_assignment(assign, 8).unwrap();
+        for multicast_trees in [false, true] {
+            let noc = NocConfig {
+                multicast_trees,
+                ..NocConfig::default()
+            };
+            let pipeline =
+                MappingPipeline::new(PipelineConfig::for_arch(arch.clone()).with_noc(noc));
+            let flows = pipeline.packetize(&g, &m);
+            assert_eq!(pipeline.hop_metrics(&flows), (5760, 640), "{noc:?}");
+            let (stats, _) = pipeline.simulate(&flows, g.duration_steps()).unwrap();
+            assert_eq!(stats.counters.link_flits, 2560, "{noc:?}");
+        }
     }
 
     #[test]

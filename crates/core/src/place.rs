@@ -19,6 +19,16 @@
 //!    problem — with deterministic, thread-spread simulated-annealing
 //!    restarts polished by greedy swap local search.
 //!
+//! Both price pairs, even when the fabric routes a neuron's net along one
+//! Steiner tree ([`NocConfig::multicast_trees`]) and shared hops are paid
+//! once. Those tree forwards are counted in one place, the NoC's own
+//! forwarding plan ([`NocSim::link_forwards`]), which is what
+//! [`MappingPipeline::hop_metrics`] reports under tree routing.
+//!
+//! [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
+//! [`NocSim::link_forwards`]: neuromap_noc::sim::NocSim::link_forwards
+//! [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
+//!
 //! ## Incremental pricing and its reference kernels
 //!
 //! Exchanging the physical slots of two clusters reprices only the
@@ -44,7 +54,8 @@
 //! Folding both directions into one weight needs `hops(a, b) ==
 //! hops(b, a)`. Every table this workspace builds has it — BFS over
 //! undirected links, the hierarchical closed form — but a custom
-//! [`Topology`] with one-way links does not, so [`optimize_placement`]
+//! [`Topology`](neuromap_noc::topology::Topology) with one-way links does
+//! not, so [`optimize_placement`]
 //! checks the crossbars the traffic matrix covers once per call (C²/2
 //! compares) and returns a typed error instead of mispricing.
 //!
@@ -64,11 +75,10 @@ use crate::pipeline::TrafficMode;
 use crate::pool;
 use crate::traffic;
 use neuromap_hw::mapping::{Mapping, Placement};
-use neuromap_noc::topology::{DistanceLut, Topology};
+use neuromap_noc::topology::DistanceLut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Cluster-to-cluster packet counts under a mapping — the placement
 /// stage's whole view of the application (neurons no longer appear).
@@ -132,87 +142,6 @@ impl TrafficMatrix {
     /// Total packets crossing the interconnect (placement-invariant).
     pub fn total_packets(&self) -> u64 {
         self.packets.iter().sum()
-    }
-}
-
-/// Cluster-level *multicast group* traffic: the tree-aware companion to
-/// [`TrafficMatrix`]. Where the pairwise matrix prices every
-/// (source, destination) pair independently, a tree-routing NoC
-/// ([`NocConfig::multicast_trees`]) forwards one packet per link of the
-/// multicast tree — shared path prefixes are paid once, not once per
-/// destination. This type keeps each source cluster's distinct
-/// destination *sets* (with spike-count weights) — the hyperedge nets of
-/// the mapping — and [`MulticastTraffic::tree_cost`] prices exactly
-/// those tree forwards for any placement: the cluster-level view of
-/// what [`MappingPipeline::hop_metrics`] measures on the flows, through
-/// the same per-net price (`crate::traffic`). No optimizer searches
-/// under it; [`optimize_placement`] prices pairwise.
-///
-/// [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
-/// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MulticastTraffic {
-    c: usize,
-    /// `(src cluster, sorted distinct remote destination clusters,
-    /// weight)` — one entry per distinct (source, destination-set) pair,
-    /// weights aggregated over neurons sharing both.
-    groups: Vec<(u32, Vec<u32>, u64)>,
-}
-
-impl MulticastTraffic {
-    /// Collapses a partitioned spike graph into multicast groups — the
-    /// per-net fold of the traffic model (`crate::traffic`): every
-    /// spiking neuron adds its spike count to the group `(home cluster,
-    /// {distinct remote target clusters})`; neurons with identical home
-    /// and destination set aggregate. This mirrors
-    /// [`TrafficMode::PerCrossbar`] flow construction, which is the only
-    /// accounting under which tree routing applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapping does not cover exactly the graph's neurons.
-    pub fn from_mapping(graph: &SpikeGraph, mapping: &Mapping) -> Self {
-        let mut agg: BTreeMap<(u32, Vec<u32>), u64> = BTreeMap::new();
-        traffic::walk(graph, mapping.assignment(), |n| {
-            if !n.remote.is_empty() {
-                let dsts = n.remote.iter().map(|&(dst, _)| dst).collect();
-                *agg.entry((n.home, dsts)).or_insert(0) += n.spikes;
-            }
-        });
-        let groups = agg.into_iter().map(|((s, d), w)| (s, d, w)).collect();
-        Self {
-            c: mapping.num_crossbars(),
-            groups,
-        }
-    }
-
-    /// Tree-aware placement cost: the weighted link-traversal count of
-    /// every group's multicast tree under the permutation `physical_of`
-    /// (`physical_of[cluster] = physical crossbar`). Shared prefix hops
-    /// are paid once per branch — exactly the forwards the tree-routing
-    /// engines perform, and exactly what
-    /// [`MappingPipeline::hop_metrics`] reports for the placed mapping.
-    ///
-    /// [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
-    ///
-    /// # Panics
-    ///
-    /// Panics if `physical_of` does not cover every cluster.
-    pub fn tree_cost(&self, topo: &dyn Topology, vc_count: usize, physical_of: &[u32]) -> u64 {
-        assert_eq!(
-            physical_of.len(),
-            self.c,
-            "placement must cover every cluster"
-        );
-        let mut dest_routers: Vec<usize> = Vec::new();
-        let mut cost = 0u64;
-        for (src, dsts, w) in &self.groups {
-            let src_router = topo.endpoint(physical_of[*src as usize]);
-            dest_routers.clear();
-            dest_routers.extend(dsts.iter().map(|&d| topo.endpoint(physical_of[d as usize])));
-            cost += w * traffic::net_forwards(topo, vc_count, src_router, &dest_routers);
-        }
-        cost
     }
 }
 
@@ -606,7 +535,7 @@ pub fn optimize_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neuromap_noc::topology::{Mesh2D, Torus};
+    use neuromap_noc::topology::{Mesh2D, Topology, Torus};
 
     fn mesh_lut(c: usize) -> DistanceLut {
         DistanceLut::new(&Mesh2D::for_crossbars(c))
@@ -846,66 +775,6 @@ mod tests {
             let dist = mesh_lut(2);
             assert_eq!(placement_cost(&traffic, &dist, &[0, 1]), 0);
         }
-    }
-
-    /// A clustered graph whose multicast groups have real shared-prefix
-    /// structure: each source neuron fans out to several remote clusters.
-    fn fanout_graph_and_mapping(c: usize) -> (crate::graph::SpikeGraph, Mapping) {
-        use crate::graph::SpikeGraph;
-        let n = (c * 2) as u32;
-        let mut synapses = Vec::new();
-        for i in 0..n {
-            // each neuron targets the next three clusters' first neuron
-            for k in 1..=3u32 {
-                synapses.push((i, ((i / 2 + k) % c as u32) * 2));
-            }
-        }
-        let counts = (0..n).map(|i| 3 + i % 5).collect();
-        let g = SpikeGraph::from_parts(n, synapses, counts).unwrap();
-        let m = Mapping::from_assignment((0..n).map(|i| i / 2).collect(), c).unwrap();
-        (g, m)
-    }
-
-    #[test]
-    fn tree_cost_matches_pipeline_hop_metrics() {
-        use crate::pipeline::{build_flows, MappingPipeline, PipelineConfig, TrafficMode};
-        use neuromap_hw::arch::Architecture;
-        use neuromap_hw::arch::InterconnectKind;
-        use neuromap_noc::config::NocConfig;
-        let (g, m) = fanout_graph_and_mapping(16);
-        let arch = Architecture::custom(16, 2, InterconnectKind::Mesh).unwrap();
-        let noc = NocConfig {
-            multicast: true,
-            multicast_trees: true,
-            ..NocConfig::default()
-        };
-        let cfg = PipelineConfig::for_arch(arch)
-            .with_noc(noc)
-            .with_traffic(TrafficMode::PerCrossbar);
-        let pipeline = MappingPipeline::new(cfg);
-        let flows = build_flows(&g, &m, TrafficMode::PerCrossbar);
-        let (weighted, _) = pipeline.hop_metrics(&flows);
-        let multicast = MulticastTraffic::from_mapping(&g, &m);
-        let identity: Vec<u32> = (0..16).collect();
-        let (topo, vc) = (pipeline.topology(), pipeline.config().noc.vc_count);
-        assert_eq!(multicast.tree_cost(topo, vc, &identity), weighted);
-        // both sides price through `traffic::net_forwards`; the
-        // independent side routes one tree per spike and counts its links
-        // as the distinct non-empty prefixes of the per-destination paths
-        let per_spike: u64 = flows
-            .iter()
-            .map(|f| {
-                let dests: Vec<usize> = f.dst_crossbars.iter().map(|&d| topo.endpoint(d)).collect();
-                let paths = topo.multicast_route(topo.endpoint(f.src_crossbar), &dests, vc);
-                let links: std::collections::BTreeSet<&[(usize, usize)]> = paths
-                    .iter()
-                    .flat_map(|p| (1..=p.len()).map(move |k| &p[..k]))
-                    .collect();
-                links.len() as u64
-            })
-            .sum();
-        assert!(weighted > 0);
-        assert_eq!(per_spike, weighted);
     }
 
     #[test]

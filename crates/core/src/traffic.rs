@@ -26,14 +26,8 @@
 //! | `pipeline::build_flows` — one flow per spike per packet | packetize → simulate, `hop_metrics` |
 //! | `pipeline::local_events` — `Σ spikes · local synapses` | report (local energy) |
 //! | `place::TrafficMatrix::from_mapping` — packets per cluster pair | placement, co-optimization |
-//! | `place::MulticastTraffic::from_mapping` — spikes per distinct net | tree-cost oracle |
-//!
-//! A net routed along a Steiner tree costs its link traversals, not its
-//! pairwise hop sum; [`net_forwards`] is that price, and the only caller
-//! of [`Topology::multicast_route`] in this crate.
 
 use crate::graph::SpikeGraph;
-use neuromap_noc::topology::Topology;
 
 /// One spiking neuron under a mapping, as [`walk`] hands it out.
 pub(crate) struct Fanout<'a> {
@@ -93,34 +87,4 @@ pub(crate) fn walk(graph: &SpikeGraph, assignment: &[u32], mut visit: impl FnMut
             remote: &remote,
         });
     }
-}
-
-/// Link traversals of one multicast packet from `src_router` to
-/// `dest_routers` along the topology's Steiner tree: destinations that
-/// share a path prefix pay each shared hop once — exactly the forwards
-/// the NoC engines perform under tree routing (a head splits per distinct
-/// route bit, never per destination).
-pub(crate) fn net_forwards(
-    topo: &dyn Topology,
-    vc_count: usize,
-    src_router: usize,
-    dest_routers: &[usize],
-) -> u64 {
-    tree_forwards(&topo.multicast_route(src_router, dest_routers, vc_count))
-}
-
-/// Counts the distinct `(next hop, VC)` branches of a path set,
-/// recursively: paths are grouped by their first hop — each group is one
-/// packet forward — and the recursion descends into the groups' tails.
-fn tree_forwards(paths: &[Vec<(usize, usize)>]) -> u64 {
-    // hop path tail, keyed by the (next hop, VC) the paths branch on
-    type Tails = Vec<Vec<(usize, usize)>>;
-    let mut groups: std::collections::BTreeMap<(usize, usize), Tails> =
-        std::collections::BTreeMap::new();
-    for p in paths {
-        if let Some((&first, rest)) = p.split_first() {
-            groups.entry(first).or_default().push(rest.to_vec());
-        }
-    }
-    groups.values().map(|tails| 1 + tree_forwards(tails)).sum()
 }

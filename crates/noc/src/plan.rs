@@ -425,6 +425,14 @@ impl Plan {
         self.roots[net as usize].1
     }
 
+    /// Link forwards one packet of `net` makes. Every branch adds one
+    /// node, so that is one per node of the net past its root.
+    pub(crate) fn forwards(&self, net: u32) -> u64 {
+        let next_root = self.roots.get(net as usize + 1);
+        let end = next_root.map_or(self.nodes.len(), |&(root, _)| root as usize);
+        (end - self.root(net) as usize - 1) as u64
+    }
+
     /// Whether the plan follows [`Topology::multicast_route`] trees — the
     /// one case where the unicast route does not describe its branches.
     pub(crate) fn follows_trees(&self) -> bool {

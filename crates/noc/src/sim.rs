@@ -40,7 +40,7 @@
 //!
 //! # The packet model: nets, a plan, handles
 //!
-//! The loop never asks a routing question. Before it starts, `run_engine`
+//! The loop never asks a routing question. Before it starts, `Setup`
 //! interns the flow set's **nets** — `(source crossbar, destination
 //! crossbars)`, one per `(source, destination)` pair when multicast is
 //! off — and builds one forwarding **plan** for all of them
@@ -500,6 +500,11 @@ impl NocSim {
         self.topo.as_ref()
     }
 
+    /// The configuration in use.
+    pub fn config(&self) -> &NocConfig {
+        &self.config
+    }
+
     /// Takes the structured event trace of the last successful run.
     ///
     /// `Some` iff [`NocConfig::trace`] was set and the last run
@@ -558,6 +563,36 @@ impl NocSim {
             .map(|(stats, deliveries)| (stats, deliveries, log))
     }
 
+    /// The link forwards a run of `flows` makes, without running it: one
+    /// per branch of the forwarding plan the engines follow, summed over
+    /// the packets the run injects (one per non-empty flow under
+    /// multicast, one per destination otherwise). A run that succeeds
+    /// charges `flits_per_packet ×` this many [`Counters::link_flits`].
+    ///
+    /// # Errors
+    ///
+    /// Every error a run returns before its first cycle, from the same
+    /// checks in the same order: [`NocError::InvalidConfig`] and
+    /// [`NocError::UnknownCrossbar`] as listed under [`NocSim::run`]. A
+    /// run's [`NocError::CycleBudgetExhausted`] happens in the
+    /// simulation, so it is never returned here.
+    pub fn link_forwards(&self, flows: &[SpikeFlow]) -> Result<u64, NocError> {
+        let Setup { nets, plan, .. } = Setup::new(self.topo.as_ref(), &self.config, flows)?;
+        let mut forwards = 0;
+        for (fi, f) in flows.iter().enumerate() {
+            let dests = f.dst_crossbars.len();
+            let packets = if self.config.multicast {
+                dests.min(1)
+            } else {
+                dests
+            };
+            forwards += (0..packets)
+                .map(|pi| plan.forwards(nets.of(fi, pi)))
+                .sum::<u64>();
+        }
+        Ok(forwards)
+    }
+
     /// The one place an [`EngineKind`] becomes a [`Sched`] policy.
     fn dispatch(
         &mut self,
@@ -581,8 +616,52 @@ impl NocSim {
     }
 }
 
-/// One run of either engine: validate → nets → plan → schedule →
-/// [`simulate`] under policy `S` → statistics. `events` is the engine's
+/// What a run of `flows` builds before its first cycle.
+struct Setup<'f> {
+    /// [`egress_ports`] of the topology.
+    ports: Vec<Vec<(usize, usize)>>,
+    nets: Nets<'f>,
+    plan: Plan,
+}
+
+impl<'f> Setup<'f> {
+    /// Checks the configuration, the topology and the flows, then interns
+    /// the nets and plans them. `run_engine` and [`NocSim::link_forwards`]
+    /// both start here, so both refuse the same inputs with the same
+    /// errors.
+    fn new(
+        topo: &dyn Topology,
+        config: &NocConfig,
+        flows: &'f [SpikeFlow],
+    ) -> Result<Self, NocError> {
+        config.validate()?;
+        let ports = egress_ports(topo)?;
+        // the plan and `PortSched` store a `(port, VC)` slot in a `u16`; a
+        // wider router would wrap there silently, so refuse it before either
+        // is built — for both policies, since both run over the one plan
+        let slots = ports.iter().map(Vec::len).max().unwrap_or(0) * config.vc_count;
+        if slots > usize::from(u16::MAX) + 1 {
+            return Err(NocError::InvalidConfig {
+                name: "vc_count",
+                value: format!(
+                    "{} (× widest router = {slots} (port, VC) slots, limit 65536)",
+                    config.vc_count
+                ),
+            });
+        }
+        validate_flows(topo, flows)?;
+        check_clock(config, flows)?;
+        // every routing question is asked here, once per net; the schedule
+        // then only names each packet's net
+        let nets = Nets::intern(flows, config.multicast);
+        let trees = config.multicast && config.multicast_trees;
+        let plan = Plan::build(topo, config.vc_count, trees, &nets)?;
+        Ok(Self { ports, nets, plan })
+    }
+}
+
+/// One run of either engine: [`Setup`] → schedule → [`simulate`] under
+/// policy `S` → statistics. `events` is the engine's
 /// retained-trace slot (cleared up front, refilled on success when
 /// [`NocConfig::trace`] is on); `sim_trace`, when given, receives the
 /// scheduler trace.
@@ -596,28 +675,7 @@ fn run_engine<S: Sched>(
     mut sim_trace: Option<&mut SimTrace>,
 ) -> Result<(NocStats, Vec<Delivery>), NocError> {
     *events = None;
-    config.validate()?;
-    let ports = egress_ports(topo.as_ref())?;
-    // the plan and `PortSched` store a `(port, VC)` slot in a `u16`; a
-    // wider router would wrap there silently, so refuse it before either
-    // is built — for both policies, since both run over the one plan
-    let slots = ports.iter().map(Vec::len).max().unwrap_or(0) * config.vc_count;
-    if slots > usize::from(u16::MAX) + 1 {
-        return Err(NocError::InvalidConfig {
-            name: "vc_count",
-            value: format!(
-                "{} (× widest router = {slots} (port, VC) slots, limit 65536)",
-                config.vc_count
-            ),
-        });
-    }
-    validate_flows(topo.as_ref(), flows)?;
-    check_clock(config, flows)?;
-    // every routing question is asked here, once per net; the schedule
-    // then only names each packet's net
-    let nets = Nets::intern(flows, config.multicast);
-    let trees = config.multicast && config.multicast_trees;
-    let plan = Plan::build(topo.as_ref(), config.vc_count, trees, &nets)?;
+    let Setup { ports, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
     let spikes = build_schedule(topo.as_ref(), config, flows, &nets);
     if let Some(t) = sim_trace.as_deref_mut() {
         t.nets = nets.len() as u64;
@@ -1604,13 +1662,9 @@ mod tests {
         };
         let flows = [SpikeFlow::multicast(0, 0, vec![8, 2], 0)];
         for (what, bend) in bends {
-            let run = |engine| {
-                let topo = Box::new(BentMesh(Mesh2D::for_crossbars(9), bend));
-                NocSim::new(topo, cfg, EnergyModel::default())
-                    .with_engine(engine)
-                    .run(&flows)
-            };
-            let e = run(EngineKind::EventDriven).expect_err(what);
+            let topo =
+                || -> Box<dyn Topology> { Box::new(BentMesh(Mesh2D::for_crossbars(9), bend)) };
+            let e = both_engines(topo, cfg, &flows).expect_err(what);
             assert!(
                 matches!(
                     e,
@@ -1621,27 +1675,33 @@ mod tests {
                 ),
                 "{what}: {e}"
             );
-            assert_eq!(Err(e), run(EngineKind::CycleOracle), "{what}");
         }
         // unbent, the same wrapper simulates
-        let topo = Box::new(BentMesh(Mesh2D::for_crossbars(9), |_| ()));
-        let stats = NocSim::new(topo, cfg, EnergyModel::default()).run(&flows);
-        assert_eq!(stats.unwrap().delivered, 2);
+        let topo = || -> Box<dyn Topology> { Box::new(BentMesh(Mesh2D::for_crossbars(9), |_| ())) };
+        assert_eq!(both_engines(topo, cfg, &flows).unwrap().delivered, 2);
     }
 
-    /// Both engines' outcome on one topology builder; they must agree.
+    /// Both engines' outcome on one topology builder; they must agree,
+    /// and [`NocSim::link_forwards`] must predict it: the run's error when
+    /// the run fails before its first cycle, its link flits when it
+    /// succeeds.
     fn both_engines(
         topo: impl Fn() -> Box<dyn Topology>,
         cfg: NocConfig,
         flows: &[SpikeFlow],
     ) -> Result<NocStats, NocError> {
-        let run = |engine| {
-            NocSim::new(topo(), cfg, EnergyModel::default())
-                .with_engine(engine)
-                .run(flows)
-        };
-        let event = run(EngineKind::EventDriven);
-        assert_eq!(event, run(EngineKind::CycleOracle));
+        let sim = |engine| NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(engine);
+        let event = sim(EngineKind::EventDriven).run(flows);
+        assert_eq!(event, sim(EngineKind::CycleOracle).run(flows));
+        let forwards = sim(EngineKind::EventDriven).link_forwards(flows);
+        match &event {
+            Ok(stats) => assert_eq!(
+                Ok(stats.counters.link_flits),
+                forwards.map(|f| u64::from(cfg.flits_per_packet) * f)
+            ),
+            Err(NocError::CycleBudgetExhausted { .. }) => assert!(forwards.is_ok()),
+            Err(e) => assert_eq!(Err(e), forwards.as_ref()),
+        }
         event
     }
 

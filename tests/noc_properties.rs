@@ -1535,3 +1535,86 @@ proptest! {
         }
     }
 }
+
+// ---------------- link forwards: what a run charges, before it runs ----------------
+
+/// Raw flows over `crossbars` crossbars: destination lists as drawn —
+/// empty, repeating a crossbar, or naming the source itself.
+fn arb_raw_flows(crossbars: u32, max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
+    proptest::collection::vec(
+        (
+            0u32..1000,
+            0u32..crossbars,
+            proptest::collection::vec(0u32..crossbars, 0..6),
+            0u32..4,
+        ),
+        0..max_flows,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(
+                |(source_neuron, src_crossbar, dst_crossbars, send_step)| SpikeFlow {
+                    source_neuron,
+                    src_crossbar,
+                    dst_crossbars,
+                    send_step,
+                },
+            )
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(24)))]
+
+    /// [`NocSim::link_forwards`] counts the forwarding plan's branches per
+    /// injected packet; every run that drains charges exactly that many
+    /// forwards of `flits_per_packet` flits, under clones, plain multicast
+    /// and trees, on both engines and every fabric shape — the 2×2-chip
+    /// fabric included, whose report weights are seam-priced.
+    #[test]
+    fn link_flits_are_the_predicted_link_forwards(
+        flows in arb_raw_flows(16, 30),
+        fabric in 0usize..6,
+        depth in 1usize..4,
+        mode in 0usize..3,
+        flits in 1u32..4,
+    ) {
+        let (topo, vc_count): (Box<dyn Fn() -> Box<dyn Topology>>, usize) = match fabric {
+            0 => (Box::new(|| Box::new(Mesh2D::for_crossbars(16))), 1),
+            1 => (Box::new(|| Box::new(Torus::for_crossbars(16))), 2),
+            2 => (Box::new(|| Box::new(NocTree::new(16, 2))), 1),
+            3 => (Box::new(|| Box::new(Star::new(16))), 1),
+            4 => (
+                Box::new(|| Box::new(HierTopology::mesh(2, 2, 2, 2, 16, 3, 2).expect("valid"))),
+                2,
+            ),
+            _ => (Box::new(|| Box::new(common::SharedRouterLine::new(4, 4))), 1),
+        };
+        let cfg = NocConfig {
+            buffer_depth: depth,
+            flits_per_packet: flits,
+            vc_count,
+            multicast: mode > 0,
+            multicast_trees: mode == 2,
+            max_cycles: 60_000,
+            ..NocConfig::default()
+        };
+        for engine in [EngineKind::EventDriven, EngineKind::CycleOracle] {
+            let mut sim = NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(engine);
+            let forwards = sim.link_forwards(&flows);
+            let name = format!("{} {engine:?} {cfg:?}", sim.topology().name());
+            match sim.run_with_duration(&flows, 4) {
+                Ok((stats, _)) => prop_assert_eq!(
+                    Ok(stats.counters.link_flits),
+                    forwards.map(|f| u64::from(flits) * f),
+                    "{}", &name
+                ),
+                Err(NocError::CycleBudgetExhausted { .. }) => {
+                    prop_assert!(forwards.is_ok(), "{}: {:?}", &name, forwards)
+                }
+                Err(e) => prop_assert_eq!(Err(e), forwards, "{}", &name),
+            }
+        }
+    }
+}

@@ -1,16 +1,16 @@
-//! The one traffic model (`core::traffic`, reached through its four
-//! folds: `build_flows`, `local_events`, `TrafficMatrix::from_mapping`,
-//! `MulticastTraffic::from_mapping`) against the independent
-//! specification it must agree with — `PartitionProblem::{cut_spikes,
-//! cut_packets, cut_hops}`, which derive remote destinations with loops
-//! of their own — and against per-flow references rebuilt here:
+//! The one traffic model (`core::traffic`, reached through its three
+//! folds: `build_flows`, `local_events`, `TrafficMatrix::from_mapping`)
+//! against the independent specification it must agree with —
+//! `PartitionProblem::{cut_spikes, cut_packets, cut_hops}`, which derive
+//! remote destinations with loops of their own — and against per-flow
+//! references rebuilt here:
 //!
 //! * conservation: every synaptic event is local or cut;
 //! * the traffic matrix's totals and hop-weighted price equal the
 //!   partition objectives and what `hop_metrics` measures on the flows;
-//! * under Steiner trees, `hop_metrics` (one tree per run of equal
-//!   nets), `MulticastTraffic::tree_cost` (one per distinct net) and a
-//!   reference that routes one tree per spike agree;
+//! * under Steiner trees, `hop_metrics` (the NoC forwarding plan's count,
+//!   one tree per distinct net) equals a reference that routes one tree
+//!   per spike, on mesh, torus, tree and 2×2-chip fabrics;
 //! * flow order is invisible: `hop_metrics` under a shuffle, and the
 //!   whole `Report` for per-synapse flows in synapse (CSR) order, the
 //!   order `build_flows` emitted before it grouped them by crossbar;
@@ -22,7 +22,7 @@
 use neuromap::core::pipeline::{
     build_flows, local_events, MappingPipeline, PipelineConfig, TrafficMode,
 };
-use neuromap::core::place::{placement_cost, MulticastTraffic, TrafficMatrix};
+use neuromap::core::place::{placement_cost, TrafficMatrix};
 use neuromap::core::SpikeGraph;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
@@ -38,6 +38,15 @@ mod common;
 use common::arb_graph;
 
 const MODES: [TrafficMode; 2] = [TrafficMode::PerSynapse, TrafficMode::PerCrossbar];
+
+/// Two chips by two, chip-boundary hops priced 3 × 2 in the distance
+/// table.
+const HIER_2X2: InterconnectKind = InterconnectKind::Hier {
+    chip_cols: 2,
+    chip_rows: 2,
+    link_latency: 3,
+    link_width: 2,
+};
 
 /// Strategy: a graph, a crossbar count (a single crossbar included) and
 /// a uniformly random assignment — any is feasible at capacity `n`.
@@ -146,25 +155,36 @@ proptest! {
         }
     }
 
-    /// (c): the three tree pricers — per run, per net, per spike.
+    /// (c): `hop_metrics` under trees (the forwarding plan's count, one
+    /// tree per distinct net) against a reference that routes one tree
+    /// per spike, on mesh, torus, tree and 2×2-chip fabrics.
     #[test]
     fn tree_pricing_agrees_per_run_per_net_and_per_spike(
         (graph, mapping) in arb_mapped(),
-        torus in any::<bool>(),
+        kind_idx in 0u8..4,
     ) {
-        let (kind, vc_count) = if torus { (InterconnectKind::Torus, 2) } else { (InterconnectKind::Mesh, 1) };
+        let (kind, vc_count) = match kind_idx {
+            0 => (InterconnectKind::Mesh, 1),
+            1 => (InterconnectKind::Torus, 2),
+            2 => (InterconnectKind::Tree { arity: 2 }, 1),
+            _ => (HIER_2X2, 2),
+        };
         let noc = NocConfig { multicast: true, multicast_trees: true, vc_count, ..NocConfig::default() };
         let identity: Vec<u32> = (0..mapping.num_crossbars() as u32).collect();
         for mode in MODES {
             let pipeline = pipeline(&graph, &mapping, kind, noc, mode);
-            let topo = pipeline.topology();
             let flows = build_flows(&graph, &mapping, mode);
             let (weighted, _) = pipeline.hop_metrics(&flows);
-            prop_assert_eq!(weighted, per_flow_tree_cost(topo, vc_count, &flows), "{:?}", mode);
-            if mode == TrafficMode::PerCrossbar {
-                let nets = MulticastTraffic::from_mapping(&graph, &mapping);
-                prop_assert_eq!(weighted, nets.tree_cost(topo, vc_count, &identity));
-            }
+            let expected = match mode {
+                // the run turns multicast off: each packet is priced by
+                // the (seam-weighted, on `Hier`) distance table
+                TrafficMode::PerSynapse => {
+                    let matrix = TrafficMatrix::from_mapping(&graph, &mapping, mode);
+                    placement_cost(&matrix, pipeline.distances(), &identity)
+                }
+                TrafficMode::PerCrossbar => per_flow_tree_cost(pipeline.topology(), vc_count, &flows),
+            };
+            prop_assert_eq!(weighted, expected, "{:?} {:?}", kind, mode);
         }
     }
 
