@@ -19,8 +19,9 @@
 //! walks — the table a decision about that kernel starts from.
 //!
 //! `perf_probe noc` instead probes the interconnect engines on the
-//! dense-saturation workloads of [`neuromap_bench::noc_workloads`] and on
-//! repeated-net traffic at 64 and 1024 routers: it times the event engine
+//! dense-saturation workloads of [`neuromap_bench::noc_workloads`], on
+//! repeated-net traffic at 64 and 1024 routers and on per-synapse traffic
+//! on a 12-crossbar tree: it times the event engine
 //! against the cycle oracle and prints the event scheduler's diagnostic
 //! counters ([`neuromap_noc::stats::SchedCounters`]) — wake cycles,
 //! per-port wakes and router visits, and the wake-queue peaks — so
@@ -28,13 +29,14 @@
 //! just wall-clock noise; and,
 //! per scenario, the nets and forwarding-plan nodes of the run, spikes
 //! per net and host ns per router traversal — "does this traffic repeat
-//! its nets" is that one line.
+//! its nets" is that one line — and the host time of the run's four
+//! phases (setup, schedule, router loop, statistics).
 
 use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, Synthetic};
 use neuromap_apps::App;
 use neuromap_bench::noc_workloads::{
-    dense_workloads, engine_workloads, repeated_net_traffic, NocWorkload,
+    dense_workloads, engine_workloads, per_synapse_traffic, repeated_net_traffic, NocWorkload,
 };
 use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, SEED};
@@ -46,7 +48,7 @@ use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::{EngineKind, NocSim};
-use neuromap_noc::topology::{DistanceLut, Mesh2D};
+use neuromap_noc::topology::{DistanceLut, Mesh2D, NocTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -234,8 +236,10 @@ const SPOTTER_TOP_LANES: usize = 4;
 const SPOTTER_TOP_FLOWS: usize = 2;
 
 /// Event-vs-oracle probe over the dense-saturation workloads (destinations
-/// move every step: about one spike per net) and repeated-net traffic (a
-/// fixed net per neuron) on a 64- and a 1024-router mesh.
+/// move every step: about one spike per net), repeated-net traffic (a
+/// fixed net per neuron) on a 64- and a 1024-router mesh, and per-synapse
+/// traffic (one unicast flow per remote synapse per spike) on a
+/// 12-crossbar tree.
 fn probe_noc() {
     let mut workloads = dense_workloads();
     workloads.extend(
@@ -248,6 +252,17 @@ fn probe_noc() {
         flows: repeated_net_traffic(1024, 4096, 6, 48, 4),
         topo: || Box::new(Mesh2D::for_crossbars(1024)),
         cfg: NocConfig::default(),
+    });
+    // the mapper's per-synapse shape at the paper's scale: 12 crossbars
+    // on an arity-4 tree, 8192 cycles a step, 40 flows per spike
+    workloads.push(NocWorkload {
+        name: "tree12_per_synapse",
+        flows: per_synapse_traffic(12, 600, 40, 40, 4),
+        topo: || Box::new(NocTree::new(12, 4)),
+        cfg: NocConfig {
+            cycles_per_step: 8192,
+            ..NocConfig::default()
+        },
     });
     for w in workloads {
         let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
@@ -302,6 +317,14 @@ fn probe_noc() {
             trace.plan_nodes,
             c.router_traversals,
             event_s * 1e9 / c.router_traversals.max(1) as f64
+        );
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        println!(
+            "  phases: setup {:.1} ms, schedule {:.1} ms, loop {:.1} ms, statistics {:.1} ms",
+            ms(trace.setup_time),
+            ms(trace.schedule_time),
+            ms(trace.loop_time),
+            ms(trace.stats_time)
         );
 
         // congestion spotter over the structured event trace — a

@@ -96,6 +96,39 @@ pub fn repeated_net_traffic(
     flows
 }
 
+/// Per-synapse traffic — what the mapper's default `PerSynapse`
+/// accounting offers the interconnect: `neurons` neurons, each with a
+/// fixed home crossbar and `synapses` remote synapses spread over three
+/// other crossbars, firing every `period`-th step with a per-neuron
+/// phase. Every spike sends one unicast flow per remote synapse, so a
+/// spike's flows share their `(step, crossbar, neuron)` key and only the
+/// destination tells them apart; flows are emitted neuron by neuron, each
+/// spike's by ascending destination, as `core::pipeline::build_flows`
+/// does.
+pub fn per_synapse_traffic(
+    crossbars: u32,
+    neurons: u32,
+    synapses: u32,
+    steps: u32,
+    period: u32,
+) -> Vec<SpikeFlow> {
+    let mut flows = Vec::new();
+    for n in 0..neurons {
+        let src = n % crossbars;
+        let mut dsts: Vec<u32> = (0..synapses)
+            .map(|j| (src + 1 + (n / crossbars + j) % 3) % crossbars)
+            .collect();
+        dsts.sort_unstable();
+        for step in (n % period..steps).step_by(period as usize) {
+            flows.extend(
+                dsts.iter()
+                    .map(|&dst| SpikeFlow::unicast(n, src, dst, step)),
+            );
+        }
+    }
+    flows
+}
+
 /// One engine-comparison workload: the same flows, topology, and
 /// configuration are fed to both engines.
 pub struct NocWorkload {

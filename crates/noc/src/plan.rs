@@ -47,11 +47,12 @@ use crate::traffic::SpikeFlow;
 /// "No handle": the end of a chain or of a lane list.
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// Multiply-rotate hasher for net keys (a `u32` and a `[u32]`). Traffic
-/// that never repeats a net hashes every flow, and SipHash was then a
-/// tenth of a short run; nothing here is exposed to chosen keys.
+/// Multiply-rotate hasher for net keys (a `u32` and a `[u32]`), and for
+/// the `u32` ids the statistics group a delivery log by. Traffic that
+/// never repeats a net hashes every flow, and SipHash was then a tenth
+/// of a short run; nothing here is exposed to chosen keys.
 #[derive(Default)]
-struct NetHasher(u64);
+pub(crate) struct NetHasher(u64);
 
 impl Hasher for NetHasher {
     fn finish(&self) -> u64 {

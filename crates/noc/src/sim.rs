@@ -131,6 +131,7 @@ use crate::traffic::SpikeFlow;
 use neuromap_hw::energy::EnergyModel;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 pub(crate) mod oracle;
 
@@ -218,112 +219,133 @@ pub(crate) struct Spike {
 /// Expands flows into an injection schedule: canonical AER-encoder order,
 /// one packet per crossbar per cycle. Shared by both engines so the
 /// schedules they simulate are one and the same.
-fn build_schedule(
-    topo: &dyn Topology,
-    config: &NocConfig,
-    flows: &[SpikeFlow],
-    nets: &Nets<'_>,
-) -> Vec<Spike> {
-    // canonical order via packed key-index tuples: `(step, src)` and
-    // `(neuron, flow index)` each fuse into one u64, so the sort runs on
-    // plain integer pairs (no comparator closure). Flows equal in
-    // `(step, src, neuron)` still need the dest-set tiebreak to keep the
-    // order total — those runs are found and reordered in a second pass
-    // (under the mapper's per-synapse traffic they are the rule: every
-    // remote synapse of a firing neuron is a flow of its own with the
-    // same key, 887 008 flows on mapbench's `hd_tree_paper`).
-    let mut keys: Vec<(u64, u64)> = flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.dst_crossbars.is_empty())
-        .map(|(i, f)| {
-            (
-                (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar),
+///
+/// The canonical order is `traffic::sort_canonical`'s — step, source
+/// crossbar, neuron, destination set — with the input position as the
+/// last tiebreak. A spike's packets inject at `step × cycles_per_step +
+/// r`, `r` counting the packets its crossbar sent earlier in the step,
+/// and the table lists them in *slot order*: by inject cycle, then source
+/// crossbar, then neuron, then canonical position (a crossbar overloading
+/// its step window shares cycles with its own next step, where the neuron
+/// decides).
+fn build_schedule(config: &NocConfig, flows: &[SpikeFlow], nets: &Nets<'_>) -> Vec<Spike> {
+    // Generators emit a spike's flows back to back (per-synapse traffic:
+    // one per remote synapse, 219 a spike on mapbench's `hd_tree_paper`),
+    // so the sort runs over maximal runs of consecutive flows equal in
+    // `(step, src, neuron)`, each keyed by its packed `(step, src)` and
+    // `(neuron, first flow)` words, with the run's end beside them.
+    let mut groups: Vec<(u64, u64, usize)> = Vec::new();
+    for (i, f) in flows.iter().enumerate() {
+        let step_src = (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar);
+        match groups.last_mut() {
+            Some(g) if g.0 == step_src && g.1 >> 32 == u64::from(f.source_neuron) => g.2 = i + 1,
+            _ => groups.push((
+                step_src,
                 (u64::from(f.source_neuron) << 32) | i as u64,
-            )
-        })
-        .collect();
-    keys.sort_unstable();
-    let flow_of = |key: &(u64, u64)| (key.1 & 0xffff_ffff) as usize;
-    let mut s = 0;
-    while s < keys.len() {
-        let mut e = s + 1;
-        while e < keys.len() && keys[e].0 == keys[s].0 && keys[e].1 >> 32 == keys[s].1 >> 32 {
-            e += 1;
+                i + 1,
+            )),
         }
-        if e - s > 1 {
-            // stable, so ties equal in dest set too keep their flow order
-            // (byte-equal flows — they inject identically either way)
-            keys[s..e].sort_by(|a, b| {
-                flows[flow_of(a)]
-                    .dst_crossbars
-                    .cmp(&flows[flow_of(b)].dst_crossbars)
-            });
-        }
-        s = e;
     }
+    groups.sort_unstable();
 
-    // canonical pass computes each packet's slot key without building the
-    // spike: `(inject cycle, src and neuron packed into one word,
-    // generation index)` — the generation is both the stable-order
-    // tiebreak and the index into a side table holding what
-    // materialization needs. Sorting 24-byte integer triples and
-    // constructing every spike once, in final order, replaces the old
-    // build-then-permute shuffle.
-    let n_slots: usize = if config.multicast {
-        keys.len()
-    } else {
-        keys.iter()
-            .map(|k| flows[flow_of(k)].dst_crossbars.len())
-            .sum()
-    };
-    let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(n_slots);
-    // (spike id, flow index, packet of the flow) per generation
-    let mut meta: Vec<(u32, u32, u32)> = Vec::with_capacity(n_slots);
-    // per-crossbar rank within the current step window
-    let mut rank: Vec<u64> = vec![0; topo.num_crossbars()];
-    let mut current_step = u32::MAX;
-    for (spike_id, key) in keys.iter().enumerate() {
-        let step = (key.0 >> 32) as u32;
-        let src = key.0 as u32;
-        let neuron = (key.1 >> 32) as u32;
-        let fi = flow_of(key) as u32;
-        if step != current_step {
-            current_step = step;
-            rank.iter_mut().for_each(|r| *r = 0);
+    // The flows that send, in canonical order: equal keys in flow order,
+    // then stably by destination set. The flows of one `(step, src)` are
+    // a *run*; its packets inject on consecutive cycles from the step's
+    // first, so every run is already in slot order.
+    struct Run {
+        /// Canonical position of the next packet's flow.
+        next: usize,
+        /// One past the run's last canonical position.
+        end: usize,
+        /// Packet of that flow (destination position under unicast).
+        packet: usize,
+        first_cycle: u64,
+    }
+    let mut order: Vec<u32> = Vec::with_capacity(flows.len());
+    let mut runs: Vec<Run> = Vec::new();
+    let mut last_step_src = 0;
+    for same in groups.chunk_by(|a, b| a.0 == b.0 && a.1 >> 32 == b.1 >> 32) {
+        let start = order.len();
+        for &(_, neuron_first, end) in same {
+            let first = (neuron_first & 0xffff_ffff) as usize;
+            order.extend(
+                (first..end)
+                    .filter(|&i| !flows[i].dst_crossbars.is_empty())
+                    .map(|i| i as u32),
+            );
         }
-        let base = u64::from(step) * config.cycles_per_step;
-        let n_packets = if config.multicast {
+        if order.len() == start {
+            continue;
+        }
+        // stable, so ties equal in dest set too keep their flow order
+        // (byte-equal flows — they inject identically either way)
+        order[start..].sort_by(|&a, &b| {
+            flows[a as usize]
+                .dst_crossbars
+                .cmp(&flows[b as usize].dst_crossbars)
+        });
+        match runs.last_mut() {
+            Some(run) if last_step_src == same[0].0 => run.end = order.len(),
+            _ => runs.push(Run {
+                next: start,
+                end: order.len(),
+                packet: 0,
+                first_cycle: (same[0].0 >> 32) * config.cycles_per_step,
+            }),
+        }
+        last_step_src = same[0].0;
+    }
+    let packets = |f: &SpikeFlow| {
+        if config.multicast {
             1
         } else {
-            flows[fi as usize].dst_crossbars.len()
-        };
-        for pi in 0..n_packets as u32 {
-            let r = &mut rank[src as usize];
-            slots.push((
-                base + *r,
-                (u64::from(src) << 32) | u64::from(neuron),
-                meta.len() as u64,
-            ));
-            meta.push((spike_id as u32, fi, pi));
-            *r += 1;
+            f.dst_crossbars.len()
         }
-    }
-    slots.sort_unstable();
-    slots
-        .into_iter()
-        .map(|(inject_cycle, src_neuron, gen)| {
-            let (spike_id, fi, pi) = meta[gen as usize];
-            Spike {
-                spike_id,
-                source_neuron: src_neuron as u32,
-                src_crossbar: (src_neuron >> 32) as u32,
-                send_step: flows[fi as usize].send_step,
-                net: nets.of(fi as usize, pi as usize),
-                inject_cycle,
+    };
+
+    // The merge, a cycle at a time: a run injects one packet a cycle from
+    // its first cycle until it is spent, so a cycle's packets are one from
+    // each active run, in slot order among them (the run index stands in
+    // for the canonical position: it orders the same way). Runs are in
+    // `(step, src)` order, so they join in order of their first cycle.
+    let mut spikes = Vec::with_capacity(order.iter().map(|&i| packets(&flows[i as usize])).sum());
+    let mut active: Vec<usize> = Vec::new();
+    let mut joined = 0;
+    let mut cycle = 0;
+    while joined < runs.len() || !active.is_empty() {
+        if active.is_empty() {
+            cycle = runs[joined].first_cycle;
+        }
+        while joined < runs.len() && runs[joined].first_cycle == cycle {
+            active.push(joined);
+            joined += 1;
+        }
+        active.sort_unstable_by_key(|&r| {
+            let f = &flows[order[runs[r].next] as usize];
+            (f.src_crossbar, f.source_neuron, r)
+        });
+        for &r in &active {
+            let run = &mut runs[r];
+            let fi = order[run.next] as usize;
+            let f = &flows[fi];
+            spikes.push(Spike {
+                spike_id: run.next as u32,
+                source_neuron: f.source_neuron,
+                src_crossbar: f.src_crossbar,
+                send_step: f.send_step,
+                net: nets.of(fi, run.packet),
+                inject_cycle: cycle,
+            });
+            run.packet += 1;
+            if run.packet == packets(f) {
+                run.packet = 0;
+                run.next += 1;
             }
-        })
-        .collect()
+        }
+        active.retain(|&r| runs[r].next < runs[r].end);
+        cycle += 1;
+    }
+    spikes
 }
 
 /// One FIFO lane: an intrusive list of queued packets (chains) through
@@ -664,7 +686,7 @@ impl<'f> Setup<'f> {
 /// policy `S` → statistics. `events` is the engine's
 /// retained-trace slot (cleared up front, refilled on success when
 /// [`NocConfig::trace`] is on); `sim_trace`, when given, receives the
-/// scheduler trace.
+/// scheduler trace and the host time of each of the four phases.
 fn run_engine<S: Sched>(
     topo: &Arc<dyn Topology>,
     config: &NocConfig,
@@ -675,8 +697,11 @@ fn run_engine<S: Sched>(
     mut sim_trace: Option<&mut SimTrace>,
 ) -> Result<(NocStats, Vec<Delivery>), NocError> {
     *events = None;
+    let start = Instant::now();
     let Setup { ports, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
-    let spikes = build_schedule(topo.as_ref(), config, flows, &nets);
+    let setup_done = Instant::now();
+    let spikes = build_schedule(config, flows, &nets);
+    let schedule_done = Instant::now();
     if let Some(t) = sim_trace.as_deref_mut() {
         t.nets = nets.len() as u64;
         t.plan_nodes = plan.node_count() as u64;
@@ -692,9 +717,7 @@ fn run_engine<S: Sched>(
         recorded.as_mut(),
     )?;
     *events = recorded;
-    if let Some(t) = sim_trace {
-        t.sched = sched;
-    }
+    let loop_done = Instant::now();
     let mut stats = NocStats::from_deliveries(
         &deliveries,
         counters,
@@ -703,6 +726,13 @@ fn run_engine<S: Sched>(
         config.cycles_per_step,
     )
     .with_per_vc(per_vc);
+    if let Some(t) = sim_trace {
+        t.sched = sched;
+        t.setup_time = setup_done - start;
+        t.schedule_time = schedule_done - setup_done;
+        t.loop_time = loop_done - schedule_done;
+        t.stats_time = loop_done.elapsed();
+    }
     if config.sched_stats && S::SELECTIVE {
         stats = stats.with_sched(sched);
     }
@@ -909,7 +939,7 @@ fn simulate<S: Sched>(
         }};
     }
 
-    // consume the spike table in inject order (it is already sorted)
+    // consume the spike table in inject order (`build_schedule` lists it so)
     while next_inject < num_injections || queued_packets > 0 || !in_transit.is_empty() {
         if now > cfg.max_cycles {
             return Err(NocError::CycleBudgetExhausted {
@@ -1182,6 +1212,199 @@ mod tests {
 
     fn sim(topo: Box<dyn Topology>) -> NocSim {
         NocSim::new(topo, NocConfig::default(), EnergyModel::default())
+    }
+
+    /// The schedule as built before the merge: the canonical order by a
+    /// sort of packed keys, then every packet's slot triple `(inject
+    /// cycle, src and neuron, generation)` in that order, sorted, and the
+    /// table materialized from a side table per generation.
+    fn schedule_by_sorting(
+        crossbars: usize,
+        config: &NocConfig,
+        flows: &[SpikeFlow],
+        nets: &Nets<'_>,
+    ) -> Vec<Spike> {
+        // canonical order via packed key-index tuples: `(step, src)` and
+        // `(neuron, flow index)` each fuse into one u64, so the sort runs on
+        // plain integer pairs (no comparator closure). Flows equal in
+        // `(step, src, neuron)` still need the dest-set tiebreak to keep the
+        // order total — those runs are found and reordered in a second pass
+        // (under the mapper's per-synapse traffic they are the rule: every
+        // remote synapse of a firing neuron is a flow of its own with the
+        // same key, 887 008 flows on mapbench's `hd_tree_paper`).
+        let mut keys: Vec<(u64, u64)> = flows
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| !f.dst_crossbars.is_empty())
+            .map(|(i, f)| {
+                (
+                    (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar),
+                    (u64::from(f.source_neuron) << 32) | i as u64,
+                )
+            })
+            .collect();
+        keys.sort_unstable();
+        let flow_of = |key: &(u64, u64)| (key.1 & 0xffff_ffff) as usize;
+        let mut s = 0;
+        while s < keys.len() {
+            let mut e = s + 1;
+            while e < keys.len() && keys[e].0 == keys[s].0 && keys[e].1 >> 32 == keys[s].1 >> 32 {
+                e += 1;
+            }
+            if e - s > 1 {
+                // stable, so ties equal in dest set too keep their flow order
+                // (byte-equal flows — they inject identically either way)
+                keys[s..e].sort_by(|a, b| {
+                    flows[flow_of(a)]
+                        .dst_crossbars
+                        .cmp(&flows[flow_of(b)].dst_crossbars)
+                });
+            }
+            s = e;
+        }
+
+        // canonical pass computes each packet's slot key without building the
+        // spike: `(inject cycle, src and neuron packed into one word,
+        // generation index)` — the generation is both the stable-order
+        // tiebreak and the index into a side table holding what
+        // materialization needs. Sorting 24-byte integer triples and
+        // constructing every spike once, in final order, replaces the old
+        // build-then-permute shuffle.
+        let n_slots: usize = if config.multicast {
+            keys.len()
+        } else {
+            keys.iter()
+                .map(|k| flows[flow_of(k)].dst_crossbars.len())
+                .sum()
+        };
+        let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(n_slots);
+        // (spike id, flow index, packet of the flow) per generation
+        let mut meta: Vec<(u32, u32, u32)> = Vec::with_capacity(n_slots);
+        // per-crossbar rank within the current step window
+        let mut rank: Vec<u64> = vec![0; crossbars];
+        let mut current_step = u32::MAX;
+        for (spike_id, key) in keys.iter().enumerate() {
+            let step = (key.0 >> 32) as u32;
+            let src = key.0 as u32;
+            let neuron = (key.1 >> 32) as u32;
+            let fi = flow_of(key) as u32;
+            if step != current_step {
+                current_step = step;
+                rank.iter_mut().for_each(|r| *r = 0);
+            }
+            let base = u64::from(step) * config.cycles_per_step;
+            let n_packets = if config.multicast {
+                1
+            } else {
+                flows[fi as usize].dst_crossbars.len()
+            };
+            for pi in 0..n_packets as u32 {
+                let r = &mut rank[src as usize];
+                slots.push((
+                    base + *r,
+                    (u64::from(src) << 32) | u64::from(neuron),
+                    meta.len() as u64,
+                ));
+                meta.push((spike_id as u32, fi, pi));
+                *r += 1;
+            }
+        }
+        slots.sort_unstable();
+        slots
+            .into_iter()
+            .map(|(inject_cycle, src_neuron, gen)| {
+                let (spike_id, fi, pi) = meta[gen as usize];
+                Spike {
+                    spike_id,
+                    source_neuron: src_neuron as u32,
+                    src_crossbar: (src_neuron >> 32) as u32,
+                    send_step: flows[fi as usize].send_step,
+                    net: nets.of(fi as usize, pi as usize),
+                    inject_cycle,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_schedule_is_the_sorted_schedule() {
+        // xorshift: the crate has no RNG dependency
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut overloaded = 0;
+        for case in 0..600 {
+            let crossbars = 1 + draw(4);
+            let multicast = case % 2 == 0;
+            // every fifth case starts its steps just short of the last
+            // cycle `check_clock` lets a run reach
+            let near_limit = case % 5 == 4;
+            let cycles_per_step = if near_limit {
+                (1 << 32) - 2
+            } else {
+                1 + draw(4)
+            };
+            let first_step = if near_limit { u32::MAX - 3 } else { 0 };
+            // few neurons and steps: many flows share a `(step, crossbar,
+            // neuron)` key, as per-synapse traffic does; destination lists
+            // may be empty, repeat a crossbar or name the source
+            let flows: Vec<SpikeFlow> = (0..draw(50))
+                .map(|_| SpikeFlow {
+                    source_neuron: draw(4) as u32,
+                    src_crossbar: draw(crossbars) as u32,
+                    dst_crossbars: (0..draw(4)).map(|_| draw(crossbars) as u32).collect(),
+                    send_step: first_step + draw(4) as u32,
+                })
+                .collect();
+            let config = NocConfig {
+                multicast,
+                cycles_per_step,
+                ..NocConfig::default()
+            };
+            check_clock(&config, &flows).expect("the clock reaches the last injection");
+            let nets = Nets::intern(&flows, multicast);
+            let fields = |s: &Spike| {
+                (
+                    s.spike_id,
+                    s.source_neuron,
+                    s.src_crossbar,
+                    s.send_step,
+                    s.net,
+                    s.inject_cycle,
+                )
+            };
+            let merged: Vec<_> = build_schedule(&config, &flows, &nets)
+                .iter()
+                .map(fields)
+                .collect();
+            let sorted: Vec<_> = schedule_by_sorting(crossbars as usize, &config, &flows, &nets)
+                .iter()
+                .map(fields)
+                .collect();
+            assert_eq!(merged, sorted, "case {case}: {flows:?}");
+            // a crossbar sending more packets in a step than the step has
+            // cycles shares inject cycles with its own next step
+            let mut per_window = std::collections::HashMap::new();
+            for f in &flows {
+                let packets = if multicast {
+                    f.dst_crossbars.len().min(1)
+                } else {
+                    f.dst_crossbars.len()
+                };
+                *per_window.entry((f.send_step, f.src_crossbar)).or_insert(0) += packets as u64;
+            }
+            if per_window.values().any(|&p| p > cycles_per_step) {
+                overloaded += 1;
+            }
+        }
+        assert!(
+            overloaded > 100,
+            "only {overloaded} cases overload a step window"
+        );
     }
 
     #[test]

@@ -5,7 +5,12 @@
 use neuromap_hw::energy::EnergyModel;
 use serde::{Deserialize, Serialize};
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::time::Duration;
+
 use crate::error::NocError;
+use crate::plan::NetHasher;
 
 /// One completed delivery: a spike that reached a destination crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,7 +146,10 @@ pub struct SchedCounters {
 /// [`crate::sim::NocSim::run_traced`] (the progress log only under
 /// [`crate::sim::EngineKind::CycleOracle`]). Feeds the liveness and
 /// wake-bound properties in `tests/noc_properties.rs`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Not comparable: the phase times are host wall-clock, which no two
+/// runs share.
+#[derive(Debug, Clone, Default)]
 pub struct SimTrace {
     /// Cycles the event engine attended, ascending. Empty for the oracle
     /// (it attends every cycle of every drain window by construction).
@@ -159,6 +167,16 @@ pub struct SimTrace {
     /// Nodes of the run's forwarding plan: (net, router reached) pairs.
     /// Equal under both engines; not part of any digest.
     pub plan_nodes: u64,
+    /// Host wall-clock time of the run's setup: validation, net interning
+    /// and the forwarding plan. Like the three phase times below it, it
+    /// is never compared and outside every digest.
+    pub setup_time: Duration,
+    /// Host wall-clock time of building the injection schedule.
+    pub schedule_time: Duration,
+    /// Host wall-clock time of the router loop.
+    pub loop_time: Duration,
+    /// Host wall-clock time of the statistics over the delivery log.
+    pub stats_time: Duration,
 }
 
 /// Full statistics of one interconnect simulation.
@@ -223,23 +241,23 @@ impl NocStats {
             .map(|d| d.deliver_cycle)
             .max()
             .unwrap_or(0);
-        // one latency pass + one sort feed avg, max and both percentiles
-        // (summing before the sort — u64 addition is order-independent)
+        // one latency pass feeds avg and max (u64 addition is
+        // order-independent); the percentiles are selections on it
         let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
         let avg_latency = if delivered == 0 {
             0.0
         } else {
             lat.iter().sum::<u64>() as f64 / delivered as f64
         };
-        lat.sort_unstable();
-        let max_latency = lat.last().copied().unwrap_or(0);
-        let (p50, p99) = percentiles_of_sorted(&lat);
+        let max_latency = lat.iter().copied().max().unwrap_or(0);
+        let (p50, p99) = percentiles(&mut lat);
+        // freed before the bucketing below allocates
+        drop(lat);
 
         let duration_ms = duration_steps.max(1) as f64;
         let throughput = delivered as f64 / duration_ms;
 
-        let disorder = disorder_fraction(deliveries);
-        let (avg_isi, max_isi) = isi_distortion(deliveries);
+        let (disorder, (avg_isi, max_isi)) = ByDestination::new(deliveries).order_metrics();
 
         let global_energy_pj = counters.packets_injected as f64 * energy.encode_pj
             + counters.deliveries as f64 * energy.decode_pj
@@ -320,16 +338,22 @@ impl NocStats {
     }
 }
 
-/// Nearest-rank `(p50, p99)` of an already-sorted latency slice.
-fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
+/// Nearest-rank `(p50, p99)` of `lat`, by selection (reorders `lat`).
+fn percentiles(lat: &mut [u64]) -> (u64, u64) {
     if lat.is_empty() {
         return (0, 0);
     }
-    let rank = |p: f64| -> u64 {
-        let idx = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
-        lat[idx]
+    let n = lat.len();
+    let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+    let (i50, i99) = (rank(0.50), rank(0.99));
+    let (below, &mut p99, _) = lat.select_nth_unstable(i99);
+    // everything left of rank 99 is at most p99, so p50 is selected there
+    let p50 = if i50 == i99 {
+        p99
+    } else {
+        *below.select_nth_unstable(i50).1
     };
-    (rank(0.50), rank(0.99))
+    (p50, p99)
 }
 
 /// Fraction of deliveries arriving out of order at their destination.
@@ -338,94 +362,226 @@ fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
 /// `t + 1` carries later information than one fired at `t` (spikes within
 /// the same timestep are simultaneous — their relative AER serialization
 /// order carries no information). Per destination crossbar, deliveries are
-/// ordered by send step (ties by inject cycle); each adjacent cross-step
-/// pair delivered in inverted order counts once. The fraction is
-/// inversions / deliveries — the paper's "fraction of total spikes arriving
-/// out of order at the neurons", caused by congestion delaying older
-/// spikes past newer ones (the paper's crossbar-arbitration example).
+/// ordered by send step (ties by inject cycle, then source neuron, then
+/// log position); each adjacent cross-step pair delivered in inverted
+/// order counts once. The fraction is inversions / deliveries — the
+/// paper's "fraction of total spikes arriving out of order at the
+/// neurons", caused by congestion delaying older spikes past newer ones
+/// (the paper's crossbar-arbitration example).
 pub fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
-    if deliveries.is_empty() {
-        return 0.0;
-    }
-    // one sort groups the per-destination streams in their sorted order
-    // at once (the engines call this on every run: a HashMap of
-    // per-stream Vecs showed up in the dense-regime bench profile).
-    // Packed keys — (dst, step) and (neuron, input index) each fused
-    // into one u64 — keep the exact lexicographic order of the field
-    // tuple while most comparisons resolve on the first word; the unique
-    // index makes the unstable sort reproduce the stable order exactly.
-    let mut sorted: Vec<(u64, u64, u64)> = deliveries
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            (
-                (u64::from(d.dst_crossbar) << 32) | u64::from(d.send_step),
-                d.inject_cycle,
-                (u64::from(d.source_neuron) << 32) | i as u64,
-            )
-        })
-        .collect();
-    sorted.sort_unstable();
-    let deliver = |key: &(u64, u64, u64)| deliveries[(key.2 & 0xffff_ffff) as usize].deliver_cycle;
-    let inversions = sorted
-        .windows(2)
-        .filter(|w| {
-            let (a, b) = (w[0], w[1]);
-            // same dst, strictly later step, delivered earlier
-            a.0 >> 32 == b.0 >> 32 && a.0 < b.0 && deliver(&a) > deliver(&b)
-        })
-        .count() as u64;
-    inversions as f64 / deliveries.len() as f64
+    ByDestination::new(deliveries).order_metrics().0
 }
 
 /// ISI distortion per (source neuron, destination crossbar) stream:
-/// max |ISI(inject) − ISI(deliver)| in cycles; returns `(mean, max)` over
-/// streams with at least two spikes.
+/// max |ISI(inject) − ISI(deliver)| in cycles, the stream taken in
+/// (inject, deliver) order; returns `(mean, max)` over streams with at
+/// least two spikes.
 pub fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
-    // single sort instead of a HashMap of per-stream Vecs (see
-    // `disorder_fraction`): streams are the maximal runs sharing
-    // `(source_neuron, dst_crossbar)` — packed into one u64 stream key —
-    // with times sorted within each run
-    let mut sorted: Vec<(u64, u64, u64)> = deliveries
-        .iter()
-        .map(|d| {
-            (
-                (u64::from(d.source_neuron) << 32) | u64::from(d.dst_crossbar),
-                d.inject_cycle,
-                d.deliver_cycle,
-            )
-        })
-        .collect();
-    sorted.sort_unstable();
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    let mut global_max = 0u64;
-    let mut i = 0;
-    while i < sorted.len() {
-        let (stream, ..) = sorted[i];
-        let mut stream_max = 0u64;
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j].0 == stream {
-            let (_, ai, ad) = sorted[j - 1];
-            let (_, bi, bd) = sorted[j];
-            let sent_isi = bi - ai;
-            let recv_isi = bd.abs_diff(ad);
-            stream_max = stream_max.max(sent_isi.abs_diff(recv_isi));
-            j += 1;
+    ByDestination::new(deliveries).order_metrics().1
+}
+
+/// A delivery log bucketed by destination crossbar: both order metrics
+/// are per destination, so one counting pass groups the log for both.
+/// Within a group the log keeps its own order, which is nearly the order
+/// either metric wants — an engine delivers a destination's spikes step
+/// after step, and each stream's in inject order — so no group is
+/// sorted, only the few pieces that arrived out of order.
+///
+/// Destinations get dense ids by hashing, never by value: the log is any
+/// log, and no table here is sized by a crossbar, step or neuron value.
+struct ByDestination<'a> {
+    log: &'a [Delivery],
+    /// Log positions, grouped by destination, ascending within a group.
+    order: Vec<u32>,
+    /// Group `g` is `order[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<usize>,
+}
+
+/// The deliveries of one send step at one destination that arrived
+/// back to back in the log: the deliver cycles of the first and the last
+/// of them in `(inject cycle, source neuron, log position)` order.
+#[derive(Clone, Copy)]
+struct StepRun {
+    step: u32,
+    first: ((u64, u32), u64),
+    last: ((u64, u32), u64),
+}
+
+impl StepRun {
+    /// Folds in a delivery later in the log than every one folded so
+    /// far: on an equal key the later log position is the larger.
+    fn fold(&mut self, key: (u64, u32), deliver: u64) {
+        if key < self.first.0 {
+            self.first = (key, deliver);
         }
-        if j > i + 1 {
-            sum += stream_max;
-            count += 1;
-            global_max = global_max.max(stream_max);
+        if key >= self.last.0 {
+            self.last = (key, deliver);
         }
-        i = j;
     }
-    let mean = if count == 0 {
-        0.0
-    } else {
-        sum as f64 / count as f64
-    };
-    (mean, global_max)
+}
+
+/// One (source neuron, destination) stream while its group is read in
+/// log order.
+#[derive(Clone, Copy)]
+struct Stream {
+    /// `(inject, deliver)` of the stream's latest delivery.
+    last: (u64, u64),
+    /// Largest ISI distortion between consecutive deliveries so far.
+    worst: u64,
+    spikes: u64,
+    /// Every delivery so far came in `(inject, deliver)` order.
+    in_order: bool,
+}
+
+impl<'a> ByDestination<'a> {
+    fn new(log: &'a [Delivery]) -> Self {
+        let mut ids: HashMap<u32, u32, BuildHasherDefault<NetHasher>> = HashMap::default();
+        let mut sizes: Vec<usize> = Vec::new();
+        let group: Vec<u32> = log
+            .iter()
+            .map(|d| {
+                let fresh = sizes.len() as u32;
+                let g = *ids.entry(d.dst_crossbar).or_insert(fresh);
+                if g == fresh {
+                    sizes.push(0);
+                }
+                sizes[g as usize] += 1;
+                g
+            })
+            .collect();
+        let mut bounds = Vec::with_capacity(sizes.len() + 1);
+        bounds.push(0);
+        for size in sizes {
+            bounds.push(bounds[bounds.len() - 1] + size);
+        }
+        let mut fill = bounds.clone();
+        let mut order = vec![0u32; log.len()];
+        for (i, &g) in group.iter().enumerate() {
+            order[fill[g as usize]] = i as u32;
+            fill[g as usize] += 1;
+        }
+        Self { log, order, bounds }
+    }
+
+    /// `(disorder_fraction, (mean, max) ISI distortion)`: see
+    /// [`disorder_fraction`] and [`isi_distortion`].
+    fn order_metrics(&self) -> (f64, (f64, u64)) {
+        let mut inversions = 0u64;
+        let (mut isi_sum, mut isi_streams, mut isi_max) = (0u64, 0u64, 0u64);
+        let mut runs: Vec<StepRun> = Vec::new();
+        let mut slot_of: HashMap<u32, u32, BuildHasherDefault<NetHasher>> = HashMap::default();
+        let mut streams: Vec<Stream> = Vec::new();
+        let mut unordered: Vec<(u32, u64, u64)> = Vec::new();
+        for g in self.bounds.windows(2) {
+            let group = &self.order[g[0]..g[1]];
+            runs.clear();
+            slot_of.clear();
+            streams.clear();
+            // a stream's deliveries tend to come back to back
+            let mut cached: Option<(u32, u32)> = None;
+            for &i in group {
+                let d = &self.log[i as usize];
+                // disorder: one summary per run of equal steps
+                let key = (d.inject_cycle, d.source_neuron);
+                match runs.last_mut() {
+                    Some(run) if run.step == d.send_step => run.fold(key, d.deliver_cycle),
+                    _ => runs.push(StepRun {
+                        step: d.send_step,
+                        first: (key, d.deliver_cycle),
+                        last: (key, d.deliver_cycle),
+                    }),
+                }
+                // ISI: each stream's consecutive pair, while in order
+                let slot = match cached {
+                    Some((neuron, slot)) if neuron == d.source_neuron => slot,
+                    _ => {
+                        let fresh = streams.len() as u32;
+                        let slot = *slot_of.entry(d.source_neuron).or_insert(fresh);
+                        if slot == fresh {
+                            streams.push(Stream {
+                                last: (d.inject_cycle, d.deliver_cycle),
+                                worst: 0,
+                                spikes: 0,
+                                in_order: true,
+                            });
+                        }
+                        cached = Some((d.source_neuron, slot));
+                        slot
+                    }
+                };
+                let s = &mut streams[slot as usize];
+                let now = (d.inject_cycle, d.deliver_cycle);
+                if now < s.last {
+                    s.in_order = false;
+                } else if s.in_order {
+                    s.worst = s.worst.max(isi_gap(s.last, now));
+                }
+                s.last = now;
+                s.spikes += 1;
+            }
+
+            // a step the log split over several runs folds into one, in
+            // log order (the sort is stable); then adjacent steps compare
+            runs.sort_by_key(|run| run.step);
+            runs.dedup_by(|later, kept| {
+                if later.step != kept.step {
+                    return false;
+                }
+                kept.fold(later.first.0, later.first.1);
+                kept.fold(later.last.0, later.last.1);
+                true
+            });
+            inversions += runs
+                .windows(2)
+                .filter(|w| w[0].last.1 > w[1].first.1)
+                .count() as u64;
+
+            // the streams that did not arrive in inject order, sorted
+            if streams.iter().any(|s| !s.in_order) {
+                unordered.clear();
+                for &i in group {
+                    let d = &self.log[i as usize];
+                    let slot = slot_of[&d.source_neuron];
+                    let s = &mut streams[slot as usize];
+                    if !s.in_order {
+                        s.worst = 0;
+                        unordered.push((slot, d.inject_cycle, d.deliver_cycle));
+                    }
+                }
+                unordered.sort_unstable();
+                for w in unordered.windows(2) {
+                    if w[0].0 == w[1].0 {
+                        let s = &mut streams[w[0].0 as usize];
+                        s.worst = s.worst.max(isi_gap((w[0].1, w[0].2), (w[1].1, w[1].2)));
+                    }
+                }
+            }
+            for s in streams.iter().filter(|s| s.spikes > 1) {
+                isi_sum += s.worst;
+                isi_streams += 1;
+                isi_max = isi_max.max(s.worst);
+            }
+        }
+        let disorder = if self.log.is_empty() {
+            0.0
+        } else {
+            inversions as f64 / self.log.len() as f64
+        };
+        let isi_mean = if isi_streams == 0 {
+            0.0
+        } else {
+            isi_sum as f64 / isi_streams as f64
+        };
+        (disorder, (isi_mean, isi_max))
+    }
+}
+
+/// |ISI(inject) − ISI(deliver)| between two consecutive `(inject,
+/// deliver)` pairs of one stream, the second injected no earlier.
+fn isi_gap(a: (u64, u64), b: (u64, u64)) -> u64 {
+    let sent = b.0 - a.0;
+    let received = b.1.abs_diff(a.1);
+    sent.abs_diff(received)
 }
 
 #[cfg(test)]
@@ -637,10 +793,11 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let latencies: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentiles_of_sorted(&latencies), (50, 99));
-        assert_eq!(percentiles_of_sorted(&[]), (0, 0));
-        assert_eq!(percentiles_of_sorted(&[7]), (7, 7));
+        let mut latencies: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(percentiles(&mut latencies), (50, 99));
+        assert_eq!(percentiles(&mut []), (0, 0));
+        assert_eq!(percentiles(&mut [7]), (7, 7));
+        assert_eq!(percentiles(&mut [9, 3]), (3, 9));
     }
 
     #[test]

@@ -57,26 +57,24 @@ impl SpikeFlow {
 /// traffic emits several flows with the same `(step, crossbar, neuron)`
 /// key (one per cut synapse), and a key-only sort would let the caller's
 /// input order leak into the injection schedule. With a total order,
-/// permuting the input flows cannot change the simulation.
+/// permuting the input flows cannot change the simulation. The simulator
+/// builds its schedule in this order without calling it (equal flows keep
+/// their input order there, which no output can tell apart).
 pub fn sort_canonical(flows: &mut [SpikeFlow]) {
-    flows.sort_by(canonical_cmp);
-}
-
-/// The total injection order of [`sort_canonical`], as a comparator —
-/// for sorting borrowed flow slices without cloning the flows.
-pub fn canonical_cmp(a: &SpikeFlow, b: &SpikeFlow) -> std::cmp::Ordering {
-    (
-        a.send_step,
-        a.src_crossbar,
-        a.source_neuron,
-        &a.dst_crossbars,
-    )
-        .cmp(&(
-            b.send_step,
-            b.src_crossbar,
-            b.source_neuron,
-            &b.dst_crossbars,
-        ))
+    flows.sort_by(|a, b| {
+        (
+            a.send_step,
+            a.src_crossbar,
+            a.source_neuron,
+            &a.dst_crossbars,
+        )
+            .cmp(&(
+                b.send_step,
+                b.src_crossbar,
+                b.source_neuron,
+                &b.dst_crossbars,
+            ))
+    });
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
 use neuromap::noc::router::Arbitration;
 use neuromap::noc::sim::{EngineKind, NocSim};
-use neuromap::noc::stats::{Delivery, NocStats};
+use neuromap::noc::stats::{disorder_fraction, isi_distortion, Counters, Delivery, NocStats};
 use neuromap::noc::topology::{
     check_vc_tree_dependencies, HierTopology, Mesh2D, NocTree, PointToPoint, Star, Topology, Torus,
 };
@@ -1616,5 +1616,196 @@ proptest! {
                 Err(e) => prop_assert_eq!(Err(e), forwards, "{}", &name),
             }
         }
+    }
+}
+
+/// Nearest-rank `(p50, p99)` of a sorted latency slice — the sort-based
+/// form `NocStats::from_deliveries`' selections are held to.
+fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
+    if lat.is_empty() {
+        return (0, 0);
+    }
+    let rank = |p: f64| {
+        let idx = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
+        lat[idx]
+    };
+    (rank(0.50), rank(0.99))
+}
+
+/// [`disorder_fraction`] by one sort of the whole log into
+/// `(destination, step, inject, neuron, position)` order: each adjacent
+/// pair at one destination, a step apart and delivered inverted, counts.
+fn disorder_by_sorting(deliveries: &[Delivery]) -> f64 {
+    if deliveries.is_empty() {
+        return 0.0;
+    }
+    let mut sorted: Vec<(u32, u32, u64, u32, usize)> = deliveries
+        .iter()
+        .enumerate()
+        .map(|(i, d)| {
+            (
+                d.dst_crossbar,
+                d.send_step,
+                d.inject_cycle,
+                d.source_neuron,
+                i,
+            )
+        })
+        .collect();
+    sorted.sort_unstable();
+    let deliver = |k: &(u32, u32, u64, u32, usize)| deliveries[k.4].deliver_cycle;
+    let inversions = sorted
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0 && w[0].1 < w[1].1 && deliver(&w[0]) > deliver(&w[1]))
+        .count();
+    inversions as f64 / deliveries.len() as f64
+}
+
+/// [`isi_distortion`] by one sort of the whole log into
+/// `(neuron, destination, inject, deliver)` order, streams being its
+/// maximal runs of one `(neuron, destination)`.
+fn isi_by_sorting(deliveries: &[Delivery]) -> (f64, u64) {
+    let mut sorted: Vec<(u32, u32, u64, u64)> = deliveries
+        .iter()
+        .map(|d| {
+            (
+                d.source_neuron,
+                d.dst_crossbar,
+                d.inject_cycle,
+                d.deliver_cycle,
+            )
+        })
+        .collect();
+    sorted.sort_unstable();
+    let (mut sum, mut count, mut max) = (0u64, 0u64, 0u64);
+    for stream in sorted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if stream.len() < 2 {
+            continue;
+        }
+        let worst = stream
+            .windows(2)
+            .map(|w| (w[1].2 - w[0].2).abs_diff(w[1].3.abs_diff(w[0].3)))
+            .max()
+            .unwrap_or(0);
+        sum += worst;
+        count += 1;
+        max = max.max(worst);
+    }
+    let mean = if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
+    };
+    (mean, max)
+}
+
+/// `stats` with every field the delivery log's order decides recomputed
+/// by the sort-based forms above.
+fn recomputed_by_sorting(stats: &NocStats, deliveries: &[Delivery]) -> NocStats {
+    let mut lat: Vec<u64> = deliveries.iter().map(Delivery::latency).collect();
+    lat.sort_unstable();
+    let (p50, p99) = percentiles_of_sorted(&lat);
+    let (avg_isi, max_isi) = isi_by_sorting(deliveries);
+    NocStats {
+        p50_latency_cycles: p50,
+        p99_latency_cycles: p99,
+        max_latency_cycles: lat.last().copied().unwrap_or(0),
+        disorder_fraction: disorder_by_sorting(deliveries),
+        avg_isi_distortion_cycles: avg_isi,
+        max_isi_distortion_cycles: max_isi,
+        ..stats.clone()
+    }
+}
+
+/// A random delivery log: ids and steps drawn from a pool that holds
+/// `u32::MAX`, inject cycles close enough to tie, and deliveries late by
+/// up to `spread` cycles — in log order as drawn (streams out of inject
+/// order, cross-step inversions at one destination) or, like an engine's
+/// log, by deliver cycle.
+fn arb_delivery_log() -> impl Strategy<Value = Vec<Delivery>> {
+    const POOL: [u32; 5] = [0, 1, 2, u32::MAX - 1, u32::MAX];
+    (
+        proptest::collection::vec(
+            (0usize..5, 0usize..5, 0usize..5, 0u64..40, 0u64..1000),
+            0..60,
+        ),
+        1u64..200,
+        any::<bool>(),
+    )
+        .prop_map(|(raw, spread, by_delivery)| {
+            let mut log: Vec<Delivery> = raw
+                .into_iter()
+                .map(|(neuron, dst, step, inject, late)| {
+                    Delivery::new(
+                        POOL[neuron],
+                        0,
+                        POOL[dst],
+                        POOL[step],
+                        inject,
+                        inject + late % spread,
+                    )
+                })
+                .collect();
+            if by_delivery {
+                log.sort_by_key(|d| d.deliver_cycle);
+            }
+            log
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
+
+    /// `NocStats::from_deliveries` (selection for the percentiles, one
+    /// bucketing by destination for disorder and ISI distortion) is byte
+    /// for byte the statistics the whole-log sorts computed.
+    #[test]
+    fn statistics_are_the_sort_based_statistics(log in arb_delivery_log()) {
+        let stats = NocStats::from_deliveries(&log, Counters::default(), &EnergyModel::default(), 4, 16);
+        prop_assert_eq!(
+            stats.to_json().unwrap(),
+            recomputed_by_sorting(&stats, &log).to_json().unwrap()
+        );
+        prop_assert_eq!(disorder_fraction(&log).to_bits(), disorder_by_sorting(&log).to_bits());
+        let (mean, max) = isi_distortion(&log);
+        prop_assert_eq!((mean.to_bits(), max), {
+            let (m, x) = isi_by_sorting(&log);
+            (m.to_bits(), x)
+        });
+    }
+}
+
+#[test]
+fn statistics_of_edge_logs_are_the_sort_based_statistics() {
+    let d = Delivery::new;
+    let max = u32::MAX;
+    let logs = [
+        vec![],
+        // one spike per stream
+        vec![d(max, 0, max, max, 5, 9), d(0, 0, max, 0, 5, 5)],
+        // a stream delivered out of inject order, and a later step
+        // overtaking an earlier one at the same destination
+        vec![
+            d(3, 0, 1, 0, 20, 30),
+            d(3, 0, 1, 0, 10, 31),
+            d(3, 0, 1, max, 12, 15),
+            d(3, 0, 1, 0, 10, 29),
+        ],
+        // equal inject cycles, one step split over two runs of the log
+        vec![
+            d(1, 0, 2, 1, 7, 8),
+            d(2, 0, 2, 2, 7, 7),
+            d(1, 0, 2, 1, 7, 9),
+            d(1, 0, 2, 2, 7, 7),
+        ],
+    ];
+    for log in logs {
+        let stats =
+            NocStats::from_deliveries(&log, Counters::default(), &EnergyModel::default(), 4, 16);
+        assert_eq!(
+            stats.to_json().unwrap(),
+            recomputed_by_sorting(&stats, &log).to_json().unwrap(),
+            "{log:?}"
+        );
     }
 }
