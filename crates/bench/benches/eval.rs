@@ -2,8 +2,9 @@
 //! `BENCH_eval.json` — full recompute vs incremental move pricing, scalar
 //! vs batched swarm scoring and the scalar vs masked-row velocity sweep on
 //! the digit app (`hd_tree_paper`'s graph) and on the 256-crossbar
-//! `synth_16x16grid` scenario (also dense vs adjacency placement pricing
-//! and per-target vs per-neuron `CutHops` polish pricing),
+//! `synth_16x16grid` scenario (also dense vs adjacency placement pricing,
+//! adjacency vs slot-cost-table greedy placement polish, and per-target
+//! vs per-neuron `CutHops` polish pricing),
 //! staged vs joint co-optimization, flat PSO vs the V-cycle at 1024
 //! crossbars, and the u16 word-tile kernels (`CutSpikes`, `CutPackets`) on
 //! the 4-chip fabric.
@@ -13,9 +14,9 @@
 //! gated after the JSON is written, and a failed gate exits non-zero.
 //! End-to-end timings are mapbench's (`benchmark/`), not this file's.
 //! What the benches *assert before timing* — the batched envelope at 256
-//! crossbars, bit-identity with the scalar reference, the two placement
-//! pricers accepting the same swaps, the two polish pricers reaching the
-//! same assignment, V-cycle cut ≤ flat cut — are
+//! crossbars, bit-identity with the scalar reference, each pair of
+//! placement pricers accepting the same swaps, the two polish pricers
+//! reaching the same assignment, V-cycle cut ≤ flat cut — are
 //! correctness checks: a regression fails loudly instead of being timed.
 //!
 //! Knob: `NEUROMAP_BENCH_FAST=1` — 1-sample smoke run (the CI gate).
@@ -33,7 +34,7 @@ use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
 use neuromap_core::place::{
-    optimize_placement, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
+    optimize_placement, swap_delta, PlaceConfig, SlotCostTable, TrafficAdjacency, TrafficMatrix,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology};
@@ -240,6 +241,7 @@ fn bench_large_arch(c: &mut Criterion) {
     let mapping = scenario.scrambled_packed_mapping(0x91A);
     let traffic = TrafficMatrix::from_mapping(&graph, &mapping, TrafficMode::PerCrossbar);
     bench_placement_sweep(c, &name, &traffic, &lut);
+    bench_placement_greedy(c, &name, &traffic, &lut);
 }
 
 /// One greedy polish pass under `CutHops` — `refine`'s inner loop, every
@@ -346,6 +348,95 @@ fn bench_placement_sweep(
     });
     group.bench_function(BenchmarkId::new("adjacency", "sweep"), |b| {
         b.iter(|| sweep(&sparse));
+    });
+    group.finish();
+}
+
+/// The optimizer's greedy polish after one annealing run — the work of
+/// an annealed restart's second half — priced pair by pair through the
+/// O(deg) adjacency pricer (baseline) and from the O(1)
+/// `SlotCostTable`, built and kept current across the swaps it takes
+/// (candidate): the `placement/<name>/greedy` paired ratio. The start is
+/// a seeded scatter annealed as the optimizer anneals, under the default
+/// `PlaceConfig`'s schedule, with the adjacency pricer. Both polishes must
+/// take the identical swap sequence, or the ratio would compare
+/// different work.
+fn bench_placement_greedy(
+    c: &mut Criterion,
+    name: &str,
+    traffic: &TrafficMatrix,
+    lut: &DistanceLut,
+) {
+    let clusters = traffic.num_crossbars();
+    let cfg = PlaceConfig::default();
+    let adjacency = TrafficAdjacency::new(traffic);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut annealed: Vec<u32> = (0..clusters as u32).collect();
+    for a in (1..clusters).rev() {
+        annealed.swap(a, rng.gen_range(0..a + 1));
+    }
+    let mut temp = cfg.t0;
+    for _ in 0..cfg.sa_moves {
+        let (a, b) = (rng.gen_range(0..clusters), rng.gen_range(0..clusters));
+        let d = adjacency.swap_delta(lut, &annealed, a, b);
+        if d <= 0 || rng.gen_range(0.0..1.0) < (-(d as f64) / temp).exp() {
+            annealed.swap(a, b);
+        }
+        temp *= cfg.alpha;
+    }
+    // `try_swap(a, b)` takes the swap if it prices below zero
+    let polish = |try_swap: &mut dyn FnMut(usize, usize) -> bool| {
+        let mut taken = Vec::new();
+        for _ in 0..cfg.greedy_passes {
+            let before = taken.len();
+            for a in 0..clusters {
+                for b in a + 1..clusters {
+                    if try_swap(a, b) {
+                        taken.push((a, b));
+                    }
+                }
+            }
+            if taken.len() == before {
+                break;
+            }
+        }
+        taken
+    };
+    let by_adjacency = || {
+        let mut perm = annealed.clone();
+        polish(&mut |a, b| {
+            let take = adjacency.swap_delta(lut, &perm, a, b) < 0;
+            if take {
+                perm.swap(a, b);
+            }
+            take
+        })
+    };
+    let by_table = || {
+        let mut table = SlotCostTable::new(traffic, &adjacency, lut, annealed.clone());
+        polish(&mut |a, b| {
+            let take = table.swap_delta(a, b) < 0;
+            if take {
+                table.swap(a, b);
+            }
+            take
+        })
+    };
+    let taken = by_adjacency();
+    assert!(taken.len() > 100, "an annealed scatter has swaps to take");
+    assert_eq!(
+        taken,
+        by_table(),
+        "REGRESSION: the slot-cost table and the adjacency pricer must \
+         take the same swaps"
+    );
+    let mut group = c.benchmark_group(format!("placement/{name}"));
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("adjacency", "greedy"), |b| {
+        b.iter(by_adjacency);
+    });
+    group.bench_function(BenchmarkId::new("table", "greedy"), |b| {
+        b.iter(by_table);
     });
     group.finish();
 }

@@ -18,6 +18,11 @@
 //! its scalar reference and against the streaming floor of the buffer it
 //! walks — the table a decision about that kernel starts from.
 //!
+//! `perf_probe place` times [`optimize_placement`] on the three inputs
+//! whose default outcomes `tests/placement_properties.rs` freezes, at the
+//! default config and at one restart (greedy polish from the identity
+//! only), and prints each outcome triple beside its median.
+//!
 //! `perf_probe noc` instead probes the interconnect engines on the
 //! dense-saturation workloads of [`neuromap_bench::noc_workloads`], on
 //! repeated-net traffic at 64 and 1024 routers and on per-synapse traffic
@@ -33,7 +38,7 @@
 //! phases (setup, schedule, router loop, statistics).
 
 use neuromap_apps::digit_recognition::DigitRecognition;
-use neuromap_apps::synthetic::{LargeArch, Synthetic};
+use neuromap_apps::synthetic::{LargeArch, MultiChip, Synthetic};
 use neuromap_apps::App;
 use neuromap_bench::noc_workloads::{
     dense_workloads, engine_workloads, per_synapse_traffic, repeated_net_traffic, NocWorkload,
@@ -42,13 +47,16 @@ use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, SEED};
 use neuromap_core::decode::DecodeScratch;
 use neuromap_core::eval::{SwarmEval, SwarmScratch};
+use neuromap_core::graph::SpikeGraph;
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
+use neuromap_core::pipeline::TrafficMode;
+use neuromap_core::place::{optimize_placement, PlaceConfig, TrafficMatrix};
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::{EngineKind, NocSim};
-use neuromap_noc::topology::{DistanceLut, Mesh2D, NocTree};
+use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Topology, Torus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -403,6 +411,86 @@ fn probe_multilevel() {
     );
 }
 
+/// The placement optimizer on the three inputs
+/// `default_placement_outcomes_are_frozen` pins (the scrambled
+/// `synth_16x16grid` packing on a 256-crossbar mesh and torus, and the
+/// same packing of a 2 × 2-chip 8 × 8 grid on its seam-weighted table):
+/// per input, the median of five `optimize_placement` calls at the
+/// default config and at `restarts: 1` (the greedy polish from the
+/// identity only), each beside its outcome triple
+/// `(optimized_cost, winning_restart, FNV-1a of the permutation)` — the
+/// frozen test's triple at the default config.
+fn probe_place() {
+    let fnv = |perm: &[u32]| {
+        perm.iter()
+            .flat_map(|p| p.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    };
+    let grid = LargeArch::grid16();
+    let packing = grid.scrambled_packed_mapping(0x91A);
+    let traffic_of =
+        |graph: &SpikeGraph| TrafficMatrix::from_mapping(graph, &packing, TrafficMode::PerCrossbar);
+    let grid_traffic = traffic_of(&grid.spike_graph(SEED).expect("scenario generates"));
+    let chips = MultiChip {
+        chip: LargeArch {
+            side: 8,
+            ..LargeArch::grid16()
+        },
+        ..MultiChip::four_chip16()
+    };
+    let chips_traffic = traffic_of(&chips.spike_graph(SEED).expect("scenario generates"));
+    let hier = HierTopology::for_crossbars(
+        chips.num_crossbars(),
+        chips.chip_cols as usize,
+        chips.chip_rows as usize,
+        chips.link_latency,
+        chips.link_width,
+    )
+    .expect("scenario parameters are valid")
+    .distance_lut();
+    let cases = [
+        (
+            "mesh256",
+            &grid_traffic,
+            Mesh2D::for_crossbars(256).distance_lut(),
+        ),
+        (
+            "torus256",
+            &grid_traffic,
+            Torus::for_crossbars(256).distance_lut(),
+        ),
+        ("hier4x64", &chips_traffic, hier),
+    ];
+    println!("input    restarts median_ms  (optimized_cost, winning_restart, perm FNV-1a)");
+    for (name, traffic, lut) in &cases {
+        for restarts in [PlaceConfig::default().restarts, 1] {
+            let cfg = PlaceConfig {
+                restarts,
+                ..PlaceConfig::default()
+            };
+            let mut outcome = None;
+            let ms = median(
+                (0..5)
+                    .map(|_| {
+                        wall_ms(|| {
+                            outcome = Some(optimize_placement(traffic, lut, &cfg).expect("valid"));
+                        })
+                    })
+                    .collect(),
+            );
+            let out = outcome.expect("five runs");
+            println!(
+                "{name:<8} {restarts:>8} {ms:>9.1}  ({}, {}, {:#018x})",
+                out.optimized_cost,
+                out.winning_restart,
+                fnv(out.placement.as_slice())
+            );
+        }
+    }
+}
+
 /// Prints usage to stderr and exits non-zero — bad arguments must not
 /// silently degrade into a default-parameter run (the probe's numbers
 /// are compared across PRs, so a typo would quietly probe the wrong
@@ -410,7 +498,7 @@ fn probe_multilevel() {
 fn usage(complaint: &str) -> ! {
     eprintln!("perf_probe: {complaint}");
     eprintln!(
-        "usage: perf_probe [SWARM [ITERS]] | perf_probe eval [LANES...] | perf_probe sweep | perf_probe noc | perf_probe multilevel"
+        "usage: perf_probe [SWARM [ITERS]] | perf_probe eval [LANES...] | perf_probe sweep | perf_probe noc | perf_probe multilevel | perf_probe place"
     );
     eprintln!("  SWARM       positive swarm size (default 1000 when absent)");
     eprintln!("  ITERS       positive iteration count (default 100 when absent)");
@@ -420,6 +508,7 @@ fn usage(complaint: &str) -> ! {
     eprintln!("              reference and the streaming floor of its buffer");
     eprintln!("  noc         probe the interconnect engines instead");
     eprintln!("  multilevel  probe the multilevel V-cycle on the 32x32-grid scenario");
+    eprintln!("  place       time the placement optimizer on its three frozen inputs");
     std::process::exit(2);
 }
 
@@ -438,10 +527,11 @@ fn main() {
         });
         return;
     }
-    let probes: [(&str, fn()); 3] = [
+    let probes: [(&str, fn()); 4] = [
         ("sweep", probe_sweep),
         ("noc", probe_noc),
         ("multilevel", probe_multilevel),
+        ("place", probe_place),
     ];
     for (name, probe) in probes {
         if args.get(1).map(String::as_str) == Some(name) {

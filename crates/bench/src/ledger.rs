@@ -84,6 +84,7 @@ pub const EVAL: Ledger = Ledger {
         // the joint loop re-runs the placement optimizer: a time overhead
         ("staged", "joint", false),
         ("dense", "adjacency", true),
+        ("adjacency", "table", true),
         ("per_target", "per_neuron", true),
     ],
     gates: &[
@@ -100,6 +101,9 @@ pub const EVAL: Ledger = Ledger {
         ("sweep/synth_16x16grid/step", Bound::AtLeast(1.5)),
         // the optimizer's O(deg) pricer against its dense O(C) oracle
         ("placement/synth_16x16grid/sweep", Bound::AtLeast(2.0)),
+        // the greedy polish priced from the slot-cost table against the
+        // adjacency pricer, table upkeep included
+        ("placement/synth_16x16grid/greedy", Bound::AtLeast(1.5)),
         // a neuron's CutHops moves priced against one per-neuron half
         ("refine/synth_16x16grid/CutHops", Bound::AtLeast(2.0)),
         ("coopt/synth_8x8grid/CutHops", Bound::Present),
@@ -340,9 +344,9 @@ mod tests {
 
     /// The ratios committed at `055a7f0`: `(id, speedup, higher_is_better)`
     /// (less `hier/synth_4chip16x16/CutHops`, 1.24: that pair is gone; plus
-    /// the two `sweep/*` pairs and `refine/*` at the values they were first
-    /// committed with).
-    const COMMITTED_EVAL: [(&str, f64, bool); 15] = [
+    /// the two `sweep/*` pairs, `refine/*` and `placement/*/greedy` at the
+    /// values they were first committed with).
+    const COMMITTED_EVAL: [(&str, f64, bool); 16] = [
         ("move/HD/CutSpikes", 302.92, true),
         ("move/HD/CutPackets", 189.07, true),
         ("swarm_eval/HD/CutSpikes", 19.07, true),
@@ -353,6 +357,7 @@ mod tests {
         ("swarm_eval/synth_16x16grid/CutHops", 2.14, true),
         ("sweep/synth_16x16grid/step", 2.89, true),
         ("placement/synth_16x16grid/sweep", 12.57, true),
+        ("placement/synth_16x16grid/greedy", 2.67, true),
         ("refine/synth_16x16grid/CutHops", 3.25, true),
         ("coopt/synth_8x8grid/CutHops", 0.33, false),
         ("multilevel/synth_32x32grid/CutSpikes", 4.71, true),
@@ -432,6 +437,11 @@ mod tests {
                 "placement/synth_16x16grid/sweep",
                 Some(1.99),
                 ">= 2, got 1.990",
+            ),
+            (
+                "placement/synth_16x16grid/greedy",
+                Some(1.49),
+                ">= 1.5, got 1.490",
             ),
             (
                 "sweep/synth_16x16grid/step",

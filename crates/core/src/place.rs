@@ -29,27 +29,48 @@
 //! [`NocSim::link_forwards`]: neuromap_noc::sim::NocSim::link_forwards
 //! [`MappingPipeline::hop_metrics`]: crate::pipeline::MappingPipeline::hop_metrics
 //!
-//! ## Incremental pricing and its reference kernels
+//! ## Incremental pricing: two pricers and their oracles
 //!
 //! Exchanging the physical slots of two clusters reprices only the
 //! traffic those two clusters take part in, and most cluster pairs
 //! exchange none: on `mapbench`'s 256-crossbar PSO partitions a cluster
 //! talks to 46–84 of the 255 others, and the share falls as fabrics
-//! grow. The optimizer therefore prices every candidate with
-//! **one** function, [`TrafficAdjacency::swap_delta`], in
-//! O(deg(x) + deg(y)): the adjacency lists each cluster's neighbours with
-//! the folded weight `packets(x, k) + packets(k, x)` and is built once
-//! per [`optimize_placement`] call, shared by every restart.
+//! grow. [`TrafficAdjacency`] lists each cluster's neighbours with the
+//! folded weight `packets(x, k) + packets(k, x)`; it is built once per
+//! [`optimize_placement`] call and shared by every restart. The two
+//! phases of a restart price swaps differently, because they ask
+//! different questions:
 //!
-//! Two dense functions stay as its **oracles**, never as a second path:
-//! [`placement_cost`] recomputes a placement from scratch in O(C²), and
-//! the dense [`swap_delta`] prices one swap in O(C) with out- and
-//! in-traffic kept apart (so it is exact on asymmetric tables too). Debug
-//! builds assert adjacency ≡ dense `swap_delta` on every candidate the
-//! optimizer tries and the accumulated cost ≡ `placement_cost` at the end
-//! of every restart; `tests/placement_properties.rs` holds all three
-//! equal over random fabrics, traffic densities from empty to full, and
-//! swap sequences, and freezes the optimizer's default outcomes.
+//! - **Annealing** prices with [`TrafficAdjacency::swap_delta`] in
+//!   O(deg(x) + deg(y)) gathers. On `mapbench`'s two placing workloads
+//!   (256 clusters, mean degree 46 and 84) a restart proposes ≈ 3 980
+//!   distinct pairs and accepts 431–472 of them, so keeping a per-slot
+//!   table current would cost ≈ 19 M multiply-adds, against ≈ 0.7 M
+//!   gathers for the adjacency.
+//! - **The greedy polish** prices with [`SlotCostTable::swap_delta`] in
+//!   O(1): the table holds, for every cluster `x` and slot `p`, what
+//!   `x`'s traffic would cost with `x` at `p`. A sweep asks about all
+//!   C(C−1)/2 pairs (32 640 at 256 clusters, up to eight sweeps) and the
+//!   same workloads take 617–815 of them after annealing and 1–1 929
+//!   from the identity; each taken swap updates the deg(a) + deg(b) rows
+//!   of its neighbours, C entries each.
+//!
+//! Three functions stay as **oracles**, never as a second path:
+//! [`placement_cost`] recomputes a placement from scratch in O(C²), the
+//! dense [`swap_delta`] prices one swap in O(C) with out- and in-traffic
+//! kept apart (so it is exact on asymmetric tables too), and the
+//! adjacency pricer checks the table. Debug builds assert adjacency ≡
+//! dense `swap_delta` on every annealing candidate, table ≡ adjacency on
+//! every greedy candidate, and the accumulated cost ≡ `placement_cost` at
+//! the end of every restart. This module's tests hold the table-priced
+//! polish to an adjacency-priced one swap for swap;
+//! `tests/placement_properties.rs` holds the pricers equal over random
+//! fabrics, traffic densities from empty to full, and swap sequences,
+//! and freezes the optimizer's default outcomes.
+//!
+//! All pricing is exact `i64`. [`optimize_placement`] checks once that
+//! `Σ packets × max hops` fits, which bounds every cost, delta and table
+//! entry, and returns a typed error when it does not.
 //!
 //! Folding both directions into one weight needs `hops(a, b) ==
 //! hops(b, a)`. Every table this workspace builds has it — BFS over
@@ -231,15 +252,20 @@ impl TrafficAdjacency {
         let mut entries = Vec::new();
         offsets.push(0);
         for x in 0..c {
-            for k in 0..c {
+            for k in (0..c).filter(|&k| k != x) {
                 let s = traffic.packets[x * c + k] + traffic.packets[k * c + x];
-                if k != x && s != 0 {
+                if s != 0 {
                     entries.push((k as u32, s as i64));
                 }
             }
             offsets.push(entries.len());
         }
         Self { offsets, entries }
+    }
+
+    /// Cluster `x`'s `(neighbour, folded weight)` entries.
+    fn neighbours(&self, x: usize) -> &[(u32, i64)] {
+        &self.entries[self.offsets[x]..self.offsets[x + 1]]
     }
 
     /// Exact cost change of exchanging the physical slots of clusters
@@ -267,7 +293,7 @@ impl TrafficAdjacency {
         // distance itself is unchanged by the exchange
         let one_side = |a: usize, b: usize, row_from: &[u32], row_to: &[u32]| {
             let mut d = 0i64;
-            for &(k, s) in &self.entries[self.offsets[a]..self.offsets[a + 1]] {
+            for &(k, s) in self.neighbours(a) {
                 if k as usize != b {
                     let pk = physical_of[k as usize] as usize;
                     d += s * (i64::from(row_to[pk]) - i64::from(row_from[pk]));
@@ -277,6 +303,139 @@ impl TrafficAdjacency {
         };
         one_side(x, y, row_px, row_py) + one_side(y, x, row_py, row_px)
     }
+}
+
+/// The greedy polish's swap pricer: for the permutation it holds, what
+/// each cluster's traffic would cost at each slot,
+/// `costs[x · C + p] = Σ_{k~x} s_xk · hops(p, physical_of[k])` over the
+/// folded weights `s` of a [`TrafficAdjacency`]. A swap prices in O(1)
+/// from four entries and the pair's own traffic; taking it keeps the
+/// table current in O((deg(a) + deg(b)) · C). Slots are `0..C`, so the
+/// permutation must be one of `0..C`, as [`optimize_placement`]'s are,
+/// and like the adjacency it reads the table needs a hop table that is
+/// symmetric over those slots. Exact while `Σ packets × max hops` fits in
+/// an `i64` (what [`optimize_placement`] checks up front).
+#[derive(Debug, Clone)]
+pub struct SlotCostTable<'a> {
+    traffic: &'a TrafficMatrix,
+    adj: &'a TrafficAdjacency,
+    dist: &'a DistanceLut,
+    physical_of: Vec<u32>,
+    /// `costs[x * c + p]`, see the type docs.
+    costs: Vec<i64>,
+    /// Scratch for [`SlotCostTable::swap`]: the mover's change in hops to
+    /// every slot.
+    shift: Vec<i64>,
+}
+
+impl<'a> SlotCostTable<'a> {
+    /// Builds the table for `physical_of` in Σ_x deg(x) · C.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj` was not built from `traffic`, if `physical_of`
+    /// names a slot outside `0..C` or has the wrong length, or if `dist`
+    /// covers fewer than `C` crossbars.
+    pub fn new(
+        traffic: &'a TrafficMatrix,
+        adj: &'a TrafficAdjacency,
+        dist: &'a DistanceLut,
+        physical_of: Vec<u32>,
+    ) -> Self {
+        let c = traffic.c;
+        assert_eq!(adj.offsets.len(), c + 1, "adjacency of another matrix");
+        assert_eq!(physical_of.len(), c, "placement must cover every cluster");
+        assert!(
+            physical_of.iter().all(|&p| (p as usize) < c),
+            "slots are 0..C"
+        );
+        assert!(dist.num_crossbars() >= c, "hop table too small");
+        let mut costs = vec![0i64; c * c];
+        for x in 0..c {
+            let row = &mut costs[x * c..(x + 1) * c];
+            for &(k, s) in adj.neighbours(x) {
+                for (g, &h) in row
+                    .iter_mut()
+                    .zip(slot_hops(dist, c, physical_of[k as usize]))
+                {
+                    *g += s * i64::from(h);
+                }
+            }
+        }
+        Self {
+            traffic,
+            adj,
+            dist,
+            physical_of,
+            costs,
+            shift: vec![0; c],
+        }
+    }
+
+    /// Hands back the permutation.
+    pub fn into_physical_of(self) -> Vec<u32> {
+        self.physical_of
+    }
+
+    /// Exact cost change of exchanging the slots of clusters `a` and `b`,
+    /// in O(1). Equals [`TrafficAdjacency::swap_delta`] (debug builds
+    /// assert it on every call). Pure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`/`b` are out of range.
+    #[inline]
+    pub fn swap_delta(&self, a: usize, b: usize) -> i64 {
+        if a == b {
+            return 0;
+        }
+        let c = self.traffic.c;
+        let (pa, pb) = (self.physical_of[a], self.physical_of[b]);
+        let g = |x: usize, p: u32| self.costs[x * c + p as usize];
+        // the a–b distance is unchanged by the exchange, but `g(a, pa)`
+        // and `g(b, pb)` each count it once and `g(a, pb)`, `g(b, pa)`
+        // not at all; each bracket is one side's repricing, so no partial
+        // sum leaves the `Σ packets × max hops` bound
+        let s_ab = (self.traffic.packets[a * c + b] + self.traffic.packets[b * c + a]) as i64;
+        let pair = s_ab * i64::from(self.dist.hops(pa, pb));
+        let d = (g(a, pb) - g(a, pa) + pair) + (g(b, pa) - g(b, pb) + pair);
+        debug_assert_eq!(d, self.adj.swap_delta(self.dist, &self.physical_of, a, b));
+        d
+    }
+
+    /// Exchanges the slots of clusters `a` and `b` and brings the table
+    /// up to date: `a` moves from slot `p_a` to `p_b` and `b` the other
+    /// way, so every neighbour of `a` gains its weight times
+    /// `hops(·, p_b) − hops(·, p_a)` and every neighbour of `b` loses it.
+    /// O((deg(a) + deg(b)) · C).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`/`b` are out of range.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        let c = self.traffic.c;
+        let (pa, pb) = (self.physical_of[a], self.physical_of[b]);
+        let (to, from) = (slot_hops(self.dist, c, pb), slot_hops(self.dist, c, pa));
+        for (d, (&t, &f)) in self.shift.iter_mut().zip(to.iter().zip(from)) {
+            *d = i64::from(t) - i64::from(f);
+        }
+        for (mover, sign) in [(a, 1), (b, -1)] {
+            for &(z, s) in self.adj.neighbours(mover) {
+                let row = &mut self.costs[z as usize * c..(z as usize + 1) * c];
+                let s = sign * s;
+                for (g, &d) in row.iter_mut().zip(&self.shift) {
+                    *g += s * d;
+                }
+            }
+        }
+        self.physical_of.swap(a, b);
+    }
+}
+
+/// Hops from slot `p` to each of the slots `0..c`.
+fn slot_hops(dist: &DistanceLut, c: usize, p: u32) -> &[u32] {
+    let nc = dist.num_crossbars();
+    &dist.crossbar_matrix()[p as usize * nc..][..c]
 }
 
 /// Placement-optimizer hyperparameters.
@@ -387,10 +546,11 @@ impl PlaceOutcome {
     }
 }
 
-/// One restart: anneal (restarts ≥ 1 only), then greedy first-improvement
-/// sweeps until a sweep makes no progress or the pass budget is spent.
-/// Every candidate swap is priced by `adj` in O(deg). Deterministic for
-/// a fixed `(traffic, dist, cfg, k)`.
+/// One restart: anneal (restarts ≥ 1 only), then the greedy polish.
+/// Annealing prices its random proposals with `adj` in O(deg) — it takes
+/// too few of them to pay for keeping a table current — and the polish
+/// prices every pair from a [`SlotCostTable`] in O(1) (module docs).
+/// Deterministic for a fixed `(traffic, dist, cfg, k)`.
 fn run_restart(
     traffic: &TrafficMatrix,
     adj: &TrafficAdjacency,
@@ -402,13 +562,9 @@ fn run_restart(
     let c = traffic.c;
     let mut perm: Vec<u32> = (0..c as u32).collect();
     let mut cost = identity_cost as i64;
-    let price = |perm: &[u32], a: usize, b: usize| {
-        let d = adj.swap_delta(dist, perm, a, b);
-        debug_assert_eq!(d, swap_delta(traffic, dist, perm, a, b));
-        d
-    };
 
-    if k > 0 {
+    // annealing needs two clusters to exchange
+    if k > 0 && c > 1 {
         let seed = cfg
             .seed
             .wrapping_add(u64::from(k).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -424,7 +580,8 @@ fn run_restart(
             let a = rng.gen_range(0..c);
             let b = rng.gen_range(0..c);
             if a != b {
-                let d = price(&perm, a, b);
+                let d = adj.swap_delta(dist, &perm, a, b);
+                debug_assert_eq!(d, swap_delta(traffic, dist, &perm, a, b));
                 let accept = d <= 0 || {
                     temp > f64::EPSILON && rng.gen_range(0.0..1.0) < (-(d as f64) / temp).exp()
                 };
@@ -437,15 +594,34 @@ fn run_restart(
         }
     }
 
-    // greedy polish: first-improvement sweeps over all cluster pairs
-    for _ in 0..cfg.greedy_passes {
+    let mut table = SlotCostTable::new(traffic, adj, dist, perm);
+    cost += greedy_polish(&mut table, cfg.greedy_passes, |_, _| {});
+    let perm = table.into_physical_of();
+    debug_assert_eq!(cost as u64, placement_cost(traffic, dist, &perm));
+    (cost as u64, perm)
+}
+
+/// Greedy first-improvement sweeps over all cluster pairs `(a, b)`,
+/// `a < b` in lexicographic order, taking every swap `table` prices
+/// below zero, until a sweep takes none or `passes` sweeps are spent.
+/// Returns the summed delta of the swaps taken and reports each one to
+/// `taken`, in order.
+fn greedy_polish(
+    table: &mut SlotCostTable<'_>,
+    passes: u32,
+    mut taken: impl FnMut(usize, usize),
+) -> i64 {
+    let c = table.physical_of.len();
+    let mut total = 0i64;
+    for _ in 0..passes {
         let mut improved = false;
         for a in 0..c {
             for b in a + 1..c {
-                let d = price(&perm, a, b);
+                let d = table.swap_delta(a, b);
                 if d < 0 {
-                    perm.swap(a, b);
-                    cost += d;
+                    table.swap(a, b);
+                    total += d;
+                    taken(a, b);
                     improved = true;
                 }
             }
@@ -454,8 +630,7 @@ fn run_restart(
             break;
         }
     }
-    debug_assert_eq!(cost as u64, placement_cost(traffic, dist, &perm));
-    (cost as u64, perm)
+    total
 }
 
 /// Searches cluster → physical crossbar permutations minimizing
@@ -468,9 +643,14 @@ fn run_restart(
 /// # Errors
 ///
 /// [`CoreError::InvalidParameter`] for an invalid configuration, a hop
-/// table covering fewer crossbars than the traffic matrix, or one that
-/// is not symmetric over the crossbars the matrix covers (no table this
-/// workspace builds is; see the module docs).
+/// table covering fewer crossbars than the traffic matrix, one that is
+/// not symmetric over the crossbars the matrix covers (no table this
+/// workspace builds is; see the module docs), or traffic whose
+/// off-diagonal packets times the table's largest hop count over those
+/// crossbars exceeds `i64::MAX` (the bound that keeps every price exact).
+///
+/// A matrix of zero clusters is not an error: it returns the empty
+/// placement at cost zero, from restart 0.
 pub fn optimize_placement(
     traffic: &TrafficMatrix,
     dist: &DistanceLut,
@@ -500,6 +680,25 @@ pub fn optimize_placement(
                 hops[a * nc + b],
                 hops[b * nc + a]
             ),
+        });
+    }
+    // no placement prices above `Σ packets × max hops`, and no table
+    // entry or delta above it either (the diagonal never pays a hop)
+    let packets: u128 = traffic
+        .packets
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i % (c + 1) != 0)
+        .map(|(_, &t)| u128::from(t))
+        .sum();
+    let max_hops = (0..c as u32)
+        .flat_map(|p| slot_hops(dist, c, p))
+        .max()
+        .map_or(0, |&h| u128::from(h));
+    if packets.saturating_mul(max_hops.max(1)) > i64::MAX as u128 {
+        return Err(CoreError::InvalidParameter {
+            name: "traffic",
+            value: format!("{packets} packets over up to {max_hops} hops overflow an i64 cost"),
         });
     }
     let identity: Vec<u32> = (0..c as u32).collect();
@@ -714,6 +913,145 @@ mod tests {
         let outcome = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap();
         assert_eq!(outcome.optimized_cost, 0);
         assert_eq!(outcome.identity_cost, 0);
+    }
+
+    #[test]
+    fn zero_clusters_place_to_the_empty_placement() {
+        let traffic = TrafficMatrix::from_raw(0, vec![]);
+        let outcome = optimize_placement(&traffic, &mesh_lut(1), &PlaceConfig::default()).unwrap();
+        assert_eq!(outcome.placement.num_crossbars(), 0);
+        assert_eq!((outcome.identity_cost, outcome.optimized_cost), (0, 0));
+        assert_eq!(outcome.winning_restart, 0);
+    }
+
+    #[test]
+    fn traffic_that_overflows_an_i64_cost_is_rejected() {
+        let traffic_error = |traffic: &TrafficMatrix, dist: &DistanceLut| {
+            let err = optimize_placement(traffic, dist, &PlaceConfig::default()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidParameter {
+                        name: "traffic",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        };
+        // counts near u64::MAX / 2 used to overflow the annealer's running
+        // cost (debug) or report i64::MAX costs (release)
+        traffic_error(&ring_traffic(4, u64::MAX / 2), &mesh_lut(4));
+        // the bound is packets × the largest hop count, not packets alone
+        let c = 16;
+        let per_edge = i64::MAX as u64 / (c as u64 * 6);
+        let fits = ring_traffic(c, per_edge);
+        let outcome = optimize_placement(&fits, &mesh_lut(c), &PlaceConfig::default()).unwrap();
+        assert!(outcome.optimized_cost < outcome.identity_cost);
+        traffic_error(&ring_traffic(c, per_edge * 2), &mesh_lut(c));
+        // exactly at the bound is exact; one packet past it is refused,
+        // and the diagonal, which never pays a hop, does not count
+        let pair = |t: u64, diagonal: u64| TrafficMatrix::from_raw(2, vec![diagonal, t, 0, 0]);
+        let at_bound = pair(i64::MAX as u64, u64::MAX);
+        let outcome = optimize_placement(&at_bound, &mesh_lut(2), &PlaceConfig::default()).unwrap();
+        assert_eq!(outcome.optimized_cost, i64::MAX as u64);
+        traffic_error(&pair(i64::MAX as u64 + 1, 0), &mesh_lut(2));
+    }
+
+    /// The adjacency-priced greedy polish the table replaced, kept as its
+    /// oracle: same sweep order, same stopping rule, every pair priced by
+    /// [`TrafficAdjacency::swap_delta`] in O(deg).
+    fn adjacency_polish(
+        adj: &TrafficAdjacency,
+        dist: &DistanceLut,
+        passes: u32,
+        perm: &mut [u32],
+    ) -> (i64, Vec<(usize, usize)>) {
+        let c = perm.len();
+        let (mut total, mut taken) = (0i64, Vec::new());
+        for _ in 0..passes {
+            let mut improved = false;
+            for a in 0..c {
+                for b in a + 1..c {
+                    let d = adj.swap_delta(dist, perm, a, b);
+                    if d < 0 {
+                        perm.swap(a, b);
+                        total += d;
+                        taken.push((a, b));
+                        improved = true;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (total, taken)
+    }
+
+    #[test]
+    fn table_polish_takes_the_adjacency_polish_swaps() {
+        use neuromap_noc::topology::{HierTopology, NocTree, Star};
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut swaps_taken = 0;
+        // c == slots, and c below the fabric's crossbar count
+        for (c, slots) in [(1, 1), (2, 2), (2, 5), (11, 16), (16, 16), (24, 30)] {
+            let fabrics = [
+                ("mesh", mesh_lut(slots)),
+                ("torus", DistanceLut::new(&Torus::for_crossbars(slots))),
+                ("tree", DistanceLut::new(&NocTree::new(slots, 4))),
+                ("star", DistanceLut::new(&Star::new(slots))),
+                (
+                    "hier2x2",
+                    HierTopology::for_crossbars(slots.max(4), 2, 2, 3, 2)
+                        .unwrap()
+                        .distance_lut(),
+                ),
+            ];
+            for (fabric, dist) in &fabrics {
+                assert!(dist.num_crossbars() >= c);
+                for density in [0.0, 0.1, 0.5, 1.0] {
+                    // clusters 0 and c - 1 exchange no traffic at all
+                    let silent = |k: usize| c > 2 && (k == 0 || k == c - 1);
+                    let packets = (0..c * c)
+                        .map(|i| {
+                            let (x, y) = (i / c, i % c);
+                            if x == y || silent(x) || silent(y) || !rng.gen_bool(density) {
+                                0
+                            } else {
+                                rng.gen_range(1..1_000u64)
+                            }
+                        })
+                        .collect();
+                    let traffic = TrafficMatrix::from_raw(c, packets);
+                    let adj = TrafficAdjacency::new(&traffic);
+                    let mut start: Vec<u32> = (0..c as u32).collect();
+                    for a in (1..c).rev() {
+                        start.swap(a, rng.gen_range(0..a + 1));
+                    }
+                    let before = placement_cost(&traffic, dist, &start) as i64;
+                    let mut oracle = start.clone();
+                    let (oracle_delta, oracle_taken) = adjacency_polish(&adj, dist, 8, &mut oracle);
+                    let mut table = SlotCostTable::new(&traffic, &adj, dist, start);
+                    let mut taken = Vec::new();
+                    let delta = greedy_polish(&mut table, 8, |a, b| taken.push((a, b)));
+                    let case = format!("{fabric} c={c} slots={slots} density={density}");
+                    assert_eq!(taken, oracle_taken, "{case}");
+                    assert_eq!(
+                        (before + delta, &table.physical_of[..]),
+                        (before + oracle_delta, &oracle[..]),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        placement_cost(&traffic, dist, &oracle) as i64,
+                        before + delta,
+                        "{case}"
+                    );
+                    swaps_taken += taken.len();
+                }
+            }
+        }
+        assert!(swaps_taken > 100, "the cases must exercise the update");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * `FitnessKind::CutHops` incremental `Candidate` deltas must equal a full
 //!   recompute under random move/swap sequences, and the batched swarm
 //!   evaluator must equal the scalar path across mask strides;
-//! * `core::place` swap deltas — the dense O(C) reference and the
-//!   optimizer's O(deg) adjacency pricer — must equal the O(C²)
-//!   reference kernel, the optimizer must be byte-deterministic across
+//! * `core::place` swap deltas — the dense O(C) reference, the
+//!   optimizer's O(deg) adjacency pricer and its O(1) slot-cost table —
+//!   must equal the O(C²) reference kernel, the optimizer must be byte-deterministic across
 //!   thread counts, and its default outcomes are frozen;
 //! * acceptance: on the 64-crossbar mesh and the 256-crossbar
 //!   `synth_16x16grid` scenarios (mesh *and* torus), hop-optimized
@@ -24,7 +24,8 @@ use neuromap::core::pipeline::{
     TrafficMode,
 };
 use neuromap::core::place::{
-    optimize_placement, placement_cost, swap_delta, PlaceConfig, TrafficAdjacency, TrafficMatrix,
+    optimize_placement, placement_cost, swap_delta, PlaceConfig, SlotCostTable, TrafficAdjacency,
+    TrafficMatrix,
 };
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
@@ -226,7 +227,8 @@ proptest! {
         }
     }
 
-    /// The optimizer's O(deg) pricer against both oracles, on traffic
+    /// The optimizer's O(deg) pricer against both oracles, and its O(1)
+    /// slot-cost table kept current along the same swaps, on traffic
     /// that is actually sparse: a drawn density from all-zero to full, so
     /// empty rows, isolated clusters and one-directional entries
     /// (`t(x,k) != 0 == t(k,x)`) all occur, over every flat fabric and a
@@ -259,11 +261,14 @@ proptest! {
         let traffic = TrafficMatrix::from_raw(crossbars, packets);
         let adjacency = TrafficAdjacency::new(&traffic);
         let mut perm: Vec<u32> = (0..crossbars as u32).collect();
+        let mut table = SlotCostTable::new(&traffic, &adjacency, &lut, perm.clone());
         let mut cost = placement_cost(&traffic, &lut, &perm) as i64;
         for &(x, y) in &swaps {
             let (a, b) = ((x as usize) % crossbars, (y as usize) % crossbars);
             let d = adjacency.swap_delta(&lut, &perm, a, b);
             prop_assert_eq!(d, swap_delta(&traffic, &lut, &perm, a, b), "fabric {}", fabric);
+            prop_assert_eq!(d, table.swap_delta(a, b), "fabric {} table", fabric);
+            table.swap(a, b);
             perm.swap(a, b);
             cost += d;
             prop_assert_eq!(
