@@ -1,5 +1,6 @@
-//! Baseline partitioners the paper compares against, plus the evolutionary
-//! alternatives (SA, GA) it dismisses on convergence-speed grounds.
+//! The baseline partitioners the paper compares against (Fig. 5). The
+//! paper dismisses the evolutionary alternatives, simulated annealing and
+//! genetic algorithms, on convergence speed, so neither is kept here.
 //!
 //! * [`PacmanPartitioner`] — PACMAN (Galluppi et al., Computing Frontiers
 //!   2012), SpiNNaker's hierarchical configuration system: populations are
@@ -11,27 +12,19 @@
 //!   realize it as round-robin interleaving, the canonical
 //!   partition-oblivious placement and the normalization baseline of
 //!   Fig. 5.
-//! * [`RandomPartitioner`] — capacity-respecting uniform random placement.
-//! * [`SaPartitioner`] — simulated annealing over the same cost (Eq. 8).
-//! * [`GaPartitioner`] — genetic algorithm over the same cost.
 
-mod ga;
 mod neutrams;
 mod pacman;
-mod random;
-mod sa;
 
-pub use ga::{GaConfig, GaPartitioner};
 pub use neutrams::NeutramsPartitioner;
 pub use pacman::PacmanPartitioner;
-pub use random::RandomPartitioner;
-pub use sa::{SaConfig, SaPartitioner};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::SpikeGraph;
     use crate::partition::{PartitionProblem, Partitioner};
+    use crate::pso::{PsoConfig, PsoPartitioner};
 
     /// A layered net whose natural partition is by layer.
     fn layered() -> SpikeGraph {
@@ -54,9 +47,6 @@ mod tests {
         let parts: Vec<Box<dyn Partitioner>> = vec![
             Box::new(PacmanPartitioner::new()),
             Box::new(NeutramsPartitioner::new()),
-            Box::new(RandomPartitioner::new(3)),
-            Box::new(SaPartitioner::new(SaConfig::default())),
-            Box::new(GaPartitioner::new(GaConfig::default())),
         ];
         for part in parts {
             let m = part
@@ -87,7 +77,8 @@ mod tests {
 
     #[test]
     fn optimizers_beat_pacman_on_interleaved_ids() {
-        // permuted ids destroy index locality: PACMAN suffers, SA/GA recover
+        // permuted ids destroy index locality: PACMAN suffers, a pure
+        // swarm (no injected baselines, no polish) recovers
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -103,11 +94,15 @@ mod tests {
         let p = PartitionProblem::new(&g, 3, 4).unwrap();
 
         let pacman = PacmanPartitioner::new().partition(&p).unwrap();
-        let sa = SaPartitioner::new(SaConfig::default())
-            .partition(&p)
-            .unwrap();
+        let pso = PsoPartitioner::new(PsoConfig {
+            seed_baselines: false,
+            polish_passes: 0,
+            ..PsoConfig::default()
+        })
+        .partition(&p)
+        .unwrap();
         assert!(
-            p.cut_spikes(sa.assignment()) <= p.cut_spikes(pacman.assignment()),
+            p.cut_spikes(pso.assignment()) <= p.cut_spikes(pacman.assignment()),
             "an optimizer must not lose to index packing on shuffled ids"
         );
     }

@@ -32,11 +32,10 @@
 //!
 //! ## Invariants
 //!
-//! * After any sequence of [`Candidate::apply`] /
-//!   [`Candidate::try_swap`] calls, [`Candidate::cost`] equals the full
-//!   recomputation on the current assignment (property-tested in
-//!   `tests/eval_properties.rs` across random move and swap sequences
-//!   and every fitness kind).
+//! * After any sequence of [`Candidate::apply`] calls,
+//!   [`Candidate::cost`] equals the full recomputation on the current
+//!   assignment (property-tested in `tests/eval_properties.rs` across
+//!   random move sequences and every fitness kind).
 //! * [`Candidate::move_delta`] and [`Candidate::best_move`] are pure:
 //!   they never mutate state and are exact for the *current* assignment
 //!   (deltas of stacked hypothetical moves must be applied one at a
@@ -90,7 +89,7 @@
 use crate::partition::{FitnessKind, PartitionProblem};
 
 /// A [`Candidate`]'s cached fitness state, built by `EvalEngine::init`
-/// and changed only by `Candidate::commit`.
+/// and changed only by `Candidate::apply`.
 #[derive(Debug)]
 struct CostState {
     cost: u64,
@@ -374,11 +373,10 @@ struct HopHalf {
 
 /// One candidate under local search: an assignment, its cached cost
 /// state and its per-crossbar occupancy, updated together so they cannot
-/// disagree — `refine`, `remap`, the V-cycle's boundary refinement and
-/// the SA chains are search policies over these operations. A crossbar at
-/// the problem's capacity accepts no migration (occupancy is counted, not
-/// checked: an over-full crossbar stays closed until neurons leave it);
-/// swaps preserve occupancy and are never capacity-limited.
+/// disagree — `refine` and the V-cycle's boundary refinement are search
+/// policies over these operations. A crossbar at the problem's capacity
+/// accepts no migration (occupancy is counted, not checked: an over-full
+/// crossbar stays closed until neurons leave it).
 ///
 /// [`Candidate::new`] allocates the state (`CutPackets` and `CutHops`:
 /// an `N × C` tally); every later operation is allocation-free, except
@@ -486,40 +484,10 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
     /// Migrates neuron `i` to crossbar `to` at the `delta` that
     /// [`Candidate::move_delta`] / [`Candidate::best_move`] just returned
     /// for it (verified in debug builds; a stale one corrupts the cached
-    /// cost in release builds).
+    /// cost in release builds). The one place tallies, assignment,
+    /// occupancy and cached cost change.
     #[inline]
     pub fn apply(&mut self, i: usize, to: u32, delta: i64) {
-        self.occupancy[self.assignment[i] as usize] -= 1;
-        self.occupancy[to as usize] += 1;
-        self.commit(i, to, delta);
-    }
-
-    /// Prices the exchange of neurons `i` and `j`, keeps it iff
-    /// `accept(delta)`, and returns the delta either way: `i`'s half is
-    /// applied, `j`'s priced on the intermediate state, then `j` is
-    /// committed or `i` reverted (the inverse move costs exactly the
-    /// negated delta) — O(deg) (`CutHops`: O(C + deg)), exact for every
-    /// objective, no pricing pass paid twice. Returns 0 without
-    /// consulting `accept` when both already share a crossbar.
-    #[inline]
-    pub fn try_swap(&mut self, i: usize, j: usize, accept: impl FnOnce(i64) -> bool) -> i64 {
-        let (ci, cj) = (self.assignment[i], self.assignment[j]);
-        if ci == cj {
-            return 0;
-        }
-        let d1 = self.engine.move_delta(&self.state, self.assignment, i, cj);
-        self.commit(i, cj, d1);
-        let d2 = self.engine.move_delta(&self.state, self.assignment, j, ci);
-        // either way one neuron lands on `ci`: `j` commits, or `i` returns
-        let (k, delta) = if accept(d1 + d2) { (j, d2) } else { (i, -d1) };
-        self.commit(k, ci, delta);
-        d1 + d2
-    }
-
-    /// The one place tallies, assignment and cached cost change: moves
-    /// neuron `i` to `to` at its already-known `delta` (debug builds
-    /// re-price it). Occupancy is the caller's.
-    fn commit(&mut self, i: usize, to: u32, delta: i64) {
         let engine = self.engine;
         debug_assert_eq!(
             delta,
@@ -527,6 +495,8 @@ impl<'e, 'g, 'a> Candidate<'e, 'g, 'a> {
             "caller-supplied delta must match the current state"
         );
         let from = self.assignment[i];
+        self.occupancy[from as usize] -= 1;
+        self.occupancy[to as usize] += 1;
         if engine.tracks_targets() {
             let c = engine.problem.num_crossbars();
             let lo = engine.grouped_offsets[i] as usize;
@@ -1178,7 +1148,7 @@ mod tests {
     }
 
     #[test]
-    fn hop_engine_matches_recompute_under_moves_and_swaps() {
+    fn hop_engine_matches_recompute_under_moves() {
         let g = random_graph(22, 120, 17);
         let lut = mesh_lut(5);
         let p = PartitionProblem::new(&g, 5, 22)
@@ -1190,19 +1160,10 @@ mod tests {
         let mut candidate = Candidate::new(&engine, &mut a);
         assert_recomputes(&candidate);
         let mut rng = StdRng::seed_from_u64(3);
-        for step in 0..200 {
-            if rng.gen_bool(0.5) {
-                let i = rng.gen_range(0..22usize);
-                let to = rng.gen_range(0..5u32);
-                move_to(&mut candidate, i, to);
-            } else {
-                let i = rng.gen_range(0..22usize);
-                let j = rng.gen_range(0..22usize);
-                let before = candidate.cost() as i64;
-                let d = candidate.try_swap(i, j, |_| true);
-                assert_eq!(candidate.cost() as i64, before + d, "step {step}");
-                assert_recomputes(&candidate);
-            }
+        for _ in 0..200 {
+            let i = rng.gen_range(0..22usize);
+            let to = rng.gen_range(0..5u32);
+            move_to(&mut candidate, i, to);
         }
     }
 

@@ -17,11 +17,15 @@
 //! * [`graph::SpikeGraph`] — the trained-SNN representation (from
 //!   `neuromap-snn` simulation output or built directly);
 //! * [`partition::PartitionProblem`] — constraints + the cut-spike cost;
-//! * [`pso::PsoPartitioner`] — the paper's binary particle swarm optimizer;
-//! * [`baselines`] — PACMAN (SpiNNaker sequential packing), NEUTRAMS
-//!   (partition-oblivious round-robin), random packing, plus simulated
-//!   annealing and a genetic algorithm for the paper's "PSO converges
-//!   faster than GA/SA" claim;
+//! * [`pso::PsoPartitioner`] — the paper's binary particle swarm optimizer,
+//!   with its re-binarization and repair kernel in [`decode`];
+//! * [`baselines`] — the paper's two comparison points: PACMAN
+//!   (SpiNNaker sequential packing) and NEUTRAMS (partition-oblivious
+//!   round-robin);
+//! * [`eval`] — the incremental fitness engine every optimizer prices
+//!   with, and [`refine`], the greedy single-neuron local search on it;
+//! * [`multilevel`] — coarsen, partition the coarsest level, refine;
+//! * [`coopt`] — the joint partition ⇄ placement loop;
 //! * [`pipeline`] — the staged flow: SNN → spike graph → partition →
 //!   place → packetize → interconnect simulation → [`pipeline::Report`]
 //!   ([`pipeline::MappingPipeline`]);
@@ -29,9 +33,7 @@
 //!   a deterministic QAP optimizer mapping logical clusters onto physical
 //!   crossbars to minimize hop-weighted packets;
 //! * [`explore`] — the architecture sweep of Fig. 6 and the swarm-size
-//!   sweep of Fig. 7;
-//! * [`remap`] — bounded incremental run-time remapping (the paper's
-//!   stated future work, §VI).
+//!   sweep of Fig. 7.
 //!
 //! ## Quickstart
 //!
@@ -74,7 +76,6 @@ pub mod place;
 pub mod pool;
 pub mod pso;
 pub mod refine;
-pub mod remap;
 mod traffic;
 
 pub use error::CoreError;

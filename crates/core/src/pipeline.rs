@@ -540,6 +540,17 @@ impl MappingPipeline {
     /// back to the pairwise price; [`MappingPipeline::simulate`] returns
     /// the error.
     ///
+    /// # Panics
+    ///
+    /// Flows must name only crossbars the fabric has, as the packetize
+    /// stage's do. A hand-written flow naming one the fabric lacks
+    /// indexes the distance table past its row: it panics, or, when the
+    /// index still lands inside the table, is priced as some other pair.
+    /// [`MappingPipeline::simulate`] returns
+    /// [`NocError::UnknownCrossbar`] for the same flows, so run it first
+    /// on hand-written traffic.
+    ///
+    /// [`NocError::UnknownCrossbar`]: neuromap_noc::NocError::UnknownCrossbar
     /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
     /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
     pub fn hop_metrics(&self, flows: &[SpikeFlow]) -> (u64, u64) {

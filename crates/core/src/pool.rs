@@ -24,7 +24,7 @@
 //! outputs as long as the caller partitions state deterministically.
 //!
 //! [`map_ranges`] is the crate's only fan-out of independent work
-//! (restarts, annealing chains, boundary shards, population chunks) and
+//! (placement restarts, boundary shards) and
 //! [`ranges`] its only index split — `pso::run_rounds` carves the swarm's
 //! persistent shards by it too. Nothing else in `neuromap-core` spawns a
 //! thread or divides a length by a worker count.

@@ -22,9 +22,8 @@
 //! times from cache (multi-word remote-crossbar bitmasks keep the tiled
 //! path up to 256 crossbars for both objectives). The per-candidate
 //! incremental engine ([`crate::eval::Candidate`]) drives the low-churn
-//! optimizers instead: refinement (this module's polish), SA, `remap` and
-//! the V-cycle's boundary refinement. The GA scores with [`SwarmEval`]
-//! too.
+//! optimizers instead: refinement (this module's polish) and the
+//! V-cycle's boundary refinement.
 //!
 //! The velocity update, re-binarization, and capacity repair are one
 //! **fused masked-row sweep** per particle ([`Decoder::step`] in

@@ -14,8 +14,8 @@
 //!   (mesh/tree/torus/star, multicast, spike-disorder and ISI-distortion
 //!   metrics);
 //! * [`core`] — the paper's contribution: binary-PSO partitioning of an SNN
-//!   into local and global synapses, baselines (PACMAN, NEUTRAMS, random,
-//!   SA, GA), the end-to-end pipeline and the design-space explorations;
+//!   into local and global synapses, the paper's baselines (PACMAN,
+//!   NEUTRAMS), the end-to-end pipeline and the design-space explorations;
 //! * [`apps`] — the evaluation workloads of Table I plus the synthetic
 //!   m×n topologies.
 //!

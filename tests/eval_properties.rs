@@ -1,7 +1,7 @@
 //! Property tests for the incremental fitness engine: on arbitrary
 //! graphs, for every `FitnessKind`, the cost a `Candidate` maintains
 //! must equal a full `cut_spikes`/`cut_packets`/`cut_hops` recomputation
-//! across random move and swap sequences, and so must the batched swarm
+//! across random move sequences, and so must the batched swarm
 //! evaluator's.
 
 use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
@@ -36,8 +36,7 @@ proptest! {
         let lut = mesh_lut(4);
         // the sequence through `Candidate`, at capacity N (only the home
         // crossbar is ever closed) and on a capacity tight enough that
-        // crossbars fill up: every pair of proposals is one migration,
-        // then a swap that is kept or reverted
+        // crossbars fill up: every proposal is one migration
         for cap in [n, n.div_ceil(4) + 1] {
             let problem = PartitionProblem::new(&graph, 4, cap)
                 .expect("feasible")
@@ -47,8 +46,8 @@ proptest! {
                 let engine = EvalEngine::new(problem, kind);
                 let mut a: Vec<u32> = (0..n).map(|i| i % 4).collect();
                 let mut candidate = Candidate::new(&engine, &mut a);
-                for (step, pair) in moves.chunks(2).enumerate() {
-                    let (i, to) = ((pair[0].0 % n) as usize, pair[0].1);
+                for (step, &(i, to)) in moves.iter().enumerate() {
+                    let i = (i % n) as usize;
                     let home = candidate.assignment()[i];
                     let full = candidate.occupancy()[to as usize] >= cap;
                     let delta = candidate.move_delta(i, to);
@@ -68,14 +67,6 @@ proptest! {
                         );
                         prop_assert_eq!(candidate.cost() as i64, before + delta, "{:?}", kind);
                     }
-                    if let Some(&(j, keep)) = pair.get(1) {
-                        let j = (j % n) as usize;
-                        let before = candidate.cost() as i64;
-                        let keep = keep % 2 == 0;
-                        let delta = candidate.try_swap(i, j, |_| keep);
-                        let moved = if keep { delta } else { 0 };
-                        prop_assert_eq!(candidate.cost() as i64, before + moved, "{:?} step {}", kind, step);
-                    }
                     let now = candidate.assignment();
                     prop_assert_eq!(candidate.cost(), problem.cost(kind, now), "{:?} step {}", kind, step);
                     let mut recount = [0u32; 4];
@@ -93,9 +84,9 @@ proptest! {
     /// random target lists (duplicates, the home crossbar, full crossbars,
     /// any order), on a feasible random assignment whose last crossbar
     /// attracts half the neurons and so tends to fill. Then, under
-    /// `CutHops`, a long random sequence of applied moves and kept or
-    /// reverted swaps, re-checking every open move's delta and one
-    /// neuron's best move after each step.
+    /// `CutHops`, a long random sequence of applied moves, re-checking
+    /// every open move's delta and one neuron's best move after each
+    /// step.
     #[test]
     fn best_move_is_the_first_least_cost_open_target(
         graph in arb_graph(24),
@@ -103,7 +94,7 @@ proptest! {
         slack in 0u32..3,
         prefer in proptest::collection::vec(0u32..18, 24),
         lists in proptest::collection::vec(proptest::collection::vec(0u32..9, 0..20), 1..6),
-        steps in proptest::collection::vec((0u32..24, 0u32..24, 0u32..9, 0u32..4), 0..120),
+        steps in proptest::collection::vec((0u32..24, 0u32..24, 0u32..9), 0..120),
     ) {
         let n = graph.num_neurons();
         let c = crossbars;
@@ -166,14 +157,10 @@ proptest! {
         let engine = EvalEngine::new(problem, FitnessKind::CutHops);
         let mut a = start.clone();
         let mut candidate = Candidate::new(&engine, &mut a);
-        for (step, &(i, j, to, op)) in steps.iter().enumerate() {
+        for (step, &(i, j, to)) in steps.iter().enumerate() {
             let (i, j, to) = ((i % n) as usize, (j % n) as usize, to % c);
-            if op < 2 {
-                if let Some(d) = candidate.move_delta(i, to) {
-                    candidate.apply(i, to, d);
-                }
-            } else {
-                candidate.try_swap(i, j, |_| op == 2);
+            if let Some(d) = candidate.move_delta(i, to) {
+                candidate.apply(i, to, d);
             }
             let now = candidate.assignment().to_vec();
             let cost = problem.cut_hops(&now) as i64;

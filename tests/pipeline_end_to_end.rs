@@ -3,10 +3,7 @@
 //! across applications, partitioners, and architectures.
 
 use neuromap::apps::{hello_world::HelloWorld, synthetic::Synthetic, App};
-use neuromap::core::baselines::{
-    GaConfig, GaPartitioner, NeutramsPartitioner, PacmanPartitioner, RandomPartitioner, SaConfig,
-    SaPartitioner,
-};
+use neuromap::core::baselines::{NeutramsPartitioner, PacmanPartitioner};
 use neuromap::core::partition::{FitnessKind, Partitioner};
 use neuromap::core::pipeline::Evaluation;
 use neuromap::core::pso::{PsoConfig, PsoPartitioner};
@@ -36,15 +33,6 @@ fn every_partitioner_completes_the_full_flow() {
     let partitioners: Vec<Box<dyn Partitioner>> = vec![
         Box::new(NeutramsPartitioner::new()),
         Box::new(PacmanPartitioner::new()),
-        Box::new(RandomPartitioner::new(3)),
-        Box::new(SaPartitioner::new(SaConfig {
-            moves: 3000,
-            ..SaConfig::default()
-        })),
-        Box::new(GaPartitioner::new(GaConfig {
-            generations: 10,
-            ..GaConfig::default()
-        })),
         Box::new(quick_pso()),
     ];
     for p in &partitioners {

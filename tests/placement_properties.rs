@@ -126,7 +126,7 @@ proptest! {
     fn cut_hops_deltas_match_recompute_under_moves_and_swaps(
         graph in arb_graph(20),
         topo_idx in 0u8..8,
-        ops in proptest::collection::vec((0u32..20, 0u32..20, 0u8..2), 1..50),
+        moves in proptest::collection::vec((0u32..20, 0u32..20), 1..50),
     ) {
         let n = graph.num_neurons();
         let crossbars = 6usize;
@@ -140,22 +140,16 @@ proptest! {
         let mut a: Vec<u32> = (0..n).map(|i| i % crossbars as u32).collect();
         let mut candidate = Candidate::new(&engine, &mut a);
         prop_assert_eq!(candidate.cost(), problem.cut_hops(candidate.assignment()));
-        for &(x, y, is_swap) in &ops {
+        for &(x, y) in &moves {
             let i = (x % n) as usize;
+            let to = y % crossbars as u32;
             let before = candidate.cost() as i64;
-            if is_swap == 1 {
-                let j = (y % n) as usize;
-                let d = candidate.try_swap(i, j, |_| true);
-                prop_assert_eq!(candidate.cost() as i64, before + d);
-            } else {
-                let to = y % crossbars as u32;
-                match candidate.move_delta(i, to) {
-                    Some(d) => {
-                        candidate.apply(i, to, d);
-                        prop_assert_eq!(candidate.cost() as i64, before + d);
-                    }
-                    None => prop_assert_eq!(candidate.assignment()[i], to, "only home is closed"),
+            match candidate.move_delta(i, to) {
+                Some(d) => {
+                    candidate.apply(i, to, d);
+                    prop_assert_eq!(candidate.cost() as i64, before + d);
                 }
+                None => prop_assert_eq!(candidate.assignment()[i], to, "only home is closed"),
             }
             prop_assert_eq!(
                 candidate.cost(),
