@@ -245,13 +245,14 @@ mod tests {
     #[test]
     fn arch_capacity_has_slack() {
         let arch = arch_for(1024);
-        assert!(arch.total_neuron_capacity() as f64 >= 1024.0 * 1.1);
+        let capacity = |a: &Architecture| a.num_crossbars() as u32 * a.neurons_per_crossbar();
+        assert!(capacity(&arch) as f64 >= 1024.0 * 1.1);
         assert_eq!(arch.neurons_per_crossbar(), CROSSBAR_NEURONS);
         // small apps get 4 proportionally smaller crossbars
         let small = arch_for(126);
         assert_eq!(small.num_crossbars(), 4);
         assert!(small.neurons_per_crossbar() < CROSSBAR_NEURONS);
-        assert!(small.total_neuron_capacity() >= 126);
+        assert!(capacity(&small) >= 126);
     }
 
     #[test]

@@ -542,8 +542,8 @@ const MASK16_WORDS_MAX: usize = TILE16_MAX_CROSSBARS / 64;
 /// Which evaluation kernel [`SwarmEval::eval_swarm`] runs for a given
 /// problem and objective ([`SwarmEval::kernel`]), surfaced in
 /// `perf_probe` and asserted by the benches so the scalar arm is never a
-/// silent perf cliff. [`SwarmKernel::for_crossbars`] and the pipeline
-/// `Report` know the crossbar count only: they name the tile *width*.
+/// silent perf cliff. [`SwarmKernel::for_crossbars`] knows the crossbar
+/// count only: it names the tile *width*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwarmKernel {
     /// Neuron-major byte tile (crossbar ids fit `u8`):

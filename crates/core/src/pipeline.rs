@@ -190,14 +190,6 @@ pub struct Report {
     /// whatever the caller handed [`MappingPipeline::evaluate`] (the
     /// joint optimizer's callers label their rows `"joint"`, say).
     pub placement: String,
-    /// The swarm-evaluator tile width available at this crossbar count
-    /// ([`crate::eval::SwarmKernel::for_crossbars`] by name:
-    /// `"byte-tile"`, `"word-tile"`, or `"scalar"`; the objective is not
-    /// known here, and `CutHops` leaves the tiles earlier) — surfaces the
-    /// scalar fallback past the batched envelopes. Empty when
-    /// deserialized from an older report.
-    #[serde(default)]
-    pub eval_kernel: String,
     /// Full interconnect statistics (latency, throughput, disorder, ISI).
     pub noc: NocStats,
     /// The neuron → (physical) crossbar mapping that produced these
@@ -650,11 +642,6 @@ impl MappingPipeline {
                 },
                 hop_weighted_packets,
                 placement: placement_label.to_owned(),
-                eval_kernel: crate::eval::SwarmKernel::for_crossbars(
-                    self.config.arch.num_crossbars(),
-                )
-                .name()
-                .to_owned(),
                 noc: noc_stats,
                 mapping,
             },
@@ -966,8 +953,6 @@ mod tests {
             .report;
         assert_eq!(r.hop_weighted_packets, 9 * r.cut_spikes);
         assert!((r.avg_hops - 9.0).abs() < 1e-12);
-        // the report names the swarm-eval kernel for this crossbar count
-        assert_eq!(r.eval_kernel, "byte-tile");
     }
 
     #[test]
@@ -981,7 +966,7 @@ mod tests {
         assert_eq!(whole.placement, "identity");
         let mapping = pipeline.partition(&g, &part).unwrap();
         let (placed, placement, id) = pipeline.place(&g, &mapping).unwrap();
-        assert!(placement.is_identity());
+        assert_eq!(placement, Placement::identity(mapping.num_crossbars()));
         assert_eq!(id, "identity");
         assert_eq!(placed, mapping);
         assert_eq!(&placed, &whole.mapping);

@@ -905,7 +905,7 @@ mod tests {
         let traffic = TrafficMatrix::from_raw(1, vec![0]);
         let dist = mesh_lut(1);
         let outcome = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap();
-        assert!(outcome.placement.is_identity());
+        assert_eq!(outcome.placement, Placement::identity(1));
         assert_eq!(outcome.optimized_cost, 0);
         // empty traffic: every permutation costs zero; identity wins
         let traffic = TrafficMatrix::from_raw(4, vec![0; 16]);

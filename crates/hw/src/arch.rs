@@ -51,13 +51,6 @@ pub enum InterconnectKind {
     },
 }
 
-impl InterconnectKind {
-    /// A NoC-tree of arity 4, CxQuad's interconnect.
-    pub fn cxquad_tree() -> Self {
-        InterconnectKind::Tree { arity: 4 }
-    }
-}
-
 /// Domain checks for [`InterconnectKind::Hier`], mirroring the
 /// construction-time validation of `neuromap_noc::topology::HierTopology`
 /// (same derived near-square per-chip mesh, same weighted-diameter bound)
@@ -125,7 +118,8 @@ fn validate_hier(
 /// // 16 crossbars of 90 neurons on a mesh — one point of the paper's
 /// // Fig. 6 architecture sweep
 /// let arch = Architecture::custom(16, 90, InterconnectKind::Mesh)?;
-/// assert_eq!(arch.total_neuron_capacity(), 1440);
+/// assert_eq!(arch.num_crossbars(), 16);
+/// assert_eq!(arch.neurons_per_crossbar(), 90);
 /// # Ok(())
 /// # }
 /// ```
@@ -172,29 +166,9 @@ impl Architecture {
         Self {
             num_crossbars: 4,
             crossbar: CrossbarSpec::default(),
-            interconnect: InterconnectKind::cxquad_tree(),
+            interconnect: InterconnectKind::Tree { arity: 4 },
             energy: EnergyModel::default(),
         }
-    }
-
-    /// A TrueNorth-class chip slice: `n` crossbars of 256 neurons on a mesh.
-    ///
-    /// # Errors
-    ///
-    /// [`HwError::InvalidParameter`] if `n` is zero.
-    pub fn truenorth_like(n: usize) -> Result<Self, HwError> {
-        if n == 0 {
-            return Err(HwError::InvalidParameter {
-                name: "n",
-                value: "0".into(),
-            });
-        }
-        Ok(Self {
-            num_crossbars: n,
-            crossbar: CrossbarSpec::square(256).expect("256 > 0"),
-            interconnect: InterconnectKind::Mesh,
-            energy: EnergyModel::default(),
-        })
     }
 
     /// A fully custom architecture.
@@ -297,11 +271,6 @@ impl Architecture {
         self.crossbar.neuron_capacity()
     }
 
-    /// Total neuron capacity of the chip.
-    pub fn total_neuron_capacity(&self) -> u64 {
-        self.num_crossbars as u64 * self.neurons_per_crossbar() as u64
-    }
-
     /// The interconnect descriptor.
     pub fn interconnect(&self) -> InterconnectKind {
         self.interconnect
@@ -310,11 +279,6 @@ impl Architecture {
     /// The energy model.
     pub fn energy(&self) -> &EnergyModel {
         &self.energy
-    }
-
-    /// Whether an SNN of `n` neurons can fit on this chip at all.
-    pub fn fits(&self, n: u64) -> bool {
-        n <= self.total_neuron_capacity()
     }
 }
 
@@ -327,16 +291,7 @@ mod tests {
         let a = Architecture::cxquad();
         assert_eq!(a.num_crossbars(), 4);
         assert_eq!(a.neurons_per_crossbar(), 128);
-        assert_eq!(a.crossbar().max_synapses(), 16_384);
         assert_eq!(a.interconnect(), InterconnectKind::Tree { arity: 4 });
-        assert_eq!(a.total_neuron_capacity(), 512);
-    }
-
-    #[test]
-    fn truenorth_like_is_mesh() {
-        let a = Architecture::truenorth_like(16).unwrap();
-        assert_eq!(a.interconnect(), InterconnectKind::Mesh);
-        assert_eq!(a.total_neuron_capacity(), 4096);
     }
 
     #[test]
@@ -380,7 +335,7 @@ mod tests {
         let base = Architecture::cxquad();
         for npc in [90u32, 180, 360, 720, 1440] {
             let a = base.with_crossbar_size(npc, 1440).unwrap();
-            assert!(a.total_neuron_capacity() >= 1440, "npc={npc}");
+            assert!(a.num_crossbars() as u32 * npc >= 1440, "npc={npc}");
             assert_eq!(a.neurons_per_crossbar(), npc);
             assert_eq!(a.interconnect(), base.interconnect());
         }
@@ -393,13 +348,6 @@ mod tests {
         let large = base.with_crossbar_size(1440, 1440).unwrap();
         assert_eq!(small.num_crossbars(), 16);
         assert_eq!(large.num_crossbars(), 1);
-    }
-
-    #[test]
-    fn fits_checks_capacity() {
-        let a = Architecture::cxquad();
-        assert!(a.fits(512));
-        assert!(!a.fits(513));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl CrossbarSpec {
         })
     }
 
-    /// Maximum number of local synapses (crosspoints).
-    pub fn max_synapses(&self) -> u64 {
-        self.inputs as u64 * self.outputs as u64
-    }
-
     /// Maximum number of neurons hostable on this crossbar.
     ///
     /// Following the paper's formulation (one x-variable per neuron per
@@ -75,7 +70,7 @@ mod tests {
     #[test]
     fn square_constructor() {
         let c = CrossbarSpec::square(256).unwrap();
-        assert_eq!(c.max_synapses(), 65_536);
+        assert_eq!((c.inputs, c.outputs), (256, 256));
         assert_eq!(c.neuron_capacity(), 256);
     }
 
@@ -88,7 +83,6 @@ mod tests {
     fn default_is_cxquad_crossbar() {
         let c = CrossbarSpec::default();
         assert_eq!((c.inputs, c.outputs), (128, 128));
-        assert_eq!(c.max_synapses(), 16_384);
     }
 
     #[test]

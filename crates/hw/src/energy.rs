@@ -111,38 +111,16 @@ impl EnergyModel {
         Ok(())
     }
 
-    /// Energy for a unicast packet of `flits` flits travelling `hops` hops,
-    /// spending `queued_cycles` total flit-cycles in buffers, including AER
-    /// encode/decode at the endpoints.
-    pub fn packet_pj(&self, hops: u32, flits: u32, queued_flit_cycles: u64) -> f64 {
-        self.encode_pj
-            + self.decode_pj
-            + hops as f64 * self.router_hop_pj
-            + hops as f64 * flits as f64 * self.link_flit_pj
-            + queued_flit_cycles as f64 * self.buffer_flit_pj
-    }
-
-    /// Energy for `events` local synaptic events inside crossbars.
-    pub fn local_pj(&self, events: u64) -> f64 {
-        events as f64 * self.local_synapse_pj
-    }
-
-    /// Per-event local energy for a crossbar of the given dimension
-    /// (linear wordline/bitline capacitance scaling; see
-    /// [`EnergyModel::reference_dim`]).
-    pub fn local_event_pj(&self, crossbar_dim: u32) -> f64 {
+    /// Energy for `events` local synaptic events on crossbars of
+    /// dimension `crossbar_dim` (linear wordline/bitline capacitance
+    /// scaling; see [`EnergyModel::reference_dim`]).
+    pub fn local_pj_scaled(&self, events: u64, crossbar_dim: u32) -> f64 {
         let ref_dim = if self.reference_dim > 0.0 {
             self.reference_dim
         } else {
             128.0
         };
-        self.local_synapse_pj * crossbar_dim as f64 / ref_dim
-    }
-
-    /// Energy for `events` local events on crossbars of dimension
-    /// `crossbar_dim`.
-    pub fn local_pj_scaled(&self, events: u64, crossbar_dim: u32) -> f64 {
-        events as f64 * self.local_event_pj(crossbar_dim)
+        events as f64 * (self.local_synapse_pj * crossbar_dim as f64 / ref_dim)
     }
 }
 
@@ -154,18 +132,6 @@ pub fn pj_to_uj(pj: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_orders_of_magnitude() {
-        let m = EnergyModel::default();
-        // crossing the NoC (≥1 hop) must cost much more than a local event
-        let global = m.packet_pj(1, 1, 0);
-        assert!(
-            global > 5.0 * m.local_synapse_pj,
-            "global {global} vs local {}",
-            m.local_synapse_pj
-        );
-    }
 
     #[test]
     fn json_roundtrip() {
@@ -190,28 +156,6 @@ mod tests {
         assert!(m.validate().is_err());
         let json = serde_json::to_string(&m).unwrap();
         assert!(EnergyModel::from_json(&json).is_err());
-    }
-
-    #[test]
-    fn packet_energy_scales_with_hops_and_flits() {
-        let m = EnergyModel::default();
-        let one = m.packet_pj(1, 1, 0);
-        let far = m.packet_pj(4, 1, 0);
-        let fat = m.packet_pj(1, 4, 0);
-        assert!(far > one);
-        assert!(fat > one);
-    }
-
-    #[test]
-    fn buffering_adds_energy() {
-        let m = EnergyModel::default();
-        assert!(m.packet_pj(2, 1, 10) > m.packet_pj(2, 1, 0));
-    }
-
-    #[test]
-    fn local_energy_linear_in_events() {
-        let m = EnergyModel::default();
-        assert_eq!(m.local_pj(1000), 1000.0 * m.local_synapse_pj);
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //!
 //! * [`crossbar::CrossbarSpec`] — crossbar geometry and capacity rules;
 //! * [`arch::Architecture`] — a full chip description (crossbar count/size +
-//!   interconnect kind + energy model), with presets [`arch::Architecture::cxquad`]
-//!   (4 crossbars × 128 neurons, NoC-tree) and
-//!   [`arch::Architecture::truenorth_like`] (mesh);
+//!   interconnect kind + energy model), with the preset
+//!   [`arch::Architecture::cxquad`] (4 crossbars × 128 neurons, NoC-tree);
 //! * [`energy::EnergyModel`] — pJ-level event energies, loadable from JSON
 //!   (the counterpart of Noxim's external YAML power file);
-//! * [`aer::AerEvent`] — Address-Event-Representation encoding of spikes;
 //! * [`mapping::Mapping`] — a neuron → crossbar assignment with the paper's
-//!   validity constraints (Eq. 4–5) and local/global synapse classification.
+//!   validity constraints (Eq. 4–5), and [`mapping::Placement`], the
+//!   cluster → physical-crossbar permutation composed into it.
+//!
+//! Which synapses a mapping leaves local or global, and what their AER
+//! packets cost on the interconnect, is derived downstream: by
+//! `neuromap-core`'s traffic walk and `neuromap-noc`'s simulator.
 //!
 //! ```
 //! use neuromap_hw::arch::Architecture;
@@ -24,14 +27,12 @@
 //! // map 6 neurons round-robin over the 4 crossbars
 //! let m = Mapping::from_assignment(vec![0, 1, 2, 3, 0, 1], 4).unwrap();
 //! assert!(m.validate(&arch).is_ok());
-//! assert!(m.is_local(0, 4));  // both on crossbar 0
-//! assert!(!m.is_local(0, 1)); // crossbars 0 and 1
+//! assert_eq!(m.occupancy(), vec![2, 2, 1, 1]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aer;
 pub mod arch;
 pub mod crossbar;
 pub mod energy;

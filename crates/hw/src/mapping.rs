@@ -4,7 +4,8 @@
 //! A [`Mapping`] is the *output* of the partitioning problem of Section III:
 //! for every neuron, the crossbar hosting it. Synapses whose endpoints share
 //! a crossbar are **local** (implemented as crosspoints); all others are
-//! **global** (time-multiplexed over the interconnect). The two constraints
+//! **global** (time-multiplexed over the interconnect); `neuromap-core`'s
+//! traffic walk derives which is which. The two constraints
 //! of Eq. 4–5 — every neuron on exactly one crossbar, and no crossbar over
 //! capacity — are enforced by [`Mapping::from_assignment`] (structurally)
 //! and [`Mapping::validate`] (against a concrete [`Architecture`]).
@@ -20,12 +21,11 @@ use crate::arch::Architecture;
 use crate::error::HwError;
 use serde::{Deserialize, Serialize};
 
-/// A list of `(pre, post)` synapse endpoint pairs.
-pub type SynapsePairs = Vec<(u32, u32)>;
-
 /// An assignment of every neuron to one crossbar: `crossbar_of[neuron]`,
 /// over `num_crossbars` crossbars. Nothing is derived from it and kept
-/// beside it; [`Mapping::neurons_on`] and [`Mapping::occupancy`] scan it.
+/// beside it: [`Mapping::occupancy`] and [`Mapping::validate`] count it,
+/// and the mapping pipeline walks [`Mapping::assignment`] to split the
+/// synapses into local and global ones.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Mapping {
     crossbar_of: Vec<u32>,
@@ -77,37 +77,9 @@ impl Mapping {
         self.num_crossbars
     }
 
-    /// Crossbar hosting neuron `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn crossbar_of(&self, id: u32) -> u32 {
-        self.crossbar_of[id as usize]
-    }
-
     /// The raw assignment slice.
     pub fn assignment(&self) -> &[u32] {
         &self.crossbar_of
-    }
-
-    /// Whether the synapse `pre → post` is local (both endpoints on the
-    /// same crossbar).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn is_local(&self, pre: u32, post: u32) -> bool {
-        self.crossbar_of[pre as usize] == self.crossbar_of[post as usize]
-    }
-
-    /// Neurons hosted on crossbar `k`, in id order.
-    pub fn neurons_on(&self, k: u32) -> Vec<u32> {
-        (0..)
-            .zip(&self.crossbar_of)
-            .filter(|&(_, &c)| c == k)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Occupancy (neuron count) per crossbar.
@@ -172,24 +144,6 @@ impl Mapping {
             .map(|&k| placement.physical_of(k))
             .collect();
         Mapping::from_assignment(placed, self.num_crossbars)
-    }
-
-    /// Splits a synapse list into `(local, global)` according to this
-    /// mapping — the paper's partition of S into local and global synapses.
-    pub fn classify_synapses<'a>(
-        &self,
-        synapses: impl IntoIterator<Item = &'a (u32, u32)>,
-    ) -> (SynapsePairs, SynapsePairs) {
-        let mut local = Vec::new();
-        let mut global = Vec::new();
-        for &(pre, post) in synapses {
-            if self.is_local(pre, post) {
-                local.push((pre, post));
-            } else {
-                global.push((pre, post));
-            }
-        }
-        (local, global)
     }
 }
 
@@ -279,23 +233,6 @@ impl Placement {
     pub fn as_slice(&self) -> &[u32] {
         &self.physical_of
     }
-
-    /// Whether this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.physical_of
-            .iter()
-            .enumerate()
-            .all(|(k, &p)| p as usize == k)
-    }
-
-    /// The inverse permutation (`cluster_of[physical crossbar]`).
-    pub fn inverse(&self) -> Placement {
-        let mut inv = vec![0u32; self.physical_of.len()];
-        for (k, &p) in self.physical_of.iter().enumerate() {
-            inv[p as usize] = k as u32;
-        }
-        Placement { physical_of: inv }
-    }
 }
 
 #[cfg(test)]
@@ -310,15 +247,6 @@ mod tests {
             err,
             HwError::CrossbarOutOfRange { crossbar: 4, .. }
         ));
-    }
-
-    #[test]
-    fn locality() {
-        let m = Mapping::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
-        assert!(m.is_local(0, 1));
-        assert!(!m.is_local(1, 2));
-        assert_eq!(m.neurons_on(1), vec![2, 3]);
-        assert_eq!(m.occupancy(), vec![2, 2]);
     }
 
     #[test]
@@ -346,21 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn classify_splits_synapses() {
-        let m = Mapping::from_assignment(vec![0, 0, 1], 2).unwrap();
-        let syn = vec![(0u32, 1u32), (0, 2), (1, 2)];
-        let (local, global) = m.classify_synapses(&syn);
-        assert_eq!(local, vec![(0, 1)]);
-        assert_eq!(global, vec![(0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn neurons_on_covers_every_crossbar_in_id_order() {
+    fn occupancy_counts_every_crossbar() {
         let m = Mapping::from_assignment(vec![2, 0, 2, 1, 0, 2], 4).unwrap();
-        assert_eq!(m.neurons_on(0), [1, 4]);
-        assert_eq!(m.neurons_on(1), [3]);
-        assert_eq!(m.neurons_on(2), [0, 2, 5]);
-        assert!(m.neurons_on(3).is_empty());
         assert_eq!(m.occupancy(), vec![2, 1, 3, 0]);
     }
 
@@ -369,18 +284,7 @@ mod tests {
         assert!(Placement::new(vec![2, 0, 1]).is_ok());
         assert!(Placement::new(vec![0, 0, 1]).is_err()); // duplicate
         assert!(Placement::new(vec![0, 3, 1]).is_err()); // out of range
-        let id = Placement::identity(4);
-        assert!(id.is_identity());
-        assert!(!Placement::new(vec![1, 0]).unwrap().is_identity());
-    }
-
-    #[test]
-    fn placement_inverse_roundtrips() {
-        let p = Placement::new(vec![2, 0, 3, 1]).unwrap();
-        let inv = p.inverse();
-        for k in 0..4u32 {
-            assert_eq!(inv.physical_of(p.physical_of(k)), k);
-        }
+        assert_eq!(Placement::identity(4).as_slice(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -413,7 +317,6 @@ mod tests {
         assert_eq!(json, r#"{"crossbar_of":[2,0,2,1],"num_crossbars":3}"#);
         let back: Mapping = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.neurons_on(2), [0, 2]);
         // out-of-range assignments are rejected at the boundary
         assert!(
             serde_json::from_str::<Mapping>(r#"{"crossbar_of":[5],"num_crossbars":2}"#).is_err()

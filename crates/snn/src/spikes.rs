@@ -1,9 +1,11 @@
 //! Spike trains and inter-spike-interval (ISI) analysis.
 //!
 //! The paper's hardware metrics (ISI distortion, spike disorder) are defined
-//! over the spike trains emitted by individual neurons; this module provides
-//! the common representation and the ISI arithmetic shared by the simulator,
-//! the spike graph, and the NoC statistics.
+//! over the spike trains emitted by individual neurons. This module provides
+//! the common representation, shared by the simulator, the spike graph and
+//! the applications, and [`isi_distortion`], the metric's definition on one
+//! pair of trains. The NoC statistics compute both metrics over whole
+//! delivery logs themselves.
 
 use serde::{Deserialize, Serialize};
 
@@ -166,46 +168,6 @@ pub fn isi_distortion(sent: &SpikeTrain, received: &SpikeTrain) -> u32 {
         .unwrap_or(0)
 }
 
-/// Mean absolute ISI difference between two trains (see [`isi_distortion`]
-/// for the max-based variant). Returns 0.0 when either has fewer than two
-/// spikes.
-pub fn mean_isi_distortion(sent: &SpikeTrain, received: &SpikeTrain) -> f64 {
-    let a = sent.isis();
-    let b = received.isis();
-    let n = a.len().min(b.len());
-    if n == 0 {
-        return 0.0;
-    }
-    let sum: u64 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x.abs_diff(y) as u64)
-        .sum();
-    sum as f64 / n as f64
-}
-
-/// Counts pairs `(i, j)` that arrive in a different relative order than they
-/// were sent, given per-event `(send_time, receive_time)` tuples.
-///
-/// This is the primitive behind the paper's *spike disorder count*: spikes
-/// sent in one order but delivered in another carry corrupted information to
-/// the postsynaptic neuron. The count is over adjacent events after sorting
-/// by send time, i.e. the number of *inversions detectable by the receiver*
-/// between consecutive sends.
-pub fn disorder_count(events: &[(u64, u64)]) -> usize {
-    let mut sorted: Vec<(u64, u64)> = events.to_vec();
-    sorted.sort_by_key(|&(send, _)| send);
-    sorted
-        .windows(2)
-        .filter(|w| {
-            let (s0, r0) = w[0];
-            let (s1, r1) = w[1];
-            // strictly-later send delivered strictly earlier = inversion
-            s0 < s1 && r0 > r1
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,29 +226,6 @@ mod tests {
         // second spike delayed by 6 extra cycles: ISIs become 16, 4
         let recv = SpikeTrain::from_times(vec![2, 18, 22]);
         assert_eq!(isi_distortion(&sent, &recv), 6);
-    }
-
-    #[test]
-    fn mean_isi_distortion_averages() {
-        let sent = SpikeTrain::from_times(vec![0, 10, 20]);
-        let recv = SpikeTrain::from_times(vec![0, 12, 20]); // ISIs 12, 8 vs 10, 10
-        assert!((mean_isi_distortion(&sent, &recv) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disorder_counts_inversions() {
-        // sent at 1,2,3; the spike sent at 2 arrives after the one sent at 3
-        let events = vec![(1, 10), (2, 30), (3, 20)];
-        assert_eq!(disorder_count(&events), 1);
-        // fully ordered
-        let events = vec![(1, 10), (2, 11), (3, 12)];
-        assert_eq!(disorder_count(&events), 0);
-    }
-
-    #[test]
-    fn disorder_ignores_simultaneous_sends() {
-        let events = vec![(5, 30), (5, 20)];
-        assert_eq!(disorder_count(&events), 0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * [`snn`] — a CARLsim-class spiking-neural-network simulator
 //!   (Izhikevich/LIF/adaptive-LIF neurons, STDP, Poisson sources, rate and
 //!   temporal coding);
-//! * [`hw`] — the hardware model (crossbars, CxQuad/TrueNorth-class
-//!   architectures, AER protocol, JSON-loadable energy model);
+//! * [`hw`] — the hardware model (crossbars, CxQuad-class and custom
+//!   architectures, JSON-loadable energy model, neuron → crossbar
+//!   mappings);
 //! * [`noc`] — a Noxim++-class interconnect simulator — an event-driven
 //!   engine differentially verified against a cycle-accurate oracle
 //!   (mesh/tree/torus/star, multicast, spike-disorder and ISI-distortion

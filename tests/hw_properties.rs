@@ -1,8 +1,8 @@
-//! Property-based tests over the hardware model: AER round trips, mapping
-//! algebra, architecture derivation, and energy-model serialization.
+//! Property-based tests over the hardware model: mapping algebra,
+//! architecture derivation, and energy-model serialization.
 
-use neuromap::hw::aer::{address_bits, decode_stream, encode_stream, flits_for, AerEvent};
-use neuromap::hw::arch::{Architecture, InterconnectKind};
+use neuromap::core::{PartitionProblem, SpikeGraph};
+use neuromap::hw::arch::Architecture;
 use neuromap::hw::energy::EnergyModel;
 use neuromap::hw::mapping::Mapping;
 use proptest::prelude::*;
@@ -13,78 +13,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
 
     #[test]
-    fn aer_pack_roundtrip(source in any::<u32>(), timestamp in any::<u32>()) {
-        let e = AerEvent::new(source, timestamp);
-        prop_assert_eq!(AerEvent::unpack(e.pack()), e);
-    }
-
-    #[test]
-    fn aer_stream_roundtrip(
-        trains in proptest::collection::vec(
-            proptest::collection::vec(0u32..10_000, 0..30),
-            1..10
-        ),
-    ) {
-        let ids: Vec<u32> = (0..trains.len() as u32).collect();
-        // dedup + sort each train the way SpikeTrain would
-        let canon: Vec<Vec<u32>> = trains
-            .iter()
-            .map(|t| {
-                let mut t = t.clone();
-                t.sort_unstable();
-                t.dedup();
-                t
-            })
-            .collect();
-        let slices: Vec<&[u32]> = canon.iter().map(|t| t.as_slice()).collect();
-        let stream = encode_stream(&ids, &slices);
-        // chronological order
-        prop_assert!(stream.windows(2).all(|w| w[0] <= w[1]));
-        // decode reproduces exactly the non-empty trains
-        let decoded = decode_stream(&stream);
-        let expected: Vec<(u32, Vec<u32>)> = ids
-            .iter()
-            .zip(&canon)
-            .filter(|(_, t)| !t.is_empty())
-            .map(|(&i, t)| (i, t.clone()))
-            .collect();
-        prop_assert_eq!(decoded, expected);
-    }
-
-    #[test]
-    fn address_bits_suffice(n in 1u32..1_000_000) {
-        let bits = address_bits(n);
-        prop_assert!(1u64 << bits >= n as u64, "{bits} bits for {n}");
-        if n > 2 {
-            prop_assert!(1u64 << (bits - 1) < n as u64, "{bits} bits wasteful for {n}");
-        }
-    }
-
-    #[test]
-    fn flit_count_covers_payload(payload in 0u32..10_000, width in 1u32..512) {
-        let flits = flits_for(payload, width);
-        prop_assert!(flits * width >= payload);
-        prop_assert!(flits >= 1);
-    }
-
-    #[test]
     fn mapping_occupancy_sums_to_neuron_count(
         assignment in proptest::collection::vec(0u32..6, 1..100),
     ) {
         let m = Mapping::from_assignment(assignment.clone(), 6).expect("in range");
         let occ = m.occupancy();
         prop_assert_eq!(occ.iter().sum::<usize>(), assignment.len());
-        // the CSR index agrees with occupancy, stays in ascending id
-        // order, and partitions the neuron set
-        let mut covered = 0usize;
+        // each crossbar's count is its share of the assignment
         for k in 0..6u32 {
-            let on = m.neurons_on(k);
-            prop_assert_eq!(on.len(), occ[k as usize]);
-            prop_assert!(on.windows(2).all(|w| w[0] < w[1]), "id order");
-            prop_assert!(on.iter().all(|&i| m.crossbar_of(i) == k));
-            covered += on.len();
+            let on = m.assignment().iter().filter(|&&c| c == k).count();
+            prop_assert_eq!(on, occ[k as usize]);
         }
-        prop_assert_eq!(covered, assignment.len());
     }
 
     #[test]
@@ -104,45 +43,26 @@ proptest! {
         }
         let p = Placement::new(phys).expect("permutation");
         let placed = m.place(&p).expect("same crossbar count");
-        // per-neuron composition, occupancy permutation, inverse undo
+        // per-neuron composition, occupancy permutation
         let occ = m.occupancy();
         let pocc = placed.occupancy();
-        for i in 0..m.num_neurons() as u32 {
-            prop_assert_eq!(placed.crossbar_of(i), p.physical_of(m.crossbar_of(i)));
+        for (&to, &from) in placed.assignment().iter().zip(m.assignment()) {
+            prop_assert_eq!(to, p.physical_of(from));
         }
         for k in 0..8u32 {
             prop_assert_eq!(pocc[p.physical_of(k) as usize], occ[k as usize]);
-            prop_assert_eq!(placed.neurons_on(p.physical_of(k)), m.neurons_on(k));
         }
-        let undone = placed.place(&p.inverse()).expect("same crossbar count");
-        prop_assert_eq!(&undone, &m);
-        let double_inverse = p.inverse().inverse();
-        prop_assert_eq!(double_inverse.as_slice(), p.as_slice());
-    }
-
-    #[test]
-    fn classify_partitions_synapses(
-        assignment in proptest::collection::vec(0u32..4, 2..40),
-        edges in proptest::collection::vec((0usize..40, 0usize..40), 0..80),
-    ) {
-        let n = assignment.len();
-        let m = Mapping::from_assignment(assignment, 4).expect("in range");
-        let synapses: Vec<(u32, u32)> = edges
-            .into_iter()
-            .filter(|&(a, b)| a < n && b < n)
-            .map(|(a, b)| (a as u32, b as u32))
-            .collect();
-        let (local, global) = m.classify_synapses(&synapses);
-        prop_assert_eq!(local.len() + global.len(), synapses.len());
-        prop_assert!(local.iter().all(|&(a, b)| m.is_local(a, b)));
-        prop_assert!(global.iter().all(|&(a, b)| !m.is_local(a, b)));
     }
 
     #[test]
     fn derived_architectures_always_fit(total in 1u32..5_000, npc in 1u32..2_000) {
         let base = Architecture::cxquad();
         let arch = base.with_crossbar_size(npc, total).expect("valid sizes");
-        prop_assert!(arch.fits(total as u64));
+        // the partitioner's capacity check accepts a graph of that size
+        let graph = SpikeGraph::from_parts(total, vec![], vec![0; total as usize]).expect("graph");
+        prop_assert!(
+            PartitionProblem::new(&graph, arch.num_crossbars(), arch.neurons_per_crossbar()).is_ok()
+        );
         prop_assert_eq!(arch.neurons_per_crossbar(), npc);
         prop_assert_eq!(arch.interconnect(), base.interconnect());
     }
@@ -164,25 +84,9 @@ proptest! {
     }
 
     #[test]
-    fn packet_energy_monotone_in_hops(hops in 0u32..64, flits in 1u32..16) {
-        let m = EnergyModel::default();
-        prop_assert!(m.packet_pj(hops + 1, flits, 0) >= m.packet_pj(hops, flits, 0));
-        prop_assert!(m.packet_pj(hops, flits + 1, 0) >= m.packet_pj(hops, flits, 0));
-    }
-
-    #[test]
     fn local_event_energy_scales_with_dimension(dim in 1u32..4096) {
         let m = EnergyModel::default();
-        let e = m.local_event_pj(dim);
+        let e = m.local_pj_scaled(1, dim);
         prop_assert!((e - m.local_synapse_pj * dim as f64 / 128.0).abs() < 1e-9);
     }
-}
-
-#[test]
-fn mapping_validate_agrees_with_is_local_partition() {
-    let arch = Architecture::custom(3, 4, InterconnectKind::Mesh).unwrap();
-    let m = Mapping::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-    assert!(m.validate(&arch).is_ok());
-    assert!(m.is_local(0, 1));
-    assert!(!m.is_local(1, 2));
 }

@@ -86,6 +86,10 @@ fn energy_scales_with_distance_and_traffic() {
     let near = run(&[SpikeFlow::unicast(0, 0, 1, 0)]);
     let far = run(&[SpikeFlow::unicast(0, 0, 3, 0)]);
     assert!(far > near, "3 hops must cost more than 1");
+    // the local ≪ global asymmetry the mapping exploits: a 1-hop packet
+    // costs far more than a synaptic event inside a 128-wide crossbar
+    let local = EnergyModel::default().local_pj_scaled(1, 128);
+    assert!(near > 5.0 * local, "global {near} vs local {local}");
 
     let once: Vec<SpikeFlow> = vec![SpikeFlow::unicast(0, 0, 3, 0)];
     let thrice: Vec<SpikeFlow> = (0..3).map(|k| SpikeFlow::unicast(k, 0, 3, k)).collect();

@@ -101,12 +101,13 @@ fn per_flow_tree_cost(topo: &dyn Topology, vcs: usize, flows: &[SpikeFlow]) -> u
 /// per remote synapse as `graph.targets` lists them.
 fn per_synapse_flows_in_csr_order(graph: &SpikeGraph, mapping: &Mapping) -> Vec<SpikeFlow> {
     let mut flows = Vec::new();
+    let crossbar_of = mapping.assignment();
     for i in 0..graph.num_neurons() {
-        let home = mapping.crossbar_of(i);
+        let home = crossbar_of[i as usize];
         for &t in graph.train(i).times() {
             for &j in graph.targets(i) {
-                if mapping.crossbar_of(j) != home {
-                    flows.push(SpikeFlow::unicast(i, home, mapping.crossbar_of(j), t));
+                if crossbar_of[j as usize] != home {
+                    flows.push(SpikeFlow::unicast(i, home, crossbar_of[j as usize], t));
                 }
             }
         }
