@@ -95,24 +95,19 @@ pub trait App {
     }
 }
 
-/// The four realistic applications of Table I with paper-default
-/// parameters, in paper order.
-pub fn realistic_apps() -> Vec<Box<dyn App>> {
-    vec![
-        Box::new(hello_world::HelloWorld::default()),
-        Box::new(image_smoothing::ImageSmoothing::default()),
-        Box::new(digit_recognition::DigitRecognition::default()),
-        Box::new(heartbeat::HeartbeatEstimation::default()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn realistic_apps_have_paper_names() {
-        let names: Vec<String> = realistic_apps().iter().map(|a| a.name()).collect();
+        let apps: [Box<dyn App>; 4] = [
+            Box::new(hello_world::HelloWorld::default()),
+            Box::new(image_smoothing::ImageSmoothing::default()),
+            Box::new(digit_recognition::DigitRecognition::default()),
+            Box::new(heartbeat::HeartbeatEstimation::default()),
+        ];
+        let names: Vec<String> = apps.iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["HW", "IS", "HD", "HE"]);
     }
 

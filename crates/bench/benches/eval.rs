@@ -35,6 +35,7 @@ use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
 use neuromap_core::place::{
     optimize_placement, swap_delta, PlaceConfig, SlotCostTable, TrafficAdjacency, TrafficMatrix,
+    SA_ALPHA, SA_T0,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology};
@@ -357,8 +358,8 @@ fn bench_placement_sweep(
 /// O(deg) adjacency pricer (baseline) and from the O(1)
 /// `SlotCostTable`, built and kept current across the swaps it takes
 /// (candidate): the `placement/<name>/greedy` paired ratio. The start is
-/// a seeded scatter annealed as the optimizer anneals, under the default
-/// `PlaceConfig`'s schedule, with the adjacency pricer. Both polishes must
+/// a seeded scatter annealed as the optimizer anneals, under its
+/// `SA_T0`/`SA_ALPHA` schedule, with the adjacency pricer. Both polishes must
 /// take the identical swap sequence, or the ratio would compare
 /// different work.
 fn bench_placement_greedy(
@@ -375,14 +376,14 @@ fn bench_placement_greedy(
     for a in (1..clusters).rev() {
         annealed.swap(a, rng.gen_range(0..a + 1));
     }
-    let mut temp = cfg.t0;
+    let mut temp = SA_T0;
     for _ in 0..cfg.sa_moves {
         let (a, b) = (rng.gen_range(0..clusters), rng.gen_range(0..clusters));
         let d = adjacency.swap_delta(lut, &annealed, a, b);
         if d <= 0 || rng.gen_range(0.0..1.0) < (-(d as f64) / temp).exp() {
             annealed.swap(a, b);
         }
-        temp *= cfg.alpha;
+        temp *= SA_ALPHA;
     }
     // `try_swap(a, b)` takes the swap if it prices below zero
     let polish = |try_swap: &mut dyn FnMut(usize, usize) -> bool| {

@@ -80,7 +80,7 @@
 //!   and by the unit and property tests). The word-tile hop walk (one
 //!   gather per set bit over 16 mask words per lane) read 0.41–1.26× of
 //!   it at 576 crossbars and 0.43–0.92× at 1024 over 8–64 lanes, so it
-//!   is gone (`perf_probe eval`; ROADMAP "One measurement chain" (b)).
+//!   is gone (`perf_probe eval`).
 //!
 //! The active kernel is surfaced in `perf_probe` output, and the benches
 //! assert which kernel actually ran, so the scalar arm is a visible,

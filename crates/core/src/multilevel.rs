@@ -61,14 +61,26 @@
 use crate::error::CoreError;
 use crate::eval::{Candidate, EvalEngine};
 use crate::graph::SpikeGraph;
-use crate::partition::{FitnessKind, PartitionProblem, Partitioner};
+use crate::partition::{FitnessKind, PartitionProblem};
 use crate::pool;
 use crate::pso::{self, PsoConfig};
 use neuromap_hw::mapping::Mapping;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// Each coarse level must shrink below this fraction of the finer level's
+/// node count, otherwise coarsening stops (guards against matching stalls
+/// on star-like graphs).
+const MIN_SHRINK: f64 = 0.95;
+
+/// Boundary-refinement rounds per level.
+const REFINE_ROUNDS: u32 = 8;
+
 /// Configuration for the multilevel V-cycle.
+///
+/// Two controls are fixed rather than configurable: coarsening stops at a
+/// level that shrinks the graph by less than 5 %, and every level gets
+/// eight rounds of boundary refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MultilevelConfig {
     /// Swarm configuration used at the coarsest level only. `fitness`
@@ -78,12 +90,6 @@ pub struct MultilevelConfig {
     pub min_coarse_neurons: u32,
     /// Hard cap on the number of coarse levels.
     pub max_levels: u32,
-    /// Require each level to shrink below `min_shrink ×` the finer level's
-    /// node count, otherwise stop (guards against matching stalls on
-    /// star-like graphs).
-    pub min_shrink: f64,
-    /// Boundary-refinement rounds per level (0 disables refinement).
-    pub refine_rounds: u32,
     /// Worker threads for the refinement propose phase. Purely an
     /// execution knob: results are byte-identical for every value.
     pub threads: usize,
@@ -112,8 +118,6 @@ impl Default for MultilevelConfig {
             pso: PsoConfig::default(),
             min_coarse_neurons: 256,
             max_levels: 8,
-            min_shrink: 0.95,
-            refine_rounds: 8,
             threads: pso::default_threads(),
             chips: 1,
         }
@@ -132,12 +136,6 @@ impl MultilevelConfig {
             return Err(CoreError::InvalidParameter {
                 name: "min_coarse_neurons",
                 value: self.min_coarse_neurons.to_string(),
-            });
-        }
-        if !(self.min_shrink > 0.0 && self.min_shrink <= 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "min_shrink",
-                value: self.min_shrink.to_string(),
             });
         }
         if self.threads == 0 {
@@ -260,7 +258,7 @@ impl LevelStack {
 /// controls. Coarsening stops at the first of: `max_levels` reached, node
 /// count at or below `min_coarse_neurons`, capacity no longer halvable,
 /// halved capacity would make the coarse instance infeasible, or the
-/// matching shrank the graph by less than `min_shrink`.
+/// matching shrank the graph by less than `MIN_SHRINK` (5 %).
 pub fn build_levels(problem: &PartitionProblem<'_>, cfg: &MultilevelConfig) -> LevelStack {
     let c = problem.num_crossbars();
     let mut levels: Vec<CoarseLevel> = Vec::new();
@@ -273,7 +271,7 @@ pub fn build_levels(problem: &PartitionProblem<'_>, cfg: &MultilevelConfig) -> L
             if graph.num_neurons() <= cfg.min_coarse_neurons {
                 None
             } else {
-                coarsen_once(graph, c, capacity, cfg.min_shrink)
+                coarsen_once(graph, c, capacity)
             }
         };
         match next {
@@ -287,12 +285,7 @@ pub fn build_levels(problem: &PartitionProblem<'_>, cfg: &MultilevelConfig) -> L
 /// One heavy-edge-matching pass. Returns `None` when the capacity cannot
 /// halve, the matching fails the shrink threshold, or the coarse instance
 /// would be infeasible under the halved capacity.
-fn coarsen_once(
-    graph: &SpikeGraph,
-    num_crossbars: usize,
-    capacity: u32,
-    min_shrink: f64,
-) -> Option<CoarseLevel> {
+fn coarsen_once(graph: &SpikeGraph, num_crossbars: usize, capacity: u32) -> Option<CoarseLevel> {
     let next_cap = capacity / 2;
     if next_cap == 0 {
         return None;
@@ -368,7 +361,7 @@ fn coarsen_once(
         num_coarse += 1;
     }
 
-    if f64::from(num_coarse) > min_shrink * n as f64 {
+    if f64::from(num_coarse) > MIN_SHRINK * n as f64 {
         return None;
     }
     if u64::from(num_coarse) > num_crossbars as u64 * u64::from(next_cap) {
@@ -585,7 +578,7 @@ pub fn vcycle(
     let mut refine_level =
         |l: usize, level: &PartitionProblem<'_>, current: &mut [u32], t: Instant| {
             let (_, proposed, accepted) =
-                refine_boundary(level, kind, current, cfg.refine_rounds, cfg.threads);
+                refine_boundary(level, kind, current, REFINE_ROUNDS, cfg.threads);
             stats[l].refine_proposed = proposed;
             stats[l].refine_accepted = accepted;
             stats[l].wall_s = t.elapsed().as_secs_f64();
@@ -706,37 +699,10 @@ fn chip_level_assign(
     Ok(assignment)
 }
 
-/// [`Partitioner`] adapter over [`vcycle`].
-#[derive(Debug, Clone, Default)]
-pub struct MultilevelPartitioner {
-    config: MultilevelConfig,
-}
-
-impl MultilevelPartitioner {
-    /// Builds a partitioner with the given configuration.
-    pub fn new(config: MultilevelConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MultilevelConfig {
-        &self.config
-    }
-}
-
-impl Partitioner for MultilevelPartitioner {
-    fn name(&self) -> &'static str {
-        "multilevel"
-    }
-
-    fn partition(&self, problem: &PartitionProblem<'_>) -> Result<Mapping, CoreError> {
-        Ok(vcycle(problem, &self.config)?.mapping)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::Partitioner;
     use crate::pso::PsoPartitioner;
 
     fn ring_graph(n: u32, count: u32) -> SpikeGraph {
@@ -876,16 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_partitioner_matches_vcycle() {
-        let g = clustered_graph(8, 8);
-        let problem = PartitionProblem::new(&g, 8, 16).unwrap();
-        let cfg = small_cfg();
-        let direct = vcycle(&problem, &cfg).unwrap();
-        let via_trait = MultilevelPartitioner::new(cfg).partition(&problem).unwrap();
-        assert_eq!(direct.mapping, via_trait);
-    }
-
-    #[test]
     fn vcycle_beats_or_matches_flat_pso_on_clustered_graph() {
         let g = clustered_graph(16, 8);
         let problem = PartitionProblem::new(&g, 16, 16).unwrap();
@@ -981,11 +937,6 @@ mod tests {
     fn invalid_config_is_rejected() {
         let g = ring_graph(12, 3);
         let problem = PartitionProblem::new(&g, 4, 4).unwrap();
-        let cfg = MultilevelConfig {
-            min_shrink: 0.0,
-            ..MultilevelConfig::default()
-        };
-        assert!(vcycle(&problem, &cfg).is_err());
         let cfg = MultilevelConfig {
             threads: 0,
             ..MultilevelConfig::default()

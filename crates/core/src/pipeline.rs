@@ -111,11 +111,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// CxQuad with default NoC parameters.
-    pub fn cxquad() -> Self {
-        Self::for_arch(Architecture::cxquad())
-    }
-
     /// A custom architecture with default NoC parameters.
     pub fn for_arch(arch: Architecture) -> Self {
         Self {
@@ -418,8 +413,8 @@ impl MappingPipeline {
 
     /// **Stage 1 — partition**: neurons → logical clusters, by running
     /// `partitioner` on [`MappingPipeline::problem`]. (The multilevel
-    /// V-cycle is a [`Partitioner`] too:
-    /// [`crate::multilevel::MultilevelPartitioner`].)
+    /// V-cycle runs on the same problem: [`crate::multilevel::vcycle`],
+    /// whose outcome carries the `mapping`.)
     ///
     /// # Errors
     ///
@@ -486,15 +481,9 @@ impl MappingPipeline {
     }
 
     /// [`MappingPipeline::simulate`], additionally returning the
-    /// structured event trace when [`NocConfig::trace`] is on in the
+    /// structured event trace when `NocConfig::trace` is on in the
     /// pipeline's NoC configuration (`None` when tracing is off).
-    ///
-    /// [`NocConfig::trace`]: neuromap_noc::config::NocConfig::trace
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Noc`] for interconnect failures.
-    pub fn simulate_traced(
+    fn simulate_traced(
         &self,
         flows: &[SpikeFlow],
         duration_steps: u32,
@@ -535,9 +524,8 @@ impl MappingPipeline {
     /// # Panics
     ///
     /// Flows must name only crossbars the fabric has, as the packetize
-    /// stage's do. A hand-written flow naming one the fabric lacks
-    /// indexes the distance table past its row: it panics, or, when the
-    /// index still lands inside the table, is priced as some other pair.
+    /// stage's do: a hand-written flow naming one the fabric lacks
+    /// panics, naming the crossbar and the fabric's crossbar count.
     /// [`MappingPipeline::simulate`] returns
     /// [`NocError::UnknownCrossbar`] for the same flows, so run it first
     /// on hand-written traffic.
@@ -555,14 +543,25 @@ impl MappingPipeline {
         let same_net = |a: &SpikeFlow, b: &SpikeFlow| {
             a.src_crossbar == b.src_crossbar && a.dst_crossbars == b.dst_crossbars
         };
+        // a run the engines accepted names only known crossbars; any
+        // other is checked here, where the distance table would misprice it
+        let c = self.dist.num_crossbars();
+        let known = |k: u32| {
+            assert!(
+                (k as usize) < c,
+                "flow names crossbar {k}, but the fabric has {c} crossbars"
+            );
+            k
+        };
         let (mut pairwise, mut unicast) = (0u64, 0u64);
         for run in flows.chunk_by(same_net) {
             let (spikes, f) = (run.len() as u64, &run[0]);
             unicast += spikes * f.dst_crossbars.len() as u64;
             if forwards.is_none() {
+                let src = known(f.src_crossbar);
                 let hops = f.dst_crossbars.iter();
                 let price: u64 = hops
-                    .map(|&d| u64::from(self.dist.hops(f.src_crossbar, d)))
+                    .map(|&d| u64::from(self.dist.hops(src, known(d))))
                     .sum();
                 pairwise += spikes * price;
             }
@@ -850,6 +849,21 @@ mod tests {
                 ..
             }))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow names crossbar 4, but the fabric has 4 crossbars")]
+    fn hop_metrics_rejects_a_crossbar_the_fabric_lacks() {
+        // `hops(0, 4)` on a 4-crossbar table would read `hops(1, 0)`
+        let pipeline = MappingPipeline::new(PipelineConfig::for_arch(small_arch()));
+        pipeline.hop_metrics(&[SpikeFlow::unicast(0, 0, 4, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow names crossbar 4, but the fabric has 4 crossbars")]
+    fn hop_metrics_under_trees_rejects_a_crossbar_the_fabric_lacks() {
+        let (pipeline, _) = tree_pipeline(Arc::new(Mesh2D::for_crossbars(4)), 1);
+        pipeline.hop_metrics(&[SpikeFlow::unicast(0, 0, 4, 0)]);
     }
 
     #[test]

@@ -438,7 +438,14 @@ fn slot_hops(dist: &DistanceLut, c: usize, p: u32) -> &[u32] {
     &dist.crossbar_matrix()[p as usize * nc..][..c]
 }
 
-/// Placement-optimizer hyperparameters.
+/// Initial annealing temperature, in units of the objective.
+pub const SA_T0: f64 = 50.0;
+
+/// Geometric cooling factor per annealing proposal.
+pub const SA_ALPHA: f64 = 0.999;
+
+/// Placement-optimizer hyperparameters. The annealing schedule is fixed:
+/// it starts at [`SA_T0`] and cools by [`SA_ALPHA`] per proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlaceConfig {
     /// Independent restarts; restart 0 is greedy descent from the
@@ -448,10 +455,6 @@ pub struct PlaceConfig {
     pub restarts: u32,
     /// Annealing proposals per restart (random cluster-pair swaps).
     pub sa_moves: u32,
-    /// Initial temperature, in units of the objective.
-    pub t0: f64,
-    /// Geometric cooling factor per proposal.
-    pub alpha: f64,
     /// Maximum greedy first-improvement sweeps polishing each restart.
     pub greedy_passes: u32,
     /// RNG seed (restart `k` derives its stream from `seed` and `k`).
@@ -466,8 +469,6 @@ impl Default for PlaceConfig {
         Self {
             restarts: 4,
             sa_moves: 4_000,
-            t0: 50.0,
-            alpha: 0.999,
             greedy_passes: 8,
             seed: 0x9A5E,
             threads: crate::pso::default_threads(),
@@ -480,9 +481,7 @@ impl PlaceConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for zero restarts/passes/threads,
-    /// a cooling factor outside `(0, 1]`, or a negative or non-finite
-    /// initial temperature.
+    /// [`CoreError::InvalidParameter`] for zero restarts/passes/threads.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.restarts == 0 {
             return Err(CoreError::InvalidParameter {
@@ -494,20 +493,6 @@ impl PlaceConfig {
             return Err(CoreError::InvalidParameter {
                 name: "greedy_passes",
                 value: "0".into(),
-            });
-        }
-        // NaN would silently turn annealing into pure descent, infinity
-        // into `sa_moves` unconditional random swaps
-        if !self.t0.is_finite() || self.t0 < 0.0 {
-            return Err(CoreError::InvalidParameter {
-                name: "t0",
-                value: self.t0.to_string(),
-            });
-        }
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "alpha",
-                value: self.alpha.to_string(),
             });
         }
         if self.threads == 0 {
@@ -533,17 +518,6 @@ pub struct PlaceOutcome {
     pub optimized_cost: u64,
     /// Index of the restart that produced the winner.
     pub winning_restart: u32,
-}
-
-impl PlaceOutcome {
-    /// Relative reduction of hop-weighted packets in `[0, 1]`.
-    pub fn relative_gain(&self) -> f64 {
-        if self.identity_cost == 0 {
-            0.0
-        } else {
-            1.0 - self.optimized_cost as f64 / self.identity_cost as f64
-        }
-    }
 }
 
 /// One restart: anneal (restarts ≥ 1 only), then the greedy polish.
@@ -575,7 +549,7 @@ fn run_restart(
             perm.swap(a, b);
         }
         cost = placement_cost(traffic, dist, &perm) as i64;
-        let mut temp = cfg.t0;
+        let mut temp = SA_T0;
         for _ in 0..cfg.sa_moves {
             let a = rng.gen_range(0..c);
             let b = rng.gen_range(0..c);
@@ -590,7 +564,7 @@ fn run_restart(
                     cost += d;
                 }
             }
-            temp *= cfg.alpha;
+            temp *= SA_ALPHA;
         }
     }
 
@@ -880,7 +854,6 @@ mod tests {
             placement_cost(&traffic, &dist, outcome.placement.as_slice()),
             outcome.optimized_cost
         );
-        assert!(outcome.relative_gain() > 0.0);
     }
 
     #[test]
@@ -1055,26 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_gain_guards_empty_traffic() {
-        // empty traffic matrix ⇒ identity_cost == 0: the gain must be a
-        // clean 0.0, not NaN poisoning serialized reports
-        let traffic = TrafficMatrix::from_raw(4, vec![0; 16]);
-        let dist = mesh_lut(4);
-        let outcome = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap();
-        assert_eq!(outcome.identity_cost, 0);
-        assert_eq!(outcome.relative_gain(), 0.0);
-        assert!(!outcome.relative_gain().is_nan());
-        // and the non-degenerate path still reports the true ratio
-        let traffic = ring_traffic(16, 10);
-        let dist = mesh_lut(16);
-        let outcome = optimize_placement(&traffic, &dist, &PlaceConfig::default()).unwrap();
-        assert!(outcome.identity_cost > 0);
-        let expected = 1.0 - outcome.optimized_cost as f64 / outcome.identity_cost as f64;
-        assert_eq!(outcome.relative_gain(), expected);
-        assert!(outcome.relative_gain() > 0.0 && outcome.relative_gain() <= 1.0);
-    }
-
-    #[test]
     fn more_threads_than_restarts_is_identical_and_well_formed() {
         // regression for the ceil-division chunking: threads > restarts
         // used to hand tail workers empty `lo >= hi` ranges. The clamped
@@ -1129,34 +1082,12 @@ mod tests {
                 ..PlaceConfig::default()
             },
             PlaceConfig {
-                alpha: 0.0,
-                ..PlaceConfig::default()
-            },
-            PlaceConfig {
                 threads: 0,
-                ..PlaceConfig::default()
-            },
-            PlaceConfig {
-                t0: f64::NAN,
-                ..PlaceConfig::default()
-            },
-            PlaceConfig {
-                t0: f64::INFINITY,
-                ..PlaceConfig::default()
-            },
-            PlaceConfig {
-                t0: -1.0,
                 ..PlaceConfig::default()
             },
         ] {
             assert!(optimize_placement(&traffic, &dist, &bad).is_err());
         }
-        // a zero temperature is plain descent, which is allowed
-        let cold = PlaceConfig {
-            t0: 0.0,
-            ..PlaceConfig::default()
-        };
-        assert!(optimize_placement(&traffic, &dist, &cold).is_ok());
         // undersized hop table rejected
         let small = mesh_lut(2);
         assert!(optimize_placement(&traffic, &small, &PlaceConfig::default()).is_err());

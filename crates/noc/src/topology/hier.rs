@@ -280,19 +280,9 @@ impl HierTopology {
         self.chip_cols * self.chip_rows
     }
 
-    /// Routers (and crossbar slots) per chip.
-    pub fn routers_per_chip(&self) -> usize {
-        self.nr_intra
-    }
-
     /// Chip hosting router `r` (chip-major id layout).
     pub fn chip_of_router(&self, r: usize) -> usize {
         r / self.nr_intra
-    }
-
-    /// Chip hosting crossbar `k` (crossbars attach to router `k`).
-    pub fn chip_of_crossbar(&self, k: u32) -> usize {
-        k as usize / self.nr_intra
     }
 
     /// Effective cost of one chip-boundary hop in the weighted distance
@@ -626,9 +616,8 @@ mod tests {
         assert_eq!(t.num_routers(), 64);
         assert_eq!(t.num_crossbars(), 64);
         assert_eq!(t.num_chips(), 4);
-        assert_eq!(t.routers_per_chip(), 16);
         assert_eq!(t.chip_of_router(17), 1);
-        assert_eq!(t.chip_of_crossbar(48), 3);
+        assert_eq!(t.chip_of_router(48), 3);
         assert_eq!(t.seam_cost(), 8);
         assert!(t.name().starts_with("hier 2x2 chips of mesh"));
         // router 0 is chip 0 (0,0); router 16+3 = chip 1 local (3,0) is

@@ -163,16 +163,6 @@ impl Mesh2D {
     fn coords(&self, r: usize) -> (usize, usize) {
         (r % self.cols, r / self.cols)
     }
-
-    /// Grid width in routers.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Grid height in routers.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
 }
 
 impl Topology for Mesh2D {
@@ -443,7 +433,6 @@ mod tests {
         let m = Mesh2D::for_crossbars(7); // 3x3 grid
         assert_eq!(m.num_routers(), 9);
         assert_eq!(m.num_crossbars(), 7);
-        assert_eq!(m.cols(), 3);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub struct NocTree {
     parent: Vec<usize>,
     /// children[r] — child routers of r.
     children: Vec<Vec<usize>>,
-    /// depth[r] — distance from root.
-    depth: Vec<u32>,
     /// leaf router hosting each crossbar.
     leaves: Vec<usize>,
     neighbors: Vec<Vec<usize>>,
@@ -72,18 +70,6 @@ impl NocTree {
         let root = *levels.last().expect("non-empty").last().expect("root");
         parent[root] = root;
 
-        let mut depth = vec![0u32; n];
-        // compute depth by walking up (small trees; fine)
-        for (r, slot) in depth.iter_mut().enumerate() {
-            let mut d = 0;
-            let mut cur = r;
-            while parent[cur] != cur {
-                cur = parent[cur];
-                d += 1;
-            }
-            *slot = d;
-        }
-
         let mut neighbors = vec![Vec::new(); n];
         for r in 0..n {
             if parent[r] != r {
@@ -95,7 +81,6 @@ impl NocTree {
         Self {
             parent,
             children,
-            depth,
             leaves: (0..leaves).collect(),
             neighbors,
             arity,
@@ -114,11 +99,6 @@ impl NocTree {
             }
             cur = self.parent[cur];
         }
-    }
-
-    /// Tree depth of the root (0) — exposed for tests.
-    pub fn height(&self) -> u32 {
-        *self.depth.iter().max().unwrap_or(&0)
     }
 }
 
@@ -190,8 +170,7 @@ mod tests {
         let t = NocTree::new(4, 4);
         assert_eq!(t.num_routers(), 5);
         assert_eq!(t.num_crossbars(), 4);
-        assert_eq!(t.height(), 1);
-        // leaf to leaf = 2 hops via root
+        // leaf to leaf = 2 hops via root, one level up
         assert_eq!(t.hops(t.endpoint(0), t.endpoint(3)), 2);
     }
 
@@ -200,7 +179,7 @@ mod tests {
         let t = NocTree::new(8, 2);
         // 8 + 4 + 2 + 1 routers
         assert_eq!(t.num_routers(), 15);
-        assert_eq!(t.height(), 3);
+        // opposite leaves meet at the root, three levels up
         assert_eq!(t.hops(t.endpoint(0), t.endpoint(7)), 6);
         // siblings are 2 hops apart
         assert_eq!(t.hops(t.endpoint(0), t.endpoint(1)), 2);

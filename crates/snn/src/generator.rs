@@ -3,7 +3,7 @@
 //! Input groups do not integrate currents — their spike trains are produced
 //! by a [`Generator`]: Poisson processes (the paper's synthetic workloads use
 //! Poisson inputs at 10–100 Hz), per-neuron rate arrays (rate-coded images),
-//! periodic trains, or explicit precomputed trains (temporal coding, e.g.
+//! or explicit precomputed trains (temporal coding, e.g.
 //! level-crossing-encoded ECG).
 
 use crate::spikes::SpikeTrain;
@@ -24,13 +24,6 @@ pub enum Generator {
         /// Mean firing rate in Hz for each neuron of the group.
         rates_hz: Vec<f64>,
     },
-    /// Deterministic periodic spiking with per-group period and phase.
-    Periodic {
-        /// Period in timesteps between consecutive spikes.
-        period: u32,
-        /// Offset of the first spike in timesteps.
-        phase: u32,
-    },
     /// Explicit spike trains, one per neuron.
     Explicit {
         /// Precomputed spike trains (one per neuron of the group).
@@ -47,11 +40,6 @@ impl Generator {
     /// Per-neuron Poisson source.
     pub fn rates(rates_hz: Vec<f64>) -> Self {
         Generator::RateArray { rates_hz }
-    }
-
-    /// Periodic source: a spike every `period` steps starting at `phase`.
-    pub fn periodic(period: u32, phase: u32) -> Self {
-        Generator::Periodic { period, phase }
     }
 
     /// Explicit trains, one per neuron.
@@ -80,9 +68,6 @@ impl Generator {
             Generator::RateArray { rates_hz } => {
                 let r = rates_hz.get(idx).copied().unwrap_or(0.0);
                 r > 0.0 && rng.gen_bool(prob(r, dt_ms))
-            }
-            Generator::Periodic { period, phase } => {
-                *period > 0 && t >= *phase && (t - phase).is_multiple_of(*period)
             }
             Generator::Explicit { trains } => trains
                 .get(idx)
@@ -150,21 +135,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let g = Generator::rates(vec![100.0]);
         assert!(!g.fires(5, 0, 1.0, &mut rng));
-    }
-
-    #[test]
-    fn periodic_fires_on_schedule() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let g = Generator::periodic(10, 3);
-        let times: Vec<u32> = (0..40).filter(|&t| g.fires(0, t, 1.0, &mut rng)).collect();
-        assert_eq!(times, vec![3, 13, 23, 33]);
-    }
-
-    #[test]
-    fn periodic_zero_period_is_silent() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let g = Generator::periodic(0, 0);
-        assert!((0..100).all(|t| !g.fires(0, t, 1.0, &mut rng)));
     }
 
     #[test]

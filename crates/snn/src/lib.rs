@@ -10,20 +10,20 @@
 //! ## What is provided
 //!
 //! * **Neuron models** — [`neuron::Izhikevich`] (the model CARLsim is built
-//!   around, with the classic RS/FS/CH/IB/LTS parameterizations),
+//!   around, with the regular-spiking preset),
 //!   [`neuron::Lif`], and [`neuron::AdaptiveLif`] (Diehl & Cook-style
 //!   adaptive threshold used by the digit-recognition workload).
 //! * **Network construction** — [`network::NetworkBuilder`] with neuron
 //!   groups and reusable connection patterns (full, one-to-one, fixed
 //!   probability, 2-D neighborhood kernels, explicit lists).
 //! * **Spike sources** — [`generator::Generator`]: Poisson, per-neuron rate
-//!   arrays, periodic, and explicit spike trains.
+//!   arrays, and explicit spike trains.
 //! * **Simulation** — [`simulator::Simulator`], a fixed-timestep engine with
 //!   axonal delays and full spike recording.
 //! * **Plasticity** — [`stdp::StdpConfig`], pair-based trace STDP with weight
 //!   clamping and divisive normalization (unsupervised learning).
-//! * **Coding** — [`coding`]: rate coding and temporal (latency) coding,
-//!   the two schemes distinguished in the paper's Table I.
+//! * **Coding** — [`coding`]: rate coding and level-crossing temporal
+//!   coding, the two schemes distinguished in the paper's Table I.
 //! * **Spike analysis** — [`spikes::SpikeTrain`] with inter-spike-interval
 //!   (ISI) utilities that the paper's metrics are defined on.
 //!

@@ -492,11 +492,6 @@ impl Network {
         self.num_neurons
     }
 
-    /// Group containing global neuron `id`, if in range.
-    pub fn group_of(&self, id: u32) -> Option<&Group> {
-        self.groups.iter().find(|g| g.range().contains(&id))
-    }
-
     /// Looks a group up by name.
     pub fn group_by_name(&self, name: &str) -> Option<(GroupId, &Group)> {
         self.groups
@@ -513,11 +508,6 @@ impl Network {
     /// Panics if `id` does not belong to this network.
     pub fn group(&self, id: GroupId) -> &Group {
         &self.groups[id.0]
-    }
-
-    /// Whether global neuron `id` belongs to an input group.
-    pub fn is_input_neuron(&self, id: u32) -> bool {
-        self.group_of(id).is_some_and(Group::is_input)
     }
 }
 
@@ -699,15 +689,15 @@ mod tests {
 
     #[test]
     fn group_lookup_by_id_and_name() {
-        let (b, _, _) = two_groups(3, 4);
+        let (b, a, c) = two_groups(3, 4);
         let net = b.build().unwrap();
-        assert_eq!(net.group_of(0).unwrap().name, "a");
-        assert_eq!(net.group_of(3).unwrap().name, "c");
-        assert_eq!(net.group_of(6).unwrap().name, "c");
-        assert!(net.group_of(7).is_none());
-        assert!(net.group_by_name("c").is_some());
-        assert!(net.is_input_neuron(2));
-        assert!(!net.is_input_neuron(4));
+        assert_eq!(net.group(a).range(), 0..3);
+        assert_eq!(net.group(c).range(), 3..7);
+        assert!(net.group(a).is_input());
+        assert!(!net.group(c).is_input());
+        let (id, group) = net.group_by_name("c").unwrap();
+        assert_eq!((id, group.range()), (c, 3..7));
+        assert!(net.group_by_name("b").is_none());
     }
 
     #[test]

@@ -19,8 +19,8 @@ use super::NeuronModel;
 /// step for `u`.
 ///
 /// ```
-/// use neuromap_snn::neuron::{Izhikevich, NeuronModel};
-/// let mut n = Izhikevich::regular_spiking();
+/// use neuromap_snn::neuron::NeuronKind;
+/// let mut n = NeuronKind::izhikevich_rs().build();
 /// let spikes: usize = (0..1000).filter(|_| n.step(10.0, 1.0)).count();
 /// assert!(spikes > 5 && spikes < 200, "RS cell tonic-fires moderately: {spikes}");
 /// ```
@@ -50,21 +50,6 @@ impl Izhikevich {
             v,
             u: b * v,
         }
-    }
-
-    /// Regular-spiking (RS) excitatory cell.
-    pub fn regular_spiking() -> Self {
-        Self::new(0.02, 0.2, -65.0, 8.0)
-    }
-
-    /// Fast-spiking (FS) inhibitory cell.
-    pub fn fast_spiking() -> Self {
-        Self::new(0.1, 0.2, -65.0, 2.0)
-    }
-
-    /// Recovery variable `u` (for tests and introspection).
-    pub fn recovery(&self) -> f32 {
-        self.u
     }
 }
 
@@ -101,15 +86,20 @@ impl NeuronModel for Izhikevich {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neuron::NeuronKind;
 
-    fn count_spikes(n: &mut Izhikevich, i: f32, steps: usize) -> usize {
+    fn rs_cell() -> Box<dyn NeuronModel + Send> {
+        NeuronKind::izhikevich_rs().build()
+    }
+
+    fn count_spikes(n: &mut dyn NeuronModel, i: f32, steps: usize) -> usize {
         (0..steps).filter(|_| n.step(i, 1.0)).count()
     }
 
     #[test]
     fn rest_is_stable_without_input() {
         // the RS fixed point with u = b·v is v = −70 (0.04v² + 4.8v + 140 = 0)
-        let mut n = Izhikevich::regular_spiking();
+        let mut n = rs_cell();
         for _ in 0..500 {
             assert!(!n.step(0.0, 1.0));
         }
@@ -118,10 +108,8 @@ mod tests {
 
     #[test]
     fn firing_rate_increases_with_current() {
-        let mut lo = Izhikevich::regular_spiking();
-        let mut hi = Izhikevich::regular_spiking();
-        let r_lo = count_spikes(&mut lo, 6.0, 1000);
-        let r_hi = count_spikes(&mut hi, 14.0, 1000);
+        let r_lo = count_spikes(&mut *rs_cell(), 6.0, 1000);
+        let r_hi = count_spikes(&mut *rs_cell(), 14.0, 1000);
         assert!(
             r_hi > r_lo,
             "f-I curve must be increasing: {r_lo} !< {r_hi}"
@@ -129,17 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn fs_fires_faster_than_rs() {
-        let mut rs = Izhikevich::regular_spiking();
-        let mut fs = Izhikevich::fast_spiking();
-        let n_rs = count_spikes(&mut rs, 10.0, 1000);
-        let n_fs = count_spikes(&mut fs, 10.0, 1000);
-        assert!(n_fs > n_rs, "FS ({n_fs}) should out-fire RS ({n_rs})");
-    }
-
-    #[test]
     fn spike_resets_to_c() {
-        let mut n = Izhikevich::regular_spiking();
+        let mut n = rs_cell();
         let mut fired = false;
         for _ in 0..300 {
             if n.step(20.0, 1.0) {
@@ -153,7 +132,7 @@ mod tests {
 
     #[test]
     fn potential_never_exceeds_peak_after_step() {
-        let mut n = Izhikevich::fast_spiking();
+        let mut n = rs_cell();
         for _ in 0..2000 {
             n.step(25.0, 1.0);
             assert!(n.potential() < Izhikevich::V_PEAK + 1.0);

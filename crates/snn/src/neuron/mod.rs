@@ -12,6 +12,9 @@
 //! Models are usually selected through [`NeuronKind`], which is a plain-data
 //! description suitable for network construction and serialization; the
 //! simulator instantiates concrete state from it via [`NeuronKind::build`].
+//! One preset per model carries the parameters the workloads use:
+//! [`NeuronKind::izhikevich_rs`] (regular spiking),
+//! [`NeuronKind::lif_default`] and [`NeuronKind::adaptive_lif_default`].
 
 mod izhikevich;
 mod lif;
@@ -102,46 +105,6 @@ impl NeuronKind {
         }
     }
 
-    /// Izhikevich *fast spiking* (FS) — cortical inhibitory default.
-    pub fn izhikevich_fs() -> Self {
-        NeuronKind::Izhikevich {
-            a: 0.1,
-            b: 0.2,
-            c: -65.0,
-            d: 2.0,
-        }
-    }
-
-    /// Izhikevich *chattering* (CH).
-    pub fn izhikevich_ch() -> Self {
-        NeuronKind::Izhikevich {
-            a: 0.02,
-            b: 0.2,
-            c: -50.0,
-            d: 2.0,
-        }
-    }
-
-    /// Izhikevich *intrinsically bursting* (IB).
-    pub fn izhikevich_ib() -> Self {
-        NeuronKind::Izhikevich {
-            a: 0.02,
-            b: 0.2,
-            c: -55.0,
-            d: 4.0,
-        }
-    }
-
-    /// Izhikevich *low-threshold spiking* (LTS).
-    pub fn izhikevich_lts() -> Self {
-        NeuronKind::Izhikevich {
-            a: 0.02,
-            b: 0.25,
-            c: -65.0,
-            d: 2.0,
-        }
-    }
-
     /// A standard LIF parameterization (τm = 20 ms, threshold −52 mV).
     pub fn lif_default() -> Self {
         NeuronKind::Lif {
@@ -202,10 +165,6 @@ mod tests {
     fn presets_build_distinct_models() {
         for kind in [
             NeuronKind::izhikevich_rs(),
-            NeuronKind::izhikevich_fs(),
-            NeuronKind::izhikevich_ch(),
-            NeuronKind::izhikevich_ib(),
-            NeuronKind::izhikevich_lts(),
             NeuronKind::lif_default(),
             NeuronKind::adaptive_lif_default(),
         ] {

@@ -83,15 +83,6 @@ impl SpikeTrain {
         self.times.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Mean inter-spike interval, or `None` for fewer than two spikes.
-    pub fn mean_isi(&self) -> Option<f64> {
-        if self.times.len() < 2 {
-            return None;
-        }
-        let span = (self.times[self.times.len() - 1] - self.times[0]) as f64;
-        Some(span / (self.times.len() - 1) as f64)
-    }
-
     /// Mean firing rate in Hz over a window of `duration_ms` milliseconds
     /// (assuming 1 ms timesteps).
     ///
@@ -190,13 +181,6 @@ mod tests {
     fn isis_of_short_trains_are_empty() {
         assert!(SpikeTrain::new().isis().is_empty());
         assert!(SpikeTrain::from_times(vec![7]).isis().is_empty());
-    }
-
-    #[test]
-    fn mean_isi_matches_span() {
-        let t = SpikeTrain::from_times(vec![0, 10, 30]);
-        assert_eq!(t.mean_isi(), Some(15.0));
-        assert_eq!(SpikeTrain::from_times(vec![3]).mean_isi(), None);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Synapse {
         self.plastic = true;
         self
     }
-
-    /// Whether the synapse is excitatory (positive weight).
-    pub fn is_excitatory(&self) -> bool {
-        self.weight > 0.0
-    }
 }
 
 #[cfg(test)]
@@ -64,8 +59,7 @@ mod tests {
     #[test]
     fn new_sets_fields() {
         let s = Synapse::new(3, 7, 1.5, 2);
-        assert_eq!((s.pre, s.post, s.delay), (3, 7, 2));
-        assert!(s.is_excitatory());
+        assert_eq!((s.pre, s.post, s.weight, s.delay), (3, 7, 1.5, 2));
         assert!(!s.plastic);
     }
 
@@ -73,12 +67,6 @@ mod tests {
     fn plastic_builder_flags() {
         let s = Synapse::new(0, 1, 0.5, 1).plastic();
         assert!(s.plastic);
-    }
-
-    #[test]
-    fn inhibitory_weight_detected() {
-        let s = Synapse::new(0, 1, -2.0, 1);
-        assert!(!s.is_excitatory());
     }
 
     #[test]
