@@ -41,7 +41,7 @@ use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, MultiChip, Synthetic};
 use neuromap_apps::App;
 use neuromap_bench::noc_workloads::{
-    dense_workloads, engine_workloads, per_synapse_traffic, repeated_net_traffic, NocWorkload,
+    dense_workloads, engine_workloads, repeated_net_traffic, tree12_per_synapse, NocWorkload,
 };
 use neuromap_bench::sweep::{self, Swarm};
 use neuromap_bench::{arch_for, SEED};
@@ -56,7 +56,7 @@ use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_hw::energy::EnergyModel;
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::{EngineKind, NocSim};
-use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Topology, Torus};
+use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology, Torus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -261,17 +261,7 @@ fn probe_noc() {
         topo: || Box::new(Mesh2D::for_crossbars(1024)),
         cfg: NocConfig::default(),
     });
-    // the mapper's per-synapse shape at the paper's scale: 12 crossbars
-    // on an arity-4 tree, 8192 cycles a step, 40 flows per spike
-    workloads.push(NocWorkload {
-        name: "tree12_per_synapse",
-        flows: per_synapse_traffic(12, 600, 40, 40, 4),
-        topo: || Box::new(NocTree::new(12, 4)),
-        cfg: NocConfig {
-            cycles_per_step: 8192,
-            ..NocConfig::default()
-        },
-    });
+    workloads.push(tree12_per_synapse());
     for w in workloads {
         let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
 
@@ -318,11 +308,12 @@ fn probe_noc() {
         );
         let c = ev.counters;
         println!(
-            "  {} packets of {} nets ({:.1} spikes per net), {} plan nodes; {} router traversals at {:.0} host ns each",
+            "  {} packets of {} nets ({:.1} spikes per net), {} plan nodes, at most {} handles live; {} router traversals at {:.0} host ns each",
             c.packets_injected,
             trace.nets,
             c.packets_injected as f64 / trace.nets.max(1) as f64,
             trace.plan_nodes,
+            trace.peak_handles,
             c.router_traversals,
             event_s * 1e9 / c.router_traversals.max(1) as f64
         );

@@ -5,7 +5,7 @@
 //! diagnostic counters for the dense points).
 
 use neuromap_noc::config::NocConfig;
-use neuromap_noc::topology::{Mesh2D, Topology, Torus};
+use neuromap_noc::topology::{Mesh2D, NocTree, Topology, Torus};
 use neuromap_noc::traffic::SpikeFlow;
 
 /// Unicast burst traffic: every crossbar fires every step.
@@ -228,6 +228,22 @@ pub fn dense_workloads() -> Vec<NocWorkload> {
         .collect()
 }
 
+/// The mapper's per-synapse shape at the paper's scale (what
+/// `hd_tree_paper` simulates): 12 crossbars on an arity-4 tree, 8192
+/// cycles a step, 40 unicast flows per spike sharing one `(step,
+/// crossbar, neuron)` key.
+pub fn tree12_per_synapse() -> NocWorkload {
+    NocWorkload {
+        name: "tree12_per_synapse",
+        flows: per_synapse_traffic(12, 600, 40, 40, 4),
+        topo: || Box::new(NocTree::new(12, 4)),
+        cfg: NocConfig {
+            cycles_per_step: 8192,
+            ..NocConfig::default()
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,5 +284,24 @@ mod tests {
                 stats.per_vc
             );
         }
+    }
+
+    #[test]
+    fn per_synapse_run_holds_few_handles_at_once() {
+        // a handle lives from injection (or split) to its copy's last
+        // delivery, so the slab follows the packets in flight, not the
+        // 240 000 sent
+        let w = tree12_per_synapse();
+        let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
+        let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
+        let (stats, _, trace) = sim.run_traced(&w.flows, duration).expect("drains");
+        let packets = stats.counters.packets_injected;
+        assert_eq!(packets, 240_000);
+        assert!(trace.peak_handles > 0);
+        assert!(
+            trace.peak_handles * 10 <= packets,
+            "{} handles live at once for {packets} packets",
+            trace.peak_handles
+        );
     }
 }

@@ -441,12 +441,21 @@ fn refine_boundary(
             pool::map_ranges(boundary.len(), threads, |shard| {
                 let mut local: Vec<(i64, u32, u32)> = Vec::new();
                 let mut targets: Vec<u32> = Vec::new();
+                // `seen[k] == i`: crossbar `k` is already a target of `i`
+                // (or its home). A boundary neuron's ~50 neighbors sit on
+                // a few crossbars, so only those few are sorted
+                let mut seen = vec![u32::MAX; problem.num_crossbars()];
                 for &i in &boundary[shard] {
                     targets.clear();
-                    let away = |k: &u32| *k != home[i as usize];
-                    targets.extend(neighbors(i).map(|&j| home[j as usize]).filter(away));
+                    seen[home[i as usize] as usize] = i;
+                    for &j in neighbors(i) {
+                        let k = home[j as usize];
+                        if seen[k as usize] != i {
+                            seen[k as usize] = i;
+                            targets.push(k);
+                        }
+                    }
                     targets.sort_unstable();
-                    targets.dedup();
                     if let Some((t, d)) = frozen.best_move(i as usize, targets.iter().copied()) {
                         local.push((d, i, t));
                     }

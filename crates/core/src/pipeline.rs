@@ -253,36 +253,41 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
 /// * [`TrafficMode::PerCrossbar`] — one flow carrying the neuron's
 ///   distinct remote crossbars (AER; multicast-capable).
 ///
+/// The flows of one net share one destination list
+/// ([`SpikeFlow::dst_crossbars`]): one allocation per `(neuron,
+/// crossbar)` under `PerSynapse` and per neuron under `PerCrossbar`,
+/// however many spikes and synapses ride it.
+///
 /// # Panics
 ///
 /// Panics if the mapping does not cover exactly the graph's neurons.
 pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> Vec<SpikeFlow> {
     let mut flows = Vec::new();
+    // one destination list per net, shared by every flow that rides it
+    let mut nets: Vec<Arc<[u32]>> = Vec::new();
     traffic::walk(graph, mapping.assignment(), |n| {
         if n.remote.is_empty() {
             return;
         }
-        let times = graph.train(n.neuron).times();
+        nets.clear();
         match mode {
-            TrafficMode::PerSynapse => {
-                for &t in times {
-                    for &(dst, synapses) in n.remote {
-                        for _ in 0..synapses {
-                            flows.push(SpikeFlow::unicast(n.neuron, n.home, dst, t));
-                        }
+            TrafficMode::PerSynapse => nets.extend(n.remote.iter().map(|&(dst, _)| [dst].into())),
+            TrafficMode::PerCrossbar => nets.push(n.remote.iter().map(|&(dst, _)| dst).collect()),
+        }
+        let flow = |dsts: &Arc<[u32]>, t: u32| SpikeFlow {
+            source_neuron: n.neuron,
+            src_crossbar: n.home,
+            dst_crossbars: Arc::clone(dsts),
+            send_step: t,
+        };
+        for &t in graph.train(n.neuron).times() {
+            match mode {
+                TrafficMode::PerSynapse => {
+                    for (dsts, &(_, synapses)) in nets.iter().zip(n.remote) {
+                        flows.extend((0..synapses).map(|_| flow(dsts, t)));
                     }
                 }
-            }
-            TrafficMode::PerCrossbar => {
-                let dsts: Vec<u32> = n.remote.iter().map(|&(dst, _)| dst).collect();
-                for &t in times {
-                    flows.push(SpikeFlow {
-                        source_neuron: n.neuron,
-                        src_crossbar: n.home,
-                        dst_crossbars: dsts.clone(),
-                        send_step: t,
-                    });
-                }
+                TrafficMode::PerCrossbar => flows.push(flow(&nets[0], t)),
             }
         }
     });
@@ -750,10 +755,42 @@ mod tests {
         let m = Mapping::from_assignment(assign, 2).unwrap();
         let flows = build_flows(&g, &m, TrafficMode::PerCrossbar);
         assert_eq!(flows.len(), 80); // 8 neurons × 10 spikes
-        assert!(flows.iter().all(|f| f.dst_crossbars == vec![1]));
+        assert!(flows.iter().all(|f| *f.dst_crossbars == [1]));
         // per-synapse: × 8 synapses per neuron
         let flows = build_flows(&g, &m, TrafficMode::PerSynapse);
         assert_eq!(flows.len(), 640);
+    }
+
+    #[test]
+    fn flows_of_one_net_share_one_destination_list() {
+        // neuron i < 8 on crossbar i % 4 reaches 8..16: three remote
+        // crossbars, two synapses on each
+        let g = layered_graph();
+        let m = Mapping::from_assignment((0..16).map(|i| i % 4).collect(), 4).unwrap();
+        for (mode, nets_per_neuron, flows_per_spike) in [
+            (TrafficMode::PerSynapse, 3, 6),
+            (TrafficMode::PerCrossbar, 1, 1),
+        ] {
+            let flows = build_flows(&g, &m, mode);
+            assert_eq!(flows.len(), 8 * 10 * flows_per_spike, "{mode:?}");
+            // a net is a neuron's destination list; every flow of it
+            // points at the allocation its first flow does
+            let mut first: std::collections::HashMap<(u32, &[u32]), &SpikeFlow> =
+                std::collections::HashMap::new();
+            for f in &flows {
+                let net = first
+                    .entry((f.source_neuron, &f.dst_crossbars))
+                    .or_insert(f);
+                assert!(
+                    Arc::ptr_eq(&net.dst_crossbars, &f.dst_crossbars),
+                    "{mode:?}: {f:?}"
+                );
+            }
+            assert_eq!(first.len(), 8 * nets_per_neuron, "{mode:?}");
+            let allocations: std::collections::HashSet<*const u32> =
+                flows.iter().map(|f| f.dst_crossbars.as_ptr()).collect();
+            assert_eq!(allocations.len(), first.len(), "{mode:?}");
+        }
     }
 
     /// Delegates to a mesh and counts `multicast_route` calls.

@@ -23,7 +23,7 @@
 //!
 //! | fold | consumed by |
 //! |---|---|
-//! | `pipeline::build_flows` — one flow per spike per packet | packetize → simulate, `hop_metrics` |
+//! | `pipeline::build_flows` — one flow per spike per packet, the flows of a net sharing one destination list | packetize → simulate, `hop_metrics` |
 //! | `pipeline::local_events` — `Σ spikes · local synapses` | report (local energy) |
 //! | `place::TrafficMatrix::from_mapping` — packets per cluster pair | placement, co-optimization |
 

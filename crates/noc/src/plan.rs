@@ -8,7 +8,9 @@
 //! asked once per net, before the run, and never inside it:
 //!
 //! * [`Nets`] interns a flow set's nets (one per `(source, destination)`
-//!   pair when multicast is off).
+//!   pair when multicast is off), keyed by the flows' `(source,
+//!   destination list)`: a flow finds its nets by that key, so nothing is
+//!   stored per flow.
 //! * [`Plan`] holds, for all of them, what happens to a packet of the net
 //!   at every router it reaches. A **node** is "a packet of this net
 //!   arriving at this router": the crossbars delivered there (`local`)
@@ -23,8 +25,10 @@
 //!   router pair) or, under tree routing, the net's
 //!   [`Topology::multicast_route`] paths, called once per net and checked
 //!   rather than trusted.
-//! * [`Slab`] holds the packets of the run as 20-byte [`Handle`]s. A
-//!   handle names its spike and the node it arrives at next; a packet
+//! * [`Slab`] holds the packets in flight as 32-byte [`Handle`]s,
+//!   recycling a handle's id once its copy is delivered. A handle
+//!   carries what the loop reads of its packet (spike id, inject cycle,
+//!   flow) and the node it arrives at next; a packet
 //!   queued at a router is the **chain** (through `sib`) of one handle per
 //!   branch still to leave, made when the packet arrives
 //!   ([`Slab::fan_out`]); forwarding through a slot detaches that slot's
@@ -37,6 +41,7 @@
 //! re-derives every want from the topology (`sim::oracle`), so a plan
 //! that disagrees with the fabric fails the differential suite.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -72,17 +77,26 @@ impl Hasher for NetHasher {
     }
 }
 
-/// The distinct nets of a flow set, in first-appearance order.
+/// The distinct nets of a flow set, in first-appearance order, and the
+/// nets of every distinct `(source, destination list)` a flow names.
+/// Nothing here is stored per flow: a flow finds its nets by its key.
 pub(crate) struct Nets<'f> {
     /// `(source crossbar, destinations as the flow lists them)` per net.
     keys: Vec<(u32, &'f [u32])>,
-    /// Per flow, where its packets' net ids start in `ids`.
-    first: Vec<u32>,
-    /// Net id per packet of a flow: one per flow under multicast, one per
-    /// destination otherwise. A flow equal to its predecessor shares the
-    /// predecessor's entries.
+    /// Per distinct flow key: where its packets' net ids start in `ids`.
+    flow_keys: NetMap<'f>,
+    /// Net id per packet of a flow key: one under multicast, one per
+    /// destination otherwise.
     ids: Vec<u32>,
+    multicast: bool,
 }
+
+type NetMap<'f> = HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>>;
+
+/// The flow key [`Nets::of`] looked up last, with where its net ids
+/// start.
+#[derive(Default)]
+pub(crate) struct LastKey<'f>(Option<(u32, &'f [u32], u32)>);
 
 impl<'f> Nets<'f> {
     /// Interns the nets of `flows`. Traffic generators emit a neuron's
@@ -91,23 +105,24 @@ impl<'f> Nets<'f> {
     pub(crate) fn intern(flows: &'f [SpikeFlow], multicast: bool) -> Self {
         let mut nets = Self {
             keys: Vec::new(),
-            first: Vec::with_capacity(flows.len()),
+            flow_keys: HashMap::default(),
             ids: Vec::new(),
+            multicast,
         };
-        let mut seen: HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>> =
-            HashMap::default();
+        let mut seen: NetMap<'f> = HashMap::default();
         let mut prev: Option<&SpikeFlow> = None;
         for f in flows {
             if let Some(p) = prev {
                 if p.src_crossbar == f.src_crossbar && p.dst_crossbars == f.dst_crossbars {
-                    nets.first
-                        .push(*nets.first.last().expect("a previous flow"));
                     continue;
                 }
             }
             prev = Some(f);
-            nets.first.push(nets.ids.len() as u32);
             let dests = &f.dst_crossbars[..];
+            let Entry::Vacant(slot) = nets.flow_keys.entry((f.src_crossbar, dests)) else {
+                continue;
+            };
+            slot.insert(nets.ids.len() as u32);
             let per_packet = if multicast { dests.len().max(1) } else { 1 };
             for net in dests.chunks(per_packet) {
                 let fresh = nets.keys.len() as u32;
@@ -121,10 +136,28 @@ impl<'f> Nets<'f> {
         nets
     }
 
-    /// Net of packet `packet` of flow `flow` (packet 0 under multicast,
-    /// the destination's position otherwise).
-    pub(crate) fn of(&self, flow: usize, packet: usize) -> u32 {
-        self.ids[self.first[flow] as usize + packet]
+    /// The nets of `flow`'s packets, in packet order: one under
+    /// multicast, one per destination otherwise, none for a flow without
+    /// destinations. `flow` must be one of the interned flows. `last`
+    /// remembers the previous lookup, so a run of flows of one net (every
+    /// spike of a neuron, every cut synapse toward one crossbar) hashes
+    /// once.
+    pub(crate) fn of(&self, flow: &'f SpikeFlow, last: &mut LastKey<'f>) -> &[u32] {
+        let (src, dests) = (flow.src_crossbar, &flow.dst_crossbars[..]);
+        let start = match last.0 {
+            Some((s, d, start)) if s == src && d == dests => start,
+            _ => {
+                let start = self.flow_keys[&(src, dests)];
+                last.0 = Some((src, dests, start));
+                start
+            }
+        };
+        let packets = if self.multicast {
+            dests.len().min(1)
+        } else {
+            dests.len()
+        };
+        &self.ids[start as usize..][..packets]
     }
 
     /// Number of distinct nets.
@@ -481,15 +514,23 @@ impl Node {
     }
 }
 
-/// One copy of a spike, in flight or queued.
+/// One copy of a spike, in flight or queued: what the router loop reads
+/// of its packet, and where the copy is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Handle {
-    /// Index into the run's spike table (one entry per injection).
+    /// Cycle the packet entered the network (after AER encoding).
+    pub(crate) inject_cycle: u64,
+    /// Id of the originating spike event in canonical flow order (unicast
+    /// clones of one spike share it; traced only).
     pub(crate) spike: u32,
+    /// Position of the packet's flow in the run's flow list: its source
+    /// neuron, source crossbar and send step.
+    pub(crate) flow: u32,
     /// The node this copy arrives at next.
     pub(crate) node: u32,
     /// On the first member of a queued chain: the first member of the
-    /// chain queued behind it on the lane ([`NIL`] at the tail).
+    /// chain queued behind it on the lane ([`NIL`] at the tail). On a
+    /// released handle: the next free one.
     pub(crate) next: u32,
     /// The next member of this copy's chain ([`NIL`] at the end).
     pub(crate) sib: u32,
@@ -497,26 +538,73 @@ pub(crate) struct Handle {
     pub(crate) bit: u16,
 }
 
-/// Every handle of a run; ids are positions, the injected packets first.
-#[derive(Default)]
-pub(crate) struct Slab {
-    handles: Vec<Handle>,
-}
-
-impl Slab {
-    /// A slab whose first handles are the injections, each about to
-    /// arrive at `roots`' next node, with room for `capacity` in all (the
-    /// exact final size is known up front: a per-net sum over the spikes).
-    pub(crate) fn new(roots: impl ExactSizeIterator<Item = u32>, capacity: usize) -> Self {
-        let mut handles = Vec::with_capacity(capacity.max(roots.len()));
-        handles.extend(roots.enumerate().map(|(spike, node)| Handle {
-            spike: spike as u32,
+impl Handle {
+    /// The copy of spike `spike` of flow `flow` injected at
+    /// `inject_cycle`, about to arrive at its net's root `node`.
+    pub(crate) fn injected(spike: u32, flow: u32, inject_cycle: u64, node: u32) -> Self {
+        Handle {
+            inject_cycle,
+            spike,
+            flow,
             node,
             next: NIL,
             sib: NIL,
             bit: 0,
-        }));
-        Slab { handles }
+        }
+    }
+}
+
+/// The handles of the packets in flight. A handle is allocated at
+/// injection and for every fan-out branch past the first, and released
+/// once its copy's last destination is delivered; released ids are
+/// reused last-in first-out, so the slab holds as many handles as were
+/// ever in flight at once, not as many as were sent.
+pub(crate) struct Slab {
+    handles: Vec<Handle>,
+    /// First released handle ([`NIL`]: none); the rest follow through
+    /// their `next` links.
+    free: u32,
+    live: usize,
+    peak: usize,
+    allocated: u64,
+}
+
+impl Default for Slab {
+    fn default() -> Self {
+        Slab {
+            handles: Vec::new(),
+            free: NIL,
+            live: 0,
+            peak: 0,
+            allocated: 0,
+        }
+    }
+}
+
+impl Slab {
+    /// Stores `handle` under a free id (the last released one, if any).
+    #[inline]
+    pub(crate) fn alloc(&mut self, handle: Handle) -> u32 {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        self.allocated += 1;
+        if self.free == NIL {
+            self.handles.push(handle);
+            return self.handles.len() as u32 - 1;
+        }
+        let id = self.free;
+        self.free = self.handles[id as usize].next;
+        self.handles[id as usize] = handle;
+        id
+    }
+
+    /// Gives `h` back: its copy has delivered its last destination.
+    #[inline]
+    pub(crate) fn release(&mut self, h: u32) {
+        debug_assert!(self.live > 0, "a release without an allocation");
+        self.handles[h as usize].next = self.free;
+        self.free = h;
+        self.live -= 1;
     }
 
     /// The handle `h`.
@@ -525,9 +613,19 @@ impl Slab {
         &self.handles[h as usize]
     }
 
-    /// Handles allocated so far.
-    pub(crate) fn len(&self) -> usize {
-        self.handles.len()
+    /// Handles allocated and not yet released.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// The most handles ever live at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// Allocations over the slab's life.
+    pub(crate) fn allocated(&self) -> u64 {
+        self.allocated
     }
 
     /// The packet `h` arrived somewhere it does not end: it becomes the
@@ -536,9 +634,16 @@ impl Slab {
     /// allocates.
     #[inline]
     pub(crate) fn fan_out(&mut self, h: u32, branches: &[Branch]) {
-        let spike = self.handles[h as usize].spike;
-        let member = |b: &Branch| Handle {
+        let Handle {
+            inject_cycle,
             spike,
+            flow,
+            ..
+        } = self.handles[h as usize];
+        let member = |b: &Branch| Handle {
+            inject_cycle,
+            spike,
+            flow,
             node: b.child,
             next: NIL,
             sib: NIL,
@@ -547,8 +652,7 @@ impl Slab {
         self.handles[h as usize] = member(&branches[0]);
         let mut last = h;
         for b in &branches[1..] {
-            let id = self.handles.len() as u32;
-            self.handles.push(member(b));
+            let id = self.alloc(member(b));
             self.handles[last as usize].sib = id;
             last = id;
         }
@@ -801,7 +905,7 @@ mod tests {
         let flow = |src: u32, dsts: &[u32]| SpikeFlow {
             source_neuron: 0,
             src_crossbar: src,
-            dst_crossbars: dsts.to_vec(),
+            dst_crossbars: dsts.into(),
             send_step: 0,
         };
         let flows = [
@@ -818,26 +922,38 @@ mod tests {
             3,
             "order is part of a net: it is the delivery order"
         );
-        let ids: Vec<u32> = [0, 1, 2, 4, 5].map(|f| nets.of(f, 0)).to_vec();
+        // looked up in any order, with or without the previous key
+        let mut last = LastKey::default();
+        let ids: Vec<u32> = [0, 1, 2, 4, 5]
+            .map(|f| nets.of(&flows[f], &mut last)[0])
+            .to_vec();
         assert_eq!(ids, [0, 0, 1, 0, 2]);
+        assert_eq!(nets.of(&flows[5], &mut LastKey::default()), [2]);
+        assert_eq!(
+            nets.of(&flows[3], &mut last),
+            [0u32; 0],
+            "no destination, no packet"
+        );
         let nets = Nets::intern(&flows, false);
         assert_eq!(nets.len(), 4, "(0,3) (0,1) (1,3) (1,1)");
-        assert_eq!((nets.of(0, 0), nets.of(0, 1)), (0, 1));
-        assert_eq!((nets.of(2, 0), nets.of(2, 1)), (1, 0));
-        assert_eq!((nets.of(5, 0), nets.of(5, 1)), (2, 3));
+        let mut last = LastKey::default();
+        assert_eq!(nets.of(&flows[0], &mut last), [0, 1]);
+        assert_eq!(nets.of(&flows[2], &mut last), [1, 0]);
+        assert_eq!(nets.of(&flows[5], &mut last), [2, 3]);
+        assert_eq!(nets.of(&flows[4], &mut last), [0, 1]);
     }
 
-    /// A slab holding one five-way chain: handle 0 fanned out over slots
-    /// 4, 1, 7, 2, 9 (children 10..15).
-    fn five_way_chain() -> Slab {
+    /// Fans a packet injected into `slab` out over slots 4, 1, 7, 2, 9
+    /// (children 10..15) and returns the chain's first member.
+    fn five_way_chain(slab: &mut Slab) -> u32 {
         let branches: Vec<Branch> = [4u16, 1, 7, 2, 9]
             .iter()
             .zip(10..)
             .map(|(&bit, child)| Branch { child, bit })
             .collect();
-        let mut slab = Slab::new([0u32].into_iter(), 5);
-        slab.fan_out(0, &branches);
-        slab
+        let h = slab.alloc(Handle::injected(0, 0, 0, 3));
+        slab.fan_out(h, &branches);
+        h
     }
 
     fn bits(slab: &Slab, first: u32) -> Vec<u16> {
@@ -846,9 +962,14 @@ mod tests {
 
     #[test]
     fn detach_keeps_relative_order_on_both_sides() {
-        let mut slab = five_way_chain();
+        let mut slab = Slab::default();
+        assert_eq!(five_way_chain(&mut slab), 0);
         assert_eq!(bits(&slab, 0), [4, 1, 7, 2, 9]);
-        assert_eq!(slab.len(), 5, "the first member reuses the arriving handle");
+        assert_eq!(
+            (slab.allocated(), slab.live()),
+            (5, 5),
+            "the first member reuses the arriving handle"
+        );
         // a middle member, the last, then the first: the rest keeps its order
         let (member, first) = slab.detach(0, 7).expect("a member");
         assert_eq!(
@@ -876,10 +997,49 @@ mod tests {
 
     #[test]
     fn detach_without_a_match_leaves_the_chain_intact() {
-        let mut slab = five_way_chain();
-        assert_eq!(slab.detach(0, 3), None);
-        assert_eq!(bits(&slab, 0), [4, 1, 7, 2, 9]);
-        let children: Vec<u32> = slab.chain(0).map(|m| m.node).collect();
+        let mut slab = Slab::default();
+        let first = five_way_chain(&mut slab);
+        assert_eq!(slab.detach(first, 3), None);
+        assert_eq!(bits(&slab, first), [4, 1, 7, 2, 9]);
+        let children: Vec<u32> = slab.chain(first).map(|m| m.node).collect();
         assert_eq!(children, [10, 11, 12, 13, 14]);
+    }
+
+    /// Detaches slots 7, 9, 4, 2, 1 in turn from the chain starting at
+    /// `first`, releasing each member, and returns `(slot, node)` per
+    /// member and the chain left after each detach.
+    fn drain(slab: &mut Slab, mut first: u32) -> Vec<((u16, u32), Vec<u16>)> {
+        let mut seen = Vec::new();
+        for bit in [7, 9, 4, 2, 1] {
+            let (member, rest) = slab.detach(first, bit).expect("a member");
+            let m = *slab.get(member);
+            seen.push(((m.bit, m.node), bits(slab, rest)));
+            slab.release(member);
+            first = rest;
+        }
+        seen
+    }
+
+    #[test]
+    fn released_ids_are_reused_and_chains_over_them_detach_alike() {
+        let mut slab = Slab::default();
+        let fresh = five_way_chain(&mut slab);
+        let order = drain(&mut slab, fresh);
+        assert_eq!(slab.live(), 0);
+        assert_eq!(slab.peak(), 5);
+        // the last released id is handed out first, and nothing grows
+        let again = five_way_chain(&mut slab);
+        let ids: Vec<u32> = std::iter::successors(Some(again), |&h| {
+            Some(slab.get(h).sib).filter(|&s| s != NIL)
+        })
+        .collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, [0, 1, 2, 3, 4], "every id is a released one");
+        assert_ne!(ids, [0, 1, 2, 3, 4], "reused last-in first-out: {ids:?}");
+        assert_eq!(slab.handles.len(), 5);
+        assert_eq!((slab.allocated(), slab.live(), slab.peak()), (10, 5, 5));
+        assert_eq!(drain(&mut slab, again), order);
+        assert_eq!(slab.live(), 0);
     }
 }

@@ -50,19 +50,27 @@
 //! rest leaves by. The route (unicast, or the net's multicast tree) is
 //! asked once per (node, destination), whatever the number of spikes.
 //!
-//! A packet is then a 20-byte *handle* `{ spike, node, next, sib, bit }`
-//! over an immutable per-injection spike table: `node` is the plan node
-//! it arrives at next. Arriving, it delivers the node's local crossbars
-//! and — if the node has branches — queues as the **chain** (through
-//! `sib`) of one handle per branch, the first reusing the arriving
-//! handle; a FIFO lane is an intrusive list of chains through their first
-//! members' `next`. What a lane head wants is its chain's slots;
-//! forwarding by a slot detaches that member and sends it on as it is
-//! (when the first member leaves and others remain, the lane link moves
-//! to the next); the lane pops when the chain's last member leaves. No
-//! packet is ever constructed, copied or searched inside the loop, and
-//! the slab of handles is allocated once (its final size is a per-net
-//! sum over the spikes).
+//! The injection schedule is streamed (`Schedule`): the loop takes each
+//! cycle's packets as they come due, in the canonical slot order, and no
+//! table of the packets sent is ever built. A packet is then a 32-byte
+//! *handle* `{ inject_cycle, spike, flow, node, next, sib, bit }`: what
+//! the loop reads of it (the spike id it is traced under, its inject
+//! cycle, and its flow's index for the neuron, source and step), and
+//! `node`, the plan node it arrives at next. Arriving, it delivers the
+//! node's local crossbars and — if the node has branches — queues as the
+//! **chain** (through `sib`) of one handle per branch, the first reusing
+//! the arriving handle; a FIFO lane is an intrusive list of chains
+//! through their first members' `next`. What a lane head wants is its
+//! chain's slots; forwarding by a slot detaches that member and sends it
+//! on as it is (when the first member leaves and others remain, the lane
+//! link moves to the next); the lane pops when the chain's last member
+//! leaves. No packet is ever constructed, copied or searched inside the
+//! loop. A handle is allocated at injection and per extra branch, and
+//! released when its copy's last destination is delivered, so the slab
+//! holds the packets in flight, not the packets sent (at most 6 949
+//! handles for the 887 008 packets of mapbench's `hd_tree_paper`). Over a
+//! run the allocations are a per-net sum over the packets; a debug
+//! assertion checks that, and that every handle came back.
 //!
 //! None of this moves a transition of the router model: heads, wants,
 //! splits, pops and credits change at the same events, in the same order,
@@ -121,7 +129,7 @@
 
 use crate::config::NocConfig;
 use crate::error::NocError;
-use crate::plan::{Handle, Nets, Plan, Slab, NIL};
+use crate::plan::{Handle, LastKey, Nets, Plan, Slab, NIL};
 use crate::router::pick_vc;
 use crate::sched::{PortSched, Sched, PRE_SWEEP};
 use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
@@ -200,152 +208,259 @@ fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocErr
     Ok(())
 }
 
-/// One injection: what every copy of a spike's packet shares. The run's
-/// spike table is immutable; a [`Handle`] names its entry by position.
-pub(crate) struct Spike {
+/// One packet of the injection schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Injection {
     /// Id of the originating spike event in canonical flow order (unicast
     /// clones of one spike share it; used for tracing).
-    spike_id: u32,
-    source_neuron: u32,
-    src_crossbar: u32,
-    /// SNN timestep of the spike.
-    send_step: u32,
+    spike: u32,
+    /// Position of the packet's flow in the run's flow list.
+    flow: u32,
     /// The packet's net ([`Nets`]).
     net: u32,
     /// Cycle the packet enters the network (after AER encoding).
     inject_cycle: u64,
 }
 
-/// Expands flows into an injection schedule: canonical AER-encoder order,
-/// one packet per crossbar per cycle. Shared by both engines so the
-/// schedules they simulate are one and the same.
+/// A maximal run of consecutive flows equal in `(step, src, neuron)` that
+/// sends at least one packet.
+struct Group {
+    /// `(step, src)` packed into one word.
+    step_src: u64,
+    /// `(neuron, first flow)` packed into one word.
+    neuron_first: u64,
+    /// One past the group's last flow.
+    end: u32,
+    /// Canonical position of the group's first sending flow (its count of
+    /// sending flows until the groups are sorted).
+    base: u32,
+}
+
+/// The flows of one `(step, src)` that inject one packet a cycle from the
+/// step's first cycle, walked one `(step, src, neuron)` block at a time.
+struct Run<'f> {
+    /// Join order: runs join in `(step, src)` order.
+    seq: usize,
+    /// The run's groups not yet walked: `groups[next..end]`.
+    next: usize,
+    end: usize,
+    /// The current block's sending flows in canonical order; `block[at]`
+    /// injects next. Empty once the run is spent.
+    block: Vec<u32>,
+    at: usize,
+    /// Canonical position of `block[at]`.
+    spike: u32,
+    /// Packet of that flow (destination position under unicast).
+    packet: usize,
+    last: LastKey<'f>,
+}
+
+impl Run<'_> {
+    fn flow(&self) -> usize {
+        self.block[self.at] as usize
+    }
+}
+
+/// The injection schedule, streamed: canonical AER-encoder order, one
+/// packet per crossbar per cycle, handed to the router loop as it comes
+/// due. Shared by both engines, so the schedules they simulate are one
+/// and the same.
 ///
 /// The canonical order is `traffic::sort_canonical`'s — step, source
 /// crossbar, neuron, destination set — with the input position as the
 /// last tiebreak. A spike's packets inject at `step × cycles_per_step +
 /// r`, `r` counting the packets its crossbar sent earlier in the step,
-/// and the table lists them in *slot order*: by inject cycle, then source
-/// crossbar, then neuron, then canonical position (a crossbar overloading
-/// its step window shares cycles with its own next step, where the neuron
-/// decides).
-fn build_schedule(config: &NocConfig, flows: &[SpikeFlow], nets: &Nets<'_>) -> Vec<Spike> {
-    // Generators emit a spike's flows back to back (per-synapse traffic:
-    // one per remote synapse, 219 a spike on mapbench's `hd_tree_paper`),
-    // so the sort runs over maximal runs of consecutive flows equal in
-    // `(step, src, neuron)`, each keyed by its packed `(step, src)` and
-    // `(neuron, first flow)` words, with the run's end beside them.
-    let mut groups: Vec<(u64, u64, usize)> = Vec::new();
-    for (i, f) in flows.iter().enumerate() {
-        let step_src = (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar);
-        match groups.last_mut() {
-            Some(g) if g.0 == step_src && g.1 >> 32 == u64::from(f.source_neuron) => g.2 = i + 1,
-            _ => groups.push((
-                step_src,
-                (u64::from(f.source_neuron) << 32) | i as u64,
-                i + 1,
-            )),
-        }
-    }
-    groups.sort_unstable();
+/// and the stream yields them in *slot order*: by inject cycle, then
+/// source crossbar, then neuron, then canonical position (a crossbar
+/// overloading its step window shares cycles with its own next step,
+/// where the neuron decides).
+///
+/// Nothing is held per packet or per flow sent: one entry per [`Group`]
+/// (under the mapper's traffic, one per spike), and per active run the
+/// order of its current `(step, src, neuron)` block.
+pub(crate) struct Schedule<'n, 'f> {
+    flows: &'f [SpikeFlow],
+    nets: &'n Nets<'f>,
+    multicast: bool,
+    cycles_per_step: u64,
+    /// Sending groups in canonical order.
+    groups: Vec<Group>,
+    /// The first group of the next run to join.
+    joined: usize,
+    /// Runs injecting at `cycle`, in slot order; `active[at]` is next.
+    active: Vec<Run<'f>>,
+    at: usize,
+    cycle: u64,
+}
 
-    // The flows that send, in canonical order: equal keys in flow order,
-    // then stably by destination set. The flows of one `(step, src)` are
-    // a *run*; its packets inject on consecutive cycles from the step's
-    // first, so every run is already in slot order.
-    struct Run {
-        /// Canonical position of the next packet's flow.
-        next: usize,
-        /// One past the run's last canonical position.
-        end: usize,
-        /// Packet of that flow (destination position under unicast).
-        packet: usize,
-        first_cycle: u64,
+impl<'n, 'f> Schedule<'n, 'f> {
+    /// Orders the groups of `flows`; no packet is placed yet.
+    pub(crate) fn new(config: &NocConfig, flows: &'f [SpikeFlow], nets: &'n Nets<'f>) -> Self {
+        // Generators emit a spike's flows back to back (per-synapse
+        // traffic: one per remote synapse, 219 a spike on mapbench's
+        // `hd_tree_paper`), so the sort runs over maximal runs of
+        // consecutive flows equal in `(step, src, neuron)`, each keyed by
+        // its packed `(step, src)` and `(neuron, first flow)` words.
+        let mut groups: Vec<Group> = Vec::new();
+        for (i, f) in flows.iter().enumerate() {
+            let step_src = (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar);
+            match groups.last_mut() {
+                Some(g)
+                    if g.step_src == step_src
+                        && g.neuron_first >> 32 == u64::from(f.source_neuron) =>
+                {
+                    g.end = i as u32 + 1;
+                }
+                _ => groups.push(Group {
+                    step_src,
+                    neuron_first: (u64::from(f.source_neuron) << 32) | i as u64,
+                    end: i as u32 + 1,
+                    base: 0,
+                }),
+            }
+            if !f.dst_crossbars.is_empty() {
+                groups.last_mut().expect("pushed above").base += 1;
+            }
+        }
+        groups.retain(|g| g.base > 0);
+        groups.sort_unstable_by_key(|g| (g.step_src, g.neuron_first));
+        let mut base = 0;
+        for g in &mut groups {
+            (g.base, base) = (base, base + g.base);
+        }
+        let mut schedule = Schedule {
+            flows,
+            nets,
+            multicast: config.multicast,
+            cycles_per_step: config.cycles_per_step,
+            groups,
+            joined: 0,
+            active: Vec::new(),
+            at: 0,
+            cycle: 0,
+        };
+        schedule.next_cycle_batch();
+        schedule
     }
-    let mut order: Vec<u32> = Vec::with_capacity(flows.len());
-    let mut runs: Vec<Run> = Vec::new();
-    let mut last_step_src = 0;
-    for same in groups.chunk_by(|a, b| a.0 == b.0 && a.1 >> 32 == b.1 >> 32) {
-        let start = order.len();
-        for &(_, neuron_first, end) in same {
-            let first = (neuron_first & 0xffff_ffff) as usize;
-            order.extend(
-                (first..end)
-                    .filter(|&i| !flows[i].dst_crossbars.is_empty())
-                    .map(|i| i as u32),
-            );
+
+    /// Cycle of the next packet ([`u64::MAX`] once every packet is out).
+    pub(crate) fn next_cycle(&self) -> u64 {
+        if self.at < self.active.len() {
+            self.cycle
+        } else {
+            u64::MAX
         }
-        if order.len() == start {
-            continue;
-        }
-        // stable, so ties equal in dest set too keep their flow order
-        // (byte-equal flows — they inject identically either way)
-        order[start..].sort_by(|&a, &b| {
-            flows[a as usize]
-                .dst_crossbars
-                .cmp(&flows[b as usize].dst_crossbars)
-        });
-        match runs.last_mut() {
-            Some(run) if last_step_src == same[0].0 => run.end = order.len(),
-            _ => runs.push(Run {
-                next: start,
-                end: order.len(),
-                packet: 0,
-                first_cycle: (same[0].0 >> 32) * config.cycles_per_step,
-            }),
-        }
-        last_step_src = same[0].0;
     }
-    let packets = |f: &SpikeFlow| {
-        if config.multicast {
+
+    /// The next packet, if it injects at or before `now`.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<Injection> {
+        if self.next_cycle() > now {
+            return None;
+        }
+        let run = &mut self.active[self.at];
+        let fi = run.flow();
+        let f = &self.flows[fi];
+        let packet = Injection {
+            spike: run.spike,
+            flow: fi as u32,
+            net: self.nets.of(f, &mut run.last)[run.packet],
+            inject_cycle: self.cycle,
+        };
+        let packets = if self.multicast {
             1
         } else {
             f.dst_crossbars.len()
-        }
-    };
-
-    // The merge, a cycle at a time: a run injects one packet a cycle from
-    // its first cycle until it is spent, so a cycle's packets are one from
-    // each active run, in slot order among them (the run index stands in
-    // for the canonical position: it orders the same way). Runs are in
-    // `(step, src)` order, so they join in order of their first cycle.
-    let mut spikes = Vec::with_capacity(order.iter().map(|&i| packets(&flows[i as usize])).sum());
-    let mut active: Vec<usize> = Vec::new();
-    let mut joined = 0;
-    let mut cycle = 0;
-    while joined < runs.len() || !active.is_empty() {
-        if active.is_empty() {
-            cycle = runs[joined].first_cycle;
-        }
-        while joined < runs.len() && runs[joined].first_cycle == cycle {
-            active.push(joined);
-            joined += 1;
-        }
-        active.sort_unstable_by_key(|&r| {
-            let f = &flows[order[runs[r].next] as usize];
-            (f.src_crossbar, f.source_neuron, r)
-        });
-        for &r in &active {
-            let run = &mut runs[r];
-            let fi = order[run.next] as usize;
-            let f = &flows[fi];
-            spikes.push(Spike {
-                spike_id: run.next as u32,
-                source_neuron: f.source_neuron,
-                src_crossbar: f.src_crossbar,
-                send_step: f.send_step,
-                net: nets.of(fi, run.packet),
-                inject_cycle: cycle,
-            });
-            run.packet += 1;
-            if run.packet == packets(f) {
-                run.packet = 0;
-                run.next += 1;
+        };
+        run.packet += 1;
+        if run.packet == packets {
+            run.packet = 0;
+            run.spike += 1;
+            run.at += 1;
+            if run.at == run.block.len() {
+                load_block(self.flows, &self.groups, run);
             }
         }
-        active.retain(|&r| runs[r].next < runs[r].end);
-        cycle += 1;
+        self.at += 1;
+        if self.at == self.active.len() {
+            self.next_cycle_batch();
+        }
+        Some(packet)
     }
-    spikes
+
+    /// The merge, a cycle at a time: a run injects one packet a cycle
+    /// from its first cycle until it is spent, so a cycle's packets are
+    /// one from each active run, in slot order among them (the join order
+    /// stands in for the canonical position: it orders the same way).
+    /// Runs are in `(step, src)` order, so they join in order of their
+    /// first cycle.
+    fn next_cycle_batch(&mut self) {
+        self.active.retain(|run| run.at < run.block.len());
+        if self.active.is_empty() {
+            let Some(g) = self.groups.get(self.joined) else {
+                self.at = 0;
+                return;
+            };
+            self.cycle = (g.step_src >> 32) * self.cycles_per_step;
+        } else {
+            self.cycle += 1;
+        }
+        while let Some(g) = self.groups.get(self.joined) {
+            if (g.step_src >> 32) * self.cycles_per_step != self.cycle {
+                break;
+            }
+            let same = self.groups[self.joined..]
+                .iter()
+                .take_while(|h| h.step_src == g.step_src)
+                .count();
+            let mut run = Run {
+                seq: self.joined,
+                next: self.joined,
+                end: self.joined + same,
+                block: Vec::new(),
+                at: 0,
+                spike: 0,
+                packet: 0,
+                last: LastKey::default(),
+            };
+            load_block(self.flows, &self.groups, &mut run);
+            self.active.push(run);
+            self.joined += same;
+        }
+        let flows = self.flows;
+        self.active.sort_unstable_by_key(|run| {
+            let f = &flows[run.flow()];
+            (f.src_crossbar, f.source_neuron, run.seq)
+        });
+        self.at = 0;
+    }
+}
+
+/// Moves `run` on to its next `(step, src, neuron)` block, or leaves it
+/// spent (`block` empty) when it has none: equal keys in flow order,
+/// then stably by destination set.
+fn load_block(flows: &[SpikeFlow], groups: &[Group], run: &mut Run<'_>) {
+    run.block.clear();
+    run.at = 0;
+    let Some(g) = groups[..run.end].get(run.next) else {
+        return;
+    };
+    let block = groups[run.next..run.end]
+        .iter()
+        .take_while(|h| h.neuron_first >> 32 == g.neuron_first >> 32);
+    for h in block {
+        let first = (h.neuron_first & 0xffff_ffff) as usize;
+        let sends = (first..h.end as usize).filter(|&i| !flows[i].dst_crossbars.is_empty());
+        run.block.extend(sends.map(|i| i as u32));
+        run.next += 1;
+    }
+    run.spike = g.base;
+    // stable, so ties equal in dest set too keep their flow order
+    // (byte-equal flows — they inject identically either way)
+    run.block.sort_by(|&a, &b| {
+        flows[a as usize]
+            .dst_crossbars
+            .cmp(&flows[b as usize].dst_crossbars)
+    });
 }
 
 /// One FIFO lane: an intrusive list of queued packets (chains) through
@@ -380,14 +495,13 @@ struct RouterState {
 }
 
 /// The queue state of the fabric: every router's lanes, the handles they
-/// link, and the spike table and plan the handles point into. [`Sched`]
+/// link, and the plan the handles point into. [`Sched`]
 /// queries get it read-only so a policy may look at the lane heads
 /// themselves (`Sweep` does; `PortSched` answers from its own tables).
 #[derive(Default)]
 pub(crate) struct Queues {
     routers: Vec<RouterState>,
     slab: Slab,
-    spikes: Vec<Spike>,
     plan: Plan,
 }
 
@@ -411,8 +525,7 @@ impl Queues {
     ///
     /// Panics if the lane is empty.
     pub(crate) fn head_inject(&self, r: usize, fi: usize) -> u64 {
-        let first = self.head(r, fi).next().expect("a queued lane");
-        self.spikes[first.spike as usize].inject_cycle
+        self.head(r, fi).next().expect("a queued lane").inject_cycle
     }
 
     /// The forwarding plan the handles point into.
@@ -600,19 +713,9 @@ impl NocSim {
     /// simulation, so it is never returned here.
     pub fn link_forwards(&self, flows: &[SpikeFlow]) -> Result<u64, NocError> {
         let Setup { nets, plan, .. } = Setup::new(self.topo.as_ref(), &self.config, flows)?;
-        let mut forwards = 0;
-        for (fi, f) in flows.iter().enumerate() {
-            let dests = f.dst_crossbars.len();
-            let packets = if self.config.multicast {
-                dests.min(1)
-            } else {
-                dests
-            };
-            forwards += (0..packets)
-                .map(|pi| plan.forwards(nets.of(fi, pi)))
-                .sum::<u64>();
-        }
-        Ok(forwards)
+        let mut last = LastKey::default();
+        let forwards = flows.iter().flat_map(|f| nets.of(f, &mut last).iter());
+        Ok(forwards.map(|&net| plan.forwards(net)).sum())
     }
 
     /// The one place an [`EngineKind`] becomes a [`Sched`] policy.
@@ -683,7 +786,8 @@ impl<'f> Setup<'f> {
 }
 
 /// One run of either engine: [`Setup`] → schedule → [`simulate`] under
-/// policy `S` → statistics. `events` is the engine's
+/// policy `S` → statistics, the set-up state dropped before the
+/// statistics allocate theirs. `events` is the engine's
 /// retained-trace slot (cleared up front, refilled on success when
 /// [`NocConfig::trace`] is on); `sim_trace`, when given, receives the
 /// scheduler trace and the host time of each of the four phases.
@@ -700,7 +804,7 @@ fn run_engine<S: Sched>(
     let start = Instant::now();
     let Setup { ports, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
     let setup_done = Instant::now();
-    let spikes = build_schedule(config, flows, &nets);
+    let schedule = Schedule::new(config, flows, &nets);
     let schedule_done = Instant::now();
     if let Some(t) = sim_trace.as_deref_mut() {
         t.nets = nets.len() as u64;
@@ -711,11 +815,13 @@ fn run_engine<S: Sched>(
         topo,
         config,
         &ports,
-        spikes,
+        flows,
+        schedule,
         plan,
         sim_trace.as_deref_mut(),
         recorded.as_mut(),
     )?;
+    drop((ports, nets));
     *events = recorded;
     let loop_done = Instant::now();
     let mut stats = NocStats::from_deliveries(
@@ -767,20 +873,22 @@ fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> 
 }
 
 /// The router model: the one main loop both engines run, scheduled by
-/// policy `S`, moving the handles of `spikes` over `plan`. `trace`, when
-/// given, collects the attended cycles (for a selective policy) and the
-/// cycles at which at least one packet was forwarded; `events`, when
-/// given, records the structured trace.
+/// policy `S`, injecting the packets of `schedule` (over `flows`) and
+/// moving their handles over `plan`. `trace`, when given, collects the
+/// attended cycles (for a selective policy), the cycles at which at least
+/// one packet was forwarded and the live-handle high-water mark;
+/// `events`, when given, records the structured trace.
 ///
 /// Never inlined: folded into `run_engine`, LLVM stops inlining the lane
 /// and arrival-queue operations into the loop (2–5 % on `engine/*/event`).
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 #[inline(never)]
 fn simulate<S: Sched>(
     topo: &Arc<dyn Topology>,
     cfg: &NocConfig,
     ports: &[Vec<(usize, usize)>],
-    spikes: Vec<Spike>,
+    flows: &[SpikeFlow],
+    mut schedule: Schedule<'_, '_>,
     plan: Plan,
     mut trace: Option<&mut SimTrace>,
     mut events: Option<&mut TraceBuf>,
@@ -789,18 +897,12 @@ fn simulate<S: Sched>(
     let mut sched = S::build(topo, ports, vcs, plan.follows_trees());
     let topo = topo.as_ref();
 
-    // handles past this bound are multicast branches — only the first
-    // `num_injections`, one per spike, are injection sources
-    let num_injections = spikes.len();
-    let mut next_inject = 0usize;
-    // every destination of every spike becomes exactly one delivery, and
-    // every branch point past the first way out one more handle
-    let (mut n_deliveries, mut n_handles) = (0usize, num_injections);
-    for s in &spikes {
-        n_deliveries += plan.dests(plan.root(s.net)).len();
-        n_handles += plan.extra_handles(s.net) as usize;
-    }
+    // every destination of every flow becomes exactly one delivery
+    let n_deliveries = flows.iter().map(|f| f.dst_crossbars.len()).sum();
     let mut deliveries: Vec<Delivery> = Vec::with_capacity(n_deliveries);
+    // handles allocated: one per injection, and per injected packet one
+    // per branch point past the first way out
+    let mut n_handles = 0u64;
     let mut q = Queues {
         routers: ports
             .iter()
@@ -820,8 +922,7 @@ fn simulate<S: Sched>(
                 queued: 0,
             })
             .collect(),
-        slab: Slab::new(spikes.iter().map(|s| plan.root(s.net)), n_handles),
-        spikes,
+        slab: Slab::default(),
         plan,
     };
     let mut counters = Counters::default();
@@ -844,8 +945,8 @@ fn simulate<S: Sched>(
     let hop_latency = cfg.hop_latency();
 
     // the earliest pending injection or arrival (`u64::MAX` if neither)
-    let next_event = |next_inject: usize, spikes: &[Spike], in_transit: &VecDeque<Arrival>| {
-        let inject = spikes.get(next_inject).map_or(u64::MAX, |s| s.inject_cycle);
+    let next_event = |schedule: &Schedule<'_, '_>, in_transit: &VecDeque<Arrival>| {
+        let inject = schedule.next_cycle();
         inject.min(in_transit.front().map_or(u64::MAX, |a| a.cycle))
     };
 
@@ -859,22 +960,28 @@ fn simulate<S: Sched>(
         ($r:expr, $fi:expr, $h:expr) => {{
             let (r, fi, h): (usize, usize, u32) = ($r, $fi, $h);
             counters.router_traversals += 1;
-            let Handle { spike, node, .. } = *q.slab.get(h);
-            let s = &q.spikes[spike as usize];
+            let Handle {
+                inject_cycle,
+                spike,
+                flow,
+                node,
+                ..
+            } = *q.slab.get(h);
+            let f = &flows[flow as usize];
             debug_assert!(q.plan.local(node).iter().all(|&d| topo.endpoint(d) == r));
             for &d in q.plan.local(node) {
                 deliveries.push(Delivery::new(
-                    s.source_neuron,
-                    s.src_crossbar,
+                    f.source_neuron,
+                    f.src_crossbar,
                     d,
-                    s.send_step,
-                    s.inject_cycle,
+                    f.send_step,
+                    inject_cycle,
                     now,
                 ));
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Delivered {
                         cycle: now,
-                        spike_id: u64::from(s.spike_id),
+                        spike_id: u64::from(spike),
                         router: r as u32,
                         dst_crossbar: d,
                     });
@@ -911,7 +1018,7 @@ fn simulate<S: Sched>(
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Enqueued {
                         cycle: now,
-                        spike_id: u64::from(s.spike_id),
+                        spike_id: u64::from(spike),
                         router: r as u32,
                         lane: fi as u32,
                         occupancy: occupancy as u32,
@@ -924,23 +1031,27 @@ fn simulate<S: Sched>(
                     let bits = branches.iter().map(|b| usize::from(b.bit));
                     sched.set_head(r, fi, bits, PRE_SWEEP);
                 }
-            } else if fi > 0 {
-                // fully delivered here: hand the lane's credit back
-                state.credits_used[fi] -= 1;
-                if state.credits_used[fi] == cfg.buffer_depth - 1 {
-                    // full → free: a selective policy wakes the
-                    // upstream pair if it was blocked
-                    sched.credit_freed(r, fi, PRE_SWEEP);
-                    if let Some(t) = events.as_deref_mut() {
-                        t.credit_freed(now, r as u32, fi as u32);
+            } else {
+                // fully delivered here: the copy is done
+                q.slab.release(h);
+                if fi > 0 {
+                    // hand the lane's credit back
+                    state.credits_used[fi] -= 1;
+                    if state.credits_used[fi] == cfg.buffer_depth - 1 {
+                        // full → free: a selective policy wakes the
+                        // upstream pair if it was blocked
+                        sched.credit_freed(r, fi, PRE_SWEEP);
+                        if let Some(t) = events.as_deref_mut() {
+                            t.credit_freed(now, r as u32, fi as u32);
+                        }
                     }
                 }
             }
         }};
     }
 
-    // consume the spike table in inject order (`build_schedule` lists it so)
-    while next_inject < num_injections || queued_packets > 0 || !in_transit.is_empty() {
+    // the schedule hands out its packets in inject order
+    while schedule.next_cycle() != u64::MAX || queued_packets > 0 || !in_transit.is_empty() {
         if now > cfg.max_cycles {
             return Err(NocError::CycleBudgetExhausted {
                 budget: cfg.max_cycles,
@@ -952,7 +1063,7 @@ fn simulate<S: Sched>(
         // so an event due past the budget is still processed once before
         // the budget fires on the cycle after it
         if queued_packets == 0 {
-            let jump = next_event(next_inject, &q.spikes, &in_transit);
+            let jump = next_event(&schedule, &in_transit);
             if jump > now && jump != u64::MAX {
                 now = jump;
             }
@@ -971,21 +1082,25 @@ fn simulate<S: Sched>(
             let a = in_transit.pop_front().expect("peeked");
             enter!(a.router, a.ingress, a.pid);
         }
-        while next_inject < num_injections && q.spikes[next_inject].inject_cycle <= now {
-            let s = &q.spikes[next_inject];
-            let src_router = topo.endpoint(s.src_crossbar);
+        while let Some(p) = schedule.pop_due(now) {
+            let f = &flows[p.flow as usize];
+            let src_router = topo.endpoint(f.src_crossbar);
             counters.packets_injected += 1;
+            n_handles += 1 + u64::from(q.plan.extra_handles(p.net));
             if let Some(t) = events.as_deref_mut() {
                 t.push(TraceEvent::Injected {
                     cycle: now,
-                    spike_id: u64::from(s.spike_id),
-                    source_neuron: s.source_neuron,
-                    src_crossbar: s.src_crossbar,
+                    spike_id: u64::from(p.spike),
+                    source_neuron: f.source_neuron,
+                    src_crossbar: f.src_crossbar,
                     router: src_router as u32,
                 });
             }
-            next_inject += 1;
-            enter!(src_router, 0, (next_inject - 1) as u32);
+            let root = q.plan.root(p.net);
+            let h = q
+                .slab
+                .alloc(Handle::injected(p.spike, p.flow, p.inject_cycle, root));
+            enter!(src_router, 0, h);
         }
 
         // 2. arbitration & forwarding over the pairs the policy names, in
@@ -1120,7 +1235,7 @@ fn simulate<S: Sched>(
                 let m = q.slab.get(member);
                 t.push(TraceEvent::Forwarded {
                     cycle: now,
-                    spike_id: u64::from(q.spikes[m.spike as usize].spike_id),
+                    spike_id: u64::from(m.spike),
                     router: r as u32,
                     port: o as u32,
                     vc: w as u32,
@@ -1182,7 +1297,7 @@ fn simulate<S: Sched>(
             now += 1;
             continue;
         }
-        let pending = next_event(next_inject, &q.spikes, &in_transit);
+        let pending = next_event(&schedule, &in_transit);
         let next = sched.next_cycle(&q, now, pending, progress);
         if next == u64::MAX {
             // every queued packet is credit-starved with nothing in
@@ -1198,7 +1313,15 @@ fn simulate<S: Sched>(
         now = next;
     }
 
-    debug_assert_eq!(q.slab.len(), n_handles, "the handle count is a per-net sum");
+    debug_assert_eq!(q.slab.live(), 0, "every copy was released");
+    debug_assert_eq!(
+        q.slab.allocated(),
+        n_handles,
+        "the handle count is a per-net sum"
+    );
+    if let Some(t) = trace {
+        t.peak_handles = q.slab.peak() as u64;
+    }
     counters.deliveries = deliveries.len() as u64;
     Ok((deliveries, counters, per_vc, sched.counters()))
 }
@@ -1218,12 +1341,12 @@ mod tests {
     /// sort of packed keys, then every packet's slot triple `(inject
     /// cycle, src and neuron, generation)` in that order, sorted, and the
     /// table materialized from a side table per generation.
-    fn schedule_by_sorting(
+    fn schedule_by_sorting<'f>(
         crossbars: usize,
         config: &NocConfig,
-        flows: &[SpikeFlow],
-        nets: &Nets<'_>,
-    ) -> Vec<Spike> {
+        flows: &'f [SpikeFlow],
+        nets: &Nets<'f>,
+    ) -> Vec<Injection> {
         // canonical order via packed key-index tuples: `(step, src)` and
         // `(neuron, flow index)` each fuse into one u64, so the sort runs on
         // plain integer pairs (no comparator closure). Flows equal in
@@ -1313,13 +1436,16 @@ mod tests {
         slots
             .into_iter()
             .map(|(inject_cycle, src_neuron, gen)| {
-                let (spike_id, fi, pi) = meta[gen as usize];
-                Spike {
-                    spike_id,
-                    source_neuron: src_neuron as u32,
-                    src_crossbar: (src_neuron >> 32) as u32,
-                    send_step: flows[fi as usize].send_step,
-                    net: nets.of(fi as usize, pi as usize),
+                let (spike, fi, pi) = meta[gen as usize];
+                let f = &flows[fi as usize];
+                assert_eq!(
+                    (f.src_crossbar, f.source_neuron),
+                    ((src_neuron >> 32) as u32, src_neuron as u32)
+                );
+                Injection {
+                    spike,
+                    flow: fi,
+                    net: nets.of(f, &mut LastKey::default())[pi as usize],
                     inject_cycle,
                 }
             })
@@ -1367,24 +1493,21 @@ mod tests {
             };
             check_clock(&config, &flows).expect("the clock reaches the last injection");
             let nets = Nets::intern(&flows, multicast);
-            let fields = |s: &Spike| {
-                (
-                    s.spike_id,
-                    s.source_neuron,
-                    s.src_crossbar,
-                    s.send_step,
-                    s.net,
-                    s.inject_cycle,
-                )
-            };
-            let merged: Vec<_> = build_schedule(&config, &flows, &nets)
-                .iter()
-                .map(fields)
-                .collect();
-            let sorted: Vec<_> = schedule_by_sorting(crossbars as usize, &config, &flows, &nets)
-                .iter()
-                .map(fields)
-                .collect();
+            // the stream, drained a cycle at a time as the loop drains it
+            let mut schedule = Schedule::new(&config, &flows, &nets);
+            let mut merged = Vec::new();
+            while schedule.next_cycle() != u64::MAX {
+                let now = schedule.next_cycle();
+                while let Some(p) = schedule.pop_due(now) {
+                    assert_eq!(p.inject_cycle, now);
+                    merged.push(p);
+                }
+                assert!(
+                    schedule.next_cycle() > now,
+                    "case {case}: a cycle left behind"
+                );
+            }
+            let sorted = schedule_by_sorting(crossbars as usize, &config, &flows, &nets);
             assert_eq!(merged, sorted, "case {case}: {flows:?}");
             // a crossbar sending more packets in a step than the step has
             // cycles shares inject cycles with its own next step

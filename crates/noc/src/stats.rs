@@ -167,11 +167,18 @@ pub struct SimTrace {
     /// Nodes of the run's forwarding plan: (net, router reached) pairs.
     /// Equal under both engines; not part of any digest.
     pub plan_nodes: u64,
+    /// The most packet handles live at once: copies injected or split
+    /// off and not yet fully delivered — the run's packets in flight,
+    /// queued encoder packets included. Equal under both engines; not
+    /// part of any digest.
+    pub peak_handles: u64,
     /// Host wall-clock time of the run's setup: validation, net interning
     /// and the forwarding plan. Like the three phase times below it, it
     /// is never compared and outside every digest.
     pub setup_time: Duration,
-    /// Host wall-clock time of building the injection schedule.
+    /// Host wall-clock time of ordering the injection schedule's groups
+    /// of flows. The packets themselves are placed as the loop takes
+    /// them, inside `loop_time`.
     pub schedule_time: Duration,
     /// Host wall-clock time of the router loop.
     pub loop_time: Duration,

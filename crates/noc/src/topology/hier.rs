@@ -311,19 +311,22 @@ impl HierTopology {
         (cy * self.chip_cols + cx) * self.nr_intra + ly * self.intra_cols + lx
     }
 
+    /// Router `r`'s global grid coordinates and its chip's coordinates:
+    /// `[x, y, chip column, chip row]`.
+    fn position(&self, r: usize) -> [usize; 4] {
+        let (x, y) = self.global_coords(r);
+        let chip = self.chip_of_router(r);
+        [x, y, chip % self.chip_cols, chip / self.chip_cols]
+    }
+
     /// Weighted route distance between two routers of a multi-chip
-    /// fabric: intra-chip hops cost 1, chip-boundary hops cost
-    /// [`HierTopology::seam_cost`]. Matches the dimension-ordered routes
-    /// exactly (a straight global walk crosses `|Δchip|` boundaries per
-    /// dimension).
-    fn weighted_router_distance(&self, a: usize, b: usize) -> u32 {
-        let (ax, ay) = self.global_coords(a);
-        let (bx, by) = self.global_coords(b);
-        let (ca, cb) = (self.chip_of_router(a), self.chip_of_router(b));
-        let (cax, cay) = (ca % self.chip_cols, ca / self.chip_cols);
-        let (cbx, cby) = (cb % self.chip_cols, cb / self.chip_cols);
-        let seams = (cax.abs_diff(cbx) + cay.abs_diff(cby)) as u32;
-        let hops = (ax.abs_diff(bx) + ay.abs_diff(by)) as u32;
+    /// fabric, given their [`HierTopology::position`]s: intra-chip hops
+    /// cost 1, chip-boundary hops cost [`HierTopology::seam_cost`].
+    /// Matches the dimension-ordered routes exactly (a straight global
+    /// walk crosses `|Δchip|` boundaries per dimension).
+    fn weighted_router_distance(&self, a: [usize; 4], b: [usize; 4]) -> u32 {
+        let seams = (a[2].abs_diff(b[2]) + a[3].abs_diff(b[3])) as u32;
+        let hops = (a[0].abs_diff(b[0]) + a[1].abs_diff(b[1])) as u32;
         hops - seams + seams * self.seam_cost()
     }
 }
@@ -496,8 +499,12 @@ impl Topology for HierTopology {
         if self.single_chip() {
             return DistanceLut::new(self);
         }
+        // each router's position once, so the all-pairs fill divides
+        // nothing (left to inlining, its speed swung by half from build
+        // to build)
+        let at: Vec<[usize; 4]> = (0..self.num_crossbars).map(|r| self.position(r)).collect();
         DistanceLut::from_fn(self.num_crossbars, |a, b| {
-            self.weighted_router_distance(a, b)
+            self.weighted_router_distance(at[a], at[b])
         })
     }
 

@@ -6,8 +6,14 @@
 //! turns flows into AER packets, serializing simultaneous spikes of one
 //! crossbar through its encoder (one packet per cycle), which fixes the
 //! *intended* delivery order that the disorder metric is measured against.
+//!
+//! Every spike of a neuron goes to the same crossbars, so the destination
+//! list is shared: it is an `Arc<[u32]>`, one allocation per net however
+//! many spikes ride it, and cloning a flow is O(1). Its JSON is the plain
+//! array either way.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One spike event bound for one or more remote crossbars.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -16,8 +22,9 @@ pub struct SpikeFlow {
     pub source_neuron: u32,
     /// Crossbar hosting the neuron.
     pub src_crossbar: u32,
-    /// Destination crossbars (deduplicated, excluding the source crossbar).
-    pub dst_crossbars: Vec<u32>,
+    /// Destination crossbars (deduplicated, excluding the source crossbar),
+    /// shared by every flow of the same net.
+    pub dst_crossbars: Arc<[u32]>,
     /// SNN timestep at which the neuron fired.
     pub send_step: u32,
 }
@@ -28,7 +35,7 @@ impl SpikeFlow {
         Self {
             source_neuron,
             src_crossbar: src,
-            dst_crossbars: vec![dst],
+            dst_crossbars: Arc::new([dst]),
             send_step,
         }
     }
@@ -43,7 +50,7 @@ impl SpikeFlow {
         Self {
             source_neuron,
             src_crossbar: src,
-            dst_crossbars: dsts,
+            dst_crossbars: dsts.into(),
             send_step,
         }
     }
@@ -84,7 +91,7 @@ mod tests {
     #[test]
     fn multicast_dedups_and_drops_source() {
         let f = SpikeFlow::multicast(1, 2, vec![3, 2, 3, 0], 5);
-        assert_eq!(f.dst_crossbars, vec![0, 3]);
+        assert_eq!(*f.dst_crossbars, [0, 3]);
     }
 
     #[test]
@@ -111,6 +118,45 @@ mod tests {
         sort_canonical(&mut fwd);
         sort_canonical(&mut rev);
         assert_eq!(fwd, rev);
-        assert_eq!(fwd[0].dst_crossbars, vec![1]);
+        assert_eq!(*fwd[0].dst_crossbars, [1]);
+    }
+
+    #[test]
+    fn json_is_the_plain_array_and_round_trips() {
+        // the form a `Vec<u32>` field wrote, byte for byte
+        #[derive(Serialize)]
+        struct VecFlow {
+            source_neuron: u32,
+            src_crossbar: u32,
+            dst_crossbars: Vec<u32>,
+            send_step: u32,
+        }
+        for flow in [
+            SpikeFlow::multicast(7, 2, vec![5, 0, 9], 11),
+            SpikeFlow::unicast(1, 0, 3, 0),
+            SpikeFlow::multicast(4, 1, vec![1], 2),
+        ] {
+            let json = serde_json::to_string(&flow).unwrap();
+            let plain = VecFlow {
+                source_neuron: flow.source_neuron,
+                src_crossbar: flow.src_crossbar,
+                dst_crossbars: flow.dst_crossbars.to_vec(),
+                send_step: flow.send_step,
+            };
+            assert_eq!(json, serde_json::to_string(&plain).unwrap());
+            let back: SpikeFlow = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, flow);
+        }
+        assert_eq!(
+            serde_json::to_string(&SpikeFlow::unicast(1, 0, 3, 2)).unwrap(),
+            r#"{"source_neuron":1,"src_crossbar":0,"dst_crossbars":[3],"send_step":2}"#
+        );
+    }
+
+    #[test]
+    fn clones_share_the_destination_list() {
+        let flow = SpikeFlow::multicast(0, 0, vec![1, 2, 3], 0);
+        let copy = flow.clone();
+        assert!(Arc::ptr_eq(&flow.dst_crossbars, &copy.dst_crossbars));
     }
 }

@@ -204,7 +204,7 @@ fn arb_repeated_nets() -> impl Strategy<Value = Vec<SpikeFlow>> {
                 flows.push(SpikeFlow {
                     source_neuron: neuron as u32,
                     src_crossbar: src,
-                    dst_crossbars: dsts.clone(),
+                    dst_crossbars: dsts.as_slice().into(),
                     send_step: step as u32,
                 });
             }
@@ -629,7 +629,7 @@ fn frozen_net_flows() -> Vec<SpikeFlow> {
             flows.push(SpikeFlow {
                 source_neuron: n,
                 src_crossbar: src,
-                dst_crossbars,
+                dst_crossbars: dst_crossbars.into(),
                 send_step: step,
             });
         }
@@ -673,7 +673,7 @@ fn delivery_logs_are_frozen() {
     let flow = |n: u32, src: u32, dsts: &[u32], step: u32| SpikeFlow {
         source_neuron: n,
         src_crossbar: src,
-        dst_crossbars: dsts.to_vec(),
+        dst_crossbars: dsts.into(),
         send_step: step,
     };
     // a duplicate destination, and one equal to the source crossbar
@@ -1556,7 +1556,7 @@ fn arb_raw_flows(crossbars: u32, max_flows: usize) -> impl Strategy<Value = Vec<
                 |(source_neuron, src_crossbar, dst_crossbars, send_step)| SpikeFlow {
                     source_neuron,
                     src_crossbar,
-                    dst_crossbars,
+                    dst_crossbars: dst_crossbars.into(),
                     send_step,
                 },
             )
