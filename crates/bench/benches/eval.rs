@@ -480,7 +480,6 @@ fn bench_coopt(c: &mut Criterion) {
             polish_passes: 1,
             threads: 1,
             seed: SEED,
-            ..PsoConfig::default()
         },
         place: PlaceConfig {
             threads: 1,
@@ -555,7 +554,6 @@ fn bench_multilevel(c: &mut Criterion) {
         polish_passes: 0,
         threads: 1,
         seed: SEED,
-        ..PsoConfig::default()
     };
     let flat_cfg = swarm_cfg;
     let ml_cfg = MultilevelConfig {

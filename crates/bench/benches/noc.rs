@@ -138,10 +138,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// digest-match with trees on, mirroring the `engine/*` groups) and trees
 /// must actually shed link traffic relative to per-destination routes.
 fn bench_tree_pair(c: &mut Criterion, name: &str, flows: &[SpikeFlow]) {
-    let per_dest = NocConfig {
-        multicast: true,
-        ..NocConfig::default()
-    };
+    let per_dest = NocConfig::default();
     let trees = NocConfig {
         multicast_trees: true,
         ..per_dest

@@ -79,7 +79,6 @@ impl Scale {
                 fitness: FitnessKind::CutSpikes,
                 seed_baselines: true,
                 polish_passes: 8,
-                ..PsoConfig::default()
             },
             Scale::Paper => PsoConfig {
                 seed,

@@ -6,7 +6,7 @@
 //! walks memory the way the same stage of a flat swarm search does.
 
 use neuromap_core::decode::{DecodeScratch, Decoder, StepWeights};
-use neuromap_core::pso::PsoConfig;
+use neuromap_core::pso;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,13 +41,12 @@ pub const REFERENCE: Kernel = Kernel {
 
 /// The default swarm's velocity clamp and step weights.
 pub fn default_decoder(n: usize, c: usize, capacity: u32) -> (Decoder, StepWeights) {
-    let cfg = PsoConfig::default();
     let weights = StepWeights {
-        inertia: cfg.inertia,
-        phi_p: cfg.phi_p,
-        phi_g: cfg.phi_g,
+        inertia: pso::INERTIA,
+        phi_p: pso::PHI_P,
+        phi_g: pso::PHI_G,
     };
-    (Decoder::new(n, c, capacity, cfg.v_max), weights)
+    (Decoder::new(n, c, capacity, pso::V_MAX), weights)
 }
 
 /// Velocities, RNG streams and positions of `particles` particles over

@@ -417,11 +417,11 @@ mod tests {
         // first cut_hops evaluation
         let bare = PartitionProblem::new(&g, 4, 4).unwrap();
         assert!(co_optimize(&bare, &dist, TrafficMode::PerCrossbar, &small_cfg()).is_err());
-        // non-finite swarm hyperparameters are caught by the embedded
-        // PSO config's validation
+        // an invalid swarm is caught by the embedded PSO config's
+        // validation
         let bad = CooptConfig {
             pso: PsoConfig {
-                inertia: f32::NAN,
+                iterations: 0,
                 ..small_cfg().pso
             },
             ..small_cfg()
@@ -429,7 +429,7 @@ mod tests {
         assert!(matches!(
             co_optimize(&problem, &dist, TrafficMode::PerCrossbar, &bad),
             Err(CoreError::InvalidParameter {
-                name: "inertia",
+                name: "iterations",
                 ..
             })
         ));

@@ -956,10 +956,13 @@ mod tests {
         assert!(vcycle(&problem, &cfg).is_err(), "CutHops without hops");
         // the coarsest-level swarm's hyperparameters are validated too
         let mut cfg = MultilevelConfig::default();
-        cfg.pso.phi_g = f32::NAN;
+        cfg.pso.iterations = 0;
         assert!(matches!(
             vcycle(&problem, &cfg),
-            Err(CoreError::InvalidParameter { name: "phi_g", .. })
+            Err(CoreError::InvalidParameter {
+                name: "iterations",
+                ..
+            })
         ));
     }
 }

@@ -75,8 +75,9 @@ pub enum TrafficMode {
     PerSynapse,
     /// One AER packet per spike per *distinct* destination crossbar (the
     /// destination crossbar fans the address out to its local synapses) —
-    /// the hardware-AER extension; combine with [`NocConfig::multicast`]
-    /// for single-packet multicast delivery.
+    /// the hardware-AER extension. The spike's flow lists every such
+    /// crossbar, so the simulator delivers it as one multicast packet,
+    /// along Steiner trees under [`NocConfig::multicast_trees`].
     PerCrossbar,
 }
 
@@ -499,32 +500,33 @@ impl MappingPipeline {
     }
 
     /// The simulator the simulate stage runs, over the shared topology.
-    /// Per-synapse flows are single-destination by construction, so
-    /// multicast handling is off under [`TrafficMode::PerSynapse`] and
-    /// packet counts match Eq. 7 exactly.
+    /// Per-synapse flows are single-destination by construction, one
+    /// packet each, so packet counts match Eq. 7 exactly; a tree to one
+    /// destination would only trade its route for the tree's, so
+    /// [`NocConfig::multicast_trees`] is off under
+    /// [`TrafficMode::PerSynapse`].
     fn noc_sim(&self) -> NocSim {
         let mut noc_cfg = self.config.noc;
         if self.config.traffic == TrafficMode::PerSynapse {
-            noc_cfg.multicast = false;
+            noc_cfg.multicast_trees = false;
         }
         let energy = *self.config.arch.energy();
         NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy).with_engine(self.config.engine)
     }
 
     /// Hop metrics of a flow set: `(hop-weighted packets, unicast packet
-    /// count)`. The unicast count is Σ |destinations|, the packet count a
-    /// clone-per-destination NoC would inject (the paper's yardstick).
+    /// count)`. The unicast count is Σ |destinations|, the packet count
+    /// of one flow per destination (the paper's yardstick).
     ///
     /// The weighted count prices every `(source, destination)` pair by
     /// the shared distance table, unless the simulate stage routes
-    /// multicast packets along Steiner trees ([`NocConfig::multicast_trees`]
-    /// with [`NocConfig::multicast`], and not [`TrafficMode::PerSynapse`],
-    /// which turns multicast off). Then it is the link forwards of that
-    /// run, [`NocSim::link_forwards`]: shared hops are paid once per
-    /// branch, counted from the forwarding plan the engines follow. A
-    /// configuration the engines reject has no run to count, and falls
-    /// back to the pairwise price; [`MappingPipeline::simulate`] returns
-    /// the error.
+    /// multicast packets along Steiner trees ([`NocConfig::multicast_trees`],
+    /// which [`TrafficMode::PerSynapse`] turns off). Then it is the link
+    /// forwards of that run, [`NocSim::link_forwards`]: shared hops are
+    /// paid once per branch, counted from the forwarding plan the engines
+    /// follow. A configuration the engines reject has no run to count,
+    /// and falls back to the pairwise price; [`MappingPipeline::simulate`]
+    /// returns the error.
     ///
     /// # Panics
     ///
@@ -537,11 +539,13 @@ impl MappingPipeline {
     ///
     /// [`NocError::UnknownCrossbar`]: neuromap_noc::NocError::UnknownCrossbar
     /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
-    /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
     pub fn hop_metrics(&self, flows: &[SpikeFlow]) -> (u64, u64) {
         let sim = self.noc_sim();
-        let trees = sim.config().multicast && sim.config().multicast_trees;
-        let forwards = trees.then(|| sim.link_forwards(flows).ok()).flatten();
+        let forwards = sim
+            .config()
+            .multicast_trees
+            .then(|| sim.link_forwards(flows).ok())
+            .flatten();
         // one pass (a second over ~10⁶ flows costs as much as the
         // pricing); consecutive spikes of one net, as `build_flows` emits
         // every spike of a neuron, share a price, so a run is priced once
@@ -830,7 +834,6 @@ mod tests {
     /// every spiking neuron reaches the other three crossbars.
     fn tree_pipeline(topo: Arc<dyn Topology>, vc_count: usize) -> (MappingPipeline, Mapping) {
         let noc = NocConfig {
-            multicast: true,
             multicast_trees: true,
             vc_count,
             ..NocConfig::default()
@@ -905,7 +908,7 @@ mod tests {
 
     #[test]
     fn per_synapse_hop_metrics_ignore_the_tree_flag_the_run_ignores() {
-        // the simulate stage turns multicast off for per-synapse flows, so
+        // the simulate stage turns trees off for per-synapse flows, so
         // `multicast_trees` changes neither the run nor its hop metrics:
         // every packet crosses the 4 × 2 seam once, 9 weighted hops
         let g = layered_graph();

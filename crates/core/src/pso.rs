@@ -64,8 +64,9 @@
 //! * The paper writes the velocity update without inertia or random
 //!   factors; we use the standard constricted form (`w`, `φ₁·r₁`, `φ₂·r₂`)
 //!   that Eberhart–Kennedy PSO implementations (including the ones the
-//!   paper cites) use in practice. Setting `inertia = 1, stochastic
-//!   factors` off reproduces the literal equation.
+//!   paper cites) use in practice, with the constants [`INERTIA`],
+//!   [`PHI_P`] and [`PHI_G`]. The random factors are always drawn, so no
+//!   setting reproduces the literal equation.
 //! * The paper's Eq. 2 collapses the sigmoid to a hard step; the standard
 //!   binary-PSO uses `rand() < sigmoid(v)`, which is what Eq. 3 samples.
 //!   We implement the sampled form, testing candidate crossbars in
@@ -85,6 +86,15 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Inertia weight `w` of the velocity update (Clerc–Kennedy constriction).
+pub const INERTIA: f32 = 0.72;
+/// Cognitive acceleration φ₁ (toward the particle's own best).
+pub const PHI_P: f32 = 1.49;
+/// Social acceleration φ₂ (toward the swarm best).
+pub const PHI_G: f32 = 1.49;
+/// Velocity clamp: `v ∈ [−V_MAX, V_MAX]`.
+pub const V_MAX: f32 = 4.0;
+
 /// PSO hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PsoConfig {
@@ -93,14 +103,6 @@ pub struct PsoConfig {
     pub swarm_size: usize,
     /// Number of iterations (the paper fixes 100).
     pub iterations: u32,
-    /// Inertia weight `w`.
-    pub inertia: f32,
-    /// Cognitive acceleration φ₁ (toward the particle's own best).
-    pub phi_p: f32,
-    /// Social acceleration φ₂ (toward the swarm best).
-    pub phi_g: f32,
-    /// Velocity clamp: `v ∈ [−v_max, v_max]`.
-    pub v_max: f32,
     /// Master seed; every particle derives an independent stream.
     pub seed: u64,
     /// Worker threads for the particle step (defaults to
@@ -109,9 +111,11 @@ pub struct PsoConfig {
     pub threads: usize,
     /// Objective to minimize (Eq. 8 cut spikes by default).
     pub fitness: FitnessKind,
-    /// Seed two particles with the PACMAN and NEUTRAMS baselines so the
-    /// swarm never regresses below them (memetic warm start; disable to
-    /// measure pure random-initialized PSO as in Fig. 7).
+    /// Seed up to three particles with the deterministic baselines —
+    /// PACMAN's packing, NEUTRAMS' round-robin interleave and dense
+    /// sequential packing — so the swarm never regresses below them
+    /// (memetic warm start; disable to measure pure random-initialized
+    /// PSO as in Fig. 7).
     pub seed_baselines: bool,
     /// Greedy single-neuron polish passes applied to the final best
     /// (0 disables). Closes the gap between laptop-scale swarms and the
@@ -130,10 +134,6 @@ impl Default for PsoConfig {
         Self {
             swarm_size: 100,
             iterations: 100,
-            inertia: 0.72,
-            phi_p: 1.49,
-            phi_g: 1.49,
-            v_max: 4.0,
             seed: 0xDA5,
             threads: default_threads(),
             fitness: FitnessKind::CutSpikes,
@@ -160,9 +160,7 @@ impl PsoConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for zero swarm/iterations/threads,
-    /// a non-finite `inertia`, `phi_p`, `phi_g` or `v_max`, or a
-    /// non-positive `v_max`.
+    /// [`CoreError::InvalidParameter`] for zero swarm/iterations/threads.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.swarm_size == 0 {
             return Err(CoreError::InvalidParameter {
@@ -180,27 +178,6 @@ impl PsoConfig {
             return Err(CoreError::InvalidParameter {
                 name: "threads",
                 value: "0".into(),
-            });
-        }
-        // a NaN velocity row decodes to no crossbar at all (an
-        // out-of-bounds index), an infinite one to a degenerate search
-        for (name, value) in [
-            ("inertia", self.inertia),
-            ("phi_p", self.phi_p),
-            ("phi_g", self.phi_g),
-            ("v_max", self.v_max),
-        ] {
-            if !value.is_finite() {
-                return Err(CoreError::InvalidParameter {
-                    name,
-                    value: value.to_string(),
-                });
-            }
-        }
-        if self.v_max <= 0.0 {
-            return Err(CoreError::InvalidParameter {
-                name: "v_max",
-                value: self.v_max.to_string(),
             });
         }
         Ok(())
@@ -230,7 +207,6 @@ struct ShardReport {
 struct Shard<'a, 'g> {
     evaluator: &'a SwarmEval<'g>,
     decoder: &'a Decoder,
-    cfg: PsoConfig,
     n: usize,
     c: usize,
     /// Per-particle RNG seeds (drawn from the master stream in particle
@@ -308,9 +284,9 @@ impl Shard<'_, '_> {
         let n = self.n;
         let dims = n * self.c;
         let weights = StepWeights {
-            inertia: self.cfg.inertia,
-            phi_p: self.cfg.phi_p,
-            phi_g: self.cfg.phi_g,
+            inertia: INERTIA,
+            phi_p: PHI_P,
+            phi_g: PHI_G,
         };
         for p in 0..self.particles() {
             self.decoder.step(
@@ -488,7 +464,7 @@ pub(crate) fn run_rounds(
     let dims = n * c;
     let swarm = state.seeds.len();
     let evaluator = SwarmEval::new(*problem, cfg.fitness);
-    let decoder = Decoder::new(n, c, problem.capacity(), cfg.v_max);
+    let decoder = Decoder::new(n, c, problem.capacity(), V_MAX);
 
     // carve the buffers into per-worker shards (deterministic layout;
     // the per-particle math is identical for every partitioning)
@@ -540,7 +516,6 @@ pub(crate) fn run_rounds(
             shards.push(Shard {
                 evaluator: &evaluator,
                 decoder: &decoder,
-                cfg: *cfg,
                 n,
                 c,
                 seeds: s,
@@ -905,17 +880,12 @@ mod tests {
             ..PsoConfig::default()
         });
         assert!(pso.partition(&p).is_err());
-        // non-finite hyperparameters: NaN inertia used to reach the
-        // decoder as an all-NaN velocity row and index out of bounds
+        // the traced entry point validates too, naming the field
         type Spoil = fn(&mut PsoConfig);
-        let cases: [(&str, Spoil); 7] = [
-            ("inertia", |c| c.inertia = f32::NAN),
-            ("inertia", |c| c.inertia = f32::INFINITY),
-            ("phi_p", |c| c.phi_p = f32::NAN),
-            ("phi_g", |c| c.phi_g = f32::NEG_INFINITY),
-            ("v_max", |c| c.v_max = f32::INFINITY),
-            ("v_max", |c| c.v_max = f32::NAN),
-            ("v_max", |c| c.v_max = 0.0),
+        let cases: [(&str, Spoil); 3] = [
+            ("swarm_size", |c| c.swarm_size = 0),
+            ("iterations", |c| c.iterations = 0),
+            ("threads", |c| c.threads = 0),
         ];
         for (name, spoil) in cases {
             let mut bad = PsoConfig::default();

@@ -1,8 +1,7 @@
 //! Simulator configuration — the knobs Noxim exposes, plus the Noxim++
-//! extensions (multicast, SNN-time scaling).
+//! extensions (multicast trees, SNN-time scaling).
 
 use crate::error::NocError;
-use crate::router::Arbitration;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the interconnect simulation.
@@ -10,7 +9,11 @@ use serde::{Deserialize, Serialize};
 /// The fields mirror Noxim's configurables quoted in the paper
 /// ("buffer size, network size, packet size, packet injection rate, routing
 /// algorithm, selection strategy"): network size comes from the topology,
-/// injection comes from the SNN spike traffic, the rest is here.
+/// injection comes from the SNN spike traffic, and the rest is here —
+/// except the selection strategy, which is fixed: every output slot
+/// serves its lanes round-robin ([`crate::router`]). A sending flow is
+/// one packet of its net, delivered to every destination it lists; unicast
+/// delivery is a flow per destination.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Input-FIFO depth per ingress port, in packets.
@@ -22,16 +25,9 @@ pub struct NocConfig {
     /// Interconnect cycles per SNN timestep (1 ms): the clock-domain ratio
     /// between the NoC and the neural dynamics.
     pub cycles_per_step: u64,
-    /// Output-port arbitration policy.
-    pub arbitration: Arbitration,
-    /// Whether one spike to many crossbars travels as a single multicast
-    /// packet (Noxim++ extension) or as unicast clones.
-    pub multicast: bool,
     /// Route multicast packets along Steiner-style trees
     /// ([`crate::topology::Topology::multicast_route`]) instead of
-    /// branch-splitting along the per-destination unicast routes. Only
-    /// meaningful when [`NocConfig::multicast`] is on (unicast clones
-    /// carry one destination each, so there is no tree to build); off by
+    /// branch-splitting along the per-destination unicast routes. Off by
     /// default, which is bit-identical to the pre-tree engines. Both
     /// engines move their packets over the same forwarding plan, built
     /// from one `multicast_route` call per net, so the differential
@@ -74,6 +70,16 @@ pub struct NocConfig {
     pub trace: bool,
 }
 
+/// The fields configuration files had before the simulator ran one
+/// interconnect model, read only to refuse a model it no longer has.
+#[derive(Deserialize)]
+struct Retired {
+    #[serde(default)]
+    multicast: Option<bool>,
+    #[serde(default)]
+    arbitration: Option<String>,
+}
+
 /// Serde default for [`NocConfig::vc_count`]: one virtual channel, the
 /// pre-VC behavior.
 fn default_vc_count() -> usize {
@@ -91,8 +97,6 @@ impl Default for NocConfig {
             flits_per_packet: 2,
             router_delay: 1,
             cycles_per_step: 1024,
-            arbitration: Arbitration::RoundRobin,
-            multicast: true,
             multicast_trees: false,
             max_cycles: 500_000_000,
             vc_count: 1,
@@ -175,15 +179,35 @@ impl NocConfig {
     /// Parses a configuration from JSON (the counterpart of Noxim's
     /// externally loaded configuration file).
     ///
+    /// Files written when the simulator still had unicast clones and a
+    /// choice of arbiter stay valid as long as they name what it now
+    /// always runs (`"multicast": true`, `"arbitration": "RoundRobin"`);
+    /// any other value is refused rather than silently replaced.
+    ///
     /// # Errors
     ///
-    /// [`NocError::InvalidConfig`] when the JSON is malformed or a field is
-    /// out of domain.
+    /// [`NocError::InvalidConfig`] when the JSON is malformed, a field is
+    /// out of domain, or a retired field asks for another interconnect
+    /// model (`multicast` or `arbitration`, named).
     pub fn from_json(json: &str) -> Result<Self, NocError> {
-        let cfg: NocConfig = serde_json::from_str(json).map_err(|e| NocError::InvalidConfig {
+        let malformed = |e: serde_json::Error| NocError::InvalidConfig {
             name: "json",
             value: e.to_string(),
-        })?;
+        };
+        let cfg: NocConfig = serde_json::from_str(json).map_err(malformed)?;
+        let retired: Retired = serde_json::from_str(json).map_err(malformed)?;
+        if retired.multicast == Some(false) {
+            return Err(NocError::InvalidConfig {
+                name: "multicast",
+                value: "false (a flow is one packet: unicast is a flow per destination)".into(),
+            });
+        }
+        if let Some(policy) = retired.arbitration.filter(|p| p != "RoundRobin") {
+            return Err(NocError::InvalidConfig {
+                name: "arbitration",
+                value: format!("{policy} (every output port serves its lanes round-robin)"),
+            });
+        }
         cfg.validate()?;
         Ok(cfg)
     }
@@ -278,6 +302,40 @@ mod tests {
         assert!(!c.sched_stats, "scheduler counters default to off");
         assert!(!c.trace, "tracing defaults to off");
         assert!(!c.multicast_trees, "tree routing defaults to off");
+    }
+
+    #[test]
+    fn json_naming_a_retired_model_is_refused() {
+        let file = |retired: &str| {
+            format!(
+                r#"{{
+                "buffer_depth": 4, "flits_per_packet": 2, "router_delay": 1,
+                "cycles_per_step": 1024, "max_cycles": 1000, {retired}
+            }}"#
+            )
+        };
+        for (retired, field) in [
+            (r#""multicast": false"#, "multicast"),
+            (r#""arbitration": "OldestFirst""#, "arbitration"),
+            (
+                r#""arbitration": "FixedPriority", "multicast": true"#,
+                "arbitration",
+            ),
+        ] {
+            assert!(
+                matches!(
+                    NocConfig::from_json(&file(retired)),
+                    Err(NocError::InvalidConfig { name, .. }) if name == field
+                ),
+                "{retired}"
+            );
+        }
+        // the model it runs may still be named
+        let named = file(r#""arbitration": "RoundRobin", "multicast": true"#);
+        assert_eq!(
+            NocConfig::from_json(&named).unwrap(),
+            NocConfig::from_json(&file(r#""trace": false"#)).unwrap()
+        );
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //!    planned once per run, not per spike (the packet model in the [`sim`]
 //!    module docs).
 //!
-//! Routers are input-buffered with configurable depth, per-output
-//! arbitration ([`router::Arbitration`]), link serialization by packet size
-//! in flits, and backpressure — the congestion mechanisms that produce the
-//! latency, disorder and distortion effects the paper measures.
+//! Routers are input-buffered with configurable depth, round-robin
+//! per-output arbitration (over VCs by [`router::pick_vc`], then over the
+//! lanes wanting the chosen slot), link serialization by packet size in
+//! flits, and backpressure — the congestion mechanisms that produce the
+//! latency, disorder and distortion effects the paper measures. A
+//! sending flow is one packet: unicast delivery is a flow per
+//! destination, as the mapper's per-synapse traffic emits it.
 //!
 //! The model is written once and [`sim::NocSim`] runs it under one of two
 //! schedulers ([`sim::EngineKind`]): the event-driven one (production —

@@ -7,10 +7,10 @@
 //! same routers for every spike of its net. So the routing questions are
 //! asked once per net, before the run, and never inside it:
 //!
-//! * [`Nets`] interns a flow set's nets (one per `(source, destination)`
-//!   pair when multicast is off), keyed by the flows' `(source,
-//!   destination list)`: a flow finds its nets by that key, so nothing is
-//!   stored per flow.
+//! * [`Nets`] interns a flow set's nets, keyed by the flows' `(source,
+//!   destination list)`: a flow finds its net by that key, so nothing is
+//!   stored per flow. A sending flow is one packet of its net; unicast
+//!   traffic is a flow per destination, so a net of one.
 //! * [`Plan`] holds, for all of them, what happens to a packet of the net
 //!   at every router it reaches. A **node** is "a packet of this net
 //!   arriving at this router": the crossbars delivered there (`local`)
@@ -77,87 +77,66 @@ impl Hasher for NetHasher {
     }
 }
 
-/// The distinct nets of a flow set, in first-appearance order, and the
-/// nets of every distinct `(source, destination list)` a flow names.
-/// Nothing here is stored per flow: a flow finds its nets by its key.
+/// The distinct nets of a flow set, in first-appearance order. Nothing
+/// here is stored per flow: a flow finds its net by its key.
 pub(crate) struct Nets<'f> {
     /// `(source crossbar, destinations as the flow lists them)` per net.
     keys: Vec<(u32, &'f [u32])>,
-    /// Per distinct flow key: where its packets' net ids start in `ids`.
-    flow_keys: NetMap<'f>,
-    /// Net id per packet of a flow key: one under multicast, one per
-    /// destination otherwise.
-    ids: Vec<u32>,
-    multicast: bool,
+    /// Net id per key.
+    ids: NetMap<'f>,
 }
 
 type NetMap<'f> = HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>>;
 
-/// The flow key [`Nets::of`] looked up last, with where its net ids
-/// start.
+/// The flow key [`Nets::of`] looked up last, with its net id.
 #[derive(Default)]
 pub(crate) struct LastKey<'f>(Option<(u32, &'f [u32], u32)>);
 
 impl<'f> Nets<'f> {
-    /// Interns the nets of `flows`. Traffic generators emit a neuron's
-    /// spikes back to back, so a flow is compared with the one before it
-    /// first and only a new `(source, destinations)` pair is hashed.
-    pub(crate) fn intern(flows: &'f [SpikeFlow], multicast: bool) -> Self {
+    /// Interns the nets of `flows`: one per distinct `(source,
+    /// destinations)` of a flow that sends. Traffic generators emit a
+    /// neuron's spikes back to back, so a flow is compared with the one
+    /// before it first and only a new key is hashed.
+    pub(crate) fn intern(flows: &'f [SpikeFlow]) -> Self {
         let mut nets = Self {
             keys: Vec::new(),
-            flow_keys: HashMap::default(),
-            ids: Vec::new(),
-            multicast,
+            ids: HashMap::default(),
         };
-        let mut seen: NetMap<'f> = HashMap::default();
         let mut prev: Option<&SpikeFlow> = None;
-        for f in flows {
+        for f in flows.iter().filter(|f| !f.dst_crossbars.is_empty()) {
             if let Some(p) = prev {
                 if p.src_crossbar == f.src_crossbar && p.dst_crossbars == f.dst_crossbars {
                     continue;
                 }
             }
             prev = Some(f);
-            let dests = &f.dst_crossbars[..];
-            let Entry::Vacant(slot) = nets.flow_keys.entry((f.src_crossbar, dests)) else {
-                continue;
-            };
-            slot.insert(nets.ids.len() as u32);
-            let per_packet = if multicast { dests.len().max(1) } else { 1 };
-            for net in dests.chunks(per_packet) {
-                let fresh = nets.keys.len() as u32;
-                let id = *seen.entry((f.src_crossbar, net)).or_insert(fresh);
-                if id == fresh {
-                    nets.keys.push((f.src_crossbar, net));
-                }
-                nets.ids.push(id);
+            let key = (f.src_crossbar, &f.dst_crossbars[..]);
+            if let Entry::Vacant(slot) = nets.ids.entry(key) {
+                slot.insert(nets.keys.len() as u32);
+                nets.keys.push(key);
             }
         }
         nets
     }
 
-    /// The nets of `flow`'s packets, in packet order: one under
-    /// multicast, one per destination otherwise, none for a flow without
-    /// destinations. `flow` must be one of the interned flows. `last`
-    /// remembers the previous lookup, so a run of flows of one net (every
-    /// spike of a neuron, every cut synapse toward one crossbar) hashes
-    /// once.
-    pub(crate) fn of(&self, flow: &'f SpikeFlow, last: &mut LastKey<'f>) -> &[u32] {
+    /// The net of `flow`'s packet, `None` for a flow without
+    /// destinations (it sends nothing). `flow` must be one of the
+    /// interned flows. `last` remembers the previous lookup, so a run of
+    /// flows of one net (every spike of a neuron, every cut synapse
+    /// toward one crossbar) hashes once.
+    pub(crate) fn of(&self, flow: &'f SpikeFlow, last: &mut LastKey<'f>) -> Option<u32> {
         let (src, dests) = (flow.src_crossbar, &flow.dst_crossbars[..]);
-        let start = match last.0 {
-            Some((s, d, start)) if s == src && d == dests => start,
+        if dests.is_empty() {
+            return None;
+        }
+        Some(match last.0 {
+            Some((s, d, id)) if s == src && d == dests => id,
             _ => {
-                let start = self.flow_keys[&(src, dests)];
-                last.0 = Some((src, dests, start));
-                start
+                let id = self.ids[&(src, dests)];
+                last.0 = Some((src, dests, id));
+                id
             }
-        };
-        let packets = if self.multicast {
-            dests.len().min(1)
-        } else {
-            dests.len()
-        };
-        &self.ids[start as usize..][..packets]
+        })
     }
 
     /// Number of distinct nets.
@@ -520,8 +499,8 @@ impl Node {
 pub(crate) struct Handle {
     /// Cycle the packet entered the network (after AER encoding).
     pub(crate) inject_cycle: u64,
-    /// Id of the originating spike event in canonical flow order (unicast
-    /// clones of one spike share it; traced only).
+    /// Id of the originating spike event in canonical flow order (every
+    /// copy of one packet shares it; traced only).
     pub(crate) spike: u32,
     /// Position of the packet's flow in the run's flow list: its source
     /// neuron, source crossbar and send step.
@@ -703,7 +682,7 @@ impl Slab {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sched::Sched;
     use crate::sim::{egress_ports, oracle::Sweep};
@@ -738,6 +717,21 @@ mod tests {
         fn name(&self) -> String {
             "shared line".into()
         }
+    }
+
+    /// `flows` with every destination split off into a flow of its own,
+    /// in list order: unicast delivery of the same spikes.
+    pub(crate) fn single_destination(flows: &[SpikeFlow]) -> Vec<SpikeFlow> {
+        let mut split = Vec::new();
+        for f in flows {
+            for &d in f.dst_crossbars.iter() {
+                split.push(SpikeFlow {
+                    dst_crossbars: [d].into(),
+                    ..f.clone()
+                });
+            }
+        }
+        split
     }
 
     /// Random multicast flows with duplicate and self destinations, a few
@@ -864,16 +858,15 @@ mod tests {
             let walk = Sweep::build(&topo, &ports, vcs, false);
             let topo = topo.as_ref();
             let flows = random_flows(topo.num_crossbars() as u32, 0x5eed + vcs as u64);
-            for multicast in [true, false] {
-                let nets = Nets::intern(&flows, multicast);
-                let plan = Plan::build(topo, vcs, trees && multicast, &nets).expect("plans");
+            for flows in [flows.clone(), single_destination(&flows)] {
+                let nets = Nets::intern(&flows);
+                let plan = Plan::build(topo, vcs, trees, &nets).expect("plans");
                 assert_eq!(plan.roots.len(), nets.len());
                 let mut nodes = 0;
                 for (net, &(src, dests)) in nets.keys.iter().enumerate() {
                     let src_router = topo.endpoint(src);
                     let routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
-                    let paths = (trees && multicast)
-                        .then(|| topo.multicast_route(src_router, &routers, vcs));
+                    let paths = trees.then(|| topo.multicast_route(src_router, &routers, vcs));
                     let carried: Vec<(u32, usize)> =
                         dests.iter().copied().zip(0..dests.len()).collect();
                     let root = plan.root(net as u32);
@@ -901,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_flows_share_a_net_and_unicast_clones_get_one_per_pair() {
+    fn equal_flows_share_a_net() {
         let flow = |src: u32, dsts: &[u32]| SpikeFlow {
             source_neuron: 0,
             src_crossbar: src,
@@ -916,7 +909,7 @@ mod tests {
             flow(0, &[3, 1]),
             flow(1, &[3, 1]),
         ];
-        let nets = Nets::intern(&flows, true);
+        let nets = Nets::intern(&flows);
         assert_eq!(
             nets.len(),
             3,
@@ -924,23 +917,15 @@ mod tests {
         );
         // looked up in any order, with or without the previous key
         let mut last = LastKey::default();
-        let ids: Vec<u32> = [0, 1, 2, 4, 5]
-            .map(|f| nets.of(&flows[f], &mut last)[0])
-            .to_vec();
-        assert_eq!(ids, [0, 0, 1, 0, 2]);
-        assert_eq!(nets.of(&flows[5], &mut LastKey::default()), [2]);
+        let ids = [0, 1, 2, 4, 5].map(|f| nets.of(&flows[f], &mut last));
+        assert_eq!(ids, [0, 0, 1, 0, 2].map(Some));
+        assert_eq!(nets.of(&flows[5], &mut LastKey::default()), Some(2));
         assert_eq!(
             nets.of(&flows[3], &mut last),
-            [0u32; 0],
+            None,
             "no destination, no packet"
         );
-        let nets = Nets::intern(&flows, false);
-        assert_eq!(nets.len(), 4, "(0,3) (0,1) (1,3) (1,1)");
-        let mut last = LastKey::default();
-        assert_eq!(nets.of(&flows[0], &mut last), [0, 1]);
-        assert_eq!(nets.of(&flows[2], &mut last), [1, 0]);
-        assert_eq!(nets.of(&flows[5], &mut last), [2, 3]);
-        assert_eq!(nets.of(&flows[4], &mut last), [0, 1]);
+        assert_eq!(nets.of(&flows[0], &mut last), Some(0));
     }
 
     /// Fans a packet injected into `slab` out over slots 4, 1, 7, 2, 9

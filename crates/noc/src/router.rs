@@ -1,9 +1,10 @@
-//! Output-port arbitration policies and virtual-channel selection.
+//! Output-port arbitration and virtual-channel selection.
 //!
 //! When several input FIFOs hold head-of-line packets wanting the same
-//! output link, the arbiter picks one per cycle. The policy shapes which
-//! traffic is delayed under congestion — and therefore the disorder and
-//! ISI-distortion metrics. Noxim calls this the "selection strategy".
+//! output `(port, VC)` slot, the arbiter picks one per cycle. Every slot
+//! serves its lanes round-robin (`pick_lane`), and every port its VCs
+//! ([`pick_vc`]), so no persistent lane or VC starves — the fairness the
+//! disorder and ISI-distortion metrics measure congestion against.
 //!
 //! # Virtual channels and the torus dateline invariant
 //!
@@ -47,47 +48,25 @@
 //! tests and empirically by the deadlock regression in
 //! `tests/noc_properties.rs`.
 
-use serde::{Deserialize, Serialize};
-
-/// Arbitration policy for contended output ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Arbitration {
-    /// Rotating priority across input ports (fair, the Noxim default).
-    RoundRobin,
-    /// The packet injected earliest wins (minimizes disorder, costs logic).
-    OldestFirst,
-    /// Lowest input-port index wins (cheap, can starve).
-    FixedPriority,
-}
-
-impl Arbitration {
-    /// Picks the winning input port among `candidates`. `cursor` is the
-    /// round-robin state for this output port (the port *after* the
-    /// previous winner); `inject_cycle` gives a candidate's inject cycle
-    /// and is asked only under [`Arbitration::OldestFirst`].
-    ///
-    /// Returns the winning port, or `None` if there are no candidates.
-    // asked once per forward: left to the inliner, it stayed an
-    // out-of-line call in some builds (≈ 5 % of the router loop)
-    #[inline]
-    pub fn pick(
-        &self,
-        candidates: &[usize],
-        cursor: usize,
-        inject_cycle: impl Fn(usize) -> u64,
-    ) -> Option<usize> {
-        let ports = candidates.iter().copied();
-        match self {
-            // first port >= cursor, else wrap to the smallest
-            Arbitration::RoundRobin => {
-                let next = ports.clone().filter(|&p| p >= cursor).min();
-                next.or_else(|| ports.min())
-            }
-            Arbitration::OldestFirst => ports.min_by_key(|&p| (inject_cycle(p), p)),
-            Arbitration::FixedPriority => ports.min(),
-        }
-    }
+/// Round-robin selection of the FIFO lane an output `(port, VC)` slot
+/// serves this cycle.
+///
+/// `wants(fi)` says whether lane `fi`'s head has a branch leaving by the
+/// slot; `cursor` is the slot's lane cursor (the lane *after* the
+/// previous winner). Returns the first wanting lane `>= cursor` among
+/// `0..lanes`, wrapping to the first wanting lane before it; `None` iff
+/// no lane wants the slot.
+// asked once per forward: left to the inliner, an arbiter here stayed
+// an out-of-line call in some builds (≈ 5 % of the router loop)
+#[inline]
+pub(crate) fn pick_lane(
+    lanes: usize,
+    cursor: usize,
+    mut wants: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    (cursor..lanes)
+        .chain(0..cursor.min(lanes))
+        .find(|&fi| wants(fi))
 }
 
 /// Round-robin selection of the virtual channel an output port serves
@@ -95,10 +74,9 @@ impl Arbitration {
 ///
 /// `eligible` is a bitmask of VCs that both hold a candidate head and
 /// have a free downstream credit; `cursor` is the port's VC cursor (the
-/// VC *after* the previous winner, like [`Arbitration::pick`]'s
-/// round-robin state). Returns the lowest eligible VC `>= cursor`,
-/// wrapping to the lowest eligible VC overall; `None` iff no VC is
-/// eligible. With a single VC this degenerates to "forward iff the
+/// VC *after* the previous winner, like `pick_lane`'s). Returns the
+/// lowest eligible VC `>= cursor`, wrapping to the lowest eligible VC
+/// overall; `None` iff no VC is eligible. With a single VC this degenerates to "forward iff the
 /// downstream credit is free" — the pre-VC engines' behavior.
 pub fn pick_vc(eligible: u32, cursor: usize) -> Option<usize> {
     if eligible == 0 {
@@ -117,79 +95,47 @@ pub fn pick_vc(eligible: u32, cursor: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
-    /// An inject-cycle lookup that must never be asked.
-    fn unasked(port: usize) -> u64 {
-        panic!("inject cycle of port {port} asked outside OldestFirst")
+    #[test]
+    fn no_wanting_lane_yields_none() {
+        assert_eq!(pick_lane(0, 0, |_| true), None);
+        assert_eq!(pick_lane(4, 2, |_| false), None);
     }
 
     #[test]
-    fn empty_candidates_yield_none() {
-        for a in [
-            Arbitration::RoundRobin,
-            Arbitration::OldestFirst,
-            Arbitration::FixedPriority,
-        ] {
-            assert_eq!(a.pick(&[], 0, unasked), None);
-        }
+    fn pick_lane_rotates() {
+        let all = |_| true;
+        // cursor 0 → lane 0; cursor 1 → lane 1; cursor 3 → wraps to lane 0
+        assert_eq!(pick_lane(3, 0, all), Some(0));
+        assert_eq!(pick_lane(3, 1, all), Some(1));
+        assert_eq!(pick_lane(3, 3, all), Some(0));
     }
 
     #[test]
-    fn fixed_priority_prefers_low_port() {
-        assert_eq!(
-            Arbitration::FixedPriority.pick(&[3, 1, 2], 0, unasked),
-            Some(1)
-        );
+    fn pick_lane_skips_lanes_that_do_not_want_the_slot() {
+        let wants = |fi: usize| fi == 0 || fi == 4;
+        assert_eq!(pick_lane(5, 2, wants), Some(4));
+        assert_eq!(pick_lane(5, 5, wants), Some(0));
+        assert_eq!(pick_lane(5, 1, |fi| fi == 0), Some(0));
     }
 
     #[test]
-    fn oldest_first_prefers_early_injection() {
-        let inject = |p: usize| [0, 99, 4, 10][p];
-        assert_eq!(
-            Arbitration::OldestFirst.pick(&[3, 1, 2], 0, inject),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn oldest_first_ties_break_by_port() {
-        assert_eq!(Arbitration::OldestFirst.pick(&[3, 1], 0, |_| 10), Some(1));
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let c = [0, 1, 2];
-        // cursor 0 → port 0; cursor 1 → port 1; cursor 3 → wraps to port 0
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 0, unasked), Some(0));
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 1, unasked), Some(1));
-        assert_eq!(Arbitration::RoundRobin.pick(&c, 3, unasked), Some(0));
-    }
-
-    #[test]
-    fn round_robin_skips_absent_ports() {
-        assert_eq!(Arbitration::RoundRobin.pick(&[0, 4], 2, unasked), Some(4));
-    }
-
-    #[test]
-    fn round_robin_never_starves_a_persistent_candidate() {
-        // all ports always want the output (saturated input FIFOs), the
+    fn pick_lane_never_starves_a_persistent_lane() {
+        // every lane always wants the slot (saturated input FIFOs), the
         // cursor advances past each winner exactly as the engines do:
-        // every port must win once per full rotation — the no-starvation
+        // every lane must win once per full rotation — the no-starvation
         // invariant the simulator-level fairness test builds on
-        let ports = 5usize;
-        let candidates: Vec<usize> = (0..ports).collect();
+        let lanes = 5usize;
         let mut cursor = 0usize;
-        let mut wins = vec![0u32; ports];
+        let mut wins = vec![0u32; lanes];
         let rounds = 7;
-        for _ in 0..ports * rounds {
-            let port = Arbitration::RoundRobin
-                .pick(&candidates, cursor, unasked)
-                .expect("candidates present");
-            wins[port] += 1;
-            cursor = port + 1;
+        for _ in 0..lanes * rounds {
+            let fi = pick_lane(lanes, cursor, |_| true).expect("lanes want the slot");
+            wins[fi] += 1;
+            cursor = fi + 1;
         }
         assert!(
             wins.iter().all(|&w| w == rounds as u32),
-            "round-robin must serve every persistent candidate equally: {wins:?}"
+            "round-robin must serve every persistent lane equally: {wins:?}"
         );
     }
 
@@ -221,17 +167,5 @@ mod tests {
             cursor = w + 1;
         }
         assert!(wins.iter().all(|&w| w == 5), "{wins:?}");
-    }
-
-    #[test]
-    fn fixed_priority_starves_low_priority_candidates() {
-        // the counterexample round-robin protects against: under fixed
-        // priority a persistent port 0 monopolizes the output
-        for cursor in 0..4 {
-            assert_eq!(
-                Arbitration::FixedPriority.pick(&[0, 1, 2], cursor, unasked),
-                Some(0)
-            );
-        }
     }
 }

@@ -37,9 +37,8 @@
 //! and a **blocked** bit per (pair, VC) — the wanted-port reverse index:
 //! set when an idle sweep finds a head wanting a credit-full downstream
 //! lane, so the credit release wakes exactly the pairs that were waiting
-//! on it. The head state holds no inject cycles: only
-//! [`crate::router::Arbitration::OldestFirst`] reads one, and it reads it
-//! off the lane head when it arbitrates.
+//! on it. Arbitration reads nothing else of a head: the lanes wanting a
+//! slot are served round-robin (`crate::router::pick_lane`).
 //!
 //! See the [`crate::sim`] module docs for why this wake set covers every
 //! pair and cycle at which the sweep can make progress.

@@ -2,9 +2,10 @@
 //!
 //! The timing model is written once, in `simulate` — input-buffered
 //! routers with per-ingress virtual-channel FIFOs, credit-based
-//! backpressure per `(ingress, VC)` lane, per-output arbitration (VC
-//! round-robin nested in the configured policy), link serialization by
-//! packet size, deterministic routing and VC assignment from the
+//! backpressure per `(ingress, VC)` lane, per-output round-robin
+//! arbitration (over the port's VCs, then over the lanes wanting the
+//! chosen slot), link serialization by packet size, one packet per
+//! sending flow, deterministic routing and VC assignment from the
 //! [`crate::topology::Topology`], and multicast branch splitting by
 //! `(egress port, VC)`. What it leaves open — which `(router, port)`
 //! pairs a cycle examines, what a lane head wants, which cycle comes next
@@ -42,8 +43,8 @@
 //!
 //! The loop never asks a routing question. Before it starts, `Setup`
 //! interns the flow set's **nets** — `(source crossbar, destination
-//! crossbars)`, one per `(source, destination)` pair when multicast is
-//! off — and builds one forwarding **plan** for all of them
+//! crossbars)`, each sending flow being one packet of its net — and
+//! builds one forwarding **plan** for all of them
 //! (`crate::plan`): per net, a tree of *nodes*, a node being "a packet of
 //! this net arriving at this router" = the crossbars delivered there, in
 //! the flow's order, plus one *branch* per `(egress port, VC)` slot the
@@ -130,7 +131,7 @@
 use crate::config::NocConfig;
 use crate::error::NocError;
 use crate::plan::{Handle, LastKey, Nets, Plan, Slab, NIL};
-use crate::router::pick_vc;
+use crate::router::{pick_lane, pick_vc};
 use crate::sched::{PortSched, Sched, PRE_SWEEP};
 use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
 use crate::topology::Topology;
@@ -211,8 +212,8 @@ fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocErr
 /// One packet of the injection schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Injection {
-    /// Id of the originating spike event in canonical flow order (unicast
-    /// clones of one spike share it; used for tracing).
+    /// Id of the originating spike event in canonical flow order (used
+    /// for tracing).
     spike: u32,
     /// Position of the packet's flow in the run's flow list.
     flow: u32,
@@ -250,8 +251,6 @@ struct Run<'f> {
     at: usize,
     /// Canonical position of `block[at]`.
     spike: u32,
-    /// Packet of that flow (destination position under unicast).
-    packet: usize,
     last: LastKey<'f>,
 }
 
@@ -262,13 +261,13 @@ impl Run<'_> {
 }
 
 /// The injection schedule, streamed: canonical AER-encoder order, one
-/// packet per crossbar per cycle, handed to the router loop as it comes
-/// due. Shared by both engines, so the schedules they simulate are one
-/// and the same.
+/// packet per sending flow and per crossbar per cycle, handed to the
+/// router loop as it comes due. Shared by both engines, so the schedules
+/// they simulate are one and the same.
 ///
 /// The canonical order is `traffic::sort_canonical`'s — step, source
 /// crossbar, neuron, destination set — with the input position as the
-/// last tiebreak. A spike's packets inject at `step × cycles_per_step +
+/// last tiebreak. A spike's packet injects at `step × cycles_per_step +
 /// r`, `r` counting the packets its crossbar sent earlier in the step,
 /// and the stream yields them in *slot order*: by inject cycle, then
 /// source crossbar, then neuron, then canonical position (a crossbar
@@ -281,7 +280,6 @@ impl Run<'_> {
 pub(crate) struct Schedule<'n, 'f> {
     flows: &'f [SpikeFlow],
     nets: &'n Nets<'f>,
-    multicast: bool,
     cycles_per_step: u64,
     /// Sending groups in canonical order.
     groups: Vec<Group>,
@@ -331,7 +329,6 @@ impl<'n, 'f> Schedule<'n, 'f> {
         let mut schedule = Schedule {
             flows,
             nets,
-            multicast: config.multicast,
             cycles_per_step: config.cycles_per_step,
             groups,
             joined: 0,
@@ -363,22 +360,16 @@ impl<'n, 'f> Schedule<'n, 'f> {
         let packet = Injection {
             spike: run.spike,
             flow: fi as u32,
-            net: self.nets.of(f, &mut run.last)[run.packet],
+            net: self
+                .nets
+                .of(f, &mut run.last)
+                .expect("a sending flow has a net"),
             inject_cycle: self.cycle,
         };
-        let packets = if self.multicast {
-            1
-        } else {
-            f.dst_crossbars.len()
-        };
-        run.packet += 1;
-        if run.packet == packets {
-            run.packet = 0;
-            run.spike += 1;
-            run.at += 1;
-            if run.at == run.block.len() {
-                load_block(self.flows, &self.groups, run);
-            }
+        run.spike += 1;
+        run.at += 1;
+        if run.at == run.block.len() {
+            load_block(self.flows, &self.groups, run);
         }
         self.at += 1;
         if self.at == self.active.len() {
@@ -419,7 +410,6 @@ impl<'n, 'f> Schedule<'n, 'f> {
                 block: Vec::new(),
                 at: 0,
                 spike: 0,
-                packet: 0,
                 last: LastKey::default(),
             };
             load_block(self.flows, &self.groups, &mut run);
@@ -516,16 +506,6 @@ impl Queues {
     pub(crate) fn head(&self, r: usize, fi: usize) -> impl Iterator<Item = &Handle> + '_ {
         let lane = &self.routers[r].lanes[fi];
         self.slab.chain(if lane.len == 0 { NIL } else { lane.head })
-    }
-
-    /// Inject cycle of the packet at the head of router `r`'s lane `fi`
-    /// (every member of its chain shares the spike).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane is empty.
-    pub(crate) fn head_inject(&self, r: usize, fi: usize) -> u64 {
-        self.head(r, fi).next().expect("a queued lane").inject_cycle
     }
 
     /// The forwarding plan the handles point into.
@@ -700,9 +680,9 @@ impl NocSim {
 
     /// The link forwards a run of `flows` makes, without running it: one
     /// per branch of the forwarding plan the engines follow, summed over
-    /// the packets the run injects (one per non-empty flow under
-    /// multicast, one per destination otherwise). A run that succeeds
-    /// charges `flits_per_packet ×` this many [`Counters::link_flits`].
+    /// the packets the run injects (one per flow with destinations). A
+    /// run that succeeds charges `flits_per_packet ×` this many
+    /// [`Counters::link_flits`].
     ///
     /// # Errors
     ///
@@ -714,8 +694,8 @@ impl NocSim {
     pub fn link_forwards(&self, flows: &[SpikeFlow]) -> Result<u64, NocError> {
         let Setup { nets, plan, .. } = Setup::new(self.topo.as_ref(), &self.config, flows)?;
         let mut last = LastKey::default();
-        let forwards = flows.iter().flat_map(|f| nets.of(f, &mut last).iter());
-        Ok(forwards.map(|&net| plan.forwards(net)).sum())
+        let sent = flows.iter().filter_map(|f| nets.of(f, &mut last));
+        Ok(sent.map(|net| plan.forwards(net)).sum())
     }
 
     /// The one place an [`EngineKind`] becomes a [`Sched`] policy.
@@ -778,9 +758,8 @@ impl<'f> Setup<'f> {
         check_clock(config, flows)?;
         // every routing question is asked here, once per net; the schedule
         // then only names each packet's net
-        let nets = Nets::intern(flows, config.multicast);
-        let trees = config.multicast && config.multicast_trees;
-        let plan = Plan::build(topo, config.vc_count, trees, &nets)?;
+        let nets = Nets::intern(flows);
+        let plan = Plan::build(topo, config.vc_count, config.multicast_trees, &nets)?;
         Ok(Self { ports, nets, plan })
     }
 }
@@ -847,8 +826,8 @@ fn run_engine<S: Sched>(
 
 /// Refuses a clock that cannot count to the last injection: the schedule
 /// starts step `s` at cycle `s × cycles_per_step`, adds a cycle per
-/// earlier packet of the same crossbar and step, and the loop runs one
-/// hop past it.
+/// earlier packet (sending flow) of the same crossbar and step, and the
+/// loop runs one hop past it. Hops further on are `simulate`'s to guard.
 ///
 /// # Errors
 ///
@@ -857,7 +836,7 @@ fn run_engine<S: Sched>(
 fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> {
     let sent = flows.iter().filter(|f| !f.dst_crossbars.is_empty());
     let last = sent.clone().map(|f| f.send_step).max().unwrap_or(0);
-    let packets: u64 = sent.map(|f| f.dst_crossbars.len() as u64).sum();
+    let packets = sent.count() as u64;
     u64::from(last)
         .checked_mul(config.cycles_per_step)
         .and_then(|c| c.checked_add(packets))
@@ -938,11 +917,14 @@ fn simulate<S: Sched>(
     // nondecreasing, so push order IS arrival order — a plain queue,
     // no `O(log n)` sift per hop
     let mut in_transit: VecDeque<Arrival> = VecDeque::new();
-    let mut candidates: Vec<usize> = Vec::new();
     let mut queued_packets = 0usize; // packets sitting in any FIFO
     let mut now = 0u64;
     let flits = cfg.flits_per_packet;
     let hop_latency = cfg.hop_latency();
+    // the last cycle a forward may start: its arrival and its busy expiry
+    // then land on the clock with a cycle after them, so no cycle the
+    // loop computes passes `u64::MAX`
+    let last_forward = u64::MAX - 1 - hop_latency.max(u64::from(flits));
 
     // the earliest pending injection or arrival (`u64::MAX` if neither)
     let next_event = |schedule: &Schedule<'_, '_>, in_transit: &VecDeque<Arrival>| {
@@ -1143,27 +1125,23 @@ fn simulate<S: Sched>(
             let Some(w) = pick_vc(eligible, q.routers[r].vc_cursor[o]) else {
                 continue;
             };
-            let bit = o * vcs + w;
-            // candidates: FIFO lanes whose head has a branch leaving by
-            // (o, w), in lane order — cut short once the want count says
-            // every candidate is found
-            candidates.clear();
-            let mut remaining = sched.wanted(&q, pair, w);
-            for fi in 0..q.lanes(r) {
-                if sched.head_wants(&q, r, fi, bit) {
-                    candidates.push(fi);
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
-                    }
-                }
+            if now > last_forward {
+                // the packet would arrive past the end of the clock: the
+                // run cannot drain, under any budget
+                return Err(NocError::CycleBudgetExhausted {
+                    budget: cfg.max_cycles,
+                    in_flight: queued_packets + in_transit.len(),
+                });
             }
-            let fi = cfg
-                .arbitration
-                .pick(&candidates, q.routers[r].rr_cursor[bit], |fi| {
-                    q.head_inject(r, fi)
-                })
-                .expect("an eligible VC has a candidate");
+            let bit = o * vcs + w;
+            let wants = |fi| sched.head_wants(&q, r, fi, bit);
+            debug_assert_eq!(
+                (0..q.lanes(r)).filter(|&fi| wants(fi)).count() as u32,
+                sched.wanted(&q, pair, w),
+                "the want count is the number of heads wanting the slot"
+            );
+            let fi = pick_lane(q.lanes(r), q.routers[r].rr_cursor[bit], wants)
+                .expect("an eligible VC has a wanting lane");
             // everything below (until the downstream credit take)
             // touches only router `r`: borrow it once
             let state = &mut q.routers[r];
@@ -1329,7 +1307,7 @@ fn simulate<S: Sched>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::Arbitration;
+    use crate::plan::tests::single_destination;
     use crate::topology::tests::{Reroute, ReroutedMesh, BOUNCE, STALL};
     use crate::topology::{Mesh2D, NocTree, PointToPoint, Star, Torus};
 
@@ -1339,8 +1317,7 @@ mod tests {
 
     /// The schedule as built before the merge: the canonical order by a
     /// sort of packed keys, then every packet's slot triple `(inject
-    /// cycle, src and neuron, generation)` in that order, sorted, and the
-    /// table materialized from a side table per generation.
+    /// cycle, src and neuron, spike id)` in that order, sorted.
     fn schedule_by_sorting<'f>(
         crossbars: usize,
         config: &NocConfig,
@@ -1386,23 +1363,10 @@ mod tests {
             s = e;
         }
 
-        // canonical pass computes each packet's slot key without building the
-        // spike: `(inject cycle, src and neuron packed into one word,
-        // generation index)` — the generation is both the stable-order
-        // tiebreak and the index into a side table holding what
-        // materialization needs. Sorting 24-byte integer triples and
-        // constructing every spike once, in final order, replaces the old
-        // build-then-permute shuffle.
-        let n_slots: usize = if config.multicast {
-            keys.len()
-        } else {
-            keys.iter()
-                .map(|k| flows[flow_of(k)].dst_crossbars.len())
-                .sum()
-        };
-        let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(n_slots);
-        // (spike id, flow index, packet of the flow) per generation
-        let mut meta: Vec<(u32, u32, u32)> = Vec::with_capacity(n_slots);
+        // canonical pass computes each packet's slot key: `(inject cycle,
+        // src and neuron packed into one word, spike id)` — the spike id
+        // is both the stable-order tiebreak and the index of its flow
+        let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(keys.len());
         // per-crossbar rank within the current step window
         let mut rank: Vec<u64> = vec![0; crossbars];
         let mut current_step = u32::MAX;
@@ -1410,42 +1374,32 @@ mod tests {
             let step = (key.0 >> 32) as u32;
             let src = key.0 as u32;
             let neuron = (key.1 >> 32) as u32;
-            let fi = flow_of(key) as u32;
             if step != current_step {
                 current_step = step;
                 rank.iter_mut().for_each(|r| *r = 0);
             }
-            let base = u64::from(step) * config.cycles_per_step;
-            let n_packets = if config.multicast {
-                1
-            } else {
-                flows[fi as usize].dst_crossbars.len()
-            };
-            for pi in 0..n_packets as u32 {
-                let r = &mut rank[src as usize];
-                slots.push((
-                    base + *r,
-                    (u64::from(src) << 32) | u64::from(neuron),
-                    meta.len() as u64,
-                ));
-                meta.push((spike_id as u32, fi, pi));
-                *r += 1;
-            }
+            let r = &mut rank[src as usize];
+            slots.push((
+                u64::from(step) * config.cycles_per_step + *r,
+                (u64::from(src) << 32) | u64::from(neuron),
+                spike_id as u64,
+            ));
+            *r += 1;
         }
         slots.sort_unstable();
         slots
             .into_iter()
-            .map(|(inject_cycle, src_neuron, gen)| {
-                let (spike, fi, pi) = meta[gen as usize];
-                let f = &flows[fi as usize];
+            .map(|(inject_cycle, src_neuron, spike)| {
+                let fi = flow_of(&keys[spike as usize]);
+                let f = &flows[fi];
                 assert_eq!(
                     (f.src_crossbar, f.source_neuron),
                     ((src_neuron >> 32) as u32, src_neuron as u32)
                 );
                 Injection {
-                    spike,
-                    flow: fi,
-                    net: nets.of(f, &mut LastKey::default())[pi as usize],
+                    spike: spike as u32,
+                    flow: fi as u32,
+                    net: nets.of(f, &mut LastKey::default()).expect("it sends"),
                     inject_cycle,
                 }
             })
@@ -1465,7 +1419,6 @@ mod tests {
         let mut overloaded = 0;
         for case in 0..600 {
             let crossbars = 1 + draw(4);
-            let multicast = case % 2 == 0;
             // every fifth case starts its steps just short of the last
             // cycle `check_clock` lets a run reach
             let near_limit = case % 5 == 4;
@@ -1486,13 +1439,18 @@ mod tests {
                     send_step: first_step + draw(4) as u32,
                 })
                 .collect();
+            // every other case as unicast traffic: a flow per destination
+            let flows = if case % 2 == 0 {
+                flows
+            } else {
+                single_destination(&flows)
+            };
             let config = NocConfig {
-                multicast,
                 cycles_per_step,
                 ..NocConfig::default()
             };
             check_clock(&config, &flows).expect("the clock reaches the last injection");
-            let nets = Nets::intern(&flows, multicast);
+            let nets = Nets::intern(&flows);
             // the stream, drained a cycle at a time as the loop drains it
             let mut schedule = Schedule::new(&config, &flows, &nets);
             let mut merged = Vec::new();
@@ -1512,13 +1470,8 @@ mod tests {
             // a crossbar sending more packets in a step than the step has
             // cycles shares inject cycles with its own next step
             let mut per_window = std::collections::HashMap::new();
-            for f in &flows {
-                let packets = if multicast {
-                    f.dst_crossbars.len().min(1)
-                } else {
-                    f.dst_crossbars.len()
-                };
-                *per_window.entry((f.send_step, f.src_crossbar)).or_insert(0) += packets as u64;
+            for f in flows.iter().filter(|f| !f.dst_crossbars.is_empty()) {
+                *per_window.entry((f.send_step, f.src_crossbar)).or_insert(0) += 1;
             }
             if per_window.values().any(|&p| p > cycles_per_step) {
                 overloaded += 1;
@@ -1567,16 +1520,9 @@ mod tests {
     #[test]
     fn multicast_injects_fewer_packets_than_unicast() {
         let flows = vec![SpikeFlow::multicast(0, 0, vec![1, 2, 3], 0); 10];
-        let run = |multicast: bool| {
-            let cfg = NocConfig {
-                multicast,
-                ..NocConfig::default()
-            };
-            let mut s = NocSim::new(Box::new(NocTree::new(4, 4)), cfg, EnergyModel::default());
-            s.run(&flows).unwrap()
-        };
-        let mc = run(true);
-        let uc = run(false);
+        let run = |flows: &[SpikeFlow]| sim(Box::new(NocTree::new(4, 4))).run(flows).unwrap();
+        let mc = run(&flows);
+        let uc = run(&single_destination(&flows));
         assert_eq!(mc.delivered, 30);
         assert_eq!(uc.delivered, 30);
         assert_eq!(mc.counters.packets_injected, 10);
@@ -1666,37 +1612,6 @@ mod tests {
         let mut s = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
         let stats = s.run(&flows).unwrap();
         assert_eq!(stats.delivered, 200);
-    }
-
-    #[test]
-    fn oldest_first_reduces_disorder() {
-        // cross traffic from many crossbars to one destination
-        let mut flows = Vec::new();
-        for step in 0..20u32 {
-            for src in 1..9u32 {
-                for k in 0..3u32 {
-                    flows.push(SpikeFlow::unicast(src * 10 + k, src, 0, step));
-                }
-            }
-        }
-        let run = |arb| {
-            let cfg = NocConfig {
-                arbitration: arb,
-                ..NocConfig::default()
-            };
-            let mut s = NocSim::new(
-                Box::new(Mesh2D::for_crossbars(9)),
-                cfg,
-                EnergyModel::default(),
-            );
-            s.run(&flows).unwrap().disorder_fraction
-        };
-        let rr = run(Arbitration::RoundRobin);
-        let of = run(Arbitration::OldestFirst);
-        assert!(
-            of <= rr,
-            "oldest-first should not increase disorder: {of} !<= {rr}"
-        );
     }
 
     #[test]
@@ -2002,7 +1917,6 @@ mod tests {
             ("rides a VC the config lacks", |paths| paths[0][0].1 = 1),
         ];
         let cfg = NocConfig {
-            multicast: true,
             multicast_trees: true,
             ..NocConfig::default()
         };
@@ -2151,7 +2065,6 @@ mod tests {
         // packet under way for as many hops as there are routers has
         // been somewhere twice.
         let cfg = NocConfig {
-            multicast: true,
             multicast_trees: true,
             max_cycles: 200_000,
             ..NocConfig::default()
@@ -2296,6 +2209,33 @@ mod tests {
         let stats = run(EngineKind::EventDriven).unwrap();
         assert_eq!(stats.0.total_cycles, u64::MAX);
         assert_eq!(Ok(stats), run(EngineKind::CycleOracle));
+    }
+
+    #[test]
+    fn hops_past_the_clock_are_a_typed_error_under_both_engines() {
+        // the clock admits the injection at cycle u64::MAX − 5 and its first
+        // hop, not the six hops to the far corner of the 4x4 mesh: the
+        // loop's `now + flits` used to overflow (in release it wrapped, and
+        // the schedule indexed out of bounds)
+        let cfg = NocConfig {
+            cycles_per_step: u64::MAX - 5,
+            max_cycles: u64::MAX,
+            ..NocConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        let topo = || -> Box<dyn Topology> { Box::new(Mesh2D::for_crossbars(16)) };
+        let flows = [SpikeFlow::unicast(0, 0, 15, 1)];
+        assert_eq!(
+            both_engines(topo, cfg, &flows),
+            Err(NocError::CycleBudgetExhausted {
+                budget: u64::MAX,
+                in_flight: 1
+            })
+        );
+        // one hop still fits
+        let flows = [SpikeFlow::unicast(0, 0, 1, 1)];
+        let stats = both_engines(topo, cfg, &flows).unwrap();
+        assert_eq!(stats.max_latency_cycles, cfg.hop_latency());
     }
 
     #[test]

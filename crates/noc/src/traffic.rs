@@ -3,7 +3,8 @@
 //! A [`SpikeFlow`] is one spike of one neuron that must leave its crossbar:
 //! the source crossbar, the set of destination crossbars holding its global
 //! postsynaptic neurons, and the SNN timestep of the spike. The simulator
-//! turns flows into AER packets, serializing simultaneous spikes of one
+//! turns each flow into one AER packet (split where its destinations'
+//! routes part: multicast), serializing simultaneous spikes of one
 //! crossbar through its encoder (one packet per cycle), which fixes the
 //! *intended* delivery order that the disorder metric is measured against.
 //!

@@ -82,6 +82,21 @@ pub fn arb_flows(
     })
 }
 
+/// `flows` with every destination split off into a flow of its own, in
+/// list order: the same spikes delivered as unicast packets.
+pub fn single_destination(flows: &[SpikeFlow]) -> Vec<SpikeFlow> {
+    let mut split = Vec::new();
+    for f in flows {
+        for &d in f.dst_crossbars.iter() {
+            split.push(SpikeFlow {
+                dst_crossbars: [d].into(),
+                ..f.clone()
+            });
+        }
+    }
+    split
+}
+
 /// The router graph the pipeline builds for `kind` over `crossbars`
 /// crossbars.
 pub fn topology_for(kind: InterconnectKind, crossbars: usize) -> Box<dyn Topology> {

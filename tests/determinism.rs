@@ -356,7 +356,6 @@ proptest! {
             seed_baselines: false,
             polish_passes: 0,
             threads: 1,
-            ..PsoConfig::default()
         };
         let (m1, t1) = PsoPartitioner::new(base)
             .partition_traced(&problem).expect("runs");

@@ -7,7 +7,8 @@
 //!   indistinguishable from the flat topology it nests: byte-identical
 //!   serialized statistics, digests, delivery logs, and structured trace
 //!   bytes on the differential corpus, for both mesh and torus intra
-//!   fabrics, across VC counts / FIFO depths / multicast settings.
+//!   fabrics, across VC counts / FIFO depths, for multicast and
+//!   single-destination flows.
 //! * **Multi-chip routing soundness** — `check_routes` +
 //!   `check_vc_channel_dependencies` + `check_vc_tree_dependencies`
 //!   across chip grids, intra fabrics, and VC counts: every route
@@ -112,14 +113,14 @@ proptest! {
         mesh in any::<bool>(),
         vc in 1usize..3,
         depth in 1usize..4,
-        multicast in any::<bool>(),
+        split in any::<bool>(),
     ) {
         let cfg = NocConfig {
             buffer_depth: depth,
             vc_count: vc,
-            multicast,
             ..NocConfig::default()
         };
+        let flows = if split { common::single_destination(&flows) } else { flows };
         let (flat, hier) = one_chip_pair(mesh);
         assert_topologies_identical(flat, hier, cfg, &flows, 8)?;
     }
@@ -135,7 +136,6 @@ proptest! {
     ) {
         let cfg = NocConfig {
             vc_count: vc,
-            multicast: true,
             trace: true,
             ..NocConfig::default()
         };
@@ -256,7 +256,6 @@ proptest! {
         let cfg = NocConfig {
             buffer_depth: depth,
             vc_count: vc,
-            multicast: true,
             ..NocConfig::default()
         };
         let mut event = NocSim::new(topo(), cfg, EnergyModel::default());

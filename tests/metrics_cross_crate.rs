@@ -8,6 +8,8 @@ use neuromap::noc::sim::NocSim;
 use neuromap::noc::topology::{Mesh2D, Star};
 use neuromap::noc::traffic::SpikeFlow;
 
+mod common;
+
 #[test]
 fn uncongested_streams_have_no_distortion_or_disorder() {
     // one source, periodic spikes, no contention: the interconnect is a
@@ -102,20 +104,16 @@ fn energy_scales_with_distance_and_traffic() {
 #[test]
 fn multicast_saves_energy_over_unicast_clones() {
     let flows = vec![SpikeFlow::multicast(7, 0, vec![1, 2, 3], 0); 5];
-    let run = |multicast: bool| {
-        let cfg = NocConfig {
-            multicast,
-            ..NocConfig::default()
-        };
+    let run = |flows: &[SpikeFlow]| {
         let mut sim = NocSim::new(
             Box::new(neuromap::noc::topology::NocTree::new(4, 4)),
-            cfg,
+            NocConfig::default(),
             EnergyModel::default(),
         );
-        sim.run(&flows).expect("drains")
+        sim.run(flows).expect("drains")
     };
-    let mc = run(true);
-    let uc = run(false);
+    let mc = run(&flows);
+    let uc = run(&common::single_destination(&flows));
     assert_eq!(mc.delivered, uc.delivered);
     assert!(
         mc.global_energy_pj < uc.global_energy_pj,

@@ -5,11 +5,12 @@
 //! * **Differential verification** — the event-driven engine
 //!   ([`NocSim`]) must produce *byte-identical* statistics and delivery
 //!   logs to the cycle-driven oracle ([`EngineKind::CycleOracle`]) across
-//!   randomized topologies, FIFO depths, packet sizes, arbitration policies,
-//!   multicast fan-outs, bursty/backpressured traffic, and cycle-budget
-//!   errors. This corpus is the correctness story for the event engine:
-//!   any divergence in timing, arbitration order, credit accounting, or
-//!   budget handling shows up here as a non-equal stats digest or log.
+//!   randomized topologies, FIFO depths, packet sizes, multicast fan-outs
+//!   and their single-destination splits, bursty/backpressured traffic,
+//!   and cycle-budget errors. This corpus is the correctness story for
+//!   the event engine: any divergence in timing, arbitration order,
+//!   credit accounting, or budget handling shows up here as a non-equal
+//!   stats digest or log.
 //! * **Conservation/sanity properties** — every flow delivered exactly
 //!   once per destination, latency bounded below by hop count, energy
 //!   counters consistent, input-permutation invariance.
@@ -33,13 +34,12 @@
 //!   budgets) and completes at two VCs, in both engines.
 //! * **VC differential corpus** — `vc_count ∈ {1, 2, 4}` × FIFO depths
 //!   1–4 on mesh and torus (wraparound rings of length 4, the
-//!   deadlock-capable shape), multicast and unicast, byte-identical
-//!   across engines, plus input-permutation bit-invariance under VC
-//!   contention.
+//!   deadlock-capable shape), multicast and single-destination flows,
+//!   byte-identical across engines, plus input-permutation bit-invariance
+//!   under VC contention.
 
 use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
-use neuromap::noc::router::Arbitration;
 use neuromap::noc::sim::{EngineKind, NocSim};
 use neuromap::noc::stats::{disorder_fraction, isi_distortion, Counters, Delivery, NocStats};
 use neuromap::noc::topology::{
@@ -91,12 +91,6 @@ fn topologies() -> Vec<Box<dyn Topology>> {
 fn topology(idx: usize) -> Box<dyn Topology> {
     topologies().swap_remove(idx % 6)
 }
-
-const ARBS: [Arbitration; 3] = [
-    Arbitration::RoundRobin,
-    Arbitration::OldestFirst,
-    Arbitration::FixedPriority,
-];
 
 /// Runs both engines and asserts byte-identical outcomes (stats *and*
 /// delivery logs on success, the exact error on failure).
@@ -396,7 +390,10 @@ fn pre_vc_digests_are_stable() {
     // vc_count=1 configuration must reproduce them byte-for-byte, wire
     // shape included. A digest change here means single-VC behavior (or
     // the serialized statistics shape) drifted — exactly what the VC
-    // refactor promised not to do.
+    // refactor promised not to do. `torus16_depth2` and
+    // `tree8_depth1_hotspot` replaced two rows of arbitration policies
+    // since retired; their round-robin digests were recorded, under both
+    // engines, on the last commit that had those policies.
     let multicast_storm = |crossbars: u32, steps: u32| -> Vec<SpikeFlow> {
         let mut flows = Vec::new();
         for step in 0..steps {
@@ -438,11 +435,10 @@ fn pre_vc_digests_are_stable() {
             0x17fe_58cd_7cf4_7ad2,
         ),
         (
-            "torus16_depth2_oldest",
+            "torus16_depth2",
             Box::new(Torus::for_crossbars(16)),
             NocConfig {
                 buffer_depth: 2,
-                arbitration: Arbitration::OldestFirst,
                 ..NocConfig::default()
             },
             multicast_storm(16, 6),
@@ -450,17 +446,15 @@ fn pre_vc_digests_are_stable() {
             0x6464_aca8_5c8b_f8d7,
         ),
         (
-            "tree8_depth1_fixed_hotspot",
+            "tree8_depth1_hotspot",
             Box::new(NocTree::new(8, 2)),
             NocConfig {
                 buffer_depth: 1,
-                arbitration: Arbitration::FixedPriority,
-                multicast: false,
                 ..NocConfig::default()
             },
             hotspot(8, 60),
             3,
-            0x9d05_0428_6cb3_4e6e,
+            0x8b0e_0f11_a6f9_db86,
         ),
         (
             "star8_hotspot",
@@ -643,10 +637,13 @@ fn delivery_logs_are_frozen() {
     // destination vectors (per-spike tree table, per-destination route
     // lookups in the router loop): FNV of the whole delivery log, the
     // stats digest and the trace hash, both engines, for the shapes no
-    // golden above holds — one net fired many times, unicast clones,
-    // duplicate and self destinations, several crossbars behind one
-    // router (delivery order inside one arrival), and a wide split
-    // drained one branch at a time
+    // golden above holds — one net fired many times, the same spikes as
+    // single-destination flows, duplicate and self destinations, several
+    // crossbars behind one router (delivery order inside one arrival),
+    // and a wide split drained one branch at a time. Rows c and "d: … as
+    // single-destination flows" replaced two rows of unicast clones, a
+    // mode since retired; they were recorded, under both engines, on the
+    // last commit that had it
     let fnv = |bytes: &[u8]| {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -746,18 +743,15 @@ fn delivery_logs_are_frozen() {
             ),
         ),
         (
-            "c: mesh16, unicast clones",
+            "c: mesh16, one flow per destination",
             Box::new(Mesh2D::for_crossbars(16)),
-            NocConfig {
-                multicast: false,
-                ..base
-            },
-            frozen_net_flows(),
+            base,
+            common::single_destination(&frozen_net_flows()),
             12,
             (
-                0x065e_1840_e9fb_c528,
-                0x9df5_1529_b535_d3f5,
-                0x5f2a_ebad_ad92_5c78,
+                0x37c8_c79a_912b_30c9,
+                0x589e_bb49_a93e_e7e4,
+                0xa0e5_6536_e5c8_a1af,
             ),
         ),
         (
@@ -788,18 +782,15 @@ fn delivery_logs_are_frozen() {
             ),
         ),
         (
-            "d: the same as unicast clones",
+            "d: the same as single-destination flows",
             Box::new(Mesh2D::for_crossbars(16)),
-            NocConfig {
-                multicast: false,
-                ..base
-            },
-            degenerate,
+            base,
+            common::single_destination(&degenerate),
             8,
             (
-                0xffd1_c87f_fb1e_8a65,
-                0x71e9_5086_7965_109c,
-                0xee11_1577_1b60_baa3,
+                0x0d38_56ce_2b5b_428b,
+                0xf047_4035_11eb_19e8,
+                0x849b_4ff6_de53_52cf,
             ),
         ),
         (
@@ -936,7 +927,7 @@ proptest! {
         mesh in any::<bool>(),
         depth in 1usize..5,
         vc_idx in 0usize..3,
-        (arb_idx, multicast) in (0usize..3, any::<bool>()),
+        split in any::<bool>(),
     ) {
         // the full new configuration grid: vc {1,2,4} x depth 1..4 on
         // mesh and torus. Shallow single-VC torus points can wedge —
@@ -946,11 +937,10 @@ proptest! {
         let cfg = NocConfig {
             buffer_depth: depth,
             vc_count: [1usize, 2, 4][vc_idx],
-            arbitration: ARBS[arb_idx],
-            multicast,
             max_cycles: 60_000,
             ..NocConfig::default()
         };
+        let flows = if split { common::single_destination(&flows) } else { flows };
         assert_engines_agree_on(|| vc_topology(mesh), cfg, &flows, 6)?;
     }
 
@@ -960,7 +950,7 @@ proptest! {
         fabric in 0usize..4,
         depth in 1usize..4,
         cycles_per_step in 1u64..9,
-        (multicast, trees) in (any::<bool>(), any::<bool>()),
+        (split, trees) in (any::<bool>(), any::<bool>()),
     ) {
         // steps a few cycles apart, so several spikes of one net are in
         // the fabric at once; the shared-router line is the one fabric
@@ -981,11 +971,11 @@ proptest! {
                 ..f
             })
             .collect();
+        let flows = if split { common::single_destination(&flows) } else { flows };
         let cfg = NocConfig {
             buffer_depth: depth,
             vc_count: if fabric == 0 { 1 } else { 2 },
             cycles_per_step,
-            multicast,
             multicast_trees: trees,
             max_cycles: 60_000,
             trace: true,
@@ -1126,16 +1116,15 @@ proptest! {
         depth in 1usize..6,
         flits in 1u32..4,
         router_delay in 0u32..3,
-        (arb_idx, multicast) in (0usize..3, any::<bool>()),
+        split in any::<bool>(),
     ) {
         let cfg = NocConfig {
             buffer_depth: depth,
             flits_per_packet: flits,
             router_delay,
-            arbitration: ARBS[arb_idx],
-            multicast,
             ..NocConfig::default()
         };
+        let flows = if split { common::single_destination(&flows) } else { flows };
         assert_engines_agree(topo_idx, cfg, &flows, 8)?;
     }
 
@@ -1143,13 +1132,11 @@ proptest! {
     fn engines_agree_under_backpressure(
         flows in arb_hotspot(120),
         topo_idx in 0usize..6,
-        multicast in any::<bool>(),
     ) {
         // single-entry FIFOs: every hop stalls on credits, the regime
         // where the event engine's wake list is hardest to get right
         let cfg = NocConfig {
             buffer_depth: 1,
-            multicast,
             ..NocConfig::default()
         };
         assert_engines_agree(topo_idx, cfg, &flows, 4)?;
@@ -1202,8 +1189,9 @@ proptest! {
     #[test]
     fn every_flow_is_delivered_exactly_once_per_destination(
         flows in arb_flows(60),
-        multicast in any::<bool>(),
+        split in any::<bool>(),
     ) {
+        let flows = if split { common::single_destination(&flows) } else { flows };
         let expected: u64 = flows
             .iter()
             .map(|f| f.dst_crossbars.iter().filter(|&&d| d != f.src_crossbar).count() as u64
@@ -1211,10 +1199,9 @@ proptest! {
             .sum();
         for topo in topologies() {
             let name = topo.name();
-            let cfg = NocConfig { multicast, ..NocConfig::default() };
-            let mut sim = NocSim::new(topo, cfg, EnergyModel::default());
+            let mut sim = NocSim::new(topo, NocConfig::default(), EnergyModel::default());
             let stats = sim.run(&flows).unwrap_or_else(|e| panic!("{name}: {e}"));
-            prop_assert_eq!(stats.delivered, expected, "{} multicast={}", name, multicast);
+            prop_assert_eq!(stats.delivered, expected, "{} split={}", name, split);
         }
     }
 
@@ -1255,21 +1242,6 @@ proptest! {
         let expected: u64 = flows.iter().map(|f| f.dst_crossbars.len() as u64).sum();
         let stats = sim.run(&flows).expect("drains");
         prop_assert_eq!(stats.delivered, expected);
-    }
-
-    #[test]
-    fn arbitration_policies_conserve_traffic(flows in arb_flows(50)) {
-        let expected: u64 = flows.iter().map(|f| f.dst_crossbars.len() as u64).sum();
-        for arb in ARBS {
-            let cfg = NocConfig { arbitration: arb, ..NocConfig::default() };
-            let mut sim = NocSim::new(
-                Box::new(NocTree::new(CROSSBARS as usize, 2)),
-                cfg,
-                EnergyModel::default(),
-            );
-            let stats = sim.run(&flows).expect("drains");
-            prop_assert_eq!(stats.delivered, expected, "{:?}", arb);
-        }
     }
 
     #[test]
@@ -1470,7 +1442,6 @@ proptest! {
         let cfg = NocConfig {
             buffer_depth: depth,
             vc_count: [1usize, 2, 4][vc_idx],
-            multicast: true,
             multicast_trees: true,
             trace: true,
             max_cycles: 60_000,
@@ -1516,7 +1487,6 @@ proptest! {
     ) {
         let base = NocConfig {
             vc_count: [1usize, 2, 4][vc_idx],
-            multicast: true,
             max_cycles: 60_000,
             ..NocConfig::default()
         };
@@ -1569,9 +1539,9 @@ proptest! {
 
     /// [`NocSim::link_forwards`] counts the forwarding plan's branches per
     /// injected packet; every run that drains charges exactly that many
-    /// forwards of `flits_per_packet` flits, under clones, plain multicast
-    /// and trees, on both engines and every fabric shape — the 2×2-chip
-    /// fabric included, whose report weights are seam-priced.
+    /// forwards of `flits_per_packet` flits, for single-destination flows,
+    /// plain multicast and trees, on both engines and every fabric shape —
+    /// the 2×2-chip fabric included, whose report weights are seam-priced.
     #[test]
     fn link_flits_are_the_predicted_link_forwards(
         flows in arb_raw_flows(16, 30),
@@ -1595,11 +1565,11 @@ proptest! {
             buffer_depth: depth,
             flits_per_packet: flits,
             vc_count,
-            multicast: mode > 0,
             multicast_trees: mode == 2,
             max_cycles: 60_000,
             ..NocConfig::default()
         };
+        let flows = if mode == 0 { common::single_destination(&flows) } else { flows };
         for engine in [EngineKind::EventDriven, EngineKind::CycleOracle] {
             let mut sim = NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(engine);
             let forwards = sim.link_forwards(&flows);

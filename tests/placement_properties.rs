@@ -91,7 +91,7 @@ proptest! {
         let flows = build_flows(&graph, &mapping, traffic);
         let mut noc_cfg = cfg.noc;
         if traffic == TrafficMode::PerSynapse {
-            noc_cfg.multicast = false;
+            noc_cfg.multicast_trees = false;
         }
         let (stats, _) = NocSim::new(build_topology(&arch), noc_cfg, *arch.energy())
             .run_with_duration(&flows, graph.duration_steps())

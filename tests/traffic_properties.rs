@@ -15,9 +15,10 @@
 //!   whole `Report` for per-synapse flows in synapse (CSR) order, the
 //!   order `build_flows` emitted before it grouped them by crossbar;
 //! * across layers: the link flits the simulator charges are the
-//!   report's hop-weighted packets times the flits per packet (and, per
-//!   crossbar without multicast, the `CutHops` objective) — at most that
-//!   under plain multicast, which only merges routes.
+//!   report's hop-weighted packets times the flits per packet (and, for
+//!   per-crossbar traffic split into one flow per destination, the
+//!   `CutHops` objective) — at most that under plain multicast, which
+//!   only merges routes.
 
 use neuromap::core::pipeline::{
     build_flows, local_events, MappingPipeline, PipelineConfig, TrafficMode,
@@ -170,14 +171,14 @@ proptest! {
             2 => (InterconnectKind::Tree { arity: 2 }, 1),
             _ => (HIER_2X2, 2),
         };
-        let noc = NocConfig { multicast: true, multicast_trees: true, vc_count, ..NocConfig::default() };
+        let noc = NocConfig { multicast_trees: true, vc_count, ..NocConfig::default() };
         let identity: Vec<u32> = (0..mapping.num_crossbars() as u32).collect();
         for mode in MODES {
             let pipeline = pipeline(&graph, &mapping, kind, noc, mode);
             let flows = build_flows(&graph, &mapping, mode);
             let (weighted, _) = pipeline.hop_metrics(&flows);
             let expected = match mode {
-                // the run turns multicast off: each packet is priced by
+                // the run turns trees off: each packet is priced by
                 // the (seam-weighted, on `Hier`) distance table
                 TrafficMode::PerSynapse => {
                     let matrix = TrafficMatrix::from_mapping(&graph, &mapping, mode);
@@ -196,7 +197,7 @@ proptest! {
         trees in any::<bool>(),
         shuffle_seed in any::<u64>(),
     ) {
-        let noc = NocConfig { multicast: trees, multicast_trees: trees, ..NocConfig::default() };
+        let noc = NocConfig { multicast_trees: trees, ..NocConfig::default() };
         for mode in MODES {
             let pipeline = pipeline(&graph, &mapping, InterconnectKind::Mesh, noc, mode);
             let flows = build_flows(&graph, &mapping, mode);
@@ -237,13 +238,10 @@ proptest! {
             1 => (InterconnectKind::Tree { arity: 2 }, 1),
             _ => (InterconnectKind::Torus, 2),
         };
-        let base = NocConfig { flits_per_packet: flits, vc_count, ..NocConfig::default() };
-        let unicast = NocConfig { multicast: false, ..base };
-        let trees = NocConfig { multicast: true, multicast_trees: true, ..base };
-        let plain = NocConfig { multicast: true, multicast_trees: false, ..base };
+        let plain = NocConfig { flits_per_packet: flits, vc_count, ..NocConfig::default() };
+        let trees = NocConfig { multicast_trees: true, ..plain };
         let configs = [
-            (TrafficMode::PerSynapse, base),
-            (TrafficMode::PerCrossbar, unicast),
+            (TrafficMode::PerSynapse, plain),
             (TrafficMode::PerCrossbar, trees),
             (TrafficMode::PerCrossbar, plain),
         ];
@@ -252,15 +250,20 @@ proptest! {
             let report = pipeline.evaluate(&graph, mapping.clone(), "random", "identity").unwrap().report;
             let charged = report.noc.counters.link_flits;
             let priced = u64::from(flits) * report.hop_weighted_packets;
-            if noc.multicast && !noc.multicast_trees && mode == TrafficMode::PerCrossbar {
+            if !noc.multicast_trees && mode == TrafficMode::PerCrossbar {
                 prop_assert!(charged <= priced, "plain multicast: {} > {}", charged, priced);
             } else {
                 prop_assert_eq!(charged, priced, "{:?} {:?}", mode, noc);
             }
-            if !noc.multicast {
-                let cut_hops = pipeline.problem(&graph).unwrap().cut_hops(mapping.assignment());
-                prop_assert_eq!(charged, u64::from(flits) * cut_hops);
-            }
         }
+        // per-crossbar traffic as one flow per destination: unicast
+        // packets, each charged its whole route
+        let pipeline = pipeline(&graph, &mapping, kind, plain, TrafficMode::PerCrossbar);
+        let flows = common::single_destination(&build_flows(&graph, &mapping, TrafficMode::PerCrossbar));
+        let (stats, _) = pipeline.simulate(&flows, graph.duration_steps()).unwrap();
+        let charged = stats.counters.link_flits;
+        prop_assert_eq!(charged, u64::from(flits) * pipeline.hop_metrics(&flows).0);
+        let cut_hops = pipeline.problem(&graph).unwrap().cut_hops(mapping.assignment());
+        prop_assert_eq!(charged, u64::from(flits) * cut_hops);
     }
 }
