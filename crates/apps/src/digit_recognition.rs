@@ -216,7 +216,6 @@ impl App for DigitRecognition {
                 w_max: 5.0,
                 normalize_every: Some(100),
                 normalize_target: 1250.0,
-                ..StdpConfig::default()
             }),
         }
     }

@@ -67,7 +67,6 @@ impl App for HelloWorld {
         let mut b = NetworkBuilder::new();
         let input = b.add_input_group("field", WIDTH * HEIGHT, Generator::rates(rates))?;
         let out = b.add_group("pool", 9, NeuronKind::izhikevich_rs())?;
-        // output j pools the 13-pixel rows? No: pools columns 3j-ish.
         // Each output pools a 3-column stripe (the 9 stripes tile 13
         // columns with overlap at the edges).
         let mut pairs = Vec::new();

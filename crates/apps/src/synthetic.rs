@@ -184,36 +184,7 @@ impl LargeArch {
     /// Propagates [`CoreError::InvalidGraph`] from graph construction
     /// (unreachable for the parameter ranges above).
     pub fn spike_graph(&self, seed: u64) -> Result<neuromap_core::SpikeGraph, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.num_neurons();
-        let side = self.side as i64;
-        let cap = self.neurons_per_crossbar.max(1);
-        let tiles = self.side * self.side;
-        let mut synapses = Vec::with_capacity((n * self.synapses_per_neuron) as usize);
-        for i in 0..n {
-            let home = (i / cap).min(tiles - 1) as i64;
-            let (hx, hy) = (home % side, home / side);
-            for _ in 0..self.synapses_per_neuron {
-                let j = if rng.gen_bool(0.85) {
-                    // home tile (half the local draws) or a grid neighbour
-                    let (dx, dy) = if rng.gen_bool(0.5) {
-                        (0, 0)
-                    } else {
-                        (rng.gen_range(-1i64..=1), rng.gen_range(-1i64..=1))
-                    };
-                    let (tx, ty) = ((hx + dx).clamp(0, side - 1), (hy + dy).clamp(0, side - 1));
-                    let tile = (ty * side + tx) as u32;
-                    let lo = tile * cap;
-                    let span = cap.min(n.saturating_sub(lo)).max(1);
-                    (lo + rng.gen_range(0..span)).min(n - 1)
-                } else {
-                    rng.gen_range(0..n)
-                };
-                synapses.push((i, j));
-            }
-        }
-        let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..20)).collect();
-        neuromap_core::SpikeGraph::from_parts(n, synapses, counts)
+        grid_spike_graph(1, 1, self, seed)
     }
 
     /// Packs the scenario's neurons into their home tiles, then scrambles
@@ -347,48 +318,68 @@ impl MultiChip {
     /// Propagates [`CoreError::InvalidGraph`] from graph construction
     /// (unreachable for the parameter ranges above).
     pub fn spike_graph(&self, seed: u64) -> Result<neuromap_core::SpikeGraph, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.num_neurons();
-        let side = self.chip.side as i64;
-        let cap = self.chip.neurons_per_crossbar.max(1);
-        let per_chip = side * side;
-        let chip_cols = self.chip_cols as i64;
-        let (gw, gh) = (chip_cols * side, self.chip_rows as i64 * side);
-        let tiles = self.num_crossbars() as u32;
-        // chip-major tile id ↔ composed-grid coordinates
-        let coords = |tile: i64| {
-            let (chip, local) = (tile / per_chip, tile % per_chip);
-            let (cx, cy) = (chip % chip_cols, chip / chip_cols);
-            (cx * side + local % side, cy * side + local / side)
-        };
-        let tile_at = |gx: i64, gy: i64| {
-            (gy / side * chip_cols + gx / side) * per_chip + gy % side * side + gx % side
-        };
-        let mut synapses = Vec::with_capacity((n * self.chip.synapses_per_neuron) as usize);
-        for i in 0..n {
-            let home = (i / cap).min(tiles - 1) as i64;
-            let (hx, hy) = coords(home);
-            for _ in 0..self.chip.synapses_per_neuron {
-                let j = if rng.gen_bool(0.85) {
-                    let (dx, dy) = if rng.gen_bool(0.5) {
-                        (0, 0)
-                    } else {
-                        (rng.gen_range(-1i64..=1), rng.gen_range(-1i64..=1))
-                    };
-                    let (tx, ty) = ((hx + dx).clamp(0, gw - 1), (hy + dy).clamp(0, gh - 1));
-                    let tile = tile_at(tx, ty) as u32;
-                    let lo = tile * cap;
-                    let span = cap.min(n.saturating_sub(lo)).max(1);
-                    (lo + rng.gen_range(0..span)).min(n - 1)
-                } else {
-                    rng.gen_range(0..n)
-                };
-                synapses.push((i, j));
-            }
-        }
-        let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..20)).collect();
-        neuromap_core::SpikeGraph::from_parts(n, synapses, counts)
+        grid_spike_graph(self.chip_cols, self.chip_rows, &self.chip, seed)
     }
+}
+
+/// The one generator behind [`LargeArch::spike_graph`] (a 1 × 1 chip
+/// grid) and [`MultiChip::spike_graph`]: `chip_cols × chip_rows` chips of
+/// the `chip` crossbar grid, tiles numbered chip-major, locality drawn in
+/// the composed global grid.
+fn grid_spike_graph(
+    chip_cols: u32,
+    chip_rows: u32,
+    chip: &LargeArch,
+    seed: u64,
+) -> Result<neuromap_core::SpikeGraph, CoreError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = chip_cols * chip_rows * chip.num_neurons();
+    let side = chip.side as i64;
+    let cap = chip.neurons_per_crossbar.max(1);
+    let per_chip = side * side;
+    let (chip_cols, chip_rows) = (chip_cols as i64, chip_rows as i64);
+    let (gw, gh) = (chip_cols * side, chip_rows * side);
+    let tiles = (chip_cols * chip_rows * per_chip) as u32;
+    // chip-major tile id ↔ composed-grid coordinates: `coords` once per
+    // neuron, the row-major `tile_at` table once per synapse draw
+    let coords = |tile: i64| {
+        let (chip, local) = (tile / per_chip, tile % per_chip);
+        let (cx, cy) = (chip % chip_cols, chip / chip_cols);
+        (cx * side + local % side, cy * side + local / side)
+    };
+    let tile_at: Vec<u32> = (0..gh)
+        .flat_map(|gy| {
+            (0..gw).map(move |gx| {
+                ((gy / side * chip_cols + gx / side) * per_chip + gy % side * side + gx % side)
+                    as u32
+            })
+        })
+        .collect();
+    let mut synapses = Vec::with_capacity((n * chip.synapses_per_neuron) as usize);
+    for i in 0..n {
+        let home = (i / cap).min(tiles - 1) as i64;
+        let (hx, hy) = coords(home);
+        for _ in 0..chip.synapses_per_neuron {
+            let j = if rng.gen_bool(0.85) {
+                // home tile (half the local draws) or a grid neighbour
+                let (dx, dy) = if rng.gen_bool(0.5) {
+                    (0, 0)
+                } else {
+                    (rng.gen_range(-1i64..=1), rng.gen_range(-1i64..=1))
+                };
+                let (tx, ty) = ((hx + dx).clamp(0, gw - 1), (hy + dy).clamp(0, gh - 1));
+                let tile = tile_at[(ty * gw + tx) as usize];
+                let lo = tile * cap;
+                let span = cap.min(n.saturating_sub(lo)).max(1);
+                (lo + rng.gen_range(0..span)).min(n - 1)
+            } else {
+                rng.gen_range(0..n)
+            };
+            synapses.push((i, j));
+        }
+    }
+    let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..20)).collect();
+    neuromap_core::SpikeGraph::from_parts(n, synapses, counts)
 }
 
 /// The eight synthetic topologies evaluated in the paper's Fig. 5
@@ -561,6 +552,41 @@ mod tests {
         assert!(
             on_chip * 10 > total * 7,
             "expected ≥70% on-chip synapses, got {on_chip}/{total}"
+        );
+    }
+
+    /// FNV-1a over each neuron's targets and spike count, in neuron
+    /// order: the fingerprint of a generated graph.
+    fn graph_digest(g: &neuromap_core::SpikeGraph) -> u64 {
+        (0..g.num_neurons())
+            .flat_map(|i| g.targets(i).iter().copied().chain([g.count(i)]))
+            .flat_map(u32::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    /// The grids every mapbench digest, `BENCH_eval.json` scenario and
+    /// frozen placement outcome is built from, frozen: a changed digest
+    /// means the generator draws a different graph.
+    #[test]
+    fn grid_graphs_are_frozen() {
+        let grid24 = LargeArch {
+            side: 24,
+            ..LargeArch::grid16()
+        };
+        let got = [
+            graph_digest(&LargeArch::grid16().spike_graph(2018).unwrap()),
+            graph_digest(&grid24.spike_graph(2018).unwrap()),
+            graph_digest(&MultiChip::four_chip16().spike_graph(2018).unwrap()),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x8aaa_8acf_f6e1_7d47,
+                0xba22_bb41_122c_b1e8,
+                0x8aab_06bb_0e67_64bb
+            ]
         );
     }
 

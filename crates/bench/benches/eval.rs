@@ -35,7 +35,7 @@ use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
 use neuromap_core::place::{
     optimize_placement, swap_delta, PlaceConfig, SlotCostTable, TrafficAdjacency, TrafficMatrix,
-    SA_ALPHA, SA_T0,
+    GREEDY_PASSES, SA_ALPHA, SA_T0,
 };
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, Topology};
@@ -396,7 +396,7 @@ fn bench_placement_greedy(
     // `try_swap(a, b)` takes the swap if it prices below zero
     let polish = |try_swap: &mut dyn FnMut(usize, usize) -> bool| {
         let mut taken = Vec::new();
-        for _ in 0..cfg.greedy_passes {
+        for _ in 0..GREEDY_PASSES {
             let before = taken.len();
             for a in 0..clusters {
                 for b in a + 1..clusters {

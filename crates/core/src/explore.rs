@@ -43,17 +43,13 @@ pub fn architecture_sweep(
     let mut points = Vec::with_capacity(sizes.len());
     for &npc in sizes {
         let arch = base.arch.with_crossbar_size(npc, graph.num_neurons())?;
-        let cfg = PipelineConfig {
-            arch,
-            noc: base.noc,
-            traffic: base.traffic,
-            engine: base.engine,
-            placement: base.placement.clone(),
-        };
         // each sweep point is a different chip, so each gets its own
         // staged pipeline (topology + distance table derived once per
         // point and shared across its stages)
-        let pipeline = MappingPipeline::new(cfg);
+        let pipeline = MappingPipeline::new(PipelineConfig {
+            arch,
+            ..base.clone()
+        });
         let report = pipeline.run(graph, partitioner)?;
         points.push(ArchPoint {
             neurons_per_crossbar: npc,
@@ -216,6 +212,23 @@ mod tests {
         // the first point (one neuron per crossbar) must push traffic
         // through the torus rings rather than staying local
         assert!(pts[0].global_energy_uj > 0.0);
+    }
+
+    #[test]
+    fn architecture_sweep_refuses_a_point_the_fabric_cannot_hold() {
+        // one crossbar per chip fits the u32 distance table; the 18
+        // crossbars of the size-1 point (3 × 3 per chip) do not, and the
+        // sweep must say so instead of building the topology
+        let g = graph();
+        let hier = InterconnectKind::Hier {
+            chip_cols: 2,
+            chip_rows: 1,
+            link_latency: u32::MAX,
+            link_width: 1,
+        };
+        let base = PipelineConfig::for_arch(Architecture::custom(2, 9, hier).unwrap());
+        let swept = architecture_sweep(&g, &base, &[1], &PacmanPartitioner::new());
+        assert!(matches!(swept, Err(CoreError::Hw(_))), "{swept:?}");
     }
 
     #[test]

@@ -84,7 +84,10 @@ const REFINE_ROUNDS: u32 = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MultilevelConfig {
     /// Swarm configuration used at the coarsest level only. `fitness`
-    /// selects the objective for every level's refinement as well.
+    /// selects the objective for every level's refinement as well. The
+    /// V-cycle runs the swarm search alone and does not read
+    /// `polish_passes`: every level gets `REFINE_ROUNDS` (eight) rounds
+    /// of boundary refinement instead.
     pub pso: PsoConfig,
     /// Stop coarsening once a level has at most this many nodes.
     pub min_coarse_neurons: u32,

@@ -239,9 +239,6 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
             )
             .expect("interconnect descriptor validated at Architecture construction"),
         ),
-        // `InterconnectKind` is non-exhaustive; route future variants to the
-        // most common neuromorphic fabric
-        _ => Box::new(Mesh2D::for_crossbars(c)),
     }
 }
 

@@ -444,8 +444,12 @@ pub const SA_T0: f64 = 50.0;
 /// Geometric cooling factor per annealing proposal.
 pub const SA_ALPHA: f64 = 0.999;
 
+/// Maximum greedy first-improvement sweeps polishing each restart.
+pub const GREEDY_PASSES: u32 = 8;
+
 /// Placement-optimizer hyperparameters. The annealing schedule is fixed:
-/// it starts at [`SA_T0`] and cools by [`SA_ALPHA`] per proposal.
+/// it starts at [`SA_T0`] and cools by [`SA_ALPHA`] per proposal, and
+/// each restart ends with at most [`GREEDY_PASSES`] greedy sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlaceConfig {
     /// Independent restarts; restart 0 is greedy descent from the
@@ -455,8 +459,6 @@ pub struct PlaceConfig {
     pub restarts: u32,
     /// Annealing proposals per restart (random cluster-pair swaps).
     pub sa_moves: u32,
-    /// Maximum greedy first-improvement sweeps polishing each restart.
-    pub greedy_passes: u32,
     /// RNG seed (restart `k` derives its stream from `seed` and `k`).
     pub seed: u64,
     /// Worker threads the restarts are spread across. Purely an execution
@@ -469,7 +471,6 @@ impl Default for PlaceConfig {
         Self {
             restarts: 4,
             sa_moves: 4_000,
-            greedy_passes: 8,
             seed: 0x9A5E,
             threads: crate::pso::default_threads(),
         }
@@ -481,17 +482,11 @@ impl PlaceConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for zero restarts/passes/threads.
+    /// [`CoreError::InvalidParameter`] for zero restarts or threads.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.restarts == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "restarts",
-                value: "0".into(),
-            });
-        }
-        if self.greedy_passes == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "greedy_passes",
                 value: "0".into(),
             });
         }
@@ -569,7 +564,7 @@ fn run_restart(
     }
 
     let mut table = SlotCostTable::new(traffic, adj, dist, perm);
-    cost += greedy_polish(&mut table, cfg.greedy_passes, |_, _| {});
+    cost += greedy_polish(&mut table, GREEDY_PASSES, |_, _| {});
     let perm = table.into_physical_of();
     debug_assert_eq!(cost as u64, placement_cost(traffic, dist, &perm));
     (cost as u64, perm)
@@ -1075,10 +1070,6 @@ mod tests {
         for bad in [
             PlaceConfig {
                 restarts: 0,
-                ..PlaceConfig::default()
-            },
-            PlaceConfig {
-                greedy_passes: 0,
                 ..PlaceConfig::default()
             },
             PlaceConfig {

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// NoC-mesh (TrueNorth, HiCANN)". The concrete routing/queueing behaviour
 /// lives in `neuromap-noc`; this descriptor selects which model is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum InterconnectKind {
     /// 2-D mesh with XY dimension-order routing (TrueNorth/HiCANN class).
     /// Crossbars are placed row-major on a near-square grid.
@@ -229,7 +228,9 @@ impl Architecture {
     ///
     /// # Errors
     ///
-    /// [`HwError::InvalidParameter`] if either argument is zero.
+    /// [`HwError::InvalidParameter`] if either argument is zero, or if
+    /// [`Architecture::custom`] refuses the interconnect at the derived
+    /// crossbar count.
     pub fn with_crossbar_size(
         &self,
         neurons_per_crossbar: u32,
@@ -241,13 +242,8 @@ impl Architecture {
                 value: format!("{neurons_per_crossbar}/{total_neurons}"),
             });
         }
-        let count = total_neurons.div_ceil(neurons_per_crossbar).max(1) as usize;
-        Ok(Self {
-            num_crossbars: count,
-            crossbar: CrossbarSpec::square(neurons_per_crossbar)?,
-            interconnect: self.interconnect,
-            energy: self.energy,
-        })
+        let count = total_neurons.div_ceil(neurons_per_crossbar) as usize;
+        Ok(Self::custom(count, neurons_per_crossbar, self.interconnect)?.with_energy(self.energy))
     }
 
     /// Replaces the energy model (builder style).
@@ -332,12 +328,17 @@ mod tests {
 
     #[test]
     fn crossbar_size_sweep_preserves_capacity() {
-        let base = Architecture::cxquad();
+        let energy = EnergyModel {
+            router_hop_pj: 2.0 * EnergyModel::default().router_hop_pj,
+            ..EnergyModel::default()
+        };
+        let base = Architecture::cxquad().with_energy(energy);
         for npc in [90u32, 180, 360, 720, 1440] {
             let a = base.with_crossbar_size(npc, 1440).unwrap();
             assert!(a.num_crossbars() as u32 * npc >= 1440, "npc={npc}");
             assert_eq!(a.neurons_per_crossbar(), npc);
             assert_eq!(a.interconnect(), base.interconnect());
+            assert_eq!(a.energy(), &energy);
         }
     }
 
@@ -348,6 +349,25 @@ mod tests {
         let large = base.with_crossbar_size(1440, 1440).unwrap();
         assert_eq!(small.num_crossbars(), 16);
         assert_eq!(large.num_crossbars(), 1);
+    }
+
+    #[test]
+    fn crossbar_size_sweep_holds_the_hier_checks() {
+        let hier = InterconnectKind::Hier {
+            chip_cols: 2,
+            chip_rows: 1,
+            link_latency: u32::MAX,
+            link_width: 1,
+        };
+        // one crossbar per chip: the seam alone fits the u32 distance table
+        let base = Architecture::custom(2, 8, hier).unwrap();
+        // four crossbars per chip add intra-chip hops past it
+        let refused = |r: Result<Architecture, HwError>| match r {
+            Err(HwError::InvalidParameter { name, .. }) => assert_eq!(name, "link_latency"),
+            other => panic!("expected InvalidParameter for link_latency, got {other:?}"),
+        };
+        refused(Architecture::custom(8, 1, hier));
+        refused(base.with_crossbar_size(1, 8));
     }
 
     #[test]

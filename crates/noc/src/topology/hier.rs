@@ -478,15 +478,6 @@ impl Topology for HierTopology {
             .collect()
     }
 
-    fn hops(&self, from: usize, to: usize) -> u32 {
-        if self.single_chip() {
-            return self.intra.topo().hops(from, to);
-        }
-        let (x0, y0) = self.global_coords(from);
-        let (x1, y1) = self.global_coords(to);
-        (x0.abs_diff(x1) + y0.abs_diff(y1)) as u32
-    }
-
     /// The nested weighted distance table: every crossbar pair priced by
     /// `HierTopology::weighted_router_distance` (crossbar `k` sits on
     /// router `k`), so `CutHops`, placement, and co-optimization see

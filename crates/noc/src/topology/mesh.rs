@@ -201,12 +201,6 @@ impl Topology for Mesh2D {
         }
     }
 
-    fn hops(&self, from: usize, to: usize) -> u32 {
-        let (x0, y0) = self.coords(from);
-        let (x1, y1) = self.coords(to);
-        (x0.abs_diff(x1) + y0.abs_diff(y1)) as u32
-    }
-
     /// Dimension-ordered Steiner approximation (`grid_steiner_routes`).
     /// Connect hops reuse the mesh's destination-spread VC label
     /// (`d % vc_count`), and the realized turns stay inside the west-first

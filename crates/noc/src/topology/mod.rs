@@ -122,15 +122,12 @@ pub trait Topology: Send + Sync {
             .collect()
     }
 
-    /// Hop count of the deterministic route between two routers.
-    ///
-    /// Default implementation walks [`Topology::route_next`]; override for
-    /// analytic forms.
+    /// Hop count of the deterministic route between two routers: the
+    /// length of the [`Topology::route_next`] walk.
     ///
     /// # Panics
     ///
-    /// The default panics if the route stalls or loops ([`check_routes`]
-    /// says which).
+    /// Panics if the route stalls or loops ([`check_routes`] says which).
     fn hops(&self, from: usize, to: usize) -> u32 {
         let (mut cur, mut n) = (from, 0);
         for (next, _) in route_hops(self, from, to, 1) {

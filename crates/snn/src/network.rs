@@ -67,11 +67,6 @@ pub enum ConnectPattern {
     Full,
     /// Neuron `i` connects to neuron `i`; requires equal group sizes.
     OneToOne,
-    /// Every pre-post pair connects independently with probability `p`.
-    Random {
-        /// Connection probability in `[0, 1]`.
-        p: f64,
-    },
     /// 2-D neighborhood (convolution-style) kernel: both groups are
     /// interpreted as `width × height` grids and each post-neuron receives
     /// from the `(2r+1)²` pre-neurons centered at its own coordinate
@@ -351,9 +346,7 @@ fn validate_pattern(pattern: &ConnectPattern, pre: u32, post: u32) -> Result<(),
             pre: pre as usize,
             post: post as usize,
         }),
-        ConnectPattern::Random { p } | ConnectPattern::RecurrentRandom { p }
-            if !(0.0..=1.0).contains(p) =>
-        {
+        ConnectPattern::RecurrentRandom { p } if !(0.0..=1.0).contains(p) => {
             Err(SnnError::InvalidParameter {
                 name: "p",
                 value: p.to_string(),
@@ -402,22 +395,6 @@ fn expand_pattern<F: FnMut(u32, u32)>(
         ConnectPattern::OneToOne => {
             for i in 0..pre_g.size {
                 emit(i, i);
-            }
-        }
-        ConnectPattern::Random { p } => {
-            // pattern-local deterministic stream so group order doesn't
-            // perturb other projections
-            let mut rng =
-                rand::rngs::StdRng::seed_from_u64((pre_g.first as u64) << 32 | post_g.first as u64);
-            for i in 0..pre_g.size {
-                for j in 0..post_g.size {
-                    if recurrent_same && i == j {
-                        continue;
-                    }
-                    if rng.gen_bool(*p) {
-                        emit(i, j);
-                    }
-                }
             }
         }
         ConnectPattern::RecurrentRandom { p } => {
@@ -573,7 +550,7 @@ mod tests {
             .connect(
                 a,
                 c,
-                ConnectPattern::Random { p: 1.5 },
+                ConnectPattern::RecurrentRandom { p: 1.5 },
                 WeightInit::Constant(1.0),
                 1,
             )
@@ -588,7 +565,7 @@ mod tests {
             b.connect(
                 a,
                 c,
-                ConnectPattern::Random { p: 0.3 },
+                ConnectPattern::RecurrentRandom { p: 0.3 },
                 WeightInit::Constant(1.0),
                 1,
             )

@@ -16,17 +16,20 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the pair-based STDP rule.
+/// Presynaptic trace time constant τ₊ (ms).
+pub const TAU_PLUS_MS: f32 = 20.0;
+
+/// Postsynaptic trace time constant τ₋ (ms).
+pub const TAU_MINUS_MS: f32 = 20.0;
+
+/// Parameters of the pair-based STDP rule. The trace time constants are
+/// fixed at [`TAU_PLUS_MS`] and [`TAU_MINUS_MS`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StdpConfig {
     /// Potentiation amplitude A₊.
     pub a_plus: f32,
     /// Depression amplitude A₋.
     pub a_minus: f32,
-    /// Presynaptic trace time constant (ms).
-    pub tau_plus: f32,
-    /// Postsynaptic trace time constant (ms).
-    pub tau_minus: f32,
     /// Lower weight bound.
     pub w_min: f32,
     /// Upper weight bound.
@@ -44,8 +47,6 @@ impl Default for StdpConfig {
         Self {
             a_plus: 0.01,
             a_minus: 0.012,
-            tau_plus: 20.0,
-            tau_minus: 20.0,
             w_min: 0.0,
             w_max: 1.0,
             normalize_every: None,
@@ -71,8 +72,8 @@ impl StdpState {
             config,
             x_pre: vec![0.0; num_neurons],
             x_post: vec![0.0; num_neurons],
-            decay_pre: (-dt_ms / config.tau_plus).exp(),
-            decay_post: (-dt_ms / config.tau_minus).exp(),
+            decay_pre: (-dt_ms / TAU_PLUS_MS).exp(),
+            decay_post: (-dt_ms / TAU_MINUS_MS).exp(),
         }
     }
 

@@ -7,6 +7,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> modes no caller selects (must equal scripts/unselected_modes.allow)"
+# a variant no non-test code builds or a config field no non-test code
+# sets is deleted, made a constant, or listed in the allow file with its
+# reason in ROADMAP.md; a diff line names the mode that is new or gone
+diff <(grep -v '^#' scripts/unselected_modes.allow) <(scripts/unselected_modes.sh) \
+  || { echo "unselected modes differ from scripts/unselected_modes.allow"; exit 1; }
+
 echo "==> build (release)"
 cargo build --release
 

@@ -290,7 +290,6 @@ proptest! {
         let cfg = PlaceConfig {
             restarts: 3,
             sa_moves: 200,
-            greedy_passes: 4,
             threads: 1,
             ..PlaceConfig::default()
         };
@@ -333,7 +332,6 @@ proptest! {
         let cfg = PlaceConfig {
             restarts,
             sa_moves: 150,
-            greedy_passes: 3,
             threads: 1,
             ..PlaceConfig::default()
         };
