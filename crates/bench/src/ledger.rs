@@ -16,9 +16,12 @@
 //! [`Ledger::publish`] last: the JSON is written first, so a failing run
 //! leaves its numbers on disk, and the `Err` names every gate that
 //! failed. The gates run on every bench run, `NEUROMAP_BENCH_FAST=1`
-//! smoke runs (what `scripts/verify.sh` does) included.
+//! smoke runs (what `scripts/verify.sh` does) included; a smoke run's
+//! 1-sample file goes under `target/`, so it never overwrites the tracked
+//! 10-sample one.
 
 use criterion::Summary;
+use std::path::Path;
 
 /// How two rows of one bench group pair up: `(baseline, candidate,
 /// higher_is_better)`. A row whose id has the path segment `baseline`
@@ -260,8 +263,9 @@ fn to_json(rows: &[Summary], ratios: &[Ratio]) -> String {
 }
 
 impl Ledger {
-    /// Pairs `rows`, writes `<repo root>/<file>`, prints the ratios, then
-    /// enforces the row rule and the gate table.
+    /// Pairs `rows`, writes `<repo root>/<file>` (`<repo root>/target/<file>`
+    /// under `NEUROMAP_BENCH_FAST=1`), prints the ratios, then enforces the
+    /// row rule and the gate table.
     ///
     /// # Errors
     ///
@@ -272,15 +276,24 @@ impl Ledger {
     /// Panics if the file cannot be written.
     pub fn publish(&self, rows: &[Summary]) -> Result<(), String> {
         let ratios = paired_ratios(rows, self.pairings);
-        let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), self.file);
-        std::fs::write(&path, to_json(rows, &ratios))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        // a smoke run's 1-sample numbers only show that the benches run
+        let smoke = std::env::var("NEUROMAP_BENCH_FAST").is_ok_and(|v| v == "1");
+        let file = if smoke {
+            format!("target/{}", self.file)
+        } else {
+            self.file.to_owned()
+        };
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(&file);
+        std::fs::create_dir_all(path.parent().expect("a file path"))
+            .and_then(|()| std::fs::write(&path, to_json(rows, &ratios)))
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         for r in &ratios {
             println!("ratio {:<44} {:>8.2}x", r.id, r.speedup);
         }
         println!(
-            "wrote {} ({} ratios, {} rows)",
-            self.file,
+            "wrote {file} ({} ratios, {} rows)",
             ratios.len(),
             rows.len()
         );

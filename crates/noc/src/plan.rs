@@ -685,7 +685,7 @@ impl Slab {
 pub(crate) mod tests {
     use super::*;
     use crate::sched::Sched;
-    use crate::sim::{egress_ports, oracle::Sweep};
+    use crate::sim::{oracle::Sweep, Fabric};
     use crate::topology::{HierTopology, Mesh2D, NocTree, Star, Torus};
     use std::sync::Arc;
 
@@ -853,9 +853,9 @@ pub(crate) mod tests {
             (Arc::new(SharedLine), 2, true),
         ];
         for (topo, vcs, trees) in fabrics {
-            let ports = egress_ports(topo.as_ref()).expect("bidirectional");
+            let fabric = Fabric::new(topo.as_ref(), vcs).expect("valid");
             // the oracle's from-scratch walk: what every branch slot must equal
-            let walk = Sweep::build(&topo, &ports, vcs, false);
+            let walk = Sweep::build(&topo, &Arc::new(fabric), false);
             let topo = topo.as_ref();
             let flows = random_flows(topo.num_crossbars() as u32, 0x5eed + vcs as u64);
             for flows in [flows.clone(), single_destination(&flows)] {

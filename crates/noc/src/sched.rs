@@ -6,9 +6,10 @@
 //! it — [`crate::sim::oracle::Sweep`] (every pair, every cycle, everything
 //! asked of the topology afresh) and [`PortSched`], the per-pair wake
 //! scheduler behind [`crate::sim::NocSim`]. Every output port of every
-//! router gets a dense *pair id* (`port_base[r] + o`), ordered exactly
-//! like the sweep (routers ascending, ports in neighbor order), and three
-//! structures drive [`PortSched`]'s clock:
+//! router has the dense *pair id* the run's one index
+//! ([`crate::sim::Fabric`]) gives it, ordered exactly like the sweep
+//! (routers ascending, ports in neighbor order), and three structures
+//! drive [`PortSched`]'s clock:
 //!
 //! * a **ready bitset** of pair ids due this cycle, walked by a scan
 //!   cursor — membership is the bit itself, so waking an already-queued
@@ -46,15 +47,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::sim::Queues;
+use crate::sim::{Fabric, Queues, NO_PAIR};
 use crate::stats::SchedCounters;
 use crate::topology::Topology;
 
-/// Sentinel pair id for "no upstream pair" (local-injection lanes).
-const NO_PAIR: u32 = u32::MAX;
-
 /// Wake position meaning "before the sweep started": every woken pair is
-/// still ahead, so all wakes go to the ready heap.
+/// still ahead, so all wakes join this cycle's ready set.
 pub(crate) const PRE_SWEEP: u32 = 0;
 
 /// The scheduling policy `sim::simulate` is generic over (statically
@@ -71,17 +69,11 @@ pub(crate) trait Sched: Sized {
     /// ([`crate::stats::SimTrace`], [`crate::config::NocConfig::sched_stats`]).
     const SELECTIVE: bool;
 
-    /// Builds the policy for one run. `ports[r]` lists router `r`'s
-    /// egress ports as `(neighbor, our position on the neighbor)`; `tree`
-    /// says the plan follows multicast trees, which only their own paths
-    /// describe — a policy that re-derives wants from the unicast routes
-    /// must read the plan's slots instead.
-    fn build(
-        topo: &Arc<dyn Topology>,
-        ports: &[Vec<(usize, usize)>],
-        vcs: usize,
-        tree: bool,
-    ) -> Self;
+    /// Builds the policy for one run over the fabric's pair and lane
+    /// numbering; `tree` says the plan follows multicast trees, which only
+    /// their own paths describe — a policy that re-derives wants from the
+    /// unicast routes must read the plan's slots instead.
+    fn build(topo: &Arc<dyn Topology>, fabric: &Arc<Fabric>, tree: bool) -> Self;
 
     /// Starts the attended cycle `now`.
     fn begin_cycle(&mut self, now: u64);
@@ -150,27 +142,19 @@ fn bit_clear(bits: &mut [u64], i: usize) {
 
 /// The per-(router, output-port) wake scheduler (see the module docs).
 pub(crate) struct PortSched {
+    fabric: Arc<Fabric>,
     vcs: usize,
-    /// Pair id of router `r`'s port 0; last entry = total pair count.
-    port_base: Vec<u32>,
-    /// Router owning each pair id.
-    router_of: Vec<u32>,
-    /// Flat lane-slot base per router (slot = `lane_base[r] + fi`).
-    lane_base: Vec<u32>,
-    /// 64-bit words per lane head mask, per router.
-    mask_words: Vec<u32>,
-    /// Word offset of router `r`'s lane-0 mask.
-    mask_base: Vec<u32>,
-    /// Wanted-(port, VC) bitmask per lane head (zero for empty lanes).
+    /// 64-bit words per lane head mask: enough for the widest router's
+    /// `(port, VC)` slots.
+    words: usize,
+    /// Wanted-(port, VC) bitmask per lane head (zero for empty lanes),
+    /// `words` words from `lane id × words`.
     head_mask: Vec<u64>,
     /// Heads currently wanting `(pair, w)`, indexed `pair * vcs + w`.
     want: Vec<u32>,
     /// Blocked bit per `(pair, w)`: a head wants it but the downstream
     /// lane was credit-full at the pair's last idle sweep.
     blocked: Vec<u64>,
-    /// Upstream pair feeding each ingress lane slot (`NO_PAIR` for the
-    /// local-injection lane 0).
-    ups_pair: Vec<u32>,
     /// Ready-set bitset (bit = pair id is due this cycle).
     ready: Vec<u64>,
     /// Word index the ascending ready scan has reached this cycle.
@@ -189,59 +173,18 @@ pub(crate) struct PortSched {
 }
 
 impl PortSched {
-    /// Builds the scheduler over the router graph (`ports` as in
-    /// [`Sched::build`]). It holds no routes: what a head wants arrives
-    /// with [`Sched::set_head`].
-    pub(crate) fn new(ports: &[Vec<(usize, usize)>], vcs: usize) -> Self {
-        let nr = ports.len();
-        let mut port_base = Vec::with_capacity(nr + 1);
-        let mut lane_base = Vec::with_capacity(nr + 1);
-        let mut mask_words = Vec::with_capacity(nr);
-        let mut mask_base = Vec::with_capacity(nr);
-        let (mut pairs, mut lanes, mut words) = (0u32, 0u32, 0u32);
-        for p in ports {
-            let deg = p.len();
-            let nf = 1 + deg * vcs;
-            port_base.push(pairs);
-            lane_base.push(lanes);
-            mask_base.push(words);
-            let w = ((deg * vcs).max(1)).div_ceil(64) as u32;
-            mask_words.push(w);
-            pairs += deg as u32;
-            lanes += nf as u32;
-            words += nf as u32 * w;
-        }
-        port_base.push(pairs);
-        lane_base.push(lanes);
-
-        let mut router_of = vec![0u32; pairs as usize];
-        let mut ups_pair = vec![NO_PAIR; lanes as usize];
-        for (r, p) in ports.iter().enumerate() {
-            for o in 0..p.len() {
-                router_of[(port_base[r] + o as u32) as usize] = r as u32;
-            }
-            // the lane block of our ingress port `pos` is fed by that
-            // neighbor's egress pair pointing back at us
-            for (pos, &(nbr, back)) in p.iter().enumerate() {
-                let up = port_base[nbr] + back as u32;
-                for w in 0..vcs {
-                    ups_pair[(lane_base[r] + 1 + (pos * vcs + w) as u32) as usize] = up;
-                }
-            }
-        }
-
-        let p = pairs as usize;
+    /// Builds the scheduler over the fabric's numbering. It holds no
+    /// routes: what a head wants arrives with [`Sched::set_head`].
+    pub(crate) fn new(fabric: &Arc<Fabric>) -> Self {
+        let (vcs, p) = (fabric.vcs, fabric.links.len());
+        let words = fabric.slots.max(1).div_ceil(64);
         Self {
+            fabric: Arc::clone(fabric),
             vcs,
-            port_base,
-            router_of,
-            lane_base,
-            mask_words,
-            mask_base,
-            head_mask: vec![0; words as usize],
+            words,
+            head_mask: vec![0; fabric.upstream.len() * words],
             want: vec![0; p * vcs],
             blocked: vec![0; (p * vcs).div_ceil(64).max(1)],
-            ups_pair,
             ready: vec![0; p.div_ceil(64).max(1)],
             scan: 0,
             ready_len: 0,
@@ -253,10 +196,12 @@ impl PortSched {
         }
     }
 
-    /// Total (router, output-port) pair count.
-    #[cfg(test)]
-    pub(crate) fn total_pairs(&self) -> u32 {
-        *self.port_base.last().expect("non-empty")
+    /// Where lane `fi` of router `r` keeps its head mask, and the
+    /// router's first pair.
+    #[inline]
+    fn bases(&self, r: usize, fi: usize) -> (usize, usize) {
+        let fabric = &self.fabric;
+        (fabric.lane_id(r, fi) * self.words, fabric.pair_base(r))
     }
 
     fn push_ready(&mut self, pair: u32) {
@@ -301,13 +246,8 @@ impl PortSched {
 impl Sched for PortSched {
     const SELECTIVE: bool = true;
 
-    fn build(
-        _topo: &Arc<dyn Topology>,
-        ports: &[Vec<(usize, usize)>],
-        vcs: usize,
-        _tree: bool,
-    ) -> Self {
-        Self::new(ports, vcs)
+    fn build(_topo: &Arc<dyn Topology>, fabric: &Arc<Fabric>, _tree: bool) -> Self {
+        Self::new(fabric)
     }
 
     /// Rewinds the ready scan, then drains the next-cycle wake list and
@@ -343,12 +283,8 @@ impl Sched for PortSched {
                 self.scan = wi;
                 self.ready_len -= 1;
                 let pair = (wi * 64) as u32 + word.trailing_zeros();
-                let r = self.router_of[pair as usize];
-                return Some((
-                    pair,
-                    r as usize,
-                    (pair - self.port_base[r as usize]) as usize,
-                ));
+                let r = self.fabric.links[pair as usize].router as usize;
+                return Some((pair, r, pair as usize - self.fabric.pair_base(r)));
             }
             wi += 1;
         }
@@ -363,7 +299,7 @@ impl Sched for PortSched {
 
     #[inline]
     fn head_wants(&self, _q: &Queues, r: usize, fi: usize, bit: usize) -> bool {
-        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
+        let (base, _) = self.bases(r, fi);
         self.head_mask[base + bit / 64] & (1 << (bit % 64)) != 0
     }
 
@@ -388,7 +324,7 @@ impl Sched for PortSched {
     #[inline]
     fn count_visit(&mut self, pair: u32) {
         self.counters.port_wakes += 1;
-        let r = self.router_of[pair as usize];
+        let r = self.fabric.links[pair as usize].router;
         if r != self.last_router {
             self.counters.router_visits += 1;
             self.last_router = r;
@@ -404,7 +340,7 @@ impl Sched for PortSched {
     /// Wakes the upstream pair if it was blocked on that lane's VC.
     #[inline]
     fn credit_freed(&mut self, r: usize, fi: usize, pos: u32) {
-        let up = self.ups_pair[(self.lane_base[r] + fi as u32) as usize];
+        let up = self.fabric.upstream[self.fabric.lane_id(r, fi)];
         debug_assert_ne!(up, NO_PAIR, "injection lanes hold no credits");
         let w = (fi - 1) % self.vcs;
         let bi = up as usize * self.vcs + w;
@@ -419,28 +355,28 @@ impl Sched for PortSched {
     #[inline]
     fn set_head(&mut self, r: usize, fi: usize, bits: impl Iterator<Item = usize>, pos: u32) {
         self.counters.head_updates += 1;
-        let words = self.mask_words[r] as usize;
-        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
+        let (base, pair_base) = self.bases(r, fi);
         debug_assert!(
-            self.head_mask[base..base + words].iter().all(|&m| m == 0),
+            self.head_mask[base..base + self.words]
+                .iter()
+                .all(|&m| m == 0),
             "stale head mask"
         );
-        let want_base = self.port_base[r] as usize * self.vcs;
+        let want_base = pair_base * self.vcs;
         for bit in bits {
             let (wi, wb) = (base + bit / 64, 1u64 << (bit % 64));
             debug_assert!(self.head_mask[wi] & wb == 0, "a chain's slots are distinct");
             self.head_mask[wi] |= wb;
             self.want[want_base + bit] += 1;
-            self.wake(self.port_base[r] + (bit / self.vcs) as u32, pos);
+            self.wake((pair_base + bit / self.vcs) as u32, pos);
         }
     }
 
     #[inline]
     fn clear_head(&mut self, r: usize, fi: usize) {
-        let words = self.mask_words[r] as usize;
-        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
-        let want_base = self.port_base[r] as usize * self.vcs;
-        for wi in 0..words {
+        let (base, pair_base) = self.bases(r, fi);
+        let want_base = pair_base * self.vcs;
+        for wi in 0..self.words {
             let mut m = self.head_mask[base + wi];
             self.head_mask[base + wi] = 0;
             while m != 0 {
@@ -453,11 +389,11 @@ impl Sched for PortSched {
 
     #[inline]
     fn shrink_head(&mut self, r: usize, fi: usize, bit: usize) {
-        let base = (self.mask_base[r] + fi as u32 * self.mask_words[r]) as usize;
+        let (base, pair_base) = self.bases(r, fi);
         let (wi, wb) = (base + bit / 64, 1u64 << (bit % 64));
         debug_assert!(self.head_mask[wi] & wb != 0, "split bit not in mask");
         self.head_mask[wi] &= !wb;
-        self.want[self.port_base[r] as usize * self.vcs + bit] -= 1;
+        self.want[pair_base * self.vcs + bit] -= 1;
     }
 
     #[inline]
@@ -479,24 +415,34 @@ impl Sched for PortSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Mesh2D, Star};
+
+    fn sched_over(topo: &dyn Topology, vcs: usize) -> PortSched {
+        PortSched::new(&Arc::new(Fabric::new(topo, vcs).expect("valid")))
+    }
 
     /// 2-router line, 1 VC: router 0 ↔ router 1, one crossbar each.
     fn line_sched() -> PortSched {
-        let ports = vec![vec![(1usize, 0usize)], vec![(0usize, 0usize)]];
-        PortSched::new(&ports, 1)
+        sched_over(&Mesh2D::for_crossbars(2), 1)
     }
 
     #[test]
     fn pair_ids_follow_sweep_order() {
-        let ports = vec![
-            vec![(1, 0), (2, 0)], // router 0: 2 ports → pairs 0, 1
-            vec![(0, 0)],         // router 1: pair 2
-            vec![(0, 1)],         // router 2: pair 3
-        ];
-        let s = PortSched::new(&ports, 2);
-        assert_eq!(s.total_pairs(), 4);
-        assert_eq!(s.port_base, vec![0, 2, 3, 4]);
-        assert_eq!(s.router_of, vec![0, 0, 1, 2]);
+        // leaves 0 and 1 (one port each: pairs 0, 1), hub 2 (pairs 2, 3)
+        let fabric = Fabric::new(&Star::new(2), 2).expect("valid");
+        assert_eq!(fabric.links.len(), 4);
+        let base: Vec<_> = (0..3).map(|r| fabric.pair_base(r)).collect();
+        assert_eq!(base, vec![0, 1, 2]);
+        let routers: Vec<_> = fabric.links.iter().map(|l| l.router).collect();
+        assert_eq!(routers, vec![0, 1, 2, 2]);
+        // lanes router by router: 1 + 1 × 2, 1 + 1 × 2, 1 + 2 × 2
+        let first_lanes: Vec<_> = (0..3).map(|r| fabric.lane_id(r, 0)).collect();
+        assert_eq!(first_lanes, vec![0, 3, 6]);
+        assert_eq!(fabric.upstream.len(), 11);
+        // leaf 0 → hub lands on the hub's first ingress lane, and back
+        let [up, back] = [0, 2].map(|p| fabric.links[p]);
+        assert_eq!((up.to, up.down, up.ingress), (2, 7, 1));
+        assert_eq!((back.to, back.down, back.ingress), (0, 1, 1));
     }
 
     #[test]
@@ -515,8 +461,7 @@ mod tests {
 
     #[test]
     fn in_sweep_wakes_split_by_position() {
-        let ports = vec![vec![(1, 0), (2, 0)], vec![(0, 0)], vec![(0, 1)]];
-        let (mut s, net) = (PortSched::new(&ports, 1), Queues::default());
+        let (mut s, net) = (sched_over(&Star::new(2), 1), Queues::default());
         // processing pair 1 (pos = 2): pair 3 is ahead → ready now;
         // pair 0 is behind → next cycle; pair 1 itself → skipped
         s.wake(3, 2);
@@ -577,28 +522,47 @@ mod tests {
 
     #[test]
     fn sweep_and_fully_woken_port_sched_agree_on_pair_order() {
-        use crate::sim::{egress_ports, oracle::Sweep};
-        use crate::topology::{NocTree, Star};
+        use crate::sim::oracle::Sweep;
+        use crate::topology::{HierTopology, NocTree, Torus};
 
         // byte identity rests on "ascending pair id is the sweep order":
         // both policies must hand out the same (pair, router, port) triples
         // (that the plan's slots equal the sweep's from-scratch route walk
         // is `plan::tests`' half of this)
-        let irregular: [Arc<dyn Topology>; 2] =
-            [Arc::new(NocTree::new(8, 2)), Arc::new(Star::new(5))];
-        for topo in irregular {
-            let ports = egress_ports(topo.as_ref()).expect("bidirectional");
-            let mut woken = PortSched::build(&topo, &ports, 1, false);
-            let mut sweep = Sweep::build(&topo, &ports, 1, false);
-            woken.begin_cycle(0);
-            sweep.begin_cycle(0);
-            for pair in 0..woken.total_pairs() {
-                woken.wake(pair, PRE_SWEEP);
+        let fabrics: [Arc<dyn Topology>; 5] = [
+            Arc::new(NocTree::new(8, 2)),
+            Arc::new(Star::new(5)),
+            Arc::new(Mesh2D::for_crossbars(12)),
+            Arc::new(Torus::for_crossbars(16)),
+            Arc::new(HierTopology::mesh(2, 2, 2, 2, 16, 3, 2).expect("valid")),
+        ];
+        for topo in fabrics {
+            for vcs in [1, 2] {
+                let fabric = Arc::new(Fabric::new(topo.as_ref(), vcs).expect("valid"));
+                let mut woken = PortSched::build(&topo, &fabric, false);
+                let mut sweep = Sweep::build(&topo, &fabric, false);
+                woken.begin_cycle(0);
+                sweep.begin_cycle(0);
+                for pair in 0..fabric.links.len() as u32 {
+                    woken.wake(pair, PRE_SWEEP);
+                }
+                let expected: Vec<_> = std::iter::from_fn(|| sweep.next_pair()).collect();
+                let got: Vec<_> = std::iter::from_fn(|| woken.next_pair()).collect();
+                assert_eq!(expected.len(), fabric.links.len());
+                assert_eq!(got, expected, "{} at {vcs} VCs", topo.name());
+                // every ingress lane's upstream pair leads back to it
+                for r in 0..fabric.routers() {
+                    assert_eq!(fabric.upstream[fabric.lane_id(r, 0)], NO_PAIR);
+                    for fi in 1..fabric.lanes(r) {
+                        let lane = fabric.lane_id(r, fi);
+                        let link = fabric.links[fabric.upstream[lane] as usize];
+                        let w = (fi - 1) % vcs;
+                        assert_eq!(link.to as usize, r, "{} lane {lane}", topo.name());
+                        assert_eq!(link.down as usize + w, lane, "{} lane {lane}", topo.name());
+                        assert_eq!(link.ingress as usize + w, fi, "{} lane {lane}", topo.name());
+                    }
+                }
             }
-            let expected: Vec<_> = std::iter::from_fn(|| sweep.next_pair()).collect();
-            let got: Vec<_> = std::iter::from_fn(|| woken.next_pair()).collect();
-            assert_eq!(expected.len(), woken.total_pairs() as usize);
-            assert_eq!(got, expected, "{}", topo.name());
         }
     }
 }

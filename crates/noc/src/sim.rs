@@ -86,9 +86,10 @@
 //! exactly when, at `r`'s position in the cycle-`t` sweep, three
 //! conditions meet: the port is **idle** (`busy_until[o] <= t`), some
 //! FIFO head at `r` **wants** an `(o, w)` slot, and the downstream
-//! `(ingress, w)` lane has a **free credit**. Both policies give every
-//! pair the dense id `port_base[r] + o`, so ascending pair id *is* the
-//! sweep order, and `PortSched` maintains:
+//! `(ingress, w)` lane has a **free credit**. Both policies number the
+//! pairs by the run's one index, `Fabric` (router `r`'s port `o` is
+//! pair `pair_base(r) + o`), so ascending pair id *is* the sweep order,
+//! and `PortSched` maintains:
 //!
 //! > every transition that can switch a pair's three-way conjunction from
 //! > false to true schedules a wake for exactly that pair, at exactly the
@@ -165,19 +166,12 @@ pub enum EngineKind {
 struct Arrival {
     cycle: u64,
     router: usize,
-    /// FIFO *lane* on the receiving router ([`lane`]:
-    /// `1 + ingress_port * vc_count + vc`). The lane identifies both
-    /// which per-VC FIFO the packet enters and which credit it holds.
+    /// FIFO *lane* on the receiving router, numbered on that router
+    /// (`1 + ingress_port * vc_count + vc`, see [`Fabric`]). The lane
+    /// identifies both which per-VC FIFO the packet enters and which
+    /// credit it holds.
     ingress: usize,
     pid: u32,
-}
-
-/// FIFO-lane index of `(ingress port position, virtual channel)`; lane 0
-/// is the VC-less local-injection queue. With one VC this is the classic
-/// `1 + position` ingress index, so the layout (and therefore every
-/// cursor and credit index) is bit-compatible with the pre-VC engines.
-fn lane(position: usize, vc: usize, vc_count: usize) -> usize {
-    1 + position * vc_count + vc
 }
 
 /// SNN duration implied by a flow set: one step past the last send step.
@@ -465,46 +459,175 @@ struct Lane {
     len: u32,
 }
 
-/// Per-router runtime state.
-struct RouterState {
-    /// Input FIFO lanes: lane 0 = local injection, then one lane per
-    /// `(ingress port, VC)` pair in [`lane`] order.
-    lanes: Vec<Lane>,
-    /// Arbitration cursor per `(output port, VC)`:
-    /// `rr_cursor[o * vc_count + vc]`, over FIFO-lane indices.
-    rr_cursor: Vec<usize>,
-    /// Round-robin cursor over VCs, per output port.
-    vc_cursor: Vec<usize>,
-    /// Output port busy (serializing) until this cycle (exclusive).
-    busy_until: Vec<u64>,
-    /// Credits consumed on each ingress FIFO lane of *this* router
-    /// (occupancy + packets already in flight toward it).
-    credits_used: Vec<usize>,
-    /// Packets currently queued across this router's FIFOs.
-    queued: usize,
+/// Sentinel pair id for "no upstream pair" (local-injection lanes).
+pub(crate) const NO_PAIR: u32 = u32::MAX;
+
+/// Where one `(router, output port)` pair leads.
+#[derive(Clone, Copy)]
+pub(crate) struct Link {
+    /// The router the port belongs to.
+    pub(crate) router: u32,
+    /// The neighbor it leads to.
+    pub(crate) to: u32,
+    /// Lane id of the downstream `(ingress, VC 0)` lane; VC `w`'s is
+    /// `down + w`.
+    pub(crate) down: u32,
+    /// The same lane numbered on `to`, as traces and [`Arrival`]s name it.
+    pub(crate) ingress: u32,
 }
 
-/// The queue state of the fabric: every router's lanes, the handles they
-/// link, and the plan the handles point into. [`Sched`]
-/// queries get it read-only so a policy may look at the lane heads
-/// themselves (`Sweep` does; `PortSched` answers from its own tables).
+/// The run's one numbering of the fabric's `(router, output port)`
+/// *pairs* and FIFO *lanes*, read by the router loop and `PortSched`.
+///
+/// Pair ids ascend in sweep order (routers ascending, ports in neighbor
+/// order): router `r`'s port `o` is pair `pair_base(r) + o`. Router `r`
+/// numbers its `1 + degree × VCs` lanes `fi`: 0 is the local-injection
+/// queue, `1 + p × VCs + w` the FIFO of ingress position `p`, VC `w`. Lane
+/// ids run router by router: `lane_id(r, fi)`. Per pair the index records
+/// the downstream lane, per lane the upstream pair.
+#[derive(Default)]
+pub(crate) struct Fabric {
+    pub(crate) vcs: usize,
+    /// `(port, VC)` slots of the widest router.
+    pub(crate) slots: usize,
+    /// Pair id of router `r`'s port 0; the last entry is the pair count.
+    pair_base: Vec<u32>,
+    /// By pair id.
+    pub(crate) links: Vec<Link>,
+    /// The pair feeding each lane ([`NO_PAIR`] for injection lanes).
+    pub(crate) upstream: Vec<u32>,
+}
+
+impl Fabric {
+    /// Numbers the pairs and lanes of `topo` at `vcs` VCs. The only
+    /// function that assigns either id.
+    ///
+    /// # Errors
+    ///
+    /// [`NocError::InvalidConfig`] `{ name: "topology" }` for a neighbor or
+    /// an endpoint outside `0..num_routers()`, for a router that lists a
+    /// neighbor twice (the port toward a next hop must be unique) and for
+    /// a one-way link (credits flow back over the link a packet came by);
+    /// `{ name: "vc_count" }` when the widest router has more `(port, VC)`
+    /// slots than the `u16` the plan and `PortSched` store a slot in.
+    pub(crate) fn new(topo: &dyn Topology, vcs: usize) -> Result<Self, NocError> {
+        let nr = topo.num_routers();
+        let invalid = |value| NocError::InvalidConfig {
+            name: "topology",
+            value,
+        };
+        // `(router, neighbor, our port position on the neighbor)` per pair
+        let mut ports = Vec::new();
+        let mut pair_base = vec![0];
+        for r in 0..nr {
+            let nbrs = topo.neighbors(r);
+            for (i, &nbr) in nbrs.iter().enumerate() {
+                if nbr >= nr {
+                    return Err(invalid(format!(
+                        "router {r} lists {nbr} as a neighbor, but there are {nr} routers"
+                    )));
+                }
+                if nbrs[..i].contains(&nbr) {
+                    return Err(invalid(format!(
+                        "router {r} lists {nbr} twice: parallel links are unsupported"
+                    )));
+                }
+                let back = topo.neighbors(nbr).iter().position(|&x| x == r);
+                let back = back.ok_or_else(|| {
+                    invalid(format!(
+                        "router {r} lists {nbr} as a neighbor, but {nbr} does not list {r}: \
+                         links must be bidirectional"
+                    ))
+                })?;
+                ports.push((r, nbr, back));
+            }
+            pair_base.push(ports.len() as u32);
+        }
+        // a wider router would wrap a `u16` slot silently, so refuse it
+        // before the plan or either policy is built
+        let widest = pair_base.windows(2).map(|w| w[1] - w[0]).max();
+        let slots = widest.unwrap_or(0) as usize * vcs;
+        if slots > usize::from(u16::MAX) + 1 {
+            return Err(NocError::InvalidConfig {
+                name: "vc_count",
+                value: format!("{vcs} (× widest router = {slots} (port, VC) slots, limit 65536)"),
+            });
+        }
+        for k in 0..topo.num_crossbars() as u32 {
+            let r = topo.endpoint(k);
+            if r >= nr {
+                return Err(invalid(format!(
+                    "crossbar {k} attaches to router {r}, but there are {nr} routers"
+                )));
+            }
+        }
+        let mut fabric = Self {
+            vcs,
+            slots,
+            pair_base,
+            links: Vec::with_capacity(ports.len()),
+            upstream: vec![NO_PAIR; nr + ports.len() * vcs],
+        };
+        for (pair, &(r, to, back)) in ports.iter().enumerate() {
+            let ingress = 1 + back * vcs;
+            let down = fabric.lane_id(to, ingress);
+            fabric.upstream[down..down + vcs].fill(pair as u32);
+            fabric.links.push(Link {
+                router: r as u32,
+                to: to as u32,
+                down: down as u32,
+                ingress: ingress as u32,
+            });
+        }
+        Ok(fabric)
+    }
+
+    /// Routers of the fabric.
+    pub(crate) fn routers(&self) -> usize {
+        self.pair_base.len() - 1
+    }
+
+    /// Pair id of router `r`'s port 0.
+    #[inline]
+    pub(crate) fn pair_base(&self, r: usize) -> usize {
+        self.pair_base[r] as usize
+    }
+
+    /// FIFO lanes of router `r` (`1 + degree × VCs`).
+    #[inline]
+    pub(crate) fn lanes(&self, r: usize) -> usize {
+        1 + (self.pair_base(r + 1) - self.pair_base(r)) * self.vcs
+    }
+
+    /// Lane id of router `r`'s lane `fi`.
+    #[inline]
+    pub(crate) fn lane_id(&self, r: usize, fi: usize) -> usize {
+        r + self.pair_base(r) * self.vcs + fi
+    }
+}
+
+/// The queue state of the fabric: every lane, the output ports' busy
+/// clocks, the handles the lanes link, and the plan the handles point
+/// into. [`Sched`] queries get it read-only so a policy may look at the
+/// lane heads themselves (`Sweep` does; `PortSched` answers from its own
+/// tables).
 #[derive(Default)]
 pub(crate) struct Queues {
-    routers: Vec<RouterState>,
+    fabric: Arc<Fabric>,
+    /// By lane id.
+    lanes: Vec<Lane>,
+    /// Output port busy (serializing) until this cycle (exclusive), by
+    /// pair id.
+    busy_until: Vec<u64>,
     slab: Slab,
     plan: Plan,
 }
 
 impl Queues {
-    /// FIFO lanes of router `r` (`1 + degree × VCs`).
-    pub(crate) fn lanes(&self, r: usize) -> usize {
-        self.routers[r].lanes.len()
-    }
-
     /// The members of the packet at the head of router `r`'s lane `fi`:
     /// one per branch still to leave (none when the lane is empty).
     pub(crate) fn head(&self, r: usize, fi: usize) -> impl Iterator<Item = &Handle> + '_ {
-        let lane = &self.routers[r].lanes[fi];
+        let lane = &self.lanes[self.fabric.lane_id(r, fi)];
         self.slab.chain(if lane.len == 0 { NIL } else { lane.head })
     }
 
@@ -512,45 +635,6 @@ impl Queues {
     pub(crate) fn plan(&self) -> &Plan {
         &self.plan
     }
-}
-
-/// Per-router egress ports: `(neighbor, our port position on the
-/// neighbor)` — the downstream lane is derived per VC via [`lane`].
-///
-/// # Errors
-///
-/// [`NocError::InvalidConfig`] `{ name: "topology" }` for a one-way link
-/// (credits flow back over the link a packet came by, so every neighbor
-/// must list the router in return) and for a router that lists a
-/// neighbor twice (the port toward a next hop must be unique).
-pub(crate) fn egress_ports(topo: &dyn Topology) -> Result<Vec<Vec<(usize, usize)>>, NocError> {
-    (0..topo.num_routers())
-        .map(|r| {
-            let nbrs = topo.neighbors(r);
-            nbrs.iter()
-                .enumerate()
-                .map(|(i, &nbr)| {
-                    if nbrs[..i].contains(&nbr) {
-                        return Err(NocError::InvalidConfig {
-                            name: "topology",
-                            value: format!(
-                                "router {r} lists {nbr} twice: parallel links are unsupported"
-                            ),
-                        });
-                    }
-                    let back = topo.neighbors(nbr).iter().position(|&x| x == r);
-                    let down_pos = back.ok_or_else(|| NocError::InvalidConfig {
-                        name: "topology",
-                        value: format!(
-                            "router {r} lists {nbr} as a neighbor, but {nbr} does not list {r}: \
-                             links must be bidirectional"
-                        ),
-                    })?;
-                    Ok((nbr, down_pos))
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// The interconnect simulator: the one router model, run under the
@@ -633,7 +717,9 @@ impl NocSim {
     ///
     /// # Errors
     ///
-    /// * [`NocError::InvalidConfig`] for invalid configurations, for
+    /// * [`NocError::InvalidConfig`] for invalid configurations, for a
+    ///   topology whose neighbors or endpoints name routers outside
+    ///   `0..num_routers()` or whose links are not two-way and unique, for
     ///   a [`Topology::multicast_route`] whose paths are not link walks
     ///   to their destinations, and for a last send step whose start
     ///   cycle (`step × cycles_per_step`) overflows `u64`.
@@ -723,8 +809,7 @@ impl NocSim {
 
 /// What a run of `flows` builds before its first cycle.
 struct Setup<'f> {
-    /// [`egress_ports`] of the topology.
-    ports: Vec<Vec<(usize, usize)>>,
+    fabric: Fabric,
     nets: Nets<'f>,
     plan: Plan,
 }
@@ -740,27 +825,14 @@ impl<'f> Setup<'f> {
         flows: &'f [SpikeFlow],
     ) -> Result<Self, NocError> {
         config.validate()?;
-        let ports = egress_ports(topo)?;
-        // the plan and `PortSched` store a `(port, VC)` slot in a `u16`; a
-        // wider router would wrap there silently, so refuse it before either
-        // is built — for both policies, since both run over the one plan
-        let slots = ports.iter().map(Vec::len).max().unwrap_or(0) * config.vc_count;
-        if slots > usize::from(u16::MAX) + 1 {
-            return Err(NocError::InvalidConfig {
-                name: "vc_count",
-                value: format!(
-                    "{} (× widest router = {slots} (port, VC) slots, limit 65536)",
-                    config.vc_count
-                ),
-            });
-        }
+        let fabric = Fabric::new(topo, config.vc_count)?;
         validate_flows(topo, flows)?;
         check_clock(config, flows)?;
         // every routing question is asked here, once per net; the schedule
         // then only names each packet's net
         let nets = Nets::intern(flows);
         let plan = Plan::build(topo, config.vc_count, config.multicast_trees, &nets)?;
-        Ok(Self { ports, nets, plan })
+        Ok(Self { fabric, nets, plan })
     }
 }
 
@@ -781,7 +853,7 @@ fn run_engine<S: Sched>(
 ) -> Result<(NocStats, Vec<Delivery>), NocError> {
     *events = None;
     let start = Instant::now();
-    let Setup { ports, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
+    let Setup { fabric, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
     let setup_done = Instant::now();
     let schedule = Schedule::new(config, flows, &nets);
     let schedule_done = Instant::now();
@@ -793,14 +865,14 @@ fn run_engine<S: Sched>(
     let (deliveries, counters, per_vc, sched) = simulate::<S>(
         topo,
         config,
-        &ports,
+        &Arc::new(fabric),
         flows,
         schedule,
         plan,
         sim_trace.as_deref_mut(),
         recorded.as_mut(),
     )?;
-    drop((ports, nets));
+    drop(nets);
     *events = recorded;
     let loop_done = Instant::now();
     let mut stats = NocStats::from_deliveries(
@@ -865,7 +937,7 @@ fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> 
 fn simulate<S: Sched>(
     topo: &Arc<dyn Topology>,
     cfg: &NocConfig,
-    ports: &[Vec<(usize, usize)>],
+    fabric: &Arc<Fabric>,
     flows: &[SpikeFlow],
     mut schedule: Schedule<'_, '_>,
     plan: Plan,
@@ -873,8 +945,9 @@ fn simulate<S: Sched>(
     mut events: Option<&mut TraceBuf>,
 ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
     let vcs = cfg.vc_count;
-    let mut sched = S::build(topo, ports, vcs, plan.follows_trees());
+    let mut sched = S::build(topo, fabric, plan.follows_trees());
     let topo = topo.as_ref();
+    let fab = fabric.as_ref();
 
     // every destination of every flow becomes exactly one delivery
     let n_deliveries = flows.iter().map(|f| f.dst_crossbars.len()).sum();
@@ -882,28 +955,26 @@ fn simulate<S: Sched>(
     // handles allocated: one per injection, and per injected packet one
     // per branch point past the first way out
     let mut n_handles = 0u64;
+    let empty = Lane {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
     let mut q = Queues {
-        routers: ports
-            .iter()
-            .map(|p| RouterState {
-                lanes: vec![
-                    Lane {
-                        head: NIL,
-                        tail: NIL,
-                        len: 0
-                    };
-                    1 + p.len() * vcs
-                ],
-                rr_cursor: vec![0; p.len() * vcs],
-                vc_cursor: vec![0; p.len()],
-                busy_until: vec![0; p.len()],
-                credits_used: vec![0; 1 + p.len() * vcs],
-                queued: 0,
-            })
-            .collect(),
+        fabric: Arc::clone(fabric),
+        lanes: vec![empty; fab.upstream.len()],
+        busy_until: vec![0; fab.links.len()],
         slab: Slab::default(),
         plan,
     };
+    // credits consumed per lane (occupancy + packets already in flight
+    // toward it); the arbitration cursors, over FIFO lanes numbered on
+    // the router per `(pair, VC)` and over VCs per pair; packets queued
+    // per router
+    let mut credits_used = vec![0usize; fab.upstream.len()];
+    let mut rr_cursor = vec![0usize; fab.links.len() * vcs];
+    let mut vc_cursor = vec![0usize; fab.links.len()];
+    let mut queued = vec![0usize; fab.routers()];
     let mut counters = Counters::default();
     // per-VC counters, aggregated over all routers; empty (and never
     // updated) in the single-VC case so the serialized statistics
@@ -970,19 +1041,19 @@ fn simulate<S: Sched>(
                 }
             }
             let branches = q.plan.branches(node);
-            let state = &mut q.routers[r];
+            let lane = fab.lane_id(r, fi);
             if !branches.is_empty() {
                 // an arrival's credit stays consumed until it leaves
                 q.slab.fan_out(h, branches);
-                let lane = &mut state.lanes[fi];
-                if lane.len == 0 {
-                    lane.head = h;
+                let lane_q = &mut q.lanes[lane];
+                if lane_q.len == 0 {
+                    lane_q.head = h;
                 } else {
-                    q.slab.link_after(lane.tail, h);
+                    q.slab.link_after(lane_q.tail, h);
                 }
-                lane.tail = h;
-                lane.len += 1;
-                let occupancy = lane.len as usize;
+                lane_q.tail = h;
+                lane_q.len += 1;
+                let occupancy = lane_q.len as usize;
                 if fi > 0 {
                     // ingress lanes are the credit-bounded router
                     // buffers; lane 0 is the AER encoder's own queue
@@ -1006,7 +1077,7 @@ fn simulate<S: Sched>(
                         occupancy: occupancy as u32,
                     });
                 }
-                state.queued += 1;
+                queued[r] += 1;
                 queued_packets += 1;
                 if occupancy == 1 {
                     // the packet became a lane head
@@ -1018,8 +1089,8 @@ fn simulate<S: Sched>(
                 q.slab.release(h);
                 if fi > 0 {
                     // hand the lane's credit back
-                    state.credits_used[fi] -= 1;
-                    if state.credits_used[fi] == cfg.buffer_depth - 1 {
+                    credits_used[lane] -= 1;
+                    if credits_used[lane] == cfg.buffer_depth - 1 {
                         // full → free: a selective policy wakes the
                         // upstream pair if it was blocked
                         sched.credit_freed(r, fi, PRE_SWEEP);
@@ -1092,21 +1163,22 @@ fn simulate<S: Sched>(
         // true since it was last examined; see the module docs)
         let mut progress = false;
         while let Some((pair, r, o)) = sched.next_pair() {
-            if q.routers[r].queued == 0 {
+            if queued[r] == 0 {
                 // no heads, so no candidates (under a selective policy:
                 // the router drained since the wake was raised, e.g. a
                 // stale busy expiry)
                 continue;
             }
             sched.count_visit(pair);
-            let (nbr, down_pos) = ports[r][o];
-            if q.routers[r].busy_until[o] > now {
+            let p = pair as usize;
+            if q.busy_until[p] > now {
                 // still serializing: its expiry wake re-examines it
                 continue;
             }
             // wake position for anything this visit changes: pairs ahead
             // of `pair` see it this cycle, pairs behind see it next
             let pos = pair + 1;
+            let link = fab.links[p];
             // eligible VCs: a candidate head wants (o, w) and the
             // downstream (ingress, w) lane has a free credit. A wanted
             // VC found credit-full is reported blocked, so a selective
@@ -1116,13 +1188,13 @@ fn simulate<S: Sched>(
                 if sched.wanted(&q, pair, w) == 0 {
                     continue;
                 }
-                if q.routers[nbr].credits_used[lane(down_pos, w, vcs)] >= cfg.buffer_depth {
+                if credits_used[link.down as usize + w] >= cfg.buffer_depth {
                     sched.set_blocked(pair, w);
                     continue; // backpressure on this VC
                 }
                 eligible |= 1 << w;
             }
-            let Some(w) = pick_vc(eligible, q.routers[r].vc_cursor[o]) else {
+            let Some(w) = pick_vc(eligible, vc_cursor[p]) else {
                 continue;
             };
             if now > last_forward {
@@ -1134,19 +1206,17 @@ fn simulate<S: Sched>(
                 });
             }
             let bit = o * vcs + w;
+            let slot = p * vcs + w;
             let wants = |fi| sched.head_wants(&q, r, fi, bit);
             debug_assert_eq!(
-                (0..q.lanes(r)).filter(|&fi| wants(fi)).count() as u32,
+                (0..fab.lanes(r)).filter(|&fi| wants(fi)).count() as u32,
                 sched.wanted(&q, pair, w),
                 "the want count is the number of heads wanting the slot"
             );
-            let fi = pick_lane(q.lanes(r), q.routers[r].rr_cursor[bit], wants)
+            let fi = pick_lane(fab.lanes(r), rr_cursor[slot], wants)
                 .expect("an eligible VC has a wanting lane");
-            // everything below (until the downstream credit take)
-            // touches only router `r`: borrow it once
-            let state = &mut q.routers[r];
-            state.rr_cursor[bit] = fi + 1;
-            state.vc_cursor[o] = w + 1;
+            rr_cursor[slot] = fi + 1;
+            vc_cursor[p] = w + 1;
             if vcs > 1 {
                 per_vc[w].forwarded += 1;
                 for (w2, vc_stat) in per_vc.iter_mut().enumerate() {
@@ -1161,7 +1231,8 @@ fn simulate<S: Sched>(
             // copied. A policy that wanted a slot the plan gave the head
             // no branch for (the oracle, were the plan ever wrong about
             // the fabric) stops here.
-            let lane_q = &mut state.lanes[fi];
+            let lane = fab.lane_id(r, fi);
+            let lane_q = &mut q.lanes[lane];
             let first = lane_q.head;
             let (member, rest) = q
                 .slab
@@ -1182,12 +1253,12 @@ fn simulate<S: Sched>(
                 if events.is_some() {
                     dequeued_occ = Some(left);
                 }
-                state.queued -= 1;
+                queued[r] -= 1;
                 queued_packets -= 1;
                 sched.clear_head(r, fi);
                 if fi > 0 {
-                    state.credits_used[fi] -= 1;
-                    if state.credits_used[fi] == cfg.buffer_depth - 1 {
+                    credits_used[lane] -= 1;
+                    if credits_used[lane] == cfg.buffer_depth - 1 {
                         // full → free on our own ingress lane
                         sched.credit_freed(r, fi, pos);
                         freed_own = true;
@@ -1233,10 +1304,9 @@ fn simulate<S: Sched>(
             }
 
             counters.link_flits += flits as u64;
-            state.busy_until[o] = now + flits as u64;
+            q.busy_until[p] = now + flits as u64;
             sched.schedule_expiry(now + flits as u64, pair);
-            let down_lane = lane(down_pos, w, vcs);
-            let down_credits = &mut q.routers[nbr].credits_used[down_lane];
+            let down_credits = &mut credits_used[link.down as usize + w];
             *down_credits += 1;
             debug_assert!(
                 *down_credits <= cfg.buffer_depth,
@@ -1244,7 +1314,7 @@ fn simulate<S: Sched>(
             );
             if *down_credits == cfg.buffer_depth {
                 if let Some(t) = events.as_deref_mut() {
-                    t.credit_full(now, nbr as u32, down_lane as u32);
+                    t.credit_full(now, link.to, link.ingress + w as u32);
                 }
             }
             progress = true;
@@ -1256,8 +1326,8 @@ fn simulate<S: Sched>(
             );
             in_transit.push_back(Arrival {
                 cycle: now + hop_latency,
-                router: nbr,
-                ingress: down_lane,
+                router: link.to as usize,
+                ingress: (link.ingress as usize) + w,
                 pid: member,
             });
         }
@@ -1997,7 +2067,7 @@ mod tests {
     #[test]
     fn one_way_link_is_a_typed_error_under_both_engines() {
         // credits return over the link a packet came by; this used to
-        // panic in `egress_ports` ("links are bidirectional")
+        // panic building the port table ("links are bidirectional")
         let flows = [SpikeFlow::unicast(0, 0, 1, 0)];
         let e = both_engines(|| Box::new(OneWayLine), NocConfig::default(), &flows).unwrap_err();
         assert!(
@@ -2010,6 +2080,63 @@ mod tests {
             ),
             "{e}"
         );
+    }
+
+    /// Two linked routers, and a router 5 past them that the topology
+    /// names anyway: as crossbar 1's router, or as router 1's neighbor.
+    struct FarRouter {
+        via_endpoint: bool,
+    }
+
+    impl Topology for FarRouter {
+        fn num_routers(&self) -> usize {
+            2
+        }
+        fn num_crossbars(&self) -> usize {
+            2
+        }
+        fn endpoint(&self, k: u32) -> usize {
+            if self.via_endpoint && k == 1 {
+                5
+            } else {
+                k as usize
+            }
+        }
+        fn neighbors(&self, r: usize) -> &[usize] {
+            if self.via_endpoint {
+                [&[1][..], &[0]][r]
+            } else {
+                [&[1][..], &[0, 5]][r]
+            }
+        }
+        fn route_next(&self, _r: usize, dst: usize) -> usize {
+            dst
+        }
+        fn name(&self) -> String {
+            "far router".into()
+        }
+    }
+
+    #[test]
+    fn routers_outside_the_fabric_are_typed_errors_under_both_engines() {
+        // an endpoint past `num_routers()` used to panic indexing the
+        // plan's route table, a neighbor past it indexing the topology's
+        // own neighbor lists
+        let flows = [SpikeFlow::unicast(0, 0, 1, 0)];
+        for via_endpoint in [true, false] {
+            let topo = || Box::new(FarRouter { via_endpoint }) as Box<dyn Topology>;
+            let e = both_engines(topo, NocConfig::default(), &flows).unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    NocError::InvalidConfig {
+                        name: "topology",
+                        ..
+                    }
+                ),
+                "{e}"
+            );
+        }
     }
 
     /// Two routers joined by two parallel links: each lists the other

@@ -38,7 +38,7 @@
 //! [`EngineKind::EventDriven`]: super::EngineKind::EventDriven
 //! [`NocStats`]: crate::stats::NocStats
 
-use super::Queues;
+use super::{Fabric, Queues};
 use crate::sched::Sched;
 use crate::topology::Topology;
 use std::sync::Arc;
@@ -59,15 +59,10 @@ pub(crate) struct Sweep {
 impl Sched for Sweep {
     const SELECTIVE: bool = false;
 
-    fn build(
-        topo: &Arc<dyn Topology>,
-        _ports: &[Vec<(usize, usize)>],
-        vcs: usize,
-        tree: bool,
-    ) -> Self {
+    fn build(topo: &Arc<dyn Topology>, fabric: &Arc<Fabric>, tree: bool) -> Self {
         Self {
             topo: Arc::clone(topo),
-            vcs,
+            vcs: fabric.vcs,
             tree,
             cursor: (0, 0, 0),
         }
@@ -91,7 +86,7 @@ impl Sched for Sweep {
         let (next, r, o) = self.cursor;
         debug_assert_eq!(pair + 1, next, "not the pair being examined");
         let bit = (o - 1) * self.vcs + w;
-        (0..q.lanes(r))
+        (0..q.fabric.lanes(r))
             .filter(|&fi| self.head_wants(q, r, fi, bit))
             .count() as u32
     }
@@ -114,11 +109,7 @@ impl Sched for Sweep {
     /// busy past `now`. Then every later cycle sweeps the same state and
     /// forwards nothing either, so nothing can ever move again.
     fn next_cycle(&self, q: &Queues, now: u64, next_event: u64, progress: bool) -> u64 {
-        let wedged = !progress
-            && next_event == u64::MAX
-            && q.routers
-                .iter()
-                .all(|s| s.busy_until.iter().all(|&b| b <= now));
+        let wedged = !progress && next_event == u64::MAX && q.busy_until.iter().all(|&b| b <= now);
         if wedged {
             u64::MAX
         } else {

@@ -158,9 +158,8 @@ pub struct SimTrace {
     pub progress_cycles: Vec<u64>,
     /// Scheduler counters ([`SchedCounters::default`] for the oracle).
     pub sched: SchedCounters,
-    /// Distinct nets — `(source crossbar, destination crossbars)`, or
-    /// `(source, destination)` pairs when multicast is off — among the
-    /// run's flows. Every routing question is asked once per net, so
+    /// Distinct nets — `(source crossbar, destination crossbars)` — among
+    /// the run's flows. Every routing question is asked once per net, so
     /// packets injected ÷ nets says how often each answer was reused.
     /// Equal under both engines; not part of any digest.
     pub nets: u64,

@@ -42,16 +42,6 @@
 //! is what `CutHops`, placement, and the joint co-optimization loop
 //! consume, so inter-chip traffic is priced as more expensive with no
 //! API change upstream.
-//!
-//! ## Evaluator envelope
-//!
-//! Multi-chip scenarios routinely exceed the 256-crossbar byte-tile
-//! ceiling. The batched swarm evaluator covers `CutSpikes` and
-//! `CutPackets` on **u16 lanes** up to
-//! `core::eval::TILE16_MAX_CROSSBARS` (1024) crossbars; `CutHops`
-//! leaves the tiles past 256 crossbars (or on a table with a distance
-//! past `u16::MAX`) for the scalar reference kernel — which is what a
-//! 4-chip, 1024-crossbar fabric runs under `CutHops`.
 
 use super::mesh::{Mesh2D, Torus};
 use super::{route_hops, DistanceLut, Topology};

@@ -45,7 +45,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
 echo "==> bench smoke + BENCH_*.json gates (1 sample)"
 # each bench first asserts what it is about to time (batched envelope at
 # 256 crossbars, bit-identity with scalar, engine-vs-oracle digests, ...),
-# then writes its BENCH_*.json, then holds every same-run ratio to the
+# then writes its BENCH_*.json (under target/: a 1-sample run never
+# overwrites the tracked files), then holds every same-run ratio to the
 # gate table in crates/bench/src/ledger.rs: present, >= 1.0 where
 # higher_is_better, and the six numeric bounds. A failed gate prints
 # "<ratio id>: ... must be ..., got <value>" and the bench exits 1
