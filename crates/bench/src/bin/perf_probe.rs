@@ -35,7 +35,11 @@
 //! per scenario, the nets and forwarding-plan nodes of the run, spikes
 //! per net and host ns per router traversal — "does this traffic repeat
 //! its nets" is that one line — and the host time of the run's four
-//! phases (setup, schedule, router loop, statistics).
+//! phases (setup, schedule, router loop, statistics). The statistics are
+//! folded inside the loop, a buffer of deliveries at a time, so
+//! "statistics" times only the fold's finish (the last buffer,
+//! percentiles, disorder, sorted out-of-order streams) and "loop"
+//! includes the fold.
 
 use neuromap_apps::digit_recognition::DigitRecognition;
 use neuromap_apps::synthetic::{LargeArch, MultiChip, Synthetic};
@@ -267,7 +271,7 @@ fn probe_noc() {
 
         let start = Instant::now();
         let mut event = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
-        let (ev, _, trace) = event
+        let (ev, trace) = event
             .run_traced(&w.flows, duration)
             .expect("event engine drains");
         let event_s = start.elapsed().as_secs_f64();
@@ -275,7 +279,7 @@ fn probe_noc() {
         let start = Instant::now();
         let mut oracle = NocSim::new((w.topo)(), w.cfg, EnergyModel::default())
             .with_engine(EngineKind::CycleOracle);
-        let (or, _, _) = oracle
+        let (or, _) = oracle
             .run_traced(&w.flows, duration)
             .expect("oracle drains");
         let oracle_s = start.elapsed().as_secs_f64();

@@ -125,8 +125,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let pipeline = MappingPipeline::new(cfg);
             let mut line = vec![format!("{cycles_per_step}")];
             for (label, mapping) in [("PACMAN", &pacman.mapping), ("PSO", &pso.mapping)] {
-                let evaluation = pipeline.evaluate(graph, mapping.clone(), label, "identity")?;
-                let (r, log) = (evaluation.report, evaluation.deliveries);
+                let (evaluation, log) =
+                    pipeline.evaluate_logged(graph, mapping.clone(), label, "identity")?;
+                let r = evaluation.report;
                 let acc = temporal_fidelity(&log, cycles_per_step);
                 line.push(format!("{:.1}", r.noc.avg_isi_distortion_cycles));
                 line.push(format!("{:.1}%", acc * 100.0));
@@ -162,9 +163,13 @@ fn run(
         cfg.arch.neurons_per_crossbar(),
     )?;
     let mapping = part.partition(&problem)?;
-    let evaluation =
-        MappingPipeline::new(cfg.clone()).evaluate(graph, mapping, part.name(), "identity")?;
-    Ok((evaluation.report, evaluation.deliveries))
+    let (evaluation, log) = MappingPipeline::new(cfg.clone()).evaluate_logged(
+        graph,
+        mapping,
+        part.name(),
+        "identity",
+    )?;
+    Ok((evaluation.report, log))
 }
 
 /// Temporal-code fidelity of the interconnect: per (source neuron,

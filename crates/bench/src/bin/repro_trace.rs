@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
 
     let mut event = NocSim::new((w.topo)(), cfg, EnergyModel::default());
-    let (stats, _) = event.run_with_duration(&w.flows, duration)?;
+    let stats = event.run_with_duration(&w.flows, duration)?;
     let trace = event.take_trace().expect("tracing was on");
 
     let mut oracle =

@@ -294,7 +294,7 @@ mod tests {
         let w = tree12_per_synapse();
         let duration = w.flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
         let mut sim = NocSim::new((w.topo)(), w.cfg, EnergyModel::default());
-        let (stats, _, trace) = sim.run_traced(&w.flows, duration).expect("drains");
+        let (stats, trace) = sim.run_traced(&w.flows, duration).expect("drains");
         let packets = stats.counters.packets_injected;
         assert_eq!(packets, 240_000);
         assert!(trace.peak_handles > 0);

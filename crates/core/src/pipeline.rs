@@ -40,9 +40,11 @@
 //! [`MappingPipeline::evaluate`] is the single measurement step — it
 //! takes any mapping (partitioned here, placed here, or produced by
 //! [`crate::coopt::co_optimize`] / [`crate::multilevel::vcycle`]) and
-//! returns the [`Report`] with the delivery log and the optional event
-//! trace beside it ([`Evaluation`]). Sweeps that evaluate many points on
-//! the *same* architecture ([`crate::explore`], or a caller's own
+//! returns the [`Report`] with the optional event trace beside it
+//! ([`Evaluation`]); [`MappingPipeline::evaluate_logged`] runs the same
+//! step and also returns the interconnect's delivery log. Sweeps that
+//! evaluate many points on the *same* architecture ([`crate::explore`],
+//! or a caller's own
 //! `for noc in settings { pipeline.with_noc(noc).evaluate(..) }`) hold
 //! one pipeline and reuse its topology and distance table across points
 //! instead of rebuilding them per call.
@@ -195,13 +197,16 @@ pub struct Report {
 
 /// Everything [`MappingPipeline::evaluate`] measures for one mapping;
 /// callers keep the parts they need.
+///
+/// The interconnect statistics are folded as the simulation delivers, so
+/// no delivery log is part of an evaluation. Studies that replay the log
+/// (end-to-end application accuracy, such as the paper's §V-B heartbeat
+/// analysis) call [`MappingPipeline::evaluate_logged`], which returns it
+/// beside the evaluation.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Every metric the paper's evaluation uses.
     pub report: Report,
-    /// The raw interconnect delivery log (end-to-end application-accuracy
-    /// studies such as the paper's §V-B heartbeat analysis replay it).
-    pub deliveries: Vec<Delivery>,
     /// The simulation stage's structured event trace when
     /// [`NocConfig::trace`] is on in the pipeline's NoC configuration
     /// (`None` when tracing is off) — feeds
@@ -254,13 +259,17 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
 /// The flows of one net share one destination list
 /// ([`SpikeFlow::dst_crossbars`]): one allocation per `(neuron,
 /// crossbar)` under `PerSynapse` and per neuron under `PerCrossbar`,
-/// however many spikes and synapses ride it.
+/// however many spikes and synapses ride it. The flows are counted first
+/// (one pass over the synapses) and allocated once, at their final size:
+/// grown by doubling, the heap kept the last regrowth's buffer beside
+/// them.
 ///
 /// # Panics
 ///
 /// Panics if the mapping does not cover exactly the graph's neurons.
 pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+    // counted first, so the flows are allocated once at their final size
+    let mut flows = Vec::with_capacity(traffic::flow_count(graph, mapping.assignment(), mode));
     // one destination list per net, shared by every flow that rides it
     let mut nets: Vec<Arc<[u32]>> = Vec::new();
     traffic::walk(graph, mapping.assignment(), |n| {
@@ -289,6 +298,7 @@ pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> 
             }
         }
     });
+    debug_assert_eq!(flows.len(), flows.capacity(), "the count is the flows");
     flows
 }
 
@@ -467,9 +477,15 @@ impl MappingPipeline {
         build_flows(graph, mapping, self.config.traffic)
     }
 
-    /// **Stage 4 — simulate**: flows → interconnect statistics plus the
-    /// raw delivery log, on the configured engine over the shared
-    /// topology.
+    /// **Stage 4 — simulate**: flows → interconnect statistics, on the
+    /// configured engine over the shared topology, with the structured
+    /// event trace when [`NocConfig::trace`] is on in the pipeline's NoC
+    /// configuration (`None` when tracing is off).
+    ///
+    /// No delivery log is built: the statistics are folded delivery by
+    /// delivery inside the router loop ([`NocSim::run_with_duration`]).
+    /// The log comes only from [`MappingPipeline::evaluate_logged`] (or
+    /// [`NocSim::run_logged`] on a simulator of one's own).
     ///
     /// # Errors
     ///
@@ -478,22 +494,28 @@ impl MappingPipeline {
         &self,
         flows: &[SpikeFlow],
         duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>), CoreError> {
-        let (stats, deliveries, _) = self.simulate_traced(flows, duration_steps)?;
-        Ok((stats, deliveries))
+    ) -> Result<(NocStats, Option<TraceBuf>), CoreError> {
+        self.simulate_into(flows, duration_steps, None)
     }
 
-    /// [`MappingPipeline::simulate`], additionally returning the
-    /// structured event trace when `NocConfig::trace` is on in the
-    /// pipeline's NoC configuration (`None` when tracing is off).
-    fn simulate_traced(
+    /// [`MappingPipeline::simulate`], writing the delivery log into
+    /// `log` when one is given.
+    fn simulate_into(
         &self,
         flows: &[SpikeFlow],
         duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>, Option<TraceBuf>), CoreError> {
+        log: Option<&mut Vec<Delivery>>,
+    ) -> Result<(NocStats, Option<TraceBuf>), CoreError> {
         let mut sim = self.noc_sim();
-        let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
-        Ok((stats, deliveries, sim.take_trace()))
+        let stats = match log {
+            None => sim.run_with_duration(flows, duration_steps)?,
+            Some(log) => {
+                let (stats, deliveries) = sim.run_logged(flows, duration_steps)?;
+                *log = deliveries;
+                stats
+            }
+        };
+        Ok((stats, sim.take_trace()))
     }
 
     /// The simulator the simulate stage runs, over the shared topology.
@@ -615,6 +637,46 @@ impl MappingPipeline {
         partitioner_label: &str,
         placement_label: &str,
     ) -> Result<Evaluation, CoreError> {
+        self.evaluate_into(graph, mapping, partitioner_label, placement_label, None)
+    }
+
+    /// [`MappingPipeline::evaluate`], also returning the interconnect's
+    /// raw delivery log, one [`Delivery`] per destination reached, in
+    /// delivery order — for studies that replay it, such as the paper's
+    /// §V-B heartbeat analysis. The evaluation is the one
+    /// [`MappingPipeline::evaluate`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MappingPipeline::evaluate`].
+    pub fn evaluate_logged(
+        &self,
+        graph: &SpikeGraph,
+        mapping: Mapping,
+        partitioner_label: &str,
+        placement_label: &str,
+    ) -> Result<(Evaluation, Vec<Delivery>), CoreError> {
+        let mut log = Vec::new();
+        let evaluation = self.evaluate_into(
+            graph,
+            mapping,
+            partitioner_label,
+            placement_label,
+            Some(&mut log),
+        )?;
+        Ok((evaluation, log))
+    }
+
+    /// The body of [`MappingPipeline::evaluate`], writing the delivery
+    /// log into `log` when one is given.
+    fn evaluate_into(
+        &self,
+        graph: &SpikeGraph,
+        mapping: Mapping,
+        partitioner_label: &str,
+        placement_label: &str,
+        log: Option<&mut Vec<Delivery>>,
+    ) -> Result<Evaluation, CoreError> {
         check_covers(graph, &mapping)?;
         mapping.validate(&self.config.arch)?;
         let problem = self.problem(graph)?;
@@ -623,8 +685,7 @@ impl MappingPipeline {
 
         let flows = self.packetize(graph, &mapping);
         let (hop_weighted_packets, unicast) = self.hop_metrics(&flows);
-        let (noc_stats, deliveries, trace) =
-            self.simulate_traced(&flows, graph.duration_steps())?;
+        let (noc_stats, trace) = self.simulate_into(&flows, graph.duration_steps(), log)?;
 
         let dim = self.config.arch.neurons_per_crossbar();
         let local_energy_pj = self.config.arch.energy().local_pj_scaled(local, dim);
@@ -650,7 +711,6 @@ impl MappingPipeline {
                 noc: noc_stats,
                 mapping,
             },
-            deliveries,
             trace,
         })
     }
@@ -1021,10 +1081,12 @@ mod tests {
         assert_eq!(id, "identity");
         assert_eq!(placed, mapping);
         assert_eq!(&placed, &whole.mapping);
-        let staged = pipeline.evaluate(&g, placed, part.name(), &id).unwrap();
+        let (staged, log) = pipeline
+            .evaluate_logged(&g, placed, part.name(), &id)
+            .unwrap();
         assert_eq!(staged.report, whole);
         // the untraced default: a delivery per cut spike, no event trace
-        assert_eq!(staged.deliveries.len() as u64, whole.noc.delivered);
+        assert_eq!(log.len() as u64, whole.noc.delivered);
         assert!(staged.trace.is_none());
     }
 

@@ -23,11 +23,12 @@
 //!
 //! | fold | consumed by |
 //! |---|---|
-//! | `pipeline::build_flows` — one flow per spike per packet, the flows of a net sharing one destination list | packetize → simulate, `hop_metrics` |
+//! | `pipeline::build_flows` — one flow per spike per packet, the flows of a net sharing one destination list, in a `Vec` sized by [`flow_count`] | packetize → simulate, `hop_metrics` |
 //! | `pipeline::local_events` — `Σ spikes · local synapses` | report (local energy) |
 //! | `place::TrafficMatrix::from_mapping` — packets per cluster pair | placement, co-optimization |
 
 use crate::graph::SpikeGraph;
+use crate::pipeline::TrafficMode;
 
 /// One spiking neuron under a mapping, as [`walk`] hands it out.
 pub(crate) struct Fanout<'a> {
@@ -87,4 +88,36 @@ pub(crate) fn walk(graph: &SpikeGraph, assignment: &[u32], mut visit: impl FnMut
             remote: &remote,
         });
     }
+}
+
+/// The number of flows `pipeline::build_flows` emits under `mode`,
+/// counted without deriving a net: per spiking neuron, `spikes × remote
+/// synapses` under [`TrafficMode::PerSynapse`], and `spikes` when any
+/// synapse is remote under [`TrafficMode::PerCrossbar`]. One pass over
+/// the synapses, no sort.
+///
+/// # Panics
+///
+/// Panics if `assignment.len() != graph.num_neurons()`.
+pub(crate) fn flow_count(graph: &SpikeGraph, assignment: &[u32], mode: TrafficMode) -> usize {
+    assert_eq!(
+        assignment.len(),
+        graph.num_neurons() as usize,
+        "mapping must cover every neuron"
+    );
+    let mut flows = 0u64;
+    for neuron in 0..graph.num_neurons() {
+        let spikes = u64::from(graph.count(neuron));
+        if spikes == 0 {
+            continue;
+        }
+        let home = assignment[neuron as usize];
+        let targets = graph.targets(neuron).iter();
+        let remote = targets.filter(|&&j| assignment[j as usize] != home).count() as u64;
+        flows += match mode {
+            TrafficMode::PerSynapse => spikes * remote,
+            TrafficMode::PerCrossbar => spikes * u64::from(remote > 0),
+        };
+    }
+    flows as usize
 }

@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::NocError;
+use crate::stats::Streams;
 use crate::topology::Topology;
 use crate::traffic::SpikeFlow;
 
@@ -53,9 +54,10 @@ use crate::traffic::SpikeFlow;
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// Multiply-rotate hasher for net keys (a `u32` and a `[u32]`), and for
-/// the `u32` ids the statistics group a delivery log by. Traffic that
-/// never repeats a net hashes every flow, and SipHash was then a tenth
-/// of a short run; nothing here is exposed to chosen keys.
+/// the keys the statistics intern (streams, destinations, latencies past
+/// the dense counts). Traffic that never repeats a net hashes every flow,
+/// and SipHash was then a tenth of a short run; nothing here is exposed
+/// to chosen keys.
 #[derive(Default)]
 pub(crate) struct NetHasher(u64);
 
@@ -84,6 +86,8 @@ pub(crate) struct Nets<'f> {
     keys: Vec<(u32, &'f [u32])>,
     /// Net id per key.
     ids: NetMap<'f>,
+    /// The `(source neuron, destination)` streams of more than one net.
+    split: Streams,
 }
 
 type NetMap<'f> = HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>>;
@@ -94,29 +98,60 @@ pub(crate) struct LastKey<'f>(Option<(u32, &'f [u32], u32)>);
 
 impl<'f> Nets<'f> {
     /// Interns the nets of `flows`: one per distinct `(source,
-    /// destinations)` of a flow that sends. Traffic generators emit a
-    /// neuron's spikes back to back, so a flow is compared with the one
-    /// before it first and only a new key is hashed.
+    /// destinations)` of a flow that sends, and notes the streams that
+    /// ride more than one. Traffic generators emit a neuron's spikes back
+    /// to back, so a flow is compared with the one before it first and
+    /// only a new key is hashed.
     pub(crate) fn intern(flows: &'f [SpikeFlow]) -> Self {
         let mut nets = Self {
             keys: Vec::new(),
             ids: HashMap::default(),
+            split: Streams::default(),
         };
-        let mut prev: Option<&SpikeFlow> = None;
+        // the first net each stream was seen on
+        let mut first_net: HashMap<(u32, u32), u32, BuildHasherDefault<NetHasher>> =
+            HashMap::default();
+        let mut prev: Option<(&SpikeFlow, u32)> = None;
         for f in flows.iter().filter(|f| !f.dst_crossbars.is_empty()) {
-            if let Some(p) = prev {
-                if p.src_crossbar == f.src_crossbar && p.dst_crossbars == f.dst_crossbars {
-                    continue;
+            let net = match prev {
+                Some((p, net))
+                    if p.src_crossbar == f.src_crossbar && p.dst_crossbars == f.dst_crossbars =>
+                {
+                    if p.source_neuron == f.source_neuron {
+                        continue;
+                    }
+                    net
                 }
-            }
-            prev = Some(f);
-            let key = (f.src_crossbar, &f.dst_crossbars[..]);
-            if let Entry::Vacant(slot) = nets.ids.entry(key) {
-                slot.insert(nets.keys.len() as u32);
-                nets.keys.push(key);
+                _ => {
+                    let key = (f.src_crossbar, &f.dst_crossbars[..]);
+                    match nets.ids.entry(key) {
+                        Entry::Occupied(id) => *id.get(),
+                        Entry::Vacant(slot) => {
+                            let id = nets.keys.len() as u32;
+                            slot.insert(id);
+                            nets.keys.push(key);
+                            id
+                        }
+                    }
+                }
+            };
+            prev = Some((f, net));
+            for &d in f.dst_crossbars.iter() {
+                let stream = (f.source_neuron, d);
+                if *first_net.entry(stream).or_insert(net) != net {
+                    nets.split.insert(stream);
+                }
             }
         }
         nets
+    }
+
+    /// The `(source neuron, destination crossbar)` streams whose packets
+    /// ride more than one net: the only ones that can arrive out of inject
+    /// order, on hand-written traffic that sends one neuron from several
+    /// crossbars or to several destination sets.
+    pub(crate) fn split_streams(&self) -> &Streams {
+        &self.split
     }
 
     /// The net of `flow`'s packet, `None` for a flow without

@@ -134,7 +134,9 @@ use crate::error::NocError;
 use crate::plan::{Handle, LastKey, Nets, Plan, Slab, NIL};
 use crate::router::{pick_lane, pick_vc};
 use crate::sched::{PortSched, Sched, PRE_SWEEP};
-use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
+use crate::stats::{
+    Counters, Delivery, Keep, NocStats, SchedCounters, SimTrace, StatsFold, VcCounters,
+};
 use crate::topology::Topology;
 use crate::trace::{TraceBuf, TraceEvent};
 use crate::traffic::SpikeFlow;
@@ -727,11 +729,11 @@ impl NocSim {
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
     pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
         self.run_with_duration(flows, inferred_duration(flows))
-            .map(|(stats, _)| stats)
     }
 
-    /// Like [`NocSim::run`], but with an explicit SNN duration (timesteps)
-    /// and returning the raw delivery log alongside the statistics.
+    /// Like [`NocSim::run`], but with an explicit SNN duration
+    /// (timesteps). The statistics are folded delivery by delivery inside
+    /// the router loop, so no delivery log is built.
     ///
     /// # Errors
     ///
@@ -740,8 +742,28 @@ impl NocSim {
         &mut self,
         flows: &[SpikeFlow],
         duration_steps: u32,
+    ) -> Result<NocStats, NocError> {
+        self.dispatch(flows, duration_steps, None, None)
+    }
+
+    /// Like [`NocSim::run_with_duration`], but also returning the raw
+    /// delivery log, one [`Delivery`] per destination reached, in the
+    /// order the loop delivered them. The statistics are the ones
+    /// [`NocSim::run_with_duration`] returns: what
+    /// [`NocStats::from_deliveries`] computes from the log and the run's
+    /// counters.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`NocSim::run`].
+    pub fn run_logged(
+        &mut self,
+        flows: &[SpikeFlow],
+        duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
-        self.dispatch(flows, duration_steps, None)
+        let mut log = Vec::new();
+        self.dispatch(flows, duration_steps, None, Some(&mut log))
+            .map(|stats| (stats, log))
     }
 
     /// Like [`NocSim::run_with_duration`], but also returning the
@@ -750,6 +772,7 @@ impl NocSim {
     /// under the event-driven one (the oracle attends every cycle and
     /// skips nothing, so it leaves both empty). The liveness and
     /// wake-bound properties in `tests/noc_properties.rs` compare the two.
+    /// Like [`NocSim::run_with_duration`], it builds no delivery log.
     ///
     /// # Errors
     ///
@@ -758,10 +781,10 @@ impl NocSim {
         &mut self,
         flows: &[SpikeFlow],
         duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
-        let mut log = SimTrace::default();
-        self.dispatch(flows, duration_steps, Some(&mut log))
-            .map(|(stats, deliveries)| (stats, deliveries, log))
+    ) -> Result<(NocStats, SimTrace), NocError> {
+        let mut trace = SimTrace::default();
+        self.dispatch(flows, duration_steps, Some(&mut trace), None)
+            .map(|stats| (stats, trace))
     }
 
     /// The link forwards a run of `flows` makes, without running it: one
@@ -790,7 +813,8 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
         sim_trace: Option<&mut SimTrace>,
-    ) -> Result<(NocStats, Vec<Delivery>), NocError> {
+        log: Option<&mut Vec<Delivery>>,
+    ) -> Result<NocStats, NocError> {
         let run = match self.engine {
             EngineKind::EventDriven => run_engine::<PortSched>,
             EngineKind::CycleOracle => run_engine::<oracle::Sweep>,
@@ -803,6 +827,7 @@ impl NocSim {
             duration_steps,
             &mut self.trace,
             sim_trace,
+            log,
         )
     }
 }
@@ -837,11 +862,13 @@ impl<'f> Setup<'f> {
 }
 
 /// One run of either engine: [`Setup`] → schedule → [`simulate`] under
-/// policy `S` → statistics, the set-up state dropped before the
-/// statistics allocate theirs. `events` is the engine's
-/// retained-trace slot (cleared up front, refilled on success when
-/// [`NocConfig::trace`] is on); `sim_trace`, when given, receives the
-/// scheduler trace and the host time of each of the four phases.
+/// policy `S`, which folds the statistics as it delivers → the fold's
+/// finish.
+/// `events` is the engine's retained-trace slot (cleared up front,
+/// refilled on success when [`NocConfig::trace`] is on); `sim_trace`,
+/// when given, receives the scheduler trace and the host time of each of
+/// the four phases; `log`, when given, receives the delivery log.
+#[allow(clippy::too_many_arguments)]
 fn run_engine<S: Sched>(
     topo: &Arc<dyn Topology>,
     config: &NocConfig,
@@ -850,7 +877,8 @@ fn run_engine<S: Sched>(
     duration_steps: u32,
     events: &mut Option<TraceBuf>,
     mut sim_trace: Option<&mut SimTrace>,
-) -> Result<(NocStats, Vec<Delivery>), NocError> {
+    log: Option<&mut Vec<Delivery>>,
+) -> Result<NocStats, NocError> {
     *events = None;
     let start = Instant::now();
     let Setup { fabric, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
@@ -862,27 +890,24 @@ fn run_engine<S: Sched>(
         t.plan_nodes = plan.node_count() as u64;
     }
     let mut recorded = config.trace.then(|| TraceBuf::new(config));
-    let (deliveries, counters, per_vc, sched) = simulate::<S>(
+    let mut fold = StatsFold::new(Keep::Only(nets.split_streams()));
+    let (counters, per_vc, sched) = simulate::<S>(
         topo,
         config,
         &Arc::new(fabric),
         flows,
         schedule,
         plan,
+        &mut fold,
+        log,
         sim_trace.as_deref_mut(),
         recorded.as_mut(),
     )?;
-    drop(nets);
     *events = recorded;
     let loop_done = Instant::now();
-    let mut stats = NocStats::from_deliveries(
-        &deliveries,
-        counters,
-        energy,
-        duration_steps,
-        config.cycles_per_step,
-    )
-    .with_per_vc(per_vc);
+    let mut stats = fold
+        .finish(counters, energy, duration_steps, config.cycles_per_step)
+        .with_per_vc(per_vc);
     if let Some(t) = sim_trace {
         t.sched = sched;
         t.setup_time = setup_done - start;
@@ -893,7 +918,7 @@ fn run_engine<S: Sched>(
     if config.sched_stats && S::SELECTIVE {
         stats = stats.with_sched(sched);
     }
-    Ok((stats, deliveries))
+    Ok(stats)
 }
 
 /// Refuses a clock that cannot count to the last injection: the schedule
@@ -925,10 +950,11 @@ fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> 
 
 /// The router model: the one main loop both engines run, scheduled by
 /// policy `S`, injecting the packets of `schedule` (over `flows`) and
-/// moving their handles over `plan`. `trace`, when given, collects the
-/// attended cycles (for a selective policy), the cycles at which at least
-/// one packet was forwarded and the live-handle high-water mark;
-/// `events`, when given, records the structured trace.
+/// moving their handles over `plan`. Every delivery is folded into
+/// `stats` and, when `log` is given, appended to it. `trace`, when given,
+/// collects the attended cycles (for a selective policy), the cycles at
+/// which at least one packet was forwarded and the live-handle
+/// high-water mark; `events`, when given, records the structured trace.
 ///
 /// Never inlined: folded into `run_engine`, LLVM stops inlining the lane
 /// and arrival-queue operations into the loop (2–5 % on `engine/*/event`).
@@ -941,17 +967,20 @@ fn simulate<S: Sched>(
     flows: &[SpikeFlow],
     mut schedule: Schedule<'_, '_>,
     plan: Plan,
+    stats: &mut StatsFold<'_>,
+    mut log: Option<&mut Vec<Delivery>>,
     mut trace: Option<&mut SimTrace>,
     mut events: Option<&mut TraceBuf>,
-) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
+) -> Result<(Counters, Vec<VcCounters>, SchedCounters), NocError> {
     let vcs = cfg.vc_count;
     let mut sched = S::build(topo, fabric, plan.follows_trees());
     let topo = topo.as_ref();
     let fab = fabric.as_ref();
 
-    // every destination of every flow becomes exactly one delivery
-    let n_deliveries = flows.iter().map(|f| f.dst_crossbars.len()).sum();
-    let mut deliveries: Vec<Delivery> = Vec::with_capacity(n_deliveries);
+    if let Some(log) = log.as_deref_mut() {
+        // every destination of every flow becomes exactly one delivery
+        log.reserve_exact(flows.iter().map(|f| f.dst_crossbars.len()).sum());
+    }
     // handles allocated: one per injection, and per injected packet one
     // per branch point past the first way out
     let mut n_handles = 0u64;
@@ -1023,14 +1052,17 @@ fn simulate<S: Sched>(
             let f = &flows[flow as usize];
             debug_assert!(q.plan.local(node).iter().all(|&d| topo.endpoint(d) == r));
             for &d in q.plan.local(node) {
-                deliveries.push(Delivery::new(
-                    f.source_neuron,
-                    f.src_crossbar,
-                    d,
-                    f.send_step,
-                    inject_cycle,
-                    now,
-                ));
+                stats.deliver(f.source_neuron, d, f.send_step, inject_cycle, now);
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(Delivery::new(
+                        f.source_neuron,
+                        f.src_crossbar,
+                        d,
+                        f.send_step,
+                        inject_cycle,
+                        now,
+                    ));
+                }
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Delivered {
                         cycle: now,
@@ -1370,8 +1402,8 @@ fn simulate<S: Sched>(
     if let Some(t) = trace {
         t.peak_handles = q.slab.peak() as u64;
     }
-    counters.deliveries = deliveries.len() as u64;
-    Ok((deliveries, counters, per_vc, sched.counters()))
+    counters.deliveries = stats.delivered();
+    Ok((counters, per_vc, sched.counters()))
 }
 
 #[cfg(test)]
@@ -1661,7 +1693,7 @@ mod tests {
         // inject cycles are consecutive
         let flows: Vec<SpikeFlow> = (0..10).map(|i| SpikeFlow::unicast(i, 0, 1, 0)).collect();
         let mut s = sim(Box::new(PointToPoint::new(2)));
-        let (_, deliveries) = s.run_with_duration(&flows, 1).unwrap();
+        let (_, deliveries) = s.run_logged(&flows, 1).unwrap();
         let mut injects: Vec<u64> = deliveries.iter().map(|d| d.inject_cycle).collect();
         injects.sort_unstable();
         let expected: Vec<u64> = (0..10).collect();
@@ -1711,7 +1743,7 @@ mod tests {
             NocConfig::default(),
             EnergyModel::default(),
         );
-        let (stats, deliveries) = s.run_with_duration(&flows, spikes_per_src).unwrap();
+        let (stats, deliveries) = s.run_logged(&flows, spikes_per_src).unwrap();
         assert_eq!(stats.delivered, (4 * spikes_per_src) as u64);
         // fairness: in every window of 8 consecutive deliveries at the
         // destination, each of the 4 sources appears at least once
@@ -1760,8 +1792,8 @@ mod tests {
             EnergyModel::default(),
         )
         .with_engine(EngineKind::CycleOracle);
-        let (es, ed) = ev.run_with_duration(&flows, 6).unwrap();
-        let (os, od) = or.run_with_duration(&flows, 6).unwrap();
+        let (es, ed) = ev.run_logged(&flows, 6).unwrap();
+        let (os, od) = or.run_logged(&flows, 6).unwrap();
         assert_eq!(ed, od, "delivery logs must be identical");
         assert_eq!(
             es.digest().unwrap(),
@@ -1821,7 +1853,7 @@ mod tests {
             .map(|i| SpikeFlow::unicast(i, 1 + (i % 15), 0, 0))
             .collect();
         let mut s = sim(Box::new(Mesh2D::for_crossbars(16)));
-        let (stats, _, trace) = s.run_traced(&flows, 1).unwrap();
+        let (stats, trace) = s.run_traced(&flows, 1).unwrap();
         assert_eq!(stats.delivered, 600);
         // 4x4 mesh: 24 bidirectional links → 48 (router, port) pairs
         let pairs = 48;
@@ -1859,9 +1891,9 @@ mod tests {
         let mut ev = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
         let mut or = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default())
             .with_engine(EngineKind::CycleOracle);
-        let (es, ed, et) = ev.run_traced(&flows, 5).unwrap();
-        let (os, od, ot) = or.run_traced(&flows, 5).unwrap();
-        assert_eq!(ed, od);
+        let (es, et) = ev.run_traced(&flows, 5).unwrap();
+        let (os, ot) = or.run_traced(&flows, 5).unwrap();
+        assert_eq!(ev.run_logged(&flows, 5), or.run_logged(&flows, 5));
         assert_eq!(es.digest().unwrap(), os.digest().unwrap());
         assert_eq!(
             et.progress_cycles, ot.progress_cycles,
@@ -2279,7 +2311,10 @@ mod tests {
         // exactly 65 536 slots still fit a u16 slot index
         let topo: Arc<dyn Topology> = Arc::new(Star::new(2048));
         let energy = EnergyModel::default();
-        assert!(run_engine::<oracle::Sweep>(&topo, &cfg, &energy, &[], 1, &mut None, None).is_ok());
+        assert!(
+            run_engine::<oracle::Sweep>(&topo, &cfg, &energy, &[], 1, &mut None, None, None)
+                .is_ok()
+        );
     }
 
     #[test]
@@ -2334,7 +2369,7 @@ mod tests {
                 .run_with_duration(&flows, u32::MAX)
         };
         let stats = run(EngineKind::EventDriven).unwrap();
-        assert_eq!(stats.0.total_cycles, u64::MAX);
+        assert_eq!(stats.total_cycles, u64::MAX);
         assert_eq!(Ok(stats), run(EngineKind::CycleOracle));
     }
 
@@ -2421,8 +2456,8 @@ mod tests {
         let mut ev = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
         let mut or = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default())
             .with_engine(EngineKind::CycleOracle);
-        let (es, ed) = ev.run_with_duration(&flows, 10).unwrap();
-        let (os, od) = or.run_with_duration(&flows, 10).unwrap();
+        let (es, ed) = ev.run_logged(&flows, 10).unwrap();
+        let (os, od) = or.run_logged(&flows, 10).unwrap();
         assert_eq!(ed, od, "delivery logs must be identical");
         assert_eq!(es, os);
         assert_eq!(

@@ -1,11 +1,16 @@
 //! Interconnect statistics: the conventional metrics (latency, throughput,
 //! energy) and the two SNN metrics the paper introduces (spike disorder
 //! count, ISI distortion).
+//!
+//! One fold derives them, delivery by delivery: the router loop feeds it
+//! as it delivers, so a run builds no delivery log, and
+//! [`NocStats::from_deliveries`] feeds it a log.
 
 use neuromap_hw::energy::EnergyModel;
 use serde::{Deserialize, Serialize};
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::time::Duration;
 
@@ -179,9 +184,14 @@ pub struct SimTrace {
     /// of flows. The packets themselves are placed as the loop takes
     /// them, inside `loop_time`.
     pub schedule_time: Duration,
-    /// Host wall-clock time of the router loop.
+    /// Host wall-clock time of the router loop, the statistics' fold
+    /// included: the loop hands it every delivery, and it folds them a
+    /// buffer at a time.
     pub loop_time: Duration,
-    /// Host wall-clock time of the statistics over the delivery log.
+    /// Host wall-clock time of the statistics' finish: folding the last
+    /// buffer of deliveries, then the percentiles, the disorder over the
+    /// step summaries (sorted here) and the ISI distortion of the
+    /// streams, the out-of-order ones sorted.
     pub stats_time: Duration,
 }
 
@@ -229,7 +239,10 @@ pub struct NocStats {
 }
 
 impl NocStats {
-    /// Computes all statistics from the delivery log.
+    /// Computes all statistics from a delivery log: the log fed, in its
+    /// own order, through the fold a run computes its statistics with
+    /// (`StatsFold`), every stream keeping its pairs (a log can come from
+    /// anywhere, so any stream may be out of inject order).
     ///
     /// `duration_steps` is the SNN duration in timesteps; with
     /// `cycles_per_step` it fixes the wall-clock the throughput is
@@ -241,53 +254,7 @@ impl NocStats {
         duration_steps: u32,
         cycles_per_step: u64,
     ) -> Self {
-        let delivered = deliveries.len() as u64;
-        let total_cycles = deliveries
-            .iter()
-            .map(|d| d.deliver_cycle)
-            .max()
-            .unwrap_or(0);
-        // one latency pass feeds avg and max (u64 addition is
-        // order-independent); the percentiles are selections on it
-        let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
-        let avg_latency = if delivered == 0 {
-            0.0
-        } else {
-            lat.iter().sum::<u64>() as f64 / delivered as f64
-        };
-        let max_latency = lat.iter().copied().max().unwrap_or(0);
-        let (p50, p99) = percentiles(&mut lat);
-        // freed before the bucketing below allocates
-        drop(lat);
-
-        let duration_ms = duration_steps.max(1) as f64;
-        let throughput = delivered as f64 / duration_ms;
-
-        let (disorder, (avg_isi, max_isi)) = ByDestination::new(deliveries).order_metrics();
-
-        let global_energy_pj = counters.packets_injected as f64 * energy.encode_pj
-            + counters.deliveries as f64 * energy.decode_pj
-            + counters.router_traversals as f64 * energy.router_hop_pj
-            + counters.link_flits as f64 * energy.link_flit_pj
-            + counters.buffer_flits as f64 * energy.buffer_flit_pj;
-
-        Self {
-            delivered,
-            total_cycles: total_cycles
-                .max(u64::from(duration_steps).saturating_mul(cycles_per_step)),
-            avg_latency_cycles: avg_latency,
-            p50_latency_cycles: p50,
-            p99_latency_cycles: p99,
-            max_latency_cycles: max_latency,
-            throughput_aer_per_ms: throughput,
-            disorder_fraction: disorder,
-            avg_isi_distortion_cycles: avg_isi,
-            max_isi_distortion_cycles: max_isi,
-            global_energy_pj,
-            counters,
-            per_vc: Vec::new(),
-            sched: None,
-        }
+        StatsFold::of_log(deliveries).finish(counters, energy, duration_steps, cycles_per_step)
     }
 
     /// Attaches per-VC counters (builder style). The engines pass an
@@ -344,24 +311,6 @@ impl NocStats {
     }
 }
 
-/// Nearest-rank `(p50, p99)` of `lat`, by selection (reorders `lat`).
-fn percentiles(lat: &mut [u64]) -> (u64, u64) {
-    if lat.is_empty() {
-        return (0, 0);
-    }
-    let n = lat.len();
-    let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-    let (i50, i99) = (rank(0.50), rank(0.99));
-    let (below, &mut p99, _) = lat.select_nth_unstable(i99);
-    // everything left of rank 99 is at most p99, so p50 is selected there
-    let p50 = if i50 == i99 {
-        p99
-    } else {
-        *below.select_nth_unstable(i50).1
-    };
-    (p50, p99)
-}
-
 /// Fraction of deliveries arriving out of order at their destination.
 ///
 /// Spike order is defined at the SNN level: a spike fired at timestep
@@ -375,7 +324,7 @@ fn percentiles(lat: &mut [u64]) -> (u64, u64) {
 /// neurons", caused by congestion delaying older spikes past newer ones
 /// (the paper's crossbar-arbitration example).
 pub fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
-    ByDestination::new(deliveries).order_metrics().0
+    StatsFold::of_log(deliveries).disorder()
 }
 
 /// ISI distortion per (source neuron, destination crossbar) stream:
@@ -383,39 +332,94 @@ pub fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
 /// (inject, deliver) order; returns `(mean, max)` over streams with at
 /// least two spikes.
 pub fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
-    ByDestination::new(deliveries).order_metrics().1
+    StatsFold::of_log(deliveries).isi()
 }
 
-/// A delivery log bucketed by destination crossbar: both order metrics
-/// are per destination, so one counting pass groups the log for both.
-/// Within a group the log keeps its own order, which is nearly the order
-/// either metric wants — an engine delivers a destination's spikes step
-/// after step, and each stream's in inject order — so no group is
-/// sorted, only the few pieces that arrived out of order.
+/// `(source neuron, destination crossbar)` streams.
+pub(crate) type Streams = HashSet<(u32, u32), BuildHasherDefault<NetHasher>>;
+
+type IdMap<K> = HashMap<K, u32, BuildHasherDefault<NetHasher>>;
+
+/// Which streams a [`StatsFold`] keeps the `(inject, deliver)` pairs of,
+/// to sort at the end should they arrive out of inject order.
+pub(crate) enum Keep<'a> {
+    /// Every stream: a delivery log's, which may come from anywhere.
+    Every,
+    /// Only these: a run's streams that ride several nets
+    /// ([`crate::plan::Nets::split_streams`]). A stream of one net has one
+    /// route, one VC per hop and FIFO lanes, so it cannot overtake itself:
+    /// the fold panics if one does.
+    Only(&'a Streams),
+}
+
+/// Latencies below this many cycles are counted in a fixed array (64 KB;
+/// the paper's flow peaks at 5 451 cycles on mapbench's `hd_tree_paper`),
+/// the rest in a map: no table is sized by a latency.
+const DENSE_LATENCIES: usize = 8192;
+
+/// Deliveries staged before the fold takes them in (512 KB of them).
+/// Folded one at a time inside the router loop, the fold's tables and
+/// the loop's evicted each other from cache: on the flows of mapbench's
+/// `chip4_hier_multilevel` (661 315 deliveries to 66 661 streams) the
+/// simulation took 1.2–1.3× as long as with a delivery log; folded a
+/// buffer at a time, 1.02–1.04× (fastest of five runs, three rounds).
+const STAGED: usize = 1 << 14;
+
+/// The statistics of a run, folded delivery by delivery in delivery
+/// order: the router loop feeds it where a delivery happens, and
+/// [`NocStats::from_deliveries`] feeds it a log. Nothing is kept per
+/// delivery but the pairs of the streams [`Keep`] names, and the
+/// [`STAGED`] deliveries not yet folded; every table is keyed by
+/// interned ids, none sized by a crossbar, step, neuron or latency
+/// value.
 ///
-/// Destinations get dense ids by hashing, never by value: the log is any
-/// log, and no table here is sized by a crossbar, step or neuron value.
-struct ByDestination<'a> {
-    log: &'a [Delivery],
-    /// Log positions, grouped by destination, ascending within a group.
-    order: Vec<u32>,
-    /// Group `g` is `order[bounds[g]..bounds[g + 1]]`.
-    bounds: Vec<usize>,
+/// A delivery folds into its stream and its destination's open step
+/// summary. A summary is appended to one list when its destination moves
+/// to another step, and only the finish sorts that list (keeping each
+/// destination's steps sorted as they closed cost a cache miss per
+/// close).
+pub(crate) struct StatsFold<'k> {
+    keep: Keep<'k>,
+    delivered: u64,
+    latency_sum: u64,
+    latency_max: u64,
+    last_cycle: u64,
+    /// Deliveries per latency below [`DENSE_LATENCIES`].
+    dense: Vec<u64>,
+    /// Deliveries per latency from [`DENSE_LATENCIES`] on.
+    sparse: HashMap<u64, u64, BuildHasherDefault<NetHasher>>,
+    /// Destination id per destination crossbar.
+    dest_ids: IdMap<u32>,
+    /// By destination id: the summary of the step delivered there last
+    /// ([`None`] before the first delivery).
+    open: Vec<Option<StepRun>>,
+    /// The summaries closed so far, in the order they closed.
+    closed: Vec<StepRun>,
+    /// By `(source neuron, destination crossbar)`.
+    streams: HashMap<(u32, u32), Stream, BuildHasherDefault<NetHasher>>,
+    /// `(stream, inject, deliver)` of the kept streams' deliveries.
+    pairs: Vec<((u32, u32), u64, u64)>,
+    /// `(neuron, dst, step, inject, deliver)` of the deliveries not yet
+    /// folded, in delivery order.
+    staged: Vec<(u32, u32, u32, u64, u64)>,
 }
 
-/// The deliveries of one send step at one destination that arrived
-/// back to back in the log: the deliver cycles of the first and the last
-/// of them in `(inject cycle, source neuron, log position)` order.
+/// Deliveries of one send step at one destination that came with no
+/// other step's delivery there between them: the deliver cycles of the
+/// first and the last of them in `(inject cycle, source neuron, delivery
+/// order)` order.
 #[derive(Clone, Copy)]
 struct StepRun {
+    /// Destination id.
+    dest: u32,
     step: u32,
     first: ((u64, u32), u64),
     last: ((u64, u32), u64),
 }
 
 impl StepRun {
-    /// Folds in a delivery later in the log than every one folded so
-    /// far: on an equal key the later log position is the larger.
+    /// Folds in a delivery later than every one folded so far: on an
+    /// equal key the later delivery is the larger.
     fn fold(&mut self, key: (u64, u32), deliver: u64) {
         if key < self.first.0 {
             self.first = (key, deliver);
@@ -426,159 +430,300 @@ impl StepRun {
     }
 }
 
-/// One (source neuron, destination) stream while its group is read in
-/// log order.
+/// One (source neuron, destination) stream, read in delivery order.
 #[derive(Clone, Copy)]
 struct Stream {
     /// `(inject, deliver)` of the stream's latest delivery.
     last: (u64, u64),
     /// Largest ISI distortion between consecutive deliveries so far.
     worst: u64,
-    spikes: u64,
+    /// Destination id.
+    dest: u32,
+    /// Its pairs are kept ([`Keep`]).
+    kept: bool,
     /// Every delivery so far came in `(inject, deliver)` order.
     in_order: bool,
+    /// Delivered more than once: it has an ISI.
+    repeated: bool,
 }
 
-impl<'a> ByDestination<'a> {
-    fn new(log: &'a [Delivery]) -> Self {
-        let mut ids: HashMap<u32, u32, BuildHasherDefault<NetHasher>> = HashMap::default();
-        let mut sizes: Vec<usize> = Vec::new();
-        let group: Vec<u32> = log
-            .iter()
-            .map(|d| {
-                let fresh = sizes.len() as u32;
-                let g = *ids.entry(d.dst_crossbar).or_insert(fresh);
-                if g == fresh {
-                    sizes.push(0);
-                }
-                sizes[g as usize] += 1;
-                g
-            })
-            .collect();
-        let mut bounds = Vec::with_capacity(sizes.len() + 1);
-        bounds.push(0);
-        for size in sizes {
-            bounds.push(bounds[bounds.len() - 1] + size);
+impl<'k> StatsFold<'k> {
+    /// An empty fold keeping the pairs of the streams `keep` names.
+    pub(crate) fn new(keep: Keep<'k>) -> Self {
+        Self {
+            keep,
+            delivered: 0,
+            latency_sum: 0,
+            latency_max: 0,
+            last_cycle: 0,
+            dense: vec![0; DENSE_LATENCIES],
+            sparse: HashMap::default(),
+            dest_ids: HashMap::default(),
+            open: Vec::new(),
+            closed: Vec::new(),
+            streams: HashMap::default(),
+            pairs: Vec::new(),
+            staged: Vec::with_capacity(STAGED),
         }
-        let mut fill = bounds.clone();
-        let mut order = vec![0u32; log.len()];
-        for (i, &g) in group.iter().enumerate() {
-            order[fill[g as usize]] = i as u32;
-            fill[g as usize] += 1;
-        }
-        Self { log, order, bounds }
     }
 
-    /// `(disorder_fraction, (mean, max) ISI distortion)`: see
-    /// [`disorder_fraction`] and [`isi_distortion`].
-    fn order_metrics(&self) -> (f64, (f64, u64)) {
-        let mut inversions = 0u64;
-        let (mut isi_sum, mut isi_streams, mut isi_max) = (0u64, 0u64, 0u64);
-        let mut runs: Vec<StepRun> = Vec::new();
-        let mut slot_of: HashMap<u32, u32, BuildHasherDefault<NetHasher>> = HashMap::default();
-        let mut streams: Vec<Stream> = Vec::new();
-        let mut unordered: Vec<(u32, u64, u64)> = Vec::new();
-        for g in self.bounds.windows(2) {
-            let group = &self.order[g[0]..g[1]];
-            runs.clear();
-            slot_of.clear();
-            streams.clear();
-            // a stream's deliveries tend to come back to back
-            let mut cached: Option<(u32, u32)> = None;
-            for &i in group {
-                let d = &self.log[i as usize];
-                // disorder: one summary per run of equal steps
-                let key = (d.inject_cycle, d.source_neuron);
-                match runs.last_mut() {
-                    Some(run) if run.step == d.send_step => run.fold(key, d.deliver_cycle),
-                    _ => runs.push(StepRun {
-                        step: d.send_step,
-                        first: (key, d.deliver_cycle),
-                        last: (key, d.deliver_cycle),
-                    }),
+    /// A delivery log folded in its own order, every stream kept.
+    fn of_log(log: &[Delivery]) -> Self {
+        let mut fold = Self::new(Keep::Every);
+        for d in log {
+            fold.deliver(
+                d.source_neuron,
+                d.dst_crossbar,
+                d.send_step,
+                d.inject_cycle,
+                d.deliver_cycle,
+            );
+        }
+        fold.fold_staged();
+        fold
+    }
+
+    /// Deliveries taken in so far, staged ones included.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Takes in the delivery of `neuron`'s spike of step `step` to
+    /// crossbar `dst`, injected at cycle `inject` and delivered at
+    /// `deliver`.
+    ///
+    /// # Panics
+    ///
+    /// When `deliver < inject`, as [`Delivery::new`] does, and — when its
+    /// buffer of deliveries is folded — when a stream whose pairs are not
+    /// kept arrives out of inject order.
+    #[inline]
+    pub(crate) fn deliver(&mut self, neuron: u32, dst: u32, step: u32, inject: u64, deliver: u64) {
+        assert!(
+            deliver >= inject,
+            "delivery precedes injection: inject_cycle {inject} > deliver_cycle {deliver} \
+             (neuron {neuron}, crossbar {dst})"
+        );
+        self.delivered += 1;
+        if self.staged.len() == STAGED {
+            self.fold_staged();
+        }
+        self.staged.push((neuron, dst, step, inject, deliver));
+    }
+
+    /// Folds in the staged deliveries, in delivery order.
+    #[inline(never)]
+    fn fold_staged(&mut self) {
+        let mut staged = std::mem::take(&mut self.staged);
+        for &(neuron, dst, step, inject, deliver) in &staged {
+            self.fold(neuron, dst, step, inject, deliver);
+        }
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// Folds in one delivery, later than every one folded so far.
+    fn fold(&mut self, neuron: u32, dst: u32, step: u32, inject: u64, deliver: u64) {
+        let latency = deliver - inject;
+        self.latency_sum += latency;
+        self.latency_max = self.latency_max.max(latency);
+        self.last_cycle = self.last_cycle.max(deliver);
+        match self.dense.get_mut(latency as usize) {
+            Some(count) => *count += 1,
+            None => *self.sparse.entry(latency).or_insert(0) += 1,
+        }
+
+        let now = (inject, deliver);
+        let id = (neuron, dst);
+        let (stream, first) = match self.streams.entry(id) {
+            Entry::Occupied(stream) => (stream.into_mut(), false),
+            Entry::Vacant(slot) => {
+                let fresh = self.open.len() as u32;
+                let dest = *self.dest_ids.entry(dst).or_insert(fresh);
+                if dest == fresh {
+                    self.open.push(None);
                 }
-                // ISI: each stream's consecutive pair, while in order
-                let slot = match cached {
-                    Some((neuron, slot)) if neuron == d.source_neuron => slot,
-                    _ => {
-                        let fresh = streams.len() as u32;
-                        let slot = *slot_of.entry(d.source_neuron).or_insert(fresh);
-                        if slot == fresh {
-                            streams.push(Stream {
-                                last: (d.inject_cycle, d.deliver_cycle),
-                                worst: 0,
-                                spikes: 0,
-                                in_order: true,
-                            });
-                        }
-                        cached = Some((d.source_neuron, slot));
-                        slot
-                    }
+                let kept = match self.keep {
+                    Keep::Every => true,
+                    Keep::Only(split) => split.contains(&id),
                 };
-                let s = &mut streams[slot as usize];
-                let now = (d.inject_cycle, d.deliver_cycle);
-                if now < s.last {
-                    s.in_order = false;
-                } else if s.in_order {
-                    s.worst = s.worst.max(isi_gap(s.last, now));
-                }
-                s.last = now;
-                s.spikes += 1;
+                let stream = slot.insert(Stream {
+                    last: now,
+                    worst: 0,
+                    dest,
+                    kept,
+                    in_order: true,
+                    repeated: false,
+                });
+                (stream, true)
             }
+        };
 
-            // a step the log split over several runs folds into one, in
-            // log order (the sort is stable); then adjacent steps compare
-            runs.sort_by_key(|run| run.step);
-            runs.dedup_by(|later, kept| {
-                if later.step != kept.step {
-                    return false;
+        // disorder: one summary per run of a step at the destination
+        let key = (inject, neuron);
+        let open = &mut self.open[stream.dest as usize];
+        match open {
+            Some(run) if run.step == step => run.fold(key, deliver),
+            _ => {
+                let run = StepRun {
+                    dest: stream.dest,
+                    step,
+                    first: (key, deliver),
+                    last: (key, deliver),
+                };
+                if let Some(done) = open.replace(run) {
+                    self.closed.push(done);
                 }
-                kept.fold(later.first.0, later.first.1);
-                kept.fold(later.last.0, later.last.1);
-                true
-            });
-            inversions += runs
-                .windows(2)
-                .filter(|w| w[0].last.1 > w[1].first.1)
-                .count() as u64;
-
-            // the streams that did not arrive in inject order, sorted
-            if streams.iter().any(|s| !s.in_order) {
-                unordered.clear();
-                for &i in group {
-                    let d = &self.log[i as usize];
-                    let slot = slot_of[&d.source_neuron];
-                    let s = &mut streams[slot as usize];
-                    if !s.in_order {
-                        s.worst = 0;
-                        unordered.push((slot, d.inject_cycle, d.deliver_cycle));
-                    }
-                }
-                unordered.sort_unstable();
-                for w in unordered.windows(2) {
-                    if w[0].0 == w[1].0 {
-                        let s = &mut streams[w[0].0 as usize];
-                        s.worst = s.worst.max(isi_gap((w[0].1, w[0].2), (w[1].1, w[1].2)));
-                    }
-                }
-            }
-            for s in streams.iter().filter(|s| s.spikes > 1) {
-                isi_sum += s.worst;
-                isi_streams += 1;
-                isi_max = isi_max.max(s.worst);
             }
         }
-        let disorder = if self.log.is_empty() {
+
+        // ISI: each stream's consecutive pair, while in order
+        if !first {
+            if now < stream.last {
+                assert!(
+                    stream.kept,
+                    "stream of neuron {neuron} to crossbar {dst} rides one net, yet (inject, \
+                     deliver) {now:?} arrived after {:?}",
+                    stream.last
+                );
+                stream.in_order = false;
+            } else if stream.in_order {
+                stream.worst = stream.worst.max(isi_gap(stream.last, now));
+            }
+            stream.last = now;
+            stream.repeated = true;
+        }
+        if stream.kept {
+            self.pairs.push((id, inject, deliver));
+        }
+    }
+
+    /// The statistics of the deliveries folded, with the run's counters.
+    pub(crate) fn finish(
+        mut self,
+        counters: Counters,
+        energy: &EnergyModel,
+        duration_steps: u32,
+        cycles_per_step: u64,
+    ) -> NocStats {
+        self.fold_staged();
+        let delivered = self.delivered;
+        let avg_latency = if delivered == 0 {
             0.0
         } else {
-            inversions as f64 / self.log.len() as f64
+            self.latency_sum as f64 / delivered as f64
         };
-        let isi_mean = if isi_streams == 0 {
+        let (p50, p99) = self.percentiles();
+        let duration_ms = duration_steps.max(1) as f64;
+        let throughput = delivered as f64 / duration_ms;
+        let disorder = self.disorder();
+        let (avg_isi, max_isi) = self.isi();
+
+        let global_energy_pj = counters.packets_injected as f64 * energy.encode_pj
+            + counters.deliveries as f64 * energy.decode_pj
+            + counters.router_traversals as f64 * energy.router_hop_pj
+            + counters.link_flits as f64 * energy.link_flit_pj
+            + counters.buffer_flits as f64 * energy.buffer_flit_pj;
+
+        NocStats {
+            delivered,
+            total_cycles: self
+                .last_cycle
+                .max(u64::from(duration_steps).saturating_mul(cycles_per_step)),
+            avg_latency_cycles: avg_latency,
+            p50_latency_cycles: p50,
+            p99_latency_cycles: p99,
+            max_latency_cycles: self.latency_max,
+            throughput_aer_per_ms: throughput,
+            disorder_fraction: disorder,
+            avg_isi_distortion_cycles: avg_isi,
+            max_isi_distortion_cycles: max_isi,
+            global_energy_pj,
+            counters,
+            per_vc: Vec::new(),
+            sched: None,
+        }
+    }
+
+    /// Nearest-rank `(p50, p99)` latencies, by one walk up the counts.
+    fn percentiles(&self) -> (u64, u64) {
+        let n = self.delivered;
+        if n == 0 {
+            return (0, 0);
+        }
+        let rank = |p: f64| ((p * n as f64).ceil() as u64).clamp(1, n) - 1;
+        let (i50, i99) = (rank(0.50), rank(0.99));
+        let mut sparse: Vec<(u64, u64)> = self.sparse.iter().map(|(&l, &c)| (l, c)).collect();
+        sparse.sort_unstable();
+        let dense = self.dense.iter().enumerate().map(|(l, &c)| (l as u64, c));
+        let (mut seen, mut p50) = (0u64, None);
+        for (latency, count) in dense.chain(sparse) {
+            seen += count;
+            if seen > i50 {
+                p50.get_or_insert(latency);
+            }
+            if seen > i99 {
+                return (p50.unwrap_or(latency), latency);
+            }
+        }
+        unreachable!("the counts sum to the deliveries")
+    }
+
+    /// Inversions over deliveries: per destination, its step summaries
+    /// in step order, each adjacent pair delivered inverted counting once
+    /// (see [`disorder_fraction`]).
+    fn disorder(&mut self) -> f64 {
+        if self.delivered == 0 {
+            return 0.0;
+        }
+        let mut runs = std::mem::take(&mut self.closed);
+        runs.extend(self.open.iter().flatten());
+        // a step delivered in several runs folds into one, in delivery
+        // order (the sort is stable); then adjacent steps compare
+        runs.sort_by_key(|run| (run.dest, run.step));
+        runs.dedup_by(|later, kept| {
+            if (later.dest, later.step) != (kept.dest, kept.step) {
+                return false;
+            }
+            kept.fold(later.first.0, later.first.1);
+            kept.fold(later.last.0, later.last.1);
+            true
+        });
+        let inversions = runs
+            .windows(2)
+            .filter(|w| w[0].dest == w[1].dest && w[0].last.1 > w[1].first.1)
+            .count();
+        inversions as f64 / self.delivered as f64
+    }
+
+    /// `(mean, max)` ISI distortion over the streams of two spikes or
+    /// more (see [`isi_distortion`]); a stream that arrived out of inject
+    /// order is measured on its kept pairs, sorted.
+    fn isi(&mut self) -> (f64, u64) {
+        let streams = &mut self.streams;
+        self.pairs.retain(|(id, ..)| !streams[id].in_order);
+        self.pairs.sort_unstable();
+        for (id, ..) in &self.pairs {
+            streams.get_mut(id).expect("a kept pair has a stream").worst = 0;
+        }
+        for w in self.pairs.windows(2) {
+            if w[0].0 == w[1].0 {
+                let s = streams.get_mut(&w[0].0).expect("a kept pair has a stream");
+                s.worst = s.worst.max(isi_gap((w[0].1, w[0].2), (w[1].1, w[1].2)));
+            }
+        }
+        let (mut sum, mut count, mut max) = (0u64, 0u64, 0u64);
+        for s in streams.values().filter(|s| s.repeated) {
+            sum += s.worst;
+            count += 1;
+            max = max.max(s.worst);
+        }
+        let mean = if count == 0 {
             0.0
         } else {
-            isi_sum as f64 / isi_streams as f64
+            sum as f64 / count as f64
         };
-        (disorder, (isi_mean, isi_max))
+        (mean, max)
     }
 }
 
@@ -797,13 +942,63 @@ mod tests {
         );
     }
 
+    /// Nearest-rank `(p50, p99)` of `latencies`, through the fold.
+    fn percentiles(latencies: &[u64]) -> (u64, u64) {
+        let mut fold = StatsFold::new(Keep::Every);
+        for (i, &latency) in latencies.iter().enumerate() {
+            fold.deliver(i as u32, 0, 0, 0, latency);
+        }
+        fold.fold_staged();
+        fold.percentiles()
+    }
+
     #[test]
     fn percentiles_nearest_rank() {
-        let mut latencies: Vec<u64> = (1..=100).rev().collect();
-        assert_eq!(percentiles(&mut latencies), (50, 99));
-        assert_eq!(percentiles(&mut []), (0, 0));
-        assert_eq!(percentiles(&mut [7]), (7, 7));
-        assert_eq!(percentiles(&mut [9, 3]), (3, 9));
+        let latencies: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(percentiles(&latencies), (50, 99));
+        assert_eq!(percentiles(&[]), (0, 0));
+        assert_eq!(percentiles(&[7]), (7, 7));
+        assert_eq!(percentiles(&[9, 3]), (3, 9));
+        // past the dense counts, and across their edge
+        let far = DENSE_LATENCIES as u64;
+        assert_eq!(percentiles(&[far + 5, 2, far]), (far, far + 5));
+        let sorted: Vec<u64> = (0..200).map(|i| i * 40).collect();
+        let rank = |p: f64| sorted[((p * 200.0).ceil() as usize).clamp(1, 200) - 1];
+        let wide: Vec<u64> = sorted.iter().rev().copied().collect();
+        assert_eq!(percentiles(&wide), (rank(0.50), rank(0.99)));
+    }
+
+    #[test]
+    #[should_panic(expected = "rides one net")]
+    fn a_one_net_stream_out_of_order_panics() {
+        let split = Streams::default();
+        let mut fold = StatsFold::new(Keep::Only(&split));
+        fold.deliver(3, 1, 0, 20, 30);
+        fold.deliver(3, 1, 0, 10, 31);
+        fold.finish(Counters::default(), &EnergyModel::default(), 1, 1024);
+    }
+
+    #[test]
+    fn a_split_stream_out_of_order_is_sorted() {
+        let split: Streams = [(3, 1)].into_iter().collect();
+        let mut fold = StatsFold::new(Keep::Only(&split));
+        let log = [d(3, 1, 20, 30), d(3, 1, 10, 31), d(3, 1, 30, 32)];
+        for x in &log {
+            fold.deliver(
+                x.source_neuron,
+                x.dst_crossbar,
+                x.send_step,
+                x.inject_cycle,
+                x.deliver_cycle,
+            );
+        }
+        let em = EnergyModel::default();
+        let stats = fold.finish(Counters::default(), &em, 1, 1024);
+        assert_eq!(
+            stats,
+            NocStats::from_deliveries(&log, Counters::default(), &em, 1, 1024)
+        );
+        assert_eq!(isi_distortion(&log), (9.0, 9));
     }
 
     #[test]

@@ -78,12 +78,12 @@ fn congestion_degrades_temporal_fidelity_and_pso_resists() {
     let fidelity = |mapping: &neuromap::hw::Mapping, cycles: u64| {
         let mut cfg = PipelineConfig::for_arch(arch.clone());
         cfg.noc.cycles_per_step = cycles;
-        let evaluation = MappingPipeline::new(cfg)
-            .evaluate(&graph, mapping.clone(), "x", "identity")
+        let (evaluation, log) = MappingPipeline::new(cfg)
+            .evaluate_logged(&graph, mapping.clone(), "x", "identity")
             .expect("evaluates");
         (
             evaluation.report.noc.avg_isi_distortion_cycles,
-            temporal_fidelity(&evaluation.deliveries, cycles),
+            temporal_fidelity(&log, cycles),
         )
     };
 

@@ -75,8 +75,8 @@ fn assert_topologies_identical(
     let name = format!("{} vs {} vc={}", flat.name(), hier.name(), cfg.vc_count);
     let mut on_flat = NocSim::new(flat, cfg, EnergyModel::default());
     let mut on_hier = NocSim::new(hier, cfg, EnergyModel::default());
-    let fr = on_flat.run_with_duration(flows, duration);
-    let hr = on_hier.run_with_duration(flows, duration);
+    let fr = on_flat.run_logged(flows, duration);
+    let hr = on_hier.run_logged(flows, duration);
     match (fr, hr) {
         (Ok((fs, fd)), Ok((hs, hd))) => {
             prop_assert_eq!(&fd, &hd, "{}: delivery logs diverge", &name);
@@ -261,8 +261,8 @@ proptest! {
         let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
         let mut oracle = NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
         let name = format!("{} vc={}", event.topology().name(), vc);
-        let ev = event.run_with_duration(&flows, 8);
-        let or = oracle.run_with_duration(&flows, 8);
+        let ev = event.run_logged(&flows, 8);
+        let or = oracle.run_logged(&flows, 8);
         match (ev, or) {
             (Ok((es, ed)), Ok((os, od))) => {
                 prop_assert_eq!(&ed, &od, "{}: delivery logs diverge", &name);

@@ -104,8 +104,8 @@ fn assert_engines_agree(
     let mut oracle = NocSim::new(topology(topo_idx), cfg, EnergyModel::default())
         .with_engine(EngineKind::CycleOracle);
     let name = event.topology().name();
-    let ev: Result<(NocStats, Vec<Delivery>), NocError> = event.run_with_duration(flows, duration);
-    let or = oracle.run_with_duration(flows, duration);
+    let ev: Result<(NocStats, Vec<Delivery>), NocError> = event.run_logged(flows, duration);
+    let or = oracle.run_logged(flows, duration);
     match (ev, or) {
         (Ok((es, ed)), Ok((os, od))) => {
             prop_assert_eq!(&ed, &od, "{}: delivery logs diverge", &name);
@@ -219,8 +219,8 @@ fn assert_engines_agree_on(
     let mut oracle =
         NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
     let name = format!("{} vc={}", event.topology().name(), cfg.vc_count);
-    let ev = event.run_with_duration(flows, duration);
-    let or = oracle.run_with_duration(flows, duration);
+    let ev = event.run_logged(flows, duration);
+    let or = oracle.run_logged(flows, duration);
     match (ev, or) {
         (Ok((es, ed)), Ok((os, od))) => {
             prop_assert_eq!(&ed, &od, "{}: delivery logs diverge", &name);
@@ -296,10 +296,7 @@ fn torus_deadlock_wedges_without_vcs_and_completes_with_two() {
             EnergyModel::default(),
         )
         .with_engine(EngineKind::CycleOracle);
-        (
-            ev.run_with_duration(&flows, 2),
-            or.run_with_duration(&flows, 2),
-        )
+        (ev.run_logged(&flows, 2), or.run_logged(&flows, 2))
     };
     let (ev, or) = run(1, 20_000);
     let ev_err = ev.expect_err("single-VC ring must wedge");
@@ -484,8 +481,8 @@ fn pre_vc_digests_are_stable() {
         let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
         let mut oracle =
             NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let (es, _) = event.run_with_duration(&flows, duration).expect(name);
-        let (os, _) = oracle.run_with_duration(&flows, duration).expect(name);
+        let es = event.run_with_duration(&flows, duration).expect(name);
+        let os = oracle.run_with_duration(&flows, duration).expect(name);
         assert_eq!(
             es.digest().unwrap(),
             golden,
@@ -590,8 +587,8 @@ fn multi_vc_tree_and_hier_digests_are_frozen() {
         let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
         let mut oracle =
             NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let (es, _) = event.run_with_duration(&flows, duration).expect(name);
-        let (os, _) = oracle.run_with_duration(&flows, duration).expect(name);
+        let es = event.run_with_duration(&flows, duration).expect(name);
+        let os = oracle.run_with_duration(&flows, duration).expect(name);
         let et = fnv(&event.take_trace().expect("traced").to_bytes());
         let ot = fnv(&oracle.take_trace().expect("traced").to_bytes());
         let got = (es.digest().unwrap(), et);
@@ -827,8 +824,8 @@ fn delivery_logs_are_frozen() {
         let mut event = NocSim::shared(std::sync::Arc::clone(&topo), cfg, EnergyModel::default());
         let mut oracle =
             NocSim::shared(topo, cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let (es, ed) = event.run_with_duration(&flows, duration).expect(name);
-        let (os, od) = oracle.run_with_duration(&flows, duration).expect(name);
+        let (es, ed) = event.run_logged(&flows, duration).expect(name);
+        let (os, od) = oracle.run_logged(&flows, duration).expect(name);
         let expected: usize = flows.iter().map(|f| f.dst_crossbars.len()).sum();
         assert_eq!(
             ed.len(),
@@ -907,7 +904,7 @@ fn tree_routes_are_asked_once_per_net() {
     for (engine, calls) in [(EngineKind::EventDriven, 24), (EngineKind::CycleOracle, 48)] {
         let shared: std::sync::Arc<dyn Topology> = topo.clone();
         let mut sim = NocSim::shared(shared, cfg, EnergyModel::default()).with_engine(engine);
-        let (stats, _, trace) = sim.run_traced(&flows, 12).expect("drains");
+        let (stats, trace) = sim.run_traced(&flows, 12).expect("drains");
         assert_eq!(stats.counters.packets_injected, 288);
         assert_eq!((trace.nets, trace.plan_nodes > 24), (24, true));
         assert_eq!(
@@ -987,7 +984,7 @@ proptest! {
         let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
         let mut oracle =
             NocSim::new(topo(), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let (stats, log) = event.run_with_duration(&flows, 12).expect("drains");
+        let (stats, log) = event.run_logged(&flows, 12).expect("drains");
         oracle.run_with_duration(&flows, 12).expect("drains");
         let listed: usize = flows.iter().map(|f| f.dst_crossbars.len()).sum();
         prop_assert_eq!(log.len(), listed);
@@ -1017,8 +1014,8 @@ proptest! {
         let permuted = shuffled(&flows, shuffle_seed);
         let mut a = NocSim::new(vc_topology(false), cfg, EnergyModel::default());
         let mut b = NocSim::new(vc_topology(false), cfg, EnergyModel::default());
-        let ra = a.run_with_duration(&flows, 6);
-        let rb = b.run_with_duration(&permuted, 6);
+        let ra = a.run_logged(&flows, 6);
+        let rb = b.run_logged(&permuted, 6);
         match (ra, rb) {
             (Ok((sa, da)), Ok((sb, db))) => {
                 prop_assert_eq!(da, db, "delivery logs depend on input order");
@@ -1060,7 +1057,8 @@ proptest! {
         let re = ev.run_traced(&flows, 6);
         let ro = or.run_traced(&flows, 6);
         match (re, ro) {
-            (Ok((es, ed, et)), Ok((os, od, ot))) => {
+            (Ok((es, et)), Ok((os, ot))) => {
+                let (ed, od) = (ev.run_logged(&flows, 6), or.run_logged(&flows, 6));
                 prop_assert_eq!(&ed, &od, "delivery logs diverge");
                 prop_assert_eq!(es.digest().unwrap(), os.digest().unwrap(), "digests diverge");
                 prop_assert_eq!(
@@ -1094,7 +1092,7 @@ proptest! {
         let mut ev = NocSim::new(topology(topo_idx), NocConfig::default(), EnergyModel::default());
         let topo = ev.topology();
         let pairs: u64 = (0..topo.num_routers()).map(|r| topo.neighbors(r).len() as u64).sum();
-        if let Ok((_, _, trace)) = ev.run_traced(&flows, 8) {
+        if let Ok((_, trace)) = ev.run_traced(&flows, 8) {
             prop_assert!(
                 trace.sched.port_wakes <= trace.sched.wake_cycles * pairs,
                 "per-port wakes {} exceed {} attended cycles x {} pairs",
@@ -1176,8 +1174,8 @@ proptest! {
         let permuted = shuffled(&flows, shuffle_seed);
         let mut a = NocSim::new(topology(topo_idx), cfg, EnergyModel::default());
         let mut b = NocSim::new(topology(topo_idx), cfg, EnergyModel::default());
-        let (sa, da) = a.run_with_duration(&flows, 8).expect("drains");
-        let (sb, db) = b.run_with_duration(&permuted, 8).expect("drains");
+        let (sa, da) = a.run_logged(&flows, 8).expect("drains");
+        let (sb, db) = b.run_logged(&permuted, 8).expect("drains");
         prop_assert_eq!(da, db, "delivery logs depend on input order");
         prop_assert_eq!(sa.digest().unwrap(), sb.digest().unwrap(), "stats depend on input order");
     }
@@ -1449,8 +1447,8 @@ proptest! {
         };
         let mut ev = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default());
         let mut or = NocSim::new(vc_topology(mesh), cfg, EnergyModel::default()).with_engine(EngineKind::CycleOracle);
-        let re = ev.run_with_duration(&flows, 6);
-        let ro = or.run_with_duration(&flows, 6);
+        let re = ev.run_logged(&flows, 6);
+        let ro = or.run_logged(&flows, 6);
         match (re, ro) {
             (Ok((es, ed)), Ok((os, od))) => {
                 prop_assert_eq!(&ed, &od, "tree routing: delivery logs diverge");
@@ -1493,8 +1491,8 @@ proptest! {
         let tree_cfg = NocConfig { multicast_trees: true, ..base };
         let mut a = NocSim::new(vc_topology(mesh), base, EnergyModel::default());
         let mut b = NocSim::new(vc_topology(mesh), tree_cfg, EnergyModel::default());
-        let ra = a.run_with_duration(&flows, 6);
-        let rb = b.run_with_duration(&flows, 6);
+        let ra = a.run_logged(&flows, 6);
+        let rb = b.run_logged(&flows, 6);
         if let (Ok((_, da)), Ok((_, db))) = (ra, rb) {
             let key = |d: &Delivery| (d.source_neuron, d.src_crossbar, d.dst_crossbar, d.send_step);
             let mut ka: Vec<_> = da.iter().map(key).collect();
@@ -1575,7 +1573,7 @@ proptest! {
             let forwards = sim.link_forwards(&flows);
             let name = format!("{} {engine:?} {cfg:?}", sim.topology().name());
             match sim.run_with_duration(&flows, 4) {
-                Ok((stats, _)) => prop_assert_eq!(
+                Ok(stats) => prop_assert_eq!(
                     Ok(stats.counters.link_flits),
                     forwards.map(|f| u64::from(flits) * f),
                     "{}", &name
@@ -1743,6 +1741,114 @@ proptest! {
             (m.to_bits(), x)
         });
     }
+}
+
+/// The fabrics the statistics fold is held to its log on: mesh, torus,
+/// tree, star, point-to-point and a 2 × 2-chip hierarchy.
+fn fold_fabric(idx: usize) -> Box<dyn Topology> {
+    let c = CROSSBARS as usize;
+    match idx % 6 {
+        0 => Box::new(Mesh2D::for_crossbars(c)),
+        1 => Box::new(Torus::for_crossbars(c)),
+        2 => Box::new(NocTree::new(c, 2)),
+        3 => Box::new(Star::new(c)),
+        4 => Box::new(PointToPoint::new(c)),
+        _ => Box::new(HierTopology::for_crossbars(c, 2, 2, 3, 2).expect("valid")),
+    }
+}
+
+/// Hand-written traffic whose streams ride several nets: four neurons,
+/// each sending from any crossbar to any destination set, so one neuron
+/// sends from several crossbars and under several destination sets.
+fn arb_split_flows() -> impl Strategy<Value = Vec<SpikeFlow>> {
+    proptest::collection::vec(
+        (
+            0u32..4,         // source neuron
+            0u32..CROSSBARS, // src crossbar
+            proptest::collection::vec(0u32..CROSSBARS, 1..4),
+            0u32..4, // send step
+        ),
+        1..48,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(neuron, src, dsts, step)| SpikeFlow::multicast(neuron, src, dsts, step))
+            .collect()
+    })
+}
+
+/// Whether some `(source neuron, destination)` stream of `log` has a
+/// delivery that follows one of a larger `(inject, deliver)`.
+fn has_an_out_of_order_stream(log: &[Delivery]) -> bool {
+    let mut last = std::collections::HashMap::new();
+    log.iter().any(|d| {
+        let now = (d.inject_cycle, d.deliver_cycle);
+        last.insert((d.source_neuron, d.dst_crossbar), now)
+            .is_some_and(|before| now < before)
+    })
+}
+
+/// The statistics a run folds as it delivers are byte for byte
+/// `NocStats::from_deliveries` over the log of the same run, on every
+/// fabric, under both engines, at one and two VCs, with trees on and
+/// off — and the corpus does carry streams that arrive out of inject
+/// order, whose pairs the fold keeps and sorts.
+#[test]
+fn the_statistics_fold_is_the_log_statistics_on_every_fabric() {
+    static OUT_OF_ORDER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(common::cases(32)))]
+        fn fold_is_the_log_statistics(
+            flows in arb_split_flows(),
+            fabric in 0usize..6,
+            vc_count in 1usize..3,
+            trees in any::<bool>(),
+            depth in 1usize..4,
+        ) {
+            let cfg = NocConfig {
+                vc_count,
+                multicast_trees: trees,
+                buffer_depth: depth,
+                cycles_per_step: 8,
+                max_cycles: 60_000,
+                ..NocConfig::default()
+            };
+            for engine in [EngineKind::EventDriven, EngineKind::CycleOracle] {
+                let sim = || NocSim::new(fold_fabric(fabric), cfg, EnergyModel::default())
+                    .with_engine(engine);
+                let name = format!("{} {engine:?} {cfg:?}", fold_fabric(fabric).name());
+                match (sim().run_with_duration(&flows, 4), sim().run_logged(&flows, 4)) {
+                    (Ok(stats), Ok((logged, log))) => {
+                        prop_assert_eq!(&stats, &logged, "{}", &name);
+                        let from_log = NocStats::from_deliveries(
+                            &log,
+                            stats.counters,
+                            &EnergyModel::default(),
+                            4,
+                            cfg.cycles_per_step,
+                        )
+                        .with_per_vc(stats.per_vc.clone());
+                        prop_assert_eq!(
+                            stats.to_json().unwrap(),
+                            from_log.to_json().unwrap(),
+                            "{}", &name
+                        );
+                        if has_an_out_of_order_stream(&log) {
+                            OUT_OF_ORDER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", &name),
+                    (a, b) => return Err(format!("{name}: {a:?} vs {b:?}")),
+                }
+            }
+        }
+    }
+    fold_is_the_log_statistics();
+    let runs = OUT_OF_ORDER.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        runs > 0,
+        "no run delivered a stream out of inject order: the kept pairs went untested"
+    );
 }
 
 #[test]

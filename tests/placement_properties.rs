@@ -93,7 +93,7 @@ proptest! {
         if traffic == TrafficMode::PerSynapse {
             noc_cfg.multicast_trees = false;
         }
-        let (stats, _) = NocSim::new(build_topology(&arch), noc_cfg, *arch.energy())
+        let stats = NocSim::new(build_topology(&arch), noc_cfg, *arch.energy())
             .run_with_duration(&flows, graph.duration_steps())
             .unwrap();
 

@@ -21,13 +21,14 @@
 //!   only merges routes.
 
 use neuromap::core::pipeline::{
-    build_flows, local_events, MappingPipeline, PipelineConfig, TrafficMode,
+    build_flows, build_topology, local_events, MappingPipeline, PipelineConfig, TrafficMode,
 };
 use neuromap::core::place::{placement_cost, TrafficMatrix};
 use neuromap::core::SpikeGraph;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
 use neuromap::noc::config::NocConfig;
+use neuromap::noc::sim::NocSim;
 use neuromap::noc::topology::Topology;
 use neuromap::noc::traffic::{sort_canonical, SpikeFlow};
 use proptest::prelude::*;
@@ -214,15 +215,24 @@ proptest! {
         sort_canonical(&mut a);
         sort_canonical(&mut b);
         prop_assert_eq!(a, b);
-        let evaluation = pipeline.evaluate(&graph, mapping.clone(), "random", "identity").unwrap();
+        let (evaluation, log) =
+            pipeline.evaluate_logged(&graph, mapping.clone(), "random", "identity").unwrap();
         let report = &evaluation.report;
         let (weighted, unicast) = pipeline.hop_metrics(&csr);
         prop_assert_eq!(weighted, report.hop_weighted_packets);
         prop_assert_eq!(unicast, report.cut_spikes);
-        let (stats, deliveries) = pipeline.simulate(&csr, graph.duration_steps()).unwrap();
+        let (stats, _) = pipeline.simulate(&csr, graph.duration_steps()).unwrap();
         prop_assert_eq!(&stats, &report.noc);
         prop_assert_eq!(stats.digest().unwrap(), report.noc.digest().unwrap());
-        prop_assert_eq!(deliveries, evaluation.deliveries);
+        // the simulate stage's simulator (trees off under per-synapse
+        // traffic), logged
+        let arch = &pipeline.config().arch;
+        let per_synapse = NocConfig { multicast_trees: false, ..noc };
+        let (logged, deliveries) = NocSim::new(build_topology(arch), per_synapse, *arch.energy())
+            .run_logged(&csr, graph.duration_steps())
+            .unwrap();
+        prop_assert_eq!(&logged, &stats);
+        prop_assert_eq!(deliveries, log);
     }
 
     /// (e): what the objective prices, what the report measures and what
@@ -265,5 +275,51 @@ proptest! {
         prop_assert_eq!(charged, u64::from(flits) * pipeline.hop_metrics(&flows).0);
         let cut_hops = pipeline.problem(&graph).unwrap().cut_hops(mapping.assignment());
         prop_assert_eq!(charged, u64::from(flits) * cut_hops);
+    }
+}
+
+/// `build_flows` allocates its flows once, at their final size, under
+/// both accountings.
+fn assert_flows_built_at_their_final_size(graph: &SpikeGraph, mapping: &Mapping) {
+    for mode in MODES {
+        let flows = build_flows(graph, mapping, mode);
+        assert_eq!(flows.capacity(), flows.len(), "{mode:?}");
+    }
+}
+
+#[test]
+fn flows_are_built_at_their_final_size() {
+    // neuron 0 has local and remote targets, every target of neuron 1
+    // shares its crossbar, neuron 2 is silent, neuron 3 fans out to both
+    // other crossbars
+    let synapses = vec![
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (0, 3),
+        (1, 0),
+        (2, 0),
+        (3, 0),
+        (3, 4),
+    ];
+    let graph = SpikeGraph::from_parts(5, synapses, vec![3, 4, 0, 2, 1]).unwrap();
+    let mapping = Mapping::from_assignment(vec![0, 0, 1, 1, 2], 3).unwrap();
+    assert_eq!(
+        build_flows(&graph, &mapping, TrafficMode::PerSynapse).len(),
+        3 * 3 + 2 * 2
+    );
+    assert_eq!(
+        build_flows(&graph, &mapping, TrafficMode::PerCrossbar).len(),
+        3 + 2
+    );
+    assert_flows_built_at_their_final_size(&graph, &mapping);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(48)))]
+
+    #[test]
+    fn random_flows_are_built_at_their_final_size((graph, mapping) in arb_mapped()) {
+        assert_flows_built_at_their_final_size(&graph, &mapping);
     }
 }
