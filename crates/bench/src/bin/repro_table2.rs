@@ -21,7 +21,7 @@ use neuromap_core::partition::{PartitionProblem, Partitioner};
 use neuromap_core::pipeline::{MappingPipeline, PipelineConfig, Report};
 use neuromap_core::pso::PsoPartitioner;
 use neuromap_core::SpikeGraph;
-use neuromap_noc::stats::Delivery;
+use neuromap_noc::stats::{temporal_fidelity, Delivery};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::from_args();
@@ -170,43 +170,4 @@ fn run(
         "identity",
     )?;
     Ok((evaluation.report, log))
-}
-
-/// Temporal-code fidelity of the interconnect: per (source neuron,
-/// destination crossbar) stream, every **sent** inter-spike interval at
-/// beat scale (300–2000 ms) is checked against the corresponding
-/// **arrival** interval; a hit means the delivered interval is within ±3%
-/// of the sent one. This isolates exactly the information channel the HE
-/// application decodes (the R-R interval rides on inter-spike timing), so
-/// fidelity loss lower-bounds the application's accuracy loss — the §V-B
-/// mechanism.
-fn temporal_fidelity(log: &[Delivery], cycles_per_ms: u64) -> f64 {
-    use std::collections::HashMap;
-    let mut streams: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
-    for d in log {
-        streams
-            .entry((d.source_neuron, d.dst_crossbar))
-            .or_default()
-            .push((d.inject_cycle, d.deliver_cycle));
-    }
-    let mut total = 0u64;
-    let mut hits = 0u64;
-    for times in streams.values_mut() {
-        times.sort_unstable();
-        for w in times.windows(2) {
-            let sent = (w[1].0 - w[0].0) as f64 / cycles_per_ms as f64;
-            if !(300.0..=2000.0).contains(&sent) {
-                continue;
-            }
-            let recv = w[1].1.abs_diff(w[0].1) as f64 / cycles_per_ms as f64;
-            total += 1;
-            if (recv - sent).abs() / sent <= 0.03 {
-                hits += 1;
-            }
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    hits as f64 / total as f64
 }

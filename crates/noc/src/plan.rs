@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::NocError;
+use crate::sim::Fabric;
 use crate::stats::Streams;
 use crate::topology::Topology;
 use crate::traffic::SpikeFlow;
@@ -79,11 +80,20 @@ impl Hasher for NetHasher {
     }
 }
 
-/// The distinct nets of a flow set, in first-appearance order. Nothing
-/// here is stored per flow: a flow finds its net by its key.
+/// The distinct nets of a flow set, in first-appearance order, each with
+/// its packet count (its crossbars were checked once, when interned), and
+/// the flow set's steps. Nothing here is stored per flow: a flow finds its
+/// net by its key.
 pub(crate) struct Nets<'f> {
     /// `(source crossbar, destinations as the flow lists them)` per net.
     keys: Vec<(u32, &'f [u32])>,
+    /// Packets (sending flows) per net.
+    packets: Vec<u64>,
+    /// The last step a packet is sent in (0 when none is).
+    pub(crate) last_step: u32,
+    /// One past the last send step of any flow (1 without flows): the
+    /// SNN duration [`crate::sim::NocSim::run`] infers.
+    pub(crate) steps: u32,
     /// Net id per key.
     ids: NetMap<'f>,
     /// The `(source neuron, destination)` streams of more than one net.
@@ -97,14 +107,34 @@ type NetMap<'f> = HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>>;
 pub(crate) struct LastKey<'f>(Option<(u32, &'f [u32], u32)>);
 
 impl<'f> Nets<'f> {
-    /// Interns the nets of `flows`: one per distinct `(source,
-    /// destinations)` of a flow that sends, and notes the streams that
-    /// ride more than one. Traffic generators emit a neuron's spikes back
-    /// to back, so a flow is compared with the one before it first and
-    /// only a new key is hashed.
-    pub(crate) fn intern(flows: &'f [SpikeFlow]) -> Self {
+    /// Interns the nets of `flows` in the run's one pass over them: a net
+    /// per distinct `(source, destinations)` of a flow that sends, with its
+    /// packet count; the last step a packet is sent in and the steps the
+    /// flows span; the streams that ride more than one net. Traffic generators emit a neuron's spikes back to back, so
+    /// a flow is compared with the one before it first and only a new key
+    /// is hashed.
+    ///
+    /// # Errors
+    ///
+    /// [`NocError::UnknownCrossbar`] for the first crossbar past
+    /// `crossbars` in flow order (destinations in list order, then the
+    /// source), checked once per net and per flow without destinations.
+    pub(crate) fn intern(crossbars: usize, flows: &'f [SpikeFlow]) -> Result<Self, NocError> {
+        let known = |&crossbar: &u32| {
+            if (crossbar as usize) < crossbars {
+                Ok(())
+            } else {
+                Err(NocError::UnknownCrossbar {
+                    crossbar,
+                    available: crossbars,
+                })
+            }
+        };
         let mut nets = Self {
             keys: Vec::new(),
+            packets: Vec::new(),
+            last_step: 0,
+            steps: 1,
             ids: HashMap::default(),
             split: Streams::default(),
         };
@@ -112,14 +142,16 @@ impl<'f> Nets<'f> {
         let mut first_net: HashMap<(u32, u32), u32, BuildHasherDefault<NetHasher>> =
             HashMap::default();
         let mut prev: Option<(&SpikeFlow, u32)> = None;
-        for f in flows.iter().filter(|f| !f.dst_crossbars.is_empty()) {
+        for f in flows {
+            nets.steps = nets.steps.max(f.send_step.saturating_add(1));
+            if f.dst_crossbars.is_empty() {
+                known(&f.src_crossbar)?;
+                continue;
+            }
             let net = match prev {
                 Some((p, net))
                     if p.src_crossbar == f.src_crossbar && p.dst_crossbars == f.dst_crossbars =>
                 {
-                    if p.source_neuron == f.source_neuron {
-                        continue;
-                    }
                     net
                 }
                 _ => {
@@ -127,14 +159,22 @@ impl<'f> Nets<'f> {
                     match nets.ids.entry(key) {
                         Entry::Occupied(id) => *id.get(),
                         Entry::Vacant(slot) => {
+                            key.1.iter().chain([&key.0]).try_for_each(known)?;
                             let id = nets.keys.len() as u32;
                             slot.insert(id);
                             nets.keys.push(key);
+                            nets.packets.push(0);
                             id
                         }
                     }
                 }
             };
+            nets.packets[net as usize] += 1;
+            nets.last_step = nets.last_step.max(f.send_step);
+            // the same neuron on the same net: its streams are noted
+            if prev.is_some_and(|(p, n)| (n, p.source_neuron) == (net, f.source_neuron)) {
+                continue;
+            }
             prev = Some((f, net));
             for &d in f.dst_crossbars.iter() {
                 let stream = (f.source_neuron, d);
@@ -143,7 +183,7 @@ impl<'f> Nets<'f> {
                 }
             }
         }
-        nets
+        Ok(nets)
     }
 
     /// The `(source neuron, destination crossbar)` streams whose packets
@@ -177,6 +217,12 @@ impl<'f> Nets<'f> {
     /// Number of distinct nets.
     pub(crate) fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    /// `per_packet(net)` summed over every packet of every net.
+    pub(crate) fn per_packet_sum(&self, per_packet: impl Fn(u32) -> u64) -> u64 {
+        let nets = self.packets.iter().zip(0..);
+        nets.map(|(&packets, net)| packets * per_packet(net)).sum()
     }
 }
 
@@ -340,10 +386,9 @@ impl TreeHops {
 }
 
 impl Plan {
-    /// Plans every net of `nets` over `topo` at `vcs` virtual channels:
-    /// along the unicast routes, or along [`Topology::multicast_route`]
-    /// trees when `trees` is set. Slots must fit a `u16` (the caller
-    /// checked `widest router × vcs`).
+    /// Plans every net of `nets` over `topo` as `fabric` numbers it: along
+    /// the unicast routes, or along [`Topology::multicast_route`] trees
+    /// when `trees` is set. Slots fit a `u16` (`Fabric::new` checked).
     ///
     /// # Errors
     ///
@@ -354,14 +399,11 @@ impl Plan {
     /// for a unicast route that long (it never arrives).
     pub(crate) fn build(
         topo: &dyn Topology,
-        vcs: usize,
+        fabric: &Fabric,
         trees: bool,
         nets: &Nets<'_>,
     ) -> Result<Self, NocError> {
-        let nr = topo.num_routers();
-        let endpoint_of: Vec<u32> = (0..topo.num_crossbars() as u32)
-            .map(|k| topo.endpoint(k) as u32)
-            .collect();
+        let (nr, vcs, endpoint_of) = (fabric.routers(), fabric.vcs, &fabric.endpoints);
         let mut unicast = UnicastSlots::new(if trees { 0 } else { nr });
         let mut plan = Plan {
             nodes: Vec::new(),
@@ -385,7 +427,7 @@ impl Plan {
                 value: format!("net of crossbar {src}: {what}"),
             };
             if trees {
-                tree.load(topo, vcs, src_router as usize, dests, &endpoint_of)
+                tree.load(topo, vcs, src_router as usize, dests, endpoint_of)
                     .map_err(bad_route)?;
             }
             let base = plan.arena.len();
@@ -441,12 +483,12 @@ impl Plan {
                             keyed[g].1
                         )));
                     }
-                    let nbr = topo.neighbors(r as usize)[bit as usize / vcs];
+                    let nbr = fabric.links[fabric.pair_base(r as usize) + bit as usize / vcs].to;
                     plan.branches.push(Branch {
                         child: plan.nodes.len() as u32,
                         bit: bit as u16,
                     });
-                    sites.push((nbr as u32, depth + 1));
+                    sites.push((nbr, depth + 1));
                     plan.nodes.push(Node::unplanned(start + g, start + g + len));
                     g += len;
                 }
@@ -888,14 +930,15 @@ pub(crate) mod tests {
             (Arc::new(SharedLine), 2, true),
         ];
         for (topo, vcs, trees) in fabrics {
-            let fabric = Fabric::new(topo.as_ref(), vcs).expect("valid");
+            let fabric = Arc::new(Fabric::new(topo.as_ref(), vcs).expect("valid"));
             // the oracle's from-scratch walk: what every branch slot must equal
-            let walk = Sweep::build(&topo, &Arc::new(fabric), false);
+            let walk = Sweep::build(&topo, &fabric, false);
             let topo = topo.as_ref();
-            let flows = random_flows(topo.num_crossbars() as u32, 0x5eed + vcs as u64);
+            let crossbars = topo.num_crossbars();
+            let flows = random_flows(crossbars as u32, 0x5eed + vcs as u64);
             for flows in [flows.clone(), single_destination(&flows)] {
-                let nets = Nets::intern(&flows);
-                let plan = Plan::build(topo, vcs, trees, &nets).expect("plans");
+                let nets = Nets::intern(crossbars, &flows).expect("known crossbars");
+                let plan = Plan::build(topo, &fabric, trees, &nets).expect("plans");
                 assert_eq!(plan.roots.len(), nets.len());
                 let mut nodes = 0;
                 for (net, &(src, dests)) in nets.keys.iter().enumerate() {
@@ -930,25 +973,34 @@ pub(crate) mod tests {
 
     #[test]
     fn equal_flows_share_a_net() {
-        let flow = |src: u32, dsts: &[u32]| SpikeFlow {
+        let flow = |src: u32, dsts: &[u32], step: u32| SpikeFlow {
             source_neuron: 0,
             src_crossbar: src,
             dst_crossbars: dsts.into(),
-            send_step: 0,
+            send_step: step,
         };
+        // interleaved keys, a repeated one, and an empty one sent last
         let flows = [
-            flow(0, &[3, 1]),
-            flow(0, &[3, 1]),
-            flow(0, &[1, 3]),
-            flow(2, &[]),
-            flow(0, &[3, 1]),
-            flow(1, &[3, 1]),
+            flow(0, &[3, 1], 2),
+            flow(0, &[3, 1], 5),
+            flow(0, &[1, 3], 1),
+            flow(2, &[], 9),
+            flow(0, &[3, 1], 3),
+            flow(1, &[3, 1], 0),
         ];
-        let nets = Nets::intern(&flows);
+        let nets = Nets::intern(4, &flows).expect("known crossbars");
         assert_eq!(
             nets.len(),
             3,
             "order is part of a net: it is the delivery order"
+        );
+        // the per-net totals are the per-flow sums over the sending flows
+        assert_eq!(nets.packets, [3, 1, 1]);
+        assert_eq!(nets.per_packet_sum(|_| 1), 5);
+        assert_eq!(nets.per_packet_sum(u64::from), 1 + 2);
+        assert_eq!(
+            nets.last_step, 5,
+            "a flow without destinations sends nothing"
         );
         // looked up in any order, with or without the previous key
         let mut last = LastKey::default();

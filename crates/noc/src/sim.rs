@@ -42,9 +42,10 @@
 //! # The packet model: nets, a plan, handles
 //!
 //! The loop never asks a routing question. Before it starts, `Setup`
-//! interns the flow set's **nets** — `(source crossbar, destination
-//! crossbars)`, each sending flow being one packet of its net — and
-//! builds one forwarding **plan** for all of them
+//! makes its one pass over the flows, interning the flow set's **nets** —
+//! `(source crossbar, destination crossbars)`, each sending flow being one
+//! packet of its net — with each net's crossbars checked once and its
+//! packets counted, and builds one forwarding **plan** for all of them
 //! (`crate::plan`): per net, a tree of *nodes*, a node being "a packet of
 //! this net arriving at this router" = the crossbars delivered there, in
 //! the flow's order, plus one *branch* per `(egress port, VC)` slot the
@@ -174,35 +175,6 @@ struct Arrival {
     /// credit it holds.
     ingress: usize,
     pid: u32,
-}
-
-/// SNN duration implied by a flow set: one step past the last send step.
-fn inferred_duration(flows: &[SpikeFlow]) -> u32 {
-    flows
-        .iter()
-        .map(|f| f.send_step.saturating_add(1))
-        .max()
-        .unwrap_or(1)
-}
-
-/// Rejects flows naming crossbars the topology does not serve.
-fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocError> {
-    let nc = topo.num_crossbars();
-    for f in flows {
-        let all = f
-            .dst_crossbars
-            .iter()
-            .chain(std::iter::once(&f.src_crossbar));
-        for &c in all {
-            if c as usize >= nc {
-                return Err(NocError::UnknownCrossbar {
-                    crossbar: c,
-                    available: nc,
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One packet of the injection schedule.
@@ -486,7 +458,8 @@ pub(crate) struct Link {
 /// numbers its `1 + degree × VCs` lanes `fi`: 0 is the local-injection
 /// queue, `1 + p × VCs + w` the FIFO of ingress position `p`, VC `w`. Lane
 /// ids run router by router: `lane_id(r, fi)`. Per pair the index records
-/// the downstream lane, per lane the upstream pair.
+/// the downstream lane, per lane the upstream pair, per crossbar its
+/// router.
 #[derive(Default)]
 pub(crate) struct Fabric {
     pub(crate) vcs: usize,
@@ -498,6 +471,8 @@ pub(crate) struct Fabric {
     pub(crate) links: Vec<Link>,
     /// The pair feeding each lane ([`NO_PAIR`] for injection lanes).
     pub(crate) upstream: Vec<u32>,
+    /// The router each crossbar attaches to.
+    pub(crate) endpoints: Vec<u32>,
 }
 
 impl Fabric {
@@ -555,6 +530,7 @@ impl Fabric {
                 value: format!("{vcs} (× widest router = {slots} (port, VC) slots, limit 65536)"),
             });
         }
+        let mut endpoints = Vec::with_capacity(topo.num_crossbars());
         for k in 0..topo.num_crossbars() as u32 {
             let r = topo.endpoint(k);
             if r >= nr {
@@ -562,6 +538,7 @@ impl Fabric {
                     "crossbar {k} attaches to router {r}, but there are {nr} routers"
                 )));
             }
+            endpoints.push(r as u32);
         }
         let mut fabric = Self {
             vcs,
@@ -569,6 +546,7 @@ impl Fabric {
             pair_base,
             links: Vec::with_capacity(ports.len()),
             upstream: vec![NO_PAIR; nr + ports.len() * vcs],
+            endpoints,
         };
         for (pair, &(r, to, back)) in ports.iter().enumerate() {
             let ingress = 1 + back * vcs;
@@ -728,7 +706,7 @@ impl NocSim {
     /// * [`NocError::UnknownCrossbar`] for flows naming absent crossbars.
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
     pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
-        self.run_with_duration(flows, inferred_duration(flows))
+        self.dispatch(flows, None, None, None)
     }
 
     /// Like [`NocSim::run`], but with an explicit SNN duration
@@ -743,7 +721,7 @@ impl NocSim {
         flows: &[SpikeFlow],
         duration_steps: u32,
     ) -> Result<NocStats, NocError> {
-        self.dispatch(flows, duration_steps, None, None)
+        self.dispatch(flows, Some(duration_steps), None, None)
     }
 
     /// Like [`NocSim::run_with_duration`], but also returning the raw
@@ -762,7 +740,7 @@ impl NocSim {
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
         let mut log = Vec::new();
-        self.dispatch(flows, duration_steps, None, Some(&mut log))
+        self.dispatch(flows, Some(duration_steps), None, Some(&mut log))
             .map(|stats| (stats, log))
     }
 
@@ -783,15 +761,15 @@ impl NocSim {
         duration_steps: u32,
     ) -> Result<(NocStats, SimTrace), NocError> {
         let mut trace = SimTrace::default();
-        self.dispatch(flows, duration_steps, Some(&mut trace), None)
+        self.dispatch(flows, Some(duration_steps), Some(&mut trace), None)
             .map(|stats| (stats, trace))
     }
 
-    /// The link forwards a run of `flows` makes, without running it: one
-    /// per branch of the forwarding plan the engines follow, summed over
-    /// the packets the run injects (one per flow with destinations). A
-    /// run that succeeds charges `flits_per_packet ×` this many
-    /// [`Counters::link_flits`].
+    /// The link forwards a run of `flows` makes, without running it: per
+    /// net, the branches of its forwarding plan (the plan the engines
+    /// follow) times its packets (one per flow with destinations), both
+    /// counted before a run's first cycle. A run that succeeds charges
+    /// `flits_per_packet ×` this many [`Counters::link_flits`].
     ///
     /// # Errors
     ///
@@ -802,16 +780,14 @@ impl NocSim {
     /// simulation, so it is never returned here.
     pub fn link_forwards(&self, flows: &[SpikeFlow]) -> Result<u64, NocError> {
         let Setup { nets, plan, .. } = Setup::new(self.topo.as_ref(), &self.config, flows)?;
-        let mut last = LastKey::default();
-        let sent = flows.iter().filter_map(|f| nets.of(f, &mut last));
-        Ok(sent.map(|net| plan.forwards(net)).sum())
+        Ok(nets.per_packet_sum(|net| plan.forwards(net)))
     }
 
     /// The one place an [`EngineKind`] becomes a [`Sched`] policy.
     fn dispatch(
         &mut self,
         flows: &[SpikeFlow],
-        duration_steps: u32,
+        duration_steps: Option<u32>,
         sim_trace: Option<&mut SimTrace>,
         log: Option<&mut Vec<Delivery>>,
     ) -> Result<NocStats, NocError> {
@@ -840,10 +816,11 @@ struct Setup<'f> {
 }
 
 impl<'f> Setup<'f> {
-    /// Checks the configuration, the topology and the flows, then interns
-    /// the nets and plans them. `run_engine` and [`NocSim::link_forwards`]
-    /// both start here, so both refuse the same inputs with the same
-    /// errors.
+    /// Checks the configuration and the topology, interns the nets in the
+    /// one pass over the flows (which checks each net's crossbars once),
+    /// checks the clock against the nets' totals, then plans the nets.
+    /// `run_engine` and [`NocSim::link_forwards`] both start here, so both
+    /// refuse the same inputs with the same errors.
     fn new(
         topo: &dyn Topology,
         config: &NocConfig,
@@ -851,19 +828,18 @@ impl<'f> Setup<'f> {
     ) -> Result<Self, NocError> {
         config.validate()?;
         let fabric = Fabric::new(topo, config.vc_count)?;
-        validate_flows(topo, flows)?;
-        check_clock(config, flows)?;
+        let nets = Nets::intern(topo.num_crossbars(), flows)?;
+        check_clock(config, &nets)?;
         // every routing question is asked here, once per net; the schedule
         // then only names each packet's net
-        let nets = Nets::intern(flows);
-        let plan = Plan::build(topo, config.vc_count, config.multicast_trees, &nets)?;
+        let plan = Plan::build(topo, &fabric, config.multicast_trees, &nets)?;
         Ok(Self { fabric, nets, plan })
     }
 }
 
 /// One run of either engine: [`Setup`] → schedule → [`simulate`] under
 /// policy `S`, which folds the statistics as it delivers → the fold's
-/// finish.
+/// finish, over `duration_steps` (inferred from the flows when `None`).
 /// `events` is the engine's retained-trace slot (cleared up front,
 /// refilled on success when [`NocConfig::trace`] is on); `sim_trace`,
 /// when given, receives the scheduler trace and the host time of each of
@@ -874,7 +850,7 @@ fn run_engine<S: Sched>(
     config: &NocConfig,
     energy: &EnergyModel,
     flows: &[SpikeFlow],
-    duration_steps: u32,
+    duration_steps: Option<u32>,
     events: &mut Option<TraceBuf>,
     mut sim_trace: Option<&mut SimTrace>,
     log: Option<&mut Vec<Delivery>>,
@@ -905,6 +881,7 @@ fn run_engine<S: Sched>(
     )?;
     *events = recorded;
     let loop_done = Instant::now();
+    let duration_steps = duration_steps.unwrap_or(nets.steps);
     let mut stats = fold
         .finish(counters, energy, duration_steps, config.cycles_per_step)
         .with_per_vc(per_vc);
@@ -925,15 +902,14 @@ fn run_engine<S: Sched>(
 /// starts step `s` at cycle `s × cycles_per_step`, adds a cycle per
 /// earlier packet (sending flow) of the same crossbar and step, and the
 /// loop runs one hop past it. Hops further on are `simulate`'s to guard.
+/// It reads the nets' last send step and packet total.
 ///
 /// # Errors
 ///
 /// [`NocError::InvalidConfig`] `{ name: "cycles_per_step" }` when that
 /// cycle overflows `u64`.
-fn check_clock(config: &NocConfig, flows: &[SpikeFlow]) -> Result<(), NocError> {
-    let sent = flows.iter().filter(|f| !f.dst_crossbars.is_empty());
-    let last = sent.clone().map(|f| f.send_step).max().unwrap_or(0);
-    let packets = sent.count() as u64;
+fn check_clock(config: &NocConfig, nets: &Nets<'_>) -> Result<(), NocError> {
+    let (last, packets) = (nets.last_step, nets.per_packet_sum(|_| 1));
     u64::from(last)
         .checked_mul(config.cycles_per_step)
         .and_then(|c| c.checked_add(packets))
@@ -977,13 +953,12 @@ fn simulate<S: Sched>(
     let topo = topo.as_ref();
     let fab = fabric.as_ref();
 
+    let nets = schedule.nets;
     if let Some(log) = log.as_deref_mut() {
-        // every destination of every flow becomes exactly one delivery
-        log.reserve_exact(flows.iter().map(|f| f.dst_crossbars.len()).sum());
+        // every destination of every packet becomes exactly one delivery
+        let dests = |net| plan.dests(plan.root(net)).len() as u64;
+        log.reserve_exact(nets.per_packet_sum(dests) as usize);
     }
-    // handles allocated: one per injection, and per injected packet one
-    // per branch point past the first way out
-    let mut n_handles = 0u64;
     let empty = Lane {
         head: NIL,
         tail: NIL,
@@ -1169,9 +1144,8 @@ fn simulate<S: Sched>(
         }
         while let Some(p) = schedule.pop_due(now) {
             let f = &flows[p.flow as usize];
-            let src_router = topo.endpoint(f.src_crossbar);
+            let src_router = fab.endpoints[f.src_crossbar as usize] as usize;
             counters.packets_injected += 1;
-            n_handles += 1 + u64::from(q.plan.extra_handles(p.net));
             if let Some(t) = events.as_deref_mut() {
                 t.push(TraceEvent::Injected {
                     cycle: now,
@@ -1394,9 +1368,11 @@ fn simulate<S: Sched>(
     }
 
     debug_assert_eq!(q.slab.live(), 0, "every copy was released");
+    // handles allocated: one per injection, and per injected packet one
+    // per branch point past the first way out
     debug_assert_eq!(
         q.slab.allocated(),
-        n_handles,
+        nets.per_packet_sum(|net| 1 + u64::from(q.plan.extra_handles(net))),
         "the handle count is a per-net sum"
     );
     if let Some(t) = trace {
@@ -1551,8 +1527,13 @@ mod tests {
                 cycles_per_step,
                 ..NocConfig::default()
             };
-            check_clock(&config, &flows).expect("the clock reaches the last injection");
-            let nets = Nets::intern(&flows);
+            let nets = Nets::intern(crossbars as usize, &flows).expect("known crossbars");
+            check_clock(&config, &nets).expect("the clock reaches the last injection");
+            // the nets' totals are the per-flow ones over the sending flows
+            let sending = flows.iter().filter(|f| !f.dst_crossbars.is_empty());
+            assert_eq!(nets.per_packet_sum(|_| 1), sending.clone().count() as u64);
+            let last = sending.map(|f| f.send_step).max().unwrap_or(0);
+            assert_eq!(nets.last_step, last, "case {case}");
             // the stream, drained a cycle at a time as the loop drains it
             let mut schedule = Schedule::new(&config, &flows, &nets);
             let mut merged = Vec::new();
@@ -1664,9 +1645,83 @@ mod tests {
 
     #[test]
     fn unknown_crossbar_rejected() {
-        let mut s = sim(Box::new(Star::new(2)));
-        let err = s.run(&[SpikeFlow::unicast(0, 0, 5, 0)]).unwrap_err();
-        assert!(matches!(err, NocError::UnknownCrossbar { crossbar: 5, .. }));
+        let silent = |src| SpikeFlow {
+            dst_crossbars: [].into(),
+            ..SpikeFlow::unicast(0, src, 0, 0)
+        };
+        let repeated = vec![SpikeFlow::multicast(0, 0, vec![1, 2], 0); 50];
+        // sent at the last step, at a clock that cannot count to it
+        let late = SpikeFlow::unicast(1, 0, 1, u32::MAX);
+        // (crossbars, cycles per step, flows, the crossbar named first)
+        let cases: Vec<(usize, u64, Vec<SpikeFlow>, u32)> = vec![
+            (2, 1024, vec![SpikeFlow::unicast(0, 0, 5, 0)], 5),
+            // a flow without destinations is checked by its source
+            (
+                4,
+                1024,
+                vec![
+                    SpikeFlow::unicast(0, 0, 1, 0),
+                    silent(3),
+                    silent(7),
+                    silent(9),
+                ],
+                7,
+            ),
+            // a known net many times, then a new key with an unknown
+            // destination, then an unknown source
+            (
+                4,
+                1024,
+                [&repeated[..], &[SpikeFlow::unicast(0, 0, 6, 1), silent(5)]].concat(),
+                6,
+            ),
+            // a flow's destinations before its source
+            (4, 1024, vec![SpikeFlow::multicast(0, 9, vec![1, 8], 0)], 8),
+            // an unknown crossbar wins over the clock
+            (
+                4,
+                u64::MAX,
+                vec![late.clone(), SpikeFlow::unicast(0, 0, 4, 0)],
+                4,
+            ),
+        ];
+        let run = |crossbars, cycles_per_step, engine, flows: &[SpikeFlow]| {
+            let config = NocConfig {
+                cycles_per_step,
+                ..NocConfig::default()
+            };
+            let mut s = NocSim::new(
+                Box::new(Star::new(crossbars)),
+                config,
+                EnergyModel::default(),
+            )
+            .with_engine(engine);
+            let forwards = s.link_forwards(flows).map(drop);
+            assert_eq!(s.run(flows).map(drop), forwards, "{engine:?}");
+            forwards
+        };
+        for engine in [EngineKind::EventDriven, EngineKind::CycleOracle] {
+            for (crossbars, cycles_per_step, flows, crossbar) in &cases {
+                let available = *crossbars;
+                assert_eq!(
+                    run(available, *cycles_per_step, engine, flows),
+                    Err(NocError::UnknownCrossbar {
+                        crossbar: *crossbar,
+                        available
+                    }),
+                    "{flows:?}"
+                );
+            }
+            // without the unknown crossbar, the clock is refused
+            let clock = run(4, u64::MAX, engine, std::slice::from_ref(&late));
+            assert!(matches!(
+                clock,
+                Err(NocError::InvalidConfig {
+                    name: "cycles_per_step",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -2311,10 +2366,17 @@ mod tests {
         // exactly 65 536 slots still fit a u16 slot index
         let topo: Arc<dyn Topology> = Arc::new(Star::new(2048));
         let energy = EnergyModel::default();
-        assert!(
-            run_engine::<oracle::Sweep>(&topo, &cfg, &energy, &[], 1, &mut None, None, None)
-                .is_ok()
-        );
+        assert!(run_engine::<oracle::Sweep>(
+            &topo,
+            &cfg,
+            &energy,
+            &[],
+            Some(1),
+            &mut None,
+            None,
+            None
+        )
+        .is_ok());
     }
 
     #[test]

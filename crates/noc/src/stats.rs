@@ -176,9 +176,10 @@ pub struct SimTrace {
     /// queued encoder packets included. Equal under both engines; not
     /// part of any digest.
     pub peak_handles: u64,
-    /// Host wall-clock time of the run's setup: validation, net interning
-    /// and the forwarding plan. Like the three phase times below it, it
-    /// is never compared and outside every digest.
+    /// Host wall-clock time of the run's setup: the checks, the one pass
+    /// over the flows (interning the nets, checking and counting per net)
+    /// and the forwarding plan. Like the three phase times below it, it is
+    /// never compared and outside every digest.
     pub setup_time: Duration,
     /// Host wall-clock time of ordering the injection schedule's groups
     /// of flows. The packets themselves are placed as the loop takes
@@ -333,6 +334,35 @@ pub fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
 /// least two spikes.
 pub fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
     StatsFold::of_log(deliveries).isi()
+}
+
+/// Temporal-code fidelity (§V-B): the fraction of beat-scale sent
+/// inter-spike intervals that arrive within ±3 %. Per (source neuron,
+/// destination crossbar) stream, taken in (inject, deliver) order, every
+/// sent interval of 300–2000 ms (`cycles_per_ms` cycles a millisecond) is
+/// a trial, and a hit when the arrival interval is within 3 % of it. That
+/// is the channel a temporally coded application decodes (the heartbeat
+/// app's R-R interval), so the loss lower-bounds its accuracy loss. 0 when
+/// no interval falls in the window.
+pub fn temporal_fidelity(deliveries: &[Delivery], cycles_per_ms: u64) -> f64 {
+    let stream = |d: &Delivery| (d.source_neuron, d.dst_crossbar);
+    let mut log = deliveries.to_vec();
+    log.sort_unstable_by_key(|d| (stream(d), d.inject_cycle, d.deliver_cycle));
+    let ms = |cycles: u64| cycles as f64 / cycles_per_ms as f64;
+    let (mut trials, mut hits) = (0u64, 0u64);
+    for w in log.windows(2).filter(|w| stream(&w[0]) == stream(&w[1])) {
+        let sent = ms(w[1].inject_cycle - w[0].inject_cycle);
+        if (300.0..=2000.0).contains(&sent) {
+            trials += 1;
+            let received = ms(w[1].deliver_cycle.abs_diff(w[0].deliver_cycle));
+            hits += u64::from((received - sent).abs() / sent <= 0.03);
+        }
+    }
+    if trials == 0 {
+        0.0
+    } else {
+        hits as f64 / trials as f64
+    }
 }
 
 /// `(source neuron, destination crossbar)` streams.
@@ -748,6 +778,32 @@ mod tests {
             inject_cycle: inj,
             deliver_cycle: del,
         }
+    }
+
+    #[test]
+    fn temporal_fidelity_counts_beat_scale_intervals_within_three_percent() {
+        let log = [
+            // sent 1000 ms, arrives 1005 ms: a hit
+            d(0, 1, 0, 10),
+            d(0, 1, 1000, 1015),
+            // sent 500 ms, arrives 550 ms: a miss
+            d(0, 2, 0, 10),
+            d(0, 2, 500, 560),
+            // 100 ms and 2500 ms: outside the window, no trial
+            d(1, 1, 0, 0),
+            d(1, 1, 100, 100),
+            d(1, 1, 2600, 2600),
+            // logged out of inject order: sent 800 ms, arrives 802 ms
+            d(2, 1, 800, 805),
+            d(2, 1, 0, 3),
+            // delivered out of inject order: sent 800 ms, arrives 95 ms
+            d(3, 1, 0, 900),
+            d(3, 1, 800, 805),
+        ];
+        assert_eq!(temporal_fidelity(&log, 1), 0.5);
+        // at 2 cycles a millisecond: 500 hit, 1250 hit, 400 hit, 400 miss
+        assert_eq!(temporal_fidelity(&log, 2), 0.75);
+        assert_eq!(temporal_fidelity(&log[4..7], 1), 0.0, "no trial");
     }
 
     #[test]

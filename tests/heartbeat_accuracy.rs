@@ -11,39 +11,7 @@ use neuromap::core::pso::{PsoConfig, PsoPartitioner};
 use neuromap::core::MappingPipeline;
 use neuromap::core::PipelineConfig;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
-use neuromap::noc::stats::Delivery;
-
-/// Fraction of beat-scale sent intervals delivered within ±3%.
-fn temporal_fidelity(log: &[Delivery], cycles_per_ms: u64) -> f64 {
-    use std::collections::HashMap;
-    let mut streams: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
-    for d in log {
-        streams
-            .entry((d.source_neuron, d.dst_crossbar))
-            .or_default()
-            .push((d.inject_cycle, d.deliver_cycle));
-    }
-    let (mut total, mut hits) = (0u64, 0u64);
-    for times in streams.values_mut() {
-        times.sort_unstable();
-        for w in times.windows(2) {
-            let sent = (w[1].0 - w[0].0) as f64 / cycles_per_ms as f64;
-            if !(300.0..=2000.0).contains(&sent) {
-                continue;
-            }
-            let recv = w[1].1.abs_diff(w[0].1) as f64 / cycles_per_ms as f64;
-            total += 1;
-            if (recv - sent).abs() / sent <= 0.03 {
-                hits += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
+use neuromap::noc::stats::temporal_fidelity;
 
 #[test]
 fn lsm_estimates_heart_rate_from_spikes() {
