@@ -35,7 +35,11 @@
 //! per scenario, the nets and forwarding-plan nodes of the run, spikes
 //! per net and host ns per router traversal — "does this traffic repeat
 //! its nets" is that one line — and the host time of the run's four
-//! phases (setup, schedule, router loop, statistics). The statistics are
+//! phases (setup, schedule, router loop, statistics). Setup is the one
+//! pass over the flows (nets and run entries, runs of equal flows) and
+//! the forwarding plan; "schedule" is one sort of the run entries (on
+//! `tree12_per_synapse`, 18 000 entries for 240 000 packets: setup
+//! ≈ 4–5 ms, schedule ≈ 2 ms, on a 2-core box). The statistics are
 //! folded inside the loop, a buffer of deliveries at a time, so
 //! "statistics" times only the fold's finish (the last buffer,
 //! percentiles, disorder, sorted out-of-order streams) and "loop"

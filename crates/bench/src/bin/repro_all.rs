@@ -18,11 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exe = std::env::current_exe()?;
     let dir = exe.parent().expect("binary has a parent directory");
     for bin in bins {
-        let mut cmd = Command::new(dir.join(bin));
+        let path = dir.join(bin);
+        let mut cmd = Command::new(&path);
         if paper {
             cmd.arg("--paper");
         }
-        let status = cmd.status()?;
+        let status = cmd
+            .status()
+            .map_err(|e| format!("cannot run {bin} ({}): {e}", path.display()))?;
         if !status.success() {
             return Err(format!("{bin} failed with {status}").into());
         }

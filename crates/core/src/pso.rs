@@ -17,10 +17,11 @@
 //! (`swarm × N`). Binary-PSO re-samples every neuron's crossbar each
 //! iteration (measured churn 70%+), so per-particle O(deg) move deltas
 //! cannot beat a full scan here; instead the whole shard is evaluated in
-//! one pass over the CSR through [`SwarmEval`] — neuron-major byte tiles
+//! one pass over the CSR through [`SwarmEval`] — neuron-major tiles
 //! whose per-edge lane compares vectorize and reuse every row `deg`
-//! times from cache (multi-word remote-crossbar bitmasks keep the tiled
-//! path up to 256 crossbars for both objectives). The per-candidate
+//! times from cache: byte tiles up to 256 crossbars for all three
+//! objectives, u16 word tiles up to 1024 crossbars for `CutSpikes` and
+//! `CutPackets` only ([`crate::eval`]). The per-candidate
 //! incremental engine ([`crate::eval::Candidate`]) drives the low-churn
 //! optimizers instead: refinement (this module's polish) and the
 //! V-cycle's boundary refinement.

@@ -8,9 +8,13 @@
 //! asked once per net, before the run, and never inside it:
 //!
 //! * [`Nets`] interns a flow set's nets, keyed by the flows' `(source,
-//!   destination list)`: a flow finds its net by that key, so nothing is
-//!   stored per flow. A sending flow is one packet of its net; unicast
-//!   traffic is a flow per destination, so a net of one.
+//!   destination list)`, in the run's one pass over the flows. A sending
+//!   flow is one packet of its net; unicast traffic is a flow per
+//!   destination, so a net of one. The same pass cuts the flows into
+//!   [`Entry`]s, runs of consecutive flows equal in `(step, source,
+//!   neuron, destinations)` — one per spike, or per spike and destination
+//!   crossbar under per-synapse traffic — so nothing is stored per flow
+//!   and no flow is read again.
 //! * [`Plan`] holds, for all of them, what happens to a packet of the net
 //!   at every router it reaches. A **node** is "a packet of this net
 //!   arriving at this router": the crossbars delivered there (`local`)
@@ -28,7 +32,7 @@
 //! * [`Slab`] holds the packets in flight as 32-byte [`Handle`]s,
 //!   recycling a handle's id once its copy is delivered. A handle
 //!   carries what the loop reads of its packet (spike id, inject cycle,
-//!   flow) and the node it arrives at next; a packet
+//!   run entry) and the node it arrives at next; a packet
 //!   queued at a router is the **chain** (through `sib`) of one handle per
 //!   branch still to leave, made when the packet arrives
 //!   ([`Slab::fan_out`]); forwarding through a slot detaches that slot's
@@ -41,7 +45,7 @@
 //! re-derives every want from the topology (`sim::oracle`), so a plan
 //! that disagrees with the fabric fails the differential suite.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -81,38 +85,53 @@ impl Hasher for NetHasher {
 }
 
 /// The distinct nets of a flow set, in first-appearance order, each with
-/// its packet count (its crossbars were checked once, when interned), and
-/// the flow set's steps. Nothing here is stored per flow: a flow finds its
-/// net by its key.
+/// its packet count (its crossbars were checked once, when interned); the
+/// flow set's run entries; and its steps. Nothing here is stored per flow.
 pub(crate) struct Nets<'f> {
     /// `(source crossbar, destinations as the flow lists them)` per net.
-    keys: Vec<(u32, &'f [u32])>,
+    pub(crate) keys: Vec<(u32, &'f [u32])>,
     /// Packets (sending flows) per net.
     packets: Vec<u64>,
+    /// The run entries in flow order (until the schedule takes them).
+    pub(crate) entries: Vec<Entry>,
     /// The last step a packet is sent in (0 when none is).
     pub(crate) last_step: u32,
     /// One past the last send step of any flow (1 without flows): the
     /// SNN duration [`crate::sim::NocSim::run`] infers.
     pub(crate) steps: u32,
-    /// Net id per key.
-    ids: NetMap<'f>,
     /// The `(source neuron, destination)` streams of more than one net.
     split: Streams,
 }
 
-type NetMap<'f> = HashMap<(u32, &'f [u32]), u32, BuildHasherDefault<NetHasher>>;
-
-/// The flow key [`Nets::of`] looked up last, with its net id.
-#[derive(Default)]
-pub(crate) struct LastKey<'f>(Option<(u32, &'f [u32], u32)>);
+/// A maximal run of consecutive sending flows equal in `(step, source,
+/// neuron, destinations)`: `packets` packets of net `net`, the flows
+/// `first..first + packets`. Everything the router loop reads of a packet
+/// besides its net's plan is here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    /// Send step.
+    pub(crate) step: u32,
+    /// Source crossbar.
+    pub(crate) src: u32,
+    /// Source neuron.
+    pub(crate) neuron: u32,
+    /// The packets' net.
+    pub(crate) net: u32,
+    /// Position of the run's first flow in the flow list.
+    pub(crate) first: u32,
+    /// Flows in the run, one packet each.
+    pub(crate) packets: u32,
+}
 
 impl<'f> Nets<'f> {
     /// Interns the nets of `flows` in the run's one pass over them: a net
     /// per distinct `(source, destinations)` of a flow that sends, with its
-    /// packet count; the last step a packet is sent in and the steps the
-    /// flows span; the streams that ride more than one net. Traffic generators emit a neuron's spikes back to back, so
-    /// a flow is compared with the one before it first and only a new key
-    /// is hashed.
+    /// packet count; a run entry per run of equal sending flows (a flow
+    /// without destinations ends one); the last step a packet is sent in
+    /// and the steps the flows span; the streams that ride more than one
+    /// net. Traffic generators emit a neuron's spikes back to back, so a
+    /// flow is compared with the one before it first and only a new key is
+    /// hashed.
     ///
     /// # Errors
     ///
@@ -133,16 +152,18 @@ impl<'f> Nets<'f> {
         let mut nets = Self {
             keys: Vec::new(),
             packets: Vec::new(),
+            entries: Vec::new(),
             last_step: 0,
             steps: 1,
-            ids: HashMap::default(),
             split: Streams::default(),
         };
+        let mut ids: HashMap<(u32, &[u32]), u32, BuildHasherDefault<NetHasher>> =
+            HashMap::default();
         // the first net each stream was seen on
         let mut first_net: HashMap<(u32, u32), u32, BuildHasherDefault<NetHasher>> =
             HashMap::default();
         let mut prev: Option<(&SpikeFlow, u32)> = None;
-        for f in flows {
+        for (f, i) in flows.iter().zip(0u32..) {
             nets.steps = nets.steps.max(f.send_step.saturating_add(1));
             if f.dst_crossbars.is_empty() {
                 known(&f.src_crossbar)?;
@@ -156,9 +177,9 @@ impl<'f> Nets<'f> {
                 }
                 _ => {
                     let key = (f.src_crossbar, &f.dst_crossbars[..]);
-                    match nets.ids.entry(key) {
-                        Entry::Occupied(id) => *id.get(),
-                        Entry::Vacant(slot) => {
+                    match ids.entry(key) {
+                        hash_map::Entry::Occupied(id) => *id.get(),
+                        hash_map::Entry::Vacant(slot) => {
                             key.1.iter().chain([&key.0]).try_for_each(known)?;
                             let id = nets.keys.len() as u32;
                             slot.insert(id);
@@ -171,6 +192,23 @@ impl<'f> Nets<'f> {
             };
             nets.packets[net as usize] += 1;
             nets.last_step = nets.last_step.max(f.send_step);
+            match nets.entries.last_mut() {
+                // the flow before this one, equal in every field
+                Some(e)
+                    if e.first + e.packets == i
+                        && (e.step, e.neuron, e.net) == (f.send_step, f.source_neuron, net) =>
+                {
+                    e.packets += 1;
+                }
+                _ => nets.entries.push(Entry {
+                    step: f.send_step,
+                    src: f.src_crossbar,
+                    neuron: f.source_neuron,
+                    net,
+                    first: i,
+                    packets: 1,
+                }),
+            }
             // the same neuron on the same net: its streams are noted
             if prev.is_some_and(|(p, n)| (n, p.source_neuron) == (net, f.source_neuron)) {
                 continue;
@@ -192,26 +230,6 @@ impl<'f> Nets<'f> {
     /// crossbars or to several destination sets.
     pub(crate) fn split_streams(&self) -> &Streams {
         &self.split
-    }
-
-    /// The net of `flow`'s packet, `None` for a flow without
-    /// destinations (it sends nothing). `flow` must be one of the
-    /// interned flows. `last` remembers the previous lookup, so a run of
-    /// flows of one net (every spike of a neuron, every cut synapse
-    /// toward one crossbar) hashes once.
-    pub(crate) fn of(&self, flow: &'f SpikeFlow, last: &mut LastKey<'f>) -> Option<u32> {
-        let (src, dests) = (flow.src_crossbar, &flow.dst_crossbars[..]);
-        if dests.is_empty() {
-            return None;
-        }
-        Some(match last.0 {
-            Some((s, d, id)) if s == src && d == dests => id,
-            _ => {
-                let id = self.ids[&(src, dests)];
-                last.0 = Some((src, dests, id));
-                id
-            }
-        })
     }
 
     /// Number of distinct nets.
@@ -579,9 +597,9 @@ pub(crate) struct Handle {
     /// Id of the originating spike event in canonical flow order (every
     /// copy of one packet shares it; traced only).
     pub(crate) spike: u32,
-    /// Position of the packet's flow in the run's flow list: its source
+    /// The packet's run entry, as the schedule numbers them: its source
     /// neuron, source crossbar and send step.
-    pub(crate) flow: u32,
+    pub(crate) entry: u32,
     /// The node this copy arrives at next.
     pub(crate) node: u32,
     /// On the first member of a queued chain: the first member of the
@@ -595,13 +613,13 @@ pub(crate) struct Handle {
 }
 
 impl Handle {
-    /// The copy of spike `spike` of flow `flow` injected at
+    /// The copy of spike `spike` of run entry `entry` injected at
     /// `inject_cycle`, about to arrive at its net's root `node`.
-    pub(crate) fn injected(spike: u32, flow: u32, inject_cycle: u64, node: u32) -> Self {
+    pub(crate) fn injected(spike: u32, entry: u32, inject_cycle: u64, node: u32) -> Self {
         Handle {
             inject_cycle,
             spike,
-            flow,
+            entry,
             node,
             next: NIL,
             sib: NIL,
@@ -693,13 +711,13 @@ impl Slab {
         let Handle {
             inject_cycle,
             spike,
-            flow,
+            entry,
             ..
         } = self.handles[h as usize];
         let member = |b: &Branch| Handle {
             inject_cycle,
             spike,
-            flow,
+            entry,
             node: b.child,
             next: NIL,
             sib: NIL,
@@ -1002,17 +1020,16 @@ pub(crate) mod tests {
             nets.last_step, 5,
             "a flow without destinations sends nothing"
         );
-        // looked up in any order, with or without the previous key
-        let mut last = LastKey::default();
-        let ids = [0, 1, 2, 4, 5].map(|f| nets.of(&flows[f], &mut last));
-        assert_eq!(ids, [0, 0, 1, 0, 2].map(Some));
-        assert_eq!(nets.of(&flows[5], &mut LastKey::default()), Some(2));
-        assert_eq!(
-            nets.of(&flows[3], &mut last),
-            None,
-            "no destination, no packet"
-        );
-        assert_eq!(nets.of(&flows[0], &mut last), Some(0));
+        // a run entry per run of equal sending flows: a new step starts
+        // one, and the silent flow rides none
+        let net_of = |flow: u32| {
+            let mut runs = nets.entries.iter();
+            runs.find(|e| (e.first..e.first + e.packets).contains(&flow))
+                .map(|e| e.net)
+        };
+        assert_eq!(nets.entries.len(), 5);
+        assert_eq!([0, 1, 2, 4, 5].map(net_of), [0, 0, 1, 0, 2].map(Some));
+        assert_eq!(net_of(3), None, "no destination, no packet");
     }
 
     /// Fans a packet injected into `slab` out over slots 4, 1, 7, 2, 9

@@ -45,21 +45,25 @@
 //! makes its one pass over the flows, interning the flow set's **nets** —
 //! `(source crossbar, destination crossbars)`, each sending flow being one
 //! packet of its net — with each net's crossbars checked once and its
-//! packets counted, and builds one forwarding **plan** for all of them
-//! (`crate::plan`): per net, a tree of *nodes*, a node being "a packet of
-//! this net arriving at this router" = the crossbars delivered there, in
-//! the flow's order, plus one *branch* per `(egress port, VC)` slot the
-//! rest leaves by. The route (unicast, or the net's multicast tree) is
+//! packets counted, and cutting the flows into **run entries** (runs of
+//! equal flows: `(step, source, neuron, net, first flow, packets)`). It
+//! then builds one forwarding **plan** for all the nets (`crate::plan`):
+//! per net, a tree of *nodes*, a node being "a packet of this net
+//! arriving at this router" = the crossbars delivered there, in the
+//! flow's order, plus one *branch* per `(egress port, VC)` slot the rest
+//! leaves by. The route (unicast, or the net's multicast tree) is
 //! asked once per (node, destination), whatever the number of spikes.
 //!
-//! The injection schedule is streamed (`Schedule`): the loop takes each
+//! The injection schedule (`Schedule`) sorts the run entries once into
+//! canonical order and streams their packets: the loop takes each
 //! cycle's packets as they come due, in the canonical slot order, and no
-//! table of the packets sent is ever built. A packet is then a 32-byte
-//! *handle* `{ inject_cycle, spike, flow, node, next, sib, bit }`: what
-//! the loop reads of it (the spike id it is traced under, its inject
-//! cycle, and its flow's index for the neuron, source and step), and
-//! `node`, the plan node it arrives at next. Arriving, it delivers the
-//! node's local crossbars and — if the node has branches — queues as the
+//! table of the packets sent is ever built. After the setup pass no flow
+//! is read. A packet is then a 32-byte *handle* `{ inject_cycle, spike,
+//! entry, node, next, sib, bit }`: what the loop reads of it (the spike id
+//! it is traced under, its inject cycle, and its run entry for the
+//! neuron, source and step), and `node`, the plan node it arrives at
+//! next. Arriving, it delivers the node's local crossbars and — if the
+//! node has branches — queues as the
 //! **chain** (through `sib`) of one handle per branch, the first reusing
 //! the arriving handle; a FIFO lane is an intrusive list of chains
 //! through their first members' `next`. What a lane head wants is its
@@ -132,7 +136,7 @@
 
 use crate::config::NocConfig;
 use crate::error::NocError;
-use crate::plan::{Handle, LastKey, Nets, Plan, Slab, NIL};
+use crate::plan::{Entry, Handle, Nets, Plan, Slab, NIL};
 use crate::router::{pick_lane, pick_vc};
 use crate::sched::{PortSched, Sched, PRE_SWEEP};
 use crate::stats::{
@@ -178,54 +182,29 @@ struct Arrival {
 }
 
 /// One packet of the injection schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Injection {
     /// Id of the originating spike event in canonical flow order (used
     /// for tracing).
     spike: u32,
-    /// Position of the packet's flow in the run's flow list.
-    flow: u32,
-    /// The packet's net ([`Nets`]).
-    net: u32,
+    /// The packet's run entry ([`Schedule::entry`]).
+    entry: u32,
     /// Cycle the packet enters the network (after AER encoding).
     inject_cycle: u64,
 }
 
-/// A maximal run of consecutive flows equal in `(step, src, neuron)` that
-/// sends at least one packet.
-struct Group {
-    /// `(step, src)` packed into one word.
-    step_src: u64,
-    /// `(neuron, first flow)` packed into one word.
-    neuron_first: u64,
-    /// One past the group's last flow.
-    end: u32,
-    /// Canonical position of the group's first sending flow (its count of
-    /// sending flows until the groups are sorted).
-    base: u32,
-}
-
-/// The flows of one `(step, src)` that inject one packet a cycle from the
-/// step's first cycle, walked one `(step, src, neuron)` block at a time.
-struct Run<'f> {
+/// The run entries of one `(step, src)`, which inject one packet a cycle
+/// from the step's first cycle.
+struct Run {
     /// Join order: runs join in `(step, src)` order.
     seq: usize,
-    /// The run's groups not yet walked: `groups[next..end]`.
+    /// The entries not yet spent: `entries[next..end]`, of which
+    /// `entries[next]` has sent `sent` packets.
     next: usize,
     end: usize,
-    /// The current block's sending flows in canonical order; `block[at]`
-    /// injects next. Empty once the run is spent.
-    block: Vec<u32>,
-    at: usize,
-    /// Canonical position of `block[at]`.
+    sent: u32,
+    /// Spike id of the next packet.
     spike: u32,
-    last: LastKey<'f>,
-}
-
-impl Run<'_> {
-    fn flow(&self) -> usize {
-        self.block[self.at] as usize
-    }
 }
 
 /// The injection schedule, streamed: canonical AER-encoder order, one
@@ -242,70 +221,61 @@ impl Run<'_> {
 /// overloading its step window shares cycles with its own next step,
 /// where the neuron decides).
 ///
-/// Nothing is held per packet or per flow sent: one entry per [`Group`]
-/// (under the mapper's traffic, one per spike), and per active run the
-/// order of its current `(step, src, neuron)` block.
-pub(crate) struct Schedule<'n, 'f> {
-    flows: &'f [SpikeFlow],
-    nets: &'n Nets<'f>,
+/// Nothing is held per packet or per flow: the run entries ([`Entry`]),
+/// sorted once into canonical order (an entry's flows are equal and
+/// adjacent, so its packets are adjacent in that order too), and a cursor
+/// per active `(step, src)`.
+pub(crate) struct Schedule {
     cycles_per_step: u64,
-    /// Sending groups in canonical order.
-    groups: Vec<Group>,
-    /// The first group of the next run to join.
+    /// The run entries in canonical order: an entry's id is its position.
+    entries: Vec<Entry>,
+    /// The first entry of the next run to join.
     joined: usize,
+    /// Spike id of the next run's first packet.
+    spikes: u32,
     /// Runs injecting at `cycle`, in slot order; `active[at]` is next.
-    active: Vec<Run<'f>>,
+    active: Vec<Run>,
     at: usize,
     cycle: u64,
 }
 
-impl<'n, 'f> Schedule<'n, 'f> {
-    /// Orders the groups of `flows`; no packet is placed yet.
-    pub(crate) fn new(config: &NocConfig, flows: &'f [SpikeFlow], nets: &'n Nets<'f>) -> Self {
-        // Generators emit a spike's flows back to back (per-synapse
-        // traffic: one per remote synapse, 219 a spike on mapbench's
-        // `hd_tree_paper`), so the sort runs over maximal runs of
-        // consecutive flows equal in `(step, src, neuron)`, each keyed by
-        // its packed `(step, src)` and `(neuron, first flow)` words.
-        let mut groups: Vec<Group> = Vec::new();
-        for (i, f) in flows.iter().enumerate() {
-            let step_src = (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar);
-            match groups.last_mut() {
-                Some(g)
-                    if g.step_src == step_src
-                        && g.neuron_first >> 32 == u64::from(f.source_neuron) =>
-                {
-                    g.end = i as u32 + 1;
-                }
-                _ => groups.push(Group {
-                    step_src,
-                    neuron_first: (u64::from(f.source_neuron) << 32) | i as u64,
-                    end: i as u32 + 1,
-                    base: 0,
-                }),
-            }
-            if !f.dst_crossbars.is_empty() {
-                groups.last_mut().expect("pushed above").base += 1;
-            }
+impl Schedule {
+    /// Takes the run entries of `nets` and sorts them into canonical
+    /// order, by `(step, src, neuron, destination set, first flow)`; no
+    /// packet is placed yet. Within one `(step, src)` equal destination
+    /// sets are one net, so the sets are compared once, ranking the nets.
+    pub(crate) fn new(config: &NocConfig, nets: &mut Nets<'_>) -> Self {
+        let mut by_dests: Vec<u32> = (0..nets.len() as u32).collect();
+        by_dests.sort_unstable_by_key(|&net| nets.keys[net as usize].1);
+        let mut rank = vec![0; by_dests.len()];
+        for (r, &net) in (0u32..).zip(&by_dests) {
+            rank[net as usize] = r;
         }
-        groups.retain(|g| g.base > 0);
-        groups.sort_unstable_by_key(|g| (g.step_src, g.neuron_first));
-        let mut base = 0;
-        for g in &mut groups {
-            (g.base, base) = (base, base + g.base);
-        }
+        let mut entries = std::mem::take(&mut nets.entries);
+        entries.sort_unstable_by_key(|e| {
+            (
+                (u64::from(e.step) << 32) | u64::from(e.src),
+                (u64::from(e.neuron) << 32) | u64::from(rank[e.net as usize]),
+                e.first,
+            )
+        });
         let mut schedule = Schedule {
-            flows,
-            nets,
             cycles_per_step: config.cycles_per_step,
-            groups,
+            entries,
             joined: 0,
+            spikes: 0,
             active: Vec::new(),
             at: 0,
             cycle: 0,
         };
         schedule.next_cycle_batch();
         schedule
+    }
+
+    /// The run entry `id` names (an [`Injection`]'s or a [`Handle`]'s).
+    #[inline]
+    pub(crate) fn entry(&self, id: u32) -> &Entry {
+        &self.entries[id as usize]
     }
 
     /// Cycle of the next packet ([`u64::MAX`] once every packet is out).
@@ -323,21 +293,16 @@ impl<'n, 'f> Schedule<'n, 'f> {
             return None;
         }
         let run = &mut self.active[self.at];
-        let fi = run.flow();
-        let f = &self.flows[fi];
         let packet = Injection {
             spike: run.spike,
-            flow: fi as u32,
-            net: self
-                .nets
-                .of(f, &mut run.last)
-                .expect("a sending flow has a net"),
+            entry: run.next as u32,
             inject_cycle: self.cycle,
         };
         run.spike += 1;
-        run.at += 1;
-        if run.at == run.block.len() {
-            load_block(self.flows, &self.groups, run);
+        run.sent += 1;
+        if run.sent == self.entries[run.next].packets {
+            run.next += 1;
+            run.sent = 0;
         }
         self.at += 1;
         if self.at == self.active.len() {
@@ -351,74 +316,44 @@ impl<'n, 'f> Schedule<'n, 'f> {
     /// one from each active run, in slot order among them (the join order
     /// stands in for the canonical position: it orders the same way).
     /// Runs are in `(step, src)` order, so they join in order of their
-    /// first cycle.
+    /// first cycle, and their spike ids are the prefix sums of the
+    /// entries' packets.
     fn next_cycle_batch(&mut self) {
-        self.active.retain(|run| run.at < run.block.len());
+        self.active.retain(|run| run.next < run.end);
         if self.active.is_empty() {
-            let Some(g) = self.groups.get(self.joined) else {
+            let Some(e) = self.entries.get(self.joined) else {
                 self.at = 0;
                 return;
             };
-            self.cycle = (g.step_src >> 32) * self.cycles_per_step;
+            self.cycle = u64::from(e.step) * self.cycles_per_step;
         } else {
             self.cycle += 1;
         }
-        while let Some(g) = self.groups.get(self.joined) {
-            if (g.step_src >> 32) * self.cycles_per_step != self.cycle {
+        while let Some(e) = self.entries.get(self.joined) {
+            if u64::from(e.step) * self.cycles_per_step != self.cycle {
                 break;
             }
-            let same = self.groups[self.joined..]
+            let same = self.entries[self.joined..]
                 .iter()
-                .take_while(|h| h.step_src == g.step_src)
-                .count();
-            let mut run = Run {
+                .take_while(|f| (f.step, f.src) == (e.step, e.src));
+            let (len, packets) = same.fold((0, 0), |(len, sum), f| (len + 1, sum + f.packets));
+            self.active.push(Run {
                 seq: self.joined,
                 next: self.joined,
-                end: self.joined + same,
-                block: Vec::new(),
-                at: 0,
-                spike: 0,
-                last: LastKey::default(),
-            };
-            load_block(self.flows, &self.groups, &mut run);
-            self.active.push(run);
-            self.joined += same;
+                end: self.joined + len,
+                sent: 0,
+                spike: self.spikes,
+            });
+            self.spikes += packets;
+            self.joined += len;
         }
-        let flows = self.flows;
+        let entries = &self.entries;
         self.active.sort_unstable_by_key(|run| {
-            let f = &flows[run.flow()];
-            (f.src_crossbar, f.source_neuron, run.seq)
+            let e = &entries[run.next];
+            (e.src, e.neuron, run.seq)
         });
         self.at = 0;
     }
-}
-
-/// Moves `run` on to its next `(step, src, neuron)` block, or leaves it
-/// spent (`block` empty) when it has none: equal keys in flow order,
-/// then stably by destination set.
-fn load_block(flows: &[SpikeFlow], groups: &[Group], run: &mut Run<'_>) {
-    run.block.clear();
-    run.at = 0;
-    let Some(g) = groups[..run.end].get(run.next) else {
-        return;
-    };
-    let block = groups[run.next..run.end]
-        .iter()
-        .take_while(|h| h.neuron_first >> 32 == g.neuron_first >> 32);
-    for h in block {
-        let first = (h.neuron_first & 0xffff_ffff) as usize;
-        let sends = (first..h.end as usize).filter(|&i| !flows[i].dst_crossbars.is_empty());
-        run.block.extend(sends.map(|i| i as u32));
-        run.next += 1;
-    }
-    run.spike = g.base;
-    // stable, so ties equal in dest set too keep their flow order
-    // (byte-equal flows — they inject identically either way)
-    run.block.sort_by(|&a, &b| {
-        flows[a as usize]
-            .dst_crossbars
-            .cmp(&flows[b as usize].dst_crossbars)
-    });
 }
 
 /// One FIFO lane: an intrusive list of queued packets (chains) through
@@ -816,9 +751,10 @@ struct Setup<'f> {
 }
 
 impl<'f> Setup<'f> {
-    /// Checks the configuration and the topology, interns the nets in the
-    /// one pass over the flows (which checks each net's crossbars once),
-    /// checks the clock against the nets' totals, then plans the nets.
+    /// Checks the configuration and the topology, interns the nets and
+    /// the run entries in the one pass over the flows (which checks each
+    /// net's crossbars once), checks the clock against the nets' totals,
+    /// then plans the nets.
     /// `run_engine` and [`NocSim::link_forwards`] both start here, so both
     /// refuse the same inputs with the same errors.
     fn new(
@@ -830,8 +766,8 @@ impl<'f> Setup<'f> {
         let fabric = Fabric::new(topo, config.vc_count)?;
         let nets = Nets::intern(topo.num_crossbars(), flows)?;
         check_clock(config, &nets)?;
-        // every routing question is asked here, once per net; the schedule
-        // then only names each packet's net
+        // every routing question is asked here, once per net; the run
+        // entries then only name each packet's net
         let plan = Plan::build(topo, &fabric, config.multicast_trees, &nets)?;
         Ok(Self { fabric, nets, plan })
     }
@@ -857,9 +793,13 @@ fn run_engine<S: Sched>(
 ) -> Result<NocStats, NocError> {
     *events = None;
     let start = Instant::now();
-    let Setup { fabric, nets, plan } = Setup::new(topo.as_ref(), config, flows)?;
+    let Setup {
+        fabric,
+        mut nets,
+        plan,
+    } = Setup::new(topo.as_ref(), config, flows)?;
     let setup_done = Instant::now();
-    let schedule = Schedule::new(config, flows, &nets);
+    let schedule = Schedule::new(config, &mut nets);
     let schedule_done = Instant::now();
     if let Some(t) = sim_trace.as_deref_mut() {
         t.nets = nets.len() as u64;
@@ -871,7 +811,7 @@ fn run_engine<S: Sched>(
         topo,
         config,
         &Arc::new(fabric),
-        flows,
+        &nets,
         schedule,
         plan,
         &mut fold,
@@ -925,7 +865,7 @@ fn check_clock(config: &NocConfig, nets: &Nets<'_>) -> Result<(), NocError> {
 }
 
 /// The router model: the one main loop both engines run, scheduled by
-/// policy `S`, injecting the packets of `schedule` (over `flows`) and
+/// policy `S`, injecting the packets of `schedule` (over `nets`) and
 /// moving their handles over `plan`. Every delivery is folded into
 /// `stats` and, when `log` is given, appended to it. `trace`, when given,
 /// collects the attended cycles (for a selective policy), the cycles at
@@ -940,8 +880,8 @@ fn simulate<S: Sched>(
     topo: &Arc<dyn Topology>,
     cfg: &NocConfig,
     fabric: &Arc<Fabric>,
-    flows: &[SpikeFlow],
-    mut schedule: Schedule<'_, '_>,
+    nets: &Nets<'_>,
+    mut schedule: Schedule,
     plan: Plan,
     stats: &mut StatsFold<'_>,
     mut log: Option<&mut Vec<Delivery>>,
@@ -953,7 +893,6 @@ fn simulate<S: Sched>(
     let topo = topo.as_ref();
     let fab = fabric.as_ref();
 
-    let nets = schedule.nets;
     if let Some(log) = log.as_deref_mut() {
         // every destination of every packet becomes exactly one delivery
         let dests = |net| plan.dests(plan.root(net)).len() as u64;
@@ -1002,7 +941,7 @@ fn simulate<S: Sched>(
     let last_forward = u64::MAX - 1 - hop_latency.max(u64::from(flits));
 
     // the earliest pending injection or arrival (`u64::MAX` if neither)
-    let next_event = |schedule: &Schedule<'_, '_>, in_transit: &VecDeque<Arrival>| {
+    let next_event = |schedule: &Schedule, in_transit: &VecDeque<Arrival>| {
         let inject = schedule.next_cycle();
         inject.min(in_transit.front().map_or(u64::MAX, |a| a.cycle))
     };
@@ -1020,23 +959,16 @@ fn simulate<S: Sched>(
             let Handle {
                 inject_cycle,
                 spike,
-                flow,
+                entry,
                 node,
                 ..
             } = *q.slab.get(h);
-            let f = &flows[flow as usize];
+            let e = schedule.entry(entry);
             debug_assert!(q.plan.local(node).iter().all(|&d| topo.endpoint(d) == r));
             for &d in q.plan.local(node) {
-                stats.deliver(f.source_neuron, d, f.send_step, inject_cycle, now);
+                stats.deliver(e.neuron, d, e.step, inject_cycle, now);
                 if let Some(log) = log.as_deref_mut() {
-                    log.push(Delivery::new(
-                        f.source_neuron,
-                        f.src_crossbar,
-                        d,
-                        f.send_step,
-                        inject_cycle,
-                        now,
-                    ));
+                    log.push(Delivery::new(e.neuron, e.src, d, e.step, inject_cycle, now));
                 }
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Delivered {
@@ -1143,22 +1075,22 @@ fn simulate<S: Sched>(
             enter!(a.router, a.ingress, a.pid);
         }
         while let Some(p) = schedule.pop_due(now) {
-            let f = &flows[p.flow as usize];
-            let src_router = fab.endpoints[f.src_crossbar as usize] as usize;
+            let e = schedule.entry(p.entry);
+            let src_router = fab.endpoints[e.src as usize] as usize;
             counters.packets_injected += 1;
             if let Some(t) = events.as_deref_mut() {
                 t.push(TraceEvent::Injected {
                     cycle: now,
                     spike_id: u64::from(p.spike),
-                    source_neuron: f.source_neuron,
-                    src_crossbar: f.src_crossbar,
+                    source_neuron: e.neuron,
+                    src_crossbar: e.src,
                     router: src_router as u32,
                 });
             }
-            let root = q.plan.root(p.net);
+            let root = q.plan.root(e.net);
             let h = q
                 .slab
-                .alloc(Handle::injected(p.spike, p.flow, p.inject_cycle, root));
+                .alloc(Handle::injected(p.spike, p.entry, p.inject_cycle, root));
             enter!(src_router, 0, h);
         }
 
@@ -1393,15 +1325,28 @@ mod tests {
         NocSim::new(topo, NocConfig::default(), EnergyModel::default())
     }
 
+    /// One packet of [`schedule_by_sorting`]: its spike id, flow, net and
+    /// inject cycle.
+    #[derive(Debug, PartialEq)]
+    struct Sorted {
+        spike: u32,
+        flow: u32,
+        net: u32,
+        inject_cycle: u64,
+    }
+
     /// The schedule as built before the merge: the canonical order by a
     /// sort of packed keys, then every packet's slot triple `(inject
-    /// cycle, src and neuron, spike id)` in that order, sorted.
-    fn schedule_by_sorting<'f>(
+    /// cycle, src and neuron, spike id)` in that order, sorted. A flow's
+    /// net is looked up by its key among `nets`' keys.
+    fn schedule_by_sorting(
         crossbars: usize,
         config: &NocConfig,
-        flows: &'f [SpikeFlow],
-        nets: &Nets<'f>,
-    ) -> Vec<Injection> {
+        flows: &[SpikeFlow],
+        nets: &Nets<'_>,
+    ) -> Vec<Sorted> {
+        let net_of: std::collections::HashMap<(u32, &[u32]), u32> =
+            nets.keys.iter().copied().zip(0..).collect();
         // canonical order via packed key-index tuples: `(step, src)` and
         // `(neuron, flow index)` each fuse into one u64, so the sort runs on
         // plain integer pairs (no comparator closure). Flows equal in
@@ -1474,10 +1419,10 @@ mod tests {
                     (f.src_crossbar, f.source_neuron),
                     ((src_neuron >> 32) as u32, src_neuron as u32)
                 );
-                Injection {
+                Sorted {
                     spike: spike as u32,
                     flow: fi as u32,
-                    net: nets.of(f, &mut LastKey::default()).expect("it sends"),
+                    net: net_of[&(f.src_crossbar, &f.dst_crossbars[..])],
                     inject_cycle,
                 }
             })
@@ -1494,14 +1439,27 @@ mod tests {
             state ^= state << 17;
             state % bound
         };
+        // the fixed case, last: one neuron at one step sending `A, A, ∅,
+        // A, B, A` — a silent flow between two equal runs, and a net
+        // coming back after another inside one `(step, src, neuron)`, as
+        // per-synapse traffic does
+        let fixed: Vec<SpikeFlow> = [&[3][..], &[3], &[], &[3], &[1], &[3]]
+            .iter()
+            .map(|&dsts| SpikeFlow {
+                dst_crossbars: dsts.into(),
+                ..SpikeFlow::unicast(7, 0, 0, 1)
+            })
+            .collect();
         let mut overloaded = 0;
-        for case in 0..600 {
-            let crossbars = 1 + draw(4);
+        for case in 0..=600 {
+            let crossbars = if case == 600 { 4 } else { 1 + draw(4) };
             // every fifth case starts its steps just short of the last
             // cycle `check_clock` lets a run reach
             let near_limit = case % 5 == 4;
             let cycles_per_step = if near_limit {
                 (1 << 32) - 2
+            } else if case == 600 {
+                2
             } else {
                 1 + draw(4)
             };
@@ -1509,14 +1467,18 @@ mod tests {
             // few neurons and steps: many flows share a `(step, crossbar,
             // neuron)` key, as per-synapse traffic does; destination lists
             // may be empty, repeat a crossbar or name the source
-            let flows: Vec<SpikeFlow> = (0..draw(50))
-                .map(|_| SpikeFlow {
-                    source_neuron: draw(4) as u32,
-                    src_crossbar: draw(crossbars) as u32,
-                    dst_crossbars: (0..draw(4)).map(|_| draw(crossbars) as u32).collect(),
-                    send_step: first_step + draw(4) as u32,
-                })
-                .collect();
+            let flows: Vec<SpikeFlow> = if case == 600 {
+                fixed.clone()
+            } else {
+                (0..draw(50))
+                    .map(|_| SpikeFlow {
+                        source_neuron: draw(4) as u32,
+                        src_crossbar: draw(crossbars) as u32,
+                        dst_crossbars: (0..draw(4)).map(|_| draw(crossbars) as u32).collect(),
+                        send_step: first_step + draw(4) as u32,
+                    })
+                    .collect()
+            };
             // every other case as unicast traffic: a flow per destination
             let flows = if case % 2 == 0 {
                 flows
@@ -1527,15 +1489,16 @@ mod tests {
                 cycles_per_step,
                 ..NocConfig::default()
             };
-            let nets = Nets::intern(crossbars as usize, &flows).expect("known crossbars");
+            let mut nets = Nets::intern(crossbars as usize, &flows).expect("known crossbars");
             check_clock(&config, &nets).expect("the clock reaches the last injection");
             // the nets' totals are the per-flow ones over the sending flows
             let sending = flows.iter().filter(|f| !f.dst_crossbars.is_empty());
             assert_eq!(nets.per_packet_sum(|_| 1), sending.clone().count() as u64);
             let last = sending.map(|f| f.send_step).max().unwrap_or(0);
             assert_eq!(nets.last_step, last, "case {case}");
+            let sorted = schedule_by_sorting(crossbars as usize, &config, &flows, &nets);
             // the stream, drained a cycle at a time as the loop drains it
-            let mut schedule = Schedule::new(&config, &flows, &nets);
+            let mut schedule = Schedule::new(&config, &mut nets);
             let mut merged = Vec::new();
             while schedule.next_cycle() != u64::MAX {
                 let now = schedule.next_cycle();
@@ -1548,8 +1511,44 @@ mod tests {
                     "case {case}: a cycle left behind"
                 );
             }
-            let sorted = schedule_by_sorting(crossbars as usize, &config, &flows, &nets);
-            assert_eq!(merged, sorted, "case {case}: {flows:?}");
+            // an entry's spike ids are the prefix sums of the packets
+            // before it, and its packets are its flows in order
+            let base: Vec<u32> = schedule
+                .entries
+                .iter()
+                .scan(0, |sum, e| {
+                    *sum += e.packets;
+                    Some(*sum - e.packets)
+                })
+                .collect();
+            assert_eq!(merged.len(), sorted.len(), "case {case}: {flows:?}");
+            for (p, want) in merged.iter().zip(&sorted) {
+                let e = schedule.entry(p.entry);
+                let flow = e.first + (p.spike - base[p.entry as usize]);
+                let got = Sorted {
+                    spike: p.spike,
+                    flow,
+                    net: e.net,
+                    inject_cycle: p.inject_cycle,
+                };
+                assert_eq!(got, *want, "case {case}: {flows:?}");
+                let f = &flows[flow as usize];
+                assert_eq!(
+                    (e.step, e.src, e.neuron),
+                    (f.send_step, f.src_crossbar, f.source_neuron),
+                    "case {case}"
+                );
+            }
+            if case == 600 {
+                // `B` first (destination set `[1]` before `[3]`), then
+                // the three runs of `A` in flow order
+                let entries: Vec<(u32, u32)> = schedule
+                    .entries
+                    .iter()
+                    .map(|e| (e.first, e.packets))
+                    .collect();
+                assert_eq!(entries, [(4, 1), (0, 2), (3, 1), (5, 1)]);
+            }
             // a crossbar sending more packets in a step than the step has
             // cycles shares inject cycles with its own next step
             let mut per_window = std::collections::HashMap::new();

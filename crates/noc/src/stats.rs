@@ -177,13 +177,14 @@ pub struct SimTrace {
     /// part of any digest.
     pub peak_handles: u64,
     /// Host wall-clock time of the run's setup: the checks, the one pass
-    /// over the flows (interning the nets, checking and counting per net)
-    /// and the forwarding plan. Like the three phase times below it, it is
+    /// over the flows (interning the nets, checking and counting per net,
+    /// cutting the flows into run entries) and the forwarding plan. Like the three phase times below it, it is
     /// never compared and outside every digest.
     pub setup_time: Duration,
-    /// Host wall-clock time of ordering the injection schedule's groups
-    /// of flows. The packets themselves are placed as the loop takes
-    /// them, inside `loop_time`.
+    /// Host wall-clock time of the injection schedule's one sort: the
+    /// nets ranked by destination list, then the run entries sorted into
+    /// canonical order. The packets themselves are placed as the loop
+    /// takes them, inside `loop_time`.
     pub schedule_time: Duration,
     /// Host wall-clock time of the router loop, the statistics' fold
     /// included: the loop hands it every delivery, and it folds them a

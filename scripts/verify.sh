@@ -46,12 +46,16 @@ echo "==> bench smoke + BENCH_*.json gates (1 sample)"
 # each bench first asserts what it is about to time (batched envelope at
 # 256 crossbars, bit-identity with scalar, engine-vs-oracle digests, ...),
 # then writes its BENCH_*.json (under target/: a 1-sample run never
-# overwrites the tracked files), then holds every same-run ratio to the
+# overwrites the tracked files, and their checksums before and after the
+# two runs must match), then holds every same-run ratio to the
 # gate table in crates/bench/src/ledger.rs: present, >= 1.0 where
 # higher_is_better, and the six numeric bounds. A failed gate prints
 # "<ratio id>: ... must be ..., got <value>" and the bench exits 1
+tracked_before=$(sha256sum BENCH_eval.json BENCH_noc.json)
 NEUROMAP_BENCH_FAST=1 cargo bench -p neuromap-bench --bench eval
 NEUROMAP_BENCH_FAST=1 cargo bench -p neuromap-bench --bench noc
+diff <(echo "$tracked_before") <(sha256sum BENCH_eval.json BENCH_noc.json) \
+  || { echo "the bench smoke changed a tracked BENCH_*.json"; exit 1; }
 
 echo "==> congestion-spotter smoke (dense_burst16 must show blocked lanes)"
 cargo test --release -p neuromap-bench --test spotter_smoke -q
