@@ -12,11 +12,11 @@
 //! placement optimizer re-runs on the current global best; the resulting
 //! permutation re-prices the hop table the swarm evaluates against
 //! ([`DistanceLut::permuted`]), the carried personal/global bests are
-//! re-valued under the new pricing (`reseat_best`), and the search
-//! continues from the same particle RNG streams. The staged result is
-//! always computed too and kept as the fallback — the joint loop can
-//! explore a worse basin, and [`CooptOutcome::used_joint`] records which
-//! result won on final hop-weighted packets.
+//! re-valued under the new pricing (`SwarmState::reprice`), and the
+//! search continues from the same particle RNG streams. The staged
+//! result is always computed too and kept as the fallback — the joint
+//! loop can explore a worse basin, and [`CooptOutcome::used_joint`]
+//! records which result won on final hop-weighted packets.
 //!
 //! ### Determinism contract
 //!
@@ -25,16 +25,17 @@
 //! [`PsoPartitioner`] run (per-particle RNG streams carried across
 //! segment boundaries in particle order, reductions in particle order),
 //! the placement optimizer is byte-identical for every thread count by
-//! its own contract, and the re-valuation pass is single-threaded. Two
-//! [`co_optimize`] calls with the same inputs and any `threads` values
-//! return identical outcomes, traces included.
+//! its own contract, and the re-valuation folds the shards' bests in
+//! particle order, as every round does. Two [`co_optimize`] calls with
+//! the same inputs and any `threads` values return identical outcomes,
+//! traces included.
 
 use crate::error::CoreError;
 use crate::multilevel::{self, MultilevelConfig};
 use crate::partition::{FitnessKind, PartitionProblem};
 use crate::pipeline::TrafficMode;
 use crate::place::{optimize_placement, PlaceConfig, TrafficMatrix};
-use crate::pso::{reseat_best, run_rounds, PsoConfig, PsoPartitioner, SwarmState};
+use crate::pso::{PsoConfig, PsoPartitioner, SwarmState};
 use crate::refine::refine;
 use neuromap_hw::mapping::{Mapping, Placement};
 use neuromap_noc::topology::DistanceLut;
@@ -193,20 +194,15 @@ pub fn co_optimize(
 
     // ---- joint loop: segments of `replace_every` rounds, re-placing
     // and re-pricing between them ----
-    let mut state = SwarmState::new(problem, &cfg.pso)?;
-    if cfg.multilevel.is_some() {
-        // warm-start the joint swarm with the V-cycle's partition (last
-        // slot, so the memetic baseline injections stay untouched)
-        state.inject(
-            cfg.pso.swarm_size.saturating_sub(1),
-            staged_map.assignment().to_vec(),
-        );
-    }
+    // the V-cycle's partition warm-starts the joint swarm (last slot, so
+    // the memetic baselines stay untouched)
+    let warm_start = cfg.multilevel.is_some().then(|| staged_map.assignment());
     let mut trace = Vec::new();
+    let mut state = SwarmState::new(problem, &cfg.pso, warm_start, &mut trace)?;
     let total = cfg.pso.iterations;
     let k = cfg.replace_every;
     let mut done = k.min(total);
-    run_rounds(problem, &cfg.pso, &mut state, done, true, &mut trace);
+    state.run_rounds(problem, done, &mut trace);
     let mut last_perm: Option<DistanceLut> = None;
     while done < total {
         let seg = k.min(total - done);
@@ -217,8 +213,8 @@ pub fn co_optimize(
         let place = optimize_placement(&traffic, dist, &cfg.place)?;
         last_perm = Some(dist.permuted(place.placement.as_slice()));
         let seg_problem = (*problem).with_hops(last_perm.as_ref().expect("just set"))?;
-        reseat_best(&seg_problem, &cfg.pso, &mut state);
-        run_rounds(&seg_problem, &cfg.pso, &mut state, seg, false, &mut trace);
+        state.reprice(&seg_problem);
+        state.run_rounds(&seg_problem, seg, &mut trace);
         done += seg;
     }
 

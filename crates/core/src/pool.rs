@@ -25,9 +25,10 @@
 //!
 //! [`map_ranges`] is the crate's only fan-out of independent work
 //! (placement restarts, boundary shards) and
-//! [`ranges`] its only index split — `pso::run_rounds` carves the swarm's
-//! persistent shards by it too. Nothing else in `neuromap-core` spawns a
-//! thread or divides a length by a worker count.
+//! [`ranges`] its only index split — `pso::SwarmState::new` cuts the
+//! swarm into the shards it keeps for the whole search by it too. Nothing
+//! else in `neuromap-core` spawns a thread or divides a length by a
+//! worker count.
 
 use std::ops::Range;
 use std::sync::mpsc;

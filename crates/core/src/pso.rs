@@ -12,11 +12,14 @@
 //!
 //! ### Implementation notes (hot path)
 //!
-//! The swarm is stored **structure-of-arrays**: one contiguous velocity
-//! buffer (`swarm × N × C` floats) and one contiguous assignment buffer
-//! (`swarm × N`). Binary-PSO re-samples every neuron's crossbar each
-//! iteration (measured churn 70%+), so per-particle O(deg) move deltas
-//! cannot beat a full scan here; instead the whole shard is evaluated in
+//! The swarm is stored **structure-of-arrays**, one shard per worker
+//! ([`pool::ranges`] of the swarm): each shard owns one contiguous
+//! velocity buffer (`particles × N × C` floats, `swarm × N × C` over the
+//! swarm) and one contiguous assignment buffer (`particles × N`) for its
+//! particle range, from round 0 to the end of the search. Binary-PSO
+//! re-samples every neuron's crossbar each iteration (measured churn
+//! 70%+), so per-particle O(deg) move deltas cannot beat a full scan
+//! here; instead the whole shard is evaluated in
 //! one pass over the CSR through [`SwarmEval`] — neuron-major tiles
 //! whose per-edge lane compares vectorize and reuse every row `deg`
 //! times from cache: byte tiles up to 256 crossbars for all three
@@ -45,12 +48,17 @@
 //! test, draw for draw.
 //!
 //! The whole particle step (fused velocity/decode sweep + evaluation +
-//! personal-best tracking) runs on a persistent worker pool created once
-//! per `run_rounds` call (`core::pool`), not on per-iteration spawned
-//! threads. `search` is the one whole-swarm entry point — the flat
-//! partitioner and both V-cycle swarms call it; only the joint loop
-//! (`crate::coopt`) drives `SwarmState` in segments itself, because it
-//! re-prices the objective between them.
+//! personal-best tracking) runs on the phased worker pool of
+//! `core::pool`, not on per-iteration spawned threads: each phased run
+//! (round 0 in `SwarmState::new`, then one per `SwarmState::run_rounds`
+//! call) spawns one worker per shard, moves the shards in and takes them
+//! back. `search` is the one whole-swarm entry point — the flat
+//! partitioner and both V-cycle swarms call it — and is itself `new`
+//! plus one `run_rounds` over every iteration. The joint loop
+//! (`crate::coopt`) makes the same calls, one `run_rounds` per segment,
+//! with `SwarmState::reprice` between segments because it re-prices the
+//! objective there; under an unchanged objective any split of the
+//! iterations is the same search.
 //!
 //! ### Determinism contract
 //!
@@ -194,7 +202,7 @@ pub struct PsoTrace {
     pub converged_at: u32,
 }
 
-/// What a worker reports after stepping its particle range.
+/// What a worker reports after a round over its shard.
 struct ShardReport {
     /// Best personal-best fitness in the shard.
     fitness: u64,
@@ -203,23 +211,23 @@ struct ShardReport {
     position: Option<Vec<u32>>,
 }
 
-/// One worker's particle range, as disjoint views into the swarm's
-/// structure-of-arrays buffers.
-struct Shard<'a, 'g> {
-    evaluator: &'a SwarmEval<'g>,
-    decoder: &'a Decoder,
+/// One worker's particle range (one [`pool::ranges`] entry), owned for
+/// the whole search: the range's structure-of-arrays buffers, its
+/// particles' RNG streams and the worker's scratch.
+struct Shard {
+    /// Swarm index of the shard's first particle.
+    start: usize,
     n: usize,
     c: usize,
-    /// Per-particle RNG seeds (drawn from the master stream in particle
-    /// order on the caller's thread).
-    seeds: &'a [u64],
-    /// Warm-start assignments to inject after the initial decode, as
-    /// (shard-local particle index, assignment).
-    injections: Vec<(usize, Vec<u32>)>,
-    velocity: &'a mut [f32],
-    position: &'a mut [u32],
-    best_position: &'a mut [u32],
-    best_fitness: &'a mut [u64],
+    /// `particles × N × C` velocities.
+    velocity: Vec<f32>,
+    /// `particles × N` current assignments.
+    position: Vec<u32>,
+    /// `particles × N` personal-best assignments.
+    best_position: Vec<u32>,
+    best_fitness: Vec<u64>,
+    /// One stream per particle, seeded from the master stream in particle
+    /// order and carried across `run_rounds` calls.
     rngs: Vec<StdRng>,
     // reusable scratch
     costs: Vec<u64>,
@@ -227,47 +235,51 @@ struct Shard<'a, 'g> {
     decode_scratch: DecodeScratch,
 }
 
-impl Shard<'_, '_> {
+impl Shard {
     fn particles(&self) -> usize {
-        self.seeds.len()
+        self.rngs.len()
     }
 
-    /// Round 0: create RNG streams, random velocities, initial decode,
-    /// warm-start injection, and the initial full evaluation.
-    fn init_round(&mut self) {
-        let (n, c) = (self.n, self.c);
-        let dims = n * c;
-        self.rngs = self
-            .seeds
-            .iter()
-            .map(|&s| StdRng::seed_from_u64(s))
-            .collect();
-        for p in 0..self.particles() {
-            let rng = &mut self.rngs[p];
+    /// Round 0: random velocities, initial decode, the warm starts whose
+    /// swarm slot falls in this shard (in order, so a later one at the
+    /// same slot wins), and the initial evaluation.
+    fn init_round(
+        &mut self,
+        decoder: &Decoder,
+        evaluator: &SwarmEval<'_>,
+        starts: &[(usize, &[u32])],
+    ) {
+        let n = self.n;
+        let dims = n * self.c;
+        for (p, rng) in self.rngs.iter_mut().enumerate() {
             let vel = &mut self.velocity[p * dims..(p + 1) * dims];
-            self.decoder.fill_velocity(vel, rng);
-            self.decoder.decode(
+            decoder.fill_velocity(vel, rng);
+            decoder.decode(
                 vel,
                 rng,
                 &mut self.position[p * n..(p + 1) * n],
                 &mut self.decode_scratch,
             );
         }
-        for (p, seed_assignment) in std::mem::take(&mut self.injections) {
-            self.position[p * n..(p + 1) * n].copy_from_slice(&seed_assignment);
+        for &(slot, assignment) in starts {
+            if let Some(p) = slot
+                .checked_sub(self.start)
+                .filter(|&p| p < self.particles())
+            {
+                self.position[p * n..(p + 1) * n].copy_from_slice(assignment);
+            }
         }
-        self.evaluate_and_track_best(true);
+        self.evaluate_and_track_best(evaluator, true);
     }
 
     /// Batched evaluation of every particle's current position, then
     /// personal-best bookkeeping ([`SwarmEval`] tiles the shard and
     /// vectorizes the cost kernels).
-    fn evaluate_and_track_best(&mut self, initial: bool) {
+    fn evaluate_and_track_best(&mut self, evaluator: &SwarmEval<'_>, initial: bool) {
         let n = self.n;
         let count = self.particles();
         self.costs.resize(count, 0);
-        self.evaluator
-            .eval_swarm(self.position, count, &mut self.scratch, &mut self.costs);
+        evaluator.eval_swarm(&self.position, count, &mut self.scratch, &mut self.costs);
         for p in 0..count {
             let cost = self.costs[p];
             if initial || cost < self.best_fitness[p] {
@@ -281,7 +293,7 @@ impl Shard<'_, '_> {
     /// One PSO step for every particle in the shard: the fused velocity
     /// update (Eq. 1) + re-binarization (Eq. 2–3) + repair (Eq. 4–5)
     /// sweep of [`Decoder::step`], then the batched evaluation.
-    fn step_round(&mut self, gbest: &[u32]) {
+    fn step_round(&mut self, decoder: &Decoder, evaluator: &SwarmEval<'_>, gbest: &[u32]) {
         let n = self.n;
         let dims = n * self.c;
         let weights = StepWeights {
@@ -289,20 +301,18 @@ impl Shard<'_, '_> {
             phi_p: PHI_P,
             phi_g: PHI_G,
         };
-        for p in 0..self.particles() {
-            self.decoder.step(
+        for (p, rng) in self.rngs.iter_mut().enumerate() {
+            decoder.step(
                 weights,
                 &mut self.velocity[p * dims..(p + 1) * dims],
-                &mut self.rngs[p],
+                rng,
                 &mut self.position[p * n..(p + 1) * n],
                 &self.best_position[p * n..(p + 1) * n],
                 gbest,
                 &mut self.decode_scratch,
             );
         }
-
-        // --- batched evaluation + personal best ---
-        self.evaluate_and_track_best(false);
+        self.evaluate_and_track_best(evaluator, false);
     }
 
     /// Shard-local best (first index wins ties) and, when it beats the
@@ -326,45 +336,35 @@ impl Shard<'_, '_> {
     }
 }
 
-/// Resumable swarm state: the structure-of-arrays buffers, per-particle
-/// RNG streams, and the global best of a PSO search in flight.
+/// Resumable swarm state: the per-worker shards and the global best of a
+/// PSO search in flight.
 ///
-/// Created by [`SwarmState::new`], advanced in segments by [`run_rounds`],
-/// and re-valued by [`reseat_best`] when the objective changes underneath
-/// the swarm — the joint co-optimization loop ([`crate::coopt`]) permutes
-/// the hop-distance table between segments. One `run_rounds` call over the
-/// full iteration budget is exactly the search
-/// [`PsoPartitioner::partition_traced`] runs, byte for byte; segmenting it
-/// changes nothing when the problem stays the same, because every particle
-/// RNG stream is carried across segment boundaries in particle order.
+/// [`SwarmState::new`] runs round 0, [`SwarmState::run_rounds`] advances
+/// the swarm in segments, and [`SwarmState::reprice`] re-values it when
+/// the objective changes underneath — the joint co-optimization loop
+/// ([`crate::coopt`]) permutes the hop-distance table between segments.
+/// The shards are fixed at `new` and each keeps its particles, their RNG
+/// streams included, to the end, so under an unchanged problem any split
+/// of the iterations into `run_rounds` calls is the search [`search`]
+/// runs, byte for byte.
 pub(crate) struct SwarmState {
-    n: usize,
-    c: usize,
-    /// Per-particle RNG seeds, drawn from the master stream in particle
-    /// order (thread-count independent).
-    seeds: Vec<u64>,
-    /// Warm-start assignments, consumed by the init round.
-    injections: Vec<(usize, Vec<u32>)>,
-    velocity: Vec<f32>,
-    position: Vec<u32>,
-    best_position: Vec<u32>,
-    best_fitness: Vec<u64>,
-    /// Per-particle RNG streams in particle order; empty until the init
-    /// round creates them (inside the shards, from `seeds`), then carried
-    /// across `run_rounds` calls so segmented runs resume the exact
-    /// streams an unsegmented run would use.
-    rngs: Vec<StdRng>,
+    fitness: FitnessKind,
+    /// The swarm in particle order, one shard per worker.
+    shards: Vec<Shard>,
     /// Best fitness seen so far, under the problem of the last
-    /// `run_rounds`/`reseat_best` call.
+    /// `new`/`run_rounds`/`reprice` call.
     pub(crate) gbest_fitness: u64,
     /// Position of the global best (length `n`).
     pub(crate) gbest_position: Vec<u32>,
 }
 
 impl SwarmState {
-    /// Allocates the swarm for a problem: seeds every particle from the
-    /// master stream and stages the memetic warm-start injections. No
-    /// evaluation happens until the first [`run_rounds`] call.
+    /// Creates the swarm for a problem and runs round 0 on the worker
+    /// pool: every particle's RNG stream is seeded from the master stream
+    /// in particle order, its velocities filled and decoded, the memetic
+    /// baselines (when `cfg.seed_baselines`) replace the first particles
+    /// and `warm_start` the last, and the initial evaluation appends the
+    /// first entry to `trace`.
     ///
     /// # Errors
     ///
@@ -372,7 +372,12 @@ impl SwarmState {
     /// buffer (`swarm × N × C` velocities at the largest) has no
     /// representable length or byte size — checked here, where all three
     /// factors are first known, instead of wrapping or panicking in `Vec`.
-    pub(crate) fn new(problem: &PartitionProblem<'_>, cfg: &PsoConfig) -> Result<Self, CoreError> {
+    pub(crate) fn new(
+        problem: &PartitionProblem<'_>,
+        cfg: &PsoConfig,
+        warm_start: Option<&[u32]>,
+        trace: &mut Vec<u64>,
+    ) -> Result<Self, CoreError> {
         let n = problem.graph().num_neurons() as usize;
         let c = problem.num_crossbars();
         let dims = n * c;
@@ -387,218 +392,157 @@ impl SwarmState {
             });
         }
 
-        let mut master = StdRng::seed_from_u64(cfg.seed);
-        let seeds: Vec<u64> = (0..swarm).map(|_| master.gen()).collect();
-
         // memetic warm start: drop the deterministic baselines into the
         // swarm so gbest starts no worse than any of them
-        let mut injections: Vec<(usize, Vec<u32>)> = Vec::new();
+        let mut baselines: Vec<Vec<u32>> = Vec::new();
         if cfg.seed_baselines {
             let cap = problem.capacity();
-            let mut candidates: Vec<Vec<u32>> = Vec::new();
             // hierarchical population packing (the actual PACMAN layout)
             if let Ok(m) = crate::baselines::PacmanPartitioner::new().partition(problem) {
-                candidates.push(m.assignment().to_vec());
+                baselines.push(m.assignment().to_vec());
             }
             // round-robin interleave (NEUTRAMS)
-            candidates.push((0..n as u32).map(|i| i % c as u32).collect());
+            baselines.push((0..n as u32).map(|i| i % c as u32).collect());
             // dense sequential packing
-            candidates.push((0..n as u32).map(|i| i / cap).collect());
-            let mut slot = 0;
-            for cand in candidates {
-                if slot < swarm && problem.is_feasible(&cand) {
-                    injections.push((slot, cand));
-                    slot += 1;
-                }
-            }
+            baselines.push((0..n as u32).map(|i| i / cap).collect());
         }
+        let mut starts: Vec<(usize, &[u32])> = baselines
+            .iter()
+            .filter(|cand| problem.is_feasible(cand))
+            .map(Vec::as_slice)
+            .take(swarm)
+            .enumerate()
+            .collect();
+        starts.extend(warm_start.map(|assignment| (swarm - 1, assignment)));
 
-        Ok(Self {
-            n,
-            c,
-            seeds,
-            injections,
-            velocity: vec![0f32; swarm * dims],
-            position: vec![0u32; swarm * n],
-            best_position: vec![0u32; swarm * n],
-            best_fitness: vec![u64::MAX; swarm],
-            rngs: Vec::new(),
-            gbest_fitness: u64::MAX,
-            gbest_position: Vec::new(),
-        })
-    }
-
-    /// Stages one more warm-start assignment for the init round, placed
-    /// at particle `slot` (clamped to the swarm). Injections are applied
-    /// in staging order, so a later injection at an occupied slot wins.
-    /// Consumed by the next `init` round; a no-op afterwards.
-    pub(crate) fn inject(&mut self, slot: usize, assignment: Vec<u32>) {
-        debug_assert_eq!(assignment.len(), self.n);
-        let slot = slot.min(self.seeds.len().saturating_sub(1));
-        self.injections.push((slot, assignment));
-    }
-}
-
-/// Advances the swarm by `rounds` PSO iterations on the worker pool,
-/// appending the global best after each round to `trace`.
-///
-/// With `init` set, an extra round 0 runs first (RNG-stream creation,
-/// random velocities, initial decode, warm-start injection, initial
-/// evaluation) and also appends its entry — exactly the
-/// `iterations + 1` phased rounds of a full [`PsoPartitioner`] run.
-/// Without it, the call continues from the state's carried RNG streams
-/// and global best, evaluating against `problem` as given — which may
-/// attach a different hop table than the previous segment's
-/// ([`reseat_best`] re-values the carried bests first in that case).
-///
-/// Deterministic for every `cfg.threads` value: shard carving, per-round
-/// reduction order, and tie-breaking are all in particle order.
-pub(crate) fn run_rounds(
-    problem: &PartitionProblem<'_>,
-    cfg: &PsoConfig,
-    state: &mut SwarmState,
-    rounds: u32,
-    init: bool,
-    trace: &mut Vec<u64>,
-) {
-    let (n, c) = (state.n, state.c);
-    let dims = n * c;
-    let swarm = state.seeds.len();
-    let evaluator = SwarmEval::new(*problem, cfg.fitness);
-    let decoder = Decoder::new(n, c, problem.capacity(), V_MAX);
-
-    // carve the buffers into per-worker shards (deterministic layout;
-    // the per-particle math is identical for every partitioning)
-    let particles = pool::ranges(swarm, cfg.threads);
-    let SwarmState {
-        seeds,
-        injections,
-        velocity,
-        position,
-        best_position,
-        best_fitness,
-        rngs,
-        gbest_fitness,
-        gbest_position,
-        ..
-    } = state;
-    let mut shards: Vec<Shard<'_, '_>> = Vec::with_capacity(particles.len());
-    {
-        let mut seeds_rest = &seeds[..];
-        let mut rngs_rest = std::mem::take(rngs);
-        let (mut vel_rest, mut pos_rest, mut bpos_rest, mut bfit_rest) = (
-            &mut velocity[..],
-            &mut position[..],
-            &mut best_position[..],
-            &mut best_fitness[..],
-        );
-        for owned in particles {
-            let count = owned.len();
-            let (s, rest) = seeds_rest.split_at(count);
-            seeds_rest = rest;
-            let shard_rngs: Vec<StdRng> = if rngs_rest.is_empty() {
-                Vec::new()
-            } else {
-                rngs_rest.drain(..count).collect()
-            };
-            let (v, rest) = vel_rest.split_at_mut(count * dims);
-            vel_rest = rest;
-            let (p, rest) = pos_rest.split_at_mut(count * n);
-            pos_rest = rest;
-            let (bp, rest) = bpos_rest.split_at_mut(count * n);
-            bpos_rest = rest;
-            let (bf, rest) = bfit_rest.split_at_mut(count);
-            bfit_rest = rest;
-            let local_inj = injections
-                .iter()
-                .filter(|(g, _)| owned.contains(g))
-                .map(|(g, a)| (g - owned.start, a.clone()))
-                .collect();
-            shards.push(Shard {
-                evaluator: &evaluator,
-                decoder: &decoder,
+        let mut master = StdRng::seed_from_u64(cfg.seed);
+        let shards = pool::ranges(swarm, cfg.threads)
+            .into_iter()
+            .map(|range| Shard {
+                start: range.start,
                 n,
                 c,
-                seeds: s,
-                injections: local_inj,
-                velocity: v,
-                position: p,
-                best_position: bp,
-                best_fitness: bf,
-                rngs: shard_rngs,
+                velocity: vec![0f32; range.len() * dims],
+                position: vec![0u32; range.len() * n],
+                best_position: vec![0u32; range.len() * n],
+                best_fitness: vec![u64::MAX; range.len()],
+                rngs: range.map(|_| StdRng::seed_from_u64(master.gen())).collect(),
                 costs: Vec::new(),
                 scratch: SwarmScratch::default(),
                 decode_scratch: DecodeScratch::default(),
-            });
-        }
+            })
+            .collect();
+        let mut state = Self {
+            fitness: cfg.fitness,
+            shards,
+            gbest_fitness: u64::MAX,
+            gbest_position: Vec::new(),
+        };
+        let evaluator = SwarmEval::new(*problem, cfg.fitness);
+        let decoder = decoder(problem);
+        state.run_phased(1, trace, |shard, _| {
+            shard.init_round(&decoder, &evaluator, &starts);
+        });
+        Ok(state)
     }
-    injections.clear();
 
-    let first_cmd = if init {
-        (u64::MAX, Arc::new(Vec::new()))
-    } else {
-        (*gbest_fitness, Arc::new(gbest_position.clone()))
-    };
-    let mut gbest_shared: Arc<Vec<u32>> = Arc::clone(&first_cmd.1);
-    let shards = pool::run_phased(
-        shards,
-        if init { rounds + 1 } else { rounds },
-        first_cmd,
-        |round, (seen_fit, seen_pos), shard| {
-            if init && round == 0 {
-                shard.init_round();
-            } else {
-                shard.step_round(seen_pos.as_slice());
-            }
-            shard.report(*seen_fit)
-        },
-        |_round, reports| {
-            // worker-index order == particle order; strict `<` keeps
-            // the first (lowest-index) particle on ties, matching a
-            // sequential scan of the whole swarm
-            let mut improved = false;
-            for report in reports {
-                if report.fitness < *gbest_fitness {
-                    *gbest_fitness = report.fitness;
-                    *gbest_position = report
-                        .position
-                        .expect("improving shard attaches its position");
-                    improved = true;
+    /// Advances the swarm by `rounds` PSO iterations on the worker pool,
+    /// appending the global best after each round to `trace`. Evaluates
+    /// against `problem` as given, which may attach a different hop table
+    /// than the previous segment's ([`SwarmState::reprice`] re-values the
+    /// carried bests first in that case).
+    pub(crate) fn run_rounds(
+        &mut self,
+        problem: &PartitionProblem<'_>,
+        rounds: u32,
+        trace: &mut Vec<u64>,
+    ) {
+        let evaluator = SwarmEval::new(*problem, self.fitness);
+        let decoder = decoder(problem);
+        self.run_phased(rounds, trace, |shard, gbest| {
+            shard.step_round(&decoder, &evaluator, gbest);
+        });
+    }
+
+    /// Re-values the personal bests and the global best under a new
+    /// problem (same graph and shape, different fitness pricing — the
+    /// joint loop swaps the hop table between segments): each shard
+    /// evaluates its bests, and the global best is the first
+    /// lowest-fitness particle, by the fold every round uses.
+    pub(crate) fn reprice(&mut self, problem: &PartitionProblem<'_>) {
+        let evaluator = SwarmEval::new(*problem, self.fitness);
+        let reports = self
+            .shards
+            .iter_mut()
+            .map(|shard| {
+                let count = shard.particles();
+                evaluator.eval_swarm(
+                    &shard.best_position,
+                    count,
+                    &mut shard.scratch,
+                    &mut shard.best_fitness,
+                );
+                shard.report(u64::MAX)
+            })
+            .collect();
+        self.gbest_fitness = u64::MAX;
+        self.fold(reports);
+    }
+
+    /// Moves the shards into [`pool::run_phased`] for `rounds` rounds of
+    /// `work` (which sees the global best as of the round's start), folds
+    /// each round's reports into the global best, appends it to `trace`,
+    /// and takes the shards back.
+    fn run_phased(
+        &mut self,
+        rounds: u32,
+        trace: &mut Vec<u64>,
+        work: impl Fn(&mut Shard, &[u32]) + Sync,
+    ) {
+        let first_cmd = (self.gbest_fitness, Arc::new(self.gbest_position.clone()));
+        let mut gbest_shared = Arc::clone(&first_cmd.1);
+        self.shards = pool::run_phased(
+            std::mem::take(&mut self.shards),
+            rounds,
+            first_cmd,
+            |_round, (seen_fit, seen_pos), shard| {
+                work(shard, seen_pos);
+                shard.report(*seen_fit)
+            },
+            |_round, reports| {
+                if self.fold(reports) {
+                    gbest_shared = Arc::new(self.gbest_position.clone());
                 }
+                trace.push(self.gbest_fitness);
+                Some((self.gbest_fitness, Arc::clone(&gbest_shared)))
+            },
+        );
+    }
+
+    /// Folds shard reports into the global best; returns whether it
+    /// improved. Shard order is particle order and strict `<` keeps the
+    /// first (lowest-index) particle on ties, matching a sequential scan
+    /// of the whole swarm — so the result is the same for every
+    /// `threads` value.
+    fn fold(&mut self, reports: Vec<ShardReport>) -> bool {
+        let mut improved = false;
+        for report in reports {
+            if report.fitness < self.gbest_fitness {
+                self.gbest_fitness = report.fitness;
+                self.gbest_position = report
+                    .position
+                    .expect("improving shard attaches its position");
+                improved = true;
             }
-            if improved {
-                gbest_shared = Arc::new(gbest_position.clone());
-            }
-            trace.push(*gbest_fitness);
-            Some((*gbest_fitness, Arc::clone(&gbest_shared)))
-        },
-    );
-    // carry the RNG streams out of the shards, back into particle order
-    state.rngs = shards.into_iter().flat_map(|s| s.rngs).collect();
+        }
+        improved
+    }
 }
 
-/// Re-values the carried personal bests and the global best under a new
-/// problem (same graph and shape, different fitness pricing — the joint
-/// loop swaps the hop table between segments). Single-threaded and
-/// deterministic: the global best is the first lowest-fitness particle,
-/// the tie-break a sequential swarm scan uses.
-pub(crate) fn reseat_best(problem: &PartitionProblem<'_>, cfg: &PsoConfig, state: &mut SwarmState) {
-    let evaluator = SwarmEval::new(*problem, cfg.fitness);
-    let mut scratch = SwarmScratch::default();
-    let count = state.seeds.len();
-    let mut costs = vec![0u64; count];
-    evaluator.eval_swarm(&state.best_position, count, &mut scratch, &mut costs);
-    state.best_fitness.copy_from_slice(&costs);
-    let mut best = u64::MAX;
-    let mut best_p = 0;
-    for (p, &f) in costs.iter().enumerate() {
-        if f < best {
-            best = f;
-            best_p = p;
-        }
-    }
-    state.gbest_fitness = best;
-    state.gbest_position = state.best_position[best_p * state.n..(best_p + 1) * state.n].to_vec();
+/// The swarm-step kernel for a problem's shape.
+fn decoder(problem: &PartitionProblem<'_>) -> Decoder {
+    let n = problem.graph().num_neurons() as usize;
+    Decoder::new(n, problem.num_crossbars(), problem.capacity(), V_MAX)
 }
 
 /// One whole swarm search: the init round plus `cfg.iterations` steps,
@@ -614,9 +558,8 @@ pub(crate) fn search(
     cfg: &PsoConfig,
     trace: &mut Vec<u64>,
 ) -> Result<(Vec<u32>, u64), CoreError> {
-    let mut state = SwarmState::new(problem, cfg)?;
-    // round 0 = initial evaluation; rounds 1..=iterations = PSO steps
-    run_rounds(problem, cfg, &mut state, cfg.iterations, true, trace);
+    let mut state = SwarmState::new(problem, cfg, None, trace)?;
+    state.run_rounds(problem, cfg.iterations, trace);
     Ok((state.gbest_position, state.gbest_fitness))
 }
 
@@ -865,6 +808,47 @@ mod tests {
             p.cut_spikes(m.assignment())
         };
         assert!(run(64) <= run(4));
+    }
+
+    #[test]
+    fn segmented_rounds_equal_one_search() {
+        // the joint loop runs a search as `new` plus several `run_rounds`
+        // segments; under an unchanged problem that is one `search`, byte
+        // for byte, at every thread count (shard sizes 7; 4 + 3; 2+2+1+1+1)
+        let synapses = (0..24u32)
+            .flat_map(|i| [(i, (i + 1) % 24), (i, (i + 5) % 24)])
+            .collect();
+        let g = SpikeGraph::from_parts(24, synapses, (1..=24).collect()).unwrap();
+        let p = PartitionProblem::new(&g, 6, 4).unwrap();
+        for threads in [1, 2, 5] {
+            let cfg = PsoConfig {
+                swarm_size: 7,
+                iterations: 12,
+                threads,
+                seed: 3,
+                seed_baselines: false,
+                ..PsoConfig::default()
+            };
+            let mut whole = Vec::new();
+            let (position, fitness) = search(&p, &cfg, &mut whole).unwrap();
+            assert!(
+                whole[0] > fitness,
+                "the search must move for the test to bite"
+            );
+
+            let mut trace = Vec::new();
+            let mut state = SwarmState::new(&p, &cfg, None, &mut trace).unwrap();
+            for rounds in [1, 3, cfg.iterations - 4] {
+                state.run_rounds(&p, rounds, &mut trace);
+            }
+            assert_eq!(trace, whole, "{threads} threads: trace");
+            assert_eq!(state.gbest_position, position, "{threads} threads");
+            assert_eq!(state.gbest_fitness, fitness, "{threads} threads");
+
+            // re-valuing under the same problem finds the same best again
+            state.reprice(&p);
+            assert_eq!(state.gbest_fitness, fitness, "{threads} threads: reprice");
+        }
     }
 
     #[test]

@@ -378,11 +378,13 @@ fn validate(
     }
     // weighted diameter must fit the u32 distance table: the farthest
     // pair crosses every chip boundary once per dimension and walks the
-    // rest on-chip
-    let seam = u64::from(link_latency) * u64::from(link_width_divisor);
-    let seams = (chip_cols - 1 + chip_rows - 1) as u64;
-    let intra_span = ((intra_cols - 1) * chip_cols + (intra_rows - 1) * chip_rows) as u64;
-    if intra_span + seams * seam > u64::from(u32::MAX) {
+    // rest on-chip (in u128, where no term can wrap — the bound
+    // `neuromap_hw::arch::Architecture::custom` checks for `Hier`)
+    let seam = u128::from(link_latency) * u128::from(link_width_divisor);
+    let seams = (chip_cols - 1 + chip_rows - 1) as u128;
+    let intra_span =
+        (intra_cols - 1) as u128 * chip_cols as u128 + (intra_rows - 1) as u128 * chip_rows as u128;
+    if intra_span + seams * seam > u128::from(u32::MAX) {
         return Err(NocError::InvalidConfig {
             name: "link_latency",
             value: format!(
@@ -526,6 +528,11 @@ mod tests {
         // weighted diameter past the u32 distance table
         invalid(
             HierTopology::mesh(1000, 1000, 2, 2, 16, u32::MAX, 2),
+            "link_latency",
+        );
+        // four seams of 2^62 wrap a u64 product to 0
+        invalid(
+            HierTopology::mesh(5, 1, 1, 1, 5, 1 << 31, 1 << 31),
             "link_latency",
         );
     }

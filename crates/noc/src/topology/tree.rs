@@ -8,9 +8,9 @@ use super::Topology;
 /// four crossbars with exactly such a NoC-tree (arity 4, depth 1).
 #[derive(Debug, Clone)]
 pub struct NocTree {
-    /// parent[r] — parent router of r (root points to itself).
+    /// `parent[r]` — parent router of `r` (the root points to itself).
     parent: Vec<usize>,
-    /// children[r] — child routers of r.
+    /// `children[r]` — child routers of `r`.
     children: Vec<Vec<usize>>,
     /// leaf router hosting each crossbar.
     leaves: Vec<usize>,

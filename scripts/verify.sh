@@ -35,10 +35,12 @@ cargo fmt --all -- --check
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rustdoc (-D warnings, first-party packages)"
-# dangling intra-doc links fail here; the vendored proptest stub has an
-# ambiguous link of its own, hence the package list instead of --workspace
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+echo "==> rustdoc (-D warnings, private items, first-party packages)"
+# dangling intra-doc links fail here, in crate-private docs too (the
+# swarm's shards, the NoC's net table and statistics fold carry their
+# design notes there); the vendored proptest stub has an ambiguous link
+# of its own, hence the package list instead of --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --document-private-items \
   -p neuromap -p neuromap-core -p neuromap-noc -p neuromap-hw \
   -p neuromap-snn -p neuromap-apps -p neuromap-bench
 

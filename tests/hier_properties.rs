@@ -1,7 +1,7 @@
 //! Property tests over the hierarchical multi-chip fabric
 //! ([`HierTopology`]).
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! * **Degenerate-hierarchy byte identity** — a 1-chip fabric must be
 //!   indistinguishable from the flat topology it nests: byte-identical
@@ -21,6 +21,9 @@
 //! * **Multi-chip differential** — the event engine and the cycle
 //!   oracle must byte-agree on hierarchical fabrics, exactly like the
 //!   flat corpus in `tests/noc_properties.rs`.
+//! * **One domain** — `Architecture::custom` accepts a `Hier`
+//!   descriptor exactly when `HierTopology::for_crossbars` builds it, so
+//!   the pipeline's topology builder never meets a descriptor it refuses.
 //!
 //! `NEUROMAP_PROPTEST_CASES` overrides the per-test case count (CI runs
 //! a 256-case pass over this suite; see `scripts/verify.sh`).
@@ -334,4 +337,69 @@ fn one_chip_hier_pipeline_matches_flat_mesh() {
         serde_json::to_string(&r_hier.noc).expect("stats serialize"),
         serde_json::to_string(&r_flat.noc).expect("stats serialize"),
     );
+}
+
+/// The hardware descriptor's checks and the fabric's own constructor
+/// accept the same `Hier` descriptors: degenerate ones (zero fields, one
+/// chip at any seam cost), deep ones on both sides of the `u32`
+/// weighted-diameter bound, and seam costs whose product wraps a `u64`
+/// (`2^31 · 2^31` over four seams, `2^30 · 2^30` over sixteen).
+#[test]
+fn architecture_and_fabric_accept_the_same_hier_descriptors() {
+    use neuromap::hw::arch::{Architecture, InterconnectKind};
+
+    const MAX: u32 = u32::MAX;
+    // (crossbars, chip_cols, chip_rows, link_latency, link_width, valid)
+    let rows: [(usize, u32, u32, u32, u32, bool); 20] = [
+        (0, 1, 1, 1, 1, false),
+        (16, 0, 1, 1, 1, false),
+        (16, 1, 0, 1, 1, false),
+        (16, 2, 2, 0, 1, false),
+        (16, 2, 2, 1, 0, false),
+        (1, 1, 1, 1, 1, true),
+        (16, 1, 1, MAX, MAX, true),
+        (16, 4, 4, 3, 2, true),
+        (64, 8, 8, 1 << 20, 1 << 8, true),
+        (64, 8, 8, 1 << 20, 1 << 9, false),
+        // one seam at exactly the bound, then one past it
+        (2, 2, 1, MAX, 1, true),
+        (2, 2, 1, MAX, 2, false),
+        // 2 x 1 chips of 2 x 2 routers: an on-chip span of 3 beside the seam
+        (8, 2, 1, MAX - 3, 1, true),
+        (8, 2, 1, MAX - 2, 1, false),
+        // seam products that wrap a u64
+        (5, 5, 1, 1 << 31, 1 << 31, false),
+        (9, 3, 3, 1 << 31, 1 << 31, false),
+        (17, 17, 1, 1 << 30, 1 << 30, false),
+        (3, 3, 1, MAX, MAX, false),
+        // more chips than crossbars, and a chip grid of 2^64 - 2^33 + 1
+        (4, 64, 1, 1, 1, true),
+        (4, MAX, MAX, 1, 1, false),
+    ];
+    for (crossbars, chip_cols, chip_rows, link_latency, link_width, valid) in rows {
+        let arch = Architecture::custom(
+            crossbars,
+            4,
+            InterconnectKind::Hier {
+                chip_cols,
+                chip_rows,
+                link_latency,
+                link_width,
+            },
+        );
+        let fabric = HierTopology::for_crossbars(
+            crossbars,
+            chip_cols as usize,
+            chip_rows as usize,
+            link_latency,
+            link_width,
+        );
+        let row = (crossbars, chip_cols, chip_rows, link_latency, link_width);
+        assert_eq!(arch.is_ok(), valid, "{row:?}: Architecture::custom");
+        assert_eq!(
+            fabric.is_ok(),
+            valid,
+            "{row:?}: HierTopology::for_crossbars"
+        );
+    }
 }
