@@ -103,8 +103,11 @@ pub struct MultilevelConfig {
     /// chip's nodes deterministically into that chip's crossbar range
     /// before the usual boundary refinement and projection descent.
     /// Must divide the problem's crossbar count; crossbars `q·(C/chips)
-    /// .. (q+1)·(C/chips)` belong to chip `q`, matching
-    /// `noc::topology::HierTopology`'s chip-major crossbar layout.
+    /// .. (q+1)·(C/chips)` belong to chip `q` — the crossbar → chip map
+    /// of [`neuromap_hw::arch::crossbars_per_chip`], which
+    /// `noc::topology::HierTopology` places crossbars by too, so on a
+    /// `Hier` fabric of `chips` chips every crossbar sits on the chip
+    /// this level packs it into.
     #[serde(default = "default_chips")]
     pub chips: usize,
 }
@@ -676,7 +679,7 @@ fn chip_level_assign(
             value: format!("{chips} chips do not evenly divide {c} crossbars"),
         });
     }
-    let per_chip = c / chips;
+    let per_chip = neuromap_hw::arch::crossbars_per_chip(c, chips);
     let cap = coarse_problem.capacity();
     let chip_cap = u64::from(cap)
         .checked_mul(per_chip as u64)

@@ -226,9 +226,9 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
         InterconnectKind::Tree { arity } => Box::new(NocTree::new(c, arity)),
         InterconnectKind::Torus => Box::new(Torus::for_crossbars(c)),
         InterconnectKind::Star => Box::new(Star::new(c)),
-        // `Architecture::custom` mirror-validates the descriptor and every
-        // `Architecture` passes through it — deserialized ones included —
-        // so construction cannot fail
+        // `Architecture::custom` checks the descriptor as the same
+        // `HierShape` and every `Architecture` passes through it —
+        // deserialized ones included — so construction cannot fail
         InterconnectKind::Hier {
             chip_cols,
             chip_rows,
@@ -618,7 +618,8 @@ impl MappingPipeline {
     }
 
     /// **Stage 5 — report**: measures a mapping **as given** (cluster
-    /// `k` on router `k`; no placement strategy is applied) — packetize,
+    /// `k` on crossbar `k`, at the fabric's [`Topology::endpoint`]; no
+    /// placement strategy is applied) — packetize,
     /// hop metrics, simulate, energy — and labels the report with
     /// `partitioner_label` and `placement_label`. Pass the id
     /// [`MappingPipeline::place`] returned for a mapping it placed, and

@@ -229,7 +229,7 @@ struct Shard {
     /// One stream per particle, seeded from the master stream in particle
     /// order and carried across `run_rounds` calls.
     rngs: Vec<StdRng>,
-    // reusable scratch
+    // scratch reused from round to round, freed between segments
     costs: Vec<u64>,
     scratch: SwarmScratch,
     decode_scratch: DecodeScratch,
@@ -238,6 +238,13 @@ struct Shard {
 impl Shard {
     fn particles(&self) -> usize {
         self.rngs.len()
+    }
+
+    /// Frees the round scratch; the next round grows it again.
+    fn free_scratch(&mut self) {
+        self.costs = Vec::new();
+        self.scratch = SwarmScratch::default();
+        self.decode_scratch = DecodeScratch::default();
     }
 
     /// Round 0: random velocities, initial decode, the warm starts whose
@@ -402,7 +409,9 @@ impl SwarmState {
                 baselines.push(m.assignment().to_vec());
             }
             // round-robin interleave (NEUTRAMS)
-            baselines.push((0..n as u32).map(|i| i % c as u32).collect());
+            if let Ok(m) = crate::baselines::NeutramsPartitioner::new().partition(problem) {
+                baselines.push(m.assignment().to_vec());
+            }
             // dense sequential packing
             baselines.push((0..n as u32).map(|i| i / cap).collect());
         }
@@ -492,7 +501,9 @@ impl SwarmState {
     /// Moves the shards into [`pool::run_phased`] for `rounds` rounds of
     /// `work` (which sees the global best as of the round's start), folds
     /// each round's reports into the global best, appends it to `trace`,
-    /// and takes the shards back.
+    /// and takes the shards back with their round scratch freed, so
+    /// nothing of it stays allocated while the caller works between
+    /// segments (the joint loop places between them).
     fn run_phased(
         &mut self,
         rounds: u32,
@@ -517,6 +528,7 @@ impl SwarmState {
                 Some((self.gbest_fitness, Arc::clone(&gbest_shared)))
             },
         );
+        self.shards.iter_mut().for_each(Shard::free_scratch);
     }
 
     /// Folds shard reports into the global best; returns whether it

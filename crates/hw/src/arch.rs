@@ -33,10 +33,13 @@ pub enum InterconnectKind {
     /// All crossbars share one central switch (single-hop star).
     Star,
     /// Multi-chip hierarchy (SpiNeMap-class scale-out): crossbars are
-    /// spread chip-major over a `chip_cols × chip_rows` grid of chips,
-    /// each chip internally a near-square 2-D mesh, with chips joined by
-    /// slower, narrower boundary links. Built as
-    /// `neuromap_noc::topology::HierTopology` by the mapping pipeline.
+    /// split evenly, chip-major, over a `chip_cols × chip_rows` grid of
+    /// chips — crossbar `k` sits on chip `k / ⌈C / chips⌉`, row-major
+    /// inside it — each chip internally the [`near_square`] 2-D mesh for
+    /// its `⌈C / chips⌉` crossbars, with chips joined by slower, narrower
+    /// boundary links. [`HierShape`] checks and derives the shape;
+    /// the mapping pipeline builds it as
+    /// `neuromap_noc::topology::HierTopology`.
     Hier {
         /// Chip-grid columns (≥ 1).
         chip_cols: u32,
@@ -50,62 +53,163 @@ pub enum InterconnectKind {
     },
 }
 
-/// Domain checks for [`InterconnectKind::Hier`], mirroring the
-/// construction-time validation of `neuromap_noc::topology::HierTopology`
-/// (same derived near-square per-chip mesh, same weighted-diameter bound)
-/// so the pipeline's topology builder is infallible for a validated
-/// [`Architecture`].
-fn validate_hier(
-    num_crossbars: usize,
-    chip_cols: u32,
-    chip_rows: u32,
-    link_latency: u32,
-    link_width: u32,
-) -> Result<(), HwError> {
-    if chip_cols == 0 || chip_rows == 0 {
-        return Err(HwError::InvalidParameter {
-            name: "chip_grid",
-            value: format!("{chip_cols}x{chip_rows}"),
-        });
+/// The near-square grid for `n ≥ 1` routers, `(cols, rows)` with
+/// `cols = ⌈√n⌉` and `rows = ⌈n / cols⌉`: every flat mesh and torus, and
+/// every chip of an [`InterconnectKind::Hier`] fabric.
+pub fn near_square(n: usize) -> (usize, usize) {
+    assert!(n > 0, "at least one crossbar required");
+    let root = n.isqrt();
+    let cols = if root * root == n { root } else { root + 1 };
+    (cols, n.div_ceil(cols))
+}
+
+/// `⌈crossbars / chips⌉`: crossbar `k` of a multi-chip fabric sits on
+/// chip `k / crossbars_per_chip(crossbars, chips)`, the one crossbar →
+/// chip map of [`HierShape`] and of the multilevel V-cycle's chip level.
+pub fn crossbars_per_chip(crossbars: usize, chips: usize) -> usize {
+    crossbars.div_ceil(chips)
+}
+
+/// The checked shape of an [`InterconnectKind::Hier`] fabric: a chip
+/// grid, each chip an identical router grid, and the boundary links.
+/// Router ids are chip-major (`chip · routers per chip + local`, both
+/// row-major); crossbar `k` sits on chip `k / ⌈C / chips⌉`
+/// ([`crossbars_per_chip`]) at local router `k mod ⌈C / chips⌉`.
+///
+/// Construction checks the whole domain once, in `u128`: no zero field,
+/// a router count that fits `usize`, no more crossbars than routers, and
+/// a weighted diameter (every boundary hop priced
+/// [`HierShape::seam_cost`]) that fits the `u32` distance table.
+/// [`Architecture::custom`] and `neuromap_noc::topology::HierTopology`
+/// both build from it, so they accept the same descriptors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HierShape {
+    crossbars: usize,
+    chip_grid: (usize, usize),
+    intra_grid: (usize, usize),
+    /// `(link_latency, link_width)`.
+    link: (u32, u32),
+}
+
+impl HierShape {
+    /// `crossbars` split evenly over a `chip_cols × chip_rows` chip grid,
+    /// each chip the [`near_square`] grid for its `⌈C / chips⌉`
+    /// crossbars.
+    ///
+    /// # Errors
+    ///
+    /// As [`HierShape::with_intra_grid`].
+    pub fn new(
+        crossbars: usize,
+        chip_cols: usize,
+        chip_rows: usize,
+        link_latency: u32,
+        link_width: u32,
+    ) -> Result<Self, HwError> {
+        let chips = (chip_cols as u128 * chip_rows as u128).max(1);
+        let per_chip = (crossbars as u128).div_ceil(chips).max(1) as usize;
+        let (intra_cols, intra_rows) = near_square(per_chip);
+        Self::with_intra_grid(
+            crossbars,
+            chip_cols,
+            chip_rows,
+            intra_cols,
+            intra_rows,
+            link_latency,
+            link_width,
+        )
     }
-    if link_latency == 0 {
-        return Err(HwError::InvalidParameter {
-            name: "link_latency",
-            value: "0".into(),
-        });
+
+    /// The shape with an explicit `intra_cols × intra_rows` router grid
+    /// per chip.
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::InvalidParameter`] naming `chip_grid` or `intra_grid`
+    /// (a zero dimension, or more routers than `usize` counts),
+    /// `num_crossbars` (zero, or more than the routers), `link_latency`
+    /// (zero, or a weighted diameter past `u32`) or `link_width` (zero).
+    pub fn with_intra_grid(
+        crossbars: usize,
+        chip_cols: usize,
+        chip_rows: usize,
+        intra_cols: usize,
+        intra_rows: usize,
+        link_latency: u32,
+        link_width: u32,
+    ) -> Result<Self, HwError> {
+        let invalid = |name, value: String| Err(HwError::InvalidParameter { name, value });
+        if chip_cols == 0 || chip_rows == 0 {
+            return invalid("chip_grid", format!("{chip_cols}x{chip_rows}"));
+        }
+        if intra_cols == 0 || intra_rows == 0 {
+            return invalid("intra_grid", format!("{intra_cols}x{intra_rows}"));
+        }
+        if crossbars == 0 {
+            return invalid("num_crossbars", "0".into());
+        }
+        if link_latency == 0 {
+            return invalid("link_latency", "0".into());
+        }
+        if link_width == 0 {
+            return invalid("link_width", "0".into());
+        }
+        let [cc, cr, ic, ir] = [chip_cols, chip_rows, intra_cols, intra_rows].map(|d| d as u128);
+        let routers = [cr, ic, ir].into_iter().try_fold(cc, u128::checked_mul);
+        let Some(routers) = routers.filter(|&r| r <= usize::MAX as u128) else {
+            let grid = format!("{chip_cols}x{chip_rows} chips of {intra_cols}x{intra_rows}");
+            return invalid("chip_grid", grid);
+        };
+        if crossbars as u128 > routers {
+            let value = format!("{crossbars} crossbars on {routers} routers");
+            return invalid("num_crossbars", value);
+        }
+        let shape = Self {
+            crossbars,
+            chip_grid: (chip_cols, chip_rows),
+            intra_grid: (intra_cols, intra_rows),
+            link: (link_latency, link_width),
+        };
+        // the farthest pair crosses every chip boundary once per
+        // dimension and walks the rest on-chip; with `routers` in
+        // `usize` every factor is below 2^64, so nothing here wraps
+        let on_chip = (ic - 1) * cc + (ir - 1) * cr;
+        let diameter = on_chip + (cc - 1 + cr - 1) * u128::from(shape.seam_cost());
+        if diameter > u128::from(u32::MAX) {
+            let value = format!("weighted diameter {diameter} overflows u32");
+            return invalid("link_latency", value);
+        }
+        Ok(shape)
     }
-    if link_width == 0 {
-        return Err(HwError::InvalidParameter {
-            name: "link_width",
-            value: "0".into(),
-        });
+
+    /// Crossbars hosted.
+    pub fn num_crossbars(&self) -> usize {
+        self.crossbars
     }
-    // the same per-chip mesh shape `HierTopology::for_crossbars` derives
-    let chips = chip_cols as u128 * chip_rows as u128;
-    let per_chip = (num_crossbars as u128).div_ceil(chips).max(1);
-    let intra_cols = (per_chip as f64).sqrt().ceil() as u128;
-    let intra_rows = per_chip.div_ceil(intra_cols);
-    if chips * intra_cols * intra_rows > usize::MAX as u128 {
-        return Err(HwError::InvalidParameter {
-            name: "chip_grid",
-            value: format!("{chip_cols}x{chip_rows} chips of {intra_cols}x{intra_rows}"),
-        });
+
+    /// `(columns, rows)` of the chip grid.
+    pub fn chip_grid(&self) -> (usize, usize) {
+        self.chip_grid
     }
-    // weighted diameter must fit the u32 distance table (hop-latency
-    // overflow on deep hierarchies)
-    let seam = u128::from(link_latency) * u128::from(link_width);
-    let seams = chip_cols as u128 - 1 + chip_rows as u128 - 1;
-    let intra_span = (intra_cols - 1) * chip_cols as u128 + (intra_rows - 1) * chip_rows as u128;
-    if intra_span + seams * seam > u128::from(u32::MAX) {
-        return Err(HwError::InvalidParameter {
-            name: "link_latency",
-            value: format!(
-                "weighted diameter {} overflows u32",
-                intra_span + seams * seam
-            ),
-        });
+
+    /// `(columns, rows)` of each chip's router grid.
+    pub fn intra_grid(&self) -> (usize, usize) {
+        self.intra_grid
     }
-    Ok(())
+
+    /// Cost of one boundary hop in the weighted distance table: latency
+    /// times width ratio (half the wires serialize a packet over twice
+    /// the cycles), in `u64`, where it cannot wrap.
+    pub fn seam_cost(&self) -> u64 {
+        u64::from(self.link.0) * u64::from(self.link.1)
+    }
+
+    /// The chip-major router crossbar `k` attaches to.
+    pub fn router_of_crossbar(&self, k: usize) -> usize {
+        let ((cc, cr), (ic, ir)) = (self.chip_grid, self.intra_grid);
+        let per_chip = crossbars_per_chip(self.crossbars, cc * cr);
+        k / per_chip * ic * ir + k % per_chip
+    }
 }
 
 /// A complete neuromorphic chip description.
@@ -175,10 +279,10 @@ impl Architecture {
     /// # Errors
     ///
     /// [`HwError::InvalidParameter`] if `num_crossbars` or
-    /// `neurons_per_crossbar` is zero, a tree arity is < 2, or a
-    /// hierarchical interconnect has a degenerate chip grid /
-    /// zero-latency / zero-width boundary link or a weighted diameter
-    /// overflowing the `u32` distance table.
+    /// `neurons_per_crossbar` is zero, a tree arity is < 2, or
+    /// [`HierShape::new`] refuses a hierarchical interconnect (a
+    /// degenerate chip grid, a zero-latency or zero-width boundary link,
+    /// or a weighted diameter overflowing the `u32` distance table).
     pub fn custom(
         num_crossbars: usize,
         neurons_per_crossbar: u32,
@@ -205,10 +309,10 @@ impl Architecture {
             link_width,
         } = interconnect
         {
-            validate_hier(
+            HierShape::new(
                 num_crossbars,
-                chip_cols,
-                chip_rows,
+                chip_cols as usize,
+                chip_rows as usize,
                 link_latency,
                 link_width,
             )?;
@@ -324,6 +428,20 @@ mod tests {
         blamed(hier(2, 2, 4, 0), "link_width");
         // deep hierarchy whose weighted diameter cannot fit u32
         blamed(hier(1000, 1000, u32::MAX, 2), "link_latency");
+    }
+
+    #[test]
+    fn near_square_is_the_ceil_root_grid() {
+        for n in 1..=4096usize {
+            let cols = (n as f64).sqrt().ceil() as usize;
+            assert_eq!(near_square(n), (cols, n.div_ceil(cols)), "n={n}");
+        }
+        // past f64's exact integers: `⌈√n⌉` is still exact
+        for n in [(1 << 53) + 1, (1 << 60) + 1, usize::MAX] {
+            let (cols, _) = near_square(n);
+            let (c, n) = (cols as u128, n as u128);
+            assert!((c - 1) * (c - 1) < n && n <= c * c, "n={n} cols={cols}");
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //!
 //! ## Structure
 //!
-//! Chips tile a `chip_cols × chip_rows` grid; every chip carries an
-//! identical `intra_cols × intra_rows` router grid. Router ids are
-//! chip-major: global router `chip * intra_cols * intra_rows + local`,
-//! with chips and locals both numbered row-major. Adjacent chips are
+//! The fabric's shape is a checked [`HierShape`]: chips tile a
+//! `chip_cols × chip_rows` grid; every chip carries an identical
+//! `intra_cols × intra_rows` router grid. Router ids are chip-major:
+//! global router `chip * intra_cols * intra_rows + local`, with chips and
+//! locals both numbered row-major. Crossbars are split evenly,
+//! chip-major: crossbar `k` sits on chip `k / ⌈C / chips⌉` at local
+//! router `k mod ⌈C / chips⌉` ([`HierShape::router_of_crossbar`], the
+//! map the multilevel V-cycle's chip level packs by). Adjacent chips are
 //! joined by one boundary link per facing row/column (router
 //! `(intra_cols - 1, y)` of a chip to router `(0, y)` of its east
 //! neighbor, and symmetrically in the vertical dimension), so the union
@@ -35,17 +39,19 @@
 //! ## Pricing inter-chip hops
 //!
 //! Chip-boundary links are slower (`link_latency` cycles per hop) and
-//! narrower (`link_width_divisor` × fewer wires) than intra-chip links,
-//! so its [`Topology::distance_lut`] is a **nested weighted
-//! [`DistanceLut`]**: intra-chip hops cost 1, each boundary crossing
-//! costs [`HierTopology::seam_cost`] (latency × width divisor). The LUT
-//! is what `CutHops`, placement, and the joint co-optimization loop
-//! consume, so inter-chip traffic is priced as more expensive with no
-//! API change upstream.
+//! narrower (`link_width` × fewer wires) than intra-chip links, so its
+//! [`Topology::distance_lut`] is a **nested weighted [`DistanceLut`]**:
+//! intra-chip hops cost 1, each boundary crossing costs
+//! [`HierTopology::seam_cost`] (latency × width). The LUT is what
+//! `CutHops`, placement, and the joint co-optimization loop consume, so
+//! inter-chip traffic is priced as more expensive with no API change
+//! upstream.
 
 use super::mesh::{Mesh2D, Torus};
 use super::{route_hops, DistanceLut, Topology};
 use crate::error::NocError;
+use neuromap_hw::arch::HierShape;
+use neuromap_hw::HwError;
 
 /// The intra-chip fabric every chip instantiates.
 #[derive(Debug, Clone)]
@@ -66,19 +72,14 @@ impl IntraFabric {
 /// A hierarchical multi-chip topology: a grid of chips, each an
 /// identical intra-chip [`Mesh2D`] or [`Torus`], joined by per-row/
 /// per-column chip-boundary links that are slower and narrower than the
-/// on-chip links. See the module docs for the routing model, the
-/// nesting invariant, and the weighted distance table.
+/// on-chip links. See the module docs for the crossbar layout, the
+/// routing model, the nesting invariant, and the weighted distance
+/// table.
 #[derive(Debug, Clone)]
 pub struct HierTopology {
-    chip_cols: usize,
-    chip_rows: usize,
-    intra_cols: usize,
-    intra_rows: usize,
+    shape: HierShape,
     /// Routers per chip (`intra_cols * intra_rows`).
     nr_intra: usize,
-    num_crossbars: usize,
-    link_latency: u32,
-    link_width_divisor: u32,
     intra: IntraFabric,
     /// Precomputed per-router neighbor lists: the intra-chip neighbors
     /// first (in the intra topology's own order, mapped to global ids —
@@ -87,22 +88,34 @@ pub struct HierTopology {
     neighbors: Vec<Vec<usize>>,
 }
 
+/// The shape's refusal as the fabric's error, naming the same field.
+fn invalid_config(e: HwError) -> NocError {
+    match e {
+        HwError::InvalidParameter { name, value } => NocError::InvalidConfig { name, value },
+        other => NocError::InvalidConfig {
+            name: "hier",
+            value: other.to_string(),
+        },
+    }
+}
+
 impl HierTopology {
     /// Builds a `chip_cols × chip_rows` fabric of mesh chips, each an
     /// `intra_cols × intra_rows` [`Mesh2D`], hosting `crossbars`
-    /// crossbars at routers `0..crossbars` (chip-major).
+    /// crossbars split evenly over the chips (see the module docs).
     ///
     /// `link_latency` is the cycle cost multiplier of one chip-boundary
-    /// hop and `link_width_divisor` the link-width ratio (on-chip width
-    /// over boundary width); both must be ≥ 1 and both inflate the
-    /// weighted distance table ([`HierTopology::seam_cost`]).
+    /// hop and `link_width` the link-width ratio (on-chip width over
+    /// boundary width); both must be ≥ 1 and both inflate the weighted
+    /// distance table ([`HierTopology::seam_cost`]).
     ///
     /// # Errors
     ///
-    /// [`NocError::InvalidConfig`] on a zero chip/intra dimension, a
-    /// zero-latency or zero-width boundary link, a chip grid too small
-    /// for `crossbars`, or a weighted diameter overflowing `u32`
-    /// (hop-latency overflow on deep hierarchies).
+    /// [`NocError::InvalidConfig`] naming the field
+    /// [`HierShape::with_intra_grid`] refuses: a zero chip/intra
+    /// dimension, a zero-latency or zero-width boundary link, a chip
+    /// grid too small for `crossbars`, or a weighted diameter
+    /// overflowing `u32` (hop-latency overflow on deep hierarchies).
     pub fn mesh(
         chip_cols: usize,
         chip_rows: usize,
@@ -110,32 +123,18 @@ impl HierTopology {
         intra_rows: usize,
         crossbars: usize,
         link_latency: u32,
-        link_width_divisor: u32,
+        link_width: u32,
     ) -> Result<Self, NocError> {
-        validate(
+        let shape = HierShape::with_intra_grid(
+            crossbars,
             chip_cols,
             chip_rows,
             intra_cols,
             intra_rows,
-            crossbars,
             link_latency,
-            link_width_divisor,
-        )?;
-        let intra = IntraFabric::Mesh(Mesh2D::grid(
-            intra_cols,
-            intra_rows,
-            intra_cols * intra_rows,
-        ));
-        Ok(Self::build(
-            chip_cols,
-            chip_rows,
-            intra_cols,
-            intra_rows,
-            crossbars,
-            link_latency,
-            link_width_divisor,
-            intra,
-        ))
+            link_width,
+        );
+        Ok(Self::build(shape.map_err(invalid_config)?, false))
     }
 
     /// Like [`HierTopology::mesh`], but every chip is an intra-chip
@@ -154,77 +153,53 @@ impl HierTopology {
         intra_rows: usize,
         crossbars: usize,
         link_latency: u32,
-        link_width_divisor: u32,
+        link_width: u32,
     ) -> Result<Self, NocError> {
-        validate(
+        let shape = HierShape::with_intra_grid(
+            crossbars,
             chip_cols,
             chip_rows,
             intra_cols,
             intra_rows,
-            crossbars,
             link_latency,
-            link_width_divisor,
-        )?;
-        let intra =
-            IntraFabric::Torus(Torus::grid(intra_cols, intra_rows, intra_cols * intra_rows));
-        Ok(Self::build(
-            chip_cols,
-            chip_rows,
-            intra_cols,
-            intra_rows,
-            crossbars,
-            link_latency,
-            link_width_divisor,
-            intra,
-        ))
+            link_width,
+        );
+        Ok(Self::build(shape.map_err(invalid_config)?, true))
     }
 
-    /// Builds a mesh-chip fabric for `crossbars` crossbars split evenly
-    /// across a `chip_cols × chip_rows` chip grid, each chip a
-    /// near-square mesh (the [`Mesh2D::for_crossbars`] shape applied
-    /// per chip).
+    /// Builds the mesh-chip fabric of an `InterconnectKind::Hier`
+    /// descriptor: `crossbars` crossbars split evenly across a
+    /// `chip_cols × chip_rows` chip grid, `⌈crossbars / chips⌉` per chip
+    /// (so only the last chips can hold fewer), each chip the
+    /// near-square mesh for its share ([`HierShape::new`]; the rule
+    /// [`Mesh2D::for_crossbars`] applies to a flat mesh).
     ///
     /// # Errors
     ///
-    /// [`NocError::InvalidConfig`] under the same domain checks as
-    /// [`HierTopology::mesh`], including a chip grid that does not
-    /// cover `crossbars`.
+    /// [`NocError::InvalidConfig`] naming the field [`HierShape::new`]
+    /// refuses, on exactly the descriptors `Architecture::custom`
+    /// refuses.
     pub fn for_crossbars(
         crossbars: usize,
         chip_cols: usize,
         chip_rows: usize,
         link_latency: u32,
-        link_width_divisor: u32,
+        link_width: u32,
     ) -> Result<Self, NocError> {
-        let chips = chip_cols.max(1) * chip_rows.max(1);
-        let per_chip = crossbars.div_ceil(chips).max(1);
-        let intra_cols = (per_chip as f64).sqrt().ceil() as usize;
-        let intra_rows = per_chip.div_ceil(intra_cols);
-        Self::mesh(
-            chip_cols,
-            chip_rows,
-            intra_cols,
-            intra_rows,
-            crossbars,
-            link_latency,
-            link_width_divisor,
-        )
+        let shape = HierShape::new(crossbars, chip_cols, chip_rows, link_latency, link_width);
+        Ok(Self::build(shape.map_err(invalid_config)?, false))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        chip_cols: usize,
-        chip_rows: usize,
-        intra_cols: usize,
-        intra_rows: usize,
-        crossbars: usize,
-        link_latency: u32,
-        link_width_divisor: u32,
-        intra: IntraFabric,
-    ) -> Self {
+    fn build(shape: HierShape, torus: bool) -> Self {
+        let ((chip_cols, chip_rows), (intra_cols, intra_rows)) =
+            (shape.chip_grid(), shape.intra_grid());
         let nr_intra = intra_cols * intra_rows;
-        let nr = chip_cols * chip_rows * nr_intra;
-        let mut neighbors = vec![Vec::new(); nr];
+        let intra = if torus {
+            IntraFabric::Torus(Torus::grid(intra_cols, intra_rows, nr_intra))
+        } else {
+            IntraFabric::Mesh(Mesh2D::grid(intra_cols, intra_rows, nr_intra))
+        };
+        let mut neighbors = vec![Vec::new(); chip_cols * chip_rows * nr_intra];
         for chip in 0..chip_cols * chip_rows {
             let (cx, cy) = (chip % chip_cols, chip / chip_cols);
             let base = chip * nr_intra;
@@ -252,14 +227,8 @@ impl HierTopology {
             }
         }
         Self {
-            chip_cols,
-            chip_rows,
-            intra_cols,
-            intra_rows,
+            shape,
             nr_intra,
-            num_crossbars: crossbars,
-            link_latency,
-            link_width_divisor,
             intra,
             neighbors,
         }
@@ -267,7 +236,8 @@ impl HierTopology {
 
     /// Number of chips in the fabric.
     pub fn num_chips(&self) -> usize {
-        self.chip_cols * self.chip_rows
+        let (cols, rows) = self.shape.chip_grid();
+        cols * rows
     }
 
     /// Chip hosting router `r` (chip-major id layout).
@@ -276,138 +246,47 @@ impl HierTopology {
     }
 
     /// Effective cost of one chip-boundary hop in the weighted distance
-    /// table: the latency multiplier times the width divisor (a link
-    /// with half the wires serializes a packet over twice the cycles).
-    pub fn seam_cost(&self) -> u32 {
-        self.link_latency * self.link_width_divisor
+    /// table ([`HierShape::seam_cost`]).
+    pub fn seam_cost(&self) -> u64 {
+        self.shape.seam_cost()
     }
 
     fn single_chip(&self) -> bool {
-        self.chip_cols == 1 && self.chip_rows == 1
-    }
-
-    /// Global grid coordinates of router `r`.
-    fn global_coords(&self, r: usize) -> (usize, usize) {
-        let (chip, local) = (r / self.nr_intra, r % self.nr_intra);
-        let (cx, cy) = (chip % self.chip_cols, chip / self.chip_cols);
-        let (lx, ly) = (local % self.intra_cols, local / self.intra_cols);
-        (cx * self.intra_cols + lx, cy * self.intra_rows + ly)
-    }
-
-    /// Router id at global grid coordinates `(x, y)`.
-    fn router_at(&self, x: usize, y: usize) -> usize {
-        let (cx, lx) = (x / self.intra_cols, x % self.intra_cols);
-        let (cy, ly) = (y / self.intra_rows, y % self.intra_rows);
-        (cy * self.chip_cols + cx) * self.nr_intra + ly * self.intra_cols + lx
+        self.num_chips() == 1
     }
 
     /// Router `r`'s global grid coordinates and its chip's coordinates:
     /// `[x, y, chip column, chip row]`.
     fn position(&self, r: usize) -> [usize; 4] {
-        let (x, y) = self.global_coords(r);
-        let chip = self.chip_of_router(r);
-        [x, y, chip % self.chip_cols, chip / self.chip_cols]
+        let ((chip_cols, _), (cols, rows)) = (self.shape.chip_grid(), self.shape.intra_grid());
+        let (chip, local) = (r / self.nr_intra, r % self.nr_intra);
+        let (cx, cy) = (chip % chip_cols, chip / chip_cols);
+        let (lx, ly) = (local % cols, local / cols);
+        [cx * cols + lx, cy * rows + ly, cx, cy]
     }
 
-    /// Weighted route distance between two routers of a multi-chip
-    /// fabric, given their [`HierTopology::position`]s: intra-chip hops
-    /// cost 1, chip-boundary hops cost [`HierTopology::seam_cost`].
-    /// Matches the dimension-ordered routes exactly (a straight global
-    /// walk crosses `|Δchip|` boundaries per dimension).
-    fn weighted_router_distance(&self, a: [usize; 4], b: [usize; 4]) -> u32 {
-        let seams = (a[2].abs_diff(b[2]) + a[3].abs_diff(b[3])) as u32;
-        let hops = (a[0].abs_diff(b[0]) + a[1].abs_diff(b[1])) as u32;
-        hops - seams + seams * self.seam_cost()
+    /// Router id at global grid coordinates `(x, y)`.
+    fn router_at(&self, x: usize, y: usize) -> usize {
+        let ((chip_cols, _), (cols, rows)) = (self.shape.chip_grid(), self.shape.intra_grid());
+        (y / rows * chip_cols + x / cols) * self.nr_intra + y % rows * cols + x % cols
     }
-}
-
-/// Domain checks shared by every constructor — typed errors instead of
-/// debug asserts, mirroring `PartitionProblem::new`.
-fn validate(
-    chip_cols: usize,
-    chip_rows: usize,
-    intra_cols: usize,
-    intra_rows: usize,
-    crossbars: usize,
-    link_latency: u32,
-    link_width_divisor: u32,
-) -> Result<(), NocError> {
-    if chip_cols == 0 || chip_rows == 0 {
-        return Err(NocError::InvalidConfig {
-            name: "chip_grid",
-            value: format!("{chip_cols}x{chip_rows}"),
-        });
-    }
-    if intra_cols == 0 || intra_rows == 0 {
-        return Err(NocError::InvalidConfig {
-            name: "intra_grid",
-            value: format!("{intra_cols}x{intra_rows}"),
-        });
-    }
-    if crossbars == 0 {
-        return Err(NocError::InvalidConfig {
-            name: "num_crossbars",
-            value: "0".into(),
-        });
-    }
-    if link_latency == 0 {
-        return Err(NocError::InvalidConfig {
-            name: "link_latency",
-            value: "0".into(),
-        });
-    }
-    if link_width_divisor == 0 {
-        return Err(NocError::InvalidConfig {
-            name: "link_width_divisor",
-            value: "0".into(),
-        });
-    }
-    let routers = chip_cols
-        .checked_mul(chip_rows)
-        .and_then(|chips| chips.checked_mul(intra_cols))
-        .and_then(|v| v.checked_mul(intra_rows))
-        .ok_or(NocError::InvalidConfig {
-            name: "chip_grid",
-            value: format!("{chip_cols}x{chip_rows} chips of {intra_cols}x{intra_rows}"),
-        })?;
-    if crossbars > routers {
-        return Err(NocError::InvalidConfig {
-            name: "num_crossbars",
-            value: format!("{crossbars} crossbars on {routers} routers"),
-        });
-    }
-    // weighted diameter must fit the u32 distance table: the farthest
-    // pair crosses every chip boundary once per dimension and walks the
-    // rest on-chip (in u128, where no term can wrap — the bound
-    // `neuromap_hw::arch::Architecture::custom` checks for `Hier`)
-    let seam = u128::from(link_latency) * u128::from(link_width_divisor);
-    let seams = (chip_cols - 1 + chip_rows - 1) as u128;
-    let intra_span =
-        (intra_cols - 1) as u128 * chip_cols as u128 + (intra_rows - 1) as u128 * chip_rows as u128;
-    if intra_span + seams * seam > u128::from(u32::MAX) {
-        return Err(NocError::InvalidConfig {
-            name: "link_latency",
-            value: format!(
-                "weighted diameter {} overflows u32",
-                intra_span + seams * seam
-            ),
-        });
-    }
-    Ok(())
 }
 
 impl Topology for HierTopology {
     fn num_routers(&self) -> usize {
-        self.chip_cols * self.chip_rows * self.nr_intra
+        self.num_chips() * self.nr_intra
     }
 
     fn num_crossbars(&self) -> usize {
-        self.num_crossbars
+        self.shape.num_crossbars()
     }
 
     fn endpoint(&self, k: u32) -> usize {
-        assert!((k as usize) < self.num_crossbars, "crossbar out of range");
-        k as usize
+        assert!(
+            (k as usize) < self.shape.num_crossbars(),
+            "crossbar out of range"
+        );
+        self.shape.router_of_crossbar(k as usize)
     }
 
     fn neighbors(&self, r: usize) -> &[usize] {
@@ -421,8 +300,8 @@ impl Topology for HierTopology {
         if self.single_chip() {
             return self.intra.topo().route_next(r, dst);
         }
-        let (x, y) = self.global_coords(r);
-        let (dx, dy) = self.global_coords(dst);
+        let [x, y, ..] = self.position(r);
+        let [dx, dy, ..] = self.position(dst);
         // dimension-ordered over the global grid, wrap-free: X then Y
         if x < dx {
             self.router_at(x + 1, y)
@@ -470,34 +349,40 @@ impl Topology for HierTopology {
             .collect()
     }
 
-    /// The nested weighted distance table: every crossbar pair priced by
-    /// `HierTopology::weighted_router_distance` (crossbar `k` sits on
-    /// router `k`), so `CutHops`, placement, and co-optimization see
-    /// inter-chip hops as [`HierTopology::seam_cost`] × dearer than
-    /// on-chip hops. A 1-chip fabric gets the BFS table, which is the
-    /// flat intra topology's. A plain BFS on a multi-chip fabric would
-    /// price every link at 1 and (with torus chips) follow wrap links
-    /// the multi-chip routes never take.
+    /// The nested weighted distance table: every crossbar pair priced
+    /// between its endpoint routers, intra-chip hops at 1 and
+    /// chip-boundary hops at [`HierTopology::seam_cost`], so `CutHops`,
+    /// placement, and co-optimization see inter-chip hops as that much
+    /// dearer than on-chip hops. It matches the dimension-ordered routes
+    /// exactly: a straight global walk crosses `|Δchip|` boundaries per
+    /// dimension. A 1-chip fabric gets the BFS table, which is the flat
+    /// intra topology's. A plain BFS on a multi-chip fabric would price
+    /// every link at 1 and (with torus chips) follow wrap links the
+    /// multi-chip routes never take.
     fn distance_lut(&self) -> DistanceLut {
         if self.single_chip() {
             return DistanceLut::new(self);
         }
-        // each router's position once, so the all-pairs fill divides
+        // below the weighted diameter `HierShape` bounds by `u32::MAX`
+        let seam = u32::try_from(self.seam_cost()).expect("a crossed seam fits the diameter");
+        // each endpoint's position once, so the all-pairs fill divides
         // nothing (left to inlining, its speed swung by half from build
         // to build)
-        let at: Vec<[usize; 4]> = (0..self.num_crossbars).map(|r| self.position(r)).collect();
-        DistanceLut::from_fn(self.num_crossbars, |a, b| {
-            self.weighted_router_distance(at[a], at[b])
+        let nc = self.shape.num_crossbars();
+        let at: Vec<[usize; 4]> = (0..nc as u32)
+            .map(|k| self.position(self.endpoint(k)))
+            .collect();
+        DistanceLut::from_fn(nc, |a, b| {
+            let (a, b) = (at[a], at[b]);
+            let seams = (a[2].abs_diff(b[2]) + a[3].abs_diff(b[3])) as u32;
+            let hops = (a[0].abs_diff(b[0]) + a[1].abs_diff(b[1])) as u32;
+            hops - seams + seams * seam
         })
     }
 
     fn name(&self) -> String {
-        format!(
-            "hier {}x{} chips of {}",
-            self.chip_cols,
-            self.chip_rows,
-            self.intra.topo().name()
-        )
+        let (cols, rows) = self.shape.chip_grid();
+        format!("hier {cols}x{rows} chips of {}", self.intra.topo().name())
     }
 }
 
@@ -518,10 +403,7 @@ mod tests {
         invalid(HierTopology::mesh(2, 2, 0, 4, 16, 1, 1), "intra_grid");
         invalid(HierTopology::mesh(2, 2, 4, 4, 0, 1, 1), "num_crossbars");
         invalid(HierTopology::mesh(2, 2, 4, 4, 16, 0, 1), "link_latency");
-        invalid(
-            HierTopology::mesh(2, 2, 4, 4, 16, 1, 0),
-            "link_width_divisor",
-        );
+        invalid(HierTopology::mesh(2, 2, 4, 4, 16, 1, 0), "link_width");
         // chip grid too small for the crossbars
         invalid(HierTopology::mesh(2, 2, 2, 2, 17, 1, 1), "num_crossbars");
         invalid(HierTopology::for_crossbars(0, 2, 2, 1, 1), "num_crossbars");
@@ -535,6 +417,31 @@ mod tests {
             HierTopology::mesh(5, 1, 1, 1, 5, 1 << 31, 1 << 31),
             "link_latency",
         );
+    }
+
+    #[test]
+    fn one_chip_seam_cost_does_not_wrap() {
+        // one chip crosses no seam, so any seam cost is a valid fabric
+        let t = HierTopology::for_crossbars(16, 1, 1, u32::MAX, u32::MAX).unwrap();
+        assert_eq!(t.seam_cost(), u64::from(u32::MAX) * u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn crossbars_fill_chips_evenly() {
+        // 20 crossbars over 2 x 2 chips of 3 x 2 routers: five per chip,
+        // at local routers 0..5, router 5 of each chip empty
+        let t = HierTopology::for_crossbars(20, 2, 2, 1, 1).unwrap();
+        assert_eq!(t.num_routers(), 24);
+        let endpoints: Vec<usize> = (0..20).map(|k| t.endpoint(k)).collect();
+        let expected: Vec<usize> = (0..4).flat_map(|chip| chip * 6..chip * 6 + 5).collect();
+        assert_eq!(endpoints, expected);
+        // seams at cost 1: the weighted table is the endpoints' hop count
+        let lut = t.distance_lut();
+        for a in 0..20u32 {
+            for b in 0..20u32 {
+                assert_eq!(lut.hops(a, b), t.hops(t.endpoint(a), t.endpoint(b)));
+            }
+        }
     }
 
     #[test]
@@ -654,8 +561,8 @@ mod tests {
                 let mut cur = src;
                 while cur != dst {
                     let next = t.route_next(cur, dst);
-                    let (x0, y0) = t.global_coords(cur);
-                    let (x1, y1) = t.global_coords(next);
+                    let [x0, y0, ..] = t.position(cur);
+                    let [x1, y1, ..] = t.position(next);
                     assert_eq!(
                         x0.abs_diff(x1) + y0.abs_diff(y1),
                         1,

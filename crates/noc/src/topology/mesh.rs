@@ -1,6 +1,7 @@
 //! 2-D mesh and torus with dimension-order routing.
 
 use super::{route_hops, Topology};
+use neuromap_hw::arch::near_square;
 
 /// Shared Steiner-style multicast-tree builder for the grid fabrics
 /// ([`Mesh2D`] and [`Torus`]): a dimension-ordered approximation that
@@ -112,15 +113,13 @@ pub struct Mesh2D {
 }
 
 impl Mesh2D {
-    /// Builds a near-square mesh large enough for `crossbars` crossbars.
+    /// Builds the [`near_square`] mesh for `crossbars` crossbars.
     ///
     /// # Panics
     ///
     /// Panics if `crossbars` is zero.
     pub fn for_crossbars(crossbars: usize) -> Self {
-        assert!(crossbars > 0, "at least one crossbar required");
-        let cols = (crossbars as f64).sqrt().ceil() as usize;
-        let rows = crossbars.div_ceil(cols);
+        let (cols, rows) = near_square(crossbars);
         Self::grid(cols, rows, crossbars)
     }
 
@@ -233,15 +232,13 @@ pub struct Torus {
 }
 
 impl Torus {
-    /// Builds a near-square torus for `crossbars` crossbars.
+    /// Builds the [`near_square`] torus for `crossbars` crossbars.
     ///
     /// # Panics
     ///
     /// Panics if `crossbars` is zero.
     pub fn for_crossbars(crossbars: usize) -> Self {
-        assert!(crossbars > 0, "at least one crossbar required");
-        let cols = (crossbars as f64).sqrt().ceil() as usize;
-        let rows = crossbars.div_ceil(cols);
+        let (cols, rows) = near_square(crossbars);
         Self::grid(cols, rows, crossbars)
     }
 

@@ -21,9 +21,13 @@
 //! * **Multi-chip differential** — the event engine and the cycle
 //!   oracle must byte-agree on hierarchical fabrics, exactly like the
 //!   flat corpus in `tests/noc_properties.rs`.
-//! * **One domain** — `Architecture::custom` accepts a `Hier`
-//!   descriptor exactly when `HierTopology::for_crossbars` builds it, so
-//!   the pipeline's topology builder never meets a descriptor it refuses.
+//! * **One domain** — `Architecture::custom` and
+//!   `HierTopology::for_crossbars` both check a `Hier` descriptor as one
+//!   `neuromap_hw::arch::HierShape`; the descriptor table still holds
+//!   them to accepting the same ones, so the pipeline's topology builder
+//!   never meets a descriptor it refuses. The fabric also puts every
+//!   crossbar on the chip the multilevel V-cycle's chip level packs it
+//!   into.
 //!
 //! `NEUROMAP_PROPTEST_CASES` overrides the per-test case count (CI runs
 //! a 256-case pass over this suite; see `scripts/verify.sh`).
@@ -400,6 +404,27 @@ fn architecture_and_fabric_accept_the_same_hier_descriptors() {
             fabric.is_ok(),
             valid,
             "{row:?}: HierTopology::for_crossbars"
+        );
+    }
+}
+
+/// The fabric puts crossbar `k` on chip `k / ⌈C / chips⌉`, the chip the
+/// multilevel V-cycle's chip level packs it into — also when the chips'
+/// near-square grids have routers to spare (6 crossbars on 2 × 1 chips
+/// of 2 × 2, 20 on 2 × 2 chips of 3 × 2, 1 000 on 2 × 2 chips of 16 × 16)
+/// and when they are full (1 024 on 2 × 2 chips of 16 × 16).
+#[test]
+fn fabric_and_chip_level_agree_on_every_crossbars_chip() {
+    for (crossbars, chip_cols, chip_rows) in [(6, 2, 1), (20, 2, 2), (1000, 2, 2), (1024, 2, 2)] {
+        let fabric =
+            HierTopology::for_crossbars(crossbars, chip_cols, chip_rows, 4, 2).expect("valid");
+        let per_chip = crossbars.div_ceil(chip_cols * chip_rows);
+        let moved: Vec<usize> = (0..crossbars)
+            .filter(|&k| fabric.chip_of_router(fabric.endpoint(k as u32)) != k / per_chip)
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "{crossbars} crossbars on {chip_cols}x{chip_rows} chips: {moved:?} off their chip"
         );
     }
 }
