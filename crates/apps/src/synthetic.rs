@@ -9,11 +9,14 @@
 //! implement fully connected feedforward topologies."
 
 use crate::App;
-use neuromap_core::CoreError;
+use neuromap_core::{CoreError, SpikeGraph};
+use neuromap_hw::mapping::Mapping;
 use neuromap_snn::generator::Generator;
 use neuromap_snn::network::{ConnectPattern, Network, NetworkBuilder, WeightInit};
 use neuromap_snn::neuron::NeuronKind;
+use neuromap_snn::spikes::SpikeTrain;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Number of Poisson stimulus neurons feeding the first layer.
@@ -159,7 +162,7 @@ impl LargeArch {
 
     /// Number of crossbars in the grid.
     pub fn num_crossbars(&self) -> usize {
-        (self.side * self.side) as usize
+        self.side as usize * self.side as usize
     }
 
     /// Crossbar capacity.
@@ -168,9 +171,32 @@ impl LargeArch {
     }
 
     /// Neurons in the generated graph (`fill_percent` of total capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count passes `u32::MAX`;
+    /// [`LargeArch::spike_graph`] returns an error there instead.
     pub fn num_neurons(&self) -> u32 {
-        let total = self.side * self.side * self.neurons_per_crossbar;
-        (total * self.fill_percent / 100).max(1)
+        u32::try_from(self.neuron_count()).expect("neuron count fits u32")
+    }
+
+    /// [`LargeArch::num_neurons`] in `u64`, saturating, so a size past
+    /// `u32` shows instead of wrapping.
+    fn neuron_count(&self) -> u64 {
+        let total =
+            (self.num_crossbars() as u64).saturating_mul(u64::from(self.neurons_per_crossbar));
+        (total.saturating_mul(u64::from(self.fill_percent)) / 100).max(1)
+    }
+
+    /// The layout the generator builds around: neuron `i` on its home
+    /// crossbar `i / capacity`. It is feasible, so its cost bounds the
+    /// optimum on the graph and on any [`relabel`]ing of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`LargeArch::num_neurons`] does.
+    pub fn planted(&self) -> Mapping {
+        planted(self.num_neurons(), self.capacity(), self.num_crossbars())
     }
 
     /// Builds the spike graph: neuron `i`'s *home tile* is `i / capacity`;
@@ -181,33 +207,33 @@ impl LargeArch {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::InvalidGraph`] from graph construction
-    /// (unreachable for the parameter ranges above).
-    pub fn spike_graph(&self, seed: u64) -> Result<neuromap_core::SpikeGraph, CoreError> {
+    /// [`CoreError::InvalidParameter`] when the neuron, synapse or
+    /// crossbar count passes `u32::MAX` or the grid is empty; propagates
+    /// [`CoreError::InvalidGraph`] from graph construction (unreachable
+    /// for the parameter ranges above).
+    pub fn spike_graph(&self, seed: u64) -> Result<SpikeGraph, CoreError> {
         grid_spike_graph(1, 1, self, seed)
     }
 
-    /// Packs the scenario's neurons into their home tiles, then scrambles
+    /// Packs the scenario's neurons into their home tiles (the
+    /// [`LargeArch::planted`] layout), then scrambles
     /// the *cluster ids* with a seeded permutation: cluster contents stay
     /// grid-local, but identity placement wires them to scattered
     /// routers. This is what any partitioner that doesn't know the
     /// chip's geometry produces, and exactly the situation the placement
     /// stage must repair — shared by the eval bench's placement gate and
     /// the placement acceptance tests so both exercise the same scenario.
-    pub fn scrambled_packed_mapping(&self, seed: u64) -> neuromap_hw::mapping::Mapping {
+    pub fn scrambled_packed_mapping(&self, seed: u64) -> Mapping {
         let c = self.num_crossbars();
-        let n = self.num_neurons();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut perm: Vec<u32> = (0..c as u32).collect();
         for a in (1..c).rev() {
             let b = rng.gen_range(0..a + 1);
             perm.swap(a, b);
         }
-        let cap = self.neurons_per_crossbar.max(1);
-        let assign: Vec<u32> = (0..n)
-            .map(|i| perm[((i / cap) as usize).min(c - 1)])
-            .collect();
-        neuromap_hw::mapping::Mapping::from_assignment(assign, c).expect("permuted ids in range")
+        let planted = self.planted();
+        let assign = planted.assignment().iter().map(|&home| perm[home as usize]);
+        Mapping::from_assignment(assign.collect(), c).expect("permuted ids in range")
     }
 }
 
@@ -266,7 +292,7 @@ impl MultiChip {
 
     /// Number of chips.
     pub fn num_chips(&self) -> usize {
-        (self.chip_cols * self.chip_rows) as usize
+        self.chip_cols as usize * self.chip_rows as usize
     }
 
     /// Total crossbars across all chips.
@@ -281,8 +307,27 @@ impl MultiChip {
 
     /// Neurons in the generated graph (`fill_percent` of capacity,
     /// applied per chip).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count passes `u32::MAX`;
+    /// [`MultiChip::spike_graph`] returns an error there instead.
     pub fn num_neurons(&self) -> u32 {
-        self.num_chips() as u32 * self.chip.num_neurons()
+        let count = (self.num_chips() as u64).saturating_mul(self.chip.neuron_count());
+        u32::try_from(count).expect("neuron count fits u32")
+    }
+
+    /// The layout the generator builds around: neuron `i` on its home
+    /// crossbar `i / capacity`, chip-major — the crossbar ids
+    /// [`neuromap_hw::arch::HierShape`] places chip by chip. It is
+    /// feasible, so its cost bounds the optimum on the graph and on any
+    /// [`relabel`]ing of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`MultiChip::num_neurons`] does.
+    pub fn planted(&self) -> Mapping {
+        planted(self.num_neurons(), self.capacity(), self.num_crossbars())
     }
 
     /// The matching [`Architecture`](neuromap_hw::arch::Architecture)
@@ -315,11 +360,61 @@ impl MultiChip {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::InvalidGraph`] from graph construction
+    /// [`CoreError::InvalidParameter`] when the neuron, synapse or
+    /// crossbar count passes `u32::MAX` or the chip grid is empty;
+    /// propagates [`CoreError::InvalidGraph`] from graph construction
     /// (unreachable for the parameter ranges above).
-    pub fn spike_graph(&self, seed: u64) -> Result<neuromap_core::SpikeGraph, CoreError> {
+    pub fn spike_graph(&self, seed: u64) -> Result<SpikeGraph, CoreError> {
         grid_spike_graph(self.chip_cols, self.chip_rows, &self.chip, seed)
     }
+}
+
+/// Neuron `i`'s home tile in a grid of `tiles` tiles of `capacity`
+/// neurons: `i / capacity`, the last tile for any neuron past the grid.
+fn home_tile(i: u32, capacity: u32, tiles: u32) -> u32 {
+    (i / capacity.max(1)).min(tiles - 1)
+}
+
+/// Every neuron on its [`home_tile`]: the mapping behind
+/// [`LargeArch::planted`] and [`MultiChip::planted`].
+fn planted(neurons: u32, capacity: u32, tiles: usize) -> Mapping {
+    let assign = (0..neurons)
+        .map(|i| home_tile(i, capacity, tiles as u32))
+        .collect();
+    Mapping::from_assignment(assign, tiles).expect("home tiles are in range")
+}
+
+/// Renames the neurons of a single-population `graph` by one seeded
+/// permutation `perm`, neuron `i` becoming `perm[i]`: its synapses and
+/// its spike train move with it. Returns the renamed graph with `perm`.
+/// Relabeling is an isomorphism, so a mapping renamed the same way
+/// (neuron `perm[i]` on the crossbar of `i`) prices and simulates to the
+/// same traffic; a mapper that reads the generator's id order as a hint
+/// does not see it on the renamed graph.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidGraph`] if `graph` has more than one population:
+/// a permutation would scatter a population's contiguous id range.
+pub fn relabel(graph: &SpikeGraph, seed: u64) -> Result<(SpikeGraph, Vec<u32>), CoreError> {
+    let populations = graph.populations().len();
+    if populations > 1 {
+        return Err(CoreError::InvalidGraph(format!(
+            "relabel takes one population, the graph has {populations}"
+        )));
+    }
+    let n = graph.num_neurons();
+    let mut perm: Vec<u32> = (0..n).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    let synapses = graph
+        .synapses()
+        .map(|(pre, post)| (perm[pre as usize], perm[post as usize]))
+        .collect();
+    let mut trains = vec![SpikeTrain::new(); n as usize];
+    for (i, &to) in perm.iter().enumerate() {
+        trains[to as usize] = graph.train(i as u32).clone();
+    }
+    Ok((SpikeGraph::from_trains(n, synapses, trains)?, perm))
 }
 
 /// The one generator behind [`LargeArch::spike_graph`] (a 1 × 1 chip
@@ -331,15 +426,36 @@ fn grid_spike_graph(
     chip_rows: u32,
     chip: &LargeArch,
     seed: u64,
-) -> Result<neuromap_core::SpikeGraph, CoreError> {
+) -> Result<SpikeGraph, CoreError> {
+    // every id and CSR offset of the graph and its mappings is a u32,
+    // and every neuron needs a home tile
+    let chips = u64::from(chip_cols) * u64::from(chip_rows);
+    let as_u32 = |name, count: u64, min: u64| {
+        u32::try_from(count)
+            .ok()
+            .filter(|_| count >= min)
+            .ok_or_else(|| CoreError::InvalidParameter {
+                name,
+                value: count.to_string(),
+            })
+    };
+    let n = as_u32("num_neurons", chips.saturating_mul(chip.neuron_count()), 1)?;
+    let num_synapses = as_u32(
+        "num_synapses",
+        u64::from(n) * u64::from(chip.synapses_per_neuron),
+        0,
+    )?;
+    let tiles = as_u32(
+        "num_crossbars",
+        chips.saturating_mul(chip.num_crossbars() as u64),
+        1,
+    )?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = chip_cols * chip_rows * chip.num_neurons();
     let side = chip.side as i64;
     let cap = chip.neurons_per_crossbar.max(1);
     let per_chip = side * side;
     let (chip_cols, chip_rows) = (chip_cols as i64, chip_rows as i64);
     let (gw, gh) = (chip_cols * side, chip_rows * side);
-    let tiles = (chip_cols * chip_rows * per_chip) as u32;
     // chip-major tile id ↔ composed-grid coordinates: `coords` once per
     // neuron, the row-major `tile_at` table once per synapse draw
     let coords = |tile: i64| {
@@ -355,9 +471,9 @@ fn grid_spike_graph(
             })
         })
         .collect();
-    let mut synapses = Vec::with_capacity((n * chip.synapses_per_neuron) as usize);
+    let mut synapses = Vec::with_capacity(num_synapses as usize);
     for i in 0..n {
-        let home = (i / cap).min(tiles - 1) as i64;
+        let home = i64::from(home_tile(i, cap, tiles));
         let (hx, hy) = coords(home);
         for _ in 0..chip.synapses_per_neuron {
             let j = if rng.gen_bool(0.85) {
@@ -379,7 +495,7 @@ fn grid_spike_graph(
         }
     }
     let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..20)).collect();
-    neuromap_core::SpikeGraph::from_parts(n, synapses, counts)
+    SpikeGraph::from_parts(n, synapses, counts)
 }
 
 /// The eight synthetic topologies evaluated in the paper's Fig. 5
@@ -588,6 +704,104 @@ mod tests {
                 0x8aab_06bb_0e67_64bb
             ]
         );
+    }
+
+    #[test]
+    fn grid_sizes_do_not_wrap_in_u32() {
+        // side² × capacity × fill_percent is 11 408 506 880 here
+        let big = LargeArch {
+            side: 4096,
+            ..LargeArch::grid16()
+        };
+        assert_eq!(big.num_neurons(), 114_085_068);
+        let huge = LargeArch {
+            side: 65_536,
+            ..LargeArch::grid16()
+        };
+        assert_eq!(huge.num_crossbars(), 1 << 32);
+        let chips = MultiChip {
+            chip: LargeArch {
+                side: 2048,
+                ..LargeArch::grid16()
+            },
+            ..MultiChip::four_chip16()
+        };
+        assert_eq!(chips.num_neurons(), 114_085_068);
+        // sizes past u32 are refused before anything is drawn
+        let refused = |arch: LargeArch| match arch.spike_graph(1) {
+            Err(CoreError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        assert_eq!(refused(huge), "num_neurons");
+        // 456 M neurons fit, their 24 synapses each do not
+        let wide = LargeArch {
+            side: 8192,
+            ..LargeArch::grid16()
+        };
+        assert_eq!(refused(wide), "num_synapses");
+        // an empty grid has no home tile for its one neuron
+        let empty = LargeArch {
+            side: 0,
+            ..LargeArch::grid16()
+        };
+        assert_eq!(refused(empty), "num_crossbars");
+    }
+
+    #[test]
+    fn planted_layouts_are_the_home_tiles() {
+        let grid = LargeArch {
+            side: 4,
+            ..LargeArch::grid16()
+        };
+        let chips = MultiChip {
+            chip: grid,
+            ..MultiChip::four_chip16()
+        };
+        for (planted, n, c) in [
+            (grid.planted(), grid.num_neurons(), grid.num_crossbars()),
+            (chips.planted(), chips.num_neurons(), chips.num_crossbars()),
+        ] {
+            assert_eq!(planted.num_crossbars(), c);
+            let homes: Vec<u32> = (0..n).map(|i| i / grid.capacity()).collect();
+            assert_eq!(planted.assignment(), &homes[..]);
+        }
+        // the scrambled packing is the planted one with its crossbars renamed
+        let scrambled = grid.scrambled_packed_mapping(5);
+        let mut rename = vec![None; grid.num_crossbars()];
+        for (&home, &to) in grid
+            .planted()
+            .assignment()
+            .iter()
+            .zip(scrambled.assignment())
+        {
+            assert_eq!(*rename[home as usize].get_or_insert(to), to);
+        }
+    }
+
+    #[test]
+    fn relabel_moves_synapses_and_trains_together() {
+        let s = LargeArch {
+            side: 3,
+            ..LargeArch::grid16()
+        };
+        let g = s.spike_graph(9).unwrap();
+        let (r, perm) = relabel(&g, 4).unwrap();
+        let mut sorted = perm.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..g.num_neurons()).collect::<Vec<_>>());
+        assert_ne!(perm, sorted, "a seeded shuffle of 61 ids moves some");
+        assert_eq!(r.num_synapses(), g.num_synapses());
+        for i in 0..g.num_neurons() {
+            let to = perm[i as usize];
+            assert_eq!(r.train(to), g.train(i));
+            assert_eq!(r.count(to), g.count(i));
+            let moved: Vec<u32> = g.targets(i).iter().map(|&j| perm[j as usize]).collect();
+            assert_eq!(r.targets(to), &moved[..]);
+        }
+        assert_eq!(relabel(&g, 4).unwrap(), (r, perm));
+        // two populations cannot be renamed without scattering one
+        let two = g.with_populations(vec![0, 10, s.num_neurons()]).unwrap();
+        assert!(matches!(relabel(&two, 4), Err(CoreError::InvalidGraph(_))));
     }
 
     #[test]

@@ -87,8 +87,7 @@ mod tests {
         let base = layered();
         let synapses: Vec<(u32, u32)> = base
             .synapses()
-            .iter()
-            .map(|&(a, b)| (perm[a as usize], perm[b as usize]))
+            .map(|(a, b)| (perm[a as usize], perm[b as usize]))
             .collect();
         let g = SpikeGraph::from_parts(12, synapses, vec![10; 12]).unwrap();
         let p = PartitionProblem::new(&g, 3, 4).unwrap();

@@ -714,12 +714,6 @@ impl<'g> SwarmEval<'g> {
         }
     }
 
-    /// Whether a vectorizable tile path applies ([`SwarmEval::kernel`]
-    /// is not the scalar arm).
-    pub fn batched(&self) -> bool {
-        self.kernel != SwarmKernel::Scalar
-    }
-
     /// The kernel [`SwarmEval::eval_swarm`] runs — a pure function of
     /// the problem and the objective: [`SwarmKernel::for_crossbars`] for
     /// `CutSpikes` and `CutPackets`; for `CutHops` the byte tile while
@@ -738,8 +732,8 @@ impl<'g> SwarmEval<'g> {
 
     /// Evaluates `lanes` candidates stored back to back in candidate-major
     /// order (`positions[lane * n ..][..n]`), writing each cost to
-    /// `out[lane]`. Exact for every problem; tiled and vectorized when
-    /// [`SwarmEval::batched`] holds.
+    /// `out[lane]`. Exact for every problem; tiled and vectorized unless
+    /// [`SwarmEval::kernel`] is [`SwarmKernel::Scalar`].
     ///
     /// # Panics
     ///
@@ -1265,7 +1259,6 @@ mod tests {
                     tile
                 };
                 assert_eq!(evaluator.kernel(), kernel, "{kind:?} c={c}");
-                assert_eq!(evaluator.batched(), kernel != SwarmKernel::Scalar);
                 assert_eq!(evaluator.mask_words(), c.div_ceil(64));
                 let mut out = vec![0u64; lanes];
                 evaluator.eval_swarm(&positions, lanes, &mut SwarmScratch::default(), &mut out);

@@ -17,18 +17,21 @@ use crate::error::CoreError;
 use neuromap_snn::network::Network;
 use neuromap_snn::simulator::SpikeRecord;
 use neuromap_snn::spikes::SpikeTrain;
-use serde::{Deserialize, Serialize};
 
 /// A trained SNN as a traffic-annotated graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The synapses live only in two CSRs, a row of targets per presynaptic
+/// neuron and a row of sources per postsynaptic neuron, both sorted from
+/// the input by one counting sort; [`SpikeGraph::synapses`] reads the
+/// target rows in row order. The type has no serde form: every graph
+/// comes through the checked constructors below.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeGraph {
     num_neurons: u32,
     /// Spike count per neuron (|T_i|).
     counts: Vec<u32>,
     /// Spike times per neuron (empty trains permitted).
     trains: Vec<SpikeTrain>,
-    /// Flat synapse list (pre, post).
-    synapses: Vec<(u32, u32)>,
     /// CSR over synapses by presynaptic neuron.
     out_offsets: Vec<u32>,
     out_posts: Vec<u32>,
@@ -48,8 +51,9 @@ impl SpikeGraph {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidGraph`] if `counts.len() != num_neurons` or a
-    /// synapse endpoint is out of range.
+    /// [`CoreError::InvalidGraph`] if `counts.len() != num_neurons`, a
+    /// synapse endpoint is out of range or there are more than
+    /// `u32::MAX` synapses.
     pub fn from_parts(
         num_neurons: u32,
         synapses: Vec<(u32, u32)>,
@@ -69,15 +73,15 @@ impl SpikeGraph {
                 (0..c).map(|k| k * step).collect()
             })
             .collect();
-        Self::build(num_neurons, synapses, counts, trains)
+        Self::build(num_neurons, synapses.iter().copied(), counts, trains)
     }
 
     /// Builds a graph from explicit synapses and spike trains.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidGraph`] on length mismatch or dangling synapse
-    /// endpoints.
+    /// [`CoreError::InvalidGraph`] on length mismatch, dangling synapse
+    /// endpoints or more than `u32::MAX` synapses.
     pub fn from_trains(
         num_neurons: u32,
         synapses: Vec<(u32, u32)>,
@@ -90,7 +94,7 @@ impl SpikeGraph {
             )));
         }
         let counts = trains.iter().map(|t| t.len() as u32).collect();
-        Self::build(num_neurons, synapses, counts, trains)
+        Self::build(num_neurons, synapses.iter().copied(), counts, trains)
     }
 
     /// Extracts the spike graph of a simulated network — the CARLsim →
@@ -98,7 +102,7 @@ impl SpikeGraph {
     /// are taken from the network's neuron groups.
     pub fn from_record(net: &Network, record: &SpikeRecord) -> Self {
         let num = net.num_neurons();
-        let synapses: Vec<(u32, u32)> = net.synapses().iter().map(|s| (s.pre, s.post)).collect();
+        let synapses = net.synapses().iter().map(|s| (s.pre, s.post));
         let trains: Vec<SpikeTrain> = record.trains().to_vec();
         let counts: Vec<u32> = trains.iter().map(|t| t.len() as u32).collect();
         let graph =
@@ -110,55 +114,38 @@ impl SpikeGraph {
             .expect("group layout is contiguous")
     }
 
+    /// Checks the `(pre, post)` pairs, then sorts them into both CSRs.
     fn build(
         num_neurons: u32,
-        synapses: Vec<(u32, u32)>,
+        synapses: impl Iterator<Item = (u32, u32)> + Clone,
         counts: Vec<u32>,
         trains: Vec<SpikeTrain>,
     ) -> Result<Self, CoreError> {
-        for &(pre, post) in &synapses {
+        let mut len = 0u64;
+        for (pre, post) in synapses.clone() {
             if pre >= num_neurons || post >= num_neurons {
                 return Err(CoreError::InvalidGraph(format!(
                     "synapse ({pre}, {post}) out of range for {num_neurons} neurons"
                 )));
             }
+            len += 1;
+        }
+        if u32::try_from(len).is_err() {
+            return Err(CoreError::InvalidGraph(format!(
+                "{len} synapses overflow the u32 row offsets"
+            )));
         }
         let n = num_neurons as usize;
-        let mut offs = vec![0u32; n + 1];
-        for &(pre, _) in &synapses {
-            offs[pre as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offs[i + 1] += offs[i];
-        }
-        let mut cursor = offs.clone();
-        let mut posts = vec![0u32; synapses.len()];
-        for &(pre, post) in &synapses {
-            posts[cursor[pre as usize] as usize] = post;
-            cursor[pre as usize] += 1;
-        }
-        let mut in_offs = vec![0u32; n + 1];
-        for &(_, post) in &synapses {
-            in_offs[post as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offs[i + 1] += in_offs[i];
-        }
-        let mut cursor = in_offs.clone();
-        let mut pres = vec![0u32; synapses.len()];
-        for &(pre, post) in &synapses {
-            pres[cursor[post as usize] as usize] = pre;
-            cursor[post as usize] += 1;
-        }
+        let (out_offsets, out_posts) = csr(n, synapses.clone());
+        let (in_offsets, in_pres) = csr(n, synapses.map(|(pre, post)| (post, pre)));
         Ok(Self {
             num_neurons,
             counts,
             trains,
-            synapses,
-            out_offsets: offs,
-            out_posts: posts,
-            in_offsets: in_offs,
-            in_pres: pres,
+            out_offsets,
+            out_posts,
+            in_offsets,
+            in_pres,
             pop_offsets: vec![0, num_neurons],
         })
     }
@@ -196,7 +183,7 @@ impl SpikeGraph {
 
     /// Number of synapses (edges).
     pub fn num_synapses(&self) -> usize {
-        self.synapses.len()
+        self.out_posts.len()
     }
 
     /// Spike count of neuron `i`.
@@ -222,9 +209,11 @@ impl SpikeGraph {
         &self.trains[i as usize]
     }
 
-    /// The flat synapse list.
-    pub fn synapses(&self) -> &[(u32, u32)] {
-        &self.synapses
+    /// Every synapse as `(pre, post)`, in row order: presynaptic ids
+    /// ascending, each row's targets in the order the graph was given
+    /// them.
+    pub fn synapses(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.num_neurons).flat_map(move |i| self.targets(i).iter().map(move |&j| (i, j)))
     }
 
     /// Postsynaptic targets of neuron `i` (CSR row).
@@ -262,6 +251,27 @@ impl SpikeGraph {
             .max()
             .map_or(1, |t| t + 1)
     }
+}
+
+/// Counting sort of `(key, value)` pairs into a CSR over `n` keys:
+/// `(offsets, values)`, row `k` being `values[offsets[k]..offsets[k + 1]]`
+/// and holding key `k`'s values in input order. Every key must be below
+/// `n` and the pair count must fit a `u32`.
+fn csr(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; n + 1];
+    for (key, _) in pairs.clone() {
+        offsets[key as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut values = vec![0u32; offsets[n] as usize];
+    for (key, value) in pairs {
+        values[cursor[key as usize] as usize] = value;
+        cursor[key as usize] += 1;
+    }
+    (offsets, values)
 }
 
 #[cfg(test)]
@@ -304,7 +314,7 @@ mod tests {
         assert_eq!(g.sources(3), &[2]);
         assert_eq!(g.sources(0), &[0u32; 0]);
         // every (pre, post) appears in both CSRs
-        for &(pre, post) in g.synapses() {
+        for (pre, post) in g.synapses() {
             assert!(g.targets(pre).contains(&post));
             assert!(g.sources(post).contains(&pre));
         }

@@ -382,7 +382,7 @@ fn coarsen_once(graph: &SpikeGraph, num_crossbars: usize, capacity: u32) -> Opti
             counts[parent[i] as usize].saturating_add(graph.count(i as u32));
     }
     let mut synapses: Vec<(u32, u32)> = Vec::new();
-    for &(a, b) in graph.synapses() {
+    for (a, b) in graph.synapses() {
         let (ca, cb) = (parent[a as usize], parent[b as usize]);
         if ca != cb {
             synapses.push((ca, cb));

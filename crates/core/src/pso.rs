@@ -906,13 +906,16 @@ mod tests {
         // through a PSO run — trace tail must equal a scalar recompute
         let g = two_clusters(30);
         // widen the graph so an 81-crossbar instance is feasible
-        let mut synapses = g.synapses().to_vec();
+        let mut synapses: Vec<(u32, u32)> = g.synapses().collect();
         for i in 8..90u32 {
             synapses.push((i % 8, i));
         }
         let g = SpikeGraph::from_parts(90, synapses, vec![3; 90]).unwrap();
         let p = PartitionProblem::new(&g, 81, 2).unwrap();
-        assert!(SwarmEval::new(p, FitnessKind::CutPackets).batched());
+        assert_ne!(
+            SwarmEval::new(p, FitnessKind::CutPackets).kernel(),
+            crate::eval::SwarmKernel::Scalar
+        );
         let cfg = PsoConfig {
             swarm_size: 10,
             iterations: 8,

@@ -17,7 +17,7 @@ use crate::network::{GroupKind, Network};
 use crate::neuron::NeuronModel;
 use crate::spikes::SpikeTrain;
 use crate::stdp::{StdpConfig, StdpState};
-use crate::synapse::MAX_DELAY;
+use crate::synapse::{Synapse, MAX_DELAY};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -145,8 +145,8 @@ impl Simulator {
             }
         }
 
-        let (out_offsets, out_synapses) = csr_by(&net, |s| s.pre);
-        let (in_plastic_offsets, in_plastic) = csr_plastic_by_post(&net);
+        let (out_offsets, out_synapses) = csr_by(&net, |s| Some(s.pre));
+        let (in_plastic_offsets, in_plastic) = csr_by(&net, |s| s.plastic.then_some(s.post));
         let ring = vec![vec![0.0; n]; MAX_DELAY as usize + 1];
         let stdp = config
             .stdp
@@ -324,47 +324,24 @@ impl Simulator {
     }
 }
 
-/// Builds a CSR index over synapses keyed by `key` (e.g. presynaptic id).
-fn csr_by(net: &Network, key: impl Fn(&crate::synapse::Synapse) -> u32) -> (Vec<u32>, Vec<u32>) {
+/// Builds a CSR index over the synapses `key` names a row for (the
+/// presynaptic id, or the postsynaptic id of a plastic synapse only):
+/// one counting sort, each row listing its synapse indices ascending.
+fn csr_by(net: &Network, key: impl Fn(&Synapse) -> Option<u32>) -> (Vec<u32>, Vec<u32>) {
     let n = net.num_neurons() as usize;
-    let mut counts = vec![0u32; n + 1];
-    for s in net.synapses() {
-        counts[key(s) as usize + 1] += 1;
+    let mut offsets = vec![0u32; n + 1];
+    for k in net.synapses().iter().filter_map(&key) {
+        offsets[k as usize + 1] += 1;
     }
     for i in 0..n {
-        counts[i + 1] += counts[i];
+        offsets[i + 1] += offsets[i];
     }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut index = vec![0u32; net.synapses().len()];
-    for (si, s) in net.synapses().iter().enumerate() {
-        let k = key(s) as usize;
-        index[cursor[k] as usize] = si as u32;
-        cursor[k] += 1;
-    }
-    (offsets, index)
-}
-
-/// CSR over plastic synapses keyed by postsynaptic neuron.
-fn csr_plastic_by_post(net: &Network) -> (Vec<u32>, Vec<u32>) {
-    let n = net.num_neurons() as usize;
-    let mut counts = vec![0u32; n + 1];
-    for s in net.synapses() {
-        if s.plastic {
-            counts[s.post as usize + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
+    let mut cursor = offsets.clone();
     let mut index = vec![0u32; offsets[n] as usize];
     for (si, s) in net.synapses().iter().enumerate() {
-        if s.plastic {
-            let k = s.post as usize;
-            index[cursor[k] as usize] = si as u32;
-            cursor[k] += 1;
+        if let Some(k) = key(s) {
+            index[cursor[k as usize] as usize] = si as u32;
+            cursor[k as usize] += 1;
         }
     }
     (offsets, index)

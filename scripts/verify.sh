@@ -14,6 +14,13 @@ echo "==> modes no caller selects (must equal scripts/unselected_modes.allow)"
 diff <(grep -v '^#' scripts/unselected_modes.allow) <(scripts/unselected_modes.sh) \
   || { echo "unselected modes differ from scripts/unselected_modes.allow"; exit 1; }
 
+echo "==> public functions only tests call (must equal scripts/test_only_pub.allow)"
+# a `pub fn` no non-test code calls is deleted, made private, or listed
+# in the allow file with its reason in ROADMAP.md; a diff line names the
+# function that is new or gone
+diff <(grep -v '^#' scripts/test_only_pub.allow) <(scripts/test_only_pub.sh) \
+  || { echo "test-only public functions differ from scripts/test_only_pub.allow"; exit 1; }
+
 echo "==> build (release)"
 cargo build --release
 

@@ -66,9 +66,8 @@ proptest! {
         let scattered: Vec<u32> = (0..n).map(|i| i % 4).collect();
         let expected: u64 = graph
             .synapses()
-            .iter()
-            .filter(|&&(a, b)| scattered[a as usize] != scattered[b as usize])
-            .map(|&(a, _)| graph.count(a) as u64)
+            .filter(|&(a, b)| scattered[a as usize] != scattered[b as usize])
+            .map(|(a, _)| graph.count(a) as u64)
             .sum();
         prop_assert_eq!(problem.cut_spikes(&scattered), expected);
         // packets never exceed spikes (deduplication only removes)
@@ -370,8 +369,6 @@ fn hop_local_search_outcomes_are_frozen() {
     let packed: Vec<u32> = (0..n).map(|i| i / 8).collect();
     let mut synapses: Vec<(u32, u32)> = grid
         .synapses()
-        .iter()
-        .copied()
         .filter(|&(i, j)| i % 5 != 0 || packed[i as usize] != packed[j as usize])
         .collect();
     for i in 0..n {
@@ -379,7 +376,7 @@ fn hop_local_search_outcomes_are_frozen() {
             synapses.extend(std::iter::repeat_n((i, i), 1 + (i % 10 == 0) as usize));
         }
         if i % 3 == 0 {
-            if let Some(&first) = grid.synapses().iter().find(|&&(p, _)| p == i) {
+            if let Some(first) = grid.synapses().find(|&(p, _)| p == i) {
                 synapses.push(first);
             }
         }

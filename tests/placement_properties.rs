@@ -17,7 +17,7 @@
 //!   reduces simulated NoC energy and latency vs identity placement.
 
 use neuromap::apps::synthetic::LargeArch;
-use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmScratch};
+use neuromap::core::eval::{Candidate, EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap::core::partition::{FitnessKind, PartitionProblem, Partitioner};
 use neuromap::core::pipeline::{
     build_flows, build_topology, local_events, MappingPipeline, PipelineConfig, PlacementStrategy,
@@ -176,7 +176,7 @@ proptest! {
         let evaluator = SwarmEval::new(problem, FitnessKind::CutHops);
         // ≤ 256 rides the byte tile; past it the hop-weighted objective
         // takes the scalar arm (its word-tile walk never beat it)
-        prop_assert_eq!(evaluator.batched(), crossbars <= 256, "c={}", crossbars);
+        prop_assert_eq!(evaluator.kernel() != SwarmKernel::Scalar, crossbars <= 256, "c={}", crossbars);
         let mut rng = StdRng::seed_from_u64(seed);
         let positions: Vec<u32> = (0..lanes * n as usize)
             .map(|_| rng.gen_range(0..crossbars as u32))

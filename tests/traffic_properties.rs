@@ -18,8 +18,12 @@
 //!   report's hop-weighted packets times the flits per packet (and, for
 //!   per-crossbar traffic split into one flow per destination, the
 //!   `CutHops` objective) — at most that under plain multicast, which
-//!   only merges routes.
+//!   only merges routes;
+//! * relabeling is invisible: renaming the neurons of the graph and the
+//!   mapping by one permutation moves no objective and no traffic count.
 
+use neuromap::apps::synthetic::relabel;
+use neuromap::core::partition::FitnessKind;
 use neuromap::core::pipeline::{
     build_flows, build_topology, local_events, MappingPipeline, PipelineConfig, TrafficMode,
 };
@@ -275,6 +279,63 @@ proptest! {
         prop_assert_eq!(charged, u64::from(flits) * pipeline.hop_metrics(&flows).0);
         let cut_hops = pipeline.problem(&graph).unwrap().cut_hops(mapping.assignment());
         prop_assert_eq!(charged, u64::from(flits) * cut_hops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(32)))]
+
+    /// (f): renaming the neurons of the graph and of the mapping by one
+    /// permutation (`relabel`) moves none of the three objectives, the
+    /// local events, the traffic matrix, the two hop metrics, the
+    /// simulator's event counters or the global energy, on a mesh under
+    /// both traffic modes with trees on and off. Latency, ISI distortion
+    /// and disorder are not compared: within one step a crossbar's
+    /// packets inject in neuron-id order, which the renaming changes.
+    #[test]
+    fn relabeling_moves_no_traffic_count(
+        (graph, mapping) in arb_mapped(),
+        trees in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (renamed, perm) = relabel(&graph, seed).unwrap();
+        let mut assignment = vec![0; perm.len()];
+        for (i, &to) in perm.iter().enumerate() {
+            assignment[to as usize] = mapping.assignment()[i];
+        }
+        let moved = Mapping::from_assignment(assignment, mapping.num_crossbars()).unwrap();
+        let noc = NocConfig { multicast_trees: trees, ..NocConfig::default() };
+        for mode in MODES {
+            let pipeline = pipeline(&graph, &mapping, InterconnectKind::Mesh, noc, mode);
+            let (before, after) = (pipeline.problem(&graph).unwrap(), pipeline.problem(&renamed).unwrap());
+            for kind in [FitnessKind::CutSpikes, FitnessKind::CutPackets, FitnessKind::CutHops] {
+                prop_assert_eq!(
+                    before.cost(kind, mapping.assignment()),
+                    after.cost(kind, moved.assignment()),
+                    "{:?} {:?}", mode, kind
+                );
+            }
+            prop_assert_eq!(local_events(&graph, &mapping), local_events(&renamed, &moved));
+            prop_assert_eq!(
+                TrafficMatrix::from_mapping(&graph, &mapping, mode),
+                TrafficMatrix::from_mapping(&renamed, &moved, mode)
+            );
+            prop_assert_eq!(
+                pipeline.hop_metrics(&build_flows(&graph, &mapping, mode)),
+                pipeline.hop_metrics(&build_flows(&renamed, &moved, mode)),
+                "{:?}", mode
+            );
+            let report = |g: &SpikeGraph, m: &Mapping| {
+                pipeline.evaluate(g, m.clone(), "random", "identity").unwrap().report
+            };
+            let (before, after) = (report(&graph, &mapping), report(&renamed, &moved));
+            prop_assert_eq!(before.noc.counters, after.noc.counters, "{:?} {:?}", mode, noc);
+            prop_assert_eq!(
+                before.noc.global_energy_pj.to_bits(),
+                after.noc.global_energy_pj.to_bits(),
+                "{:?} {:?}", mode, noc
+            );
+        }
     }
 }
 
