@@ -32,9 +32,12 @@
 //! per-port wakes and router visits, and the wake-queue peaks — so
 //! dense-regime scheduling regressions show up as counter shifts, not
 //! just wall-clock noise; and,
-//! per scenario, the nets and forwarding-plan nodes of the run, spikes
-//! per net and host ns per router traversal — "does this traffic repeat
-//! its nets" is that one line — and the host time of the run's four
+//! per scenario, the nets of the run, spikes per net and host ns per
+//! router traversal — "does this traffic repeat its nets" is that one
+//! line — then the forwarding plan's nodes beside the nodes over the
+//! nets' trees and the share of those carrying one destination, which
+//! unicast routing shares across nets ("does this traffic share its
+//! tails"; 0 % under multicast trees) — and the host time of the run's four
 //! phases (setup, schedule, router loop, statistics). Setup is the one
 //! pass over the flows (nets and run entries, runs of equal flows) and
 //! the forwarding plan; "schedule" is one sort of the run entries (on
@@ -316,14 +319,19 @@ fn probe_noc() {
         );
         let c = ev.counters;
         println!(
-            "  {} packets of {} nets ({:.1} spikes per net), {} plan nodes, at most {} handles live; {} router traversals at {:.0} host ns each",
+            "  {} packets of {} nets ({:.1} spikes per net), at most {} handles live; {} router traversals at {:.0} host ns each",
             c.packets_injected,
             trace.nets,
             c.packets_injected as f64 / trace.nets.max(1) as f64,
-            trace.plan_nodes,
             trace.peak_handles,
             c.router_traversals,
             event_s * 1e9 / c.router_traversals.max(1) as f64
+        );
+        println!(
+            "  {} plan nodes for {} nodes over the nets' trees, {:.1} % of those shared (one destination, unicast)",
+            trace.plan_nodes,
+            trace.net_nodes,
+            100.0 * trace.shared_net_nodes as f64 / trace.net_nodes.max(1) as f64
         );
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!(

@@ -16,19 +16,27 @@
 //!   crossbar under per-synapse traffic — so nothing is stored per flow
 //!   and no flow is read again.
 //! * [`Plan`] holds, for all of them, what happens to a packet of the net
-//!   at every router it reaches. A **node** is "a packet of this net
-//!   arriving at this router": the crossbars delivered there (`local`)
-//!   and one **branch** per `(egress port, VC)` slot the rest leaves by,
-//!   each naming the node the copy arrives at next. A node's destinations
-//!   are one contiguous range `[local | branch 0 | branch 1 | …]` of a
-//!   shared arena, every branch's share being its child's whole range,
-//!   and every range keeps the flow's relative order — which is the only
-//!   order a destination list ever exposed (delivery order at one router).
-//!   The route is asked once per (node, destination): the unicast route
-//!   ([`Topology::route_next`] + [`Topology::hop_vc`], remembered per
-//!   router pair) or, under tree routing, the net's
-//!   [`Topology::multicast_route`] paths, called once per net and checked
-//!   rather than trusted.
+//!   at every router it reaches. A **node** is "a packet arriving at this
+//!   router carrying these destinations": the crossbars delivered there
+//!   (`local`) and one **branch** per `(egress port, VC)` slot the rest
+//!   leaves by, each naming the node the copy arrives at next. A node's
+//!   destinations are one range of a shared arena, listed as
+//!   `[local | branch 0 | branch 1 | …]` with every branch's share equal
+//!   to its child's range, and every range keeps the flow's relative
+//!   order — which is the only order a destination list ever exposed
+//!   (delivery order at one router). A node carrying several destinations
+//!   is its net's own. Under unicast routing a node carrying one
+//!   destination `d` at router `r` is **shared**: the rest of the route
+//!   is the same whichever net got there, so the first net to reach
+//!   `(r, d)` makes the node and its tail, and every later net's branch
+//!   points at it (a net of one destination starts there). So a net's
+//!   nodes are not one range of the node list, and its per-packet counts
+//!   (handles, link forwards) are kept per net at build time. The route
+//!   is asked once per (node, destination): the unicast route
+//!   ([`Topology::route_next`] + [`Topology::hop_vc`]) or, under tree
+//!   routing, the net's [`Topology::multicast_route`] paths, called once
+//!   per net and checked rather than trusted — a tree path is its net's,
+//!   so tree plans share no node.
 //! * [`Slab`] holds the packets in flight as 32-byte [`Handle`]s,
 //!   recycling a handle's id once its copy is delivered. A handle
 //!   carries what the loop reads of its packet (spike id, inject cycle,
@@ -273,64 +281,59 @@ pub(crate) struct Plan {
     branches: Vec<Branch>,
     /// Destination crossbars, one range per node.
     arena: Vec<u32>,
-    /// Per net: its root node (the packet at the source router), and how
-    /// many handles one spike of it allocates beyond the injected one
-    /// (every node with `b > 1` branches makes `b − 1`).
-    roots: Vec<(u32, u32)>,
+    /// Per net, what its packets do over the plan.
+    nets: Vec<NetPlan>,
     /// Built along multicast trees, not the unicast routes.
     trees: bool,
 }
 
-/// The unicast route as slots, asked of the topology once per (router,
-/// destination router) pair a plan actually meets.
-struct UnicastSlots {
-    nr: usize,
-    /// `slot + 1` by `r × nr + dst`; 0 = not asked yet.
-    known: Vec<u32>,
+/// What one packet of a net does over the plan, counted at build time:
+/// under unicast routing a net's nodes are not one range of the node
+/// list, so nothing here can be read off it later.
+#[derive(Debug, Clone, Copy)]
+struct NetPlan {
+    /// The packet at the source router.
+    root: u32,
+    /// Handles one spike allocates beyond the injected one (every node
+    /// with `b > 1` branches makes `b − 1`).
+    extra: u32,
+    /// Link forwards: the branches of the net's tree, the branches of a
+    /// shared tail included.
+    forwards: u64,
 }
 
-impl UnicastSlots {
-    fn new(nr: usize) -> Self {
-        Self {
-            nr,
-            known: vec![0; nr * nr],
-        }
-    }
+/// A node a net adds to the plan, while the net is planned.
+#[derive(Clone, Copy)]
+struct Site {
+    router: u32,
+    /// Hops from the net's source router.
+    depth: u32,
+    /// Link forwards from here to the node's last delivery.
+    below: u64,
+}
 
-    /// The `egress port × VCs + VC` slot the route from router `r` toward
-    /// the other router `dst` leaves by.
-    ///
-    /// # Errors
-    ///
-    /// [`NocError::InvalidConfig`] `{ name: "topology" }` when
-    /// [`Topology::route_next`] does not name a neighbor of `r`.
-    #[inline]
-    fn get(
-        &mut self,
-        topo: &dyn Topology,
-        vcs: usize,
-        r: usize,
-        dst: usize,
-    ) -> Result<u32, NocError> {
-        let known = &mut self.known[r * self.nr + dst];
-        if *known == 0 {
-            let next = topo.route_next(r, dst);
-            let port = topo.neighbors(r).iter().position(|&n| n == next);
-            let port = port.ok_or_else(|| NocError::InvalidConfig {
-                name: "topology",
-                value: format!(
-                    "the route from router {r} toward {dst} steps to {next}, not a neighbor of {r}"
-                ),
-            })?;
-            let vc = if vcs == 1 {
-                0
-            } else {
-                topo.hop_vc(r, dst, vcs)
-            };
-            *known = 1 + (port * vcs + vc) as u32;
-        }
-        Ok(*known - 1)
-    }
+/// The `egress port × VCs + VC` slot the unicast route from router `r`
+/// toward the other router `dst` leaves by.
+///
+/// # Errors
+///
+/// [`NocError::InvalidConfig`] `{ name: "topology" }` when
+/// [`Topology::route_next`] does not name a neighbor of `r`.
+fn unicast_slot(topo: &dyn Topology, vcs: usize, r: usize, dst: usize) -> Result<u32, NocError> {
+    let next = topo.route_next(r, dst);
+    let port = topo.neighbors(r).iter().position(|&n| n == next);
+    let port = port.ok_or_else(|| NocError::InvalidConfig {
+        name: "topology",
+        value: format!(
+            "the route from router {r} toward {dst} steps to {next}, not a neighbor of {r}"
+        ),
+    })?;
+    let vc = if vcs == 1 {
+        0
+    } else {
+        topo.hop_vc(r, dst, vcs)
+    };
+    Ok((port * vcs + vc) as u32)
 }
 
 /// Per-destination hop slots of one net's multicast tree.
@@ -408,13 +411,21 @@ impl Plan {
     /// the unicast routes, or along [`Topology::multicast_route`] trees
     /// when `trees` is set. Slots fit a `u16` (`Fabric::new` checked).
     ///
+    /// Under unicast routing the rest of a route depends only on where
+    /// the packet is and what it still carries, so a node carrying one
+    /// destination `d` at router `r` is made once, by the first net that
+    /// reaches `(r, d)`, and every later net's branch there points at it:
+    /// each destination's tail from each router is planned once per run.
+    /// A tree path belongs to its net, so tree plans share nothing.
+    ///
     /// # Errors
     ///
     /// [`NocError::InvalidConfig`] `{ name: "multicast_route" }` for tree
     /// paths that are not link walks to their destinations, and — a
     /// packet that has made as many hops as there are routers has been
     /// somewhere twice — for a tree path that long; `{ name: "topology" }`
-    /// for a unicast route that long (it never arrives).
+    /// for a unicast route that long (it never arrives), or that meets a
+    /// one-destination node its own net made (it is going round).
     pub(crate) fn build(
         topo: &dyn Topology,
         fabric: &Fabric,
@@ -422,18 +433,21 @@ impl Plan {
         nets: &Nets<'_>,
     ) -> Result<Self, NocError> {
         let (nr, vcs, endpoint_of) = (fabric.routers(), fabric.vcs, &fabric.endpoints);
-        let mut unicast = UnicastSlots::new(if trees { 0 } else { nr });
         let mut plan = Plan {
             nodes: Vec::new(),
             branches: Vec::new(),
             arena: Vec::with_capacity(nets.keys.iter().map(|(_, d)| d.len()).sum()),
-            roots: Vec::with_capacity(nets.len()),
+            nets: Vec::with_capacity(nets.len()),
             trees,
         };
-        // scratch, reused by every net: `(router, hops from the source)`
-        // per node of the net; the net-list position of every arena entry
-        // (which tree path is its); the range being grouped; the tree
-        let mut sites: Vec<(u32, u32)> = Vec::new();
+        // under unicast routing: the node carrying only crossbar `d` at
+        // router `r`, by `(r, d)`, and the link forwards of its tail
+        let mut tails: HashMap<(u32, u32), (u32, u32), BuildHasherDefault<NetHasher>> =
+            HashMap::default();
+        // scratch, reused by every net: a site per node the net adds; the
+        // net-list position of every arena entry (which tree path is
+        // its); the range being grouped; the tree
+        let mut sites: Vec<Site> = Vec::new();
         let mut position: Vec<u32> = Vec::new();
         let mut keyed: Vec<(u32, u32, u32)> = Vec::new();
         let mut tree = TreeHops::default();
@@ -444,6 +458,16 @@ impl Plan {
                 name: if trees { "multicast_route" } else { "topology" },
                 value: format!("net of crossbar {src}: {what}"),
             };
+            let one = (!trees && dests.len() == 1).then(|| (src_router, dests[0]));
+            // a one-destination net whose root an earlier net made
+            if let Some(&(root, forwards)) = one.and_then(|key| tails.get(&key)) {
+                plan.nets.push(NetPlan {
+                    root,
+                    extra: 0,
+                    forwards: forwards.into(),
+                });
+                continue;
+            }
             if trees {
                 tree.load(topo, vcs, src_router as usize, dests, endpoint_of)
                     .map_err(bad_route)?;
@@ -452,15 +476,26 @@ impl Plan {
             plan.arena.extend_from_slice(dests);
             position.clear();
             position.extend(0..dests.len() as u32);
-            let root = plan.nodes.len();
+            // the net's own nodes are `first..`: a node below `first` is
+            // a tail an earlier net made
+            let first = plan.nodes.len();
+            if let Some(key) = one {
+                tails.insert(key, (first as u32, 0));
+            }
             sites.clear();
-            sites.push((src_router, 0));
+            sites.push(Site {
+                router: src_router,
+                depth: 0,
+                below: 0,
+            });
             plan.nodes.push(Node::unplanned(base, base + dests.len()));
             let mut extra = 0u32;
             // the node list is the work queue: children join at its end
-            let mut n = root;
+            let mut n = first;
             while n < plan.nodes.len() {
-                let (r, depth) = sites[n - root];
+                let Site {
+                    router: r, depth, ..
+                } = sites[n - first];
                 let (start, end) = (plan.nodes[n].start as usize, plan.nodes[n].end as usize);
                 // group the range by where it goes from `r`: key 0 stays,
                 // key `slot + 1` leaves by that slot; the sort is stable,
@@ -474,7 +509,7 @@ impl Plan {
                     } else if trees {
                         1 + u32::from(tree.bit(j, depth))
                     } else {
-                        1 + unicast.get(topo, vcs, r as usize, er as usize)?
+                        1 + unicast_slot(topo, vcs, r as usize, er as usize)?
                     };
                     keyed.push((key, d, j));
                 }
@@ -491,23 +526,48 @@ impl Plan {
                 let mut g = keyed.iter().take_while(|k| k.0 == 0).count();
                 let local_end = start + g;
                 while g < keyed.len() {
-                    let key = keyed[g].0;
+                    let (key, d, _) = keyed[g];
                     let len = keyed[g..].iter().take_while(|k| k.0 == key).count();
                     let bit = key - 1;
                     if depth as usize + 1 >= nr {
                         return Err(bad_route(format!(
-                            "the route to crossbar {} is still under way after {nr} routers \
-                             (it revisits one)",
-                            keyed[g].1
+                            "the route to crossbar {d} is still under way after {nr} routers \
+                             (it revisits one)"
                         )));
                     }
                     let nbr = fabric.links[fabric.pair_base(r as usize) + bit as usize / vcs].to;
+                    let mut child = plan.nodes.len() as u32;
+                    if !trees && len == 1 {
+                        match tails.entry((nbr, d)) {
+                            hash_map::Entry::Vacant(slot) => {
+                                slot.insert((child, 0));
+                            }
+                            // one branch of a net carries `d`, so meeting
+                            // its own node for `d` means the route came back
+                            hash_map::Entry::Occupied(tail) if tail.get().0 as usize >= first => {
+                                return Err(bad_route(format!(
+                                    "the route to crossbar {d} comes back to router {nbr}"
+                                )));
+                            }
+                            hash_map::Entry::Occupied(tail) => {
+                                let forwards;
+                                (child, forwards) = *tail.get();
+                                sites[n - first].below += 1 + u64::from(forwards);
+                            }
+                        }
+                    }
                     plan.branches.push(Branch {
-                        child: plan.nodes.len() as u32,
+                        child,
                         bit: bit as u16,
                     });
-                    sites.push((nbr, depth + 1));
-                    plan.nodes.push(Node::unplanned(start + g, start + g + len));
+                    if child as usize == plan.nodes.len() {
+                        sites.push(Site {
+                            router: nbr,
+                            depth: depth + 1,
+                            below: 0,
+                        });
+                        plan.nodes.push(Node::unplanned(start + g, start + g + len));
+                    }
                     g += len;
                 }
                 let branch_count = (plan.branches.len() - first_branch) as u32;
@@ -518,27 +578,46 @@ impl Plan {
                 node.branch_count = branch_count;
                 n += 1;
             }
-            plan.roots.push((root as u32, extra));
+            // the link forwards below each node the net made, children
+            // (made after their parents) first; a shared tail keeps its own
+            for n in (first..plan.nodes.len()).rev() {
+                let mut below = sites[n - first].below;
+                for b in plan.branches(n as u32) {
+                    if let Some(child) = (b.child as usize).checked_sub(first) {
+                        below += 1 + sites[child].below;
+                    }
+                }
+                sites[n - first].below = below;
+                let node = plan.nodes[n];
+                if !trees && node.end - node.start == 1 {
+                    let key = (sites[n - first].router, plan.arena[node.start as usize]);
+                    // a one-destination tail is a path: fewer hops than routers
+                    tails.get_mut(&key).expect("interned when made").1 = below as u32;
+                }
+            }
+            plan.nets.push(NetPlan {
+                root: first as u32,
+                extra,
+                forwards: sites[0].below,
+            });
         }
         Ok(plan)
     }
 
     /// The root node of `net`: its packet at the source router.
     pub(crate) fn root(&self, net: u32) -> u32 {
-        self.roots[net as usize].0
+        self.nets[net as usize].root
     }
 
     /// Handles one spike of `net` allocates beyond its injected one.
     pub(crate) fn extra_handles(&self, net: u32) -> u32 {
-        self.roots[net as usize].1
+        self.nets[net as usize].extra
     }
 
-    /// Link forwards one packet of `net` makes. Every branch adds one
-    /// node, so that is one per node of the net past its root.
+    /// Link forwards one packet of `net` makes: one per branch of its
+    /// tree, a shared tail's included.
     pub(crate) fn forwards(&self, net: u32) -> u64 {
-        let next_root = self.roots.get(net as usize + 1);
-        let end = next_root.map_or(self.nodes.len(), |&(root, _)| root as usize);
-        (end - self.root(net) as usize - 1) as u64
+        self.nets[net as usize].forwards
     }
 
     /// Whether the plan follows [`Topology::multicast_route`] trees — the
@@ -547,9 +626,26 @@ impl Plan {
         self.trees
     }
 
-    /// Nodes over all nets.
+    /// Nodes over all nets, a shared node once.
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Nodes over every net's tree, a shared node once per net that
+    /// reaches it: what the plan would hold if it shared nothing.
+    pub(crate) fn net_node_count(&self) -> u64 {
+        self.nets.iter().map(|n| n.forwards + 1).sum()
+    }
+
+    /// Of [`Self::net_node_count`], the nodes that carry one destination
+    /// under unicast routing — the ones the plan shares. Every other node
+    /// is one net's, and a tree plan shares none.
+    pub(crate) fn shared_net_node_count(&self) -> u64 {
+        if self.trees {
+            return 0;
+        }
+        let own = self.nodes.iter().filter(|n| n.end - n.start > 1).count();
+        self.net_node_count() - own as u64
     }
 
     /// Every destination a packet arriving at `node` still carries, the
@@ -855,6 +951,7 @@ pub(crate) mod tests {
     /// Walks net `net` of `plan` from its root and checks every node
     /// against the fabric. `carried` is what the node must carry, in the
     /// flow's order, as `(crossbar, position in the flow's list)`.
+    /// Returns the nodes walked, this one included.
     #[allow(clippy::too_many_arguments)]
     fn check_node(
         plan: &Plan,
@@ -865,7 +962,7 @@ pub(crate) mod tests {
         (node, r, depth): (u32, usize, usize),
         carried: &[(u32, usize)],
         extra: &mut u32,
-    ) {
+    ) -> u64 {
         let what = format!("{} at router {r}, depth {depth}", topo.name());
         let here = |&&(d, _): &&(u32, usize)| topo.endpoint(d) == r;
         let local: Vec<u32> = carried.iter().filter(here).map(|&(d, _)| d).collect();
@@ -916,6 +1013,7 @@ pub(crate) mod tests {
                 c.0
             );
         }
+        let mut walked = 1;
         for b in branches {
             let share: Vec<(u32, usize)> = remote
                 .iter()
@@ -926,8 +1024,9 @@ pub(crate) mod tests {
             // the child sits on the neighbor the slot names
             let nbr = topo.neighbors(r)[usize::from(b.bit) / vcs];
             let at = (b.child, nbr, depth + 1);
-            check_node(plan, topo, vcs, paths, walk, at, &share, extra);
+            walked += check_node(plan, topo, vcs, paths, walk, at, &share, extra);
         }
+        walked
     }
 
     #[test]
@@ -957,19 +1056,16 @@ pub(crate) mod tests {
             for flows in [flows.clone(), single_destination(&flows)] {
                 let nets = Nets::intern(crossbars, &flows).expect("known crossbars");
                 let plan = Plan::build(topo, &fabric, trees, &nets).expect("plans");
-                assert_eq!(plan.roots.len(), nets.len());
-                let mut nodes = 0;
+                assert_eq!(plan.nets.len(), nets.len());
                 for (net, &(src, dests)) in nets.keys.iter().enumerate() {
                     let src_router = topo.endpoint(src);
                     let routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
                     let paths = trees.then(|| topo.multicast_route(src_router, &routers, vcs));
                     let carried: Vec<(u32, usize)> =
                         dests.iter().copied().zip(0..dests.len()).collect();
-                    let root = plan.root(net as u32);
-                    assert_eq!(root, nodes, "a net's nodes are contiguous, root first");
                     let mut extra = 0;
-                    let at = (root, src_router, 0);
-                    check_node(
+                    let at = (plan.root(net as u32), src_router, 0);
+                    let walked = check_node(
                         &plan,
                         topo,
                         vcs,
@@ -980,11 +1076,74 @@ pub(crate) mod tests {
                         &mut extra,
                     );
                     assert_eq!(plan.extra_handles(net as u32), extra);
-                    nodes = plan
-                        .roots
-                        .get(net + 1)
-                        .map_or(plan.node_count() as u32, |r| r.0);
+                    assert_eq!(
+                        plan.forwards(net as u32),
+                        walked - 1,
+                        "a packet makes a forward per node of its tree past the root"
+                    );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn unicast_plans_share_one_destination_tails_across_nets() {
+        // a 4 × 4 mesh: every other crossbar sends to the far corner, and
+        // two multicast nets split off a branch toward it on the way
+        let topo = Mesh2D::for_crossbars(16);
+        let vcs = 2;
+        let fabric = Fabric::new(&topo, vcs).expect("valid");
+        let far = 15;
+        let mut flows: Vec<SpikeFlow> = (0..far)
+            .map(|src| SpikeFlow::unicast(src, src, far, 0))
+            .collect();
+        flows.push(SpikeFlow::multicast(20, 0, vec![far, 12, 3], 1));
+        flows.push(SpikeFlow::multicast(21, 4, vec![far, 7], 1));
+        let nets = Nets::intern(16, &flows).expect("known crossbars");
+        for trees in [false, true] {
+            let plan = Plan::build(&topo, &fabric, trees, &nets).expect("plans");
+            // walk every net's tree: a node carrying one destination is
+            // the pair (router, destination), any other is the net's own
+            let (mut walked_total, mut own) = (0, 0);
+            let mut pairs = std::collections::HashSet::new();
+            for (net, &(src, _)) in nets.keys.iter().enumerate() {
+                let net = net as u32;
+                let mut walked = 0;
+                let mut stack = vec![(plan.root(net), topo.endpoint(src))];
+                while let Some((node, r)) = stack.pop() {
+                    walked += 1;
+                    match plan.dests(node) {
+                        &[d] => _ = pairs.insert((r, d)),
+                        _ => own += 1,
+                    }
+                    for b in plan.branches(node) {
+                        let nbr = topo.neighbors(r)[usize::from(b.bit) / vcs];
+                        stack.push((b.child, nbr));
+                    }
+                }
+                assert_eq!(plan.forwards(net), walked - 1, "net {net}");
+                walked_total += walked;
+            }
+            assert_eq!(plan.net_node_count(), walked_total);
+            let shared = walked_total - own;
+            if trees {
+                // a tree path belongs to its net: nothing is shared
+                assert_eq!(plan.node_count() as u64, walked_total);
+                assert_eq!(plan.shared_net_node_count(), 0);
+                continue;
+            }
+            assert_eq!(plan.node_count(), own as usize + pairs.len());
+            assert_eq!(plan.shared_net_node_count(), shared);
+            // one node toward the far corner per router, however many
+            // nets pass it (every router is on some XY route there)
+            let toward_far = pairs.iter().filter(|&&(_, d)| d == far).count();
+            assert_eq!(toward_far, 16);
+            assert!(plan.node_count() as u64 * 2 < walked_total);
+            // a unicast net's forwards are its route's hops: XY on the mesh
+            for (net, &(src, _)) in nets.keys.iter().enumerate().take(far as usize) {
+                let (x, y) = (src % 4, src / 4);
+                let hops = (3 - x) + (3 - y);
+                assert_eq!(plan.forwards(net as u32), u64::from(hops), "from {src}");
             }
         }
     }

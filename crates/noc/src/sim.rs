@@ -48,11 +48,14 @@
 //! packets counted, and cutting the flows into **run entries** (runs of
 //! equal flows: `(step, source, neuron, net, first flow, packets)`). It
 //! then builds one forwarding **plan** for all the nets (`crate::plan`):
-//! per net, a tree of *nodes*, a node being "a packet of this net
-//! arriving at this router" = the crossbars delivered there, in the
-//! flow's order, plus one *branch* per `(egress port, VC)` slot the rest
-//! leaves by. The route (unicast, or the net's multicast tree) is
-//! asked once per (node, destination), whatever the number of spikes.
+//! per net, a tree of *nodes*, a node being "a packet arriving at this
+//! router carrying these destinations" = the crossbars delivered there,
+//! in the flow's order, plus one *branch* per `(egress port, VC)` slot
+//! the rest leaves by. Under unicast routing a node carrying one
+//! destination is shared by every net whose route reaches it, so each
+//! destination's tail from each router is planned once per run. The
+//! route (unicast, or the net's multicast tree) is asked once per (node,
+//! destination), whatever the number of spikes.
 //!
 //! The injection schedule (`Schedule`) sorts the run entries once into
 //! canonical order and streams their packets: the loop takes each
@@ -701,9 +704,10 @@ impl NocSim {
     }
 
     /// The link forwards a run of `flows` makes, without running it: per
-    /// net, the branches of its forwarding plan (the plan the engines
-    /// follow) times its packets (one per flow with destinations), both
-    /// counted before a run's first cycle. A run that succeeds charges
+    /// net, the branches of its tree in the forwarding plan (the plan the
+    /// engines follow; a shared tail's branches included) times its
+    /// packets (one per flow with destinations), both counted before a
+    /// run's first cycle. A run that succeeds charges
     /// `flits_per_packet ×` this many [`Counters::link_flits`].
     ///
     /// # Errors
@@ -804,6 +808,8 @@ fn run_engine<S: Sched>(
     if let Some(t) = sim_trace.as_deref_mut() {
         t.nets = nets.len() as u64;
         t.plan_nodes = plan.node_count() as u64;
+        t.net_nodes = plan.net_node_count();
+        t.shared_net_nodes = plan.shared_net_node_count();
     }
     let mut recorded = config.trace.then(|| TraceBuf::new(config));
     let mut fold = StatsFold::new(Keep::Only(nets.split_streams()));
@@ -2306,8 +2312,16 @@ mod tests {
         // engine's route table used to panic on it, the oracle's walk at
         // the first packet). Under tree routing the default
         // `multicast_route` walks the same routes — it used to panic on
-        // the loop and the stall — and the plan blames the tree path
+        // the loop and the stall — and the plan blames the tree path. A
+        // one-destination net's root is a node unicast plans share: alone,
+        // and sent before the multicast net that reaches it again
         let reroutes: [Reroute; 3] = [BOUNCE, STALL, |r, dst| (dst == 2 && r == 0).then_some(2)];
+        let one = SpikeFlow::unicast(1, 0, 2, 0);
+        let flow_sets = [
+            flows.to_vec(),
+            vec![one.clone()],
+            vec![one, flows[0].clone()],
+        ];
         for reroute in reroutes {
             for (trees, blamed) in [(false, "topology"), (true, "multicast_route")] {
                 let cfg = NocConfig {
@@ -2318,11 +2332,13 @@ mod tests {
                 let topo = || -> Box<dyn Topology> {
                     Box::new(ReroutedMesh(Mesh2D::for_crossbars(9), reroute))
                 };
-                let e = both_engines(topo, cfg, &flows).unwrap_err();
-                assert!(
-                    matches!(e, NocError::InvalidConfig { name, .. } if name == blamed),
-                    "{e}"
-                );
+                for flows in &flow_sets {
+                    let e = both_engines(topo, cfg, flows).unwrap_err();
+                    assert!(
+                        matches!(e, NocError::InvalidConfig { name, .. } if name == blamed),
+                        "{e}"
+                    );
+                }
             }
         }
         // and a detour that comes back within the bound is just a longer

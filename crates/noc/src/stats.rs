@@ -168,9 +168,19 @@ pub struct SimTrace {
     /// packets injected ÷ nets says how often each answer was reused.
     /// Equal under both engines; not part of any digest.
     pub nets: u64,
-    /// Nodes of the run's forwarding plan: (net, router reached) pairs.
-    /// Equal under both engines; not part of any digest.
+    /// Nodes of the run's forwarding plan: the routers a net's packet
+    /// reaches, with what it still carries there, where a node carrying
+    /// one destination is shared by every net that reaches it under
+    /// unicast routing. Equal under both engines; not part of any digest.
     pub plan_nodes: u64,
+    /// Nodes over every net's tree, a shared node counted once per net
+    /// that reaches it: what the plan would hold if it shared nothing.
+    /// Equal under both engines; not part of any digest.
+    pub net_nodes: u64,
+    /// Of `net_nodes`, the ones carrying one destination under unicast
+    /// routing, which the plan shares (0 under multicast trees, which
+    /// share nothing). Equal under both engines; not part of any digest.
+    pub shared_net_nodes: u64,
     /// The most packet handles live at once: copies injected or split
     /// off and not yet fully delivered — the run's packets in flight,
     /// queued encoder packets included. Equal under both engines; not

@@ -907,6 +907,11 @@ fn tree_routes_are_asked_once_per_net() {
         let (stats, trace) = sim.run_traced(&flows, 12).expect("drains");
         assert_eq!(stats.counters.packets_injected, 288);
         assert_eq!((trace.nets, trace.plan_nodes > 24), (24, true));
+        // a tree path is its net's: the plan shares no node
+        assert_eq!(
+            (trace.net_nodes, trace.shared_net_nodes),
+            (trace.plan_nodes, 0)
+        );
         assert_eq!(
             topo.1.load(std::sync::atomic::Ordering::Relaxed),
             calls,
